@@ -199,7 +199,7 @@ pub fn suite(cfg: &PerfConfig) -> Vec<(String, Box<dyn FnMut() + '_>)> {
     }
 
     // Probe-engine throughput over a live/dead/aliased target mix. One
-    // shared workload for the sequential wire path and the sharded
+    // shared workload for the single-task scan and the sharded
     // pipeline, so the `scan_parallel_*` medians read directly as speedup
     // over `probe/scan_icmp` (grown to 8192 targets in PR 4 so each of 8
     // shards still carries a meaningful slice).

@@ -32,7 +32,7 @@
 //! than silently normalized (the engine's `TokenBucket::split` and the
 //! scan pipeline clamp internal shard counts with `.max(1)`, but a user
 //! asking for zero shards is a configuration mistake, not a request for
-//! the sequential path). `--gen-workers` follows the same rule and fans
+//! the single-task scan). `--gen-workers` follows the same rule and fans
 //! out 6Scan/DET generation rounds across worker threads; candidate
 //! streams are bit-identical at any worker count (W-invariance, see the
 //! README's "Parallel generation"), so like `--scan-shards` it only buys

@@ -19,8 +19,10 @@ pub struct StudyConfig {
     /// Scanner retransmissions after the first attempt.
     pub scan_retries: u32,
     /// Worker shards for each scan pass (`Scanner::scan_parallel`). With
-    /// 1 the sequential wire path runs; results are bit-identical either
-    /// way, the shards only split the pps budget and the wall clock.
+    /// 1 the scan runs as a single task on the calling thread — the same
+    /// probe loop, no clones, no spawns; results are bit-identical at
+    /// every value, the shards only split the pps budget and the wall
+    /// clock.
     pub scan_shards: usize,
     /// Worker threads for within-round TGA generation fan-out
     /// (`tga::parallel`, 6Scan/DET). Candidate streams are bit-identical

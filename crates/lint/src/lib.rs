@@ -29,9 +29,11 @@ use sos_obs::json::Json;
 
 pub use rules::{lint_files, lint_source, rule_info, Config, Finding, RuleInfo, RULES};
 
-/// Directories never linted: build output, VCS, and the lint crate's own
-/// rule fixtures (which violate rules on purpose).
-const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures"];
+/// Directories never linted: build output, VCS, the lint crate's own rule
+/// fixtures (which violate rules on purpose), and the repo benchmark — a
+/// separate workspace whose job is wall-clock timing and allocation
+/// counting, outside the deterministic pipeline these rules guard.
+const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures", "benchmark"];
 
 /// Collect every `.rs` file under `root` in sorted order (directory
 /// iteration order is OS-dependent; sorting keeps reports and baselines

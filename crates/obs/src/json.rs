@@ -383,13 +383,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction)
+                    // Copy the whole run up to the next quote or escape and
+                    // validate it once. Neither delimiter byte can occur
+                    // inside a multi-byte UTF-8 scalar, so the run ends on
+                    // a scalar boundary.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
+                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -551,6 +557,22 @@ mod tests {
         );
         assert_eq!(Json::parse(r#""\u00e9x""#), Ok(Json::Str("\u{e9}x".into())));
         assert!(Json::parse(r#""\ud83d""#).is_err(), "lone high surrogate");
+    }
+
+    /// The string scanner copies runs between delimiters; a run boundary
+    /// next to a 2-, 3- or 4-byte scalar must not split or drop it.
+    #[test]
+    fn parse_keeps_multibyte_scalars_adjacent_to_escapes() {
+        let s = "é\"€\\😀\né\u{1}€\t😀";
+        for text in [Json::Str(s.into()).to_string(), format!("[{}]", Json::Str(s.into()))] {
+            let back = Json::parse(&text).expect("parses");
+            let got = back.as_str().or_else(|| back.as_arr()?.first()?.as_str());
+            assert_eq!(got, Some(s), "round trip through {text}");
+        }
+        assert_eq!(
+            Json::parse("\"😀\\u00e9€\\\\é\""),
+            Ok(Json::Str("😀é€\\é".into()))
+        );
     }
 
     #[test]

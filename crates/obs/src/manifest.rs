@@ -20,12 +20,43 @@ use crate::json::Json;
 /// FNV-1a 64-bit hash — stable across runs, platforms, and releases,
 /// which `DefaultHasher` explicitly is not.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a64::default();
+    h.update(bytes);
+    h.finish()
+}
+
+/// Incremental [`fnv1a64`]: the digest of everything fed so far equals
+/// `fnv1a64` of the concatenation. Implements [`std::fmt::Write`], so
+/// `write!` hashes formatted text without materialising it.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a64(u64);
+
+impl Default for Fnv1a64 {
+    fn default() -> Self {
+        Fnv1a64(0xcbf2_9ce4_8422_2325)
     }
-    h
+}
+
+impl Fnv1a64 {
+    /// Fold `bytes` into the running hash.
+    pub fn update(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The digest of everything fed so far.
+    pub fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl std::fmt::Write for Fnv1a64 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
 }
 
 /// Format a digest the way manifests store it.
@@ -173,6 +204,16 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn incremental_fnv_equals_one_shot_over_the_concatenation() {
+        use std::fmt::Write as _;
+        let mut h = Fnv1a64::default();
+        h.update(b"foo");
+        write!(h, "{}{:02x}", "ba", 0x72).unwrap();
+        assert_eq!(h.finish(), fnv1a64(b"fooba72"));
+        assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
     }
 
     #[test]

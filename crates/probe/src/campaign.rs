@@ -29,11 +29,11 @@ use std::sync::Arc;
 
 use netmodel::{FaultEpochs, PortSet, Protocol, PROTOCOLS};
 use sos_obs::json::Json;
-use sos_obs::manifest::fnv1a64;
+use sos_obs::manifest::Fnv1a64;
 use sos_obs::{Event, JournalWriter, SnapshotExporter};
 
 use crate::engine::{ScanReport, Scanner};
-use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
+use crate::provenance::{AttributionTable, ProvenanceLog};
 use crate::ratelimit::{BucketSnapshot, TokenBucket};
 use crate::retry::{BreakerConfig, BreakerMap, BreakerState};
 use crate::transport::Transport;
@@ -49,6 +49,19 @@ pub struct CampaignResult {
 }
 
 impl CampaignResult {
+    /// Merge per-protocol reports (kept in the given order) into the
+    /// per-address view: an address is responsive on a protocol iff that
+    /// protocol's report lists it as a hit.
+    pub fn from_reports(reports: Vec<(Protocol, ScanReport)>) -> Self {
+        let mut responsive: HashMap<u128, PortSet> = HashMap::new();
+        for (proto, report) in &reports {
+            for &hit in &report.hits {
+                responsive.entry(u128::from(hit)).or_insert(PortSet::EMPTY).insert(*proto);
+            }
+        }
+        CampaignResult { responsive, reports }
+    }
+
     /// Responsiveness of one address (empty when it never answered).
     pub fn ports(&self, addr: Ipv6Addr) -> PortSet {
         self.responsive
@@ -84,7 +97,10 @@ impl CampaignResult {
 /// Knobs for [`Campaign::run_with`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Shards per round (`0`/`1` = sequential; normalized to ≥ 1).
+    /// Shards per protocol per round (normalized to ≥ 1). A round runs
+    /// `protocols × shards` tasks, so only a one-protocol campaign at one
+    /// shard runs on the calling thread — the standard four-protocol
+    /// campaign spawns four tasks even at `1`.
     pub shards: usize,
     /// Prepared targets per round. `0` means one single round (no
     /// intermediate checkpoint boundaries).
@@ -657,64 +673,21 @@ impl<'a, T: Transport> Campaign<'a, T> {
         Campaign { scanner, protocols }
     }
 
-    /// Scan `targets` on every configured protocol.
-    pub fn run(&mut self, targets: &[Ipv6Addr]) -> CampaignResult {
-        let mut result = CampaignResult::default();
-        for &proto in &self.protocols {
-            let _span = sos_obs::span_detail("scan", format!("proto={proto:?}"));
-            let report = self.scanner.scan(targets.iter().copied(), proto);
-            Self::merge(&mut result, proto, report);
-        }
-        result
-    }
-
-    fn merge(result: &mut CampaignResult, proto: Protocol, report: ScanReport) {
-        for &hit in &report.hits {
-            result
-                .responsive
-                .entry(u128::from(hit))
-                .or_insert(PortSet::EMPTY)
-                .insert(proto);
-        }
-        result.reports.push((proto, report));
-    }
-
     /// The campaign's identity fingerprint: target list + protocol set +
     /// scanner configuration, hashed canonically. A checkpoint only
     /// resumes a campaign with the same fingerprint.
     fn fingerprint(&self, targets: &[Ipv6Addr]) -> u64 {
-        let mut text = String::new();
+        // Hashed as it is formatted: the text is 33 bytes per target.
+        let mut hash = Fnv1a64::default();
         for t in targets {
-            let _ = write!(text, "{:032x};", u128::from(*t));
+            let _ = write!(hash, "{:032x};", u128::from(*t));
         }
-        let _ = write!(text, "|{:?}|{:?}", self.protocols, self.scanner.config());
-        fnv1a64(text.as_bytes())
+        let _ = write!(hash, "|{:?}|{:?}", self.protocols, self.scanner.config());
+        hash.finish()
     }
 }
 
 impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
-    /// Run the campaign's protocols **concurrently**, each sharded
-    /// `shards` ways: the target list is deduplicated and
-    /// blocklist-filtered once, then `protocols × shards` workers probe
-    /// in parallel, each with its own transport clone and a slice of the
-    /// scanner's pps budget. The merged result and every per-protocol
-    /// report are bit-identical to [`Campaign::run`] on the same world
-    /// state (asserted by the probe crate's integration tests).
-    pub fn run_parallel(&mut self, targets: &[Ipv6Addr], shards: usize) -> CampaignResult {
-        let _span = sos_obs::span_detail(
-            "campaign",
-            format!("protos={} shards={shards}", self.protocols.len()),
-        );
-        let reports =
-            self.scanner
-                .scan_parallel_multi(targets.iter().copied(), &self.protocols, shards);
-        let mut result = CampaignResult::default();
-        for (proto, report) in reports {
-            Self::merge(&mut result, proto, report);
-        }
-        result
-    }
-
     /// Run (or resume) the campaign in checkpointable rounds.
     ///
     /// The target list is prepared once; rounds of
@@ -748,18 +721,14 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
         let mut template = ScanReport::default();
         // A resume re-prepares silently: the restored counter snapshot
         // already carries the original run's dedup/blocklist metrics.
-        let (prepared, origin) =
-            self.scanner
-                .prepare_mapped(targets.iter().copied(), resume.is_none(), &mut template);
-        // Re-key the emission-order provenance log by prepared index; the
-        // per-round slices below carry global prepared indices, so one
-        // full-length tag slice serves every round.
-        let tags: Option<Vec<Provenance>> = opts.provenance.as_ref().map(|log| {
-            origin
-                .iter()
-                .map(|&orig| log.get_or_fill(orig as usize))
-                .collect()
-        });
+        // Prepared targets carry global indices and the provenance tags
+        // are keyed by them, so every round scans a plain sub-slice.
+        let (prepared, tags) = self.scanner.prepare(
+            targets.iter().copied(),
+            resume.is_none(),
+            opts.provenance.as_deref(),
+            &mut template,
+        );
 
         let mut done = 0usize;
         let mut rounds = 0usize;
@@ -897,14 +866,10 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             let (hits_before, packets_before) = hit_packet_totals(&reports);
             // done <= end <= prepared.len(): end is clamped above, done
             // only ever advances to a previous end.
-            let slice: Vec<(u32, Ipv6Addr)> = prepared[done..end]
-                .iter()
-                .enumerate()
-                .map(|(i, &a)| ((done + i) as u32, a))
-                .collect();
+            let slice = &prepared[done..end];
             let round =
                 self.scanner
-                    .scan_prepared(&slice, &self.protocols, shards, tags.as_deref());
+                    .scan_prepared(slice, &self.protocols, shards, tags.as_deref());
             for (i, (proto, partial)) in round.into_iter().enumerate() {
                 debug_assert_eq!(reports[i].0, proto); // i < protocols.len() == reports.len()
                 reports[i].1.absorb_round(partial); // i < reports.len(): one entry per protocol
@@ -1024,12 +989,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             tele.export_final()?;
         }
 
-        let mut result = CampaignResult::default();
-        for (proto, report) in reports {
-            Self::merge(&mut result, proto, report);
-        }
         Ok(CampaignRun {
-            result,
+            result: CampaignResult::from_reports(reports),
             completed,
             rounds,
             resumed_targets,
@@ -1074,6 +1035,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
 mod tests {
     use super::*;
     use crate::engine::ScannerConfig;
+    use crate::provenance::Provenance;
     use crate::retry::RetryPolicy;
     use crate::sim::SimTransport;
     use netmodel::{World, WorldConfig};
@@ -1118,7 +1080,10 @@ mod tests {
 
         let mut s = scanner(world.clone());
         let mut campaign = Campaign::standard(&mut s);
-        let result = campaign.run(&[icmp_only, web, dead]);
+        let result = campaign
+            .run_with(&[icmp_only, web, dead], &RunOptions::default(), None)
+            .unwrap()
+            .result;
 
         assert_eq!(result.reports.len(), 4);
         assert!(result.ports(icmp_only).contains(Protocol::Icmp));
@@ -1146,7 +1111,7 @@ mod tests {
             .unwrap();
         let mut s = scanner(world);
         let mut campaign = Campaign::new(&mut s, vec![Protocol::Icmp]);
-        let result = campaign.run(&[target]);
+        let result = campaign.run_with(&[target], &RunOptions::default(), None).unwrap().result;
         assert_eq!(result.reports.len(), 1);
         assert_eq!(result.responsive_on(Protocol::Icmp), 1);
         assert_eq!(result.responsive_on(Protocol::Udp53), 0);
@@ -1208,6 +1173,25 @@ mod tests {
         let back = CampaignCheckpoint::from_json(&Json::parse(&text).expect("parses"))
             .expect("decodes");
         assert_eq!(back, ckpt, "checkpoint must round-trip bit-exactly");
+    }
+
+    /// Checkpoints written before the fingerprint was streamed must still
+    /// resume: the digest equals hashing the old one-string rendering.
+    #[test]
+    fn fingerprint_is_the_hash_of_the_canonical_text() {
+        let world = Arc::new(World::build(WorldConfig::tiny(0xCA4)));
+        let targets: Vec<Ipv6Addr> = world.hosts().iter().map(|(a, _)| a).take(5).collect();
+        let mut s = scanner(world);
+        let campaign = Campaign::new(&mut s, vec![Protocol::Icmp, Protocol::Udp53]);
+        let mut text = String::new();
+        for t in &targets {
+            write!(text, "{:032x};", u128::from(*t)).unwrap();
+        }
+        write!(text, "|{:?}|{:?}", campaign.protocols, campaign.scanner.config()).unwrap();
+        assert_eq!(
+            campaign.fingerprint(&targets),
+            sos_obs::manifest::fnv1a64(text.as_bytes())
+        );
     }
 
     #[test]

@@ -5,27 +5,38 @@
 //! networks are never probed; scans are rate limited; ICMP Destination
 //! Unreachable and TCP RST responses are counted but are **not** hits.
 //!
-//! Two execution paths share one preparation and one classification:
+//! One probe loop serves every caller. [`Scanner::scan`],
+//! [`Scanner::scan_parallel`], campaign rounds and the [`ScanOracle`]
+//! feedback probes all prepare their targets the same way (dedup +
+//! blocklist, once) and then run each target through the same per-target
+//! policy — breaker admission, retry budget, one
+//! [`Transport::probe_burst`], back-off and rate-limiter replay, breaker
+//! record. What differs is only where the loop runs:
 //!
-//! - [`Scanner::scan`] — the sequential reference path. Every probe
-//!   round-trips real packet bytes through [`Transport::send`].
-//! - [`Scanner::scan_parallel`] — the sharded pipeline. The target list is
-//!   deduplicated and blocklist-filtered **once**, partitioned into W
-//!   shards **by prefix hash** (every fault domain and breaker domain
-//!   lands wholly inside one shard, so per-prefix state never forks), and
-//!   each shard probes through its own cloned transport via
-//!   [`Transport::probe_burst`] with a [`TokenBucket`] carved from the
-//!   global pps budget (`rate / W` each, so the aggregate still honors
-//!   Appendix A). Shard hits carry their global input index and are merged
-//!   by sorting on it — reports are bit-identical to the sequential path
-//!   (asserted by tests, including under every fault schedule).
+//! - one task, on the scanner's own transport, limiter and breaker map
+//!   ([`Scanner::scan`], one-shard scans, oracle probes), or
+//! - `protocols × W` tasks: the prepared list is partitioned into W shards
+//!   **by prefix hash** (every fault domain and breaker domain lands
+//!   wholly inside one shard, so per-prefix state never forks), and each
+//!   task probes through its own cloned transport with a [`TokenBucket`]
+//!   carved from the global pps budget (`rate / tasks` each, so the
+//!   aggregate still honors Appendix A). Shard hits carry their global
+//!   input index and are merged by sorting on it, so reports are
+//!   bit-identical at every width.
+//!
+//! Byte-level packet round-tripping is the transport's default
+//! `probe_burst`, not a second engine path; `tests/parallel_scan.rs` holds
+//! the engine over [`SimTransport`](crate::sim::SimTransport)'s burst
+//! override to it, under every fault schedule.
 //!
 //! Hostile-network machinery (PR 6): a [`RetryPolicy`] replaces the fixed
 //! retry count (exponential backoff in *virtual* seconds with seeded
 //! jitter), and an optional per-prefix circuit breaker
 //! ([`BreakerConfig`]) stops probing prefixes that answer with nothing
-//! but silence — skipped targets are reported as
-//! [`ProbeOutcome::Skipped`], never probed, and never billed packets.
+//! but silence — skipped targets are counted in [`ScanReport::skipped`],
+//! never probed, and never billed packets.
+//!
+//! [`ScanOracle`]: crate::oracle::ScanOracle
 
 use std::collections::HashSet;
 use std::net::Ipv6Addr;
@@ -35,11 +46,10 @@ use sos_obs::par::{ParCell, ParStats, ParWorker};
 use v6addr::PrefixSet;
 
 use crate::metrics::EngineMetrics;
-use crate::packet::build_probe;
 use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
 use crate::ratelimit::TokenBucket;
 use crate::retry::{Admission, BreakerConfig, BreakerMap, RetryPolicy};
-use crate::transport::{classify_response, Attempt, ProbeSpec, Transport};
+use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
 
 /// Scanner policy knobs.
 #[derive(Debug, Clone)]
@@ -79,55 +89,17 @@ impl Default for ScannerConfig {
 }
 
 impl ScannerConfig {
-    /// The probe spec for one plain (untagged) scan probe.
-    fn spec(&self, dst: Ipv6Addr, proto: Protocol) -> ProbeSpec {
+    /// The probe spec for one target, optionally carrying a region tag.
+    fn spec(&self, dst: Ipv6Addr, proto: Protocol, region: Option<u32>) -> ProbeSpec {
         ProbeSpec {
             src: self.src,
             dst,
             proto,
             salt: self.salt,
-            region: None,
+            region,
             validate: self.validate,
         }
     }
-}
-
-/// Outcome of probing one target to completion (with retries).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeOutcome {
-    /// Positive response — a hit.
-    Hit,
-    /// TCP RST — port closed; live device, but not a hit (§4.1).
-    Rst,
-    /// ICMP Destination Unreachable — not a hit (§4.1).
-    Unreachable,
-    /// Nothing came back.
-    Silent,
-    /// The target was never probed; no packet was transmitted.
-    Skipped(SkipReason),
-}
-
-/// Why a target was skipped without transmitting anything.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SkipReason {
-    /// The target's prefix breaker is open (too many consecutive
-    /// silent/unreachable targets inside the prefix).
-    BreakerOpen,
-}
-
-/// Everything [`Scanner::probe_target`] learned about one target.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProbeResult {
-    /// §4.1 classification (or [`ProbeOutcome::Skipped`]).
-    pub outcome: ProbeOutcome,
-    /// Region tag echoed by a hit's response payload, if any.
-    pub tag: Option<u32>,
-    /// Virtual seconds spent waiting on the rate limiter.
-    pub limited_s: f64,
-    /// Virtual seconds spent in retry backoff.
-    pub backoff_s: f64,
-    /// Probe packets transmitted (0 for skipped targets).
-    pub attempts: u32,
 }
 
 /// Results of one scan invocation.
@@ -257,57 +229,112 @@ impl ScanReport {
     }
 }
 
-/// Deduplicate and blocklist-filter a target stream once, recording the
-/// skips in `report` (and `metrics`, unless suppressed for a checkpoint
-/// resume's silent re-preparation). Returns the targets to probe, in
-/// first-occurrence order.
-fn prepare_targets(
-    blocklist: &PrefixSet,
-    metrics: Option<&EngineMetrics>,
-    targets: impl IntoIterator<Item = Ipv6Addr>,
-    report: &mut ScanReport,
-) -> Vec<Ipv6Addr> {
-    prepare_targets_mapped(blocklist, metrics, targets, report).0
+/// A prepared target list: deduplicated, unblocked targets paired with
+/// their global index (first-occurrence order), plus — for a recording
+/// provenance log — each prepared target's tag, keyed by that index.
+type Prepared = (Vec<(u32, Ipv6Addr)>, Option<Vec<Provenance>>);
+
+/// Flat per-target accounting: what [`probe_one`] adds up for every target
+/// it handles, whoever asked. A scan shard flushes it once at the end, an
+/// oracle probe after its single target; the hot loop itself touches no
+/// shared counter per packet.
+#[derive(Debug, Default)]
+struct Tally {
+    packets: u64,
+    retries: u64,
+    malformed: u64,
+    invalid: u64,
+    skipped: u64,
+    faults: u64,
+    opened: u64,
+    backoff_us: u64,
+    throttled_us: u64,
+    limited_s: f64,
 }
 
-/// [`prepare_targets`] plus, for each prepared target, its index in the
-/// *original* (pre-dedup) stream — the alignment the provenance carrier
-/// needs, since generators tag candidates in emission order.
-fn prepare_targets_mapped(
-    blocklist: &PrefixSet,
-    metrics: Option<&EngineMetrics>,
-    targets: impl IntoIterator<Item = Ipv6Addr>,
-    report: &mut ScanReport,
-) -> (Vec<Ipv6Addr>, Vec<u32>) {
-    let targets = targets.into_iter();
-    let mut prepared = Vec::with_capacity(targets.size_hint().0);
-    let mut origin = Vec::new();
-    let mut seen: HashSet<u128> = HashSet::new();
-    for (i, dst) in targets.enumerate() {
-        if !seen.insert(u128::from(dst)) {
-            report.duplicates += 1;
-            if let Some(m) = metrics {
-                m.drop_duplicate.inc();
+impl Tally {
+    /// Add the tallies to the engine counters. Zeros are skipped: a
+    /// typical oracle probe moves `packets_sent` and nothing else.
+    fn flush(&self, m: &EngineMetrics) {
+        for (counter, n) in [
+            (&m.packets_sent, self.packets),
+            (&m.retries, self.retries),
+            (&m.drop_malformed, self.malformed),
+            (&m.drop_validation, self.invalid),
+            (&m.breaker_skipped, self.skipped),
+            (&m.faults_injected, self.faults),
+            (&m.breaker_opened, self.opened),
+            (&m.backoff_waited_us, self.backoff_us),
+        ] {
+            if n > 0 {
+                counter.add(n);
             }
-            continue;
         }
-        if blocklist.contains_addr(dst) {
-            report.blocked += 1;
-            if let Some(m) = metrics {
-                m.drop_blocklist.inc();
-            }
-            continue;
-        }
-        prepared.push(dst);
-        origin.push(i as u32);
     }
-    (prepared, origin)
+}
+
+/// The per-target probe policy — the only place a probe is sent from.
+/// Breaker admission, the retry budget, one [`Transport::probe_burst`],
+/// back-off and rate-limiter replay, breaker record; everything it spends
+/// is added to `tally`. Returns `None` when an open breaker skipped the
+/// target (nothing transmitted).
+fn probe_one<T: Transport>(
+    cfg: &ScannerConfig,
+    transport: &mut T,
+    limiter: &mut Option<TokenBucket>,
+    breaker: &mut Option<BreakerMap>,
+    metrics: &EngineMetrics,
+    spec: &ProbeSpec,
+    tally: &mut Tally,
+) -> Option<Burst> {
+    if let Some(b) = breaker.as_mut() {
+        if b.admit(spec.dst, spec.proto) == Admission::Skip {
+            tally.skipped += 1;
+            return None;
+        }
+    }
+    let key = u128::from(spec.dst);
+    let budget = cfg.retry.attempts_allowed(cfg.salt, key);
+    let (faults, throttled) = (transport.faults_injected(), transport.throttled_us());
+    let burst = transport.probe_burst(spec, budget);
+    tally.faults += transport.faults_injected() - faults;
+    tally.throttled_us += transport.throttled_us() - throttled;
+    tally.packets += u64::from(burst.used);
+    tally.retries += u64::from(burst.used.saturating_sub(1));
+    tally.malformed += u64::from(burst.malformed);
+    tally.invalid += u64::from(burst.invalid);
+    // Tokens and backoff are replayed after the burst rather than around
+    // each packet: the bucket runs on virtual time, so each wait depends
+    // only on the advance/acquire sequence — backoff-advance, acquire,
+    // send — which is the order a packet-at-a-time sender would produce.
+    if let Some(tb) = limiter.as_mut() {
+        for attempt in 0..burst.used {
+            let d = cfg.retry.delay_before(attempt, cfg.salt, key);
+            if d > 0.0 {
+                tb.advance(d);
+            }
+            let wait = tb.acquire();
+            if wait > 0.0 {
+                metrics.stall(wait);
+            }
+            tally.limited_s += wait;
+        }
+    }
+    let backoff = cfg.retry.total_backoff(burst.used, cfg.salt, key);
+    if backoff > 0.0 {
+        tally.backoff_us += secs_to_us(backoff);
+    }
+    if let Some(b) = breaker.as_mut() {
+        let failure = !matches!(burst.verdict, Attempt::Hit | Attempt::Rst);
+        tally.opened += u64::from(b.record(spec.dst, spec.proto, failure));
+    }
+    Some(burst)
 }
 
 /// The prefix length the sharded pipeline partitions targets by: coarse
 /// enough that no active fault domain or breaker domain spans two shards
-/// (which would fork their per-prefix virtual clocks and break
-/// bit-identity with the sequential path).
+/// (which would fork their per-prefix virtual clocks and make results
+/// depend on the shard count).
 fn shard_partition_len<T: Transport>(transport: &T, breaker: Option<&BreakerConfig>) -> u8 {
     let mut len = 48u8;
     if let Some(f) = transport.fault_prefix_len() {
@@ -338,12 +365,11 @@ fn shard_of(addr: u128, partition_len: u8, shards: usize) -> usize {
     shard_of_domain(domain, shards)
 }
 
-/// Probe one prepared (already deduplicated, unblocked) slice of
-/// `(global index, target)` pairs through `transport.probe_burst`,
-/// tallying a partial [`ScanReport`] plus index-tagged hits (the caller
-/// restores global hit order by sorting on the index). This is the
-/// per-shard worker loop; with the scanner's own transport, limiter, and
-/// breaker it is also the `shards == 1` path.
+/// Probe one prepared slice of `(global index, target)` pairs, tallying a
+/// partial [`ScanReport`] plus index-tagged hits (the caller restores
+/// global hit order by sorting on the index). This is the scan loop: a
+/// shard worker runs it on its cloned transport, and a single-task scan
+/// runs it on the scanner's own transport, limiter, and breaker.
 ///
 /// `prov`, when present, maps **global prepared index → provenance tag**
 /// (the full prepared-length slice, not the shard's slice); each probed
@@ -363,65 +389,21 @@ fn scan_shard<T: Transport>(
 ) -> (ScanReport, Vec<(u32, Ipv6Addr)>) {
     let mut report = ScanReport::default();
     let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
-    // Shard-local tallies, flushed into `metrics` once at the end: the
-    // totals are identical, but the hot loop skips the mirrored atomic
-    // counters per packet.
-    let (mut retries, mut malformed, mut invalid) = (0u64, 0u64, 0u64);
-    let (mut skipped, mut backoff_us) = (0u64, 0u64);
-    let faults_at_entry = transport.faults_injected();
-    let throttled_at_entry = transport.throttled_us();
-    let opened_at_entry = breaker.as_ref().map_or(0, |b| b.opened());
+    let mut tally = Tally::default();
     for &(idx, dst) in targets {
-        if let Some(b) = breaker.as_mut() {
-            if b.admit(dst, proto) == Admission::Skip {
-                report.skipped += 1;
-                skipped += 1;
-                continue;
-            }
-        }
+        let spec = cfg.spec(dst, proto, None);
+        let Some(burst) = probe_one(cfg, transport, limiter, breaker, metrics, &spec, &mut tally)
+        else {
+            continue;
+        };
         report.probed += 1;
-        if let Some(p) = prov.and_then(|ps| ps.get(idx as usize)) {
+        let tag = prov.and_then(|ps| ps.get(idx as usize));
+        if let Some(p) = tag {
             report.attribution.record_probe(*p);
-        }
-        let spec = cfg.spec(dst, proto);
-        let budget = cfg.retry.attempts_allowed(cfg.salt, u128::from(dst));
-        let burst = transport.probe_burst(&spec, budget);
-        report.packets_sent += u64::from(burst.used);
-        retries += u64::from(burst.used.saturating_sub(1));
-        malformed += u64::from(burst.malformed);
-        invalid += u64::from(burst.invalid);
-        // Tokens and backoff are replayed after the burst rather than
-        // around each packet: the bucket runs on virtual time, so each
-        // wait depends only on the advance/acquire sequence — which is
-        // exactly the wire path's backoff-advance-then-acquire-then-send
-        // ordering, so the totals match bit for bit.
-        let mut target_backoff = 0.0;
-        for attempt in 0..burst.used {
-            if attempt > 0 {
-                let d = cfg.retry.delay_before(attempt, cfg.salt, u128::from(dst));
-                if d > 0.0 {
-                    target_backoff += d;
-                    if let Some(tb) = limiter.as_mut() {
-                        tb.advance(d);
-                    }
-                }
-            }
-            if let Some(tb) = limiter.as_mut() {
-                let wait = tb.acquire();
-                if wait > 0.0 {
-                    metrics.stall(wait);
-                }
-                report.limited_seconds += wait;
-            }
-        }
-        if target_backoff > 0.0 {
-            let us = secs_to_us(target_backoff);
-            report.backoff_waited_us += us;
-            backoff_us += us;
         }
         match burst.verdict {
             Attempt::Hit => {
-                if let Some(p) = prov.and_then(|ps| ps.get(idx as usize)) {
+                if let Some(p) = tag {
                     report.attribution.record_hit(*p);
                 }
                 hits.push((idx, dst));
@@ -430,30 +412,25 @@ fn scan_shard<T: Transport>(
             Attempt::Unreachable => report.unreachables += 1,
             _ => report.silent += 1,
         }
-        if let Some(b) = breaker.as_mut() {
-            let failure = !matches!(burst.verdict, Attempt::Hit | Attempt::Rst);
-            b.record(dst, proto, failure);
-        }
     }
-    report.retries = retries;
-    report.faults_injected = transport.faults_injected() - faults_at_entry;
-    report.throttled_us = transport.throttled_us() - throttled_at_entry;
-    report.breaker_opened = breaker.as_ref().map_or(0, |b| b.opened()) - opened_at_entry;
-    metrics.packets_sent.add(report.packets_sent);
-    metrics.retries.add(retries);
-    metrics.drop_malformed.add(malformed);
-    metrics.drop_validation.add(invalid);
+    report.skipped = tally.skipped as usize;
+    report.retries = tally.retries;
+    report.packets_sent = tally.packets;
+    report.faults_injected = tally.faults;
+    report.breaker_opened = tally.opened;
+    report.backoff_waited_us = tally.backoff_us;
+    report.throttled_us = tally.throttled_us;
+    report.limited_seconds = tally.limited_s;
+    // One flush per shard, never per packet: the flat totals every probe
+    // counts, then the classification and per-protocol series that only
+    // scans do (oracle probes stay out of them).
+    tally.flush(metrics);
     metrics.hits.add(hits.len() as u64);
-    // Per-protocol labeled series: one flush per shard, never per packet.
-    metrics.proto_packets(proto).add(report.packets_sent);
-    metrics.proto_hits(proto).add(hits.len() as u64);
     metrics.rsts.add(report.rsts as u64);
     metrics.unreachables.add(report.unreachables as u64);
     metrics.silent.add(report.silent as u64);
-    metrics.faults_injected.add(report.faults_injected);
-    metrics.breaker_opened.add(report.breaker_opened);
-    metrics.breaker_skipped.add(skipped);
-    metrics.backoff_waited_us.add(backoff_us);
+    metrics.proto_packets(proto).add(report.packets_sent);
+    metrics.proto_hits(proto).add(hits.len() as u64);
     (report, hits)
 }
 
@@ -524,21 +501,48 @@ impl<T: Transport> Scanner<T> {
         &mut self.breaker
     }
 
-    /// Dedup + blocklist a target stream against this scanner's config,
-    /// returning each prepared target's index in the original stream (for
-    /// aligning a [`ProvenanceLog`] recorded in emission order with the
-    /// deduplicated probe list). `record` controls whether the drops hit
-    /// the metrics registry (a checkpoint resume re-prepares silently:
-    /// the original run already counted them, and the restored counter
-    /// snapshot carries them).
-    pub(crate) fn prepare_mapped(
+    /// Dedup + blocklist a target stream once, against this scanner's
+    /// config — the front half of every scan and of the campaign. Skips
+    /// are recorded in `report`, and in the metrics registry unless
+    /// `record` is false (a checkpoint resume re-prepares silently: the
+    /// original run already counted them, and the restored counter
+    /// snapshot carries them). Generators tag candidates in emission
+    /// order, so when `prov` is a recording log its tags are re-keyed by
+    /// prepared index here; untagged scans build no tag list at all.
+    pub(crate) fn prepare(
         &self,
         targets: impl IntoIterator<Item = Ipv6Addr>,
         record: bool,
+        prov: Option<&ProvenanceLog>,
         report: &mut ScanReport,
-    ) -> (Vec<Ipv6Addr>, Vec<u32>) {
+    ) -> Prepared {
         let metrics = record.then_some(&self.metrics);
-        prepare_targets_mapped(&self.cfg.blocklist, metrics, targets, report)
+        let prov = prov.filter(|log| log.is_enabled());
+        let targets = targets.into_iter();
+        let mut prepared = Vec::with_capacity(targets.size_hint().0);
+        let mut tags = prov.map(|_| Vec::new());
+        let mut seen: HashSet<u128> = HashSet::new();
+        for (i, dst) in targets.enumerate() {
+            if !seen.insert(u128::from(dst)) {
+                report.duplicates += 1;
+                if let Some(m) = metrics {
+                    m.drop_duplicate.inc();
+                }
+                continue;
+            }
+            if self.cfg.blocklist.contains_addr(dst) {
+                report.blocked += 1;
+                if let Some(m) = metrics {
+                    m.drop_blocklist.inc();
+                }
+                continue;
+            }
+            if let (Some(tags), Some(log)) = (tags.as_mut(), prov) {
+                tags.push(log.get_or_fill(i));
+            }
+            prepared.push((prepared.len() as u32, dst));
+        }
+        (prepared, tags)
     }
 
     /// Total packets this scanner has transmitted, including packets sent
@@ -547,157 +551,62 @@ impl<T: Transport> Scanner<T> {
         self.transport.packets_sent() + self.shard_packets
     }
 
-    /// Probe one target to completion, optionally with a region tag.
-    ///
-    /// Applies the full per-target policy stack: breaker admission, the
-    /// retry/backoff schedule (backoff advances the limiter's virtual
-    /// clock), rate limiting, and §4.1 classification — the identical
-    /// sequence `scan_shard` replays, so both paths land on the same
-    /// virtual timeline.
-    pub fn probe_target(&mut self, dst: Ipv6Addr, proto: Protocol, region: Option<u32>) -> ProbeResult {
-        if let Some(b) = self.breaker.as_mut() {
-            if b.admit(dst, proto) == Admission::Skip {
-                self.metrics.breaker_skipped.inc();
-                return ProbeResult {
-                    outcome: ProbeOutcome::Skipped(SkipReason::BreakerOpen),
-                    tag: None,
-                    limited_s: 0.0,
-                    backoff_s: 0.0,
-                    attempts: 0,
-                };
-            }
-        }
-        let spec = ProbeSpec {
-            region,
-            ..self.cfg.spec(dst, proto)
-        };
-        let allowed = self.cfg.retry.attempts_allowed(self.cfg.salt, u128::from(dst));
-        let faults_at_entry = self.transport.faults_injected();
-        let mut waited = 0.0;
-        let mut backoff = 0.0;
-        let mut attempts = 0u32;
-        let mut verdict = ProbeOutcome::Silent;
-        let mut tag = None;
-        for attempt in 0..allowed {
-            if attempt > 0 {
-                self.metrics.retries.inc();
-                let d = self.cfg.retry.delay_before(attempt, self.cfg.salt, u128::from(dst));
-                if d > 0.0 {
-                    // sos-lint: allow(det-float-reduce) sequential per-attempt accumulation; order fixed by the probe stream
-                    backoff += d;
-                    if let Some(tb) = self.limiter.as_mut() {
-                        tb.advance(d);
-                    }
-                }
-            }
-            if let Some(tb) = self.limiter.as_mut() {
-                let wait = tb.acquire();
-                if wait > 0.0 {
-                    self.metrics.stall(wait);
-                }
-                // sos-lint: allow(det-float-reduce) virtual-clock wait total; single-threaded, order total
-                waited += wait;
-            }
-            let probe = build_probe(self.cfg.src, dst, proto, self.cfg.salt, region);
-            self.metrics.packets_sent.inc();
-            attempts += 1;
-            let Some(raw) = self.transport.send(&probe) else {
-                continue;
-            };
-            match classify_response(&spec, &raw) {
-                (Attempt::Hit, t) => {
-                    verdict = ProbeOutcome::Hit;
-                    tag = t;
-                    break;
-                }
-                (Attempt::Rst, _) => {
-                    verdict = ProbeOutcome::Rst;
-                    break;
-                }
-                (Attempt::Unreachable, _) => {
-                    verdict = ProbeOutcome::Unreachable;
-                    break;
-                }
-                (Attempt::Malformed, _) => self.metrics.drop_malformed.inc(),
-                (Attempt::Invalid, _) => self.metrics.drop_validation.inc(),
-                (Attempt::Silent | Attempt::Inapplicable, _) => {}
-            }
-        }
-        self.metrics
-            .faults_injected
-            .add(self.transport.faults_injected() - faults_at_entry);
-        if backoff > 0.0 {
-            self.metrics.backoff_waited_us.add(secs_to_us(backoff));
-        }
-        if let Some(b) = self.breaker.as_mut() {
-            let failure = !matches!(verdict, ProbeOutcome::Hit | ProbeOutcome::Rst);
-            if b.record(dst, proto, failure) {
-                self.metrics.breaker_opened.inc();
-            }
-        }
-        ProbeResult {
-            outcome: verdict,
-            tag,
-            limited_s: waited,
-            backoff_s: backoff,
-            attempts,
-        }
+    /// Probe one target to completion, optionally with a region tag: the
+    /// feedback probe behind [`crate::oracle::ScanOracle`]. Runs the same
+    /// per-target policy as every scan, on this scanner's own transport,
+    /// limiter and breaker, and counts in the flat engine totals only.
+    /// `None` means an open breaker skipped the target.
+    pub fn probe_target(&mut self, dst: Ipv6Addr, proto: Protocol, region: Option<u32>) -> Option<Burst> {
+        let mut tally = Tally::default();
+        let spec = self.cfg.spec(dst, proto, region);
+        let burst = probe_one(
+            &self.cfg,
+            &mut self.transport,
+            &mut self.limiter,
+            &mut self.breaker,
+            &self.metrics,
+            &spec,
+            &mut tally,
+        );
+        tally.flush(&self.metrics);
+        burst
     }
 
-    /// Scan a target list on one protocol, with dedup and blocklisting.
-    /// This is the sequential reference path: every probe round-trips real
-    /// packet bytes.
+    /// Run one prepared list as a single task on the scanner's own
+    /// transport, persistent limiter, and breaker map.
+    fn scan_single(
+        &mut self,
+        prepared: &[(u32, Ipv6Addr)],
+        proto: Protocol,
+        prov: Option<&[Provenance]>,
+    ) -> ScanReport {
+        let (mut report, hits) = scan_shard(
+            &self.cfg,
+            &mut self.transport,
+            &mut self.limiter,
+            &mut self.breaker,
+            &self.metrics,
+            prepared,
+            proto,
+            prov,
+        );
+        // A single task sees targets in input order already.
+        report.hits = hits.into_iter().map(|(_, a)| a).collect();
+        report
+    }
+
+    /// Scan a target list on one protocol, with dedup and blocklisting,
+    /// as a single task. Works over any transport, `Clone` or not.
     pub fn scan(
         &mut self,
         targets: impl IntoIterator<Item = Ipv6Addr>,
         proto: Protocol,
     ) -> ScanReport {
-        let start_packets = self.transport.packets_sent();
-        let start_faults = self.transport.faults_injected();
-        let start_throttled = self.transport.throttled_us();
-        let start_opened = self.breaker.as_ref().map_or(0, |b| b.opened());
-        let mut report = ScanReport::default();
-        let prepared =
-            prepare_targets(&self.cfg.blocklist, Some(&self.metrics), targets, &mut report);
-        for dst in prepared {
-            let res = self.probe_target(dst, proto, None);
-            report.limited_seconds += res.limited_s;
-            report.backoff_waited_us += secs_to_us(res.backoff_s);
-            report.retries += u64::from(res.attempts.saturating_sub(1));
-            match res.outcome {
-                ProbeOutcome::Hit => {
-                    self.metrics.hits.inc();
-                    report.probed += 1;
-                    report.hits.push(dst);
-                }
-                ProbeOutcome::Rst => {
-                    self.metrics.rsts.inc();
-                    report.probed += 1;
-                    report.rsts += 1;
-                }
-                ProbeOutcome::Unreachable => {
-                    self.metrics.unreachables.inc();
-                    report.probed += 1;
-                    report.unreachables += 1;
-                }
-                ProbeOutcome::Silent => {
-                    self.metrics.silent.inc();
-                    report.probed += 1;
-                    report.silent += 1;
-                }
-                ProbeOutcome::Skipped(_) => {
-                    report.skipped += 1;
-                }
-            }
-        }
-        report.packets_sent = self.transport.packets_sent() - start_packets;
-        report.faults_injected = self.transport.faults_injected() - start_faults;
-        report.throttled_us = self.transport.throttled_us() - start_throttled;
-        report.breaker_opened = self.breaker.as_ref().map_or(0, |b| b.opened()) - start_opened;
-        // Per-protocol labeled series, flushed once per scan like the
-        // sharded path flushes once per shard — totals stay bit-identical.
-        self.metrics.proto_packets(proto).add(report.packets_sent);
-        self.metrics.proto_hits(proto).add(report.hits.len() as u64);
+        let mut template = ScanReport::default();
+        let (prepared, _) = self.prepare(targets, true, None, &mut template);
+        let mut report = self.scan_single(&prepared, proto, None);
+        report.duplicates = template.duplicates;
+        report.blocked = template.blocked;
         sos_obs::debug!(
             "scan {proto:?}: {} probed, {} hits, {} rst, {} unreach, {} silent, \
              {} skipped, {} pkts, {:.3}s limited",
@@ -727,45 +636,9 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         proto: Protocol,
         shards: usize,
     ) -> ScanReport {
-        self.scan_parallel_multi(targets, &[proto], shards)
-            .pop()
-            // sos-lint: allow(panic-unwrap) scan_parallel_multi returns exactly one entry per requested protocol
-            .expect("one report per protocol")
-            .1
-    }
-
-    /// The sharded pipeline over several protocols at once: dedup +
-    /// blocklist once, then run `protocols.len() × shards` workers
-    /// concurrently — every (protocol, shard) pair is an independent task
-    /// with its own transport clone and its own `rate / tasks` budget
-    /// slice. Reports come back in protocol order, each bit-identical to a
-    /// sequential [`Scanner::scan`] of the same list.
-    pub fn scan_parallel_multi(
-        &mut self,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-        protocols: &[Protocol],
-        shards: usize,
-    ) -> Vec<(Protocol, ScanReport)> {
-        let shards = shards.max(1);
-        let _span = sos_obs::span_detail(
-            "scan_parallel",
-            format!("protos={} shards={shards}", protocols.len()),
-        );
-        let mut template = ScanReport::default();
-        let prepared = prepare_targets(&self.cfg.blocklist, Some(&self.metrics), targets, &mut template);
-        let indexed: Vec<(u32, Ipv6Addr)> = prepared
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (i as u32, a))
-            .collect();
-        let mut out = self.scan_prepared(&indexed, protocols, shards, None);
-        for (_, report) in &mut out {
-            // Preparation happened once, above; every per-protocol report
-            // carries the same dedup/blocklist accounting.
-            report.duplicates += template.duplicates;
-            report.blocked += template.blocked;
-        }
-        out
+        let _span =
+            sos_obs::span_detail("scan_parallel", format!("protos=1 shards={}", shards.max(1)));
+        self.scan_sharded(targets, proto, shards, None)
     }
 
     /// [`Scanner::scan_parallel`] with discovery attribution: `prov` is
@@ -773,7 +646,8 @@ impl<T: Transport + Clone + Send> Scanner<T> {
     /// the same emission order), and the returned report's
     /// [`ScanReport::attribution`] tallies probes and hits per `(source,
     /// region)`. Hits, counters, and probe behaviour are bit-identical to
-    /// the untagged path — attribution is bookkeeping on the side.
+    /// the untagged path — attribution is bookkeeping on the side, and a
+    /// disabled log *is* the untagged path.
     pub fn scan_parallel_attributed(
         &mut self,
         targets: impl IntoIterator<Item = Ipv6Addr>,
@@ -781,36 +655,34 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         shards: usize,
         prov: &ProvenanceLog,
     ) -> ScanReport {
-        let shards = shards.max(1);
-        let _span = sos_obs::span_detail("scan_attributed", format!("shards={shards}"));
+        let _span = sos_obs::span_detail("scan_attributed", format!("shards={}", shards.max(1)));
+        self.scan_sharded(targets, proto, shards, Some(prov))
+    }
+
+    /// Prepare once, scan the prepared list on `proto`, and stamp the
+    /// dedup/blocklist accounting onto the report.
+    fn scan_sharded(
+        &mut self,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+        proto: Protocol,
+        shards: usize,
+        prov: Option<&ProvenanceLog>,
+    ) -> ScanReport {
         let mut template = ScanReport::default();
-        let (prepared, origin) =
-            prepare_targets_mapped(&self.cfg.blocklist, Some(&self.metrics), targets, &mut template);
-        let indexed: Vec<(u32, Ipv6Addr)> = prepared
-            .into_iter()
-            .enumerate()
-            .map(|(i, a)| (i as u32, a))
-            .collect();
-        // Re-key the emission-order log by prepared index.
-        let tags: Vec<Provenance> = origin
-            .iter()
-            .map(|&orig| prov.get_or_fill(orig as usize))
-            .collect();
-        let prov_slice = prov.is_enabled().then_some(tags.as_slice());
-        let mut report = self
-            .scan_prepared(&indexed, &[proto], shards, prov_slice)
+        let (prepared, tags) = self.prepare(targets, true, prov, &mut template);
+        let (_, mut report) = self
+            .scan_prepared(&prepared, &[proto], shards, tags.as_deref())
             .pop()
             // sos-lint: allow(panic-unwrap) scan_prepared returns exactly one entry per requested protocol
-            .expect("one report per protocol")
-            .1;
-        report.duplicates += template.duplicates;
-        report.blocked += template.blocked;
+            .expect("one report per protocol");
+        report.duplicates = template.duplicates;
+        report.blocked = template.blocked;
         report
     }
 
     /// Scan an already-prepared (deduplicated, unblocked, globally
-    /// indexed) target list. This is the shared back half of
-    /// [`Scanner::scan_parallel_multi`] and the campaign checkpoint
+    /// indexed) target list on every protocol in `protocols`. This is the
+    /// shared back half of the sharded scans and the campaign checkpoint
     /// rounds: targets are partitioned across shards **by prefix hash**
     /// (never round-robin), so every fault domain and breaker domain lands
     /// wholly inside one shard and per-prefix virtual clocks never fork.
@@ -827,27 +699,13 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         let shards = shards.max(1);
         let start = sos_obs::now_s();
 
-        // Degenerate case: a single task runs on the scanner's own
-        // transport, persistent limiter, and breaker map, exactly like
-        // `scan` (but via the fast path). ParStats still reports the
-        // *requested* worker count so manifest utilization aggregates stay
-        // truthful.
+        // Degenerate case: a single task needs no clones and no threads —
+        // it is `scan`'s path. ParStats still reports the *requested*
+        // worker count so manifest utilization aggregates stay truthful.
         if protocols.len() == 1 && (shards == 1 || prepared.len() <= 1) {
             let proto = protocols[0];
-            let t0 = sos_obs::now_s();
-            let (mut report, hits) = scan_shard(
-                &self.cfg,
-                &mut self.transport,
-                &mut self.limiter,
-                &mut self.breaker,
-                &self.metrics,
-                prepared,
-                proto,
-                prov,
-            );
-            let exec_s = sos_obs::now_s() - t0;
-            // A single task sees targets in input order already.
-            report.hits = hits.into_iter().map(|(_, a)| a).collect();
+            let report = self.scan_single(prepared, proto, prov);
+            let exec_s = sos_obs::now_s() - start;
             record_shard_stats(start, shards, vec![(0, prepared.len(), exec_s)]);
             return vec![(proto, report)];
         }
@@ -1175,11 +1033,11 @@ mod tests {
         (targets, blocklist)
     }
 
-    /// The tentpole acceptance invariant: for every shard width the
-    /// parallel pipeline reports exactly what the sequential wire path
-    /// reports — hits in the same order, every counter equal.
+    /// For every shard width the pipeline reports exactly what the
+    /// byte-level reference scanner reports — hits in the same order,
+    /// every counter equal — dedup and blocklist drops included.
     #[test]
-    fn scan_parallel_is_bit_identical_to_scan() {
+    fn scan_parallel_is_bit_identical_to_the_wire_scan() {
         let world = Arc::new(World::build(WorldConfig::tiny(31)));
         let (targets, blocklist) = mixed_targets(&world);
         let cfg = ScannerConfig {
@@ -1189,12 +1047,13 @@ mod tests {
             ..ScannerConfig::default()
         };
         for proto in netmodel::PROTOCOLS {
-            let mut seq = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
+            let wire = crate::transport::WireOnly(SimTransport::new(world.clone()));
+            let mut seq = Scanner::new(cfg.clone(), wire);
             let want = seq.scan(targets.iter().copied(), proto);
             for shards in [1, 4, 8] {
                 let mut par = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
                 let got = par.scan_parallel(targets.iter().copied(), proto, shards);
-                assert_eq!(got, want, "{proto:?} x{shards} diverged from sequential");
+                assert_eq!(got, want, "{proto:?} x{shards} diverged from the wire scan");
                 assert_eq!(par.packets_sent(), seq.packets_sent(), "{proto:?} x{shards}");
             }
         }

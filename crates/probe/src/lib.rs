@@ -6,19 +6,26 @@
 //! faithfully:
 //!
 //! - [`packet`]: real wire-format construction and *validated* parsing of
-//!   ICMPv6 Echo, TCP SYN, and UDP DNS probes — checksums included. Every
-//!   probe round-trips through genuine packet bytes, even in simulation.
+//!   ICMPv6 Echo, TCP SYN, and UDP DNS probes — checksums included.
 //! - [`engine::Scanner`]: deduplication, blocklisting (Appendix A),
 //!   token-bucket rate limiting (the paper rate-limits to 10k pps),
 //!   per-target retries, and §4.1's classification rules — ICMP
-//!   Destination Unreachable and TCP RST are *never* hits.
-//! - [`transport::Transport`]: the byte-level boundary. [`sim::SimTransport`]
-//!   implements it against the simulated Internet: it parses the probe
-//!   bytes, consults the world oracle, and crafts a real response packet.
+//!   Destination Unreachable and TCP RST are *never* hits. One per-target
+//!   probe loop serves scans, sharded scans, campaign rounds and oracle
+//!   probes alike.
+//! - [`transport::Transport`]: the probing boundary. Its default
+//!   [`Transport::probe_burst`] is the byte path — build a probe packet,
+//!   `send` it, parse/validate/classify the response bytes — and is what
+//!   any `send`-only transport runs. [`sim::SimTransport`] implements
+//!   `send` against the simulated Internet (parses the probe bytes,
+//!   consults the world oracle, crafts a real response packet) and
+//!   overrides `probe_burst` to ask the oracle directly; the byte path is
+//!   the reference that override is tested against
+//!   ([`transport::WireOnly`]), not a second production path.
 //! - [`oracle::ScanOracle`]: the feedback interface online TGAs (6Hit,
 //!   6Scan, DET, 6Sense) and the online dealiaser use, including 6Scan's
-//!   payload region-encoding, which round-trips through the actual probe
-//!   payload rather than scanner bookkeeping.
+//!   payload region-encoding: the region a tagged hit reports is what the
+//!   response echoes, exactly as it parses back from the probe payload.
 
 pub mod campaign;
 pub mod engine;
@@ -35,7 +42,7 @@ pub mod transport;
 pub use campaign::{
     merged_attribution, Campaign, CampaignCheckpoint, CampaignResult, CampaignRun, RunOptions,
 };
-pub use engine::{ProbeOutcome, ScanReport, Scanner, ScannerConfig, SkipReason};
+pub use engine::{ScanReport, Scanner, ScannerConfig};
 pub use metrics::EngineMetrics;
 pub use oracle::{NullOracle, ScanOracle};
 pub use packet::{build_probe, parse_packet, PacketError, ParsedPacket};
@@ -47,4 +54,4 @@ pub use pcap::{CapturingTransport, PcapWriter};
 pub use ratelimit::TokenBucket;
 pub use retry::{Admission, BreakerConfig, BreakerMap, BreakerState, RetryPolicy};
 pub use sim::SimTransport;
-pub use transport::{Attempt, Burst, ProbeSpec, Transport};
+pub use transport::{Attempt, Burst, ProbeSpec, Transport, WireOnly};

@@ -134,10 +134,10 @@ impl Mirrored {
 ///
 /// Histogram `probe.ratelimit.wait_us` records each stall's wait in µs.
 ///
-/// The labeled series are flushed once per scan/shard (never per packet),
-/// so the hot loop stays two relaxed adds. They cover the scan paths
-/// (`scan`, `scan_parallel*`, campaign rounds); bare `probe_target` calls
-/// (dealiasing probes) count only in the flat totals.
+/// Every counter is flushed once per scan task (never per packet). The
+/// classification outcomes and the labeled series cover scans (`scan`,
+/// `scan_parallel*`, campaign rounds); bare `probe_target` calls (TGA
+/// feedback and dealiasing probes) count only in the flat totals.
 #[derive(Debug)]
 pub struct EngineMetrics {
     registry: Registry,

@@ -3,15 +3,16 @@
 //! Online TGAs (6Hit, 6Scan, DET, 6Sense) and the online dealiaser steer by
 //! scan results in real time. [`ScanOracle`] is the narrow interface they
 //! consume: "probe these, tell me who answered." The production
-//! implementation is [`Scanner`] (full packet path, §4.1 classification);
-//! [`NullOracle`] is a dead-Internet stand-in for offline testing.
+//! implementation is [`Scanner`] (the engine's per-target probe policy,
+//! §4.1 classification); [`NullOracle`] is a dead-Internet stand-in for
+//! offline testing.
 
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
 
-use crate::engine::{ProbeOutcome, Scanner};
-use crate::transport::Transport;
+use crate::engine::Scanner;
+use crate::transport::{Attempt, Burst, Transport};
 
 /// Probe-and-report feedback used by online TGAs and dealiasers.
 ///
@@ -49,12 +50,15 @@ pub trait ScanOracle {
     fn packets_sent(&self) -> u64;
 }
 
+/// A burst that ended in a positive response (a breaker-skipped target,
+/// `None`, is not a hit).
+fn is_hit(burst: Option<Burst>) -> bool {
+    burst.is_some_and(|b| b.verdict == Attempt::Hit)
+}
+
 impl<T: Transport> ScanOracle for Scanner<T> {
     fn probe(&mut self, addr: Ipv6Addr, proto: Protocol) -> bool {
-        matches!(
-            self.probe_target(addr, proto, None).outcome,
-            ProbeOutcome::Hit
-        )
+        is_hit(self.probe_target(addr, proto, None))
     }
 
     fn probe_tagged(
@@ -65,8 +69,8 @@ impl<T: Transport> ScanOracle for Scanner<T> {
         targets
             .iter()
             .map(|&(addr, region)| {
-                let res = self.probe_target(addr, proto, Some(region));
-                (matches!(res.outcome, ProbeOutcome::Hit), res.tag)
+                let burst = self.probe_target(addr, proto, Some(region));
+                (is_hit(burst), burst.and_then(|b| b.tag))
             })
             .collect()
     }

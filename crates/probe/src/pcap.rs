@@ -110,6 +110,32 @@ impl<T: crate::transport::Transport, W: Write> crate::transport::Transport
     fn packets_sent(&self) -> u64 {
         self.inner.packets_sent()
     }
+
+    // The capture is transparent to the fault layer underneath: its
+    // accounting and clocks are the inner transport's.
+    fn faults_injected(&self) -> u64 {
+        self.inner.faults_injected()
+    }
+
+    fn throttled_us(&self) -> u64 {
+        self.inner.throttled_us()
+    }
+
+    fn fault_prefix_len(&self) -> Option<u8> {
+        self.inner.fault_prefix_len()
+    }
+
+    fn fault_state(&self) -> Vec<(u128, u8, u32)> {
+        self.inner.fault_state()
+    }
+
+    fn restore_fault_state(&mut self, state: &[(u128, u8, u32)]) {
+        self.inner.restore_fault_state(state)
+    }
+
+    fn fault_epochs_at(&self, density: u32) -> Option<netmodel::FaultEpochs> {
+        self.inner.fault_epochs_at(density)
+    }
 }
 
 #[cfg(test)]
@@ -163,6 +189,30 @@ mod tests {
         // the captured bytes are the packet verbatim (parseable)
         let payload = &buf[off2 + 16..off2 + 16 + cap1];
         assert!(crate::packet::parse_packet(payload).is_ok());
+    }
+
+    /// A capture must not hide the fault layer: the captured scan reports
+    /// the same drops, throttle time and outcomes as the bare one.
+    #[test]
+    fn captured_scan_over_a_faulted_world_reports_like_the_bare_scan() {
+        use crate::{Scanner, ScannerConfig, SimTransport};
+        use std::sync::Arc;
+        let mut wc = netmodel::WorldConfig::tiny(0xCA9);
+        wc.faults = netmodel::FaultConfig::hostile();
+        let world = Arc::new(netmodel::World::build(wc));
+        let targets: Vec<_> = world.hosts().iter().map(|(a, _)| a).step_by(3).take(300).collect();
+        let cfg = ScannerConfig { rate_pps: None, ..ScannerConfig::default() };
+
+        let mut bare = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
+        let want = bare.scan(targets.iter().copied(), Protocol::Icmp);
+        assert!(want.faults_injected > 0 && want.throttled_us > 0, "the schedule must bite");
+
+        let capture = CapturingTransport::new(SimTransport::new(world), Vec::new()).unwrap();
+        let mut captured = Scanner::new(cfg, capture);
+        let got = captured.scan(targets.iter().copied(), Protocol::Icmp);
+        assert_eq!(got, want);
+        assert_eq!(captured.transport().fault_state(), bare.transport().fault_state());
+        assert!(captured.transport().captured() >= got.packets_sent);
     }
 
     #[test]

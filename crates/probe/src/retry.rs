@@ -12,7 +12,7 @@
 //! - [`BreakerMap`] — a per-`(prefix, protocol)` circuit breaker. After
 //!   `threshold` consecutive silent/unreachable targets inside one prefix
 //!   the breaker opens and the scanner skips the prefix's remaining
-//!   targets (marking them [`Skipped`](crate::engine::ProbeOutcome::Skipped)),
+//!   targets (counting them in [`ScanReport::skipped`](crate::ScanReport::skipped)),
 //!   then half-opens after `cooldown` skips to let one trial probe through.
 //!   Cooldown is measured in *skipped targets*, not time, which keeps the
 //!   state machine a pure function of the per-prefix target sequence — the
@@ -122,28 +122,32 @@ impl RetryPolicy {
         if self.budget_s.is_infinite() || self.base_delay_s <= 0.0 {
             return max;
         }
-        let mut spent = 0.0;
-        let mut allowed = 1;
-        for attempt in 1..max {
-            // sos-lint: allow(det-float-reduce) delays accumulate in fixed 1..max attempt order
-            spent += self.delay_before(attempt, salt, addr);
-            if spent > self.budget_s {
-                break;
-            }
-            allowed = attempt + 1;
-        }
-        allowed
+        self.walk(max, self.budget_s, salt, addr).0
     }
 
     /// Total backoff taken across a target that used `used` attempts.
-    /// Pure, so the burst fast path can account for backoff after the
-    /// fact and land on the same number as the wire path.
+    /// Pure, so the engine accounts for backoff after the burst and lands
+    /// on the same number a packet-at-a-time sender would.
     pub fn total_backoff(&self, used: u32, salt: u64, addr: u128) -> f64 {
-        let mut total = 0.0;
-        for attempt in 1..used {
-            total += self.delay_before(attempt, salt, addr);
+        self.walk(used, f64::INFINITY, salt, addr).1
+    }
+
+    /// Walk `addr`'s backoff schedule — the delays before attempts
+    /// `1..attempts`, summed in that order — until the sum exceeds
+    /// `cap_s`. Returns how many attempts fit under the cap (at least 1)
+    /// and the sum reached.
+    fn walk(&self, attempts: u32, cap_s: f64, salt: u64, addr: u128) -> (u32, f64) {
+        let mut spent = 0.0;
+        let mut fit = 1;
+        for attempt in 1..attempts {
+            // sos-lint: allow(det-float-reduce) delays accumulate in fixed 1..attempts order
+            spent += self.delay_before(attempt, salt, addr);
+            if spent > cap_s {
+                break;
+            }
+            fit = attempt + 1;
         }
-        total
+        (fit, spent)
     }
 }
 

@@ -1,18 +1,20 @@
 //! The simulated-Internet transport.
 //!
-//! [`SimTransport`] is the bottom of the stack: it *parses the probe bytes*
-//! (rejecting anything malformed, exactly as the network would ignore it),
-//! asks the world oracle how the target behaves, and *crafts a genuine
-//! response packet* for the engine to parse and validate. Every simulated
-//! exchange therefore exercises the full wire-format code path.
+//! [`SimTransport`] is the bottom of the stack. Its [`Transport::send`]
+//! *parses the probe bytes* (rejecting anything malformed, exactly as the
+//! network would ignore it), asks the world oracle how the target behaves,
+//! and *crafts a genuine response packet* for the caller to parse and
+//! validate — the full wire-format code path, which the byte-level
+//! default [`Transport::probe_burst`] drives.
 //!
-//! For the sharded scan pipeline it additionally overrides
-//! [`Transport::probe_attempt`] with a zero-copy fast path: both ends of
-//! the exchange live in this process, so the craft→parse→validate
-//! round-trip is an identity map on the §4.1 classification and can be
-//! skipped. The fast path consults the same oracle with the same attempt
-//! numbering, so it is bit-identical to the wire path (and the engine's
-//! parallel-vs-sequential tests assert exactly that).
+//! The engine's probes take the [`Transport::probe_burst`] override
+//! instead: both ends of the exchange live in this process, so the
+//! craft→parse→validate round-trip is an identity map on the §4.1
+//! classification and can be skipped. The override consults the same
+//! oracle with the same attempt numbering and fault clock, so it is
+//! bit-identical to the byte path (the wire-reference suite in
+//! `tests/parallel_scan.rs` diffs the two through
+//! [`crate::transport::WireOnly`]).
 
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
@@ -21,7 +23,7 @@ use std::sync::Arc;
 use netmodel::{FaultEffect, ProbeReply, Protocol, World};
 
 use crate::packet::dns::build_dns_response;
-use crate::packet::icmpv6::{build_dst_unreachable, build_echo_reply};
+use crate::packet::icmpv6::{build_dst_unreachable, build_echo_reply, NO_REGION};
 use crate::packet::ipv6::{NEXT_ICMPV6, NEXT_TCP, NEXT_UDP};
 use crate::packet::tcp::{build_rst, build_syn_ack};
 use crate::packet::{parse_packet, ParsedPacket};
@@ -217,34 +219,16 @@ impl Transport for SimTransport {
         self.sent
     }
 
-    /// Zero-copy fast path: ask the oracle directly and map its reply onto
-    /// the §4.1 attempt classification. Crafting and re-parsing response
-    /// bytes is skipped because inside one process it is an identity map:
-    /// the simulator always builds well-formed, token-valid responses, and
-    /// the world only emits reply kinds applicable to the probe protocol.
-    /// Counting and attempt numbering are identical to [`Self::send`].
-    fn probe_attempt(&mut self, spec: &ProbeSpec) -> Attempt {
-        self.sent += 1;
-        let attempt = self.next_attempt(spec.dst, spec.proto);
-        // Same fault sequencing as the wire path: attempt consumed, roll,
-        // then (only if the probe survives) the oracle.
-        let effect = self.roll_fault(spec.dst, spec.proto);
-        if !self.apply_fault(effect) {
-            return Attempt::Silent;
-        }
-        match self.world.probe(spec.dst, spec.proto, attempt) {
-            ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer => Attempt::Hit,
-            ProbeReply::Rst => Attempt::Rst,
-            ProbeReply::DstUnreachable => Attempt::Unreachable,
-            ProbeReply::Timeout => Attempt::Silent,
-        }
-    }
-
-    /// Burst fast path: one flow-map access per *target* instead of one
-    /// per packet. Attempt numbering, early exit, and packet counting are
-    /// identical to looping [`Self::probe_attempt`] — the sim never
-    /// produces `Malformed`/`Invalid` attempts, and indecisive replies are
-    /// all `Timeout`, so the default loop's drop accounting stays zero.
+    /// Zero-copy burst: ask the oracle directly and map its replies onto
+    /// the §4.1 classification, touching the flow map once per *target*
+    /// instead of once per packet. Crafting and re-parsing response bytes
+    /// is skipped because inside one process it is an identity map: the
+    /// simulator always builds well-formed, token-valid responses (so the
+    /// byte path's `malformed`/`invalid` tallies stay zero), the world only
+    /// emits reply kinds applicable to the probe protocol, and a hit echoes
+    /// the probe's region verbatim — except an ICMP payload carrying
+    /// `NO_REGION`, which parses back as untagged. Attempt numbering, fault
+    /// sequencing, early exit and packet counting match [`Self::send`].
     fn probe_burst(&mut self, spec: &ProbeSpec, budget: u32) -> Burst {
         let world = Arc::clone(&self.world);
         let plan = world.faults();
@@ -283,6 +267,9 @@ impl Transport for SimTransport {
             match world.probe(spec.dst, spec.proto, attempt) {
                 ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer => {
                     burst.verdict = Attempt::Hit;
+                    burst.tag = spec
+                        .region
+                        .filter(|&r| spec.proto != Protocol::Icmp || r != NO_REGION);
                     break;
                 }
                 ProbeReply::Rst => {
@@ -515,98 +502,42 @@ mod tests {
         }
     }
 
-    /// The fast path and the wire path must agree attempt-for-attempt:
-    /// same oracle, same per-(dst, proto) attempt numbering, same
-    /// classification.
-    #[test]
-    fn probe_attempt_matches_wire_path_per_attempt() {
-        let w = world();
-        let src: Ipv6Addr = "2001:db8::100".parse().unwrap();
-        let mut targets: Vec<Ipv6Addr> = w.hosts().iter().map(|(a, _)| a).take(64).collect();
-        targets.push(find_unreachable(&w));
-        targets.push("3fff:ffff::1".parse().unwrap());
-        for proto in netmodel::PROTOCOLS {
-            let mut wire = SimTransport::new(w.clone());
-            let mut fast = SimTransport::new(w.clone());
-            for &dst in &targets {
-                let spec = ProbeSpec {
-                    src,
-                    dst,
-                    proto,
-                    salt: 5,
-                    region: None,
-                    validate: true,
-                };
-                for _ in 0..3 {
-                    let via_wire = match wire.send(&build_probe(src, dst, proto, 5, None)) {
-                        None => Attempt::Silent,
-                        Some(raw) => {
-                            crate::transport::classify_response(&spec, &raw).0
-                        }
-                    };
-                    let via_fast = fast.probe_attempt(&spec);
-                    assert_eq!(via_wire, via_fast, "{dst} {proto:?}");
-                }
-            }
-            assert_eq!(wire.packets_sent(), fast.packets_sent());
-        }
-    }
-
     fn faulty_world(cfg: netmodel::FaultConfig) -> Arc<World> {
         let mut wc = WorldConfig::tiny(21);
         wc.faults = cfg;
         Arc::new(World::build(wc))
     }
 
-    /// The fault layer must be applied identically by the wire path, the
-    /// attempt fast path, and the burst fast path: same density clock,
-    /// same rolls, same drops.
+    /// The burst override must report exactly what the byte-level default
+    /// does, target for target: same verdict, echoed tag, packets used and
+    /// drop tallies, and the same flow/fault clocks afterwards — with and
+    /// without the fault layer, tagged and untagged.
     #[test]
-    fn fault_layer_matches_across_all_three_paths() {
-        let w = faulty_world(netmodel::FaultConfig::hostile());
+    fn probe_burst_matches_the_byte_path_per_target() {
+        use crate::transport::WireOnly;
         let src: Ipv6Addr = "2001:db8::100".parse().unwrap();
-        let targets: Vec<Ipv6Addr> = w.hosts().iter().map(|(a, _)| a).take(96).collect();
-        for proto in [Protocol::Icmp, Protocol::Tcp443] {
-            let mut wire = SimTransport::new(w.clone());
-            let mut fast = SimTransport::new(w.clone());
-            let mut burst = SimTransport::new(w.clone());
-            for &dst in &targets {
-                let spec = ProbeSpec { src, dst, proto, salt: 5, region: None, validate: true };
-                // All three paths must consume the shared per-domain
-                // density clock identically, so the manual wire/attempt
-                // loops stop at the first decisive verdict exactly like
-                // the engine (and `probe_burst`) do — otherwise their
-                // clocks drift apart on the targets that answer early.
-                let mut wire_verdicts = Vec::new();
-                let mut fast_verdicts = Vec::new();
-                for _ in 0..3 {
-                    let via_wire = match wire.send(&build_probe(src, dst, proto, 5, None)) {
-                        None => Attempt::Silent,
-                        Some(raw) => crate::transport::classify_response(&spec, &raw).0,
-                    };
-                    wire_verdicts.push(via_wire);
-                    fast_verdicts.push(fast.probe_attempt(&spec));
-                    if matches!(
-                        via_wire,
-                        Attempt::Hit | Attempt::Rst | Attempt::Unreachable
-                    ) {
-                        break;
-                    }
+        for faults in [netmodel::FaultConfig::off(), netmodel::FaultConfig::hostile()] {
+            let w = faulty_world(faults);
+            let mut targets: Vec<Ipv6Addr> = w.hosts().iter().map(|(a, _)| a).take(96).collect();
+            targets.push(find_unreachable(&w));
+            targets.push("3fff:ffff::1".parse().unwrap());
+            for proto in netmodel::PROTOCOLS {
+                let mut wire = WireOnly(SimTransport::new(w.clone()));
+                let mut fast = SimTransport::new(w.clone());
+                for (i, &dst) in targets.iter().enumerate() {
+                    let region = [None, Some(0), Some(77), Some(u32::MAX)][i % 4];
+                    let spec = ProbeSpec { src, dst, proto, salt: 5, region, validate: true };
+                    assert_eq!(
+                        wire.probe_burst(&spec, 3),
+                        fast.probe_burst(&spec, 3),
+                        "{dst} {proto:?} {region:?}"
+                    );
                 }
-                assert_eq!(wire_verdicts, fast_verdicts, "{dst} {proto:?}");
-                let b = burst.probe_burst(&spec, 3);
-                assert_eq!(b.used, wire_verdicts.len() as u32, "{dst} {proto:?}");
-                // sos-lint: allow(panic-unwrap) loop above always pushes ≥1 verdict
-                let last = *wire_verdicts.last().unwrap();
-                if matches!(last, Attempt::Hit | Attempt::Rst | Attempt::Unreachable) {
-                    assert_eq!(b.verdict, last, "{dst} {proto:?}");
-                } else {
-                    assert_eq!(b.verdict, Attempt::Silent, "{dst} {proto:?}");
-                }
+                assert_eq!(wire.packets_sent(), fast.packets_sent(), "{proto:?}");
+                assert_eq!(wire.faults_injected(), fast.faults_injected(), "{proto:?}");
+                assert_eq!(wire.throttled_us(), fast.throttled_us(), "{proto:?}");
+                assert_eq!(wire.fault_state(), fast.fault_state(), "{proto:?}");
             }
-            assert_eq!(wire.faults_injected(), fast.faults_injected(), "{proto:?}");
-            assert_eq!(wire.fault_state(), fast.fault_state(), "{proto:?}");
-            assert_eq!(wire.fault_state(), burst.fault_state(), "{proto:?}");
         }
     }
 

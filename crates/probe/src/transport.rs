@@ -1,10 +1,14 @@
-//! The byte-level transport boundary.
+//! The transport boundary.
 //!
-//! The scanner never sees the world directly: it hands raw packet bytes to
-//! a [`Transport`] and receives raw response bytes (or silence). In the
-//! paper's deployment this is a raw socket; here it is the simulated
-//! Internet ([`crate::sim::SimTransport`]) — everything above the transport
-//! is identical either way.
+//! The scanner never sees the world directly: it asks a [`Transport`] to
+//! probe one target to completion ([`Transport::probe_burst`]). A transport
+//! that only implements [`Transport::send`] — a raw socket in the paper's
+//! deployment, [`crate::pcap::CapturingTransport`] and [`ScriptedTransport`]
+//! here — gets the byte-level default: real probe packets out, response
+//! bytes parsed, validated and classified. The simulated Internet
+//! ([`crate::sim::SimTransport`]) answers bursts from its oracle directly,
+//! and [`WireOnly`] strips that override so tests can hold it to the byte
+//! path's answers. Everything above the transport is identical either way.
 
 use std::net::Ipv6Addr;
 
@@ -53,17 +57,17 @@ pub enum Attempt {
 }
 
 /// Classify raw response bytes against the probe that elicited them.
-/// Returns the attempt verdict plus any region tag echoed by a hit.
-/// This is the single classification path shared by the sequential engine
-/// and the sharded pipeline, so the two can never drift apart.
-pub(crate) fn classify_response(spec: &ProbeSpec, raw: &[u8]) -> (Attempt, Option<u32>) {
+/// Returns the attempt verdict plus, for a hit on a region-tagged probe,
+/// the region the response echoed (an untagged probe never reports one:
+/// a plain SYN-ACK's `ack - 1` is the validation token, not a region).
+fn classify_response(spec: &ProbeSpec, raw: &[u8]) -> (Attempt, Option<u32>) {
     let Ok(parsed) = parse_packet(raw) else {
         return (Attempt::Malformed, None);
     };
     if spec.validate && !validate_response(spec.salt, spec.dst, &parsed) {
         return (Attempt::Invalid, None);
     }
-    let tag = parsed.region_tag();
+    let tag = spec.region.and(parsed.region_tag());
     match parsed {
         ParsedPacket::EchoReply { .. } if spec.proto == Protocol::Icmp => (Attempt::Hit, tag),
         ParsedPacket::Tcp { segment, .. }
@@ -101,45 +105,35 @@ pub trait Transport {
     /// Total packets transmitted through this transport.
     fn packets_sent(&self) -> u64;
 
-    /// Perform one probe attempt end to end: build the probe, transmit
-    /// it, and classify the response per §4.1.
-    ///
-    /// The default implementation round-trips real packet bytes through
-    /// [`Transport::send`] — byte-identical to the classic engine path.
-    /// Transports backed by an in-process oracle (see
-    /// [`crate::sim::SimTransport`]) override it to skip crafting and
-    /// re-parsing response bytes entirely; the override must count the
-    /// attempt in `packets_sent` and classify exactly as the wire path
-    /// would. The sharded scan pipeline is built on this method.
-    fn probe_attempt(&mut self, spec: &ProbeSpec) -> Attempt {
-        let probe = build_probe(spec.src, spec.dst, spec.proto, spec.salt, spec.region);
-        match self.send(&probe) {
-            None => Attempt::Silent,
-            Some(raw) => classify_response(spec, &raw).0,
-        }
-    }
-
     /// Probe one target to completion: up to `budget` attempts, stopping
-    /// at the first decisive response (hit, RST, or unreachable).
+    /// at the first decisive response (hit, RST, or unreachable). This is
+    /// the only way the engine sends a probe.
     ///
-    /// The default implementation loops [`Transport::probe_attempt`] with
-    /// the exact retry semantics of the engine's per-target loop, so
-    /// overriding `probe_attempt` is enough for correctness. Transports
-    /// with per-flow state (see [`crate::sim::SimTransport`]) override
-    /// this too, so per-flow bookkeeping is touched once per target
-    /// rather than once per packet — the shard loop's hot path.
+    /// The default implementation is the byte-level reference: every
+    /// attempt builds a real probe packet, round-trips it through
+    /// [`Transport::send`], and parses, validates and classifies the
+    /// response bytes per §4.1. Transports backed by an in-process oracle
+    /// (see [`crate::sim::SimTransport`]) override it to skip crafting and
+    /// re-parsing; an override must count every attempt in `packets_sent`
+    /// and report exactly what the byte path would (tests diff the two
+    /// through [`WireOnly`]).
     fn probe_burst(&mut self, spec: &ProbeSpec, budget: u32) -> Burst {
+        let probe = build_probe(spec.src, spec.dst, spec.proto, spec.salt, spec.region);
         let mut burst = Burst::silent();
         while burst.used < budget {
             burst.used += 1;
-            match self.probe_attempt(spec) {
-                verdict @ (Attempt::Hit | Attempt::Rst | Attempt::Unreachable) => {
+            let Some(raw) = self.send(&probe) else {
+                continue;
+            };
+            match classify_response(spec, &raw) {
+                (verdict @ (Attempt::Hit | Attempt::Rst | Attempt::Unreachable), tag) => {
                     burst.verdict = verdict;
+                    burst.tag = tag;
                     break;
                 }
-                Attempt::Malformed => burst.malformed += 1,
-                Attempt::Invalid => burst.invalid += 1,
-                Attempt::Silent | Attempt::Inapplicable => {}
+                (Attempt::Malformed, _) => burst.malformed += 1,
+                (Attempt::Invalid, _) => burst.invalid += 1,
+                (Attempt::Silent | Attempt::Inapplicable, _) => {}
             }
         }
         burst
@@ -218,6 +212,9 @@ pub struct Burst {
     /// Final verdict: `Hit`, `Rst`, or `Unreachable` if any attempt was
     /// decisive, else `Silent` (indecisive attempts never escalate).
     pub verdict: Attempt,
+    /// The region a hit's response echoed back; `None` unless the probe
+    /// carried one ([`ProbeSpec::region`]).
+    pub tag: Option<u32>,
     /// Packets actually transmitted (≤ budget; stops after a decision).
     pub used: u32,
     /// Responses that failed to parse.
@@ -231,6 +228,7 @@ impl Burst {
     pub fn silent() -> Burst {
         Burst {
             verdict: Attempt::Silent,
+            tag: None,
             used: 0,
             malformed: 0,
             invalid: 0,
@@ -258,6 +256,46 @@ impl Transport for ScriptedTransport {
     }
 }
 
+/// The byte-level reference: forwards everything to the wrapped transport
+/// *except* [`Transport::probe_burst`], which stays the default
+/// `send` → parse → classify loop. `Scanner<WireOnly<SimTransport>>` is
+/// the wire scanner the identity suites diff the production path against.
+#[derive(Debug, Clone)]
+pub struct WireOnly<T>(pub T);
+
+impl<T: Transport + Clone> Transport for WireOnly<T> {
+    fn send(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
+        self.0.send(packet)
+    }
+    fn packets_sent(&self) -> u64 {
+        self.0.packets_sent()
+    }
+    fn faults_injected(&self) -> u64 {
+        self.0.faults_injected()
+    }
+    fn throttled_us(&self) -> u64 {
+        self.0.throttled_us()
+    }
+    fn fault_prefix_len(&self) -> Option<u8> {
+        self.0.fault_prefix_len()
+    }
+    fn shard_clone(&self) -> Self {
+        WireOnly(self.0.shard_clone())
+    }
+    fn absorb_shard(&mut self, shard: Self) {
+        self.0.absorb_shard(shard.0)
+    }
+    fn fault_state(&self) -> Vec<(u128, u8, u32)> {
+        self.0.fault_state()
+    }
+    fn restore_fault_state(&mut self, state: &[(u128, u8, u32)]) {
+        self.0.restore_fault_state(state)
+    }
+    fn fault_epochs_at(&self, density: u32) -> Option<netmodel::FaultEpochs> {
+        self.0.fault_epochs_at(density)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,7 +315,7 @@ mod tests {
     }
 
     #[test]
-    fn default_probe_attempt_round_trips_bytes() {
+    fn default_probe_burst_round_trips_bytes() {
         let src: Ipv6Addr = "2001:db8::1".parse().unwrap();
         let dst: Ipv6Addr = "2001:db8::2".parse().unwrap();
         let spec = ProbeSpec {
@@ -296,9 +334,10 @@ mod tests {
         t.script.push_back(None);
         t.script.push_back(Some(vec![0u8; 9]));
         t.script.push_back(Some(reply));
-        assert_eq!(t.probe_attempt(&spec), Attempt::Silent);
-        assert_eq!(t.probe_attempt(&spec), Attempt::Malformed);
-        assert_eq!(t.probe_attempt(&spec), Attempt::Hit);
+        let burst = t.probe_burst(&spec, 5);
+        let want = Burst { verdict: Attempt::Hit, tag: None, used: 3, malformed: 1, invalid: 0 };
+        assert_eq!(burst, want, "stops at the decisive reply, counts the garbage");
         assert_eq!(t.packets_sent(), 3, "each attempt transmits one probe");
+        assert!(t.sent.iter().all(|p| *p == t.sent[0]), "retransmissions are the same packet");
     }
 }

@@ -6,12 +6,15 @@
 //! economics in a half-blackholed world: ≥30% fewer packets, zero change
 //! to live-prefix hits.
 
+mod common;
+
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use netmodel::{FaultConfig, Protocol, World, WorldConfig};
 use sos_probe::{
-    BreakerConfig, Campaign, RetryPolicy, Scanner, ScannerConfig, SimTransport,
+    BreakerConfig, Campaign, CampaignResult, RetryPolicy, RunOptions, Scanner, ScannerConfig,
+    SimTransport,
 };
 
 fn faulty_world(faults: FaultConfig, seed: u64) -> Arc<World> {
@@ -31,16 +34,17 @@ fn schedules() -> Vec<(&'static str, FaultConfig)> {
     ]
 }
 
+fn config(breaker: Option<BreakerConfig>) -> ScannerConfig {
+    ScannerConfig {
+        retry: RetryPolicy::fixed(2),
+        breaker,
+        rate_pps: None,
+        ..ScannerConfig::default()
+    }
+}
+
 fn scanner(world: Arc<World>, breaker: Option<BreakerConfig>) -> Scanner<SimTransport> {
-    Scanner::new(
-        ScannerConfig {
-            retry: RetryPolicy::fixed(2),
-            breaker,
-            rate_pps: None,
-            ..ScannerConfig::default()
-        },
-        SimTransport::new(world),
-    )
+    Scanner::new(config(breaker), SimTransport::new(world))
 }
 
 /// Live hosts across many prefixes plus guaranteed-dead space, so every
@@ -58,8 +62,8 @@ fn targets(world: &World) -> Vec<Ipv6Addr> {
 fn assert_identical(
     name: &str,
     shards: usize,
-    seq: &sos_probe::CampaignResult,
-    par: &sos_probe::CampaignResult,
+    seq: &CampaignResult,
+    par: &CampaignResult,
 ) {
     assert_eq!(seq.reports.len(), par.reports.len());
     for ((p_seq, r_seq), (p_par, r_par)) in seq.reports.iter().zip(par.reports.iter()) {
@@ -81,8 +85,7 @@ fn every_fault_schedule_is_shard_invariant() {
     for (name, faults) in schedules() {
         let w = faulty_world(faults, 0xC4A05);
         let t = targets(&w);
-        let mut s = scanner(w.clone(), None);
-        let seq = Campaign::standard(&mut s).run(&t);
+        let (seq, _) = common::wire_campaign(w.clone(), config(None), &t);
         if name != "off" {
             // Throttle epochs perturb via latency, every other schedule
             // via dropped probes — either way the schedule must bite.
@@ -92,7 +95,7 @@ fn every_fault_schedule_is_shard_invariant() {
         }
         for shards in [2, 8] {
             let mut s = scanner(w.clone(), None);
-            let par = Campaign::standard(&mut s).run_parallel(&t, shards);
+            let par = common::run_sharded(&mut s, &t, shards);
             assert_identical(name, shards, &seq, &par);
         }
     }
@@ -103,11 +106,10 @@ fn breaker_equipped_scans_are_shard_invariant_under_every_schedule() {
     for (name, faults) in schedules() {
         let w = faulty_world(faults, 0xC4A06);
         let t = targets(&w);
-        let mut s = scanner(w.clone(), Some(BreakerConfig::default()));
-        let seq = Campaign::standard(&mut s).run(&t);
+        let (seq, _) = common::wire_campaign(w.clone(), config(Some(BreakerConfig::default())), &t);
         for shards in [2, 8] {
             let mut s = scanner(w.clone(), Some(BreakerConfig::default()));
-            let par = Campaign::standard(&mut s).run_parallel(&t, shards);
+            let par = common::run_sharded(&mut s, &t, shards);
             assert_identical(name, shards, &seq, &par);
         }
     }
@@ -120,7 +122,6 @@ fn breaker_equipped_scans_are_shard_invariant_under_every_schedule() {
 #[test]
 fn attribution_tables_are_shard_invariant_under_every_schedule() {
     use sos_probe::provenance::ProvenanceLog;
-    use sos_probe::RunOptions;
     for (name, faults) in schedules() {
         let w = faulty_world(faults, 0xC4A07);
         let t = targets(&w);

@@ -213,19 +213,28 @@ fn cancelled_before_first_round_resumes_from_zero() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// `run_with` with no checkpointing (one big round) is the same scan the
-/// plain parallel campaign performs — rounds are an accounting structure,
-/// not a semantic one.
+/// A campaign-scale checkpoint must load back, equal, in test time: the
+/// JSON string scanner used to re-validate the rest of the document for
+/// every character, which put a 50 000-hit checkpoint at minutes.
 #[test]
-fn single_round_run_with_matches_run_parallel() {
-    let w = hostile_world(0x0E0);
-    let t = targets(&w);
-    let mut s = scanner(w.clone(), None);
-    let via_rounds = Campaign::standard(&mut s)
-        .run_with(&t, &RunOptions { shards: 4, ..RunOptions::default() }, None)
-        .unwrap();
-    let mut s2 = scanner(w, None);
-    let direct = Campaign::standard(&mut s2).run_parallel(&t, 4);
-    assert_eq!(via_rounds.result.reports, direct.reports);
-    assert_eq!(via_rounds.rounds, 1);
+fn large_checkpoint_saves_and_loads_equal() {
+    let hits = (0..50_000u128)
+        .map(|i| std::net::Ipv6Addr::from((0x2001_0db8_u128 << 96) | (i * 0x1_0001)))
+        .collect();
+    let report = sos_probe::ScanReport { hits, probed: 50_000, ..Default::default() };
+    let ckpt = CampaignCheckpoint {
+        fingerprint: 0x5ca1e,
+        done: 50_000,
+        rounds: 7,
+        reports: vec![(Protocol::Icmp, report)],
+        limiter: None,
+        fault_state: (0..2_000u128).map(|d| (d << 80, (d % 4) as u8, d as u32)).collect(),
+        breaker: None,
+        counters: [("probe.hits".to_string(), 50_000u64)].into_iter().collect(),
+    };
+    let path = tmp("large");
+    ckpt.save(&path).unwrap();
+    assert!(std::fs::metadata(&path).unwrap().len() > 2_000_000);
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
+    let _ = std::fs::remove_file(&path);
 }

@@ -1,24 +1,40 @@
-//! Integration invariants for the sharded parallel scan pipeline: the
-//! campaign's merged per-address view must equal the union of the
-//! per-protocol reports, and the parallel path must be observationally
-//! identical to the sequential one for the same world seed.
+//! The wire-reference suite. The engine sends every probe through
+//! `Transport::probe_burst`, and `SimTransport` answers bursts straight
+//! from its oracle; these tests hold that production path — single-task
+//! scans, sharded scans, campaign rounds, and the `ScanOracle` feedback
+//! probes — to the byte-level reference, where every probe is a real
+//! packet that the simulator parses and answers in bytes
+//! (`Scanner<WireOnly<SimTransport>>`, see `common::wire_campaign`).
+
+mod common;
 
 use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use netmodel::{PortSet, World, WorldConfig, PROTOCOLS};
-use sos_probe::{Campaign, CampaignResult, RetryPolicy, Scanner, ScannerConfig, SimTransport};
+use netmodel::{FaultConfig, PortSet, Protocol, World, WorldConfig, PROTOCOLS};
+use sos_probe::{
+    BreakerConfig, CampaignResult, RetryPolicy, ScanOracle, Scanner, ScannerConfig, SimTransport,
+    WireOnly,
+};
 
-fn scanner(world: Arc<World>) -> Scanner<SimTransport> {
-    Scanner::new(
-        ScannerConfig {
-            retry: RetryPolicy::fixed(2),
-            rate_pps: None,
-            ..ScannerConfig::default()
-        },
-        SimTransport::new(world),
-    )
+fn world(faults: FaultConfig) -> Arc<World> {
+    let mut wc = WorldConfig::tiny(0xF00D);
+    wc.faults = faults;
+    Arc::new(World::build(wc))
+}
+
+fn config(breaker: bool) -> ScannerConfig {
+    ScannerConfig {
+        retry: RetryPolicy::fixed(2),
+        breaker: breaker.then(BreakerConfig::default),
+        rate_pps: None,
+        ..ScannerConfig::default()
+    }
+}
+
+fn scanner(world: Arc<World>, breaker: bool) -> Scanner<SimTransport> {
+    Scanner::new(config(breaker), SimTransport::new(world))
 }
 
 /// A target mix exercising every scan path: live hosts, routed holes
@@ -69,54 +85,119 @@ fn assert_portset_union(result: &CampaignResult) {
 
 #[test]
 fn campaign_merge_is_the_union_of_per_protocol_hits() {
-    let world = Arc::new(World::build(WorldConfig::tiny(0xF00D)));
+    let world = world(FaultConfig::off());
     let t = targets(&world);
 
-    let mut s = scanner(world.clone());
-    let seq = Campaign::standard(&mut s).run(&t);
-    assert_portset_union(&seq);
+    let (wire, _) = common::wire_campaign(world.clone(), config(false), &t);
+    assert_portset_union(&wire);
 
-    let mut s = scanner(world);
-    let par = Campaign::standard(&mut s).run_parallel(&t, 4);
-    assert_portset_union(&par);
+    let mut s = scanner(world, false);
+    assert_portset_union(&common::run_sharded(&mut s, &t, 4));
 }
 
+/// 4 protocols × faults {off, hostile} × breaker {off, on} × shards
+/// {1, 3, 4, 8}: per-protocol `scan_parallel` calls and a campaign's
+/// `run_with` rounds both report exactly what the wire reference reports —
+/// every report bit for bit (hits in input order, identical
+/// packet/dedup/blocklist/outcome/fault/breaker counters), the same merged
+/// responsive map, the same packet total, and the same engine counters.
 #[test]
-fn parallel_campaign_is_identical_to_sequential_for_the_same_world() {
-    let world = Arc::new(World::build(WorldConfig::tiny(0xF00D)));
-    let t = targets(&world);
+fn scans_and_campaigns_match_the_wire_reference() {
+    for (faults_name, faults) in [("off", FaultConfig::off()), ("hostile", FaultConfig::hostile())] {
+        let world = world(faults);
+        let t = targets(&world);
+        for breaker in [false, true] {
+            let (wire, wire_scanner) = common::wire_campaign(world.clone(), config(breaker), &t);
+            let wire_counters = wire_scanner.metrics().counters();
+            if faults_name == "hostile" {
+                let perturbed: u64 =
+                    wire.reports.iter().map(|(_, r)| r.faults_injected + r.throttled_us).sum();
+                assert!(perturbed > 0, "the hostile schedule must bite");
+            }
+            for shards in [1, 3, 4, 8] {
+                let at = format!("faults={faults_name} breaker={breaker} shards={shards}");
 
-    let mut s = scanner(world.clone());
-    let seq = Campaign::standard(&mut s).run(&t);
-    let seq_packets = s.packets_sent();
+                let mut s = scanner(world.clone(), breaker);
+                for (proto, want) in &wire.reports {
+                    let got = s.scan_parallel(t.iter().copied(), *proto, shards);
+                    assert_eq!(&got, want, "scan_parallel {proto:?} at {at}");
+                }
+                assert_eq!(s.packets_sent(), wire_scanner.packets_sent(), "scan_parallel at {at}");
+                assert_eq!(s.metrics().counters(), wire_counters, "scan_parallel at {at}");
 
-    for shards in [1, 3, 8] {
-        let mut s = scanner(world.clone());
-        let par = Campaign::standard(&mut s).run_parallel(&t, shards);
-
-        // Same responsive map, address for address, port for port.
-        assert_eq!(
-            seq.iter().collect::<Vec<_>>(),
-            par.iter().collect::<Vec<_>>(),
-            "responsive map must match at {shards} shards"
-        );
-        // Same per-protocol reports, bit for bit (hits in input order,
-        // identical packet/dedup/blocklist/outcome counters).
-        assert_eq!(seq.reports.len(), par.reports.len());
-        for ((p_seq, r_seq), (p_par, r_par)) in seq.reports.iter().zip(par.reports.iter()) {
-            assert_eq!(p_seq, p_par);
-            assert_eq!(r_seq, r_par, "report for {p_seq:?} must match at {shards} shards");
+                let mut s = scanner(world.clone(), breaker);
+                let par = common::run_sharded(&mut s, &t, shards);
+                assert_eq!(par.reports, wire.reports, "run_with at {at}");
+                assert_eq!(
+                    par.iter().collect::<Vec<_>>(),
+                    wire.iter().collect::<Vec<_>>(),
+                    "responsive map at {at}"
+                );
+                assert_eq!(s.packets_sent(), wire_scanner.packets_sent(), "run_with at {at}");
+                // A campaign prepares its target list once; the reference's
+                // four scans each prepared it again.
+                let mut counters = s.metrics().counters();
+                for name in ["probe.drop.duplicate", "probe.drop.blocklist"] {
+                    *counters.get_mut(name).expect("registered counter") *= PROTOCOLS.len() as u64;
+                }
+                assert_eq!(counters, wire_counters, "run_with at {at}");
+            }
         }
-        assert_eq!(seq_packets, s.packets_sent(), "same packet budget at {shards} shards");
+    }
+}
+
+/// Feedback probes take the same per-target policy, so the oracle a TGA
+/// or the online dealiaser steers by must answer identically over the
+/// burst override and over packet bytes — including the region a tagged
+/// hit echoes back. `u32::MAX` is the ICMP payload's "no region" marker
+/// and so comes back untagged there (and verbatim on TCP and DNS); an
+/// untagged probe never reports a region, not even a SYN-ACK's `ack - 1`.
+#[test]
+fn oracle_probes_match_the_wire_reference() {
+    for faults in [FaultConfig::off(), FaultConfig::hostile()] {
+        let world = world(faults);
+        let addrs: Vec<Ipv6Addr> = {
+            let mut seen = std::collections::HashSet::new();
+            targets(&world).into_iter().filter(|a| seen.insert(*a)).collect()
+        };
+        let mut wire = Scanner::new(config(true), WireOnly(SimTransport::new(world.clone())));
+        let mut fast = scanner(world.clone(), true);
+        for proto in PROTOCOLS {
+            let batch = fast.probe_batch(&addrs, proto);
+            assert_eq!(batch, wire.probe_batch(&addrs, proto), "probe_batch {proto:?}");
+            assert!(batch.iter().any(|&hit| hit), "{proto:?}: some target must answer");
+
+            for region in [0, 77, u32::MAX] {
+                let tagged: Vec<(Ipv6Addr, u32)> = addrs.iter().map(|&a| (a, region)).collect();
+                let got = fast.probe_tagged(&tagged, proto);
+                assert_eq!(got, wire.probe_tagged(&tagged, proto), "probe_tagged {proto:?} {region}");
+                let echoed = if proto == Protocol::Icmp && region == u32::MAX { None } else { Some(region) };
+                for (hit, tag) in got {
+                    assert_eq!(tag, if hit { echoed } else { None }, "{proto:?} tag {region}");
+                }
+            }
+
+            for &a in &addrs {
+                let burst = fast.probe_target(a, proto, None);
+                assert_eq!(burst, wire.probe_target(a, proto, None), "untagged {a} {proto:?}");
+                assert_eq!(burst.and_then(|b| b.tag), None, "untagged {proto:?} probes echo nothing");
+            }
+        }
+        assert_eq!(ScanOracle::packets_sent(&fast), ScanOracle::packets_sent(&wire));
+        assert_eq!(fast.metrics().counters(), wire.metrics().counters());
+        for name in ["probe.hits", "probe.rsts", "probe.unreachables", "probe.silent"] {
+            assert_eq!(fast.metrics().counter(name), 0, "oracle probes stay out of {name}");
+        }
+        assert!(fast.metrics().counter("probe.packets_sent") > 0);
     }
 }
 
 #[test]
 fn every_hit_is_ground_truth_responsive() {
-    let world = Arc::new(World::build(WorldConfig::tiny(0xF00D)));
+    let world = world(FaultConfig::off());
     let t = targets(&world);
-    let mut s = scanner(world.clone());
-    let par = Campaign::standard(&mut s).run_parallel(&t, 4);
+    let mut s = scanner(world.clone(), false);
+    let par = common::run_sharded(&mut s, &t, 4);
     for proto in PROTOCOLS {
         let (_, report) = &par.reports[proto.index()];
         for &hit in &report.hits {

@@ -152,10 +152,7 @@ fn retries_merge_equal_sequential_vs_sharded() {
     let mut seq = Scanner::new(cfg.clone(), SimTransport::new(w.clone()));
     let sequential = seq.scan(targets.iter().copied(), Protocol::Icmp);
     let mut par = Scanner::new(cfg, SimTransport::new(w));
-    let sharded = par
-        .scan_parallel_multi(targets.iter().copied(), &[Protocol::Icmp], 8)
-        .remove(0)
-        .1;
+    let sharded = par.scan_parallel(targets.iter().copied(), Protocol::Icmp, 8);
     assert!(sequential.retries > 0, "silent targets must retry");
     assert_eq!(sequential.retries, sharded.retries);
     assert_eq!(sequential, sharded, "whole reports stay bit-identical");
