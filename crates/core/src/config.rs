@@ -32,8 +32,17 @@ pub struct StudyConfig {
     /// Run independent (tga × port) experiment cells on worker threads.
     pub parallel: bool,
     /// Explicit worker-thread count for experiment grids (`--threads`).
-    /// `None` picks [`crate::par::default_threads`] when `parallel`, else 1.
+    /// `None` picks [`default_threads`] when `parallel`, else 1.
     pub threads: Option<usize>,
+}
+
+/// Default worker count: physical parallelism capped at 8 (the grids are
+/// memory-bandwidth-bound beyond that at study scale).
+pub fn default_threads() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .min(8)
 }
 
 impl StudyConfig {
@@ -62,7 +71,7 @@ impl StudyConfig {
     pub fn effective_threads(&self) -> usize {
         match self.threads {
             Some(n) => n.max(1),
-            None if self.parallel => crate::par::default_threads(),
+            None if self.parallel => default_threads(),
             None => 1,
         }
     }
@@ -115,7 +124,7 @@ mod tests {
         c.threads = Some(0);
         assert_eq!(c.effective_threads(), 1, "zero clamps to one worker");
         let f = StudyConfig::study(1);
-        assert_eq!(f.effective_threads(), crate::par::default_threads());
+        assert_eq!(f.effective_threads(), default_threads());
     }
 
     #[test]

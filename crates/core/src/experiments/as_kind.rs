@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 use netmodel::{AsKind, Protocol};
+use sos_obs::par::par_map;
 use tga::TgaId;
 
-use crate::par::par_map_stats;
 use crate::report::{fmt_count, Table};
 use crate::runner::{cell_salt, run_tga, RunResult};
 use crate::study::{DatasetKind, Study};
@@ -81,13 +81,12 @@ pub fn run_by_kind(study: &Study, tgas: &[TgaId]) -> KindResults {
     }
     let threads = study.config().effective_threads();
     let budget = study.config().budget;
-    let cells: BTreeMap<(&'static str, TgaId), RunResult> = par_map_stats(work, threads, "as_kind", |(kind, tga)| {
+    let cells: BTreeMap<(&'static str, TgaId), RunResult> = par_map("as_kind", work, threads, |_, (kind, tga)| {
         let seeds = &slices[kind];
         let salt = cell_salt(0xa5d0, tga, Protocol::Icmp, kind.len() as u64);
         let r = run_tga(study, tga, seeds, Protocol::Icmp, budget, salt);
         ((kind, tga), r)
     })
-    .0
     .into_iter()
     .collect();
     KindResults { cells, seed_counts }

@@ -9,9 +9,9 @@
 //! exactly why the paper's metric choice matters.
 
 use netmodel::Protocol;
+use sos_obs::par::par_map;
 use tga::TgaId;
 
-use crate::par::par_map_stats;
 use crate::report::{fmt_count, Table};
 use crate::runner::{cell_salt, run_tga};
 use crate::study::{DatasetKind, Study};
@@ -59,7 +59,7 @@ pub fn budget_sweep(
         }
     }
     let threads = study.config().effective_threads();
-    let (results, _stats) = par_map_stats(work, threads, "budget", |(tga, budget)| {
+    let results = par_map("budget", work, threads, |_, (tga, budget)| {
         let salt = cell_salt(0xb5d9e7, tga, proto, budget as u64);
         let r = run_tga(study, tga, &seeds, proto, budget, salt);
         (tga, budget, r.metrics.hits, r.metrics.ases)

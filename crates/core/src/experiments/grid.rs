@@ -9,9 +9,9 @@
 use std::collections::HashMap;
 
 use netmodel::{Protocol, PROTOCOLS};
+use sos_obs::par::par_map;
 use tga::TgaId;
 
-use crate::par::par_map_stats;
 use crate::runner::{cell_salt, run_tga, RunResult};
 use crate::study::{DatasetKind, Study};
 
@@ -98,7 +98,7 @@ pub fn grid_over(
         format!("cells={} threads={threads}", work.len()),
     );
     let progress = sos_obs::Progress::new("grid cells", work.len() as u64);
-    let (results, _stats) = par_map_stats(work, threads, "grid", |(dataset, proto, tga)| {
+    let results = par_map("grid", work, threads, |_, (dataset, proto, tga)| {
         let _cell = sos_obs::span_detail(
             "cell",
             format!("dataset={dataset:?} proto={proto:?} tga={tga}"),

@@ -29,7 +29,6 @@ pub mod explain;
 pub mod export;
 pub mod metrics;
 pub mod names;
-pub mod par;
 pub mod report;
 pub mod runner;
 pub mod study;

@@ -176,7 +176,7 @@ fn resolve(ws: &Workspace, cfg: &Config, caller: usize, site: &CallSite) -> Vec<
         if !owned.is_empty() {
             return owned;
         }
-        // Module-path call (`parallel::par_map_slots`): fall through to
+        // Module-path call (`par::par_map`): fall through to
         // plain name resolution.
     }
     let caller_file = ws.fns[caller].file;

@@ -95,7 +95,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "par-shared-mut",
         group: "concurrency",
-        rationale: "a par_map/par_map_slots closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically)",
+        rationale: "a par_map closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically)",
         severity: "error",
         fix: "return per-item values from the closure and merge after the join",
     },
@@ -283,7 +283,7 @@ impl Default for Config {
                 .iter()
                 .map(|(path, name, _)| (path.to_string(), name.to_string()))
                 .collect(),
-            par_fns: ["par_map", "par_map_stats", "par_map_slots"].map(String::from).to_vec(),
+            par_fns: vec!["par_map".to_string()],
             method_fallback_max: 6,
         }
     }

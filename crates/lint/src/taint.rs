@@ -30,7 +30,7 @@ pub const DETERMINISTIC_ROOTS: &[(&str, &str, &str)] = &[
     // TGA candidate emission — the W-invariance surface of PR 9.
     ("crates/tga/src/", "generate", "TGA candidate stream (untagged entry)"),
     ("crates/tga/src/", "generate_tagged", "TGA candidate stream + provenance log"),
-    ("crates/tga/src/parallel.rs", "par_map_slots", "W-invariant generation fan-out"),
+    ("crates/obs/src/par.rs", "par_map", "the W-invariant fan-out (grids, generation, sharded scans)"),
     ("crates/tga/src/space_tree.rs", "build_regions_par", "parallel space-tree construction"),
     // Digest / manifest writers — the bytes CI and A/B reruns compare.
     ("crates/obs/src/manifest.rs", "write_to_file", "run-manifest bytes"),

@@ -2,7 +2,7 @@
 //! per-region candidate batches collected into a HashMap and re-emitted by
 //! iteration would produce a stream whose order depends on the process
 //! hash seed — breaking the W-invariance property (bit-identical streams
-//! at any worker count) that `par_map_slots` exists to provide. Linted as
+//! at any worker count) that `par_map` exists to provide. Linted as
 //! `crates/tga/src/fx.rs`, where `generate` matches the deterministic-root
 //! registry with no annotation needed; this file must ALWAYS fail lint.
 use std::collections::HashMap;

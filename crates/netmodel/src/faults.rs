@@ -240,8 +240,10 @@ const THROTTLE_EPOCH: u64 = 0x7407_7e90;
 
 impl FaultPlan {
     /// Compile `cfg` under `world_seed` (epoch lengths are normalized to
-    /// at least one probe).
+    /// at least one probe, `prefix_len` to the `1..=128` that
+    /// [`FaultPlan::domain_of`] can shift by).
     pub fn new(mut cfg: FaultConfig, world_seed: u64) -> FaultPlan {
+        cfg.prefix_len = cfg.prefix_len.clamp(1, 128);
         cfg.burst_epoch = cfg.burst_epoch.max(1);
         cfg.blackhole_epoch = cfg.blackhole_epoch.max(1);
         cfg.throttle_epoch = cfg.throttle_epoch.max(1);
@@ -259,7 +261,7 @@ impl FaultPlan {
         self.cfg.enabled
     }
 
-    /// Fault-domain granularity in bits.
+    /// Fault-domain granularity in bits, always in `1..=128`.
     pub fn prefix_len(&self) -> u8 {
         self.cfg.prefix_len
     }
@@ -361,6 +363,20 @@ mod tests {
         for d in 0..500 {
             assert_eq!(p.effect(0xabc, Protocol::Icmp, d), FaultEffect::Pass);
         }
+    }
+
+    #[test]
+    fn out_of_range_prefix_len_is_clamped_once() {
+        let with_len = |prefix_len| plan(FaultConfig { prefix_len, ..FaultConfig::hostile() });
+        let addr = 0x2001_0db8_0000_0001_0000_0000_0000_0042u128;
+        for (given, effective) in [(0u8, 1u8), (1, 1), (128, 128), (200, 128)] {
+            let (got, want) = (with_len(given), with_len(effective));
+            assert_eq!(got.prefix_len(), effective, "prefix_len {given}");
+            assert_eq!(got.domain_of(addr), want.domain_of(addr), "prefix_len {given}");
+            assert_eq!(got.domain_of(u128::MAX), want.domain_of(u128::MAX), "prefix_len {given}");
+        }
+        assert_eq!(with_len(0).domain_of(addr), 0, "a /1 domain is the top bit");
+        assert_eq!(with_len(200).domain_of(addr), addr, "a /128 domain is the address");
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl Json {
     }
 
     /// Parse a JSON document. This is the read half the writer above has
-    /// always implied: round-trip tests, `sos-perf --baseline`, and
+    /// always implied: round-trip tests, the benchmark's `compare`, and
     /// manifest-diff tooling all need to load documents this crate (or
     /// any standards-compliant writer) produced. Numbers parse to the
     /// narrowest faithful variant: non-negative integers → `U64`,

@@ -204,8 +204,6 @@ mod tests {
 
     #[test]
     fn spans_nest_and_record() {
-        // Serialize against other tests touching the global table.
-        clear();
         {
             let _outer = span("outer_span_test");
             assert_eq!(current_path(), "outer_span_test");
@@ -217,7 +215,7 @@ mod tests {
         }
         assert_eq!(current_path(), "");
         let recs: Vec<SpanRecord> =
-            records().into_iter().filter(|r| r.path.contains("span_test")).collect();
+            records().into_iter().filter(|r| r.path.contains("outer_span_test")).collect();
         assert_eq!(recs.len(), 2, "inner closes first, then outer");
         assert_eq!(recs[0].path, "outer_span_test>inner_span_test");
         assert_eq!(recs[0].detail, "k=v");
@@ -273,7 +271,6 @@ mod tests {
 
     #[test]
     fn aggregate_reports_self_time() {
-        clear();
         {
             let _outer = span("selfagg_outer_test");
             std::thread::sleep(std::time::Duration::from_millis(2));

@@ -15,14 +15,15 @@
 //!
 //! - one task, on the scanner's own transport, limiter and breaker map
 //!   ([`Scanner::scan`], one-shard scans, oracle probes), or
-//! - `protocols × W` tasks: the prepared list is partitioned into W shards
-//!   **by prefix hash** (every fault domain and breaker domain lands
-//!   wholly inside one shard, so per-prefix state never forks), and each
-//!   task probes through its own cloned transport with a [`TokenBucket`]
-//!   carved from the global pps budget (`rate / tasks` each, so the
-//!   aggregate still honors Appendix A). Shard hits carry their global
-//!   input index and are merged by sorting on it, so reports are
-//!   bit-identical at every width.
+//! - `protocols × W` tasks under [`sos_obs::par::par_map`]: one rule —
+//!   task = protocol position × W + **prefix hash** of the address —
+//!   decides which task owns a target, a breaker and a flow or fault
+//!   counter, so every fault domain and breaker domain lands wholly inside
+//!   one task and per-prefix state is lent to it and reclaimed, never
+//!   forked. Each task probes with a [`TokenBucket`] carved from the
+//!   global pps budget (`rate / tasks` each, so the aggregate still honors
+//!   Appendix A). Shard hits carry their global input index and are merged
+//!   by sorting on it, so reports are bit-identical at every width.
 //!
 //! Byte-level packet round-tripping is the transport's default
 //! `probe_burst`, not a second engine path; `tests/parallel_scan.rs` holds
@@ -42,7 +43,7 @@ use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
-use sos_obs::par::{ParCell, ParStats, ParWorker};
+use sos_obs::par::par_map;
 use v6addr::PrefixSet;
 
 use crate::metrics::EngineMetrics;
@@ -338,7 +339,7 @@ fn probe_one<T: Transport>(
 fn shard_partition_len<T: Transport>(transport: &T, breaker: Option<&BreakerConfig>) -> u8 {
     let mut len = 48u8;
     if let Some(f) = transport.fault_prefix_len() {
-        len = len.min(f.clamp(1, 128));
+        len = len.min(f);
     }
     if let Some(b) = breaker {
         len = len.min(b.effective_prefix_len());
@@ -368,7 +369,7 @@ fn shard_of(addr: u128, partition_len: u8, shards: usize) -> usize {
 /// Probe one prepared slice of `(global index, target)` pairs, tallying a
 /// partial [`ScanReport`] plus index-tagged hits (the caller restores
 /// global hit order by sorting on the index). This is the scan loop: a
-/// shard worker runs it on its cloned transport, and a single-task scan
+/// shard worker runs it on its lent transport, and a single-task scan
 /// runs it on the scanner's own transport, limiter, and breaker.
 ///
 /// `prov`, when present, maps **global prepared index → provenance tag**
@@ -442,7 +443,7 @@ pub struct Scanner<T: Transport> {
     limiter: Option<TokenBucket>,
     breaker: Option<BreakerMap>,
     metrics: EngineMetrics,
-    /// Packets transmitted by shard-cloned transports (not visible in
+    /// Packets transmitted by lent transports (not visible in
     /// `transport.packets_sent()`); folded into [`Scanner::packets_sent`].
     shard_packets: u64,
 }
@@ -626,8 +627,8 @@ impl<T: Transport> Scanner<T> {
 impl<T: Transport + Clone + Send> Scanner<T> {
     /// Scan a target list on one protocol across `shards` parallel
     /// workers. Produces a report bit-identical to [`Scanner::scan`] on
-    /// the same world state: preparation happens once, each shard owns a
-    /// cloned transport (inheriting per-flow attempt counters) and a
+    /// the same world state: preparation happens once, each shard is lent
+    /// the per-flow attempt counters of its own targets and a
     /// `rate / shards` slice of the pps budget, and partial reports merge
     /// in input order.
     pub fn scan_parallel(
@@ -697,181 +698,88 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         prov: Option<&[Provenance]>,
     ) -> Vec<(Protocol, ScanReport)> {
         let shards = shards.max(1);
-        let start = sos_obs::now_s();
 
-        // Degenerate case: a single task needs no clones and no threads —
-        // it is `scan`'s path. ParStats still reports the *requested*
-        // worker count so manifest utilization aggregates stay truthful.
-        if protocols.len() == 1 && (shards == 1 || prepared.len() <= 1) {
-            let proto = protocols[0];
-            let report = self.scan_single(prepared, proto, prov);
-            let exec_s = sos_obs::now_s() - start;
-            record_shard_stats(start, shards, vec![(0, prepared.len(), exec_s)]);
-            return vec![(proto, report)];
+        // A single task is `scan`'s path: the scanner's own transport,
+        // persistent limiter and breaker map, no thread. The one-item
+        // `par_map` still records the *requested* worker count so manifest
+        // utilization aggregates stay truthful.
+        if let (&[proto], true) = (protocols, shards == 1 || prepared.len() <= 1) {
+            return par_map("scan_parallel", vec![self], shards, |_, scanner| {
+                (proto, scanner.scan_single(prepared, proto, prov))
+            });
         }
 
+        // The one ownership rule: which task scans an address on a protocol
+        // — and so holds every piece of per-prefix state keyed inside it.
+        // Prefixes hash to shards at a length no fault or breaker domain
+        // is coarser than; protocols not scanned here have no owner.
         let tasks = protocols.len() * shards;
-        let rate = self.cfg.rate_pps;
-        let cfg = &self.cfg;
-        let metrics = &self.metrics;
-
-        // Partition by prefix hash: every target whose address shares the
-        // top `partition_len` bits lands in the same shard, in input order.
         let partition_len = shard_partition_len(&self.transport, self.cfg.breaker.as_ref());
-        let mut parts: Vec<Vec<(u32, Ipv6Addr)>> = vec![Vec::new(); shards];
-        for &(idx, addr) in prepared {
-            // shard_of reduces modulo `shards`, so the index is in range
-            parts[shard_of(u128::from(addr), partition_len, shards)].push((idx, addr));
-        }
+        let owner = |addr: u128, proto: u8| {
+            let pi = protocols.iter().position(|p| p.index() as u8 == proto)?;
+            Some(pi * shards + shard_of(addr, partition_len, shards))
+        };
 
-        // Route breaker state into a per-(protocol, shard) grid. Entries
-        // for protocols not scanned here stay behind on the parent map;
-        // counters stay on the parent so absorb-back adds only deltas.
-        let mut grid: Vec<Option<BreakerMap>> = (0..tasks).map(|_| None).collect();
-        if let Some(parent) = self.breaker.as_mut() {
-            let bcfg = *parent.config();
-            let blen = bcfg.effective_prefix_len();
-            for slot in &mut grid {
-                *slot = Some(BreakerMap::new(bcfg));
-            }
-            let mut keep = Vec::new();
-            for (key, state) in parent.drain_entries() {
-                let (domain, pidx) = key;
-                let Some(pi) = protocols.iter().position(|p| p.index() as u8 == pidx) else {
-                    keep.push((key, state));
-                    continue;
-                };
-                // Breaker domains are at least as fine as the partition
-                // (shard_partition_len mins over the breaker length), so
-                // truncating the domain to the partition prefix routes it
-                // to the same shard as every address inside it.
-                let si = shard_of_domain(domain >> u32::from(blen - partition_len), shards);
-                // pi < protocols.len() and si < shards, so the grid index is in range
-                if let Some(slot) = grid[pi * shards + si].as_mut() {
-                    slot.insert_entries([(key, state)]);
+        let mut targets: Vec<Vec<(u32, Ipv6Addr)>> = vec![Vec::new(); tasks];
+        for proto in protocols {
+            for &(idx, addr) in prepared {
+                if let Some(task) = owner(u128::from(addr), proto.index() as u8) {
+                    targets[task].push((idx, addr)); // task < tasks: position < protocols.len(), shard_of < shards
                 }
             }
-            parent.insert_entries(keep);
         }
+        let transports = self.transport.lend(tasks, &owner);
+        let breakers: Vec<Option<BreakerMap>> = match self.breaker.as_mut() {
+            Some(parent) => parent.lend(tasks, owner).into_iter().map(Some).collect(),
+            None => vec![None; tasks],
+        };
 
-        // Clone all shard transports up front from the same snapshot:
-        // every (protocol, shard) task continues this scanner's per-flow
-        // attempt history (and per-domain fault clocks) for its own
-        // disjoint slice of flows.
-        let mut pool: Vec<T> = (0..tasks).map(|_| self.transport.shard_clone()).collect();
-
-        let parts = &parts;
-        // Each task yields (partial report, indexed hits, its transport,
-        // its breaker slice, exec seconds, targets handled).
-        let results = std::thread::scope(|scope| {
-            let mut proto_handles = Vec::with_capacity(protocols.len());
-            for (pi, &proto) in protocols.iter().enumerate() {
-                let mut shard_handles = Vec::with_capacity(shards);
-                for si in 0..shards {
-                    // sos-lint: allow(panic-unwrap) pool is sized to protocols * shards right above
-                    let mut transport = pool.pop().expect("one transport per task");
-                    // pi < protocols.len() and si < shards, so the grid index is in range
-                    let mut breaker = grid[pi * shards + si].take();
-                    let slice = &parts[si]; // si < shards == parts.len()
-                    shard_handles.push(scope.spawn(move || {
-                        let _s = sos_obs::span_detail(
-                            "scan_shard",
-                            format!("proto={proto:?} shard={si} targets={}", slice.len()),
-                        );
-                        let t0 = sos_obs::now_s();
-                        let mut limiter = rate.map(|r| TokenBucket::split(r, r, tasks));
-                        let (report, hits) = scan_shard(
-                            cfg,
-                            &mut transport,
-                            &mut limiter,
-                            &mut breaker,
-                            metrics,
-                            slice,
-                            proto,
-                            prov,
-                        );
-                        (report, hits, transport, breaker, sos_obs::now_s() - t0, slice.len())
-                    }));
-                }
-                proto_handles.push((pi, shard_handles));
-            }
-            proto_handles
-                .into_iter()
-                .map(|(pi, handles)| {
-                    (
-                        pi,
-                        handles
-                            .into_iter()
-                            // sos-lint: allow(panic-unwrap) propagating a shard panic is the intended failure mode
-                            .map(|h| h.join().expect("shard worker panicked"))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect::<Vec<_>>()
+        let (cfg, metrics, rate) = (&self.cfg, &self.metrics, self.cfg.rate_pps);
+        let jobs: Vec<_> = targets.into_iter().zip(transports).zip(breakers).collect();
+        let results = par_map("scan_parallel", jobs, tasks, |task, ((targets, mut transport), mut breaker)| {
+            let proto = protocols[task / shards]; // task < tasks == protocols.len() * shards
+            let _s = sos_obs::span_detail(
+                "scan_shard",
+                format!("proto={proto:?} shard={} targets={}", task % shards, targets.len()),
+            );
+            let mut limiter = rate.map(|r| TokenBucket::split(r, r, tasks));
+            let (report, hits) =
+                scan_shard(cfg, &mut transport, &mut limiter, &mut breaker, metrics, &targets, proto, prov);
+            (report, hits, transport, breaker)
         });
 
-        let mut out: Vec<(Protocol, ScanReport)> = Vec::with_capacity(protocols.len());
-        let mut cells: Vec<(usize, usize, f64)> = Vec::with_capacity(tasks);
-        for (pi, shard_results) in results {
-            let mut report = ScanReport::default();
-            let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
-            for (partial, shard_hits, transport, task_breaker, exec_s, items) in shard_results {
-                self.shard_packets += partial.packets_sent;
-                // Fold the shard's cross-target state back so later scans
-                // (and campaign checkpoints) continue the same clocks.
-                self.transport.absorb_shard(transport);
-                if let (Some(parent), Some(tb)) = (self.breaker.as_mut(), task_breaker) {
-                    parent.absorb(tb);
+        // Merge in task order: per protocol, its shards' partial reports;
+        // lent state returns so later scans (and campaign checkpoints)
+        // continue the same clocks.
+        let mut results = results.into_iter();
+        protocols
+            .iter()
+            .map(|&proto| {
+                let mut report = ScanReport::default();
+                let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
+                for (partial, shard_hits, transport, breaker) in results.by_ref().take(shards) {
+                    self.shard_packets += partial.packets_sent;
+                    self.transport.reclaim(transport);
+                    if let (Some(parent), Some(lent)) = (self.breaker.as_mut(), breaker) {
+                        parent.absorb(lent);
+                    }
+                    hits.extend(shard_hits);
+                    report.absorb_shard(partial);
                 }
-                cells.push((cells.len(), items, exec_s));
-                hits.extend(shard_hits);
-                report.absorb_shard(partial);
-            }
-            // Restore global input order across shards.
-            hits.sort_unstable_by_key(|&(i, _)| i);
-            report.hits = hits.into_iter().map(|(_, a)| a).collect();
-            sos_obs::debug!(
-                "scan_parallel {:?} x{shards}: {} probed, {} skipped, {} hits, {} pkts",
-                protocols[pi], // pi < protocols.len(): enumerate index
-                report.probed,
-                report.skipped,
-                report.hits.len(),
-                report.packets_sent,
-            );
-            out.push((protocols[pi], report)); // pi < protocols.len(): enumerate index
-        }
-        record_shard_stats(start, tasks, cells);
-        out
+                // Restore global input order across shards.
+                hits.sort_unstable_by_key(|&(i, _)| i);
+                report.hits = hits.into_iter().map(|(_, a)| a).collect();
+                sos_obs::debug!(
+                    "scan_parallel {proto:?} x{shards}: {} probed, {} skipped, {} hits, {} pkts",
+                    report.probed,
+                    report.skipped,
+                    report.hits.len(),
+                    report.packets_sent,
+                );
+                (proto, report)
+            })
+            .collect()
     }
-}
-
-/// Record one parallel-scan invocation in the global par-stats table
-/// (label `scan_parallel`), mirroring `sos_core::par::par_map_stats`
-/// semantics: `threads` is the requested worker count, and workers that
-/// never ran (degenerate inputs) appear idle rather than vanishing.
-fn record_shard_stats(start_s: f64, threads: usize, cells: Vec<(usize, usize, f64)>) {
-    let mut workers = vec![ParWorker { busy_s: 0.0, items: 0 }; threads];
-    let cells = cells
-        .into_iter()
-        .map(|(index, items, exec_s)| {
-            workers[index].busy_s += exec_s; // index < threads: one slot per spawned task
-            workers[index].items += items as u64;
-            ParCell {
-                index,
-                wait_s: 0.0,
-                exec_s,
-                worker: index,
-            }
-        })
-        .collect();
-    sos_obs::par::record(ParStats {
-        label: "scan_parallel".to_string(),
-        threads,
-        start_s,
-        wall_s: sos_obs::now_s() - start_s,
-        cells,
-        workers,
-    });
 }
 
 #[cfg(test)]
@@ -1086,7 +994,12 @@ mod tests {
     #[test]
     fn scan_parallel_splits_the_rate_budget() {
         let world = Arc::new(World::build(WorldConfig::tiny(31)));
-        let targets: Vec<Ipv6Addr> = live_hosts(&world, Protocol::Icmp, 200);
+        // One target per /48 — a live host from each populated /48, plus
+        // 200 unrouted /48s — so the prefix hash spreads them evenly by
+        // construction, however the world lays its hosts out.
+        let mut targets = live_hosts(&world, Protocol::Icmp, usize::MAX);
+        targets.dedup_by_key(|a| u128::from(*a) >> 80);
+        targets.extend((0..200u128).map(|i| Ipv6Addr::from((0x3fff_u128 << 112) | (i << 80) | 1)));
         let cfg = ScannerConfig {
             rate_pps: Some(50.0),
             retry: RetryPolicy::fixed(0),
@@ -1119,14 +1032,15 @@ mod tests {
             ..ScannerConfig::default()
         };
         let mut s = Scanner::new(cfg, SimTransport::new(world));
-        s.scan_parallel(targets, Protocol::Icmp, 4);
+        let report = s.scan_parallel(targets, Protocol::Icmp, 4);
+        assert_eq!(report.probed, 32, "every prepared target belongs to one shard");
         let recorded = sos_obs::par::snapshot();
         let stats = recorded
             .iter()
             .rfind(|s| s.label == "scan_parallel" && s.threads == 4)
             .expect("scan_parallel invocation recorded");
         assert_eq!(stats.workers.len(), 4);
-        let items: u64 = stats.workers.iter().map(|w| w.items).sum();
-        assert_eq!(items, 32, "every prepared target belongs to one shard");
+        let cells: u64 = stats.workers.iter().map(|w| w.items).sum();
+        assert_eq!(cells, 4, "one cell per (protocol, shard) task");
     }
 }

@@ -351,41 +351,32 @@ impl BreakerMap {
         BreakerMap { cfg, states: entries.into_iter().collect(), opened, skipped }
     }
 
-    /// Drain every breaker state out of this map (counters stay). The
-    /// multi-protocol shard pipeline re-routes the drained entries into a
-    /// per-(protocol, shard) grid and re-inserts the rest.
-    pub(crate) fn drain_entries(&mut self) -> Vec<((u128, u8), BreakerState)> {
-        std::mem::take(&mut self.states).into_iter().collect()
-    }
-
-    /// Insert previously drained entries (overwriting on key collision).
-    pub(crate) fn insert_entries(
+    /// Lend this map's state to `tasks` fan-out tasks: every breaker moves
+    /// to the task `owner` names for an address inside its domain (the same
+    /// rule the scan partitions its targets by) and stays here when `owner`
+    /// names none. Counters stay too, so [`BreakerMap::absorb`] adds only
+    /// what the tasks did.
+    pub(crate) fn lend(
         &mut self,
-        entries: impl IntoIterator<Item = ((u128, u8), BreakerState)>,
-    ) {
-        self.states.extend(entries);
-    }
-
-    /// Partition this map's state into `shards` maps, routing each breaker
-    /// domain with `shard_of` (which must agree with how the scan itself
-    /// partitions targets). `self` is left empty; counters stay on `self`
-    /// so absorb-back only adds shard deltas.
-    pub fn split_for_shards(
-        &mut self,
-        shards: usize,
-        shard_of: impl Fn(u128) -> usize,
+        tasks: usize,
+        owner: impl Fn(u128, u8) -> Option<usize>,
     ) -> Vec<BreakerMap> {
-        let mut out: Vec<BreakerMap> = (0..shards.max(1)).map(|_| BreakerMap::new(self.cfg)).collect();
-        for (key, state) in std::mem::take(&mut self.states) {
-            let slot = shard_of(key.0) % out.len();
-            // slot < out.len(): reduced modulo len on the previous line
-            out[slot].states.insert(key, state);
-        }
-        out
+        let mut lent: Vec<BreakerMap> = (0..tasks).map(|_| BreakerMap::new(self.cfg)).collect();
+        let shift = 128 - u32::from(self.cfg.effective_prefix_len());
+        self.states.retain(|&(domain, proto), state| {
+            match owner(domain << shift, proto).and_then(|t| lent.get_mut(t)) {
+                Some(task) => {
+                    task.states.insert((domain, proto), *state);
+                    false
+                }
+                None => true,
+            }
+        });
+        lent
     }
 
-    /// Merge a shard's state back: states overwrite (domains are disjoint
-    /// across shards), counters add.
+    /// Take a lent map's state back: states overwrite (a domain belongs to
+    /// one task), counters add.
     pub fn absorb(&mut self, shard: BreakerMap) {
         self.states.extend(shard.states);
         self.opened += shard.opened;
@@ -502,21 +493,26 @@ mod tests {
     }
 
     #[test]
-    fn split_and_absorb_round_trip() {
+    fn lend_and_absorb_round_trip() {
         let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 4 };
         let mut b = BreakerMap::new(cfg);
         for i in 0..8u16 {
             b.record(addr(i, 0), Protocol::Icmp, true);
         }
+        b.record(addr(1, 0), Protocol::Tcp80, true);
         let before = b.entries();
         let opened = b.opened();
-        let shards = b.split_for_shards(3, |domain| (domain as usize) % 3);
-        assert!(b.entries().is_empty());
-        let mut merged = BreakerMap::new(cfg);
-        for s in shards {
-            merged.absorb(s);
+        // Owners see an address inside the domain; TCP/80 has no owner.
+        let icmp = Protocol::Icmp.index() as u8;
+        let lent = b.lend(3, |a, p| (p == icmp).then_some((a >> 112) as usize % 3));
+        let stayed = vec![((u128::from(addr(1, 0)) >> 16, Protocol::Tcp80.index() as u8), BreakerState::Open { skipped: 0 })];
+        assert_eq!(b.entries(), stayed, "unowned state stays on the parent");
+        assert_eq!(lent.iter().map(|m| m.entries().len()).collect::<Vec<_>>(), [3, 3, 2]);
+        assert!(lent.iter().all(|m| m.opened() == 0), "lent maps count from zero");
+        for task in lent {
+            b.absorb(task);
         }
-        assert_eq!(merged.entries(), before);
+        assert_eq!(b.entries(), before);
         assert_eq!(b.opened(), opened, "counters stay on the parent");
     }
 

@@ -75,9 +75,9 @@ type DensityMap = HashMap<(u128, u8), u32, std::hash::BuildHasherDefault<FlowHas
 /// The attempt number is tracked **per (destination, protocol)**: the nth
 /// probe of an address on a protocol sees the same loss roll no matter how
 /// probes to other targets are interleaved around it. This is what makes
-/// sharded scans bit-identical to sequential ones — a cloned shard
-/// transport inherits the counters and continues them for its own slice of
-/// the target list.
+/// sharded scans bit-identical to sequential ones — a shard task is lent
+/// the counters of its own slice of the target list, continues them, and
+/// hands them back ([`Transport::lend`] / [`Transport::reclaim`]).
 #[derive(Debug, Clone)]
 pub struct SimTransport {
     world: Arc<World>,
@@ -169,6 +169,23 @@ impl SimTransport {
             }
         }
     }
+}
+
+/// Move every counter whose key `task_of` gives a task out of `from`, into
+/// the map `slot` picks on that task's transport; the rest stay.
+fn move_owned(
+    from: &mut FlowMap,
+    lent: &mut [SimTransport],
+    slot: fn(&mut SimTransport) -> &mut FlowMap,
+    task_of: impl Fn(u128, u8) -> Option<usize>,
+) {
+    from.retain(|&(key, proto), n| match task_of(key, proto).and_then(|t| lent.get_mut(t)) {
+        Some(task) => {
+            slot(task).insert((key, proto), *n);
+            false
+        }
+        None => true,
+    });
 }
 
 impl Transport for SimTransport {
@@ -302,37 +319,21 @@ impl Transport for SimTransport {
         plan.active().then(|| plan.prefix_len())
     }
 
-    /// Shard clones inherit the flow and density maps (they continue the
-    /// same virtual clocks for their slice of the target list) but report
-    /// packet/fault deltas from zero.
-    fn shard_clone(&self) -> Self {
-        SimTransport {
-            world: Arc::clone(&self.world),
-            sent: 0,
-            attempts: self.attempts.clone(),
-            density: self.density.clone(),
-            fault_drops: 0,
-            throttled_us: 0,
-        }
+    /// Each flow counter moves to the task that owns its address, each
+    /// density counter to the task that owns its fault domain.
+    fn lend(&mut self, tasks: usize, owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Self> {
+        let mut lent: Vec<Self> = (0..tasks).map(|_| SimTransport::new(Arc::clone(&self.world))).collect();
+        let shift = 128 - u32::from(self.world.faults().prefix_len());
+        move_owned(&mut self.attempts, &mut lent, |t| &mut t.attempts, owner);
+        move_owned(&mut self.density, &mut lent, |t| &mut t.density, |domain, proto| owner(domain << shift, proto));
+        lent
     }
 
-    /// Merge a shard's cross-target state back. Every shard clone starts
-    /// from the same snapshot and only advances counters for its own
-    /// disjoint slice of flows/domains, so for any key the largest value
-    /// across parent and shards is the true count — max-merge is exact and
-    /// absorb order cannot matter. (Counters wrap only after 2^32 probes
-    /// of a single flow, far beyond any simulated campaign.)
-    fn absorb_shard(&mut self, shard: Self) {
-        for (k, v) in shard.attempts {
-            let slot = self.attempts.entry(k).or_insert(0);
-            *slot = (*slot).max(v);
-        }
-        for (k, v) in shard.density {
-            let slot = self.density.entry(k).or_insert(0);
-            *slot = (*slot).max(v);
-        }
-        self.fault_drops += shard.fault_drops;
-        self.throttled_us += shard.throttled_us;
+    fn reclaim(&mut self, lent: Self) {
+        self.attempts.extend(lent.attempts);
+        self.density.extend(lent.density);
+        self.fault_drops += lent.fault_drops;
+        self.throttled_us += lent.throttled_us;
     }
 
     fn fault_state(&self) -> Vec<(u128, u8, u32)> {
@@ -579,7 +580,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_clone_zeroes_counters_and_absorb_merges_state() {
+    fn lend_zeroes_counters_and_reclaim_returns_state() {
         let w = faulty_world(netmodel::FaultConfig::blackholes(1.0, 1.0));
         let dst = find_live(&w, Protocol::Icmp);
         let mut base = SimTransport::new(w);
@@ -592,19 +593,31 @@ mod tests {
             validate: true,
         };
         base.probe_burst(&spec, 2);
-        assert_eq!(base.faults_injected(), 2);
-        let mut shard = base.shard_clone();
+        base.probe_burst(&ProbeSpec { proto: Protocol::Tcp80, ..spec }, 1);
+        assert_eq!(base.faults_injected(), 3);
+        let before = base.fault_state();
+        let (icmp, tcp80) = (Protocol::Icmp.index() as u8, Protocol::Tcp80.index() as u8);
+        // Task 1 of 2 owns everything on ICMP; TCP/80 is not in this call.
+        let owner = |addr: u128, p: u8| {
+            assert_eq!(addr >> 80, u128::from(dst) >> 80, "owners see an address inside the domain");
+            (p == icmp).then_some(1)
+        };
+        let mut lent = base.lend(2, &owner);
+        assert_eq!(base.fault_state(), [(before[1].0, tcp80, 1)], "unowned state stays on the parent");
+        assert!(lent[0].fault_state().is_empty(), "task 0 owns nothing");
+        let mut shard = lent.pop().unwrap();
         assert_eq!(shard.packets_sent(), 0);
         assert_eq!(shard.faults_injected(), 0);
-        assert_eq!(shard.fault_state(), base.fault_state(), "density carried over");
+        assert_eq!(shard.fault_state(), [before[0]], "density carried over");
         shard.probe_burst(&spec, 3);
         assert_eq!(shard.faults_injected(), 3, "shard reports its own delta");
-        base.absorb_shard(shard);
-        assert_eq!(base.faults_injected(), 5);
+        assert_eq!(shard.attempts[&(u128::from(dst), icmp)], 5, "flow attempts continue: 2 + 3");
+        base.reclaim(shard);
+        assert_eq!(base.faults_injected(), 6);
+        assert_eq!(base.packets_sent(), 3, "packets are the engine's to account");
         // density continued from the base's clock: 2 + 3 probes
         let state = base.fault_state();
-        assert_eq!(state.len(), 1);
-        assert_eq!(state[0].2, 5);
+        assert_eq!(state, [(before[0].0, icmp, 5), before[1]]);
         // and restore round-trips
         let mut fresh = SimTransport::new(base.world.clone());
         fresh.restore_fault_state(&state);

@@ -155,31 +155,33 @@ pub trait Transport {
         0
     }
 
-    /// Fault-domain granularity in bits, when a fault layer is active.
-    /// The sharded scan pipeline partitions targets by prefix so that no
-    /// fault domain ever spans two shards (which would fork the
+    /// Fault-domain granularity in bits (`1..=128`), when a fault layer is
+    /// active. The sharded scan pipeline partitions targets by prefix so
+    /// that no fault domain ever spans two shards (which would fork the
     /// per-domain density clock and break bit-identity).
     fn fault_prefix_len(&self) -> Option<u8> {
         None
     }
 
-    /// Clone this transport for a shard task: cross-target state (flow
-    /// attempt counters, fault density) is carried over, while
-    /// per-instance accumulators (packets, fault drops, throttle time)
-    /// start at zero so the shard reports clean deltas.
-    fn shard_clone(&self) -> Self
+    /// Lend one transport to each of `tasks` fan-out tasks. Cross-target
+    /// state (flow attempt counters, fault density) *moves* to the task
+    /// that `owner(address inside the key's domain, protocol index)` names
+    /// — the rule the scan partitions its targets by, so a task only ever
+    /// touches state it owns — and stays here when `owner` names none.
+    /// Lent transports count packets, fault drops and throttle time from
+    /// zero, so each reports clean deltas. Default: stateless clones.
+    fn lend(&mut self, tasks: usize, _owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Self>
     where
         Self: Clone + Sized,
     {
-        self.clone()
+        (0..tasks).map(|_| self.clone()).collect()
     }
 
-    /// Merge a shard transport's cross-target state back after a parallel
-    /// scan, so later scans through this transport continue the same
-    /// per-flow and per-domain counters the shards advanced. Packet
-    /// counts are NOT merged — the engine accounts shard packets
-    /// separately. Default: nothing to merge.
-    fn absorb_shard(&mut self, _shard: Self)
+    /// Take a lent transport back after its task: its cross-target state
+    /// returns, so later scans continue the same per-flow and per-domain
+    /// counters, and its fault accumulators add. Packet counts do NOT —
+    /// the engine accounts task packets separately. Default: nothing.
+    fn reclaim(&mut self, _lent: Self)
     where
         Self: Sized,
     {
@@ -279,11 +281,11 @@ impl<T: Transport + Clone> Transport for WireOnly<T> {
     fn fault_prefix_len(&self) -> Option<u8> {
         self.0.fault_prefix_len()
     }
-    fn shard_clone(&self) -> Self {
-        WireOnly(self.0.shard_clone())
+    fn lend(&mut self, tasks: usize, owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Self> {
+        self.0.lend(tasks, owner).into_iter().map(WireOnly).collect()
     }
-    fn absorb_shard(&mut self, shard: Self) {
-        self.0.absorb_shard(shard.0)
+    fn reclaim(&mut self, lent: Self) {
+        self.0.reclaim(lent.0)
     }
     fn fault_state(&self) -> Vec<(u128, u8, u32)> {
         self.0.fault_state()

@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 use netmodel::{FaultConfig, PortSet, Protocol, World, WorldConfig, PROTOCOLS};
 use sos_probe::{
-    BreakerConfig, CampaignResult, RetryPolicy, ScanOracle, Scanner, ScannerConfig, SimTransport,
-    WireOnly,
+    BreakerConfig, Burst, CampaignResult, RetryPolicy, ScanOracle, Scanner, ScannerConfig,
+    SimTransport, Transport, WireOnly,
 };
 
 fn world(faults: FaultConfig) -> Arc<World> {
@@ -95,19 +95,36 @@ fn campaign_merge_is_the_union_of_per_protocol_hits() {
     assert_portset_union(&common::run_sharded(&mut s, &t, 4));
 }
 
+/// Probe every target again on every protocol, on the scanner's own
+/// transport: what a scan left behind in per-flow attempt counters, fault
+/// clocks and breakers decides these bursts (a flow's loss rolls depend on
+/// how many attempts it has seen, which takes a few hundred live flows to
+/// show at 1% loss).
+fn follow_up<T: Transport>(s: &mut Scanner<T>, t: &[Ipv6Addr]) -> Vec<Option<Burst>> {
+    let mut bursts = Vec::new();
+    for proto in PROTOCOLS {
+        bursts.extend(t.iter().map(|&a| s.probe_target(a, proto, None)));
+    }
+    bursts
+}
+
 /// 4 protocols × faults {off, hostile} × breaker {off, on} × shards
 /// {1, 3, 4, 8}: per-protocol `scan_parallel` calls and a campaign's
 /// `run_with` rounds both report exactly what the wire reference reports —
 /// every report bit for bit (hits in input order, identical
 /// packet/dedup/blocklist/outcome/fault/breaker counters), the same merged
 /// responsive map, the same packet total, and the same engine counters.
+/// Lending per-prefix state to the shard tasks and reclaiming it leaves the
+/// scanner where the reference is: the same fault clocks, and the same
+/// bursts from a follow-up probe of flows the scan already advanced.
 #[test]
 fn scans_and_campaigns_match_the_wire_reference() {
     for (faults_name, faults) in [("off", FaultConfig::off()), ("hostile", FaultConfig::hostile())] {
         let world = world(faults);
         let t = targets(&world);
         for breaker in [false, true] {
-            let (wire, wire_scanner) = common::wire_campaign(world.clone(), config(breaker), &t);
+            let (wire, mut wire_scanner) = common::wire_campaign(world.clone(), config(breaker), &t);
+            let mut follow_ups = Vec::new();
             let wire_counters = wire_scanner.metrics().counters();
             if faults_name == "hostile" {
                 let perturbed: u64 =
@@ -124,6 +141,9 @@ fn scans_and_campaigns_match_the_wire_reference() {
                 }
                 assert_eq!(s.packets_sent(), wire_scanner.packets_sent(), "scan_parallel at {at}");
                 assert_eq!(s.metrics().counters(), wire_counters, "scan_parallel at {at}");
+                let wire_faults = wire_scanner.transport().fault_state();
+                assert_eq!(s.transport().fault_state(), wire_faults, "scan_parallel at {at}");
+                follow_ups.push((format!("scan_parallel at {at}"), follow_up(&mut s, &t)));
 
                 let mut s = scanner(world.clone(), breaker);
                 let par = common::run_sharded(&mut s, &t, shards);
@@ -141,6 +161,13 @@ fn scans_and_campaigns_match_the_wire_reference() {
                     *counters.get_mut(name).expect("registered counter") *= PROTOCOLS.len() as u64;
                 }
                 assert_eq!(counters, wire_counters, "run_with at {at}");
+                assert_eq!(s.transport().fault_state(), wire_faults, "run_with at {at}");
+                follow_ups.push((format!("run_with at {at}"), follow_up(&mut s, &t)));
+            }
+            let want = follow_up(&mut wire_scanner, &t);
+            assert!(want.iter().flatten().any(|b| b.used > 0), "the follow-up must probe");
+            for (at, got) in follow_ups {
+                assert_eq!(got, want, "follow-up bursts, {at}");
             }
         }
     }

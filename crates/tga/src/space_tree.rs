@@ -262,11 +262,11 @@ pub fn build_regions_par(
         })
         .collect();
     let _span = sos_obs::span(crate::parallel::GEN_PARALLEL);
-    let parts = crate::parallel::par_map_slots(
+    let parts = sos_obs::par::par_map(
         crate::parallel::GEN_PARALLEL,
-        &groups,
+        groups,
         workers,
-        |_, (g, cap)| build_regions(g, strategy, max_leaf, *cap),
+        |_, (g, cap)| build_regions(&g, strategy, max_leaf, cap),
     );
     parts.into_iter().flatten().collect()
 }
