@@ -398,7 +398,8 @@ fn main() -> ExitCode {
     if let Some(b) = args.budget {
         cfg.budget = b;
     }
-    cfg.threads = args.threads;
+    // The preset's own thread count stands unless `--threads` is given.
+    cfg.threads = args.threads.or(cfg.threads);
     // Scan sharding follows `--threads` unless `--scan-shards` says
     // otherwise; either way results are bit-identical to shards = 1.
     cfg.scan_shards = args.scan_shards.or(args.threads).unwrap_or(cfg.scan_shards).max(1);

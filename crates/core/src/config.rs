@@ -29,10 +29,9 @@ pub struct StudyConfig {
     /// at any value (W-invariance) — like `scan_shards`, this only buys
     /// wall clock.
     pub gen_workers: usize,
-    /// Run independent (tga × port) experiment cells on worker threads.
-    pub parallel: bool,
-    /// Explicit worker-thread count for experiment grids (`--threads`).
-    /// `None` picks [`default_threads`] when `parallel`, else 1.
+    /// Worker threads for the independent (tga × port) experiment cells
+    /// of a grid (`--threads`). `None` picks [`default_threads`]; the tiny
+    /// preset pins 1.
     pub threads: Option<usize>,
 }
 
@@ -58,22 +57,16 @@ impl StudyConfig {
             scan_retries: 1,
             scan_shards: 1,
             gen_workers: 1,
-            parallel: true,
             threads: None,
         }
     }
 
-    /// Worker threads experiment grids should use: an explicit `threads`
-    /// always wins; otherwise `parallel` selects between the default
-    /// worker count and sequential execution. Cell results never depend
-    /// on the thread count (each cell owns its RNG and scanner), so this
-    /// only affects wall-clock time.
+    /// Worker threads experiment grids should use: `threads` clamped to
+    /// at least one, or the default worker count when unset. Cell results
+    /// never depend on the thread count (each cell owns its RNG and
+    /// scanner), so this only affects wall-clock time.
     pub fn effective_threads(&self) -> usize {
-        match self.threads {
-            Some(n) => n.max(1),
-            None if self.parallel => default_threads(),
-            None => 1,
-        }
+        self.threads.map_or_else(default_threads, |n| n.max(1))
     }
 
     /// Mid-size: for quick experiment iterations and integration tests.
@@ -90,7 +83,7 @@ impl StudyConfig {
         StudyConfig {
             world: WorldConfig::tiny(seed),
             budget: 6_000,
-            parallel: false,
+            threads: Some(1),
             ..Self::study(seed)
         }
     }

@@ -108,7 +108,7 @@ impl CoverageMap {
         self.cells.values().filter(|c| c.truth == 0 && c.generated > 0).count()
     }
 
-    /// Serialize to sorted rows `[prefix, generated, hits, truth]`.
+    /// Encode as sorted rows `[prefix, generated, hits, truth]`.
     pub fn to_json(&self) -> Json {
         Json::Arr(
             self.cells

@@ -75,16 +75,6 @@ impl CrossPortMatrix {
         }
         t.render()
     }
-
-    /// The appendix's takeaway check: on each TCP/UDP port, the matching
-    /// port-specific dataset yields the most hits among inputs.
-    pub fn matched_input_wins(&self, scanned: Protocol) -> bool {
-        let matched = self.total(DatasetKind::PortSpecific(scanned), scanned);
-        FIG7_INPUTS
-            .iter()
-            .filter(|&&i| i != DatasetKind::PortSpecific(scanned))
-            .all(|&other| self.total(other, scanned) <= matched)
-    }
 }
 
 #[cfg(test)]

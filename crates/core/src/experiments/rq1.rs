@@ -20,11 +20,6 @@ pub struct RatioFigure {
 }
 
 impl RatioFigure {
-    /// Ratio rows for one TGA.
-    pub fn for_tga(&self, tga: TgaId) -> Vec<&(TgaId, Protocol, f64, f64, f64)> {
-        self.rows.iter().filter(|r| r.0 == tga).collect()
-    }
-
     /// Mean hits ratio across all cells.
     pub fn mean_hits_ratio(&self) -> f64 {
         let n = self.rows.len().max(1);

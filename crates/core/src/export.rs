@@ -3,13 +3,11 @@
 
 use std::io::Write;
 
-use netmodel::Protocol;
 use tga::TgaId;
 
 use crate::experiments::grid::{Grid, GRID_DATASETS};
 use crate::experiments::rq1::RatioFigure;
 use crate::experiments::rq4::Contribution;
-use crate::study::DatasetKind;
 
 /// Escape one CSV field (quotes fields containing separators).
 fn field(s: &str) -> String {
@@ -75,38 +73,14 @@ pub fn write_contribution_csv<W: Write>(w: &mut W, c: &Contribution) -> std::io:
     Ok(())
 }
 
-/// Convenience: the CSV for one (dataset, port) slice of the grid.
-pub fn write_slice_csv<W: Write>(
-    w: &mut W,
-    grid: &Grid,
-    dataset: DatasetKind,
-    proto: Protocol,
-) -> std::io::Result<()> {
-    writeln!(w, "tga,generated,hits,ases,aliases")?;
-    for tga in TgaId::ALL {
-        if let Some(r) = grid.try_get(dataset, proto, tga) {
-            let m = &r.metrics;
-            writeln!(
-                w,
-                "{},{},{},{},{}",
-                field(tga.label()),
-                m.generated,
-                m.hits,
-                m.ases,
-                m.aliases
-            )?;
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::StudyConfig;
     use crate::experiments::grid::grid_over;
     use crate::experiments::{rq1, rq4};
-    use crate::study::Study;
+    use crate::study::{DatasetKind, Study};
+    use netmodel::Protocol;
 
     fn grid() -> Grid {
         let study = Study::new(StudyConfig::tiny(0xC5F));

@@ -75,7 +75,7 @@ pub struct Diff {
     pub resolved: Vec<BaselineEntry>,
 }
 
-/// Serialize findings as a v2 baseline document.
+/// Encode findings as a v2 baseline document.
 pub fn to_json(findings: &[Finding]) -> Json {
     let mut doc = Json::obj();
     doc.set("version", BASELINE_VERSION).set("tool", "sos-lint");

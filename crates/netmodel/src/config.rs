@@ -1,7 +1,5 @@
 //! World-generation configuration.
 
-use serde::{Deserialize, Serialize};
-
 use crate::faults::FaultConfig;
 
 /// All knobs of the simulated Internet. Two worlds built from equal configs
@@ -11,7 +9,7 @@ use crate::faults::FaultConfig;
 /// hosts in a few thousand ASes — the paper's population (≈11M responsive,
 /// 31K ASes) scaled down ~20×, with every compositional ratio (ICMP ≫ TCP ≫
 /// UDP responsiveness, churn, alias density, list coverage) preserved.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorldConfig {
     /// Master seed; everything derives from it.
     pub seed: u64,
@@ -59,7 +57,6 @@ pub struct WorldConfig {
     /// rate-limit escalation, blackholes, throttle epochs). Defaults to
     /// fully disabled, so configs written before this field existed
     /// deserialize to the cooperative-network behaviour unchanged.
-    #[serde(default)]
     pub faults: FaultConfig,
 }
 

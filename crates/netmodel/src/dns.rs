@@ -10,10 +10,8 @@
 
 use std::net::Ipv6Addr;
 
-use serde::{Deserialize, Serialize};
-
 /// One domain with its AAAA records.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DomainRecord {
     /// Stable numeric id (names are derived from it).
     pub id: u64,

@@ -30,8 +30,6 @@
 //! per-`(address, attempt)` loss. The density counter itself lives in
 //! the transport (it is scanner-side state); the plan is pure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::mix::{chance, mix2, mix3};
 use crate::services::Protocol;
 
@@ -60,7 +58,7 @@ pub enum FaultKind {
 /// All knobs of the fault layer. `FaultConfig::default()` (and the
 /// `off` preset) disables every family, so worlds built from older
 /// configurations behave exactly as before.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Master switch; when false every probe passes untouched.
     pub enabled: bool,

@@ -6,14 +6,13 @@
 //! megapattern are procedural and live outside this map (see
 //! [`crate::world::World`]).
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv6Addr;
 
 use crate::scheme::AddressingScheme;
 use crate::services::PortSet;
 
 /// What role an address plays in the simulated Internet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HostKind {
     /// Router interface (appears in traceroutes).
     Router,
@@ -28,7 +27,7 @@ pub enum HostKind {
 }
 
 /// Ground-truth state of one modeled address.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostRecord {
     /// Which scan targets the host answers *today*.
     pub ports: PortSet,

@@ -7,10 +7,9 @@
 //! (low-byte servers) and others nearly impossible (privacy addresses).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How interface identifiers are assigned within a /64 subnet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AddressingScheme {
     /// `::1`, `::2`, ... — classic server numbering. The easiest pattern
     /// for every TGA.

@@ -197,7 +197,7 @@ impl Event {
         }
     }
 
-    /// Serialize the event-specific fields into `o`.
+    /// Encode the event-specific fields into `o`.
     fn fill_json(&self, o: &mut Json) {
         match self {
             Event::CampaignStart { fingerprint, targets, protocols, shards, round_size } => {
@@ -360,7 +360,7 @@ pub struct Record {
 }
 
 impl Record {
-    /// Serialize to one compact JSON line (no trailing newline).
+    /// Encode as one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
         let mut o = Json::obj();
         o.set("v", JOURNAL_VERSION)

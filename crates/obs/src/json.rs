@@ -125,7 +125,7 @@ impl Json {
         Ok(v)
     }
 
-    /// Serialize with 2-space indentation.
+    /// Render with 2-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);

@@ -13,7 +13,8 @@
 //!   flat or labeled (`probe.hits{proto=tcp}`) — plus a global named
 //!   [`Registry`] every crate in the pipeline feeds (packets, retries,
 //!   drops, classification outcomes, dealias spend, generation
-//!   throughput), and a Prometheus-style [`SnapshotExporter`].
+//!   throughput), rendered as Prometheus-style text by
+//!   [`render_prometheus`].
 //! - [`journal`]: the live telemetry surface — an append-only,
 //!   crash-tolerant JSONL stream of typed campaign events (rounds,
 //!   checkpoints, breaker and fault-epoch transitions, counter
@@ -49,7 +50,7 @@ pub use log::Level;
 pub use manifest::{fnv1a64, Manifest};
 pub use metrics::{
     counter, counter_with, global as registry, histogram, histogram_with, render_prometheus,
-    Counter, Histogram, Labels, Registry, SnapshotExporter,
+    Counter, Histogram, Labels, Registry,
 };
 pub use par::ParStats;
 pub use progress::{eta_s, Progress};

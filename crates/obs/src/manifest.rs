@@ -211,7 +211,7 @@ mod tests {
         use std::fmt::Write as _;
         let mut h = Fnv1a64::default();
         h.update(b"foo");
-        write!(h, "{}{:02x}", "ba", 0x72).unwrap();
+        write!(h, "ba{:02x}", 0x72).unwrap();
         assert_eq!(h.finish(), fnv1a64(b"fooba72"));
         assert_eq!(Fnv1a64::default().finish(), fnv1a64(b""));
     }

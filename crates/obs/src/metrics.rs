@@ -18,8 +18,6 @@
 //! to emit standard text exposition.
 
 use std::collections::BTreeMap;
-use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -462,47 +460,6 @@ pub fn render_prometheus(registry: &Registry) -> String {
     out
 }
 
-/// Writes the registry as Prometheus text exposition to a file every N
-/// round boundaries (plus a final export on demand). The write is plain
-/// `fs::write` — the file is a monitoring surface, not a result artifact,
-/// so a torn read by a scraper is acceptable and a tmp+rename dance is
-/// not worth the directory churn.
-#[derive(Debug)]
-pub struct SnapshotExporter {
-    path: PathBuf,
-    every: u64,
-    rounds: u64,
-}
-
-impl SnapshotExporter {
-    /// Export to `path` every `every` round boundaries (`every` is clamped
-    /// to ≥ 1).
-    pub fn new(path: impl Into<PathBuf>, every: u64) -> SnapshotExporter {
-        SnapshotExporter { path: path.into(), every: every.max(1), rounds: 0 }
-    }
-
-    /// The export target path.
-    pub fn path(&self) -> &std::path::Path {
-        &self.path
-    }
-
-    /// Note one completed round; export when the round count hits the
-    /// period. Returns whether an export happened.
-    pub fn round_boundary(&mut self, registry: &Registry) -> io::Result<bool> {
-        self.rounds += 1;
-        if self.rounds % self.every == 0 {
-            self.export(registry)?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Export unconditionally (used for the final flush at campaign end).
-    pub fn export(&self, registry: &Registry) -> io::Result<()> {
-        std::fs::write(&self.path, render_prometheus(registry))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -698,25 +655,6 @@ mod tests {
         assert_eq!(text, render_prometheus(&r), "same state renders byte-identically");
         let once = text.matches("# TYPE probe_hits counter").count();
         assert_eq!(once, 1, "one TYPE line per base name");
-    }
-
-    #[test]
-    fn snapshot_exporter_writes_on_period() {
-        let r = Registry::new();
-        r.counter("exp.test").add(1);
-        let path = std::env::temp_dir().join("sos_obs_exporter_test.prom");
-        let _ = std::fs::remove_file(&path);
-        let mut exp = SnapshotExporter::new(&path, 2);
-        assert!(!exp.round_boundary(&r).unwrap(), "round 1: not due");
-        assert!(!path.exists());
-        assert!(exp.round_boundary(&r).unwrap(), "round 2: exports");
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("exp_test 1\n"));
-        r.counter("exp.test").add(41);
-        exp.export(&r).unwrap();
-        let body = std::fs::read_to_string(&path).unwrap();
-        assert!(body.contains("exp_test 42\n"), "final flush rewrites");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

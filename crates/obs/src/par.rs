@@ -66,7 +66,7 @@ impl ParStats {
         (busy / capacity).min(1.0)
     }
 
-    /// Serialize for the manifest.
+    /// Encode for the manifest.
     pub fn to_json(&self) -> Json {
         let mut o = Json::obj();
         o.set("label", self.label.as_str());

@@ -8,11 +8,16 @@
 //!
 //! [`Campaign::run_with`] adds hostile-world endurance: the prepared
 //! target list is scanned in *rounds* of `checkpoint_every` targets (each
-//! round covering every protocol), and after each round the complete
-//! cross-target machine state — partial reports, the fault layer's
-//! per-prefix density clocks, circuit-breaker states, the rate limiter's
-//! virtual clock, and the metric counters — is serialized to a JSON
-//! [`CampaignCheckpoint`]. A killed campaign resumed from its last
+//! round covering every protocol). The campaign's state *is* a
+//! [`CampaignCheckpoint`] — progress and partial reports advance in it,
+//! and at each round boundary the cross-target machine state (the fault
+//! layer's per-prefix density clocks, circuit-breaker states, the rate
+//! limiter's virtual clock, the metric counters) is re-read into it from
+//! the scanner once. Everything a boundary emits is a view of that state
+//! and the one before it: the checkpoint file is its serialization, the
+//! journal's breaker / fault-epoch records are the diff of the two, and
+//! the counter snapshot (journal record and `.prom` file, one cadence)
+//! carries its counters. A killed campaign resumed from its last
 //! checkpoint produces a [`CampaignRun`] **bit-identical** to the
 //! uninterrupted run: every piece of cross-target state is keyed by
 //! `(prefix-or-address, protocol)` and restored exactly, and floats travel
@@ -30,7 +35,7 @@ use std::sync::Arc;
 use netmodel::{FaultEpochs, PortSet, Protocol, PROTOCOLS};
 use sos_obs::json::Json;
 use sos_obs::manifest::Fnv1a64;
-use sos_obs::{Event, JournalWriter, SnapshotExporter};
+use sos_obs::{Event, JournalWriter};
 
 use crate::engine::{ScanReport, Scanner};
 use crate::provenance::{AttributionTable, ProvenanceLog};
@@ -123,13 +128,16 @@ pub struct RunOptions {
     /// run truncates; a resume appends and continues the sequence.
     /// `None` disables journaling.
     pub journal_path: Option<PathBuf>,
-    /// Where to write Prometheus-style text snapshots of the global
-    /// metrics registry at round boundaries. `None` disables.
+    /// Where to write a Prometheus-style text rendering of the global
+    /// metrics registry, rewritten at every counter snapshot (see
+    /// `snapshot_every`) whether or not a journal is configured. `None`
+    /// disables.
     pub snapshot_path: Option<PathBuf>,
-    /// Emit a replay-grade counter [`Event::Snapshot`] (and refresh
-    /// `snapshot_path`) every N rounds; `0`/`1` snapshot every round.
-    /// Checkpoint writes always snapshot regardless, so the journal's
-    /// last snapshot matches the on-disk checkpoint after a kill.
+    /// The one snapshot cadence: every N lifetime rounds (`0`/`1` = every
+    /// round), after every checkpoint write, and once at the end, the
+    /// campaign journals a replay-grade counter [`Event::Snapshot`] and
+    /// rewrites `snapshot_path`. Checkpoint writes always snapshot, so the
+    /// journal's last snapshot matches the on-disk checkpoint after a kill.
     pub snapshot_every: usize,
     /// Discovery provenance for the target list (same emission order),
     /// recorded by the generator that produced it — or
@@ -154,11 +162,13 @@ pub struct CampaignRun {
     pub resumed_targets: usize,
 }
 
-/// Everything needed to resume a killed campaign bit-identically:
-/// progress, partial reports, and every piece of cross-target machine
-/// state. Serialized as JSON (`u128` addresses as 32-digit hex strings,
-/// floats as `f64::to_bits`), guarded by a fingerprint over the target
-/// list, protocol set, and scanner configuration.
+/// The campaign's state — progress, partial reports, and every piece of
+/// cross-target machine state as of the last round boundary — which is
+/// everything needed to resume a killed campaign bit-identically. The
+/// checkpoint file is its serialization: JSON (`u128` addresses as
+/// 32-digit hex strings, floats as `f64::to_bits`), guarded by a
+/// fingerprint over the target list, protocol set, and scanner
+/// configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// FNV-1a over the canonical campaign identity (targets, protocols,
@@ -175,23 +185,11 @@ pub struct CampaignCheckpoint {
     pub limiter: Option<BucketSnapshot>,
     /// The fault layer's per-(domain, protocol) density clocks.
     pub fault_state: Vec<(u128, u8, u32)>,
-    /// Circuit-breaker tuning, per-domain states, and counters.
-    pub breaker: Option<BreakerCheckpoint>,
+    /// The circuit-breaker map (tuning, per-domain states, counters),
+    /// when breaking is configured.
+    pub breaker: Option<BreakerMap>,
     /// Engine metric counters at the checkpoint boundary.
     pub counters: BTreeMap<String, u64>,
-}
-
-/// A [`BreakerMap`]'s checkpointed form.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BreakerCheckpoint {
-    /// The tuning the map was built with.
-    pub cfg: BreakerConfig,
-    /// `(domain, proto index, state tag, state count)` per breaker.
-    pub entries: Vec<(u128, u8, u8, u32)>,
-    /// Cumulative open transitions.
-    pub opened: u64,
-    /// Cumulative skipped targets.
-    pub skipped: u64,
 }
 
 /// Format version written into checkpoints.
@@ -296,7 +294,7 @@ fn proto_by_index(idx: u64) -> Result<Protocol, String> {
 }
 
 impl CampaignCheckpoint {
-    /// Serialize to the on-disk JSON document.
+    /// Encode as the on-disk JSON document.
     pub fn to_json(&self) -> Json {
         let mut doc = Json::obj();
         doc.set("version", CHECKPOINT_VERSION)
@@ -350,18 +348,20 @@ impl CampaignCheckpoint {
             match &self.breaker {
                 None => Json::Null,
                 Some(b) => {
+                    let cfg = b.config();
                     let mut o = Json::obj();
-                    o.set("prefix_len", u64::from(b.cfg.prefix_len))
-                        .set("threshold", b.cfg.threshold)
-                        .set("cooldown", b.cfg.cooldown)
-                        .set("opened", b.opened)
-                        .set("skipped", b.skipped)
+                    o.set("prefix_len", u64::from(cfg.prefix_len))
+                        .set("threshold", cfg.threshold)
+                        .set("cooldown", cfg.cooldown)
+                        .set("opened", b.opened())
+                        .set("skipped", b.skipped())
                         .set(
                             "entries",
                             Json::Arr(
-                                b.entries
-                                    .iter()
-                                    .map(|&(domain, proto, tag, count)| {
+                                b.entries()
+                                    .into_iter()
+                                    .map(|((domain, proto), state)| {
+                                        let (tag, count) = state.encode();
                                         Json::Arr(vec![
                                             hex128(domain),
                                             Json::U64(proto.into()),
@@ -441,24 +441,24 @@ impl CampaignCheckpoint {
                     .map(|row| {
                         let items =
                             row.as_arr().filter(|a| a.len() == 4).ok_or("bad breaker row")?;
-                        Ok((
-                            parse_hex128(&items[0])?, // len checked: exactly 4 items
-                            items[1].as_u64().ok_or("bad proto")? as u8,
-                            items[2].as_u64().ok_or("bad tag")? as u8,
-                            items[3].as_u64().ok_or("bad count")? as u32,
-                        ))
+                        let domain = parse_hex128(&items[0])?; // len checked: exactly 4 items
+                        let proto = items[1].as_u64().ok_or("bad proto")? as u8;
+                        let tag = items[2].as_u64().ok_or("bad tag")? as u8;
+                        let count = items[3].as_u64().ok_or("bad count")? as u32;
+                        Ok(((domain, proto), BreakerState::decode(tag, count)))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
-                Some(BreakerCheckpoint {
-                    cfg: BreakerConfig {
-                        prefix_len: get_u64(b, "prefix_len")? as u8,
-                        threshold: get_u64(b, "threshold")? as u32,
-                        cooldown: get_u64(b, "cooldown")? as u32,
-                    },
+                let cfg = BreakerConfig {
+                    prefix_len: get_u64(b, "prefix_len")? as u8,
+                    threshold: get_u64(b, "threshold")? as u32,
+                    cooldown: get_u64(b, "cooldown")? as u32,
+                };
+                Some(BreakerMap::restore(
+                    cfg,
                     entries,
-                    opened: get_u64(b, "opened")?,
-                    skipped: get_u64(b, "skipped")?,
-                })
+                    get_u64(b, "opened")?,
+                    get_u64(b, "skipped")?,
+                ))
             }
         };
         let counters = doc
@@ -496,16 +496,26 @@ impl CampaignCheckpoint {
     }
 }
 
-/// The campaign's deterministic virtual clock, in microseconds: the sum
-/// of every protocol's integer backoff and throttle accounting. Both
-/// inputs are shard-summed integers, so the readout is bit-identical
-/// across shard counts (unlike `limited_seconds`, which max-merges across
-/// concurrent shards and is deliberately excluded).
-fn vclock_us(reports: &[(Protocol, ScanReport)]) -> u64 {
-    reports
-        .iter()
-        .map(|(_, r)| r.backoff_waited_us + r.throttled_us)
-        .sum()
+impl CampaignCheckpoint {
+    /// The campaign's deterministic virtual clock, in microseconds: the
+    /// sum of every protocol's integer backoff and throttle accounting.
+    /// Both inputs are shard-summed integers, so the readout is
+    /// bit-identical across shard counts (unlike `limited_seconds`, which
+    /// max-merges across concurrent shards and is deliberately excluded).
+    fn vclock_us(&self) -> u64 {
+        self.reports
+            .iter()
+            .map(|(_, r)| r.backoff_waited_us + r.throttled_us)
+            .sum()
+    }
+
+    /// Cumulative `(hits, packets)` across every protocol report — diffed
+    /// around a round to label [`Event::RoundEnd`] with per-round deltas.
+    fn hit_packet_totals(&self) -> (u64, u64) {
+        self.reports.iter().fold((0, 0), |(h, p), (_, r)| {
+            (h + r.hits.len() as u64, p + r.packets_sent)
+        })
+    }
 }
 
 /// The campaign-wide attribution table: every protocol report's table,
@@ -543,111 +553,149 @@ fn discovery_events(table: &AttributionTable) -> Vec<Event> {
         .collect()
 }
 
-/// Cumulative `(hits, packets)` across every protocol report — diffed
-/// around a round to label [`Event::RoundEnd`] with per-round deltas.
-fn hit_packet_totals(reports: &[(Protocol, ScanReport)]) -> (u64, u64) {
-    reports.iter().fold((0, 0), |(h, p), (_, r)| {
-        (h + r.hits.len() as u64, p + r.packets_sent)
-    })
+/// The per-prefix rows a [`Campaign::refresh`] replaced: the previous
+/// boundary's state, which the next transition records are diffed against.
+struct Replaced {
+    fault_state: Vec<(u128, u8, u32)>,
+    breaker: Option<BreakerMap>,
 }
 
-/// Current breaker state names by `(domain, proto)` (empty when breaking
-/// is not configured).
-fn breaker_names<T: Transport>(scanner: &Scanner<T>) -> BTreeMap<(u128, u8), &'static str> {
-    scanner.breaker().map_or_else(BTreeMap::new, |b| {
-        b.entries().into_iter().map(|(key, state)| (key, state.name())).collect()
-    })
+/// The row of `rows` (sorted by `key`) whose key is `k`.
+fn find<R, K: Ord>(rows: &[R], k: K, key: impl FnMut(&R) -> K) -> Option<&R> {
+    rows.binary_search_by_key(&k, key).ok().and_then(|i| rows.get(i))
 }
 
-/// Current fault-epoch readout by `(domain, proto)` (empty when no fault
-/// layer is active).
-fn fault_epoch_map<T: Transport>(scanner: &Scanner<T>) -> BTreeMap<(u128, u8), FaultEpochs> {
-    let transport = scanner.transport();
-    transport
-        .fault_state()
-        .into_iter()
-        .filter_map(|(domain, proto, density)| {
-            transport.fault_epochs_at(density).map(|e| ((domain, proto), e))
-        })
-        .collect()
-}
-
-/// Round-boundary telemetry state: the journal writer plus the previous
-/// round's breaker/fault readouts, diffed to emit transition events.
+/// Breaker, then fault-epoch transition events between two consecutive
+/// checkpoint states, each in sorted `(domain, proto)` order.
 ///
 /// Transitions are detected by the **campaign** at round boundaries — the
 /// shard workers never emit events, so the journal's event stream is
-/// deterministic (sorted by `(domain, proto)`) no matter how many shards
-/// raced through the round.
-struct Telemetry {
-    journal: JournalWriter,
-    exporter: Option<SnapshotExporter>,
-    breaker_prev: BTreeMap<(u128, u8), &'static str>,
-    fault_prev: BTreeMap<(u128, u8), FaultEpochs>,
-}
-
-impl Telemetry {
-    /// Breaker + fault-epoch transition events since the previous round
-    /// boundary, in sorted `(domain, proto)` order; updates the baselines.
-    fn transitions<T: Transport>(&mut self, scanner: &Scanner<T>) -> Vec<Event> {
-        let mut events = Vec::new();
-        let breakers = breaker_names(scanner);
-        for (&(domain, proto), &name) in &breakers {
-            // Unseen breakers start life closed; their first appearance
-            // in the closed state is not a transition.
-            let before = self.breaker_prev.get(&(domain, proto)).copied().unwrap_or("closed");
-            if before != name {
-                events.push(Event::Breaker {
+/// identical no matter how many shards raced through the round.
+fn transitions<T: Transport>(
+    prev: &Replaced,
+    state: &CampaignCheckpoint,
+    transport: &T,
+) -> Vec<Event> {
+    let mut events = Vec::new();
+    let before = prev.breaker.as_ref().map(BreakerMap::entries).unwrap_or_default();
+    for ((domain, proto), breaker) in state.breaker.iter().flat_map(BreakerMap::entries) {
+        // Unseen breakers start life closed; their first appearance in
+        // the closed state is not a transition.
+        let from = find(&before, (domain, proto), |e| e.0).map_or("closed", |e| e.1.name());
+        if from != breaker.name() {
+            events.push(Event::Breaker {
+                domain,
+                proto,
+                from: from.to_string(),
+                to: breaker.name().to_string(),
+            });
+        }
+    }
+    for &(domain, proto, density) in &state.fault_state {
+        // No readout means no active fault layer: nothing to journal.
+        let Some(readout) = transport.fault_epochs_at(density) else { continue };
+        // An unseen domain starts from all-zero epochs.
+        let before = find(&prev.fault_state, (domain, proto), |&(d, p, _)| (d, p))
+            .and_then(|&(_, _, n)| transport.fault_epochs_at(n))
+            .unwrap_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 });
+        for ((kind, now), (_, was)) in readout.families().into_iter().zip(before.families()) {
+            if now != was {
+                events.push(Event::FaultEpoch {
                     domain,
                     proto,
-                    from: before.to_string(),
-                    to: name.to_string(),
+                    kind: kind.to_string(),
+                    epoch: u64::from(now),
                 });
             }
         }
-        self.breaker_prev = breakers;
-        let epochs = fault_epoch_map(scanner);
-        for (&(domain, proto), readout) in &epochs {
-            let before = self
-                .fault_prev
-                .get(&(domain, proto))
-                .copied()
-                .unwrap_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 });
-            for ((kind, now), (_, was)) in readout.families().into_iter().zip(before.families()) {
-                if now != was {
-                    events.push(Event::FaultEpoch {
-                        domain,
-                        proto,
-                        kind: kind.to_string(),
-                        epoch: u64::from(now),
-                    });
-                }
-            }
-        }
-        self.fault_prev = epochs;
-        events
+    }
+    events
+}
+
+/// Where a round boundary is written: the checkpoint file, the journal
+/// and the `.prom` snapshot file, each optional and independent.
+struct Sinks<'o> {
+    checkpoint: Option<&'o Path>,
+    journal: Option<JournalWriter>,
+    snapshot: Option<&'o Path>,
+}
+
+impl<'o> Sinks<'o> {
+    /// Open the journal (a resume appends and continues the sequence, a
+    /// fresh run truncates) and note the two file paths.
+    fn open(opts: &'o RunOptions, resuming: bool) -> Result<Self, String> {
+        let journal = match &opts.journal_path {
+            None => None,
+            Some(path) => Some(
+                if resuming { JournalWriter::append(path) } else { JournalWriter::create(path) }
+                    .map_err(|e| format!("open journal {}: {e}", path.display()))?,
+            ),
+        };
+        Ok(Sinks {
+            checkpoint: opts.checkpoint_path.as_deref(),
+            journal,
+            snapshot: opts.snapshot_path.as_deref(),
+        })
     }
 
-    fn write(&mut self, vclock: u64, event: Event) -> Result<(), String> {
-        self.journal
-            .write(vclock, event)
-            .map_err(|e| format!("write journal {}: {e}", self.journal.path().display()))
+    /// Whether anything is written at a round boundary at all.
+    fn any(&self) -> bool {
+        self.checkpoint.is_some() || self.journal.is_some() || self.snapshot.is_some()
     }
 
-    /// Refresh the Prometheus snapshot file at a round boundary.
-    fn export_boundary(&mut self) -> Result<(), String> {
-        if let Some(ex) = self.exporter.as_mut() {
-            ex.round_boundary(sos_obs::registry())
-                .map_err(|e| format!("write snapshot {}: {e}", ex.path().display()))?;
+    /// Journal `make()`'s events at `state`'s virtual clock; nothing is
+    /// built when no journal is configured.
+    fn events<I: IntoIterator<Item = Event>>(
+        &mut self,
+        state: &CampaignCheckpoint,
+        make: impl FnOnce() -> I,
+    ) -> Result<(), String> {
+        let Some(journal) = self.journal.as_mut() else { return Ok(()) };
+        let vclock = state.vclock_us();
+        for event in make() {
+            journal
+                .write(vclock, event)
+                .map_err(|e| format!("write journal {}: {e}", journal.path().display()))?;
         }
         Ok(())
     }
 
-    /// Final snapshot flush (unconditional, ignoring the period).
-    fn export_final(&mut self) -> Result<(), String> {
-        if let Some(ex) = self.exporter.as_ref() {
-            ex.export(sos_obs::registry())
-                .map_err(|e| format!("write snapshot {}: {e}", ex.path().display()))?;
+    /// [`Sinks::events`] for one event.
+    fn event(
+        &mut self,
+        state: &CampaignCheckpoint,
+        make: impl FnOnce() -> Event,
+    ) -> Result<(), String> {
+        self.events(state, || [make()])
+    }
+
+    /// Write `state` to the checkpoint file and journal the write.
+    /// `Ok(false)` when no checkpoint path is configured.
+    fn persist(&mut self, state: &CampaignCheckpoint) -> Result<bool, String> {
+        let Some(path) = self.checkpoint else { return Ok(false) };
+        state
+            .save(path)
+            .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
+        self.event(state, || Event::CheckpointWrite {
+            fingerprint: state.fingerprint,
+            done: state.done as u64,
+            rounds: state.rounds as u64,
+        })?;
+        Ok(true)
+    }
+
+    /// Journal `state`'s counters and rewrite the `.prom` file. The write
+    /// is plain `fs::write` — the file is a monitoring surface, not a
+    /// result artifact, so a torn read by a scraper is acceptable.
+    fn snapshot(&mut self, state: &CampaignCheckpoint) -> Result<(), String> {
+        self.event(state, || Event::Snapshot {
+            fingerprint: state.fingerprint,
+            done: state.done as u64,
+            counters: state.counters.clone(),
+        })?;
+        if let Some(path) = self.snapshot {
+            std::fs::write(path, sos_obs::render_prometheus(sos_obs::registry()))
+                .map_err(|e| format!("write snapshot {}: {e}", path.display()))?;
         }
         Ok(())
     }
@@ -685,6 +733,22 @@ impl<'a, T: Transport> Campaign<'a, T> {
         let _ = write!(hash, "|{:?}|{:?}", self.protocols, self.scanner.config());
         hash.finish()
     }
+
+    /// Re-read the scanner's cross-target machine state (limiter, fault
+    /// densities, breaker map, counters) into `state` at a round boundary,
+    /// handing back the per-prefix rows it replaced.
+    // sos-lint: deterministic-root resume must replay to the identical stream
+    fn refresh(&self, state: &mut CampaignCheckpoint) -> Replaced {
+        state.limiter = self.scanner.limiter().map(TokenBucket::snapshot);
+        state.counters = self.scanner.metrics().counters();
+        Replaced {
+            fault_state: std::mem::replace(
+                &mut state.fault_state,
+                self.scanner.transport().fault_state(),
+            ),
+            breaker: std::mem::replace(&mut state.breaker, self.scanner.breaker().cloned()),
+        }
+    }
 }
 
 impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
@@ -701,7 +765,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
     /// uninterrupted run's.
     ///
     /// Errors on a checkpoint whose fingerprint does not match this
-    /// campaign (different targets, protocols, or scanner config).
+    /// campaign (different targets, protocols, or scanner config), and on
+    /// the first journal, checkpoint or snapshot write that fails.
     pub fn run_with(
         &mut self,
         targets: &[Ipv6Addr],
@@ -730,15 +795,16 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             &mut template,
         );
 
-        let mut done = 0usize;
-        let mut rounds = 0usize;
-        let mut resumed_targets = 0usize;
-        let mut reports: Vec<(Protocol, ScanReport)> = self
-            .protocols
-            .iter()
-            .map(|&p| (p, template.clone()))
-            .collect();
-
+        let mut state = resume.cloned().unwrap_or_else(|| CampaignCheckpoint {
+            fingerprint,
+            done: 0,
+            rounds: 0,
+            reports: self.protocols.iter().map(|&p| (p, template.clone())).collect(),
+            limiter: None,
+            fault_state: Vec::new(),
+            breaker: None,
+            counters: BTreeMap::new(),
+        });
         if let Some(ckpt) = resume {
             if ckpt.fingerprint != fingerprint {
                 return Err(format!(
@@ -755,34 +821,27 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                     prepared.len()
                 ));
             }
-            done = ckpt.done;
-            rounds = ckpt.rounds;
-            resumed_targets = done;
-            reports = ckpt.reports.clone();
             self.scanner
                 .transport_mut()
                 .restore_fault_state(&ckpt.fault_state);
             if let Some(snap) = &ckpt.limiter {
                 *self.scanner.limiter_mut() = Some(TokenBucket::restore(snap));
             }
+            // A checkpoint written without breakers keeps the scanner's
+            // own fresh map.
             if let Some(b) = &ckpt.breaker {
-                let entries = b
-                    .entries
-                    .iter()
-                    .map(|&(domain, proto, tag, count)| {
-                        ((domain, proto), BreakerState::decode(tag, count))
-                    })
-                    .collect::<Vec<_>>();
-                *self.scanner.breaker_mut() =
-                    Some(BreakerMap::restore(b.cfg, entries, b.opened, b.skipped));
+                *self.scanner.breaker_mut() = Some(b.clone());
             }
             self.scanner.metrics().restore_counters(&ckpt.counters);
-            self.scanner.metrics().resumed_targets.add(done as u64);
+            self.scanner.metrics().resumed_targets.add(ckpt.done as u64);
             sos_obs::debug!(
-                "campaign resume: {done}/{} targets done after {rounds} rounds",
-                prepared.len()
+                "campaign resume: {}/{} targets done after {} rounds",
+                ckpt.done,
+                prepared.len(),
+                ckpt.rounds
             );
         }
+        let resumed_targets = state.done;
 
         let round_size = if opts.checkpoint_every == 0 {
             prepared.len().max(1)
@@ -790,56 +849,33 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             opts.checkpoint_every
         };
         let shards = opts.shards.max(1);
+        let snapshot_every = opts.snapshot_every.max(1);
         let mut rounds_this_run = 0usize;
         let mut completed = true;
 
-        let snapshot_every = opts.snapshot_every.max(1);
-        let mut telemetry = match &opts.journal_path {
-            None => None,
-            Some(path) => {
-                let journal = if resume.is_some() {
-                    JournalWriter::append(path)
-                } else {
-                    JournalWriter::create(path)
-                }
-                .map_err(|e| format!("open journal {}: {e}", path.display()))?;
-                let exporter = opts
-                    .snapshot_path
-                    .as_ref()
-                    .map(|p| SnapshotExporter::new(p, snapshot_every as u64));
-                let mut tele = Telemetry {
-                    journal,
-                    exporter,
-                    // Seed the diff baselines from the current (possibly
-                    // just-restored) state, so a resume never re-emits
-                    // transitions the original run already journaled.
-                    breaker_prev: breaker_names(self.scanner),
-                    fault_prev: fault_epoch_map(self.scanner),
-                };
-                let opening = match resume {
-                    Some(ckpt) => Event::Resume {
-                        fingerprint,
-                        done: ckpt.done as u64,
-                        rounds: ckpt.rounds as u64,
-                    },
-                    None => Event::CampaignStart {
-                        fingerprint,
-                        targets: prepared.len() as u64,
-                        protocols: self
-                            .protocols
-                            .iter()
-                            .map(|p| p.label().to_string())
-                            .collect(),
-                        shards: shards as u64,
-                        round_size: round_size as u64,
-                    },
-                };
-                tele.write(vclock_us(&reports), opening)?;
-                Some(tele)
-            }
-        };
+        let mut sinks = Sinks::open(opts, resume.is_some())?;
+        if sinks.any() {
+            // The first boundary's baseline is what the scanner holds now
+            // (state it carried in, or just restored), so a resume never
+            // re-emits transitions the original run already journaled.
+            self.refresh(&mut state);
+        }
+        sinks.event(&state, || match resume {
+            Some(_) => Event::Resume {
+                fingerprint,
+                done: state.done as u64,
+                rounds: state.rounds as u64,
+            },
+            None => Event::CampaignStart {
+                fingerprint,
+                targets: prepared.len() as u64,
+                protocols: self.protocols.iter().map(|p| p.label().to_string()).collect(),
+                shards: shards as u64,
+                round_size: round_size as u64,
+            },
+        })?;
 
-        while done < prepared.len() {
+        while state.done < prepared.len() {
             let cancelled = opts
                 .cancel
                 .as_ref()
@@ -852,110 +888,59 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 completed = false;
                 break;
             }
-            let end = (done + round_size).min(prepared.len());
-            if let Some(tele) = telemetry.as_mut() {
-                tele.write(
-                    vclock_us(&reports),
-                    Event::RoundStart {
-                        round: (rounds + 1) as u64,
-                        from: done as u64,
-                        to: end as u64,
-                    },
-                )?;
-            }
-            let (hits_before, packets_before) = hit_packet_totals(&reports);
+            let end = (state.done + round_size).min(prepared.len());
+            sinks.event(&state, || Event::RoundStart {
+                round: (state.rounds + 1) as u64,
+                from: state.done as u64,
+                to: end as u64,
+            })?;
+            let (hits_before, packets_before) = state.hit_packet_totals();
             // done <= end <= prepared.len(): end is clamped above, done
             // only ever advances to a previous end.
-            let slice = &prepared[done..end];
+            let slice = &prepared[state.done..end];
             let round =
                 self.scanner
                     .scan_prepared(slice, &self.protocols, shards, tags.as_deref());
             for (i, (proto, partial)) in round.into_iter().enumerate() {
-                debug_assert_eq!(reports[i].0, proto); // i < protocols.len() == reports.len()
-                reports[i].1.absorb_round(partial); // i < reports.len(): one entry per protocol
+                debug_assert_eq!(state.reports[i].0, proto); // i < protocols.len() == reports.len()
+                state.reports[i].1.absorb_round(partial); // i < reports.len(): one entry per protocol
             }
-            done = end;
-            rounds += 1;
+            state.done = end;
+            state.rounds += 1;
             rounds_this_run += 1;
-            if let Some(tele) = telemetry.as_mut() {
-                let vclock = vclock_us(&reports);
-                // Breaker / fault-epoch transitions are diffed here, at
-                // the round boundary, in sorted (domain, proto) order —
-                // never from shard threads — so the event stream is
-                // identical for every shard count.
-                for event in tele.transitions(self.scanner) {
-                    tele.write(vclock, event)?;
-                }
-                let (hits_now, packets_now) = hit_packet_totals(&reports);
-                tele.write(
-                    vclock,
-                    Event::RoundEnd {
-                        round: rounds as u64,
-                        done: done as u64,
-                        total: prepared.len() as u64,
-                        hits: hits_now - hits_before,
-                        packets: packets_now - packets_before,
-                    },
-                )?;
+            if !sinks.any() {
+                continue;
             }
-            let mut checkpointed = false;
-            if let Some(path) = &opts.checkpoint_path {
-                let ckpt = self.checkpoint(fingerprint, done, rounds, &reports);
-                ckpt.save(path).map_err(|e| {
-                    format!("write checkpoint {}: {e}", path.display())
-                })?;
-                checkpointed = true;
-                if let Some(tele) = telemetry.as_mut() {
-                    tele.write(
-                        vclock_us(&reports),
-                        Event::CheckpointWrite {
-                            fingerprint,
-                            done: done as u64,
-                            rounds: rounds as u64,
-                        },
-                    )?;
+            let replaced = self.refresh(&mut state);
+            sinks.events(&state, || transitions(&replaced, &state, self.scanner.transport()))?;
+            sinks.event(&state, || {
+                let (hits_now, packets_now) = state.hit_packet_totals();
+                Event::RoundEnd {
+                    round: state.rounds as u64,
+                    done: state.done as u64,
+                    total: prepared.len() as u64,
+                    hits: hits_now - hits_before,
+                    packets: packets_now - packets_before,
                 }
-            }
-            if let Some(tele) = telemetry.as_mut() {
-                // Checkpoints always pair with a snapshot: after a kill,
-                // the journal's last snapshot must mirror the on-disk
-                // checkpoint exactly.
-                if checkpointed || rounds % snapshot_every == 0 {
-                    tele.write(
-                        vclock_us(&reports),
-                        Event::Snapshot {
-                            fingerprint,
-                            done: done as u64,
-                            counters: self.scanner.metrics().counters(),
-                        },
-                    )?;
-                }
-                tele.export_boundary()?;
+            })?;
+            // Checkpoints always pair with a snapshot: after a kill, the
+            // journal's last snapshot must mirror the on-disk checkpoint
+            // exactly.
+            if sinks.persist(&state)? || state.rounds % snapshot_every == 0 {
+                sinks.snapshot(&state)?;
             }
         }
 
         if !completed {
-            if let Some(path) = &opts.checkpoint_path {
-                let ckpt = self.checkpoint(fingerprint, done, rounds, &reports);
-                ckpt.save(path)
-                    .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
-                if let Some(tele) = telemetry.as_mut() {
-                    tele.write(
-                        vclock_us(&reports),
-                        Event::CheckpointWrite {
-                            fingerprint,
-                            done: done as u64,
-                            rounds: rounds as u64,
-                        },
-                    )?;
-                }
-            }
+            // Written even when the loop just wrote one: this is what
+            // leaves a checkpoint behind a zero-round cancel.
+            sinks.persist(&state)?;
         }
 
         // Discovery accounting: raise the attribution counters to the
         // campaign totals (raise-to, so a resumed run lands on the same
         // values as an uninterrupted one) and journal per-source totals.
-        let attribution = merged_attribution(&reports);
+        let attribution = merged_attribution(&state.reports);
         if !attribution.is_empty() {
             let (_, hits, _) = attribution.totals();
             self.scanner.metrics().raise_attribution(
@@ -964,70 +949,23 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 attribution.wasted(),
             );
         }
+        // The final snapshot carries the counters as just raised.
+        state.counters = self.scanner.metrics().counters();
 
-        if let Some(tele) = telemetry.as_mut() {
-            let vclock = vclock_us(&reports);
-            for event in discovery_events(&attribution) {
-                tele.write(vclock, event)?;
-            }
-            tele.write(
-                vclock,
-                Event::Snapshot {
-                    fingerprint,
-                    done: done as u64,
-                    counters: self.scanner.metrics().counters(),
-                },
-            )?;
-            tele.write(
-                vclock,
-                Event::CampaignEnd {
-                    completed,
-                    rounds: rounds as u64,
-                    resumed_targets: resumed_targets as u64,
-                },
-            )?;
-            tele.export_final()?;
-        }
+        sinks.events(&state, || discovery_events(&attribution))?;
+        sinks.snapshot(&state)?;
+        sinks.event(&state, || Event::CampaignEnd {
+            completed,
+            rounds: state.rounds as u64,
+            resumed_targets: resumed_targets as u64,
+        })?;
 
         Ok(CampaignRun {
-            result: CampaignResult::from_reports(reports),
+            result: CampaignResult::from_reports(state.reports),
             completed,
-            rounds,
+            rounds: state.rounds,
             resumed_targets,
         })
-    }
-
-    /// Snapshot the full campaign state at a round boundary.
-    // sos-lint: deterministic-root resume must replay to the identical stream
-    fn checkpoint(
-        &self,
-        fingerprint: u64,
-        done: usize,
-        rounds: usize,
-        reports: &[(Protocol, ScanReport)],
-    ) -> CampaignCheckpoint {
-        CampaignCheckpoint {
-            fingerprint,
-            done,
-            rounds,
-            reports: reports.to_vec(),
-            limiter: self.scanner.limiter().map(TokenBucket::snapshot),
-            fault_state: self.scanner.transport().fault_state(),
-            breaker: self.scanner.breaker().map(|b| BreakerCheckpoint {
-                cfg: *b.config(),
-                entries: b
-                    .entries()
-                    .into_iter()
-                    .map(|((domain, proto), state)| {
-                        let (tag, count) = state.encode();
-                        (domain, proto, tag, count)
-                    })
-                    .collect(),
-                opened: b.opened(),
-                skipped: b.skipped(),
-            }),
-            counters: self.scanner.metrics().counters(),
-        }
     }
 }
 
@@ -1160,12 +1098,13 @@ mod tests {
                 stalls: 9,
             }),
             fault_state: vec![(0x2001_0db8, 0, 17), (u128::MAX, 3, 1)],
-            breaker: Some(BreakerCheckpoint {
-                cfg: BreakerConfig { prefix_len: 48, threshold: 8, cooldown: 32 },
-                entries: vec![(0x2001_0db8, 0, 1, 5), (0x2001_0db9, 2, 2, 0)],
-                opened: 2,
-                skipped: 11,
-            }),
+            breaker: Some(BreakerMap::restore(
+                BreakerConfig { prefix_len: 48, threshold: 8, cooldown: 32 },
+                [(0x2001_0db8, 0, 1, 5), (0x2001_0db9, 2, 2, 0)]
+                    .map(|(domain, proto, tag, count)| ((domain, proto), BreakerState::decode(tag, count))),
+                2,
+                11,
+            )),
             counters: [("probe.hits".to_string(), 4u64)].into_iter().collect(),
         };
         let doc = ckpt.to_json();

@@ -161,9 +161,9 @@ pub struct EngineMetrics {
     pub(crate) attr_hits: Mirrored,
     pub(crate) attr_wasted: Mirrored,
     /// `probe.hits{proto=…}`, indexed by [`Protocol::index`].
-    hits_proto: [(String, Mirrored); 4],
+    hits_proto: [Mirrored; 4],
     /// `probe.packets_sent{proto=…}`, indexed by [`Protocol::index`].
-    packets_proto: [(String, Mirrored); 4],
+    packets_proto: [Mirrored; 4],
     pub(crate) wait_us_local: Arc<Histogram>,
     pub(crate) wait_us_global: Arc<Histogram>,
 }
@@ -182,9 +182,7 @@ impl EngineMetrics {
         let labeled = |base: &str| {
             std::array::from_fn(|i| {
                 // i < 4 == PROTOCOLS.len(): from_fn over [T; 4]
-                let name = labeled_name(base, PROTOCOLS[i]);
-                let counter = Mirrored::new(&registry, &name);
-                (name, counter)
+                Mirrored::new(&registry, &labeled_name(base, PROTOCOLS[i]))
             })
         };
         EngineMetrics {
@@ -218,57 +216,26 @@ impl EngineMetrics {
     /// The `probe.hits{proto=…}` series for one protocol.
     pub(crate) fn proto_hits(&self, proto: Protocol) -> &Mirrored {
         // Protocol::index() < 4: asserted by netmodel's protocol tests
-        &self.hits_proto[proto.index()].1
+        &self.hits_proto[proto.index()]
     }
 
     /// The `probe.packets_sent{proto=…}` series for one protocol.
     pub(crate) fn proto_packets(&self, proto: Protocol) -> &Mirrored {
         // Protocol::index() < 4: asserted by netmodel's protocol tests
-        &self.packets_proto[proto.index()].1
-    }
-
-    /// Every mirrored counter, by manifest name (checkpoint restore path).
-    /// Labeled series names are built at registration, so the list is
-    /// allocated — callers iterate it once per restore, never per packet.
-    fn mirrored(&self) -> Vec<(String, &Mirrored)> {
-        let mut out: Vec<(String, &Mirrored)> = vec![
-            (names::PACKETS_SENT.to_string(), &self.packets_sent),
-            (names::RETRIES.to_string(), &self.retries),
-            (names::HITS.to_string(), &self.hits),
-            (names::RSTS.to_string(), &self.rsts),
-            (names::UNREACHABLES.to_string(), &self.unreachables),
-            (names::SILENT.to_string(), &self.silent),
-            (names::DROP_DUPLICATE.to_string(), &self.drop_duplicate),
-            (names::DROP_BLOCKLIST.to_string(), &self.drop_blocklist),
-            (names::DROP_VALIDATION.to_string(), &self.drop_validation),
-            (names::DROP_MALFORMED.to_string(), &self.drop_malformed),
-            (names::RATELIMIT_STALLS.to_string(), &self.ratelimit_stalls),
-            (names::FAULTS_INJECTED.to_string(), &self.faults_injected),
-            (names::BREAKER_OPENED.to_string(), &self.breaker_opened),
-            (names::BREAKER_SKIPPED.to_string(), &self.breaker_skipped),
-            (names::BACKOFF_WAITED_US.to_string(), &self.backoff_waited_us),
-            (names::RESUMED_TARGETS.to_string(), &self.resumed_targets),
-            (names::ATTR_REGIONS.to_string(), &self.attr_regions),
-            (names::ATTR_HITS.to_string(), &self.attr_hits),
-            (names::ATTR_WASTED.to_string(), &self.attr_wasted),
-        ];
-        for (name, counter) in self.hits_proto.iter().chain(&self.packets_proto) {
-            out.push((name.clone(), counter));
-        }
-        out
+        &self.packets_proto[proto.index()]
     }
 
     /// Raise counters to at least the checkpointed values (resume path:
     /// the fresh scanner's locals are zero, so this adds the snapshot
     /// wholesale, mirroring into the global registry as the original run
-    /// did; counters already past the snapshot are left alone).
+    /// did; counters already past the snapshot are left alone). Every
+    /// counter this scanner has is registered under its manifest name, so
+    /// the registry is the list; names it does not know are ignored.
     pub(crate) fn restore_counters(&self, snapshot: &BTreeMap<String, u64>) {
-        let current = self.counters();
-        for (name, counter) in self.mirrored() {
+        for (name, have) in self.counters() {
             let want = snapshot.get(&name).copied().unwrap_or(0);
-            let have = current.get(&name).copied().unwrap_or(0);
             if want > have {
-                counter.add(want - have);
+                Mirrored::new(&self.registry, &name).add(want - have);
             }
         }
     }

@@ -32,7 +32,7 @@ pub struct EchoPayload {
 }
 
 impl EchoPayload {
-    /// Serialize to the on-wire payload.
+    /// Encode as the on-wire payload.
     pub fn to_bytes(self) -> [u8; 16] {
         let mut b = [0u8; 16];
         b[..4].copy_from_slice(PAYLOAD_MAGIC);

@@ -30,7 +30,7 @@ pub struct Ipv6Header {
     pub hop_limit: u8,
 }
 
-/// Serialize an IPv6 packet: fixed header followed by `payload`.
+/// Encode an IPv6 packet: fixed header followed by `payload`.
 pub fn build_packet(src: Ipv6Addr, dst: Ipv6Addr, next_header: u8, payload: &[u8]) -> Vec<u8> {
     debug_assert!(payload.len() <= u16::MAX as usize);
     let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());

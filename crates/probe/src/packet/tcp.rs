@@ -53,7 +53,7 @@ impl TcpSegment {
     }
 }
 
-/// Serialize a 20-byte TCP header inside an IPv6 packet.
+/// Encode a 20-byte TCP header inside an IPv6 packet.
 pub fn build_tcp(
     src: Ipv6Addr,
     dst: Ipv6Addr,

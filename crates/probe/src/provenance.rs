@@ -297,7 +297,7 @@ impl AttributionTable {
         rows
     }
 
-    /// Serialize to sorted JSON rows
+    /// Encode as sorted JSON rows
     /// (`[source, region, probes, hits, aliases, seed_digest, first_round]`).
     pub fn to_json(&self) -> Json {
         Json::Arr(

@@ -238,3 +238,132 @@ fn large_checkpoint_saves_and_loads_equal() {
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
     let _ = std::fs::remove_file(&path);
 }
+
+/// A checkpoint that cannot be written ends the campaign with an error
+/// naming the path, at the first boundary, before the write is journaled;
+/// checkpoints elsewhere are not touched.
+#[test]
+fn unwritable_checkpoint_path_fails_the_first_boundary() {
+    let w = hostile_world(0x10E1);
+    let t = targets(&w);
+    let good = tmp("io-good");
+    let opts = RunOptions { shards: 2, checkpoint_every: 64, ..RunOptions::default() };
+    let kill_opts = RunOptions {
+        checkpoint_path: Some(good.clone()),
+        stop_after_rounds: Some(1),
+        ..opts.clone()
+    };
+    let mut s = scanner(w.clone(), None);
+    Campaign::standard(&mut s).run_with(&t, &kill_opts, None).unwrap();
+    let good_bytes = std::fs::read(&good).unwrap();
+
+    let missing_dir = tmp("io-missing-dir");
+    let _ = std::fs::remove_dir_all(&missing_dir);
+    let bad = missing_dir.join("ckpt.json");
+    let journal = tmp("io-journal");
+    let bad_opts = RunOptions {
+        checkpoint_path: Some(bad.clone()),
+        journal_path: Some(journal.clone()),
+        ..opts
+    };
+    let mut s = scanner(w, None);
+    let err = Campaign::standard(&mut s)
+        .run_with(&t, &bad_opts, None)
+        .expect_err("the checkpoint directory does not exist");
+    assert!(err.contains(&bad.display().to_string()), "{err}");
+    let kinds: Vec<&str> = sos_obs::journal::read_records(&journal)
+        .unwrap()
+        .iter()
+        .map(|r| r.event.kind())
+        .collect();
+    assert_eq!(kinds.iter().filter(|k| **k == "round_end").count(), 1, "{kinds:?}");
+    assert!(!kinds.contains(&"checkpoint"), "a failed write is not journaled: {kinds:?}");
+    assert!(!bad.exists() && !missing_dir.exists());
+    assert_eq!(std::fs::read(&good).unwrap(), good_bytes);
+    let _ = std::fs::remove_file(&good);
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// A journal that cannot be opened fails the campaign before any probe.
+#[test]
+fn unopenable_journal_fails_before_the_first_probe() {
+    let w = hostile_world(0x10E2);
+    let t = targets(&w);
+    let dir = std::env::temp_dir();
+    let opts = RunOptions {
+        checkpoint_every: 64,
+        journal_path: Some(dir.clone()),
+        ..RunOptions::default()
+    };
+    let mut s = scanner(w, None);
+    let err = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .expect_err("a directory is not a journal");
+    assert!(err.contains(&dir.display().to_string()), "{err}");
+    assert_eq!(s.packets_sent(), 0);
+}
+
+/// Damaged checkpoint files are refused with an error, never a panic.
+#[test]
+fn damaged_checkpoints_load_as_errors() {
+    let report = sos_probe::ScanReport {
+        hits: (0..64u128).map(|i| std::net::Ipv6Addr::from((0x2001_0db8_u128 << 96) | i)).collect(),
+        probed: 64,
+        ..Default::default()
+    };
+    let ckpt = CampaignCheckpoint {
+        fingerprint: 0xda4a6ed,
+        done: 64,
+        rounds: 1,
+        reports: vec![(Protocol::Icmp, report)],
+        limiter: None,
+        fault_state: Vec::new(),
+        breaker: None,
+        counters: Default::default(),
+    };
+    let path = tmp("damaged");
+    ckpt.save(&path).unwrap();
+    let text = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
+
+    let mid_hits = text.find("\"hits\"").unwrap() + 200;
+    assert!(mid_hits < text.find("\"probed\"").unwrap());
+    let wrong_version = text.replacen("\"version\": 1", "\"version\": 2", 1);
+    assert_ne!(wrong_version, text);
+    for (what, body) in [
+        ("truncated mid-hits", &text[..mid_hits]),
+        ("empty", ""),
+        ("wrong version", wrong_version.as_str()),
+    ] {
+        std::fs::write(&path, body).unwrap();
+        assert!(CampaignCheckpoint::load(&path).is_err(), "{what} must not load");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `save` goes through `<path>.tmp`; one left behind by a kill mid-save
+/// is neither read by `load` nor in the way of the next save.
+#[test]
+fn stale_tmp_file_is_ignored_and_overwritten() {
+    let ckpt = CampaignCheckpoint {
+        fingerprint: 0x57a1e,
+        done: 7,
+        rounds: 1,
+        reports: Vec::new(),
+        limiter: None,
+        fault_state: vec![(1 << 80, 2, 3)],
+        breaker: None,
+        counters: Default::default(),
+    };
+    let path = tmp("stale");
+    let stale = path.with_extension("tmp");
+    ckpt.save(&path).unwrap();
+    std::fs::write(&stale, "{\"version\": 1, \"fingerprint\": \"trunc").unwrap();
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
+
+    let next = CampaignCheckpoint { done: 9, rounds: 2, ..ckpt };
+    next.save(&path).unwrap();
+    assert!(!stale.exists(), "the tmp file was renamed over the checkpoint");
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), next);
+    let _ = std::fs::remove_file(&path);
+}

@@ -298,3 +298,102 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
     let _ = std::fs::remove_file(&ckpt_path);
     let _ = std::fs::remove_file(&full_journal);
 }
+
+/// The unlabeled `probe_packets_sent` sample of a `.prom` file.
+fn prom_packets_sent(path: &PathBuf) -> u64 {
+    std::fs::read_to_string(path)
+        .expect("snapshot file must exist")
+        .lines()
+        .find_map(|l| l.strip_prefix("probe_packets_sent "))
+        .expect("snapshot file must carry probe_packets_sent")
+        .parse()
+        .unwrap()
+}
+
+/// The snapshot file is a sink of its own: it needs no journal, and its
+/// last rewrite happens after the last round.
+#[test]
+fn snapshot_path_alone_leaves_the_final_counters() {
+    let w = world(0x5A47, true);
+    let t = targets(&w);
+    let prom = tmp("alone.prom");
+    let _ = std::fs::remove_file(&prom);
+    let opts = RunOptions {
+        shards: 4,
+        checkpoint_every: 32,
+        snapshot_path: Some(prom.clone()),
+        snapshot_every: 3,
+        ..RunOptions::default()
+    };
+    let mut s = scanner(w, true);
+    let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    assert!(outcome.completed && outcome.rounds > 3);
+    // The file renders the process-wide registry, which the other tests
+    // of this binary feed too: this scanner's total bounds it from below,
+    // the registry read after the run from above.
+    let sample = prom_packets_sent(&prom);
+    assert!(sample >= s.metrics().counter("probe.packets_sent"), "final rewrite missing");
+    assert!(sample <= sos_obs::counter("probe.packets_sent").get());
+    let _ = std::fs::remove_file(&prom);
+}
+
+/// One cadence: the file is rewritten exactly when a `snapshot` record is
+/// journaled, and that cadence counts the campaign's lifetime rounds, not
+/// the rounds since this process started. A snapshot path that cannot be
+/// written makes the first rewrite visible as the run's error.
+#[test]
+fn snapshot_file_follows_the_journal_cadence_across_a_resume() {
+    const EVERY: usize = 32;
+    let w = world(0x5A48, true);
+    let t = targets(&w);
+    let journal = tmp("cadence");
+    let ckpt_path = tmp("cadence-ckpt");
+    let prom = tmp("cadence.prom");
+    for p in [&journal, &ckpt_path, &prom] {
+        let _ = std::fs::remove_file(p);
+    }
+    let opts = RunOptions {
+        shards: 4,
+        checkpoint_every: EVERY,
+        journal_path: Some(journal.clone()),
+        snapshot_every: 3,
+        ..RunOptions::default()
+    };
+
+    // Killed after 2 rounds; the checkpoint writes pair with snapshots,
+    // so the file already exists.
+    let kill_opts = RunOptions {
+        checkpoint_path: Some(ckpt_path.clone()),
+        snapshot_path: Some(prom.clone()),
+        stop_after_rounds: Some(2),
+        ..opts.clone()
+    };
+    let mut s1 = scanner(w.clone(), true);
+    Campaign::standard(&mut s1).run_with(&t, &kill_opts, None).unwrap();
+    assert!(prom_packets_sent(&prom) >= s1.metrics().counter("probe.packets_sent"));
+    let killed_len = read_records(&journal).unwrap().len();
+    let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
+    assert_eq!(ckpt.rounds, 2);
+
+    // Resumed without a checkpoint path, snapshots are due at lifetime
+    // rounds 3, 6, …: the first round of this process.
+    let unwritable = std::env::temp_dir();
+    let resume_opts = RunOptions { snapshot_path: Some(unwritable.clone()), ..opts.clone() };
+    let mut s2 = scanner(w, true);
+    let err = Campaign::standard(&mut s2)
+        .run_with(&t, &resume_opts, Some(&ckpt))
+        .expect_err("a directory cannot be rewritten as the snapshot file");
+    assert!(err.contains(&unwritable.display().to_string()), "{err}");
+    let records = read_records(&journal).unwrap();
+    let resumed = &records[killed_len..];
+    assert!(matches!(resumed[0].event, Event::Resume { .. }));
+    let round_ends = resumed.iter().filter(|r| r.event.kind() == "round_end").count();
+    assert_eq!(round_ends, 1, "the rewrite was due at lifetime round 3");
+    match &resumed.last().unwrap().event {
+        Event::Snapshot { done, .. } => assert_eq!(*done as usize, 3 * EVERY),
+        other => panic!("the failed rewrite follows its snapshot record, not {other:?}"),
+    }
+    for p in [&journal, &ckpt_path, &prom] {
+        let _ = std::fs::remove_file(p);
+    }
+}

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The three source families of §5.1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SourceKind {
     /// Domain names resolved via AAAA lookups ("D" in Table 3).
     Domain,
@@ -27,7 +25,7 @@ impl SourceKind {
 }
 
 /// The twelve seed sources of the study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SourceId {
     /// Certificate Transparency logs via Censys.
     CensysCt,
@@ -138,7 +136,7 @@ impl fmt::Display for SourceId {
 }
 
 /// Per-source domain statistics (Table 8).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DomainStats {
     /// Domain names attempted.
     pub domains: u64,

@@ -131,10 +131,6 @@ impl TargetGenerator for Det {
 
         while out.len() < cfg.budget && !arms.is_empty() {
             round += 1;
-            #[cfg(feature = "trace")]
-            if round % 50 == 0 {
-                eprintln!("[det] round {round} out {} arms {}", out.len(), arms.len());
-            }
             // Rank leaves by UCB score; probe the top slice this round.
             // Scores are computed once per arm (the sort used to call
             // `ucb` inside the comparator — O(n log n) recomputation).

@@ -137,11 +137,6 @@ impl Pattern {
         }
         n.to_addr()
     }
-
-    /// log₁₆ of the pattern's address-space size (= number of free dims).
-    pub fn log16_size(&self) -> usize {
-        self.free_count()
-    }
 }
 
 /// Per-free-position histograms for a set of addresses under a pattern.

@@ -18,7 +18,7 @@ use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
 
 use crate::space_tree::{build_regions, SplitStrategy};
-use crate::{fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{clamp_round, fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
 
 /// The 6Hit generator.
 #[derive(Debug, Clone)]
@@ -130,7 +130,7 @@ impl TargetGenerator for SixHit {
                 if prov.is_enabled() {
                     let d = digests.get(i).copied().unwrap_or(0);
                     for _ in 0..batch.len() {
-                        prov.push(i as u32, d, round.min(u16::MAX as usize) as u16);
+                        prov.push(i as u32, d, clamp_round(round));
                     }
                 }
                 out.extend(batch);

@@ -4,8 +4,6 @@ use std::fmt;
 use std::net::Ipv6Addr;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// An IPv6 CIDR prefix: a network address plus a length in bits (0..=128).
 ///
 /// The network address is always stored in canonical (masked) form, so two
@@ -18,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!p.contains("2001:db9::1".parse().unwrap()));
 /// assert_eq!(p.subprefix(48, 5).to_string(), "2001:db8:5::/48");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Prefix {
     network: Ipv6Addr,
     len: u8,
@@ -59,12 +57,6 @@ impl Prefix {
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> u8 {
         self.len
-    }
-
-    /// True for the zero-length (whole-space) prefix.
-    #[inline]
-    pub fn is_default(&self) -> bool {
-        self.len == 0
     }
 
     /// Does this prefix contain `addr`?
