@@ -60,6 +60,13 @@ pub fn kind_label(kind: AsKind) -> &'static str {
     }
 }
 
+/// Per-cell salt: the category's index in [`KINDS`] is the dataset
+/// coordinate (label lengths collide — "Education"/"AccessISP").
+fn kind_salt(kind: &str, tga: TgaId) -> u64 {
+    let index = KINDS.iter().position(|&k| kind_label(k) == kind).unwrap_or(KINDS.len());
+    cell_salt(0xa5d0, tga, Protocol::Icmp, index as u64)
+}
+
 /// Results of the category-split experiment.
 pub struct KindResults {
     /// `(category, tga)` → run result.
@@ -83,8 +90,7 @@ pub fn run_by_kind(study: &Study, tgas: &[TgaId]) -> KindResults {
     let budget = study.config().budget;
     let cells: BTreeMap<(&'static str, TgaId), RunResult> = par_map("as_kind", work, threads, |_, (kind, tga)| {
         let seeds = &slices[kind];
-        let salt = cell_salt(0xa5d0, tga, Protocol::Icmp, kind.len() as u64);
-        let r = run_tga(study, tga, seeds, Protocol::Icmp, budget, salt);
+        let r = run_tga(study, tga, seeds, Protocol::Icmp, budget, kind_salt(kind, tga));
         ((kind, tga), r)
     })
     .into_iter()
@@ -161,6 +167,16 @@ mod tests {
         let total: usize = slices.values().map(Vec::len).sum();
         assert_eq!(total, study.dataset(DatasetKind::AllActive).len());
         assert!(slices.len() >= 4, "several categories present: {:?}", slices.keys());
+    }
+
+    #[test]
+    fn every_category_and_tga_gets_its_own_salt() {
+        let mut salts = std::collections::HashSet::new();
+        for kind in KINDS {
+            for tga in TgaId::ALL {
+                assert!(salts.insert(kind_salt(kind_label(kind), tga)), "{} {tga}", kind_label(kind));
+            }
+        }
     }
 
     #[test]

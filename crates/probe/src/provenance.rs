@@ -28,7 +28,7 @@ use netmodel::{AddressingScheme, World};
 use sos_obs::json::Json;
 
 /// Region id the generators use for budget-filling mutation output that
-/// has no structural region (the `fill_budget_by_mutation` tail).
+/// has no structural region (the tail `tga::sink::Candidates::finish` adds).
 pub const REGION_FILL: u32 = u32::MAX;
 
 /// Source id for candidate lists that did not come from a TGA (campaign

@@ -13,44 +13,33 @@
 //!    fresh regions, letting the tree follow the live Internet outward
 //!    from the seed patterns.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use sos_probe::provenance::{seed_digest, ProvenanceLog};
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
-use crate::parallel::{commit_proposals, sample_regions_par, stream_seed, SampleUnit};
+use crate::parallel::{sample_regions_par, stream_seed, SampleUnit};
+use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{build_regions_par, Region, SplitStrategy};
-use crate::{clamp_round, fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// Bandit state per tree leaf.
 #[derive(Debug, Clone)]
 struct Arm {
     region: Region,
-    /// Member digest, cached at build/rebuild time: it is pushed per
-    /// emitted address and feeds the per-unit RNG streams, and hashing
-    /// `region.members` anew for every batch was O(|members|) work in the
-    /// inner loop. Widening keeps `members` untouched, so the cache stays
-    /// valid for the arm's whole life.
-    digest: u32,
     probes: f64,
     q: f64,
 }
 
 /// Build the bandit arms over a seed basis (initial tree and every
-/// online rebuild), digesting each leaf's members exactly once.
+/// online rebuild).
 fn arms_over(basis: &[Ipv6Addr], max_leaf: usize, max_regions: usize, workers: usize) -> Vec<Arm> {
     build_regions_par(basis, SplitStrategy::MinEntropy, max_leaf, max_regions, workers)
         .into_iter()
-        .map(|region| Arm {
-            digest: seed_digest(region.members.iter().copied()),
-            region,
-            probes: 0.0,
-            q: 0.0,
-        })
+        .map(|region| Arm { region, probes: 0.0, q: 0.0 })
         .collect()
 }
 
@@ -119,8 +108,7 @@ impl TargetGenerator for Det {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xde7);
         let mut arms: Vec<Arm> = arms_over(seeds, self.max_leaf, self.max_regions, cfg.workers);
 
-        let mut out: Vec<Ipv6Addr> = Vec::with_capacity(cfg.budget);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
+        let mut sink = Candidates::new(cfg.budget, prov);
         let mut fresh_hits: Vec<Ipv6Addr> = Vec::new();
         let mut all_hits: Vec<Ipv6Addr> = Vec::new();
         let mut total_probes = 0.0f64;
@@ -129,11 +117,10 @@ impl TargetGenerator for Det {
         let mut rebuilds_enabled = true;
         let mut idle_rounds = 0usize;
 
-        while out.len() < cfg.budget && !arms.is_empty() {
+        while sink.room() > 0 && !arms.is_empty() {
             round += 1;
-            // Rank leaves by UCB score; probe the top slice this round.
-            // Scores are computed once per arm (the sort used to call
-            // `ucb` inside the comparator — O(n log n) recomputation).
+            // Rank leaves by UCB score (computed once per arm, not in
+            // the comparator); probe the top slice this round.
             let scores: Vec<f64> =
                 arms.iter().map(|a| a.ucb(total_probes, self.ucb_c)).collect();
             let mut order: Vec<usize> = (0..arms.len()).collect();
@@ -146,24 +133,25 @@ impl TargetGenerator for Det {
                 .iter()
                 .enumerate()
                 .map(|(slot, &idx)| {
-                    let arm = &arms[idx]; // idx from order: < arms.len()
+                    let region = &arms[idx].region; // idx from order: < arms.len()
                     SampleUnit {
-                        region: &arm.region,
+                        index: idx,
+                        region,
                         want: self.batch,
                         explore: self.explore,
-                        stream: stream_seed(cfg.seed ^ 0xde7, arm.digest, round, slot),
+                        stream: stream_seed(cfg.seed ^ 0xde7, region.digest, round, slot),
                     }
                 })
                 .collect();
-            let proposals = sample_regions_par(&units, &seen, cfg.workers);
+            let proposals = sample_regions_par(&units, sink.seen(), cfg.workers);
             drop(units); // release the arms borrow before the commit mutates them
             // Phase 2: sequential commit in slot order.
             let mut progressed = false;
-            for (slot, proposal) in proposals.iter().enumerate() {
-                if out.len() >= cfg.budget {
+            for (idx, proposal) in proposals {
+                if sink.room() == 0 {
                     break;
                 }
-                let idx = order[slot]; // slot < order.len() == proposals.len()
+                let arm = &mut arms[idx]; // idx < arms.len(): a unit's index
                 if proposal.is_empty() {
                     // Leaf exhausted (decided on the worker-invariant
                     // proposal, not the commit): expand its variable
@@ -172,57 +160,30 @@ impl TargetGenerator for Det {
                     // hits the routing prefix. Widen twice — after a tree
                     // rebuild the tight new leaves largely overlap
                     // already-seen space, and one dimension of headroom
-                    // drains in a single batch. Widening leaves `members`
-                    // (hence the cached digest) unchanged.
-                    match arms[idx].region.widened().and_then(|w| w.widened().or(Some(w))) {
+                    // drains in a single batch.
+                    match arm.region.widened().and_then(|w| w.widened().or(Some(w))) {
                         Some(w) => {
-                            arms[idx].region = w; // idx from order: < arms.len()
+                            arm.region = w;
                             progressed = true;
                         }
-                        None => arms[idx].probes += 1e6, // idx from order: < arms.len()
+                        None => arm.probes += 1e6,
                     }
                     continue;
                 }
-                let batch = commit_proposals(proposal, &mut seen, cfg.budget - out.len());
+                // Arms are rebuilt online: the leaf's member digest, not
+                // its index, is the stable identity across tree updates.
+                let batch = sink.commit(&proposal, Tag::new(idx, arm.region.digest, round));
                 if batch.is_empty() {
                     continue; // cross-slot collisions only — not a dead leaf
                 }
                 progressed = true;
-                let results = oracle.probe_batch(&batch, cfg.proto);
-                debug_assert_eq!(
-                    results.len(),
-                    batch.len(),
-                    "ScanOracle::probe_batch length contract: {} results for {} targets",
-                    results.len(),
-                    batch.len()
-                );
-                // Release-build tolerance for a malformed oracle: missing
-                // entries count as unanswered probes, extras are ignored.
-                let hits = results.iter().take(batch.len()).filter(|&&h| h).count();
-                let rate = hits as f64 / batch.len() as f64;
-                arms[idx].q = 0.4 * arms[idx].q + 0.6 * rate; // idx from order: < arms.len()
-                arms[idx].probes += batch.len() as f64;
+                let sent = batch.len() as f64;
+                let hits =
+                    probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| fresh_hits.push(a));
+                arm.q = 0.4 * arm.q + 0.6 * (hits as f64 / sent);
+                arm.probes += sent;
                 // sos-lint: allow(det-float-reduce) whole-number batch sizes; exact in f64 and sequential
-                total_probes += batch.len() as f64;
-                fresh_hits.extend(
-                    batch
-                        .iter()
-                        .zip(&results)
-                        .filter(|(_, &h)| h)
-                        .map(|(&a, _)| a),
-                );
-                // Provenance: the bandit arm (tree leaf) this batch was
-                // drawn from, digested over the leaf's member seeds. Arms
-                // are rebuilt online, so the digest — not the index — is
-                // the stable identity across tree updates.
-                if prov.is_enabled() {
-                    // idx < arms.len(): the bandit drew it over `arms`
-                    let d = arms[idx].digest;
-                    for _ in 0..batch.len() {
-                        prov.push(idx as u32, d, clamp_round(round));
-                    }
-                }
-                out.extend(batch);
+                total_probes += sent;
             }
 
             // Periodic tree update: rebuild the tree over seeds plus every
@@ -235,10 +196,10 @@ impl TargetGenerator for Det {
                 && round % self.reinsert_every == 0
                 && fresh_hits.len() >= self.max_leaf * 4
             {
-                if out.len() < out_at_last_rebuild + self.arms_per_round * self.batch {
+                if sink.out().len() < out_at_last_rebuild + self.arms_per_round * self.batch {
                     rebuilds_enabled = false;
                 } else {
-                    out_at_last_rebuild = out.len();
+                    out_at_last_rebuild = sink.out().len();
                     all_hits.append(&mut fresh_hits);
                     let mut basis: Vec<Ipv6Addr> = seeds.to_vec();
                     basis.extend(all_hits.iter().copied());
@@ -252,10 +213,10 @@ impl TargetGenerator for Det {
             // Emission stall guard: when round after round yields nothing
             // (every scheduled arm widening through seen space), stop and
             // let the budget filler finish rather than spin.
-            if out.len() == out_at_last_rebuild && !rebuilds_enabled {
+            if sink.out().len() == out_at_last_rebuild && !rebuilds_enabled {
                 idle_rounds += 1;
-            } else if out.len() > out_at_last_rebuild {
-                out_at_last_rebuild = out.len();
+            } else if sink.out().len() > out_at_last_rebuild {
+                out_at_last_rebuild = sink.out().len();
                 idle_rounds = 0;
             }
             if idle_rounds > 64 {
@@ -263,8 +224,7 @@ impl TargetGenerator for Det {
             }
         }
 
-        fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-        out
+        sink.finish(seeds, &mut rng)
     }
 }
 

@@ -13,7 +13,7 @@
 //! recombines values from *different* networks, producing entropy-
 //! plausible but mostly nonexistent addresses.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -23,7 +23,8 @@ use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
 use v6addr::{nybble_of, EntropyProfile};
 
-use crate::{fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::sink::{Candidates, Tag};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// The Entropy/IP generator.
 #[derive(Debug, Clone)]
@@ -104,20 +105,14 @@ impl TargetGenerator for EntropyIp {
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xe1b);
+        let mut sink = Candidates::new(cfg.budget, prov);
         if seeds.is_empty() {
-            let mut out = Vec::new();
-            let mut seen = HashSet::new();
-            fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-            return out;
+            return sink.finish(seeds, &mut rng);
         }
         // Provenance: EIP has no spatial partition — every candidate comes
         // from the one global segment model, so region 0 with the whole
         // seed set's digest is the honest attribution.
-        let model_digest = if prov.is_enabled() {
-            seed_digest(seeds.iter().copied())
-        } else {
-            0
-        };
+        let model = Tag::new(0, seed_digest(seeds.iter().copied()), 0);
 
         // 1. Entropy profile → segment boundaries (chopped to word size).
         let profile = EntropyProfile::compute(seeds);
@@ -181,11 +176,8 @@ impl TargetGenerator for EntropyIp {
             informative.iter().enumerate().map(|(k, &i)| (i, k)).collect();
 
         // 4. Walk the chain to synthesize addresses.
-        let mut out: Vec<Ipv6Addr> = Vec::with_capacity(cfg.budget);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
         let mut nybbles = [0u8; 32];
-        let mut stale = 0usize;
-        while out.len() < cfg.budget && stale < cfg.budget * 4 + 4096 {
+        sink.draw(cfg.budget, cfg.budget * 4 + 4096, model, || {
             let mut prev: Option<u64> = None;
             for (i, seg) in segments.iter().enumerate() {
                 // chain[k-1] maps informative segment k-1's value to a
@@ -221,17 +213,10 @@ impl TargetGenerator for EntropyIp {
             for &n in &nybbles {
                 bits = (bits << 4) | u128::from(n);
             }
-            if seen.insert(bits) {
-                out.push(Ipv6Addr::from(bits));
-                prov.push(0, model_digest, 0);
-                stale = 0;
-            } else {
-                stale += 1;
-            }
-        }
+            Some(Ipv6Addr::from(bits))
+        });
 
-        fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-        out
+        sink.finish(seeds, &mut rng)
     }
 }
 

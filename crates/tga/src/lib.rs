@@ -14,10 +14,11 @@
 //! | [`six_sense`] (6Sense) | online | per-segment generative model + prefix bandit + AS-diversity budget + integrated online dealiasing |
 //!
 //! Every generator consumes a seed list and produces `budget` unique
-//! candidate addresses. Online generators additionally probe through a
-//! [`ScanOracle`] while generating (re-run per scan target, per §4.1:
-//! "for online generators we rerun generation for each port and protocol
-//! scanned").
+//! candidate addresses — a contract kept in one place, the candidate sink
+//! ([`sink::Candidates`]), which every generator emits through. Online
+//! generators additionally probe through a [`ScanOracle`] while generating
+//! (re-run per scan target, per §4.1: "for online generators we rerun
+//! generation for each port and protocol scanned").
 
 pub mod det;
 pub mod entropy_ip;
@@ -29,6 +30,7 @@ pub mod six_hit;
 pub mod six_scan;
 pub mod six_sense;
 pub mod six_tree;
+pub mod sink;
 pub mod space_tree;
 
 pub use pattern::{Pattern, ValueHist};
@@ -37,7 +39,7 @@ pub use space_tree::{build_regions_par, Region, SplitStrategy};
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
-use sos_probe::provenance::{ProvenanceLog, REGION_FILL};
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
 /// Identifies one of the eight studied TGAs.
@@ -147,10 +149,8 @@ impl GenConfig {
 }
 
 /// Clamp a generation round counter into the `u16` provenance birth-round
-/// field. Every TGA records rounds through this one helper, so
-/// long-budget runs that pass 65 535 rounds saturate identically
-/// everywhere instead of mixing `u16::saturating_add` (6Scan, formerly)
-/// with ad-hoc `usize` clamps (DET, formerly).
+/// field, so long-budget runs that pass 65 535 rounds saturate identically
+/// for every TGA ([`sink::Tag::new`] records rounds through it).
 pub fn clamp_round(round: usize) -> u16 {
     round.min(u16::MAX as usize) as u16
 }
@@ -160,22 +160,19 @@ pub trait TargetGenerator {
     /// Which TGA this is.
     fn id(&self) -> TgaId;
 
-    /// Generate up to `cfg.budget` unique candidates from `seeds`,
-    /// recording each candidate's provenance (internal region/cluster id,
-    /// contributing-seed digest, generation round) into `prov` — one
-    /// [`ProvenanceLog::push`] per emitted address, in emission order.
+    /// Generate exactly `cfg.budget` unique candidates from `seeds`,
+    /// with one provenance tag per candidate (internal region/cluster id,
+    /// contributing-seed digest, generation round) in `prov`, in emission
+    /// order. Implementations keep this emit contract — dedup, budget,
+    /// one tag per address, mutation fill tagged
+    /// [`REGION_FILL`](sos_probe::provenance::REGION_FILL) once the model
+    /// is exhausted — by emitting only through [`sink::Candidates`] and
+    /// returning its [`finish`](sink::Candidates::finish); the tagged and
+    /// untagged paths are the same code, so candidate streams are
+    /// bit-identical with a disabled log (`provenance_identity` test).
     ///
     /// Offline generators ignore `oracle`; online ones probe through it
-    /// and adapt. Returned addresses are deduplicated; generators always
-    /// fill the budget (falling back to seed mutation when their model
-    /// space is exhausted, mirroring the paper's observation that all
-    /// eight "successfully generated 50M addresses"; fill output is
-    /// tagged [`REGION_FILL`]).
-    ///
-    /// A disabled log makes every push a no-op, so the tagged and
-    /// untagged paths run the **same code** — candidate streams are
-    /// bit-identical by construction (asserted by the crate's
-    /// `provenance_identity` test).
+    /// and adapt.
     // sos-lint: deterministic-root candidate streams must be bit-identical across reruns
     fn generate_tagged(
         &mut self,
@@ -296,63 +293,6 @@ impl TargetGenerator for Instrumented {
     }
 }
 
-/// Shared budget-filling fallback: mutate random seeds in their low
-/// nybbles until `out` reaches `budget`. Every TGA paper pads its output
-/// when the learned model saturates; low-nybble mutation is the common
-/// generic expansion. Fill output has no structural region, so every
-/// emitted address is tagged [`REGION_FILL`].
-pub(crate) fn fill_budget_by_mutation(
-    out: &mut Vec<Ipv6Addr>,
-    seen: &mut std::collections::HashSet<u128>,
-    seeds: &[Ipv6Addr],
-    budget: usize,
-    rng: &mut impl rand::Rng,
-    prov: &mut ProvenanceLog,
-) {
-    use v6addr::with_nybble;
-    if seeds.is_empty() {
-        // No seeds at all: sample global unicast space at random.
-        while out.len() < budget {
-            let bits = 0x2000_0000_0000_0000_0000_0000_0000_0000u128 | (rng.gen::<u128>() >> 3);
-            if seen.insert(bits) {
-                out.push(Ipv6Addr::from(bits));
-                prov.push(REGION_FILL, 0, 0);
-            }
-        }
-        return;
-    }
-    let mut stale = 0usize;
-    while out.len() < budget && stale < budget * 20 + 1000 {
-        let seed = seeds[rng.gen_range(0..seeds.len())];
-        let mut addr = seed;
-        let mutations = 1 + rng.gen_range(0..4);
-        for _ in 0..mutations {
-            // mutate low-64 nybbles most of the time, subnet nybbles rarely
-            let pos = if rng.gen_bool(0.85) {
-                rng.gen_range(16..32)
-            } else {
-                rng.gen_range(12..16)
-            };
-            addr = with_nybble(addr, pos, rng.gen_range(0..16));
-        }
-        if seen.insert(u128::from(addr)) {
-            out.push(addr);
-            prov.push(REGION_FILL, 0, 0);
-            stale = 0;
-        } else {
-            stale += 1;
-        }
-    }
-    // Pathological dedup exhaustion: pad with random global unicast.
-    while out.len() < budget {
-        let bits = 0x2000_0000_0000_0000_0000_0000_0000_0000u128 | (rng.gen::<u128>() >> 3);
-        if seen.insert(bits) {
-            out.push(Ipv6Addr::from(bits));
-            prov.push(REGION_FILL, 0, 0);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,35 +349,5 @@ mod tests {
         assert_eq!(cfg.workers, 1, "sequential by default");
         assert_eq!(cfg.with_workers(8).workers, 8);
         assert_eq!(cfg.with_workers(0).workers, 1, "0 clamps to 1");
-    }
-
-    #[test]
-    fn mutation_filler_reaches_budget_and_dedups() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        let seeds: Vec<Ipv6Addr> = vec!["2001:db8::1".parse().unwrap()];
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        let mut prov = ProvenanceLog::recording(TgaId::SixTree.code());
-        fill_budget_by_mutation(&mut out, &mut seen, &seeds, 500, &mut rng, &mut prov);
-        assert_eq!(out.len(), 500);
-        assert_eq!(prov.len(), 500, "one tag per emitted address");
-        assert!(prov.get(0).is_some_and(|p| p.region == REGION_FILL));
-        let mut uniq = out.clone();
-        uniq.sort();
-        uniq.dedup();
-        assert_eq!(uniq.len(), 500);
-    }
-
-    #[test]
-    fn mutation_filler_handles_empty_seeds() {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
-        let mut out = Vec::new();
-        let mut seen = std::collections::HashSet::new();
-        fill_budget_by_mutation(&mut out, &mut seen, &[], 100, &mut rng, &mut ProvenanceLog::disabled());
-        assert_eq!(out.len(), 100);
-        // everything lands in global unicast 2000::/3
-        assert!(out.iter().all(|a| u128::from(*a) >> 125 == 1));
     }
 }

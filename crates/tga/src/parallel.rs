@@ -14,9 +14,9 @@
 //!    slot index — never from a shared RNG — so a unit's output depends
 //!    only on its inputs, not on scheduling.
 //! 2. **Commit (sequential).** Proposals are merged in slot order through
-//!    [`commit_proposals`], which performs the authoritative dedup against
-//!    `seen` (dropping cross-slot collisions deterministically) and caps
-//!    at the remaining budget.
+//!    [`Candidates::commit`](crate::sink::Candidates::commit), which
+//!    performs the authoritative dedup against `seen` (dropping cross-slot
+//!    collisions deterministically) and caps at the remaining budget.
 //!
 //! Phase 1 never observes phase-2 state, and phase 2 is a pure fold over
 //! the slot-ordered proposals, so the worker count can only change *when*
@@ -60,6 +60,8 @@ pub fn stream_seed(seed: u64, region_digest: u32, round: usize, slot: usize) -> 
 
 /// One region batch to sample — the unit of parallel work.
 pub struct SampleUnit<'a> {
+    /// The caller's index for `region`, handed back with its proposal.
+    pub index: usize,
     /// The region to draw from.
     pub region: &'a Region,
     /// Batch size to aim for (the commit phase applies the budget cap).
@@ -71,22 +73,23 @@ pub struct SampleUnit<'a> {
 }
 
 /// Phase 1: sample every unit against the round-start `seen` snapshot,
-/// fanned out over `workers` threads, returning proposals in slot order.
+/// fanned out over `workers` threads, returning `(unit.index, proposal)`
+/// in slot order.
 ///
 /// Each proposal is internally duplicate-free and disjoint from `seen`,
-/// but proposals may collide *with each other*; [`commit_proposals`]
-/// resolves those collisions in slot order. Output is identical for any
-/// `workers` value.
+/// but proposals may collide *with each other*;
+/// [`Candidates::commit`](crate::sink::Candidates::commit) resolves those
+/// collisions in slot order. Output is identical for any `workers` value.
 pub fn sample_regions_par(
     units: &[SampleUnit<'_>],
     seen: &HashSet<u128>,
     workers: usize,
-) -> Vec<Vec<Ipv6Addr>> {
+) -> Vec<(usize, Vec<Ipv6Addr>)> {
     if units.is_empty() {
         return Vec::new();
     }
     let _span = sos_obs::span(GEN_PARALLEL);
-    sos_obs::par::par_map(GEN_PARALLEL, units.iter().collect(), workers, |_, u| sample_unit(u, seen))
+    sos_obs::par::par_map(GEN_PARALLEL, units.iter().collect(), workers, |_, u| (u.index, sample_unit(u, seen)))
 }
 
 /// Sample one unit: the same draw-until-stale loop the sequential TGAs
@@ -107,27 +110,6 @@ fn sample_unit(u: &SampleUnit<'_>, seen: &HashSet<u128>) -> Vec<Ipv6Addr> {
         }
     }
     proposal
-}
-
-/// Phase 2: commit one slot's proposal against the authoritative `seen`
-/// set — the sequential half of the round. Drops addresses another slot
-/// already committed this round and stops at `room` (remaining budget),
-/// so `seen` never holds an address that was not emitted.
-pub fn commit_proposals(
-    proposal: &[Ipv6Addr],
-    seen: &mut HashSet<u128>,
-    room: usize,
-) -> Vec<Ipv6Addr> {
-    let mut batch: Vec<Ipv6Addr> = Vec::with_capacity(proposal.len().min(room));
-    for &a in proposal {
-        if batch.len() >= room {
-            break;
-        }
-        if seen.insert(u128::from(a)) {
-            batch.push(a);
-        }
-    }
-    batch
 }
 
 #[cfg(test)]
@@ -157,6 +139,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(slot, region)| SampleUnit {
+                index: slot,
                 region,
                 want: 32,
                 explore: 0.06,
@@ -168,7 +151,8 @@ mod tests {
             assert_eq!(sample_regions_par(&units, &seen, workers), base, "workers={workers}");
         }
         // proposals avoid the snapshot and are internally unique
-        for p in &base {
+        for (slot, (index, p)) in base.iter().enumerate() {
+            assert_eq!(*index, slot, "each proposal comes back with its unit's index");
             let mut uniq: Vec<u128> = p.iter().map(|&a| u128::from(a)).collect();
             uniq.sort_unstable();
             uniq.dedup();
@@ -185,20 +169,6 @@ mod tests {
         assert_ne!(base, stream_seed(1, 2, 7, 4), "round");
         assert_ne!(base, stream_seed(1, 2, 3, 5), "slot: ε repeats need distinct streams");
         assert_eq!(base, stream_seed(1, 2, 3, 4), "pure function");
-    }
-
-    #[test]
-    fn commit_drops_cross_slot_duplicates_and_caps_room() {
-        let a = |i: u128| Ipv6Addr::from(0x2600u128 << 112 | i);
-        let mut seen: HashSet<u128> = HashSet::new();
-        let first = commit_proposals(&[a(1), a(2), a(3)], &mut seen, 10);
-        assert_eq!(first, vec![a(1), a(2), a(3)]);
-        // overlap with slot one resolves in slot order; room caps at 1
-        let second = commit_proposals(&[a(2), a(4), a(5)], &mut seen, 1);
-        assert_eq!(second, vec![a(4)]);
-        // the capped-out address (5) was NOT inserted into `seen`
-        assert!(!seen.contains(&u128::from(a(5))));
-        assert_eq!(seen.len(), 4);
     }
 
     #[test]

@@ -12,17 +12,18 @@
 //! IID ranges) and per-/48 clusters (subnet ranges), enumerated densest
 //! first.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use sos_probe::provenance::{seed_digest, ProvenanceLog};
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
+use crate::sink::{Candidates, Tag};
 use crate::space_tree::Region;
-use crate::{fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// The 6Gen generator.
 #[derive(Debug, Clone)]
@@ -103,16 +104,7 @@ impl TargetGenerator for SixGen {
             db.total_cmp(&da)
         });
 
-        // Provenance: cluster index in density order, digest of the
-        // cluster's member seeds, round = sweep pass.
-        let digests: Vec<u32> = if prov.is_enabled() {
-            clusters.iter().map(|c| seed_digest(c.members.iter().copied())).collect()
-        } else {
-            Vec::new()
-        };
-
-        let mut out: Vec<Ipv6Addr> = Vec::with_capacity(cfg.budget);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
+        let mut sink = Candidates::new(cfg.budget, prov);
 
         // Exhaustive sweeps with a growing per-cluster horizon: the first
         // shallow pass touches every cluster the budget can reach in
@@ -124,11 +116,11 @@ impl TargetGenerator for SixGen {
         // exhausted cluster on every pass (quadratic in the budget).
         let mut swept = vec![false; clusters.len()];
         for pass in 0..8 {
-            if out.len() >= cfg.budget {
+            if sink.room() == 0 {
                 break;
             }
             for (ci, c) in clusters.iter().enumerate() {
-                if out.len() >= cfg.budget {
+                if sink.room() == 0 {
                     break;
                 }
                 if swept[ci] { // ci < clusters.len() == swept.len()
@@ -141,26 +133,19 @@ impl TargetGenerator for SixGen {
                 if pass < 3 && density < 1e-3 {
                     continue;
                 }
-                let limit = horizon.min((cfg.budget - out.len()) * 2 + 16);
+                let limit = horizon.min(sink.room() * 2 + 16);
                 let enumerated = c.enumerate(limit);
                 if enumerated.len() < limit {
                     swept[ci] = true; // range smaller than the horizon
                 }
-                for a in enumerated {
-                    if seen.insert(u128::from(a)) {
-                        out.push(a);
-                        prov.push(ci as u32, digests.get(ci).copied().unwrap_or(0), pass as u16);
-                        if out.len() >= cfg.budget {
-                            break;
-                        }
-                    }
-                }
+                // Provenance: cluster index in density order, digest of
+                // the cluster's member seeds, round = sweep pass.
+                sink.commit(&enumerated, Tag::new(ci, c.digest, pass));
             }
             horizon *= 8;
         }
 
-        fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-        out
+        sink.finish(seeds, &mut rng)
     }
 }
 

@@ -8,17 +8,17 @@
 //! sharp allocation is why 6Hit is notably alias-prone (Table 4): once an
 //! aliased region starts "hitting", reinforcement pours budget into it.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use sos_probe::provenance::{seed_digest, ProvenanceLog};
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
+use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{build_regions, SplitStrategy};
-use crate::{clamp_round, fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// The 6Hit generator.
 #[derive(Debug, Clone)]
@@ -68,72 +68,41 @@ impl TargetGenerator for SixHit {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x6417);
         let mut regions = build_regions(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
         let mut q = vec![0.0f64; regions.len()]; // smoothed hit-rate
-        // Provenance digests per region; recomputed on tree recreation
-        // (indices reset then, the digest is the stable identity).
-        let digest_all = |rs: &[crate::space_tree::Region], on: bool| -> Vec<u32> {
-            if on {
-                rs.iter().map(|r| seed_digest(r.members.iter().copied())).collect()
-            } else {
-                Vec::new()
-            }
-        };
-        let mut digests = digest_all(&regions, prov.is_enabled());
-        let mut out: Vec<Ipv6Addr> = Vec::with_capacity(cfg.budget);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
+        let mut sink = Candidates::new(cfg.budget, prov);
         let mut all_hits: Vec<Ipv6Addr> = Vec::new();
         let mut round = 0usize;
 
-        while out.len() < cfg.budget && !regions.is_empty() {
+        while sink.room() > 0 && !regions.is_empty() {
             round += 1;
             // Budget division: weight_i ∝ (q_i)^α + floor.
             let weights: Vec<f64> = q.iter().map(|&v| v.powf(self.alpha) + self.floor).collect();
             let wsum: f64 = weights.iter().sum();
-            let round_budget = self.round_budget.min(cfg.budget - out.len());
+            let round_budget = self.round_budget.min(sink.room());
 
             let mut progressed = false;
-            for i in 0..regions.len() {
-                if out.len() >= cfg.budget {
-                    break;
-                }
+            for (i, region) in regions.iter().enumerate() {
+                // Shares are rounded, so their sum can pass the round
+                // budget: cap each at the room left (0 once full).
                 let share = ((weights[i] / wsum) * round_budget as f64).round() as usize; // i < regions.len() == weights.len()
+                let share = share.min(sink.room());
                 if share == 0 {
                     continue;
                 }
-                let mut batch: Vec<Ipv6Addr> = Vec::with_capacity(share);
-                let mut stale = 0;
-                while batch.len() < share && stale < share * 8 + 16 {
-                    let a = regions[i].sample(&mut rng, self.explore); // i < regions.len()
-                    if seen.insert(u128::from(a)) {
-                        batch.push(a);
-                        stale = 0;
-                    } else {
-                        stale += 1;
-                    }
-                }
+                // Provenance: indices reset on tree recreation, the
+                // region's member digest is the stable identity.
+                let batch = sink.draw(share, share * 8 + 16, Tag::new(i, region.digest, round), || {
+                    Some(region.sample(&mut rng, self.explore))
+                });
                 if batch.is_empty() {
                     q[i] = 0.0; // exhausted: stop feeding it
                     continue;
                 }
                 progressed = true;
-                let results = oracle.probe_batch(&batch, cfg.proto);
-                let hits = results.iter().filter(|&&h| h).count();
-                let rate = hits as f64 / batch.len() as f64;
+                let sent = batch.len() as f64;
+                let hits =
+                    probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| all_hits.push(a));
                 // exponential smoothing of the reward estimate
-                q[i] = 0.5 * q[i] + 0.5 * rate;
-                all_hits.extend(
-                    batch
-                        .iter()
-                        .zip(&results)
-                        .filter(|(_, &h)| h)
-                        .map(|(&a, _)| a),
-                );
-                if prov.is_enabled() {
-                    let d = digests.get(i).copied().unwrap_or(0);
-                    for _ in 0..batch.len() {
-                        prov.push(i as u32, d, clamp_round(round));
-                    }
-                }
-                out.extend(batch);
+                q[i] = 0.5 * q[i] + 0.5 * (hits as f64 / sent);
             }
 
             // Periodic tree recreation from seeds + discovered actives.
@@ -142,15 +111,13 @@ impl TargetGenerator for SixHit {
                 basis.extend(all_hits.iter().copied());
                 regions = build_regions(&basis, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
                 q = vec![0.0; regions.len()];
-                digests = digest_all(&regions, prov.is_enabled());
             }
             if !progressed {
                 break;
             }
         }
 
-        fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-        out
+        sink.finish(seeds, &mut rng)
     }
 }
 

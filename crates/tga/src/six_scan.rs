@@ -9,18 +9,18 @@
 //! (ICMP payload / TCP sequence / DNS qname) and reward only what the
 //! *echoed tag* says, exactly as 6Scan does.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sos_probe::provenance::{seed_digest, ProvenanceLog};
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
-use crate::parallel::{commit_proposals, sample_regions_par, stream_seed, SampleUnit};
+use crate::parallel::{sample_regions_par, stream_seed, SampleUnit};
+use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{build_regions_par, SplitStrategy};
-use crate::{clamp_round, fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// The 6Scan generator.
 #[derive(Debug, Clone)]
@@ -68,20 +68,17 @@ impl TargetGenerator for SixScan {
         let regions =
             build_regions_par(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions, cfg.workers);
         let n = regions.len();
-        // Reward (echoed-tag credits) and probe counts per region id.
+        // Reward (echoed-tag credits) and probe counts per region id
+        // (ids are stable for the whole scan — they're what the packets
+        // carry).
         let mut reward = vec![0.0f64; n];
         let mut probes = vec![1.0f64; n];
         let mut exhausted = vec![false; n];
-        // Region member digests feed both the provenance tags and the
-        // per-unit RNG stream derivation, so they are computed once,
-        // unconditionally (region ids are stable for the whole scan —
-        // they're what the packets carry).
-        let digests: Vec<u32> =
-            regions.iter().map(|r| seed_digest(r.members.iter().copied())).collect();
         let mut round = 0usize;
 
-        let mut out: Vec<Ipv6Addr> = Vec::with_capacity(cfg.budget);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
+        let mut sink = Candidates::new(cfg.budget, prov);
+        // The (address, region id) pairs of the batch being probed.
+        let mut tagged: Vec<(Ipv6Addr, u32)> = Vec::with_capacity(self.batch);
 
         // Seed-density prior for the first rounds.
         let mut order: Vec<usize> = (0..n).collect();
@@ -91,7 +88,7 @@ impl TargetGenerator for SixScan {
                 .total_cmp(&regions[a].density()) // a < n
         });
 
-        while out.len() < cfg.budget && !order.is_empty() {
+        while sink.room() > 0 && !order.is_empty() {
             round += 1;
             // Drop exhausted regions from rotation, then rank the live
             // ones by observed reward rate, ε-greedy.
@@ -108,35 +105,32 @@ impl TargetGenerator for SixScan {
             // draws from per-(region, round, slot) streams, so the fan-out
             // below is worker-count-invariant.
             let slots = self.regions_per_round.min(order.len());
-            let picks: Vec<usize> = (0..slots)
+            let units: Vec<SampleUnit<'_>> = (0..slots)
                 .map(|slot| {
-                    if rng.gen_bool(self.epsilon) {
+                    let idx = if rng.gen_bool(self.epsilon) {
                         order[rng.gen_range(0..order.len())]
                     } else {
                         order[slot.min(order.len() - 1)] // slot < slots <= order.len()
+                    };
+                    let region = &regions[idx]; // idx from order: < n
+                    SampleUnit {
+                        index: idx,
+                        region,
+                        want: self.batch,
+                        explore: self.explore,
+                        stream: stream_seed(cfg.seed ^ 0x65ca, region.digest, round, slot),
                     }
                 })
                 .collect();
-            let units: Vec<SampleUnit<'_>> = picks
-                .iter()
-                .enumerate()
-                .map(|(slot, &idx)| SampleUnit {
-                    region: &regions[idx], // idx from order: < n
-                    want: self.batch,
-                    explore: self.explore,
-                    stream: stream_seed(cfg.seed ^ 0x65ca, digests[idx], round, slot), // idx < n
-                })
-                .collect();
             // Phase 1: parallel proposals against the round-start `seen`.
-            let proposals = sample_regions_par(&units, &seen, cfg.workers);
+            let proposals = sample_regions_par(&units, sink.seen(), cfg.workers);
             // Phase 2: sequential commit in slot order.
             let mut progressed = false;
-            for (slot, proposal) in proposals.iter().enumerate() {
-                if out.len() >= cfg.budget {
+            for (idx, proposal) in proposals {
+                if sink.room() == 0 {
                     break;
                 }
-                let idx = picks[slot]; // slot < picks.len() == proposals.len()
-                if exhausted[idx] { // idx < n
+                if exhausted[idx] { // idx < n: a unit's index
                     continue; // an ε repeat of a region exhausted earlier this round
                 }
                 if proposal.is_empty() {
@@ -146,49 +140,26 @@ impl TargetGenerator for SixScan {
                     exhausted[idx] = true; // idx < n
                     continue;
                 }
-                let committed = commit_proposals(proposal, &mut seen, cfg.budget - out.len());
-                if committed.is_empty() {
+                let batch = sink.commit(&proposal, Tag::new(idx, regions[idx].digest, round)); // idx < n
+                if batch.is_empty() {
                     continue;
                 }
-                let batch: Vec<(Ipv6Addr, u32)> =
-                    committed.iter().map(|&a| (a, idx as u32)).collect();
                 progressed = true;
-                // Reward comes exclusively from tags echoed in responses.
-                let results = oracle.probe_tagged(&batch, cfg.proto);
-                debug_assert_eq!(
-                    results.len(),
-                    batch.len(),
-                    "ScanOracle::probe_tagged length contract: {} results for {} targets",
-                    results.len(),
-                    batch.len()
-                );
-                // Release-build tolerance for a malformed oracle: missing
-                // entries count as unanswered probes, extras are ignored.
-                for &(hit, tag) in results.iter().take(batch.len()) {
-                    if hit {
-                        if let Some(region_id) = tag {
-                            if (region_id as usize) < n {
-                                reward[region_id as usize] += 1.0; // region_id < n checked above
-                            }
-                        }
-                    }
-                }
                 probes[idx] += batch.len() as f64; // idx < n
-                if prov.is_enabled() {
-                    let d = digests.get(idx).copied().unwrap_or(0);
-                    for _ in 0..batch.len() {
-                        prov.push(idx as u32, d, clamp_round(round));
+                // Reward comes exclusively from tags echoed in responses.
+                let carried = Some((idx as u32, &mut tagged));
+                probe_round(oracle, cfg.proto, &sink, batch, carried, |_, echo| {
+                    if let Some(r) = echo.and_then(|id| reward.get_mut(id as usize)) {
+                        *r += 1.0;
                     }
-                }
-                out.extend(committed);
+                });
             }
             if !progressed {
                 break;
             }
         }
 
-        fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-        out
+        sink.finish(seeds, &mut rng)
     }
 }
 

@@ -18,7 +18,6 @@
 //!   blacklists aliased ones — candidates inside blacklisted prefixes are
 //!   regenerated instead of emitted.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -30,8 +29,9 @@ use sos_probe::ScanOracle;
 use v6addr::{Prefix, PrefixSet};
 
 use crate::pattern::ValueHist;
+use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::Region;
-use crate::{fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// Per-/48 bandit arm with hierarchical section models: 6Sense generates
 /// the subnet section and the IID section separately — per-/64 sub-models
@@ -46,6 +46,9 @@ struct Arm {
     enums: Vec<Option<(Vec<Ipv6Addr>, usize)>>,
     /// Value histograms of the subnet-id nybbles (positions 12..16).
     subnet_hists: [ValueHist; 4],
+    /// Digest of the site's contributing seeds (arms are /48 sites and
+    /// never rebuilt, so index and digest are both stable).
+    digest: u32,
     probes: f64,
     q: f64,
 }
@@ -69,6 +72,7 @@ impl Arm {
             enums: vec![None; groups.len()],
             subregions: groups.iter().map(|(_, g)| Region::from_seeds(g)).collect(),
             subnet_hists,
+            digest: seed_digest(members.iter().copied()),
             probes: 0.0,
             q: 0.0,
         }
@@ -194,13 +198,6 @@ impl TargetGenerator for SixSense {
         }
         let mut groups: Vec<(u128, Vec<Ipv6Addr>)> = by48.into_iter().collect();
         groups.sort_by_key(|(k, _)| *k); // HashMap order is unstable
-        // Provenance: arms are /48 sites and never rebuilt, so the arm
-        // index is stable; digest over the site's contributing seeds.
-        let digests: Vec<u32> = if prov.is_enabled() {
-            groups.iter().map(|(_, m)| seed_digest(m.iter().copied())).collect()
-        } else {
-            Vec::new()
-        };
         let mut arms: Vec<Arm> = groups.iter().map(|(_, m)| Arm::from_members(m)).collect();
 
         let mut dealiaser = OnlineDealiaser::new(OnlineConfig {
@@ -213,17 +210,16 @@ impl TargetGenerator for SixSense {
         // time would never catch up with generation.
         let mut aliased_per_48: std::collections::HashMap<u128, u32> = Default::default();
 
-        let mut out: Vec<Ipv6Addr> = Vec::with_capacity(cfg.budget);
-        let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
+        let mut sink = Candidates::new(cfg.budget, prov);
         let mut total_probes = 1.0f64;
 
         let diversity_slots =
             ((self.arms_per_round as f64 * self.diversity_share).ceil() as usize).max(1);
         let ucb_slots = self.arms_per_round.saturating_sub(diversity_slots).max(1);
 
-        let mut round = 0u16;
-        while out.len() < cfg.budget && !arms.is_empty() {
-            round = round.saturating_add(1);
+        let mut round = 0usize;
+        while sink.room() > 0 && !arms.is_empty() {
+            round += 1;
             // Schedule: top-UCB arms + least-probed arms (diversity).
             let mut by_ucb: Vec<usize> = (0..arms.len()).collect();
             by_ucb.sort_by(|&a, &b| {
@@ -246,45 +242,30 @@ impl TargetGenerator for SixSense {
 
             let mut progressed = false;
             for idx in schedule {
-                if out.len() >= cfg.budget {
+                if sink.room() == 0 {
                     break;
                 }
+                let arm = &mut arms[idx]; // idx from the schedule: < arms.len()
                 // productive arms get super-sized batches (6Sense's RL
                 // allocator pours budget where the hit rate is)
-                let scale = 1.0 + 4.0 * arms[idx].q;
-                let want = ((self.batch as f64 * scale) as usize).min(cfg.budget - out.len());
-                let mut batch: Vec<Ipv6Addr> = Vec::with_capacity(want);
-                let mut stale = 0;
-                while batch.len() < want && stale < want * 10 + 32 {
-                    let a = arms[idx].sample(&mut rng, self.explore); // idx from order: < arms.len()
+                let scale = 1.0 + 4.0 * arm.q;
+                let want = ((self.batch as f64 * scale) as usize).min(sink.room());
+                let batch = sink.draw(want, want * 10 + 32, Tag::new(idx, arm.digest, round), || {
+                    let a = arm.sample(&mut rng, self.explore);
                     // Integrated dealiasing: never emit into known aliases.
-                    if blacklist.contains_addr(a) {
-                        stale += 1;
-                        continue;
-                    }
-                    if seen.insert(u128::from(a)) {
-                        batch.push(a);
-                        stale = 0;
-                    } else {
-                        stale += 1;
-                    }
-                }
+                    (!blacklist.contains_addr(a)).then_some(a)
+                });
                 if batch.is_empty() {
-                    arms[idx].probes += 1e6; // exhausted
+                    arm.probes += 1e6; // exhausted
                     continue;
                 }
                 progressed = true;
-                let results = oracle.probe_batch(&batch, cfg.proto);
-                let mut hits: Vec<Ipv6Addr> = batch
-                    .iter()
-                    .zip(&results)
-                    .filter(|(_, &h)| h)
-                    .map(|(&a, _)| a)
-                    .collect();
+                let sent = batch.len() as f64;
+                let mut hits: Vec<Ipv6Addr> = Vec::new();
+                probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| hits.push(a));
 
                 // Suspiciously hot? Vet the hottest /96es.
-                let rate = hits.len() as f64 / batch.len() as f64;
-                if rate >= self.alias_trigger && hits.len() >= 4 {
+                if hits.len() as f64 / sent >= self.alias_trigger && hits.len() >= 4 {
                     let mut prefixes: Vec<Prefix> =
                         hits.iter().map(|&h| Prefix::new(h, 96)).collect();
                     prefixes.sort();
@@ -303,26 +284,17 @@ impl TargetGenerator for SixSense {
                     }
                 }
 
-                let rate = hits.len() as f64 / batch.len() as f64;
-                arms[idx].q = 0.4 * arms[idx].q + 0.6 * rate; // idx from order: < arms.len()
-                arms[idx].probes += batch.len() as f64;
+                arm.q = 0.4 * arm.q + 0.6 * (hits.len() as f64 / sent);
+                arm.probes += sent;
                 // sos-lint: allow(det-float-reduce) whole-number batch sizes; exact in f64 and sequential
-                total_probes += batch.len() as f64;
-                if prov.is_enabled() {
-                    let d = digests.get(idx).copied().unwrap_or(0);
-                    for _ in 0..batch.len() {
-                        prov.push(idx as u32, d, round);
-                    }
-                }
-                out.extend(batch);
+                total_probes += sent;
             }
             if !progressed {
                 break;
             }
         }
 
-        fill_budget_by_mutation(&mut out, &mut seen, seeds, cfg.budget, &mut rng, prov);
-        out
+        sink.finish(seeds, &mut rng)
     }
 }
 

@@ -7,17 +7,17 @@
 //! expanded — exhaustively for small regions, by pattern-weighted sampling
 //! for large ones — with budget allocated proportionally to density.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use sos_probe::provenance::{seed_digest, ProvenanceLog};
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
+use crate::sink::{Candidates, Tag};
 use crate::space_tree::{build_regions, Region, SplitStrategy};
-use crate::{fill_budget_by_mutation, GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// The 6Tree generator.
 #[derive(Debug, Clone)]
@@ -44,10 +44,9 @@ impl Default for SixTree {
 /// density order, exhaustively enumerating small ones and sampling large
 /// ones, until `budget` unique candidates exist.
 ///
-/// Provenance: each emitted candidate is tagged with its region's index
-/// in density order, a digest of the region's member seeds, and the
-/// expansion pass (0 = quota pass, 1.. = round-robin passes). The log is
-/// write-only from the emit path, so tagging cannot perturb the stream.
+/// Provenance: each candidate is tagged with its region's index in
+/// density order, the region's member digest, and the expansion pass
+/// (0 = quota pass, 1.. = round-robin passes).
 pub(crate) fn expand_regions(
     regions: &mut [Region],
     seeds: &[Ipv6Addr],
@@ -58,91 +57,54 @@ pub(crate) fn expand_regions(
 ) -> Vec<Ipv6Addr> {
     regions.sort_by(|a, b| b.density().total_cmp(&a.density()));
     let total_seeds: usize = regions.iter().map(|r| r.seed_count).sum::<usize>().max(1);
-    let digests: Vec<u32> = if prov.is_enabled() {
-        regions.iter().map(|r| seed_digest(r.members.iter().copied())).collect()
-    } else {
-        Vec::new()
-    };
-    let digest_of = |i: usize| digests.get(i).copied().unwrap_or(0);
-
-    let mut out: Vec<Ipv6Addr> = Vec::with_capacity(budget);
-    let mut seen: HashSet<u128> = HashSet::with_capacity(budget * 2);
+    let mut sink = Candidates::new(budget, prov);
 
     // Pass 1: density-proportional quotas.
     for (ri, r) in regions.iter().enumerate() {
-        if out.len() >= budget {
+        if sink.room() == 0 {
             break;
         }
         let quota = ((budget * r.seed_count) / total_seeds).max(4);
-        let quota = quota.min(budget - out.len());
-        emit_from_region(r, quota, explore, rng, &mut out, &mut seen, prov, ri as u32, digest_of(ri), 0);
+        emit_from_region(r, quota, explore, rng, &mut sink, Tag::new(ri, r.digest, 0));
     }
     // Pass 2: round-robin over the densest regions for leftover budget.
     let mut pass = 0;
-    while out.len() < budget && pass < 8 {
+    while sink.room() > 0 && pass < 8 {
         pass += 1;
         for (ri, r) in regions.iter().take(512).enumerate() {
-            if out.len() >= budget {
+            if sink.room() == 0 {
                 break;
             }
-            let quota = ((budget - out.len()) / 64).clamp(1, 256);
-            emit_from_region(
-                r, quota, (explore * 2.0).min(0.5), rng, &mut out, &mut seen,
-                prov, ri as u32, digest_of(ri), pass as u16,
-            );
+            let quota = (sink.room() / 64).clamp(1, 256);
+            emit_from_region(r, quota, (explore * 2.0).min(0.5), rng, &mut sink, Tag::new(ri, r.digest, pass));
         }
     }
-    fill_budget_by_mutation(&mut out, &mut seen, seeds, budget, rng, prov);
-    out
+    sink.finish(seeds, rng)
 }
 
-/// Emit up to `quota` fresh addresses from one region, tagging each with
-/// `(region, digest, round)` provenance.
-#[allow(clippy::too_many_arguments)]
+/// Emit up to `quota` fresh addresses from one region.
 fn emit_from_region(
     r: &Region,
     quota: usize,
     explore: f64,
     rng: &mut SmallRng,
-    out: &mut Vec<Ipv6Addr>,
-    seen: &mut HashSet<u128>,
-    prov: &mut ProvenanceLog,
-    region: u32,
-    digest: u32,
-    round: u16,
+    sink: &mut Candidates<'_>,
+    tag: Tag,
 ) {
-    if quota == 0 {
-        return;
-    }
+    let quota = quota.min(sink.room());
     match r.space_size() {
         // Small space: systematic enumeration covers the whole region.
         Some(size) if size <= quota as u64 * 4 => {
-            let mut emitted = 0;
+            let mut left = quota;
             for a in r.enumerate(quota * 4) {
-                if seen.insert(u128::from(a)) {
-                    out.push(a);
-                    prov.push(region, digest, round);
-                    emitted += 1;
-                    if emitted >= quota {
-                        break;
-                    }
+                if left == 0 {
+                    break;
                 }
+                left -= usize::from(sink.push(a, tag));
             }
         }
         _ => {
-            let mut emitted = 0;
-            let mut stale = 0;
-            while emitted < quota && stale < quota * 8 + 32 {
-                let a = r.sample(rng, explore);
-                if seen.insert(u128::from(a)) {
-                    out.push(a);
-                    prov.push(region, digest, round);
-                    emitted += 1;
-                    stale = 0;
-                } else {
-                    stale += 1;
-                }
-            }
+            sink.draw(quota, quota * 8 + 32, tag, || Some(r.sample(rng, explore)));
         }
     }
 }

@@ -10,6 +10,7 @@
 use std::net::Ipv6Addr;
 
 use rand::Rng;
+use sos_probe::provenance::seed_digest;
 use v6addr::{nybble_of, NYBBLES};
 
 use crate::pattern::{free_histograms, Pattern, ValueHist};
@@ -37,6 +38,11 @@ pub struct Region {
     /// The member seeds themselves (regions partition the input, so the
     /// total memory across regions is one copy of the seed list).
     pub members: Vec<Ipv6Addr>,
+    /// Order-invariant [`seed_digest`] of `members`: the region's identity
+    /// in provenance tags and in the per-unit RNG streams
+    /// ([`crate::parallel::stream_seed`]). Stable across tree rebuilds
+    /// (indices are not) and kept by [`Self::widened`].
+    pub digest: u32,
 }
 
 impl Region {
@@ -48,6 +54,7 @@ impl Region {
             seed_count: seeds.len(),
             pattern,
             members: seeds.to_vec(),
+            digest: seed_digest(seeds.iter().copied()),
         }
     }
 
@@ -93,6 +100,7 @@ impl Region {
             hists,
             seed_count: self.seed_count,
             members: self.members.clone(),
+            digest: self.digest,
         })
     }
 
@@ -431,6 +439,14 @@ mod tests {
         let dense = Region::from_seeds(&[a("2600::1"), a("2600::2"), a("2600::3")]);
         let sparse = Region::from_seeds(&[a("2600::1"), a("2603:dead:beef:1234::ffff")]);
         assert!(dense.density() > sparse.density());
+    }
+
+    #[test]
+    fn digest_is_the_member_digest_and_survives_widening() {
+        let seeds = two_site_seeds();
+        let r = Region::from_seeds(&seeds);
+        assert_eq!(r.digest, seed_digest(seeds.iter().rev().copied()));
+        assert_eq!(r.widened().unwrap().digest, r.digest, "widening keeps the members");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
+use sos_probe::provenance::ProvenanceLog;
 use sos_probe::{NullOracle, ScanOracle};
 use tga::{build, GenConfig, TgaId};
 
@@ -21,9 +22,23 @@ fn normal_seeds() -> Vec<Ipv6Addr> {
     v
 }
 
+/// `subnets` /64s × 40 seeds each, hosts spread over three nybbles.
+fn subnet_seeds(subnets: u128) -> Vec<Ipv6Addr> {
+    (1..=40 * subnets)
+        .map(|i| {
+            Ipv6Addr::from(
+                0x2600_0abc_0001_0000_0000_0000_0000_0000u128 | (i % subnets) << 64 | (i * 7 + 1),
+            )
+        })
+        .collect()
+}
+
 fn assert_budget_filled(id: TgaId, seeds: &[Ipv6Addr], budget: usize, oracle: &mut dyn ScanOracle) {
-    let out = build(id).generate(seeds, &GenConfig::new(budget, 7, Protocol::Icmp), oracle);
+    let mut prov = ProvenanceLog::recording(id.code());
+    let cfg = GenConfig::new(budget, 7, Protocol::Icmp);
+    let out = build(id).generate_tagged(seeds, &cfg, oracle, &mut prov);
     assert_eq!(out.len(), budget, "{id} budget");
+    assert_eq!(prov.len(), out.len(), "{id} one tag per candidate");
     let mut uniq: Vec<u128> = out.iter().map(|&a| u128::from(a)).collect();
     uniq.sort_unstable();
     uniq.dedup();
@@ -67,6 +82,20 @@ fn budget_smaller_than_duplicated_seed_set() {
     seeds.extend(normal_seeds());
     for id in TgaId::ALL {
         assert_budget_filled(id, &seeds, 7, &mut NullOracle::default());
+    }
+}
+
+#[test]
+fn budgets_the_regions_do_not_divide_evenly() {
+    // Per-region shares are rounded: their sum must still stop at the
+    // budget (6Hit returned 2 072 for 2 048 and 684 for 683).
+    for subnets in [3, 7, 13] {
+        let seeds = subnet_seeds(subnets);
+        for budget in [683, 2048, 3000] {
+            for id in TgaId::ALL {
+                assert_budget_filled(id, &seeds, budget, &mut NullOracle::default());
+            }
+        }
     }
 }
 
@@ -209,6 +238,28 @@ fn short_oracle_results_trip_the_debug_assert() {
 #[test]
 #[cfg(debug_assertions)]
 #[should_panic(expected = "length contract")]
+fn short_oracle_results_trip_the_debug_assert_in_six_hit() {
+    build(TgaId::SixHit).generate(
+        &normal_seeds(),
+        &GenConfig::new(300, 7, Protocol::Icmp),
+        &mut MalformedOracle { extra: false },
+    );
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "length contract")]
+fn short_oracle_results_trip_the_debug_assert_in_six_sense() {
+    build(TgaId::SixSense).generate(
+        &normal_seeds(),
+        &GenConfig::new(300, 7, Protocol::Icmp),
+        &mut MalformedOracle { extra: false },
+    );
+}
+
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "length contract")]
 fn short_oracle_results_trip_the_debug_assert_in_det() {
     build(TgaId::Det).generate(
         &normal_seeds(),
@@ -223,7 +274,7 @@ fn short_oracle_results_trip_the_debug_assert_in_det() {
 #[test]
 #[cfg(not(debug_assertions))]
 fn malformed_oracles_are_tolerated_in_release_builds() {
-    for id in [TgaId::SixScan, TgaId::Det] {
+    for id in TgaId::ALL.into_iter().filter(|t| t.is_online()) {
         for extra in [false, true] {
             assert_budget_filled(id, &normal_seeds(), 600, &mut MalformedOracle { extra });
             let cfg = GenConfig::new(400, 9, Protocol::Icmp);
@@ -239,7 +290,7 @@ fn malformed_oracles_are_tolerated_in_release_builds() {
 #[test]
 #[cfg_attr(debug_assertions, should_panic(expected = "length contract"))]
 fn extra_oracle_results_assert_in_debug_and_are_ignored_in_release() {
-    for id in [TgaId::SixScan, TgaId::Det] {
+    for id in TgaId::ALL.into_iter().filter(|t| t.is_online()) {
         assert_budget_filled(id, &normal_seeds(), 500, &mut MalformedOracle { extra: true });
     }
 }
