@@ -172,6 +172,20 @@ fn get_hex128(j: &Json, key: &str) -> Result<u128, String> {
     u128::from_str_radix(s, 16).map_err(|e| format!("bad hex in {key:?}: {e}"))
 }
 
+/// The study probes four protocols, indexed `0..4` (`netmodel::PROTOCOLS`;
+/// this crate sits below `netmodel`, so the bound is restated here).
+const PROTOCOLS: u64 = 4;
+
+/// A record's protocol index. One that no protocol has is damage: narrowed
+/// with `as u8`, index 300 would replay as protocol 44.
+fn get_proto(j: &Json) -> Result<u8, String> {
+    let idx = get_u64(j, "proto")?;
+    if idx >= PROTOCOLS {
+        return Err(format!("journal record field \"proto\" is not a protocol index: {idx}"));
+    }
+    Ok(idx as u8)
+}
+
 fn get_fingerprint(j: &Json) -> Result<u64, String> {
     let s = j
         .get("fingerprint")
@@ -303,13 +317,13 @@ impl Event {
             },
             "breaker" => Event::Breaker {
                 domain: get_hex128(j, "domain")?,
-                proto: get_u64(j, "proto")? as u8,
+                proto: get_proto(j)?,
                 from: get_str(j, "from")?,
                 to: get_str(j, "to")?,
             },
             "fault_epoch" => Event::FaultEpoch {
                 domain: get_hex128(j, "domain")?,
-                proto: get_u64(j, "proto")? as u8,
+                proto: get_proto(j)?,
                 kind: get_str(j, "kind")?,
                 epoch: get_u64(j, "epoch")?,
             },
@@ -624,6 +638,33 @@ mod tests {
                 .unwrap();
         }
         assert!(read_records(&path2).is_err(), "mid-file corruption surfaces");
+        // A well-formed line whose protocol index no protocol has is
+        // corrupt too: dropped at the tail, an error before it.
+        for (ev, rest) in [
+            ("breaker", "\"from\":\"closed\",\"to\":\"open\""),
+            ("fault_epoch", "\"kind\":\"burst\",\"epoch\":3"),
+        ] {
+            let line = |proto: u32| {
+                format!(
+                    "{{\"v\":1,\"seq\":1,\"ev\":\"{ev}\",\"vclock_us\":0,\"wall_s\":0.0,\
+                     \"domain\":\"00000000000000000000000020010db8\",\"proto\":{proto},{rest}}}"
+                )
+            };
+            assert!(Record::parse_line(&line(3)).is_ok(), "{ev}: 3 is the last protocol");
+            for proto in [4, 300] {
+                let err = Record::parse_line(&line(proto)).expect_err("no such protocol");
+                assert!(err.contains("\"proto\""), "{ev} {proto}: {err}");
+            }
+            JournalWriter::create(&path2)
+                .unwrap()
+                .write(0, Event::RoundStart { round: 1, from: 0, to: 10 })
+                .unwrap();
+            let mut f = OpenOptions::new().append(true).open(&path2).unwrap();
+            f.write_all(format!("{}\n", line(300)).as_bytes()).unwrap();
+            assert_eq!(read_records(&path2).unwrap().len(), 1, "{ev}: damaged tail dropped");
+            f.write_all(format!("{}\n", line(3)).as_bytes()).unwrap();
+            assert!(read_records(&path2).is_err(), "{ev}: damaged middle surfaces");
+        }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
     }

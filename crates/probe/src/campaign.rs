@@ -32,14 +32,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use netmodel::{FaultEpochs, PortSet, Protocol, PROTOCOLS};
+use netmodel::{FaultEpochs, FaultPlan, PortSet, Protocol, PROTOCOLS};
 use sos_obs::json::Json;
 use sos_obs::manifest::Fnv1a64;
 use sos_obs::{Event, JournalWriter};
 
-use crate::engine::{ScanReport, Scanner};
+use crate::carried::Carried;
+use crate::engine::{LaneState, ScanReport, Scanner};
 use crate::provenance::{AttributionTable, ProvenanceLog};
-use crate::ratelimit::{BucketSnapshot, TokenBucket};
+use crate::ratelimit::BucketSnapshot;
 use crate::retry::{BreakerConfig, BreakerMap, BreakerState};
 use crate::transport::Transport;
 
@@ -210,6 +211,46 @@ fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("checkpoint missing integer field {key:?}"))
 }
 
+/// A `u64` field that must fit a `u32` counter: a larger value is damage,
+/// not something to wrap.
+fn get_u32(j: &Json, key: &str) -> Result<u32, String> {
+    u32::try_from(get_u64(j, key)?).map_err(|_| format!("checkpoint field {key:?} exceeds u32"))
+}
+
+/// The rows of the per-prefix table stored under `key`.
+fn table<'j>(j: &'j Json, key: &str) -> Result<&'j [Json], String> {
+    j.get(key)
+        .and_then(Json::as_arr)
+        .ok_or_else(|| format!("checkpoint missing table {key:?}"))
+}
+
+/// One `[domain, protocol index, N counts…]` row of the `fault_state` and
+/// `breaker.entries` tables.
+fn table_row_json<const N: usize>(domain: u128, proto: u8, counts: [u32; N]) -> Json {
+    let counts = counts.into_iter().map(|n| Json::U64(n.into()));
+    Json::Arr([hex128(domain), Json::U64(proto.into())].into_iter().chain(counts).collect())
+}
+
+/// Decode a row [`table_row_json`] wrote. A protocol index no protocol has
+/// and a count over `u32::MAX` are errors naming `table`: narrowing them
+/// would resume the campaign on state nobody wrote.
+fn table_row<const N: usize>(table: &str, row: &Json) -> Result<((u128, u8), [u32; N]), String> {
+    let bad = |what: &str| format!("{table}: {what}");
+    let Some([domain, proto, counts @ ..]) = row.as_arr().filter(|r| r.len() == 2 + N) else {
+        return Err(bad("row is not [domain, proto, counts…]"));
+    };
+    let proto = proto.as_u64().ok_or_else(|| bad("protocol index is not an integer"))?;
+    let proto = proto_by_index(proto).map_err(|e| bad(&e))?.index() as u8;
+    let mut out = [0u32; N];
+    for (slot, count) in out.iter_mut().zip(counts) {
+        *slot = count
+            .as_u64()
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| bad("count is not an integer that fits u32"))?;
+    }
+    Ok(((parse_hex128(domain)?, proto), out))
+}
+
 fn report_to_json(r: &ScanReport) -> Json {
     // Exhaustive destructure: a new ScanReport field fails to compile here
     // until its checkpoint representation is decided.
@@ -334,14 +375,7 @@ impl CampaignCheckpoint {
         );
         doc.set(
             "fault_state",
-            Json::Arr(
-                self.fault_state
-                    .iter()
-                    .map(|&(domain, proto, n)| {
-                        Json::Arr(vec![hex128(domain), Json::U64(proto.into()), Json::U64(n.into())])
-                    })
-                    .collect(),
-            ),
+            Json::Arr(self.fault_state.iter().map(|&(d, p, n)| table_row_json(d, p, [n])).collect()),
         );
         doc.set(
             "breaker",
@@ -349,29 +383,17 @@ impl CampaignCheckpoint {
                 None => Json::Null,
                 Some(b) => {
                     let cfg = b.config();
+                    let entries = b.entries().into_iter().map(|((domain, proto), state)| {
+                        let (tag, count) = state.encode();
+                        table_row_json(domain, proto, [tag.into(), count])
+                    });
                     let mut o = Json::obj();
                     o.set("prefix_len", u64::from(cfg.prefix_len))
                         .set("threshold", cfg.threshold)
                         .set("cooldown", cfg.cooldown)
                         .set("opened", b.opened())
                         .set("skipped", b.skipped())
-                        .set(
-                            "entries",
-                            Json::Arr(
-                                b.entries()
-                                    .into_iter()
-                                    .map(|((domain, proto), state)| {
-                                        let (tag, count) = state.encode();
-                                        Json::Arr(vec![
-                                            hex128(domain),
-                                            Json::U64(proto.into()),
-                                            Json::U64(tag.into()),
-                                            Json::U64(count.into()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        );
+                        .set("entries", Json::Arr(entries.collect()));
                     o
                 }
             },
@@ -415,43 +437,32 @@ impl CampaignCheckpoint {
                 stalls: get_u64(l, "stalls")?,
             }),
         };
-        let triple = |row: &Json| -> Result<(u128, u8, u32), String> {
-            let items = row.as_arr().filter(|a| a.len() == 3).ok_or("bad fault_state row")?;
-            Ok((
-                parse_hex128(&items[0])?, // len checked: exactly 3 items
-                items[1].as_u64().ok_or("bad proto")? as u8,
-                items[2].as_u64().ok_or("bad count")? as u32,
-            ))
-        };
-        let fault_state = doc
-            .get("fault_state")
-            .and_then(Json::as_arr)
-            .ok_or("checkpoint missing fault_state")?
+        let fault_state = table(doc, "fault_state")?
             .iter()
-            .map(triple)
+            .map(|row| {
+                let ((domain, proto), [n]) = table_row("fault_state", row)?;
+                Ok((domain, proto, n))
+            })
             .collect::<Result<Vec<_>, String>>()?;
         let breaker = match doc.get("breaker") {
             None | Some(Json::Null) => None,
             Some(b) => {
-                let entries = b
-                    .get("entries")
-                    .and_then(Json::as_arr)
-                    .ok_or("breaker checkpoint missing entries")?
+                let entries = table(b, "entries")?
                     .iter()
                     .map(|row| {
-                        let items =
-                            row.as_arr().filter(|a| a.len() == 4).ok_or("bad breaker row")?;
-                        let domain = parse_hex128(&items[0])?; // len checked: exactly 4 items
-                        let proto = items[1].as_u64().ok_or("bad proto")? as u8;
-                        let tag = items[2].as_u64().ok_or("bad tag")? as u8;
-                        let count = items[3].as_u64().ok_or("bad count")? as u32;
-                        Ok(((domain, proto), BreakerState::decode(tag, count)))
+                        let (key, [tag, count]) = table_row("breaker.entries", row)?;
+                        let state = u8::try_from(tag).ok().and_then(|t| BreakerState::decode(t, count));
+                        Ok((key, state.ok_or_else(|| format!("breaker.entries: unknown state tag {tag}"))?))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
+                let prefix_len = get_u64(b, "prefix_len")?;
+                if !(1..=128).contains(&prefix_len) {
+                    return Err(format!("breaker.prefix_len {prefix_len} is outside 1..=128"));
+                }
                 let cfg = BreakerConfig {
-                    prefix_len: get_u64(b, "prefix_len")? as u8,
-                    threshold: get_u64(b, "threshold")? as u32,
-                    cooldown: get_u64(b, "cooldown")? as u32,
+                    prefix_len: prefix_len as u8,
+                    threshold: get_u32(b, "threshold")?,
+                    cooldown: get_u32(b, "cooldown")?,
                 };
                 Some(BreakerMap::restore(
                     cfg,
@@ -553,13 +564,6 @@ fn discovery_events(table: &AttributionTable) -> Vec<Event> {
         .collect()
 }
 
-/// The per-prefix rows a [`Campaign::refresh`] replaced: the previous
-/// boundary's state, which the next transition records are diffed against.
-struct Replaced {
-    fault_state: Vec<(u128, u8, u32)>,
-    breaker: Option<BreakerMap>,
-}
-
 /// The row of `rows` (sorted by `key`) whose key is `k`.
 fn find<R, K: Ord>(rows: &[R], k: K, key: impl FnMut(&R) -> K) -> Option<&R> {
     rows.binary_search_by_key(&k, key).ok().and_then(|i| rows.get(i))
@@ -571,11 +575,7 @@ fn find<R, K: Ord>(rows: &[R], k: K, key: impl FnMut(&R) -> K) -> Option<&R> {
 /// Transitions are detected by the **campaign** at round boundaries — the
 /// shard workers never emit events, so the journal's event stream is
 /// identical no matter how many shards raced through the round.
-fn transitions<T: Transport>(
-    prev: &Replaced,
-    state: &CampaignCheckpoint,
-    transport: &T,
-) -> Vec<Event> {
+fn transitions(prev: &LaneState, state: &CampaignCheckpoint, plan: Option<&FaultPlan>) -> Vec<Event> {
     let mut events = Vec::new();
     let before = prev.breaker.as_ref().map(BreakerMap::entries).unwrap_or_default();
     for ((domain, proto), breaker) in state.breaker.iter().flat_map(BreakerMap::entries) {
@@ -591,13 +591,13 @@ fn transitions<T: Transport>(
             });
         }
     }
+    // No plan means no active fault layer: nothing to journal.
+    let Some(plan) = plan else { return events };
     for &(domain, proto, density) in &state.fault_state {
-        // No readout means no active fault layer: nothing to journal.
-        let Some(readout) = transport.fault_epochs_at(density) else { continue };
         // An unseen domain starts from all-zero epochs.
-        let before = find(&prev.fault_state, (domain, proto), |&(d, p, _)| (d, p))
-            .and_then(|&(_, _, n)| transport.fault_epochs_at(n))
-            .unwrap_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 });
+        let before = find(&prev.fault_rows, (domain, proto), |&(d, p, _)| (d, p))
+            .map_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 }, |&(_, _, n)| plan.epochs_at(n));
+        let readout = plan.epochs_at(density);
         for ((kind, now), (_, was)) in readout.families().into_iter().zip(before.families()) {
             if now != was {
                 events.push(Event::FaultEpoch {
@@ -736,18 +736,16 @@ impl<'a, T: Transport> Campaign<'a, T> {
 
     /// Re-read the scanner's cross-target machine state (limiter, fault
     /// densities, breaker map, counters) into `state` at a round boundary,
-    /// handing back the per-prefix rows it replaced.
+    /// handing back the lane state it replaced: the previous boundary's,
+    /// which the next transition records are diffed against.
     // sos-lint: deterministic-root resume must replay to the identical stream
-    fn refresh(&self, state: &mut CampaignCheckpoint) -> Replaced {
-        state.limiter = self.scanner.limiter().map(TokenBucket::snapshot);
+    fn refresh(&self, state: &mut CampaignCheckpoint) -> LaneState {
+        let mut lane = self.scanner.lane.snapshot();
+        std::mem::swap(&mut state.limiter, &mut lane.limiter);
+        std::mem::swap(&mut state.fault_state, &mut lane.fault_rows);
+        std::mem::swap(&mut state.breaker, &mut lane.breaker);
         state.counters = self.scanner.metrics().counters();
-        Replaced {
-            fault_state: std::mem::replace(
-                &mut state.fault_state,
-                self.scanner.transport().fault_state(),
-            ),
-            breaker: std::mem::replace(&mut state.breaker, self.scanner.breaker().cloned()),
-        }
+        lane
     }
 }
 
@@ -821,17 +819,11 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                     prepared.len()
                 ));
             }
-            self.scanner
-                .transport_mut()
-                .restore_fault_state(&ckpt.fault_state);
-            if let Some(snap) = &ckpt.limiter {
-                *self.scanner.limiter_mut() = Some(TokenBucket::restore(snap));
-            }
-            // A checkpoint written without breakers keeps the scanner's
-            // own fresh map.
-            if let Some(b) = &ckpt.breaker {
-                *self.scanner.breaker_mut() = Some(b.clone());
-            }
+            self.scanner.lane.restore(LaneState {
+                limiter: ckpt.limiter,
+                fault_rows: ckpt.fault_state.clone(),
+                breaker: ckpt.breaker.clone(),
+            });
             self.scanner.metrics().restore_counters(&ckpt.counters);
             self.scanner.metrics().resumed_targets.add(ckpt.done as u64);
             sos_obs::debug!(
@@ -912,7 +904,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 continue;
             }
             let replaced = self.refresh(&mut state);
-            sinks.events(&state, || transitions(&replaced, &state, self.scanner.transport()))?;
+            let plan = self.scanner.transport().carried().and_then(Carried::fault_plan);
+            sinks.events(&state, || transitions(&replaced, &state, plan))?;
             sinks.event(&state, || {
                 let (hits_now, packets_now) = state.hit_packet_totals();
                 Event::RoundEnd {
@@ -1101,7 +1094,7 @@ mod tests {
             breaker: Some(BreakerMap::restore(
                 BreakerConfig { prefix_len: 48, threshold: 8, cooldown: 32 },
                 [(0x2001_0db8, 0, 1, 5), (0x2001_0db9, 2, 2, 0)]
-                    .map(|(domain, proto, tag, count)| ((domain, proto), BreakerState::decode(tag, count))),
+                    .map(|(domain, proto, tag, count)| ((domain, proto), BreakerState::decode(tag, count).unwrap())),
                 2,
                 11,
             )),

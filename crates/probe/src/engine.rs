@@ -11,31 +11,26 @@
 //! blocklist, once) and then run each target through the same per-target
 //! policy — breaker admission, retry budget, one
 //! [`Transport::probe_burst`], back-off and rate-limiter replay, breaker
-//! record. What differs is only where the loop runs:
+//! record — on a `Lane`: a transport with the state it carries, a token
+//! bucket and a breaker map. What differs is only whose lane:
 //!
-//! - one task, on the scanner's own transport, limiter and breaker map
-//!   ([`Scanner::scan`], one-shard scans, oracle probes), or
-//! - `protocols × W` tasks under [`sos_obs::par::par_map`]: one rule —
-//!   task = protocol position × W + **prefix hash** of the address —
-//!   decides which task owns a target, a breaker and a flow or fault
-//!   counter, so every fault domain and breaker domain lands wholly inside
-//!   one task and per-prefix state is lent to it and reclaimed, never
-//!   forked. Each task probes with a [`TokenBucket`] carved from the
-//!   global pps budget (`rate / tasks` each, so the aggregate still honors
-//!   Appendix A). Shard hits carry their global input index and are merged
+//! - the scanner's own ([`Scanner::scan`], one-shard scans, oracle
+//!   probes), or
+//! - one lent to each of `protocols × W` tasks under
+//!   [`sos_obs::par::par_map`]: one rule — task = protocol position × W +
+//!   **prefix hash** of the address — decides which task owns a target, a
+//!   breaker and a flow or fault counter, so every fault domain and breaker
+//!   domain lands wholly inside one task and per-prefix state moves there
+//!   and back (`Lane::lend`, `Lane::reclaim`), never forked. Each lent
+//!   lane carries a `rate / tasks` bucket, so the aggregate still honors
+//!   Appendix A. Shard hits carry their global input index and are merged
 //!   by sorting on it, so reports are bit-identical at every width.
 //!
-//! Byte-level packet round-tripping is the transport's default
-//! `probe_burst`, not a second engine path; `tests/parallel_scan.rs` holds
-//! the engine over [`SimTransport`](crate::sim::SimTransport)'s burst
-//! override to it, under every fault schedule.
-//!
-//! Hostile-network machinery (PR 6): a [`RetryPolicy`] replaces the fixed
-//! retry count (exponential backoff in *virtual* seconds with seeded
-//! jitter), and an optional per-prefix circuit breaker
-//! ([`BreakerConfig`]) stops probing prefixes that answer with nothing
-//! but silence — skipped targets are counted in [`ScanReport::skipped`],
-//! never probed, and never billed packets.
+//! Hostile networks: a [`RetryPolicy`] gives exponential backoff in
+//! *virtual* seconds with seeded jitter, and an optional per-prefix
+//! circuit breaker ([`BreakerConfig`]) stops probing prefixes that answer
+//! with nothing but silence — skipped targets are counted in
+//! [`ScanReport::skipped`], never probed, and never billed packets.
 //!
 //! [`ScanOracle`]: crate::oracle::ScanOracle
 
@@ -46,9 +41,10 @@ use netmodel::Protocol;
 use sos_obs::par::par_map;
 use v6addr::PrefixSet;
 
+use crate::carried::Carried;
 use crate::metrics::EngineMetrics;
 use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
-use crate::ratelimit::TokenBucket;
+use crate::ratelimit::{BucketSnapshot, TokenBucket};
 use crate::retry::{Admission, BreakerConfig, BreakerMap, RetryPolicy};
 use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
 
@@ -136,7 +132,7 @@ pub struct ScanReport {
     /// merges are order-invariant; converted once per target).
     pub backoff_waited_us: u64,
     /// Virtual microseconds of throttle latency the fault layer imposed
-    /// (integer, converted once per probe — see `Transport::throttled_us`).
+    /// (integer, converted once per probe — see `Carried::throttled_us`).
     pub throttled_us: u64,
     /// Virtual seconds the rate limiter would have imposed. For sharded
     /// scans this is the **maximum across shards** — the shards wait
@@ -235,7 +231,7 @@ impl ScanReport {
 /// provenance log — each prepared target's tag, keyed by that index.
 type Prepared = (Vec<(u32, Ipv6Addr)>, Option<Vec<Provenance>>);
 
-/// Flat per-target accounting: what [`probe_one`] adds up for every target
+/// Flat per-target accounting: what [`Lane::probe_one`] adds up for every target
 /// it handles, whoever asked. A scan shard flushes it once at the end, an
 /// oracle probe after its single target; the hot loop itself touches no
 /// shared counter per packet.
@@ -274,115 +270,192 @@ impl Tally {
     }
 }
 
-/// The per-target probe policy — the only place a probe is sent from.
-/// Breaker admission, the retry budget, one [`Transport::probe_burst`],
-/// back-off and rate-limiter replay, breaker record; everything it spends
-/// is added to `tally`. Returns `None` when an open breaker skipped the
-/// target (nothing transmitted).
-fn probe_one<T: Transport>(
-    cfg: &ScannerConfig,
-    transport: &mut T,
-    limiter: &mut Option<TokenBucket>,
-    breaker: &mut Option<BreakerMap>,
-    metrics: &EngineMetrics,
-    spec: &ProbeSpec,
-    tally: &mut Tally,
-) -> Option<Burst> {
-    if let Some(b) = breaker.as_mut() {
-        if b.admit(spec.dst, spec.proto) == Admission::Skip {
-            tally.skipped += 1;
-            return None;
+/// What one scan task owns while it probes: the transport with the state
+/// it carries, the task's share of the rate budget, and its breakers. The
+/// scanner holds one; a sharded scan lends one to every task and reclaims
+/// them ([`Lane::lend`], [`Lane::reclaim`]), and a campaign checkpoints
+/// and restores the scanner's ([`Lane::snapshot`], [`Lane::restore`]).
+#[derive(Debug)]
+pub(crate) struct Lane<T> {
+    transport: T,
+    limiter: Option<TokenBucket>,
+    breaker: Option<BreakerMap>,
+}
+
+/// A lane's cross-target state as of a round boundary — what a campaign
+/// checkpoint persists of it.
+pub(crate) struct LaneState {
+    pub(crate) limiter: Option<BucketSnapshot>,
+    pub(crate) fault_rows: Vec<(u128, u8, u32)>,
+    pub(crate) breaker: Option<BreakerMap>,
+}
+
+impl<T: Transport> Lane<T> {
+    /// `(drops, throttle µs)` the fault layer has cost so far; zeros for a
+    /// transport that carries no state.
+    fn fault_totals(&self) -> (u64, u64) {
+        self.transport.carried().map_or((0, 0), |c| (c.fault_drops(), c.throttled_us()))
+    }
+
+    /// The prefix length a sharded scan partitions targets by: coarse
+    /// enough that no active fault domain or breaker domain spans two
+    /// tasks (which would fork their per-prefix virtual clocks and make
+    /// results depend on the shard count).
+    fn partition_len(&self) -> u8 {
+        let fault = self.transport.carried().and_then(Carried::fault_plan).map(|p| p.prefix_len());
+        let breaker = self.breaker.as_ref().map(|b| b.config().effective_prefix_len());
+        fault.into_iter().chain(breaker).fold(48, u8::min)
+    }
+
+    pub(crate) fn snapshot(&self) -> LaneState {
+        LaneState {
+            limiter: self.limiter.as_ref().map(TokenBucket::snapshot),
+            fault_rows: self.transport.carried().map(Carried::fault_rows).unwrap_or_default(),
+            breaker: self.breaker.clone(),
         }
     }
-    let key = u128::from(spec.dst);
-    let budget = cfg.retry.attempts_allowed(cfg.salt, key);
-    let (faults, throttled) = (transport.faults_injected(), transport.throttled_us());
-    let burst = transport.probe_burst(spec, budget);
-    tally.faults += transport.faults_injected() - faults;
-    tally.throttled_us += transport.throttled_us() - throttled;
-    tally.packets += u64::from(burst.used);
-    tally.retries += u64::from(burst.used.saturating_sub(1));
-    tally.malformed += u64::from(burst.malformed);
-    tally.invalid += u64::from(burst.invalid);
-    // Tokens and backoff are replayed after the burst rather than around
-    // each packet: the bucket runs on virtual time, so each wait depends
-    // only on the advance/acquire sequence — backoff-advance, acquire,
-    // send — which is the order a packet-at-a-time sender would produce.
-    if let Some(tb) = limiter.as_mut() {
-        for attempt in 0..burst.used {
-            let d = cfg.retry.delay_before(attempt, cfg.salt, key);
-            if d > 0.0 {
-                tb.advance(d);
+
+    /// Put a snapshot back. A limiter or breaker map the snapshot lacks
+    /// (it was written without one) keeps this lane's own fresh one.
+    pub(crate) fn restore(&mut self, state: LaneState) {
+        if let Some(carried) = self.transport.carried_mut() {
+            carried.restore_fault_rows(&state.fault_rows);
+        }
+        self.limiter = state.limiter.as_ref().map(TokenBucket::restore).or(self.limiter.take());
+        self.breaker = state.breaker.or(self.breaker.take());
+    }
+
+    /// The per-target probe policy — the only place a probe is sent from.
+    /// Breaker admission, the retry budget, one [`Transport::probe_burst`],
+    /// back-off and rate-limiter replay, breaker record; everything it
+    /// spends is added to `tally`. Returns `None` when an open breaker
+    /// skipped the target (nothing transmitted).
+    fn probe_one(
+        &mut self,
+        cfg: &ScannerConfig,
+        metrics: &EngineMetrics,
+        spec: &ProbeSpec,
+        tally: &mut Tally,
+    ) -> Option<Burst> {
+        if let Some(b) = self.breaker.as_mut() {
+            if b.admit(spec.dst, spec.proto) == Admission::Skip {
+                tally.skipped += 1;
+                return None;
             }
-            let wait = tb.acquire();
-            if wait > 0.0 {
-                metrics.stall(wait);
+        }
+        let key = u128::from(spec.dst);
+        let budget = cfg.retry.attempts_allowed(cfg.salt, key);
+        let (faults, throttled) = self.fault_totals();
+        let burst = self.transport.probe_burst(spec, budget);
+        let (faults_now, throttled_now) = self.fault_totals();
+        tally.faults += faults_now - faults;
+        tally.throttled_us += throttled_now - throttled;
+        tally.packets += u64::from(burst.used);
+        tally.retries += u64::from(burst.used.saturating_sub(1));
+        tally.malformed += u64::from(burst.malformed);
+        tally.invalid += u64::from(burst.invalid);
+        // Tokens and backoff are replayed after the burst rather than around
+        // each packet: the bucket runs on virtual time, so each wait depends
+        // only on the advance/acquire sequence — backoff-advance, acquire,
+        // send — which is the order a packet-at-a-time sender would produce.
+        if let Some(tb) = self.limiter.as_mut() {
+            for attempt in 0..burst.used {
+                let d = cfg.retry.delay_before(attempt, cfg.salt, key);
+                if d > 0.0 {
+                    tb.advance(d);
+                }
+                let wait = tb.acquire();
+                if wait > 0.0 {
+                    metrics.stall(wait);
+                }
+                tally.limited_s += wait;
             }
-            tally.limited_s += wait;
+        }
+        let backoff = cfg.retry.total_backoff(burst.used, cfg.salt, key);
+        if backoff > 0.0 {
+            tally.backoff_us += secs_to_us(backoff);
+        }
+        if let Some(b) = self.breaker.as_mut() {
+            let failure = !matches!(burst.verdict, Attempt::Hit | Attempt::Rst);
+            tally.opened += u64::from(b.record(spec.dst, spec.proto, failure));
+        }
+        Some(burst)
+    }
+}
+
+impl<T: Transport + Clone> Lane<T> {
+    /// Lend one lane to each of `tasks` fan-out tasks. Per-prefix state
+    /// (flow, fault and breaker counters) *moves* to the task `owner`
+    /// names and stays here when it names none; every lane gets a
+    /// `rate / tasks` bucket, so the aggregate still honors Appendix A.
+    fn lend(
+        &mut self,
+        tasks: usize,
+        rate: Option<f64>,
+        owner: &dyn Fn(u128, u8) -> Option<usize>,
+    ) -> Vec<Lane<T>> {
+        // The carried state leaves before the transport is cloned, so a
+        // lent transport starts with exactly its task's counters and zero
+        // totals; a stateless transport lends plain clones.
+        let mut kept = self.transport.carried_mut().map(std::mem::take);
+        let mut carried = kept.as_mut().map(|c| c.lend(tasks, owner)).into_iter().flatten();
+        let mut breakers = self.breaker.as_mut().map(|b| b.lend(tasks, owner)).into_iter().flatten();
+        let lanes = (0..tasks)
+            .map(|_| {
+                let mut transport = self.transport.clone();
+                if let (Some(slot), Some(lent)) = (transport.carried_mut(), carried.next()) {
+                    *slot = lent;
+                }
+                Lane {
+                    transport,
+                    limiter: rate.map(|r| TokenBucket::split(r, r, tasks)),
+                    breaker: breakers.next(),
+                }
+            })
+            .collect();
+        if let (Some(slot), Some(kept)) = (self.transport.carried_mut(), kept) {
+            *slot = kept;
+        }
+        lanes
+    }
+
+    /// Take a lent lane back after its task: per-prefix state returns, so
+    /// later scans (and campaign checkpoints) continue the same clocks, and
+    /// fault and breaker totals add. Its packet count does not — the
+    /// scanner accounts task packets from the partial reports.
+    fn reclaim(&mut self, lent: Lane<T>) {
+        let Lane { mut transport, breaker, .. } = lent;
+        if let (Some(mine), Some(theirs)) = (self.transport.carried_mut(), transport.carried_mut()) {
+            mine.reclaim(std::mem::take(theirs));
+        }
+        if let (Some(mine), Some(theirs)) = (self.breaker.as_mut(), breaker) {
+            mine.absorb(theirs);
         }
     }
-    let backoff = cfg.retry.total_backoff(burst.used, cfg.salt, key);
-    if backoff > 0.0 {
-        tally.backoff_us += secs_to_us(backoff);
-    }
-    if let Some(b) = breaker.as_mut() {
-        let failure = !matches!(burst.verdict, Attempt::Hit | Attempt::Rst);
-        tally.opened += u64::from(b.record(spec.dst, spec.proto, failure));
-    }
-    Some(burst)
 }
 
-/// The prefix length the sharded pipeline partitions targets by: coarse
-/// enough that no active fault domain or breaker domain spans two shards
-/// (which would fork their per-prefix virtual clocks and make results
-/// depend on the shard count).
-fn shard_partition_len<T: Transport>(transport: &T, breaker: Option<&BreakerConfig>) -> u8 {
-    let mut len = 48u8;
-    if let Some(f) = transport.fault_prefix_len() {
-        len = len.min(f);
-    }
-    if let Some(b) = breaker {
-        len = len.min(b.effective_prefix_len());
-    }
-    len
-}
-
-/// Which shard owns a prefix-domain value (the address's top
-/// `partition_len` bits). Deterministic hash, uniform-ish across shards.
-#[inline]
-fn shard_of_domain(domain: u128, shards: usize) -> usize {
-    let h = v6addr::splitmix64((domain as u64) ^ ((domain >> 64) as u64).rotate_left(32));
-    (h % shards.max(1) as u64) as usize
-}
-
-/// Which shard owns an address.
+/// Which of `shards` owns an address: a deterministic, uniform-ish hash of
+/// its top `partition_len` bits (`1..=48`, see [`Lane::partition_len`]).
 #[inline]
 fn shard_of(addr: u128, partition_len: u8, shards: usize) -> usize {
-    let domain = if partition_len >= 128 {
-        addr
-    } else {
-        addr >> (128 - u32::from(partition_len))
-    };
-    shard_of_domain(domain, shards)
+    let domain = (addr >> (128 - u32::from(partition_len))) as u64;
+    (v6addr::splitmix64(domain) % shards.max(1) as u64) as usize
 }
 
 /// Probe one prepared slice of `(global index, target)` pairs, tallying a
 /// partial [`ScanReport`] plus index-tagged hits (the caller restores
 /// global hit order by sorting on the index). This is the scan loop: a
-/// shard worker runs it on its lent transport, and a single-task scan
-/// runs it on the scanner's own transport, limiter, and breaker.
+/// shard worker runs it on its lent lane, and a single-task scan runs it
+/// on the scanner's own.
 ///
 /// `prov`, when present, maps **global prepared index → provenance tag**
 /// (the full prepared-length slice, not the shard's slice); each probed
 /// target and each hit is tallied into the partial report's attribution
 /// table. Attribution writes touch nothing the probe path reads, so a
 /// tagged scan's hits and counters are bit-identical to an untagged one.
-#[allow(clippy::too_many_arguments)]
 fn scan_shard<T: Transport>(
     cfg: &ScannerConfig,
-    transport: &mut T,
-    limiter: &mut Option<TokenBucket>,
-    breaker: &mut Option<BreakerMap>,
+    lane: &mut Lane<T>,
     metrics: &EngineMetrics,
     targets: &[(u32, Ipv6Addr)],
     proto: Protocol,
@@ -393,8 +466,7 @@ fn scan_shard<T: Transport>(
     let mut tally = Tally::default();
     for &(idx, dst) in targets {
         let spec = cfg.spec(dst, proto, None);
-        let Some(burst) = probe_one(cfg, transport, limiter, breaker, metrics, &spec, &mut tally)
-        else {
+        let Some(burst) = lane.probe_one(cfg, metrics, &spec, &mut tally) else {
             continue;
         };
         report.probed += 1;
@@ -439,9 +511,8 @@ fn scan_shard<T: Transport>(
 #[derive(Debug)]
 pub struct Scanner<T: Transport> {
     cfg: ScannerConfig,
-    transport: T,
-    limiter: Option<TokenBucket>,
-    breaker: Option<BreakerMap>,
+    /// The scanner's own lane; campaigns checkpoint and restore it.
+    pub(crate) lane: Lane<T>,
     metrics: EngineMetrics,
     /// Packets transmitted by lent transports (not visible in
     /// `transport.packets_sent()`); folded into [`Scanner::packets_sent`].
@@ -455,9 +526,7 @@ impl<T: Transport> Scanner<T> {
         let breaker = cfg.breaker.map(BreakerMap::new);
         Scanner {
             cfg,
-            transport,
-            limiter,
-            breaker,
+            lane: Lane { transport, limiter, breaker },
             metrics: EngineMetrics::new(),
             shard_packets: 0,
         }
@@ -476,30 +545,12 @@ impl<T: Transport> Scanner<T> {
 
     /// The rate limiter, when one is configured.
     pub fn limiter(&self) -> Option<&TokenBucket> {
-        self.limiter.as_ref()
-    }
-
-    /// The per-prefix circuit-breaker state, when breaking is configured.
-    pub fn breaker(&self) -> Option<&BreakerMap> {
-        self.breaker.as_ref()
+        self.lane.limiter.as_ref()
     }
 
     /// Access the underlying transport.
     pub fn transport(&self) -> &T {
-        &self.transport
-    }
-
-    /// Mutable state handles for campaign checkpoint/restore.
-    pub(crate) fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
-    }
-
-    pub(crate) fn limiter_mut(&mut self) -> &mut Option<TokenBucket> {
-        &mut self.limiter
-    }
-
-    pub(crate) fn breaker_mut(&mut self) -> &mut Option<BreakerMap> {
-        &mut self.breaker
+        &self.lane.transport
     }
 
     /// Dedup + blocklist a target stream once, against this scanner's
@@ -549,48 +600,31 @@ impl<T: Transport> Scanner<T> {
     /// Total packets this scanner has transmitted, including packets sent
     /// by shard workers during parallel scans.
     pub fn packets_sent(&self) -> u64 {
-        self.transport.packets_sent() + self.shard_packets
+        self.lane.transport.packets_sent() + self.shard_packets
     }
 
     /// Probe one target to completion, optionally with a region tag: the
     /// feedback probe behind [`crate::oracle::ScanOracle`]. Runs the same
-    /// per-target policy as every scan, on this scanner's own transport,
-    /// limiter and breaker, and counts in the flat engine totals only.
+    /// per-target policy as every scan, on this scanner's own lane, and
+    /// counts in the flat engine totals only.
     /// `None` means an open breaker skipped the target.
     pub fn probe_target(&mut self, dst: Ipv6Addr, proto: Protocol, region: Option<u32>) -> Option<Burst> {
         let mut tally = Tally::default();
         let spec = self.cfg.spec(dst, proto, region);
-        let burst = probe_one(
-            &self.cfg,
-            &mut self.transport,
-            &mut self.limiter,
-            &mut self.breaker,
-            &self.metrics,
-            &spec,
-            &mut tally,
-        );
+        let burst = self.lane.probe_one(&self.cfg, &self.metrics, &spec, &mut tally);
         tally.flush(&self.metrics);
         burst
     }
 
-    /// Run one prepared list as a single task on the scanner's own
-    /// transport, persistent limiter, and breaker map.
+    /// Run one prepared list as a single task on the scanner's own lane.
     fn scan_single(
         &mut self,
         prepared: &[(u32, Ipv6Addr)],
         proto: Protocol,
         prov: Option<&[Provenance]>,
     ) -> ScanReport {
-        let (mut report, hits) = scan_shard(
-            &self.cfg,
-            &mut self.transport,
-            &mut self.limiter,
-            &mut self.breaker,
-            &self.metrics,
-            prepared,
-            proto,
-            prov,
-        );
+        let (mut report, hits) =
+            scan_shard(&self.cfg, &mut self.lane, &self.metrics, prepared, proto, prov);
         // A single task sees targets in input order already.
         report.hits = hits.into_iter().map(|(_, a)| a).collect();
         report
@@ -699,8 +733,8 @@ impl<T: Transport + Clone + Send> Scanner<T> {
     ) -> Vec<(Protocol, ScanReport)> {
         let shards = shards.max(1);
 
-        // A single task is `scan`'s path: the scanner's own transport,
-        // persistent limiter and breaker map, no thread. The one-item
+        // A single task is `scan`'s path: the scanner's own lane, no
+        // thread. The one-item
         // `par_map` still records the *requested* worker count so manifest
         // utilization aggregates stay truthful.
         if let (&[proto], true) = (protocols, shards == 1 || prepared.len() <= 1) {
@@ -714,7 +748,7 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         // Prefixes hash to shards at a length no fault or breaker domain
         // is coarser than; protocols not scanned here have no owner.
         let tasks = protocols.len() * shards;
-        let partition_len = shard_partition_len(&self.transport, self.cfg.breaker.as_ref());
+        let partition_len = self.lane.partition_len();
         let owner = |addr: u128, proto: u8| {
             let pi = protocols.iter().position(|p| p.index() as u8 == proto)?;
             Some(pi * shards + shard_of(addr, partition_len, shards))
@@ -728,41 +762,30 @@ impl<T: Transport + Clone + Send> Scanner<T> {
                 }
             }
         }
-        let transports = self.transport.lend(tasks, &owner);
-        let breakers: Vec<Option<BreakerMap>> = match self.breaker.as_mut() {
-            Some(parent) => parent.lend(tasks, owner).into_iter().map(Some).collect(),
-            None => vec![None; tasks],
-        };
+        let lanes = self.lane.lend(tasks, self.cfg.rate_pps, &owner);
 
-        let (cfg, metrics, rate) = (&self.cfg, &self.metrics, self.cfg.rate_pps);
-        let jobs: Vec<_> = targets.into_iter().zip(transports).zip(breakers).collect();
-        let results = par_map("scan_parallel", jobs, tasks, |task, ((targets, mut transport), mut breaker)| {
+        let (cfg, metrics) = (&self.cfg, &self.metrics);
+        let jobs: Vec<_> = targets.into_iter().zip(lanes).collect();
+        let results = par_map("scan_parallel", jobs, tasks, |task, (targets, mut lane)| {
             let proto = protocols[task / shards]; // task < tasks == protocols.len() * shards
             let _s = sos_obs::span_detail(
                 "scan_shard",
                 format!("proto={proto:?} shard={} targets={}", task % shards, targets.len()),
             );
-            let mut limiter = rate.map(|r| TokenBucket::split(r, r, tasks));
-            let (report, hits) =
-                scan_shard(cfg, &mut transport, &mut limiter, &mut breaker, metrics, &targets, proto, prov);
-            (report, hits, transport, breaker)
+            let (report, hits) = scan_shard(cfg, &mut lane, metrics, &targets, proto, prov);
+            (report, hits, lane)
         });
 
-        // Merge in task order: per protocol, its shards' partial reports;
-        // lent state returns so later scans (and campaign checkpoints)
-        // continue the same clocks.
+        // Merge in task order: per protocol, its shards' partial reports.
         let mut results = results.into_iter();
         protocols
             .iter()
             .map(|&proto| {
                 let mut report = ScanReport::default();
                 let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
-                for (partial, shard_hits, transport, breaker) in results.by_ref().take(shards) {
+                for (partial, shard_hits, lane) in results.by_ref().take(shards) {
                     self.shard_packets += partial.packets_sent;
-                    self.transport.reclaim(transport);
-                    if let (Some(parent), Some(lent)) = (self.breaker.as_mut(), breaker) {
-                        parent.absorb(lent);
-                    }
+                    self.lane.reclaim(lane);
                     hits.extend(shard_hits);
                     report.absorb_shard(partial);
                 }

@@ -13,21 +13,22 @@
 //!   Destination Unreachable and TCP RST are *never* hits. One per-target
 //!   probe loop serves scans, sharded scans, campaign rounds and oracle
 //!   probes alike.
-//! - [`transport::Transport`]: the probing boundary. Its default
-//!   [`Transport::probe_burst`] is the byte path — build a probe packet,
-//!   `send` it, parse/validate/classify the response bytes — and is what
-//!   any `send`-only transport runs. [`sim::SimTransport`] implements
-//!   `send` against the simulated Internet (parses the probe bytes,
-//!   consults the world oracle, crafts a real response packet) and
-//!   overrides `probe_burst` to ask the oracle directly; the byte path is
-//!   the reference that override is tested against
-//!   ([`transport::WireOnly`]), not a second production path.
+//! - [`transport::Transport`]: the probing boundary — `send` and
+//!   `packets_sent` to implement; the default [`Transport::probe_burst`] is
+//!   the byte path (build a probe packet, `send` it, parse, validate and
+//!   classify the response bytes). [`sim::SimTransport`] implements `send`
+//!   against the simulated Internet and overrides `probe_burst` to ask the
+//!   world oracle directly; the byte path, reachable through
+//!   [`transport::WireOnly`], is the reference that override is tested
+//!   against, not a second production path. What a transport keeps between
+//!   probes is one value, [`carried::Carried`].
 //! - [`oracle::ScanOracle`]: the feedback interface online TGAs (6Hit,
 //!   6Scan, DET, 6Sense) and the online dealiaser use, including 6Scan's
 //!   payload region-encoding: the region a tagged hit reports is what the
 //!   response echoes, exactly as it parses back from the probe payload.
 
 pub mod campaign;
+pub mod carried;
 pub mod engine;
 pub mod metrics;
 pub mod oracle;
@@ -42,6 +43,7 @@ pub mod transport;
 pub use campaign::{
     merged_attribution, Campaign, CampaignCheckpoint, CampaignResult, CampaignRun, RunOptions,
 };
+pub use carried::Carried;
 pub use engine::{ScanReport, Scanner, ScannerConfig};
 pub use metrics::EngineMetrics;
 pub use oracle::{NullOracle, ScanOracle};

@@ -111,30 +111,14 @@ impl<T: crate::transport::Transport, W: Write> crate::transport::Transport
         self.inner.packets_sent()
     }
 
-    // The capture is transparent to the fault layer underneath: its
-    // accounting and clocks are the inner transport's.
-    fn faults_injected(&self) -> u64 {
-        self.inner.faults_injected()
+    // The capture is transparent to the state underneath: the fault
+    // layer's accounting and clocks are the inner transport's.
+    fn carried(&self) -> Option<&crate::Carried> {
+        self.inner.carried()
     }
 
-    fn throttled_us(&self) -> u64 {
-        self.inner.throttled_us()
-    }
-
-    fn fault_prefix_len(&self) -> Option<u8> {
-        self.inner.fault_prefix_len()
-    }
-
-    fn fault_state(&self) -> Vec<(u128, u8, u32)> {
-        self.inner.fault_state()
-    }
-
-    fn restore_fault_state(&mut self, state: &[(u128, u8, u32)]) {
-        self.inner.restore_fault_state(state)
-    }
-
-    fn fault_epochs_at(&self, density: u32) -> Option<netmodel::FaultEpochs> {
-        self.inner.fault_epochs_at(density)
+    fn carried_mut(&mut self) -> Option<&mut crate::Carried> {
+        self.inner.carried_mut()
     }
 }
 
@@ -211,7 +195,10 @@ mod tests {
         let mut captured = Scanner::new(cfg, capture);
         let got = captured.scan(targets.iter().copied(), Protocol::Icmp);
         assert_eq!(got, want);
-        assert_eq!(captured.transport().fault_state(), bare.transport().fault_state());
+        assert_eq!(
+            captured.transport().carried().map(crate::Carried::fault_rows),
+            bare.transport().carried().map(crate::Carried::fault_rows)
+        );
         assert!(captured.transport().captured() >= got.packets_sent);
     }
 

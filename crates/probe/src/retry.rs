@@ -204,13 +204,14 @@ impl BreakerState {
         }
     }
 
-    /// Inverse of [`encode`](Self::encode); unknown tags decode to a fresh
-    /// closed breaker.
-    pub fn decode(tag: u8, count: u32) -> BreakerState {
+    /// Inverse of [`encode`](Self::encode); `None` for a tag it never
+    /// writes.
+    pub fn decode(tag: u8, count: u32) -> Option<BreakerState> {
         match tag {
-            1 => BreakerState::Open { skipped: count },
-            2 => BreakerState::HalfOpen,
-            _ => BreakerState::Closed { failures: count },
+            0 => Some(BreakerState::Closed { failures: count }),
+            1 => Some(BreakerState::Open { skipped: count }),
+            2 => Some(BreakerState::HalfOpen),
+            _ => None,
         }
     }
 
@@ -377,7 +378,7 @@ impl BreakerMap {
 
     /// Take a lent map's state back: states overwrite (a domain belongs to
     /// one task), counters add.
-    pub fn absorb(&mut self, shard: BreakerMap) {
+    pub(crate) fn absorb(&mut self, shard: BreakerMap) {
         self.states.extend(shard.states);
         self.opened += shard.opened;
         self.skipped += shard.skipped;
@@ -524,7 +525,8 @@ mod tests {
             BreakerState::HalfOpen,
         ] {
             let (t, c) = s.encode();
-            assert_eq!(BreakerState::decode(t, c), s);
+            assert_eq!(BreakerState::decode(t, c), Some(s));
         }
+        assert_eq!(BreakerState::decode(3, 0), None, "a tag nobody wrote is not a closed breaker");
     }
 }

@@ -8,110 +8,49 @@
 //! default [`Transport::probe_burst`] drives.
 //!
 //! The engine's probes take the [`Transport::probe_burst`] override
-//! instead: both ends of the exchange live in this process, so the
-//! craft→parse→validate round-trip is an identity map on the §4.1
-//! classification and can be skipped. The override consults the same
-//! oracle with the same attempt numbering and fault clock, so it is
-//! bit-identical to the byte path (the wire-reference suite in
-//! `tests/parallel_scan.rs` diffs the two through
+//! instead: it consults the same oracle with the same attempt numbering
+//! and fault clock, so it is bit-identical to the byte path (the
+//! wire-reference suite in `tests/parallel_scan.rs` diffs the two through
 //! [`crate::transport::WireOnly`]).
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use netmodel::{FaultEffect, ProbeReply, Protocol, World};
 
+use crate::carried::Carried;
 use crate::packet::dns::build_dns_response;
 use crate::packet::icmpv6::{build_dst_unreachable, build_echo_reply, NO_REGION};
-use crate::packet::ipv6::{NEXT_ICMPV6, NEXT_TCP, NEXT_UDP};
 use crate::packet::tcp::{build_rst, build_syn_ack};
 use crate::packet::{parse_packet, ParsedPacket};
 use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
 
-/// Hasher for the per-flow attempt map. SipHash on a 17-byte key costs
-/// about as much as the whole world-oracle lookup; flow keys are internal
-/// simulator state (no attacker-controlled collisions to defend against),
-/// so folding the key and running a splitmix-style finisher is plenty.
-#[derive(Clone, Copy, Default)]
-struct FlowHasher(u64);
-
-impl std::hash::Hasher for FlowHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        v6addr::splitmix64(self.0)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the (u128, u8) key, kept correct).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.0 = self.0.rotate_left(8) ^ u64::from(n);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.0 ^= (n as u64) ^ ((n >> 64) as u64).rotate_left(32);
-    }
-}
-
-/// (destination bits, protocol index) → attempts already transmitted.
-type FlowMap = HashMap<(u128, u8), u32, std::hash::BuildHasherDefault<FlowHasher>>;
-
-/// (fault domain, protocol index) → probes already sent into the domain.
-/// This is the fault layer's virtual clock (see `netmodel::faults`): it is
-/// scanner-side state, so it lives here rather than in the world.
-type DensityMap = HashMap<(u128, u8), u32, std::hash::BuildHasherDefault<FlowHasher>>;
-
 /// Transport backed by a [`World`].
 ///
 /// Loss is re-rolled per transmission via the world's `attempt` parameter.
-/// The attempt number is tracked **per (destination, protocol)**: the nth
-/// probe of an address on a protocol sees the same loss roll no matter how
-/// probes to other targets are interleaved around it. This is what makes
-/// sharded scans bit-identical to sequential ones — a shard task is lent
-/// the counters of its own slice of the target list, continues them, and
-/// hands them back ([`Transport::lend`] / [`Transport::reclaim`]).
+/// The attempt number is tracked **per (destination, protocol)** in the
+/// [`Carried`] state: the nth probe of an address on a protocol sees the
+/// same loss roll no matter how probes to other targets are interleaved
+/// around it. This is what makes sharded scans bit-identical to sequential
+/// ones — a shard task is lent the counters of its own slice of the target
+/// list, continues them, and hands them back.
 #[derive(Debug, Clone)]
 pub struct SimTransport {
     world: Arc<World>,
     sent: u64,
-    attempts: FlowMap,
-    density: DensityMap,
-    fault_drops: u64,
-    throttled_us: u64,
+    carried: Carried,
 }
 
 impl SimTransport {
     /// Attach to a world.
     pub fn new(world: Arc<World>) -> Self {
-        SimTransport {
-            world,
-            sent: 0,
-            attempts: FlowMap::default(),
-            density: DensityMap::default(),
-            fault_drops: 0,
-            throttled_us: 0,
-        }
+        let carried = Carried::new(world.faults());
+        SimTransport { world, sent: 0, carried }
     }
 
     /// The world this transport probes.
     pub fn world(&self) -> &World {
         &self.world
-    }
-
-    /// Next attempt number for one (destination, protocol) flow.
-    fn next_attempt(&mut self, dst: Ipv6Addr, proto: Protocol) -> u32 {
-        let slot = self.attempts.entry((u128::from(dst), proto.index() as u8)).or_insert(0);
-        let attempt = *slot;
-        *slot = slot.wrapping_add(1);
-        attempt
     }
 
     /// Classify the probe's protocol and addressing from its wire contents.
@@ -135,57 +74,6 @@ impl SimTransport {
     fn gateway_of(dst: Ipv6Addr) -> Ipv6Addr {
         Ipv6Addr::from(u128::from(dst) & !0xffff_ffff_ffff_ffffu128 | 1)
     }
-
-    /// Roll the fault layer for one probe to `dst` on `proto`: advance the
-    /// per-(domain, proto) density clock and ask the plan. Accounting for
-    /// the returned effect is the caller's job (the burst fast path
-    /// accumulates locally and flushes once per target).
-    fn roll_fault(&mut self, dst: Ipv6Addr, proto: Protocol) -> FaultEffect {
-        let plan = self.world.faults();
-        if !plan.active() {
-            return FaultEffect::Pass;
-        }
-        let domain = plan.domain_of(u128::from(dst));
-        let slot = self.density.entry((domain, proto.index() as u8)).or_insert(0);
-        let density = *slot;
-        *slot = slot.wrapping_add(1);
-        self.world.faults().effect(domain, proto, density)
-    }
-
-    /// Apply `roll_fault`'s verdict to this transport's accumulators and
-    /// say whether the probe still reaches the oracle.
-    fn apply_fault(&mut self, effect: FaultEffect) -> bool {
-        match effect {
-            FaultEffect::Pass => true,
-            FaultEffect::Delay(d) => {
-                // Converted per probe, matching `probe_burst`'s fast path,
-                // so wire and burst accounting agree to the microsecond.
-                self.throttled_us += crate::engine::secs_to_us(d);
-                true
-            }
-            FaultEffect::Drop(_) => {
-                self.fault_drops += 1;
-                false
-            }
-        }
-    }
-}
-
-/// Move every counter whose key `task_of` gives a task out of `from`, into
-/// the map `slot` picks on that task's transport; the rest stay.
-fn move_owned(
-    from: &mut FlowMap,
-    lent: &mut [SimTransport],
-    slot: fn(&mut SimTransport) -> &mut FlowMap,
-    task_of: impl Fn(u128, u8) -> Option<usize>,
-) {
-    from.retain(|&(key, proto), n| match task_of(key, proto).and_then(|t| lent.get_mut(t)) {
-        Some(task) => {
-            slot(task).insert((key, proto), *n);
-            false
-        }
-        None => true,
-    });
 }
 
 impl Transport for SimTransport {
@@ -194,14 +82,21 @@ impl Transport for SimTransport {
         // A malformed probe elicits nothing, like the real network.
         let parsed = parse_packet(packet).ok()?;
         let (proto, src, dst) = Self::route_of(&parsed)?;
-        let attempt = self.next_attempt(dst, proto);
+        let (slot, fault) = self.carried.slots(u128::from(dst), proto.index() as u8);
+        let attempt = bump(slot);
         // Hostile-network fault layer: the attempt number is consumed even
         // when the probe is dropped (the packet left the scanner), and the
         // roll happens before the oracle so a blackholed prefix never
         // reveals its ground truth.
-        let effect = self.roll_fault(dst, proto);
-        if !self.apply_fault(effect) {
-            return None;
+        match fault.map(|(plan, domain, dslot)| plan.effect(domain, proto, bump(dslot))) {
+            None | Some(FaultEffect::Pass) => {}
+            // Converted per probe, matching `probe_burst`, so wire and
+            // burst accounting agree to the microsecond.
+            Some(FaultEffect::Delay(d)) => self.carried.add_faults(0, crate::engine::secs_to_us(d)),
+            Some(FaultEffect::Drop(_)) => {
+                self.carried.add_faults(1, 0);
+                return None;
+            }
         }
         let reply = self.world.probe(dst, proto, attempt);
         if matches!(reply, ProbeReply::DstUnreachable) {
@@ -247,32 +142,19 @@ impl Transport for SimTransport {
     /// `NO_REGION`, which parses back as untagged. Attempt numbering, fault
     /// sequencing, early exit and packet counting match [`Self::send`].
     fn probe_burst(&mut self, spec: &ProbeSpec, budget: u32) -> Burst {
-        let world = Arc::clone(&self.world);
-        let plan = world.faults();
-        let slot = self
-            .attempts
-            .entry((u128::from(spec.dst), spec.proto.index() as u8))
-            .or_insert(0);
-        // Fault layer: the density slot is fetched once per target too
-        // (the whole burst lands in one fault domain). `dslot` is None
-        // exactly when the plan is inactive.
-        let domain = plan.domain_of(u128::from(spec.dst));
-        let mut dslot = plan
-            .active()
-            .then(|| self.density.entry((domain, spec.proto.index() as u8)).or_insert(0));
+        // Both slots are fetched once per target (the whole burst lands in
+        // one fault domain). `fault` is None exactly when no plan is active.
+        let (slot, mut fault) = self.carried.slots(u128::from(spec.dst), spec.proto.index() as u8);
         let mut drops = 0u64;
         let mut delay_us = 0u64;
         let mut burst = Burst::silent();
         while burst.used < budget {
-            let attempt = *slot;
-            *slot = slot.wrapping_add(1);
+            let attempt = bump(slot);
             burst.used += 1;
-            if let Some(dslot) = dslot.as_deref_mut() {
-                let density = *dslot;
-                *dslot = dslot.wrapping_add(1);
+            if let Some((plan, domain, dslot)) = fault.as_mut() {
                 // Density advances even for dropped probes, exactly like
                 // the wire path: the packet left the scanner.
-                match plan.effect(domain, spec.proto, density) {
+                match plan.effect(*domain, spec.proto, bump(dslot)) {
                     FaultEffect::Drop(_) => {
                         drops += 1;
                         continue;
@@ -281,7 +163,7 @@ impl Transport for SimTransport {
                     FaultEffect::Pass => {}
                 }
             }
-            match world.probe(spec.dst, spec.proto, attempt) {
+            match self.world.probe(spec.dst, spec.proto, attempt) {
                 ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer => {
                     burst.verdict = Attempt::Hit;
                     burst.tag = spec
@@ -301,64 +183,26 @@ impl Transport for SimTransport {
             }
         }
         self.sent += u64::from(burst.used);
-        self.fault_drops += drops;
-        self.throttled_us += delay_us;
+        self.carried.add_faults(drops, delay_us);
         burst
     }
 
-    fn faults_injected(&self) -> u64 {
-        self.fault_drops
+    fn carried(&self) -> Option<&Carried> {
+        Some(&self.carried)
     }
 
-    fn throttled_us(&self) -> u64 {
-        self.throttled_us
-    }
-
-    fn fault_prefix_len(&self) -> Option<u8> {
-        let plan = self.world.faults();
-        plan.active().then(|| plan.prefix_len())
-    }
-
-    /// Each flow counter moves to the task that owns its address, each
-    /// density counter to the task that owns its fault domain.
-    fn lend(&mut self, tasks: usize, owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Self> {
-        let mut lent: Vec<Self> = (0..tasks).map(|_| SimTransport::new(Arc::clone(&self.world))).collect();
-        let shift = 128 - u32::from(self.world.faults().prefix_len());
-        move_owned(&mut self.attempts, &mut lent, |t| &mut t.attempts, owner);
-        move_owned(&mut self.density, &mut lent, |t| &mut t.density, |domain, proto| owner(domain << shift, proto));
-        lent
-    }
-
-    fn reclaim(&mut self, lent: Self) {
-        self.attempts.extend(lent.attempts);
-        self.density.extend(lent.density);
-        self.fault_drops += lent.fault_drops;
-        self.throttled_us += lent.throttled_us;
-    }
-
-    fn fault_state(&self) -> Vec<(u128, u8, u32)> {
-        let mut out: Vec<(u128, u8, u32)> =
-            self.density.iter().map(|(&(d, p), &n)| (d, p, n)).collect();
-        out.sort_unstable();
-        out
-    }
-
-    fn restore_fault_state(&mut self, state: &[(u128, u8, u32)]) {
-        for &(domain, proto, n) in state {
-            self.density.insert((domain, proto), n);
-        }
-    }
-
-    fn fault_epochs_at(&self, density: u32) -> Option<netmodel::FaultEpochs> {
-        let plan = self.world.faults();
-        plan.active().then(|| plan.epochs_at(density))
+    fn carried_mut(&mut self) -> Option<&mut Carried> {
+        Some(&mut self.carried)
     }
 }
 
-/// Quick sanity: next-header constants referenced by the parser must match
-/// what builders emit (compile-time usage keeps imports honest).
-#[allow(dead_code)]
-const _ASSERT_NH: (u8, u8, u8) = (NEXT_ICMPV6, NEXT_TCP, NEXT_UDP);
+/// Post-increment a counter slot.
+#[inline]
+fn bump(slot: &mut u32) -> u32 {
+    let n = *slot;
+    *slot = slot.wrapping_add(1);
+    n
+}
 
 #[cfg(test)]
 mod tests {
@@ -503,6 +347,10 @@ mod tests {
         }
     }
 
+    fn carried(t: &impl Transport) -> &Carried {
+        t.carried().expect("the simulator carries state")
+    }
+
     fn faulty_world(cfg: netmodel::FaultConfig) -> Arc<World> {
         let mut wc = WorldConfig::tiny(21);
         wc.faults = cfg;
@@ -535,9 +383,10 @@ mod tests {
                     );
                 }
                 assert_eq!(wire.packets_sent(), fast.packets_sent(), "{proto:?}");
-                assert_eq!(wire.faults_injected(), fast.faults_injected(), "{proto:?}");
+                let (wire, fast) = (carried(&wire), carried(&fast));
+                assert_eq!(wire.fault_drops(), fast.fault_drops(), "{proto:?}");
                 assert_eq!(wire.throttled_us(), fast.throttled_us(), "{proto:?}");
-                assert_eq!(wire.fault_state(), fast.fault_state(), "{proto:?}");
+                assert_eq!(wire.fault_rows(), fast.fault_rows(), "{proto:?}");
             }
         }
     }
@@ -551,7 +400,7 @@ mod tests {
         for _ in 0..6 {
             assert!(t.send(&build_probe(src, dst, Protocol::Icmp, 5, None)).is_none());
         }
-        assert_eq!(t.faults_injected(), 6, "every probe was eaten by the blackhole");
+        assert_eq!(carried(&t).fault_drops(), 6, "every probe was eaten by the blackhole");
         assert_eq!(t.packets_sent(), 6, "dropped probes still count as sent");
     }
 
@@ -575,52 +424,7 @@ mod tests {
         let b = t.probe_burst(&spec, 4);
         assert_eq!(b.verdict, Attempt::Hit, "throttle delays, never drops");
         let expect = u64::from(b.used) * 50_000;
-        assert_eq!(t.throttled_us(), expect);
-        assert_eq!(t.faults_injected(), 0);
-    }
-
-    #[test]
-    fn lend_zeroes_counters_and_reclaim_returns_state() {
-        let w = faulty_world(netmodel::FaultConfig::blackholes(1.0, 1.0));
-        let dst = find_live(&w, Protocol::Icmp);
-        let mut base = SimTransport::new(w);
-        let spec = ProbeSpec {
-            src: "2001:db8::100".parse().unwrap(),
-            dst,
-            proto: Protocol::Icmp,
-            salt: 5,
-            region: None,
-            validate: true,
-        };
-        base.probe_burst(&spec, 2);
-        base.probe_burst(&ProbeSpec { proto: Protocol::Tcp80, ..spec }, 1);
-        assert_eq!(base.faults_injected(), 3);
-        let before = base.fault_state();
-        let (icmp, tcp80) = (Protocol::Icmp.index() as u8, Protocol::Tcp80.index() as u8);
-        // Task 1 of 2 owns everything on ICMP; TCP/80 is not in this call.
-        let owner = |addr: u128, p: u8| {
-            assert_eq!(addr >> 80, u128::from(dst) >> 80, "owners see an address inside the domain");
-            (p == icmp).then_some(1)
-        };
-        let mut lent = base.lend(2, &owner);
-        assert_eq!(base.fault_state(), [(before[1].0, tcp80, 1)], "unowned state stays on the parent");
-        assert!(lent[0].fault_state().is_empty(), "task 0 owns nothing");
-        let mut shard = lent.pop().unwrap();
-        assert_eq!(shard.packets_sent(), 0);
-        assert_eq!(shard.faults_injected(), 0);
-        assert_eq!(shard.fault_state(), [before[0]], "density carried over");
-        shard.probe_burst(&spec, 3);
-        assert_eq!(shard.faults_injected(), 3, "shard reports its own delta");
-        assert_eq!(shard.attempts[&(u128::from(dst), icmp)], 5, "flow attempts continue: 2 + 3");
-        base.reclaim(shard);
-        assert_eq!(base.faults_injected(), 6);
-        assert_eq!(base.packets_sent(), 3, "packets are the engine's to account");
-        // density continued from the base's clock: 2 + 3 probes
-        let state = base.fault_state();
-        assert_eq!(state, [(before[0].0, icmp, 5), before[1]]);
-        // and restore round-trips
-        let mut fresh = SimTransport::new(base.world.clone());
-        fresh.restore_fault_state(&state);
-        assert_eq!(fresh.fault_state(), state);
+        assert_eq!(carried(&t).throttled_us(), expect);
+        assert_eq!(carried(&t).fault_drops(), 0);
     }
 }

@@ -1,19 +1,31 @@
 //! The transport boundary.
 //!
 //! The scanner never sees the world directly: it asks a [`Transport`] to
-//! probe one target to completion ([`Transport::probe_burst`]). A transport
-//! that only implements [`Transport::send`] — a raw socket in the paper's
-//! deployment, [`crate::pcap::CapturingTransport`] and [`ScriptedTransport`]
-//! here — gets the byte-level default: real probe packets out, response
-//! bytes parsed, validated and classified. The simulated Internet
-//! ([`crate::sim::SimTransport`]) answers bursts from its oracle directly,
-//! and [`WireOnly`] strips that override so tests can hold it to the byte
-//! path's answers. Everything above the transport is identical either way.
+//! probe one target to completion ([`Transport::probe_burst`]).
+//!
+//! - A transport **must** implement [`Transport::send`] and
+//!   [`Transport::packets_sent`]. That is all a raw socket in the paper's
+//!   deployment, [`crate::pcap::CapturingTransport`] or
+//!   [`ScriptedTransport`] does, and it gets the byte-level `probe_burst`:
+//!   real probe packets out, response bytes parsed, validated, classified.
+//! - It **may** override `probe_burst` when both ends of the exchange live
+//!   in one process ([`crate::sim::SimTransport`] asks its oracle
+//!   directly); [`WireOnly`] strips an override so tests can hold it to
+//!   the byte path's answers.
+//! - It **may** expose the state it carries from one probe to the next
+//!   ([`Transport::carried`]: per-flow attempt counters, the fault layer's
+//!   per-prefix clock and totals — see [`Carried`]). The engine moves that
+//!   state to the scan task that owns it and back, and campaign checkpoints
+//!   persist it, so sharded and resumed scans continue the same clocks. A
+//!   transport without such state leaves the accessors at `None`.
+//!
+//! Everything above the transport is identical either way.
 
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
 
+use crate::carried::Carried;
 use crate::packet::{build_probe, parse_packet, validate_response, ParsedPacket};
 
 /// Everything a transport needs to perform one probe attempt on its own:
@@ -139,70 +151,15 @@ pub trait Transport {
         burst
     }
 
-    /// Probes the hostile-network fault layer dropped, if this transport
-    /// models one (see [`crate::sim::SimTransport`]). Defaults to 0 for
-    /// fault-free transports.
-    fn faults_injected(&self) -> u64 {
-        0
-    }
-
-    /// Cumulative virtual **microseconds** of throttle latency the fault
-    /// layer added to probes that still went through. Integer so shard
-    /// partial sums merge order-invariantly — f64 addition is not
-    /// associative, and the last-bit drift would break the sequential ≡
-    /// sharded bit-identity contract.
-    fn throttled_us(&self) -> u64 {
-        0
-    }
-
-    /// Fault-domain granularity in bits (`1..=128`), when a fault layer is
-    /// active. The sharded scan pipeline partitions targets by prefix so
-    /// that no fault domain ever spans two shards (which would fork the
-    /// per-domain density clock and break bit-identity).
-    fn fault_prefix_len(&self) -> Option<u8> {
+    /// The cross-target state this transport carries from one probe to the
+    /// next, if it keeps any. Default: none — a stateless transport.
+    fn carried(&self) -> Option<&Carried> {
         None
     }
 
-    /// Lend one transport to each of `tasks` fan-out tasks. Cross-target
-    /// state (flow attempt counters, fault density) *moves* to the task
-    /// that `owner(address inside the key's domain, protocol index)` names
-    /// — the rule the scan partitions its targets by, so a task only ever
-    /// touches state it owns — and stays here when `owner` names none.
-    /// Lent transports count packets, fault drops and throttle time from
-    /// zero, so each reports clean deltas. Default: stateless clones.
-    fn lend(&mut self, tasks: usize, _owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Self>
-    where
-        Self: Clone + Sized,
-    {
-        (0..tasks).map(|_| self.clone()).collect()
-    }
-
-    /// Take a lent transport back after its task: its cross-target state
-    /// returns, so later scans continue the same per-flow and per-domain
-    /// counters, and its fault accumulators add. Packet counts do NOT —
-    /// the engine accounts task packets separately. Default: nothing.
-    fn reclaim(&mut self, _lent: Self)
-    where
-        Self: Sized,
-    {
-    }
-
-    /// Snapshot the per-(fault domain, protocol) probe-density counters,
-    /// sorted by key — the fault layer's virtual clock, persisted by
-    /// campaign checkpoints. Empty when no fault layer is modeled.
-    fn fault_state(&self) -> Vec<(u128, u8, u32)> {
-        Vec::new()
-    }
-
-    /// Restore counters captured by [`Transport::fault_state`].
-    fn restore_fault_state(&mut self, _state: &[(u128, u8, u32)]) {}
-
-    /// Map one fault domain's probe density onto the fault layer's epoch
-    /// readout (burst/blackhole/throttle epoch indices at that density),
-    /// when a fault layer is active. Campaign telemetry diffs this across
-    /// round boundaries to journal fault-epoch transitions; the readout is
-    /// pure (no state is advanced) and never feeds back into scanning.
-    fn fault_epochs_at(&self, _density: u32) -> Option<netmodel::FaultEpochs> {
+    /// Mutable access to the same state: the engine takes it out to lend
+    /// it to scan tasks and puts it back, a campaign resume restores it.
+    fn carried_mut(&mut self) -> Option<&mut Carried> {
         None
     }
 }
@@ -265,36 +222,18 @@ impl Transport for ScriptedTransport {
 #[derive(Debug, Clone)]
 pub struct WireOnly<T>(pub T);
 
-impl<T: Transport + Clone> Transport for WireOnly<T> {
+impl<T: Transport> Transport for WireOnly<T> {
     fn send(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
         self.0.send(packet)
     }
     fn packets_sent(&self) -> u64 {
         self.0.packets_sent()
     }
-    fn faults_injected(&self) -> u64 {
-        self.0.faults_injected()
+    fn carried(&self) -> Option<&Carried> {
+        self.0.carried()
     }
-    fn throttled_us(&self) -> u64 {
-        self.0.throttled_us()
-    }
-    fn fault_prefix_len(&self) -> Option<u8> {
-        self.0.fault_prefix_len()
-    }
-    fn lend(&mut self, tasks: usize, owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Self> {
-        self.0.lend(tasks, owner).into_iter().map(WireOnly).collect()
-    }
-    fn reclaim(&mut self, lent: Self) {
-        self.0.reclaim(lent.0)
-    }
-    fn fault_state(&self) -> Vec<(u128, u8, u32)> {
-        self.0.fault_state()
-    }
-    fn restore_fault_state(&mut self, state: &[(u128, u8, u32)]) {
-        self.0.restore_fault_state(state)
-    }
-    fn fault_epochs_at(&self, density: u32) -> Option<netmodel::FaultEpochs> {
-        self.0.fault_epochs_at(density)
+    fn carried_mut(&mut self) -> Option<&mut Carried> {
+        self.0.carried_mut()
     }
 }
 

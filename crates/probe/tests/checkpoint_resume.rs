@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use netmodel::{FaultConfig, Protocol, World, WorldConfig};
 use sos_probe::{
-    BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner,
-    ScannerConfig, SimTransport,
+    BreakerConfig, BreakerMap, BreakerState, Campaign, CampaignCheckpoint, RetryPolicy,
+    RunOptions, Scanner, ScannerConfig, SimTransport,
 };
 
 fn hostile_world(seed: u64) -> Arc<World> {
@@ -303,7 +303,10 @@ fn unopenable_journal_fails_before_the_first_probe() {
     assert_eq!(s.packets_sent(), 0);
 }
 
-/// Damaged checkpoint files are refused with an error, never a panic.
+/// Damaged checkpoint files are refused with an error, never a panic —
+/// and never loaded as something else: an out-of-range protocol index,
+/// breaker tag, prefix length or count names its field instead of being
+/// narrowed into state nobody wrote.
 #[test]
 fn damaged_checkpoints_load_as_errors() {
     let report = sos_probe::ScanReport {
@@ -317,26 +320,48 @@ fn damaged_checkpoints_load_as_errors() {
         rounds: 1,
         reports: vec![(Protocol::Icmp, report)],
         limiter: None,
-        fault_state: Vec::new(),
-        breaker: None,
+        fault_state: vec![(0xf1 << 80, 1, 777), (0xf2 << 80, 2, 888)],
+        breaker: Some(BreakerMap::restore(
+            BreakerConfig::default(),
+            [((0xb1, 3), BreakerState::Open { skipped: 999 })],
+            1,
+            999,
+        )),
         counters: Default::default(),
     };
     let path = tmp("damaged");
     ckpt.save(&path).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
+    // The same document without whitespace, for the one-value edits below.
+    let compact = ckpt.to_json().to_string();
+    std::fs::write(&path, &compact).unwrap();
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
 
     let mid_hits = text.find("\"hits\"").unwrap() + 200;
     assert!(mid_hits < text.find("\"probed\"").unwrap());
-    let wrong_version = text.replacen("\"version\": 1", "\"version\": 2", 1);
-    assert_ne!(wrong_version, text);
-    for (what, body) in [
-        ("truncated mid-hits", &text[..mid_hits]),
-        ("empty", ""),
-        ("wrong version", wrong_version.as_str()),
+    let edit = |from: &str, to: &str| {
+        assert_eq!(compact.matches(from).count(), 1, "{from} must name one value");
+        compact.replacen(from, to, 1)
+    };
+    for (what, body, names) in [
+        ("truncated mid-hits", text[..mid_hits].to_string(), ""),
+        ("empty", String::new(), ""),
+        ("wrong version", edit("\"version\":1,", "\"version\":2,"), "version"),
+        ("fault row protocol 300 (44 as u8)", edit(",1,777]", ",300,777]"), "fault_state"),
+        ("fault row count 2^40", edit(",1,777]", ",1,1099511627776]"), "fault_state"),
+        ("fault row of two", edit(",2,888]", ",2]"), "fault_state"),
+        ("breaker row protocol 4", edit(",3,1,999]", ",4,1,999]"), "breaker.entries"),
+        ("breaker row tag 3", edit(",3,1,999]", ",3,3,999]"), "breaker.entries"),
+        ("breaker row tag 257 (1 as u8)", edit(",3,1,999]", ",3,257,999]"), "breaker.entries"),
+        ("breaker row count 2^32", edit(",3,1,999]", ",3,1,4294967296]"), "breaker.entries"),
+        ("prefix_len 304 (48 as u8)", edit("\"prefix_len\":48,", "\"prefix_len\":304,"), "prefix_len"),
+        ("prefix_len 0", edit("\"prefix_len\":48,", "\"prefix_len\":0,"), "prefix_len"),
+        ("threshold 2^32 + 8", edit("\"threshold\":8,", "\"threshold\":4294967304,"), "threshold"),
     ] {
         std::fs::write(&path, body).unwrap();
-        assert!(CampaignCheckpoint::load(&path).is_err(), "{what} must not load");
+        let err = CampaignCheckpoint::load(&path).expect_err(what);
+        assert!(err.contains(names), "{what}: {err:?} must name {names:?}");
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -13,9 +13,10 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use netmodel::{FaultConfig, PortSet, Protocol, World, WorldConfig, PROTOCOLS};
+use sos_probe::packet::icmpv6::build_echo_reply;
 use sos_probe::{
-    BreakerConfig, Burst, CampaignResult, RetryPolicy, ScanOracle, Scanner, ScannerConfig,
-    SimTransport, Transport, WireOnly,
+    parse_packet, BreakerConfig, Burst, CampaignResult, ParsedPacket, RetryPolicy, ScanOracle,
+    Scanner, ScannerConfig, SimTransport, Transport, WireOnly,
 };
 
 fn world(faults: FaultConfig) -> Arc<World> {
@@ -108,6 +109,11 @@ fn follow_up<T: Transport>(s: &mut Scanner<T>, t: &[Ipv6Addr]) -> Vec<Option<Bur
     bursts
 }
 
+/// The fault layer's density clock, as the scanner's transport carries it.
+fn fault_rows<T: Transport>(s: &Scanner<T>) -> Vec<(u128, u8, u32)> {
+    s.transport().carried().expect("the simulator carries state").fault_rows()
+}
+
 /// 4 protocols × faults {off, hostile} × breaker {off, on} × shards
 /// {1, 3, 4, 8}: per-protocol `scan_parallel` calls and a campaign's
 /// `run_with` rounds both report exactly what the wire reference reports —
@@ -141,8 +147,8 @@ fn scans_and_campaigns_match_the_wire_reference() {
                 }
                 assert_eq!(s.packets_sent(), wire_scanner.packets_sent(), "scan_parallel at {at}");
                 assert_eq!(s.metrics().counters(), wire_counters, "scan_parallel at {at}");
-                let wire_faults = wire_scanner.transport().fault_state();
-                assert_eq!(s.transport().fault_state(), wire_faults, "scan_parallel at {at}");
+                let wire_faults = fault_rows(&wire_scanner);
+                assert_eq!(fault_rows(&s), wire_faults, "scan_parallel at {at}");
                 follow_ups.push((format!("scan_parallel at {at}"), follow_up(&mut s, &t)));
 
                 let mut s = scanner(world.clone(), breaker);
@@ -161,7 +167,7 @@ fn scans_and_campaigns_match_the_wire_reference() {
                     *counters.get_mut(name).expect("registered counter") *= PROTOCOLS.len() as u64;
                 }
                 assert_eq!(counters, wire_counters, "run_with at {at}");
-                assert_eq!(s.transport().fault_state(), wire_faults, "run_with at {at}");
+                assert_eq!(fault_rows(&s), wire_faults, "run_with at {at}");
                 follow_ups.push((format!("run_with at {at}"), follow_up(&mut s, &t)));
             }
             let want = follow_up(&mut wire_scanner, &t);
@@ -216,6 +222,46 @@ fn oracle_probes_match_the_wire_reference() {
             assert_eq!(fast.metrics().counter(name), 0, "oracle probes stay out of {name}");
         }
         assert!(fast.metrics().counter("probe.packets_sent") > 0);
+    }
+}
+
+/// A downstream-style transport: `send` + `packets_sent` and nothing else
+/// — no burst override, no carried state. It answers every ICMP echo.
+#[derive(Clone, Default)]
+struct EchoAll(u64);
+
+impl Transport for EchoAll {
+    fn send(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
+        self.0 += 1;
+        match parse_packet(packet).ok()? {
+            ParsedPacket::EchoRequest { src, dst, ident, seq, payload } => {
+                let echoed = payload.map(|p| p.to_bytes().to_vec()).unwrap_or_default();
+                Some(build_echo_reply(dst, src, ident, seq, &echoed))
+            }
+            _ => None,
+        }
+    }
+
+    fn packets_sent(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The stateless side of the engine's lend — a `Clone` transport that
+/// carries nothing is lent as plain clones — which no transport in the
+/// tree takes: a sharded scan over one must still equal the single-task
+/// scan, and the scanner must count the packets its clones sent.
+#[test]
+fn stateless_clone_transport_shards_like_it_scans() {
+    let t = targets(&world(FaultConfig::off()));
+    let mut seq = Scanner::new(config(true), EchoAll::default());
+    let want = seq.scan(t.iter().copied(), Protocol::Icmp);
+    assert!(want.probed > 0 && want.hits.len() == want.probed, "every echo is answered");
+    for shards in [1, 3] {
+        let mut par = Scanner::new(config(true), EchoAll::default());
+        let got = par.scan_parallel(t.iter().copied(), Protocol::Icmp, shards);
+        assert_eq!(got, want, "shards={shards}");
+        assert_eq!(par.packets_sent(), seq.packets_sent(), "shards={shards}");
     }
 }
 
