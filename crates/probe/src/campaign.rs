@@ -13,20 +13,32 @@
 //! and at each round boundary the cross-target machine state (the fault
 //! layer's per-prefix density clocks, circuit-breaker states, the rate
 //! limiter's virtual clock, the metric counters) is re-read into it from
-//! the scanner once. Everything a boundary emits is a view of that state
-//! and the one before it: the checkpoint file is its serialization, the
-//! journal's breaker / fault-epoch records are the diff of the two, and
-//! the counter snapshot (journal record and `.prom` file, one cadence)
-//! carries its counters. A killed campaign resumed from its last
-//! checkpoint produces a [`CampaignRun`] **bit-identical** to the
-//! uninterrupted run: every piece of cross-target state is keyed by
-//! `(prefix-or-address, protocol)` and restored exactly, and floats travel
-//! as raw bits. Cooperative cancellation (an [`AtomicBool`]) and
-//! `stop_after_rounds` stop at the same round boundaries the checkpoints
-//! are written at.
+//! the scanner once, which also yields the per-prefix rows the round
+//! changed. Everything a boundary emits is a view of that state and those
+//! rows: the journal's breaker / fault-epoch records are the steps the
+//! rows took, the counter snapshot (journal record and `.prom` file, one
+//! cadence) carries the state's counters, and the checkpoint is the
+//! state's serialization in one of two forms. The **document** is the
+//! whole state and is written where the file must stand on its own: at an
+//! invocation's first boundary, on a stop or cancel, and at the
+//! campaign's last boundary. Every other boundary appends one line to a
+//! **write-ahead log** beside it (`<checkpoint>.wal`) holding what the
+//! round added — its own per-protocol reports and the changed rows — so a
+//! boundary costs what its round touched, not what the campaign has
+//! accumulated. [`CampaignCheckpoint::load`] reads the document and folds
+//! the log's lines back in; writing the document removes the log.
+//!
+//! A killed campaign resumed from its last checkpoint produces a
+//! [`CampaignRun`] **bit-identical** to the uninterrupted run's, wherever
+//! the kill fell: every piece of cross-target state is keyed by
+//! `(prefix-or-address, protocol)` and restored exactly, floats travel as
+//! raw bits, and a log line folds with the operation the live run used.
+//! Cooperative cancellation (an [`AtomicBool`]) and `stop_after_rounds`
+//! stop at the same round boundaries the checkpoints are written at.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::io::Write as _;
 use std::net::Ipv6Addr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -111,8 +123,11 @@ pub struct RunOptions {
     /// Prepared targets per round. `0` means one single round (no
     /// intermediate checkpoint boundaries).
     pub checkpoint_every: usize,
-    /// Where to write the checkpoint after every round. `None` disables
-    /// persistence (rounds and cancellation still apply).
+    /// Where the checkpoint is kept, made durable after every round: the
+    /// document at this path plus, between document writes, a write-ahead
+    /// log beside it (the same name with a `.wal` extension) — read both
+    /// back with [`CampaignCheckpoint::load`]. `None` disables persistence
+    /// (rounds and cancellation still apply).
     pub checkpoint_path: Option<PathBuf>,
     /// Cooperative cancellation: checked at every round boundary; when
     /// set, the campaign checkpoints and returns `completed = false`.
@@ -166,10 +181,11 @@ pub struct CampaignRun {
 /// The campaign's state — progress, partial reports, and every piece of
 /// cross-target machine state as of the last round boundary — which is
 /// everything needed to resume a killed campaign bit-identically. The
-/// checkpoint file is its serialization: JSON (`u128` addresses as
+/// checkpoint document is its serialization: JSON (`u128` addresses as
 /// 32-digit hex strings, floats as `f64::to_bits`), guarded by a
 /// fingerprint over the target list, protocol set, and scanner
-/// configuration.
+/// configuration. The write-ahead log's lines use the same encodings for
+/// the part of the state one round changed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// FNV-1a over the canonical campaign identity (targets, protocols,
@@ -334,6 +350,145 @@ fn proto_by_index(idx: u64) -> Result<Protocol, String> {
         .ok_or_else(|| format!("unknown protocol index {idx}"))
 }
 
+/// The `[{proto, report}, …]` list a document stores cumulatively and a
+/// write-ahead line stores for its one round.
+fn reports_to_json(reports: &[(Protocol, ScanReport)]) -> Json {
+    let entry = |(proto, report): &(Protocol, ScanReport)| {
+        let mut o = Json::obj();
+        o.set("proto", proto.index() as u64).set("report", report_to_json(report));
+        o
+    };
+    Json::Arr(reports.iter().map(entry).collect())
+}
+
+fn reports_from_json(j: &Json) -> Result<Vec<(Protocol, ScanReport)>, String> {
+    j.get("reports")
+        .and_then(Json::as_arr)
+        .ok_or("checkpoint missing reports")?
+        .iter()
+        .map(|entry| {
+            let proto = proto_by_index(get_u64(entry, "proto")?)?;
+            let report = report_from_json(entry.get("report").ok_or("report entry missing body")?)?;
+            Ok((proto, report))
+        })
+        .collect()
+}
+
+/// Fold one round's per-protocol reports into the cumulative ones, by
+/// position ([`same_protocols`] holds between the two) — the one operation
+/// both the live run and a replayed write-ahead line advance reports
+/// with, so `limited_seconds` adds up in the same order either way.
+fn absorb_rounds(total: &mut [(Protocol, ScanReport)], round: Vec<(Protocol, ScanReport)>) {
+    for ((_, total), (_, partial)) in total.iter_mut().zip(round) {
+        total.absorb_round(partial);
+    }
+}
+
+fn protocols_of(reports: &[(Protocol, ScanReport)]) -> Vec<Protocol> {
+    reports.iter().map(|(proto, _)| *proto).collect()
+}
+
+/// Reports are folded by position, so a list that is not exactly one
+/// report per protocol of `want`, in order, must be refused before it is
+/// folded into (or from): a short list would index out of bounds and a
+/// reordered one would add one protocol's rounds to another's report.
+fn same_protocols(reports: &[(Protocol, ScanReport)], want: &[Protocol]) -> Result<(), String> {
+    let have = protocols_of(reports);
+    if have == want {
+        return Ok(());
+    }
+    Err(format!("checkpoint reports cover {have:?}, expected one per protocol of {want:?} in that order"))
+}
+
+fn limiter_to_json(limiter: Option<&BucketSnapshot>) -> Json {
+    let Some(s) = limiter else { return Json::Null };
+    let mut o = Json::obj();
+    o.set("rate", s.rate)
+        .set("burst", s.burst)
+        .set("tokens", s.tokens)
+        .set("now", s.now)
+        .set("refilled_at", s.refilled_at)
+        .set("waited", s.waited)
+        .set("stalls", s.stalls);
+    o
+}
+
+fn limiter_from_json(j: &Json) -> Result<Option<BucketSnapshot>, String> {
+    match j.get("limiter") {
+        None | Some(Json::Null) => Ok(None),
+        Some(l) => Ok(Some(BucketSnapshot {
+            rate: get_u64(l, "rate")?,
+            burst: get_u64(l, "burst")?,
+            tokens: get_u64(l, "tokens")?,
+            now: get_u64(l, "now")?,
+            refilled_at: get_u64(l, "refilled_at")?,
+            waited: get_u64(l, "waited")?,
+            stalls: get_u64(l, "stalls")?,
+        })),
+    }
+}
+
+fn fault_rows_from_json(j: &Json) -> Result<Vec<(u128, u8, u32)>, String> {
+    table(j, "fault_state")?
+        .iter()
+        .map(|row| {
+            let ((domain, proto), [n]) = table_row("fault_state", row)?;
+            Ok((domain, proto, n))
+        })
+        .collect()
+}
+
+/// One breaker as the map lists it: `(domain, protocol index)` and state.
+type BreakerRow = ((u128, u8), BreakerState);
+
+fn breaker_row_json(((domain, proto), state): BreakerRow) -> Json {
+    let (tag, count) = state.encode();
+    table_row_json(domain, proto, [tag.into(), count])
+}
+
+/// The part of a `breaker` object that changes from round to round, added
+/// to `o`: the map's totals and the given rows (all of them in a
+/// document, the changed ones in a write-ahead line).
+fn breaker_state_json(mut o: Json, map: &BreakerMap, rows: impl Iterator<Item = BreakerRow>) -> Json {
+    o.set("opened", map.opened())
+        .set("skipped", map.skipped())
+        .set("entries", Json::Arr(rows.map(breaker_row_json).collect()));
+    o
+}
+
+/// The `entries` rows of a `breaker` object.
+fn breaker_rows_from_json(breaker: &Json) -> Result<Vec<BreakerRow>, String> {
+    table(breaker, "entries")?
+        .iter()
+        .map(|row| {
+            let (key, [tag, count]) = table_row("breaker.entries", row)?;
+            let state = u8::try_from(tag).ok().and_then(|t| BreakerState::decode(t, count));
+            Ok((key, state.ok_or_else(|| format!("breaker.entries: unknown state tag {tag}"))?))
+        })
+        .collect()
+}
+
+fn counters_from_json(j: &Json) -> Result<BTreeMap<String, u64>, String> {
+    j.get("counters")
+        .and_then(Json::entries)
+        .ok_or("checkpoint missing counters")?
+        .iter()
+        .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("bad counter value")?)))
+        .collect()
+}
+
+fn fingerprint_from_json(j: &Json) -> Result<u64, String> {
+    j.get("fingerprint")
+        .and_then(Json::as_str)
+        .and_then(|s| u64::from_str_radix(s, 16).ok())
+        .ok_or_else(|| "checkpoint missing fingerprint".to_string())
+}
+
+/// The write-ahead log that rides beside the checkpoint document at `path`.
+fn wal_path(path: &Path) -> PathBuf {
+    path.with_extension("wal")
+}
+
 impl CampaignCheckpoint {
     /// Encode as the on-disk JSON document.
     pub fn to_json(&self) -> Json {
@@ -342,37 +497,8 @@ impl CampaignCheckpoint {
             .set("fingerprint", sos_obs::manifest::digest_hex(self.fingerprint))
             .set("done", self.done)
             .set("rounds", self.rounds);
-        doc.set(
-            "reports",
-            Json::Arr(
-                self.reports
-                    .iter()
-                    .map(|(proto, report)| {
-                        let mut o = Json::obj();
-                        o.set("proto", proto.index() as u64)
-                            .set("report", report_to_json(report));
-                        o
-                    })
-                    .collect(),
-            ),
-        );
-        doc.set(
-            "limiter",
-            match &self.limiter {
-                None => Json::Null,
-                Some(s) => {
-                    let mut o = Json::obj();
-                    o.set("rate", s.rate)
-                        .set("burst", s.burst)
-                        .set("tokens", s.tokens)
-                        .set("now", s.now)
-                        .set("refilled_at", s.refilled_at)
-                        .set("waited", s.waited)
-                        .set("stalls", s.stalls);
-                    o
-                }
-            },
-        );
+        doc.set("reports", reports_to_json(&self.reports));
+        doc.set("limiter", limiter_to_json(self.limiter.as_ref()));
         doc.set(
             "fault_state",
             Json::Arr(self.fault_state.iter().map(|&(d, p, n)| table_row_json(d, p, [n])).collect()),
@@ -383,18 +509,11 @@ impl CampaignCheckpoint {
                 None => Json::Null,
                 Some(b) => {
                     let cfg = b.config();
-                    let entries = b.entries().into_iter().map(|((domain, proto), state)| {
-                        let (tag, count) = state.encode();
-                        table_row_json(domain, proto, [tag.into(), count])
-                    });
                     let mut o = Json::obj();
                     o.set("prefix_len", u64::from(cfg.prefix_len))
                         .set("threshold", cfg.threshold)
-                        .set("cooldown", cfg.cooldown)
-                        .set("opened", b.opened())
-                        .set("skipped", b.skipped())
-                        .set("entries", Json::Arr(entries.collect()));
-                    o
+                        .set("cooldown", cfg.cooldown);
+                    breaker_state_json(o, b, b.iter())
                 }
             },
         );
@@ -408,53 +527,10 @@ impl CampaignCheckpoint {
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let fingerprint = doc
-            .get("fingerprint")
-            .and_then(Json::as_str)
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
-            .ok_or("checkpoint missing fingerprint")?;
-        let reports = doc
-            .get("reports")
-            .and_then(Json::as_arr)
-            .ok_or("checkpoint missing reports")?
-            .iter()
-            .map(|entry| {
-                let proto = proto_by_index(get_u64(entry, "proto")?)?;
-                let report =
-                    report_from_json(entry.get("report").ok_or("report entry missing body")?)?;
-                Ok((proto, report))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let limiter = match doc.get("limiter") {
-            None | Some(Json::Null) => None,
-            Some(l) => Some(BucketSnapshot {
-                rate: get_u64(l, "rate")?,
-                burst: get_u64(l, "burst")?,
-                tokens: get_u64(l, "tokens")?,
-                now: get_u64(l, "now")?,
-                refilled_at: get_u64(l, "refilled_at")?,
-                waited: get_u64(l, "waited")?,
-                stalls: get_u64(l, "stalls")?,
-            }),
-        };
-        let fault_state = table(doc, "fault_state")?
-            .iter()
-            .map(|row| {
-                let ((domain, proto), [n]) = table_row("fault_state", row)?;
-                Ok((domain, proto, n))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
         let breaker = match doc.get("breaker") {
             None | Some(Json::Null) => None,
             Some(b) => {
-                let entries = table(b, "entries")?
-                    .iter()
-                    .map(|row| {
-                        let (key, [tag, count]) = table_row("breaker.entries", row)?;
-                        let state = u8::try_from(tag).ok().and_then(|t| BreakerState::decode(t, count));
-                        Ok((key, state.ok_or_else(|| format!("breaker.entries: unknown state tag {tag}"))?))
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
+                let entries = breaker_rows_from_json(b)?;
                 let prefix_len = get_u64(b, "prefix_len")?;
                 if !(1..=128).contains(&prefix_len) {
                     return Err(format!("breaker.prefix_len {prefix_len} is outside 1..=128"));
@@ -472,38 +548,162 @@ impl CampaignCheckpoint {
                 ))
             }
         };
-        let counters = doc
-            .get("counters")
-            .and_then(Json::entries)
-            .ok_or("checkpoint missing counters")?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("bad counter value")?)))
-            .collect::<Result<BTreeMap<_, _>, String>>()?;
         Ok(CampaignCheckpoint {
-            fingerprint,
+            fingerprint: fingerprint_from_json(doc)?,
             done: get_u64(doc, "done")? as usize,
             rounds: get_u64(doc, "rounds")? as usize,
-            reports,
-            limiter,
-            fault_state,
+            reports: reports_from_json(doc)?,
+            limiter: limiter_from_json(doc)?,
+            fault_state: fault_rows_from_json(doc)?,
             breaker,
-            counters,
+            counters: counters_from_json(doc)?,
         })
     }
 
-    /// Write the checkpoint to `path` (write-then-rename, so a kill mid
-    /// write never corrupts the previous checkpoint).
+    /// One line of the write-ahead log: the round that ended at this
+    /// state, as what it adds to the state before it — the round's own
+    /// per-protocol `reports`, the per-prefix rows in `delta`, and the
+    /// small absolute parts (progress, limiter, breaker totals, counters)
+    /// whole. [`CampaignCheckpoint::fold`] is its inverse.
+    // sos-lint: deterministic-root a replayed log must rebuild the identical state
+    fn wal_line(&self, reports: Json, delta: &Delta) -> Json {
+        let mut line = Json::obj();
+        line.set("fingerprint", sos_obs::manifest::digest_hex(self.fingerprint))
+            .set("done", self.done)
+            .set("rounds", self.rounds)
+            .set("reports", reports)
+            .set("limiter", limiter_to_json(self.limiter.as_ref()));
+        let fault = delta.fault.iter().map(|&((d, p), _, n)| table_row_json(d, p, [n]));
+        line.set("fault_state", Json::Arr(fault.collect()));
+        let breakers = delta.breaker.iter().map(|&(key, _, state)| (key, state));
+        line.set(
+            "breaker",
+            self.breaker.as_ref().map_or(Json::Null, |b| breaker_state_json(Json::obj(), b, breakers)),
+        );
+        line.set("counters", &self.counters);
+        line
+    }
+
+    /// Advance by one [`CampaignCheckpoint::wal_line`]. The density rows
+    /// are folded into `fault`, which the caller holds keyed for the whole
+    /// log (`fault_state` is a sorted list; re-sorting it per line would
+    /// make a load quadratic in the campaign's length).
+    ///
+    /// A line this state already contains (`rounds` not beyond its own) is
+    /// a leftover of a document rewrite that died before the log was
+    /// removed, and is passed over. A line of another campaign, one that
+    /// skips a round, and any damaged field or row is an error: nothing is
+    /// narrowed into state nobody wrote, exactly as in the document.
+    fn fold(&mut self, line: &Json, fault: &mut BTreeMap<(u128, u8), u32>) -> Result<(), String> {
+        let rounds = get_u64(line, "rounds")? as usize;
+        if rounds <= self.rounds {
+            return Ok(());
+        }
+        let fingerprint = fingerprint_from_json(line)?;
+        if fingerprint != self.fingerprint {
+            return Err(format!(
+                "fingerprint {} is not the checkpoint's {}",
+                sos_obs::manifest::digest_hex(fingerprint),
+                sos_obs::manifest::digest_hex(self.fingerprint),
+            ));
+        }
+        if rounds != self.rounds + 1 {
+            return Err(format!("round {rounds} follows round {}: a round is missing", self.rounds));
+        }
+        let done = get_u64(line, "done")? as usize;
+        if done < self.done {
+            return Err(format!("done {done} is behind the {} already done", self.done));
+        }
+        let round = reports_from_json(line)?;
+        same_protocols(&round, &protocols_of(&self.reports))?;
+        let limiter = limiter_from_json(line)?;
+        let fault_rows = fault_rows_from_json(line)?;
+        let breaker = match (line.get("breaker"), self.breaker.as_mut()) {
+            (None | Some(Json::Null), None) => None,
+            (Some(b @ Json::Obj(_)), Some(map)) => {
+                Some((map, breaker_rows_from_json(b)?, get_u64(b, "opened")?, get_u64(b, "skipped")?))
+            }
+            _ => return Err("breaker: present on one side of the log only".to_string()),
+        };
+        let counters = counters_from_json(line)?;
+        // Everything decoded: apply.
+        absorb_rounds(&mut self.reports, round);
+        self.done = done;
+        self.rounds = rounds;
+        self.limiter = limiter;
+        fault.extend(fault_rows.into_iter().map(|(domain, proto, n)| ((domain, proto), n)));
+        if let Some((map, entries, opened, skipped)) = breaker {
+            map.advance(entries, opened, skipped);
+        }
+        self.counters = counters;
+        Ok(())
+    }
+
+    /// Write the whole document to `path` (write-then-rename, so a kill
+    /// mid write never corrupts the previous checkpoint), then remove the
+    /// write-ahead log beside it: every round it held is in the document.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
         std::fs::write(&tmp, self.to_json().to_string_pretty())?;
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        let wal = wal_path(path);
+        match std::fs::remove_file(&wal) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                Err(std::io::Error::new(e.kind(), format!("remove {}: {e}", wal.display())))
+            }
+            _ => Ok(()),
+        }
     }
 
-    /// Load a checkpoint from `path`.
+    /// Append the round that ended at this state to the write-ahead log
+    /// beside `path`: one line, one `write_all`.
+    fn append(&self, path: &Path, reports: Json, delta: &Delta) -> Result<(), String> {
+        let wal = wal_path(path);
+        let mut line = self.wal_line(reports, delta).to_string();
+        line.push('\n');
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&wal)
+            .and_then(|mut file| file.write_all(line.as_bytes()))
+            .map_err(|e| format!("append checkpoint wal {}: {e}", wal.display()))
+    }
+
+    /// Load the checkpoint at `path`: the document, advanced by every
+    /// complete line of the write-ahead log beside it (the rounds a run
+    /// appended after it last wrote the document; none after a clean
+    /// stop). A final line that is cut short is what a kill mid-append
+    /// leaves and is dropped; any other damage is an error naming the log.
     pub fn load(path: &Path) -> Result<CampaignCheckpoint, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
-        Self::from_json(&Json::parse(&text)?)
+        let mut state = Self::from_json(&Json::parse(&text)?)?;
+        let wal = wal_path(path);
+        let log = match std::fs::read_to_string(&wal) {
+            Ok(log) => log,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(state),
+            Err(e) => return Err(format!("read checkpoint wal {}: {e}", wal.display())),
+        };
+        let mut fault: BTreeMap<(u128, u8), u32> =
+            std::mem::take(&mut state.fault_state).into_iter().map(|(d, p, n)| ((d, p), n)).collect();
+        // Whatever follows the last newline is a line cut short.
+        let mut rest = log.as_str();
+        let mut number = 0usize;
+        while let Some(newline) = rest.find('\n') {
+            let (line, tail) = rest.split_at(newline + 1);
+            number += 1;
+            let bad = |e: String| format!("checkpoint wal {}: line {number}: {e}", wal.display());
+            match Json::parse(line) {
+                Ok(line) => state.fold(&line, &mut fault).map_err(bad)?,
+                // A kill can tear the last line even after its newline is
+                // visible; the journal reader makes the same allowance.
+                Err(_) if tail.trim().is_empty() => break,
+                Err(e) => return Err(bad(e)),
+            }
+            rest = tail;
+        }
+        state.fault_state = fault.into_iter().map(|((d, p), n)| (d, p, n)).collect();
+        Ok(state)
     }
 }
 
@@ -564,24 +764,50 @@ fn discovery_events(table: &AttributionTable) -> Vec<Event> {
         .collect()
 }
 
-/// The row of `rows` (sorted by `key`) whose key is `k`.
-fn find<R, K: Ord>(rows: &[R], k: K, key: impl FnMut(&R) -> K) -> Option<&R> {
-    rows.binary_search_by_key(&k, key).ok().and_then(|i| rows.get(i))
+/// A per-prefix row a round wrote: its `(domain, protocol index)` key, the
+/// value it replaced (`None` for a row the round created) and its value now.
+type Changed<V> = ((u128, u8), Option<V>, V);
+
+/// What one round changed in the two per-prefix tables, in key order. It
+/// is computed once per boundary and is what both the write-ahead line
+/// (the values now) and the journal's transition records (the step from
+/// the value before) are built from.
+struct Delta {
+    fault: Vec<Changed<u32>>,
+    breaker: Vec<Changed<BreakerState>>,
 }
 
-/// Breaker, then fault-epoch transition events between two consecutive
-/// checkpoint states, each in sorted `(domain, proto)` order.
+/// The rows of `now` that `before` lacks or holds with another value: one
+/// walk down the two tables, both sorted by key. Rows are never removed,
+/// so a key only `before` has does not occur and is passed over.
+fn changed<V: Copy + PartialEq>(
+    before: impl Iterator<Item = ((u128, u8), V)>,
+    now: impl Iterator<Item = ((u128, u8), V)>,
+) -> Vec<Changed<V>> {
+    let mut before = before.peekable();
+    let mut rows = Vec::new();
+    for (key, value) in now {
+        while before.next_if(|(k, _)| *k < key).is_some() {}
+        let old = before.next_if(|(k, _)| *k == key).map(|(_, v)| v);
+        if old != Some(value) {
+            rows.push((key, old, value));
+        }
+    }
+    rows
+}
+
+/// Breaker, then fault-epoch transition events for the rows a round
+/// changed, each in sorted `(domain, proto)` order.
 ///
 /// Transitions are detected by the **campaign** at round boundaries — the
 /// shard workers never emit events, so the journal's event stream is
 /// identical no matter how many shards raced through the round.
-fn transitions(prev: &LaneState, state: &CampaignCheckpoint, plan: Option<&FaultPlan>) -> Vec<Event> {
+fn transitions(delta: &Delta, plan: Option<&FaultPlan>) -> Vec<Event> {
     let mut events = Vec::new();
-    let before = prev.breaker.as_ref().map(BreakerMap::entries).unwrap_or_default();
-    for ((domain, proto), breaker) in state.breaker.iter().flat_map(BreakerMap::entries) {
+    for &((domain, proto), before, breaker) in &delta.breaker {
         // Unseen breakers start life closed; their first appearance in
         // the closed state is not a transition.
-        let from = find(&before, (domain, proto), |e| e.0).map_or("closed", |e| e.1.name());
+        let from = before.map_or("closed", BreakerState::name);
         if from != breaker.name() {
             events.push(Event::Breaker {
                 domain,
@@ -593,10 +819,10 @@ fn transitions(prev: &LaneState, state: &CampaignCheckpoint, plan: Option<&Fault
     }
     // No plan means no active fault layer: nothing to journal.
     let Some(plan) = plan else { return events };
-    for &(domain, proto, density) in &state.fault_state {
+    for &((domain, proto), before, density) in &delta.fault {
         // An unseen domain starts from all-zero epochs.
-        let before = find(&prev.fault_rows, (domain, proto), |&(d, p, _)| (d, p))
-            .map_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 }, |&(_, _, n)| plan.epochs_at(n));
+        let before = before
+            .map_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 }, |n| plan.epochs_at(n));
         let readout = plan.epochs_at(density);
         for ((kind, now), (_, was)) in readout.families().into_iter().zip(before.families()) {
             if now != was {
@@ -612,12 +838,17 @@ fn transitions(prev: &LaneState, state: &CampaignCheckpoint, plan: Option<&Fault
     events
 }
 
-/// Where a round boundary is written: the checkpoint file, the journal
-/// and the `.prom` snapshot file, each optional and independent.
+/// Where a round boundary is written: the checkpoint file (with the
+/// write-ahead log beside it), the journal and the `.prom` snapshot file,
+/// each optional and independent.
 struct Sinks<'o> {
     checkpoint: Option<&'o Path>,
     journal: Option<JournalWriter>,
     snapshot: Option<&'o Path>,
+    /// Whether this invocation has written the checkpoint document yet:
+    /// until it has, nothing on disk is known to be the state the log's
+    /// next line would extend.
+    document_written: bool,
 }
 
 impl<'o> Sinks<'o> {
@@ -635,6 +866,7 @@ impl<'o> Sinks<'o> {
             checkpoint: opts.checkpoint_path.as_deref(),
             journal,
             snapshot: opts.snapshot_path.as_deref(),
+            document_written: false,
         })
     }
 
@@ -669,13 +901,31 @@ impl<'o> Sinks<'o> {
         self.events(state, || [make()])
     }
 
-    /// Write `state` to the checkpoint file and journal the write.
-    /// `Ok(false)` when no checkpoint path is configured.
-    fn persist(&mut self, state: &CampaignCheckpoint) -> Result<bool, String> {
+    /// Make `state` durable and journal the write. `Ok(false)` when no
+    /// checkpoint path is configured.
+    ///
+    /// `round` is what the round that just ended added (its own reports,
+    /// encoded, and the rows it changed) and is appended to the
+    /// write-ahead log as one line, so a boundary costs what its round
+    /// touched. The whole document is written only where the file must
+    /// stand on its own: at an invocation's first write (whatever is on
+    /// disk may belong to another run), and when `round` is `None` — a
+    /// stop or cancel, and the campaign's last boundary.
+    fn persist(
+        &mut self,
+        state: &CampaignCheckpoint,
+        round: Option<(Json, &Delta)>,
+    ) -> Result<bool, String> {
         let Some(path) = self.checkpoint else { return Ok(false) };
-        state
-            .save(path)
-            .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
+        match round {
+            Some((reports, delta)) if self.document_written => state.append(path, reports, delta)?,
+            _ => {
+                state
+                    .save(path)
+                    .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
+                self.document_written = true;
+            }
+        }
         self.event(state, || Event::CheckpointWrite {
             fingerprint: state.fingerprint,
             done: state.done as u64,
@@ -736,16 +986,26 @@ impl<'a, T: Transport> Campaign<'a, T> {
 
     /// Re-read the scanner's cross-target machine state (limiter, fault
     /// densities, breaker map, counters) into `state` at a round boundary,
-    /// handing back the lane state it replaced: the previous boundary's,
-    /// which the next transition records are diffed against.
+    /// handing back the per-prefix rows that differ from the ones it held:
+    /// what the round since the previous boundary changed.
     // sos-lint: deterministic-root resume must replay to the identical stream
-    fn refresh(&self, state: &mut CampaignCheckpoint) -> LaneState {
-        let mut lane = self.scanner.lane.snapshot();
-        std::mem::swap(&mut state.limiter, &mut lane.limiter);
-        std::mem::swap(&mut state.fault_state, &mut lane.fault_rows);
-        std::mem::swap(&mut state.breaker, &mut lane.breaker);
+    fn refresh(&self, state: &mut CampaignCheckpoint) -> Delta {
+        let lane = self.scanner.lane.snapshot();
+        let delta = Delta {
+            fault: changed(
+                state.fault_state.iter().map(|&(d, p, n)| ((d, p), n)),
+                lane.fault_rows.iter().map(|&(d, p, n)| ((d, p), n)),
+            ),
+            breaker: changed(
+                state.breaker.iter().flat_map(BreakerMap::iter),
+                lane.breaker.iter().flat_map(BreakerMap::iter),
+            ),
+        };
+        state.limiter = lane.limiter;
+        state.fault_state = lane.fault_rows;
+        state.breaker = lane.breaker;
         state.counters = self.scanner.metrics().counters();
-        lane
+        delta
     }
 }
 
@@ -754,8 +1014,9 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
     ///
     /// The target list is prepared once; rounds of
     /// `opts.checkpoint_every` prepared targets are then scanned on every
-    /// protocol (sharded `opts.shards` ways). After each round the full
-    /// machine state is written to `opts.checkpoint_path` (when set), and
+    /// protocol (sharded `opts.shards` ways). After each round the machine
+    /// state is made durable at `opts.checkpoint_path` (when set; the whole
+    /// document or one appended log line, see the module docs), and
     /// cancellation / `stop_after_rounds` is honored at the same
     /// boundaries. Passing the saved [`CampaignCheckpoint`] as `resume`
     /// restores every clock and counter and continues from the next
@@ -812,6 +1073,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                     sos_obs::manifest::digest_hex(fingerprint),
                 ));
             }
+            same_protocols(&ckpt.reports, &self.protocols)?;
             if ckpt.done > prepared.len() {
                 return Err(format!(
                     "checkpoint claims {} done targets but only {} prepared",
@@ -893,19 +1155,23 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             let round =
                 self.scanner
                     .scan_prepared(slice, &self.protocols, shards, tags.as_deref());
-            for (i, (proto, partial)) in round.into_iter().enumerate() {
-                debug_assert_eq!(state.reports[i].0, proto); // i < protocols.len() == reports.len()
-                state.reports[i].1.absorb_round(partial); // i < reports.len(): one entry per protocol
-            }
+            // Every boundary but the campaign's last can append the round
+            // to the write-ahead log; its reports are encoded before they
+            // are folded away.
+            let appendable = (sinks.checkpoint.is_some() && end < prepared.len())
+                .then(|| reports_to_json(&round));
+            // One report per protocol, in order: a fresh state is built so
+            // and a resumed one was checked before the first probe.
+            absorb_rounds(&mut state.reports, round);
             state.done = end;
             state.rounds += 1;
             rounds_this_run += 1;
             if !sinks.any() {
                 continue;
             }
-            let replaced = self.refresh(&mut state);
+            let delta = self.refresh(&mut state);
             let plan = self.scanner.transport().carried().and_then(Carried::fault_plan);
-            sinks.events(&state, || transitions(&replaced, &state, plan))?;
+            sinks.events(&state, || transitions(&delta, plan))?;
             sinks.event(&state, || {
                 let (hits_now, packets_now) = state.hit_packet_totals();
                 Event::RoundEnd {
@@ -919,15 +1185,17 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             // Checkpoints always pair with a snapshot: after a kill, the
             // journal's last snapshot must mirror the on-disk checkpoint
             // exactly.
-            if sinks.persist(&state)? || state.rounds % snapshot_every == 0 {
+            let persisted = sinks.persist(&state, appendable.map(|reports| (reports, &delta)))?;
+            if persisted || state.rounds % snapshot_every == 0 {
                 sinks.snapshot(&state)?;
             }
         }
 
         if !completed {
             // Written even when the loop just wrote one: this is what
-            // leaves a checkpoint behind a zero-round cancel.
-            sinks.persist(&state)?;
+            // leaves a checkpoint behind a zero-round cancel, and a
+            // stopped campaign as one whole document with no log.
+            sinks.persist(&state, None)?;
         }
 
         // Discovery accounting: raise the attribution counters to the
@@ -1124,6 +1392,19 @@ mod tests {
             campaign.fingerprint(&targets),
             sos_obs::manifest::fnv1a64(text.as_bytes())
         );
+    }
+
+    #[test]
+    fn changed_lists_new_and_rewritten_rows_in_key_order() {
+        let before = [((1, 0), 5u32), ((2, 0), 7), ((2, 1), 9), ((4, 0), 1)];
+        let now = [((0, 3), 2u32), ((1, 0), 5), ((2, 0), 8), ((2, 1), 9), ((3, 0), 1), ((4, 0), 0)];
+        assert_eq!(
+            changed(before.into_iter(), now.into_iter()),
+            [((0, 3), None, 2), ((2, 0), Some(7), 8), ((3, 0), None, 1), ((4, 0), Some(1), 0)]
+        );
+        assert!(changed(now.into_iter(), now.into_iter()).is_empty());
+        // A key only `before` holds is passed over, not reported.
+        assert_eq!(changed(before.into_iter(), [((4, 0), 1u32)].into_iter()), []);
     }
 
     #[test]

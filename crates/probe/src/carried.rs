@@ -5,12 +5,14 @@
 //! absorbed (the fault layer's virtual clock), and what the fault layer
 //! has cost so far. A transport that keeps such state exposes it through
 //! [`Transport::carried`](crate::transport::Transport::carried); the
-//! engine lends it to the scan tasks that own it and takes it back, and a
-//! campaign checkpoint persists the fault clock, all through this type.
+//! engine lends each scan task the rows of the addresses it will probe
+//! and takes them back, and a campaign checkpoint persists the fault
+//! clock, all through this type.
 
 use std::collections::HashMap;
+use std::net::Ipv6Addr;
 
-use netmodel::FaultPlan;
+use netmodel::{FaultPlan, Protocol};
 
 /// Hasher for the per-flow attempt map. SipHash on a 17-byte key costs
 /// about as much as the whole world-oracle lookup; flow keys are internal
@@ -49,7 +51,8 @@ type CountMap = HashMap<(u128, u8), u32, std::hash::BuildHasherDefault<FlowHashe
 
 /// The state a transport carries across targets. Every counter is keyed
 /// by `(address or prefix, protocol)`, so each belongs to exactly one scan
-/// task and *moves* there ([`Carried::lend`]) instead of being shared.
+/// task and *moves* there for the addresses the task probes
+/// ([`Carried::lend`]) instead of being shared.
 #[derive(Debug, Clone, Default)]
 pub struct Carried {
     /// The fault plan the density clock runs under; `None` when the path
@@ -115,29 +118,33 @@ impl Carried {
         self.throttled_us += delay_us;
     }
 
-    /// Split off one state per fan-out task. Each counter moves to the
-    /// task that `owner(address inside the key's domain, protocol index)`
-    /// names — the rule the scan partitions its targets by, so a task only
-    /// ever touches state it owns — and stays here when `owner` names
-    /// none. Lent states count fault drops and throttle time from zero, so
-    /// each reports clean deltas.
-    pub fn lend(&mut self, tasks: usize, owner: &dyn Fn(u128, u8) -> Option<usize>) -> Vec<Carried> {
-        let mut lent: Vec<Carried> =
-            (0..tasks).map(|_| Carried { plan: self.plan.clone(), ..Carried::default() }).collect();
-        // A flow's key is its address; a density key is its domain's top bits.
-        let shift = self.plan.as_ref().map_or(0, |p| 128 - u32::from(p.prefix_len()));
-        type Pick = fn(&mut Carried) -> &mut CountMap;
-        let maps: [(Pick, u32); 2] = [(|c| &mut c.attempts, 0), (|c| &mut c.density, shift)];
-        for (map, shift) in maps {
-            map(self).retain(|&(key, proto), n| {
-                match owner(key << shift, proto).and_then(|t| lent.get_mut(t)) {
-                    Some(task) => {
-                        map(task).insert((key, proto), *n);
-                        false
-                    }
-                    None => true,
+    /// Split off the state one scan task needs: the flow counter of every
+    /// address in `targets` on `proto` and the density clock of every fault
+    /// domain those addresses fall in *move* to the returned state; every
+    /// other row stays here. Only rows that exist move (an empty state
+    /// lends nothing without walking the list), and a domain shared by
+    /// several targets moves once. The lent state counts fault drops and
+    /// throttle time from zero, so it reports clean deltas.
+    ///
+    /// The caller must give no two tasks the same `(fault domain,
+    /// protocol)` — the partition `Scanner::scan_prepared` makes.
+    pub fn lend(&mut self, proto: Protocol, targets: impl IntoIterator<Item = Ipv6Addr>) -> Carried {
+        let mut lent = Carried { plan: self.plan.clone(), ..Carried::default() };
+        if self.attempts.is_empty() && self.density.is_empty() {
+            return lent;
+        }
+        let proto = proto.index() as u8;
+        for addr in targets {
+            let addr = u128::from(addr);
+            if let Some(n) = self.attempts.remove(&(addr, proto)) {
+                lent.attempts.insert((addr, proto), n);
+            }
+            if let Some(plan) = &self.plan {
+                let key = (plan.domain_of(addr), proto);
+                if let Some(n) = self.density.remove(&key) {
+                    lent.density.insert(key, n);
                 }
-            });
+            }
         }
         lent
     }
@@ -197,16 +204,16 @@ mod tests {
         assert_eq!(state(&base).fault_drops(), 3);
         let before = state(&base).fault_rows();
         let (icmp, tcp80) = (Protocol::Icmp.index() as u8, Protocol::Tcp80.index() as u8);
-        // Task 1 of 2 owns everything on ICMP; TCP/80 is not in this call.
-        let owner = |addr: u128, p: u8| {
-            assert_eq!(addr >> 80, u128::from(dst) >> 80, "owners see an address inside the domain");
-            (p == icmp).then_some(1)
-        };
-        let mut lent = base.carried_mut().unwrap().lend(2, &owner);
-        assert_eq!(state(&base).fault_rows(), [(before[1].0, tcp80, 1)], "unowned state stays on the parent");
-        assert!(lent[0].fault_rows().is_empty(), "task 0 owns nothing");
+        // One task probes nothing, the other probes `dst` on ICMP; TCP/80
+        // is not in this call.
+        let idle = base.carried_mut().unwrap().lend(Protocol::Icmp, []);
+        assert!(idle.fault_rows().is_empty() && idle.attempts.is_empty(), "a task with no targets gets nothing");
+        assert_eq!(state(&base).fault_rows(), before);
+        let lent = base.carried_mut().unwrap().lend(Protocol::Icmp, [dst]);
+        assert_eq!(state(&base).fault_rows(), [(before[1].0, tcp80, 1)], "unlent state stays on the parent");
+        assert_eq!(state(&base).attempts.len(), 1, "and so does the TCP/80 flow");
         let mut shard = SimTransport::new(w.clone());
-        *shard.carried_mut().unwrap() = lent.pop().unwrap();
+        *shard.carried_mut().unwrap() = lent;
         assert_eq!(shard.packets_sent(), 0);
         assert_eq!(state(&shard).fault_drops(), 0);
         assert_eq!(state(&shard).fault_rows(), [before[0]], "density carried over");
@@ -223,5 +230,43 @@ mod tests {
         let mut fresh = Carried::new(w.faults());
         fresh.restore_fault_rows(&rows);
         assert_eq!(fresh.fault_rows(), rows);
+    }
+
+    /// What the keyed lend exists for: a task takes the rows of its own
+    /// targets out of a large accumulated state, and nothing else moves.
+    #[test]
+    fn lend_moves_exactly_the_rows_of_its_targets() {
+        let plan = FaultPlan::new(FaultConfig::hostile(), 9);
+        let icmp = Protocol::Icmp.index() as u8;
+        let addr = |domain: u128, host: u128| (0x2001_0db8_u128 << 96) | (domain << 80) | host;
+        let mut parent = Carried::new(&plan);
+        for domain in 0..1_000u128 {
+            parent.density.insert((plan.domain_of(addr(domain, 0)), icmp), domain as u32 + 1);
+            for host in 0..10 {
+                parent.attempts.insert((addr(domain, host), icmp), 2);
+            }
+        }
+        let first = Ipv6Addr::from(addr(7, 3));
+        let lent = parent.lend(Protocol::Icmp, [first]);
+        assert_eq!(lent.attempts.len(), 1);
+        assert_eq!(lent.attempts[&(addr(7, 3), icmp)], 2);
+        assert_eq!(lent.fault_rows(), [(plan.domain_of(addr(7, 0)), icmp, 8)]);
+        assert_eq!((parent.attempts.len(), parent.density.len()), (9_999, 999), "the rest stays");
+
+        // Two targets in one fault domain: both flow rows move, and the
+        // second finds the domain's clock already moved — once, not reset.
+        let pair = parent.lend(Protocol::Icmp, [addr(8, 1), addr(8, 2)].map(Ipv6Addr::from));
+        assert_eq!(pair.attempts.len(), 2);
+        assert_eq!(pair.fault_rows(), [(plan.domain_of(addr(8, 0)), icmp, 9)], "no double move");
+        assert_eq!((parent.attempts.len(), parent.density.len()), (9_997, 998));
+        // A never-probed address and another protocol's traffic move nothing.
+        assert!(parent.lend(Protocol::Icmp, [Ipv6Addr::from(addr(2_000, 0))]).attempts.is_empty());
+        let other = parent.lend(Protocol::Udp53, [first]);
+        assert!(other.attempts.is_empty() && other.density.is_empty());
+
+        parent.reclaim(pair);
+        parent.reclaim(lent);
+        assert_eq!((parent.attempts.len(), parent.density.len()), (10_000, 1_000), "no loss on reclaim");
+        assert_eq!(parent.density[&(plan.domain_of(addr(8, 0)), icmp)], 9);
     }
 }

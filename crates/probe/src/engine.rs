@@ -18,13 +18,16 @@
 //!   probes), or
 //! - one lent to each of `protocols × W` tasks under
 //!   [`sos_obs::par::par_map`]: one rule — task = protocol position × W +
-//!   **prefix hash** of the address — decides which task owns a target, a
-//!   breaker and a flow or fault counter, so every fault domain and breaker
-//!   domain lands wholly inside one task and per-prefix state moves there
-//!   and back (`Lane::lend`, `Lane::reclaim`), never forked. Each lent
-//!   lane carries a `rate / tasks` bucket, so the aggregate still honors
-//!   Appendix A. Shard hits carry their global input index and are merged
-//!   by sorting on it, so reports are bit-identical at every width.
+//!   **prefix hash** of the address — deals the targets out, so every
+//!   fault domain and breaker domain lands wholly inside one task. The
+//!   flow, fault and breaker counters of the addresses a task is dealt
+//!   move to it, looked up by key, and back (`Lane::lend`,
+//!   `Lane::reclaim`), never forked; state no target of the scan touches
+//!   stays with the scanner, so a scan costs what it probes, not what
+//!   earlier scans accumulated. Each lent lane carries a `rate / tasks`
+//!   bucket, so the aggregate still honors Appendix A. Shard hits carry
+//!   their global input index and are merged by sorting on it, so reports
+//!   are bit-identical at every width.
 //!
 //! Hostile networks: a [`RetryPolicy`] gives exponential backoff in
 //! *virtual* seconds with seeded jitter, and an optional per-prefix
@@ -384,32 +387,31 @@ impl<T: Transport> Lane<T> {
 }
 
 impl<T: Transport + Clone> Lane<T> {
-    /// Lend one lane to each of `tasks` fan-out tasks. Per-prefix state
-    /// (flow, fault and breaker counters) *moves* to the task `owner`
-    /// names and stays here when it names none; every lane gets a
-    /// `rate / tasks` bucket, so the aggregate still honors Appendix A.
-    fn lend(
-        &mut self,
-        tasks: usize,
-        rate: Option<f64>,
-        owner: &dyn Fn(u128, u8) -> Option<usize>,
-    ) -> Vec<Lane<T>> {
+    /// Lend one lane to each job of a fan-out: `(protocol, the prepared
+    /// targets the task will probe on it)`. Per-prefix state (flow, fault
+    /// and breaker counters) *moves* to a task for exactly the addresses in
+    /// its list — looked up by key, so a lend costs what the lists hold,
+    /// not what the scanner has accumulated — and everything else stays
+    /// here. No two jobs may share a fault or breaker domain on one
+    /// protocol (see [`Scanner::scan_prepared`]). Every lane gets a
+    /// `rate / jobs` bucket, so the aggregate still honors Appendix A.
+    fn lend(&mut self, rate: Option<f64>, jobs: &[(Protocol, Vec<(u32, Ipv6Addr)>)]) -> Vec<Lane<T>> {
         // The carried state leaves before the transport is cloned, so a
         // lent transport starts with exactly its task's counters and zero
         // totals; a stateless transport lends plain clones.
         let mut kept = self.transport.carried_mut().map(std::mem::take);
-        let mut carried = kept.as_mut().map(|c| c.lend(tasks, owner)).into_iter().flatten();
-        let mut breakers = self.breaker.as_mut().map(|b| b.lend(tasks, owner)).into_iter().flatten();
-        let lanes = (0..tasks)
-            .map(|_| {
+        let lanes = jobs
+            .iter()
+            .map(|(proto, targets)| {
+                let addrs = || targets.iter().map(|&(_, addr)| addr);
                 let mut transport = self.transport.clone();
-                if let (Some(slot), Some(lent)) = (transport.carried_mut(), carried.next()) {
-                    *slot = lent;
+                if let (Some(slot), Some(kept)) = (transport.carried_mut(), kept.as_mut()) {
+                    *slot = kept.lend(*proto, addrs());
                 }
                 Lane {
                     transport,
-                    limiter: rate.map(|r| TokenBucket::split(r, r, tasks)),
-                    breaker: breakers.next(),
+                    limiter: rate.map(|r| TokenBucket::split(r, r, jobs.len())),
+                    breaker: self.breaker.as_mut().map(|b| b.lend(*proto, addrs())),
                 }
             })
             .collect();
@@ -743,31 +745,32 @@ impl<T: Transport + Clone + Send> Scanner<T> {
             });
         }
 
-        // The one ownership rule: which task scans an address on a protocol
-        // — and so holds every piece of per-prefix state keyed inside it.
-        // Prefixes hash to shards at a length no fault or breaker domain
-        // is coarser than; protocols not scanned here have no owner.
-        let tasks = protocols.len() * shards;
+        // The one ownership rule: task = position of the protocol in this
+        // call × shards + prefix hash of the address. A task owns the
+        // targets it is dealt and — because prefixes hash to shards at a
+        // length no fault or breaker domain is coarser than, so no domain
+        // spans two tasks — every piece of per-prefix state those targets
+        // touch, which is what lets the lend move state by the target
+        // lists alone. A protocol listed twice is scanned by its first
+        // position's tasks, so its state never forks either.
         let partition_len = self.lane.partition_len();
-        let owner = |addr: u128, proto: u8| {
-            let pi = protocols.iter().position(|p| p.index() as u8 == proto)?;
-            Some(pi * shards + shard_of(addr, partition_len, shards))
-        };
-
-        let mut targets: Vec<Vec<(u32, Ipv6Addr)>> = vec![Vec::new(); tasks];
-        for proto in protocols {
+        let mut jobs: Vec<(Protocol, Vec<(u32, Ipv6Addr)>)> = protocols
+            .iter()
+            .flat_map(|&proto| (0..shards).map(move |_| (proto, Vec::new())))
+            .collect();
+        for (pi, proto) in protocols.iter().enumerate() {
+            let first = protocols.iter().take(pi).position(|p| p == proto).unwrap_or(pi);
             for &(idx, addr) in prepared {
-                if let Some(task) = owner(u128::from(addr), proto.index() as u8) {
-                    targets[task].push((idx, addr)); // task < tasks: position < protocols.len(), shard_of < shards
-                }
+                let task = first * shards + shard_of(u128::from(addr), partition_len, shards);
+                jobs[task].1.push((idx, addr)); // task < jobs.len(): first < protocols.len(), shard_of < shards
             }
         }
-        let lanes = self.lane.lend(tasks, self.cfg.rate_pps, &owner);
+        let lanes = self.lane.lend(self.cfg.rate_pps, &jobs);
 
         let (cfg, metrics) = (&self.cfg, &self.metrics);
-        let jobs: Vec<_> = targets.into_iter().zip(lanes).collect();
-        let results = par_map("scan_parallel", jobs, tasks, |task, (targets, mut lane)| {
-            let proto = protocols[task / shards]; // task < tasks == protocols.len() * shards
+        let tasks = jobs.len();
+        let jobs: Vec<_> = jobs.into_iter().zip(lanes).collect();
+        let results = par_map("scan_parallel", jobs, tasks, |task, ((proto, targets), mut lane)| {
             let _s = sos_obs::span_detail(
                 "scan_shard",
                 format!("proto={proto:?} shard={} targets={}", task % shards, targets.len()),

@@ -337,9 +337,14 @@ impl BreakerMap {
         self.skipped
     }
 
+    /// All breaker states, in key order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = ((u128, u8), BreakerState)> + '_ {
+        self.states.iter().map(|(&k, &v)| (k, v))
+    }
+
     /// All breaker states, sorted by key (for checkpoints and tests).
     pub fn entries(&self) -> Vec<((u128, u8), BreakerState)> {
-        self.states.iter().map(|(&k, &v)| (k, v)).collect()
+        self.iter().collect()
     }
 
     /// Rebuild a map from checkpointed state.
@@ -352,27 +357,42 @@ impl BreakerMap {
         BreakerMap { cfg, states: entries.into_iter().collect(), opened, skipped }
     }
 
-    /// Lend this map's state to `tasks` fan-out tasks: every breaker moves
-    /// to the task `owner` names for an address inside its domain (the same
-    /// rule the scan partitions its targets by) and stays here when `owner`
-    /// names none. Counters stay too, so [`BreakerMap::absorb`] adds only
-    /// what the tasks did.
+    /// Move on to a later round boundary: `changed` states overwrite or
+    /// join this map's and the counters are replaced — what one line of a
+    /// checkpoint's write-ahead log replays.
+    pub(crate) fn advance(
+        &mut self,
+        changed: impl IntoIterator<Item = ((u128, u8), BreakerState)>,
+        opened: u64,
+        skipped: u64,
+    ) {
+        self.states.extend(changed);
+        self.opened = opened;
+        self.skipped = skipped;
+    }
+
+    /// Lend one scan task the breakers it will consult: the state of every
+    /// domain the `targets` fall in, on `proto`, moves to the returned map;
+    /// every other breaker stays here (present states only — an empty map
+    /// lends nothing without walking the list). Counters stay too, so
+    /// [`BreakerMap::absorb`] adds only what the task did. The caller must
+    /// give no two tasks the same `(domain, protocol)` — the partition
+    /// `Scanner::scan_prepared` makes.
     pub(crate) fn lend(
         &mut self,
-        tasks: usize,
-        owner: impl Fn(u128, u8) -> Option<usize>,
-    ) -> Vec<BreakerMap> {
-        let mut lent: Vec<BreakerMap> = (0..tasks).map(|_| BreakerMap::new(self.cfg)).collect();
-        let shift = 128 - u32::from(self.cfg.effective_prefix_len());
-        self.states.retain(|&(domain, proto), state| {
-            match owner(domain << shift, proto).and_then(|t| lent.get_mut(t)) {
-                Some(task) => {
-                    task.states.insert((domain, proto), *state);
-                    false
-                }
-                None => true,
+        proto: Protocol,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+    ) -> BreakerMap {
+        let mut lent = BreakerMap::new(self.cfg);
+        if self.states.is_empty() {
+            return lent;
+        }
+        for addr in targets {
+            let key = self.key(addr, proto);
+            if let Some(state) = self.states.remove(&key) {
+                lent.states.insert(key, state);
             }
-        });
+        }
         lent
     }
 
@@ -503,11 +523,15 @@ mod tests {
         b.record(addr(1, 0), Protocol::Tcp80, true);
         let before = b.entries();
         let opened = b.opened();
-        // Owners see an address inside the domain; TCP/80 has no owner.
-        let icmp = Protocol::Icmp.index() as u8;
-        let lent = b.lend(3, |a, p| (p == icmp).then_some((a >> 112) as usize % 3));
+        // Three ICMP tasks deal the domains out by `prefix % 3`; TCP/80 is
+        // not in this call, and a fourth task has no targets.
+        let lent: Vec<BreakerMap> = (0..3)
+            .map(|task| b.lend(Protocol::Icmp, (0..8u16).filter(|i| i % 3 == task).map(|i| addr(i, 5))))
+            .collect();
+        let idle = b.lend(Protocol::Icmp, []);
+        assert!(idle.entries().is_empty(), "a task with no targets gets nothing");
         let stayed = vec![((u128::from(addr(1, 0)) >> 16, Protocol::Tcp80.index() as u8), BreakerState::Open { skipped: 0 })];
-        assert_eq!(b.entries(), stayed, "unowned state stays on the parent");
+        assert_eq!(b.entries(), stayed, "unlent state stays on the parent");
         assert_eq!(lent.iter().map(|m| m.entries().len()).collect::<Vec<_>>(), [3, 3, 2]);
         assert!(lent.iter().all(|m| m.opened() == 0), "lent maps count from zero");
         for task in lent {
@@ -515,6 +539,33 @@ mod tests {
         }
         assert_eq!(b.entries(), before);
         assert_eq!(b.opened(), opened, "counters stay on the parent");
+
+        // Counters add, states overwrite.
+        let mut task = b.lend(Protocol::Icmp, [addr(0, 9)]);
+        assert_eq!(task.admit(addr(0, 9), Protocol::Icmp), Admission::Skip);
+        task.record(addr(20, 0), Protocol::Icmp, true);
+        b.absorb(task);
+        assert_eq!((b.opened(), b.skipped()), (opened + 1, 1));
+        assert_eq!(b.entries()[0], ((u128::from(addr(0, 0)) >> 16, 0), BreakerState::Open { skipped: 1 }));
+        assert_eq!(b.entries().len(), before.len() + 1);
+    }
+
+    /// What the keyed lend exists for: one target takes one breaker out of
+    /// a large map, and a second target in its domain finds it moved.
+    #[test]
+    fn lend_moves_exactly_the_breakers_of_its_targets() {
+        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 4 };
+        let mut b = BreakerMap::new(cfg);
+        for i in 0..1_000u16 {
+            b.record(addr(i, 0), Protocol::Icmp, true);
+        }
+        let lent = b.lend(Protocol::Icmp, [addr(7, 1), addr(7, 2)]);
+        assert_eq!(lent.entries(), [((u128::from(addr(7, 0)) >> 16, 0), BreakerState::Open { skipped: 0 })]);
+        assert_eq!(b.entries().len(), 999, "the rest stays");
+        assert!(b.lend(Protocol::Icmp, [addr(7, 3)]).entries().is_empty(), "no double move");
+        assert!(b.lend(Protocol::Udp53, [addr(8, 1)]).entries().is_empty(), "another protocol's breaker stays");
+        b.absorb(lent);
+        assert_eq!(b.entries().len(), 1_000, "no loss on reclaim");
     }
 
     #[test]

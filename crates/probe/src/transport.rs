@@ -14,10 +14,11 @@
 //!   the byte path's answers.
 //! - It **may** expose the state it carries from one probe to the next
 //!   ([`Transport::carried`]: per-flow attempt counters, the fault layer's
-//!   per-prefix clock and totals — see [`Carried`]). The engine moves that
-//!   state to the scan task that owns it and back, and campaign checkpoints
-//!   persist it, so sharded and resumed scans continue the same clocks. A
-//!   transport without such state leaves the accessors at `None`.
+//!   per-prefix clock and totals — see [`Carried`]). The engine moves the
+//!   rows of the addresses a scan task probes to that task and back, and
+//!   campaign checkpoints persist it, so sharded and resumed scans continue
+//!   the same clocks. A transport without such state leaves the accessors
+//!   at `None`.
 //!
 //! Everything above the transport is identical either way.
 

@@ -4,14 +4,19 @@
 //! run — under hostile faults, circuit breakers, sharding, and (in the
 //! degenerate single-shard path) a live token-bucket rate limiter.
 
-use std::path::PathBuf;
-use std::sync::atomic::AtomicBool;
+mod common;
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use common::Budgeted;
 use netmodel::{FaultConfig, Protocol, World, WorldConfig};
+use sos_obs::json::Json;
 use sos_probe::{
-    BreakerConfig, BreakerMap, BreakerState, Campaign, CampaignCheckpoint, RetryPolicy,
-    RunOptions, Scanner, ScannerConfig, SimTransport,
+    BreakerConfig, BreakerMap, BreakerState, Campaign, CampaignCheckpoint, CampaignRun,
+    RetryPolicy, RunOptions, Scanner, ScannerConfig, SimTransport,
 };
 
 fn hostile_world(seed: u64) -> Arc<World> {
@@ -391,4 +396,367 @@ fn stale_tmp_file_is_ignored_and_overwritten() {
     assert!(!stale.exists(), "the tmp file was renamed over the checkpoint");
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), next);
     let _ = std::fs::remove_file(&path);
+}
+
+/// The hostile four-shard campaign the hard-kill tests interrupt, with the
+/// uninterrupted run's outcome to converge on.
+struct Hostile {
+    world: Arc<World>,
+    targets: Vec<std::net::Ipv6Addr>,
+    opts: RunOptions,
+    full: CampaignRun,
+    full_counters: std::collections::BTreeMap<String, u64>,
+    full_ckpt: CampaignCheckpoint,
+}
+
+impl Hostile {
+    const EVERY: usize = 48;
+
+    fn new(tag: &str) -> Hostile {
+        let world = hostile_world(0xCE5);
+        let targets = targets(&world);
+        let path = tmp(&format!("{tag}-full"));
+        let opts = RunOptions {
+            shards: 4,
+            checkpoint_every: Self::EVERY,
+            checkpoint_path: Some(path.clone()),
+            provenance: Some(Arc::new(sos_probe::ProvenanceLog::for_targets(&targets))),
+            ..RunOptions::default()
+        };
+        let mut s = scanner(world.clone(), None);
+        let full = Campaign::standard(&mut s).run_with(&targets, &opts, None).unwrap();
+        assert!(full.completed && full.rounds >= 5, "{} rounds", full.rounds);
+        assert!(!wal_of(&path).exists(), "a completed run leaves no wal");
+        let mut full_counters = s.metrics().counters();
+        full_counters.remove("probe.resumed_targets");
+        let full_ckpt = CampaignCheckpoint::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        Hostile { world, targets, opts, full, full_counters, full_ckpt }
+    }
+
+    fn at(&self, path: &Path) -> RunOptions {
+        RunOptions { checkpoint_path: Some(path.to_path_buf()), ..self.opts.clone() }
+    }
+
+    /// Stop cooperatively after `k` rounds: the checkpoint that leaves and
+    /// the packets sent up to that boundary.
+    fn stopped_after(&self, k: usize, path: &Path) -> (CampaignCheckpoint, u64) {
+        let opts = RunOptions { stop_after_rounds: Some(k), ..self.at(path) };
+        let mut s = scanner(self.world.clone(), None);
+        let partial = Campaign::standard(&mut s).run_with(&self.targets, &opts, None).unwrap();
+        assert!(!partial.completed && partial.rounds == k);
+        assert!(!wal_of(path).exists(), "a cooperative stop leaves no wal");
+        (CampaignCheckpoint::load(path).unwrap(), partial.result.packets_sent())
+    }
+
+    /// Kill the campaign on the first packet after boundary `k`: what is
+    /// on disk at `path` afterwards is what boundaries `1..=k` wrote.
+    fn killed_after(&self, k: usize, path: &Path) {
+        let scratch = path.with_extension("scratch.json");
+        let (_, packets) = self.stopped_after(k, &scratch);
+        let _ = std::fs::remove_file(&scratch);
+        let mut s = budgeted(self.world.clone(), None, packets + 1, || panic!("killed mid-round"));
+        let opts = self.at(path);
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            Campaign::standard(&mut s).run_with(&self.targets, &opts, None)
+        }));
+        assert!(died.is_err(), "the budget must run out inside round {}", k + 1);
+    }
+
+    /// Resume from `ckpt` with a fresh scanner and check the campaign ends
+    /// where the uninterrupted run did.
+    fn resume_converges(&self, ckpt: &CampaignCheckpoint, path: &Path, what: &str) {
+        let mut s = scanner(self.world.clone(), None);
+        let resumed = Campaign::standard(&mut s)
+            .run_with(&self.targets, &self.at(path), Some(ckpt))
+            .unwrap();
+        assert!(resumed.completed, "{what}");
+        assert_eq!(resumed.rounds, self.full.rounds, "{what}");
+        assert_eq!(resumed.result.reports, self.full.result.reports, "reports diverged: {what}");
+        assert_eq!(
+            sos_probe::merged_attribution(&resumed.result.reports),
+            sos_probe::merged_attribution(&self.full.result.reports),
+            "attribution diverged: {what}"
+        );
+        let mut counters = s.metrics().counters();
+        assert_eq!(counters.remove("probe.resumed_targets"), Some(ckpt.done as u64), "{what}");
+        assert_eq!(counters, self.full_counters, "counters diverged: {what}");
+        assert_eq!(
+            normalized(CampaignCheckpoint::load(path).unwrap()),
+            normalized(self.full_ckpt.clone()),
+            "final checkpoint diverged: {what}"
+        );
+        assert!(!wal_of(path).exists(), "a completed run leaves no wal: {what}");
+    }
+}
+
+/// [`scanner`] over a transport that runs `spent` once `budget` packets
+/// are out.
+fn budgeted(
+    world: Arc<World>,
+    rate_pps: Option<f64>,
+    budget: u64,
+    spent: impl Fn() + Send + Sync + 'static,
+) -> Scanner<Budgeted> {
+    let config = scanner(world.clone(), rate_pps).config().clone();
+    Scanner::new(config, Budgeted::new(world, budget, spent))
+}
+
+fn wal_of(path: &Path) -> PathBuf {
+    path.with_extension("wal")
+}
+
+/// The document at `path` alone, without the write-ahead log beside it.
+fn document(path: &Path) -> CampaignCheckpoint {
+    let text = std::fs::read_to_string(path).unwrap();
+    CampaignCheckpoint::from_json(&Json::parse(&text).unwrap()).unwrap()
+}
+
+fn remove_pair(path: &Path) {
+    let _ = std::fs::remove_file(path);
+    let _ = std::fs::remove_file(wal_of(path));
+}
+
+/// A kill that is not at a boundary — the process dies mid-round, nothing
+/// gets to rewrite the document — leaves the first boundary's document
+/// and one write-ahead line per later boundary, and that pair is the
+/// checkpoint: it loads as the state a cooperative stop at the same
+/// boundary leaves, and resumes to the uninterrupted run's result.
+#[test]
+fn hard_kill_after_every_boundary_resumes_bit_identically() {
+    let h = Hostile::new("hard-kill");
+    for k in 1..h.full.rounds {
+        let path = tmp(&format!("hard-kill-{k}"));
+        remove_pair(&path);
+        let (stopped, _) = h.stopped_after(k, &path);
+        remove_pair(&path);
+        h.killed_after(k, &path);
+
+        // The structure that makes a boundary cost what its round did:
+        // the document is still the first boundary's.
+        assert_eq!(document(&path).rounds, 1, "killed after boundary {k}");
+        let lines = std::fs::read_to_string(wal_of(&path)).map_or(0, |log| log.lines().count());
+        assert_eq!(lines, k - 1, "killed after boundary {k}");
+
+        let ckpt = CampaignCheckpoint::load(&path).unwrap();
+        assert_eq!(ckpt.rounds, k);
+        assert_eq!(normalized(ckpt.clone()), normalized(stopped), "killed after boundary {k}");
+        h.resume_converges(&ckpt, &path, &format!("killed after boundary {k}"));
+        remove_pair(&path);
+    }
+}
+
+/// The same through the scanner's own token bucket: a write-ahead line
+/// carries the limiter's state whole, so a killed rate-limited campaign
+/// loads and resumes with its virtual waits bit-identical.
+#[test]
+fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
+    const K: usize = 3;
+    let w = hostile_world(0x11A7E);
+    let t = targets(&w);
+    let path = tmp("hard-kill-limit");
+    remove_pair(&path);
+    let opts = RunOptions {
+        shards: 1,
+        checkpoint_every: 30,
+        checkpoint_path: Some(path.clone()),
+        ..RunOptions::default()
+    };
+    let run = |s: &mut Scanner<SimTransport>, opts: &RunOptions, from: Option<&CampaignCheckpoint>| {
+        Campaign::new(s, vec![Protocol::Icmp]).run_with(&t, opts, from).unwrap()
+    };
+    let full = run(&mut scanner(w.clone(), Some(25.0)), &opts, None);
+    let stop = RunOptions { stop_after_rounds: Some(K), ..opts.clone() };
+    let partial = run(&mut scanner(w.clone(), Some(25.0)), &stop, None);
+    let stopped = CampaignCheckpoint::load(&path).unwrap();
+    remove_pair(&path);
+
+    let budget = partial.result.packets_sent() + 1;
+    let mut s = budgeted(w.clone(), Some(25.0), budget, || panic!("killed mid-round"));
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &opts, None)
+    }));
+    assert!(died.is_err());
+    assert_eq!(document(&path).rounds, 1);
+    let ckpt = CampaignCheckpoint::load(&path).unwrap();
+    assert!(ckpt.limiter.is_some() && ckpt.limiter != document(&path).limiter);
+    assert_eq!(ckpt, stopped);
+    let resumed = run(&mut scanner(w.clone(), Some(25.0)), &opts, Some(&ckpt));
+    assert_eq!(resumed.result.reports, full.result.reports);
+    remove_pair(&path);
+}
+
+fn field<'j>(j: &'j mut Json, key: &str) -> &'j mut Json {
+    let Json::Obj(fields) = j else { panic!("{key}: not an object") };
+    fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).unwrap_or_else(|| panic!("no {key}"))
+}
+
+fn items(j: &mut Json) -> &mut Vec<Json> {
+    let Json::Arr(items) = j else { panic!("not an array") };
+    items
+}
+
+/// What `load` makes of a write-ahead log that is not what a run wrote in
+/// full: a cut tail and leftovers are passed over, anything else is an
+/// error naming the log — never a panic, never state nobody wrote.
+#[test]
+fn write_ahead_log_damage_is_dropped_skipped_or_refused() {
+    const K: usize = 4;
+    let h = Hostile::new("wal-damage");
+    let path = tmp("wal-damage");
+    remove_pair(&path);
+    let (stopped, _) = h.stopped_after(K, &path);
+    remove_pair(&path);
+    h.killed_after(K, &path);
+    let wal = wal_of(&path);
+    let log = std::fs::read_to_string(&wal).unwrap();
+    let lines: Vec<&str> = log.lines().collect();
+    assert_eq!(lines.len(), K - 1);
+    let first_document = std::fs::read(&path).unwrap();
+
+    // A kill mid-append: the last line is cut short. The rounds before it
+    // load, and resuming from there still converges.
+    std::fs::write(&wal, &log[..log.len() - lines[K - 2].len() / 2]).unwrap();
+    let ckpt = CampaignCheckpoint::load(&path).unwrap();
+    assert_eq!(ckpt.rounds, K - 1);
+    h.resume_converges(&ckpt, &path, "last wal line cut mid-way");
+
+    // A document rewrite that died before it removed the log: every line
+    // is a round the document already holds.
+    stopped.save(&path).unwrap();
+    assert!(!wal.exists(), "save removes the log it supersedes");
+    std::fs::write(&wal, &log).unwrap();
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), stopped);
+
+    // Everything else is refused, naming the log.
+    std::fs::write(&path, &first_document).unwrap();
+    let edited = |edit: &dyn Fn(&mut Json)| {
+        let mut line = Json::parse(lines[0]).unwrap();
+        edit(&mut line);
+        format!("{line}\n{}\n", lines[1..].join("\n"))
+    };
+    let row = |table: &[&str], column: usize, value: u64| {
+        edited(&|line| {
+            let rows = table.iter().fold(line, |j, key| field(j, key));
+            items(&mut items(rows)[0])[column] = Json::U64(value);
+        })
+    };
+    for (what, log, names) in [
+        ("a missing round", lines[1..].join("\n") + "\n", "missing"),
+        (
+            "another campaign's line",
+            edited(&|line| *field(line, "fingerprint") = Json::Str("00000000deadbeef".into())),
+            "fingerprint",
+        ),
+        ("progress going backwards", edited(&|line| *field(line, "done") = Json::U64(0)), "done"),
+        ("a torn line before the last", format!("{}\n{}\n", &lines[0][..40], lines[1]), "line 1"),
+        ("fault row protocol 300", row(&["fault_state"], 1, 300), "fault_state"),
+        ("fault row count 2^40", row(&["fault_state"], 2, 1 << 40), "fault_state"),
+        ("breaker row protocol 300", row(&["breaker", "entries"], 1, 300), "breaker.entries"),
+        ("breaker row tag 3", row(&["breaker", "entries"], 2, 3), "breaker.entries"),
+        ("breaker row count 2^40", row(&["breaker", "entries"], 3, 1 << 40), "breaker.entries"),
+        ("reports out of order", edited(&|line| items(field(line, "reports")).swap(0, 1)), "reports"),
+        ("a report short", edited(&|line| drop(items(field(line, "reports")).pop())), "reports"),
+        ("no breaker where the document has one", edited(&|line| *field(line, "breaker") = Json::Null), "breaker"),
+    ] {
+        std::fs::write(&wal, log).unwrap();
+        let err = CampaignCheckpoint::load(&path).expect_err(what);
+        assert!(err.contains(&wal.display().to_string()), "{what}: {err:?} must name the wal");
+        assert!(err.contains(names), "{what}: {err:?} must name {names:?}");
+    }
+    remove_pair(&path);
+}
+
+/// A write-ahead log that cannot be appended to ends the campaign at the
+/// second boundary — the first one that appends — with an error naming
+/// it; the first boundary's document is on disk, and the failed write is
+/// not journaled.
+#[test]
+fn unwritable_write_ahead_log_fails_the_second_boundary() {
+    let h = Hostile::new("wal-io");
+    let path = tmp("wal-io");
+    let journal = tmp("wal-io-journal");
+    remove_pair(&path);
+    let (_, first_round) = h.stopped_after(1, &path);
+    remove_pair(&path);
+    // Once round 2 is under way, a directory takes the log's place.
+    let wal = wal_of(&path);
+    let block = {
+        let wal = wal.clone();
+        move || drop(std::fs::create_dir(&wal))
+    };
+    let mut s = budgeted(h.world.clone(), None, first_round + 1, block);
+    let opts = RunOptions { journal_path: Some(journal.clone()), ..h.at(&path) };
+    let err = Campaign::standard(&mut s)
+        .run_with(&h.targets, &opts, None)
+        .expect_err("a directory cannot be appended to");
+    assert!(err.contains(&wal.display().to_string()), "{err}");
+    assert_eq!(document(&path).rounds, 1, "the first boundary wrote the document");
+    let kinds: Vec<&str> = sos_obs::journal::read_records(&journal)
+        .unwrap()
+        .iter()
+        .map(|r| r.event.kind())
+        .collect();
+    assert_eq!(kinds.iter().filter(|k| **k == "round_end").count(), 2, "{kinds:?}");
+    assert_eq!(kinds.iter().filter(|k| **k == "checkpoint").count(), 1, "{kinds:?}");
+    let _ = std::fs::remove_dir(&wal);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(&journal);
+}
+
+/// A cancel that lands mid-run, after lines were appended, still ends on
+/// one whole document and no log.
+#[test]
+fn cancel_after_appends_leaves_a_document_and_no_log() {
+    let h = Hostile::new("wal-cancel");
+    let path = tmp("wal-cancel");
+    let scratch = tmp("wal-cancel-scratch");
+    remove_pair(&path);
+    let (_, packets) = h.stopped_after(3, &scratch);
+    let _ = std::fs::remove_file(&scratch);
+    let cancel = Arc::new(AtomicBool::new(false));
+    let raise = {
+        let cancel = cancel.clone();
+        move || cancel.store(true, Ordering::SeqCst)
+    };
+    let mut s = budgeted(h.world.clone(), None, packets + 1, raise);
+    let opts = RunOptions { cancel: Some(cancel), ..h.at(&path) };
+    let stopped = Campaign::standard(&mut s).run_with(&h.targets, &opts, None).unwrap();
+    assert!(!stopped.completed);
+    assert_eq!(stopped.rounds, 4, "the cancel is honored at the boundary after it was raised");
+    assert!(!wal_of(&path).exists());
+    let ckpt = document(&path);
+    assert_eq!(ckpt.rounds, 4);
+    h.resume_converges(&ckpt, &path, "cancelled during round 4");
+    remove_pair(&path);
+}
+
+/// Reports are folded by position, so a checkpoint whose fingerprint
+/// matches but whose report list is not one per protocol, in order, is
+/// refused before any probe instead of indexing out of bounds or adding
+/// one protocol's rounds to another's report.
+#[test]
+fn resume_refuses_reports_that_do_not_match_the_protocols() {
+    let h = Hostile::new("bad-reports");
+    let path = tmp("bad-reports");
+    remove_pair(&path);
+    let (good, _) = h.stopped_after(1, &path);
+    remove_pair(&path);
+    for what in ["empty", "short", "reordered", "duplicated"] {
+        let mut ckpt = good.clone();
+        let reports = &mut ckpt.reports;
+        match what {
+            "empty" => reports.clear(),
+            "short" => drop(reports.pop()),
+            "reordered" => reports.swap(0, 1),
+            _ => reports[1] = reports[0].clone(),
+        }
+        let mut s = scanner(h.world.clone(), None);
+        let opts = RunOptions { checkpoint_path: None, ..h.opts.clone() };
+        let err = Campaign::standard(&mut s)
+            .run_with(&h.targets, &opts, Some(&ckpt))
+            .expect_err(what);
+        assert!(err.contains("reports"), "{what}: {err}");
+        assert_eq!(s.packets_sent(), 0, "{what}: refused before any probe");
+    }
 }
