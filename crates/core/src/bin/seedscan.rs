@@ -59,7 +59,7 @@
 //!
 //! Discovery attribution: a campaign tags every target with its /32
 //! region, so the manifest records which parts of the address space the
-//! probes, hits, and aliases landed in (`campaign.attribution`), hits
+//! probes, hits, and aliases landed in (the `campaign.*` section), hits
 //! resolved against the world's ground truth by addressing scheme and
 //! origin AS, and a per-/32 coverage map against the modeled host
 //! density. `seedscan explain <manifest|journal>` renders all of it as
@@ -588,38 +588,7 @@ fn main() -> ExitCode {
     // Explicit-only (not part of `all`): the hostile-network campaign
     // demo — fault injection, circuit breakers, checkpoint/resume.
     if args.experiment == "campaign" {
-        use sos_probe::{
-            BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner,
-            ScannerConfig, SimTransport,
-        };
-        let resume = match args.resume.as_deref() {
-            None => None,
-            Some(path) => match CampaignCheckpoint::load(std::path::Path::new(path)) {
-                Ok(c) => {
-                    sos_obs::info!("resuming from {path}: {} targets done, {} rounds", c.done, c.rounds);
-                    Some(c)
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-        };
-        let scan_cfg = ScannerConfig {
-            salt: args.seed ^ 0x5ca9,
-            retry: RetryPolicy::exponential(study.config().scan_retries + 1, 0.05),
-            breaker: args.breaker.then(BreakerConfig::default),
-            rate_pps: None,
-            ..ScannerConfig::default()
-        };
-        let mut scanner = Scanner::new(scan_cfg, SimTransport::new(study.world().clone()));
-        let mut campaign = Campaign::standard(&mut scanner);
-        let targets = study.pipeline().full.clone();
-        // Tag every target with its /32 region so the run carries full
-        // discovery attribution (pure observer: results stay bit-identical
-        // to an untagged run).
-        let provenance = std::sync::Arc::new(sos_probe::provenance::ProvenanceLog::for_targets(&targets));
-        let opts = RunOptions {
+        let opts = sos_probe::RunOptions {
             shards: study.config().scan_shards,
             checkpoint_every: args.checkpoint_every.unwrap_or(0),
             checkpoint_path: args.checkpoint.as_ref().map(std::path::PathBuf::from),
@@ -632,109 +601,19 @@ fn main() -> ExitCode {
                 .as_ref()
                 .map(|p| std::path::PathBuf::from(p).with_extension("prom")),
             snapshot_every: args.snapshot_every.unwrap_or(1),
-            provenance: Some(provenance),
+            // `campaign::run` tags the targets itself.
+            provenance: None,
         };
-        let outcome = match campaign.run_with(&targets, &opts, resume.as_ref()) {
-            Ok(o) => o,
+        let resume = args.resume.as_deref().map(std::path::Path::new);
+        match experiments::campaign::run(&study, args.seed, &fault_preset, args.breaker, opts, resume) {
+            Ok(c) => {
+                emit("campaign", c.text);
+                c.summary.record(&c.counters, &mut manifest.borrow_mut());
+            }
             Err(e) => {
                 eprintln!("error: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        let mut text = format!(
-            "Campaign over {} targets (faults={fault_preset}, breaker={}, shards={})\n\
-             completed={} rounds={} resumed_targets={}\n\
-             {:<7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8} {:>8}\n",
-            targets.len(),
-            if args.breaker { "on" } else { "off" },
-            opts.shards.max(1),
-            outcome.completed,
-            outcome.rounds,
-            outcome.resumed_targets,
-            "proto", "probed", "hits", "skipped", "retries", "packets", "faults", "opened",
-        );
-        for (proto, r) in &outcome.result.reports {
-            text.push_str(&format!(
-                "{:<7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8} {:>8}\n",
-                proto.label(),
-                r.probed,
-                r.hits.len(),
-                r.skipped,
-                r.retries,
-                r.packets_sent,
-                r.faults_injected,
-                r.breaker_opened,
-            ));
-        }
-        text.push_str(&format!(
-            "responsive on >=1 protocol: {}",
-            outcome.result.responsive_count()
-        ));
-
-        // Discovery attribution: the campaign-wide table, ground-truth hit
-        // resolution, and per-/32 coverage — recorded in the manifest for
-        // `seedscan explain` and summarized inline.
-        let attribution = sos_probe::merged_attribution(&outcome.result.reports);
-        let (probed, hits, packets) = outcome.result.reports.iter().fold(
-            (0u64, 0u64, 0u64),
-            |(p, h, k), (_, r)| (p + r.probed as u64, h + r.hits.len() as u64, k + r.packets_sent),
-        );
-        let all_hits: Vec<std::net::Ipv6Addr> = {
-            let mut v: Vec<std::net::Ipv6Addr> = outcome
-                .result
-                .reports
-                .iter()
-                .flat_map(|(_, r)| r.hits.iter().copied())
-                .collect();
-            v.sort_unstable();
-            v.dedup();
-            v
-        };
-        let hit_attr = sos_probe::provenance::attribute_hits(study.world(), &all_hits);
-        let coverage = sos_core::coverage::CoverageMap::build(study.world(), &targets, &all_hits);
-        let (a_probes, a_hits, _) = attribution.totals();
-        text.push_str(&format!(
-            "\nattribution: {} region(s), {a_hits} hits / {a_probes} probes ({} wasted), \
-             {} scheme(s), {} AS(es); coverage {} /32 cell(s), {} missed, {} blind",
-            attribution.len(),
-            attribution.wasted(),
-            hit_attr.by_scheme.len(),
-            hit_attr.by_as.len(),
-            coverage.len(),
-            coverage.missed_cells(),
-            coverage.blind_cells(),
-        ));
-        emit("campaign", text);
-        {
-            use sos_obs::json::Json;
-            let mut m = manifest.borrow_mut();
-            for (name, value) in scanner.metrics().counters() {
-                m.set(&format!("campaign.{name}"), value);
-            }
-            m.set(sos_core::names::ATTRIBUTION, attribution.to_json());
-            let mut totals = Json::obj();
-            totals.set("probed", probed);
-            totals.set("hits", hits);
-            totals.set(
-                "aliases",
-                {
-                    let (_, _, aliases) = attribution.totals();
-                    aliases
-                },
-            );
-            totals.set("packets", packets);
-            m.set(sos_core::names::TOTALS, totals);
-            let mut schemes = Json::obj();
-            for (label, n) in &hit_attr.by_scheme {
-                schemes.set(label, *n);
-            }
-            m.set(sos_core::names::SCHEME_HITS, schemes);
-            let mut ases = Json::obj();
-            for (asn, n) in &hit_attr.by_as {
-                ases.set(&asn.to_string(), *n);
-            }
-            m.set(sos_core::names::AS_HITS, ases);
-            m.set(sos_core::names::COVERAGE, coverage.to_json());
         }
     }
     if run("rq3") {

@@ -125,7 +125,8 @@ impl CoverageMap {
         )
     }
 
-    /// Parse the row array [`Self::to_json`] writes.
+    /// Parse the row array [`Self::to_json`] writes. A prefix past 32 bits
+    /// is an error, not another prefix's cell.
     pub fn from_json(j: &Json) -> Result<CoverageMap, String> {
         let rows = j.as_arr().ok_or("coverage is not an array")?;
         let mut map = CoverageMap::default();
@@ -136,7 +137,7 @@ impl CoverageMap {
                 items[i].as_u64().ok_or_else(|| format!("bad coverage field {i}"))
             };
             map.cells.insert(
-                u(0)? as u32,
+                u32::try_from(u(0)?).map_err(|_| "bad coverage field 0 (prefix exceeds 32 bits)")?,
                 CoverageCell { generated: u(1)?, hits: u(2)?, truth: u(3)? },
             );
         }
@@ -223,6 +224,14 @@ mod tests {
         let back = CoverageMap::from_json(&map.to_json()).expect("parses");
         assert_eq!(back, map);
         assert!(CoverageMap::from_json(&Json::Arr(vec![])).unwrap().is_empty());
+    }
+
+    #[test]
+    fn from_json_refuses_a_prefix_past_32_bits() {
+        let row = |prefix: u64| Json::Arr(vec![Json::Arr([prefix, 3, 1, 2].map(Json::U64).to_vec())]);
+        assert_eq!(CoverageMap::from_json(&row(u32::MAX.into())).unwrap().totals(), (3, 1, 2));
+        let err = CoverageMap::from_json(&row(1 << 40)).expect_err("2^40 is not a /32");
+        assert!(err.contains("coverage") && err.contains("prefix"), "{err}");
     }
 
     #[test]

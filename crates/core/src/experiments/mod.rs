@@ -13,10 +13,12 @@
 //! | RQ5 recommendations | [`recommend::recommendations`] |
 //! | extension: AS-category slices (Steger-style) | [`as_kind::run_by_kind`] |
 //! | extension: budget saturation curves | [`budget::budget_sweep`] |
+//! | §5.3 collection pass as a resumable, fault-tolerant campaign | [`campaign::run`] |
 
 pub mod appendix_d;
 pub mod as_kind;
 pub mod budget;
+pub mod campaign;
 pub mod grid;
 pub mod recommend;
 pub mod rq1;

@@ -7,7 +7,11 @@
 //! - a **manifest** (one JSON document, `--manifest FILE`): full
 //!   attribution — ranked regions, per-scheme and per-AS hit tables,
 //!   per-source waste histograms, and the address-space coverage heatmap,
-//!   all reconstructed from the `campaign.*` entries the run recorded;
+//!   all reconstructed from the `campaign.*` section the run recorded.
+//!   That section's format lives here and nowhere else:
+//!   [`ManifestExplain`] is built from a run, writes the section
+//!   ([`ManifestExplain::record`]) and reads it back
+//!   ([`ManifestExplain::from_manifest`]);
 //! - a **journal** (JSON lines, `--journal FILE`): the fold
 //!   [`crate::watch`] maintains, summarized once — per-source discovery
 //!   totals plus the exact counter snapshot.
@@ -17,11 +21,16 @@
 //! because that invariant holds for faulted, sharded, and
 //! killed-and-resumed runs alike (see `crates/core/tests/explain_campaign.rs`).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::net::Ipv6Addr;
 use std::path::Path;
 
+use netmodel::{Protocol, World};
 use sos_obs::json::Json;
-use sos_probe::provenance::{AttributionTable, SOURCE_TARGETS};
+use sos_obs::manifest::Manifest;
+use sos_probe::provenance::{attribute_hits, AttributionTable, SOURCE_TARGETS};
+use sos_probe::ScanReport;
 
 use crate::coverage::CoverageMap;
 use crate::watch::WatchState;
@@ -68,7 +77,30 @@ fn bar(value: u64, max: u64, width: usize) -> String {
     "#".repeat(filled)
 }
 
-/// Everything `explain` reconstructs from a manifest.
+/// The campaign's merged per-region attribution table
+/// ([`AttributionTable::to_json`] rows).
+const ATTRIBUTION: &str = "campaign.attribution";
+/// Top-level scan totals: `{probed, hits, aliases, packets}`.
+const TOTALS: &str = "campaign.totals";
+/// Ground-truth hits per addressing scheme label.
+const SCHEME_HITS: &str = "campaign.scheme_hits";
+/// Ground-truth hits per origin AS (ASN keys as strings).
+const AS_HITS: &str = "campaign.as_hits";
+/// Per-/32 coverage rows ([`CoverageMap::to_json`]).
+const COVERAGE: &str = "campaign.coverage";
+
+/// `{key: count, …}` in row order.
+fn tally_obj<K: ToString>(rows: &[(K, u64)]) -> Json {
+    let mut o = Json::obj();
+    for (key, n) in rows {
+        o.set(&key.to_string(), *n);
+    }
+    o
+}
+
+/// A campaign's discovery summary — what the manifest's `campaign.*`
+/// section stores, and everything `explain` reconstructs from it.
+#[derive(Debug, PartialEq)]
 pub struct ManifestExplain {
     /// The run's attribution table.
     pub attribution: AttributionTable,
@@ -84,13 +116,62 @@ pub struct ManifestExplain {
 }
 
 impl ManifestExplain {
-    /// Pull the `campaign.*` entries out of a manifest document.
+    /// Summarize a campaign over `targets`: the merged attribution table
+    /// and scan totals of its per-protocol `reports`, its distinct hits
+    /// resolved against `world`'s ground truth by addressing scheme and
+    /// origin AS, and per-/32 coverage.
+    pub fn from_run(
+        world: &World,
+        targets: &[Ipv6Addr],
+        reports: &[(Protocol, ScanReport)],
+    ) -> ManifestExplain {
+        let attribution = sos_probe::merged_attribution(reports);
+        let (probed, hits, packets) = reports.iter().fold((0, 0, 0), |(p, h, k), (_, r)| {
+            (p + r.probed as u64, h + r.hits.len() as u64, k + r.packets_sent)
+        });
+        let mut all_hits: Vec<Ipv6Addr> =
+            reports.iter().flat_map(|(_, r)| r.hits.iter().copied()).collect();
+        all_hits.sort_unstable();
+        all_hits.dedup();
+        let truth = attribute_hits(world, &all_hits);
+        ManifestExplain {
+            scan_totals: Some((probed, hits, attribution.totals().2, packets)),
+            scheme_hits: truth.by_scheme.into_iter().map(|(k, n)| (k.to_string(), n)).collect(),
+            as_hits: truth.by_as.into_iter().collect(),
+            coverage: CoverageMap::build(world, targets, &all_hits),
+            attribution,
+        }
+    }
+
+    /// Write the manifest's campaign section: one `campaign.<counter>`
+    /// entry per scanner counter, then the entries
+    /// [`Self::from_manifest`] reads back.
+    pub fn record(&self, counters: &BTreeMap<String, u64>, m: &mut Manifest) {
+        for (name, value) in counters {
+            m.set(&format!("campaign.{name}"), *value);
+        }
+        m.set(ATTRIBUTION, self.attribution.to_json());
+        if let Some((probed, hits, aliases, packets)) = self.scan_totals {
+            let mut totals = Json::obj();
+            totals
+                .set("probed", probed)
+                .set("hits", hits)
+                .set("aliases", aliases)
+                .set("packets", packets);
+            m.set(TOTALS, totals);
+        }
+        m.set(SCHEME_HITS, tally_obj(&self.scheme_hits));
+        m.set(AS_HITS, tally_obj(&self.as_hits));
+        m.set(COVERAGE, self.coverage.to_json());
+    }
+
+    /// Pull the campaign section out of a manifest document.
     pub fn from_manifest(doc: &Json) -> Result<ManifestExplain, String> {
-        let attribution = match doc.get(crate::names::ATTRIBUTION) {
+        let attribution = match doc.get(ATTRIBUTION) {
             Some(rows) => AttributionTable::from_json(rows)?,
             None => AttributionTable::new(),
         };
-        let scan_totals = doc.get(crate::names::TOTALS).map(|t| {
+        let scan_totals = doc.get(TOTALS).map(|t| {
             let u = |k: &str| t.get(k).and_then(Json::as_u64).unwrap_or(0);
             (u("probed"), u("hits"), u("aliases"), u("packets"))
         });
@@ -105,18 +186,18 @@ impl ManifestExplain {
                 })
                 .unwrap_or_default()
         };
-        let as_hits = pairs(crate::names::AS_HITS)
+        let as_hits = pairs(AS_HITS)
             .into_iter()
             .filter_map(|(k, n)| k.parse::<u32>().ok().map(|asn| (asn, n)))
             .collect();
-        let coverage = match doc.get(crate::names::COVERAGE) {
+        let coverage = match doc.get(COVERAGE) {
             Some(rows) => CoverageMap::from_json(rows)?,
             None => CoverageMap::default(),
         };
         Ok(ManifestExplain {
             attribution,
             scan_totals,
-            scheme_hits: pairs(crate::names::SCHEME_HITS),
+            scheme_hits: pairs(SCHEME_HITS),
             as_hits,
             coverage,
         })
@@ -258,16 +339,8 @@ impl ManifestExplain {
             None => doc.set("integrity", Json::Null),
         };
         doc.set("attribution", self.attribution.to_json());
-        let mut schemes = Json::obj();
-        for (scheme, n) in &self.scheme_hits {
-            schemes.set(scheme, *n);
-        }
-        doc.set("scheme_hits", schemes);
-        let mut ases = Json::obj();
-        for (asn, n) in &self.as_hits {
-            ases.set(&asn.to_string(), *n);
-        }
-        doc.set("as_hits", ases);
+        doc.set("scheme_hits", tally_obj(&self.scheme_hits));
+        doc.set("as_hits", tally_obj(&self.as_hits));
         let mut cov = Json::obj();
         let (g, h, t) = self.coverage.totals();
         cov.set("cells", self.coverage.len() as u64);
@@ -369,7 +442,7 @@ mod tests {
     use super::*;
     use sos_probe::provenance::Provenance;
 
-    fn sample_manifest() -> Json {
+    fn sample_summary() -> ManifestExplain {
         let mut table = AttributionTable::new();
         let p = |region| Provenance { source: 2, region, seed_digest: 0xbeef, round: 1 };
         for _ in 0..10 {
@@ -380,23 +453,78 @@ mod tests {
         }
         table.record_probe(p(9));
         table.note_alias(p(9));
-        let mut doc = Json::obj();
-        doc.set("tool", "seedscan");
-        doc.set("campaign.attribution", table.to_json());
-        let mut totals = Json::obj();
-        totals.set("probed", 11u64);
-        totals.set("hits", 4u64);
-        totals.set("aliases", 1u64);
-        totals.set("packets", 40u64);
-        doc.set("campaign.totals", totals);
-        let mut schemes = Json::obj();
-        schemes.set("low-byte", 3u64);
-        schemes.set("eui64", 1u64);
-        doc.set("campaign.scheme_hits", schemes);
-        let mut ases = Json::obj();
-        ases.set("64500", 4u64);
-        doc.set("campaign.as_hits", ases);
-        doc
+        let coverage = Json::parse("[[536936448,10,4,6],[536936449,1,0,0],[637534208,0,0,3]]").unwrap();
+        ManifestExplain {
+            attribution: table,
+            scan_totals: Some((11, 4, 1, 40)),
+            scheme_hits: vec![("eui64".to_string(), 1), ("low-byte".to_string(), 3)],
+            as_hits: vec![(64500, 4)],
+            coverage: CoverageMap::from_json(&coverage).unwrap(),
+        }
+    }
+
+    /// The manifest a campaign with [`sample_summary`] leaves, cut down to
+    /// the section `record` wrote (a whole manifest also snapshots every
+    /// global counter, histogram and span of the test process).
+    fn sample_manifest() -> Json {
+        let mut m = Manifest::new("seedscan");
+        let counters = [("probe.hits".to_string(), 4u64), ("probe.packets_sent".to_string(), 40)];
+        sample_summary().record(&counters.into_iter().collect(), &mut m);
+        let doc = m.finish();
+        let recorded = doc.entries().unwrap().iter();
+        Json::Obj(recorded.filter(|(k, _)| k == "tool" || k.starts_with("campaign.")).cloned().collect())
+    }
+
+    #[test]
+    fn what_record_writes_from_manifest_reads_back() {
+        let doc = sample_manifest();
+        assert_eq!(doc.get("campaign.probe.packets_sent"), Some(&Json::U64(40)));
+        assert_eq!(doc.entries().map(<[_]>::len), Some(1 + 2 + 5), "{doc}");
+        assert_eq!(ManifestExplain::from_manifest(&doc).unwrap(), sample_summary());
+        // A manifest that is not a campaign's reads back as an empty summary.
+        let none = ManifestExplain::from_manifest(&Json::obj()).unwrap();
+        assert!(none.attribution.is_empty() && none.scan_totals.is_none() && none.coverage.is_empty());
+    }
+
+    /// Hand `decode` every single-byte damage of `sample`: cut short at
+    /// each offset, with the byte there deleted, and with it replaced by
+    /// each of a few bytes a JSON reader branches on (every 7th offset past
+    /// 2 KB). What `decode` makes of a variant is its business, except that
+    /// it must return: a panic fails the sweep, naming the variant.
+    fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut at = 0;
+        while at < sample.len() {
+            let cut = sample[..at].to_vec();
+            let deleted = [&sample[..at], &sample[at + 1..]].concat();
+            let replaced = b"\"{[,9-e\0\xFF".iter().map(|&byte| {
+                let mut variant = sample.to_vec();
+                variant[at] = byte;
+                variant
+            });
+            for (n, variant) in [cut, deleted].into_iter().chain(replaced).enumerate() {
+                if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
+                    panic!("variant {n} at byte {at} of {} panicked the decoder", sample.len());
+                }
+            }
+            at += if at < 2048 { 1 } else { 7 };
+        }
+    }
+
+    /// ROADMAP 6a for the section's reader: whatever single byte of a
+    /// recorded manifest is lost or changed, it explains — rendered and as
+    /// JSON — or is refused, and never panics.
+    #[test]
+    fn single_byte_damage_to_a_recorded_manifest_never_panics_explain() {
+        let explain = |text: &str| {
+            let ex = ManifestExplain::from_manifest(&Json::parse(text)?)?;
+            Ok::<_, String>((ex.render(5), ex.to_json()))
+        };
+        let sample = sample_manifest().to_string_pretty();
+        assert!(explain(&sample).unwrap().0.contains("MATCH"));
+        single_byte_damage(sample.as_bytes(), |damaged| {
+            let _ = explain(&String::from_utf8_lossy(damaged));
+        });
     }
 
     #[test]
@@ -482,6 +610,12 @@ mod tests {
         let p = std::env::temp_dir().join("sos_explain_garbage.txt");
         std::fs::write(&p, "not json at all\n").unwrap();
         assert!(load(&p).is_err());
+        // Nesting that would run the parser out of stack is refused on the
+        // manifest branch and on the journal branch alike.
+        for deep in [format!("{{\n\"a\":{}", "[".repeat(100_000)), "{\"a\":".repeat(100_000)] {
+            std::fs::write(&p, deep).unwrap();
+            assert!(load(&p).is_err());
+        }
         let _ = std::fs::remove_file(&p);
     }
 }

@@ -28,7 +28,6 @@ pub mod experiments;
 pub mod explain;
 pub mod export;
 pub mod metrics;
-pub mod names;
 pub mod report;
 pub mod runner;
 pub mod study;

@@ -7,66 +7,49 @@
 
 use std::net::Ipv6Addr;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use netmodel::FaultConfig;
+use sos_core::experiments::campaign;
 use sos_core::explain::{self, ExplainInput, ManifestExplain};
 use sos_core::{Study, StudyConfig};
 use sos_obs::json::Json;
 use sos_obs::manifest::Manifest;
-use sos_probe::provenance::{attribute_hits, ProvenanceLog};
-use sos_probe::{
-    BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner,
-    ScannerConfig, SimTransport,
-};
+use sos_probe::provenance::attribute_hits;
+use sos_probe::{CampaignCheckpoint, RunOptions};
 
 fn tmp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("sos-explain-{}-{tag}", std::process::id()))
 }
 
-fn scanner(study: &Study) -> Scanner<SimTransport> {
-    Scanner::new(
-        ScannerConfig {
-            salt: 0x5ca9,
-            retry: RetryPolicy::exponential(2, 0.05),
-            breaker: Some(BreakerConfig::default()),
-            rate_pps: None,
-            ..ScannerConfig::default()
-        },
-        SimTransport::new(study.world().clone()),
-    )
-}
-
 #[test]
 fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
-    let mut cfg = StudyConfig::tiny(0xE71);
+    const SEED: u64 = 0xE71;
+    let mut cfg = StudyConfig::tiny(SEED);
     cfg.world.faults = FaultConfig::hostile();
     let study = Study::new(cfg);
     let targets = study.pipeline().full.clone();
-    let prov = Arc::new(ProvenanceLog::for_targets(&targets));
 
     let ckpt_path = tmp("ckpt.json");
     let journal_path = tmp("journal.jsonl");
     let manifest_path = tmp("manifest.json");
 
-    // Kill the sharded campaign mid-flight at a checkpoint boundary...
+    // Kill the sharded campaign mid-flight at a checkpoint boundary, the
+    // way `seedscan campaign --stop-after 2` does...
     let opts = RunOptions {
         shards: 4,
         checkpoint_every: 64,
         checkpoint_path: Some(ckpt_path.clone()),
         journal_path: Some(journal_path.clone()),
-        provenance: Some(prov.clone()),
         ..RunOptions::default()
     };
     let kill_opts = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
-    let mut s = scanner(&study);
-    let killed = Campaign::standard(&mut s).run_with(&targets, &kill_opts, None).unwrap();
+    let killed = campaign::run(&study, SEED, "hostile", true, kill_opts, None).unwrap().run;
     assert!(!killed.completed, "stop_after_rounds must interrupt");
 
-    // ...then resume it from the checkpoint with a fresh scanner.
+    // ...then resume it from the checkpoint (`--resume`: a fresh scanner).
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
-    let mut s2 = scanner(&study);
-    let outcome = Campaign::standard(&mut s2).run_with(&targets, &opts, Some(&ckpt)).unwrap();
+    let resumed = campaign::run(&study, SEED, "hostile", true, opts, Some(&ckpt_path)).unwrap();
+    let outcome = &resumed.run;
     assert!(outcome.completed);
     assert_eq!(outcome.resumed_targets, ckpt.done);
 
@@ -78,8 +61,7 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
         assert_eq!(hits, r.hits.len() as u64, "{proto:?} hit sum != hits");
     }
 
-    // Record the manifest exactly the way `seedscan --experiment campaign`
-    // does.
+    // What the section must say, worked out here from the reports alone.
     let attribution = sos_probe::merged_attribution(&outcome.result.reports);
     let (probed, hits, packets) = outcome.result.reports.iter().fold(
         (0u64, 0u64, 0u64),
@@ -99,25 +81,9 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
     let hit_attr = attribute_hits(study.world(), &all_hits);
     let coverage = sos_core::coverage::CoverageMap::build(study.world(), &targets, &all_hits);
 
+    // Record the manifest with the call `seedscan campaign` makes.
     let mut m = Manifest::new("explain-test");
-    m.set(sos_core::names::ATTRIBUTION, attribution.to_json());
-    let mut totals = Json::obj();
-    totals.set("probed", probed);
-    totals.set("hits", hits);
-    totals.set("aliases", attribution.totals().2);
-    totals.set("packets", packets);
-    m.set(sos_core::names::TOTALS, totals);
-    let mut schemes = Json::obj();
-    for (label, n) in &hit_attr.by_scheme {
-        schemes.set(label, *n);
-    }
-    m.set(sos_core::names::SCHEME_HITS, schemes);
-    let mut ases = Json::obj();
-    for (asn, n) in &hit_attr.by_as {
-        ases.set(&asn.to_string(), *n);
-    }
-    m.set(sos_core::names::AS_HITS, ases);
-    m.set(sos_core::names::COVERAGE, coverage.to_json());
+    resumed.summary.record(&resumed.counters, &mut m);
     m.write_to_file(&manifest_path).unwrap();
 
     // Invariant 2: the manifest round-trips through `explain` exactly —
@@ -126,6 +92,7 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
         ExplainInput::Manifest(doc) => ManifestExplain::from_manifest(&doc).unwrap(),
         ExplainInput::Journal(_) => panic!("manifest mistaken for a journal"),
     };
+    assert_eq!(ex, resumed.summary, "what `record` wrote is what `from_manifest` reads");
     assert_eq!(ex.attribution, attribution);
     assert_eq!(ex.scan_totals, Some((probed, hits, attribution.totals().2, packets)));
     assert_eq!(ex.integrity(), Some(true), "attribution must sum to scan counters");

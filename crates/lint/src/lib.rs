@@ -7,14 +7,14 @@
 //! invariants are enforced here at the source level — a zero-dependency
 //! lexer (`lexer`), file/region classification (`classify`), an item/fn
 //! parser (`parse`), a workspace symbol table and call graph (`symbols`,
-//! `callgraph`), a determinism taint pass (`taint`), a token-rule engine
-//! (`rules`), and a committed-baseline diff (`baseline`) that fails CI on
-//! *new* findings only.
+//! `callgraph`), a determinism taint pass (`taint`), and a token-rule
+//! engine (`rules`). Any finding fails CI; the one way to carry an
+//! exception is a reasoned `// sos-lint: allow(rule) reason` comment at
+//! the site.
 //!
-//! See `README.md` § "Static analysis" for the rule list, suppression
-//! syntax (`// sos-lint: allow(rule) reason`), and the baseline workflow.
+//! See `README.md` § "Static analysis" for the rule list and the
+//! suppression syntax.
 
-pub mod baseline;
 pub mod callgraph;
 pub mod classify;
 pub mod lexer;
@@ -36,7 +36,7 @@ pub use rules::{lint_files, lint_source, rule_info, Config, Finding, RuleInfo, R
 const SKIP_DIRS: &[&str] = &["target", ".git", ".github", "fixtures", "benchmark"];
 
 /// Collect every `.rs` file under `root` in sorted order (directory
-/// iteration order is OS-dependent; sorting keeps reports and baselines
+/// iteration order is OS-dependent; sorting keeps reports
 /// deterministic — the same property this tool enforces).
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
@@ -77,12 +77,9 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>
     Ok(rules::lint_files(&files, cfg))
 }
 
-/// Machine-readable report: all findings, plus the baseline diff when a
-/// baseline was supplied. CI archives this next to the perf artifact.
-pub fn report_json(
-    findings: &[Finding],
-    diff: Option<&baseline::Diff>,
-) -> Json {
+/// Machine-readable report: the rule table and every finding. CI
+/// archives it.
+pub fn report_json(findings: &[Finding]) -> Json {
     let finding_json = |f: &Finding| {
         let mut span = Json::obj();
         span.set("line", u64::from(f.line)).set("col", u64::from(f.col));
@@ -109,25 +106,6 @@ pub fn report_json(
     }).collect()));
     doc.set("findings", Json::Arr(findings.iter().map(finding_json).collect()));
     doc.set("total", findings.len());
-    if let Some(d) = diff {
-        doc.set("new", Json::Arr(d.new.iter().map(finding_json).collect()));
-        doc.set(
-            "resolved",
-            Json::Arr(
-                d.resolved
-                    .iter()
-                    .map(|e| {
-                        let mut o = Json::obj();
-                        o.set("rule", e.rule.as_str())
-                            .set("file", e.file.as_str())
-                            .set("hash", format!("{:016x}", e.hash).as_str())
-                            .set("excerpt", e.excerpt.as_str());
-                        o
-                    })
-                    .collect(),
-            ),
-        );
-    }
     doc
 }
 
@@ -145,8 +123,7 @@ mod tests {
             message: "m".into(),
             excerpt: "x.unwrap()".into(),
         };
-        let d = baseline::diff(std::slice::from_ref(&f), &[]);
-        let doc = report_json(&[f], Some(&d));
+        let doc = report_json(&[f]);
         assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("total").and_then(Json::as_u64), Some(1));
         let first = &doc.get("findings").and_then(Json::as_arr).expect("findings")[0];
@@ -154,7 +131,6 @@ mod tests {
         let span = first.get("span").expect("span");
         assert_eq!(span.get("line").and_then(Json::as_u64), Some(3));
         assert_eq!(span.get("col").and_then(Json::as_u64), Some(7));
-        assert_eq!(doc.get("new").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
         assert_eq!(
             doc.get("rules").and_then(Json::as_arr).map(<[Json]>::len),
             Some(RULES.len())

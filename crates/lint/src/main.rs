@@ -1,14 +1,12 @@
-//! `sos-lint` CLI: lint the workspace, diff against a committed baseline,
-//! and emit a text or JSON report.
+//! `sos-lint` CLI: lint the workspace and emit a text or JSON report.
 //!
-//! Exit codes: 0 — clean (or every finding baselined); 1 — findings the
-//! baseline does not cover; 2 — usage or I/O error.
+//! Exit codes: 0 — no finding; 1 — at least one finding that no reasoned
+//! `allow` comment covers; 2 — usage or I/O error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sos_lint::{baseline, lint_workspace, report_json, rule_info, Config, RULES};
-use sos_obs::json::Json;
+use sos_lint::{lint_workspace, report_json, rule_info, Config, RULES};
 
 fn usage(code: i32) -> ! {
     eprintln!(
@@ -19,8 +17,6 @@ USAGE:
 
 OPTIONS:
     --root DIR             workspace root to lint (default: .)
-    --baseline FILE        diff against FILE; exit 1 only on NEW findings
-    --write-baseline FILE  write current findings to FILE and exit 0
     --format text|json     report format on stdout (default: text)
     --json                 shorthand for --format json
     --out FILE             also write the JSON report to FILE
@@ -38,20 +34,14 @@ RULES:"
 SUPPRESSIONS:
     // sos-lint: allow(rule-id) reason why this exception is sound
     on the flagged line or the line above. The reason is mandatory:
-    an allow without one raises `suppression-reason`.
-
-BASELINE WORKFLOW:
-    existing debt lives in LINT_BASELINE.json; CI fails only on findings
-    missing from it. After paying debt down, refresh the file with
-    --write-baseline LINT_BASELINE.json and commit the smaller baseline."
+    an allow without one raises `suppression-reason`. Any finding left
+    fails the run (exit 1)."
     );
     std::process::exit(code)
 }
 
 struct Args {
     root: PathBuf,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
     json: bool,
     out: Option<PathBuf>,
     list_rules: bool,
@@ -62,8 +52,6 @@ fn parse_args() -> Args {
     let mut argv = std::env::args().skip(1);
     let mut args = Args {
         root: PathBuf::from("."),
-        baseline: None,
-        write_baseline: None,
         json: false,
         out: None,
         list_rules: false,
@@ -78,10 +66,6 @@ fn parse_args() -> Args {
     while let Some(arg) = argv.next() {
         match arg.as_str() {
             "--root" => args.root = PathBuf::from(need(&mut argv, "--root")),
-            "--baseline" => args.baseline = Some(PathBuf::from(need(&mut argv, "--baseline"))),
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(need(&mut argv, "--write-baseline")))
-            }
             "--format" => match need(&mut argv, "--format").as_str() {
                 "json" => args.json = true,
                 "text" => args.json = false,
@@ -138,38 +122,7 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &args.write_baseline {
-        let doc = baseline::to_json(&findings);
-        if let Err(e) = std::fs::write(path, doc.to_string_pretty() + "\n") {
-            eprintln!("sos-lint: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!("sos-lint: wrote {} entries to {}", findings.len(), path.display());
-        return ExitCode::SUCCESS;
-    }
-
-    let diff = match &args.baseline {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("sos-lint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let entries = match Json::parse(&text).and_then(|j| baseline::parse(&j)) {
-                Ok(es) => es,
-                Err(e) => {
-                    eprintln!("sos-lint: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            Some(baseline::diff(&findings, &entries))
-        }
-    };
-
-    let doc = report_json(&findings, diff.as_ref());
+    let doc = report_json(&findings);
     if let Some(path) = &args.out {
         if let Err(e) = std::fs::write(path, doc.to_string_pretty() + "\n") {
             eprintln!("sos-lint: cannot write {}: {e}", path.display());
@@ -180,38 +133,15 @@ fn main() -> ExitCode {
     if args.json {
         println!("{}", doc.to_string_pretty());
     } else {
-        let shown: &[sos_lint::Finding] = match &diff {
-            Some(d) => &d.new,
-            None => &findings,
-        };
-        for f in shown {
+        for f in &findings {
             println!("{}:{}: [{}] {}", f.file, f.line, f.rule, f.message);
         }
-        if let Some(d) = &diff {
-            for e in &d.resolved {
-                println!(
-                    "resolved (refresh baseline): [{}] {} — {}",
-                    e.rule, e.file, e.excerpt
-                );
-            }
-            eprintln!(
-                "sos-lint: {} findings, {} new vs baseline, {} resolved",
-                findings.len(),
-                d.new.len(),
-                d.resolved.len()
-            );
-        } else {
-            eprintln!("sos-lint: {} findings", findings.len());
-        }
+        eprintln!("sos-lint: {} findings", findings.len());
     }
 
-    let failed = match &diff {
-        Some(d) => !d.new.is_empty(),
-        None => !findings.is_empty(),
-    };
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

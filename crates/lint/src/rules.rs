@@ -156,13 +156,6 @@ pub const RULES: &[RuleInfo] = &[
         fix: "replace the literal with a const from the central `names` module",
     },
     RuleInfo {
-        id: "obs-provenance-labels",
-        group: "observability",
-        rationale: "provenance/coverage manifest keys written as inline string literals drift from the central `names` table that `seedscan explain` reads back; use the consts in sos_core::names",
-        severity: "warn",
-        fix: "replace the literal with the const from sos_core::names",
-    },
-    RuleInfo {
         id: "suppression-reason",
         group: "meta",
         rationale: "every `sos-lint: allow(...)` must carry a written reason; undocumented exceptions rot",
@@ -176,9 +169,7 @@ pub fn rule_info(id: &str) -> Option<&'static RuleInfo> {
     RULES.iter().find(|r| r.id == id)
 }
 
-/// One finding. `excerpt` is the trimmed source line — baseline matching
-/// keys on `(rule, file, content hash of the trimmed line)` so unrelated
-/// edits shifting line numbers do not churn the baseline.
+/// One finding. `excerpt` is the trimmed source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     pub rule: &'static str,
@@ -223,12 +214,6 @@ pub struct Config {
     /// documents names in prose) — everywhere else, metric names must be
     /// consts from a central `names` table, not inline literals.
     pub metric_table_files: Vec<String>,
-    /// Workspace-relative path substrings exempt from
-    /// `obs-provenance-labels`: the central name tables where the
-    /// provenance/coverage manifest keys are *defined*. Everywhere else
-    /// the keys must be those consts, so the writer (`seedscan`) and the
-    /// reader (`explain`) cannot drift.
-    pub provenance_table_files: Vec<String>,
     /// Deterministic-root registry: `(path substring, fn name)` pairs.
     /// Functions matching an entry seed the taint pass; the default comes
     /// from [`crate::taint::DETERMINISTIC_ROOTS`]. Definition-site
@@ -273,12 +258,6 @@ impl Default for Config {
             .map(String::from)
             .to_vec(),
             metric_table_files: vec!["crates/obs/src/".to_string()],
-            provenance_table_files: vec![
-                "crates/core/src/names.rs".to_string(),
-                "crates/obs/src/".to_string(),
-                // the rule's own namespace table lives here
-                "crates/lint/src/rules.rs".to_string(),
-            ],
             roots: crate::taint::DETERMINISTIC_ROOTS
                 .iter()
                 .map(|(path, name, _)| (path.to_string(), name.to_string()))
@@ -453,10 +432,6 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
         metric_name_rule(toks, &mut push);
     }
 
-    if prod_code && !cfg.provenance_table_files.iter().any(|f| rel_path.contains(f.as_str())) {
-        provenance_label_rule(toks, &lines, &mut push);
-    }
-
     // --- meta: suppressions without reasons ------------------------------
     for s in &supps {
         if !s.has_reason {
@@ -488,11 +463,13 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 /// taint), with the same test-region/suppression filtering applied to
 /// workspace findings.
 ///
-/// Counterpart dedup: a dataflow rule supersedes its file-scoped
-/// counterpart on the same line (`det-unordered-iter` over
-/// `det-hash-iter`; `det-wall-clock` over `det-wallclock` and
-/// `det-fault-entropy`), so one offending line reports once, with root
-/// attribution.
+/// One offending line reports once: where a dataflow rule and its
+/// file-scoped counterpart both see a line (`det-unordered-iter` and
+/// `det-hash-iter`; `det-wall-clock` and `det-wallclock` /
+/// `det-fault-entropy`), the dataflow finding is kept for its root
+/// attribution. Neither set covers the other — taint reaches only what a
+/// deterministic root calls, the file-scoped rules only their crates and
+/// files (`workspace_dataflow.rs` pins both halves).
 pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let ws = crate::symbols::Workspace::build(files, cfg);
     let graph = crate::callgraph::CallGraph::build(&ws, cfg);
@@ -510,17 +487,17 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
         all.push(f);
     }
 
-    const SUPERSEDES: &[(&str, &[&str])] = &[
+    const COUNTERPARTS: &[(&str, &[&str])] = &[
         ("det-unordered-iter", &["det-hash-iter"]),
         ("det-wall-clock", &["det-wallclock", "det-fault-entropy"]),
     ];
     let winners: Vec<(&str, String, u32)> = all
         .iter()
-        .filter(|f| SUPERSEDES.iter().any(|(w, _)| *w == f.rule))
+        .filter(|f| COUNTERPARTS.iter().any(|(w, _)| *w == f.rule))
         .map(|f| (f.rule, f.file.clone(), f.line))
         .collect();
     all.retain(|f| {
-        !SUPERSEDES.iter().any(|(w, losers)| {
+        !COUNTERPARTS.iter().any(|(w, losers)| {
             losers.contains(&f.rule)
                 && winners.iter().any(|(wr, wf, wl)| wr == w && *wf == f.file && *wl == f.line)
         })
@@ -785,48 +762,6 @@ fn metric_name_rule(toks: &[Tok], push: &mut impl FnMut(&'static str, u32, u32, 
     }
 }
 
-/// `obs-provenance-labels`: flag a provenance/coverage manifest key
-/// spelled as an inline string literal. The lexer drops literal contents,
-/// so a `Str` token marks the line and the raw source text supplies the
-/// key: any quoted string opening with one of the reserved namespaces
-/// fires. Dynamic names (`format!`) open with the same quote, so they
-/// fire too — by design: these keys are a fixed contract between the
-/// manifest writer and `seedscan explain`, never computed.
-fn provenance_label_rule(
-    toks: &[Tok],
-    lines: &[&str],
-    push: &mut impl FnMut(&'static str, u32, u32, String),
-) {
-    const NAMESPACES: &[&str] = &[
-        "\"campaign.attribution",
-        "\"campaign.totals",
-        "\"campaign.scheme_hits",
-        "\"campaign.as_hits",
-        "\"campaign.coverage",
-        "\"provenance.",
-        "\"coverage.",
-    ];
-    let mut last_flagged_line = 0u32;
-    for t in toks {
-        if t.kind != TokKind::Str || t.line == last_flagged_line {
-            continue;
-        }
-        let text = lines.get(t.line.saturating_sub(1) as usize).copied().unwrap_or("");
-        if let Some(ns) = NAMESPACES.iter().find(|ns| text.contains(*ns)) {
-            last_flagged_line = t.line;
-            push(
-                "obs-provenance-labels",
-                t.line,
-                t.col,
-                format!(
-                    "`{}…` as an inline literal; use the const from the central `names` table (sos_core::names) so the manifest writer and `explain` stay in sync",
-                    &ns[1..]
-                ),
-            );
-        }
-    }
-}
-
 /// `conc-lock-in-hot-loop`: inside the body of any configured hot
 /// function, flag lock acquisition within `for`/`while`/`loop` bodies.
 fn hot_loop_rule(
@@ -1082,28 +1017,6 @@ mod tests {
         let in_tests = "#[cfg(test)]\nmod tests { fn t() { sos_obs::counter(\"x\").inc(); } }";
         assert!(find("crates/probe/src/engine.rs", in_tests).is_empty());
         assert!(find("crates/obs/src/metrics.rs", lit).is_empty());
-    }
-
-    #[test]
-    fn provenance_label_literals_flagged_outside_the_name_tables() {
-        let lit = "fn f(m: &mut Manifest, rows: Json) { m.set(\"campaign.attribution\", rows); }";
-        let fs = find("crates/core/src/bin/seedscan.rs", lit);
-        assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].rule, "obs-provenance-labels");
-        // Reading the key back with an inline literal is the same drift.
-        let read = "fn g(doc: &Json) -> Option<&Json> { doc.get(\"campaign.coverage\") }";
-        assert_eq!(find("crates/core/src/explain.rs", read).len(), 1);
-        // The const-table form is the sanctioned shape.
-        let named = "fn f(m: &mut Manifest, rows: Json) { m.set(sos_core::names::ATTRIBUTION, rows); }";
-        assert!(find("crates/core/src/bin/seedscan.rs", named).is_empty());
-        // The name table itself defines the literals.
-        assert!(find("crates/core/src/names.rs", lit).is_empty());
-        // Mentioning the key in a comment is prose, not a finding.
-        let prose = "// the manifest's campaign.attribution entry\nfn h() {}";
-        assert!(find("crates/core/src/explain.rs", prose).is_empty());
-        // Tests may spell keys out.
-        let in_tests = "#[cfg(test)]\nmod tests { fn t(d: &Json) { d.get(\"campaign.totals\"); } }";
-        assert!(find("crates/core/src/explain.rs", in_tests).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Fixture-driven tests of the rule engine: every rule fires on its
 //! fixture, stays quiet on allowlisted paths/classes, and obeys
-//! suppressions — plus end-to-end baseline-diff and CLI exit codes.
+//! suppressions — plus end-to-end CLI exit codes.
 
-use sos_lint::{baseline, lint_source, Config, Finding, RULES};
+use sos_lint::{lint_source, Config, Finding, RULES};
 use sos_obs::json::Json;
 
 const WALLCLOCK: &str = include_str!("fixtures/det_wallclock.rs");
@@ -15,7 +15,6 @@ const CONC: &str = include_str!("fixtures/conc.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
 const TEST_REGION: &str = include_str!("fixtures/test_region.rs");
 const METRIC_NAMES: &str = include_str!("fixtures/obs_metric_names.rs");
-const PROVENANCE_LABELS: &str = include_str!("fixtures/obs_provenance_labels.rs");
 const UNORDERED_ITER: &str = include_str!("fixtures/det_unordered_iter.rs");
 const WALL_CLOCK: &str = include_str!("fixtures/det_wall_clock.rs");
 const FLOAT_REDUCE: &str = include_str!("fixtures/det_float_reduce.rs");
@@ -256,25 +255,6 @@ fn metric_name_literals_flagged_outside_the_obs_layer() {
         .contains(&"obs-metric-names"));
 }
 
-#[test]
-fn provenance_label_literals_flagged_outside_the_name_tables() {
-    let hits = lint("crates/core/src/bin/fx.rs", PROVENANCE_LABELS);
-    let fired: Vec<&Finding> =
-        hits.iter().filter(|f| f.rule == "obs-provenance-labels").collect();
-    // the four inline keys in violations(); the const-table forms in
-    // permitted() and the #[cfg(test)] literal stay quiet.
-    assert_eq!(fired.len(), 4, "{hits:?}");
-    assert!(fired.iter().all(|f| f.line <= 11), "{fired:?}");
-    // The central name tables are the one place key literals may live.
-    assert!(!rules_of(&lint("crates/core/src/names.rs", PROVENANCE_LABELS))
-        .contains(&"obs-provenance-labels"));
-    assert!(!rules_of(&lint("crates/obs/src/fx.rs", PROVENANCE_LABELS))
-        .contains(&"obs-provenance-labels"));
-    // Tests may spell keys out.
-    assert!(!rules_of(&lint("crates/core/tests/fx.rs", PROVENANCE_LABELS))
-        .contains(&"obs-provenance-labels"));
-}
-
 // --- suppressions and test regions ---------------------------------------
 
 #[test]
@@ -307,7 +287,6 @@ fn every_rule_is_exercised_by_these_fixtures() {
         ("crates/core/src/fx.rs", CONC),
         ("crates/tga/src/fx.rs", SUPPRESSED),
         ("crates/probe/src/fx.rs", METRIC_NAMES),
-        ("crates/core/src/bin/fx.rs", PROVENANCE_LABELS),
     ] {
         seen.extend(rules_of(&lint(path, src)));
     }
@@ -324,31 +303,6 @@ fn every_rule_is_exercised_by_these_fixtures() {
     for rule in RULES {
         assert!(seen.contains(&rule.id), "no fixture exercises `{}`", rule.id);
     }
-}
-
-// --- baseline diff -------------------------------------------------------
-
-#[test]
-fn baselined_findings_pass_new_violations_fail() {
-    let old = lint("crates/tga/src/fx.rs", PANIC_FAMILY);
-    assert!(!old.is_empty());
-    let entries =
-        baseline::parse(&Json::parse(&baseline::to_json(&old).to_string_pretty()).unwrap())
-            .unwrap();
-
-    // identical code → clean diff
-    let d = baseline::diff(&old, &entries);
-    assert!(d.new.is_empty() && d.resolved.is_empty());
-
-    // a brand-new violation in another file → exactly that one is new
-    let extra = format!("{PANIC_FAMILY}\npub fn more(v: &[u8]) -> u8 {{ v.iter().max().copied().unwrap() }}\n");
-    let current = lint("crates/tga/src/fx.rs", PANIC_FAMILY)
-        .into_iter()
-        .chain(lint("crates/tga/src/fx2.rs", &extra))
-        .collect::<Vec<_>>();
-    let d = baseline::diff(&current, &entries);
-    assert!(d.new.iter().all(|f| f.file == "crates/tga/src/fx2.rs"), "{:?}", d.new);
-    assert!(!d.new.is_empty());
 }
 
 // --- CLI exit codes ------------------------------------------------------
@@ -369,7 +323,7 @@ fn cli_exit_codes_clean_baselined_and_new_violation() {
     let out = run(&["--root", &rootarg]);
     assert_eq!(out.status.code(), Some(0), "{out:?}");
 
-    // 2. violation, no baseline → exit 1, finding on stdout
+    // 2. violation → exit 1, finding on stdout
     std::fs::write(
         src_dir.join("lib.rs"),
         "pub fn bad(v: &[u8]) -> u8 { *v.first().unwrap() }\n",
@@ -379,27 +333,6 @@ fn cli_exit_codes_clean_baselined_and_new_violation() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
     assert_eq!(report.get("total").and_then(Json::as_u64), Some(1));
-
-    // 3. write a baseline covering the debt → exit 0 against it
-    let bl = root.join("LINT_BASELINE.json");
-    let blarg = bl.to_str().unwrap().to_string();
-    let out = run(&["--root", &rootarg, "--write-baseline", &blarg]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let out = run(&["--root", &rootarg, "--baseline", &blarg]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-
-    // 4. a NEW violation on top of the baseline → exit 1, old one stays green
-    std::fs::write(
-        src_dir.join("lib.rs"),
-        "pub fn bad(v: &[u8]) -> u8 { *v.first().unwrap() }\npub fn worse() { panic!(\"boom\") }\n",
-    )
-    .unwrap();
-    let out = run(&["--root", &rootarg, "--baseline", &blarg, "--format", "json"]);
-    assert_eq!(out.status.code(), Some(1), "{out:?}");
-    let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
-    let new = report.get("new").and_then(Json::as_arr).unwrap();
-    assert_eq!(new.len(), 1, "{report:?}");
-    assert_eq!(new[0].get("rule").and_then(Json::as_str), Some("panic-macro"));
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -669,6 +669,21 @@ mod tests {
         let _ = std::fs::remove_file(&path2);
     }
 
+    /// ROADMAP 6a for the journal reader: whatever single byte of a record
+    /// is lost or changed, the line parses to a record or is refused —
+    /// never a panic — for each of the ten kinds of record.
+    #[test]
+    fn single_byte_damage_to_a_record_never_panics_the_reader() {
+        let events = sample_events();
+        assert_eq!(events.len(), 10);
+        for (i, event) in events.into_iter().enumerate() {
+            let rec = Record { seq: i as u64, vclock_us: 1000 * i as u64, wall_s: 0.5, event };
+            crate::json::single_byte_damage(rec.to_line().as_bytes(), |damaged| {
+                let _ = Record::parse_line(&String::from_utf8_lossy(damaged));
+            });
+        }
+    }
+
     #[test]
     fn read_from_tails_incrementally() {
         let path = tmp("sos_obs_journal_tail.jsonl");

@@ -113,9 +113,11 @@ impl Json {
     /// manifest-diff tooling all need to load documents this crate (or
     /// any standards-compliant writer) produced. Numbers parse to the
     /// narrowest faithful variant: non-negative integers → `U64`,
-    /// negative integers → `I64`, everything else → `F64`.
+    /// negative integers → `I64`, everything else → `F64`. Containers
+    /// nested deeper than [`MAX_DEPTH`] are an error: the parser recurses
+    /// per level, and the text may be a damaged file.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -230,9 +232,15 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest container nesting [`Json::parse`] accepts. The deepest document
+/// this workspace writes — a checkpoint with attribution rows — nests 6.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -274,12 +282,23 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(&format!("unexpected '{}'", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one container, refusing to recurse past [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -494,6 +513,32 @@ impl<T: Into<Json> + Clone> From<&BTreeMap<String, T>> for Json {
     }
 }
 
+/// Hand `decode` every single-byte damage of `sample`: cut short at each
+/// offset, with the byte there deleted, and with it replaced by each of a
+/// few bytes a JSON reader branches on (every 7th offset past 2 KB).
+/// What `decode` makes of a variant is its business, except that it must
+/// return: a panic fails the sweep, naming the variant.
+#[cfg(test)]
+pub(crate) fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mut at = 0;
+    while at < sample.len() {
+        let cut = sample[..at].to_vec();
+        let deleted = [&sample[..at], &sample[at + 1..]].concat();
+        let replaced = b"\"{[,9-e\0\xFF".iter().map(|&byte| {
+            let mut variant = sample.to_vec();
+            variant[at] = byte;
+            variant
+        });
+        for (n, variant) in [cut, deleted].into_iter().chain(replaced).enumerate() {
+            if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
+                panic!("variant {n} at byte {at} of {} panicked the decoder", sample.len());
+            }
+        }
+        at += if at < 2048 { 1 } else { 7 };
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -579,6 +624,49 @@ mod tests {
     fn parse_rejects_malformed_documents() {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\":1,}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
+        }
+    }
+
+    /// The parser recurses once per open container; text from a damaged
+    /// file must not be able to run it out of stack.
+    #[test]
+    fn parse_refuses_nesting_past_the_bound() {
+        let arrays = "[".repeat(100_000);
+        let objects = "{\"a\":".repeat(100_000);
+        let mixed = "[{\"a\":".repeat(50_000);
+        for deep in [&arrays, &objects, &mixed] {
+            let err = Json::parse(deep).expect_err("deeper than the bound");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
+            // The same text as a journal line.
+            assert!(crate::journal::Record::parse_line(deep).is_err());
+        }
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok(), "{MAX_DEPTH} deep parses");
+        let past_bound = format!("[{at_bound}]");
+        assert!(Json::parse(&past_bound).is_err());
+        // Depth is what is open at one point, not what the document opened.
+        let wide = format!("[{}]", vec![at_bound[1..at_bound.len() - 1].to_string(); 4].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    /// ROADMAP 6a for the parser itself, over a document with every kind
+    /// of value: damage parses to something or is refused, never panics.
+    #[test]
+    fn single_byte_damage_never_panics_the_parser() {
+        let mut o = Json::obj();
+        o.set("u", u64::MAX)
+            .set("i", -42i64)
+            .set("f", 1.5e-3)
+            .set("s", "a\"b\\c\nd\u{1}é€😀")
+            .set("b", true)
+            .set("n", Json::Null)
+            .set("xs", vec![1u64, 2, 3])
+            .set("o", Json::obj());
+        for sample in [o.to_string(), o.to_string_pretty(), r#"["\ud83d\ude00\u00e9"]"#.to_string()] {
+            assert!(Json::parse(&sample).is_ok(), "{sample}");
+            single_byte_damage(sample.as_bytes(), |damaged| {
+                let _ = Json::parse(&String::from_utf8_lossy(damaged));
+            });
         }
     }
 

@@ -318,24 +318,28 @@ impl AttributionTable {
         )
     }
 
-    /// Parse the row array [`Self::to_json`] writes.
+    /// Parse the row array [`Self::to_json`] writes. A source, region,
+    /// digest or round that does not fit its field is an error naming it:
+    /// narrowed, source 300 would credit source 44.
     pub fn from_json(j: &Json) -> Result<AttributionTable, String> {
+        fn field<T: TryFrom<u64>>(row: &[Json], i: usize, name: &str) -> Result<T, String> {
+            row.get(i)
+                .and_then(Json::as_u64)
+                .and_then(|n| T::try_from(n).ok())
+                .ok_or_else(|| format!("bad attribution field {i} ({name})"))
+        }
         let rows = j.as_arr().ok_or("attribution is not an array")?;
         let mut table = AttributionTable::new();
         for row in rows {
-            let items = row.as_arr().filter(|a| a.len() == 7).ok_or("bad attribution row")?;
-            let u = |i: usize| -> Result<u64, String> {
-                // i < 7: length checked above
-                items[i].as_u64().ok_or_else(|| format!("bad attribution field {i}"))
-            };
+            let row = row.as_arr().filter(|a| a.len() == 7).ok_or("bad attribution row")?;
             table.rows.insert(
-                (u(0)? as u8, u(1)? as u32),
+                (field(row, 0, "source")?, field(row, 1, "region")?),
                 RegionTally {
-                    probes: u(2)?,
-                    hits: u(3)?,
-                    aliases: u(4)?,
-                    seed_digest: u(5)? as u32,
-                    first_round: u(6)? as u16,
+                    probes: field(row, 2, "probes")?,
+                    hits: field(row, 3, "hits")?,
+                    aliases: field(row, 4, "aliases")?,
+                    seed_digest: field(row, 5, "seed_digest")?,
+                    first_round: field(row, 6, "first_round")?,
                 },
             );
         }
@@ -480,6 +484,26 @@ mod tests {
         let back = AttributionTable::from_json(&t.to_json()).expect("parses");
         assert_eq!(back, t);
         assert_eq!(AttributionTable::from_json(&Json::Arr(vec![])).unwrap(), AttributionTable::new());
+    }
+
+    #[test]
+    fn from_json_refuses_values_that_do_not_fit_their_field() {
+        let row = |column: usize, value: u64| {
+            let mut items = [0xFF, 7, 10, 4, 1, 0xbeef, 3].map(Json::U64);
+            items[column] = Json::U64(value);
+            AttributionTable::from_json(&Json::Arr(vec![Json::Arr(items.to_vec())]))
+        };
+        assert_eq!(row(0, 0xFF).unwrap().totals(), (10, 4, 1));
+        for (column, value, field) in [
+            (0, 300, "source"),
+            (1, 1 << 40, "region"),
+            (5, 1 << 32, "seed_digest"),
+            (6, 70_000, "first_round"),
+        ] {
+            let err = row(column, value).expect_err(field);
+            assert!(err.contains("attribution") && err.contains(field), "{err}");
+        }
+        assert!(row(2, u64::MAX).is_ok(), "tallies are u64");
     }
 
     #[test]

@@ -6,12 +6,13 @@
 
 mod common;
 
+use std::io::{Seek as _, Write as _};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use common::Budgeted;
+use common::{single_byte_damage, Budgeted};
 use netmodel::{FaultConfig, Protocol, World, WorldConfig};
 use sos_obs::json::Json;
 use sos_probe::{
@@ -349,6 +350,13 @@ fn damaged_checkpoints_load_as_errors() {
         assert_eq!(compact.matches(from).count(), 1, "{from} must name one value");
         compact.replacen(from, to, 1)
     };
+    // The one report, with an attribution table of the one row given.
+    let attributed = |row: &str| {
+        edit("\"limited_seconds_bits\":0}", &format!("\"limited_seconds_bits\":0,\"attribution\":[{row}]}}"))
+    };
+    std::fs::write(&path, attributed("[255,1,1,0,0,0,0]")).unwrap();
+    let with_row = CampaignCheckpoint::load(&path).unwrap();
+    assert_eq!(with_row.reports[0].1.attribution.totals(), (1, 0, 0));
     for (what, body, names) in [
         ("truncated mid-hits", text[..mid_hits].to_string(), ""),
         ("empty", String::new(), ""),
@@ -363,6 +371,11 @@ fn damaged_checkpoints_load_as_errors() {
         ("prefix_len 304 (48 as u8)", edit("\"prefix_len\":48,", "\"prefix_len\":304,"), "prefix_len"),
         ("prefix_len 0", edit("\"prefix_len\":48,", "\"prefix_len\":0,"), "prefix_len"),
         ("threshold 2^32 + 8", edit("\"threshold\":8,", "\"threshold\":4294967304,"), "threshold"),
+        ("attribution source 300 (44 as u8)", attributed("[300,1,1,0,0,0,0]"), "source"),
+        ("attribution region 2^40", attributed("[255,1099511627776,1,0,0,0,0]"), "region"),
+        ("attribution round 70 000 (4 464 as u16)", attributed("[255,1,1,0,0,0,70000]"), "first_round"),
+        ("arrays 100 000 deep", "[".repeat(100_000), "nesting"),
+        ("objects 100 000 deep", "{\"a\":".repeat(100_000), "nesting"),
     ] {
         std::fs::write(&path, body).unwrap();
         let err = CampaignCheckpoint::load(&path).expect_err(what);
@@ -641,6 +654,13 @@ fn write_ahead_log_damage_is_dropped_skipped_or_refused() {
             items(&mut items(rows)[0])[column] = Json::U64(value);
         })
     };
+    // The same for a row of the first report's attribution table.
+    let attribution = |column: usize, value: u64| {
+        edited(&|line| {
+            let report = field(&mut items(field(line, "reports"))[0], "report");
+            items(&mut items(field(report, "attribution"))[0])[column] = Json::U64(value);
+        })
+    };
     for (what, log, names) in [
         ("a missing round", lines[1..].join("\n") + "\n", "missing"),
         (
@@ -658,6 +678,10 @@ fn write_ahead_log_damage_is_dropped_skipped_or_refused() {
         ("reports out of order", edited(&|line| items(field(line, "reports")).swap(0, 1)), "reports"),
         ("a report short", edited(&|line| drop(items(field(line, "reports")).pop())), "reports"),
         ("no breaker where the document has one", edited(&|line| *field(line, "breaker") = Json::Null), "breaker"),
+        ("attribution source 300", attribution(0, 300), "source"),
+        ("attribution region 2^40", attribution(1, 1 << 40), "region"),
+        ("attribution round 70 000", attribution(6, 70_000), "first_round"),
+        ("a line nested 100 000 deep", format!("{}\n{}\n", "[".repeat(100_000), lines[1]), "nesting"),
     ] {
         std::fs::write(&wal, log).unwrap();
         let err = CampaignCheckpoint::load(&path).expect_err(what);
@@ -759,4 +783,57 @@ fn resume_refuses_reports_that_do_not_match_the_protocols() {
         assert!(err.contains("reports"), "{what}: {err}");
         assert_eq!(s.packets_sent(), 0, "{what}: refused before any probe");
     }
+}
+
+/// ROADMAP 6a for the checkpoint's two decoders: whatever single byte of
+/// a document or of a write-ahead line is lost or changed, `load` returns
+/// — a state or an error — and never panics. The campaign is cut down to
+/// one protocol and two targets a round so the sweep can try every offset.
+#[test]
+fn single_byte_damage_to_a_checkpoint_never_panics_the_loader() {
+    let w = hostile_world(0xCE5);
+    let t: Vec<_> = targets(&w).into_iter().step_by(40).collect();
+    let path = tmp("sweep");
+    remove_pair(&path);
+    let opts = RunOptions {
+        checkpoint_every: 2,
+        checkpoint_path: Some(path.clone()),
+        provenance: Some(Arc::new(sos_probe::ProvenanceLog::for_targets(&t))),
+        ..RunOptions::default()
+    };
+    let stop = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
+    let mut s = scanner(w.clone(), None);
+    let partial = Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &stop, None).unwrap();
+    assert!(!partial.completed);
+    let two_rounds = CampaignCheckpoint::load(&path).unwrap();
+    remove_pair(&path);
+    let mut s = budgeted(w, None, partial.result.packets_sent() + 1, || panic!("killed mid-round"));
+    let died = catch_unwind(AssertUnwindSafe(|| {
+        Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &opts, None)
+    }));
+    assert!(died.is_err());
+    let wal = wal_of(&path);
+    let line = std::fs::read_to_string(&wal).unwrap();
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), two_rounds);
+
+    // Both samples hold every kind of row there is to damage.
+    let document = two_rounds.to_json().to_string();
+    for sample in [&document, &line] {
+        for rows in ["\"attribution\":[[", "\"fault_state\":[[", "\"entries\":[["] {
+            assert!(sample.contains(rows), "no {rows} in {sample}");
+        }
+    }
+    // The log is rewritten in place: creating it anew for each of its
+    // ~15 000 variants would cost more than loading them does.
+    let mut log = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
+    single_byte_damage(line.as_bytes(), |damaged| {
+        log.set_len(damaged.len() as u64).unwrap();
+        log.rewind().and_then(|()| log.write_all(damaged)).unwrap();
+        let _ = CampaignCheckpoint::load(&path);
+    });
+    single_byte_damage(document.as_bytes(), |damaged| {
+        let _ = Json::parse(&String::from_utf8_lossy(damaged))
+            .and_then(|doc| CampaignCheckpoint::from_json(&doc));
+    });
+    remove_pair(&path);
 }
