@@ -36,7 +36,9 @@
 //! out 6Scan/DET generation rounds across worker threads; candidate
 //! streams are bit-identical at any worker count (W-invariance, see the
 //! README's "Parallel generation"), so like `--scan-shards` it only buys
-//! wall clock. Both default to `--threads` when given, else 1.
+//! wall clock. Both default to the scale preset (1) and are independent
+//! of `--threads`, which sizes the experiment grid: the three fan-outs
+//! nest, so tying them together ran N × N × N workers on N cores.
 //! `--faults` selects a deterministic hostile-world
 //! preset (off, bursty, ratelimited, blackholes, throttled, hostile) baked
 //! into the world model; `--breaker` arms per-/48 circuit breakers;
@@ -400,12 +402,12 @@ fn main() -> ExitCode {
     }
     // The preset's own thread count stands unless `--threads` is given.
     cfg.threads = args.threads.or(cfg.threads);
-    // Scan sharding follows `--threads` unless `--scan-shards` says
-    // otherwise; either way results are bit-identical to shards = 1.
-    cfg.scan_shards = args.scan_shards.or(args.threads).unwrap_or(cfg.scan_shards).max(1);
-    // Generation fan-out likewise follows `--threads` unless
-    // `--gen-workers` overrides; candidate streams are W-invariant.
-    cfg.gen_workers = args.gen_workers.or(args.threads).unwrap_or(cfg.gen_workers).max(1);
+    // `--threads` sizes the experiment grid only: the fan-outs nested
+    // inside a cell stay at the preset (1) unless asked for by name, so N
+    // threads is N busy workers, not N cells × N workers × N shards.
+    // Results are bit-identical at any width of either.
+    cfg.scan_shards = args.scan_shards.unwrap_or(cfg.scan_shards).max(1);
+    cfg.gen_workers = args.gen_workers.unwrap_or(cfg.gen_workers).max(1);
     let fault_preset = args.faults.clone().unwrap_or_else(|| "off".to_string());
     match netmodel::FaultConfig::preset(&fault_preset) {
         Some(f) => cfg.world.faults = f,

@@ -486,31 +486,6 @@ mod tests {
         assert!(none.attribution.is_empty() && none.scan_totals.is_none() && none.coverage.is_empty());
     }
 
-    /// Hand `decode` every single-byte damage of `sample`: cut short at
-    /// each offset, with the byte there deleted, and with it replaced by
-    /// each of a few bytes a JSON reader branches on (every 7th offset past
-    /// 2 KB). What `decode` makes of a variant is its business, except that
-    /// it must return: a panic fails the sweep, naming the variant.
-    fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut at = 0;
-        while at < sample.len() {
-            let cut = sample[..at].to_vec();
-            let deleted = [&sample[..at], &sample[at + 1..]].concat();
-            let replaced = b"\"{[,9-e\0\xFF".iter().map(|&byte| {
-                let mut variant = sample.to_vec();
-                variant[at] = byte;
-                variant
-            });
-            for (n, variant) in [cut, deleted].into_iter().chain(replaced).enumerate() {
-                if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
-                    panic!("variant {n} at byte {at} of {} panicked the decoder", sample.len());
-                }
-            }
-            at += if at < 2048 { 1 } else { 7 };
-        }
-    }
-
     /// ROADMAP 6a for the section's reader: whatever single byte of a
     /// recorded manifest is lost or changed, it explains — rendered and as
     /// JSON — or is refused, and never panics.
@@ -522,7 +497,7 @@ mod tests {
         };
         let sample = sample_manifest().to_string_pretty();
         assert!(explain(&sample).unwrap().0.contains("MATCH"));
-        single_byte_damage(sample.as_bytes(), |damaged| {
+        sos_obs::json::single_byte_damage(sample.as_bytes(), |damaged| {
             let _ = explain(&String::from_utf8_lossy(damaged));
         });
     }

@@ -1,9 +1,9 @@
 //! File classification, `#[cfg(test)]` region detection, and suppression
 //! comments.
 //!
-//! Rule applicability depends on *where* code lives: panic-safety rules
-//! bind library code but not tests, bins, or benches; determinism rules
-//! bind library and binary code. Suppressions are ordinary comments —
+//! Rule applicability depends on *where* code lives: the rules bind
+//! library and binary code, not tests, benches, or examples. Suppressions
+//! are ordinary comments —
 //! `// sos-lint: allow(rule-id) reason` — and the reason is mandatory:
 //! an allow without one still silences the target finding but raises a
 //! `suppression-reason` finding of its own, so undocumented exceptions
@@ -34,7 +34,8 @@ impl FileClass {
     pub fn of(rel_path: &str) -> FileClass {
         let dirs: Vec<&str> = rel_path.split('/').collect();
         let has_dir = |name: &str| dirs[..dirs.len().saturating_sub(1)].contains(&name);
-        if rel_path.ends_with("build.rs") {
+        // a build script sits beside `Cargo.toml`; `src/build.rs` is a module
+        if dirs.last() == Some(&"build.rs") && !has_dir("src") {
             FileClass::BuildScript
         } else if has_dir("tests") {
             FileClass::Test
@@ -214,6 +215,7 @@ mod tests {
         assert_eq!(FileClass::of("crates/bench/benches/substrates.rs"), FileClass::Bench);
         assert_eq!(FileClass::of("examples/quickstart.rs"), FileClass::Example);
         assert_eq!(FileClass::of("crates/netmodel/build.rs"), FileClass::BuildScript);
+        assert_eq!(FileClass::of("crates/netmodel/src/build.rs"), FileClass::Lib);
     }
 
     #[test]
@@ -243,22 +245,22 @@ mod tests {
     #[test]
     fn suppression_parsing_and_coverage() {
         let lexed = lex(
-            "// sos-lint: allow(panic-unwrap) length checked above\nx.unwrap();\n// sos-lint: allow(conc-relaxed)\ny();\n",
+            "// sos-lint: allow(det-hash-iter) length checked above\nx.unwrap();\n// sos-lint: allow(conc-relaxed)\ny();\n",
         );
         let supps = suppressions(&lexed.comments);
         assert_eq!(supps.len(), 2);
         assert!(supps[0].has_reason);
         assert!(!supps[1].has_reason);
-        assert!(suppressed(&supps, "panic-unwrap", 2));
-        assert!(!suppressed(&supps, "panic-unwrap", 4));
+        assert!(suppressed(&supps, "det-hash-iter", 2));
+        assert!(!suppressed(&supps, "det-hash-iter", 4));
         assert!(suppressed(&supps, "conc-relaxed", 4));
     }
 
     #[test]
     fn multi_rule_suppressions() {
-        let lexed = lex("// sos-lint: allow(panic-unwrap, panic-indexing) both are guarded by len\ncode();\n");
+        let lexed = lex("// sos-lint: allow(det-hash-iter, det-unordered-iter) both are sorted two lines down\ncode();\n");
         let supps = suppressions(&lexed.comments);
         assert_eq!(supps.len(), 2);
-        assert!(suppressed(&supps, "panic-indexing", 2));
+        assert!(suppressed(&supps, "det-unordered-iter", 2));
     }
 }

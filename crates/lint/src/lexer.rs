@@ -346,7 +346,8 @@ fn scan_quoted(chars: &[char], from: usize, quote: char) -> usize {
             _ => j += 1,
         }
     }
-    j
+    // a trailing `\` steps one past the end
+    chars.len()
 }
 
 #[cfg(test)]

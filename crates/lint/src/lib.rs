@@ -116,12 +116,12 @@ mod tests {
     #[test]
     fn report_shape_is_stable() {
         let f = Finding {
-            rule: "panic-unwrap",
+            rule: "det-hash-iter",
             file: "crates/a/src/lib.rs".into(),
             line: 3,
             col: 7,
             message: "m".into(),
-            excerpt: "x.unwrap()".into(),
+            excerpt: "m.iter()".into(),
         };
         let doc = report_json(&[f]);
         assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));

@@ -10,7 +10,7 @@ use sos_lint::{lint_workspace, report_json, rule_info, Config, RULES};
 
 fn usage(code: i32) -> ! {
     eprintln!(
-        "sos-lint: static analysis enforcing determinism, panic-safety, and concurrency invariants
+        "sos-lint: static analysis enforcing the determinism and concurrency invariants no compiler or clippy lint sees
 
 USAGE:
     sos-lint [OPTIONS]

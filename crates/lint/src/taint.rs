@@ -5,11 +5,10 @@
 //! The workspace's strongest invariant — bit-identical candidate and
 //! result streams at any shard/worker count — was previously enforced
 //! only dynamically (manifest digests, `worker_invariance` tests). This
-//! pass catches the violation at lint time: a `HashMap` iteration, a
-//! wall-clock read, or an order-sensitive float reduction anywhere in the
-//! call closure of a TGA `generate` path, digest/manifest writer, journal
-//! emitter, or checkpoint serializer is flagged before it can corrupt a
-//! campaign.
+//! pass catches the violation at lint time: a `HashMap` iteration or an
+//! order-sensitive float reduction anywhere in the call closure of a TGA
+//! `generate` path, digest/manifest writer, journal emitter, or
+//! checkpoint serializer is flagged before it can corrupt a campaign.
 //!
 //! Roots come from two places: the central [`DETERMINISTIC_ROOTS`]
 //! registry below (workspace policy, matched by `(path substring, fn
@@ -94,7 +93,6 @@ impl Taint {
 pub fn workspace_rules(ws: &Workspace, graph: &CallGraph, taint: &Taint, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
     det_unordered_iter(ws, taint, &mut out);
-    det_wall_clock(ws, taint, &mut out);
     det_float_reduce(ws, taint, &mut out);
     par_shared_mut(ws, cfg, &mut out);
     lock_order(ws, &mut out);
@@ -153,47 +151,6 @@ fn det_unordered_iter(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
                 ),
                 excerpt: excerpt(ws, gid, site.line),
             });
-        }
-    }
-}
-
-/// `det-wall-clock`: time and entropy sources on a deterministic path.
-/// Generalizes the file-scoped `det-fault-entropy` (which only knows a
-/// fixed file list) to everything reachable from a root — including the
-/// observability crate, which the file-scoped `det-wallclock` exempts
-/// wholesale.
-fn det_wall_clock(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
-    const SOURCES: &[&str] =
-        &["Instant", "SystemTime", "thread_rng", "from_entropy", "OsRng", "getrandom"];
-    for gid in 0..ws.fns.len() {
-        let Some(info) = &taint.tainted[gid] else { continue };
-        let Some((a, b)) = ws.def(gid).body else { continue };
-        let fd = ws.file_of(gid);
-        let toks = &fd.lexed.toks;
-        let mut last_line = 0u32;
-        for i in a..=b.min(toks.len() - 1) {
-            let t = &toks[i];
-            let hit = (t.kind == TokKind::Ident && SOURCES.contains(&t.text.as_str()))
-                || (t.is_ident("random")
-                    && i >= 3
-                    && toks[i - 1].is_punct(':')
-                    && toks[i - 2].is_punct(':')
-                    && toks[i - 3].is_ident("rand"));
-            if hit && t.line != last_line {
-                last_line = t.line;
-                out.push(Finding {
-                    rule: "det-wall-clock",
-                    file: fd.rel.clone(),
-                    line: t.line,
-                    col: t.col,
-                    message: format!(
-                        "`{}` is a wall-clock/entropy source {}; take times as inputs and derive randomness from the run seed",
-                        t.text,
-                        via(ws, info)
-                    ),
-                    excerpt: excerpt(ws, gid, t.line),
-                });
-            }
         }
     }
 }

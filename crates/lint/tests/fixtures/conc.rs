@@ -1,9 +1,7 @@
-// Fixture: concurrency violations — mutable global, unannotated Relaxed,
-// and a lock acquired inside the hot per-target loop.
+// Fixture: concurrency violations — an unannotated Relaxed and a lock
+// acquired inside the hot per-target loop.
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-static mut GLOBAL: u64 = 0;
 
 pub fn bump(c: &AtomicU64) {
     c.fetch_add(1, Ordering::Relaxed);

@@ -1,10 +1,12 @@
 // Fixture: suppressions with and without a written reason.
-pub fn with_reason(xs: &[u32]) -> u32 {
-    // sos-lint: allow(panic-unwrap) fixture invariant: xs is non-empty by construction
-    *xs.first().unwrap()
+use std::sync::atomic::{AtomicU64, Ordering};
+
+pub fn with_reason(c: &AtomicU64) {
+    // sos-lint: allow(conc-relaxed) fixture invariant: a progress counter nothing reads back
+    c.fetch_add(1, Ordering::Relaxed);
 }
 
-pub fn without_reason(xs: &[u32]) -> u32 {
-    // sos-lint: allow(panic-unwrap)
-    *xs.last().unwrap()
+pub fn without_reason(c: &AtomicU64) {
+    // sos-lint: allow(conc-relaxed)
+    c.fetch_add(1, Ordering::Relaxed);
 }

@@ -1,4 +1,5 @@
-// Fixture: panics inside #[cfg(test)] are fine; static mut is not.
+// Fixture: inside #[cfg(test)] the rules are off — tests may iterate hash
+// containers and relax atomics freely.
 pub fn add(a: u32, b: u32) -> u32 {
     a + b
 }
@@ -6,13 +7,14 @@ pub fn add(a: u32, b: u32) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    static mut COUNTER: u32 = 0;
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     #[test]
-    fn panics_allowed_here() {
-        let xs = vec![1u32];
-        assert_eq!(*xs.first().unwrap(), add(1, 0));
-        let _ = xs[0];
+    fn anything_goes_here() {
+        let m: HashMap<u32, u32> = HashMap::new();
+        let seen: Vec<u32> = m.keys().copied().collect();
+        let c = AtomicU32::new(add(1, 0));
+        assert_eq!(c.load(Ordering::Relaxed) as usize, seen.len() + 1);
     }
 }

@@ -196,3 +196,64 @@ fn strings_containing_comment_openers_and_braces_are_opaque() {
     assert!(lexed.toks.iter().any(|t| t.is_ident("next")));
     assert!(lexed.toks.iter().all(|t| !t.is_punct('{') && !t.is_punct('}')));
 }
+
+/// ROADMAP 6 for the one reader of *source* text: whatever single byte of
+/// a small file exercising every literal shape is lost or changed, the
+/// lexer — and the parser, call graph and rules on top of it — return.
+#[test]
+fn single_byte_damage_never_panics_the_lexer_or_what_sits_on_it() {
+    let sample = r###"// sos-lint: allow(conc-relaxed) progress only
+use std::collections::HashMap;
+/* outer /* nested */ still outer */
+pub fn generate<'a>(m: &'a HashMap<u64, f64>) -> Vec<u64> {
+    let s = r#"raw "quoted" text"#; let b = br"bytes"; let c = b'}';
+    let x = 2.5e-3 + 1e9 + 0x1e9 as f64; let q = '\''; let l = "a\"b";
+    'outer: for (k, _) in m.iter() { if *k > 9 { break 'outer; } }
+    m.keys().copied().collect()
+}
+#[cfg(test)]
+mod tests { #[test] fn t() { super::generate(&Default::default()); } }
+"###;
+    let lint = |text: &str| {
+        let files = [("crates/tga/src/fx.rs".to_string(), text.to_string())];
+        sos_lint::lint_files(&files, &sos_lint::Config::default())
+    };
+    assert!(!lint(sample).is_empty(), "the intact sample lints to a finding");
+    sos_obs::json::single_byte_damage(sample.as_bytes(), |damaged| {
+        let text = String::from_utf8_lossy(damaged);
+        let _ = lex(&text);
+        let _ = lint(&text);
+    });
+}
+
+/// An opener that never closes swallows the rest of the file in one pass:
+/// a megabyte of raw-string or nested-comment openers lexes in time linear
+/// in its length (a rescan per opener would be ~10⁶ times slower).
+#[test]
+fn pathological_megabyte_inputs_lex_in_linear_time() {
+    let secs = |src: &str| {
+        (0..3)
+            .map(|_| {
+                let t0 = sos_obs::now_s();
+                let lexed = lex(src);
+                assert!(lexed.toks.len() + lexed.comments.len() >= 1);
+                sos_obs::now_s() - t0
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    for (name, unit) in [
+        ("unterminated raw strings", "r##\"x\" "),
+        ("raw-string fences that never open", "r#### "),
+        ("nested comment openers", "/* /* a */ "),
+        ("unterminated strings and chars", "\"\\\" '\\' "),
+    ] {
+        let quarter = unit.repeat((1 << 18) / unit.len());
+        let full = unit.repeat((1 << 20) / unit.len());
+        let (t_quarter, t_full) = (secs(&quarter), secs(&full));
+        // linear is 4×; quadratic would be 16×
+        assert!(
+            t_full < 8.0 * t_quarter.max(1e-3),
+            "{name}: 256 KiB in {t_quarter:.4}s but 1 MiB in {t_full:.4}s"
+        );
+    }
+}

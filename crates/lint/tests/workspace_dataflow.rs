@@ -241,53 +241,46 @@ fn root_annotations_survive_the_full_pipeline() {
 
 #[test]
 fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
-    // ROADMAP asked to retire det-wallclock, det-hash-iter and
-    // det-fault-entropy once the dataflow rules fire on every line they
-    // do. They do not: taint flows from a root to its callees, so the same
-    // three sins in a function no root calls — `engine::scan_shard` is one,
-    // `par_map` closures being bodies of their caller — are seen by the
-    // file-scoped rules alone. Where both see a line, it reports once.
-    let sins = "let t = std::time::Instant::now();
-                 for k in seen.keys() { drop(k); }
-                 let r = rand::thread_rng();";
+    // Taint flows from a root to its callees, so an unsorted hash
+    // iteration in a function no root calls — `engine::scan_shard` is one,
+    // `par_map` closures being bodies of their caller — is seen by the
+    // file-scoped det-hash-iter alone. Where both see a line, it reports
+    // once, under the rule that names the root.
+    let sin = "for k in seen.keys() { drop(k); }";
     let files = vec![
         (
             "crates/probe/src/campaign.rs".to_string(),
             "pub fn refresh(state: u64) -> u64 { on_path(state) }".to_string(),
         ),
         (
-            // a `Config::fault_files` path, so det-fault-entropy binds
             "crates/probe/src/retry.rs".to_string(),
             format!(
                 "use std::collections::HashMap;
                  pub fn on_path(state: u64) -> u64 {{
                  let seen: HashMap<u64, u64> = HashMap::new();
-                 {sins}
+                 {sin}
                  state
                  }}
                  pub fn off_path(state: u64) -> u64 {{
                  let seen: HashMap<u64, u64> = HashMap::new();
-                 {sins}
+                 {sin}
                  state
                  }}"
             ),
         ),
     ];
     let findings = lint_files(&files, &Config::default());
-    let rules_at = |line: u32| -> Vec<&str> {
+    let at = |line: u32| -> Vec<&Finding> {
         findings
             .iter()
             .filter(|f| f.file == "crates/probe/src/retry.rs" && f.line == line)
-            .map(|f| f.rule)
             .collect()
     };
-    // on_path (lines 4–6): the dataflow rule, naming the root, and only it.
-    assert_eq!(rules_at(4), ["det-wall-clock"], "{findings:?}");
-    assert_eq!(rules_at(5), ["det-unordered-iter"], "{findings:?}");
-    assert_eq!(rules_at(6), ["det-wall-clock"], "{findings:?}");
-    assert!(findings.iter().filter(|f| (4..=6).contains(&f.line)).all(|f| f.message.contains("`refresh`")));
-    // off_path (lines 11–13): the file-scoped rule, and only it.
-    assert_eq!(rules_at(11), ["det-wallclock"], "{findings:?}");
-    assert_eq!(rules_at(12), ["det-hash-iter"], "{findings:?}");
-    assert_eq!(rules_at(13), ["det-fault-entropy"], "{findings:?}");
+    // on_path (line 4): the dataflow rule, naming the root, and only it.
+    assert_eq!(at(4).len(), 1, "{findings:?}");
+    assert_eq!(at(4)[0].rule, "det-unordered-iter");
+    assert!(at(4)[0].message.contains("`refresh`"), "{findings:?}");
+    // off_path (line 9): the file-scoped rule, and only it.
+    assert_eq!(at(9).len(), 1, "{findings:?}");
+    assert_eq!(at(9)[0].rule, "det-hash-iter");
 }

@@ -91,6 +91,10 @@ impl Country {
 
     /// RIR super-block this country allocates from (coarse model of the
     /// real 2000::/3 RIR partitioning).
+    #[expect(
+        clippy::expect_used,
+        reason = "input is a compile-time literal; parse covered by unit tests"
+    )]
     pub fn rir_block(self) -> Prefix {
         let s = match self {
             Country::Us => "2600::/12",
@@ -101,7 +105,6 @@ impl Country {
             }
             Country::SouthAfrica => "2c00::/12",
         };
-        // sos-lint: allow(panic-unwrap) input is a compile-time literal; parse covered by unit tests
         s.parse().expect("static prefix parses")
     }
 }

@@ -409,7 +409,7 @@ fn gen_dns(rng: &mut SmallRng, web_hosts: &[(Ipv6Addr, AsKind, bool)]) -> DnsUni
             }
         }
     }
-    scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
     let records = scored
         .into_iter()
         .enumerate()

@@ -518,8 +518,11 @@ impl<T: Into<Json> + Clone> From<&BTreeMap<String, T>> for Json {
 /// few bytes a JSON reader branches on (every 7th offset past 2 KB).
 /// What `decode` makes of a variant is its business, except that it must
 /// return: a panic fails the sweep, naming the variant.
-#[cfg(test)]
-pub(crate) fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
+///
+/// Public because every reader of bytes the process wrote earlier — here,
+/// in `sos-probe`, `sos-core`, `seeds` and `sos-lint` — runs the same
+/// sweep from its own tests.
+pub fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     let mut at = 0;
     while at < sample.len() {

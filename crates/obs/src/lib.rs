@@ -60,10 +60,13 @@ use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Process-wide monotonic clock origin: first observability call wins.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the one wall-clock read: telemetry clock origin for log/span timings; timestamps never \
+              reach result streams, and journal ordering uses the virtual clock"
+)]
 fn clock_origin() -> Instant {
-    // sos-lint: allow(det-wall-clock) telemetry clock origin; timestamps never reach result streams
     static ORIGIN: OnceLock<Instant> = OnceLock::new();
-    // sos-lint: allow(det-wall-clock) log/span timings only; journal ordering uses the virtual clock
     *ORIGIN.get_or_init(Instant::now)
 }
 

@@ -76,7 +76,7 @@ pub struct ScannerConfig {
 impl Default for ScannerConfig {
     fn default() -> Self {
         ScannerConfig {
-            // sos-lint: allow(panic-unwrap) compile-time literal address always parses
+            #[expect(clippy::expect_used, reason = "compile-time literal address always parses")]
             src: "2001:db8:5ca0::1".parse().expect("static addr"),
             salt: 0x5eed_5ca0,
             retry: RetryPolicy::fixed(1),
@@ -707,10 +707,13 @@ impl<T: Transport + Clone + Send> Scanner<T> {
     ) -> ScanReport {
         let mut template = ScanReport::default();
         let (prepared, tags) = self.prepare(targets, true, prov, &mut template);
+        #[expect(
+            clippy::expect_used,
+            reason = "scan_prepared returns exactly one entry per requested protocol"
+        )]
         let (_, mut report) = self
             .scan_prepared(&prepared, &[proto], shards, tags.as_deref())
             .pop()
-            // sos-lint: allow(panic-unwrap) scan_prepared returns exactly one entry per requested protocol
             .expect("one report per protocol");
         report.duplicates = template.duplicates;
         report.blocked = template.blocked;

@@ -191,7 +191,10 @@ pub fn build_probe(
             )
         }
         Protocol::Tcp80 | Protocol::Tcp443 => {
-            // sos-lint: allow(panic-unwrap) this match arm only covers TCP protocols, which carry a port
+            #[expect(
+                clippy::expect_used,
+                reason = "this match arm only covers TCP protocols, which carry a port"
+            )]
             let dport = proto.dst_port().expect("tcp has a port");
             // Region probes put the tag in seq (recovered from ack-1);
             // plain probes put the token there for validation.

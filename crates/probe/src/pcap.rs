@@ -72,6 +72,9 @@ impl<W: Write> PcapWriter<W> {
 pub struct CapturingTransport<T, W: Write> {
     inner: T,
     writer: PcapWriter<W>,
+    /// The first capture write that failed; [`Self::finish`] returns it,
+    /// and nothing is written after it.
+    failed: Option<io::Error>,
 }
 
 impl<T: crate::transport::Transport, W: Write> CapturingTransport<T, W> {
@@ -80,6 +83,7 @@ impl<T: crate::transport::Transport, W: Write> CapturingTransport<T, W> {
         Ok(CapturingTransport {
             inner,
             writer: PcapWriter::new(out)?,
+            failed: None,
         })
     }
 
@@ -88,9 +92,21 @@ impl<T: crate::transport::Transport, W: Write> CapturingTransport<T, W> {
         self.writer.packets()
     }
 
-    /// Finish the capture, returning the inner transport and writer.
+    /// Finish the capture, returning the inner transport and writer — or
+    /// the first write error met along the way (a full disk, say): the
+    /// scan ran to the end regardless, but its capture is truncated.
     pub fn finish(self) -> io::Result<(T, W)> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
         Ok((self.inner, self.writer.finish()?))
+    }
+
+    /// Capture one packet unless an earlier write already failed.
+    fn capture(&mut self, packet: &[u8], advance_us: u64) {
+        if self.failed.is_none() {
+            self.failed = self.writer.write_packet(packet, advance_us).err();
+        }
     }
 }
 
@@ -98,11 +114,12 @@ impl<T: crate::transport::Transport, W: Write> crate::transport::Transport
     for CapturingTransport<T, W>
 {
     fn send(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        // capture failures must not corrupt scan results; surface on drop
-        let _ = self.writer.write_packet(packet, 100);
+        // capture failures must not corrupt scan results: the probe goes
+        // out either way, and `finish` reports the error
+        self.capture(packet, 100);
         let response = self.inner.send(packet);
         if let Some(resp) = &response {
-            let _ = self.writer.write_packet(resp, 50);
+            self.capture(resp, 50);
         }
         response
     }
@@ -200,6 +217,51 @@ mod tests {
             bare.transport().carried().map(crate::Carried::fault_rows)
         );
         assert!(captured.transport().captured() >= got.packets_sent);
+    }
+
+    /// A writer that takes `room` bytes and then fails, like a full disk.
+    struct FullAfter {
+        room: usize,
+        taken: Vec<u8>,
+    }
+
+    impl Write for FullAfter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if buf.len() > self.room {
+                return Err(io::Error::other("no space left on device"));
+            }
+            self.room -= buf.len();
+            self.taken.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_capture_write_leaves_the_scan_alone_and_fails_finish() {
+        let probe = build_probe(
+            "2001:db8::1".parse().unwrap(),
+            "2600::1".parse().unwrap(),
+            Protocol::Icmp,
+            1,
+            None,
+        );
+        let mut inner = ScriptedTransport::default();
+        for _ in 0..3 {
+            inner.script.push_back(Some(probe.clone()));
+        }
+        // room for the global header and the first exchange, not the second
+        let out = FullAfter { room: 24 + 2 * (16 + probe.len()) + 10, taken: Vec::new() };
+        let mut t = CapturingTransport::new(inner, out).unwrap();
+        for _ in 0..3 {
+            assert!(t.send(&probe).is_some(), "the scan never sees the capture fail");
+        }
+        assert_eq!(t.captured(), 2, "nothing is written past the first failure");
+        let err = t.finish().err().expect("a truncated capture is reported");
+        assert!(err.to_string().contains("no space left"), "{err}");
     }
 
     #[test]

@@ -4,6 +4,10 @@
 //! run — under hostile faults, circuit breakers, sharding, and (in the
 //! degenerate single-shard path) a live token-bucket rate limiter.
 
+// Helpers here sit outside `#[test]` bodies, which is all clippy's
+// `allow-*-in-tests` exempts; the panic lints guard the library, not these.
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 mod common;
 
 use std::io::{Seek as _, Write as _};
@@ -12,9 +16,9 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use common::{single_byte_damage, Budgeted};
+use common::Budgeted;
 use netmodel::{FaultConfig, Protocol, World, WorldConfig};
-use sos_obs::json::Json;
+use sos_obs::json::{single_byte_damage, Json};
 use sos_probe::{
     BreakerConfig, BreakerMap, BreakerState, Campaign, CampaignCheckpoint, CampaignRun,
     RetryPolicy, RunOptions, Scanner, ScannerConfig, SimTransport,

@@ -1,12 +1,10 @@
-//! The byte-level reference the identity suites diff the engine against,
-//! a transport that stops a campaign where no round boundary is, and the
-//! single-byte damage sweep for what the process reads back.
+//! The byte-level reference the identity suites diff the engine against
+//! and a transport that stops a campaign where no round boundary is.
 
 // Each test binary uses its own part of this module.
 #![allow(dead_code)]
 
 use std::net::Ipv6Addr;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -36,6 +34,7 @@ pub fn wire_campaign(
 
 /// The production side of the comparison: the standard four-protocol
 /// campaign as one `run_with` round, `shards` ways per protocol.
+#[expect(clippy::unwrap_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
 pub fn run_sharded(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr], shards: usize) -> CampaignResult {
     let opts = RunOptions { shards, ..RunOptions::default() };
     Campaign::standard(s).run_with(t, &opts, None).unwrap().result
@@ -90,29 +89,5 @@ impl Transport for Budgeted {
 
     fn carried_mut(&mut self) -> Option<&mut Carried> {
         self.inner.carried_mut()
-    }
-}
-
-/// Hand `decode` every single-byte damage of `sample`: cut short at each
-/// offset, with the byte there deleted, and with it replaced by each of a
-/// few bytes a JSON reader branches on (every 7th offset past 2 KB).
-/// What `decode` makes of a variant is its business, except that it must
-/// return: a panic fails the sweep, naming the variant.
-pub fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
-    let mut at = 0;
-    while at < sample.len() {
-        let cut = sample[..at].to_vec();
-        let deleted = [&sample[..at], &sample[at + 1..]].concat();
-        let replaced = b"\"{[,9-e\0\xFF".iter().map(|&byte| {
-            let mut variant = sample.to_vec();
-            variant[at] = byte;
-            variant
-        });
-        for (n, variant) in [cut, deleted].into_iter().chain(replaced).enumerate() {
-            if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
-                panic!("variant {n} at byte {at} of {} panicked the decoder", sample.len());
-            }
-        }
-        at += if at < 2048 { 1 } else { 7 };
     }
 }

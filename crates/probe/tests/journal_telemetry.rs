@@ -49,6 +49,7 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 /// The last snapshot record's payload: (fingerprint, done, counters).
+#[expect(clippy::expect_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
 fn last_snapshot(records: &[Record]) -> (u64, u64, BTreeMap<String, u64>) {
     records
         .iter()
@@ -300,6 +301,7 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
 }
 
 /// The unlabeled `probe_packets_sent` sample of a `.prom` file.
+#[expect(clippy::expect_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
 fn prom_packets_sent(path: &PathBuf) -> u64 {
     std::fs::read_to_string(path)
         .expect("snapshot file must exist")
@@ -307,7 +309,7 @@ fn prom_packets_sent(path: &PathBuf) -> u64 {
         .find_map(|l| l.strip_prefix("probe_packets_sent "))
         .expect("snapshot file must carry probe_packets_sent")
         .parse()
-        .unwrap()
+        .expect("probe_packets_sent is a number")
 }
 
 /// The snapshot file is a sink of its own: it needs no journal, and its

@@ -110,6 +110,7 @@ fn follow_up<T: Transport>(s: &mut Scanner<T>, t: &[Ipv6Addr]) -> Vec<Option<Bur
 }
 
 /// The fault layer's density clock, as the scanner's transport carries it.
+#[expect(clippy::expect_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
 fn fault_rows<T: Transport>(s: &Scanner<T>) -> Vec<(u128, u8, u32)> {
     s.transport().carried().expect("the simulator carries state").fault_rows()
 }

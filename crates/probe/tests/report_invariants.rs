@@ -16,6 +16,7 @@ fn world() -> Arc<World> {
     Arc::new(World::build(WorldConfig::tiny(0x0b5)))
 }
 
+#[expect(clippy::unwrap_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
 fn mixed_targets(world: &World, n: usize) -> Vec<Ipv6Addr> {
     // Live, churned, and aliased hosts alike — plus guaranteed-dead
     // addresses — so every classification bucket can occur.

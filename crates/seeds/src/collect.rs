@@ -5,8 +5,10 @@ use std::net::Ipv6Addr;
 
 use netmodel::World;
 
-use crate::domains::{collect_caida_dns, collect_censys_ct, collect_rapid7, collect_toplist};
-use crate::hitlists::{collect_addrminer, collect_hitlist};
+use crate::domains::{
+    collect_caida_dns, collect_censys_ct, collect_rapid7, collect_toplist, DomainCollection,
+};
+use crate::hitlists::{collect_addrminer, collect_hitlist, HitlistCollection};
 use crate::routes::{collect_ripe_atlas, collect_scamper};
 use crate::source::{DomainStats, SourceId};
 
@@ -46,11 +48,14 @@ pub struct SeedCollection {
 
 impl SeedCollection {
     /// The dataset for one source.
+    #[expect(
+        clippy::expect_used,
+        reason = "collect_all always populates every SourceId variant"
+    )]
     pub fn get(&self, id: SourceId) -> &SourceDataset {
         self.sources
             .iter()
             .find(|s| s.id == id)
-            // sos-lint: allow(panic-unwrap) collect_all always populates every SourceId variant
             .expect("all sources collected")
     }
 
@@ -72,91 +77,47 @@ impl SeedCollection {
     }
 }
 
+/// What every collector family boils down to: unique sorted addresses,
+/// the raw pre-dedup count, and domain statistics where there are any.
+type Collected = (Vec<Ipv6Addr>, u64, Option<DomainStats>);
+
+fn domains(c: DomainCollection) -> Collected {
+    (c.addrs, c.stats.aaaa_responses, Some(c.stats))
+}
+
+fn hitlist(c: HitlistCollection) -> Collected {
+    (c.addrs, c.raw_count, None)
+}
+
+/// Route sources collect nothing twice: raw count = unique count.
+fn routes(addrs: Vec<Ipv6Addr>) -> Collected {
+    let raw_count = addrs.len() as u64;
+    (addrs, raw_count, None)
+}
+
 /// Run every collector against the world.
 pub fn collect_all(world: &World, cfg: CollectorConfig) -> SeedCollection {
     let seed = cfg.seed;
-    let mut sources = Vec::with_capacity(12);
-    for id in SourceId::ALL {
-        let ds = match id {
-            SourceId::CensysCt => {
-                let c = collect_censys_ct(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: c.stats.aaaa_responses,
-                    domain_stats: Some(c.stats),
-                    addrs: c.addrs,
-                }
-            }
-            SourceId::Rapid7 => {
-                let c = collect_rapid7(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: c.stats.aaaa_responses,
-                    domain_stats: Some(c.stats),
-                    addrs: c.addrs,
-                }
-            }
-            SourceId::Umbrella
-            | SourceId::Majestic
-            | SourceId::Tranco
-            | SourceId::SecRank
-            | SourceId::Radar => {
-                let c = collect_toplist(world, seed, id);
-                SourceDataset {
-                    id,
-                    raw_count: c.stats.aaaa_responses,
-                    domain_stats: Some(c.stats),
-                    addrs: c.addrs,
-                }
-            }
-            SourceId::CaidaDns => {
-                let c = collect_caida_dns(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: c.stats.aaaa_responses,
-                    domain_stats: Some(c.stats),
-                    addrs: c.addrs,
-                }
-            }
-            SourceId::Scamper => {
-                let addrs = collect_scamper(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: addrs.len() as u64,
-                    domain_stats: None,
-                    addrs,
-                }
-            }
-            SourceId::RipeAtlas => {
-                let addrs = collect_ripe_atlas(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: addrs.len() as u64,
-                    domain_stats: None,
-                    addrs,
-                }
-            }
-            SourceId::Hitlist => {
-                let c = collect_hitlist(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: c.raw_count,
-                    domain_stats: None,
-                    addrs: c.addrs,
-                }
-            }
-            SourceId::AddrMiner => {
-                let c = collect_addrminer(world, seed);
-                SourceDataset {
-                    id,
-                    raw_count: c.raw_count,
-                    domain_stats: None,
-                    addrs: c.addrs,
-                }
-            }
-        };
-        sources.push(ds);
-    }
+    let sources = SourceId::ALL
+        .into_iter()
+        .map(|id| {
+            let (addrs, raw_count, domain_stats) = match id {
+                SourceId::CensysCt => domains(collect_censys_ct(world, seed)),
+                SourceId::Rapid7 => domains(collect_rapid7(world, seed)),
+                SourceId::Umbrella
+                | SourceId::Majestic
+                | SourceId::Tranco
+                | SourceId::SecRank
+                | SourceId::Radar => domains(collect_toplist(world, seed, id)),
+                SourceId::CaidaDns => domains(collect_caida_dns(world, seed)),
+                SourceId::Scamper => routes(collect_scamper(world, seed)),
+                SourceId::RipeAtlas => routes(collect_ripe_atlas(world, seed)),
+                SourceId::Hitlist => hitlist(collect_hitlist(world, seed)),
+                SourceId::AddrMiner => hitlist(collect_addrminer(world, seed)),
+            };
+            SourceDataset { id, addrs, raw_count, domain_stats }
+        })
+        .collect();
     SeedCollection { sources }
 }
 

@@ -99,7 +99,10 @@ fn toplist_policy(id: SourceId) -> (f64, f64) {
         SourceId::Tranco => (0.014, 0.70),
         SourceId::SecRank => (0.012, 0.55),
         SourceId::Radar => (0.015, 0.70),
-        // sos-lint: allow(panic-macro) callers filter to toplist sources; hitting this is a caller bug
+        #[expect(
+            clippy::unreachable,
+            reason = "callers filter to toplist sources; hitting this is a caller bug"
+        )]
         _ => unreachable!("not a toplist"),
     }
 }

@@ -163,6 +163,27 @@ mod tests {
         assert!(err.to_string().contains("line 2"));
     }
 
+    /// ROADMAP 6 for the seed and alias lists: whatever single byte is lost
+    /// or changed (invalid UTF-8 included), both readers return a list or
+    /// an error, and a refusal names a line that exists.
+    #[test]
+    fn single_byte_damage_never_panics_the_list_readers() {
+        let sample = "# hitlist\n2001:db8::1\n\n  2600:9000:2000::dead  \n2600:9000:2000::/48\n::ffff:1.2.3.4\n";
+        assert!(read_prefix_list(Cursor::new(sample)).is_ok());
+        assert!(read_address_list(Cursor::new(sample)).is_err(), "a CIDR is not an address");
+        sos_obs::json::single_byte_damage(sample.as_bytes(), |damaged| {
+            let lines = damaged.split(|&b| b == b'\n').count();
+            for err in [
+                read_address_list(Cursor::new(damaged)).err(),
+                read_prefix_list(Cursor::new(damaged)).err(),
+            ] {
+                if let Some(e) = err.as_ref().and_then(|e| e.downcast_ref::<ParseError>()) {
+                    assert!((1..=lines).contains(&e.line) && e.content.chars().count() <= 60, "{e}");
+                }
+            }
+        });
+    }
+
     #[test]
     fn whole_world_hitlist_roundtrip() {
         // realistic volume: write/read a collected hitlist

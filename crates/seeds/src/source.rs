@@ -123,8 +123,8 @@ impl SourceId {
     }
 
     /// Stable per-source RNG stream index.
+    #[expect(clippy::expect_used, reason = "every SourceId variant is listed in ALL")]
     pub fn stream(self) -> u64 {
-        // sos-lint: allow(panic-unwrap) every SourceId variant is listed in ALL
         SourceId::ALL.iter().position(|&s| s == self).expect("in ALL") as u64
     }
 }

@@ -101,8 +101,8 @@ impl TgaId {
     /// Compact provenance source id (this TGA's index in [`Self::ALL`]) —
     /// the `source` byte carried by every
     /// [`Provenance`](sos_probe::Provenance) tag.
+    #[expect(clippy::expect_used, reason = "ALL contains every variant by construction")]
     pub fn code(self) -> u8 {
-        // sos-lint: allow(panic-unwrap) ALL contains every variant by construction
         TgaId::ALL.iter().position(|&t| t == self).expect("TgaId in ALL") as u8
     }
 

@@ -23,13 +23,13 @@ fn main() {
         _ => StudyConfig::study(0xC0FFEE),
     };
     let budget = cfg.budget;
-    let t0 = std::time::Instant::now();
+    let t0 = sos_obs::now_s();
     eprintln!("[full_study] building study at {scale} scale...");
     let study = Study::new(cfg);
     let stats = study.world().stats().clone();
     eprintln!(
-        "[full_study] world ready in {:.1?}: {} hosts / {} responsive",
-        t0.elapsed(),
+        "[full_study] world ready in {:.1}s: {} hosts / {} responsive",
+        sos_obs::now_s() - t0,
         stats.modeled_hosts,
         stats.responsive_any
     );
@@ -51,7 +51,7 @@ fn main() {
 
     let section = |title: &str, paper: &str, body: String, md: &mut String| {
         let _ = writeln!(md, "## {title}\n\n*Paper:* {paper}\n\n```text\n{}```\n", body);
-        eprintln!("[full_study] {title} done ({:.1?} elapsed)", t0.elapsed());
+        eprintln!("[full_study] {title} done ({:.1}s elapsed)", sos_obs::now_s() - t0);
     };
 
     // §5 — dataset composition.
@@ -87,9 +87,9 @@ fn main() {
     );
 
     // The master grid behind RQ1/RQ2/RQ4/Appendix D.
-    let tg = std::time::Instant::now();
+    let tg = sos_obs::now_s();
     let grid = master_grid(&study);
-    eprintln!("[full_study] master grid: {} cells in {:.1?}", grid.len(), tg.elapsed());
+    eprintln!("[full_study] master grid: {} cells in {:.1}s", grid.len(), sos_obs::now_s() - tg);
 
     section(
         "Figure 3 — dealiased vs full seeds (RQ1.a)",
@@ -122,9 +122,9 @@ fn main() {
     );
 
     // RQ3 across all four ports.
-    let tr = std::time::Instant::now();
+    let tr = sos_obs::now_s();
     let rq3 = experiments::rq3::run_rq3(&study, &PROTOCOLS, &TgaId::ALL);
-    eprintln!("[full_study] rq3: {} cells in {:.1?}", rq3.len(), tr.elapsed());
+    eprintln!("[full_study] rq3: {} cells in {:.1}s", rq3.len(), sos_obs::now_s() - tr);
     section(
         "Table 5 — combined per-source runs vs one 12×-budget run (ICMP)",
         "the single big run finds ~2× the unique hits, but per-source runs find more ASes \
@@ -211,8 +211,8 @@ fn main() {
 
     std::fs::write("EXPERIMENTS.md", &md).expect("write EXPERIMENTS.md");
     eprintln!(
-        "[full_study] wrote EXPERIMENTS.md ({} KiB) in {:.1?} total",
+        "[full_study] wrote EXPERIMENTS.md ({} KiB) in {:.1}s total",
         md.len() / 1024,
-        t0.elapsed()
+        sos_obs::now_s() - t0
     );
 }
