@@ -5,13 +5,14 @@
 //! All-Active pool (Table 5), and the discovered populations are
 //! characterized by AS (Table 6).
 
-use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv6Addr;
 
 use netmodel::{Asn, Protocol, PROTOCOLS};
 use seeds::SourceId;
 use sos_obs::par::par_map;
 use tga::TgaId;
+use v6addr::AddrSet;
 
 use crate::report::{fmt_count, fmt_pct, Table};
 use crate::runner::{cell_salt, run_tga, RunResult};
@@ -44,7 +45,7 @@ impl Rq3Results {
     /// Combined (union) hits and ASes across all sources for one TGA on
     /// one port — the "Combined" column of Table 5.
     pub fn combined(&self, proto: Protocol, tga: TgaId) -> (usize, usize) {
-        let mut hits: HashSet<u128> = HashSet::new();
+        let mut hits: AddrSet<u128> = AddrSet::default();
         let mut ases: BTreeSet<Asn> = BTreeSet::new();
         for ((_, p, t), r) in &self.cells {
             if *p == proto && *t == tga {
@@ -58,7 +59,7 @@ impl Rq3Results {
 
 /// The responsive subset of one source (All Active ∩ source, per Table 2).
 pub fn source_active_seeds(study: &Study, source: SourceId) -> Vec<Ipv6Addr> {
-    let active: HashSet<u128> = study
+    let active: AddrSet<u128> = study
         .dataset(DatasetKind::AllActive)
         .iter()
         .map(|&a| u128::from(a))

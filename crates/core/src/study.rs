@@ -10,6 +10,7 @@ use netmodel::{Asn, Protocol, World};
 use seeds::{collect_all, SeedCollection, SeedPipeline};
 use sos_probe::provenance::{AttributionTable, Provenance, ProvenanceLog};
 use sos_probe::{RetryPolicy, Scanner, ScannerConfig, SimTransport};
+use v6addr::AddrMap;
 
 use crate::config::StudyConfig;
 use crate::metrics::RunMetrics;
@@ -210,8 +211,8 @@ impl Study {
             // Fold dealiaser-removed addresses back into the per-region
             // table. First occurrence wins, matching the scanner's dedup
             // of repeated targets.
-            let mut tag_of: std::collections::HashMap<Ipv6Addr, Provenance> =
-                std::collections::HashMap::with_capacity(generated.len());
+            let mut tag_of: AddrMap<Ipv6Addr, Provenance> =
+                AddrMap::with_capacity_and_hasher(generated.len(), Default::default());
             for (i, &a) in generated.iter().enumerate() {
                 tag_of.entry(a).or_insert_with(|| prov.get_or_fill(i));
             }

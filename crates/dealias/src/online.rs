@@ -11,7 +11,6 @@
 //! probe addresses are derived deterministically from the prefix so runs
 //! are reproducible.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -20,7 +19,7 @@ use rand::SeedableRng;
 use netmodel::mix::mix3;
 use netmodel::Protocol;
 use sos_probe::ScanOracle;
-use v6addr::{rand_in_prefix, Prefix};
+use v6addr::{rand_in_prefix, AddrMap, Prefix};
 
 use crate::DealiasOutcome;
 
@@ -64,7 +63,7 @@ impl Default for OnlineConfig {
 pub struct OnlineDealiaser {
     cfg: OnlineConfig,
     /// (prefix network bits, protocol index) → is-aliased decision.
-    decided: HashMap<(u128, u8), bool>,
+    decided: AddrMap<(u128, u8), bool>,
     probe_packets: u64,
 }
 
@@ -73,7 +72,7 @@ impl OnlineDealiaser {
     pub fn new(cfg: OnlineConfig) -> Self {
         OnlineDealiaser {
             cfg,
-            decided: HashMap::new(),
+            decided: AddrMap::default(),
             probe_packets: 0,
         }
     }

@@ -216,18 +216,38 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
         }
     }
 
-    // --- hash-container aliases ---------------------------------------
-    for w in lexed.toks.windows(4) {
-        if w[0].is_ident("type")
-            && w[1].kind == TokKind::Ident
-            && w[2].is_punct('=')
-            && (w[3].is_ident("HashMap") || w[3].is_ident("HashSet"))
+    out.hash_aliases = hash_alias_names(&lexed.toks).into_iter().map(String::from).collect();
+    out
+}
+
+/// Names this token stream aliases to a hash container: `type X =
+/// HashMap<..>` and the generic form `type X<K, V> = HashMap<K, V, S>`
+/// (the alias's own parameter list, with any bounds and defaults, is
+/// skipped to find the `=`).
+pub(crate) fn hash_alias_names(toks: &[crate::lexer::Tok]) -> Vec<&str> {
+    let mut names = Vec::new();
+    for (i, w) in toks.windows(2).enumerate() {
+        if !(w[0].is_ident("type") && w[1].kind == TokKind::Ident) {
+            continue;
+        }
+        let mut j = i + 2;
+        if toks.get(j).is_some_and(|t| t.is_punct('<')) {
+            let mut depth = 0i32;
+            while let Some(t) = toks.get(j) {
+                depth += i32::from(t.is_punct('<')) - i32::from(t.is_punct('>'));
+                j += 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+        }
+        if toks.get(j).is_some_and(|t| t.is_punct('='))
+            && toks.get(j + 1).is_some_and(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
         {
-            out.hash_aliases.push(w[1].text.clone());
+            names.push(w[1].text.as_str());
         }
     }
-
-    out
+    names
 }
 
 /// Index of the `}` matching the `{` at `open` (or the last token when
@@ -350,5 +370,16 @@ mod tests {
     fn hash_aliases_collected() {
         let p = parse_src("type FlowMap = HashMap<u64, u32>;\ntype Seen = HashSet<u128>;\ntype Plain = Vec<u8>;");
         assert_eq!(p.hash_aliases, vec!["FlowMap", "Seen"]);
+    }
+
+    #[test]
+    fn generic_hash_aliases_collected() {
+        let p = parse_src(
+            "pub type AddrMap<K, V> = HashMap<K, V, BuildHasherDefault<AddrHasher>>;\n\
+             pub type AddrSet<K = u128> = HashSet<K, S>;\n\
+             type Nested<T: Into<Vec<u8>>> = HashSet<T>;\n\
+             type Rows<T> = Vec<T>;\ntype Unclosed<K = HashMap",
+        );
+        assert_eq!(p.hash_aliases, vec!["AddrMap", "AddrSet", "Nested"]);
     }
 }

@@ -46,14 +46,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-unordered-collection",
         group: "determinism",
-        rationale: "HashMap/HashSet in report/manifest/export assembly can leak iteration order into results; use BTreeMap/BTreeSet or sort",
+        rationale: "HashMap/HashSet (or a workspace alias of one: AddrMap, AddrSet) in report/manifest/export assembly can leak iteration order into results; use BTreeMap/BTreeSet or sort",
         severity: "error",
         fix: "replace with BTreeMap/BTreeSet, or an explicitly sorted Vec",
     },
     RuleInfo {
         id: "det-hash-iter",
         group: "determinism",
-        rationale: "iterating a HashMap/HashSet yields per-process order; sort nearby, reduce order-insensitively, use a BTree collection, or justify via suppression",
+        rationale: "iterating a HashMap/HashSet (or a workspace alias of one: AddrMap, AddrSet) yields an arbitrary order; sort nearby, reduce order-insensitively, use a BTree collection, or justify via suppression",
         severity: "error",
         fix: "sort the iterated items before consuming them, or switch the container to a BTree type",
     },
@@ -195,9 +195,17 @@ impl Default for Config {
     }
 }
 
-/// Lint one source file. `rel_path` is workspace-relative with `/`
-/// separators; it drives classification and allowlists.
+/// Lint one source file on its own. `rel_path` is workspace-relative with
+/// `/` separators; it drives classification and allowlists. Hash-container
+/// aliases declared in *other* files are unknown here — [`lint_files`]
+/// supplies them.
 pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
+    lint_source_with(rel_path, src, cfg, &[])
+}
+
+/// [`lint_source`] with the workspace's hash-container alias names
+/// (`AddrSet`, `AddrMap`, …), which the hash rules treat like `HashMap`.
+fn lint_source_with(rel_path: &str, src: &str, cfg: &Config, aliases: &[String]) -> Vec<Finding> {
     let class = FileClass::of(rel_path);
     let krate = crate_of(rel_path).unwrap_or("");
     let lexed = lex(src);
@@ -219,8 +227,10 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
 
     // --- determinism -----------------------------------------------------
     if prod_code && cfg.result_path_files.iter().any(|f| rel_path.contains(f.as_str())) {
+        let own = crate::parse::hash_alias_names(toks);
+        let is_alias = |t: &Tok| aliases.iter().any(|a| t.is_ident(a)) || own.iter().any(|a| t.is_ident(a));
         for t in toks {
-            if t.is_ident("HashMap") || t.is_ident("HashSet") {
+            if t.is_ident("HashMap") || t.is_ident("HashSet") || is_alias(t) {
                 push(
                     "det-unordered-collection",
                     t.line,
@@ -235,7 +245,7 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     }
 
     if prod_code {
-        hash_iter_rule(toks, &mut push);
+        hash_iter_rule(toks, aliases, &mut push);
     }
 
     // --- concurrency -----------------------------------------------------
@@ -304,7 +314,7 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
 
     let mut all: Vec<Finding> = Vec::new();
     for (rel, src) in files {
-        all.extend(lint_source(rel, src, cfg));
+        all.extend(lint_source_with(rel, src, cfg, &ws.hash_aliases));
     }
     for f in crate::taint::workspace_rules(&ws, &graph, &taint, cfg) {
         let Some(fd) = ws.files.iter().find(|d| d.rel == f.file) else { continue };
@@ -334,15 +344,7 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
 pub(crate) fn hash_bound_names(toks: &[Tok], extra_aliases: &[String]) -> Vec<String> {
     let mut hash_types: Vec<&str> = vec!["HashMap", "HashSet"];
     hash_types.extend(extra_aliases.iter().map(String::as_str));
-    for w in toks.windows(4) {
-        if w[0].is_ident("type")
-            && w[1].kind == TokKind::Ident
-            && w[2].is_punct('=')
-            && (w[3].is_ident("HashMap") || w[3].is_ident("HashSet"))
-        {
-            hash_types.push(w[1].text.as_str());
-        }
-    }
+    hash_types.extend(crate::parse::hash_alias_names(toks));
     let mut bound: Vec<String> = Vec::new();
     for i in 0..toks.len() {
         if toks[i].kind != TokKind::Ident {
@@ -453,8 +455,12 @@ pub(crate) fn hash_iter_sites(toks: &[Tok], bound: &[String]) -> Vec<IterSite> {
 /// `det-hash-iter`: find identifiers bound to hash-container types in this
 /// file, then flag order-dependent iteration over them. Order restored
 /// (`sort*`) or erased (an order-insensitive reduction) close by is fine.
-fn hash_iter_rule(toks: &[Tok], push: &mut impl FnMut(&'static str, u32, u32, String)) {
-    let bound = hash_bound_names(toks, &[]);
+fn hash_iter_rule(
+    toks: &[Tok],
+    aliases: &[String],
+    push: &mut impl FnMut(&'static str, u32, u32, String),
+) {
+    let bound = hash_bound_names(toks, aliases);
     if bound.is_empty() {
         return;
     }

@@ -284,3 +284,49 @@ fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
     assert_eq!(at(9).len(), 1, "{findings:?}");
     assert_eq!(at(9)[0].rule, "det-hash-iter");
 }
+
+/// The address substrate's aliases are generic (`pub type AddrMap<K, V> =
+/// HashMap<K, V, …>`), declared once in `v6addr`, and used by name in
+/// every other crate. All three hash rules must see through them: the
+/// real declaration file registers both names, and a file that only
+/// *uses* them is held to the same rules as one that says `HashMap`.
+#[test]
+fn generic_address_aliases_are_hash_containers_to_every_hash_rule() {
+    const DECLARATIONS: &str = include_str!("../../v6addr/src/hash.rs");
+    const USES: &str = include_str!("fixtures/addr_aliases.rs");
+    let lint_at = |path: &str, caller: &str| {
+        let files = vec![
+            ("crates/v6addr/src/hash.rs".to_string(), DECLARATIONS.to_string()),
+            (path.to_string(), USES.to_string()),
+            ("crates/probe/src/campaign.rs".to_string(), caller.to_string()),
+        ];
+        let w = Workspace::build(&files, &Config::default());
+        assert_eq!(w.hash_aliases, ["AddrMap", "AddrSet"], "both aliases register");
+        let mut found: Vec<(&'static str, u32)> = lint_files(&files, &Config::default())
+            .into_iter()
+            .filter(|f| f.file == path)
+            .map(|f| (f.rule, f.line))
+            .collect();
+        found.sort_unstable();
+        found
+    };
+    // Off every deterministic path: the file-scoped rule flags the two
+    // unsorted iterations (lines 7 and 12) and accepts the sorted one.
+    assert_eq!(
+        lint_at("crates/core/src/grid.rs", "pub fn idle() {}"),
+        [("det-hash-iter", 7), ("det-hash-iter", 12)]
+    );
+    // One call below a root: the dataflow rule takes the line over.
+    let rooted = "// sos-lint: deterministic-root checkpoint fingerprint\n\
+                  pub fn snapshot(seen: &v6addr::AddrSet<u128>) -> usize { emit(seen).len() }";
+    assert_eq!(
+        lint_at("crates/core/src/grid.rs", rooted),
+        [("det-hash-iter", 12), ("det-unordered-iter", 7)]
+    );
+    // In report assembly the *types* are banned by name, wherever they
+    // appear (the import and the three signatures).
+    let on_result_path = lint_at("crates/core/src/report.rs", "pub fn idle() {}");
+    let banned: Vec<u32> =
+        on_result_path.iter().filter(|(r, _)| *r == "det-unordered-collection").map(|&(_, l)| l).collect();
+    assert_eq!(banned, [4, 4, 6, 10, 18]);
+}

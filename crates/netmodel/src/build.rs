@@ -11,13 +11,13 @@ use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use v6addr::{Prefix, PrefixTrie};
+use v6addr::{AddrMap, Prefix, PrefixTrie};
 
 use crate::alias::AliasRegion;
 use crate::asreg::{synth_name, AsInfo, AsKind, AsRegistry, Asn, Country};
 use crate::config::WorldConfig;
 use crate::dns::{DnsUniverse, DomainRecord};
-use crate::hosts::{AddrMap, HostKind, HostRecord};
+use crate::hosts::{HostKind, HostRecord, HostTable};
 use crate::scheme::AddressingScheme;
 use crate::services::{PortSet, Protocol, PROTOCOLS};
 use crate::topology::Topology;
@@ -55,7 +55,7 @@ fn draw_country(rng: &mut SmallRng) -> Country {
 /// Keyed by block (not country) because several countries share a block.
 #[derive(Default)]
 struct AllocPlan {
-    cursors: HashMap<Prefix, u32>,
+    cursors: AddrMap<Prefix, u32>,
 }
 
 impl AllocPlan {
@@ -552,7 +552,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
     }
 
     // ---- Assemble --------------------------------------------------------
-    let hosts = AddrMap::build(std::mem::take(&mut st.entries));
+    let hosts = HostTable::build(std::mem::take(&mut st.entries));
     let dns = gen_dns(&mut rng, &st.web_hosts);
 
     let n_vantage = cfg.vantage_points.min(all_asns.len());

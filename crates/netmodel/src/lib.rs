@@ -43,8 +43,8 @@ pub use asreg::{AsInfo, AsKind, AsRegistry, Asn, Country};
 pub use config::WorldConfig;
 pub use dns::{DnsUniverse, DomainRecord};
 pub use faults::{FaultConfig, FaultEffect, FaultEpochs, FaultKind, FaultPlan};
-pub use hosts::{AddrMap, HostKind, HostRecord};
+pub use hosts::{HostKind, HostRecord, HostTable};
 pub use scheme::AddressingScheme;
 pub use services::{PortSet, Protocol, PROTOCOLS};
 pub use topology::Topology;
-pub use world::{ProbeReply, World};
+pub use world::{Disposition, ProbeReply, World};

@@ -16,7 +16,7 @@ use crate::asreg::{AsRegistry, Asn};
 use crate::config::WorldConfig;
 use crate::dns::DnsUniverse;
 use crate::faults::FaultPlan;
-use crate::hosts::AddrMap;
+use crate::hosts::HostTable;
 use crate::mix::{chance, mix2};
 use crate::services::Protocol;
 use crate::topology::Topology;
@@ -52,6 +52,43 @@ impl ProbeReply {
             Protocol::Icmp => ProbeReply::EchoReply,
             Protocol::Tcp80 | Protocol::Tcp443 => ProbeReply::SynAck,
             Protocol::Udp53 => ProbeReply::DnsAnswer,
+        }
+    }
+}
+
+/// What [`World::resolve`] found at an address for one protocol: the reply
+/// every attempt gets, or the reply an attempt gets unless it is lost.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Disposition {
+    /// Every attempt draws this reply.
+    Fixed(ProbeReply),
+    /// Each attempt is lost (times out) with probability `loss`, rolled
+    /// from `(key, attempt, addr)`, and draws `reply` otherwise.
+    Lossy {
+        /// Per-attempt loss probability.
+        loss: f64,
+        /// The reply of an attempt that gets through.
+        reply: ProbeReply,
+        /// The world's loss-roll key.
+        key: u64,
+        /// The probed address, which the roll is also keyed by.
+        addr: u128,
+    },
+}
+
+impl Disposition {
+    /// The reply to transmission number `attempt`.
+    #[inline]
+    pub fn reply(self, attempt: u32) -> ProbeReply {
+        match self {
+            Disposition::Fixed(reply) => reply,
+            Disposition::Lossy { loss, reply, key, addr } => {
+                if chance(mix2(key, u64::from(attempt)), addr, loss) {
+                    ProbeReply::Timeout
+                } else {
+                    reply
+                }
+            }
         }
     }
 }
@@ -128,7 +165,7 @@ pub struct WorldStats {
 pub struct World {
     pub(crate) cfg: WorldConfig,
     pub(crate) registry: AsRegistry,
-    pub(crate) hosts: AddrMap,
+    pub(crate) hosts: HostTable,
     pub(crate) alias_regions: Vec<AliasRegion>,
     pub(crate) alias_lookup: PrefixTrie<u32>,
     pub(crate) topology: Topology,
@@ -155,7 +192,7 @@ impl World {
     }
 
     /// The host map (responsive and churned modeled addresses).
-    pub fn hosts(&self) -> &AddrMap {
+    pub fn hosts(&self) -> &HostTable {
         &self.hosts
     }
 
@@ -237,52 +274,52 @@ impl World {
 
     /// Answer one probe. `attempt` distinguishes retransmissions so loss is
     /// re-rolled per attempt (deterministically).
+    #[inline]
     pub fn probe(&self, addr: Ipv6Addr, proto: Protocol, attempt: u32) -> ProbeReply {
+        self.resolve(addr, proto).reply(attempt)
+    }
+
+    /// How `addr` answers `proto`, attempt number aside: everything
+    /// [`World::probe`] decides that the attempt does not change — alias
+    /// region, megapattern, modeled host or unoccupied space — so a burst
+    /// of retransmissions pays for the lookups once.
+    pub fn resolve(&self, addr: Ipv6Addr, proto: Protocol) -> Disposition {
         let bits = u128::from(addr);
-        let loss_key = mix2(self.cfg.seed ^ 0x10_55, u64::from(attempt));
+        let lossy = |loss: f64, reply: ProbeReply| Disposition::Lossy {
+            loss,
+            reply,
+            key: self.cfg.seed ^ 0x10_55,
+            addr: bits,
+        };
 
         // 1. Aliased regions preempt everything inside them.
-        if let Some(&idx) = self.alias_lookup.lookup_value(addr) {
-            let region = &self.alias_regions[idx as usize]; // lookup stores indices into alias_regions
+        if let Some(region) = self.alias_region_of(addr) {
             if region.responds(proto) {
-                let loss = region.loss.max(self.cfg.base_loss);
-                return if chance(loss_key, bits, loss) {
-                    ProbeReply::Timeout
-                } else {
-                    ProbeReply::positive(proto)
-                };
+                return lossy(region.loss.max(self.cfg.base_loss), ProbeReply::positive(proto));
             }
             // Aliased device, closed port: TCP gets an RST sometimes.
-            return self.closed_port_reply(addr, proto);
+            return Disposition::Fixed(self.closed_port_reply(addr, proto));
         }
 
         // 2. The megapattern answers ICMP only.
         if let Some(mega) = &self.mega {
             if mega.matches(addr) {
                 if proto == Protocol::Icmp && mega.responds(self.cfg.seed, addr) {
-                    return if chance(loss_key, bits, self.cfg.base_loss) {
-                        ProbeReply::Timeout
-                    } else {
-                        ProbeReply::EchoReply
-                    };
+                    return lossy(self.cfg.base_loss, ProbeReply::EchoReply);
                 }
-                return ProbeReply::Timeout;
+                return Disposition::Fixed(ProbeReply::Timeout);
             }
         }
 
         // 3. Individually modeled hosts.
         if let Some(rec) = self.hosts.get(addr) {
             if rec.responds(proto) {
-                return if chance(loss_key, bits, self.cfg.base_loss) {
-                    ProbeReply::Timeout
-                } else {
-                    ProbeReply::positive(proto)
-                };
+                return lossy(self.cfg.base_loss, ProbeReply::positive(proto));
             }
             if !rec.churned {
-                return self.closed_port_reply(addr, proto);
+                return Disposition::Fixed(self.closed_port_reply(addr, proto));
             }
-            return ProbeReply::Timeout;
+            return Disposition::Fixed(ProbeReply::Timeout);
         }
 
         // 4. Unoccupied space: routed prefixes sometimes emit unreachables;
@@ -292,9 +329,9 @@ impl World {
         if self.registry.asn_of(addr).is_some()
             && chance(mix2(self.cfg.seed, 0xDE57), bits, self.cfg.unreachable_rate)
         {
-            return ProbeReply::DstUnreachable;
+            return Disposition::Fixed(ProbeReply::DstUnreachable);
         }
-        ProbeReply::Timeout
+        Disposition::Fixed(ProbeReply::Timeout)
     }
 
     /// Reply for a live device probed on a closed port.
@@ -367,6 +404,81 @@ mod tests {
         let live = (0..n).filter(|&i| mega.responds(7, mega.address(i))).count();
         let rate = live as f64 / n as f64;
         assert!((rate - 0.35).abs() < 0.01, "rate {rate}");
+    }
+
+    /// The per-attempt decision tree `probe` was before `resolve` took
+    /// the attempt out of it, kept as the reference.
+    fn probe_per_attempt(w: &World, addr: Ipv6Addr, proto: Protocol, attempt: u32) -> ProbeReply {
+        let bits = u128::from(addr);
+        let loss_key = mix2(w.cfg.seed ^ 0x10_55, u64::from(attempt));
+        let lossy = |loss: f64, reply: ProbeReply| {
+            if chance(loss_key, bits, loss) {
+                ProbeReply::Timeout
+            } else {
+                reply
+            }
+        };
+        if let Some(region) = w.alias_regions.iter().filter(|r| r.prefix.contains(addr)).max_by_key(|r| r.prefix.len()) {
+            return if region.responds(proto) {
+                lossy(region.loss.max(w.cfg.base_loss), ProbeReply::positive(proto))
+            } else {
+                w.closed_port_reply(addr, proto)
+            };
+        }
+        if let Some(mega) = w.mega.as_ref().filter(|m| m.matches(addr)) {
+            return if proto == Protocol::Icmp && mega.responds(w.cfg.seed, addr) {
+                lossy(w.cfg.base_loss, ProbeReply::EchoReply)
+            } else {
+                ProbeReply::Timeout
+            };
+        }
+        if let Some((_, rec)) = w.hosts.iter().find(|(a, _)| *a == addr) {
+            return if rec.responds(proto) {
+                lossy(w.cfg.base_loss, ProbeReply::positive(proto))
+            } else if !rec.churned {
+                w.closed_port_reply(addr, proto)
+            } else {
+                ProbeReply::Timeout
+            };
+        }
+        let routed = w.registry.iter().any(|i| i.allocations.iter().any(|p| p.contains(addr)));
+        if routed && chance(mix2(w.cfg.seed, 0xDE57), bits, w.cfg.unreachable_rate) {
+            return ProbeReply::DstUnreachable;
+        }
+        ProbeReply::Timeout
+    }
+
+    /// One decision per burst must answer every attempt exactly as one
+    /// decision per packet did: over modeled hosts, their unoccupied
+    /// neighbours, aliased space, the megapattern and unrouted space, on
+    /// every protocol.
+    #[test]
+    fn resolve_then_reply_is_the_per_attempt_probe() {
+        let w = World::build(WorldConfig::tiny(31));
+        let mut addrs: Vec<Ipv6Addr> = Vec::new();
+        for (a, _) in w.hosts().iter().step_by(w.hosts().len() / 60) {
+            addrs.extend([a, Ipv6Addr::from(u128::from(a) ^ 1), Ipv6Addr::from(u128::from(a) ^ (1 << 70))]);
+        }
+        for r in w.alias_regions().iter().take(12) {
+            let net = u128::from(r.prefix.network());
+            addrs.extend([Ipv6Addr::from(net), Ipv6Addr::from(net | 0xbeef)]);
+        }
+        let mega = w.megapattern().expect("the tiny world has a megapattern");
+        addrs.extend((0..24).map(|i| mega.address(i)));
+        addrs.push("3fff:ffff::1".parse().unwrap());
+        let mut kinds = std::collections::BTreeSet::new();
+        for &addr in &addrs {
+            for proto in crate::PROTOCOLS {
+                let disposition = w.resolve(addr, proto);
+                for attempt in 0..4 {
+                    let want = probe_per_attempt(&w, addr, proto, attempt);
+                    assert_eq!(disposition.reply(attempt), want, "{addr} {proto:?} #{attempt}");
+                    assert_eq!(w.probe(addr, proto, attempt), want);
+                    kinds.insert(format!("{want:?}"));
+                }
+            }
+        }
+        assert_eq!(kinds.len(), 6, "every reply kind was exercised: {kinds:?}");
     }
 
     /// Regression (PR 4): unreachables were gated on `proto == Icmp`, so

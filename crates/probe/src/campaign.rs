@@ -36,7 +36,7 @@
 //! Cooperative cancellation (an [`AtomicBool`]) and `stop_after_rounds`
 //! stop at the same round boundaries the checkpoints are written at.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::net::Ipv6Addr;
@@ -48,6 +48,7 @@ use netmodel::{FaultEpochs, FaultPlan, PortSet, Protocol, PROTOCOLS};
 use sos_obs::json::Json;
 use sos_obs::manifest::Fnv1a64;
 use sos_obs::{Event, JournalWriter};
+use v6addr::AddrMap;
 
 use crate::carried::Carried;
 use crate::engine::{LaneState, ScanReport, Scanner};
@@ -61,7 +62,7 @@ use crate::transport::Transport;
 pub struct CampaignResult {
     /// Observed responsiveness per address (addresses with at least one
     /// positive response; silent addresses are absent).
-    responsive: HashMap<u128, PortSet>,
+    responsive: AddrMap<u128, PortSet>,
     /// The per-protocol scan reports, in scan order.
     pub reports: Vec<(Protocol, ScanReport)>,
 }
@@ -71,7 +72,7 @@ impl CampaignResult {
     /// per-address view: an address is responsive on a protocol iff that
     /// protocol's report lists it as a hit.
     pub fn from_reports(reports: Vec<(Protocol, ScanReport)>) -> Self {
-        let mut responsive: HashMap<u128, PortSet> = HashMap::new();
+        let mut responsive: AddrMap<u128, PortSet> = AddrMap::default();
         for (proto, report) in &reports {
             for &hit in &report.hits {
                 responsive.entry(u128::from(hit)).or_insert(PortSet::EMPTY).insert(*proto);

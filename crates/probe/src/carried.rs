@@ -9,63 +9,36 @@
 //! and takes them back, and a campaign checkpoint persists the fault
 //! clock, all through this type.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 use std::net::Ipv6Addr;
 
-use netmodel::{FaultPlan, Protocol};
+use netmodel::{FaultPlan, Protocol, PROTOCOLS};
+use v6addr::AddrMap;
 
-/// Hasher for the per-flow attempt map. SipHash on a 17-byte key costs
-/// about as much as the whole world-oracle lookup; flow keys are internal
-/// simulator state (no attacker-controlled collisions to defend against),
-/// so folding the key and running a splitmix-style finisher is plenty.
-#[derive(Clone, Copy, Default)]
-struct FlowHasher(u64);
+/// One address's attempt counters, one slot per protocol index.
+type FlowRow = [u32; PROTOCOLS.len()];
 
-impl std::hash::Hasher for FlowHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        v6addr::splitmix64(self.0)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic fallback (unused by the (u128, u8) key, kept correct).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, n: u8) {
-        self.0 = self.0.rotate_left(8) ^ u64::from(n);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, n: u128) {
-        self.0 ^= (n as u64) ^ ((n >> 64) as u64).rotate_left(32);
-    }
-}
-
-/// (address or prefix bits, protocol index) → probes counted so far.
-type CountMap = HashMap<(u128, u8), u32, std::hash::BuildHasherDefault<FlowHasher>>;
-
-/// The state a transport carries across targets. Every counter is keyed
-/// by `(address or prefix, protocol)`, so each belongs to exactly one scan
-/// task and *moves* there for the addresses the task probes
+/// The state a transport carries across targets. Every counter belongs to
+/// one `(address or fault domain, protocol)`, so each belongs to exactly
+/// one scan task and *moves* there for the addresses the task probes
 /// ([`Carried::lend`]) instead of being shared.
 #[derive(Debug, Clone, Default)]
 pub struct Carried {
     /// The fault plan the density clock runs under; `None` when the path
     /// has no active fault layer.
     plan: Option<FaultPlan>,
-    /// (destination, protocol) → attempts already transmitted. The nth
+    /// Destination → attempts already transmitted, per protocol. The nth
     /// probe of a flow sees the same loss roll however probes to other
-    /// targets are interleaved around it.
-    attempts: CountMap,
+    /// targets are interleaved around it. One row per *address*: a scan of
+    /// a list on four protocols touches the row it made on the first. The
+    /// ownership rule is per slot — two tasks may hold rows for one
+    /// address as long as they hold different protocols' slots; a slot
+    /// that is not held reads zero, and an all-zero row is not kept.
+    attempts: AddrMap<u128, FlowRow>,
     /// (fault domain, protocol) → probes already sent into the domain:
     /// the fault layer's virtual clock (see `netmodel::faults`), which is
     /// scanner-side state and so lives here rather than in the world.
-    density: CountMap,
+    density: AddrMap<(u128, u8), u32>,
     fault_drops: u64,
     throttled_us: u64,
 }
@@ -96,19 +69,27 @@ impl Carried {
         self.throttled_us
     }
 
+    /// Make room for a scan of `targets` addresses, once, instead of
+    /// doubling up to it row by row (each doubling holds the old and the
+    /// new table at once). Rows the list already has are not counted
+    /// twice: a later protocol's pass over the same list reserves nothing.
+    pub(crate) fn reserve(&mut self, targets: usize) {
+        self.attempts.reserve(targets.saturating_sub(self.attempts.len()));
+    }
+
     /// The slots one target touches: its flow's attempt counter and, under
     /// an active plan, `(plan, fault domain, the domain's density clock)`.
     #[inline]
     pub(crate) fn slots(
         &mut self,
         dst: u128,
-        proto: u8,
+        proto: Protocol,
     ) -> (&mut u32, Option<(&FaultPlan, u128, &mut u32)>) {
         let fault = self.plan.as_ref().map(|plan| {
             let domain = plan.domain_of(dst);
-            (plan, domain, self.density.entry((domain, proto)).or_insert(0))
+            (plan, domain, self.density.entry((domain, proto.index() as u8)).or_insert(0))
         });
-        (self.attempts.entry((dst, proto)).or_insert(0), fault)
+        (&mut self.attempts.entry(dst).or_default()[proto.index()], fault) // index() < PROTOCOLS.len()
     }
 
     /// Account what the fault layer did to one target's probes.
@@ -118,29 +99,37 @@ impl Carried {
         self.throttled_us += delay_us;
     }
 
-    /// Split off the state one scan task needs: the flow counter of every
-    /// address in `targets` on `proto` and the density clock of every fault
-    /// domain those addresses fall in *move* to the returned state; every
-    /// other row stays here. Only rows that exist move (an empty state
-    /// lends nothing without walking the list), and a domain shared by
-    /// several targets moves once. The lent state counts fault drops and
-    /// throttle time from zero, so it reports clean deltas.
+    /// Split off the state one scan task needs: the `proto` slot of every
+    /// address in `targets` and the density clock of every fault domain
+    /// those addresses fall in *move* to the returned state (sized for the
+    /// list); every other slot and row stays here. Only counters that
+    /// exist move, and a domain shared by several targets moves once. The
+    /// lent state counts fault drops and throttle time from zero, so it
+    /// reports clean deltas.
     ///
     /// The caller must give no two tasks the same `(fault domain,
     /// protocol)` — the partition `Scanner::scan_prepared` makes.
     pub fn lend(&mut self, proto: Protocol, targets: impl IntoIterator<Item = Ipv6Addr>) -> Carried {
+        let targets = targets.into_iter();
         let mut lent = Carried { plan: self.plan.clone(), ..Carried::default() };
+        lent.reserve(targets.size_hint().0);
         if self.attempts.is_empty() && self.density.is_empty() {
             return lent;
         }
-        let proto = proto.index() as u8;
+        let slot = proto.index();
         for addr in targets {
             let addr = u128::from(addr);
-            if let Some(n) = self.attempts.remove(&(addr, proto)) {
-                lent.attempts.insert((addr, proto), n);
+            if let Entry::Occupied(mut row) = self.attempts.entry(addr) {
+                let n = std::mem::take(&mut row.get_mut()[slot]); // index() < PROTOCOLS.len()
+                if *row.get() == FlowRow::default() {
+                    row.remove();
+                }
+                if n != 0 {
+                    lent.attempts.entry(addr).or_default()[slot] = n;
+                }
             }
             if let Some(plan) = &self.plan {
-                let key = (plan.domain_of(addr), proto);
+                let key = (plan.domain_of(addr), slot as u8);
                 if let Some(n) = self.density.remove(&key) {
                     lent.density.insert(key, n);
                 }
@@ -151,9 +140,20 @@ impl Carried {
 
     /// Take a lent state back after its task: its counters return, so
     /// later scans continue the same per-flow and per-domain clocks, and
-    /// its fault totals add.
+    /// its fault totals add. Rows merge slot by slot — another task may
+    /// have returned (or this state may still hold) the same address's
+    /// other protocols — and since a slot has one holder at a time, adding
+    /// the returning slot to the zero left behind moves it.
     pub fn reclaim(&mut self, lent: Carried) {
-        self.attempts.extend(lent.attempts);
+        self.reserve(lent.attempts.len());
+        for (addr, row) in lent.attempts {
+            if row != FlowRow::default() {
+                let mine = self.attempts.entry(addr).or_default();
+                for (kept, back) in mine.iter_mut().zip(row) {
+                    *kept = kept.wrapping_add(back);
+                }
+            }
+        }
         self.density.extend(lent.density);
         self.add_faults(lent.fault_drops, lent.throttled_us);
     }
@@ -203,15 +203,15 @@ mod tests {
         }
         assert_eq!(state(&base).fault_drops(), 3);
         let before = state(&base).fault_rows();
-        let (icmp, tcp80) = (Protocol::Icmp.index() as u8, Protocol::Tcp80.index() as u8);
+        let (icmp, tcp80) = (Protocol::Icmp.index(), Protocol::Tcp80.index());
         // One task probes nothing, the other probes `dst` on ICMP; TCP/80
         // is not in this call.
         let idle = base.carried_mut().unwrap().lend(Protocol::Icmp, []);
         assert!(idle.fault_rows().is_empty() && idle.attempts.is_empty(), "a task with no targets gets nothing");
         assert_eq!(state(&base).fault_rows(), before);
         let lent = base.carried_mut().unwrap().lend(Protocol::Icmp, [dst]);
-        assert_eq!(state(&base).fault_rows(), [(before[1].0, tcp80, 1)], "unlent state stays on the parent");
-        assert_eq!(state(&base).attempts.len(), 1, "and so does the TCP/80 flow");
+        assert_eq!(state(&base).fault_rows(), [(before[1].0, tcp80 as u8, 1)], "unlent state stays on the parent");
+        assert_eq!(state(&base).attempts[&u128::from(dst)], [0, 1, 0, 0], "and so does the TCP/80 slot");
         let mut shard = SimTransport::new(w.clone());
         *shard.carried_mut().unwrap() = lent;
         assert_eq!(shard.packets_sent(), 0);
@@ -219,54 +219,101 @@ mod tests {
         assert_eq!(state(&shard).fault_rows(), [before[0]], "density carried over");
         shard.probe_burst(&spec, 3);
         assert_eq!(state(&shard).fault_drops(), 3, "shard reports its own delta");
-        assert_eq!(state(&shard).attempts[&(u128::from(dst), icmp)], 5, "flow attempts continue: 2 + 3");
+        assert_eq!(state(&shard).attempts[&u128::from(dst)][icmp], 5, "flow attempts continue: 2 + 3");
         base.carried_mut().unwrap().reclaim(std::mem::take(shard.carried_mut().unwrap()));
         assert_eq!(state(&base).fault_drops(), 6);
         assert_eq!(base.packets_sent(), 3, "packets are the engine's to account");
+        assert_eq!(state(&base).attempts[&u128::from(dst)], [5, 1, 0, 0], "one row, both slots");
         // density continued from the base's clock: 2 + 3 probes
         let rows = state(&base).fault_rows();
-        assert_eq!(rows, [(before[0].0, icmp, 5), before[1]]);
+        assert_eq!(rows, [(before[0].0, icmp as u8, 5), before[1]]);
         // and restore round-trips
         let mut fresh = Carried::new(w.faults());
         fresh.restore_fault_rows(&rows);
         assert_eq!(fresh.fault_rows(), rows);
     }
 
-    /// What the keyed lend exists for: a task takes the rows of its own
+    /// What the keyed lend exists for: a task takes the slots of its own
     /// targets out of a large accumulated state, and nothing else moves.
     #[test]
     fn lend_moves_exactly_the_rows_of_its_targets() {
         let plan = FaultPlan::new(FaultConfig::hostile(), 9);
-        let icmp = Protocol::Icmp.index() as u8;
+        let (icmp, udp) = (Protocol::Icmp.index(), Protocol::Udp53.index());
         let addr = |domain: u128, host: u128| (0x2001_0db8_u128 << 96) | (domain << 80) | host;
         let mut parent = Carried::new(&plan);
         for domain in 0..1_000u128 {
-            parent.density.insert((plan.domain_of(addr(domain, 0)), icmp), domain as u32 + 1);
+            parent.density.insert((plan.domain_of(addr(domain, 0)), icmp as u8), domain as u32 + 1);
             for host in 0..10 {
-                parent.attempts.insert((addr(domain, host), icmp), 2);
+                // Even hosts were probed on ICMP only, odd ones on UDP/53 too.
+                let mut row = FlowRow::default();
+                row[icmp] = 2;
+                row[udp] = (host % 2) as u32 * 7;
+                parent.attempts.insert(addr(domain, host), row);
             }
         }
         let first = Ipv6Addr::from(addr(7, 3));
         let lent = parent.lend(Protocol::Icmp, [first]);
         assert_eq!(lent.attempts.len(), 1);
-        assert_eq!(lent.attempts[&(addr(7, 3), icmp)], 2);
-        assert_eq!(lent.fault_rows(), [(plan.domain_of(addr(7, 0)), icmp, 8)]);
-        assert_eq!((parent.attempts.len(), parent.density.len()), (9_999, 999), "the rest stays");
+        assert_eq!(lent.attempts[&addr(7, 3)][icmp], 2);
+        assert_eq!(lent.attempts[&addr(7, 3)][udp], 0, "only the lent protocol's slot moves");
+        assert_eq!(parent.attempts[&addr(7, 3)], [0, 0, 0, 7], "the row stays for the slot that did not");
+        assert_eq!(lent.fault_rows(), [(plan.domain_of(addr(7, 0)), icmp as u8, 8)]);
+        assert_eq!((parent.attempts.len(), parent.density.len()), (10_000, 999), "the rest stays");
 
-        // Two targets in one fault domain: both flow rows move, and the
-        // second finds the domain's clock already moved — once, not reset.
+        // Two targets in one fault domain: both slots move, and the second
+        // finds the domain's clock already moved — once, not reset. The
+        // even host's row had nothing else in it and is dropped.
         let pair = parent.lend(Protocol::Icmp, [addr(8, 1), addr(8, 2)].map(Ipv6Addr::from));
         assert_eq!(pair.attempts.len(), 2);
-        assert_eq!(pair.fault_rows(), [(plan.domain_of(addr(8, 0)), icmp, 9)], "no double move");
-        assert_eq!((parent.attempts.len(), parent.density.len()), (9_997, 998));
-        // A never-probed address and another protocol's traffic move nothing.
+        assert_eq!(pair.fault_rows(), [(plan.domain_of(addr(8, 0)), icmp as u8, 9)], "no double move");
+        assert_eq!((parent.attempts.len(), parent.density.len()), (9_999, 998), "an all-zero row is not kept");
+        // A never-probed address and a protocol the address never saw move
+        // nothing.
         assert!(parent.lend(Protocol::Icmp, [Ipv6Addr::from(addr(2_000, 0))]).attempts.is_empty());
-        let other = parent.lend(Protocol::Udp53, [first]);
+        let other = parent.lend(Protocol::Tcp80, [first]);
         assert!(other.attempts.is_empty() && other.density.is_empty());
+        assert_eq!(parent.attempts[&addr(7, 3)], [0, 0, 0, 7]);
 
         parent.reclaim(pair);
         parent.reclaim(lent);
         assert_eq!((parent.attempts.len(), parent.density.len()), (10_000, 1_000), "no loss on reclaim");
-        assert_eq!(parent.density[&(plan.domain_of(addr(8, 0)), icmp)], 9);
+        assert_eq!(parent.attempts[&addr(7, 3)], [2, 0, 0, 7]);
+        assert_eq!(parent.attempts[&addr(8, 2)], [2, 0, 0, 0]);
+        assert_eq!(parent.density[&(plan.domain_of(addr(8, 0)), icmp as u8)], 9);
+    }
+
+    /// Two tasks hold one address at once, each on its own protocol: both
+    /// advance their slot, and whichever order they return in, the merged
+    /// row has both counters and the untouched protocols' history.
+    #[test]
+    fn one_address_lent_on_two_protocols_keeps_both_counters() {
+        let plan = FaultPlan::new(FaultConfig::off(), 9);
+        let dst: Ipv6Addr = "2001:db8::7".parse().unwrap();
+        let key = u128::from(dst);
+        for icmp_returns_first in [true, false] {
+            let mut parent = Carried::new(&plan);
+            parent.attempts.insert(key, [3, 4, 5, 6]);
+            let mut on_icmp = parent.lend(Protocol::Icmp, [dst]);
+            let mut on_udp = parent.lend(Protocol::Udp53, [dst]);
+            assert_eq!(parent.attempts[&key], [0, 4, 5, 0]);
+            *on_icmp.slots(key, Protocol::Icmp).0 += 10;
+            *on_udp.slots(key, Protocol::Udp53).0 += 20;
+            assert_eq!((on_icmp.attempts[&key], on_udp.attempts[&key]), ([13, 0, 0, 0], [0, 0, 0, 26]));
+            if icmp_returns_first {
+                parent.reclaim(on_icmp);
+                parent.reclaim(on_udp);
+            } else {
+                parent.reclaim(on_udp);
+                parent.reclaim(on_icmp);
+            }
+            assert_eq!(parent.attempts[&key], [13, 4, 5, 26]);
+            assert_eq!(parent.attempts.len(), 1);
+        }
+        // A task that was lent a slot and never probed returns nothing,
+        // and that does not resurrect a row.
+        let mut parent = Carried::new(&plan);
+        let idle = parent.lend(Protocol::Icmp, [dst]);
+        parent.reclaim(idle);
+        assert!(parent.attempts.is_empty());
     }
 }

@@ -37,12 +37,11 @@
 //!
 //! [`ScanOracle`]: crate::oracle::ScanOracle
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
 use sos_obs::par::par_map;
-use v6addr::PrefixSet;
+use v6addr::{AddrSet, PrefixSet};
 
 use crate::carried::Carried;
 use crate::metrics::EngineMetrics;
@@ -573,9 +572,10 @@ impl<T: Transport> Scanner<T> {
         let metrics = record.then_some(&self.metrics);
         let prov = prov.filter(|log| log.is_enabled());
         let targets = targets.into_iter();
-        let mut prepared = Vec::with_capacity(targets.size_hint().0);
+        let expected = targets.size_hint().0;
+        let mut prepared = Vec::with_capacity(expected);
         let mut tags = prov.map(|_| Vec::new());
-        let mut seen: HashSet<u128> = HashSet::new();
+        let mut seen: AddrSet<u128> = AddrSet::with_capacity_and_hasher(expected, Default::default());
         for (i, dst) in targets.enumerate() {
             if !seen.insert(u128::from(dst)) {
                 report.duplicates += 1;
@@ -625,6 +625,9 @@ impl<T: Transport> Scanner<T> {
         proto: Protocol,
         prov: Option<&[Provenance]>,
     ) -> ScanReport {
+        if let Some(carried) = self.lane.transport.carried_mut() {
+            carried.reserve(prepared.len());
+        }
         let (mut report, hits) =
             scan_shard(&self.cfg, &mut self.lane, &self.metrics, prepared, proto, prov);
         // A single task sees targets in input order already.

@@ -82,7 +82,7 @@ impl Transport for SimTransport {
         // A malformed probe elicits nothing, like the real network.
         let parsed = parse_packet(packet).ok()?;
         let (proto, src, dst) = Self::route_of(&parsed)?;
-        let (slot, fault) = self.carried.slots(u128::from(dst), proto.index() as u8);
+        let (slot, fault) = self.carried.slots(u128::from(dst), proto);
         let attempt = bump(slot);
         // Hostile-network fault layer: the attempt number is consumed even
         // when the probe is dropped (the packet left the scanner), and the
@@ -132,8 +132,9 @@ impl Transport for SimTransport {
     }
 
     /// Zero-copy burst: ask the oracle directly and map its replies onto
-    /// the §4.1 classification, touching the flow map once per *target*
-    /// instead of once per packet. Crafting and re-parsing response bytes
+    /// the §4.1 classification, touching the flow map and the world's
+    /// tables once per *target* instead of once per packet. Crafting and
+    /// re-parsing response bytes
     /// is skipped because inside one process it is an identity map: the
     /// simulator always builds well-formed, token-valid responses (so the
     /// byte path's `malformed`/`invalid` tallies stay zero), the world only
@@ -144,7 +145,14 @@ impl Transport for SimTransport {
     fn probe_burst(&mut self, spec: &ProbeSpec, budget: u32) -> Burst {
         // Both slots are fetched once per target (the whole burst lands in
         // one fault domain). `fault` is None exactly when no plan is active.
-        let (slot, mut fault) = self.carried.slots(u128::from(spec.dst), spec.proto.index() as u8);
+        let (slot, mut fault) = self.carried.slots(u128::from(spec.dst), spec.proto);
+        // What the world holds at the target does not depend on the
+        // attempt, so it is looked up once per burst — and not at all when
+        // the fault layer eats every probe: a blackholed prefix never
+        // reveals its ground truth. The byte path's per-packet `send`
+        // still asks `World::probe` each time, so the wire-reference suite
+        // diffs once-per-burst against once-per-packet.
+        let mut disposition = None;
         let mut drops = 0u64;
         let mut delay_us = 0u64;
         let mut burst = Burst::silent();
@@ -163,7 +171,8 @@ impl Transport for SimTransport {
                     FaultEffect::Pass => {}
                 }
             }
-            match self.world.probe(spec.dst, spec.proto, attempt) {
+            let found = *disposition.get_or_insert_with(|| self.world.resolve(spec.dst, spec.proto));
+            match found.reply(attempt) {
                 ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer => {
                     burst.verdict = Attempt::Hit;
                     burst.tag = spec

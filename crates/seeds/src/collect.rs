@@ -1,9 +1,9 @@
 //! Full-dataset assembly across all twelve sources.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use netmodel::World;
+use v6addr::AddrSet;
 
 use crate::domains::{
     collect_caida_dns, collect_censys_ct, collect_rapid7, collect_toplist, DomainCollection,
@@ -62,7 +62,7 @@ impl SeedCollection {
     /// The union of every source (the study's "Full Dataset" of RQ1.a),
     /// sorted and deduplicated.
     pub fn combined(&self) -> Vec<Ipv6Addr> {
-        let mut set: HashSet<Ipv6Addr> = HashSet::new();
+        let mut set: AddrSet<Ipv6Addr> = AddrSet::default();
         for s in &self.sources {
             set.extend(s.addrs.iter().copied());
         }

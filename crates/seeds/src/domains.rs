@@ -14,13 +14,13 @@
 //!   like a small router sample despite being a "domain" source — exactly
 //!   why Table 3 shows it ICMP-heavy with almost no TCP.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use netmodel::{AsKind, Country, World};
+use v6addr::AddrSet;
 
 use crate::source::{DomainStats, SourceId};
 
@@ -33,7 +33,7 @@ pub struct DomainCollection {
     pub stats: DomainStats,
 }
 
-fn finish(attempted: u64, resolved: u64, set: HashSet<Ipv6Addr>) -> DomainCollection {
+fn finish(attempted: u64, resolved: u64, set: AddrSet<Ipv6Addr>) -> DomainCollection {
     let mut addrs: Vec<Ipv6Addr> = set.into_iter().collect();
     addrs.sort();
     DomainCollection {
@@ -51,7 +51,7 @@ fn finish(attempted: u64, resolved: u64, set: HashSet<Ipv6Addr>) -> DomainCollec
 pub fn collect_censys_ct(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::CensysCt.stream());
     let universe = world.dns().all();
-    let mut set = HashSet::new();
+    let mut set = AddrSet::default();
     let mut attempted = 0u64;
     let mut resolved = 0u64;
     for rec in universe {
@@ -70,7 +70,7 @@ pub fn collect_censys_ct(world: &World, seed: u64) -> DomainCollection {
 /// churned hosts are over-represented relative to live ones.
 pub fn collect_rapid7(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::Rapid7.stream());
-    let mut set = HashSet::new();
+    let mut set = AddrSet::default();
     let mut attempted = 0u64;
     let mut resolved = 0u64;
     for rec in world.dns().all() {
@@ -114,7 +114,7 @@ pub fn collect_toplist(world: &World, seed: u64, id: SourceId) -> DomainCollecti
     let (head_frac, include_p) = toplist_policy(id);
     let mut rng = SmallRng::seed_from_u64(seed ^ id.stream());
     let head = (world.dns().len() as f64 * head_frac).ceil() as usize;
-    let mut set = HashSet::new();
+    let mut set = AddrSet::default();
     let mut attempted = 0u64;
     let mut resolved = 0u64;
     for rec in world.dns().top(head) {
@@ -141,7 +141,7 @@ pub fn collect_toplist(world: &World, seed: u64, id: SourceId) -> DomainCollecti
 /// the result is a modest router sample with domain-source bookkeeping.
 pub fn collect_caida_dns(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::CaidaDns.stream());
-    let mut set = HashSet::new();
+    let mut set = AddrSet::default();
     let mut attempted = 0u64;
     let mut resolved = 0u64;
     for info in world.registry().iter() {

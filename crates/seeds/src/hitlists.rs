@@ -8,14 +8,13 @@
 //! alias list*, so it contains no published-alias addresses — but it can
 //! and does contain addresses from aliases the list has never seen.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use netmodel::{AddressingScheme, World};
-use v6addr::rand_in_prefix;
+use v6addr::{rand_in_prefix, AddrSet};
 
 use crate::source::SourceId;
 
@@ -35,7 +34,7 @@ pub struct HitlistCollection {
 pub fn collect_hitlist(world: &World, seed: u64) -> HitlistCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::Hitlist.stream());
     let published = world.published_alias_list();
-    let mut set: HashSet<Ipv6Addr> = HashSet::new();
+    let mut set: AddrSet<Ipv6Addr> = AddrSet::default();
     let mut raw = 0u64;
 
     for (addr, rec) in world.hosts().iter() {
@@ -96,7 +95,7 @@ pub fn collect_hitlist(world: &World, seed: u64) -> HitlistCollection {
 /// online dealiasing).
 pub fn collect_addrminer(world: &World, seed: u64) -> HitlistCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::AddrMiner.stream());
-    let mut set: HashSet<Ipv6Addr> = HashSet::new();
+    let mut set: AddrSet<Ipv6Addr> = AddrSet::default();
     let mut raw = 0u64;
 
     for (addr, rec) in world.hosts().iter() {

@@ -5,10 +5,11 @@
 //! "Overlap" column: the fraction present in *any* other source. Figure 2
 //! repeats the analysis on the responsive subset.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use netmodel::{Asn, World};
+use v6addr::{AddrMap, AddrSet};
 
 use crate::source::SourceId;
 
@@ -35,12 +36,12 @@ impl OverlapMatrix {
     /// Compute the matrix for the given per-source address sets.
     pub fn compute(world: &World, sources: &[(SourceId, Vec<Ipv6Addr>)]) -> OverlapMatrix {
         let n = sources.len();
-        let ip_sets: Vec<HashSet<u128>> = sources
+        let ip_sets: Vec<AddrSet<u128>> = sources
             .iter()
             .map(|(_, addrs)| addrs.iter().map(|&a| u128::from(a)).collect())
             .collect();
         // Cache AS lookups: sources share many addresses.
-        let mut asn_cache: HashMap<u128, Option<Asn>> = HashMap::new();
+        let mut asn_cache: AddrMap<u128, Option<Asn>> = AddrMap::default();
         let as_sets: Vec<HashSet<Asn>> = sources
             .iter()
             .map(|(_, addrs)| {
@@ -92,7 +93,7 @@ impl OverlapMatrix {
             as_,
             ip_any_other: ip_any,
             as_any_other: as_any,
-            ip_counts: ip_sets.iter().map(HashSet::len).collect(),
+            ip_counts: ip_sets.iter().map(AddrSet::len).collect(),
             as_counts: as_sets.iter().map(HashSet::len).collect(),
         }
     }

@@ -14,17 +14,17 @@
 //! [`verify_active`] performs the "pre-scan" — probing every seed on all
 //! four targets — and [`SeedPipeline`] materializes each regime.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use dealias::{DealiasMode, JointDealiaser};
 use netmodel::{PortSet, Protocol, PROTOCOLS};
 use sos_probe::ScanOracle;
+use v6addr::AddrMap;
 
 /// Per-address responsiveness observed by the pre-scan.
 #[derive(Debug, Clone, Default)]
 pub struct ActivenessMap {
-    map: HashMap<u128, PortSet>,
+    map: AddrMap<u128, PortSet>,
     /// Probe packets the pre-scan spent.
     pub probe_packets: u64,
 }
@@ -59,7 +59,7 @@ impl ActivenessMap {
 /// Pre-scan `addrs` on all four targets (§6.2's "pre-scanning" step).
 pub fn verify_active<O: ScanOracle>(oracle: &mut O, addrs: &[Ipv6Addr]) -> ActivenessMap {
     let before = oracle.packets_sent();
-    let mut map: HashMap<u128, PortSet> = HashMap::with_capacity(addrs.len());
+    let mut map: AddrMap<u128, PortSet> = AddrMap::with_capacity_and_hasher(addrs.len(), Default::default());
     for proto in PROTOCOLS {
         let results = oracle.probe_batch(addrs, proto);
         for (&addr, hit) in addrs.iter().zip(results) {

@@ -8,14 +8,13 @@
 //! ("anchors"), so it carries a live-host component Scamper lacks —
 //! matching its much higher responsiveness (58% vs 20%).
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use netmodel::World;
-use v6addr::rand_in_prefix;
+use v6addr::{rand_in_prefix, AddrSet};
 
 use crate::source::SourceId;
 
@@ -26,7 +25,7 @@ pub fn collect_scamper(world: &World, seed: u64) -> Vec<Ipv6Addr> {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::Scamper.stream());
     let topo = world.topology();
     let vantages = topo.vantages();
-    let mut set: HashSet<Ipv6Addr> = HashSet::new();
+    let mut set: AddrSet<Ipv6Addr> = AddrSet::default();
     if vantages.is_empty() {
         return Vec::new();
     }
@@ -53,7 +52,7 @@ pub fn collect_ripe_atlas(world: &World, seed: u64) -> Vec<Ipv6Addr> {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::RipeAtlas.stream());
     let topo = world.topology();
     let vantages = topo.vantages();
-    let mut set: HashSet<Ipv6Addr> = HashSet::new();
+    let mut set: AddrSet<Ipv6Addr> = AddrSet::default();
     if vantages.is_empty() {
         return Vec::new();
     }

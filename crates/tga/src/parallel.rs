@@ -29,12 +29,11 @@
 //! `gen_parallel` span, so traces and flame profiles show the new lanes
 //! exactly like `scan_parallel` does for the probe path.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use v6addr::splitmix64;
+use v6addr::{splitmix64, AddrSet};
 
 use crate::space_tree::Region;
 
@@ -82,7 +81,7 @@ pub struct SampleUnit<'a> {
 /// collisions in slot order. Output is identical for any `workers` value.
 pub fn sample_regions_par(
     units: &[SampleUnit<'_>],
-    seen: &HashSet<u128>,
+    seen: &AddrSet<u128>,
     workers: usize,
 ) -> Vec<(usize, Vec<Ipv6Addr>)> {
     if units.is_empty() {
@@ -94,9 +93,9 @@ pub fn sample_regions_par(
 
 /// Sample one unit: the same draw-until-stale loop the sequential TGAs
 /// ran, against an immutable `seen` snapshot plus a local prefilter.
-fn sample_unit(u: &SampleUnit<'_>, seen: &HashSet<u128>) -> Vec<Ipv6Addr> {
+fn sample_unit(u: &SampleUnit<'_>, seen: &AddrSet<u128>) -> Vec<Ipv6Addr> {
     let mut rng = SmallRng::seed_from_u64(u.stream);
-    let mut local: HashSet<u128> = HashSet::with_capacity(u.want * 2);
+    let mut local: AddrSet<u128> = AddrSet::with_capacity_and_hasher(u.want, Default::default());
     let mut proposal: Vec<Ipv6Addr> = Vec::with_capacity(u.want);
     let mut stale = 0usize;
     while proposal.len() < u.want && stale < u.want * 8 + 16 {
@@ -127,7 +126,7 @@ mod tests {
     #[test]
     fn proposals_are_worker_invariant() {
         let regions = regions();
-        let mut seen: HashSet<u128> = HashSet::new();
+        let mut seen: AddrSet<u128> = AddrSet::default();
         // Pre-populate `seen` so the snapshot filter is exercised.
         let mut rng = SmallRng::seed_from_u64(7);
         for r in &regions {
@@ -173,7 +172,7 @@ mod tests {
 
     #[test]
     fn empty_units_short_circuit() {
-        let seen: HashSet<u128> = HashSet::new();
+        let seen: AddrSet<u128> = AddrSet::default();
         assert!(sample_regions_par(&[], &seen, 8).is_empty());
     }
 }

@@ -17,7 +17,6 @@
 //! returned through `probe_round`, which holds the oracle's length
 //! contract.
 
-use std::collections::HashSet;
 use std::net::Ipv6Addr;
 use std::ops::Range;
 
@@ -25,6 +24,7 @@ use netmodel::Protocol;
 use rand::Rng;
 use sos_probe::provenance::{ProvenanceLog, REGION_FILL};
 use sos_probe::ScanOracle;
+use v6addr::AddrSet;
 
 /// Provenance of one candidate: generator-internal region id, digest of
 /// the seeds that shaped the region, generation round.
@@ -41,21 +41,29 @@ impl Tag {
     }
 }
 
+/// The most candidates a sink makes room for up front: above every
+/// preset's largest budget (full scale × `big_budget_multiplier` = 1.8 M),
+/// so a study run still sizes its containers once.
+const RESERVE_CAP: usize = 1 << 21;
+
 /// One generation run's output: unique candidates in emission order,
 /// capped at the budget, one provenance tag each.
 #[derive(Debug)]
 pub struct Candidates<'p> {
     out: Vec<Ipv6Addr>,
-    seen: HashSet<u128>,
+    seen: AddrSet<u128>,
     prov: &'p mut ProvenanceLog,
     budget: usize,
 }
 
 impl<'p> Candidates<'p> {
-    /// An empty sink for `budget` candidates, tagging into `prov`.
+    /// An empty sink for `budget` candidates, tagging into `prov`. The
+    /// budget is a number a caller typed (`seedscan --budget`), so it sizes
+    /// the containers only up to [`RESERVE_CAP`]; past that they grow.
     pub fn new(budget: usize, prov: &'p mut ProvenanceLog) -> Self {
-        let (out, seen) = (Vec::with_capacity(budget), HashSet::with_capacity(budget * 2));
-        Candidates { out, seen, prov, budget }
+        let reserve = budget.min(RESERVE_CAP);
+        let seen = AddrSet::with_capacity_and_hasher(reserve, Default::default());
+        Candidates { out: Vec::with_capacity(reserve), seen, prov, budget }
     }
 
     /// Candidates still missing from the budget.
@@ -70,7 +78,7 @@ impl<'p> Candidates<'p> {
 
     /// Every address emitted so far — the round-start snapshot the
     /// parallel proposal phase filters against ([`crate::parallel`]).
-    pub fn seen(&self) -> &HashSet<u128> {
+    pub fn seen(&self) -> &AddrSet<u128> {
         &self.seen
     }
 
@@ -124,7 +132,7 @@ impl<'p> Candidates<'p> {
     /// seeds, or once mutation keeps colliding: random global unicast).
     pub fn finish(mut self, seeds: &[Ipv6Addr], rng: &mut impl Rng) -> Vec<Ipv6Addr> {
         let mut stale = 0;
-        while !seeds.is_empty() && self.room() > 0 && stale < self.budget * 20 + 1000 {
+        while !seeds.is_empty() && self.room() > 0 && stale < self.budget.saturating_mul(20).saturating_add(1000) {
             let mut addr = seeds[rng.gen_range(0..seeds.len())];
             for _ in 0..1 + rng.gen_range(0..4) {
                 // mutate low-64 nybbles most of the time, subnet nybbles rarely
@@ -215,6 +223,19 @@ mod tests {
         drop(sink);
         // one tag per *accepted* address; rounds saturate
         assert_eq!(tags(&prov), vec![(4, 0xd, 1), (6, 0xf, u16::MAX)]);
+    }
+
+    /// The budget is a number typed on a command line: an absurd one must
+    /// not be turned into an allocation (`budget * 2` used to overflow, and
+    /// `--budget 100000000000000` aborted on a 1.6 PB reserve).
+    #[test]
+    fn an_absurd_budget_reserves_a_bounded_amount() {
+        let mut prov = ProvenanceLog::recording(0);
+        let mut sink = Candidates::new(usize::MAX, &mut prov);
+        assert_eq!(sink.room(), usize::MAX);
+        assert!(sink.out.capacity() <= RESERVE_CAP);
+        assert!(sink.push(a(1), Tag::new(0, 0, 0)) && !sink.push(a(1), Tag::new(0, 0, 0)));
+        assert_eq!(sink.room(), usize::MAX - 1);
     }
 
     #[test]

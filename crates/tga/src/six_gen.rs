@@ -12,7 +12,6 @@
 //! IID ranges) and per-/48 clusters (subnet ranges), enumerated densest
 //! first.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -20,6 +19,7 @@ use rand::SeedableRng;
 
 use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
+use v6addr::AddrMap;
 
 use crate::sink::{Candidates, Tag};
 use crate::space_tree::Region;
@@ -44,8 +44,8 @@ impl Default for SixGen {
 }
 
 /// Group addresses by a prefix-length-64 or -48 key.
-fn group_by(seeds: &[Ipv6Addr], shift: u32) -> HashMap<u128, Vec<Ipv6Addr>> {
-    let mut map: HashMap<u128, Vec<Ipv6Addr>> = HashMap::new();
+fn group_by(seeds: &[Ipv6Addr], shift: u32) -> AddrMap<u128, Vec<Ipv6Addr>> {
+    let mut map: AddrMap<u128, Vec<Ipv6Addr>> = AddrMap::default();
     for &s in seeds {
         map.entry(u128::from(s) >> shift).or_default().push(s);
     }
@@ -69,7 +69,7 @@ impl TargetGenerator for SixGen {
         // Tier 1: /64 clusters (IID ranges). Tier 2: /48 clusters (subnet
         // ranges) for seeds whose /64 cluster is a singleton.
         let mut clusters: Vec<Region> = Vec::new();
-        // HashMap iteration order is unstable; sort by key so clustering
+        // Hash-table iteration order is arbitrary; sort by key so clustering
         // is deterministic across runs.
         let mut by64: Vec<(u128, Vec<Ipv6Addr>)> = group_by(seeds, 64).into_iter().collect();
         by64.sort_by_key(|(k, _)| *k);

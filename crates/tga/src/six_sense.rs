@@ -26,7 +26,7 @@ use rand::{Rng, SeedableRng};
 use dealias::{OnlineConfig, OnlineDealiaser};
 use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
-use v6addr::{Prefix, PrefixSet};
+use v6addr::{AddrMap, Prefix, PrefixSet};
 
 use crate::pattern::ValueHist;
 use crate::sink::{probe_round, Candidates, Tag};
@@ -55,7 +55,7 @@ struct Arm {
 
 impl Arm {
     fn from_members(members: &[Ipv6Addr]) -> Arm {
-        let mut by64: std::collections::HashMap<u128, Vec<Ipv6Addr>> = Default::default();
+        let mut by64: AddrMap<u128, Vec<Ipv6Addr>> = AddrMap::default();
         for &m in members {
             by64.entry(u128::from(m) >> 64).or_default().push(m);
         }
@@ -192,12 +192,12 @@ impl TargetGenerator for SixSense {
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x65e5e);
 
         // Build /48 arms.
-        let mut by48: std::collections::HashMap<u128, Vec<Ipv6Addr>> = Default::default();
+        let mut by48: AddrMap<u128, Vec<Ipv6Addr>> = AddrMap::default();
         for &s in seeds {
             by48.entry(u128::from(s) >> 80).or_default().push(s);
         }
         let mut groups: Vec<(u128, Vec<Ipv6Addr>)> = by48.into_iter().collect();
-        groups.sort_by_key(|(k, _)| *k); // HashMap order is unstable
+        groups.sort_by_key(|(k, _)| *k); // hash-table order is arbitrary
         let mut arms: Vec<Arm> = groups.iter().map(|(_, m)| Arm::from_members(m)).collect();
 
         let mut dealiaser = OnlineDealiaser::new(OnlineConfig {
@@ -208,7 +208,7 @@ impl TargetGenerator for SixSense {
         // Escalation: when several /96es under one /48 turn out aliased,
         // condemn the whole /48 — chasing an aliased block one /96 at a
         // time would never catch up with generation.
-        let mut aliased_per_48: std::collections::HashMap<u128, u32> = Default::default();
+        let mut aliased_per_48: AddrMap<u128, u32> = AddrMap::default();
 
         let mut sink = Candidates::new(cfg.budget, prov);
         let mut total_probes = 1.0f64;

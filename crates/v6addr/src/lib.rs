@@ -8,10 +8,13 @@
 //!
 //! - [`Nybbles`]: a 32-nybble view of an address with indexed get/set,
 //! - [`Prefix`]: a CIDR prefix with containment, iteration, and parsing,
-//! - [`PrefixTrie`]: a binary trie for longest-prefix-match lookups
-//!   (used for address → AS resolution),
+//! - [`PrefixTrie`]: longest-prefix-match lookups, one hash table per
+//!   prefix length present (used for address → AS resolution),
 //! - [`PrefixSet`]: containment queries against a set of prefixes
 //!   (used for alias lists and blocklists),
+//! - [`AddrSet`] / [`AddrMap`]: hash containers for address keys on the
+//!   workspace's one address hasher — the default wherever membership or
+//!   keyed lookup is all that happens,
 //! - [`pattern`]: per-nybble entropy/frequency analysis over address sets,
 //! - [`rand_in_prefix`]: deterministic random address generation inside a
 //!   prefix (used by the online dealiaser and the ground-truth builder).
@@ -20,6 +23,7 @@
 //! structure around it rather than wrapping it.
 
 pub mod aggregate;
+pub mod hash;
 pub mod nybble;
 pub mod pattern;
 pub mod prefix;
@@ -28,6 +32,7 @@ pub mod splitmix;
 pub mod trie;
 
 pub use aggregate::aggregate;
+pub use hash::{AddrHasher, AddrMap, AddrSet};
 pub use nybble::{nybble_of, with_nybble, Nybbles, NYBBLES};
 pub use pattern::{nybble_entropy, nybble_value_counts, EntropyProfile};
 pub use prefix::{ParsePrefixError, Prefix};

@@ -37,7 +37,7 @@ impl Prefix {
 
     /// The bitmask selecting the top `len` bits.
     #[inline]
-    fn mask(len: u8) -> u128 {
+    pub(crate) fn mask(len: u8) -> u128 {
         if len == 0 {
             0
         } else {

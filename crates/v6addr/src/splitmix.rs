@@ -8,11 +8,15 @@
 //! contract. The unit test below pins it; if these values ever change,
 //! every committed report and baseline shifts with them.
 
+/// The golden gamma, 2^64 / φ: SplitMix64's increment, and the multiplier
+/// of the address hasher's fold.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
 /// SplitMix64 finalizer: advance `x` by the golden-gamma increment and
 /// mix. A fast, high-quality, stateless 64-bit hash.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = x.wrapping_add(GOLDEN_GAMMA);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
@@ -33,7 +37,7 @@ impl SplitMix64 {
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let out = splitmix64(self.state);
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
         out
     }
 }

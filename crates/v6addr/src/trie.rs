@@ -1,30 +1,24 @@
-//! A binary (bit-level) trie over IPv6 prefixes with longest-prefix match.
+//! A prefix-keyed map with longest-prefix match, stored by prefix length.
 //!
 //! This is the routing-table substrate of the study: the simulated Internet
 //! maps addresses to Autonomous Systems via longest-prefix match over its
 //! allocation plan, exactly as the paper resolves discovered addresses to
 //! ASes via BGP data. It also backs blocklist and alias-list queries where
 //! "most specific covering entry" semantics are needed.
+//!
+//! The tables it holds come at a handful of lengths — allocations at /32
+//! and /48, alias lists at three or four fixed lengths (Gasser et al.,
+//! *Towards a Comprehensive Hitlist*), host subnets at /64 — so the
+//! structure is one hash table per length present, probed longest first:
+//! a lookup costs one masked hash probe per *distinct length*, where a
+//! bit trie costs a pointer hop per *bit*. The worst case is the 129
+//! lengths of `::/0 ..= /128`, which is the bit trie's cost again.
 
+use std::fmt;
 use std::net::Ipv6Addr;
 
+use crate::hash::AddrMap;
 use crate::prefix::Prefix;
-
-/// A node in the binary trie. Children are indexed by the next address bit.
-#[derive(Debug, Clone)]
-struct Node<V> {
-    value: Option<V>,
-    children: [Option<Box<Node<V>>>; 2],
-}
-
-impl<V> Default for Node<V> {
-    fn default() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
-}
 
 /// A prefix-keyed map supporting exact and longest-prefix-match lookups.
 ///
@@ -37,9 +31,11 @@ impl<V> Default for Node<V> {
 /// let (prefix, value) = trie.lookup("2600:1f00::1".parse().unwrap()).unwrap();
 /// assert_eq!((*value, prefix.len()), ("aws", 24)); // most specific wins
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct PrefixTrie<V> {
-    root: Node<V>,
+    /// `(length, network bits → value)`, one entry per length present,
+    /// longest first.
+    levels: Vec<(u8, AddrMap<u128, V>)>,
     len: usize,
 }
 
@@ -49,18 +45,10 @@ impl<V> Default for PrefixTrie<V> {
     }
 }
 
-#[inline]
-fn bit(addr: u128, idx: u8) -> usize {
-    ((addr >> (127 - idx as u32)) & 1) as usize
-}
-
 impl<V> PrefixTrie<V> {
     /// An empty trie.
     pub fn new() -> Self {
-        PrefixTrie {
-            root: Node::default(),
-            len: 0,
-        }
+        PrefixTrie { levels: Vec::new(), len: 0 }
     }
 
     /// Number of stored prefixes.
@@ -73,16 +61,20 @@ impl<V> PrefixTrie<V> {
         self.len == 0
     }
 
+    /// Position of `len`'s table in the longest-first order, or where it
+    /// would be inserted.
+    fn level(&self, len: u8) -> Result<usize, usize> {
+        self.levels.binary_search_by(|(l, _)| len.cmp(l))
+    }
+
     /// Insert `value` at `prefix`, returning the previous value if the exact
     /// prefix was already present.
     pub fn insert(&mut self, prefix: Prefix, value: V) -> Option<V> {
-        let addr = u128::from(prefix.network());
-        let mut node = &mut self.root;
-        for i in 0..prefix.len() {
-            let b = bit(addr, i);
-            node = node.children[b].get_or_insert_with(Box::default); // b is a bit: 0 or 1
-        }
-        let old = node.value.replace(value);
+        let at = self.level(prefix.len()).unwrap_or_else(|at| {
+            self.levels.insert(at, (prefix.len(), AddrMap::default()));
+            at
+        });
+        let old = self.levels[at].1.insert(u128::from(prefix.network()), value); // at: found or just inserted
         if old.is_none() {
             self.len += 1;
         }
@@ -91,60 +83,86 @@ impl<V> PrefixTrie<V> {
 
     /// Value stored at exactly `prefix`, if any.
     pub fn get(&self, prefix: &Prefix) -> Option<&V> {
-        let addr = u128::from(prefix.network());
-        let mut node = &self.root;
-        for i in 0..prefix.len() {
-            node = node.children[bit(addr, i)].as_deref()?; // bit() < 2
-        }
-        node.value.as_ref()
+        let at = self.level(prefix.len()).ok()?;
+        self.levels[at].1.get(&u128::from(prefix.network())) // at: found by level()
     }
 
     /// Longest-prefix match: the most specific stored prefix containing
     /// `addr`, with its value.
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
-        let bits = u128::from(addr);
-        let mut node = &self.root;
-        let mut best: Option<(u8, &V)> = node.value.as_ref().map(|v| (0, v));
-        for i in 0..128u8 {
-            match node.children[bit(bits, i)].as_deref() { // bit() < 2
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, v)| (Prefix::new(addr, len), v))
+        self.longest(addr).map(|(len, v)| (Prefix::new(addr, len), v))
     }
 
     /// Shorthand for `lookup(addr)` returning just the value.
+    #[inline]
     pub fn lookup_value(&self, addr: Ipv6Addr) -> Option<&V> {
-        self.lookup(addr).map(|(_, v)| v)
+        self.longest(addr).map(|(_, v)| v)
     }
 
-    /// Iterate `(prefix, value)` pairs in lexicographic bit order.
+    /// One masked probe per length present, longest first.
+    #[inline]
+    fn longest(&self, addr: Ipv6Addr) -> Option<(u8, &V)> {
+        let bits = u128::from(addr);
+        self.levels
+            .iter()
+            .find_map(|(len, table)| table.get(&(bits & Prefix::mask(*len))).map(|v| (*len, v)))
+    }
+
+    /// Iterate `(prefix, value)` pairs in `(network, length)` order — a
+    /// covering prefix before what it covers, siblings by address.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &V)> {
-        let mut out = Vec::new();
-        Self::walk(&self.root, 0u128, 0, &mut out);
+        let mut out: Vec<(Prefix, &V)> = self
+            .levels
+            .iter()
+            .flat_map(|(len, table)| {
+                table.iter().map(|(&net, v)| (Prefix::new(Ipv6Addr::from(net), *len), v))
+            })
+            .collect();
+        out.sort_unstable_by_key(|(p, _)| *p);
         out.into_iter()
     }
+}
 
-    fn walk<'a>(node: &'a Node<V>, acc: u128, depth: u8, out: &mut Vec<(Prefix, &'a V)>) {
-        if let Some(v) = node.value.as_ref() {
-            out.push((Prefix::new(Ipv6Addr::from(acc), depth), v));
-        }
-        for (b, child) in node.children.iter().enumerate() {
-            if let Some(child) = child {
-                let acc = if depth < 128 {
-                    acc | ((b as u128) << (127 - depth as u32))
-                } else {
-                    acc
-                };
-                Self::walk(child, acc, depth + 1, out);
-            }
-        }
+/// `{:?}` is part of an on-disk format: a campaign checkpoint's fingerprint
+/// hashes the `Debug` text of the scanner configuration, blocklist and all,
+/// and a checkpoint resumes only under an equal fingerprint. So the text
+/// stays what it was when the first checkpoints were written — the bit
+/// trie this type then was, a `root` node with a `value` and two
+/// `children` per bit — rendered here from the entries.
+impl<V: fmt::Debug> fmt::Debug for PrefixTrie<V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let entries: Vec<(Prefix, &V)> = self.iter().collect();
+        f.debug_struct("PrefixTrie")
+            .field("root", &BitNode { entries: &entries, depth: 0 })
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+/// The bit-trie node `depth` bits down that `entries` — everything stored
+/// under it, in `(network, length)` order — would hang from.
+struct BitNode<'a, V> {
+    entries: &'a [(Prefix, &'a V)],
+    depth: u8,
+}
+
+impl<'a, V: fmt::Debug> fmt::Debug for BitNode<'a, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The entries share their first `depth` bits, so the one that ends
+        // here sorts first; the rest split on the next bit, zeros first.
+        let (value, below) = match self.entries.split_first() {
+            Some(((prefix, value), below)) if prefix.len() == self.depth => (Some(value), below),
+            _ => (None, self.entries),
+        };
+        let next_bit = |p: &Prefix| u128::from(p.network()) >> (127 - u32::from(self.depth)) & 1;
+        let (zeros, ones) = below.split_at(below.partition_point(|(p, _)| next_bit(p) == 0));
+        let child = |entries: &'a [(Prefix, &'a V)]| {
+            (!entries.is_empty()).then(|| BitNode { entries, depth: self.depth + 1 })
+        };
+        f.debug_struct("Node")
+            .field("value", &value)
+            .field("children", &[child(zeros), child(ones)])
+            .finish()
     }
 }
 
@@ -211,6 +229,33 @@ mod tests {
         let t: PrefixTrie<u8> = [(p("2001:db8::1/128"), 9)].into_iter().collect();
         assert_eq!(t.lookup_value(a("2001:db8::1")), Some(&9));
         assert_eq!(t.lookup_value(a("2001:db8::2")), None);
+    }
+
+    /// Pinned against the bit trie's derived `Debug` (see the impl): the
+    /// strings are what the previous implementation printed.
+    #[test]
+    fn debug_text_is_the_bit_trie_rendering_checkpoint_fingerprints_hash() {
+        let t: PrefixTrie<u32> =
+            [(p("8000::/1"), 7), (p("c000::/2"), 9), (p("::/0"), 1), (p("4000::/3"), 3)].into_iter().collect();
+        assert_eq!(
+            format!("{t:?}"),
+            "PrefixTrie { root: Node { value: Some(1), children: [Some(Node { value: None, children: \
+             [None, Some(Node { value: None, children: [Some(Node { value: Some(3), children: [None, None] }), \
+             None] })] }), Some(Node { value: Some(7), children: [None, Some(Node { value: Some(9), children: \
+             [None, None] })] })] }, len: 4 }"
+        );
+        let set: crate::PrefixSet = [p("8000::/2")].into_iter().collect();
+        assert_eq!(
+            format!("{set:?}"),
+            "PrefixSet { trie: PrefixTrie { root: Node { value: None, children: [None, Some(Node { value: None, \
+             children: [Some(Node { value: Some(()), children: [None, None] }), None] })] }, len: 1 } }"
+        );
+        assert_eq!(
+            format!("{:?}", crate::PrefixSet::new()),
+            "PrefixSet { trie: PrefixTrie { root: Node { value: None, children: [None, None] }, len: 0 } }"
+        );
+        let host: PrefixTrie<u8> = [(p("::1/128"), 1)].into_iter().collect();
+        assert_eq!(format!("{host:?}").matches("Node {").count(), 129, "a /128 hangs 128 nodes below the root");
     }
 
     #[test]

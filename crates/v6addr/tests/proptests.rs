@@ -160,6 +160,54 @@ fn trie_lpm_returns_a_covering_prefix() {
     }
 }
 
+/// Longest match, exact get and iteration order against brute force, with
+/// entries nested along a few spines so that matches happen at every
+/// length 0..=128 — `::/0`, a /128, and all 129 lengths of one spine at
+/// once among them.
+#[test]
+fn trie_agrees_with_brute_force_at_every_length() {
+    let mut g = Gen::new(13);
+    for case in 0..64 {
+        let spines: Vec<Ipv6Addr> = (0..3).map(|_| g.addr()).collect();
+        let mut entries: Vec<(Prefix, u32)> = Vec::new();
+        if case == 0 {
+            entries.extend((0..=128u8).map(|len| (Prefix::new(spines[0], len), u32::from(len))));
+        }
+        for _ in 0..g.range(60) {
+            let spine = spines[g.range(spines.len())];
+            let len = [0, 128, (g.u64() % 129) as u8][g.range(3)];
+            entries.push((Prefix::new(spine, len), g.u64() as u32));
+        }
+        let mut trie = PrefixTrie::new();
+        let mut model: Vec<(Prefix, u32)> = Vec::new();
+        for &(p, v) in &entries {
+            let old = model.iter().position(|(q, _)| *q == p).map(|i| model.remove(i).1);
+            assert_eq!(trie.insert(p, v), old, "insert returns the replaced value");
+            model.push((p, v));
+        }
+        assert_eq!(trie.len(), model.len());
+
+        // Probes on and just off each spine: flip one bit anywhere.
+        for _ in 0..64 {
+            let spine = u128::from(spines[g.range(spines.len())]);
+            let probe = Ipv6Addr::from(spine ^ [0, 1u128 << g.range(128)][g.range(2)]);
+            let want = model.iter().filter(|(p, _)| p.contains(probe)).max_by_key(|(p, _)| p.len());
+            let got = trie.lookup(probe).map(|(p, v)| (p, *v));
+            assert_eq!(got, want.copied(), "lookup({probe})");
+            assert_eq!(trie.lookup_value(probe), want.map(|(_, v)| v));
+        }
+        for (p, v) in &model {
+            assert_eq!(trie.get(p), Some(v));
+        }
+        let absent = Prefix::new(g.addr(), 77);
+        assert_eq!(trie.get(&absent), model.iter().find(|(p, _)| *p == absent).map(|(_, v)| v));
+
+        model.sort_unstable();
+        let listed: Vec<(Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
+        assert_eq!(listed, model, "iter() is in (network, length) order");
+    }
+}
+
 #[test]
 fn prefix_set_agrees_with_linear_scan() {
     let mut g = Gen::new(11);
