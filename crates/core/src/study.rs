@@ -210,16 +210,23 @@ impl Study {
             let mut table = report.attribution.clone();
             // Fold dealiaser-removed addresses back into the per-region
             // table. First occurrence wins, matching the scanner's dedup
-            // of repeated targets.
-            let mut tag_of: AddrMap<Ipv6Addr, Provenance> =
-                AddrMap::with_capacity_and_hasher(generated.len(), Default::default());
-            for (i, &a) in generated.iter().enumerate() {
-                tag_of.entry(a).or_insert_with(|| prov.get_or_fill(i));
-            }
-            for &a in &outcome.aliased {
-                if let Some(&p) = tag_of.get(&a) {
-                    table.note_alias(p);
+            // of repeated targets. Only the aliased addresses are keyed
+            // (a handful against a budget of candidates), and the walk
+            // over `generated` ends with the last of them.
+            let mut tag_of: AddrMap<Ipv6Addr, Option<Provenance>> =
+                outcome.aliased.iter().map(|&a| (a, None)).collect();
+            let mut untagged = tag_of.len();
+            for (i, a) in generated.iter().enumerate() {
+                if untagged == 0 {
+                    break;
                 }
+                if let Some(slot @ None) = tag_of.get_mut(a) {
+                    *slot = Some(prov.get_or_fill(i));
+                    untagged -= 1;
+                }
+            }
+            for p in outcome.aliased.iter().filter_map(|a| tag_of.get(a).copied().flatten()) {
+                table.note_alias(p);
             }
             Some(table)
         } else {
@@ -300,6 +307,41 @@ mod tests {
         let out = s.evaluate(&addrs, Protocol::Icmp, 43);
         assert_eq!(out.metrics.hits, 0, "aliased addresses are never hits");
         assert!(out.metrics.aliases >= 45, "aliases {}", out.metrics.aliases);
+    }
+
+    #[test]
+    fn aliases_are_attributed_to_their_first_tag() {
+        let s = study();
+        let region = s
+            .world()
+            .alias_regions()
+            .iter()
+            .find(|r| r.loss == 0.0 && r.ports.contains(Protocol::Icmp))
+            .unwrap()
+            .clone();
+        let aliased = |low: u128| Ipv6Addr::from(u128::from(region.prefix.network()) | low);
+        // dead filler, then aliased addresses in regions 1 and 2; the
+        // repeat of the first one carries region 3, which must get nothing
+        let mut generated: Vec<Ipv6Addr> =
+            (0..40u128).map(|i| Ipv6Addr::from(0x3fff << 112 | i)).collect();
+        let mut log = ProvenanceLog::recording(7);
+        generated.iter().for_each(|_| log.push(0, 0xd0, 0));
+        for i in 0..20u128 {
+            generated.push(aliased(0x1000 + i));
+            log.push(1 + (i % 2) as u32, 0xd1, 1);
+        }
+        generated.push(aliased(0x1000));
+        log.push(3, 0xd3, 2);
+        let out = s.evaluate_tagged(&generated, Protocol::Icmp, 45, &log);
+        let table = out.attribution.unwrap();
+        let aliases_of = |region: u32| {
+            table.rows().find(|&(_, r, _)| r == region).map_or(0, |(_, _, t)| t.aliases)
+        };
+        assert!(out.metrics.aliases >= 18, "aliases {}", out.metrics.aliases);
+        assert_eq!(table.totals().2, out.metrics.aliases as u64, "every alias lands in a row");
+        assert_eq!(aliases_of(1) + aliases_of(2), out.metrics.aliases as u64);
+        assert!(aliases_of(1) > 0 && aliases_of(2) > 0);
+        assert_eq!((aliases_of(0), aliases_of(3)), (0, 0), "first occurrence wins");
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! recombines values from *different* networks, producing entropy-
 //! plausible but mostly nonexistent addresses.
 
-use std::collections::HashMap;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -21,7 +20,7 @@ use rand::{Rng, SeedableRng};
 
 use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
-use v6addr::{nybble_of, EntropyProfile};
+use v6addr::{nybble_of, AddrMap, EntropyProfile, NYBBLES};
 
 use crate::sink::{Candidates, Tag};
 use crate::{GenConfig, TargetGenerator, TgaId};
@@ -51,13 +50,45 @@ impl Default for EntropyIp {
     }
 }
 
+/// Packed segment values with their observation counts, most frequent
+/// first, and the sum of those counts (every weighted draw starts from it).
+struct Weighted {
+    values: Vec<(u64, u32)>,
+    total: u64,
+}
+
+impl Weighted {
+    /// Rank `counts` by descending count (ties by value), keep the top
+    /// `max_values`.
+    fn top(counts: AddrMap<u64, u32>, max_values: usize) -> Weighted {
+        let mut values: Vec<(u64, u32)> = counts.into_iter().collect();
+        values.sort_by_key(|&(v, c)| (std::cmp::Reverse(c), v));
+        values.truncate(max_values);
+        let total = values.iter().map(|&(_, c)| u64::from(c)).sum();
+        Weighted { values, total }
+    }
+
+    /// Count-weighted draw; `None` when nothing was observed.
+    fn sample(&self, rng: &mut SmallRng) -> Option<u64> {
+        let first = self.values.first()?.0;
+        let mut x = rng.gen_range(0..self.total);
+        for &(v, c) in &self.values {
+            if x < u64::from(c) {
+                return Some(v);
+            }
+            x -= u64::from(c);
+        }
+        Some(first)
+    }
+}
+
 /// One segment of the model.
 struct Segment {
     /// Nybble positions covered.
     range: std::ops::Range<usize>,
-    /// Observed values (packed nybbles) with counts, truncated to the most
-    /// frequent `max_values`.
-    values: Vec<(u64, u32)>,
+    /// Observed values (packed nybbles), truncated to the most frequent
+    /// `max_values`.
+    observed: Weighted,
 }
 
 impl Segment {
@@ -69,26 +100,15 @@ impl Segment {
         v
     }
 
-    fn unpack(mut value: u64, len: usize, out: &mut [u8]) {
-        for i in (0..len).rev() {
-            out[i] = (value & 0xf) as u8; // i < len <= out.len(): out is the segment slice
-            value >>= 4;
-        }
+    /// Is there anything to condition on (more than one observed value)?
+    fn informative(&self) -> bool {
+        self.observed.values.len() > 1
     }
 
     fn sample_marginal(&self, rng: &mut SmallRng) -> u64 {
-        let total: u64 = self.values.iter().map(|&(_, c)| u64::from(c)).sum();
-        if total == 0 {
-            return rng.gen::<u64>() & ((1u64 << (4 * self.range.len().min(15))) - 1);
-        }
-        let mut x = rng.gen_range(0..total);
-        for &(v, c) in &self.values {
-            if x < u64::from(c) {
-                return v;
-            }
-            x -= u64::from(c);
-        }
-        self.values[0].0
+        self.observed
+            .sample(rng)
+            .unwrap_or_else(|| rng.gen::<u64>() & ((1u64 << (4 * self.range.len().min(15))) - 1))
     }
 }
 
@@ -130,16 +150,13 @@ impl TargetGenerator for EntropyIp {
         let segments: Vec<Segment> = ranges
             .iter()
             .map(|r| {
-                let mut counts: HashMap<u64, u32> = HashMap::new();
+                let mut counts: AddrMap<u64, u32> = AddrMap::default();
                 for &s in seeds {
                     *counts.entry(Segment::pack(s, r)).or_insert(0) += 1;
                 }
-                let mut values: Vec<(u64, u32)> = counts.into_iter().collect();
-                values.sort_by_key(|&(v, c)| (std::cmp::Reverse(c), v));
-                values.truncate(self.max_values);
                 Segment {
                     range: r.clone(),
-                    values,
+                    observed: Weighted::top(counts, self.max_values),
                 }
             })
             .collect();
@@ -149,69 +166,52 @@ impl TargetGenerator for EntropyIp {
         //    network links the variable ones). chain[k] holds transitions
         //    from informative segment k to informative segment k+1.
         let informative: Vec<usize> = (0..segments.len())
-            .filter(|&i| segments[i].values.len() > 1) // i < segments.len()
+            .filter(|&i| segments[i].informative()) // i < segments.len()
             .collect();
-        let mut chain: Vec<HashMap<u64, Vec<(u64, u32)>>> = Vec::new();
+        let mut chain: Vec<AddrMap<u64, Weighted>> = Vec::new();
         for w in informative.windows(2) {
-            let mut trans: HashMap<u64, HashMap<u64, u32>> = HashMap::new();
+            let mut trans: AddrMap<u64, AddrMap<u64, u32>> = AddrMap::default();
             for &s in seeds {
                 let a = Segment::pack(s, &segments[w[0]].range); // windows(2) over indices < segments.len()
                 let b = Segment::pack(s, &segments[w[1]].range);
                 *trans.entry(a).or_default().entry(b).or_insert(0) += 1;
             }
             chain.push(
+                // sos-lint: allow(det-hash-iter, det-unordered-iter) re-keyed into another map that is only ever looked up
                 trans
                     .into_iter()
-                    .map(|(k, m)| {
-                        let mut v: Vec<(u64, u32)> = m.into_iter().collect();
-                        v.sort_by_key(|&(val, c)| (std::cmp::Reverse(c), val));
-                        v.truncate(self.max_values);
-                        (k, v)
-                    })
+                    .map(|(k, m)| (k, Weighted::top(m, self.max_values)))
                     .collect(),
             );
         }
         // Position of each segment in the informative ordering.
-        let inf_rank: HashMap<usize, usize> =
-            informative.iter().enumerate().map(|(k, &i)| (i, k)).collect();
+        let mut inf_rank: Vec<Option<usize>> = vec![None; segments.len()];
+        for (k, &i) in informative.iter().enumerate() {
+            inf_rank[i] = Some(k); // i < segments.len()
+        }
 
-        // 4. Walk the chain to synthesize addresses.
-        let mut nybbles = [0u8; 32];
+        // 4. Walk the chain to synthesize addresses, OR-ing each segment's
+        //    packed value into place (the segments partition the 32 digits).
         sink.draw(cfg.budget, cfg.budget * 4 + 4096, model, || {
             let mut prev: Option<u64> = None;
-            for (i, seg) in segments.iter().enumerate() {
+            let mut bits = 0u128;
+            for (seg, &rank) in segments.iter().zip(&inf_rank) {
                 // chain[k-1] maps informative segment k-1's value to a
                 // distribution over informative segment k's values.
-                let conditional = match (inf_rank.get(&i), prev) {
-                    (Some(&k), Some(p)) if k > 0 && !rng.gen_bool(self.explore) => {
+                let conditional = match (rank, prev) {
+                    (Some(k), Some(p)) if k > 0 && !rng.gen_bool(self.explore) => {
                         chain.get(k - 1).and_then(|t| t.get(&p))
                     }
                     _ => None,
                 };
-                let value = match conditional {
-                    Some(dist) if !dist.is_empty() => {
-                        let total: u64 = dist.iter().map(|&(_, c)| u64::from(c)).sum();
-                        let mut x = rng.gen_range(0..total);
-                        let mut picked = dist[0].0;
-                        for &(v, c) in dist {
-                            if x < u64::from(c) {
-                                picked = v;
-                                break;
-                            }
-                            x -= u64::from(c);
-                        }
-                        picked
-                    }
-                    _ => seg.sample_marginal(&mut rng),
-                };
-                Segment::unpack(value, seg.range.len(), &mut nybbles[seg.range.clone()]); // segment ranges lie within 0..NYBBLES
-                if seg.values.len() > 1 {
+                let value = conditional
+                    .and_then(|dist| dist.sample(&mut rng))
+                    .unwrap_or_else(|| seg.sample_marginal(&mut rng));
+                // a packed value holds exactly its segment's digits
+                bits |= u128::from(value) << (4 * (NYBBLES - seg.range.end)); // ranges lie within 0..NYBBLES
+                if seg.informative() {
                     prev = Some(value);
                 }
-            }
-            let mut bits = 0u128;
-            for &n in &nybbles {
-                bits = (bits << 4) | u128::from(n);
             }
             Some(Ipv6Addr::from(bits))
         });

@@ -275,10 +275,12 @@ impl TargetGenerator for Instrumented {
         sos_obs::counter(names::GEN_PACKETS).add(gen_packets);
         if prov.is_enabled() {
             sos_obs::counter(names::PROV_TAGGED).add((prov.len() - tagged_before) as u64);
-            let regions: std::collections::HashSet<u32> = (tagged_before..prov.len())
+            let mut regions: Vec<u32> = (tagged_before..prov.len())
                 .filter_map(|i| prov.get(i))
                 .map(|p| p.region)
                 .collect();
+            regions.sort_unstable();
+            regions.dedup();
             sos_obs::counter(names::PROV_REGIONS).add(regions.len() as u64);
         }
         if dur_s > 0.0 {

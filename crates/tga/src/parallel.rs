@@ -91,21 +91,47 @@ pub fn sample_regions_par(
     sos_obs::par::par_map(GEN_PARALLEL, units.iter().collect(), workers, |_, u| (u.index, sample_unit(u, seen)))
 }
 
+/// A region this small has its unseen addresses counted before sampling
+/// (one sweep, at most this many `seen` lookups), which is what lets
+/// [`sample_unit`] stop the moment the region is drained.
+const COUNTED_SPACE: u64 = 256;
+
 /// Sample one unit: the same draw-until-stale loop the sequential TGAs
 /// ran, against an immutable `seen` snapshot plus a local prefilter.
+///
+/// **Drained-region shortcut.** Every draw lies in the region's space, so
+/// once the proposal holds every address of that space that `seen` lacks,
+/// each further draw is a duplicate: the loop could only count them up to
+/// the stale limit and return the proposal it already has. The unit stops
+/// there instead — in a region already drained at round start, before its
+/// first draw. The draws skipped come from an RNG that is private to this
+/// unit ([`stream_seed`]) and dropped with it, so nothing downstream can
+/// tell. [`Candidates::draw`](crate::sink::Candidates::draw) must *not*
+/// copy this: its callers (6Hit, 6Tree/6Graph, 6Sense, EIP) draw from the
+/// generator's one RNG, and the draws a drained region burns there move
+/// every later round's stream.
 fn sample_unit(u: &SampleUnit<'_>, seen: &AddrSet<u128>) -> Vec<Ipv6Addr> {
+    let unseen = match u.region.space_size() {
+        Some(size) if size <= COUNTED_SPACE => {
+            u.region.sweep().filter(|&a| !seen.contains(&u128::from(a))).count()
+        }
+        _ => usize::MAX,
+    };
+    let want = u.want.min(unseen);
     let mut rng = SmallRng::seed_from_u64(u.stream);
-    let mut local: AddrSet<u128> = AddrSet::with_capacity_and_hasher(u.want, Default::default());
-    let mut proposal: Vec<Ipv6Addr> = Vec::with_capacity(u.want);
+    let mut local: AddrSet<u128> = AddrSet::with_capacity_and_hasher(want, Default::default());
+    let mut proposal: Vec<Ipv6Addr> = Vec::with_capacity(want);
     let mut stale = 0usize;
-    while proposal.len() < u.want && stale < u.want * 8 + 16 {
+    while proposal.len() < want && stale < u.want * 8 + 16 {
         let a = u.region.sample(&mut rng, u.explore);
         let bits = u128::from(a);
-        if !seen.contains(&bits) && local.insert(bits) {
+        // `local` (at most `want` entries) answers before the budget-sized `seen`
+        if local.contains(&bits) || seen.contains(&bits) {
+            stale += 1;
+        } else {
+            local.insert(bits);
             proposal.push(a);
             stale = 0;
-        } else {
-            stale += 1;
         }
     }
     proposal
@@ -158,6 +184,95 @@ mod tests {
             assert_eq!(uniq.len(), p.len());
             assert!(p.iter().all(|a| !seen.contains(&u128::from(*a))));
         }
+    }
+
+    /// `sample_unit` without the drained-region shortcut — the plain loop,
+    /// every draw made and counted — kept as the reference.
+    fn sample_unit_plainly(u: &SampleUnit<'_>, seen: &AddrSet<u128>) -> (Vec<Ipv6Addr>, usize) {
+        let mut rng = SmallRng::seed_from_u64(u.stream);
+        let mut local: AddrSet<u128> = AddrSet::default();
+        let mut proposal: Vec<Ipv6Addr> = Vec::new();
+        let (mut stale, mut draws) = (0usize, 0usize);
+        while proposal.len() < u.want && stale < u.want * 8 + 16 {
+            let a = u.region.sample(&mut rng, u.explore);
+            draws += 1;
+            let bits = u128::from(a);
+            if !seen.contains(&bits) && local.insert(bits) {
+                proposal.push(a);
+                stale = 0;
+            } else {
+                stale += 1;
+            }
+        }
+        (proposal, draws)
+    }
+
+    /// A region over `digits` free low nybbles, with a skewed histogram.
+    fn region_with_free(digits: u32, salt: u128) -> Region {
+        let spread = (1u128 << (4 * digits)) - 1;
+        let base = (0x2600_0abc_0001u128 << 80) | (salt << 64);
+        let mut seeds = vec![Ipv6Addr::from(base), Ipv6Addr::from(base | spread)];
+        seeds.extend((1..=6u128).map(|i| Ipv6Addr::from(base | ((i * 0x1357) & spread))));
+        Region::from_seeds(&seeds)
+    }
+
+    #[test]
+    fn the_drained_region_shortcut_never_changes_a_proposal() {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(24);
+        let mut skipped_a_draw = false;
+        // 16, 256 (the last counted size), 4 096 (never counted) and beyond
+        for (salt, digits) in [1u32, 2, 3, 4].into_iter().enumerate() {
+            let region = region_with_free(digits, salt as u128);
+            let space: Vec<Ipv6Addr> = region.sweep().take(4096).collect();
+            let whole_space = region.space_size().is_some_and(|n| n <= 4096);
+            // how much of the space `seen` lacks: all, half, 33, one, none
+            for unseen in [space.len(), space.len() / 2, 33, 1, 0] {
+                let mut seen: AddrSet<u128> = AddrSet::default();
+                // ...plus addresses outside the region, which must not count
+                seen.extend((0..50).map(|_| rng.gen::<u128>()));
+                let mut order = space.clone();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                seen.extend(order.iter().skip(unseen.min(order.len())).map(|&a| u128::from(a)));
+                for (slot, want) in [32usize, 32, 1, 300].into_iter().enumerate() {
+                    // slots 0 and 1: an ε-repeat of one region in one round
+                    let u = SampleUnit {
+                        index: slot,
+                        region: &region,
+                        want,
+                        explore: 0.06,
+                        stream: stream_seed(0xBEEF, region.digest, 3, slot),
+                    };
+                    let (expect, draws) = sample_unit_plainly(&u, &seen);
+                    let got = sample_unit(&u, &seen);
+                    assert_eq!(got, expect, "{digits} free digits, {unseen} unseen, want {want}");
+                    if whole_space && unseen == 0 {
+                        assert!(got.is_empty() && draws == want * 8 + 16, "drained: the plain loop runs out its stale limit");
+                        skipped_a_draw = true;
+                    }
+                    if whole_space && unseen == 1 && !got.is_empty() {
+                        assert_eq!(got, [order[0]], "one address left");
+                    }
+                }
+                let repeat = |slot| SampleUnit {
+                    index: slot,
+                    region: &region,
+                    want: 32,
+                    explore: 0.06,
+                    stream: stream_seed(0xBEEF, region.digest, 3, slot),
+                };
+                if unseen >= 64 {
+                    assert_ne!(
+                        sample_unit(&repeat(0), &seen),
+                        sample_unit(&repeat(1), &seen),
+                        "two slots on one region draw from two streams"
+                    );
+                }
+            }
+        }
+        assert!(skipped_a_draw);
     }
 
     #[test]

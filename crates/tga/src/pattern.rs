@@ -4,44 +4,88 @@
 use std::net::Ipv6Addr;
 
 use rand::Rng;
-use v6addr::{nybble_of, Nybbles, NYBBLES};
+use v6addr::NYBBLES;
+
+/// Bit offset of nybble `idx` inside the address's `u128`.
+#[inline]
+pub(crate) fn shift_of(idx: usize) -> u32 {
+    ((NYBBLES - 1 - idx) * 4) as u32
+}
+
+/// Positions of the set bits of `mask`, ascending.
+pub(crate) fn set_bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let idx = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            idx
+        })
+    })
+}
+
+/// Which digits vary across `addrs`, bit `i` for nybble `i`: a digit varies
+/// iff some address differs from the first in any of its four bits, so OR
+/// the differences and fold each digit onto its low bit.
+pub(crate) fn varying_digits(addrs: &[Ipv6Addr]) -> u32 {
+    let Some(&first) = addrs.first() else {
+        return 0;
+    };
+    let first = u128::from(first);
+    let mut diff = addrs.iter().fold(0u128, |d, &a| d | (u128::from(a) ^ first));
+    diff |= diff >> 1;
+    diff |= diff >> 2;
+    (0..NYBBLES)
+        .filter(|&i| (diff >> shift_of(i)) & 1 == 1)
+        .fold(0u32, |mask, i| mask | (1 << i))
+}
 
 /// Histogram of nybble values observed at one position.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ValueHist(pub [u32; 16]);
+pub struct ValueHist {
+    counts: [u32; 16],
+    /// Sum of `counts`, kept as observations arrive: every draw reads it.
+    total: u32,
+}
 
 impl ValueHist {
     /// Record one observation.
     #[inline]
     pub fn add(&mut self, v: u8) {
-        self.0[(v & 0xf) as usize] += 1;
+        self.counts[(v & 0xf) as usize] += 1;
+        self.total += 1;
+    }
+
+    /// Observations of value `v` (low 4 bits used).
+    #[inline]
+    pub fn count(&self, v: u8) -> u32 {
+        self.counts[(v & 0xf) as usize]
     }
 
     /// Total observations.
+    #[inline]
     pub fn total(&self) -> u32 {
-        self.0.iter().sum()
+        self.total
     }
 
     /// Number of distinct observed values.
     pub fn distinct(&self) -> usize {
-        self.0.iter().filter(|&&c| c > 0).count()
+        self.counts.iter().filter(|&&c| c > 0).count()
     }
 
     /// Observed values, ascending.
     pub fn values(&self) -> Vec<u8> {
-        (0u8..16).filter(|&v| self.0[v as usize] > 0).collect()
+        (0u8..16).filter(|&v| self.count(v) > 0).collect()
     }
 
     /// Weighted draw from the observed distribution; with probability
     /// `explore` draw uniformly from all 16 values instead. Falls back to
     /// uniform when nothing was observed.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, explore: f64) -> u8 {
-        let total = self.total();
-        if total == 0 || (explore > 0.0 && rng.gen_bool(explore)) {
+        if self.total == 0 || (explore > 0.0 && rng.gen_bool(explore)) {
             return rng.gen_range(0..16);
         }
-        let mut x = rng.gen_range(0..total);
-        for (v, &c) in self.0.iter().enumerate() {
+        let mut x = rng.gen_range(0..self.total);
+        for (v, &c) in self.counts.iter().enumerate() {
             if x < c {
                 return v as u8;
             }
@@ -52,14 +96,13 @@ impl ValueHist {
 
     /// Shannon entropy of the observed distribution (bits).
     pub fn entropy(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
+        if self.total == 0 {
             return 0.0;
         }
         let mut h = 0.0;
-        for &c in &self.0 {
+        for &c in &self.counts {
             if c > 0 {
-                let p = f64::from(c) / f64::from(total);
+                let p = f64::from(c) / f64::from(self.total);
                 // sos-lint: allow(det-float-reduce) entropy over a fixed-order histogram array
                 h -= p * p.log2();
             }
@@ -68,90 +111,97 @@ impl ValueHist {
     }
 }
 
-/// A template over the 32 nybbles: `Some(v)` pins a position, `None`
-/// leaves it free.
+/// A template over the 32 nybbles: each position is pinned to a value or
+/// left free. Held as the pinned digits in place in a `u128` plus a 32-bit
+/// free mask, so building, matching and materializing are word operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pattern {
-    /// Per-position constraint.
-    pub fixed: [Option<u8>; NYBBLES],
+    /// The pinned digits at their address positions; zero where free.
+    base: u128,
+    /// Bit `i` set: nybble `i` (0 = most significant) is free.
+    free: u32,
 }
 
 impl Pattern {
     /// The fully free pattern.
     pub fn free() -> Self {
-        Pattern {
-            fixed: [None; NYBBLES],
-        }
+        Pattern { base: 0, free: u32::MAX }
     }
 
     /// The pattern agreeing with `seeds` wherever all of them agree.
     pub fn from_seeds(seeds: &[Ipv6Addr]) -> Self {
-        let mut fixed = [None; NYBBLES];
-        let Some(first) = seeds.first() else {
-            return Pattern { fixed };
+        let Some(&first) = seeds.first() else {
+            return Pattern::free();
         };
-        let base = Nybbles::from_addr(*first);
-        for (i, slot) in fixed.iter_mut().enumerate() {
-            let v = base.get(i);
-            if seeds.iter().all(|&s| nybble_of(s, i) == v) {
-                *slot = Some(v);
-            }
-        }
-        Pattern { fixed }
+        let free = varying_digits(seeds);
+        Pattern { base: u128::from(first) & !digit_mask(free), free }
     }
 
-    /// Indices of free positions.
+    /// The value position `idx` is pinned to, `None` when it is free.
+    #[inline]
+    pub fn fixed(&self, idx: usize) -> Option<u8> {
+        debug_assert!(idx < NYBBLES);
+        ((self.free >> idx) & 1 == 0).then(|| ((self.base >> shift_of(idx)) & 0xf) as u8)
+    }
+
+    /// Free position `idx` (a no-op when it already is).
+    pub fn release(&mut self, idx: usize) {
+        debug_assert!(idx < NYBBLES);
+        self.free |= 1 << idx;
+        self.base &= !(0xf << shift_of(idx));
+    }
+
+    /// Indices of free positions, ascending.
     pub fn free_positions(&self) -> Vec<usize> {
-        (0..NYBBLES).filter(|&i| self.fixed[i].is_none()).collect() // fixed has NYBBLES slots
+        set_bits(self.free).collect()
     }
 
     /// Number of free positions.
+    #[inline]
     pub fn free_count(&self) -> usize {
-        self.fixed.iter().filter(|s| s.is_none()).count()
+        self.free.count_ones() as usize
     }
 
     /// Does `addr` match every pinned position?
+    #[inline]
     pub fn matches(&self, addr: Ipv6Addr) -> bool {
-        self.fixed
-            .iter()
-            .enumerate()
-            .all(|(i, s)| s.map_or(true, |v| nybble_of(addr, i) == v))
+        u128::from(addr) & !digit_mask(self.free) == self.base
     }
 
     /// Materialize an address: pinned positions from the pattern, free
-    /// positions from `free_values` (in [`Pattern::free_positions`] order).
+    /// positions from `free_values` (in [`Pattern::free_positions`] order,
+    /// low 4 bits of each).
     ///
     /// # Panics
     /// Panics if `free_values` is shorter than the number of free positions.
+    #[inline]
     pub fn materialize(&self, free_values: &[u8]) -> Ipv6Addr {
-        let mut n = Nybbles::from_addr(Ipv6Addr::UNSPECIFIED);
-        let mut fi = 0;
-        for i in 0..NYBBLES {
-            match self.fixed[i] { // i < NYBBLES == fixed.len()
-                Some(v) => n.set(i, v),
-                None => {
-                    n.set(i, free_values[fi]); // fi < free_values.len(): documented panic contract
-                    fi += 1;
-                }
-            }
+        let mut bits = self.base;
+        for (k, idx) in set_bits(self.free).enumerate() {
+            bits |= u128::from(free_values[k] & 0xf) << shift_of(idx); // k past the slice: the documented panic
         }
-        n.to_addr()
+        Ipv6Addr::from(bits)
     }
 }
 
-/// Per-free-position histograms for a set of addresses under a pattern.
+/// The `u128` with `0xf` at every nybble position whose bit is set in
+/// `positions`.
+fn digit_mask(positions: u32) -> u128 {
+    set_bits(positions).fold(0u128, |mask, idx| mask | (0xf << shift_of(idx)))
+}
+
+/// Per-free-position histograms for a set of addresses under a pattern
+/// (one pass over `addrs`).
 pub fn free_histograms(pattern: &Pattern, addrs: &[Ipv6Addr]) -> Vec<(usize, ValueHist)> {
-    pattern
-        .free_positions()
-        .into_iter()
-        .map(|pos| {
-            let mut h = ValueHist::default();
-            for &a in addrs {
-                h.add(nybble_of(a, pos));
-            }
-            (pos, h)
-        })
-        .collect()
+    let mut hists: Vec<(usize, ValueHist)> =
+        set_bits(pattern.free).map(|pos| (pos, ValueHist::default())).collect();
+    for &a in addrs {
+        let bits = u128::from(a);
+        for (pos, h) in &mut hists {
+            h.add((bits >> shift_of(*pos)) as u8);
+        }
+    }
+    hists
 }
 
 #[cfg(test)]
@@ -251,7 +301,108 @@ mod tests {
         let p = Pattern::from_seeds(&seeds);
         let hists = free_histograms(&p, &seeds);
         let pos31 = hists.iter().find(|(pos, _)| *pos == 31).unwrap();
-        assert_eq!(pos31.1 .0[1], 1);
-        assert_eq!(pos31.1 .0[2], 2);
+        assert_eq!(pos31.1.count(1), 1);
+        assert_eq!(pos31.1.count(2), 2);
+        assert_eq!(pos31.1.total(), 3);
+    }
+
+    /// The representation the word form replaced, kept as the model the
+    /// tests below compare against: one `Option<u8>` per position, every
+    /// operation a loop over the 32 digits.
+    struct Model([Option<u8>; NYBBLES]);
+
+    impl Model {
+        fn from_seeds(seeds: &[Ipv6Addr]) -> Model {
+            Model(std::array::from_fn(|i| {
+                let v = v6addr::nybble_of(*seeds.first()?, i);
+                seeds.iter().all(|&s| v6addr::nybble_of(s, i) == v).then_some(v)
+            }))
+        }
+
+        fn free_positions(&self) -> Vec<usize> {
+            (0..NYBBLES).filter(|&i| self.0[i].is_none()).collect()
+        }
+
+        fn matches(&self, addr: Ipv6Addr) -> bool {
+            (0..NYBBLES).all(|i| self.0[i].map_or(true, |v| v6addr::nybble_of(addr, i) == v))
+        }
+
+        fn materialize(&self, free_values: &[u8]) -> Ipv6Addr {
+            let mut free = free_values.iter();
+            (0..NYBBLES).fold(Ipv6Addr::UNSPECIFIED, |acc, i| {
+                let v = self.0[i].unwrap_or_else(|| *free.next().unwrap());
+                v6addr::with_nybble(acc, i, v)
+            })
+        }
+    }
+
+    fn assert_agrees(p: &Pattern, m: &Model, rng: &mut SmallRng, what: &str) {
+        for i in 0..NYBBLES {
+            assert_eq!(p.fixed(i), m.0[i], "{what}: fixed({i})");
+        }
+        assert_eq!(p.free_positions(), m.free_positions(), "{what}: free_positions");
+        assert_eq!(p.free_count(), m.free_positions().len(), "{what}: free_count");
+        for _ in 0..8 {
+            // values above 0xf: only the low four bits may land
+            let values: Vec<u8> = (0..NYBBLES).map(|_| rng.gen()).collect();
+            let built = p.materialize(&values[..p.free_count()]);
+            assert_eq!(built, m.materialize(&values), "{what}: materialize");
+            assert!(p.matches(built) && m.matches(built), "{what}: matches its own output");
+            // an arbitrary address, and the output with one digit moved
+            let probes = [
+                Ipv6Addr::from(rng.gen::<u128>()),
+                v6addr::with_nybble(built, rng.gen_range(0..NYBBLES), rng.gen_range(0..16)),
+            ];
+            for probe in probes {
+                assert_eq!(p.matches(probe), m.matches(probe), "{what}: matches({probe})");
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_agrees_with_the_option_array_model() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        let all_varying = [Ipv6Addr::from(0u128), Ipv6Addr::from(u128::MAX)];
+        let mut seed_sets: Vec<Vec<Ipv6Addr>> =
+            vec![vec![], vec![a("2001:db8::1")], vec![a("::"); 3], all_varying.to_vec()];
+        for _ in 0..200 {
+            // seeds that differ from a base in a random subset of digits
+            let base: u128 = rng.gen();
+            let vary: u32 = rng.gen::<u32>() & rng.gen::<u32>();
+            let n = rng.gen_range(1..9);
+            seed_sets.push(
+                (0..n)
+                    .map(|_| {
+                        let noise = rng.gen::<u128>() & digit_mask(vary);
+                        Ipv6Addr::from(base ^ noise)
+                    })
+                    .collect(),
+            );
+        }
+        for seeds in &seed_sets {
+            let mut p = Pattern::from_seeds(seeds);
+            let mut m = Model::from_seeds(seeds);
+            assert_agrees(&p, &m, &mut rng, "from_seeds");
+            // release positions one at a time, pinned and already-free alike
+            for _ in 0..6 {
+                let idx = rng.gen_range(0..NYBBLES);
+                p.release(idx);
+                m.0[idx] = None;
+                assert_agrees(&p, &m, &mut rng, "release");
+            }
+        }
+        assert_eq!(Pattern::from_seeds(&[]), Pattern::free());
+        assert_eq!(Pattern::from_seeds(&all_varying).free_count(), NYBBLES);
+    }
+
+    #[test]
+    fn hist_total_tracks_the_counts() {
+        let mut rng = SmallRng::seed_from_u64(5);
+        let mut h = ValueHist::default();
+        for n in 1..=300u32 {
+            h.add(rng.gen());
+            assert_eq!(h.total(), n);
+            assert_eq!((0..16).map(|v| h.count(v)).sum::<u32>(), n);
+        }
     }
 }

@@ -14,7 +14,7 @@ use rand::SeedableRng;
 
 use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
-use v6addr::Nybbles;
+use v6addr::nybble_hamming;
 
 use crate::six_tree::expand_regions;
 use crate::space_tree::{build_regions, Region, SplitStrategy};
@@ -52,15 +52,14 @@ fn prune_outliers(seeds: &[Ipv6Addr], sigma: f64) -> Option<Vec<Ipv6Addr>> {
     if seeds.len() < 4 {
         return None;
     }
-    let nybs: Vec<Nybbles> = seeds.iter().map(|&a| Nybbles::from_addr(a)).collect();
     // Mean pairwise distance per seed, against a bounded sample of peers
     // (the similarity graph's weighted degree).
-    let sample = nybs.len().min(24);
-    let dist: Vec<f64> = nybs
+    let sample = seeds.len().min(24);
+    let dist: Vec<f64> = seeds
         .iter()
-        .map(|n| {
-            let total: usize = nybs.iter().take(sample).map(|m| n.hamming(m)).sum();
-            total as f64 / sample as f64
+        .map(|&n| {
+            let total: u32 = seeds.iter().take(sample).map(|&m| nybble_hamming(n, m)).sum();
+            f64::from(total) / sample as f64
         })
         .collect();
     // sos-lint: allow(det-float-reduce) dist is a Vec in seed order; reduction order is total

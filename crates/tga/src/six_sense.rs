@@ -18,6 +18,7 @@
 //!   blacklists aliased ones — candidates inside blacklisted prefixes are
 //!   regenerated instead of emitted.
 
+use std::iter::Take;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -30,7 +31,7 @@ use v6addr::{AddrMap, Prefix, PrefixSet};
 
 use crate::pattern::ValueHist;
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::Region;
+use crate::space_tree::{Region, Sweep};
 use crate::{GenConfig, TargetGenerator, TgaId};
 
 /// Per-/48 bandit arm with hierarchical section models: 6Sense generates
@@ -41,9 +42,11 @@ struct Arm {
     /// Per-observed-/64 models, with seed-count weights.
     subregions: Vec<Region>,
     weights: Vec<u32>,
-    /// Lazy systematic-enumeration state per sub-model: 6Sense exploits a
-    /// productive /64 exhaustively before falling back to sampling.
-    enums: Vec<Option<(Vec<Ipv6Addr>, usize)>>,
+    /// Systematic-sweep state per sub-model, created on first use: 6Sense
+    /// exploits a productive /64 exhaustively (up to 4 096 addresses)
+    /// before falling back to sampling. Boxed so a sub-model no round has
+    /// picked yet costs a pointer, not a sweep's worth of inline state.
+    sweeps: Vec<Option<Box<Take<Sweep>>>>,
     /// Value histograms of the subnet-id nybbles (positions 12..16).
     subnet_hists: [ValueHist; 4],
     /// Digest of the site's contributing seeds (arms are /48 sites and
@@ -69,7 +72,7 @@ impl Arm {
         }
         Arm {
             weights: groups.iter().map(|(_, g)| g.len() as u32).collect(),
-            enums: vec![None; groups.len()],
+            sweeps: vec![None; groups.len()],
             subregions: groups.iter().map(|(_, g)| Region::from_seeds(g)).collect(),
             subnet_hists,
             digest: seed_digest(members.iter().copied()),
@@ -98,19 +101,9 @@ impl Arm {
         };
         let addr = if rng.gen_bool(0.85) {
             // systematic sweep of the sub-model's most likely space
-            let slot = self.enums[pick].get_or_insert_with(|| {
-                let cap = self.subregions[pick] // pick < weights.len() == subregions.len()
-                    .space_size()
-                    .unwrap_or(4096)
-                    .min(4096) as usize;
-                (self.subregions[pick].enumerate(cap), 0) // pick < subregions.len()
-            });
-            if slot.1 < slot.0.len() {
-                slot.1 += 1;
-                slot.0[slot.1 - 1]
-            } else {
-                self.subregions[pick].sample(rng, explore) // pick < subregions.len()
-            }
+            let region = &self.subregions[pick]; // pick < weights.len() == subregions.len()
+            let sweep = self.sweeps[pick].get_or_insert_with(|| Box::new(region.sweep().take(4096)));
+            sweep.next().unwrap_or_else(|| region.sample(rng, explore))
         } else {
             self.subregions[pick].sample(rng, explore) // pick < subregions.len()
         };
@@ -221,12 +214,11 @@ impl TargetGenerator for SixSense {
         while sink.room() > 0 && !arms.is_empty() {
             round += 1;
             // Schedule: top-UCB arms + least-probed arms (diversity).
+            // (scores computed once per arm, not in the comparator)
+            let scores: Vec<f64> =
+                arms.iter().map(|a| a.ucb(total_probes, self.ucb_c)).collect();
             let mut by_ucb: Vec<usize> = (0..arms.len()).collect();
-            by_ucb.sort_by(|&a, &b| {
-                arms[b] // a, b < arms.len(): order covers 0..arms.len()
-                    .ucb(total_probes, self.ucb_c)
-                    .total_cmp(&arms[a].ucb(total_probes, self.ucb_c)) // a < arms.len()
-            });
+            by_ucb.sort_by(|&a, &b| scores[b].total_cmp(&scores[a])); // a, b < arms.len() == scores.len()
             let mut by_cold: Vec<usize> = (0..arms.len()).collect();
             by_cold.sort_by(|&a, &b| {
                 arms[a] // a, b < arms.len()

@@ -96,7 +96,7 @@ fn emit_from_region(
         // Small space: systematic enumeration covers the whole region.
         Some(size) if size <= quota as u64 * 4 => {
             let mut left = quota;
-            for a in r.enumerate(quota * 4) {
+            for a in r.sweep().take(quota * 4) {
                 if left == 0 {
                     break;
                 }

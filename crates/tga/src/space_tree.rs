@@ -13,7 +13,7 @@ use rand::Rng;
 use sos_probe::provenance::seed_digest;
 use v6addr::{nybble_of, NYBBLES};
 
-use crate::pattern::{free_histograms, Pattern, ValueHist};
+use crate::pattern::{free_histograms, set_bits, shift_of, varying_digits, Pattern, ValueHist};
 
 /// How a node picks its split dimension.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +88,9 @@ impl Region {
     /// Returns `None` once expansion would cross into the routing prefix
     /// (positions above nybble 12, the /48 boundary).
     pub fn widened(&self) -> Option<Region> {
-        let pos = (12..NYBBLES).rev().find(|&i| self.pattern.fixed[i].is_some())?; // i < NYBBLES == fixed.len()
+        let pos = (12..NYBBLES).rev().find(|&i| self.pattern.fixed(i).is_some())?;
         let mut pattern = self.pattern;
-        pattern.fixed[pos] = None; // pos < NYBBLES from find above
+        pattern.release(pos);
         let mut hists = free_histograms(&pattern, &self.members);
         if let Some(h) = hists.iter_mut().find(|(p, _)| *p == pos) {
             h.1 = ValueHist::default();
@@ -105,7 +105,7 @@ impl Region {
     }
 
     /// Size of the region's free space, if it fits in a `u64`
-    /// (16 free dims or fewer).
+    /// (15 free dims or fewer: 16¹⁶ is one past `u64::MAX`).
     pub fn space_size(&self) -> Option<u64> {
         let dims = self.pattern.free_count() as u32;
         if dims <= 15 {
@@ -115,52 +115,71 @@ impl Region {
         }
     }
 
-    /// Systematically enumerate up to `limit` addresses in the region,
-    /// visiting per-dimension values in observed-frequency order first
-    /// (so the most pattern-consistent candidates come out first).
-    pub fn enumerate(&self, limit: usize) -> Vec<Ipv6Addr> {
-        let dims = self.hists.len();
-        if dims == 0 {
-            return vec![self.pattern.materialize(&[])];
-        }
+    /// Systematically walk the region's whole space, visiting
+    /// per-dimension values in observed-frequency order first (so the most
+    /// pattern-consistent candidates come out first). Lazy: a caller that
+    /// stops after `n` addresses paid for `n`.
+    pub fn sweep(&self) -> Sweep {
         // Per-dim value order: observed (by descending count), then the rest.
-        let orders: Vec<Vec<u8>> = self
+        let dims: Box<[(u32, [u8; 16])]> = self
             .hists
             .iter()
-            .map(|(_, h)| {
-                let mut vals: Vec<u8> = (0..16).collect();
-                vals.sort_by_key(|&v| std::cmp::Reverse(h.0[v as usize]));
-                vals
+            .map(|&(pos, h)| {
+                let mut order: [u8; 16] = std::array::from_fn(|v| v as u8);
+                order.sort_by_key(|&v| std::cmp::Reverse(h.count(v)));
+                (shift_of(pos), order)
             })
             .collect();
-        let mut out = Vec::with_capacity(limit.min(4096));
-        // Mixed-radix counter over value *ranks*; low dims advance fastest
-        // so low-order nybbles sweep first (the low-byte pattern).
-        let mut ranks = vec![0usize; dims];
-        let mut values = vec![0u8; dims];
-        loop {
-            for (i, &r) in ranks.iter().enumerate() {
-                values[i] = orders[i][r]; // i < dims; ranks stay below 16 == orders[i].len()
-            }
-            out.push(self.pattern.materialize(&values));
-            if out.len() >= limit {
+        let mut first = [0u8; NYBBLES];
+        for (v, (_, order)) in first.iter_mut().zip(dims.iter()) {
+            *v = order[0];
+        }
+        Sweep {
+            next: Some(u128::from(self.pattern.materialize(&first[..dims.len()]))),
+            dims,
+            ranks: [0; NYBBLES],
+        }
+    }
+
+    /// The first `limit` addresses of [`Self::sweep`].
+    pub fn enumerate(&self, limit: usize) -> Vec<Ipv6Addr> {
+        self.sweep().take(limit).collect()
+    }
+}
+
+/// [`Region::sweep`]'s iterator: a mixed-radix counter over value *ranks*.
+/// Low dims advance fastest, so low-order nybbles sweep first (the
+/// low-byte pattern); it ends once every dimension has wrapped.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// Per free dimension, high-order first: the digit's bit offset and
+    /// its 16 values, most observed first.
+    dims: Box<[(u32, [u8; 16])]>,
+    /// Each dimension's current rank in its value order.
+    ranks: [u8; NYBBLES],
+    /// The address the ranks spell; `None` once the space is exhausted.
+    next: Option<u128>,
+}
+
+impl Iterator for Sweep {
+    type Item = Ipv6Addr;
+
+    fn next(&mut self) -> Option<Ipv6Addr> {
+        let current = self.next?;
+        // Increment, least-significant dimension first, rewriting only the
+        // digits that move.
+        let mut bits = current;
+        self.next = None;
+        let ranks = &mut self.ranks[..self.dims.len()];
+        for (&(shift, order), rank) in self.dims.iter().zip(ranks).rev() {
+            *rank = (*rank + 1) % 16;
+            bits = (bits & !(0xf << shift)) | (u128::from(order[usize::from(*rank)]) << shift);
+            if *rank != 0 {
+                self.next = Some(bits);
                 break;
             }
-            // increment, least-significant dimension first
-            let mut i = dims;
-            loop {
-                if i == 0 {
-                    return out; // space exhausted
-                }
-                i -= 1;
-                ranks[i] += 1; // i < dims
-                if ranks[i] < 16 {
-                    break;
-                }
-                ranks[i] = 0; // i < dims
-            }
         }
-        out
+        Some(Ipv6Addr::from(current))
     }
 }
 
@@ -281,22 +300,23 @@ pub fn build_regions_par(
 
 /// Choose the split dimension, or `None` when every position is constant.
 fn pick_split(group: &[Ipv6Addr], strategy: SplitStrategy) -> Option<usize> {
-    let mut hists = [ValueHist::default(); NYBBLES];
-    for &a in group {
-        for (i, h) in hists.iter_mut().enumerate() {
-            h.add(nybble_of(a, i));
-        }
-    }
+    // One XOR fold names the varying positions; only those can split.
+    let varying = varying_digits(group);
     match strategy {
-        SplitStrategy::Leftmost => (0..NYBBLES).find(|&i| hists[i].distinct() > 1), // i < NYBBLES == hists.len()
-        SplitStrategy::MinEntropy => (0..NYBBLES)
-            .filter(|&i| hists[i].distinct() > 1) // i < NYBBLES == hists.len()
-            .min_by(|&a, &b| {
-                hists[a] // a, b < hists.len()
-                    .entropy()
-                    .total_cmp(&hists[b].entropy()) // b < hists.len()
-                    .then(a.cmp(&b))
-            }),
+        SplitStrategy::Leftmost => set_bits(varying).next(),
+        SplitStrategy::MinEntropy => {
+            let mut hists = [ValueHist::default(); NYBBLES];
+            for &a in group {
+                let bits = u128::from(a);
+                for pos in set_bits(varying) {
+                    hists[pos].add((bits >> shift_of(pos)) as u8);
+                }
+            }
+            set_bits(varying)
+                .map(|pos| (hists[pos].entropy(), pos))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(_, pos)| pos)
+        }
     }
 }
 
@@ -367,7 +387,7 @@ mod tests {
             && a.iter().zip(b).all(|(x, y)| {
                 x.members == y.members
                     && x.seed_count == y.seed_count
-                    && x.pattern.fixed == y.pattern.fixed
+                    && x.pattern == y.pattern
             })
     }
 
@@ -500,5 +520,162 @@ mod tests {
         let r = Region::from_seeds(&[a("2600::1"), a("3fff:ffff:ffff:ffff:ffff:ffff:ffff:fff2")]);
         assert!(r.pattern.free_count() > 15);
         assert_eq!(r.space_size(), None);
+        // the boundary: 16¹⁵ is the last size a u64 holds
+        assert_eq!(with_free(15, &[]).pattern.free_count(), 15);
+        assert_eq!(with_free(15, &[]).space_size(), Some(16u64.pow(15)));
+        assert_eq!(with_free(16, &[]).pattern.free_count(), 16);
+        assert_eq!(with_free(16, &[]).space_size(), None);
+    }
+
+    /// A region whose low `digits` nybbles are free, seeded with the two
+    /// ends of that space plus `hosts` (which skew its histograms).
+    fn with_free(digits: u32, hosts: &[u128]) -> Region {
+        let spread = (1u128 << (4 * digits)) - 1;
+        let base = 0x2600_0abc_0001u128 << 80;
+        let mut seeds = vec![Ipv6Addr::from(base), Ipv6Addr::from(base | spread)];
+        seeds.extend(hosts.iter().map(|h| Ipv6Addr::from(base | (h & spread))));
+        Region::from_seeds(&seeds)
+    }
+
+    /// `pick_split` as first written, kept as the reference: a histogram
+    /// for each of the 32 positions, every address counted into all of them.
+    fn pick_split_by_histograms(group: &[Ipv6Addr], strategy: SplitStrategy) -> Option<usize> {
+        let mut hists = [ValueHist::default(); NYBBLES];
+        for &a in group {
+            for (i, h) in hists.iter_mut().enumerate() {
+                h.add(nybble_of(a, i));
+            }
+        }
+        match strategy {
+            SplitStrategy::Leftmost => (0..NYBBLES).find(|&i| hists[i].distinct() > 1),
+            SplitStrategy::MinEntropy => (0..NYBBLES)
+                .filter(|&i| hists[i].distinct() > 1)
+                .min_by(|&a, &b| hists[a].entropy().total_cmp(&hists[b].entropy()).then(a.cmp(&b))),
+        }
+    }
+
+    #[test]
+    fn pick_split_agrees_with_the_histogram_definition() {
+        let mut rng = SmallRng::seed_from_u64(24);
+        let mut groups: Vec<Vec<Ipv6Addr>> = vec![
+            vec![a("2600::1"); 9],                                  // all identical
+            vec![a("2600::1")],                                     // one address
+            vec![Ipv6Addr::from(0u128), Ipv6Addr::from(u128::MAX)], // every position, all tied
+            // entropy tie between positions 27 and 31 (both 50/50): lower index wins
+            vec![a("2600::1"), a("2600::2"), a("2600::1:1"), a("2600::1:2")],
+            two_site_seeds(),
+        ];
+        for _ in 0..300 {
+            // a base address varied in a few random positions, few values each
+            let base: u128 = rng.gen();
+            let positions: Vec<usize> = (0..rng.gen_range(0..5)).map(|_| rng.gen_range(0..NYBBLES)).collect();
+            let n = rng.gen_range(1..40);
+            groups.push(
+                (0..n)
+                    .map(|_| {
+                        positions.iter().fold(Ipv6Addr::from(base), |addr, &pos| {
+                            v6addr::with_nybble(addr, pos, rng.gen_range(0..3))
+                        })
+                    })
+                    .collect(),
+            );
+        }
+        for group in &groups {
+            for strategy in [SplitStrategy::Leftmost, SplitStrategy::MinEntropy] {
+                assert_eq!(
+                    pick_split(group, strategy),
+                    pick_split_by_histograms(group, strategy),
+                    "{strategy:?} over {group:?}"
+                );
+            }
+        }
+        assert_eq!(pick_split(&groups[0], SplitStrategy::MinEntropy), None);
+        assert_eq!(pick_split(&groups[2], SplitStrategy::MinEntropy), Some(0));
+        assert_eq!(pick_split(&groups[3], SplitStrategy::MinEntropy), Some(27));
+        assert_eq!(pick_split(&[], SplitStrategy::Leftmost), None);
+    }
+
+    /// `Region::enumerate` as first written — the whole prefix of the walk
+    /// built eagerly, every address materialized from its value ranks —
+    /// kept as the reference for [`Sweep`]. (It returned one address for
+    /// `limit == 0`; nothing asked for that, and the reference is only
+    /// compared from 1 up.)
+    fn enumerate_eagerly(r: &Region, limit: usize) -> Vec<Ipv6Addr> {
+        let dims = r.hists.len();
+        if dims == 0 {
+            return vec![r.pattern.materialize(&[])];
+        }
+        let orders: Vec<Vec<u8>> = r
+            .hists
+            .iter()
+            .map(|(_, h)| {
+                let mut vals: Vec<u8> = (0..16).collect();
+                vals.sort_by_key(|&v| std::cmp::Reverse(h.count(v)));
+                vals
+            })
+            .collect();
+        let mut out = Vec::new();
+        let mut ranks = vec![0usize; dims];
+        let mut values = vec![0u8; dims];
+        loop {
+            for (i, &rank) in ranks.iter().enumerate() {
+                values[i] = orders[i][rank];
+            }
+            out.push(r.pattern.materialize(&values));
+            if out.len() >= limit {
+                return out;
+            }
+            let mut i = dims;
+            loop {
+                if i == 0 {
+                    return out; // space exhausted
+                }
+                i -= 1;
+                ranks[i] += 1;
+                if ranks[i] < 16 {
+                    break;
+                }
+                ranks[i] = 0;
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_agrees_with_the_eager_enumeration() {
+        let regions = [
+            Region::from_seeds(&[a("2600::9")]),                       // zero free dims
+            with_free(1, &[3, 3, 7]),                                  // 16
+            with_free(2, &[0x31, 0x31, 0x77, 0x70]),                   // 256
+            with_free(3, &[0x123, 0x124, 0x124, 0xfff]),               // 4 096
+            with_free(4, &[0x1234, 0x1234, 0x0004]),                   // past the cap
+            Region::from_seeds(&[a("2600::1"), a("2600:0:0:5::2:0")]), // non-adjacent dims
+            Region::from_seeds(&two_site_seeds()),
+        ];
+        for r in &regions {
+            let space = r.space_size().unwrap();
+            for limit in [1usize, 2, 15, 16, 17, 100, 255, 256, 257, 4095, 4096, 4097] {
+                let lazy: Vec<Ipv6Addr> = r.sweep().take(limit).collect();
+                assert_eq!(lazy, enumerate_eagerly(r, limit), "limit {limit} over {:?}", r.pattern);
+                assert_eq!(lazy, r.enumerate(limit));
+                assert_eq!(lazy.len() as u64, space.min(limit as u64));
+            }
+            // exhaustion exactly at 16ᵈ: the space once, no duplicates, then None for good
+            if space <= 4096 {
+                let mut sweep = r.sweep();
+                let mut all: Vec<Ipv6Addr> = sweep.by_ref().collect();
+                assert_eq!((sweep.next(), sweep.next()), (None, None));
+                assert_eq!(all.len() as u64, space);
+                assert!(all.iter().all(|&addr| r.pattern.matches(addr)));
+                all.sort();
+                all.dedup();
+                assert_eq!(all.len() as u64, space);
+            }
+            // a `take` that stops mid-space resumes where it stopped
+            let mut sweep = r.sweep();
+            let mut pieces: Vec<Ipv6Addr> = sweep.by_ref().take(5).collect();
+            pieces.extend(sweep.take(20));
+            assert_eq!(pieces, enumerate_eagerly(r, 25));
+        }
+        assert!(regions[0].sweep().take(0).next().is_none());
     }
 }

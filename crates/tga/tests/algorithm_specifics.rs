@@ -126,7 +126,7 @@ fn region_widening_frees_low_nybbles_first_and_stops_at_the_48() {
     // stops at the /48 boundary: positions 0..12 stay fixed
     assert_eq!(region.pattern.free_count(), 32 - 12);
     for i in 0..12 {
-        assert!(region.pattern.fixed[i].is_some(), "nybble {i} must stay pinned");
+        assert!(region.pattern.fixed(i).is_some(), "nybble {i} must stay pinned");
     }
 }
 

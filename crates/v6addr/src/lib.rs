@@ -6,7 +6,9 @@
 //! because that is the granularity at which operators assign structure and
 //! at which TGAs mine patterns. This crate provides:
 //!
-//! - [`Nybbles`]: a 32-nybble view of an address with indexed get/set,
+//! - [`nybble_of`] / [`with_nybble`] / [`nybble_hamming`]: one hex digit
+//!   read or replaced, and the count of differing digits — octet reads
+//!   and word operations on the address itself, no nybble-array type,
 //! - [`Prefix`]: a CIDR prefix with containment, iteration, and parsing,
 //! - [`PrefixTrie`]: longest-prefix-match lookups, one hash table per
 //!   prefix length present (used for address → AS resolution),
@@ -33,7 +35,7 @@ pub mod trie;
 
 pub use aggregate::aggregate;
 pub use hash::{AddrHasher, AddrMap, AddrSet};
-pub use nybble::{nybble_of, with_nybble, Nybbles, NYBBLES};
+pub use nybble::{nybble_hamming, nybble_of, with_nybble, NYBBLES};
 pub use pattern::{nybble_entropy, nybble_value_counts, EntropyProfile};
 pub use prefix::{ParsePrefixError, Prefix};
 pub use set::PrefixSet;

@@ -1,123 +1,56 @@
-//! Nybble-granularity views of IPv6 addresses.
+//! Nybble-granularity access to IPv6 addresses.
 //!
 //! TGAs operate on the 32 hexadecimal digits ("nybbles") of an address:
 //! Entropy/IP computes per-nybble entropy, the tree family (6Tree, DET,
 //! 6Graph, 6Scan, 6Hit) splits the space one nybble at a time, and 6Gen
 //! clusters addresses by nybble agreement. Nybble 0 is the most significant
 //! digit (`2` in `2001:db8::`), nybble 31 the least significant.
+//!
+//! There is no nybble-array type: an address stays an [`Ipv6Addr`] (or its
+//! `u128`), one digit is one octet read, and whole-address questions
+//! (which digits differ, how many) are word operations on `a ^ b`.
 
 use std::net::Ipv6Addr;
 
 /// Number of nybbles in an IPv6 address.
 pub const NYBBLES: usize = 32;
 
-/// A fixed 32-nybble representation of an IPv6 address.
-///
-/// This is the working representation inside every TGA: cheap to index,
-/// cheap to mutate, and convertible to/from [`Ipv6Addr`] losslessly.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Nybbles(pub [u8; NYBBLES]);
-
-impl Nybbles {
-    /// Decompose an address into nybbles, most significant first.
-    pub fn from_addr(addr: Ipv6Addr) -> Self {
-        let bits = u128::from(addr);
-        let mut out = [0u8; NYBBLES];
-        for (i, n) in out.iter_mut().enumerate() {
-            let shift = (NYBBLES - 1 - i) * 4;
-            *n = ((bits >> shift) & 0xf) as u8;
-        }
-        Nybbles(out)
-    }
-
-    /// Recompose the address.
-    pub fn to_addr(self) -> Ipv6Addr {
-        let mut bits: u128 = 0;
-        for n in self.0 {
-            bits = (bits << 4) | u128::from(n & 0xf);
-        }
-        Ipv6Addr::from(bits)
-    }
-
-    /// Nybble at `idx` (0 = most significant).
-    #[inline]
-    pub fn get(&self, idx: usize) -> u8 {
-        self.0[idx]
-    }
-
-    /// Set nybble `idx` to `value` (low 4 bits used).
-    #[inline]
-    pub fn set(&mut self, idx: usize, value: u8) {
-        self.0[idx] = value & 0xf;
-    }
-
-    /// Returns a copy with nybble `idx` set to `value`.
-    #[inline]
-    pub fn with(mut self, idx: usize, value: u8) -> Self {
-        self.set(idx, value);
-        self
-    }
-
-    /// Number of leading nybbles shared with `other`.
-    pub fn common_prefix_len(&self, other: &Nybbles) -> usize {
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .take_while(|(a, b)| a == b)
-            .count()
-    }
-
-    /// Number of positions at which the two addresses differ
-    /// (nybble-granularity Hamming distance, as used by 6Gen clustering).
-    pub fn hamming(&self, other: &Nybbles) -> usize {
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    }
-}
-
-impl From<Ipv6Addr> for Nybbles {
-    fn from(a: Ipv6Addr) -> Self {
-        Nybbles::from_addr(a)
-    }
-}
-
-impl From<Nybbles> for Ipv6Addr {
-    fn from(n: Nybbles) -> Self {
-        n.to_addr()
-    }
-}
-
-impl std::fmt::Debug for Nybbles {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (i, n) in self.0.iter().enumerate() {
-            if i > 0 && i % 4 == 0 {
-                write!(f, ":")?;
-            }
-            write!(f, "{n:x}")?;
-        }
-        Ok(())
-    }
-}
-
-/// Nybble `idx` of `addr` without materializing a [`Nybbles`] array.
+/// Nybble `idx` of `addr` (0 = most significant): the high or low half of
+/// octet `idx / 2`.
 #[inline]
 pub fn nybble_of(addr: Ipv6Addr, idx: usize) -> u8 {
     debug_assert!(idx < NYBBLES);
-    let bits = u128::from(addr);
-    ((bits >> ((NYBBLES - 1 - idx) * 4)) & 0xf) as u8
+    let octet = addr.octets()[idx / 2];
+    if idx % 2 == 0 {
+        octet >> 4
+    } else {
+        octet & 0xf
+    }
 }
 
-/// `addr` with nybble `idx` replaced by `value`.
+/// `addr` with nybble `idx` replaced by `value` (low 4 bits used).
 #[inline]
 pub fn with_nybble(addr: Ipv6Addr, idx: usize, value: u8) -> Ipv6Addr {
     debug_assert!(idx < NYBBLES);
-    let shift = (NYBBLES - 1 - idx) * 4;
-    let bits = u128::from(addr);
-    let cleared = bits & !(0xfu128 << shift);
-    Ipv6Addr::from(cleared | (u128::from(value & 0xf) << shift))
+    let mut octets = addr.octets();
+    let octet = &mut octets[idx / 2];
+    *octet = if idx % 2 == 0 {
+        (*octet & 0x0f) | (value << 4)
+    } else {
+        (*octet & 0xf0) | (value & 0x0f)
+    };
+    Ipv6Addr::from(octets)
+}
+
+/// Number of nybble positions at which `a` and `b` differ (the
+/// nybble-granularity Hamming distance 6Graph's outlier pruning uses):
+/// fold each nybble of `a ^ b` onto its lowest bit and count those.
+#[inline]
+pub fn nybble_hamming(a: Ipv6Addr, b: Ipv6Addr) -> u32 {
+    let mut x = u128::from(a) ^ u128::from(b);
+    x |= x >> 1;
+    x |= x >> 2;
+    (x & 0x1111_1111_1111_1111_1111_1111_1111_1111).count_ones()
 }
 
 #[cfg(test)]
@@ -128,75 +61,112 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The definition the accessors are checked against: the 32 digits by
+    /// shifting the 128-bit integer, most significant first.
+    fn array_form(addr: Ipv6Addr) -> [u8; NYBBLES] {
+        let bits = u128::from(addr);
+        std::array::from_fn(|i| ((bits >> ((NYBBLES - 1 - i) * 4)) & 0xf) as u8)
+    }
+
+    fn from_array(n: [u8; NYBBLES]) -> Ipv6Addr {
+        Ipv6Addr::from(n.iter().fold(0u128, |bits, &v| (bits << 4) | u128::from(v & 0xf)))
+    }
+
+    const SAMPLES: [&str; 6] = [
+        "::",
+        "2001:db8::1",
+        "ff02::1:ff00:1234",
+        "::ffff:1.2.3.4",
+        "fe80:1234:5678:9abc:def0:1111:2222:3333",
+        "ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff",
+    ];
+
     #[test]
     fn roundtrip() {
-        for s in ["::", "2001:db8::1", "ff02::1:ff00:1234", "::ffff:1.2.3.4"] {
+        for s in SAMPLES {
             let addr = a(s);
-            assert_eq!(Nybbles::from_addr(addr).to_addr(), addr);
+            assert_eq!(from_array(array_form(addr)), addr);
+            // ...and the accessors alone rebuild the address digit by digit
+            let rebuilt = (0..NYBBLES)
+                .fold(Ipv6Addr::UNSPECIFIED, |acc, i| with_nybble(acc, i, nybble_of(addr, i)));
+            assert_eq!(rebuilt, addr);
         }
     }
 
     #[test]
     fn nybble_order_is_msb_first() {
-        let n = Nybbles::from_addr(a("2001:db8::1"));
-        assert_eq!(n.get(0), 0x2);
-        assert_eq!(n.get(1), 0x0);
-        assert_eq!(n.get(2), 0x0);
-        assert_eq!(n.get(3), 0x1);
-        assert_eq!(n.get(4), 0x0);
-        assert_eq!(n.get(5), 0xd);
-        assert_eq!(n.get(6), 0xb);
-        assert_eq!(n.get(7), 0x8);
-        assert_eq!(n.get(31), 0x1);
+        let addr = a("2001:db8::1");
+        let digits: Vec<u8> = (0..8).map(|i| nybble_of(addr, i)).collect();
+        assert_eq!(digits, [0x2, 0x0, 0x0, 0x1, 0x0, 0xd, 0xb, 0x8]);
+        assert_eq!(nybble_of(addr, 31), 0x1);
     }
 
     #[test]
     fn set_and_with() {
-        let mut n = Nybbles::from_addr(a("::"));
-        n.set(0, 0x2);
-        assert_eq!(n.to_addr(), a("2000::"));
-        let m = n.with(31, 0xf);
-        assert_eq!(m.to_addr(), a("2000::f"));
-        // original untouched
-        assert_eq!(n.to_addr(), a("2000::"));
+        let n = with_nybble(a("::"), 0, 0x2);
+        assert_eq!(n, a("2000::"));
+        let m = with_nybble(n, 31, 0xf);
+        assert_eq!(m, a("2000::f"));
+        // overwriting a set digit replaces it, neighbours untouched
+        assert_eq!(with_nybble(a("2001:db8::1"), 5, 0x0), a("2001:0b8::1"));
+        assert_eq!(with_nybble(a("2001:db8::1"), 6, 0x0), a("2001:d08::1"));
     }
 
     #[test]
     fn set_masks_high_bits() {
-        let mut n = Nybbles::from_addr(a("::"));
-        n.set(31, 0xff);
-        assert_eq!(n.get(31), 0xf);
+        for idx in [0, 1, 30, 31] {
+            let out = with_nybble(a("::"), idx, 0xff);
+            assert_eq!(nybble_of(out, idx), 0xf);
+            assert_eq!(u128::from(out).count_ones(), 4, "idx {idx}: only that digit is written");
+        }
     }
 
     #[test]
     fn common_prefix_and_hamming() {
-        let x = Nybbles::from_addr(a("2001:db8::1"));
-        let y = Nybbles::from_addr(a("2001:db8::2"));
-        assert_eq!(x.common_prefix_len(&y), 31);
-        assert_eq!(x.hamming(&y), 1);
-        let z = Nybbles::from_addr(a("3001:db8::1"));
-        assert_eq!(x.common_prefix_len(&z), 0);
-        assert_eq!(x.hamming(&z), 1);
-        assert_eq!(x.hamming(&x), 0);
+        let (x, y, z) = (a("2001:db8::1"), a("2001:db8::2"), a("3001:db8::1"));
+        // first differing digit == leading zero digits of the XOR
+        let common = |p: Ipv6Addr, q: Ipv6Addr| {
+            (0..NYBBLES).take_while(|&i| nybble_of(p, i) == nybble_of(q, i)).count()
+        };
+        assert_eq!(common(x, y), 31);
+        assert_eq!(common(x, y), ((u128::from(x) ^ u128::from(y)).leading_zeros() / 4) as usize);
+        assert_eq!(common(x, z), 0);
+        assert_eq!(nybble_hamming(x, y), 1);
+        assert_eq!(nybble_hamming(x, z), 1);
+        assert_eq!(nybble_hamming(x, x), 0);
+        assert_eq!(nybble_hamming(a("::"), a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")), 32);
+        // every single-bit difference is one differing digit
+        for bit in 0..128 {
+            let flipped = Ipv6Addr::from(u128::from(x) ^ (1u128 << bit));
+            assert_eq!(nybble_hamming(x, flipped), 1, "bit {bit}");
+        }
+        for (p, q) in [(x, y), (x, z), (a(SAMPLES[2]), a(SAMPLES[4]))] {
+            let slow = array_form(p).iter().zip(array_form(q)).filter(|(m, n)| **m != *n).count();
+            assert_eq!(nybble_hamming(p, q) as usize, slow);
+        }
     }
 
     #[test]
     fn nybble_of_matches_array_form() {
-        let addr = a("fe80:1234:5678:9abc:def0:1111:2222:3333");
-        let arr = Nybbles::from_addr(addr);
-        for i in 0..NYBBLES {
-            assert_eq!(nybble_of(addr, i), arr.get(i), "idx {i}");
+        for s in SAMPLES {
+            let addr = a(s);
+            let arr = array_form(addr);
+            for (i, &digit) in arr.iter().enumerate() {
+                assert_eq!(nybble_of(addr, i), digit, "{s} idx {i}");
+            }
         }
     }
 
     #[test]
     fn with_nybble_matches_array_form() {
-        let addr = a("2001:db8:aaaa:bbbb::42");
-        for i in 0..NYBBLES {
-            for v in [0u8, 7, 0xf] {
-                let fast = with_nybble(addr, i, v);
-                let slow = Nybbles::from_addr(addr).with(i, v).to_addr();
-                assert_eq!(fast, slow, "idx {i} value {v}");
+        for s in SAMPLES {
+            let addr = a(s);
+            for i in 0..NYBBLES {
+                for v in [0u8, 7, 0xf, 0xa5] {
+                    let mut arr = array_form(addr);
+                    arr[i] = v & 0xf;
+                    assert_eq!(with_nybble(addr, i, v), from_array(arr), "{s} idx {i} value {v}");
+                }
             }
         }
     }

@@ -5,7 +5,7 @@
 
 use std::net::Ipv6Addr;
 
-use v6addr::{nybble_of, rand_in_prefix, with_nybble, Nybbles, Prefix, PrefixSet, PrefixTrie, SplitMix64};
+use v6addr::{nybble_hamming, nybble_of, rand_in_prefix, with_nybble, Prefix, PrefixSet, PrefixTrie, SplitMix64};
 
 /// Deterministic case generator over the canonical splitmix64 stream.
 struct Gen(SplitMix64);
@@ -40,12 +40,21 @@ impl Gen {
 
 const CASES: usize = 256;
 
+/// The definition the nybble accessors are checked against: digit `idx`
+/// by shifting the 128-bit integer, most significant first.
+fn shift_nybble(addr: Ipv6Addr, idx: usize) -> u8 {
+    ((u128::from(addr) >> ((31 - idx) * 4)) & 0xf) as u8
+}
+
 #[test]
 fn nybbles_roundtrip() {
     let mut g = Gen::new(1);
     for _ in 0..CASES {
         let addr = g.addr();
-        assert_eq!(Nybbles::from_addr(addr).to_addr(), addr);
+        // read all 32 digits, write them into `::`: the address comes back
+        let rebuilt =
+            (0..32).fold(Ipv6Addr::UNSPECIFIED, |acc, i| with_nybble(acc, i, nybble_of(addr, i)));
+        assert_eq!(rebuilt, addr);
     }
 }
 
@@ -54,8 +63,9 @@ fn nybble_of_agrees_with_array() {
     let mut g = Gen::new(2);
     for _ in 0..CASES {
         let addr = g.addr();
-        let idx = g.range(32);
-        assert_eq!(nybble_of(addr, idx), Nybbles::from_addr(addr).get(idx));
+        for idx in 0..32 {
+            assert_eq!(nybble_of(addr, idx), shift_nybble(addr, idx), "{addr} idx {idx}");
+        }
     }
 }
 
@@ -73,6 +83,10 @@ fn with_nybble_sets_only_that_position() {
                 assert_eq!(nybble_of(out, i), nybble_of(addr, i));
             }
         }
+        // the shift definition: clear the digit, OR the value in
+        let shift = (31 - idx) * 4;
+        let expect = (u128::from(addr) & !(0xfu128 << shift)) | (u128::from(v) << shift);
+        assert_eq!(out, Ipv6Addr::from(expect));
     }
 }
 
@@ -80,11 +94,14 @@ fn with_nybble_sets_only_that_position() {
 fn hamming_is_symmetric_and_bounded() {
     let mut g = Gen::new(4);
     for _ in 0..CASES {
-        let (a, b) = (g.addr(), g.addr());
-        let (na, nb) = (Nybbles::from_addr(a), Nybbles::from_addr(b));
-        assert_eq!(na.hamming(&nb), nb.hamming(&na));
-        assert!(na.hamming(&nb) <= 32);
-        assert_eq!(na.hamming(&na), 0);
+        // sparse differences as well as the ~30 of two random addresses
+        let a = g.addr();
+        let b = if g.range(2) == 0 { g.addr() } else { Ipv6Addr::from(u128::from(a) ^ (g.u128() & g.u128() & g.u128())) };
+        assert_eq!(nybble_hamming(a, b), nybble_hamming(b, a));
+        assert!(nybble_hamming(a, b) <= 32);
+        assert_eq!(nybble_hamming(a, a), 0);
+        let slow = (0..32).filter(|&i| shift_nybble(a, i) != shift_nybble(b, i)).count();
+        assert_eq!(nybble_hamming(a, b) as usize, slow);
     }
 }
 
