@@ -82,6 +82,7 @@
 use std::cell::RefCell;
 use std::process::ExitCode;
 
+use sos_core::cli::{value, Artifacts};
 use sos_core::experiments::{self, master_grid};
 use sos_core::{Study, StudyConfig};
 use sos_obs::manifest::Manifest;
@@ -102,9 +103,15 @@ struct Args {
     stop_after: Option<usize>,
     journal: Option<String>,
     snapshot_every: Option<usize>,
-    manifest: Option<String>,
-    trace: Option<String>,
-    flame: Option<String>,
+    artifacts: Artifacts,
+}
+
+/// A worker count, which must be at least 1.
+fn workers(it: &mut impl Iterator<Item = String>, flag: &str, hint: &str) -> Result<usize, String> {
+    match value(it, flag)? {
+        0 => Err(format!("{flag} must be >= 1 ({hint})")),
+        n => Ok(n),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -124,97 +131,35 @@ fn parse_args() -> Result<Args, String> {
         stop_after: None,
         journal: None,
         snapshot_every: None,
-        manifest: None,
-        trace: None,
-        flame: None,
+        artifacts: Artifacts::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if args.artifacts.flag(&a, &mut it)? {
+            continue;
+        }
+        let it = &mut it;
         match a.as_str() {
-            "--scale" => args.scale = it.next().ok_or("--scale needs a value")?,
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?
-            }
-            "--budget" => {
-                args.budget = Some(
-                    it.next()
-                        .ok_or("--budget needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad budget: {e}"))?,
-                )
-            }
-            "--threads" => {
-                args.threads = Some(
-                    it.next()
-                        .ok_or("--threads needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad thread count: {e}"))?,
-                )
-            }
+            "--scale" => args.scale = value(it, "--scale")?,
+            "--seed" => args.seed = value(it, "--seed")?,
+            "--budget" => args.budget = Some(value(it, "--budget")?),
+            "--threads" => args.threads = Some(value(it, "--threads")?),
             "--scan-shards" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--scan-shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
-                if n == 0 {
-                    return Err(
-                        "--scan-shards must be >= 1 (use 1 for the sequential scan path)"
-                            .to_string(),
-                    );
-                }
-                args.scan_shards = Some(n)
+                let hint = "use 1 for the sequential scan path";
+                args.scan_shards = Some(workers(it, "--scan-shards", hint)?)
             }
             "--gen-workers" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--gen-workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad worker count: {e}"))?;
-                if n == 0 {
-                    return Err(
-                        "--gen-workers must be >= 1 (use 1 for sequential generation)"
-                            .to_string(),
-                    );
-                }
-                args.gen_workers = Some(n)
+                let hint = "use 1 for sequential generation";
+                args.gen_workers = Some(workers(it, "--gen-workers", hint)?)
             }
-            "--faults" => args.faults = Some(it.next().ok_or("--faults needs a value")?),
+            "--faults" => args.faults = Some(value(it, "--faults")?),
             "--breaker" => args.breaker = true,
-            "--checkpoint" => args.checkpoint = Some(it.next().ok_or("--checkpoint needs a value")?),
-            "--checkpoint-every" => {
-                args.checkpoint_every = Some(
-                    it.next()
-                        .ok_or("--checkpoint-every needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad checkpoint interval: {e}"))?,
-                )
-            }
-            "--resume" => args.resume = Some(it.next().ok_or("--resume needs a value")?),
-            "--stop-after" => {
-                args.stop_after = Some(
-                    it.next()
-                        .ok_or("--stop-after needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad round count: {e}"))?,
-                )
-            }
-            "--journal" => args.journal = Some(it.next().ok_or("--journal needs a value")?),
-            "--snapshot-every" => {
-                args.snapshot_every = Some(
-                    it.next()
-                        .ok_or("--snapshot-every needs a value")?
-                        .parse()
-                        .map_err(|e| format!("bad snapshot interval: {e}"))?,
-                )
-            }
-            "--manifest" => args.manifest = Some(it.next().ok_or("--manifest needs a value")?),
-            "--trace" => args.trace = Some(it.next().ok_or("--trace needs a value")?),
-            "--flame" => args.flame = Some(it.next().ok_or("--flame needs a value")?),
+            "--checkpoint" => args.checkpoint = Some(value(it, "--checkpoint")?),
+            "--checkpoint-every" => args.checkpoint_every = Some(value(it, "--checkpoint-every")?),
+            "--resume" => args.resume = Some(value(it, "--resume")?),
+            "--stop-after" => args.stop_after = Some(value(it, "--stop-after")?),
+            "--journal" => args.journal = Some(value(it, "--journal")?),
+            "--snapshot-every" => args.snapshot_every = Some(value(it, "--snapshot-every")?),
             "--help" | "-h" => return Err(String::new()),
             other if args.experiment.is_empty() => args.experiment = other.to_string(),
             other => return Err(format!("unexpected argument: {other}")),
@@ -241,6 +186,16 @@ fn usage() {
     );
 }
 
+/// Report a command-line error (none for a bare usage request) with the
+/// usage text, and fail.
+fn bad_usage(e: &str) -> ExitCode {
+    if !e.is_empty() {
+        eprintln!("error: {e}");
+    }
+    usage();
+    ExitCode::FAILURE
+}
+
 /// `seedscan watch <journal> [--replay] [--interval-ms N] [--max-idle-polls N]`
 ///
 /// `--replay` folds the journal once and prints the final status plus the
@@ -254,37 +209,22 @@ fn run_watch(rest: Vec<String>) -> ExitCode {
     let mut interval_ms: u64 = 500;
     let mut max_idle_polls: Option<u64> = None;
     let mut it = rest.into_iter();
-    let parse_err = loop {
-        let Some(a) = it.next() else { break None };
-        match a.as_str() {
-            "--replay" => replay = true,
-            "--interval-ms" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => interval_ms = v,
-                None => break Some("--interval-ms needs an integer value".to_string()),
-            },
-            "--max-idle-polls" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => max_idle_polls = Some(v),
-                None => break Some("--max-idle-polls needs an integer value".to_string()),
-            },
-            other if journal.is_none() && !other.starts_with('-') => {
-                journal = Some(other.to_string())
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--replay" => replay = true,
+                "--interval-ms" => interval_ms = value(&mut it, "--interval-ms")?,
+                "--max-idle-polls" => max_idle_polls = Some(value(&mut it, "--max-idle-polls")?),
+                other if journal.is_none() && !other.starts_with('-') => journal = Some(other.to_string()),
+                other => return Err(format!("unexpected watch argument: {other}")),
             }
-            other => break Some(format!("unexpected watch argument: {other}")),
         }
+        Ok(())
     };
-    let journal = match (parse_err, journal) {
-        (Some(e), _) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-        (None, None) => {
-            eprintln!("error: watch needs a journal path");
-            usage();
-            return ExitCode::FAILURE;
-        }
-        (None, Some(j)) => j,
-    };
+    if let Err(e) = parse() {
+        return bad_usage(&e);
+    }
+    let Some(journal) = journal else { return bad_usage("watch needs a journal path") };
     let path = std::path::Path::new(&journal);
     if replay {
         match sos_core::watch::replay(path) {
@@ -328,33 +268,21 @@ fn run_explain(rest: Vec<String>) -> ExitCode {
     let mut json = false;
     let mut top: usize = 15;
     let mut it = rest.into_iter();
-    let parse_err = loop {
-        let Some(a) = it.next() else { break None };
-        match a.as_str() {
-            "--json" => json = true,
-            "--top" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => top = v,
-                None => break Some("--top needs an integer value".to_string()),
-            },
-            other if artifact.is_none() && !other.starts_with('-') => {
-                artifact = Some(other.to_string())
+    let mut parse = || -> Result<(), String> {
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--json" => json = true,
+                "--top" => top = value(&mut it, "--top")?,
+                other if artifact.is_none() && !other.starts_with('-') => artifact = Some(other.to_string()),
+                other => return Err(format!("unexpected explain argument: {other}")),
             }
-            other => break Some(format!("unexpected explain argument: {other}")),
         }
+        Ok(())
     };
-    let artifact = match (parse_err, artifact) {
-        (Some(e), _) => {
-            eprintln!("error: {e}");
-            usage();
-            return ExitCode::FAILURE;
-        }
-        (None, None) => {
-            eprintln!("error: explain needs a manifest or journal path");
-            usage();
-            return ExitCode::FAILURE;
-        }
-        (None, Some(p)) => p,
-    };
+    if let Err(e) = parse() {
+        return bad_usage(&e);
+    }
+    let Some(artifact) = artifact else { return bad_usage("explain needs a manifest or journal path") };
     match sos_core::explain::explain(std::path::Path::new(&artifact), json, top.max(1)) {
         Ok(text) => {
             print!("{text}");
@@ -379,13 +307,7 @@ fn main() -> ExitCode {
     }
     let args = match parse_args() {
         Ok(a) => a,
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}");
-            }
-            usage();
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return bad_usage(&e),
     };
 
     let mut cfg = match args.scale.as_str() {
@@ -629,32 +551,9 @@ fn main() -> ExitCode {
     }
 
     sos_obs::info!("done in {:.1}s", sos_obs::now_s() - t0);
-    if let Some(path) = args.manifest.as_deref() {
-        match manifest.into_inner().write_to_file(std::path::Path::new(path)) {
-            Ok(()) => sos_obs::info!("wrote manifest {path}"),
-            Err(e) => {
-                eprintln!("error: writing manifest {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = args.trace.as_deref() {
-        match sos_obs::trace::write_chrome_trace(std::path::Path::new(path)) {
-            Ok(()) => sos_obs::info!("wrote trace {path}"),
-            Err(e) => {
-                eprintln!("error: writing trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = args.flame.as_deref() {
-        match sos_obs::trace::write_collapsed(std::path::Path::new(path)) {
-            Ok(()) => sos_obs::info!("wrote flame profile {path}"),
-            Err(e) => {
-                eprintln!("error: writing flame profile {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(e) = args.artifacts.write(manifest.into_inner()) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -19,44 +19,52 @@ use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use netmodel::{AsKind, HostKind, Protocol, World, WorldConfig, PROTOCOLS};
+use sos_core::cli::{value, Artifacts};
 use sos_core::report::{fmt_count, fmt_pct, Table};
 use sos_obs::manifest::Manifest;
 
-fn main() -> ExitCode {
-    sos_obs::log::init_from_env_or(sos_obs::Level::Info);
-    let mut scale = "small".to_string();
-    let mut seed: u64 = 0xC0FFEE;
-    let mut dump_dir: Option<String> = None;
-    let mut manifest_path: Option<String> = None;
-    let mut trace_path: Option<String> = None;
-    let mut flame_path: Option<String> = None;
+struct Args {
+    scale: String,
+    seed: u64,
+    dump_dir: Option<String>,
+    artifacts: Artifacts,
+}
+
+fn parse_args() -> Result<Args, String> {
+    let mut args = Args {
+        scale: "small".to_string(),
+        seed: 0xC0FFEE,
+        dump_dir: None,
+        artifacts: Artifacts::default(),
+    };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if args.artifacts.flag(&a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
-            "--scale" => scale = it.next().unwrap_or_default(),
-            "--seed" => {
-                seed = match it.next().unwrap_or_default().parse() {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("bad seed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--dump-dir" => dump_dir = it.next(),
-            "--manifest" => manifest_path = it.next(),
-            "--trace" => trace_path = it.next(),
-            "--flame" => flame_path = it.next(),
-            other => {
-                eprintln!(
-                    "usage: worldgen [--scale tiny|small|study] [--seed N] [--dump-dir DIR] \
-                     [--manifest FILE] [--trace FILE] [--flame FILE]"
-                );
-                eprintln!("unexpected argument: {other}");
-                return ExitCode::FAILURE;
-            }
+            "--scale" => args.scale = value(&mut it, "--scale")?,
+            "--seed" => args.seed = value(&mut it, "--seed")?,
+            "--dump-dir" => args.dump_dir = Some(value(&mut it, "--dump-dir")?),
+            other => return Err(format!("unexpected argument: {other}")),
         }
     }
+    Ok(args)
+}
+
+fn main() -> ExitCode {
+    sos_obs::log::init_from_env_or(sos_obs::Level::Info);
+    let Args { scale, seed, dump_dir, artifacts } = match parse_args() {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("error: {e}");
+            eprintln!(
+                "usage: worldgen [--scale tiny|small|study] [--seed N] [--dump-dir DIR] \
+                 [--manifest FILE] [--trace FILE] [--flame FILE]"
+            );
+            return ExitCode::FAILURE;
+        }
+    };
     let cfg = match scale.as_str() {
         "tiny" => WorldConfig::tiny(seed),
         "small" => WorldConfig::small(seed),
@@ -179,32 +187,9 @@ fn main() -> ExitCode {
         std::fs::write(&hitlist_path, buf).expect("write hitlist");
         sos_obs::info!("wrote {hitlist_path}");
     }
-    if let Some(path) = manifest_path {
-        match manifest.write_to_file(std::path::Path::new(&path)) {
-            Ok(()) => sos_obs::info!("wrote manifest {path}"),
-            Err(e) => {
-                eprintln!("error: writing manifest {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = trace_path {
-        match sos_obs::trace::write_chrome_trace(std::path::Path::new(&path)) {
-            Ok(()) => sos_obs::info!("wrote trace {path}"),
-            Err(e) => {
-                eprintln!("error: writing trace {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    if let Some(path) = flame_path {
-        match sos_obs::trace::write_collapsed(std::path::Path::new(&path)) {
-            Ok(()) => sos_obs::info!("wrote flame profile {path}"),
-            Err(e) => {
-                eprintln!("error: writing flame profile {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
+    if let Err(e) = artifacts.write(manifest) {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

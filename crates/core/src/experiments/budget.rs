@@ -1,7 +1,7 @@
 //! Budget sweep: how do hits and AS coverage scale with generation budget?
 //!
 //! The paper compares budgets implicitly — 50M per-run vs. a 600M single
-//! run (Table 5) — and its contributions list "compar[ing] TGA generation
+//! run (Table 5) — and its contributions list "compar\[ing\] TGA generation
 //! budgets". This experiment makes the comparison explicit: each TGA runs
 //! at a ladder of budgets, yielding hits/ASes saturation curves. The
 //! interesting shape: hit curves flatten as a generator exhausts its

@@ -8,7 +8,7 @@
 //! | Figure 3 / Table 4 / Figure 4 / Tables 9–12 | [`grid::master_grid`] + [`rq1`] |
 //! | Figure 5 | [`rq2::port_specific_ratios`] |
 //! | Table 5 / Table 6 / Tables 13–15 | [`rq3`] |
-//! | Figure 6 | [`rq4::combination`] |
+//! | Figure 6 | [`rq4::combination_hits`] / [`rq4::combination_ases`] |
 //! | Figure 7 (Appendix D) | [`appendix_d::cross_port_matrix`] |
 //! | RQ5 recommendations | [`recommend::recommendations`] |
 //! | extension: AS-category slices (Steger-style) | [`as_kind::run_by_kind`] |

@@ -286,25 +286,19 @@ impl ManifestExplain {
 
         // Per-source waste histogram: how much of each source's probe
         // mass found nothing.
-        let mut by_source: std::collections::BTreeMap<u8, (u64, u64, u64)> = Default::default();
-        for (source, _region, tally) in self.attribution.rows() {
-            let e = by_source.entry(source).or_default();
-            e.0 += 1;
-            e.1 += tally.probes;
-            e.2 += tally.wasted();
-        }
+        let by_source = self.attribution.by_source();
         if !by_source.is_empty() {
-            let max_waste = by_source.values().map(|&(_, _, w)| w).max().unwrap_or(0);
+            let max_waste = by_source.values().map(|t| t.wasted).max().unwrap_or(0);
             let _ = writeln!(out, "\nwasted probes per source:");
-            for (source, (regions, probes, wasted)) in by_source {
+            for (source, t) in by_source {
                 let _ = writeln!(
                     out,
                     "  {:<8} {:>4} region(s) {:>8}/{:<8} wasted |{:<20}|",
                     source_label(source),
-                    regions,
-                    wasted,
-                    probes,
-                    bar(wasted, max_waste, 20),
+                    t.regions,
+                    t.wasted,
+                    t.probes,
+                    bar(t.wasted, max_waste, 20),
                 );
             }
         }

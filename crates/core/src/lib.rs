@@ -22,6 +22,7 @@
 //! binary and `examples/full_study.rs` drive everything end to end.
 
 pub mod chart;
+pub mod cli;
 pub mod config;
 pub mod coverage;
 pub mod experiments;

@@ -32,8 +32,8 @@ impl RunMetrics {
     }
 
     /// Hit rate over the dealiased candidate set: hits per generated
-    /// address that *survived* dealiasing. Always ≥ [`hit_rate`]
-    /// (RunMetrics::hit_rate); the gap is the alias tax §4.2 quantifies.
+    /// address that *survived* dealiasing. Always ≥
+    /// [`hit_rate`](RunMetrics::hit_rate); the gap is the alias tax §4.2 quantifies.
     pub fn dealiased_hit_rate(&self) -> f64 {
         let survived = self.generated.saturating_sub(self.aliases);
         if survived == 0 {

@@ -481,12 +481,11 @@ fn hash_iter_rule(
 }
 
 /// `obs-metric-names`: flag a string literal as the *name* argument of a
-/// registry lookup — `counter("...")`, `histogram("...")`, and their
-/// `_with` labeled variants. Names must be consts from a central `names`
-/// module (`counter(names::HITS)`); dynamic names built with `format!`
-/// are not literals and stay out of scope.
+/// registry lookup — `counter("...")` or `histogram("...")`. Names must
+/// come from a central const table (`counter(names::HITS)`); dynamic names
+/// built with `format!` are not literals and stay out of scope.
 fn metric_name_rule(toks: &[Tok], push: &mut impl FnMut(&'static str, u32, u32, String)) {
-    const REGISTRY_FNS: &[&str] = &["counter", "histogram", "counter_with", "histogram_with"];
+    const REGISTRY_FNS: &[&str] = &["counter", "histogram"];
     for (i, t) in toks.iter().enumerate() {
         if t.kind == TokKind::Ident
             && REGISTRY_FNS.contains(&t.text.as_str())
@@ -678,9 +677,6 @@ mod tests {
         let fs = find("crates/probe/src/engine.rs", lit);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].rule, "obs-metric-names");
-        let labeled = "fn f(r: &Registry) { r.histogram_with(\"wait.us\", &Labels::new()).record(1); }";
-        let fs = find("crates/core/src/runner.rs", labeled);
-        assert!(fs.iter().any(|f| f.rule == "obs-metric-names"), "{fs:?}");
         // Names routed through a const table are the sanctioned shape.
         let named = "fn f() { sos_obs::counter(names::HITS).inc(); }";
         assert!(find("crates/probe/src/engine.rs", named).is_empty());

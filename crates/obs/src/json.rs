@@ -114,7 +114,7 @@ impl Json {
     /// any standards-compliant writer) produced. Numbers parse to the
     /// narrowest faithful variant: non-negative integers → `U64`,
     /// negative integers → `I64`, everything else → `F64`. Containers
-    /// nested deeper than [`MAX_DEPTH`] are an error: the parser recurses
+    /// nested deeper than `MAX_DEPTH` are an error: the parser recurses
     /// per level, and the text may be a damaged file.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };

@@ -20,7 +20,7 @@
 //!   checkpoints, breaker and fault-epoch transitions, counter
 //!   snapshots), each stamped with the deterministic virtual clock plus
 //!   wall time. `seedscan watch` tails it.
-//! - [`span`]: hierarchical wall-clock spans
+//! - [`span`](mod@span): hierarchical wall-clock spans
 //!   (`study → cell → {generate, scan, dealias}`), recorded globally and
 //!   echoed to stderr when `SOS_LOG=debug`.
 //! - [`log`]: the env-filtered stderr event sink (`SOS_LOG=trace|debug|
@@ -29,7 +29,7 @@
 //!   counters/histograms, parallelism stats, and result digests into a
 //!   single JSON run manifest (`seedscan --manifest out.json`) — the
 //!   format benchmark trajectories consume.
-//! - [`trace`]: export recorded spans and `par_map` worker stats as
+//! - [`trace`](mod@trace): export recorded spans and `par_map` worker stats as
 //!   Chrome trace-event JSON (`--trace`, one timeline lane per thread)
 //!   and self-time attribution as collapsed stacks (`--flame`) for
 //!   flamegraph tooling.
@@ -49,8 +49,7 @@ pub use json::Json;
 pub use log::Level;
 pub use manifest::{fnv1a64, Manifest};
 pub use metrics::{
-    counter, counter_with, global as registry, histogram, histogram_with, render_prometheus,
-    Counter, Histogram, Labels, Registry,
+    counter, global as registry, histogram, render_prometheus, Counter, Histogram, Registry,
 };
 pub use par::ParStats;
 pub use progress::{eta_s, Progress};

@@ -7,15 +7,14 @@
 //!
 //! ## Labeled metrics
 //!
-//! A labeled metric is an ordinary [`Counter`] or [`Histogram`] registered
-//! under its canonical rendered name `base{k=v,k2=v2}` (label keys
-//! sorted), built by [`Labels`] and resolved through
-//! [`Registry::counter_with`] / [`Registry::histogram_with`]. Because a
-//! label combination is just a registry name, the hot path stays the same
-//! two atomic adds — resolve the handle once, increment forever — and
-//! every snapshot/manifest serializer picks labeled series up with zero
-//! extra code. [`render_prometheus`] parses the canonical form back apart
-//! to emit standard text exposition.
+//! A labeled series is an ordinary [`Counter`] or [`Histogram`] registered
+//! under its canonical name `base{k=v,k2=v2}` (label keys sorted) — the
+//! owner writes that name out whole, as `sos_probe::metrics::NAMES` does
+//! for its per-protocol series. Because a label combination is just a
+//! registry name, the hot path stays the same two atomic adds, and every
+//! snapshot/manifest serializer picks labeled series up with zero extra
+//! code. [`render_prometheus`] splits the name back apart
+//! ([`parse_labeled`]) to emit standard text exposition.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -305,53 +304,6 @@ pub fn histogram(name: &str) -> Arc<Histogram> {
     global().histogram(name)
 }
 
-/// A small, fixed set of `key=value` labels for one metric series.
-///
-/// Keys are kept sorted so the same label set always renders to the same
-/// canonical name regardless of insertion order. Label keys and values
-/// must not contain `{`, `}`, `,`, or `=` — they pass through to the
-/// rendered registry name verbatim.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Labels {
-    pairs: Vec<(String, String)>,
-}
-
-impl Labels {
-    /// An empty label set (renders to the bare base name).
-    pub fn new() -> Labels {
-        Labels::default()
-    }
-
-    /// Add or replace one label, keeping keys sorted.
-    pub fn with(mut self, key: &str, value: &str) -> Labels {
-        debug_assert!(
-            !key.contains(['{', '}', ',', '=']) && !value.contains(['{', '}', ',', '=']),
-            "label parts must not contain {{}}=, separators: {key}={value}"
-        );
-        match self.pairs.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
-            Ok(i) => self.pairs[i].1 = value.to_string(),
-            Err(i) => self.pairs.insert(i, (key.to_string(), value.to_string())),
-        }
-        self
-    }
-
-    /// The sorted `(key, value)` pairs.
-    pub fn pairs(&self) -> &[(String, String)] {
-        &self.pairs
-    }
-
-    /// Canonical registry name for `base` under these labels:
-    /// `base{k=v,k2=v2}`, or `base` when empty.
-    pub fn render(&self, base: &str) -> String {
-        if self.pairs.is_empty() {
-            return base.to_string();
-        }
-        let body: Vec<String> =
-            self.pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        format!("{base}{{{}}}", body.join(","))
-    }
-}
-
 /// Split a canonical registry name back into `(base, labels)`. Names
 /// without a label block parse as `(name, [])`.
 pub fn parse_labeled(name: &str) -> (&str, Vec<(&str, &str)>) {
@@ -366,30 +318,6 @@ pub fn parse_labeled(name: &str) -> (&str, Vec<(&str, &str)>) {
         .filter_map(|kv| kv.split_once('='))
         .collect();
     (&name[..open], pairs)
-}
-
-impl Registry {
-    /// The counter for `name` under `labels`, created on first use. Same
-    /// lock-free hot path as [`Registry::counter`] — the labels only shape
-    /// the registration name.
-    pub fn counter_with(&self, name: &str, labels: &Labels) -> Arc<Counter> {
-        self.counter(&labels.render(name))
-    }
-
-    /// The histogram for `name` under `labels`, created on first use.
-    pub fn histogram_with(&self, name: &str, labels: &Labels) -> Arc<Histogram> {
-        self.histogram(&labels.render(name))
-    }
-}
-
-/// Shorthand: a labeled counter in the global registry.
-pub fn counter_with(name: &str, labels: &Labels) -> Arc<Counter> {
-    global().counter_with(name, labels)
-}
-
-/// Shorthand: a labeled histogram in the global registry.
-pub fn histogram_with(name: &str, labels: &Labels) -> Arc<Histogram> {
-    global().histogram_with(name, labels)
 }
 
 /// Make a metric name safe for Prometheus exposition: `.` and any other
@@ -602,20 +530,8 @@ mod tests {
     }
 
     #[test]
-    fn labels_render_sorted_and_canonical() {
-        let a = Labels::new().with("proto", "tcp").with("tga", "6scan");
-        let b = Labels::new().with("tga", "6scan").with("proto", "tcp");
-        assert_eq!(a.render("probe.hits"), "probe.hits{proto=tcp,tga=6scan}");
-        assert_eq!(a.render("probe.hits"), b.render("probe.hits"), "order-independent");
-        assert_eq!(Labels::new().render("x"), "x", "empty labels render bare");
-        let replaced = a.clone().with("proto", "udp");
-        assert_eq!(replaced.render("h"), "h{proto=udp,tga=6scan}");
-    }
-
-    #[test]
     fn parse_labeled_round_trips() {
-        let name = Labels::new().with("proto", "tcp").with("tga", "det").render("probe.hits");
-        let (base, pairs) = parse_labeled(&name);
+        let (base, pairs) = parse_labeled("probe.hits{proto=tcp,tga=det}");
         assert_eq!(base, "probe.hits");
         assert_eq!(pairs, vec![("proto", "tcp"), ("tga", "det")]);
         assert_eq!(parse_labeled("plain"), ("plain", vec![]));
@@ -625,8 +541,8 @@ mod tests {
     #[test]
     fn labeled_counters_are_distinct_series() {
         let r = Registry::new();
-        let tcp = r.counter_with("hits", &Labels::new().with("proto", "tcp"));
-        let udp = r.counter_with("hits", &Labels::new().with("proto", "udp"));
+        let tcp = r.counter("hits{proto=tcp}");
+        let udp = r.counter("hits{proto=udp}");
         tcp.add(3);
         udp.add(5);
         let snap = r.counter_snapshot();
@@ -638,10 +554,10 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_stable_and_labeled() {
         let r = Registry::new();
-        r.counter_with("probe.hits", &Labels::new().with("proto", "tcp")).add(7);
-        r.counter_with("probe.hits", &Labels::new().with("proto", "udp")).add(2);
+        r.counter("probe.hits{proto=tcp}").add(7);
+        r.counter("probe.hits{proto=udp}").add(2);
         r.counter("probe.sent").add(9);
-        r.histogram_with("wait.us", &Labels::new().with("proto", "tcp")).record(100);
+        r.histogram("wait.us{proto=tcp}").record(100);
         let text = render_prometheus(&r);
         assert!(text.contains("# TYPE probe_hits counter\n"));
         assert!(text.contains("probe_hits{proto=\"tcp\"} 7\n"));

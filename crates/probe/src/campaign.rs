@@ -52,7 +52,8 @@ use v6addr::AddrMap;
 
 use crate::carried::Carried;
 use crate::engine::{LaneState, ScanReport, Scanner};
-use crate::provenance::{AttributionTable, ProvenanceLog};
+use crate::metrics::RESUMED_TARGETS;
+use crate::provenance::{AttributionTable, ProvenanceLog, SourceTotals};
 use crate::ratelimit::BucketSnapshot;
 use crate::retry::{BreakerConfig, BreakerMap, BreakerState};
 use crate::transport::Transport;
@@ -743,26 +744,15 @@ pub fn merged_attribution(reports: &[(Protocol, ScanReport)]) -> AttributionTabl
 /// One [`Event::Discovery`] per provenance source, in source order, from
 /// the merged attribution table.
 fn discovery_events(table: &AttributionTable) -> Vec<Event> {
-    let mut by_source: BTreeMap<u8, (u64, u64, u64, u64, u64)> = BTreeMap::new();
-    for (source, _region, tally) in table.rows() {
-        let entry = by_source.entry(source).or_default();
-        entry.0 += 1;
-        entry.1 += tally.probes;
-        entry.2 += tally.hits;
-        entry.3 += tally.aliases;
-        entry.4 += tally.wasted();
-    }
-    by_source
-        .into_iter()
-        .map(|(source, (regions, probes, hits, aliases, wasted))| Event::Discovery {
-            source: source.into(),
-            regions,
-            probes,
-            hits,
-            aliases,
-            wasted,
-        })
-        .collect()
+    let event = |(source, t): (u8, SourceTotals)| Event::Discovery {
+        source: source.into(),
+        regions: t.regions,
+        probes: t.probes,
+        hits: t.hits,
+        aliases: t.aliases,
+        wasted: t.wasted,
+    };
+    table.by_source().into_iter().map(event).collect()
 }
 
 /// A per-prefix row a round wrote: its `(domain, protocol index)` key, the
@@ -1088,7 +1078,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 breaker: ckpt.breaker.clone(),
             });
             self.scanner.metrics().restore_counters(&ckpt.counters);
-            self.scanner.metrics().resumed_targets.add(ckpt.done as u64);
+            self.scanner.metrics().add(RESUMED_TARGETS, ckpt.done as u64);
             sos_obs::debug!(
                 "campaign resume: {}/{} targets done after {} rounds",
                 ckpt.done,

@@ -44,7 +44,11 @@ use sos_obs::par::par_map;
 use v6addr::{AddrSet, PrefixSet};
 
 use crate::carried::Carried;
-use crate::metrics::EngineMetrics;
+use crate::metrics::{
+    hits_on, packets_on, Counts, EngineMetrics, BACKOFF_WAITED_US, BREAKER_OPENED, BREAKER_SKIPPED,
+    DROP_BLOCKLIST, DROP_DUPLICATE, DROP_MALFORMED, DROP_VALIDATION, FAULTS_INJECTED, HITS,
+    PACKETS_SENT, RETRIES, RSTS, SILENT, UNREACHABLES,
+};
 use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
 use crate::ratelimit::{BucketSnapshot, TokenBucket};
 use crate::retry::{Admission, BreakerConfig, BreakerMap, RetryPolicy};
@@ -233,43 +237,16 @@ impl ScanReport {
 /// provenance log — each prepared target's tag, keyed by that index.
 type Prepared = (Vec<(u32, Ipv6Addr)>, Option<Vec<Provenance>>);
 
-/// Flat per-target accounting: what [`Lane::probe_one`] adds up for every target
-/// it handles, whoever asked. A scan shard flushes it once at the end, an
+/// Per-target accounting: what [`Lane::probe_one`] adds up for every target
+/// it handles, whoever asked, one count per [`NAMES`](crate::metrics::NAMES)
+/// slot. A scan task adds it to the engine counters once at the end, an
 /// oracle probe after its single target; the hot loop itself touches no
 /// shared counter per packet.
 #[derive(Debug, Default)]
 struct Tally {
-    packets: u64,
-    retries: u64,
-    malformed: u64,
-    invalid: u64,
-    skipped: u64,
-    faults: u64,
-    opened: u64,
-    backoff_us: u64,
+    counts: Counts,
     throttled_us: u64,
     limited_s: f64,
-}
-
-impl Tally {
-    /// Add the tallies to the engine counters. Zeros are skipped: a
-    /// typical oracle probe moves `packets_sent` and nothing else.
-    fn flush(&self, m: &EngineMetrics) {
-        for (counter, n) in [
-            (&m.packets_sent, self.packets),
-            (&m.retries, self.retries),
-            (&m.drop_malformed, self.malformed),
-            (&m.drop_validation, self.invalid),
-            (&m.breaker_skipped, self.skipped),
-            (&m.faults_injected, self.faults),
-            (&m.breaker_opened, self.opened),
-            (&m.backoff_waited_us, self.backoff_us),
-        ] {
-            if n > 0 {
-                counter.add(n);
-            }
-        }
-    }
 }
 
 /// What one scan task owns while it probes: the transport with the state
@@ -341,7 +318,7 @@ impl<T: Transport> Lane<T> {
     ) -> Option<Burst> {
         if let Some(b) = self.breaker.as_mut() {
             if b.admit(spec.dst, spec.proto) == Admission::Skip {
-                tally.skipped += 1;
+                tally.counts[BREAKER_SKIPPED] += 1;
                 return None;
             }
         }
@@ -350,12 +327,13 @@ impl<T: Transport> Lane<T> {
         let (faults, throttled) = self.fault_totals();
         let burst = self.transport.probe_burst(spec, budget);
         let (faults_now, throttled_now) = self.fault_totals();
-        tally.faults += faults_now - faults;
+        let counts = &mut tally.counts;
+        counts[FAULTS_INJECTED] += faults_now - faults;
+        counts[PACKETS_SENT] += u64::from(burst.used);
+        counts[RETRIES] += u64::from(burst.used.saturating_sub(1));
+        counts[DROP_MALFORMED] += u64::from(burst.malformed);
+        counts[DROP_VALIDATION] += u64::from(burst.invalid);
         tally.throttled_us += throttled_now - throttled;
-        tally.packets += u64::from(burst.used);
-        tally.retries += u64::from(burst.used.saturating_sub(1));
-        tally.malformed += u64::from(burst.malformed);
-        tally.invalid += u64::from(burst.invalid);
         // Tokens and backoff are replayed after the burst rather than around
         // each packet: the bucket runs on virtual time, so each wait depends
         // only on the advance/acquire sequence — backoff-advance, acquire,
@@ -375,11 +353,11 @@ impl<T: Transport> Lane<T> {
         }
         let backoff = cfg.retry.total_backoff(burst.used, cfg.salt, key);
         if backoff > 0.0 {
-            tally.backoff_us += secs_to_us(backoff);
+            tally.counts[BACKOFF_WAITED_US] += secs_to_us(backoff);
         }
         if let Some(b) = self.breaker.as_mut() {
             let failure = !matches!(burst.verdict, Attempt::Hit | Attempt::Rst);
-            tally.opened += u64::from(b.record(spec.dst, spec.proto, failure));
+            tally.counts[BREAKER_OPENED] += u64::from(b.record(spec.dst, spec.proto, failure));
         }
         Some(burst)
     }
@@ -475,36 +453,38 @@ fn scan_shard<T: Transport>(
         if let Some(p) = tag {
             report.attribution.record_probe(*p);
         }
-        match burst.verdict {
+        let outcome = match burst.verdict {
             Attempt::Hit => {
                 if let Some(p) = tag {
                     report.attribution.record_hit(*p);
                 }
                 hits.push((idx, dst));
+                HITS
             }
-            Attempt::Rst => report.rsts += 1,
-            Attempt::Unreachable => report.unreachables += 1,
-            _ => report.silent += 1,
-        }
+            Attempt::Rst => RSTS,
+            Attempt::Unreachable => UNREACHABLES,
+            _ => SILENT,
+        };
+        tally.counts[outcome] += 1;
     }
-    report.skipped = tally.skipped as usize;
-    report.retries = tally.retries;
-    report.packets_sent = tally.packets;
-    report.faults_injected = tally.faults;
-    report.breaker_opened = tally.opened;
-    report.backoff_waited_us = tally.backoff_us;
+    // The classification and per-protocol series are counted by scans
+    // only (oracle probes stay out of them); the report is read off the
+    // same slots, and the engine counters take one add per task.
+    let counts = &mut tally.counts;
+    counts[hits_on(proto)] = counts[HITS];
+    counts[packets_on(proto)] = counts[PACKETS_SENT];
+    metrics.add_all(counts);
+    report.rsts = counts[RSTS] as usize;
+    report.unreachables = counts[UNREACHABLES] as usize;
+    report.silent = counts[SILENT] as usize;
+    report.skipped = counts[BREAKER_SKIPPED] as usize;
+    report.retries = counts[RETRIES];
+    report.packets_sent = counts[PACKETS_SENT];
+    report.faults_injected = counts[FAULTS_INJECTED];
+    report.breaker_opened = counts[BREAKER_OPENED];
+    report.backoff_waited_us = counts[BACKOFF_WAITED_US];
     report.throttled_us = tally.throttled_us;
     report.limited_seconds = tally.limited_s;
-    // One flush per shard, never per packet: the flat totals every probe
-    // counts, then the classification and per-protocol series that only
-    // scans do (oracle probes stay out of them).
-    tally.flush(metrics);
-    metrics.hits.add(hits.len() as u64);
-    metrics.rsts.add(report.rsts as u64);
-    metrics.unreachables.add(report.unreachables as u64);
-    metrics.silent.add(report.silent as u64);
-    metrics.proto_packets(proto).add(report.packets_sent);
-    metrics.proto_hits(proto).add(hits.len() as u64);
     (report, hits)
 }
 
@@ -580,14 +560,14 @@ impl<T: Transport> Scanner<T> {
             if !seen.insert(u128::from(dst)) {
                 report.duplicates += 1;
                 if let Some(m) = metrics {
-                    m.drop_duplicate.inc();
+                    m.add(DROP_DUPLICATE, 1);
                 }
                 continue;
             }
             if self.cfg.blocklist.contains_addr(dst) {
                 report.blocked += 1;
                 if let Some(m) = metrics {
-                    m.drop_blocklist.inc();
+                    m.add(DROP_BLOCKLIST, 1);
                 }
                 continue;
             }
@@ -614,7 +594,7 @@ impl<T: Transport> Scanner<T> {
         let mut tally = Tally::default();
         let spec = self.cfg.spec(dst, proto, region);
         let burst = self.lane.probe_one(&self.cfg, &self.metrics, &spec, &mut tally);
-        tally.flush(&self.metrics);
+        self.metrics.add_all(&tally.counts);
         burst
     }
 

@@ -50,7 +50,7 @@ pub use oracle::{NullOracle, ScanOracle};
 pub use packet::{build_probe, parse_packet, PacketError, ParsedPacket};
 pub use provenance::{
     attribute_hits, seed_digest, AttributionTable, HitAttribution, Provenance, ProvenanceLog,
-    RegionTally, REGION_FILL, SOURCE_TARGETS,
+    RegionTally, SourceTotals, REGION_FILL, SOURCE_TARGETS,
 };
 pub use pcap::{CapturingTransport, PcapWriter};
 pub use ratelimit::TokenBucket;

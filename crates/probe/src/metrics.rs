@@ -1,171 +1,109 @@
 //! Engine event accounting.
 //!
-//! Every [`Scanner`](crate::Scanner) owns an [`EngineMetrics`]: a private
-//! registry (so a single scan's totals can be read back in isolation —
-//! essential under parallel test execution) that mirrors every event into
-//! the process-wide `sos-obs` registry the run manifest serializes.
-//! Recording is two relaxed atomic adds; nothing here feeds back into
-//! scan behaviour.
+//! Every counter the engine keeps is one row of [`NAMES`], and its index
+//! there is its *slot*. Every [`Scanner`](crate::Scanner) owns an
+//! [`EngineMetrics`]: its own counter per slot (so a single scan's totals
+//! can be read back in isolation — essential under parallel test
+//! execution) plus the same-named counter in the process-wide `sos-obs`
+//! registry the run manifest serializes. Scan tasks tally into plain
+//! `[u64; SLOTS]` arrays and add them here once per task; nothing here
+//! feeds back into scan behaviour.
+//!
+//! The classification outcomes and the per-protocol series cover scans
+//! (`scan`, `scan_parallel*`, campaign rounds); bare `probe_target` calls
+//! (TGA feedback and dealiasing probes) count only in the flat totals.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use netmodel::{Protocol, PROTOCOLS};
+use netmodel::Protocol;
 use sos_obs::metrics::HistogramSnapshot;
-use sos_obs::{Counter, Histogram, Labels, Registry};
+use sos_obs::{Counter, Histogram};
 
-/// Canonical metric-name table for the probe crate.
-///
-/// Every counter/histogram registration in this crate goes through these
-/// constants — the `obs-metric-names` sos-lint rule rejects bare string
-/// literals at `counter(...)`/`histogram(...)` call sites, so renames
-/// happen in exactly one place and the manifest/journal/exporter surfaces
-/// can never drift apart.
-pub mod names {
-    /// Probe packets transmitted, incl. retries.
-    pub const PACKETS_SENT: &str = "probe.packets_sent";
-    /// Retransmission attempts after the first.
-    pub const RETRIES: &str = "probe.retries";
-    /// §4.1 positive responses.
-    pub const HITS: &str = "probe.hits";
-    /// TCP RST responders (not hits).
-    pub const RSTS: &str = "probe.rsts";
-    /// ICMP Destination Unreachable responders (not hits).
-    pub const UNREACHABLES: &str = "probe.unreachables";
-    /// Targets that never answered.
-    pub const SILENT: &str = "probe.silent";
-    /// Targets skipped by deduplication.
-    pub const DROP_DUPLICATE: &str = "probe.drop.duplicate";
-    /// Targets skipped by the blocklist.
-    pub const DROP_BLOCKLIST: &str = "probe.drop.blocklist";
-    /// Responses failing token validation.
-    pub const DROP_VALIDATION: &str = "probe.drop.validation";
-    /// Responses that failed to parse.
-    pub const DROP_MALFORMED: &str = "probe.drop.malformed";
-    /// Rate-limiter acquires that had to wait for a token.
-    pub const RATELIMIT_STALLS: &str = "probe.ratelimit.stalls";
-    /// Histogram of each stall's wait in virtual µs.
-    pub const RATELIMIT_WAIT_US: &str = "probe.ratelimit.wait_us";
-    /// Probes eaten by the hostile-network fault layer.
-    pub const FAULTS_INJECTED: &str = "probe.faults_injected";
-    /// Circuit breakers that tripped open.
-    pub const BREAKER_OPENED: &str = "probe.breaker.opened";
-    /// Targets skipped by open breakers.
-    pub const BREAKER_SKIPPED: &str = "probe.breaker.skipped";
-    /// Virtual µs spent in retry backoff.
-    pub const BACKOFF_WAITED_US: &str = "probe.backoff.waited_us";
-    /// Targets restored as done by a checkpoint resume.
-    pub const RESUMED_TARGETS: &str = "probe.resumed_targets";
-    /// Distinct provenance `(source, region)` rows attributed.
-    pub const ATTR_REGIONS: &str = "probe.attribution.regions";
-    /// Hits carrying a provenance attribution.
-    pub const ATTR_HITS: &str = "probe.attribution.hits";
-    /// Attributed probes that produced no hit (wasted-probe mass).
-    pub const ATTR_WASTED: &str = "probe.attribution.wasted_probes";
-    /// Label key for the per-protocol series of [`HITS`]/[`PACKETS_SENT`].
-    pub const PROTO_LABEL: &str = "proto";
+/// Number of engine counters.
+pub(crate) const SLOTS: usize = 27;
+
+/// One tally per slot.
+pub(crate) type Counts = [u64; SLOTS];
+
+/// Every engine counter, once, under the name the manifest, checkpoints,
+/// `snapshot` journal records and the `.prom` file use. Checkpoints
+/// written earlier carry these names, so a name may be added but never
+/// renamed or dropped.
+pub const NAMES: [&str; SLOTS] = [
+    "probe.packets_sent",              // probe packets transmitted, incl. retries
+    "probe.retries",                   // retransmission attempts after the first
+    "probe.hits",                      // §4.1 positive responses
+    "probe.rsts",                      // TCP RST responders (not hits)
+    "probe.unreachables",              // Destination Unreachable responders (not hits)
+    "probe.silent",                    // targets that never answered
+    "probe.drop.duplicate",            // targets skipped by deduplication
+    "probe.drop.blocklist",            // targets skipped by the blocklist
+    "probe.drop.validation",           // responses failing token validation
+    "probe.drop.malformed",            // responses that failed to parse
+    "probe.ratelimit.stalls",          // rate-limiter acquires that had to wait
+    "probe.faults_injected",           // probes eaten by the hostile-network fault layer
+    "probe.breaker.opened",            // circuit breakers that tripped open
+    "probe.breaker.skipped",           // targets skipped by open breakers
+    "probe.backoff.waited_us",         // virtual µs spent in retry backoff
+    "probe.resumed_targets",           // targets restored as done by a checkpoint resume
+    "probe.attribution.regions",       // distinct provenance (source, region) rows
+    "probe.attribution.hits",          // hits carrying a provenance attribution
+    "probe.attribution.wasted_probes", // attributed probes that produced no hit
+    // `probe.hits`, then `probe.packets_sent`, per protocol in
+    // `Protocol::index` order
+    "probe.hits{proto=icmp}",
+    "probe.hits{proto=tcp80}",
+    "probe.hits{proto=tcp443}",
+    "probe.hits{proto=udp53}",
+    "probe.packets_sent{proto=icmp}",
+    "probe.packets_sent{proto=tcp80}",
+    "probe.packets_sent{proto=tcp443}",
+    "probe.packets_sent{proto=udp53}",
+];
+
+pub(crate) const PACKETS_SENT: usize = 0;
+pub(crate) const RETRIES: usize = 1;
+pub(crate) const HITS: usize = 2;
+pub(crate) const RSTS: usize = 3;
+pub(crate) const UNREACHABLES: usize = 4;
+pub(crate) const SILENT: usize = 5;
+pub(crate) const DROP_DUPLICATE: usize = 6;
+pub(crate) const DROP_BLOCKLIST: usize = 7;
+pub(crate) const DROP_VALIDATION: usize = 8;
+pub(crate) const DROP_MALFORMED: usize = 9;
+pub(crate) const RATELIMIT_STALLS: usize = 10;
+pub(crate) const FAULTS_INJECTED: usize = 11;
+pub(crate) const BREAKER_OPENED: usize = 12;
+pub(crate) const BREAKER_SKIPPED: usize = 13;
+pub(crate) const BACKOFF_WAITED_US: usize = 14;
+pub(crate) const RESUMED_TARGETS: usize = 15;
+const ATTR_REGIONS: usize = 16;
+const ATTR_HITS: usize = 17;
+const ATTR_WASTED: usize = 18;
+
+/// The `probe.hits{proto=…}` slot of one protocol.
+pub(crate) fn hits_on(proto: Protocol) -> usize {
+    19 + proto.index()
 }
 
-/// The `proto=` label value for one protocol (lowercased wire label).
-pub(crate) fn proto_label(proto: Protocol) -> &'static str {
-    match proto {
-        Protocol::Icmp => "icmp",
-        Protocol::Tcp80 => "tcp80",
-        Protocol::Tcp443 => "tcp443",
-        Protocol::Udp53 => "udp53",
-    }
+/// The `probe.packets_sent{proto=…}` slot of one protocol.
+pub(crate) fn packets_on(proto: Protocol) -> usize {
+    23 + proto.index()
 }
 
-/// Canonical labeled series name (`base{proto=icmp}`) for one protocol.
-fn labeled_name(base: &str, proto: Protocol) -> String {
-    Labels::new().with(names::PROTO_LABEL, proto_label(proto)).render(base)
-}
-
-/// A counter recorded locally and mirrored globally.
-#[derive(Debug, Clone)]
-pub(crate) struct Mirrored {
-    local: Arc<Counter>,
-    global: Arc<Counter>,
-}
-
-impl Mirrored {
-    fn new(registry: &Registry, name: &str) -> Mirrored {
-        Mirrored {
-            local: registry.counter(name),
-            global: sos_obs::counter(name),
-        }
-    }
-
-    pub(crate) fn add(&self, n: u64) {
-        self.local.add(n);
-        self.global.add(n);
-    }
-
-    pub(crate) fn inc(&self) {
-        self.add(1);
-    }
-}
+/// Histogram of each rate-limiter stall's wait, in virtual µs.
+const WAIT_US: &str = "probe.ratelimit.wait_us";
 
 /// Per-scanner engine event accounting, mirrored into the global registry.
-///
-/// Counter names (all also visible in `--manifest` output; the string
-/// literals live in [`names`], nowhere else):
-///
-/// | name | meaning |
-/// |---|---|
-/// | `probe.packets_sent` | probe packets transmitted, incl. retries |
-/// | `probe.packets_sent{proto=…}` | the same, one labeled series per protocol (`icmp`, `tcp80`, `tcp443`, `udp53`) |
-/// | `probe.retries` | retransmission attempts after the first |
-/// | `probe.hits` / `probe.rsts` / `probe.unreachables` / `probe.silent` | §4.1 classification outcomes |
-/// | `probe.hits{proto=…}` | hits, one labeled series per protocol |
-/// | `probe.drop.duplicate` | targets skipped by deduplication |
-/// | `probe.drop.blocklist` | targets skipped by the blocklist |
-/// | `probe.drop.validation` | responses failing token validation |
-/// | `probe.drop.malformed` | responses that failed to parse |
-/// | `probe.ratelimit.stalls` | acquires that had to wait for a token |
-/// | `probe.faults_injected` | probes eaten by the hostile-network fault layer |
-/// | `probe.breaker.opened` | circuit breakers that tripped open |
-/// | `probe.breaker.skipped` | targets skipped by open breakers |
-/// | `probe.backoff.waited_us` | virtual µs spent in retry backoff |
-/// | `probe.resumed_targets` | targets restored as done by a checkpoint resume |
-/// | `probe.attribution.regions` | distinct provenance `(source, region)` rows attributed |
-/// | `probe.attribution.hits` | hits carrying a provenance attribution |
-/// | `probe.attribution.wasted_probes` | attributed probes that produced no hit |
-///
-/// Histogram `probe.ratelimit.wait_us` records each stall's wait in µs.
-///
-/// Every counter is flushed once per scan task (never per packet). The
-/// classification outcomes and the labeled series cover scans (`scan`,
-/// `scan_parallel*`, campaign rounds); bare `probe_target` calls (TGA
-/// feedback and dealiasing probes) count only in the flat totals.
 #[derive(Debug)]
 pub struct EngineMetrics {
-    registry: Registry,
-    pub(crate) packets_sent: Mirrored,
-    pub(crate) retries: Mirrored,
-    pub(crate) hits: Mirrored,
-    pub(crate) rsts: Mirrored,
-    pub(crate) unreachables: Mirrored,
-    pub(crate) silent: Mirrored,
-    pub(crate) drop_duplicate: Mirrored,
-    pub(crate) drop_blocklist: Mirrored,
-    pub(crate) drop_validation: Mirrored,
-    pub(crate) drop_malformed: Mirrored,
-    pub(crate) ratelimit_stalls: Mirrored,
-    pub(crate) faults_injected: Mirrored,
-    pub(crate) breaker_opened: Mirrored,
-    pub(crate) breaker_skipped: Mirrored,
-    pub(crate) backoff_waited_us: Mirrored,
-    pub(crate) resumed_targets: Mirrored,
-    pub(crate) attr_regions: Mirrored,
-    pub(crate) attr_hits: Mirrored,
-    pub(crate) attr_wasted: Mirrored,
-    /// `probe.hits{proto=…}`, indexed by [`Protocol::index`].
-    hits_proto: [Mirrored; 4],
-    /// `probe.packets_sent{proto=…}`, indexed by [`Protocol::index`].
-    packets_proto: [Mirrored; 4],
-    pub(crate) wait_us_local: Arc<Histogram>,
-    pub(crate) wait_us_global: Arc<Histogram>,
+    /// This scanner's totals, one per slot.
+    local: [Counter; SLOTS],
+    /// The global registry's counter for each slot, resolved once.
+    global: [Arc<Counter>; SLOTS],
+    wait_us_local: Histogram,
+    wait_us_global: Arc<Histogram>,
 }
 
 impl Default for EngineMetrics {
@@ -175,68 +113,50 @@ impl Default for EngineMetrics {
 }
 
 impl EngineMetrics {
-    /// Fresh accounting with zeroed local totals.
+    /// Fresh accounting with zeroed local totals. Every name is registered
+    /// globally here, so snapshots list the series still at zero.
     pub fn new() -> EngineMetrics {
-        let registry = Registry::new();
-        let c = |name: &str| Mirrored::new(&registry, name);
-        let labeled = |base: &str| {
-            std::array::from_fn(|i| {
-                // i < 4 == PROTOCOLS.len(): from_fn over [T; 4]
-                Mirrored::new(&registry, &labeled_name(base, PROTOCOLS[i]))
-            })
-        };
         EngineMetrics {
-            packets_sent: c(names::PACKETS_SENT),
-            retries: c(names::RETRIES),
-            hits: c(names::HITS),
-            rsts: c(names::RSTS),
-            unreachables: c(names::UNREACHABLES),
-            silent: c(names::SILENT),
-            drop_duplicate: c(names::DROP_DUPLICATE),
-            drop_blocklist: c(names::DROP_BLOCKLIST),
-            drop_validation: c(names::DROP_VALIDATION),
-            drop_malformed: c(names::DROP_MALFORMED),
-            ratelimit_stalls: c(names::RATELIMIT_STALLS),
-            faults_injected: c(names::FAULTS_INJECTED),
-            breaker_opened: c(names::BREAKER_OPENED),
-            breaker_skipped: c(names::BREAKER_SKIPPED),
-            backoff_waited_us: c(names::BACKOFF_WAITED_US),
-            resumed_targets: c(names::RESUMED_TARGETS),
-            attr_regions: c(names::ATTR_REGIONS),
-            attr_hits: c(names::ATTR_HITS),
-            attr_wasted: c(names::ATTR_WASTED),
-            hits_proto: labeled(names::HITS),
-            packets_proto: labeled(names::PACKETS_SENT),
-            wait_us_local: registry.histogram(names::RATELIMIT_WAIT_US),
-            wait_us_global: sos_obs::histogram(names::RATELIMIT_WAIT_US),
-            registry,
+            local: Default::default(),
+            global: NAMES.map(sos_obs::counter),
+            wait_us_local: Histogram::new(),
+            wait_us_global: sos_obs::histogram(WAIT_US),
         }
     }
 
-    /// The `probe.hits{proto=…}` series for one protocol.
-    pub(crate) fn proto_hits(&self, proto: Protocol) -> &Mirrored {
-        // Protocol::index() < 4: asserted by netmodel's protocol tests
-        &self.hits_proto[proto.index()]
+    /// Add `n` to one slot, locally and globally.
+    pub(crate) fn add(&self, slot: usize, n: u64) {
+        self.local[slot].add(n);
+        self.global[slot].add(n);
     }
 
-    /// The `probe.packets_sent{proto=…}` series for one protocol.
-    pub(crate) fn proto_packets(&self, proto: Protocol) -> &Mirrored {
-        // Protocol::index() < 4: asserted by netmodel's protocol tests
-        &self.packets_proto[proto.index()]
+    /// Add a task's tally. Zeros are skipped: a typical oracle probe moves
+    /// `probe.packets_sent` and nothing else.
+    pub(crate) fn add_all(&self, counts: &Counts) {
+        for (slot, &n) in counts.iter().enumerate() {
+            if n > 0 {
+                self.add(slot, n);
+            }
+        }
+    }
+
+    /// Raise one slot to at least `want`; a counter already past it is
+    /// left alone.
+    fn raise(&self, slot: usize, want: u64) {
+        let have = self.local[slot].get();
+        if want > have {
+            self.add(slot, want - have);
+        }
     }
 
     /// Raise counters to at least the checkpointed values (resume path:
     /// the fresh scanner's locals are zero, so this adds the snapshot
-    /// wholesale, mirroring into the global registry as the original run
-    /// did; counters already past the snapshot are left alone). Every
-    /// counter this scanner has is registered under its manifest name, so
-    /// the registry is the list; names it does not know are ignored.
+    /// wholesale, locally and globally, as the original run did). Names
+    /// the snapshot lacks count as zero; names outside [`NAMES`] are
+    /// ignored.
     pub(crate) fn restore_counters(&self, snapshot: &BTreeMap<String, u64>) {
-        for (name, have) in self.counters() {
-            let want = snapshot.get(&name).copied().unwrap_or(0);
-            if want > have {
-                Mirrored::new(&self.registry, &name).add(want - have);
-            }
+        for (slot, name) in NAMES.iter().enumerate() {
+            self.raise(slot, snapshot.get(*name).copied().unwrap_or(0));
         }
     }
 
@@ -245,33 +165,28 @@ impl EngineMetrics {
     /// at each boundary, and a checkpoint resume restores earlier values
     /// — identical to the [`Self::restore_counters`] semantics.
     pub(crate) fn raise_attribution(&self, regions: u64, hits: u64, wasted: u64) {
-        for (counter, name, want) in [
-            (&self.attr_regions, names::ATTR_REGIONS, regions),
-            (&self.attr_hits, names::ATTR_HITS, hits),
-            (&self.attr_wasted, names::ATTR_WASTED, wasted),
-        ] {
-            let have = self.counter(name);
-            if want > have {
-                counter.add(want - have);
-            }
-        }
+        self.raise(ATTR_REGIONS, regions);
+        self.raise(ATTR_HITS, hits);
+        self.raise(ATTR_WASTED, wasted);
     }
 
     /// Record one rate-limiter stall of `wait_s` virtual seconds.
     pub(crate) fn stall(&self, wait_s: f64) {
-        self.ratelimit_stalls.inc();
+        self.add(RATELIMIT_STALLS, 1);
         self.wait_us_local.record_seconds_as_us(wait_s);
         self.wait_us_global.record_seconds_as_us(wait_s);
     }
 
-    /// This scanner's counter totals (unaffected by other scanners).
+    /// This scanner's counter totals by name (unaffected by other
+    /// scanners), every name listed.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        self.registry.counter_snapshot()
+        NAMES.iter().zip(&self.local).map(|(name, c)| (name.to_string(), c.get())).collect()
     }
 
-    /// One of this scanner's counters by name (0 when never touched).
+    /// One of this scanner's counters by name (0 for a name not in
+    /// [`NAMES`]).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters().get(name).copied().unwrap_or(0)
+        NAMES.iter().position(|&n| n == name).map_or(0, |slot| self.local[slot].get())
     }
 
     /// This scanner's rate-limit wait histogram.
@@ -283,23 +198,24 @@ impl EngineMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netmodel::PROTOCOLS;
 
     #[test]
     fn local_and_global_both_advance() {
-        let before = sos_obs::counter(names::PACKETS_SENT).get();
+        let before = sos_obs::counter("probe.packets_sent").get();
         let m = EngineMetrics::new();
-        m.packets_sent.add(5);
-        assert_eq!(m.counter(names::PACKETS_SENT), 5);
-        assert!(sos_obs::counter(names::PACKETS_SENT).get() >= before + 5);
+        m.add(PACKETS_SENT, 5);
+        assert_eq!(m.counter("probe.packets_sent"), 5);
+        assert!(sos_obs::counter("probe.packets_sent").get() >= before + 5);
     }
 
     #[test]
     fn fresh_metrics_are_isolated() {
         let a = EngineMetrics::new();
         let b = EngineMetrics::new();
-        a.hits.inc();
-        assert_eq!(a.counter(names::HITS), 1);
-        assert_eq!(b.counter(names::HITS), 0, "locals do not share state");
+        a.add(HITS, 1);
+        assert_eq!(a.counter("probe.hits"), 1);
+        assert_eq!(b.counter("probe.hits"), 0, "locals do not share state");
     }
 
     #[test]
@@ -307,7 +223,7 @@ mod tests {
         let m = EngineMetrics::new();
         m.stall(0.002);
         m.stall(0.001);
-        assert_eq!(m.counter(names::RATELIMIT_STALLS), 2);
+        assert_eq!(m.counter("probe.ratelimit.stalls"), 2);
         let h = m.wait_histogram();
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 3_000, "2 ms + 1 ms in µs");
@@ -316,8 +232,8 @@ mod tests {
     #[test]
     fn labeled_series_are_per_protocol_and_restorable() {
         let m = EngineMetrics::new();
-        m.proto_hits(Protocol::Icmp).add(3);
-        m.proto_packets(Protocol::Tcp443).add(7);
+        m.add(hits_on(Protocol::Icmp), 3);
+        m.add(packets_on(Protocol::Tcp443), 7);
         assert_eq!(m.counter("probe.hits{proto=icmp}"), 3);
         assert_eq!(m.counter("probe.packets_sent{proto=tcp443}"), 7);
         assert_eq!(m.counter("probe.hits{proto=udp53}"), 0);
@@ -331,7 +247,48 @@ mod tests {
     #[test]
     fn proto_labels_match_wire_labels_lowercased() {
         for proto in PROTOCOLS {
-            assert_eq!(proto_label(proto), proto.label().to_lowercase());
+            let label = proto.label().to_lowercase();
+            assert_eq!(NAMES[hits_on(proto)], format!("{}{{proto={label}}}", NAMES[HITS]));
+            assert_eq!(NAMES[packets_on(proto)], format!("{}{{proto={label}}}", NAMES[PACKETS_SENT]));
         }
+    }
+
+    /// Checkpoints written before the table carry exactly these names: a
+    /// dropped or renamed series would stop them resuming.
+    #[test]
+    fn counter_names_are_the_checkpointed_ones() {
+        let names: Vec<String> = EngineMetrics::new().counters().into_keys().collect();
+        assert_eq!(
+            names,
+            [
+                "probe.attribution.hits",
+                "probe.attribution.regions",
+                "probe.attribution.wasted_probes",
+                "probe.backoff.waited_us",
+                "probe.breaker.opened",
+                "probe.breaker.skipped",
+                "probe.drop.blocklist",
+                "probe.drop.duplicate",
+                "probe.drop.malformed",
+                "probe.drop.validation",
+                "probe.faults_injected",
+                "probe.hits",
+                "probe.hits{proto=icmp}",
+                "probe.hits{proto=tcp443}",
+                "probe.hits{proto=tcp80}",
+                "probe.hits{proto=udp53}",
+                "probe.packets_sent",
+                "probe.packets_sent{proto=icmp}",
+                "probe.packets_sent{proto=tcp443}",
+                "probe.packets_sent{proto=tcp80}",
+                "probe.packets_sent{proto=udp53}",
+                "probe.ratelimit.stalls",
+                "probe.resumed_targets",
+                "probe.retries",
+                "probe.rsts",
+                "probe.silent",
+                "probe.unreachables",
+            ]
+        );
     }
 }

@@ -181,27 +181,46 @@ impl RegionTally {
         self.probes.saturating_sub(self.hits)
     }
 
-    fn merge(&mut self, other: &RegionTally) {
-        // A freshly-defaulted row adopts the incoming tally wholesale —
-        // min-merging metadata against default zeros would fabricate a
-        // round-0 / digest-0 origin the region never had.
+    /// Take one origin into the metadata: a row that has counted nothing
+    /// yet adopts it (min-merging against default zeros would fabricate a
+    /// round-0 / digest-0 origin the region never had); otherwise the
+    /// minimum wins — order-invariant and stable across shard counts (both
+    /// sides carry the same value for one region generated by one run; min
+    /// resolves rebuilt-tree collisions deterministically).
+    fn note_origin(&mut self, seed_digest: u32, round: u16) {
         if self.probes == 0 && self.hits == 0 && self.aliases == 0 {
-            *self = *other;
+            self.seed_digest = seed_digest;
+            self.first_round = round;
             return;
         }
-        self.probes += other.probes;
-        self.hits += other.hits;
-        self.aliases += other.aliases;
-        // min-merge the metadata: order-invariant and stable across
-        // shard counts (both sides carry the same value for one region
-        // generated by one run; min resolves rebuilt-tree collisions
-        // deterministically).
-        self.seed_digest = match (self.seed_digest, other.seed_digest) {
+        self.seed_digest = match (self.seed_digest, seed_digest) {
             (0, d) | (d, 0) => d,
             (a, b) => a.min(b),
         };
-        self.first_round = self.first_round.min(other.first_round);
+        self.first_round = self.first_round.min(round);
     }
+
+    fn merge(&mut self, other: &RegionTally) {
+        self.note_origin(other.seed_digest, other.first_round);
+        self.probes += other.probes;
+        self.hits += other.hits;
+        self.aliases += other.aliases;
+    }
+}
+
+/// One provenance source's rows of an [`AttributionTable`], summed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SourceTotals {
+    /// Distinct regions the source has rows for.
+    pub regions: u64,
+    /// Targets probed.
+    pub probes: u64,
+    /// Hits among them.
+    pub hits: u64,
+    /// Hits later classified as aliased.
+    pub aliases: u64,
+    /// Wasted probes, summed per region ([`RegionTally::wasted`]).
+    pub wasted: u64,
 }
 
 /// Provenance-keyed discovery accounting for one scan: hits, aliases,
@@ -231,16 +250,7 @@ impl AttributionTable {
 
     fn row(&mut self, p: Provenance) -> &mut RegionTally {
         let tally = self.rows.entry((p.source, p.region)).or_default();
-        if tally.probes == 0 && tally.hits == 0 && tally.aliases == 0 {
-            tally.seed_digest = p.seed_digest;
-            tally.first_round = p.round;
-        } else {
-            tally.seed_digest = match (tally.seed_digest, p.seed_digest) {
-                (0, d) | (d, 0) => d,
-                (a, b) => a.min(b),
-            };
-            tally.first_round = tally.first_round.min(p.round);
-        }
+        tally.note_origin(p.seed_digest, p.round);
         tally
     }
 
@@ -271,6 +281,20 @@ impl AttributionTable {
     /// Iterate rows in sorted `(source, region)` order.
     pub fn rows(&self) -> impl Iterator<Item = (u8, u32, &RegionTally)> + '_ {
         self.rows.iter().map(|(&(s, r), t)| (s, r, t))
+    }
+
+    /// The rows summed per source, in source order.
+    pub fn by_source(&self) -> BTreeMap<u8, SourceTotals> {
+        let mut out: BTreeMap<u8, SourceTotals> = BTreeMap::new();
+        for (&(source, _), t) in &self.rows {
+            let s = out.entry(source).or_default();
+            s.regions += 1;
+            s.probes += t.probes;
+            s.hits += t.hits;
+            s.aliases += t.aliases;
+            s.wasted += t.wasted();
+        }
+        out
     }
 
     /// `(probes, hits, aliases)` summed over every region — the invariant
@@ -473,6 +497,8 @@ mod tests {
         assert_eq!(t.totals(), (5, 1, 1));
         assert_eq!(t.wasted(), 4);
         assert_eq!(t.len(), 2);
+        let by_source = SourceTotals { regions: 2, probes: 5, hits: 1, aliases: 1, wasted: 4 };
+        assert_eq!(t.by_source().into_iter().collect::<Vec<_>>(), [(3, by_source)]);
     }
 
     #[test]

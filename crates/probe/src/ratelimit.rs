@@ -1,6 +1,6 @@
 //! Token-bucket rate limiting with a virtual clock.
 //!
-//! Appendix A: the paper "significantly rate-limit[s] all scans to ten
+//! Appendix A: the paper "significantly rate-limit\[s\] all scans to ten
 //! thousand packets per second." The limiter here enforces the same policy;
 //! in simulation it advances a *virtual* clock (so experiments report how
 //! long a scan *would* take without actually sleeping), and a real

@@ -20,8 +20,9 @@ use rand::{Rng, SeedableRng};
 
 use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
-use v6addr::{nybble_of, AddrMap, EntropyProfile, NYBBLES};
+use v6addr::{nybble_of, AddrMap, NYBBLES};
 
+use crate::pattern::ValueHist;
 use crate::sink::{Candidates, Tag};
 use crate::{GenConfig, TargetGenerator, TgaId};
 
@@ -82,6 +83,29 @@ impl Weighted {
     }
 }
 
+/// Entropy/IP's segmentation of the 32 nybble positions: adjacent
+/// positions whose value entropy across `seeds` differs by less than
+/// `threshold` belong to one segment. The segments partition `0..NYBBLES`.
+fn segments(seeds: &[Ipv6Addr], threshold: f64) -> Vec<std::ops::Range<usize>> {
+    let mut hists = [ValueHist::default(); NYBBLES];
+    for &s in seeds {
+        for (i, h) in hists.iter_mut().enumerate() {
+            h.add(nybble_of(s, i));
+        }
+    }
+    let entropy = hists.map(|h| h.entropy());
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    for i in 1..NYBBLES {
+        if (entropy[i] - entropy[i - 1]).abs() >= threshold {
+            out.push(start..i);
+            start = i;
+        }
+    }
+    out.push(start..NYBBLES);
+    out
+}
+
 /// One segment of the model.
 struct Segment {
     /// Nybble positions covered.
@@ -134,10 +158,9 @@ impl TargetGenerator for EntropyIp {
         // seed set's digest is the honest attribution.
         let model = Tag::new(0, seed_digest(seeds.iter().copied()), 0);
 
-        // 1. Entropy profile → segment boundaries (chopped to word size).
-        let profile = EntropyProfile::compute(seeds);
+        // 1. Entropy segments (chopped to word size).
         let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
-        for seg in profile.segments(self.segment_threshold) {
+        for seg in segments(seeds, self.segment_threshold) {
             let mut start = seg.start;
             while seg.end - start > self.max_segment_len {
                 ranges.push(start..start + self.max_segment_len);
@@ -234,6 +257,37 @@ mod tests {
             v.push(Ipv6Addr::from(0x2a00_0c0f_fee0_0000_0000_0000_0000_0000u128 | (i << 8)));
         }
         v
+    }
+
+    /// Every address differs from the next in the last nybble only.
+    fn counting(n: u128, step: u128) -> Vec<Ipv6Addr> {
+        (0..n).map(|i| Ipv6Addr::from((0x2001_0db8 << 96) | (i * step))).collect()
+    }
+
+    #[test]
+    fn segments_cover_all_positions() {
+        let segs = segments(&counting(64, 7), 0.5);
+        assert_eq!(segs.first().unwrap().start, 0);
+        assert_eq!(segs.last().unwrap().end, NYBBLES);
+        for w in segs.windows(2) {
+            assert_eq!(w[0].end, w[1].start);
+        }
+        assert_eq!(segments(&[], 0.5), vec![0..NYBBLES], "no seeds: one flat segment");
+    }
+
+    #[test]
+    fn constant_positions_form_one_segment() {
+        // all but the last nybble are constant (entropy 0), the last one
+        // carries 3 bits
+        assert_eq!(segments(&counting(8, 1), 0.5), vec![0..31, 31..NYBBLES]);
+    }
+
+    #[test]
+    fn weighted_values_rank_by_frequency() {
+        let counts: AddrMap<u64, u32> = [(2, 1), (1, 2), (3, 1)].into_iter().collect();
+        let top = Weighted::top(counts, 2);
+        assert_eq!(top.values, vec![(1, 2), (2, 1)], "most frequent first, ties by value");
+        assert_eq!(top.total, 3);
     }
 
     #[test]

@@ -296,6 +296,37 @@ mod tests {
     }
 
     #[test]
+    fn entropy_of_constant_is_zero() {
+        let mut h = ValueHist::default();
+        for _ in 0..10 {
+            h.add(1);
+        }
+        assert_eq!(h.entropy(), 0.0);
+    }
+
+    #[test]
+    fn entropy_of_uniform_is_four_bits() {
+        let mut h = ValueHist::default();
+        for v in 0..16 {
+            h.add(v);
+        }
+        assert!((h.entropy() - 4.0).abs() < 1e-9, "h = {}", h.entropy());
+    }
+
+    #[test]
+    fn entropy_of_two_values_is_one_bit() {
+        let mut h = ValueHist::default();
+        h.add(1);
+        h.add(2);
+        assert!((h.entropy() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn entropy_of_empty_is_zero() {
+        assert_eq!(ValueHist::default().entropy(), 0.0);
+    }
+
+    #[test]
     fn free_histograms_count_per_position() {
         let seeds = vec![a("2001:db8::1"), a("2001:db8::2"), a("2001:db8::12")];
         let p = Pattern::from_seeds(&seeds);

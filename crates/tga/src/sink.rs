@@ -59,7 +59,7 @@ pub struct Candidates<'p> {
 impl<'p> Candidates<'p> {
     /// An empty sink for `budget` candidates, tagging into `prov`. The
     /// budget is a number a caller typed (`seedscan --budget`), so it sizes
-    /// the containers only up to [`RESERVE_CAP`]; past that they grow.
+    /// the containers only up to `RESERVE_CAP`; past that they grow.
     pub fn new(budget: usize, prov: &'p mut ProvenanceLog) -> Self {
         let reserve = budget.min(RESERVE_CAP);
         let seen = AddrSet::with_capacity_and_hasher(reserve, Default::default());

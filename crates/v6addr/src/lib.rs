@@ -17,7 +17,6 @@
 //! - [`AddrSet`] / [`AddrMap`]: hash containers for address keys on the
 //!   workspace's one address hasher — the default wherever membership or
 //!   keyed lookup is all that happens,
-//! - [`pattern`]: per-nybble entropy/frequency analysis over address sets,
 //! - [`rand_in_prefix`]: deterministic random address generation inside a
 //!   prefix (used by the online dealiaser and the ground-truth builder).
 //!
@@ -27,7 +26,6 @@
 pub mod aggregate;
 pub mod hash;
 pub mod nybble;
-pub mod pattern;
 pub mod prefix;
 pub mod set;
 pub mod splitmix;
@@ -36,7 +34,6 @@ pub mod trie;
 pub use aggregate::aggregate;
 pub use hash::{AddrHasher, AddrMap, AddrSet};
 pub use nybble::{nybble_hamming, nybble_of, with_nybble, NYBBLES};
-pub use pattern::{nybble_entropy, nybble_value_counts, EntropyProfile};
 pub use prefix::{ParsePrefixError, Prefix};
 pub use set::PrefixSet;
 pub use splitmix::{splitmix64, SplitMix64};
