@@ -322,7 +322,9 @@ pub fn replay(path: &Path) -> io::Result<WatchState> {
 /// Tail a journal, printing a status block whenever new complete records
 /// land, until a `campaign_end` record arrives (or, with `max_polls`,
 /// until that many empty polls pass — the still-running-writer guard for
-/// scripted use). Returns the final state.
+/// scripted use). A journal recreated under the watcher (shorter than
+/// what was read) is followed from its start with a fresh state. Returns
+/// the final state.
 pub fn watch_live(
     path: &Path,
     poll: Duration,
@@ -333,6 +335,12 @@ pub fn watch_live(
     let mut offset = 0u64;
     let mut idle_polls = 0u64;
     loop {
+        // A fresh campaign truncates its journal: a file now shorter than
+        // what was read is a new journal, to be folded from its start.
+        if std::fs::metadata(path).is_ok_and(|m| m.len() < offset) {
+            offset = 0;
+            state = WatchState::new();
+        }
         let (records, next) = match read_from(path, offset) {
             Ok(ok) => ok,
             // The campaign may not have created the journal yet.

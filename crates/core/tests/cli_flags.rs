@@ -42,3 +42,22 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     assert_refused(&run(seedscan, &["watch", "j.jsonl", "--interval-ms", "soon"]), "--interval-ms");
     assert_refused(&run(seedscan, &["explain", "m.json", "--top"]), "--top");
 }
+
+/// The `.prom` snapshot goes beside the journal, at the journal's path
+/// with a `prom` extension — for `--journal x.prom`, the journal itself.
+/// The campaign refuses to start, names the file and leaves it alone.
+#[test]
+fn campaign_refuses_a_journal_that_is_its_own_snapshot() {
+    let dir = std::env::temp_dir().join(format!("sos-cli-sinks-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("x.prom");
+    std::fs::write(&journal, "kept\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_seedscan"))
+        .current_dir(&dir)
+        .args(["campaign", "--scale", "tiny", "--journal", "x.prom"])
+        .output()
+        .expect("run binary");
+    assert_refused(&out, "x.prom");
+    assert_eq!(std::fs::read_to_string(&journal).unwrap(), "kept\n");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -3,8 +3,10 @@
 //! counter totals bit-identical, progress exact, Prometheus snapshot file
 //! in sync.
 
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 use netmodel::{FaultConfig, World, WorldConfig};
 use sos_core::watch;
@@ -113,4 +115,65 @@ fn replay_of_a_killed_campaign_matches_its_checkpoint() {
     assert_eq!(state.counters, ckpt.counters, "journal snapshot mirrors the checkpoint");
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt_path);
+}
+
+/// The status sink of [`live_watch_follows_a_journal_recreated_under_it`]:
+/// the first status block the watcher prints replaces the journal it is
+/// tailing with `new`, as a fresh campaign started at that moment would.
+struct RecreateOnFirstStatus {
+    journal: PathBuf,
+    new: Option<Vec<u8>>,
+    printed: Vec<u8>,
+}
+
+impl Write for RecreateOnFirstStatus {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if let Some(new) = self.new.take() {
+            std::fs::write(&self.journal, new)?;
+        }
+        self.printed.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A fresh campaign truncates the journal a live watcher is tailing; the
+/// watcher starts over on the new journal instead of waiting past its end.
+#[test]
+fn live_watch_follows_a_journal_recreated_under_it() {
+    let w = hostile_world(0xF0110);
+    let t = targets(&w);
+    let run = |path: &PathBuf, targets: &[std::net::Ipv6Addr], every: usize| {
+        let _ = std::fs::remove_file(path);
+        let opts = RunOptions {
+            shards: 2,
+            checkpoint_every: every,
+            journal_path: Some(path.clone()),
+            ..RunOptions::default()
+        };
+        let outcome = Campaign::standard(&mut scanner(w.clone())).run_with(targets, &opts, None).unwrap();
+        assert!(outcome.completed);
+        std::fs::read(path).unwrap()
+    };
+    let (journal, fresh) = (tmp("recreated.jsonl"), tmp("recreated-fresh.jsonl"));
+    // A long campaign whose writer died before its `campaign_end` record…
+    let mut old = run(&journal, &t, 20);
+    let last_line = old[..old.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    old.truncate(last_line);
+    std::fs::write(&journal, &old).unwrap();
+    // …and a short one run to completion, whose journal replaces it.
+    let new = run(&fresh, &t[..8], 0);
+    assert!(new.len() < old.len());
+
+    let mut sink = RecreateOnFirstStatus { journal: journal.clone(), new: Some(new), printed: Vec::new() };
+    let state = watch::watch_live(&journal, Duration::from_millis(1), Some(5), &mut sink).unwrap();
+    let printed = String::from_utf8_lossy(&sink.printed);
+    assert_eq!(state.completed, Some(true), "the new campaign's end was seen:\n{printed}");
+    assert_eq!(state.done, 8);
+    assert_eq!(state.records, watch::replay(&fresh).unwrap().records, "folded from a fresh state");
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&fresh);
 }

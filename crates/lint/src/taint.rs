@@ -38,7 +38,7 @@ pub const DETERMINISTIC_ROOTS: &[(&str, &str, &str)] = &[
     ("crates/obs/src/journal.rs", "write", "journal event lines"),
     // Checkpoint serializers — kill+resume bit-identity.
     ("crates/probe/src/campaign.rs", "refresh", "campaign checkpoint state"),
-    ("crates/probe/src/campaign.rs", "wal_line", "campaign checkpoint write-ahead line"),
+    ("crates/probe/src/campaign.rs", "encode_line", "campaign checkpoint lines (state and round)"),
     // Experiment exports — the CSVs the paper figures are drawn from.
     ("crates/core/src/export.rs", "write_grid_csv", "experiment grid CSV"),
     ("crates/core/src/export.rs", "write_ratio_csv", "figure ratio CSV"),

@@ -28,7 +28,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::json::Json;
+use crate::json::{read_lines, Json};
 
 /// Bumped when the line schema changes incompatibly.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -473,43 +473,21 @@ pub fn read_records(path: &Path) -> io::Result<Vec<Record>> {
     Ok(records)
 }
 
-/// Incremental read for tailing: parse complete (`\n`-terminated) lines
-/// starting at byte `offset`, returning the records plus the offset where
-/// the next read should start. A partial trailing line is left for the
-/// next call; a corrupt complete line that is **not** the file's current
-/// last line is an error (torn tails are expected, torn middles are not).
+/// Incremental read for tailing: parse the complete lines from byte
+/// `offset` on with [`read_lines`], returning the records plus the offset
+/// where the next read should start. A partial trailing line is left for
+/// the next call; a corrupt complete line that is **not** the file's
+/// current last line is an error (torn tails are expected, torn middles
+/// are not).
 pub fn read_from(path: &Path, offset: u64) -> io::Result<(Vec<Record>, u64)> {
     let mut file = File::open(path)?;
     file.seek(SeekFrom::Start(offset))?;
     let mut buf = String::new();
     file.read_to_string(&mut buf)?;
-
-    let mut records = Vec::new();
-    let mut consumed = 0usize;
-    let mut rest = buf.as_str();
-    while let Some(nl) = rest.find('\n') {
-        let line = &rest[..nl];
-        let whole = nl + 1;
-        if !line.trim().is_empty() {
-            match Record::parse_line(line) {
-                Ok(r) => records.push(r),
-                Err(e) => {
-                    // A complete-but-corrupt line is tolerable only at the
-                    // very tail (a kill can tear a line even after its
-                    // newline is visible on some filesystems).
-                    if rest[whole..].trim().is_empty() {
-                        break;
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("corrupt journal line at byte {}: {e}", offset as usize + consumed),
-                    ));
-                }
-            }
-        }
-        consumed += whole;
-        rest = &rest[whole..];
-    }
+    let (records, consumed) = read_lines(&buf, |_, line| Record::parse_line(line)).map_err(|bad| {
+        let error = format!("corrupt journal line at byte {}: {}", offset + bad.at as u64, bad.error);
+        io::Error::new(io::ErrorKind::InvalidData, error)
+    })?;
     Ok((records, offset + consumed as u64))
 }
 

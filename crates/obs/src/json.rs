@@ -127,6 +127,16 @@ impl Json {
         Ok(v)
     }
 
+    /// Render compactly as one line of a JSON-lines file, `\n` included:
+    /// what [`read_lines`] reads back. One buffer, where `to_string()`
+    /// followed by a push copies the text and may grow it once more.
+    pub fn to_line(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None, 0);
+        out.push('\n');
+        out
+    }
+
     /// Render with 2-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -511,6 +521,45 @@ impl<T: Into<Json> + Clone> From<&BTreeMap<String, T>> for Json {
     fn from(m: &BTreeMap<String, T>) -> Json {
         Json::Obj(m.iter().map(|(k, v)| (k.clone(), v.clone().into())).collect())
     }
+}
+
+/// A line [`read_lines`] could not parse and could not drop.
+#[derive(Debug)]
+pub struct BadLine {
+    /// 1-based line number within the text read.
+    pub number: usize,
+    /// Byte offset of the line's start within the text read.
+    pub at: usize,
+    /// What the parser said.
+    pub error: String,
+}
+
+/// The one reader of JSON-lines files the process appends to — the
+/// campaign journal and the checkpoint. `parse` gets each complete
+/// (`\n`-terminated), non-blank line with its number, in order; returned
+/// are its results and the bytes those lines span. Text after the last
+/// newline is a line still being written (or cut short by a kill) and is
+/// left unread. A complete line that does not parse is dropped when
+/// nothing but whitespace follows it — a kill can tear a line even after
+/// its newline is visible — and is a [`BadLine`] anywhere else.
+pub fn read_lines<T>(
+    text: &str,
+    mut parse: impl FnMut(usize, &str) -> Result<T, String>,
+) -> Result<(Vec<T>, usize), BadLine> {
+    let mut items = Vec::new();
+    let mut at = 0;
+    for (index, whole) in text.split_inclusive('\n').enumerate() {
+        let Some(line) = whole.strip_suffix('\n') else { break };
+        if !line.trim().is_empty() {
+            match parse(index + 1, line) {
+                Ok(item) => items.push(item),
+                Err(_) if text[at + whole.len()..].trim().is_empty() => break,
+                Err(error) => return Err(BadLine { number: index + 1, at, error }),
+            }
+        }
+        at += whole.len();
+    }
+    Ok((items, at))
 }
 
 /// Hand `decode` every single-byte damage of `sample`: cut short at each

@@ -18,21 +18,24 @@
 //! rows: the journal's breaker / fault-epoch records are the steps the
 //! rows took, the counter snapshot (journal record and `.prom` file, one
 //! cadence) carries the state's counters, and the checkpoint is the
-//! state's serialization in one of two forms. The **document** is the
-//! whole state and is written where the file must stand on its own: at an
-//! invocation's first boundary, on a stop or cancel, and at the
-//! campaign's last boundary. Every other boundary appends one line to a
-//! **write-ahead log** beside it (`<checkpoint>.wal`) holding what the
-//! round added — its own per-protocol reports and the changed rows — so a
-//! boundary costs what its round touched, not what the campaign has
-//! accumulated. [`CampaignCheckpoint::load`] reads the document and folds
-//! the log's lines back in; writing the document removes the log.
+//! state's serialization.
+//!
+//! The checkpoint is one append-only JSON-lines file. **Line 1 is the
+//! state** — the whole of it — and is written where the file must stand
+//! on its own: at an invocation's first boundary, on a stop or cancel,
+//! and at the campaign's last boundary, each time as a new one-line file
+//! renamed over the old one. **Every later line is one round**, appended
+//! at every other boundary: the same keys, holding what the round added —
+//! its own per-protocol reports and the rows it changed — so a boundary
+//! costs what its round touched, not what the campaign has accumulated.
+//! [`CampaignCheckpoint::load`] reads line 1 and folds the round lines
+//! back in.
 //!
 //! A killed campaign resumed from its last checkpoint produces a
 //! [`CampaignRun`] **bit-identical** to the uninterrupted run's, wherever
 //! the kill fell: every piece of cross-target state is keyed by
 //! `(prefix-or-address, protocol)` and restored exactly, floats travel as
-//! raw bits, and a log line folds with the operation the live run used.
+//! raw bits, and a round line folds with the operation the live run used.
 //! Cooperative cancellation (an [`AtomicBool`]) and `stop_after_rounds`
 //! stop at the same round boundaries the checkpoints are written at.
 
@@ -45,7 +48,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use netmodel::{FaultEpochs, FaultPlan, PortSet, Protocol, PROTOCOLS};
-use sos_obs::json::Json;
+use sos_obs::json::{read_lines, Json};
 use sos_obs::manifest::Fnv1a64;
 use sos_obs::{Event, JournalWriter};
 use v6addr::AddrMap;
@@ -125,11 +128,11 @@ pub struct RunOptions {
     /// Prepared targets per round. `0` means one single round (no
     /// intermediate checkpoint boundaries).
     pub checkpoint_every: usize,
-    /// Where the checkpoint is kept, made durable after every round: the
-    /// document at this path plus, between document writes, a write-ahead
-    /// log beside it (the same name with a `.wal` extension) — read both
-    /// back with [`CampaignCheckpoint::load`]. `None` disables persistence
-    /// (rounds and cancellation still apply).
+    /// Where the checkpoint is kept, made durable after every round: one
+    /// file whose first line is the state and whose later lines are the
+    /// rounds since it was written (`<path>.tmp` is used while line 1 is
+    /// rewritten) — read it back with [`CampaignCheckpoint::load`]. `None`
+    /// disables persistence (rounds and cancellation still apply).
     pub checkpoint_path: Option<PathBuf>,
     /// Cooperative cancellation: checked at every round boundary; when
     /// set, the campaign checkpoints and returns `completed = false`.
@@ -182,12 +185,12 @@ pub struct CampaignRun {
 
 /// The campaign's state — progress, partial reports, and every piece of
 /// cross-target machine state as of the last round boundary — which is
-/// everything needed to resume a killed campaign bit-identically. The
-/// checkpoint document is its serialization: JSON (`u128` addresses as
-/// 32-digit hex strings, floats as `f64::to_bits`), guarded by a
+/// everything needed to resume a killed campaign bit-identically. A
+/// checkpoint line is its serialization: compact JSON (`u128` addresses
+/// as 32-digit hex strings, floats as `f64::to_bits`), guarded by a
 /// fingerprint over the target list, protocol set, and scanner
-/// configuration. The write-ahead log's lines use the same encodings for
-/// the part of the state one round changed.
+/// configuration. A round line is the same encoding of the part of the
+/// state one round changed, and decodes to a value of this type too.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
     /// FNV-1a over the canonical campaign identity (targets, protocols,
@@ -352,8 +355,8 @@ fn proto_by_index(idx: u64) -> Result<Protocol, String> {
         .ok_or_else(|| format!("unknown protocol index {idx}"))
 }
 
-/// The `[{proto, report}, …]` list a document stores cumulatively and a
-/// write-ahead line stores for its one round.
+/// The `[{proto, report}, …]` list a state line stores cumulatively and a
+/// round line stores for its one round.
 fn reports_to_json(reports: &[(Protocol, ScanReport)]) -> Json {
     let entry = |(proto, report): &(Protocol, ScanReport)| {
         let mut o = Json::obj();
@@ -363,23 +366,10 @@ fn reports_to_json(reports: &[(Protocol, ScanReport)]) -> Json {
     Json::Arr(reports.iter().map(entry).collect())
 }
 
-fn reports_from_json(j: &Json) -> Result<Vec<(Protocol, ScanReport)>, String> {
-    j.get("reports")
-        .and_then(Json::as_arr)
-        .ok_or("checkpoint missing reports")?
-        .iter()
-        .map(|entry| {
-            let proto = proto_by_index(get_u64(entry, "proto")?)?;
-            let report = report_from_json(entry.get("report").ok_or("report entry missing body")?)?;
-            Ok((proto, report))
-        })
-        .collect()
-}
-
 /// Fold one round's per-protocol reports into the cumulative ones, by
 /// position ([`same_protocols`] holds between the two) — the one operation
-/// both the live run and a replayed write-ahead line advance reports
-/// with, so `limited_seconds` adds up in the same order either way.
+/// both the live run and a replayed round line advance reports with, so
+/// `limited_seconds` adds up in the same order either way.
 fn absorb_rounds(total: &mut [(Protocol, ScanReport)], round: Vec<(Protocol, ScanReport)>) {
     for ((_, total), (_, partial)) in total.iter_mut().zip(round) {
         total.absorb_round(partial);
@@ -415,124 +405,80 @@ fn limiter_to_json(limiter: Option<&BucketSnapshot>) -> Json {
     o
 }
 
-fn limiter_from_json(j: &Json) -> Result<Option<BucketSnapshot>, String> {
-    match j.get("limiter") {
-        None | Some(Json::Null) => Ok(None),
-        Some(l) => Ok(Some(BucketSnapshot {
-            rate: get_u64(l, "rate")?,
-            burst: get_u64(l, "burst")?,
-            tokens: get_u64(l, "tokens")?,
-            now: get_u64(l, "now")?,
-            refilled_at: get_u64(l, "refilled_at")?,
-            waited: get_u64(l, "waited")?,
-            stalls: get_u64(l, "stalls")?,
-        })),
-    }
-}
-
-fn fault_rows_from_json(j: &Json) -> Result<Vec<(u128, u8, u32)>, String> {
-    table(j, "fault_state")?
-        .iter()
-        .map(|row| {
-            let ((domain, proto), [n]) = table_row("fault_state", row)?;
-            Ok((domain, proto, n))
-        })
-        .collect()
-}
-
 /// One breaker as the map lists it: `(domain, protocol index)` and state.
 type BreakerRow = ((u128, u8), BreakerState);
 
-fn breaker_row_json(((domain, proto), state): BreakerRow) -> Json {
-    let (tag, count) = state.encode();
-    table_row_json(domain, proto, [tag.into(), count])
-}
-
-/// The part of a `breaker` object that changes from round to round, added
-/// to `o`: the map's totals and the given rows (all of them in a
-/// document, the changed ones in a write-ahead line).
-fn breaker_state_json(mut o: Json, map: &BreakerMap, rows: impl Iterator<Item = BreakerRow>) -> Json {
-    o.set("opened", map.opened())
+/// A `breaker` object: the map's tuning and totals, and the given rows
+/// (all of them on a state line, the changed ones on a round line).
+fn breaker_json(map: &BreakerMap, rows: impl Iterator<Item = BreakerRow>) -> Json {
+    let cfg = map.config();
+    let row = |((domain, proto), state): BreakerRow| {
+        let (tag, count) = state.encode();
+        table_row_json(domain, proto, [tag.into(), count])
+    };
+    let mut o = Json::obj();
+    o.set("prefix_len", u64::from(cfg.prefix_len))
+        .set("threshold", cfg.threshold)
+        .set("cooldown", cfg.cooldown)
+        .set("opened", map.opened())
         .set("skipped", map.skipped())
-        .set("entries", Json::Arr(rows.map(breaker_row_json).collect()));
+        .set("entries", Json::Arr(rows.map(row).collect()));
     o
 }
 
-/// The `entries` rows of a `breaker` object.
-fn breaker_rows_from_json(breaker: &Json) -> Result<Vec<BreakerRow>, String> {
-    table(breaker, "entries")?
-        .iter()
-        .map(|row| {
-            let (key, [tag, count]) = table_row("breaker.entries", row)?;
-            let state = u8::try_from(tag).ok().and_then(|t| BreakerState::decode(t, count));
-            Ok((key, state.ok_or_else(|| format!("breaker.entries: unknown state tag {tag}"))?))
-        })
-        .collect()
-}
-
-fn counters_from_json(j: &Json) -> Result<BTreeMap<String, u64>, String> {
-    j.get("counters")
-        .and_then(Json::entries)
-        .ok_or("checkpoint missing counters")?
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("bad counter value")?)))
-        .collect()
-}
-
-fn fingerprint_from_json(j: &Json) -> Result<u64, String> {
-    j.get("fingerprint")
-        .and_then(Json::as_str)
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| "checkpoint missing fingerprint".to_string())
-}
-
-/// The write-ahead log that rides beside the checkpoint document at `path`.
-fn wal_path(path: &Path) -> PathBuf {
-    path.with_extension("wal")
-}
-
 impl CampaignCheckpoint {
-    /// Encode as the on-disk JSON document.
+    /// Encode as the checkpoint's first line: the whole state.
     pub fn to_json(&self) -> Json {
-        let mut doc = Json::obj();
-        doc.set("version", CHECKPOINT_VERSION)
-            .set("fingerprint", sos_obs::manifest::digest_hex(self.fingerprint))
-            .set("done", self.done)
-            .set("rounds", self.rounds);
-        doc.set("reports", reports_to_json(&self.reports));
-        doc.set("limiter", limiter_to_json(self.limiter.as_ref()));
-        doc.set(
-            "fault_state",
-            Json::Arr(self.fault_state.iter().map(|&(d, p, n)| table_row_json(d, p, [n])).collect()),
-        );
-        doc.set(
-            "breaker",
-            match &self.breaker {
-                None => Json::Null,
-                Some(b) => {
-                    let cfg = b.config();
-                    let mut o = Json::obj();
-                    o.set("prefix_len", u64::from(cfg.prefix_len))
-                        .set("threshold", cfg.threshold)
-                        .set("cooldown", cfg.cooldown);
-                    breaker_state_json(o, b, b.iter())
-                }
-            },
-        );
-        doc.set("counters", &self.counters);
-        doc
+        let fault = self.fault_state.iter().map(|&(d, p, n)| ((d, p), n));
+        let breakers = self.breaker.iter().flat_map(BreakerMap::iter);
+        self.encode_line(reports_to_json(&self.reports), fault, breakers)
     }
 
-    /// Parse the on-disk JSON document.
-    pub fn from_json(doc: &Json) -> Result<CampaignCheckpoint, String> {
-        let version = get_u64(doc, "version")?;
+    /// The one checkpoint line encoder. The state line passes every row
+    /// and the cumulative `reports`; a round line passes the rows the
+    /// round changed and the round's own reports, and the small absolute
+    /// parts (progress, limiter, breaker tuning and totals, counters) are
+    /// whole on both. [`CampaignCheckpoint::from_json`] decodes either.
+    // sos-lint: deterministic-root a reloaded checkpoint must rebuild the identical state
+    fn encode_line(
+        &self,
+        reports: Json,
+        fault: impl Iterator<Item = ((u128, u8), u32)>,
+        breakers: impl Iterator<Item = BreakerRow>,
+    ) -> Json {
+        let mut line = Json::obj();
+        line.set("version", CHECKPOINT_VERSION)
+            .set("fingerprint", sos_obs::manifest::digest_hex(self.fingerprint))
+            .set("done", self.done)
+            .set("rounds", self.rounds)
+            .set("reports", reports)
+            .set("limiter", limiter_to_json(self.limiter.as_ref()))
+            .set("fault_state", Json::Arr(fault.map(|((d, p), n)| table_row_json(d, p, [n])).collect()))
+            .set("breaker", self.breaker.as_ref().map_or(Json::Null, |b| breaker_json(b, breakers)))
+            .set("counters", &self.counters);
+        line
+    }
+
+    /// Decode one checkpoint line: the state, or a round as a state that
+    /// holds the round's own reports and changed rows. A field or row
+    /// that is damaged is an error naming it, never narrowed into state
+    /// nobody wrote.
+    pub fn from_json(line: &Json) -> Result<CampaignCheckpoint, String> {
+        let version = get_u64(line, "version")?;
         if version != CHECKPOINT_VERSION {
             return Err(format!("unsupported checkpoint version {version}"));
         }
-        let breaker = match doc.get("breaker") {
+        let breaker = match line.get("breaker") {
             None | Some(Json::Null) => None,
             Some(b) => {
-                let entries = breaker_rows_from_json(b)?;
+                let entries = table(b, "entries")?
+                    .iter()
+                    .map(|row| {
+                        let (key, [tag, count]) = table_row("breaker.entries", row)?;
+                        let state = u8::try_from(tag).ok().and_then(|t| BreakerState::decode(t, count));
+                        Ok((key, state.ok_or_else(|| format!("breaker.entries: unknown state tag {tag}"))?))
+                    })
+                    .collect::<Result<Vec<_>, String>>()?;
                 let prefix_len = get_u64(b, "prefix_len")?;
                 if !(1..=128).contains(&prefix_len) {
                     return Err(format!("breaker.prefix_len {prefix_len} is outside 1..=128"));
@@ -542,167 +488,135 @@ impl CampaignCheckpoint {
                     threshold: get_u32(b, "threshold")?,
                     cooldown: get_u32(b, "cooldown")?,
                 };
-                Some(BreakerMap::restore(
-                    cfg,
-                    entries,
-                    get_u64(b, "opened")?,
-                    get_u64(b, "skipped")?,
-                ))
+                Some(BreakerMap::restore(cfg, entries, get_u64(b, "opened")?, get_u64(b, "skipped")?))
             }
         };
+        let reports = table(line, "reports")?.iter().map(|entry| {
+            let proto = proto_by_index(get_u64(entry, "proto")?)?;
+            Ok((proto, report_from_json(entry.get("report").ok_or("report entry missing body")?)?))
+        });
+        let limiter = match line.get("limiter") {
+            None | Some(Json::Null) => None,
+            Some(l) => Some(BucketSnapshot {
+                rate: get_u64(l, "rate")?,
+                burst: get_u64(l, "burst")?,
+                tokens: get_u64(l, "tokens")?,
+                now: get_u64(l, "now")?,
+                refilled_at: get_u64(l, "refilled_at")?,
+                waited: get_u64(l, "waited")?,
+                stalls: get_u64(l, "stalls")?,
+            }),
+        };
+        let fault_state = table(line, "fault_state")?.iter().map(|row| {
+            let ((domain, proto), [n]) = table_row("fault_state", row)?;
+            Ok((domain, proto, n))
+        });
+        let counters = line.get("counters").and_then(Json::entries).ok_or("checkpoint missing counters")?;
+        let counters = counters.iter().map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("bad counter value")?)));
+        let fingerprint = line.get("fingerprint").and_then(Json::as_str);
         Ok(CampaignCheckpoint {
-            fingerprint: fingerprint_from_json(doc)?,
-            done: get_u64(doc, "done")? as usize,
-            rounds: get_u64(doc, "rounds")? as usize,
-            reports: reports_from_json(doc)?,
-            limiter: limiter_from_json(doc)?,
-            fault_state: fault_rows_from_json(doc)?,
+            fingerprint: fingerprint
+                .and_then(|s| u64::from_str_radix(s, 16).ok())
+                .ok_or("checkpoint missing fingerprint")?,
+            done: get_u64(line, "done")? as usize,
+            rounds: get_u64(line, "rounds")? as usize,
+            reports: reports.collect::<Result<_, String>>()?,
+            limiter,
+            fault_state: fault_state.collect::<Result<_, String>>()?,
             breaker,
-            counters: counters_from_json(doc)?,
+            counters: counters.collect::<Result<_, String>>()?,
         })
     }
 
-    /// One line of the write-ahead log: the round that ended at this
-    /// state, as what it adds to the state before it — the round's own
-    /// per-protocol `reports`, the per-prefix rows in `delta`, and the
-    /// small absolute parts (progress, limiter, breaker totals, counters)
-    /// whole. [`CampaignCheckpoint::fold`] is its inverse.
-    // sos-lint: deterministic-root a replayed log must rebuild the identical state
-    fn wal_line(&self, reports: Json, delta: &Delta) -> Json {
-        let mut line = Json::obj();
-        line.set("fingerprint", sos_obs::manifest::digest_hex(self.fingerprint))
-            .set("done", self.done)
-            .set("rounds", self.rounds)
-            .set("reports", reports)
-            .set("limiter", limiter_to_json(self.limiter.as_ref()));
-        let fault = delta.fault.iter().map(|&((d, p), _, n)| table_row_json(d, p, [n]));
-        line.set("fault_state", Json::Arr(fault.collect()));
-        let breakers = delta.breaker.iter().map(|&(key, _, state)| (key, state));
-        line.set(
-            "breaker",
-            self.breaker.as_ref().map_or(Json::Null, |b| breaker_state_json(Json::obj(), b, breakers)),
-        );
-        line.set("counters", &self.counters);
-        line
-    }
-
-    /// Advance by one [`CampaignCheckpoint::wal_line`]. The density rows
-    /// are folded into `fault`, which the caller holds keyed for the whole
-    /// log (`fault_state` is a sorted list; re-sorting it per line would
-    /// make a load quadratic in the campaign's length).
-    ///
-    /// A line this state already contains (`rounds` not beyond its own) is
-    /// a leftover of a document rewrite that died before the log was
-    /// removed, and is passed over. A line of another campaign, one that
-    /// skips a round, and any damaged field or row is an error: nothing is
-    /// narrowed into state nobody wrote, exactly as in the document.
-    fn fold(&mut self, line: &Json, fault: &mut BTreeMap<(u128, u8), u32>) -> Result<(), String> {
-        let rounds = get_u64(line, "rounds")? as usize;
-        if rounds <= self.rounds {
-            return Ok(());
-        }
-        let fingerprint = fingerprint_from_json(line)?;
-        if fingerprint != self.fingerprint {
+    /// Advance by one decoded round line. Its density rows are folded into
+    /// `fault`, which the caller holds keyed for the whole file
+    /// (`fault_state` is a sorted list; re-sorting it per line would make a
+    /// load quadratic in the campaign's length). A line of another
+    /// campaign, one that is not the next round, progress going backwards,
+    /// and reports or a breaker that do not match this state's are errors.
+    fn fold(&mut self, round: Self, fault: &mut BTreeMap<(u128, u8), u32>) -> Result<(), String> {
+        if round.fingerprint != self.fingerprint {
             return Err(format!(
                 "fingerprint {} is not the checkpoint's {}",
-                sos_obs::manifest::digest_hex(fingerprint),
+                sos_obs::manifest::digest_hex(round.fingerprint),
                 sos_obs::manifest::digest_hex(self.fingerprint),
             ));
         }
+        let (rounds, done) = (round.rounds, round.done);
         if rounds != self.rounds + 1 {
-            return Err(format!("round {rounds} follows round {}: a round is missing", self.rounds));
+            return Err(format!("round {rounds} follows round {}: a round is missing or repeated", self.rounds));
         }
-        let done = get_u64(line, "done")? as usize;
         if done < self.done {
             return Err(format!("done {done} is behind the {} already done", self.done));
         }
-        let round = reports_from_json(line)?;
-        same_protocols(&round, &protocols_of(&self.reports))?;
-        let limiter = limiter_from_json(line)?;
-        let fault_rows = fault_rows_from_json(line)?;
-        let breaker = match (line.get("breaker"), self.breaker.as_mut()) {
-            (None | Some(Json::Null), None) => None,
-            (Some(b @ Json::Obj(_)), Some(map)) => {
-                Some((map, breaker_rows_from_json(b)?, get_u64(b, "opened")?, get_u64(b, "skipped")?))
-            }
-            _ => return Err("breaker: present on one side of the log only".to_string()),
-        };
-        let counters = counters_from_json(line)?;
-        // Everything decoded: apply.
-        absorb_rounds(&mut self.reports, round);
+        same_protocols(&round.reports, &protocols_of(&self.reports))?;
+        match (self.breaker.as_mut(), round.breaker) {
+            (None, None) => {}
+            (Some(map), Some(line)) => map.advance(line.iter(), line.opened(), line.skipped()),
+            _ => return Err("breaker: on one of the state and the round line only".to_string()),
+        }
+        absorb_rounds(&mut self.reports, round.reports);
         self.done = done;
         self.rounds = rounds;
-        self.limiter = limiter;
-        fault.extend(fault_rows.into_iter().map(|(domain, proto, n)| ((domain, proto), n)));
-        if let Some((map, entries, opened, skipped)) = breaker {
-            map.advance(entries, opened, skipped);
-        }
-        self.counters = counters;
+        self.limiter = round.limiter;
+        fault.extend(round.fault_state.into_iter().map(|(domain, proto, n)| ((domain, proto), n)));
+        self.counters = round.counters;
         Ok(())
     }
 
-    /// Write the whole document to `path` (write-then-rename, so a kill
-    /// mid write never corrupts the previous checkpoint), then remove the
-    /// write-ahead log beside it: every round it held is in the document.
+    /// Write the state as a one-line checkpoint at `path`: to `<path>.tmp`,
+    /// then renamed over `path`, so a kill mid-write never corrupts the
+    /// previous checkpoint, and the one rename replaces its round lines.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json().to_string_pretty())?;
-        std::fs::rename(&tmp, path)?;
-        let wal = wal_path(path);
-        match std::fs::remove_file(&wal) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
-                Err(std::io::Error::new(e.kind(), format!("remove {}: {e}", wal.display())))
-            }
-            _ => Ok(()),
-        }
+        std::fs::write(&tmp, self.to_json().to_line())?;
+        std::fs::rename(&tmp, path)
     }
 
-    /// Append the round that ended at this state to the write-ahead log
-    /// beside `path`: one line, one `write_all`.
+    /// Append the round that ended at this state to the checkpoint at
+    /// `path`: one line, one `write_all`. The file is never created here —
+    /// a round line means nothing without the state line before it.
     fn append(&self, path: &Path, reports: Json, delta: &Delta) -> Result<(), String> {
-        let wal = wal_path(path);
-        let mut line = self.wal_line(reports, delta).to_string();
-        line.push('\n');
+        let fault = delta.fault.iter().map(|&(key, _, n)| (key, n));
+        let breakers = delta.breaker.iter().map(|&(key, _, state)| (key, state));
+        let line = self.encode_line(reports, fault, breakers).to_line();
         std::fs::OpenOptions::new()
-            .create(true)
             .append(true)
-            .open(&wal)
+            .open(path)
             .and_then(|mut file| file.write_all(line.as_bytes()))
-            .map_err(|e| format!("append checkpoint wal {}: {e}", wal.display()))
+            .map_err(|e| format!("append checkpoint {}: {e}", path.display()))
     }
 
-    /// Load the checkpoint at `path`: the document, advanced by every
-    /// complete line of the write-ahead log beside it (the rounds a run
-    /// appended after it last wrote the document; none after a clean
-    /// stop). A final line that is cut short is what a kill mid-append
-    /// leaves and is dropped; any other damage is an error naming the log.
+    /// Load the checkpoint at `path`: its first line, advanced by every
+    /// round line after it. A file that is one JSON document is the state
+    /// alone — what a stop or a completed run leaves, and the
+    /// pretty-printed document older versions wrote (a `.wal` file they
+    /// left beside it is not read: resuming redoes those rounds). Lines
+    /// are read by [`read_lines`]: a last line cut short or torn by a kill
+    /// is dropped, and any other damage is an error naming the path and
+    /// the line.
     pub fn load(path: &Path) -> Result<CampaignCheckpoint, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
-        let mut state = Self::from_json(&Json::parse(&text)?)?;
-        let wal = wal_path(path);
-        let log = match std::fs::read_to_string(&wal) {
-            Ok(log) => log,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(state),
-            Err(e) => return Err(format!("read checkpoint wal {}: {e}", wal.display())),
-        };
+        let at = |number: usize, e: String| format!("checkpoint {}: line {number}: {e}", path.display());
+        let whole = Json::parse(&text);
+        let mut lines = match &whole {
+            Ok(state) => vec![(1, Self::from_json(state).map_err(|e| at(1, e))?)],
+            Err(_) => read_lines(&text, |number, line| Ok((number, Self::from_json(&Json::parse(line)?)?)))
+                .map_err(|bad| at(bad.number, bad.error))?
+                .0,
+        }
+        .into_iter();
+        // Nothing complete to start from: say why the file is not one
+        // document either.
+        let Some((_, mut state)) = lines.next() else { return Err(at(1, whole.err().unwrap_or_default())) };
+        if lines.as_slice().is_empty() {
+            return Ok(state);
+        }
         let mut fault: BTreeMap<(u128, u8), u32> =
             std::mem::take(&mut state.fault_state).into_iter().map(|(d, p, n)| ((d, p), n)).collect();
-        // Whatever follows the last newline is a line cut short.
-        let mut rest = log.as_str();
-        let mut number = 0usize;
-        while let Some(newline) = rest.find('\n') {
-            let (line, tail) = rest.split_at(newline + 1);
-            number += 1;
-            let bad = |e: String| format!("checkpoint wal {}: line {number}: {e}", wal.display());
-            match Json::parse(line) {
-                Ok(line) => state.fold(&line, &mut fault).map_err(bad)?,
-                // A kill can tear the last line even after its newline is
-                // visible; the journal reader makes the same allowance.
-                Err(_) if tail.trim().is_empty() => break,
-                Err(e) => return Err(bad(e)),
-            }
-            rest = tail;
+        for (number, round) in lines {
+            state.fold(round, &mut fault).map_err(|e| at(number, e))?;
         }
         state.fault_state = fault.into_iter().map(|((d, p), n)| (d, p, n)).collect();
         Ok(state)
@@ -760,9 +674,9 @@ fn discovery_events(table: &AttributionTable) -> Vec<Event> {
 type Changed<V> = ((u128, u8), Option<V>, V);
 
 /// What one round changed in the two per-prefix tables, in key order. It
-/// is computed once per boundary and is what both the write-ahead line
-/// (the values now) and the journal's transition records (the step from
-/// the value before) are built from.
+/// is computed once per boundary and is what both the checkpoint's round
+/// line (the values now) and the journal's transition records (the step
+/// from the value before) are built from.
 struct Delta {
     fault: Vec<Changed<u32>>,
     breaker: Vec<Changed<BreakerState>>,
@@ -829,23 +743,39 @@ fn transitions(delta: &Delta, plan: Option<&FaultPlan>) -> Vec<Event> {
     events
 }
 
-/// Where a round boundary is written: the checkpoint file (with the
-/// write-ahead log beside it), the journal and the `.prom` snapshot file,
-/// each optional and independent.
+/// Where a round boundary is written: the checkpoint file, the journal and
+/// the `.prom` snapshot file, each optional and independent.
 struct Sinks<'o> {
     checkpoint: Option<&'o Path>,
     journal: Option<JournalWriter>,
     snapshot: Option<&'o Path>,
-    /// Whether this invocation has written the checkpoint document yet:
-    /// until it has, nothing on disk is known to be the state the log's
-    /// next line would extend.
-    document_written: bool,
+    /// Whether this invocation has written the checkpoint's state line
+    /// yet: until it has, nothing on disk is known to be the state the
+    /// next round line would extend.
+    state_written: bool,
 }
 
 impl<'o> Sinks<'o> {
-    /// Open the journal (a resume appends and continues the sequence, a
-    /// fresh run truncates) and note the two file paths.
+    /// Refuse files that coincide — the checkpoint, the `<checkpoint>.tmp`
+    /// it is rewritten through, the journal and the snapshot — then open
+    /// the journal (a resume appends and continues the sequence, a fresh
+    /// run truncates) and note the two other paths.
     fn open(opts: &'o RunOptions, resuming: bool) -> Result<Self, String> {
+        let tmp = opts.checkpoint_path.as_ref().map(|p| p.with_extension("tmp"));
+        let files = [
+            ("checkpoint", opts.checkpoint_path.as_deref()),
+            ("checkpoint's temporary file", tmp.as_deref()),
+            ("journal", opts.journal_path.as_deref()),
+            ("snapshot", opts.snapshot_path.as_deref()),
+        ];
+        let files: Vec<(&str, &Path)> = files.into_iter().filter_map(|(what, p)| Some((what, p?))).collect();
+        for (i, &(what, path)) in files.iter().enumerate() {
+            // `Path` equality compares components: `a/./b` is `a/b`.
+            if let Some((other, first)) = files[..i].iter().find(|(_, first)| *first == path) {
+                let (first, path) = (first.display(), path.display());
+                return Err(format!("the {other} {first} and the {what} {path} are the same file"));
+            }
+        }
         let journal = match &opts.journal_path {
             None => None,
             Some(path) => Some(
@@ -857,7 +787,7 @@ impl<'o> Sinks<'o> {
             checkpoint: opts.checkpoint_path.as_deref(),
             journal,
             snapshot: opts.snapshot_path.as_deref(),
-            document_written: false,
+            state_written: false,
         })
     }
 
@@ -896,12 +826,12 @@ impl<'o> Sinks<'o> {
     /// checkpoint path is configured.
     ///
     /// `round` is what the round that just ended added (its own reports,
-    /// encoded, and the rows it changed) and is appended to the
-    /// write-ahead log as one line, so a boundary costs what its round
-    /// touched. The whole document is written only where the file must
-    /// stand on its own: at an invocation's first write (whatever is on
-    /// disk may belong to another run), and when `round` is `None` — a
-    /// stop or cancel, and the campaign's last boundary.
+    /// encoded, and the rows it changed) and is appended to the checkpoint
+    /// as one line, so a boundary costs what its round touched. The file is
+    /// rewritten as the one state line only where it must stand on its
+    /// own: at an invocation's first write (whatever is on disk may belong
+    /// to another run), and when `round` is `None` — a stop or cancel, and
+    /// the campaign's last boundary.
     fn persist(
         &mut self,
         state: &CampaignCheckpoint,
@@ -909,12 +839,12 @@ impl<'o> Sinks<'o> {
     ) -> Result<bool, String> {
         let Some(path) = self.checkpoint else { return Ok(false) };
         match round {
-            Some((reports, delta)) if self.document_written => state.append(path, reports, delta)?,
+            Some((reports, delta)) if self.state_written => state.append(path, reports, delta)?,
             _ => {
                 state
                     .save(path)
                     .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
-                self.document_written = true;
+                self.state_written = true;
             }
         }
         self.event(state, || Event::CheckpointWrite {
@@ -1006,8 +936,9 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
     /// The target list is prepared once; rounds of
     /// `opts.checkpoint_every` prepared targets are then scanned on every
     /// protocol (sharded `opts.shards` ways). After each round the machine
-    /// state is made durable at `opts.checkpoint_path` (when set; the whole
-    /// document or one appended log line, see the module docs), and
+    /// state is made durable at `opts.checkpoint_path` (when set; the file
+    /// rewritten as one state line, or one round line appended, see the
+    /// module docs), and
     /// cancellation / `stop_after_rounds` is honored at the same
     /// boundaries. Passing the saved [`CampaignCheckpoint`] as `resume`
     /// restores every clock and counter and continues from the next
@@ -1147,8 +1078,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 self.scanner
                     .scan_prepared(slice, &self.protocols, shards, tags.as_deref());
             // Every boundary but the campaign's last can append the round
-            // to the write-ahead log; its reports are encoded before they
-            // are folded away.
+            // to the checkpoint; its reports are encoded before they are
+            // folded away.
             let appendable = (sinks.checkpoint.is_some() && end < prepared.len())
                 .then(|| reports_to_json(&round));
             // One report per protocol, in order: a fresh state is built so
@@ -1185,7 +1116,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
         if !completed {
             // Written even when the loop just wrote one: this is what
             // leaves a checkpoint behind a zero-round cancel, and a
-            // stopped campaign as one whole document with no log.
+            // stopped campaign as one state line with no round lines.
             sinks.persist(&state, None)?;
         }
 

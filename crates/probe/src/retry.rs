@@ -358,8 +358,8 @@ impl BreakerMap {
     }
 
     /// Move on to a later round boundary: `changed` states overwrite or
-    /// join this map's and the counters are replaced — what one line of a
-    /// checkpoint's write-ahead log replays.
+    /// join this map's and the counters are replaced — what one round line
+    /// of a checkpoint (every line after the first) replays.
     pub(crate) fn advance(
         &mut self,
         changed: impl IntoIterator<Item = ((u128, u8), BreakerState)>,

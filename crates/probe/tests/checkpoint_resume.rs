@@ -244,7 +244,8 @@ fn large_checkpoint_saves_and_loads_equal() {
     };
     let path = tmp("large");
     ckpt.save(&path).unwrap();
-    assert!(std::fs::metadata(&path).unwrap().len() > 2_000_000);
+    // One compact line: 35 bytes a hit.
+    assert!(std::fs::metadata(&path).unwrap().len() > 1_750_000);
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
     let _ = std::fs::remove_file(&path);
 }
@@ -313,10 +314,10 @@ fn unopenable_journal_fails_before_the_first_probe() {
     assert_eq!(s.packets_sent(), 0);
 }
 
-/// Damaged checkpoint files are refused with an error, never a panic —
-/// and never loaded as something else: an out-of-range protocol index,
-/// breaker tag, prefix length or count names its field instead of being
-/// narrowed into state nobody wrote.
+/// Damaged checkpoint files are refused with an error naming the file,
+/// never a panic — and never loaded as something else: an out-of-range
+/// protocol index, breaker tag, prefix length or count names its field
+/// instead of being narrowed into state nobody wrote.
 #[test]
 fn damaged_checkpoints_load_as_errors() {
     let report = sos_probe::ScanReport {
@@ -341,15 +342,20 @@ fn damaged_checkpoints_load_as_errors() {
     };
     let path = tmp("damaged");
     ckpt.save(&path).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
-    // The same document without whitespace, for the one-value edits below.
+    // The state as one compact line, which the one-value edits below change.
     let compact = ckpt.to_json().to_string();
-    std::fs::write(&path, &compact).unwrap();
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{compact}\n"));
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
+    // The pretty-printed document older versions wrote loads the same.
+    let pretty = ckpt.to_json().to_string_pretty();
+    std::fs::write(&path, &pretty).unwrap();
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
 
-    let mid_hits = text.find("\"hits\"").unwrap() + 200;
-    assert!(mid_hits < text.find("\"probed\"").unwrap());
+    let mid_hits = |text: &str| {
+        let at = text.find("\"hits\"").unwrap() + 200;
+        assert!(at < text.find("\"probed\"").unwrap());
+        text[..at].to_string()
+    };
     let edit = |from: &str, to: &str| {
         assert_eq!(compact.matches(from).count(), 1, "{from} must name one value");
         compact.replacen(from, to, 1)
@@ -362,8 +368,9 @@ fn damaged_checkpoints_load_as_errors() {
     let with_row = CampaignCheckpoint::load(&path).unwrap();
     assert_eq!(with_row.reports[0].1.attribution.totals(), (1, 0, 0));
     for (what, body, names) in [
-        ("truncated mid-hits", text[..mid_hits].to_string(), ""),
-        ("empty", String::new(), ""),
+        ("truncated mid-hits", mid_hits(&compact), "line 1"),
+        ("a pretty document truncated mid-hits", mid_hits(&pretty), "line 1"),
+        ("empty", String::new(), "line 1"),
         ("wrong version", edit("\"version\":1,", "\"version\":2,"), "version"),
         ("fault row protocol 300 (44 as u8)", edit(",1,777]", ",300,777]"), "fault_state"),
         ("fault row count 2^40", edit(",1,777]", ",1,1099511627776]"), "fault_state"),
@@ -383,6 +390,7 @@ fn damaged_checkpoints_load_as_errors() {
     ] {
         std::fs::write(&path, body).unwrap();
         let err = CampaignCheckpoint::load(&path).expect_err(what);
+        assert!(err.contains(&path.display().to_string()), "{what}: {err:?} must name the file");
         assert!(err.contains(names), "{what}: {err:?} must name {names:?}");
     }
     let _ = std::fs::remove_file(&path);
@@ -443,7 +451,7 @@ impl Hostile {
         let mut s = scanner(world.clone(), None);
         let full = Campaign::standard(&mut s).run_with(&targets, &opts, None).unwrap();
         assert!(full.completed && full.rounds >= 5, "{} rounds", full.rounds);
-        assert!(!wal_of(&path).exists(), "a completed run leaves no wal");
+        assert_eq!(lines_of(&path).len(), 1, "a completed run leaves one line");
         let mut full_counters = s.metrics().counters();
         full_counters.remove("probe.resumed_targets");
         let full_ckpt = CampaignCheckpoint::load(&path).unwrap();
@@ -462,7 +470,7 @@ impl Hostile {
         let mut s = scanner(self.world.clone(), None);
         let partial = Campaign::standard(&mut s).run_with(&self.targets, &opts, None).unwrap();
         assert!(!partial.completed && partial.rounds == k);
-        assert!(!wal_of(path).exists(), "a cooperative stop leaves no wal");
+        assert_eq!(lines_of(path).len(), 1, "a cooperative stop leaves one line");
         (CampaignCheckpoint::load(path).unwrap(), partial.result.packets_sent())
     }
 
@@ -503,7 +511,7 @@ impl Hostile {
             normalized(self.full_ckpt.clone()),
             "final checkpoint diverged: {what}"
         );
-        assert!(!wal_of(path).exists(), "a completed run leaves no wal: {what}");
+        assert_eq!(lines_of(path).len(), 1, "a completed run leaves one line: {what}");
     }
 }
 
@@ -519,60 +527,58 @@ fn budgeted(
     Scanner::new(config, Budgeted::new(world, budget, spent))
 }
 
-fn wal_of(path: &Path) -> PathBuf {
-    path.with_extension("wal")
+/// The checkpoint file's lines.
+fn lines_of(path: &Path) -> Vec<String> {
+    std::fs::read_to_string(path).unwrap().lines().map(str::to_string).collect()
 }
 
-/// The document at `path` alone, without the write-ahead log beside it.
-fn document(path: &Path) -> CampaignCheckpoint {
-    let text = std::fs::read_to_string(path).unwrap();
-    CampaignCheckpoint::from_json(&Json::parse(&text).unwrap()).unwrap()
+/// The state line at `path` alone, without the round lines after it.
+fn first_line(path: &Path) -> CampaignCheckpoint {
+    CampaignCheckpoint::from_json(&Json::parse(&lines_of(path)[0]).unwrap()).unwrap()
 }
 
-fn remove_pair(path: &Path) {
+fn remove(path: &Path) {
     let _ = std::fs::remove_file(path);
-    let _ = std::fs::remove_file(wal_of(path));
 }
 
 /// A kill that is not at a boundary — the process dies mid-round, nothing
-/// gets to rewrite the document — leaves the first boundary's document
-/// and one write-ahead line per later boundary, and that pair is the
-/// checkpoint: it loads as the state a cooperative stop at the same
-/// boundary leaves, and resumes to the uninterrupted run's result.
+/// gets to rewrite the file — leaves the first boundary's state line and
+/// one round line per later boundary, and that file is the checkpoint: it
+/// loads as the state a cooperative stop at the same boundary leaves, and
+/// resumes to the uninterrupted run's result.
 #[test]
 fn hard_kill_after_every_boundary_resumes_bit_identically() {
     let h = Hostile::new("hard-kill");
     for k in 1..h.full.rounds {
         let path = tmp(&format!("hard-kill-{k}"));
-        remove_pair(&path);
+        remove(&path);
         let (stopped, _) = h.stopped_after(k, &path);
-        remove_pair(&path);
+        remove(&path);
         h.killed_after(k, &path);
 
         // The structure that makes a boundary cost what its round did:
-        // the document is still the first boundary's.
-        assert_eq!(document(&path).rounds, 1, "killed after boundary {k}");
-        let lines = std::fs::read_to_string(wal_of(&path)).map_or(0, |log| log.lines().count());
-        assert_eq!(lines, k - 1, "killed after boundary {k}");
+        // the state line is still the first boundary's.
+        assert_eq!(first_line(&path).rounds, 1, "killed after boundary {k}");
+        assert_eq!(lines_of(&path).len(), k, "killed after boundary {k}");
 
         let ckpt = CampaignCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.rounds, k);
         assert_eq!(normalized(ckpt.clone()), normalized(stopped), "killed after boundary {k}");
         h.resume_converges(&ckpt, &path, &format!("killed after boundary {k}"));
-        remove_pair(&path);
+        remove(&path);
     }
 }
 
-/// The same through the scanner's own token bucket: a write-ahead line
-/// carries the limiter's state whole, so a killed rate-limited campaign
-/// loads and resumes with its virtual waits bit-identical.
+/// The same through the scanner's own token bucket: a round line carries
+/// the limiter's state whole, so a killed rate-limited campaign loads and
+/// resumes with its virtual waits bit-identical.
 #[test]
 fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
     const K: usize = 3;
     let w = hostile_world(0x11A7E);
     let t = targets(&w);
     let path = tmp("hard-kill-limit");
-    remove_pair(&path);
+    remove(&path);
     let opts = RunOptions {
         shards: 1,
         checkpoint_every: 30,
@@ -586,7 +592,7 @@ fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
     let stop = RunOptions { stop_after_rounds: Some(K), ..opts.clone() };
     let partial = run(&mut scanner(w.clone(), Some(25.0)), &stop, None);
     let stopped = CampaignCheckpoint::load(&path).unwrap();
-    remove_pair(&path);
+    remove(&path);
 
     let budget = partial.result.packets_sent() + 1;
     let mut s = budgeted(w.clone(), Some(25.0), budget, || panic!("killed mid-round"));
@@ -594,13 +600,13 @@ fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
         Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &opts, None)
     }));
     assert!(died.is_err());
-    assert_eq!(document(&path).rounds, 1);
+    assert_eq!(first_line(&path).rounds, 1);
     let ckpt = CampaignCheckpoint::load(&path).unwrap();
-    assert!(ckpt.limiter.is_some() && ckpt.limiter != document(&path).limiter);
+    assert!(ckpt.limiter.is_some() && ckpt.limiter != first_line(&path).limiter);
     assert_eq!(ckpt, stopped);
     let resumed = run(&mut scanner(w.clone(), Some(25.0)), &opts, Some(&ckpt));
     assert_eq!(resumed.result.reports, full.result.reports);
-    remove_pair(&path);
+    remove(&path);
 }
 
 fn field<'j>(j: &'j mut Json, key: &str) -> &'j mut Json {
@@ -613,44 +619,35 @@ fn items(j: &mut Json) -> &mut Vec<Json> {
     items
 }
 
-/// What `load` makes of a write-ahead log that is not what a run wrote in
-/// full: a cut tail and leftovers are passed over, anything else is an
-/// error naming the log — never a panic, never state nobody wrote.
+/// What `load` makes of round lines that are not what a run wrote in full:
+/// a cut or torn last line is dropped, anything else is an error naming
+/// the file and the line — never a panic, never state nobody wrote.
 #[test]
-fn write_ahead_log_damage_is_dropped_skipped_or_refused() {
+fn write_ahead_log_damage_is_dropped_or_refused() {
     const K: usize = 4;
     let h = Hostile::new("wal-damage");
     let path = tmp("wal-damage");
-    remove_pair(&path);
-    let (stopped, _) = h.stopped_after(K, &path);
-    remove_pair(&path);
+    remove(&path);
     h.killed_after(K, &path);
-    let wal = wal_of(&path);
-    let log = std::fs::read_to_string(&wal).unwrap();
-    let lines: Vec<&str> = log.lines().collect();
-    assert_eq!(lines.len(), K - 1);
-    let first_document = std::fs::read(&path).unwrap();
+    let file = std::fs::read_to_string(&path).unwrap();
+    let lines: Vec<&str> = file.lines().collect();
+    assert_eq!(lines.len(), K, "the state line and K - 1 round lines");
 
     // A kill mid-append: the last line is cut short. The rounds before it
     // load, and resuming from there still converges.
-    std::fs::write(&wal, &log[..log.len() - lines[K - 2].len() / 2]).unwrap();
+    std::fs::write(&path, &file[..file.len() - lines[K - 1].len() / 2]).unwrap();
     let ckpt = CampaignCheckpoint::load(&path).unwrap();
     assert_eq!(ckpt.rounds, K - 1);
-    h.resume_converges(&ckpt, &path, "last wal line cut mid-way");
+    h.resume_converges(&ckpt, &path, "last line cut mid-way");
+    // A last line torn with its newline already written is dropped too.
+    std::fs::write(&path, format!("{}\n{}\n", lines[..K - 1].join("\n"), &lines[K - 1][..40])).unwrap();
+    assert_eq!(CampaignCheckpoint::load(&path).unwrap().rounds, K - 1);
 
-    // A document rewrite that died before it removed the log: every line
-    // is a round the document already holds.
-    stopped.save(&path).unwrap();
-    assert!(!wal.exists(), "save removes the log it supersedes");
-    std::fs::write(&wal, &log).unwrap();
-    assert_eq!(CampaignCheckpoint::load(&path).unwrap(), stopped);
-
-    // Everything else is refused, naming the log.
-    std::fs::write(&path, &first_document).unwrap();
+    // Everything else is refused, naming the file and the line.
     let edited = |edit: &dyn Fn(&mut Json)| {
-        let mut line = Json::parse(lines[0]).unwrap();
+        let mut line = Json::parse(lines[1]).unwrap();
         edit(&mut line);
-        format!("{line}\n{}\n", lines[1..].join("\n"))
+        format!("{}\n{line}\n{}\n", lines[0], lines[2..].join("\n"))
     };
     let row = |table: &[&str], column: usize, value: u64| {
         edited(&|line| {
@@ -665,15 +662,25 @@ fn write_ahead_log_damage_is_dropped_skipped_or_refused() {
             items(&mut items(field(report, "attribution"))[0])[column] = Json::U64(value);
         })
     };
-    for (what, log, names) in [
-        ("a missing round", lines[1..].join("\n") + "\n", "missing"),
+    for (what, body, names) in [
+        (
+            "a missing round",
+            format!("{}\n{}\n", lines[0], lines[2..].join("\n")),
+            "line 2: round 3 follows round 1",
+        ),
+        (
+            "a repeated round",
+            format!("{}\n{}\n{}\n", lines[0], lines[1], lines[1]),
+            "line 3: round 2 follows round 2",
+        ),
         (
             "another campaign's line",
             edited(&|line| *field(line, "fingerprint") = Json::Str("00000000deadbeef".into())),
             "fingerprint",
         ),
         ("progress going backwards", edited(&|line| *field(line, "done") = Json::U64(0)), "done"),
-        ("a torn line before the last", format!("{}\n{}\n", &lines[0][..40], lines[1]), "line 1"),
+        ("a torn state line", format!("{}\n{}\n", &lines[0][..40], lines[1]), "line 1"),
+        ("a torn line before the last", format!("{}\n{}\n{}\n", lines[0], &lines[1][..40], lines[2]), "line 2"),
         ("fault row protocol 300", row(&["fault_state"], 1, 300), "fault_state"),
         ("fault row count 2^40", row(&["fault_state"], 2, 1 << 40), "fault_state"),
         ("breaker row protocol 300", row(&["breaker", "entries"], 1, 300), "breaker.entries"),
@@ -681,45 +688,45 @@ fn write_ahead_log_damage_is_dropped_skipped_or_refused() {
         ("breaker row count 2^40", row(&["breaker", "entries"], 3, 1 << 40), "breaker.entries"),
         ("reports out of order", edited(&|line| items(field(line, "reports")).swap(0, 1)), "reports"),
         ("a report short", edited(&|line| drop(items(field(line, "reports")).pop())), "reports"),
-        ("no breaker where the document has one", edited(&|line| *field(line, "breaker") = Json::Null), "breaker"),
+        ("no breaker where the state has one", edited(&|line| *field(line, "breaker") = Json::Null), "breaker"),
         ("attribution source 300", attribution(0, 300), "source"),
         ("attribution region 2^40", attribution(1, 1 << 40), "region"),
         ("attribution round 70 000", attribution(6, 70_000), "first_round"),
-        ("a line nested 100 000 deep", format!("{}\n{}\n", "[".repeat(100_000), lines[1]), "nesting"),
+        ("a line nested 100 000 deep", format!("{}\n{}\n{}\n", lines[0], "[".repeat(100_000), lines[2]), "nesting"),
     ] {
-        std::fs::write(&wal, log).unwrap();
+        std::fs::write(&path, body).unwrap();
         let err = CampaignCheckpoint::load(&path).expect_err(what);
-        assert!(err.contains(&wal.display().to_string()), "{what}: {err:?} must name the wal");
+        assert!(err.contains(&path.display().to_string()), "{what}: {err:?} must name the file");
         assert!(err.contains(names), "{what}: {err:?} must name {names:?}");
     }
-    remove_pair(&path);
+    remove(&path);
 }
 
-/// A write-ahead log that cannot be appended to ends the campaign at the
-/// second boundary — the first one that appends — with an error naming
-/// it; the first boundary's document is on disk, and the failed write is
-/// not journaled.
+/// A round line is never appended to a file that is not there: once the
+/// checkpoint is deleted after the first boundary, the second boundary —
+/// the first one that appends — ends the campaign with an error naming
+/// it, creates nothing, and the failed write is not journaled.
 #[test]
 fn unwritable_write_ahead_log_fails_the_second_boundary() {
     let h = Hostile::new("wal-io");
     let path = tmp("wal-io");
     let journal = tmp("wal-io-journal");
-    remove_pair(&path);
+    remove(&path);
     let (_, first_round) = h.stopped_after(1, &path);
-    remove_pair(&path);
-    // Once round 2 is under way, a directory takes the log's place.
-    let wal = wal_of(&path);
-    let block = {
-        let wal = wal.clone();
-        move || drop(std::fs::create_dir(&wal))
+    remove(&path);
+    // Once round 2 is under way, the checkpoint the first boundary wrote
+    // is deleted.
+    let delete = {
+        let path = path.clone();
+        move || remove(&path)
     };
-    let mut s = budgeted(h.world.clone(), None, first_round + 1, block);
+    let mut s = budgeted(h.world.clone(), None, first_round + 1, delete);
     let opts = RunOptions { journal_path: Some(journal.clone()), ..h.at(&path) };
     let err = Campaign::standard(&mut s)
         .run_with(&h.targets, &opts, None)
-        .expect_err("a directory cannot be appended to");
-    assert!(err.contains(&wal.display().to_string()), "{err}");
-    assert_eq!(document(&path).rounds, 1, "the first boundary wrote the document");
+        .expect_err("a missing checkpoint cannot be appended to");
+    assert!(err.contains(&path.display().to_string()), "{err}");
+    assert!(!path.exists(), "append created no file");
     let kinds: Vec<&str> = sos_obs::journal::read_records(&journal)
         .unwrap()
         .iter()
@@ -727,19 +734,17 @@ fn unwritable_write_ahead_log_fails_the_second_boundary() {
         .collect();
     assert_eq!(kinds.iter().filter(|k| **k == "round_end").count(), 2, "{kinds:?}");
     assert_eq!(kinds.iter().filter(|k| **k == "checkpoint").count(), 1, "{kinds:?}");
-    let _ = std::fs::remove_dir(&wal);
-    let _ = std::fs::remove_file(&path);
     let _ = std::fs::remove_file(&journal);
 }
 
 /// A cancel that lands mid-run, after lines were appended, still ends on
-/// one whole document and no log.
+/// one state line and no round lines.
 #[test]
 fn cancel_after_appends_leaves_a_document_and_no_log() {
     let h = Hostile::new("wal-cancel");
     let path = tmp("wal-cancel");
     let scratch = tmp("wal-cancel-scratch");
-    remove_pair(&path);
+    remove(&path);
     let (_, packets) = h.stopped_after(3, &scratch);
     let _ = std::fs::remove_file(&scratch);
     let cancel = Arc::new(AtomicBool::new(false));
@@ -752,11 +757,114 @@ fn cancel_after_appends_leaves_a_document_and_no_log() {
     let stopped = Campaign::standard(&mut s).run_with(&h.targets, &opts, None).unwrap();
     assert!(!stopped.completed);
     assert_eq!(stopped.rounds, 4, "the cancel is honored at the boundary after it was raised");
-    assert!(!wal_of(&path).exists());
-    let ckpt = document(&path);
+    assert_eq!(lines_of(&path).len(), 1);
+    let ckpt = first_line(&path);
     assert_eq!(ckpt.rounds, 4);
     h.resume_converges(&ckpt, &path, "cancelled during round 4");
-    remove_pair(&path);
+    remove(&path);
+}
+
+/// A checkpoint is one file whatever it is called: one named `*.wal`
+/// stops, resumes, survives a hard kill and ends present and equal.
+#[test]
+fn a_checkpoint_named_wal_stops_resumes_and_survives_a_kill() {
+    let h = Hostile::new("named-wal");
+    let path = std::env::temp_dir().join(format!("sos-ckpt-{}-named.wal", std::process::id()));
+    remove(&path);
+    let (stopped, _) = h.stopped_after(2, &path);
+    assert_eq!(stopped.rounds, 2);
+    h.resume_converges(&stopped, &path, "named .wal, stopped after 2");
+
+    let (stopped, _) = h.stopped_after(3, &path);
+    remove(&path);
+    h.killed_after(3, &path);
+    let ckpt = CampaignCheckpoint::load(&path).unwrap();
+    assert_eq!(normalized(ckpt.clone()), normalized(stopped), "named .wal, killed after 3");
+    h.resume_converges(&ckpt, &path, "named .wal, killed after 3");
+    remove(&path);
+}
+
+/// What older versions left: the state as one pretty-printed document,
+/// and a write-ahead log beside it (`<name>.wal`). The document loads on
+/// its own — the log is not read — and resuming from it redoes the
+/// log's rounds to the uninterrupted run's result.
+#[test]
+fn a_parent_document_with_a_stale_wal_beside_it_resumes() {
+    let h = Hostile::new("parent-doc");
+    let path = tmp("parent-doc");
+    let wal = path.with_extension("wal");
+    remove(&path);
+    let (stopped, _) = h.stopped_after(2, &path);
+    remove(&path);
+    h.killed_after(4, &path);
+    // Rounds 2 to 4, as round lines.
+    let later_rounds = lines_of(&path)[1..].join("\n") + "\n";
+    std::fs::write(&path, stopped.to_json().to_string_pretty()).unwrap();
+    std::fs::write(&wal, &later_rounds).unwrap();
+
+    let ckpt = CampaignCheckpoint::load(&path).unwrap();
+    assert_eq!(ckpt, stopped, "the document alone, rounds 3 and 4 not folded in");
+    h.resume_converges(&ckpt, &path, "a parent document with a stale .wal");
+    assert_eq!(std::fs::read_to_string(&wal).unwrap(), later_rounds, "the stale .wal is not touched");
+    remove(&path);
+    remove(&wal);
+}
+
+/// Two of a campaign's files at one path would overwrite each other — the
+/// checkpoint, the `<checkpoint>.tmp` it is rewritten through, the journal
+/// and the snapshot. Such a run is refused before the first probe with an
+/// error naming the path, and writes nothing.
+#[test]
+fn sinks_at_one_path_are_refused_before_the_first_probe() {
+    let w = hostile_world(0x5175);
+    let t = targets(&w);
+    let dir = tmp("sinks");
+    std::fs::create_dir_all(&dir).unwrap();
+    let at = |name: &str| Some(dir.join(name));
+    let none = RunOptions { checkpoint_every: 64, ..RunOptions::default() };
+    for (what, opts, named) in [
+        (
+            "a checkpoint that is its own temporary file",
+            RunOptions { checkpoint_path: at("c.tmp"), ..none.clone() },
+            "c.tmp",
+        ),
+        (
+            "a journal at the checkpoint",
+            RunOptions { checkpoint_path: at("c.json"), journal_path: at("c.json"), ..none.clone() },
+            "c.json",
+        ),
+        (
+            "a journal at the checkpoint's temporary file",
+            RunOptions { checkpoint_path: at("c.json"), journal_path: at("c.tmp"), ..none.clone() },
+            "c.tmp",
+        ),
+        (
+            "a snapshot at the checkpoint",
+            RunOptions { checkpoint_path: at("c.json"), snapshot_path: at("c.json"), ..none.clone() },
+            "c.json",
+        ),
+        (
+            "a journal that is its own snapshot, spelled two ways",
+            RunOptions {
+                journal_path: at("j.prom"),
+                snapshot_path: Some(dir.join(".").join("j.prom")),
+                ..none.clone()
+            },
+            "j.prom",
+        ),
+    ] {
+        for name in ["c.json", "c.tmp", "j.prom"] {
+            std::fs::write(dir.join(name), "kept").unwrap();
+        }
+        let mut s = scanner(w.clone(), None);
+        let err = Campaign::standard(&mut s).run_with(&t, &opts, None).expect_err(what);
+        assert!(err.contains(&dir.join(named).display().to_string()), "{what}: {err}");
+        assert_eq!(s.packets_sent(), 0, "{what}: refused before any probe");
+        for name in ["c.json", "c.tmp", "j.prom"] {
+            assert_eq!(std::fs::read_to_string(dir.join(name)).unwrap(), "kept", "{what}: {name}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Reports are folded by position, so a checkpoint whose fingerprint
@@ -767,9 +875,9 @@ fn cancel_after_appends_leaves_a_document_and_no_log() {
 fn resume_refuses_reports_that_do_not_match_the_protocols() {
     let h = Hostile::new("bad-reports");
     let path = tmp("bad-reports");
-    remove_pair(&path);
+    remove(&path);
     let (good, _) = h.stopped_after(1, &path);
-    remove_pair(&path);
+    remove(&path);
     for what in ["empty", "short", "reordered", "duplicated"] {
         let mut ckpt = good.clone();
         let reports = &mut ckpt.reports;
@@ -789,16 +897,16 @@ fn resume_refuses_reports_that_do_not_match_the_protocols() {
     }
 }
 
-/// ROADMAP 6a for the checkpoint's two decoders: whatever single byte of
-/// a document or of a write-ahead line is lost or changed, `load` returns
-/// — a state or an error — and never panics. The campaign is cut down to
-/// one protocol and two targets a round so the sweep can try every offset.
+/// ROADMAP 6a for the checkpoint loader: whatever single byte of a state
+/// line or of a round line is lost or changed, `load` returns — a state
+/// or an error — and never panics. The campaign is cut down to one
+/// protocol and two targets a round so the sweep can try every offset.
 #[test]
 fn single_byte_damage_to_a_checkpoint_never_panics_the_loader() {
     let w = hostile_world(0xCE5);
     let t: Vec<_> = targets(&w).into_iter().step_by(40).collect();
     let path = tmp("sweep");
-    remove_pair(&path);
+    remove(&path);
     let opts = RunOptions {
         checkpoint_every: 2,
         checkpoint_path: Some(path.clone()),
@@ -810,34 +918,36 @@ fn single_byte_damage_to_a_checkpoint_never_panics_the_loader() {
     let partial = Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &stop, None).unwrap();
     assert!(!partial.completed);
     let two_rounds = CampaignCheckpoint::load(&path).unwrap();
-    remove_pair(&path);
+    let state_line = std::fs::read(&path).unwrap();
+    remove(&path);
     let mut s = budgeted(w, None, partial.result.packets_sent() + 1, || panic!("killed mid-round"));
     let died = catch_unwind(AssertUnwindSafe(|| {
         Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &opts, None)
     }));
     assert!(died.is_err());
-    let wal = wal_of(&path);
-    let line = std::fs::read_to_string(&wal).unwrap();
+    let killed = std::fs::read(&path).unwrap();
+    let first = killed.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let (first_line, round_line) = killed.split_at(first);
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), two_rounds);
 
     // Both samples hold every kind of row there is to damage.
-    let document = two_rounds.to_json().to_string();
-    for sample in [&document, &line] {
+    for sample in [&state_line[..], round_line] {
+        let sample = String::from_utf8_lossy(sample);
         for rows in ["\"attribution\":[[", "\"fault_state\":[[", "\"entries\":[["] {
             assert!(sample.contains(rows), "no {rows} in {sample}");
         }
     }
-    // The log is rewritten in place: creating it anew for each of its
-    // ~15 000 variants would cost more than loading them does.
-    let mut log = std::fs::OpenOptions::new().write(true).open(&wal).unwrap();
-    single_byte_damage(line.as_bytes(), |damaged| {
-        log.set_len(damaged.len() as u64).unwrap();
-        log.rewind().and_then(|()| log.write_all(damaged)).unwrap();
+    // The file is rewritten in place: creating it anew for each of its
+    // ~15 000 variants would cost more than loading them does. A damaged
+    // state line is the whole file; a damaged round line follows the
+    // first boundary's state line.
+    let mut file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let mut rewrite = |bytes: &[u8]| {
+        file.set_len(bytes.len() as u64).unwrap();
+        file.rewind().and_then(|()| file.write_all(bytes)).unwrap();
         let _ = CampaignCheckpoint::load(&path);
-    });
-    single_byte_damage(document.as_bytes(), |damaged| {
-        let _ = Json::parse(&String::from_utf8_lossy(damaged))
-            .and_then(|doc| CampaignCheckpoint::from_json(&doc));
-    });
-    remove_pair(&path);
+    };
+    single_byte_damage(round_line, |damaged| rewrite(&[first_line, damaged].concat()));
+    single_byte_damage(&state_line, |damaged| rewrite(damaged));
+    remove(&path);
 }
