@@ -61,3 +61,29 @@ fn campaign_refuses_a_journal_that_is_its_own_snapshot() {
     assert_eq!(std::fs::read_to_string(&journal).unwrap(), "kept\n");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Two spellings of one file are one file: `./x.json` is `x.json`, and
+/// `./x.tmp` is the temporary file `--checkpoint x.json` is rewritten
+/// through. Had either run started, the checkpoint's rename would have
+/// replaced the journal.
+#[test]
+fn campaign_refuses_sink_paths_that_differ_only_in_spelling() {
+    let dir = std::env::temp_dir().join(format!("sos-cli-spelled-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (checkpoint, journal, named) in
+        [("./x.json", "x.json", "x.json"), ("x.json", "./x.tmp", "x.tmp"), ("x.json", "../sub/x.json", "x.json")]
+    {
+        let sub = dir.join("sub");
+        std::fs::create_dir_all(&sub).unwrap();
+        std::fs::write(sub.join("x.json"), "kept\n").unwrap();
+        let out = Command::new(env!("CARGO_BIN_EXE_seedscan"))
+            .current_dir(&sub)
+            .args(["campaign", "--scale", "tiny", "--checkpoint-every", "64"])
+            .args(["--checkpoint", checkpoint, "--journal", journal])
+            .output()
+            .expect("run binary");
+        assert_refused(&out, named);
+        assert_eq!(std::fs::read_to_string(sub.join("x.json")).unwrap(), "kept\n", "{checkpoint} {journal}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

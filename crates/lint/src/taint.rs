@@ -35,9 +35,11 @@ pub const DETERMINISTIC_ROOTS: &[(&str, &str, &str)] = &[
     ("crates/obs/src/manifest.rs", "write_to_file", "run-manifest bytes"),
     ("crates/obs/src/manifest.rs", "record_digest", "result digest computation"),
     // Journal emitters — replay ≡ live folding depends on these bytes.
-    ("crates/obs/src/journal.rs", "write", "journal event lines"),
+    ("crates/obs/src/journal.rs", "write_batch", "journal event lines"),
+    ("crates/obs/src/journal.rs", "encode", "journal record encoding"),
     // Checkpoint serializers — kill+resume bit-identity.
-    ("crates/probe/src/campaign.rs", "refresh", "campaign checkpoint state"),
+    ("crates/probe/src/campaign.rs", "start", "campaign checkpoint state (the baseline copy)"),
+    ("crates/probe/src/campaign.rs", "refresh", "campaign checkpoint state (the touched-row delta)"),
     ("crates/probe/src/campaign.rs", "encode_line", "campaign checkpoint lines (state and round)"),
     // Experiment exports — the CSVs the paper figures are drawn from.
     ("crates/core/src/export.rs", "write_grid_csv", "experiment grid CSV"),

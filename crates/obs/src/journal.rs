@@ -10,10 +10,12 @@
 //!
 //! Three properties make the format crash-tolerant:
 //!
-//! - **Tmp-free, line-buffered writes.** Every event is a single
-//!   `write_all` of one `\n`-terminated line straight to the journal
-//!   file; there is no rename dance and no internal buffering, so a
-//!   killed campaign loses at most the line being written.
+//! - **Tmp-free writes, one per batch.** The events one campaign step
+//!   emits together (a round boundary's transitions, say) are encoded
+//!   into one buffer of `\n`-terminated lines and handed to the journal
+//!   file in a single `write_all`; there is no rename dance and nothing
+//!   is held back between calls, so a killed campaign loses at most the
+//!   batch being written, and a reader may see its last line torn.
 //! - **Torn-tail tolerance.** Readers parse complete lines only; a
 //!   truncated final line (the kill case) is ignored rather than an
 //!   error, and a tailing reader picks it up once the newline lands.
@@ -28,7 +30,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::json::{read_lines, Json};
+use crate::json::{read_lines, Json, JsonWriter};
 
 /// Bumped when the line schema changes incompatibly.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -147,10 +149,6 @@ pub enum Event {
     },
 }
 
-fn hex128(v: u128) -> Json {
-    Json::Str(format!("{v:032x}"))
-}
-
 fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
     j.get(key)
         .and_then(Json::as_u64)
@@ -211,68 +209,55 @@ impl Event {
         }
     }
 
-    /// Encode the event-specific fields into `o`.
-    fn fill_json(&self, o: &mut Json) {
+    /// Write the event-specific fields into the open record object.
+    fn write_fields(&self, w: &mut JsonWriter) {
+        let fingerprint = |w: &mut JsonWriter, fp: u64| {
+            w.key("fingerprint").str(&crate::manifest::digest_hex(fp));
+        };
         match self {
-            Event::CampaignStart { fingerprint, targets, protocols, shards, round_size } => {
-                o.set("fingerprint", crate::manifest::digest_hex(*fingerprint))
-                    .set("targets", *targets)
-                    .set(
-                        "protocols",
-                        Json::Arr(protocols.iter().map(|p| Json::Str(p.clone())).collect()),
-                    )
-                    .set("shards", *shards)
-                    .set("round_size", *round_size);
+            Event::CampaignStart { fingerprint: fp, targets, protocols, shards, round_size } => {
+                fingerprint(w, *fp);
+                w.key("targets").u64(*targets).key("protocols").arr();
+                for p in protocols {
+                    w.str(p);
+                }
+                w.end_arr().key("shards").u64(*shards).key("round_size").u64(*round_size);
             }
-            Event::Resume { fingerprint, done, rounds } => {
-                o.set("fingerprint", crate::manifest::digest_hex(*fingerprint))
-                    .set("done", *done)
-                    .set("rounds", *rounds);
+            Event::Resume { fingerprint: fp, done, rounds }
+            | Event::CheckpointWrite { fingerprint: fp, done, rounds } => {
+                fingerprint(w, *fp);
+                w.key("done").u64(*done).key("rounds").u64(*rounds);
             }
             Event::RoundStart { round, from, to } => {
-                o.set("round", *round).set("from", *from).set("to", *to);
+                w.key("round").u64(*round).key("from").u64(*from).key("to").u64(*to);
             }
             Event::RoundEnd { round, done, total, hits, packets } => {
-                o.set("round", *round)
-                    .set("done", *done)
-                    .set("total", *total)
-                    .set("hits", *hits)
-                    .set("packets", *packets);
-            }
-            Event::CheckpointWrite { fingerprint, done, rounds } => {
-                o.set("fingerprint", crate::manifest::digest_hex(*fingerprint))
-                    .set("done", *done)
-                    .set("rounds", *rounds);
+                w.key("round").u64(*round).key("done").u64(*done).key("total").u64(*total);
+                w.key("hits").u64(*hits).key("packets").u64(*packets);
             }
             Event::Breaker { domain, proto, from, to } => {
-                o.set("domain", hex128(*domain))
-                    .set("proto", u64::from(*proto))
-                    .set("from", from.as_str())
-                    .set("to", to.as_str());
+                w.key("domain").hex128(*domain).key("proto").u64((*proto).into());
+                w.key("from").str(from).key("to").str(to);
             }
             Event::FaultEpoch { domain, proto, kind, epoch } => {
-                o.set("domain", hex128(*domain))
-                    .set("proto", u64::from(*proto))
-                    .set("kind", kind.as_str())
-                    .set("epoch", *epoch);
+                w.key("domain").hex128(*domain).key("proto").u64((*proto).into());
+                w.key("kind").str(kind).key("epoch").u64(*epoch);
             }
-            Event::Snapshot { fingerprint, done, counters } => {
-                o.set("fingerprint", crate::manifest::digest_hex(*fingerprint))
-                    .set("done", *done)
-                    .set("counters", counters);
+            Event::Snapshot { fingerprint: fp, done, counters } => {
+                fingerprint(w, *fp);
+                w.key("done").u64(*done).key("counters").obj();
+                for (name, value) in counters {
+                    w.key(name).u64(*value);
+                }
+                w.end_obj();
             }
             Event::Discovery { source, regions, probes, hits, aliases, wasted } => {
-                o.set("source", *source)
-                    .set("regions", *regions)
-                    .set("probes", *probes)
-                    .set("hits", *hits)
-                    .set("aliases", *aliases)
-                    .set("wasted", *wasted);
+                w.key("source").u64(*source).key("regions").u64(*regions).key("probes").u64(*probes);
+                w.key("hits").u64(*hits).key("aliases").u64(*aliases).key("wasted").u64(*wasted);
             }
             Event::CampaignEnd { completed, rounds, resumed_targets } => {
-                o.set("completed", *completed)
-                    .set("rounds", *rounds)
-                    .set("resumed_targets", *resumed_targets);
+                w.key("completed").bool(*completed).key("rounds").u64(*rounds);
+                w.key("resumed_targets").u64(*resumed_targets);
             }
         }
     }
@@ -376,14 +361,18 @@ pub struct Record {
 impl Record {
     /// Encode as one compact JSON line (no trailing newline).
     pub fn to_line(&self) -> String {
-        let mut o = Json::obj();
-        o.set("v", JOURNAL_VERSION)
-            .set("seq", self.seq)
-            .set("ev", self.event.kind())
-            .set("vclock_us", self.vclock_us)
-            .set("wall_s", self.wall_s);
-        self.event.fill_json(&mut o);
-        o.to_string()
+        let mut w = JsonWriter::default();
+        self.encode(&mut w);
+        w.into_string()
+    }
+
+    /// Write the record as one compact JSON object (no newline).
+    fn encode(&self, w: &mut JsonWriter) {
+        w.obj().key("v").u64(JOURNAL_VERSION).key("seq").u64(self.seq);
+        w.key("ev").str(self.event.kind()).key("vclock_us").u64(self.vclock_us);
+        w.key("wall_s").f64(self.wall_s);
+        self.event.write_fields(w);
+        w.end_obj();
     }
 
     /// Parse one complete journal line.
@@ -406,12 +395,15 @@ impl Record {
     }
 }
 
-/// Appends journal records to a file, one flushed line per event.
+/// Appends journal records to a file: one line per event, one write per
+/// call.
 #[derive(Debug)]
 pub struct JournalWriter {
     file: File,
     path: PathBuf,
     seq: u64,
+    /// The lines of the call being written, reused from call to call.
+    lines: JsonWriter,
 }
 
 impl JournalWriter {
@@ -419,7 +411,7 @@ impl JournalWriter {
     pub fn create(path: impl Into<PathBuf>) -> io::Result<JournalWriter> {
         let path = path.into();
         let file = File::create(&path)?;
-        Ok(JournalWriter { file, path, seq: 0 })
+        Ok(JournalWriter { file, path, seq: 0, lines: JsonWriter::default() })
     }
 
     /// Continue an existing journal (campaign resume): records append
@@ -433,7 +425,7 @@ impl JournalWriter {
             Err(e) => return Err(e),
         };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok(JournalWriter { file, path, seq })
+        Ok(JournalWriter { file, path, seq, lines: JsonWriter::default() })
     }
 
     /// The journal file path.
@@ -447,20 +439,28 @@ impl JournalWriter {
     }
 
     /// Append one event, stamped with `vclock_us` and the process wall
-    /// clock, as a single flushed line.
-    // sos-lint: deterministic-root event payloads replay in vclock order across reruns
+    /// clock, as one line in one write.
     pub fn write(&mut self, vclock_us: u64, event: Event) -> io::Result<()> {
-        let record = Record {
-            seq: self.seq,
-            vclock_us,
-            wall_s: crate::now_s(),
-            event,
-        };
-        let mut line = record.to_line();
-        line.push('\n');
-        self.file.write_all(line.as_bytes())?;
-        self.file.flush()?;
-        self.seq += 1;
+        self.write_batch(vclock_us, [event])
+    }
+
+    /// Append `events`, each stamped with `vclock_us` and the wall clock
+    /// when it is encoded, as consecutive lines in one write. An empty
+    /// batch writes nothing.
+    pub fn write_batch(&mut self, vclock_us: u64, events: impl IntoIterator<Item = Event>) -> io::Result<()> {
+        self.lines.clear();
+        let mut seq = self.seq;
+        for event in events {
+            let record = Record { seq, vclock_us, wall_s: crate::now_s(), event };
+            record.encode(&mut self.lines);
+            self.lines.end_line();
+            seq += 1;
+        }
+        if seq == self.seq {
+            return Ok(());
+        }
+        self.file.write_all(self.lines.as_str().as_bytes())?;
+        self.seq = seq;
         Ok(())
     }
 }

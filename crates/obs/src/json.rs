@@ -5,6 +5,10 @@
 //! integers for counters (`u64` survives round-trips that `f64` would
 //! corrupt), standard escaping, and stable key order (insertion order —
 //! callers build from sorted maps where determinism matters).
+//!
+//! Lines written often and large — campaign checkpoint lines and journal
+//! records — skip the tree: [`JsonWriter`] writes the same bytes straight
+//! into one reused buffer, through the same escaping and number rules.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -127,16 +131,6 @@ impl Json {
         Ok(v)
     }
 
-    /// Render compactly as one line of a JSON-lines file, `\n` included:
-    /// what [`read_lines`] reads back. One buffer, where `to_string()`
-    /// followed by a push copies the text and may grow it once more.
-    pub fn to_line(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out.push('\n');
-        out
-    }
-
     /// Render with 2-space indentation.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -148,21 +142,14 @@ impl Json {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::U64(n) => {
-                let _ = write!(out, "{n}");
-            }
+            Json::U64(n) => write_u64(out, *n),
             Json::I64(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::F64(x) => {
-                if x.is_finite() {
-                    // {:?} prints the shortest representation that
-                    // round-trips, always with a decimal point or exponent.
-                    let _ = write!(out, "{x:?}");
-                } else {
-                    out.push_str("null");
+                if *n < 0 {
+                    out.push('-');
                 }
+                write_u64(out, n.unsigned_abs());
             }
+            Json::F64(x) => write_f64(out, *x),
             Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
                 write_seq(out, indent, depth, '[', ']', items.len(), |out, i, d| {
@@ -224,8 +211,18 @@ fn write_seq(
     out.push(close);
 }
 
+/// The byte rules both serializers — [`Json`]'s and [`JsonWriter`] — write
+/// with: strings escape `"`, `\` and control characters and pass every
+/// other character through; integers are plain decimal; a float is its
+/// shortest round-tripping `{:?}` text, or `null` when not finite.
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
+    // Keys and most values need no escape: copy them whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        out.push('"');
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -240,6 +237,174 @@ fn write_escaped(out: &mut String, s: &str) {
         }
     }
     out.push('"');
+}
+
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+}
+
+fn write_f64(out: &mut String, x: f64) {
+    if x.is_finite() {
+        // {:?} prints the shortest representation that round-trips,
+        // always with a decimal point or exponent.
+        let _ = write!(out, "{x:?}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+/// `v` as 32 lowercase hex digits, zero-padded: how checkpoints and the
+/// journal spell an address or a prefix domain, and the text a campaign
+/// fingerprint hashes.
+pub fn hex128(v: u128) -> [u8; 32] {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = [0u8; 32];
+    for (i, digit) in out.iter_mut().enumerate() {
+        *digit = DIGITS[((v >> (124 - 4 * i)) & 0xf) as usize];
+    }
+    out
+}
+
+/// Compact JSON written straight into one reused `String`: the bytes
+/// `to_string()` of the equivalent [`Json`] value gives, without building
+/// that value. Keys and values are written in order; the writer places
+/// the commas. [`JsonWriter::clear`] empties the buffer and keeps its
+/// capacity, so one writer serves line after line.
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether a value ended last in the open container, so the next key
+    /// or item needs a comma.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// Empty the buffer for the next line, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.out.clear();
+        self.comma = false;
+    }
+
+    /// The text written so far.
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// The text written, as an owned `String`.
+    pub fn into_string(self) -> String {
+        self.out
+    }
+
+    /// Start a value: a comma if one ended just before it in the same
+    /// container.
+    fn value(&mut self) -> &mut String {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+        &mut self.out
+    }
+
+    /// Open an object (as a value).
+    pub fn obj(&mut self) -> &mut Self {
+        self.value().push('{');
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost object.
+    pub fn end_obj(&mut self) -> &mut Self {
+        self.out.push('}');
+        self.comma = true;
+        self
+    }
+
+    /// Open an array (as a value).
+    pub fn arr(&mut self) -> &mut Self {
+        self.value().push('[');
+        self.comma = false;
+        self
+    }
+
+    /// Close the innermost array.
+    pub fn end_arr(&mut self) -> &mut Self {
+        self.out.push(']');
+        self.comma = true;
+        self
+    }
+
+    /// An object key; its value is written next.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        if self.comma {
+            self.out.push(',');
+        }
+        write_escaped(&mut self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> &mut Self {
+        self.value().push_str("null");
+        self
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.value().push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// An unsigned integer, exactly.
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        write_u64(self.value(), n);
+        self
+    }
+
+    /// A float (`null` when not finite).
+    pub fn f64(&mut self, x: f64) -> &mut Self {
+        write_f64(self.value(), x);
+        self
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        write_escaped(self.value(), s);
+        self
+    }
+
+    /// A string of `v`'s 32 hex digits ([`hex128`]).
+    pub fn hex128(&mut self, v: u128) -> &mut Self {
+        let out = self.value();
+        out.push('"');
+        out.extend(hex128(v).iter().map(|&d| char::from(d)));
+        out.push('"');
+        self
+    }
+
+    /// A whole [`Json`] value, compact.
+    pub fn json(&mut self, v: &Json) -> &mut Self {
+        v.write(self.value(), None, 0);
+        self
+    }
+
+    /// End the line: a `\n`, after which the next value starts afresh.
+    pub fn end_line(&mut self) -> &mut Self {
+        self.out.push('\n');
+        self.comma = false;
+        self
+    }
 }
 
 /// Deepest container nesting [`Json::parse`] accepts. The deepest document
@@ -609,6 +774,64 @@ mod tests {
     #[test]
     fn strings_escape() {
         assert_eq!(Json::Str("a\"b\\c\nd\u{1}".into()).to_string(), "\"a\\\"b\\\\c\\nd\\u0001\"");
+    }
+
+    /// Strings drawn from an alphabet of every character the escaper
+    /// branches on — quotes, backslashes, each control character, DEL,
+    /// 2-, 3- and 4-byte scalars — come out of the writer, as a value
+    /// and as a key, exactly as the tree serializer writes them.
+    #[test]
+    fn writer_strings_equal_the_tree_serializer() {
+        let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
+        alphabet.extend(['"', '\\', '/', ' ', 'a', 'Z', '0', '\u{7f}', 'é', '€', '😀', '\u{2028}']);
+        let mut state = 0x5eed_u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize
+        };
+        let mut samples = vec![String::new(), "plain".to_string()];
+        samples.extend(alphabet.iter().map(char::to_string));
+        for _ in 0..500 {
+            let len = next() % 12;
+            samples.push((0..len).map(|_| alphabet[next() % alphabet.len()]).collect());
+        }
+        let mut w = JsonWriter::default();
+        for s in &samples {
+            w.clear();
+            w.str(s);
+            assert_eq!(w.as_str(), Json::Str(s.clone()).to_string(), "{s:?}");
+            w.clear();
+            w.obj().key(s).u64(1).end_obj();
+            assert_eq!(w.as_str(), Json::Obj(vec![(s.clone(), Json::U64(1))]).to_string(), "key {s:?}");
+        }
+    }
+
+    /// Containers, every scalar and an embedded tree, nested, against the
+    /// tree serializer; and `end_line` starts the next line afresh.
+    #[test]
+    fn writer_matches_the_tree_it_does_not_build() {
+        let mut tree = Json::obj();
+        let mut inner = Json::obj();
+        inner.set("xs", vec![0u64, 9, 10, u64::MAX]).set("e", Json::Arr(Vec::new())).set("o", Json::obj());
+        tree.set("n", Json::Null)
+            .set("b", false)
+            .set("f", 0.1 + 0.2)
+            .set("inf", f64::INFINITY)
+            .set("h", "0000000000000000000000000000abcd")
+            .set("inner", inner.clone())
+            .set("tree", inner.clone());
+        let mut w = JsonWriter::default();
+        w.obj().key("n").null().key("b").bool(false).key("f").f64(0.1 + 0.2).key("inf").f64(f64::INFINITY);
+        w.key("h").hex128(0xabcd).key("inner").obj().key("xs").arr();
+        for n in [0, 9, 10, u64::MAX] {
+            w.u64(n);
+        }
+        w.end_arr().key("e").arr().end_arr().key("o").obj().end_obj().end_obj();
+        w.key("tree").json(&inner).end_obj().end_line();
+        w.arr().u64(1).end_arr().end_line();
+        assert_eq!(w.as_str(), format!("{tree}\n[1]\n"));
+        assert_eq!(hex128(u128::MAX), [b'f'; 32]);
+        assert_eq!(&hex128(0x0123_4567_89ab_cdef << 64), b"0123456789abcdef0000000000000000");
     }
 
     #[test]

@@ -10,15 +10,26 @@
 //! target list is scanned in *rounds* of `checkpoint_every` targets (each
 //! round covering every protocol). The campaign's state *is* a
 //! [`CampaignCheckpoint`] — progress and partial reports advance in it,
-//! and at each round boundary the cross-target machine state (the fault
-//! layer's per-prefix density clocks, circuit-breaker states, the rate
-//! limiter's virtual clock, the metric counters) is re-read into it from
-//! the scanner once, which also yields the per-prefix rows the round
-//! changed. Everything a boundary emits is a view of that state and those
-//! rows: the journal's breaker / fault-epoch records are the steps the
-//! rows took, the counter snapshot (journal record and `.prom` file, one
-//! cadence) carries the state's counters, and the checkpoint is the
-//! state's serialization.
+//! and so does the cross-target machine state (the fault layer's
+//! per-prefix density clocks, circuit-breaker states, the rate limiter's
+//! virtual clock, the metric counters), copied from the scanner whole
+//! once per invocation and then advanced at each round boundary.
+//! Everything a boundary emits is a view of that state and of the
+//! per-prefix rows the round changed: the journal's breaker / fault-epoch
+//! records are the steps the rows took, the counter snapshot (journal
+//! record and `.prom` file, one cadence) carries the state's counters,
+//! and the checkpoint is the state's serialization.
+//!
+//! **A boundary costs what its round touched.** A round's tasks are lent
+//! exactly the density and breaker rows of their targets, and the keys of
+//! the rows they hand back at reclaim are collected (a task that runs on
+//! the scanner's own lane — one protocol at one shard — notes its
+//! targets' domains instead). The boundary sorts those keys and diffs only
+//! those rows against the state: a moved row is rewritten where it
+//! stands, new rows are merged in, and the breaker map advances by the
+//! same step a replayed round line takes. Lines are written straight into
+//! a reused buffer ([`JsonWriter`]) — no JSON tree is built — and a
+//! boundary's journal records go out in one write.
 //!
 //! The checkpoint is one append-only JSON-lines file. **Line 1 is the
 //! state** — the whole of it — and is written where the file must stand
@@ -48,13 +59,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use netmodel::{FaultEpochs, FaultPlan, PortSet, Protocol, PROTOCOLS};
-use sos_obs::json::{read_lines, Json};
+use sos_obs::json::{hex128, read_lines, Json, JsonWriter};
 use sos_obs::manifest::Fnv1a64;
 use sos_obs::{Event, JournalWriter};
 use v6addr::AddrMap;
 
 use crate::carried::Carried;
-use crate::engine::{LaneState, ScanReport, Scanner};
+use crate::engine::{LaneState, ScanReport, Scanner, Touched};
 use crate::metrics::RESUMED_TARGETS;
 use crate::provenance::{AttributionTable, ProvenanceLog, SourceTotals};
 use crate::ratelimit::BucketSnapshot;
@@ -217,10 +228,6 @@ pub struct CampaignCheckpoint {
 /// Format version written into checkpoints.
 const CHECKPOINT_VERSION: u64 = 1;
 
-fn hex128(v: u128) -> Json {
-    Json::Str(format!("{v:032x}"))
-}
-
 fn parse_hex128(j: &Json) -> Result<u128, String> {
     let s = j.as_str().ok_or("expected hex string")?;
     u128::from_str_radix(s, 16).map_err(|e| format!("bad hex address {s:?}: {e}"))
@@ -245,14 +252,17 @@ fn table<'j>(j: &'j Json, key: &str) -> Result<&'j [Json], String> {
         .ok_or_else(|| format!("checkpoint missing table {key:?}"))
 }
 
-/// One `[domain, protocol index, N counts…]` row of the `fault_state` and
-/// `breaker.entries` tables.
-fn table_row_json<const N: usize>(domain: u128, proto: u8, counts: [u32; N]) -> Json {
-    let counts = counts.into_iter().map(|n| Json::U64(n.into()));
-    Json::Arr([hex128(domain), Json::U64(proto.into())].into_iter().chain(counts).collect())
+/// Write one `[domain, protocol index, N counts…]` row of the
+/// `fault_state` and `breaker.entries` tables.
+fn write_row<const N: usize>(w: &mut JsonWriter, (domain, proto): (u128, u8), counts: [u32; N]) {
+    w.arr().hex128(domain).u64(proto.into());
+    for n in counts {
+        w.u64(n.into());
+    }
+    w.end_arr();
 }
 
-/// Decode a row [`table_row_json`] wrote. A protocol index no protocol has
+/// Decode a row [`write_row`] wrote. A protocol index no protocol has
 /// and a count over `u32::MAX` are errors naming `table`: narrowing them
 /// would resume the campaign on state nobody wrote.
 fn table_row<const N: usize>(table: &str, row: &Json) -> Result<((u128, u8), [u32; N]), String> {
@@ -272,7 +282,7 @@ fn table_row<const N: usize>(table: &str, row: &Json) -> Result<((u128, u8), [u3
     Ok(((parse_hex128(domain)?, proto), out))
 }
 
-fn report_to_json(r: &ScanReport) -> Json {
+fn write_report(w: &mut JsonWriter, r: &ScanReport) {
     // Exhaustive destructure: a new ScanReport field fails to compile here
     // until its checkpoint representation is decided.
     let ScanReport {
@@ -293,26 +303,33 @@ fn report_to_json(r: &ScanReport) -> Json {
         limited_seconds,
         attribution,
     } = r;
-    let mut o = Json::obj();
-    o.set("hits", Json::Arr(hits.iter().map(|h| hex128(u128::from(*h))).collect()))
-        .set("probed", *probed)
-        .set("duplicates", *duplicates)
-        .set("blocked", *blocked)
-        .set("rsts", *rsts)
-        .set("unreachables", *unreachables)
-        .set("silent", *silent)
-        .set("skipped", *skipped)
-        .set("retries", *retries)
-        .set("packets_sent", *packets_sent)
-        .set("faults_injected", *faults_injected)
-        .set("breaker_opened", *breaker_opened)
-        .set("backoff_waited_us", *backoff_waited_us)
-        .set("throttled_us", *throttled_us)
-        .set("limited_seconds_bits", limited_seconds.to_bits());
-    if !attribution.is_empty() {
-        o.set("attribution", attribution.to_json());
+    w.obj().key("hits").arr();
+    for hit in hits {
+        w.hex128(u128::from(*hit));
     }
-    o
+    w.end_arr();
+    for (key, n) in [
+        ("probed", *probed as u64),
+        ("duplicates", *duplicates as u64),
+        ("blocked", *blocked as u64),
+        ("rsts", *rsts as u64),
+        ("unreachables", *unreachables as u64),
+        ("silent", *silent as u64),
+        ("skipped", *skipped as u64),
+        ("retries", *retries),
+        ("packets_sent", *packets_sent),
+        ("faults_injected", *faults_injected),
+        ("breaker_opened", *breaker_opened),
+        ("backoff_waited_us", *backoff_waited_us),
+        ("throttled_us", *throttled_us),
+        ("limited_seconds_bits", limited_seconds.to_bits()),
+    ] {
+        w.key(key).u64(n);
+    }
+    if !attribution.is_empty() {
+        w.key("attribution").json(&attribution.to_json());
+    }
+    w.end_obj();
 }
 
 fn report_from_json(j: &Json) -> Result<ScanReport, String> {
@@ -357,13 +374,14 @@ fn proto_by_index(idx: u64) -> Result<Protocol, String> {
 
 /// The `[{proto, report}, …]` list a state line stores cumulatively and a
 /// round line stores for its one round.
-fn reports_to_json(reports: &[(Protocol, ScanReport)]) -> Json {
-    let entry = |(proto, report): &(Protocol, ScanReport)| {
-        let mut o = Json::obj();
-        o.set("proto", proto.index() as u64).set("report", report_to_json(report));
-        o
-    };
-    Json::Arr(reports.iter().map(entry).collect())
+fn write_reports(w: &mut JsonWriter, reports: &[(Protocol, ScanReport)]) {
+    w.arr();
+    for (proto, report) in reports {
+        w.obj().key("proto").u64(proto.index() as u64).key("report");
+        write_report(w, report);
+        w.end_obj();
+    }
+    w.end_arr();
 }
 
 /// Fold one round's per-protocol reports into the cumulative ones, by
@@ -392,71 +410,78 @@ fn same_protocols(reports: &[(Protocol, ScanReport)], want: &[Protocol]) -> Resu
     Err(format!("checkpoint reports cover {have:?}, expected one per protocol of {want:?} in that order"))
 }
 
-fn limiter_to_json(limiter: Option<&BucketSnapshot>) -> Json {
-    let Some(s) = limiter else { return Json::Null };
-    let mut o = Json::obj();
-    o.set("rate", s.rate)
-        .set("burst", s.burst)
-        .set("tokens", s.tokens)
-        .set("now", s.now)
-        .set("refilled_at", s.refilled_at)
-        .set("waited", s.waited)
-        .set("stalls", s.stalls);
-    o
-}
-
 /// One breaker as the map lists it: `(domain, protocol index)` and state.
 type BreakerRow = ((u128, u8), BreakerState);
 
-/// A `breaker` object: the map's tuning and totals, and the given rows
-/// (all of them on a state line, the changed ones on a round line).
-fn breaker_json(map: &BreakerMap, rows: impl Iterator<Item = BreakerRow>) -> Json {
-    let cfg = map.config();
-    let row = |((domain, proto), state): BreakerRow| {
-        let (tag, count) = state.encode();
-        table_row_json(domain, proto, [tag.into(), count])
-    };
-    let mut o = Json::obj();
-    o.set("prefix_len", u64::from(cfg.prefix_len))
-        .set("threshold", cfg.threshold)
-        .set("cooldown", cfg.cooldown)
-        .set("opened", map.opened())
-        .set("skipped", map.skipped())
-        .set("entries", Json::Arr(rows.map(row).collect()));
-    o
-}
-
 impl CampaignCheckpoint {
-    /// Encode as the checkpoint's first line: the whole state.
+    /// The checkpoint's first line — the whole state — as a JSON value.
     pub fn to_json(&self) -> Json {
-        let fault = self.fault_state.iter().map(|&(d, p, n)| ((d, p), n));
-        let breakers = self.breaker.iter().flat_map(BreakerMap::iter);
-        self.encode_line(reports_to_json(&self.reports), fault, breakers)
+        let mut line = JsonWriter::default();
+        self.write_state(&mut line);
+        #[expect(clippy::expect_used, reason = "the writer's lines are canonical JSON")]
+        Json::parse(line.as_str()).expect("a checkpoint line parses")
     }
 
-    /// The one checkpoint line encoder. The state line passes every row
-    /// and the cumulative `reports`; a round line passes the rows the
-    /// round changed and the round's own reports, and the small absolute
-    /// parts (progress, limiter, breaker tuning and totals, counters) are
-    /// whole on both. [`CampaignCheckpoint::from_json`] decodes either.
+    /// Write the checkpoint's first line: the whole state.
+    fn write_state(&self, w: &mut JsonWriter) {
+        let fault = self.fault_state.iter().map(|&(d, p, n)| ((d, p), n));
+        let breakers = self.breaker.iter().flat_map(BreakerMap::iter);
+        self.encode_line(w, &self.reports, fault, breakers);
+    }
+
+    /// The one checkpoint line encoder, `\n` included. The state line
+    /// passes every row and the cumulative `reports`; a round line passes
+    /// the rows the round changed and the round's own reports, and the
+    /// small absolute parts (progress, limiter, breaker tuning and totals,
+    /// counters) are whole on both. [`CampaignCheckpoint::from_json`]
+    /// decodes either.
     // sos-lint: deterministic-root a reloaded checkpoint must rebuild the identical state
     fn encode_line(
         &self,
-        reports: Json,
+        w: &mut JsonWriter,
+        reports: &[(Protocol, ScanReport)],
         fault: impl Iterator<Item = ((u128, u8), u32)>,
         breakers: impl Iterator<Item = BreakerRow>,
-    ) -> Json {
-        let mut line = Json::obj();
-        line.set("version", CHECKPOINT_VERSION)
-            .set("fingerprint", sos_obs::manifest::digest_hex(self.fingerprint))
-            .set("done", self.done)
-            .set("rounds", self.rounds)
-            .set("reports", reports)
-            .set("limiter", limiter_to_json(self.limiter.as_ref()))
-            .set("fault_state", Json::Arr(fault.map(|((d, p), n)| table_row_json(d, p, [n])).collect()))
-            .set("breaker", self.breaker.as_ref().map_or(Json::Null, |b| breaker_json(b, breakers)))
-            .set("counters", &self.counters);
-        line
+    ) {
+        w.obj().key("version").u64(CHECKPOINT_VERSION);
+        w.key("fingerprint").str(&sos_obs::manifest::digest_hex(self.fingerprint));
+        w.key("done").u64(self.done as u64).key("rounds").u64(self.rounds as u64);
+        w.key("reports");
+        write_reports(w, reports);
+        w.key("limiter");
+        match &self.limiter {
+            None => w.null(),
+            Some(s) => {
+                w.obj().key("rate").u64(s.rate).key("burst").u64(s.burst).key("tokens").u64(s.tokens);
+                w.key("now").u64(s.now).key("refilled_at").u64(s.refilled_at);
+                w.key("waited").u64(s.waited).key("stalls").u64(s.stalls).end_obj()
+            }
+        };
+        w.key("fault_state").arr();
+        for (key, n) in fault {
+            write_row(w, key, [n]);
+        }
+        w.end_arr().key("breaker");
+        match &self.breaker {
+            None => w.null(),
+            Some(map) => {
+                let cfg = map.config();
+                w.obj().key("prefix_len").u64(cfg.prefix_len.into());
+                w.key("threshold").u64(cfg.threshold.into()).key("cooldown").u64(cfg.cooldown.into());
+                w.key("opened").u64(map.opened()).key("skipped").u64(map.skipped());
+                w.key("entries").arr();
+                for (key, state) in breakers {
+                    let (tag, count) = state.encode();
+                    write_row(w, key, [tag.into(), count]);
+                }
+                w.end_arr().end_obj()
+            }
+        };
+        w.key("counters").obj();
+        for (name, n) in &self.counters {
+            w.key(name).u64(*n);
+        }
+        w.end_obj().end_obj().end_line();
     }
 
     /// Decode one checkpoint line: the state, or a round as a state that
@@ -568,23 +593,11 @@ impl CampaignCheckpoint {
     /// then renamed over `path`, so a kill mid-write never corrupts the
     /// previous checkpoint, and the one rename replaces its round lines.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
+        let mut line = JsonWriter::default();
+        self.write_state(&mut line);
         let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json().to_line())?;
+        std::fs::write(&tmp, line.as_str())?;
         std::fs::rename(&tmp, path)
-    }
-
-    /// Append the round that ended at this state to the checkpoint at
-    /// `path`: one line, one `write_all`. The file is never created here —
-    /// a round line means nothing without the state line before it.
-    fn append(&self, path: &Path, reports: Json, delta: &Delta) -> Result<(), String> {
-        let fault = delta.fault.iter().map(|&(key, _, n)| (key, n));
-        let breakers = delta.breaker.iter().map(|&(key, _, state)| (key, state));
-        let line = self.encode_line(reports, fault, breakers).to_line();
-        std::fs::OpenOptions::new()
-            .append(true)
-            .open(path)
-            .and_then(|mut file| file.write_all(line.as_bytes()))
-            .map_err(|e| format!("append checkpoint {}: {e}", path.display()))
     }
 
     /// Load the checkpoint at `path`: its first line, advanced by every
@@ -677,28 +690,50 @@ type Changed<V> = ((u128, u8), Option<V>, V);
 /// is computed once per boundary and is what both the checkpoint's round
 /// line (the values now) and the journal's transition records (the step
 /// from the value before) are built from.
+#[derive(Debug, PartialEq)]
 struct Delta {
     fault: Vec<Changed<u32>>,
     breaker: Vec<Changed<BreakerState>>,
 }
 
-/// The rows of `now` that `before` lacks or holds with another value: one
-/// walk down the two tables, both sorted by key. Rows are never removed,
-/// so a key only `before` has does not occur and is passed over.
-fn changed<V: Copy + PartialEq>(
-    before: impl Iterator<Item = ((u128, u8), V)>,
-    now: impl Iterator<Item = ((u128, u8), V)>,
-) -> Vec<Changed<V>> {
-    let mut before = before.peekable();
-    let mut rows = Vec::new();
-    for (key, value) in now {
-        while before.next_if(|(k, _)| *k < key).is_some() {}
-        let old = before.next_if(|(k, _)| *k == key).map(|(_, v)| v);
-        if old != Some(value) {
-            rows.push((key, old, value));
+/// Advance the sorted `table` to `rows` — the rows a round touched, with
+/// their values now, sorted by key — and hand back those that changed:
+/// a row whose value moved is rewritten where it stands, and the new ones
+/// are merged in once, so the table is never rebuilt or re-sorted.
+fn advance_fault_rows(table: &mut Vec<(u128, u8, u32)>, rows: Vec<(u128, u8, u32)>) -> Vec<Changed<u32>> {
+    let mut changed = Vec::new();
+    let mut added = Vec::new();
+    for (domain, proto, n) in rows {
+        let key = (domain, proto);
+        match table.binary_search_by_key(&key, |&(d, p, _)| (d, p)) {
+            Ok(at) => {
+                let old = std::mem::replace(&mut table[at].2, n);
+                if old != n {
+                    changed.push((key, Some(old), n));
+                }
+            }
+            Err(_) => {
+                added.push((domain, proto, n));
+                changed.push((key, None, n));
+            }
         }
     }
-    rows
+    // Merge from the back: each slot takes the larger of the two tails'
+    // last rows, so an old row moves at most once and, once the new rows
+    // are placed, the rest already stand where they belong.
+    let (mut old, mut new) = (table.len(), added.len());
+    table.resize(old + new, (0, 0, 0));
+    while new > 0 {
+        let slot = old + new - 1;
+        if old > 0 && table[old - 1] > added[new - 1] {
+            old -= 1;
+            table[slot] = table[old];
+        } else {
+            new -= 1;
+            table[slot] = added[new];
+        }
+    }
+    changed
 }
 
 /// Breaker, then fault-epoch transition events for the rows a round
@@ -743,6 +778,19 @@ fn transitions(delta: &Delta, plan: Option<&FaultPlan>) -> Vec<Event> {
     events
 }
 
+/// The file `path` names, for telling whether two sink paths are one
+/// file: its directory resolved (`.`, `..` and links; the current
+/// directory for a bare name) joined with its file name, so `./x.json`
+/// and `x.json` are one. A path whose directory does not resolve is
+/// compared as written — nothing can be opened there anyway.
+fn file_identity(path: &Path) -> PathBuf {
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    match (dir.canonicalize(), path.file_name()) {
+        (Ok(dir), Some(name)) => dir.join(name),
+        _ => path.to_path_buf(),
+    }
+}
+
 /// Where a round boundary is written: the checkpoint file, the journal and
 /// the `.prom` snapshot file, each optional and independent.
 struct Sinks<'o> {
@@ -753,6 +801,8 @@ struct Sinks<'o> {
     /// yet: until it has, nothing on disk is known to be the state the
     /// next round line would extend.
     state_written: bool,
+    /// The round line to append, reused from boundary to boundary.
+    line: JsonWriter,
 }
 
 impl<'o> Sinks<'o> {
@@ -768,10 +818,10 @@ impl<'o> Sinks<'o> {
             ("journal", opts.journal_path.as_deref()),
             ("snapshot", opts.snapshot_path.as_deref()),
         ];
-        let files: Vec<(&str, &Path)> = files.into_iter().filter_map(|(what, p)| Some((what, p?))).collect();
-        for (i, &(what, path)) in files.iter().enumerate() {
-            // `Path` equality compares components: `a/./b` is `a/b`.
-            if let Some((other, first)) = files[..i].iter().find(|(_, first)| *first == path) {
+        let files: Vec<(&str, &Path, PathBuf)> =
+            files.into_iter().filter_map(|(what, p)| Some((what, p?, file_identity(p?)))).collect();
+        for (i, (what, path, file)) in files.iter().enumerate() {
+            if let Some((other, first, _)) = files[..i].iter().find(|(_, _, earlier)| earlier == file) {
                 let (first, path) = (first.display(), path.display());
                 return Err(format!("the {other} {first} and the {what} {path} are the same file"));
             }
@@ -788,6 +838,7 @@ impl<'o> Sinks<'o> {
             journal,
             snapshot: opts.snapshot_path.as_deref(),
             state_written: false,
+            line: JsonWriter::default(),
         })
     }
 
@@ -796,21 +847,17 @@ impl<'o> Sinks<'o> {
         self.checkpoint.is_some() || self.journal.is_some() || self.snapshot.is_some()
     }
 
-    /// Journal `make()`'s events at `state`'s virtual clock; nothing is
-    /// built when no journal is configured.
+    /// Journal `make()`'s events at `state`'s virtual clock, in one write;
+    /// nothing is built when no journal is configured.
     fn events<I: IntoIterator<Item = Event>>(
         &mut self,
         state: &CampaignCheckpoint,
         make: impl FnOnce() -> I,
     ) -> Result<(), String> {
         let Some(journal) = self.journal.as_mut() else { return Ok(()) };
-        let vclock = state.vclock_us();
-        for event in make() {
-            journal
-                .write(vclock, event)
-                .map_err(|e| format!("write journal {}: {e}", journal.path().display()))?;
-        }
-        Ok(())
+        journal
+            .write_batch(state.vclock_us(), make())
+            .map_err(|e| format!("write journal {}: {e}", journal.path().display()))
     }
 
     /// [`Sinks::events`] for one event.
@@ -822,30 +869,50 @@ impl<'o> Sinks<'o> {
         self.events(state, || [make()])
     }
 
+    /// Encode the round that ends at `state` as the line the checkpoint
+    /// will append — `round` is its own per-protocol reports, not yet
+    /// absorbed into `state`, and `delta` the rows it changed — when one
+    /// will be appended: a checkpoint is configured and this invocation
+    /// has written its state line. Returns whether it encoded one.
+    fn encode_round(
+        &mut self,
+        state: &CampaignCheckpoint,
+        round: &[(Protocol, ScanReport)],
+        delta: &Delta,
+    ) -> bool {
+        if self.checkpoint.is_none() || !self.state_written {
+            return false;
+        }
+        self.line.clear();
+        let fault = delta.fault.iter().map(|&(key, _, n)| (key, n));
+        let breakers = delta.breaker.iter().map(|&(key, _, state)| (key, state));
+        state.encode_line(&mut self.line, round, fault, breakers);
+        true
+    }
+
     /// Make `state` durable and journal the write. `Ok(false)` when no
     /// checkpoint path is configured.
     ///
-    /// `round` is what the round that just ended added (its own reports,
-    /// encoded, and the rows it changed) and is appended to the checkpoint
-    /// as one line, so a boundary costs what its round touched. The file is
-    /// rewritten as the one state line only where it must stand on its
-    /// own: at an invocation's first write (whatever is on disk may belong
-    /// to another run), and when `round` is `None` — a stop or cancel, and
-    /// the campaign's last boundary.
-    fn persist(
-        &mut self,
-        state: &CampaignCheckpoint,
-        round: Option<(Json, &Delta)>,
-    ) -> Result<bool, String> {
+    /// With `append`, the round line [`Sinks::encode_round`] encoded is
+    /// appended to the checkpoint in one `write_all`, so a boundary costs
+    /// what its round touched; the file is never created there — a round
+    /// line means nothing without the state line before it. Otherwise the
+    /// file is rewritten as the one state line: at an invocation's first
+    /// write (whatever is on disk may belong to another run), on a stop or
+    /// cancel, and at the campaign's last boundary.
+    fn persist(&mut self, state: &CampaignCheckpoint, append: bool) -> Result<bool, String> {
         let Some(path) = self.checkpoint else { return Ok(false) };
-        match round {
-            Some((reports, delta)) if self.state_written => state.append(path, reports, delta)?,
-            _ => {
-                state
-                    .save(path)
-                    .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
-                self.state_written = true;
-            }
+        if append {
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(path)
+                .and_then(|mut file| file.write_all(self.line.as_str().as_bytes()))
+                .map_err(|e| format!("append checkpoint {}: {e}", path.display()))?;
+        } else {
+            state
+                .save(path)
+                .map_err(|e| format!("write checkpoint {}: {e}", path.display()))?;
+            self.state_written = true;
         }
         self.event(state, || Event::CheckpointWrite {
             fingerprint: state.fingerprint,
@@ -896,37 +963,55 @@ impl<'a, T: Transport> Campaign<'a, T> {
     /// scanner configuration, hashed canonically. A checkpoint only
     /// resumes a campaign with the same fingerprint.
     fn fingerprint(&self, targets: &[Ipv6Addr]) -> u64 {
-        // Hashed as it is formatted: the text is 33 bytes per target.
+        // Hashed as it is formatted: the text is 33 bytes per target, the
+        // hex digits of its address and a `;`.
         let mut hash = Fnv1a64::default();
         for t in targets {
-            let _ = write!(hash, "{:032x};", u128::from(*t));
+            hash.update(&hex128(u128::from(*t)));
+            hash.update(b";");
         }
         let _ = write!(hash, "|{:?}|{:?}", self.protocols, self.scanner.config());
         hash.finish()
     }
 
-    /// Re-read the scanner's cross-target machine state (limiter, fault
-    /// densities, breaker map, counters) into `state` at a round boundary,
-    /// handing back the per-prefix rows that differ from the ones it held:
-    /// what the round since the previous boundary changed.
+    /// Copy the scanner's cross-target machine state (limiter, fault
+    /// densities, breaker map, counters) into `state` whole: the baseline
+    /// an invocation's first boundary diffs against.
     // sos-lint: deterministic-root resume must replay to the identical stream
-    fn refresh(&self, state: &mut CampaignCheckpoint) -> Delta {
+    fn start(&self, state: &mut CampaignCheckpoint) {
         let lane = self.scanner.lane.snapshot();
-        let delta = Delta {
-            fault: changed(
-                state.fault_state.iter().map(|&(d, p, n)| ((d, p), n)),
-                lane.fault_rows.iter().map(|&(d, p, n)| ((d, p), n)),
-            ),
-            breaker: changed(
-                state.breaker.iter().flat_map(BreakerMap::iter),
-                lane.breaker.iter().flat_map(BreakerMap::iter),
-            ),
-        };
         state.limiter = lane.limiter;
         state.fault_state = lane.fault_rows;
         state.breaker = lane.breaker;
         state.counters = self.scanner.metrics().counters();
-        delta
+    }
+
+    /// Advance `state` to the scanner's machine state at a round boundary
+    /// by reading only the per-prefix rows at `touched`'s keys — those the
+    /// round's tasks handed back — and hand back the ones that differ from
+    /// what `state` held: what the round changed. The limiter, the breaker
+    /// totals and the counters are small and re-read whole.
+    // sos-lint: deterministic-root resume must replay to the identical stream
+    fn refresh(&self, state: &mut CampaignCheckpoint, touched: &mut Touched) -> Delta {
+        let lane = self.scanner.lane.touched_state(touched);
+        let fault = advance_fault_rows(&mut state.fault_state, lane.fault_rows);
+        let breaker = match (state.breaker.as_mut(), lane.breaker) {
+            (Some(map), Some(now)) => {
+                let rows: Vec<Changed<BreakerState>> = now
+                    .iter()
+                    .filter_map(|(key, s)| {
+                        let old = map.get(key);
+                        (old != Some(s)).then_some((key, old, s))
+                    })
+                    .collect();
+                map.advance(rows.iter().map(|&(key, _, s)| (key, s)), now.opened(), now.skipped());
+                rows
+            }
+            _ => Vec::new(),
+        };
+        state.limiter = lane.limiter;
+        state.counters = self.scanner.metrics().counters();
+        Delta { fault, breaker }
     }
 }
 
@@ -1030,12 +1115,15 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
         let mut completed = true;
 
         let mut sinks = Sinks::open(opts, resume.is_some())?;
-        if sinks.any() {
-            // The first boundary's baseline is what the scanner holds now
-            // (state it carried in, or just restored), so a resume never
-            // re-emits transitions the original run already journaled.
-            self.refresh(&mut state);
-        }
+        // Only when a boundary writes anything: its baseline is what the
+        // scanner holds now (state it carried in, or just restored), so a
+        // resume never re-emits transitions the original run already
+        // journaled, and each round collects the keys of the rows it
+        // touches.
+        let mut touched = sinks.any().then(|| {
+            self.start(&mut state);
+            Touched::default()
+        });
         sinks.event(&state, || match resume {
             Some(_) => Event::Resume {
                 fingerprint,
@@ -1074,24 +1162,28 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             // done <= end <= prepared.len(): end is clamped above, done
             // only ever advances to a previous end.
             let slice = &prepared[state.done..end];
-            let round =
-                self.scanner
-                    .scan_prepared(slice, &self.protocols, shards, tags.as_deref());
-            // Every boundary but the campaign's last can append the round
-            // to the checkpoint; its reports are encoded before they are
-            // folded away.
-            let appendable = (sinks.checkpoint.is_some() && end < prepared.len())
-                .then(|| reports_to_json(&round));
-            // One report per protocol, in order: a fresh state is built so
-            // and a resumed one was checked before the first probe.
-            absorb_rounds(&mut state.reports, round);
+            let round = self.scanner.scan_prepared(
+                slice,
+                &self.protocols,
+                shards,
+                tags.as_deref(),
+                touched.as_mut(),
+            );
             state.done = end;
             state.rounds += 1;
             rounds_this_run += 1;
-            if !sinks.any() {
+            let Some(touched) = touched.as_mut() else {
+                absorb_rounds(&mut state.reports, round);
                 continue;
-            }
-            let delta = self.refresh(&mut state);
+            };
+            let delta = self.refresh(&mut state, touched);
+            // Every boundary but the campaign's last can append the round
+            // to the checkpoint; its line holds the round's own reports,
+            // so it is encoded now, before they are folded away.
+            let append = end < prepared.len() && sinks.encode_round(&state, &round, &delta);
+            // One report per protocol, in order: a fresh state is built so
+            // and a resumed one was checked before the first probe.
+            absorb_rounds(&mut state.reports, round);
             let plan = self.scanner.transport().carried().and_then(Carried::fault_plan);
             sinks.events(&state, || transitions(&delta, plan))?;
             sinks.event(&state, || {
@@ -1107,7 +1199,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             // Checkpoints always pair with a snapshot: after a kill, the
             // journal's last snapshot must mirror the on-disk checkpoint
             // exactly.
-            let persisted = sinks.persist(&state, appendable.map(|reports| (reports, &delta)))?;
+            let persisted = sinks.persist(&state, append)?;
             if persisted || state.rounds % snapshot_every == 0 {
                 sinks.snapshot(&state)?;
             }
@@ -1117,7 +1209,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             // Written even when the loop just wrote one: this is what
             // leaves a checkpoint behind a zero-round cancel, and a
             // stopped campaign as one state line with no round lines.
-            sinks.persist(&state, None)?;
+            sinks.persist(&state, false)?;
         }
 
         // Discovery accounting: raise the attribution counters to the
@@ -1159,7 +1251,7 @@ mod tests {
     use crate::provenance::Provenance;
     use crate::retry::RetryPolicy;
     use crate::sim::SimTransport;
-    use netmodel::{World, WorldConfig};
+    use netmodel::{FaultConfig, World, WorldConfig};
     use std::sync::Arc;
 
     fn scanner(world: Arc<World>) -> Scanner<SimTransport> {
@@ -1171,6 +1263,151 @@ mod tests {
             },
             SimTransport::new(world),
         )
+    }
+
+    /// The rows of `now` that `before` lacks or holds with another value: one
+    /// walk down the two tables, both sorted by key. Rows are never removed,
+    /// so a key only `before` has does not occur and is passed over. This
+    /// full-table diff is what a boundary used to compute; it stays here as
+    /// the oracle the touched-row delta of [`Campaign::refresh`] must equal.
+    fn changed<V: Copy + PartialEq>(
+        before: impl Iterator<Item = ((u128, u8), V)>,
+        now: impl Iterator<Item = ((u128, u8), V)>,
+    ) -> Vec<Changed<V>> {
+        let mut before = before.peekable();
+        let mut rows = Vec::new();
+        for (key, value) in now {
+            while before.next_if(|(k, _)| *k < key).is_some() {}
+            let old = before.next_if(|(k, _)| *k == key).map(|(_, v)| v);
+            if old != Some(value) {
+                rows.push((key, old, value));
+            }
+        }
+        rows
+    }
+
+    fn hostile_scanner(world: Arc<World>) -> Scanner<SimTransport> {
+        Scanner::new(
+            ScannerConfig {
+                retry: RetryPolicy::exponential(3, 0.01),
+                breaker: Some(BreakerConfig::default()),
+                rate_pps: None,
+                ..ScannerConfig::default()
+            },
+            SimTransport::new(world),
+        )
+    }
+
+    /// Scan `targets` in rounds of `every` the way [`Campaign::run_with`]
+    /// does — from `resume` when given — and check at every boundary that
+    /// the delta [`Campaign::refresh`] reads off the touched rows is the
+    /// full-table diff of the scanner's state before and after the round,
+    /// and that the campaign state then holds both tables whole. Returns
+    /// how many changed rows the boundaries saw, fault and breaker.
+    fn deltas_match_the_full_diff(
+        campaign: &mut Campaign<'_, SimTransport>,
+        targets: &[Ipv6Addr],
+        every: usize,
+        shards: usize,
+        resume: Option<&CampaignCheckpoint>,
+    ) -> (usize, usize) {
+        let (prepared, _) =
+            campaign.scanner.prepare(targets.iter().copied(), false, None, &mut ScanReport::default());
+        let mut state = resume.cloned().unwrap_or_else(|| CampaignCheckpoint {
+            fingerprint: 0,
+            done: 0,
+            rounds: 0,
+            reports: Vec::new(),
+            limiter: None,
+            fault_state: Vec::new(),
+            breaker: None,
+            counters: BTreeMap::new(),
+        });
+        if let Some(ckpt) = resume {
+            campaign.scanner.lane.restore(LaneState {
+                limiter: ckpt.limiter,
+                fault_rows: ckpt.fault_state.clone(),
+                breaker: ckpt.breaker.clone(),
+            });
+        }
+        campaign.start(&mut state);
+        let keyed = |rows: &[(u128, u8, u32)]| rows.iter().map(|&(d, p, n)| ((d, p), n)).collect::<Vec<_>>();
+        let mut touched = Touched::default();
+        let mut seen = (0, 0);
+        for (round, slice) in prepared[state.done..].chunks(every).enumerate() {
+            let before = campaign.scanner.lane.snapshot();
+            campaign.scanner.scan_prepared(slice, &campaign.protocols, shards, None, Some(&mut touched));
+            let delta = campaign.refresh(&mut state, &mut touched);
+            let after = campaign.scanner.lane.snapshot();
+            let full = Delta {
+                fault: changed(keyed(&before.fault_rows).into_iter(), keyed(&after.fault_rows).into_iter()),
+                breaker: changed(
+                    before.breaker.iter().flat_map(BreakerMap::iter),
+                    after.breaker.iter().flat_map(BreakerMap::iter),
+                ),
+            };
+            assert_eq!(delta, full, "round {round}");
+            assert_eq!(state.fault_state, after.fault_rows, "round {round}");
+            assert_eq!(state.breaker, after.breaker, "round {round}");
+            seen = (seen.0 + full.fault.len(), seen.1 + full.breaker.len());
+        }
+        seen
+    }
+
+    #[test]
+    fn touched_row_delta_equals_the_full_diff_at_every_boundary() {
+        let mut wc = WorldConfig::tiny(0xCE5);
+        wc.faults = FaultConfig::hostile();
+        let world = Arc::new(World::build(wc));
+        let mut targets: Vec<Ipv6Addr> = world.hosts().iter().map(|(a, _)| a).step_by(2).take(200).collect();
+        targets.extend((0..30u128).map(|i| Ipv6Addr::from((0x3fff_u128 << 112) | i)));
+        let nonempty = |(fault, breaker): (usize, usize), what: &str| {
+            assert!(fault > 0 && breaker > 0, "{what}: the rounds changed nothing to compare ({fault}, {breaker})");
+        };
+
+        for shards in [1, 4] {
+            let mut s = hostile_scanner(world.clone());
+            let seen = deltas_match_the_full_diff(&mut Campaign::standard(&mut s), &targets, 48, shards, None);
+            nonempty(seen, &format!("four protocols, {shards} shard(s)"));
+        }
+        // One protocol at one shard runs on the scanner's own lane: no
+        // task is lent, so no reclaim hands rows back.
+        let mut s = hostile_scanner(world.clone());
+        let seen =
+            deltas_match_the_full_diff(&mut Campaign::new(&mut s, vec![Protocol::Icmp]), &targets, 48, 1, None);
+        nonempty(seen, "one protocol, one shard");
+
+        // A resumed campaign: the scanner restored from a checkpoint two
+        // rounds in.
+        let path = std::env::temp_dir().join(format!("sos-delta-{}.json", std::process::id()));
+        let stop = RunOptions {
+            shards: 4,
+            checkpoint_every: 48,
+            checkpoint_path: Some(path.clone()),
+            stop_after_rounds: Some(2),
+            ..RunOptions::default()
+        };
+        let mut s = hostile_scanner(world.clone());
+        Campaign::standard(&mut s).run_with(&targets, &stop, None).unwrap();
+        let ckpt = CampaignCheckpoint::load(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(ckpt.done, 96);
+        let mut s = hostile_scanner(world);
+        let seen = deltas_match_the_full_diff(&mut Campaign::standard(&mut s), &targets, 48, 4, Some(&ckpt));
+        nonempty(seen, "resumed after two rounds");
+    }
+
+    #[test]
+    fn new_fault_rows_merge_into_place() {
+        let mut table = vec![(1, 0, 5), (3, 0, 7), (3, 2, 1), (9, 1, 4)];
+        let changed = advance_fault_rows(
+            &mut table,
+            vec![(0, 0, 1), (3, 0, 7), (3, 1, 2), (9, 1, 5), (10, 0, 3)],
+        );
+        assert_eq!(table, [(0, 0, 1), (1, 0, 5), (3, 0, 7), (3, 1, 2), (3, 2, 1), (9, 1, 5), (10, 0, 3)]);
+        assert_eq!(changed, [((0, 0), None, 1), ((3, 1), None, 2), ((9, 1), Some(4), 5), ((10, 0), None, 3)]);
+        assert!(advance_fault_rows(&mut table, Vec::new()).is_empty());
+        assert_eq!(table.len(), 7);
     }
 
     #[test]

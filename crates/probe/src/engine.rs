@@ -262,11 +262,23 @@ pub(crate) struct Lane<T> {
 }
 
 /// A lane's cross-target state as of a round boundary — what a campaign
-/// checkpoint persists of it.
+/// checkpoint persists of it: all of it, or only the rows one round
+/// touched (see [`Lane::touched_state`]).
 pub(crate) struct LaneState {
     pub(crate) limiter: Option<BucketSnapshot>,
     pub(crate) fault_rows: Vec<(u128, u8, u32)>,
     pub(crate) breaker: Option<BreakerMap>,
+}
+
+/// The `(domain, protocol index)` keys of the per-prefix rows a campaign
+/// round's tasks handed back at reclaim — or, for a task that ran on the
+/// scanner's own lane, every row its targets map to — so the boundary
+/// reads those rows and no others. Collected only when a campaign asks
+/// ([`Scanner::scan_prepared`]); repeats are dropped when it is read.
+#[derive(Debug, Default)]
+pub(crate) struct Touched {
+    fault: Vec<(u128, u8)>,
+    breaker: Vec<(u128, u8)>,
 }
 
 impl<T: Transport> Lane<T> {
@@ -302,6 +314,49 @@ impl<T: Transport> Lane<T> {
         }
         self.limiter = state.limiter.as_ref().map(TokenBucket::restore).or(self.limiter.take());
         self.breaker = state.breaker.or(self.breaker.take());
+    }
+
+    /// [`Lane::snapshot`] restricted to the rows at `touched`'s keys, each
+    /// table sorted by key, with the limiter and the breaker totals whole;
+    /// `touched` is emptied for the next round. A key with no row — a
+    /// domain a target maps to that nothing has written — is passed over.
+    pub(crate) fn touched_state(&self, touched: &mut Touched) -> LaneState {
+        for keys in [&mut touched.fault, &mut touched.breaker] {
+            keys.sort_unstable();
+            keys.dedup();
+        }
+        let carried = self.transport.carried();
+        let fault_rows = touched
+            .fault
+            .drain(..)
+            .filter_map(|(domain, proto)| Some((domain, proto, carried?.density((domain, proto))?)))
+            .collect();
+        let breaker = self.breaker.as_ref().map(|map| {
+            let rows = touched.breaker.iter().filter_map(|&key| Some((key, map.get(key)?)));
+            BreakerMap::restore(*map.config(), rows, map.opened(), map.skipped())
+        });
+        touched.breaker.clear();
+        LaneState {
+            limiter: self.limiter.as_ref().map(TokenBucket::snapshot),
+            fault_rows,
+            breaker,
+        }
+    }
+
+    /// Note, when a campaign collects them, the rows a task on this lane
+    /// itself can write: the fault and breaker domains of `targets` on
+    /// `proto`. Such a task is never lent, so no reclaim hands its rows
+    /// back.
+    fn touch(&self, touched: Option<&mut Touched>, proto: Protocol, targets: &[(u32, Ipv6Addr)]) {
+        let Some(touched) = touched else { return };
+        let proto = proto.index() as u8;
+        if let Some(plan) = self.transport.carried().and_then(Carried::fault_plan) {
+            let domains = targets.iter().map(|&(_, addr)| (plan.domain_of(u128::from(addr)), proto));
+            touched.fault.extend(domains);
+        }
+        if let Some(map) = &self.breaker {
+            touched.breaker.extend(targets.iter().map(|&(_, addr)| (map.domain_of(addr), proto)));
+        }
     }
 
     /// The per-target probe policy — the only place a probe is sent from.
@@ -401,13 +456,21 @@ impl<T: Transport + Clone> Lane<T> {
     /// Take a lent lane back after its task: per-prefix state returns, so
     /// later scans (and campaign checkpoints) continue the same clocks, and
     /// fault and breaker totals add. Its packet count does not — the
-    /// scanner accounts task packets from the partial reports.
-    fn reclaim(&mut self, lent: Lane<T>) {
+    /// scanner accounts task packets from the partial reports. The keys of
+    /// the rows that return are noted in `touched`, when given: they are
+    /// every row the task could have changed.
+    fn reclaim(&mut self, lent: Lane<T>, mut touched: Option<&mut Touched>) {
         let Lane { mut transport, breaker, .. } = lent;
         if let (Some(mine), Some(theirs)) = (self.transport.carried_mut(), transport.carried_mut()) {
+            if let Some(touched) = touched.as_deref_mut() {
+                touched.fault.extend(theirs.fault_keys());
+            }
             mine.reclaim(std::mem::take(theirs));
         }
         if let (Some(mine), Some(theirs)) = (self.breaker.as_mut(), breaker) {
+            if let Some(touched) = touched {
+                touched.breaker.extend(theirs.iter().map(|(key, _)| key));
+            }
             mine.absorb(theirs);
         }
     }
@@ -598,16 +661,19 @@ impl<T: Transport> Scanner<T> {
         burst
     }
 
-    /// Run one prepared list as a single task on the scanner's own lane.
+    /// Run one prepared list as a single task on the scanner's own lane,
+    /// noting the rows it can write in `touched` when given.
     fn scan_single(
         &mut self,
         prepared: &[(u32, Ipv6Addr)],
         proto: Protocol,
         prov: Option<&[Provenance]>,
+        touched: Option<&mut Touched>,
     ) -> ScanReport {
         if let Some(carried) = self.lane.transport.carried_mut() {
             carried.reserve(prepared.len());
         }
+        self.lane.touch(touched, proto, prepared);
         let (mut report, hits) =
             scan_shard(&self.cfg, &mut self.lane, &self.metrics, prepared, proto, prov);
         // A single task sees targets in input order already.
@@ -624,7 +690,7 @@ impl<T: Transport> Scanner<T> {
     ) -> ScanReport {
         let mut template = ScanReport::default();
         let (prepared, _) = self.prepare(targets, true, None, &mut template);
-        let mut report = self.scan_single(&prepared, proto, None);
+        let mut report = self.scan_single(&prepared, proto, None, None);
         report.duplicates = template.duplicates;
         report.blocked = template.blocked;
         sos_obs::debug!(
@@ -695,7 +761,7 @@ impl<T: Transport + Clone + Send> Scanner<T> {
             reason = "scan_prepared returns exactly one entry per requested protocol"
         )]
         let (_, mut report) = self
-            .scan_prepared(&prepared, &[proto], shards, tags.as_deref())
+            .scan_prepared(&prepared, &[proto], shards, tags.as_deref(), None)
             .pop()
             .expect("one report per protocol");
         report.duplicates = template.duplicates;
@@ -711,13 +777,15 @@ impl<T: Transport + Clone + Send> Scanner<T> {
     /// wholly inside one shard and per-prefix virtual clocks never fork.
     ///
     /// `prov` maps global prepared indices to provenance tags (see
-    /// [`scan_shard`]); `None` scans untagged.
+    /// [`scan_shard`]); `None` scans untagged. A campaign passes
+    /// `touched` to learn which per-prefix rows the scan may have changed.
     pub(crate) fn scan_prepared(
         &mut self,
         prepared: &[(u32, Ipv6Addr)],
         protocols: &[Protocol],
         shards: usize,
         prov: Option<&[Provenance]>,
+        mut touched: Option<&mut Touched>,
     ) -> Vec<(Protocol, ScanReport)> {
         let shards = shards.max(1);
 
@@ -726,8 +794,8 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         // `par_map` still records the *requested* worker count so manifest
         // utilization aggregates stay truthful.
         if let (&[proto], true) = (protocols, shards == 1 || prepared.len() <= 1) {
-            return par_map("scan_parallel", vec![self], shards, |_, scanner| {
-                (proto, scanner.scan_single(prepared, proto, prov))
+            return par_map("scan_parallel", vec![(self, touched)], shards, |_, (scanner, touched)| {
+                (proto, scanner.scan_single(prepared, proto, prov, touched))
             });
         }
 
@@ -774,7 +842,7 @@ impl<T: Transport + Clone + Send> Scanner<T> {
                 let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
                 for (partial, shard_hits, lane) in results.by_ref().take(shards) {
                     self.shard_packets += partial.packets_sent;
-                    self.lane.reclaim(lane);
+                    self.lane.reclaim(lane, touched.as_deref_mut());
                     hits.extend(shard_hits);
                     report.absorb_shard(partial);
                 }

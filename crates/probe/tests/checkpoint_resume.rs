@@ -702,6 +702,48 @@ fn write_ahead_log_damage_is_dropped_or_refused() {
     remove(&path);
 }
 
+/// The lines the streaming writer produces are canonical JSON: parsed and
+/// re-serialized, each is the same bytes, and each decodes to a value
+/// that encodes back to it — the state line, a round line (decoded as the
+/// state of its own round), and every kind of journal record, all from a
+/// hostile, attributed campaign that was killed and resumed.
+#[test]
+fn checkpoint_and_journal_lines_are_canonical() {
+    let h = Hostile::new("canonical");
+    let path = tmp("canonical");
+    let journal = tmp("canonical-journal");
+    remove(&path);
+    h.killed_after(3, &path);
+    let lines = lines_of(&path);
+    assert_eq!(lines.len(), 3, "the state line and two round lines");
+    for (number, line) in lines.iter().enumerate() {
+        let parsed = Json::parse(line).unwrap();
+        assert_eq!(&parsed.to_string(), line, "checkpoint line {}", number + 1);
+        let decoded = CampaignCheckpoint::from_json(&parsed).unwrap();
+        assert_eq!(&decoded.to_json().to_string(), line, "checkpoint line {} re-encoded", number + 1);
+        assert!(line.contains("\"attribution\":[["), "line {} carries attribution", number + 1);
+    }
+
+    remove(&path);
+    let with_journal = RunOptions { journal_path: Some(journal.clone()), ..h.at(&path) };
+    let stop = RunOptions { stop_after_rounds: Some(2), ..with_journal.clone() };
+    let mut s = scanner(h.world.clone(), None);
+    Campaign::standard(&mut s).run_with(&h.targets, &stop, None).unwrap();
+    let ckpt = CampaignCheckpoint::load(&path).unwrap();
+    let mut s = scanner(h.world.clone(), None);
+    Campaign::standard(&mut s).run_with(&h.targets, &with_journal, Some(&ckpt)).unwrap();
+    let mut kinds = std::collections::BTreeSet::new();
+    for line in lines_of(&journal) {
+        assert_eq!(Json::parse(&line).unwrap().to_string(), line);
+        let record = sos_obs::Record::parse_line(&line).unwrap();
+        assert_eq!(record.to_line(), line);
+        kinds.insert(record.event.kind());
+    }
+    assert_eq!(kinds.len(), 10, "every kind of record: {kinds:?}");
+    remove(&path);
+    remove(&journal);
+}
+
 /// A round line is never appended to a file that is not there: once the
 /// checkpoint is deleted after the first boundary, the second boundary —
 /// the first one that appends — ends the campaign with an error naming
@@ -819,7 +861,7 @@ fn sinks_at_one_path_are_refused_before_the_first_probe() {
     let w = hostile_world(0x5175);
     let t = targets(&w);
     let dir = tmp("sinks");
-    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::create_dir_all(dir.join("sub")).unwrap();
     let at = |name: &str| Some(dir.join(name));
     let none = RunOptions { checkpoint_every: 64, ..RunOptions::default() };
     for (what, opts, named) in [
@@ -851,6 +893,11 @@ fn sinks_at_one_path_are_refused_before_the_first_probe() {
                 ..none.clone()
             },
             "j.prom",
+        ),
+        (
+            "a journal at the checkpoint, reached through `..`",
+            RunOptions { checkpoint_path: at("c.json"), journal_path: at("sub/../c.json"), ..none.clone() },
+            "c.json",
         ),
     ] {
         for name in ["c.json", "c.tmp", "j.prom"] {
