@@ -7,7 +7,7 @@
 //!          [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
 //!          [--stop-after N] [--journal FILE] [--snapshot-every N]
 //!          [--manifest FILE] [--trace FILE] [--flame FILE]
-//! seedscan watch <journal> [--replay] [--interval-ms N] [--max-idle-polls N]
+//! seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]
 //! seedscan explain <manifest|journal> [--json] [--top N]
 //!
 //! experiments:
@@ -49,15 +49,11 @@
 //!
 //! Live telemetry: `--journal FILE` makes the campaign append one JSON
 //! line per event (round boundaries, checkpoints, breaker and fault-epoch
-//! transitions, exact counter snapshots) and renders a Prometheus-style
-//! text snapshot next to it (`FILE` with a `.prom` extension) every
-//! `--snapshot-every N` round boundaries (default every round).
-//! `seedscan watch <journal>` tails that file from another terminal and
-//! renders a live status table; `--replay` folds a finished (or torn)
-//! journal once and prints the final state plus the exact reconstructed
-//! counter totals, which match the live run's manifest bit-for-bit. A
-//! torn journal (no `campaign_end` record — the writer was killed)
-//! replays as `[truncated]`, never as "running".
+//! transitions, exact counter snapshots) and renders each counter
+//! snapshot as Prometheus-style text next to it (`FILE` with a `.prom`
+//! extension) every `--snapshot-every N` round boundaries (default every
+//! round). `seedscan watch <journal>` tails that file from another
+//! terminal and renders a live status table until the campaign ends.
 //!
 //! Discovery attribution: a campaign tags every target with its /32
 //! region, so the manifest records which parts of the address space the
@@ -67,7 +63,10 @@
 //! density. `seedscan explain <manifest|journal>` renders all of it as
 //! ranked tables plus a text address-space heatmap (`--json` for the
 //! machine-readable form), and cross-checks the attribution sums against
-//! the campaign's own scan counters.
+//! the campaign's own scan counters. On a journal — finished, or torn by
+//! a kill (`[truncated]`, never "running") — it prints the final status
+//! block, the discovery table and the last snapshot's counters, byte for
+//! byte the run's `.prom` file.
 //!
 //! Observability: progress and milestones go to stderr at the level
 //! selected by `SOS_LOG` (default `info` here; `debug` adds span-level
@@ -178,7 +177,7 @@ fn usage() {
          \u{20}                [--checkpoint FILE] [--checkpoint-every N] [--resume FILE] [--stop-after N]\n\
          \u{20}                [--journal FILE] [--snapshot-every N]\n\
          \u{20}                [--manifest FILE] [--trace FILE] [--flame FILE]\n\
-         \u{20}      seedscan watch <journal> [--replay] [--interval-ms N] [--max-idle-polls N]\n\
+         \u{20}      seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]\n\
          \u{20}      seedscan explain <manifest|journal> [--json] [--top N]\n\
          experiments: summary overlap rq1 rq2 rq3 rq4 appendix-d raw recommend as-kind budget-sweep export campaign all\n\
          fault presets: off bursty ratelimited blackholes throttled hostile\n\
@@ -196,23 +195,20 @@ fn bad_usage(e: &str) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// `seedscan watch <journal> [--replay] [--interval-ms N] [--max-idle-polls N]`
+/// `seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]`
 ///
-/// `--replay` folds the journal once and prints the final status plus the
-/// exact reconstructed counter totals. Without it, the journal is tailed
-/// live until a `campaign_end` record arrives; `--max-idle-polls N`
-/// detaches after N consecutive empty polls (for scripted use against a
-/// killed campaign's journal).
+/// Tails the journal live until a `campaign_end` record arrives (on a
+/// finished journal: prints the final status and exits);
+/// `--max-idle-polls N` detaches after N consecutive empty polls (for
+/// scripted use against a killed campaign's journal).
 fn run_watch(rest: Vec<String>) -> ExitCode {
     let mut journal: Option<String> = None;
-    let mut replay = false;
     let mut interval_ms: u64 = 500;
     let mut max_idle_polls: Option<u64> = None;
     let mut it = rest.into_iter();
     let mut parse = || -> Result<(), String> {
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--replay" => replay = true,
                 "--interval-ms" => interval_ms = value(&mut it, "--interval-ms")?,
                 "--max-idle-polls" => max_idle_polls = Some(value(&mut it, "--max-idle-polls")?),
                 other if journal.is_none() && !other.starts_with('-') => journal = Some(other.to_string()),
@@ -225,33 +221,12 @@ fn run_watch(rest: Vec<String>) -> ExitCode {
         return bad_usage(&e);
     }
     let Some(journal) = journal else { return bad_usage("watch needs a journal path") };
-    let path = std::path::Path::new(&journal);
-    if replay {
-        match sos_core::watch::replay(path) {
-            Ok(state) => {
-                print!("{}", state.render());
-                println!("final counters (reconstructed from last snapshot):");
-                print!("{}", state.render_counters());
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("error: replaying {journal}: {e}");
-                ExitCode::FAILURE
-            }
-        }
-    } else {
-        let mut out = std::io::stdout();
-        match sos_core::watch::watch_live(
-            path,
-            std::time::Duration::from_millis(interval_ms),
-            max_idle_polls,
-            &mut out,
-        ) {
-            Ok(_) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: watching {journal}: {e}");
-                ExitCode::FAILURE
-            }
+    let (path, poll) = (std::path::Path::new(&journal), std::time::Duration::from_millis(interval_ms));
+    match sos_core::watch::watch_live(path, poll, max_idle_polls, &mut std::io::stdout()) {
+        Ok(_) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: watching {journal}: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -261,8 +236,9 @@ fn run_watch(rest: Vec<String>) -> ExitCode {
 /// Auto-detects the artifact kind: a run manifest (one JSON document)
 /// yields the full attribution view — ranked regions, per-scheme and
 /// per-AS hit tables, waste histograms, coverage heatmap; a telemetry
-/// journal yields the folded per-source discovery totals plus the exact
-/// counter snapshot. `--json` emits the same content machine-readably.
+/// journal yields the final status block, the folded per-source discovery
+/// totals and the last counter snapshot as the run's `.prom` file renders
+/// it. `--json` emits the same content machine-readably.
 fn run_explain(rest: Vec<String>) -> ExitCode {
     let mut artifact: Option<String> = None;
     let mut json = false;

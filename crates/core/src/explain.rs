@@ -13,8 +13,9 @@
 //!   ([`ManifestExplain::record`]) and reads it back
 //!   ([`ManifestExplain::from_manifest`]);
 //! - a **journal** (JSON lines, `--journal FILE`): the fold
-//!   [`crate::watch`] maintains, summarized once — per-source discovery
-//!   totals plus the exact counter snapshot.
+//!   [`crate::watch`] maintains, summarized once — the status block,
+//!   per-source discovery totals, and the last counter snapshot rendered
+//!   exactly as the run's `.prom` file holds it.
 //!
 //! The attribution table's sums are checked against the campaign's own
 //! scan counters and the verdict is printed: `explain` is only trustworthy
@@ -349,8 +350,9 @@ impl ManifestExplain {
     }
 }
 
-/// Render a folded journal's discovery view.
-pub fn render_journal(state: &WatchState, _top: usize) -> String {
+/// Render a folded journal: the status block, the discovery table, and
+/// the last snapshot's counters as the run's `.prom` file holds them.
+pub fn render_journal(state: &WatchState) -> String {
     let mut out = state.render();
     if !state.discovery.is_empty() {
         let _ = writeln!(out, "discovery by source:");
@@ -373,25 +375,14 @@ pub fn render_journal(state: &WatchState, _top: usize) -> String {
         }
     }
     out.push_str("exact counters (last snapshot):\n");
-    out.push_str(&state.render_counters());
+    out.push_str(&sos_obs::render_prometheus(&state.counters));
     out
 }
 
 /// Machine-readable journal summary.
 pub fn journal_to_json(state: &WatchState) -> Json {
     let mut doc = Json::obj();
-    doc.set(
-        "status",
-        if state.truncated {
-            "truncated"
-        } else {
-            match state.completed {
-                None => "running",
-                Some(true) => "completed",
-                Some(false) => "stopped",
-            }
-        },
-    );
+    doc.set("status", state.status());
     doc.set("done", state.done);
     doc.set("targets", state.targets);
     doc.set("rounds", state.rounds);
@@ -426,7 +417,7 @@ pub fn explain(path: &Path, json: bool, top: usize) -> Result<String, String> {
         ExplainInput::Journal(state) => Ok(if json {
             journal_to_json(&state).to_string_pretty() + "\n"
         } else {
-            render_journal(&state, top)
+            render_journal(&state)
         }),
     }
 }
@@ -562,8 +553,9 @@ mod tests {
             Ok(ExplainInput::Journal(state)) => {
                 assert!(state.truncated, "no campaign_end record");
                 assert_eq!(state.discovery.get(&255), Some(&(2, 10, 3, 0, 7)));
-                let text = render_journal(&state, 5);
+                let text = render_journal(&state);
                 assert!(text.contains("targets"), "{text}");
+                assert!(text.ends_with("exact counters (last snapshot):\n"), "no snapshot, no counters: {text}");
                 let j = journal_to_json(&state);
                 assert_eq!(j.get("status"), Some(&Json::Str("truncated".into())));
             }

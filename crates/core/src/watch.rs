@@ -7,12 +7,13 @@
 //! epochs, ETA. Two drivers share the fold:
 //!
 //! - [`replay`] reads a complete (or torn) journal once and returns the
-//!   final state. The snapshot counters it reconstructs are exact `u64`
-//!   values, bit-identical to the live run's manifest counters — the
-//!   acceptance surface for journal integrity.
-//! - [`watch_live`] tails a journal that a still-running (or killed)
-//!   campaign is writing, re-rendering whenever complete lines land and
-//!   exiting once a `campaign_end` record arrives.
+//!   final state — what `seedscan explain <journal>` renders. The
+//!   snapshot counters it reconstructs are exact `u64` values,
+//!   bit-identical to the live run's manifest counters — the acceptance
+//!   surface for journal integrity.
+//! - [`watch_live`] (`seedscan watch`) tails a journal that a
+//!   still-running (or killed) campaign is writing, re-rendering whenever
+//!   complete lines land and exiting once a `campaign_end` record arrives.
 //!
 //! The fold is pure with respect to the journal: nothing here feeds back
 //! into scanning, so watching a campaign can never perturb its results.
@@ -207,20 +208,26 @@ impl WatchState {
         summary
     }
 
+    /// The campaign's status: `completed` or `stopped` once its
+    /// `campaign_end` record is folded; before that `truncated` when
+    /// [`replay`] found the journal cut off (the writer was killed —
+    /// claiming "running" would be a lie), else `running`.
+    pub fn status(&self) -> &'static str {
+        match (self.completed, self.truncated) {
+            (Some(true), _) => "completed",
+            (Some(false), _) => "stopped",
+            (None, true) => "truncated",
+            (None, false) => "running",
+        }
+    }
+
     /// Render the status table (one bordered block, fixed field order).
     pub fn render(&self) -> String {
         let mut out = String::new();
         let fp = self
             .fingerprint
             .map_or_else(|| "????????????????".to_string(), |f| format!("{f:016x}"));
-        let status = match (self.completed, self.truncated) {
-            // A torn tail: the journal simply stops — the writer was
-            // killed. Claiming "running" here would be a lie.
-            (None, true) => "truncated",
-            (None, false) => "running",
-            (Some(true), _) => "completed",
-            (Some(false), _) => "stopped",
-        };
+        let status = self.status();
         let pct = if self.targets > 0 {
             100.0 * self.done as f64 / self.targets as f64
         } else {
@@ -282,22 +289,8 @@ impl WatchState {
             "  journal    {} record(s), {} checkpoint(s), {} resume(s)\n",
             self.records, self.checkpoints, self.resumes,
         ));
-        if self.completed.is_none() && !self.truncated {
+        if status == "running" {
             out.push_str(&format!("  eta        {:.1}s\n", self.eta_seconds()));
-        }
-        out
-    }
-
-    /// Render the exact counter totals from the newest snapshot record —
-    /// the replay-grade values that must match the live run's manifest.
-    pub fn render_counters(&self) -> String {
-        if self.counters.is_empty() {
-            return "  (no snapshot record in journal)\n".to_string();
-        }
-        let width = self.counters.keys().map(String::len).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            out.push_str(&format!("  {name:<width$}  {value}\n"));
         }
         out
     }
@@ -510,8 +503,7 @@ mod tests {
         {
             assert!(table.contains(needle), "render missing {needle:?} in:\n{table}");
         }
-        let counters = st.render_counters();
-        assert!(counters.contains("probe.hits") && counters.contains("14"));
+        assert_eq!(st.status(), "completed");
     }
 
     #[test]
@@ -551,6 +543,7 @@ mod tests {
         let st = replay(&path).unwrap();
         assert!(st.truncated);
         assert_eq!(st.completed, None);
+        assert_eq!(st.status(), "truncated");
         let table = st.render();
         assert!(table.contains("[truncated]"), "got:\n{table}");
         assert!(!table.contains("running"), "torn tail must not claim live");

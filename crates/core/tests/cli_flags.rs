@@ -43,6 +43,33 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     assert_refused(&run(seedscan, &["explain", "m.json", "--top"]), "--top");
 }
 
+/// One snapshot, several views: `explain <journal>` ends with exactly the
+/// bytes of the run's `.prom` file, and `explain` is the one reader of a
+/// finished journal — `watch` has no `--replay` mode to fall back on.
+#[test]
+fn explain_of_a_journal_ends_with_its_prom_file() {
+    let dir = std::env::temp_dir().join(format!("sos-cli-views-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let seedscan = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_seedscan")).current_dir(&dir).args(args).output().expect("run binary")
+    };
+    let campaign = seedscan(&[
+        "campaign", "--scale", "tiny", "--faults", "hostile", "--breaker",
+        "--checkpoint-every", "64", "--journal", "j.jsonl",
+    ]);
+    assert!(campaign.status.success(), "{}", String::from_utf8_lossy(&campaign.stderr));
+    let explained = seedscan(&["explain", "j.jsonl"]);
+    assert!(explained.status.success());
+    let prom = std::fs::read(dir.join("j.prom")).unwrap();
+    assert!(prom.starts_with(b"# TYPE "), "{}", String::from_utf8_lossy(&prom));
+    assert!(explained.stdout.ends_with(&prom), "{}", String::from_utf8_lossy(&explained.stdout));
+
+    let replay = seedscan(&["watch", "j.jsonl", "--replay"]);
+    assert_refused(&replay, "--replay");
+    assert!(String::from_utf8_lossy(&replay.stderr).contains("usage: seedscan"));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The `.prom` snapshot goes beside the journal, at the journal's path
 /// with a `prom` extension — for `--journal x.prom`, the journal itself.
 /// The campaign refuses to start, names the file and leaves it alone.

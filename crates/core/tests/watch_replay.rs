@@ -1,7 +1,8 @@
-//! End-to-end `seedscan watch --replay` surface: fold the journal a real
-//! campaign wrote and check the reconstruction against the live scanner —
-//! counter totals bit-identical, progress exact, Prometheus snapshot file
-//! in sync.
+//! End-to-end journal replay (what `seedscan explain <journal>` folds) and
+//! live tail (`seedscan watch`): fold the journal a real campaign wrote
+//! and check the reconstruction against the live scanner — counter totals
+//! bit-identical, progress exact, Prometheus snapshot file the last
+//! snapshot record rendered.
 
 use std::io::Write;
 use std::path::PathBuf;
@@ -72,14 +73,13 @@ fn replay_reconstructs_a_live_campaign_exactly() {
     assert_eq!(
         state.counters,
         s.metrics().counters(),
-        "watch --replay must reconstruct the manifest counters bit-identically"
+        "replay must reconstruct the manifest counters bit-identically"
     );
     // The per-round fold agrees with the engine's own totals.
     assert_eq!(Some(&state.hits), state.counters.get("probe.hits"));
     assert_eq!(Some(&state.packets), state.counters.get("probe.packets_sent"));
-    // The Prometheus snapshot file was exported and carries the counters.
-    let prom_text = std::fs::read_to_string(&prom).unwrap();
-    assert!(prom_text.contains("probe_packets_sent"));
+    // The Prometheus snapshot file is the last snapshot record, rendered.
+    assert_eq!(std::fs::read_to_string(&prom).unwrap(), sos_obs::render_prometheus(&state.counters));
     // The rendered status table is ready for the terminal.
     let table = state.render();
     assert!(table.contains("completed") && table.contains("pkt/s"));

@@ -18,7 +18,8 @@
 //!   batch being written, and a reader may see its last line torn.
 //! - **Torn-tail tolerance.** Readers parse complete lines only; a
 //!   truncated final line (the kill case) is ignored rather than an
-//!   error, and a tailing reader picks it up once the newline lands.
+//!   error, and a tailing reader picks it up once the newline lands. A
+//!   resumed writer cuts such a line off before it appends.
 //! - **Deterministic payloads.** Every record carries the campaign's
 //!   virtual clock (`vclock_us`, derived from deterministic report
 //!   accounting) next to the process wall clock (`wall_s`); everything
@@ -415,16 +416,19 @@ impl JournalWriter {
     }
 
     /// Continue an existing journal (campaign resume): records append
-    /// after whatever is already there, and the sequence number continues
-    /// from the last complete line. A missing file starts fresh.
+    /// after its last complete record, and the sequence number continues
+    /// from it. The torn tail a killed writer left is cut off first —
+    /// appended to, it would become a corrupt line in the middle. A missing
+    /// file starts fresh.
     pub fn append(path: impl Into<PathBuf>) -> io::Result<JournalWriter> {
         let path = path.into();
-        let seq = match read_records(&path) {
-            Ok(records) => records.last().map_or(0, |r| r.seq + 1),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
+        let (seq, end) = match read_from(&path, 0) {
+            Ok((records, end)) => (records.last().map_or(0, |r| r.seq + 1), end),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => (0, 0),
             Err(e) => return Err(e),
         };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        file.set_len(end)?;
         Ok(JournalWriter { file, path, seq, lines: JsonWriter::default() })
     }
 
@@ -645,6 +649,31 @@ mod tests {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
+    }
+
+    /// A resume after a kill appends after the last complete record: the
+    /// torn tail goes, whether or not its newline landed, and the journal
+    /// reads back whole with one dense sequence.
+    #[test]
+    fn append_cuts_a_torn_tail_before_writing() {
+        let path = tmp("sos_obs_journal_append_torn.jsonl");
+        for tail in [&b"{\"v\":1,\"seq\":1,\"ev\":\"round_e"[..], b"{\"v\":1,garbage\n"] {
+            let _ = std::fs::remove_file(&path);
+            JournalWriter::create(&path)
+                .unwrap()
+                .write(0, Event::RoundStart { round: 1, from: 0, to: 10 })
+                .unwrap();
+            OpenOptions::new().append(true).open(&path).unwrap().write_all(tail).unwrap();
+            let mut w = JournalWriter::append(&path).unwrap();
+            assert_eq!(w.next_seq(), 1);
+            w.write(5, Event::Resume { fingerprint: 1, done: 0, rounds: 0 }).unwrap();
+            w.write(9, Event::RoundStart { round: 1, from: 0, to: 10 }).unwrap();
+            let records = read_records(&path).expect("the torn tail was cut, not buried");
+            let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+            assert_eq!(seqs, [0, 1, 2], "tail {:?}", String::from_utf8_lossy(tail));
+            assert!(matches!(records[1].event, Event::Resume { .. }));
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     /// ROADMAP 6a for the journal reader: whatever single byte of a record

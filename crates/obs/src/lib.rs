@@ -13,8 +13,8 @@
 //!   flat or labeled (`probe.hits{proto=tcp}`) — plus a global named
 //!   [`Registry`] every crate in the pipeline feeds (packets, retries,
 //!   drops, classification outcomes, dealias spend, generation
-//!   throughput), rendered as Prometheus-style text by
-//!   [`render_prometheus`].
+//!   throughput). [`render_prometheus`] renders a counter snapshot (a
+//!   campaign's `snapshot` record) as Prometheus-style text.
 //! - [`journal`]: the live telemetry surface — an append-only,
 //!   crash-tolerant JSONL stream of typed campaign events (rounds,
 //!   checkpoints, breaker and fault-epoch transitions, counter
@@ -48,9 +48,7 @@ pub use journal::{Event, JournalWriter, Record};
 pub use json::Json;
 pub use log::Level;
 pub use manifest::{fnv1a64, Manifest};
-pub use metrics::{
-    counter, global as registry, histogram, render_prometheus, Counter, Histogram, Registry,
-};
+pub use metrics::{counter, histogram, render_prometheus, Counter, Histogram, Registry};
 pub use par::ParStats;
 pub use progress::{eta_s, Progress};
 pub use span::{span, span_detail, Span};

@@ -330,60 +330,33 @@ fn prom_name(name: &str) -> String {
 
 /// Render one label set as a Prometheus label block (empty string when no
 /// labels).
-fn prom_labels(pairs: &[(&str, &str)], extra: Option<(&str, String)>) -> String {
-    let mut parts: Vec<String> = pairs
+fn prom_labels(pairs: &[(&str, &str)]) -> String {
+    if pairs.is_empty() {
+        return String::new();
+    }
+    let parts: Vec<String> = pairs
         .iter()
         .map(|(k, v)| format!("{}=\"{}\"", prom_name(k), v.replace('\\', "\\\\").replace('"', "\\\"")))
         .collect();
-    if let Some((k, v)) = extra {
-        parts.push(format!("{k}=\"{v}\""));
-    }
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!("{{{}}}", parts.join(","))
-    }
+    format!("{{{}}}", parts.join(","))
 }
 
-/// Render every counter and histogram in `registry` as Prometheus-style
-/// text exposition. Counters become `# TYPE n counter` + one sample per
-/// label set; histograms become the standard `_bucket{le=…}` cumulative
-/// series plus `_sum` and `_count`. Output is sorted by registry name, so
-/// two snapshots of the same state render byte-identically.
-pub fn render_prometheus(registry: &Registry) -> String {
+/// Render a counter snapshot — exact values by registry name, as a
+/// campaign's `snapshot` record carries them — as Prometheus-style text
+/// exposition: `# TYPE n counter` once per base name, then one sample per
+/// label set. The map is sorted by name, so one snapshot always renders
+/// to the same bytes.
+pub fn render_prometheus(counters: &BTreeMap<String, u64>) -> String {
     let mut out = String::new();
     let mut last_base = String::new();
-    for (name, value) in registry.counter_snapshot() {
-        let (base, pairs) = parse_labeled(&name);
+    for (name, value) in counters {
+        let (base, pairs) = parse_labeled(name);
         let base = prom_name(base);
         if base != last_base {
             out.push_str(&format!("# TYPE {base} counter\n"));
             last_base = base.clone();
         }
-        out.push_str(&format!("{base}{} {value}\n", prom_labels(&pairs, None)));
-    }
-    last_base.clear();
-    for (name, snap) in registry.histogram_snapshot() {
-        let (base, pairs) = parse_labeled(&name);
-        let base = prom_name(base);
-        if base != last_base {
-            out.push_str(&format!("# TYPE {base} histogram\n"));
-            last_base = base.clone();
-        }
-        let mut cum = 0u64;
-        for &(le, n) in &snap.buckets {
-            cum += n;
-            out.push_str(&format!(
-                "{base}_bucket{} {cum}\n",
-                prom_labels(&pairs, Some(("le", le.to_string())))
-            ));
-        }
-        out.push_str(&format!(
-            "{base}_bucket{} {cum}\n",
-            prom_labels(&pairs, Some(("le", "+Inf".to_string())))
-        ));
-        out.push_str(&format!("{base}_sum{} {}\n", prom_labels(&pairs, None), snap.sum));
-        out.push_str(&format!("{base}_count{} {}\n", prom_labels(&pairs, None), snap.count));
+        out.push_str(&format!("{base}{} {value}\n", prom_labels(&pairs)));
     }
     out
 }
@@ -554,23 +527,23 @@ mod tests {
     #[test]
     fn prometheus_rendering_is_stable_and_labeled() {
         let r = Registry::new();
+        r.counter("probe.hits").add(9);
         r.counter("probe.hits{proto=tcp}").add(7);
         r.counter("probe.hits{proto=udp}").add(2);
-        r.counter("probe.sent").add(9);
-        r.histogram("wait.us{proto=tcp}").record(100);
-        let text = render_prometheus(&r);
-        assert!(text.contains("# TYPE probe_hits counter\n"));
-        assert!(text.contains("probe_hits{proto=\"tcp\"} 7\n"));
-        assert!(text.contains("probe_hits{proto=\"udp\"} 2\n"));
-        assert!(text.contains("probe_sent 9\n"));
-        assert!(text.contains("# TYPE wait_us histogram\n"));
-        assert!(text.contains("wait_us_bucket{proto=\"tcp\",le=\"127\"} 1\n"));
-        assert!(text.contains("wait_us_bucket{proto=\"tcp\",le=\"+Inf\"} 1\n"));
-        assert!(text.contains("wait_us_sum{proto=\"tcp\"} 100\n"));
-        assert!(text.contains("wait_us_count{proto=\"tcp\"} 1\n"));
-        assert_eq!(text, render_prometheus(&r), "same state renders byte-identically");
-        let once = text.matches("# TYPE probe_hits counter").count();
-        assert_eq!(once, 1, "one TYPE line per base name");
+        r.counter("probe.sent{path=a\"b}").add(1);
+        r.histogram("wait.us").record(100);
+        let text = render_prometheus(&r.counter_snapshot());
+        assert_eq!(
+            text,
+            "# TYPE probe_hits counter\n\
+             probe_hits 9\n\
+             probe_hits{proto=\"tcp\"} 7\n\
+             probe_hits{proto=\"udp\"} 2\n\
+             # TYPE probe_sent counter\n\
+             probe_sent{path=\"a\\\"b\"} 1\n",
+            "one TYPE line per base name, label values escaped, histograms not rendered"
+        );
+        assert_eq!(render_prometheus(&BTreeMap::new()), "");
     }
 
     #[test]

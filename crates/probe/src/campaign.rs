@@ -160,10 +160,10 @@ pub struct RunOptions {
     /// run truncates; a resume appends and continues the sequence.
     /// `None` disables journaling.
     pub journal_path: Option<PathBuf>,
-    /// Where to write a Prometheus-style text rendering of the global
-    /// metrics registry, rewritten at every counter snapshot (see
-    /// `snapshot_every`) whether or not a journal is configured. `None`
-    /// disables.
+    /// Where to write each counter snapshot (see `snapshot_every`) as
+    /// Prometheus-style text ([`sos_obs::render_prometheus`]) — the same
+    /// counters the journal's `snapshot` record and the checkpoint carry,
+    /// whether or not a journal is configured. `None` disables.
     pub snapshot_path: Option<PathBuf>,
     /// The one snapshot cadence: every N lifetime rounds (`0`/`1` = every
     /// round), after every checkpoint write, and once at the end, the
@@ -922,9 +922,10 @@ impl<'o> Sinks<'o> {
         Ok(true)
     }
 
-    /// Journal `state`'s counters and rewrite the `.prom` file. The write
-    /// is plain `fs::write` — the file is a monitoring surface, not a
-    /// result artifact, so a torn read by a scraper is acceptable.
+    /// Journal `state`'s counters and rewrite the `.prom` file with the
+    /// same map. The write is plain `fs::write` — the file is a monitoring
+    /// surface, not a result artifact, so a torn read by a scraper is
+    /// acceptable.
     fn snapshot(&mut self, state: &CampaignCheckpoint) -> Result<(), String> {
         self.event(state, || Event::Snapshot {
             fingerprint: state.fingerprint,
@@ -932,7 +933,7 @@ impl<'o> Sinks<'o> {
             counters: state.counters.clone(),
         })?;
         if let Some(path) = self.snapshot {
-            std::fs::write(path, sos_obs::render_prometheus(sos_obs::registry()))
+            std::fs::write(path, sos_obs::render_prometheus(&state.counters))
                 .map_err(|e| format!("write snapshot {}: {e}", path.display()))?;
         }
         Ok(())

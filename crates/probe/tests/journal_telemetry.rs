@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use netmodel::{FaultConfig, World, WorldConfig};
 use sos_obs::journal::read_records;
-use sos_obs::{Event, Record};
+use sos_obs::{render_prometheus, Event, Record};
 use sos_probe::{
     BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner,
     ScannerConfig, SimTransport,
@@ -300,16 +300,50 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
     let _ = std::fs::remove_file(&full_journal);
 }
 
-/// The unlabeled `probe_packets_sent` sample of a `.prom` file.
-#[expect(clippy::expect_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
-fn prom_packets_sent(path: &PathBuf) -> u64 {
-    std::fs::read_to_string(path)
-        .expect("snapshot file must exist")
-        .lines()
-        .find_map(|l| l.strip_prefix("probe_packets_sent "))
-        .expect("snapshot file must carry probe_packets_sent")
-        .parse()
-        .expect("probe_packets_sent is a number")
+/// A resume after a kill that tore the journal's last line: the resumed
+/// writer cuts the fragment off, so the journal reads back whole — one
+/// dense sequence — and converges to the uninterrupted run's totals.
+#[test]
+fn resume_after_a_torn_journal_keeps_it_readable() {
+    let w = world(0x70E2, true);
+    let t = targets(&w);
+    let opts = |journal: &PathBuf| RunOptions {
+        shards: 4,
+        checkpoint_every: 48,
+        journal_path: Some(journal.clone()),
+        ..RunOptions::default()
+    };
+    let full_journal = tmp("torn-full");
+    let _ = std::fs::remove_file(&full_journal);
+    let full = Campaign::standard(&mut scanner(w.clone(), true)).run_with(&t, &opts(&full_journal), None).unwrap();
+    assert!(full.completed);
+    let (_, _, mut full_counters) = last_snapshot(&read_records(&full_journal).unwrap());
+    full_counters.remove("probe.resumed_targets");
+
+    let (journal, ckpt_path) = (tmp("torn"), tmp("torn-ckpt"));
+    let _ = std::fs::remove_file(&journal);
+    let _ = std::fs::remove_file(&ckpt_path);
+    let kill_opts =
+        RunOptions { checkpoint_path: Some(ckpt_path.clone()), stop_after_rounds: Some(2), ..opts(&journal) };
+    Campaign::standard(&mut scanner(w.clone(), true)).run_with(&t, &kill_opts, None).unwrap();
+    let mut file = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+    std::io::Write::write_all(&mut file, b"{\"v\":1,\"seq\":1,\"ev\":\"round_e").unwrap();
+
+    let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
+    let resume_opts = RunOptions { checkpoint_path: Some(ckpt_path.clone()), ..opts(&journal) };
+    let resumed = Campaign::standard(&mut scanner(w, true)).run_with(&t, &resume_opts, Some(&ckpt)).unwrap();
+    assert!(resumed.completed);
+
+    let records = read_records(&journal).expect("the resumed journal reads back");
+    for (i, r) in records.iter().enumerate() {
+        assert_eq!(r.seq, i as u64, "one dense sequence across the torn kill");
+    }
+    let (_, _, mut counters) = last_snapshot(&records);
+    counters.remove("probe.resumed_targets");
+    assert_eq!(counters, full_counters, "the torn kill + resume converges to the uninterrupted totals");
+    for p in [&journal, &ckpt_path, &full_journal] {
+        let _ = std::fs::remove_file(p);
+    }
 }
 
 /// The snapshot file is a sink of its own: it needs no journal, and its
@@ -330,12 +364,13 @@ fn snapshot_path_alone_leaves_the_final_counters() {
     let mut s = scanner(w, true);
     let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
     assert!(outcome.completed && outcome.rounds > 3);
-    // The file renders the process-wide registry, which the other tests
-    // of this binary feed too: this scanner's total bounds it from below,
-    // the registry read after the run from above.
-    let sample = prom_packets_sent(&prom);
-    assert!(sample >= s.metrics().counter("probe.packets_sent"), "final rewrite missing");
-    assert!(sample <= sos_obs::counter("probe.packets_sent").get());
+    // The file is this campaign's final counter snapshot, rendered — not
+    // the process-wide registry the other tests of this binary feed too.
+    assert_eq!(
+        std::fs::read_to_string(&prom).unwrap(),
+        render_prometheus(&s.metrics().counters()),
+        "the last rewrite renders the final counters"
+    );
     let _ = std::fs::remove_file(&prom);
 }
 
@@ -372,10 +407,14 @@ fn snapshot_file_follows_the_journal_cadence_across_a_resume() {
     };
     let mut s1 = scanner(w.clone(), true);
     Campaign::standard(&mut s1).run_with(&t, &kill_opts, None).unwrap();
-    assert!(prom_packets_sent(&prom) >= s1.metrics().counter("probe.packets_sent"));
     let killed_len = read_records(&journal).unwrap().len();
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
     assert_eq!(ckpt.rounds, 2);
+    assert_eq!(
+        std::fs::read_to_string(&prom).unwrap(),
+        render_prometheus(&ckpt.counters),
+        "the killed run's file renders the checkpoint's counters"
+    );
 
     // Resumed without a checkpoint path, snapshots are due at lifetime
     // rounds 3, 6, …: the first round of this process.
