@@ -43,10 +43,15 @@ pub struct WatchState {
     pub done: u64,
     /// Rounds executed so far (campaign lifetime, across resumes).
     pub rounds: u64,
-    /// Cumulative hits observed in this journal's round records.
+    /// Cumulative hits over this journal's rounds (see `round_totals`).
     pub hits: u64,
-    /// Cumulative probe packets observed in this journal's round records.
+    /// Cumulative probe packets over this journal's rounds.
     pub packets: u64,
+    /// `(hits, packets)` per round number, from its latest `round_end`
+    /// record: a round whose record was journaled but whose checkpoint
+    /// write failed is redone on resume and journaled again, and counts
+    /// once.
+    round_totals: BTreeMap<u64, (u64, u64)>,
     /// Hits in the most recent finished round.
     pub round_hits: u64,
     /// Packets in the most recent finished round.
@@ -116,8 +121,9 @@ impl WatchState {
                 self.rounds = *round;
                 self.done = *done;
                 self.targets = *total;
-                self.hits += hits;
-                self.packets += packets;
+                let (old_hits, old_packets) = self.round_totals.insert(*round, (*hits, *packets)).unwrap_or_default();
+                self.hits = self.hits - old_hits + hits;
+                self.packets = self.packets - old_packets + packets;
                 self.round_hits = *hits;
                 self.round_packets = *packets;
             }

@@ -117,6 +117,47 @@ fn replay_of_a_killed_campaign_matches_its_checkpoint() {
     let _ = std::fs::remove_file(&ckpt_path);
 }
 
+/// A round can be journaled twice: its `round_end` record is written, the
+/// checkpoint write after it fails, and a resume from the boundary before
+/// redoes the round into the same journal. Here the checkpoint a failed
+/// boundary 2 leaves — the one boundary 1 wrote — comes from a run stopped
+/// there, and the journal from a run that got past boundary 2. The fold
+/// counts the redone round once, so its totals are the engine's.
+#[test]
+fn a_round_redone_after_a_resume_counts_once() {
+    let w = hostile_world(0x2ED0);
+    let t = targets(&w);
+    let (journal, first, second) = (tmp("redo.jsonl"), tmp("redo-1.json"), tmp("redo-2.json"));
+    for path in [&journal, &first, &second] {
+        let _ = std::fs::remove_file(path);
+    }
+    let opts = |checkpoint: &PathBuf, stop: Option<usize>| RunOptions {
+        shards: 4,
+        checkpoint_every: 40,
+        checkpoint_path: Some(checkpoint.clone()),
+        stop_after_rounds: stop,
+        ..RunOptions::default()
+    };
+    Campaign::standard(&mut scanner(w.clone())).run_with(&t, &opts(&first, Some(1)), None).unwrap();
+    let journaled = RunOptions { journal_path: Some(journal.clone()), ..opts(&second, Some(2)) };
+    Campaign::standard(&mut scanner(w.clone())).run_with(&t, &journaled, None).unwrap();
+    let ckpt = CampaignCheckpoint::load(&first).unwrap();
+    let resumed = RunOptions { journal_path: Some(journal.clone()), ..opts(&first, None) };
+    let mut s = scanner(w);
+    assert!(Campaign::standard(&mut s).run_with(&t, &resumed, Some(&ckpt)).unwrap().completed);
+
+    let records = sos_obs::journal::read_records(&journal).unwrap();
+    let round_2 = records.iter().filter(|r| matches!(r.event, sos_obs::Event::RoundEnd { round: 2, .. }));
+    assert_eq!(round_2.count(), 2, "round 2 is journaled twice");
+    let state = watch::replay(&journal).unwrap();
+    assert_eq!(state.counters, s.metrics().counters());
+    assert_eq!(Some(&state.hits), state.counters.get("probe.hits"));
+    assert_eq!(Some(&state.packets), state.counters.get("probe.packets_sent"));
+    for path in [&journal, &first, &second] {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
 /// The status sink of [`live_watch_follows_a_journal_recreated_under_it`]:
 /// the first status block the watcher prints replaces the journal it is
 /// tailing with `new`, as a fresh campaign started at that moment would.

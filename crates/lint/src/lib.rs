@@ -61,10 +61,9 @@ pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-/// Lint every source file under `root` with `cfg` — file-scoped rules
-/// plus the workspace dataflow pass; findings come back sorted by
-/// `(file, line, rule)`.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
+/// Every source file under `root` ([`collect_sources`]): its path relative
+/// to `root`, with `/` separators, and its text.
+pub fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     for path in collect_sources(root)? {
         let rel = path
@@ -74,7 +73,14 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>
             .replace('\\', "/");
         files.push((rel, std::fs::read_to_string(&path)?));
     }
-    Ok(rules::lint_files(&files, cfg))
+    Ok(files)
+}
+
+/// Lint every source file under `root` with `cfg` — file-scoped rules
+/// plus the workspace dataflow pass; findings come back sorted by
+/// `(file, line, rule)`.
+pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
+    Ok(rules::lint_files(&read_sources(root)?, cfg))
 }
 
 /// Machine-readable report: the rule table and every finding. CI

@@ -38,8 +38,8 @@ pub const DETERMINISTIC_ROOTS: &[(&str, &str, &str)] = &[
     ("crates/obs/src/journal.rs", "write_batch", "journal event lines"),
     ("crates/obs/src/journal.rs", "encode", "journal record encoding"),
     // Checkpoint serializers — kill+resume bit-identity.
-    ("crates/probe/src/campaign.rs", "start", "campaign checkpoint state (the baseline copy)"),
-    ("crates/probe/src/campaign.rs", "refresh", "campaign checkpoint state (the touched-row delta)"),
+    ("crates/probe/src/campaign.rs", "read_state", "campaign checkpoint state (read from the scanner)"),
+    ("crates/probe/src/engine.rs", "add_task", "campaign round delta (the rows its tasks hand back)"),
     ("crates/probe/src/campaign.rs", "encode_line", "campaign checkpoint lines (state and round)"),
     // Experiment exports — the CSVs the paper figures are drawn from.
     ("crates/core/src/export.rs", "write_grid_csv", "experiment grid CSV"),

@@ -6,8 +6,8 @@
 use sos_lint::callgraph::CallGraph;
 use sos_lint::rules::Config;
 use sos_lint::symbols::Workspace;
-use sos_lint::taint::Taint;
-use sos_lint::{lint_files, Finding};
+use sos_lint::taint::{Taint, DETERMINISTIC_ROOTS};
+use sos_lint::{lint_files, read_sources, Finding};
 
 fn ws(files: &[(&str, &str)]) -> (Workspace, CallGraph, Taint, Config) {
     let owned: Vec<(String, String)> =
@@ -250,7 +250,7 @@ fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
     let files = vec![
         (
             "crates/probe/src/campaign.rs".to_string(),
-            "pub fn refresh(state: u64) -> u64 { on_path(state) }".to_string(),
+            "pub fn read_state(state: u64) -> u64 { on_path(state) }".to_string(),
         ),
         (
             "crates/probe/src/retry.rs".to_string(),
@@ -279,7 +279,7 @@ fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
     // on_path (line 4): the dataflow rule, naming the root, and only it.
     assert_eq!(at(4).len(), 1, "{findings:?}");
     assert_eq!(at(4)[0].rule, "det-unordered-iter");
-    assert!(at(4)[0].message.contains("`refresh`"), "{findings:?}");
+    assert!(at(4)[0].message.contains("`read_state`"), "{findings:?}");
     // off_path (line 9): the file-scoped rule, and only it.
     assert_eq!(at(9).len(), 1, "{findings:?}");
     assert_eq!(at(9)[0].rule, "det-hash-iter");
@@ -329,4 +329,21 @@ fn generic_address_aliases_are_hash_containers_to_every_hash_rule() {
     let banned: Vec<u32> =
         on_result_path.iter().filter(|(r, _)| *r == "det-unordered-collection").map(|&(_, l)| l).collect();
     assert_eq!(banned, [4, 4, 6, 10, 18]);
+}
+
+/// A registry entry matches by path substring and fn name, so one whose
+/// function was renamed or moved roots nothing — and lints clean. Every
+/// entry must name at least one production function of the real
+/// workspace.
+#[test]
+fn every_registered_root_names_a_function_of_the_workspace() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let w = Workspace::build(&read_sources(&root).unwrap(), &Config::default());
+    for (path, name, guards) in DETERMINISTIC_ROOTS {
+        let ids = w.by_name.get(*name).map(Vec::as_slice).unwrap_or_default();
+        assert!(
+            ids.iter().any(|&gid| w.file_of(gid).rel.contains(path)),
+            "the root for {guards} names no fn `{name}` under {path}"
+        );
+    }
 }

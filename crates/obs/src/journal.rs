@@ -31,7 +31,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 
-use crate::json::{read_lines, Json, JsonWriter};
+use crate::json::{from_hex, read_lines, Json, JsonWriter};
 
 /// Bumped when the line schema changes incompatibly.
 pub const JOURNAL_VERSION: u64 = 1;
@@ -163,12 +163,9 @@ fn get_str(j: &Json, key: &str) -> Result<String, String> {
         .ok_or_else(|| format!("journal record missing string field {key:?}"))
 }
 
-fn get_hex128(j: &Json, key: &str) -> Result<u128, String> {
-    let s = j
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("journal record missing hex field {key:?}"))?;
-    u128::from_str_radix(s, 16).map_err(|e| format!("bad hex in {key:?}: {e}"))
+/// A domain (`u128`) or a fingerprint (`u64`), read by [`from_hex`].
+fn get_hex<T: TryFrom<u128>>(j: &Json, key: &str) -> Result<T, String> {
+    j.get(key).and_then(from_hex).ok_or_else(|| format!("journal record field {key:?} is missing or not hex"))
 }
 
 /// The study probes four protocols, indexed `0..4` (`netmodel::PROTOCOLS`;
@@ -183,14 +180,6 @@ fn get_proto(j: &Json) -> Result<u8, String> {
         return Err(format!("journal record field \"proto\" is not a protocol index: {idx}"));
     }
     Ok(idx as u8)
-}
-
-fn get_fingerprint(j: &Json) -> Result<u64, String> {
-    let s = j
-        .get("fingerprint")
-        .and_then(Json::as_str)
-        .ok_or("journal record missing fingerprint")?;
-    u64::from_str_radix(s, 16).map_err(|e| format!("bad fingerprint: {e}"))
 }
 
 impl Event {
@@ -267,7 +256,7 @@ impl Event {
     fn from_json(kind: &str, j: &Json) -> Result<Event, String> {
         Ok(match kind {
             "campaign_start" => Event::CampaignStart {
-                fingerprint: get_fingerprint(j)?,
+                fingerprint: get_hex(j, "fingerprint")?,
                 targets: get_u64(j, "targets")?,
                 protocols: j
                     .get("protocols")
@@ -280,7 +269,7 @@ impl Event {
                 round_size: get_u64(j, "round_size")?,
             },
             "resume" => Event::Resume {
-                fingerprint: get_fingerprint(j)?,
+                fingerprint: get_hex(j, "fingerprint")?,
                 done: get_u64(j, "done")?,
                 rounds: get_u64(j, "rounds")?,
             },
@@ -297,24 +286,24 @@ impl Event {
                 packets: get_u64(j, "packets")?,
             },
             "checkpoint" => Event::CheckpointWrite {
-                fingerprint: get_fingerprint(j)?,
+                fingerprint: get_hex(j, "fingerprint")?,
                 done: get_u64(j, "done")?,
                 rounds: get_u64(j, "rounds")?,
             },
             "breaker" => Event::Breaker {
-                domain: get_hex128(j, "domain")?,
+                domain: get_hex(j, "domain")?,
                 proto: get_proto(j)?,
                 from: get_str(j, "from")?,
                 to: get_str(j, "to")?,
             },
             "fault_epoch" => Event::FaultEpoch {
-                domain: get_hex128(j, "domain")?,
+                domain: get_hex(j, "domain")?,
                 proto: get_proto(j)?,
                 kind: get_str(j, "kind")?,
                 epoch: get_u64(j, "epoch")?,
             },
             "snapshot" => Event::Snapshot {
-                fingerprint: get_fingerprint(j)?,
+                fingerprint: get_hex(j, "fingerprint")?,
                 done: get_u64(j, "done")?,
                 counters: j
                     .get("counters")

@@ -275,6 +275,12 @@ pub fn hex128(v: u128) -> [u8; 32] {
     out
 }
 
+/// Read back what [`hex128`] and [`crate::manifest::digest_hex`] write: a
+/// string of hex digits, as the number it spells when that fits `T`.
+pub fn from_hex<T: TryFrom<u128>>(j: &Json) -> Option<T> {
+    T::try_from(u128::from_str_radix(j.as_str()?, 16).ok()?).ok()
+}
+
 /// Compact JSON written straight into one reused `String`: the bytes
 /// `to_string()` of the equivalent [`Json`] value gives, without building
 /// that value. Keys and values are written in order; the writer places

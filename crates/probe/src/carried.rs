@@ -158,18 +158,6 @@ impl Carried {
         self.add_faults(lent.fault_drops, lent.throttled_us);
     }
 
-    /// The keys of the density clock's rows, unordered: what a lent state
-    /// hands back, noted for the campaign boundary that reads them.
-    pub(crate) fn fault_keys(&self) -> impl Iterator<Item = (u128, u8)> + '_ {
-        // sos-lint: allow(det-hash-iter, det-unordered-iter) the keys are sorted before they are read (`Lane::touched_state`)
-        self.density.keys().copied()
-    }
-
-    /// One density clock row, if the domain has one on that protocol.
-    pub(crate) fn density(&self, key: (u128, u8)) -> Option<u32> {
-        self.density.get(&key).copied()
-    }
-
     /// The density clock as `(domain, protocol index, probes)` rows,
     /// sorted by key — what a campaign checkpoint persists.
     pub fn fault_rows(&self) -> Vec<(u128, u8, u32)> {

@@ -27,7 +27,9 @@
 //!   earlier scans accumulated. Each lent lane carries a `rate / tasks`
 //!   bucket, so the aggregate still honors Appendix A. Shard hits carry
 //!   their global input index and are merged by sorting on it, so reports
-//!   are bit-identical at every width.
+//!   are bit-identical at every width. A campaign round that asks for its
+//!   `Delta` is always lent, so the rows it changed are read off what its
+//!   tasks hand back.
 //!
 //! Hostile networks: a [`RetryPolicy`] gives exponential backoff in
 //! *virtual* seconds with seeded jitter, and an optional per-prefix
@@ -51,7 +53,7 @@ use crate::metrics::{
 };
 use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
 use crate::ratelimit::{BucketSnapshot, TokenBucket};
-use crate::retry::{Admission, BreakerConfig, BreakerMap, RetryPolicy};
+use crate::retry::{Admission, BreakerConfig, BreakerMap, BreakerState, RetryPolicy};
 use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
 
 /// Scanner policy knobs.
@@ -262,23 +264,54 @@ pub(crate) struct Lane<T> {
 }
 
 /// A lane's cross-target state as of a round boundary — what a campaign
-/// checkpoint persists of it: all of it, or only the rows one round
-/// touched (see [`Lane::touched_state`]).
+/// checkpoint persists of it (see [`Lane::snapshot`]).
 pub(crate) struct LaneState {
     pub(crate) limiter: Option<BucketSnapshot>,
     pub(crate) fault_rows: Vec<(u128, u8, u32)>,
     pub(crate) breaker: Option<BreakerMap>,
 }
 
-/// The `(domain, protocol index)` keys of the per-prefix rows a campaign
-/// round's tasks handed back at reclaim — or, for a task that ran on the
-/// scanner's own lane, every row its targets map to — so the boundary
-/// reads those rows and no others. Collected only when a campaign asks
-/// ([`Scanner::scan_prepared`]); repeats are dropped when it is read.
-#[derive(Debug, Default)]
-pub(crate) struct Touched {
-    fault: Vec<(u128, u8)>,
-    breaker: Vec<(u128, u8)>,
+/// A per-prefix row a round wrote: its `(domain, protocol index)` key, the
+/// value it replaced (`None` for a row the round created) and its value now.
+pub(crate) type Changed<V> = ((u128, u8), Option<V>, V);
+
+/// A lane's per-prefix rows — density clocks, then breakers — each table
+/// in key order.
+type Rows = (Vec<((u128, u8), u32)>, Vec<((u128, u8), BreakerState)>);
+
+/// What one campaign round changed in the two per-prefix tables, in key
+/// order: every lent task's rows as it hands them back, against the rows
+/// it was lent ([`Scanner::scan_prepared`]). It is what both the
+/// checkpoint's round line (the values now) and the journal's transition
+/// records (the step from the value before) are built from.
+#[derive(Debug, Default, PartialEq)]
+pub(crate) struct Delta {
+    pub(crate) fault: Vec<Changed<u32>>,
+    pub(crate) breaker: Vec<Changed<BreakerState>>,
+}
+
+impl Delta {
+    /// Add the rows one task changed: those `lane` hands back that `lent`
+    /// — its rows at lend — lacks or holds with another value. A task
+    /// never drops a row, and no other task holds one of its keys.
+    // sos-lint: deterministic-root a resumed campaign must journal and checkpoint the identical rows
+    fn add_task<T: Transport>(&mut self, lent: &Rows, lane: &Lane<T>) {
+        fn changed<V: Copy + PartialEq>(
+            lent: &[((u128, u8), V)],
+            now: Vec<((u128, u8), V)>,
+            out: &mut Vec<Changed<V>>,
+        ) {
+            for (key, value) in now {
+                let old = lent.binary_search_by_key(&key, |&(k, _)| k).ok().map(|at| lent[at].1);
+                if old != Some(value) {
+                    out.push((key, old, value));
+                }
+            }
+        }
+        let (fault, breaker) = lane.rows();
+        changed(&lent.0, fault, &mut self.fault);
+        changed(&lent.1, breaker, &mut self.breaker);
+    }
 }
 
 impl<T: Transport> Lane<T> {
@@ -298,12 +331,30 @@ impl<T: Transport> Lane<T> {
         fault.into_iter().chain(breaker).fold(48, u8::min)
     }
 
-    pub(crate) fn snapshot(&self) -> LaneState {
+    /// The lane's cross-target state. With `rows` false the two per-prefix
+    /// tables are left out — no density rows, and a breaker map of tuning
+    /// and totals only — which is what a campaign re-reads at every round
+    /// boundary; it reads the rows whole only for a checkpoint's state line.
+    pub(crate) fn snapshot(&self, rows: bool) -> LaneState {
+        let breaker = |map: &BreakerMap| {
+            if rows {
+                map.clone()
+            } else {
+                BreakerMap::restore(*map.config(), [], map.opened(), map.skipped())
+            }
+        };
         LaneState {
             limiter: self.limiter.as_ref().map(TokenBucket::snapshot),
-            fault_rows: self.transport.carried().map(Carried::fault_rows).unwrap_or_default(),
-            breaker: self.breaker.clone(),
+            fault_rows: self.transport.carried().filter(|_| rows).map(Carried::fault_rows).unwrap_or_default(),
+            breaker: self.breaker.as_ref().map(breaker),
         }
+    }
+
+    /// The lane's per-prefix rows, for a round's [`Delta`].
+    fn rows(&self) -> Rows {
+        let fault = self.transport.carried().map(Carried::fault_rows).unwrap_or_default();
+        let fault = fault.into_iter().map(|(domain, proto, n)| ((domain, proto), n)).collect();
+        (fault, self.breaker.as_ref().map(BreakerMap::entries).unwrap_or_default())
     }
 
     /// Put a snapshot back. A limiter or breaker map the snapshot lacks
@@ -314,49 +365,6 @@ impl<T: Transport> Lane<T> {
         }
         self.limiter = state.limiter.as_ref().map(TokenBucket::restore).or(self.limiter.take());
         self.breaker = state.breaker.or(self.breaker.take());
-    }
-
-    /// [`Lane::snapshot`] restricted to the rows at `touched`'s keys, each
-    /// table sorted by key, with the limiter and the breaker totals whole;
-    /// `touched` is emptied for the next round. A key with no row — a
-    /// domain a target maps to that nothing has written — is passed over.
-    pub(crate) fn touched_state(&self, touched: &mut Touched) -> LaneState {
-        for keys in [&mut touched.fault, &mut touched.breaker] {
-            keys.sort_unstable();
-            keys.dedup();
-        }
-        let carried = self.transport.carried();
-        let fault_rows = touched
-            .fault
-            .drain(..)
-            .filter_map(|(domain, proto)| Some((domain, proto, carried?.density((domain, proto))?)))
-            .collect();
-        let breaker = self.breaker.as_ref().map(|map| {
-            let rows = touched.breaker.iter().filter_map(|&key| Some((key, map.get(key)?)));
-            BreakerMap::restore(*map.config(), rows, map.opened(), map.skipped())
-        });
-        touched.breaker.clear();
-        LaneState {
-            limiter: self.limiter.as_ref().map(TokenBucket::snapshot),
-            fault_rows,
-            breaker,
-        }
-    }
-
-    /// Note, when a campaign collects them, the rows a task on this lane
-    /// itself can write: the fault and breaker domains of `targets` on
-    /// `proto`. Such a task is never lent, so no reclaim hands its rows
-    /// back.
-    fn touch(&self, touched: Option<&mut Touched>, proto: Protocol, targets: &[(u32, Ipv6Addr)]) {
-        let Some(touched) = touched else { return };
-        let proto = proto.index() as u8;
-        if let Some(plan) = self.transport.carried().and_then(Carried::fault_plan) {
-            let domains = targets.iter().map(|&(_, addr)| (plan.domain_of(u128::from(addr)), proto));
-            touched.fault.extend(domains);
-        }
-        if let Some(map) = &self.breaker {
-            touched.breaker.extend(targets.iter().map(|&(_, addr)| (map.domain_of(addr), proto)));
-        }
     }
 
     /// The per-target probe policy — the only place a probe is sent from.
@@ -426,7 +434,9 @@ impl<T: Transport + Clone> Lane<T> {
     /// not what the scanner has accumulated — and everything else stays
     /// here. No two jobs may share a fault or breaker domain on one
     /// protocol (see [`Scanner::scan_prepared`]). Every lane gets a
-    /// `rate / jobs` bucket, so the aggregate still honors Appendix A.
+    /// `rate / jobs` bucket, so the aggregate still honors Appendix A — a
+    /// lone job takes this lane's own bucket, whose clock runs on across
+    /// scans, and [`Lane::reclaim`] puts it back.
     fn lend(&mut self, rate: Option<f64>, jobs: &[(Protocol, Vec<(u32, Ipv6Addr)>)]) -> Vec<Lane<T>> {
         // The carried state leaves before the transport is cloned, so a
         // lent transport starts with exactly its task's counters and zero
@@ -440,11 +450,11 @@ impl<T: Transport + Clone> Lane<T> {
                 if let (Some(slot), Some(kept)) = (transport.carried_mut(), kept.as_mut()) {
                     *slot = kept.lend(*proto, addrs());
                 }
-                Lane {
-                    transport,
-                    limiter: rate.map(|r| TokenBucket::split(r, r, jobs.len())),
-                    breaker: self.breaker.as_mut().map(|b| b.lend(*proto, addrs())),
-                }
+                let limiter = match jobs.len() {
+                    1 => self.limiter.take(),
+                    n => rate.map(|r| TokenBucket::split(r, r, n)),
+                };
+                Lane { transport, limiter, breaker: self.breaker.as_mut().map(|b| b.lend(*proto, addrs())) }
             })
             .collect();
         if let (Some(slot), Some(kept)) = (self.transport.carried_mut(), kept) {
@@ -456,23 +466,17 @@ impl<T: Transport + Clone> Lane<T> {
     /// Take a lent lane back after its task: per-prefix state returns, so
     /// later scans (and campaign checkpoints) continue the same clocks, and
     /// fault and breaker totals add. Its packet count does not — the
-    /// scanner accounts task packets from the partial reports. The keys of
-    /// the rows that return are noted in `touched`, when given: they are
-    /// every row the task could have changed.
-    fn reclaim(&mut self, lent: Lane<T>, mut touched: Option<&mut Touched>) {
-        let Lane { mut transport, breaker, .. } = lent;
+    /// scanner accounts task packets from the partial reports. A bucket the
+    /// lane took from here comes back; a split one is dropped.
+    fn reclaim(&mut self, lent: Lane<T>) {
+        let Lane { mut transport, limiter, breaker } = lent;
         if let (Some(mine), Some(theirs)) = (self.transport.carried_mut(), transport.carried_mut()) {
-            if let Some(touched) = touched.as_deref_mut() {
-                touched.fault.extend(theirs.fault_keys());
-            }
             mine.reclaim(std::mem::take(theirs));
         }
         if let (Some(mine), Some(theirs)) = (self.breaker.as_mut(), breaker) {
-            if let Some(touched) = touched {
-                touched.breaker.extend(theirs.iter().map(|(key, _)| key));
-            }
             mine.absorb(theirs);
         }
+        self.limiter = self.limiter.take().or(limiter);
     }
 }
 
@@ -661,19 +665,16 @@ impl<T: Transport> Scanner<T> {
         burst
     }
 
-    /// Run one prepared list as a single task on the scanner's own lane,
-    /// noting the rows it can write in `touched` when given.
+    /// Run one prepared list as a single task on the scanner's own lane.
     fn scan_single(
         &mut self,
         prepared: &[(u32, Ipv6Addr)],
         proto: Protocol,
         prov: Option<&[Provenance]>,
-        touched: Option<&mut Touched>,
     ) -> ScanReport {
         if let Some(carried) = self.lane.transport.carried_mut() {
             carried.reserve(prepared.len());
         }
-        self.lane.touch(touched, proto, prepared);
         let (mut report, hits) =
             scan_shard(&self.cfg, &mut self.lane, &self.metrics, prepared, proto, prov);
         // A single task sees targets in input order already.
@@ -690,7 +691,7 @@ impl<T: Transport> Scanner<T> {
     ) -> ScanReport {
         let mut template = ScanReport::default();
         let (prepared, _) = self.prepare(targets, true, None, &mut template);
-        let mut report = self.scan_single(&prepared, proto, None, None);
+        let mut report = self.scan_single(&prepared, proto, None);
         report.duplicates = template.duplicates;
         report.blocked = template.blocked;
         sos_obs::debug!(
@@ -777,25 +778,26 @@ impl<T: Transport + Clone + Send> Scanner<T> {
     /// wholly inside one shard and per-prefix virtual clocks never fork.
     ///
     /// `prov` maps global prepared indices to provenance tags (see
-    /// [`scan_shard`]); `None` scans untagged. A campaign passes
-    /// `touched` to learn which per-prefix rows the scan may have changed.
+    /// [`scan_shard`]); `None` scans untagged. A campaign passes an empty
+    /// `delta` to learn which per-prefix rows the scan changed.
     pub(crate) fn scan_prepared(
         &mut self,
         prepared: &[(u32, Ipv6Addr)],
         protocols: &[Protocol],
         shards: usize,
         prov: Option<&[Provenance]>,
-        mut touched: Option<&mut Touched>,
+        mut delta: Option<&mut Delta>,
     ) -> Vec<(Protocol, ScanReport)> {
         let shards = shards.max(1);
 
         // A single task is `scan`'s path: the scanner's own lane, no
-        // thread. The one-item
-        // `par_map` still records the *requested* worker count so manifest
-        // utilization aggregates stay truthful.
-        if let (&[proto], true) = (protocols, shards == 1 || prepared.len() <= 1) {
-            return par_map("scan_parallel", vec![(self, touched)], shards, |_, (scanner, touched)| {
-                (proto, scanner.scan_single(prepared, proto, prov, touched))
+        // thread — unless a campaign asks for the delta, which only a
+        // reclaim hands back (a lone lent task runs inline all the same).
+        // The one-item `par_map` still records the *requested* worker
+        // count so manifest utilization aggregates stay truthful.
+        if let (&[proto], true, None) = (protocols, shards == 1 || prepared.len() <= 1, &delta) {
+            return par_map("scan_parallel", vec![self], shards, |_, scanner| {
+                (proto, scanner.scan_single(prepared, proto, prov))
             });
         }
 
@@ -820,6 +822,9 @@ impl<T: Transport + Clone + Send> Scanner<T> {
             }
         }
         let lanes = self.lane.lend(self.cfg.rate_pps, &jobs);
+        // The rows each task was lent, for the delta it hands back.
+        let lent: Vec<Rows> = if delta.is_some() { lanes.iter().map(Lane::rows).collect() } else { Vec::new() };
+        let mut lent = lent.into_iter();
 
         let (cfg, metrics) = (&self.cfg, &self.metrics);
         let tasks = jobs.len();
@@ -835,14 +840,17 @@ impl<T: Transport + Clone + Send> Scanner<T> {
 
         // Merge in task order: per protocol, its shards' partial reports.
         let mut results = results.into_iter();
-        protocols
+        let reports = protocols
             .iter()
             .map(|&proto| {
                 let mut report = ScanReport::default();
                 let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
                 for (partial, shard_hits, lane) in results.by_ref().take(shards) {
                     self.shard_packets += partial.packets_sent;
-                    self.lane.reclaim(lane, touched.as_deref_mut());
+                    if let (Some(delta), Some(lent)) = (delta.as_deref_mut(), lent.next()) {
+                        delta.add_task(&lent, &lane);
+                    }
+                    self.lane.reclaim(lane);
                     hits.extend(shard_hits);
                     report.absorb_shard(partial);
                 }
@@ -858,7 +866,12 @@ impl<T: Transport + Clone + Send> Scanner<T> {
                 );
                 (proto, report)
             })
-            .collect()
+            .collect();
+        if let Some(delta) = delta {
+            delta.fault.sort_unstable_by_key(|&(key, _, _)| key);
+            delta.breaker.sort_unstable_by_key(|&(key, _, _)| key);
+        }
+        reports
     }
 }
 

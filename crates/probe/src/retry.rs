@@ -342,11 +342,6 @@ impl BreakerMap {
         self.states.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// The state of one `(domain, protocol index)` breaker, if it exists.
-    pub(crate) fn get(&self, key: (u128, u8)) -> Option<BreakerState> {
-        self.states.get(&key).copied()
-    }
-
     /// All breaker states, sorted by key (for checkpoints and tests).
     pub fn entries(&self) -> Vec<((u128, u8), BreakerState)> {
         self.iter().collect()
