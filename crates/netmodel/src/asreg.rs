@@ -162,6 +162,11 @@ impl AsRegistry {
         self.routes.lookup_value(addr).copied()
     }
 
+    /// The allocation `addr` resolves through (longest-prefix match).
+    pub(crate) fn allocation_of(&self, addr: std::net::Ipv6Addr) -> Option<Prefix> {
+        self.routes.lookup(addr).map(|(prefix, _)| prefix)
+    }
+
     /// Metadata for `asn`, if registered.
     pub fn info(&self, asn: Asn) -> Option<&AsInfo> {
         // ASNs are assigned densely at build time, but look up defensively.

@@ -11,7 +11,7 @@ use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use v6addr::{AddrMap, Prefix, PrefixTrie};
+use v6addr::{AddrMap, AddrSet, Prefix, PrefixTrie};
 
 use crate::alias::AliasRegion;
 use crate::asreg::{synth_name, AsInfo, AsKind, AsRegistry, Asn, Country};
@@ -552,7 +552,32 @@ pub fn build_world(cfg: WorldConfig) -> World {
     }
 
     // ---- Assemble --------------------------------------------------------
-    let hosts = HostTable::build(std::mem::take(&mut st.entries));
+    // The host index answers "routed?" per /64, which is only sound while
+    // no allocation is longer than a /64.
+    assert!(
+        registry.iter().flat_map(|info| &info.allocations).all(|p| p.len() <= 64),
+        "an allocation longer than /64 would split a /64's routing"
+    );
+    // A region overlaps a /64 when, being a /64 or longer, it lies inside
+    // the /64, or else covers the /64's first address.
+    let (long, around): (Vec<&AliasRegion>, Vec<&AliasRegion>) =
+        alias_regions.iter().partition(|r| r.prefix.len() >= 64);
+    let inside: AddrSet<u64> = long.iter().map(|r| (u128::from(r.prefix.network()) >> 64) as u64).collect();
+    let first = |net: u64| Ipv6Addr::from(u128::from(net) << 64);
+    let overlaps = |net: u64| inside.contains(&net) || around.iter().any(|r| r.prefix.contains(first(net)));
+    // The /64s arrive in address order, so most share the allocation the
+    // one before them resolved through.
+    let mut allocation: Option<Prefix> = None;
+    let hosts = HostTable::build_marked(
+        std::mem::take(&mut st.entries),
+        overlaps,
+        |net| {
+            if !allocation.is_some_and(|p| p.contains(first(net))) {
+                allocation = registry.allocation_of(first(net));
+            }
+            allocation.is_some()
+        },
+    );
     let dns = gen_dns(&mut rng, &st.web_hosts);
 
     let n_vantage = cfg.vantage_points.min(all_asns.len());
@@ -578,7 +603,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
             stats.churned_hosts += 1;
             continue;
         }
-        if alias_lookup.lookup(addr).is_some() {
+        if overlaps((u128::from(addr) >> 64) as u64) && alias_lookup.lookup(addr).is_some() {
             continue; // covered by an aliased region; not an individual host
         }
         if rec.responds_any() {

@@ -259,17 +259,10 @@ impl World {
 
     /// Ground-truth responsiveness (no loss applied): would `addr` answer
     /// `proto` given unlimited retries? Used by tests and dataset
-    /// statistics, *not* by the scanner, which sees loss.
+    /// statistics, *not* by the scanner, which sees loss. It is
+    /// [`World::resolve`]'s decision: only a positive reply is ever lossy.
     pub fn truth_responds(&self, addr: Ipv6Addr, proto: Protocol) -> bool {
-        if let Some(region) = self.alias_region_of(addr) {
-            return region.responds(proto);
-        }
-        if let Some(mega) = &self.mega {
-            if proto == Protocol::Icmp && mega.matches(addr) {
-                return mega.responds(self.cfg.seed, addr);
-            }
-        }
-        self.hosts.get(addr).is_some_and(|r| r.responds(proto))
+        matches!(self.resolve(addr, proto), Disposition::Lossy { .. })
     }
 
     /// Answer one probe. `attempt` distinguishes retransmissions so loss is
@@ -283,6 +276,11 @@ impl World {
     /// [`World::probe`] decides that the attempt does not change — alias
     /// region, megapattern, modeled host or unoccupied space — so a burst
     /// of retransmissions pays for the lookups once.
+    ///
+    /// The host table's /64 entry answers every question it can: an
+    /// address in a populated /64 asks the alias table only when a region
+    /// overlaps that /64, and never the registry. Only addresses whose /64
+    /// holds no host ask both.
     pub fn resolve(&self, addr: Ipv6Addr, proto: Protocol) -> Disposition {
         let bits = u128::from(addr);
         let lossy = |loss: f64, reply: ProbeReply| Disposition::Lossy {
@@ -291,9 +289,14 @@ impl World {
             key: self.cfg.seed ^ 0x10_55,
             addr: bits,
         };
+        let run = self.hosts.run(bits);
 
         // 1. Aliased regions preempt everything inside them.
-        if let Some(region) = self.alias_region_of(addr) {
+        let region = match run {
+            Some(run) if !run.aliased() => None,
+            _ => self.alias_region_of(addr),
+        };
+        if let Some(region) = region {
             if region.responds(proto) {
                 return lossy(region.loss.max(self.cfg.base_loss), ProbeReply::positive(proto));
             }
@@ -312,7 +315,7 @@ impl World {
         }
 
         // 3. Individually modeled hosts.
-        if let Some(rec) = self.hosts.get(addr) {
+        if let Some(rec) = run.and_then(|run| run.get(bits as u64)) {
             if rec.responds(proto) {
                 return lossy(self.cfg.base_loss, ProbeReply::positive(proto));
             }
@@ -326,9 +329,8 @@ impl World {
         //    everything else is silence. The reporting router quotes
         //    whatever packet invoked the error (RFC 4443 §3.1), so the
         //    decision is per address, independent of probe protocol.
-        if self.registry.asn_of(addr).is_some()
-            && chance(mix2(self.cfg.seed, 0xDE57), bits, self.cfg.unreachable_rate)
-        {
+        let routed = run.map_or_else(|| self.registry.asn_of(addr).is_some(), |run| run.routed());
+        if routed && chance(mix2(self.cfg.seed, 0xDE57), bits, self.cfg.unreachable_rate) {
             return Disposition::Fixed(ProbeReply::DstUnreachable);
         }
         Disposition::Fixed(ProbeReply::Timeout)
@@ -448,26 +450,67 @@ mod tests {
         ProbeReply::Timeout
     }
 
+    /// `truth_responds` as it was before it became `resolve`'s decision:
+    /// its own alias → megapattern → host walk, which consulted the
+    /// megapattern on ICMP only. The two agree wherever no host lies in
+    /// megapattern space, which is every world built here.
+    fn truth_by_walk(w: &World, addr: Ipv6Addr, proto: Protocol) -> bool {
+        if let Some(region) = w.alias_region_of(addr) {
+            return region.responds(proto);
+        }
+        if let Some(mega) = w.mega.as_ref().filter(|m| proto == Protocol::Icmp && m.matches(addr)) {
+            return mega.responds(w.cfg.seed, addr);
+        }
+        w.hosts.get(addr).is_some_and(|r| r.responds(proto))
+    }
+
+    /// Which branch of `resolve` — and of the host index behind it — an
+    /// address takes.
+    fn branch(w: &World, addr: Ipv6Addr) -> &'static str {
+        let bits = u128::from(addr);
+        match w.hosts.run(bits) {
+            None if w.registry.asn_of(addr).is_none() => "unrouted",
+            None if w.mega.as_ref().is_some_and(|m| m.matches(addr)) => "megapattern",
+            None => "a /64 with no host",
+            Some(run) if run.aliased() && w.is_aliased(addr) => "host /64, inside its alias region",
+            Some(run) if run.aliased() => "host /64, outside its alias region",
+            Some(run) if run.get(bits as u64).is_some() => "host",
+            Some(_) if w.probe(addr, Protocol::Icmp, 0) == ProbeReply::DstUnreachable => {
+                "host /64, unoccupied, unreachable roll"
+            }
+            Some(_) => "host /64, unoccupied, silent roll",
+        }
+    }
+
     /// One decision per burst must answer every attempt exactly as one
     /// decision per packet did: over modeled hosts, their unoccupied
     /// neighbours, aliased space, the megapattern and unrouted space, on
-    /// every protocol.
+    /// every protocol — and the sample reaches every branch the host
+    /// index adds. `truth_responds` is the same decision.
     #[test]
     fn resolve_then_reply_is_the_per_attempt_probe() {
         let w = World::build(WorldConfig::tiny(31));
         let mut addrs: Vec<Ipv6Addr> = Vec::new();
         for (a, _) in w.hosts().iter().step_by(w.hosts().len() / 60) {
-            addrs.extend([a, Ipv6Addr::from(u128::from(a) ^ 1), Ipv6Addr::from(u128::from(a) ^ (1 << 70))]);
+            let a = u128::from(a);
+            addrs.extend([a, a ^ 1, a ^ (1 << 70)].map(Ipv6Addr::from));
+            // Unoccupied neighbours in the same /64: at a 4 % unreachable
+            // rate, enough of them that both rolls come up.
+            addrs.extend((0..4).map(|k| Ipv6Addr::from(a ^ (0x1_0000_0000 << k))));
         }
         for r in w.alias_regions().iter().take(12) {
             let net = u128::from(r.prefix.network());
-            addrs.extend([Ipv6Addr::from(net), Ipv6Addr::from(net | 0xbeef)]);
+            // Inside the region, and — for a region shorter than its /64 —
+            // beside it in the same /64.
+            addrs.extend([net, net | 0xbeef, net ^ (1 << 63)].map(Ipv6Addr::from));
         }
         let mega = w.megapattern().expect("the tiny world has a megapattern");
         addrs.extend((0..24).map(|i| mega.address(i)));
         addrs.push("3fff:ffff::1".parse().unwrap());
         let mut kinds = std::collections::BTreeSet::new();
+        let mut branches = std::collections::BTreeSet::new();
         for &addr in &addrs {
+            branches.insert(branch(&w, addr));
             for proto in crate::PROTOCOLS {
                 let disposition = w.resolve(addr, proto);
                 for attempt in 0..4 {
@@ -476,9 +519,11 @@ mod tests {
                     assert_eq!(w.probe(addr, proto, attempt), want);
                     kinds.insert(format!("{want:?}"));
                 }
+                assert_eq!(w.truth_responds(addr, proto), truth_by_walk(&w, addr, proto), "{addr} {proto:?}");
             }
         }
         assert_eq!(kinds.len(), 6, "every reply kind was exercised: {kinds:?}");
+        assert_eq!(branches.len(), 8, "every branch was reached: {branches:?}");
     }
 
     /// Regression (PR 4): unreachables were gated on `proto == Icmp`, so

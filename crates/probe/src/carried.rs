@@ -29,11 +29,14 @@ pub struct Carried {
     plan: Option<FaultPlan>,
     /// Destination → attempts already transmitted, per protocol. The nth
     /// probe of a flow sees the same loss roll however probes to other
-    /// targets are interleaved around it. One row per *address*: a scan of
-    /// a list on four protocols touches the row it made on the first. The
-    /// ownership rule is per slot — two tasks may hold rows for one
-    /// address as long as they hold different protocols' slots; a slot
-    /// that is not held reads zero, and an all-zero row is not kept.
+    /// targets are interleaved around it. Only a flow whose replies are
+    /// lossy is counted — every other reply ignores the attempt number, and
+    /// a world's answer never changes, so a flow is counted on every pass
+    /// or on none. One row per *address*: a scan of a list on four
+    /// protocols touches the row it made on the first. The ownership rule
+    /// is per slot — two tasks may hold rows for one address as long as
+    /// they hold different protocols' slots; a slot that is not held reads
+    /// zero, and an all-zero row is not kept.
     attempts: AddrMap<u128, FlowRow>,
     /// (fault domain, protocol) → probes already sent into the domain:
     /// the fault layer's virtual clock (see `netmodel::faults`), which is
@@ -69,27 +72,24 @@ impl Carried {
         self.throttled_us
     }
 
-    /// Make room for a scan of `targets` addresses, once, instead of
-    /// doubling up to it row by row (each doubling holds the old and the
-    /// new table at once). Rows the list already has are not counted
-    /// twice: a later protocol's pass over the same list reserves nothing.
-    pub(crate) fn reserve(&mut self, targets: usize) {
-        self.attempts.reserve(targets.saturating_sub(self.attempts.len()));
-    }
-
-    /// The slots one target touches: its flow's attempt counter and, under
-    /// an active plan, `(plan, fault domain, the domain's density clock)`.
+    /// The slots one target touches: its flow's attempt counter when
+    /// `counted` — the flow's replies are lossy, so a loss roll reads the
+    /// attempt number; no other flow gets a row — and, under an active
+    /// plan, `(plan, fault domain, the domain's density clock)`.
     #[inline]
     pub(crate) fn slots(
         &mut self,
         dst: u128,
         proto: Protocol,
-    ) -> (&mut u32, Option<(&FaultPlan, u128, &mut u32)>) {
+        counted: bool,
+    ) -> (Option<&mut u32>, Option<(&FaultPlan, u128, &mut u32)>) {
         let fault = self.plan.as_ref().map(|plan| {
             let domain = plan.domain_of(dst);
             (plan, domain, self.density.entry((domain, proto.index() as u8)).or_insert(0))
         });
-        (&mut self.attempts.entry(dst).or_default()[proto.index()], fault) // index() < PROTOCOLS.len()
+        // index() < PROTOCOLS.len()
+        let flow = counted.then(|| &mut self.attempts.entry(dst).or_default()[proto.index()]);
+        (flow, fault)
     }
 
     /// Account what the fault layer did to one target's probes.
@@ -101,18 +101,16 @@ impl Carried {
 
     /// Split off the state one scan task needs: the `proto` slot of every
     /// address in `targets` and the density clock of every fault domain
-    /// those addresses fall in *move* to the returned state (sized for the
-    /// list); every other slot and row stays here. Only counters that
-    /// exist move, and a domain shared by several targets moves once. The
-    /// lent state counts fault drops and throttle time from zero, so it
-    /// reports clean deltas.
+    /// those addresses fall in *move* to the returned state; every other
+    /// slot and row stays here. Only counters that exist move, and a
+    /// domain shared by several targets moves once. The lent state counts
+    /// fault drops and throttle time from zero, so it reports clean
+    /// deltas.
     ///
     /// The caller must give no two tasks the same `(fault domain,
     /// protocol)` — the partition `Scanner::scan_prepared` makes.
     pub fn lend(&mut self, proto: Protocol, targets: impl IntoIterator<Item = Ipv6Addr>) -> Carried {
-        let targets = targets.into_iter();
         let mut lent = Carried { plan: self.plan.clone(), ..Carried::default() };
-        lent.reserve(targets.size_hint().0);
         if self.attempts.is_empty() && self.density.is_empty() {
             return lent;
         }
@@ -145,7 +143,6 @@ impl Carried {
     /// other protocols — and since a slot has one holder at a time, adding
     /// the returning slot to the zero left behind moves it.
     pub fn reclaim(&mut self, lent: Carried) {
-        self.reserve(lent.attempts.len());
         for (addr, row) in lent.attempts {
             if row != FlowRow::default() {
                 let mine = self.attempts.entry(addr).or_default();
@@ -171,6 +168,14 @@ impl Carried {
     pub fn restore_fault_rows(&mut self, rows: &[(u128, u8, u32)]) {
         self.density.extend(rows.iter().map(|&(domain, proto, n)| ((domain, proto), n)));
     }
+
+    /// The flow counters as `(address, row)`, sorted by address.
+    #[cfg(test)]
+    pub(crate) fn flow_rows(&self) -> Vec<(u128, FlowRow)> {
+        let mut rows: Vec<(u128, FlowRow)> = self.attempts.iter().map(|(&a, &row)| (a, row)).collect();
+        rows.sort_unstable();
+        rows
+    }
 }
 
 #[cfg(test)]
@@ -186,7 +191,12 @@ mod tests {
         let mut wc = WorldConfig::tiny(21);
         wc.faults = FaultConfig::blackholes(1.0, 1.0);
         let w = Arc::new(World::build(wc));
-        let (dst, _) = w.hosts().iter().next().expect("some host");
+        // Both flows are live, so both keep attempt counters.
+        let (dst, _) = w
+            .hosts()
+            .iter()
+            .find(|&(a, _)| w.truth_responds(a, Protocol::Icmp) && w.truth_responds(a, Protocol::Tcp80))
+            .expect("some host answers ICMP and TCP/80");
         let mut base = SimTransport::new(w.clone());
         let spec = ProbeSpec {
             src: "2001:db8::100".parse().unwrap(),
@@ -296,8 +306,8 @@ mod tests {
             let mut on_icmp = parent.lend(Protocol::Icmp, [dst]);
             let mut on_udp = parent.lend(Protocol::Udp53, [dst]);
             assert_eq!(parent.attempts[&key], [0, 4, 5, 0]);
-            *on_icmp.slots(key, Protocol::Icmp).0 += 10;
-            *on_udp.slots(key, Protocol::Udp53).0 += 20;
+            *on_icmp.slots(key, Protocol::Icmp, true).0.unwrap() += 10;
+            *on_udp.slots(key, Protocol::Udp53, true).0.unwrap() += 20;
             assert_eq!((on_icmp.attempts[&key], on_udp.attempts[&key]), ([13, 0, 0, 0], [0, 0, 0, 26]));
             if icmp_returns_first {
                 parent.reclaim(on_icmp);

@@ -672,9 +672,6 @@ impl<T: Transport> Scanner<T> {
         proto: Protocol,
         prov: Option<&[Provenance]>,
     ) -> ScanReport {
-        if let Some(carried) = self.lane.transport.carried_mut() {
-            carried.reserve(prepared.len());
-        }
         let (mut report, hits) =
             scan_shard(&self.cfg, &mut self.lane, &self.metrics, prepared, proto, prov);
         // A single task sees targets in input order already.

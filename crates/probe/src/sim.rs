@@ -16,7 +16,7 @@
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use netmodel::{FaultEffect, ProbeReply, Protocol, World};
+use netmodel::{Disposition, FaultEffect, ProbeReply, Protocol, World};
 
 use crate::carried::Carried;
 use crate::packet::dns::build_dns_response;
@@ -29,11 +29,12 @@ use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
 ///
 /// Loss is re-rolled per transmission via the world's `attempt` parameter.
 /// The attempt number is tracked **per (destination, protocol)** in the
-/// [`Carried`] state: the nth probe of an address on a protocol sees the
-/// same loss roll no matter how probes to other targets are interleaved
-/// around it. This is what makes sharded scans bit-identical to sequential
-/// ones — a shard task is lent the counters of its own slice of the target
-/// list, continues them, and hands them back.
+/// [`Carried`] state, for the flows whose replies are lossy (no other reply
+/// reads it): the nth probe of an address on a protocol sees the same loss
+/// roll no matter how probes to other targets are interleaved around it.
+/// This is what makes sharded scans bit-identical to sequential ones — a
+/// shard task is lent the counters of its own slice of the target list,
+/// continues them, and hands them back.
 #[derive(Debug, Clone)]
 pub struct SimTransport {
     world: Arc<World>,
@@ -82,12 +83,14 @@ impl Transport for SimTransport {
         // A malformed probe elicits nothing, like the real network.
         let parsed = parse_packet(packet).ok()?;
         let (proto, src, dst) = Self::route_of(&parsed)?;
-        let (slot, fault) = self.carried.slots(u128::from(dst), proto);
-        let attempt = bump(slot);
+        let found = self.world.resolve(dst, proto);
+        let counted = matches!(found, Disposition::Lossy { .. });
+        let (flow, fault) = self.carried.slots(u128::from(dst), proto, counted);
+        let attempt = flow.map_or(0, bump);
         // Hostile-network fault layer: the attempt number is consumed even
         // when the probe is dropped (the packet left the scanner), and the
-        // roll happens before the oracle so a blackholed prefix never
-        // reveals its ground truth.
+        // roll happens before the reply is read so a blackholed prefix
+        // never reveals its ground truth.
         match fault.map(|(plan, domain, dslot)| plan.effect(domain, proto, bump(dslot))) {
             None | Some(FaultEffect::Pass) => {}
             // Converted per probe, matching `probe_burst`, so wire and
@@ -98,7 +101,7 @@ impl Transport for SimTransport {
                 return None;
             }
         }
-        let reply = self.world.probe(dst, proto, attempt);
+        let reply = found.reply(attempt);
         if matches!(reply, ProbeReply::DstUnreachable) {
             // Routers quote the invoking packet regardless of its
             // protocol (RFC 4443 §3.1): cite the actual probe bytes.
@@ -143,21 +146,21 @@ impl Transport for SimTransport {
     /// `NO_REGION`, which parses back as untagged. Attempt numbering, fault
     /// sequencing, early exit and packet counting match [`Self::send`].
     fn probe_burst(&mut self, spec: &ProbeSpec, budget: u32) -> Burst {
+        // What the world holds at the target does not depend on the
+        // attempt, so it is looked up once per burst; the byte path's
+        // `send` resolves per packet, so the wire-reference suite diffs
+        // once-per-burst against once-per-packet. Only a lossy reply reads
+        // the attempt number, so only a lossy flow gets a counter.
+        let found = self.world.resolve(spec.dst, spec.proto);
+        let counted = matches!(found, Disposition::Lossy { .. });
         // Both slots are fetched once per target (the whole burst lands in
         // one fault domain). `fault` is None exactly when no plan is active.
-        let (slot, mut fault) = self.carried.slots(u128::from(spec.dst), spec.proto);
-        // What the world holds at the target does not depend on the
-        // attempt, so it is looked up once per burst — and not at all when
-        // the fault layer eats every probe: a blackholed prefix never
-        // reveals its ground truth. The byte path's per-packet `send`
-        // still asks `World::probe` each time, so the wire-reference suite
-        // diffs once-per-burst against once-per-packet.
-        let mut disposition = None;
+        let (mut flow, mut fault) = self.carried.slots(u128::from(spec.dst), spec.proto, counted);
         let mut drops = 0u64;
         let mut delay_us = 0u64;
         let mut burst = Burst::silent();
         while burst.used < budget {
-            let attempt = bump(slot);
+            let attempt = flow.as_deref_mut().map_or(0, bump);
             burst.used += 1;
             if let Some((plan, domain, dslot)) = fault.as_mut() {
                 // Density advances even for dropped probes, exactly like
@@ -171,7 +174,8 @@ impl Transport for SimTransport {
                     FaultEffect::Pass => {}
                 }
             }
-            let found = *disposition.get_or_insert_with(|| self.world.resolve(spec.dst, spec.proto));
+            // A dropped probe never reads the reply: a blackholed prefix
+            // never reveals its ground truth.
             match found.reply(attempt) {
                 ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer => {
                     burst.verdict = Attempt::Hit;
@@ -369,7 +373,9 @@ mod tests {
     /// The burst override must report exactly what the byte-level default
     /// does, target for target: same verdict, echoed tag, packets used and
     /// drop tallies, and the same flow/fault clocks afterwards — with and
-    /// without the fault layer, tagged and untagged.
+    /// without the fault layer, tagged and untagged. The list is scanned
+    /// three times on each protocol, so attempt numbers continue across
+    /// passes, and the two paths must keep the same flow counters.
     #[test]
     fn probe_burst_matches_the_byte_path_per_target() {
         use crate::transport::WireOnly;
@@ -379,24 +385,69 @@ mod tests {
             let mut targets: Vec<Ipv6Addr> = w.hosts().iter().map(|(a, _)| a).take(96).collect();
             targets.push(find_unreachable(&w));
             targets.push("3fff:ffff::1".parse().unwrap());
+            // Aliased space, where loss is heaviest.
+            targets.extend(w.alias_regions().iter().take(8).map(|r| r.prefix.network()));
             for proto in netmodel::PROTOCOLS {
                 let mut wire = WireOnly(SimTransport::new(w.clone()));
                 let mut fast = SimTransport::new(w.clone());
-                for (i, &dst) in targets.iter().enumerate() {
-                    let region = [None, Some(0), Some(77), Some(u32::MAX)][i % 4];
-                    let spec = ProbeSpec { src, dst, proto, salt: 5, region, validate: true };
-                    assert_eq!(
-                        wire.probe_burst(&spec, 3),
-                        fast.probe_burst(&spec, 3),
-                        "{dst} {proto:?} {region:?}"
-                    );
+                for pass in 0..3 {
+                    for (i, &dst) in targets.iter().enumerate() {
+                        let region = [None, Some(0), Some(77), Some(u32::MAX)][i % 4];
+                        let spec = ProbeSpec { src, dst, proto, salt: 5, region, validate: true };
+                        assert_eq!(
+                            wire.probe_burst(&spec, 3),
+                            fast.probe_burst(&spec, 3),
+                            "pass {pass}: {dst} {proto:?} {region:?}"
+                        );
+                    }
                 }
                 assert_eq!(wire.packets_sent(), fast.packets_sent(), "{proto:?}");
                 let (wire, fast) = (carried(&wire), carried(&fast));
                 assert_eq!(wire.fault_drops(), fast.fault_drops(), "{proto:?}");
                 assert_eq!(wire.throttled_us(), fast.throttled_us(), "{proto:?}");
                 assert_eq!(wire.fault_rows(), fast.fault_rows(), "{proto:?}");
+                assert_eq!(wire.flow_rows(), fast.flow_rows(), "{proto:?}");
+                assert!(!fast.flow_rows().is_empty(), "{proto:?}: some flow was lossy");
             }
+        }
+    }
+
+    /// A flow is counted only where a loss roll reads the count: a `Fixed`
+    /// reply — unrouted silence, an unreachable, a closed port, a churned
+    /// host — leaves no row on either path, faults on or off, while a live
+    /// flow keeps one per pass.
+    #[test]
+    fn a_fixed_target_leaves_no_row() {
+        use crate::transport::WireOnly;
+        let src: Ipv6Addr = "2001:db8::100".parse().unwrap();
+        let proto = Protocol::Tcp80;
+        let spec = |dst| ProbeSpec { src, dst, proto, salt: 5, region: None, validate: true };
+        for faults in [netmodel::FaultConfig::off(), netmodel::FaultConfig::hostile()] {
+            let w = faulty_world(faults);
+            let closed = w
+                .hosts()
+                .iter()
+                .find(|&(a, r)| !r.churned && !r.responds(proto) && !w.is_aliased(a))
+                .map(|(a, _)| a)
+                .expect("some live host with port 80 closed");
+            let churned = w.hosts().iter().find(|&(a, r)| r.churned && !w.is_aliased(a)).map(|(a, _)| a);
+            let fixed = [Some(closed), churned, Some(find_unreachable(&w)), "3fff:ffff::1".parse().ok()];
+            for fixed in fixed.into_iter().flatten() {
+                assert!(!matches!(w.resolve(fixed, proto), Disposition::Lossy { .. }), "{fixed}");
+                let mut wire = WireOnly(SimTransport::new(w.clone()));
+                let mut fast = SimTransport::new(w.clone());
+                for _ in 0..3 {
+                    assert_eq!(wire.probe_burst(&spec(fixed), 3), fast.probe_burst(&spec(fixed), 3), "{fixed}");
+                }
+                assert_eq!(wire.packets_sent(), fast.packets_sent(), "{fixed}");
+                assert!(carried(&wire).flow_rows().is_empty(), "{fixed}: the byte path kept a row");
+                assert!(carried(&fast).flow_rows().is_empty(), "{fixed}: the burst path kept a row");
+            }
+            let live = find_live(&w, proto);
+            let mut fast = SimTransport::new(w.clone());
+            let used: u32 = (0..3).map(|_| fast.probe_burst(&spec(live), 3).used).sum();
+            let row = [0, used, 0, 0];
+            assert_eq!(carried(&fast).flow_rows(), [(u128::from(live), row)], "a live flow counts every attempt");
         }
     }
 
