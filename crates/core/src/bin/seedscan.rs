@@ -167,8 +167,17 @@ fn parse_args() -> Result<Args, String> {
     if args.experiment.is_empty() {
         return Err(String::new());
     }
+    if !EXPERIMENTS.contains(&args.experiment.as_str()) {
+        return Err(format!("unknown experiment: {}", args.experiment));
+    }
     Ok(args)
 }
+
+/// Every experiment `main` runs, as the usage lists them.
+const EXPERIMENTS: &[&str] = &[
+    "summary", "overlap", "rq1", "rq2", "rq3", "rq4", "appendix-d", "raw", "recommend", "as-kind",
+    "budget-sweep", "export", "campaign", "all",
+];
 
 fn usage() {
     eprintln!(
@@ -179,9 +188,10 @@ fn usage() {
          \u{20}                [--manifest FILE] [--trace FILE] [--flame FILE]\n\
          \u{20}      seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]\n\
          \u{20}      seedscan explain <manifest|journal> [--json] [--top N]\n\
-         experiments: summary overlap rq1 rq2 rq3 rq4 appendix-d raw recommend as-kind budget-sweep export campaign all\n\
+         experiments: {}\n\
          fault presets: off bursty ratelimited blackholes throttled hostile\n\
-         env: SOS_LOG=off|error|warn|info|debug|trace (stderr verbosity, default info)"
+         env: SOS_LOG=off|error|warn|info|debug|trace (stderr verbosity, default info)",
+        EXPERIMENTS.join(" ")
     );
 }
 

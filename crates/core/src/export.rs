@@ -20,7 +20,6 @@ fn field(s: &str) -> String {
 
 /// Write a ratio figure (Figures 3–5) as CSV:
 /// `tga,port,hits_ratio,ases_ratio,aliases_ratio`.
-// sos-lint: deterministic-root figure CSVs are compared byte-for-byte in tests
 pub fn write_ratio_csv<W: Write>(w: &mut W, fig: &RatioFigure) -> std::io::Result<()> {
     writeln!(w, "tga,port,hits_ratio,ases_ratio,aliases_ratio")?;
     for &(tga, proto, h, a, al) in &fig.rows {
@@ -36,7 +35,6 @@ pub fn write_ratio_csv<W: Write>(w: &mut W, fig: &RatioFigure) -> std::io::Resul
 
 /// Write the full grid metrics as CSV:
 /// `dataset,port,tga,generated,hits,ases,aliases,probe_packets`.
-// sos-lint: deterministic-root grid CSVs are compared byte-for-byte in tests
 pub fn write_grid_csv<W: Write>(w: &mut W, grid: &Grid) -> std::io::Result<()> {
     writeln!(w, "dataset,port,tga,generated,hits,ases,aliases,probe_packets")?;
     for dataset in GRID_DATASETS {
@@ -112,6 +110,44 @@ mod tests {
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("tga,port,"));
         assert_eq!(text.lines().count(), 1 + fig.rows.len());
+    }
+
+    /// Both figure CSVs list their rows in table order — never in the
+    /// order of the grid's hash map, which differs per process.
+    #[test]
+    fn csv_rows_follow_table_order() {
+        let study = Study::new(StudyConfig::tiny(0xC5F));
+        let g = grid_over(&study, &[DatasetKind::Full, DatasetKind::AllActive], &[Protocol::Icmp], &TgaId::ALL);
+        let mut buf = Vec::new();
+        write_grid_csv(&mut buf, &g).unwrap();
+        let keys: Vec<String> = String::from_utf8(buf)
+            .unwrap()
+            .lines()
+            .skip(1)
+            .map(|l| l.splitn(4, ',').take(3).collect::<Vec<_>>().join(","))
+            .collect();
+        let want: Vec<String> = [DatasetKind::Full, DatasetKind::AllActive]
+            .iter()
+            .flat_map(|d| TgaId::ALL.map(|t| format!("{},ICMP,{}", d.label(), t.label())))
+            .collect();
+        assert_eq!(keys, want);
+
+        let rows = TgaId::ALL
+            .iter()
+            .flat_map(|&t| netmodel::PROTOCOLS.map(|p| (t, p, 1.0, 2.0, 3.0)))
+            .collect();
+        let fig = RatioFigure { title: "t".into(), rows };
+        let mut buf = Vec::new();
+        write_ratio_csv(&mut buf, &fig).unwrap();
+        let keys: Vec<String> = String::from_utf8(buf)
+            .unwrap()
+            .lines()
+            .skip(1)
+            .map(|l| l.splitn(3, ',').take(2).collect::<Vec<_>>().join(","))
+            .collect();
+        let want: Vec<String> =
+            fig.rows.iter().map(|(t, p, ..)| format!("{},{}", t.label(), p.label())).collect();
+        assert_eq!(keys, want);
     }
 
     #[test]

@@ -43,6 +43,17 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     assert_refused(&run(seedscan, &["explain", "m.json", "--top"]), "--top");
 }
 
+/// A misspelled experiment fails before the study is built, instead of
+/// building it, running nothing and exiting 0.
+#[test]
+fn seedscan_refuses_an_unknown_experiment() {
+    let out = run(env!("CARGO_BIN_EXE_seedscan"), &["rq5", "--scale", "tiny"]);
+    assert_refused(&out, "rq5");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: seedscan"), "{stderr}");
+    assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+}
+
 /// One snapshot, several views: `explain <journal>` ends with exactly the
 /// bytes of the run's `.prom` file, and `explain` is the one reader of a
 /// finished journal — `watch` has no `--replay` mode to fall back on.

@@ -29,8 +29,6 @@ pub struct CallSite {
     pub qualifier: Option<String>,
     /// `receiver.name(...)` — resolved via owner fallback.
     pub method: bool,
-    pub line: u32,
-    pub col: u32,
 }
 
 /// Method names so ubiquitous (std collections, iterators, formatting)
@@ -38,19 +36,73 @@ pub struct CallSite {
 /// create edges; workspace types that shadow them must be reached through
 /// free or qualified calls (or declared as registry roots).
 const STOP_METHODS: &[&str] = &[
-    "new", "default", "clone", "fmt", "from", "into", "eq", "ne", "cmp", "partial_cmp",
-    "hash", "drop", "next", "len", "is_empty", "as_ref", "as_mut", "as_str", "as_bytes",
-    "to_string", "to_vec", "to_owned", "push", "pop", "insert", "remove", "get", "get_mut",
-    "contains", "contains_key", "extend", "clear", "iter", "iter_mut", "into_iter", "keys",
-    "values", "sort", "sort_by", "sort_unstable", "min", "max", "map", "filter", "fold",
-    "sum", "count", "collect", "unwrap", "expect", "clamp", "and_then", "unwrap_or",
-    "ok_or", "take", "set", "write_all", "flush", "read_to_string", "trim", "split",
+    "new",
+    "default",
+    "clone",
+    "fmt",
+    "from",
+    "into",
+    "eq",
+    "ne",
+    "cmp",
+    "partial_cmp",
+    "hash",
+    "drop",
+    "next",
+    "len",
+    "is_empty",
+    "as_ref",
+    "as_mut",
+    "as_str",
+    "as_bytes",
+    "to_string",
+    "to_vec",
+    "to_owned",
+    "push",
+    "pop",
+    "insert",
+    "remove",
+    "get",
+    "get_mut",
+    "contains",
+    "contains_key",
+    "extend",
+    "clear",
+    "iter",
+    "iter_mut",
+    "into_iter",
+    "keys",
+    "values",
+    "sort",
+    "sort_by",
+    "sort_unstable",
+    "min",
+    "max",
+    "map",
+    "filter",
+    "fold",
+    "sum",
+    "count",
+    "collect",
+    "unwrap",
+    "expect",
+    "clamp",
+    "and_then",
+    "unwrap_or",
+    "ok_or",
+    "take",
+    "set",
+    "write_all",
+    "flush",
+    "read_to_string",
+    "trim",
+    "split",
 ];
 
 /// Keywords that look like `ident (` in expression position.
 const CALL_KEYWORDS: &[&str] = &[
-    "if", "while", "for", "match", "return", "loop", "let", "in", "move", "fn", "as",
-    "where", "impl", "dyn", "use", "pub", "mod", "unsafe", "else", "break", "continue",
+    "if", "while", "for", "match", "return", "loop", "let", "in", "move", "fn", "as", "where",
+    "impl", "dyn", "use", "pub", "mod", "unsafe", "else", "break", "continue",
 ];
 
 /// Extract call sites from the token range `[a, b]` (a fn body).
@@ -109,25 +161,20 @@ pub fn call_sites(toks: &[Tok], range: (usize, usize)) -> Vec<CallSite> {
             callee: toks[i].text.clone(),
             qualifier,
             method,
-            line: toks[i].line,
-            col: toks[i].col,
         });
     }
     out
 }
 
-/// The workspace call graph: `edges[gid]` lists callee gids, and
-/// `sites[gid]` the raw call sites (shared with the concurrency passes).
+/// The workspace call graph: `edges[gid]` lists callee gids.
 pub struct CallGraph {
     pub edges: Vec<Vec<usize>>,
-    pub sites: Vec<Vec<CallSite>>,
 }
 
 impl CallGraph {
     /// Build edges for every production function in `ws`.
     pub fn build(ws: &Workspace, cfg: &Config) -> CallGraph {
         let mut edges = Vec::with_capacity(ws.fns.len());
-        let mut all_sites = Vec::with_capacity(ws.fns.len());
         for gid in 0..ws.fns.len() {
             let def = ws.def(gid);
             let fd = ws.file_of(gid);
@@ -142,15 +189,16 @@ impl CallGraph {
             out.sort_unstable();
             out.dedup();
             edges.push(out);
-            all_sites.push(sites);
         }
-        CallGraph { edges, sites: all_sites }
+        CallGraph { edges }
     }
 }
 
 /// Resolve one call site to candidate callee gids.
 fn resolve(ws: &Workspace, cfg: &Config, caller: usize, site: &CallSite) -> Vec<usize> {
-    let Some(cands) = ws.by_name.get(&site.callee) else { return Vec::new() };
+    let Some(cands) = ws.by_name.get(&site.callee) else {
+        return Vec::new();
+    };
     if site.method {
         if STOP_METHODS.contains(&site.callee.as_str()) {
             return Vec::new();
@@ -180,8 +228,11 @@ fn resolve(ws: &Workspace, cfg: &Config, caller: usize, site: &CallSite) -> Vec<
         // plain name resolution.
     }
     let caller_file = ws.fns[caller].file;
-    let same_file: Vec<usize> =
-        cands.iter().copied().filter(|&g| ws.fns[g].file == caller_file).collect();
+    let same_file: Vec<usize> = cands
+        .iter()
+        .copied()
+        .filter(|&g| ws.fns[g].file == caller_file)
+        .collect();
     if !same_file.is_empty() {
         return same_file;
     }

@@ -6,7 +6,8 @@
 //! are ordinary comments —
 //! `// sos-lint: allow(rule-id) reason` — and the reason is mandatory:
 //! an allow without one still silences the target finding but raises a
-//! `suppression-reason` finding of its own, so undocumented exceptions
+//! `suppression-reason` finding of its own, as does one that names no
+//! rule or suppresses nothing, so undocumented and stale exceptions
 //! cannot accumulate silently.
 
 use crate::lexer::{Comment, Lexed};
@@ -47,17 +48,6 @@ impl FileClass {
             FileClass::Bin
         } else {
             FileClass::Lib
-        }
-    }
-
-    pub fn label(self) -> &'static str {
-        match self {
-            FileClass::Lib => "lib",
-            FileClass::Bin => "bin",
-            FileClass::Test => "test",
-            FileClass::Bench => "bench",
-            FileClass::Example => "example",
-            FileClass::BuildScript => "build-script",
         }
     }
 }
@@ -163,7 +153,15 @@ pub struct Suppression {
     pub has_reason: bool,
 }
 
-/// Extract suppressions from comments. Syntax, anywhere in a comment:
+impl Suppression {
+    /// Does this suppression cover a `rule` finding on `line`?
+    pub fn covers(&self, rule: &str, line: u32) -> bool {
+        self.rule == rule && (self.line == line || self.line + 1 == line)
+    }
+}
+
+/// Extract suppressions from comments. Syntax, anywhere in a plain (not
+/// doc) comment:
 ///
 /// ```text
 /// // sos-lint: allow(rule-a, rule-b) why this exception is sound
@@ -171,12 +169,24 @@ pub struct Suppression {
 pub fn suppressions(comments: &[Comment]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for c in comments {
-        let Some(at) = c.text.find("sos-lint:") else { continue };
+        // `///`, `//!`, `/**` and `/*!` document the syntax; they allow nothing
+        if c.text.starts_with(['/', '!', '*']) {
+            continue;
+        }
+        let Some(at) = c.text.find("sos-lint:") else {
+            continue;
+        };
         let rest = c.text[at + "sos-lint:".len()..].trim_start();
-        let Some(rest) = rest.strip_prefix("allow") else { continue };
+        let Some(rest) = rest.strip_prefix("allow") else {
+            continue;
+        };
         let rest = rest.trim_start();
-        let Some(rest) = rest.strip_prefix('(') else { continue };
-        let Some(close) = rest.find(')') else { continue };
+        let Some(rest) = rest.strip_prefix('(') else {
+            continue;
+        };
+        let Some(close) = rest.find(')') else {
+            continue;
+        };
         let rules = &rest[..close];
         let reason = rest[close + 1..].trim();
         let has_reason = reason.chars().filter(|c| c.is_alphanumeric()).count() >= 3;
@@ -194,13 +204,6 @@ pub fn suppressions(comments: &[Comment]) -> Vec<Suppression> {
     out
 }
 
-/// Does a suppression for `rule` cover `line`?
-pub fn suppressed(supps: &[Suppression], rule: &str, line: u32) -> bool {
-    supps
-        .iter()
-        .any(|s| s.rule == rule && (s.line == line || s.line + 1 == line))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,13 +212,28 @@ mod tests {
     #[test]
     fn classes_from_paths() {
         assert_eq!(FileClass::of("crates/probe/src/sim.rs"), FileClass::Lib);
-        assert_eq!(FileClass::of("crates/core/src/bin/seedscan.rs"), FileClass::Bin);
-        assert_eq!(FileClass::of("crates/probe/tests/parallel_scan.rs"), FileClass::Test);
+        assert_eq!(
+            FileClass::of("crates/core/src/bin/seedscan.rs"),
+            FileClass::Bin
+        );
+        assert_eq!(
+            FileClass::of("crates/probe/tests/parallel_scan.rs"),
+            FileClass::Test
+        );
         assert_eq!(FileClass::of("tests/end_to_end.rs"), FileClass::Test);
-        assert_eq!(FileClass::of("crates/bench/benches/substrates.rs"), FileClass::Bench);
+        assert_eq!(
+            FileClass::of("crates/bench/benches/substrates.rs"),
+            FileClass::Bench
+        );
         assert_eq!(FileClass::of("examples/quickstart.rs"), FileClass::Example);
-        assert_eq!(FileClass::of("crates/netmodel/build.rs"), FileClass::BuildScript);
-        assert_eq!(FileClass::of("crates/netmodel/src/build.rs"), FileClass::Lib);
+        assert_eq!(
+            FileClass::of("crates/netmodel/build.rs"),
+            FileClass::BuildScript
+        );
+        assert_eq!(
+            FileClass::of("crates/netmodel/src/build.rs"),
+            FileClass::Lib
+        );
     }
 
     #[test]
@@ -251,16 +269,16 @@ mod tests {
         assert_eq!(supps.len(), 2);
         assert!(supps[0].has_reason);
         assert!(!supps[1].has_reason);
-        assert!(suppressed(&supps, "det-hash-iter", 2));
-        assert!(!suppressed(&supps, "det-hash-iter", 4));
-        assert!(suppressed(&supps, "conc-relaxed", 4));
+        assert!(supps[0].covers("det-hash-iter", 2));
+        assert!(!supps[0].covers("det-hash-iter", 4));
+        assert!(supps[1].covers("conc-relaxed", 4));
     }
 
     #[test]
     fn multi_rule_suppressions() {
-        let lexed = lex("// sos-lint: allow(det-hash-iter, det-unordered-iter) both are sorted two lines down\ncode();\n");
+        let lexed = lex("// sos-lint: allow(det-hash-iter, det-float-reduce) both are sorted two lines down\ncode();\n");
         let supps = suppressions(&lexed.comments);
         assert_eq!(supps.len(), 2);
-        assert!(suppressed(&supps, "det-unordered-iter", 2));
+        assert!(supps[1].covers("det-float-reduce", 2));
     }
 }

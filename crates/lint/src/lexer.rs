@@ -85,14 +85,15 @@ pub fn lex(src: &str) -> Lexed {
 
     // Count newlines in chars[from..to] into `line`, tracking where the
     // last line begins so columns stay correct after multiline literals.
-    let bump_lines = |line: &mut u32, line_start: &mut usize, chars: &[char], from: usize, to: usize| {
-        for (k, &c) in chars[from..to].iter().enumerate() {
-            if c == '\n' {
-                *line += 1;
-                *line_start = from + k + 1;
+    let bump_lines =
+        |line: &mut u32, line_start: &mut usize, chars: &[char], from: usize, to: usize| {
+            for (k, &c) in chars[from..to].iter().enumerate() {
+                if c == '\n' {
+                    *line += 1;
+                    *line_start = from + k + 1;
+                }
             }
-        }
-    };
+        };
 
     while i < chars.len() {
         let c = chars[i];
@@ -117,8 +118,10 @@ pub fn lex(src: &str) -> Lexed {
             while j < chars.len() && chars[j] != '\n' {
                 j += 1;
             }
-            out.comments
-                .push(Comment { line, text: chars[start..j].iter().collect() });
+            out.comments.push(Comment {
+                line,
+                text: chars[start..j].iter().collect(),
+            });
             i = j;
             continue;
         }
@@ -140,8 +143,10 @@ pub fn lex(src: &str) -> Lexed {
             }
             let end = if depth == 0 { j - 2 } else { j };
             bump_lines(&mut line, &mut line_start, &chars, i, j);
-            out.comments
-                .push(Comment { line: start_line, text: chars[start..end].iter().collect() });
+            out.comments.push(Comment {
+                line: start_line,
+                text: chars[start..end].iter().collect(),
+            });
             i = j;
             continue;
         }
@@ -219,7 +224,11 @@ pub fn lex(src: &str) -> Lexed {
             j = scan_quoted(&chars, j, quote);
             bump_lines(&mut line, &mut line_start, &chars, i, j);
             out.toks.push(Tok {
-                kind: if quote == '"' { TokKind::Str } else { TokKind::Char },
+                kind: if quote == '"' {
+                    TokKind::Str
+                } else {
+                    TokKind::Char
+                },
                 text: String::new(),
                 line: start_line,
                 col,
@@ -233,7 +242,12 @@ pub fn lex(src: &str) -> Lexed {
             let start_line = line;
             let j = scan_quoted(&chars, i + 1, '"');
             bump_lines(&mut line, &mut line_start, &chars, i, j);
-            out.toks.push(Tok { kind: TokKind::Str, text: String::new(), line: start_line, col });
+            out.toks.push(Tok {
+                kind: TokKind::Str,
+                text: String::new(),
+                line: start_line,
+                col,
+            });
             i = j;
             continue;
         }
@@ -249,7 +263,12 @@ pub fn lex(src: &str) -> Lexed {
             };
             if is_char {
                 let j = scan_quoted(&chars, i + 1, '\'');
-                out.toks.push(Tok { kind: TokKind::Char, text: String::new(), line, col });
+                out.toks.push(Tok {
+                    kind: TokKind::Char,
+                    text: String::new(),
+                    line,
+                    col,
+                });
                 i = j;
             } else {
                 // Lifetime: 'ident
@@ -297,9 +316,15 @@ pub fn lex(src: &str) -> Lexed {
                 let d = chars[i];
                 if !is_hex
                     && (d == 'e' || d == 'E')
-                    && (chars.get(i + 1).copied().is_some_and(|n| n.is_ascii_digit())
+                    && (chars
+                        .get(i + 1)
+                        .copied()
+                        .is_some_and(|n| n.is_ascii_digit())
                         || (matches!(chars.get(i + 1), Some('+' | '-'))
-                            && chars.get(i + 2).copied().is_some_and(|n| n.is_ascii_digit())))
+                            && chars
+                                .get(i + 2)
+                                .copied()
+                                .is_some_and(|n| n.is_ascii_digit())))
                 {
                     is_float = true;
                     i += 1; // the e/E
@@ -309,7 +334,10 @@ pub fn lex(src: &str) -> Lexed {
                 } else if is_ident_continue(d) {
                     i += 1;
                 } else if d == '.'
-                    && chars.get(i + 1).copied().is_some_and(|n| n.is_ascii_digit())
+                    && chars
+                        .get(i + 1)
+                        .copied()
+                        .is_some_and(|n| n.is_ascii_digit())
                     && !is_float
                 {
                     is_float = true;
@@ -319,7 +347,11 @@ pub fn lex(src: &str) -> Lexed {
                 }
             }
             out.toks.push(Tok {
-                kind: if is_float { TokKind::Float } else { TokKind::Int },
+                kind: if is_float {
+                    TokKind::Float
+                } else {
+                    TokKind::Int
+                },
                 text: chars[start..i].iter().collect(),
                 line,
                 col,
@@ -328,7 +360,12 @@ pub fn lex(src: &str) -> Lexed {
         }
 
         // Everything else: one punctuation character per token.
-        out.toks.push(Tok { kind: TokKind::Punct, text: c.to_string(), line, col });
+        out.toks.push(Tok {
+            kind: TokKind::Punct,
+            text: c.to_string(),
+            line,
+            col,
+        });
         i += 1;
     }
 
@@ -374,15 +411,19 @@ mod tests {
             call(s);
         "##;
         let ids = idents(src);
-        assert!(!ids.iter().any(|s| s == "HashMap" || s == "panic" || s == "Instant"));
+        assert!(!ids
+            .iter()
+            .any(|s| s == "HashMap" || s == "panic" || s == "Instant"));
         assert!(ids.iter().any(|s| s == "call"));
     }
 
     #[test]
     fn lifetimes_are_not_chars() {
         let toks = lex("fn f<'a>(x: &'a str) -> char { 'x' }").toks;
-        let lifetimes: Vec<_> =
-            toks.iter().filter(|t| t.kind == TokKind::Lifetime).collect();
+        let lifetimes: Vec<_> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Lifetime)
+            .collect();
         assert_eq!(lifetimes.len(), 2);
         assert!(lifetimes.iter().all(|t| t.text == "a"));
         assert_eq!(toks.iter().filter(|t| t.kind == TokKind::Char).count(), 1);

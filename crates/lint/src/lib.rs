@@ -3,17 +3,22 @@
 //!
 //! The reproduction's headline property is *bit-identical determinism*:
 //! sharded scans must merge to the sequential report, and every
-//! comparative number in the paper assumes reruns reproduce. Those
-//! invariants are enforced here at the source level — a zero-dependency
-//! lexer (`lexer`), file/region classification (`classify`), an item/fn
-//! parser (`parse`), a workspace symbol table and call graph (`symbols`,
-//! `callgraph`), a determinism taint pass (`taint`), and a token-rule
-//! engine (`rules`). Any finding fails CI; the one way to carry an
-//! exception is a reasoned `// sos-lint: allow(rule) reason` comment at
-//! the site.
+//! comparative number in the paper assumes reruns reproduce. The dynamic
+//! suites (stream pins, worker and shard invariance, kill+resume, the
+//! goldens) catch every planted bug that changes bytes on a test world;
+//! this tool keeps the rules that catch what they cannot — nine of them,
+//! each with a fixture that only it flags. It is a zero-dependency lexer
+//! (`lexer`), file/region classification (`classify`), an item/fn parser
+//! (`parse`), a workspace symbol table and call graph (`symbols`,
+//! `callgraph`), the three dataflow rules (`taint`: float reductions a
+//! deterministic root reaches, shared state a `par_map` closure mutates,
+//! and lock order), and the file-scoped token rules (`rules`). Any finding fails CI; the one way to carry an
+//! exception is a reasoned allow comment at the site
+//! (`sos-lint: allow(rule-id) reason`), and one that names no rule or
+//! suppresses nothing is itself a finding.
 //!
-//! See `README.md` § "Static analysis" for the rule list and the
-//! suppression syntax.
+//! See `README.md` § "Static analysis" for the rule list and DESIGN.md
+//! § "Static analysis" for the mutation table behind it.
 
 pub mod callgraph;
 pub mod classify;
@@ -76,9 +81,8 @@ pub fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
     Ok(files)
 }
 
-/// Lint every source file under `root` with `cfg` — file-scoped rules
-/// plus the workspace dataflow pass; findings come back sorted by
-/// `(file, line, rule)`.
+/// Lint every source file under `root` with `cfg` ([`lint_files`]);
+/// findings come back sorted by `(file, line, rule)`.
 pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
     Ok(rules::lint_files(&read_sources(root)?, cfg))
 }
@@ -88,7 +92,8 @@ pub fn lint_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>
 pub fn report_json(findings: &[Finding]) -> Json {
     let finding_json = |f: &Finding| {
         let mut span = Json::obj();
-        span.set("line", u64::from(f.line)).set("col", u64::from(f.col));
+        span.set("line", u64::from(f.line))
+            .set("col", u64::from(f.col));
         let mut o = Json::obj();
         o.set("rule", f.rule)
             .set("severity", f.severity())
@@ -101,16 +106,27 @@ pub fn report_json(findings: &[Finding]) -> Json {
     };
     let mut doc = Json::obj();
     doc.set("version", 2u64).set("tool", "sos-lint");
-    doc.set("rules", Json::Arr(RULES.iter().map(|r| {
-        let mut o = Json::obj();
-        o.set("id", r.id)
-            .set("group", r.group)
-            .set("severity", r.severity)
-            .set("rationale", r.rationale)
-            .set("fix", r.fix);
-        o
-    }).collect()));
-    doc.set("findings", Json::Arr(findings.iter().map(finding_json).collect()));
+    doc.set(
+        "rules",
+        Json::Arr(
+            RULES
+                .iter()
+                .map(|r| {
+                    let mut o = Json::obj();
+                    o.set("id", r.id)
+                        .set("group", r.group)
+                        .set("severity", r.severity)
+                        .set("rationale", r.rationale)
+                        .set("fix", r.fix);
+                    o
+                })
+                .collect(),
+        ),
+    );
+    doc.set(
+        "findings",
+        Json::Arr(findings.iter().map(finding_json).collect()),
+    );
     doc.set("total", findings.len());
     doc
 }
@@ -132,7 +148,10 @@ mod tests {
         let doc = report_json(&[f]);
         assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("total").and_then(Json::as_u64), Some(1));
-        let first = &doc.get("findings").and_then(Json::as_arr).expect("findings")[0];
+        let first = &doc
+            .get("findings")
+            .and_then(Json::as_arr)
+            .expect("findings")[0];
         assert_eq!(first.get("severity").and_then(Json::as_str), Some("error"));
         let span = first.get("span").expect("span");
         assert_eq!(span.get("line").and_then(Json::as_u64), Some(3));

@@ -27,7 +27,10 @@ OPTIONS:
 RULES:"
     );
     for r in RULES {
-        eprintln!("    {:<24} [{}/{}] {}", r.id, r.group, r.severity, r.rationale);
+        eprintln!(
+            "    {:<24} [{}/{}] {}",
+            r.id, r.group, r.severity, r.rationale
+        );
     }
     eprintln!(
         "

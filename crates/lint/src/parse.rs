@@ -7,15 +7,6 @@
 //! matching over [`crate::lexer::lex`] output. Like the lexer it is
 //! *total*: files rustc would reject still parse to a best-effort item
 //! list, so linting never aborts.
-//!
-//! Deterministic roots can be declared two ways: centrally, in
-//! [`crate::taint::DETERMINISTIC_ROOTS`], or at the definition site with
-//! a marker comment on the line(s) directly above the function:
-//!
-//! ```text
-//! // sos-lint: deterministic-root candidate stream feeds manifest digests
-//! pub fn generate_tagged(...) -> Vec<Ipv6Addr> { ... }
-//! ```
 
 use crate::lexer::{Lexed, TokKind};
 
@@ -30,29 +21,9 @@ pub struct FnDef {
     pub owner: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
-    /// 1-based column of the `fn` keyword.
-    pub col: u32,
-    /// Token index of the `fn` keyword.
-    pub sig_tok: usize,
     /// Inclusive token range `[open brace, close brace]` of the body;
     /// `None` for bodyless signatures (trait requirements, extern fns).
     pub body: Option<(usize, usize)>,
-    /// Declared a deterministic root via a `sos-lint: deterministic-root`
-    /// comment directly above the definition.
-    pub root: bool,
-}
-
-impl FnDef {
-    /// Does this fn's body contain token index `t`?
-    pub fn contains(&self, t: usize) -> bool {
-        self.body.is_some_and(|(a, b)| (a..=b).contains(&t))
-    }
-
-    /// Body span length in tokens (used to pick the *innermost* fn when
-    /// definitions nest).
-    pub fn body_len(&self) -> usize {
-        self.body.map_or(0, |(a, b)| b - a)
-    }
 }
 
 /// Parse result for one file.
@@ -61,21 +32,9 @@ pub struct ParsedFile {
     /// Every fn item, in source order.
     pub fns: Vec<FnDef>,
     /// Local type aliases that resolve to hash containers
-    /// (`type FlowMap = HashMap<..>`); the unordered-iteration rules
-    /// treat these names as hash containers workspace-wide.
+    /// (`type FlowMap = HashMap<..>`); the hash rules treat these names
+    /// as hash containers workspace-wide.
     pub hash_aliases: Vec<String>,
-}
-
-impl ParsedFile {
-    /// Index of the innermost fn whose body contains token `t`.
-    pub fn enclosing_fn(&self, t: usize) -> Option<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| f.contains(t))
-            .min_by_key(|(_, f)| f.body_len())
-            .map(|(i, _)| i)
-    }
 }
 
 /// Keywords that can directly precede an `impl`/`trait` item keyword.
@@ -146,7 +105,9 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
             }
             j += 1;
         }
-        let Some(open) = toks.get(j).filter(|t| t.is_punct('{')).map(|_| j) else { continue };
+        let Some(open) = toks.get(j).filter(|t| t.is_punct('{')).map(|_| j) else {
+            continue;
+        };
         let close = match_brace(toks, open);
         if let Some(n) = name {
             owners.push((open, close, n));
@@ -189,34 +150,17 @@ pub fn parse(lexed: &Lexed) -> ParsedFile {
             name,
             owner,
             line: toks[i].line,
-            col: toks[i].col,
-            sig_tok: i,
             body,
-            root: false,
         });
         // Continue scanning *inside* the body too: nested fns get their
-        // own (smaller) definitions and win `enclosing_fn`.
+        // own (smaller) definitions.
         i += 2;
     }
 
-    // --- root annotations ---------------------------------------------
-    // A marker comment covers the first fn starting within 4 lines below
-    // it (attributes between the comment and the `fn` are common).
-    for c in &lexed.comments {
-        if !c.text.contains("sos-lint: deterministic-root") {
-            continue;
-        }
-        if let Some(f) = out
-            .fns
-            .iter_mut()
-            .filter(|f| f.line > c.line && f.line <= c.line + 4)
-            .min_by_key(|f| f.line)
-        {
-            f.root = true;
-        }
-    }
-
-    out.hash_aliases = hash_alias_names(&lexed.toks).into_iter().map(String::from).collect();
+    out.hash_aliases = hash_alias_names(&lexed.toks)
+        .into_iter()
+        .map(String::from)
+        .collect();
     out
 }
 
@@ -242,7 +186,9 @@ pub(crate) fn hash_alias_names(toks: &[crate::lexer::Tok]) -> Vec<&str> {
             }
         }
         if toks.get(j).is_some_and(|t| t.is_punct('='))
-            && toks.get(j + 1).is_some_and(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
+            && toks
+                .get(j + 1)
+                .is_some_and(|t| t.is_ident("HashMap") || t.is_ident("HashSet"))
         {
             names.push(w[1].text.as_str());
         }
@@ -296,9 +242,16 @@ mod tests {
         let by_name = |n: &str| p.fns.iter().find(|f| f.name == n).expect(n);
         assert_eq!(by_name("free").owner, None);
         assert_eq!(by_name("method").owner.as_deref(), Some("S"));
-        assert_eq!(by_name("clone").owner.as_deref(), Some("S"), "impl Trait for Type → Type");
+        assert_eq!(
+            by_name("clone").owner.as_deref(),
+            Some("S"),
+            "impl Trait for Type → Type"
+        );
         assert_eq!(by_name("required").owner.as_deref(), Some("T"));
-        assert!(by_name("required").body.is_none(), "trait requirement has no body");
+        assert!(
+            by_name("required").body.is_none(),
+            "trait requirement has no body"
+        );
         assert!(by_name("defaulted").body.is_some());
     }
 
@@ -324,7 +277,10 @@ mod tests {
         ";
         let p = parse_src(src);
         assert_eq!(p.fns.len(), 2);
-        assert_eq!(p.fns[1].owner, None, "`-> impl Iterator` must not own `after`");
+        assert_eq!(
+            p.fns[1].owner, None,
+            "`-> impl Iterator` must not own `after`"
+        );
     }
 
     #[test]
@@ -341,22 +297,17 @@ mod tests {
         assert_eq!(p.fns.len(), 2);
         let toks = lex(src).toks;
         let work = toks.iter().position(|t| t.is_ident("work")).unwrap();
-        assert_eq!(p.fns[p.enclosing_fn(work).unwrap()].name, "inner");
         let inner_call = toks.iter().rposition(|t| t.is_ident("inner")).unwrap();
-        assert_eq!(p.fns[p.enclosing_fn(inner_call).unwrap()].name, "outer");
-    }
-
-    #[test]
-    fn root_annotations_attach_through_attributes() {
-        let src = "
-            // sos-lint: deterministic-root candidate stream
-            #[inline]
-            pub fn generate(&mut self) {}
-            pub fn not_a_root() {}
-        ";
-        let p = parse_src(src);
-        assert!(p.fns[0].root);
-        assert!(!p.fns[1].root);
+        let (outer, inner) = (p.fns[0].body.unwrap(), p.fns[1].body.unwrap());
+        assert_eq!(p.fns[1].name, "inner");
+        assert!(
+            outer.0 < inner.0 && inner.1 < outer.1,
+            "inner's body nests in outer's"
+        );
+        assert!((inner.0..=inner.1).contains(&work));
+        assert!(
+            !(inner.0..=inner.1).contains(&inner_call) && (outer.0..=outer.1).contains(&inner_call)
+        );
     }
 
     #[test]
@@ -368,7 +319,9 @@ mod tests {
 
     #[test]
     fn hash_aliases_collected() {
-        let p = parse_src("type FlowMap = HashMap<u64, u32>;\ntype Seen = HashSet<u128>;\ntype Plain = Vec<u8>;");
+        let p = parse_src(
+            "type FlowMap = HashMap<u64, u32>;\ntype Seen = HashSet<u128>;\ntype Plain = Vec<u8>;",
+        );
         assert_eq!(p.hash_aliases, vec!["FlowMap", "Seen"]);
     }
 

@@ -10,9 +10,9 @@
 //!   merge contract, and the precondition for every comparative claim in
 //!   the paper). Nothing on those paths may iterate a randomized-order
 //!   container or reduce floats in an order that can vary.
-//! - **Concurrency** — the `par_map` merge boundary only preserves the
-//!   bit-identity argument if cross-shard state is either absent or
-//!   explicitly annotated; per-target hot loops must not take locks.
+//! - **Concurrency** — locks are taken in one global order, `Relaxed`
+//!   atomics carry a written argument, and per-target hot loops take no
+//!   locks.
 //!
 //! What a type-resolving tool already enforces is not re-guessed from
 //! tokens here: wall-clock, ambient entropy and `RandomState` are clippy's
@@ -20,12 +20,13 @@
 //! panic-safety of the scan-path libraries is `clippy::{unwrap_used,
 //! expect_used, panic, unreachable, todo, unimplemented}`, and `static mut`
 //! falls to `unsafe_code = "forbid"` — all levelled in the root
-//! `Cargo.toml`'s `[workspace.lints]`.
+//! `Cargo.toml`'s `[workspace.lints]`. What the dynamic suites already
+//! catch is not re-guessed either: DESIGN.md § "Static analysis" holds the
+//! mutation table that retired the rules they cover.
 
-use crate::classify::{
-    crate_of, in_test_region, suppressed, suppressions, test_regions, FileClass,
-};
-use crate::lexer::{lex, Tok, TokKind};
+use crate::classify::in_test_region;
+use crate::lexer::{Tok, TokKind};
+use crate::symbols::{FileData, Workspace};
 
 /// One rule's identity, one-line rationale, severity, and canonical fix
 /// (shown by `--list-rules` and `--explain`).
@@ -58,23 +59,16 @@ pub const RULES: &[RuleInfo] = &[
         fix: "sort the iterated items before consuming them, or switch the container to a BTree type",
     },
     RuleInfo {
-        id: "det-unordered-iter",
-        group: "determinism",
-        rationale: "hash-container iteration inside a function reachable from a deterministic root (TGA generate paths, digest/manifest writers, journal emitters, checkpoint serializers) leaks per-process order into bytes that must be bit-identical at any worker count",
-        severity: "error",
-        fix: "use a BTree collection, or collect and sort before the order can escape; only an explicit sort excuses a site on a deterministic path",
-    },
-    RuleInfo {
         id: "det-float-reduce",
         group: "determinism",
-        rationale: "float addition does not commute under rounding, so sum::<f64>/fold(0.0,..)/x += inside a function on a deterministic path changes digest bytes whenever reduction order changes — even over the same value set",
+        rationale: "float addition does not commute under rounding, so sum::<f64>/fold(0.0,..)/x += inside a function reachable from a deterministic root (TGA generate paths, digest/manifest writers, journal emitters, checkpoint serializers) changes bytes whenever the reduction order changes — even over the same value set, and even where no test world happens to show it",
         severity: "error",
         fix: "fix the reduction order (sort first), accumulate in integers, or suppress with the total-order argument written down",
     },
     RuleInfo {
         id: "par-shared-mut",
         group: "concurrency",
-        rationale: "a par_map closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically)",
+        rationale: "a par_map closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically) — even where the caller re-keys the results today and no byte moves yet",
         severity: "error",
         fix: "return per-item values from the closure and merge after the join",
     },
@@ -109,9 +103,9 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "suppression-reason",
         group: "meta",
-        rationale: "every `sos-lint: allow(...)` must carry a written reason; undocumented exceptions rot",
+        rationale: "every `sos-lint: allow(...)` must name a rule, carry a written reason, and suppress a finding on its line or the next; undocumented and stale exceptions rot",
         severity: "warn",
-        fix: "append the reason to the allow comment: `// sos-lint: allow(rule) because …`",
+        fix: "append the reason to the allow comment (`// sos-lint: allow(rule) because …`), or delete an allow that names no rule or suppresses nothing",
     },
 ];
 
@@ -156,11 +150,6 @@ pub struct Config {
     /// documents names in prose) — everywhere else, metric names must be
     /// consts from a central `names` table, not inline literals.
     pub metric_table_files: Vec<String>,
-    /// Deterministic-root registry: `(path substring, fn name)` pairs.
-    /// Functions matching an entry seed the taint pass; the default comes
-    /// from [`crate::taint::DETERMINISTIC_ROOTS`]. Definition-site
-    /// `// sos-lint: deterministic-root` comments add to this set.
-    pub roots: Vec<(String, String)>,
     /// The `par_map` family: functions whose closure arguments must not
     /// mutate shared state (`par-shared-mut`).
     pub par_fns: Vec<String>,
@@ -185,52 +174,114 @@ impl Default for Config {
             .to_vec(),
             hot_fns: vec!["probe_burst".to_string()],
             metric_table_files: vec!["crates/obs/src/".to_string()],
-            roots: crate::taint::DETERMINISTIC_ROOTS
-                .iter()
-                .map(|(path, name, _)| (path.to_string(), name.to_string()))
-                .collect(),
             par_fns: vec!["par_map".to_string()],
             method_fallback_max: 6,
         }
     }
 }
 
-/// Lint one source file on its own. `rel_path` is workspace-relative with
-/// `/` separators; it drives classification and allowlists. Hash-container
-/// aliases declared in *other* files are unknown here — [`lint_files`]
-/// supplies them.
+/// Lint one source file as a workspace of its own ([`lint_files`]).
+/// `rel_path` is workspace-relative with `/` separators; it drives
+/// classification and allowlists. Hash-container aliases declared in
+/// *other* files are unknown here.
 pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    lint_source_with(rel_path, src, cfg, &[])
+    lint_files(&[(rel_path.to_string(), src.to_string())], cfg)
 }
 
-/// [`lint_source`] with the workspace's hash-container alias names
-/// (`AddrSet`, `AddrMap`, …), which the hash rules treat like `HashMap`.
-fn lint_source_with(rel_path: &str, src: &str, cfg: &Config, aliases: &[String]) -> Vec<Finding> {
-    let class = FileClass::of(rel_path);
-    let krate = crate_of(rel_path).unwrap_or("");
-    let lexed = lex(src);
-    let regions = test_regions(&lexed);
-    let supps = suppressions(&lexed.comments);
-    let lines: Vec<&str> = src.lines().collect();
+/// Lint a whole workspace: every file-scoped rule per file, then the
+/// dataflow rules over the parsed workspace (symbol table → call graph →
+/// taint). Findings inside `#[cfg(test)]` regions are dropped, those an
+/// `allow` comment covers are suppressed, and every allow comment that
+/// names no rule, gives no reason or suppresses nothing is itself a
+/// `suppression-reason` finding. Sorted by `(file, line, rule)`.
+pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
+    let ws = Workspace::build(files);
+    let graph = crate::callgraph::CallGraph::build(&ws, cfg);
+    let taint = crate::taint::Taint::build(&ws, &graph);
+    let flow = crate::taint::workspace_rules(&ws, &taint, cfg);
 
+    let mut all: Vec<Finding> = Vec::new();
+    for fd in &ws.files {
+        let mut used = vec![false; fd.supps.len()];
+        let raw = file_rules(fd, cfg, &ws.hash_aliases);
+        for f in raw
+            .into_iter()
+            .chain(flow.iter().filter(|f| f.file == fd.rel).cloned())
+        {
+            if in_test_region(&fd.regions, f.line) {
+                continue; // tests may hash, relax, and name metrics freely
+            }
+            let mut suppressed = false;
+            for (s, used) in fd.supps.iter().zip(used.iter_mut()) {
+                if s.covers(f.rule, f.line) {
+                    *used = true;
+                    suppressed = true;
+                }
+            }
+            if !suppressed {
+                all.push(f);
+            }
+        }
+        for (s, used) in fd.supps.iter().zip(used) {
+            let problem = if rule_info(&s.rule).is_none() {
+                format!("`allow({})` names no rule (see --list-rules)", s.rule)
+            } else if !s.has_reason {
+                format!(
+                    "suppression of `{}` has no reason; write why the exception is sound",
+                    s.rule
+                )
+            } else if !used {
+                format!(
+                    "`allow({})` suppresses nothing on its line or the next; delete it",
+                    s.rule
+                )
+            } else {
+                continue;
+            };
+            all.push(Finding {
+                rule: "suppression-reason",
+                file: fd.rel.clone(),
+                line: s.line,
+                col: 1,
+                message: problem,
+                excerpt: fd.excerpt(s.line),
+            });
+        }
+    }
+    all.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
+    all
+}
+
+/// Every file-scoped rule over one file, unfiltered. `aliases` are the
+/// workspace's hash-container alias names (`AddrSet`, `AddrMap`, …), which
+/// the hash rules treat like `HashMap`.
+fn file_rules(fd: &FileData, cfg: &Config, aliases: &[String]) -> Vec<Finding> {
     let mut raw: Vec<Finding> = Vec::new();
     let mut push = |rule: &'static str, line: u32, col: u32, message: String| {
-        let excerpt = lines
-            .get(line.saturating_sub(1) as usize)
-            .map(|l| l.trim().to_string())
-            .unwrap_or_default();
-        raw.push(Finding { rule, file: rel_path.to_string(), line, col, message, excerpt });
+        raw.push(Finding {
+            rule,
+            file: fd.rel.clone(),
+            line,
+            col,
+            message,
+            excerpt: fd.excerpt(line),
+        });
     };
-
-    let prod_code = matches!(class, FileClass::Lib | FileClass::Bin);
-    let toks = &lexed.toks;
+    let prod_code = fd.prod();
+    let toks = &fd.lexed.toks;
 
     // --- determinism -----------------------------------------------------
-    if prod_code && cfg.result_path_files.iter().any(|f| rel_path.contains(f.as_str())) {
-        let own = crate::parse::hash_alias_names(toks);
-        let is_alias = |t: &Tok| aliases.iter().any(|a| t.is_ident(a)) || own.iter().any(|a| t.is_ident(a));
+    if prod_code
+        && cfg
+            .result_path_files
+            .iter()
+            .any(|f| fd.rel.contains(f.as_str()))
+    {
         for t in toks {
-            if t.is_ident("HashMap") || t.is_ident("HashSet") || is_alias(t) {
+            if t.is_ident("HashMap")
+                || t.is_ident("HashSet")
+                || aliases.iter().any(|a| t.is_ident(a))
+            {
                 push(
                     "det-unordered-collection",
                     t.line,
@@ -249,7 +300,7 @@ fn lint_source_with(rel_path: &str, src: &str, cfg: &Config, aliases: &[String])
     }
 
     // --- concurrency -----------------------------------------------------
-    if prod_code && !cfg.relaxed_crates.iter().any(|c| c == krate) {
+    if prod_code && !cfg.relaxed_crates.contains(&fd.krate) {
         for t in toks {
             if t.is_ident("Relaxed") {
                 push(
@@ -266,217 +317,118 @@ fn lint_source_with(rel_path: &str, src: &str, cfg: &Config, aliases: &[String])
     hot_loop_rule(toks, &cfg.hot_fns, &mut push);
 
     // --- observability ---------------------------------------------------
-    if prod_code && !cfg.metric_table_files.iter().any(|f| rel_path.contains(f.as_str())) {
+    if prod_code
+        && !cfg
+            .metric_table_files
+            .iter()
+            .any(|f| fd.rel.contains(f.as_str()))
+    {
         metric_name_rule(toks, &mut push);
     }
-
-    // --- meta: suppressions without reasons ------------------------------
-    for s in &supps {
-        if !s.has_reason {
-            push(
-                "suppression-reason",
-                s.line,
-                1,
-                format!("suppression of `{}` has no reason; write why the exception is sound", s.rule),
-            );
-        }
-    }
-
-    // --- filtering: test regions, then suppressions ----------------------
-    raw.retain(|f| {
-        if f.rule == "suppression-reason" {
-            return true; // reasons are required everywhere, and un-suppressible
-        }
-        if in_test_region(&regions, f.line) {
-            return false; // tests may hash, relax, and name metrics freely
-        }
-        !suppressed(&supps, f.rule, f.line)
-    });
-    raw.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     raw
 }
 
-/// Lint a whole workspace: every file-scoped rule per file, then the
-/// dataflow rules over the parsed workspace (symbol table → call graph →
-/// taint), with the same test-region/suppression filtering applied to
-/// workspace findings.
-///
-/// One offending line reports once: where `det-unordered-iter` and its
-/// file-scoped counterpart `det-hash-iter` both see a line, the dataflow
-/// finding is kept for its root attribution. Neither covers the other —
-/// taint reaches only what a deterministic root calls, the file-scoped
-/// rule only what lexically looks unsorted (`workspace_dataflow.rs` pins
-/// both halves).
-pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    let ws = crate::symbols::Workspace::build(files, cfg);
-    let graph = crate::callgraph::CallGraph::build(&ws, cfg);
-    let taint = crate::taint::Taint::build(&ws, &graph, cfg);
-
-    let mut all: Vec<Finding> = Vec::new();
-    for (rel, src) in files {
-        all.extend(lint_source_with(rel, src, cfg, &ws.hash_aliases));
-    }
-    for f in crate::taint::workspace_rules(&ws, &graph, &taint, cfg) {
-        let Some(fd) = ws.files.iter().find(|d| d.rel == f.file) else { continue };
-        if in_test_region(&fd.regions, f.line) || suppressed(&fd.supps, f.rule, f.line) {
-            continue;
-        }
-        all.push(f);
-    }
-
-    let tainted: Vec<(String, u32)> = all
-        .iter()
-        .filter(|f| f.rule == "det-unordered-iter")
-        .map(|f| (f.file.clone(), f.line))
-        .collect();
-    all.retain(|f| {
-        f.rule != "det-hash-iter"
-            || !tainted.iter().any(|(file, line)| *file == f.file && *line == f.line)
-    });
-    all.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    all
-}
-
-/// Identifiers bound to hash-container types anywhere in the file:
-/// `name: [&][mut] HashMap<..>` ascriptions and `name = HashMap::..`
-/// initializers. `extra_aliases` adds workspace-wide alias names (the
-/// file's own `type X = HashMap<..>` aliases are always included).
-pub(crate) fn hash_bound_names(toks: &[Tok], extra_aliases: &[String]) -> Vec<String> {
-    let mut hash_types: Vec<&str> = vec!["HashMap", "HashSet"];
-    hash_types.extend(extra_aliases.iter().map(String::as_str));
-    hash_types.extend(crate::parse::hash_alias_names(toks));
-    let mut bound: Vec<String> = Vec::new();
-    for i in 0..toks.len() {
-        if toks[i].kind != TokKind::Ident {
-            continue;
-        }
-        let name = &toks[i].text;
-        if let Some(next) = toks.get(i + 1) {
-            if next.is_punct(':') && !toks.get(i + 2).is_some_and(|t| t.is_punct(':')) {
-                // type ascription: skip `&`, `mut`, lifetimes
-                let mut j = i + 2;
-                while toks.get(j).is_some_and(|t| {
-                    t.is_punct('&') || t.is_ident("mut") || t.kind == TokKind::Lifetime
-                }) {
-                    j += 1;
-                }
-                if toks.get(j).is_some_and(|t| hash_types.iter().any(|h| t.is_ident(h))) {
-                    bound.push(name.clone());
-                }
-            }
-            if next.is_punct('=')
-                && toks
-                    .get(i + 2)
-                    .is_some_and(|t| hash_types.iter().any(|h| t.is_ident(h)))
-            {
-                bound.push(name.clone());
-            }
-        }
-    }
-    bound
-}
-
-/// One order-dependent iteration over a hash-bound identifier.
-pub(crate) struct IterSite {
-    /// Token index of the iterated identifier.
-    pub idx: usize,
-    pub line: u32,
-    pub col: u32,
-    /// `` `name.keys()` `` / `` `for … in name` `` for messages.
-    pub desc: String,
-    /// A `sort*` call follows within a few lines — order restored.
-    pub sorted: bool,
-    /// An order-insensitive reduction (`count`/`sum`/…) follows. The
-    /// file-scoped rule accepts this escape; the dataflow rule does not
-    /// (it cannot tell integer sums from float sums).
-    pub reduced: bool,
-}
-
-/// Find order-dependent iteration sites over `bound` identifiers.
-pub(crate) fn hash_iter_sites(toks: &[Tok], bound: &[String]) -> Vec<IterSite> {
-    const ORDER_DEPENDENT: &[&str] =
-        &["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain"];
-    const SORTS: &[&str] = &[
-        "sort", "sort_unstable", "sort_by", "sort_by_key", "sort_unstable_by",
-        "sort_unstable_by_key",
-    ];
-    const REDUCTIONS: &[&str] = &["count", "sum", "min", "max", "any", "all"];
-    let soon = |start: usize, line: u32, names: &[&str]| {
-        toks[start..]
-            .iter()
-            .take_while(|t| t.line <= line + 6)
-            .any(|t| t.kind == TokKind::Ident && names.contains(&t.text.as_str()))
-    };
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        let t = &toks[i];
-        if t.kind != TokKind::Ident || !bound.iter().any(|b| b == &t.text) {
-            continue;
-        }
-        // `name.iter()` and friends.
-        if toks.get(i + 1).is_some_and(|n| n.is_punct('.'))
-            && toks
-                .get(i + 2)
-                .is_some_and(|n| ORDER_DEPENDENT.iter().any(|m| n.is_ident(m)))
-        {
-            out.push(IterSite {
-                idx: i,
-                line: t.line,
-                col: t.col,
-                desc: format!("`{}.{}()`", t.text, toks[i + 2].text),
-                sorted: soon(i + 3, t.line, SORTS),
-                reduced: soon(i + 3, t.line, REDUCTIONS),
-            });
-        }
-        // `for pat in [&][mut] name {`.
-        if i >= 1 {
-            let mut j = i;
-            while j >= 1 && (toks[j - 1].is_punct('&') || toks[j - 1].is_ident("mut")) {
-                j -= 1;
-            }
-            if j >= 1
-                && toks[j - 1].is_ident("in")
-                && toks.get(i + 1).is_some_and(|n| n.is_punct('{'))
-            {
-                out.push(IterSite {
-                    idx: i,
-                    line: t.line,
-                    col: t.col,
-                    desc: format!("`for … in {}`", t.text),
-                    sorted: soon(i + 1, t.line, SORTS),
-                    reduced: soon(i + 1, t.line, REDUCTIONS),
-                });
-            }
-        }
-    }
-    out
-}
-
 /// `det-hash-iter`: find identifiers bound to hash-container types in this
-/// file, then flag order-dependent iteration over them. Order restored
-/// (`sort*`) or erased (an order-insensitive reduction) close by is fine.
+/// file — `name: [&][mut] HashMap<..>` ascriptions and `name = HashMap::..`
+/// initializers, `aliases` counting as hash containers — then flag
+/// order-dependent iteration over them. Order restored (`sort*`) or erased
+/// (an order-insensitive reduction) within a few lines is fine.
 fn hash_iter_rule(
     toks: &[Tok],
     aliases: &[String],
     push: &mut impl FnMut(&'static str, u32, u32, String),
 ) {
-    let bound = hash_bound_names(toks, aliases);
+    const ORDER_DEPENDENT: &[&str] = &[
+        "iter",
+        "iter_mut",
+        "keys",
+        "values",
+        "values_mut",
+        "into_iter",
+        "drain",
+    ];
+    const ESCAPES: &[&str] = &[
+        "sort",
+        "sort_unstable",
+        "sort_by",
+        "sort_by_key",
+        "sort_unstable_by",
+        "sort_unstable_by_key",
+        "count",
+        "sum",
+        "min",
+        "max",
+        "any",
+        "all",
+    ];
+    let is_hash = |t: &Tok| {
+        t.is_ident("HashMap") || t.is_ident("HashSet") || aliases.iter().any(|a| t.is_ident(a))
+    };
+    let mut bound: Vec<&str> = Vec::new();
+    for i in 0..toks.len() {
+        if toks[i].kind != TokKind::Ident {
+            continue;
+        }
+        let Some(next) = toks.get(i + 1) else {
+            continue;
+        };
+        if next.is_punct(':') && !toks.get(i + 2).is_some_and(|t| t.is_punct(':')) {
+            // type ascription: skip `&`, `mut`, lifetimes
+            let mut j = i + 2;
+            while toks.get(j).is_some_and(|t| {
+                t.is_punct('&') || t.is_ident("mut") || t.kind == TokKind::Lifetime
+            }) {
+                j += 1;
+            }
+            if toks.get(j).is_some_and(is_hash) {
+                bound.push(&toks[i].text);
+            }
+        }
+        if next.is_punct('=') && toks.get(i + 2).is_some_and(is_hash) {
+            bound.push(&toks[i].text);
+        }
+    }
     if bound.is_empty() {
         return;
     }
-    for site in hash_iter_sites(toks, &bound) {
-        if site.sorted || site.reduced {
+    let escaped = |start: usize, line: u32| {
+        toks[start..]
+            .iter()
+            .take_while(|t| t.line <= line + 6)
+            .any(|t| t.kind == TokKind::Ident && ESCAPES.contains(&t.text.as_str()))
+    };
+    for i in 0..toks.len() {
+        let t = &toks[i];
+        if t.kind != TokKind::Ident || !bound.contains(&t.text.as_str()) {
             continue;
         }
-        push(
-            "det-hash-iter",
-            site.line,
-            site.col,
-            format!(
-                "{} iterates a hash container in per-process order; sort or use a BTree collection",
-                site.desc
-            ),
-        );
+        // `name.iter()` and friends, or `for pat in [&][mut] name {`.
+        let method = toks.get(i + 1).is_some_and(|n| n.is_punct('.'))
+            && toks
+                .get(i + 2)
+                .is_some_and(|n| ORDER_DEPENDENT.iter().any(|m| n.is_ident(m)));
+        let mut j = i;
+        while j >= 1 && (toks[j - 1].is_punct('&') || toks[j - 1].is_ident("mut")) {
+            j -= 1;
+        }
+        let for_loop = j >= 1
+            && toks[j - 1].is_ident("in")
+            && toks.get(i + 1).is_some_and(|n| n.is_punct('{'));
+        let desc = if method {
+            format!("`{}.{}()`", t.text, toks[i + 2].text)
+        } else if for_loop {
+            format!("`for … in {}`", t.text)
+        } else {
+            continue;
+        };
+        if !escaped(i + 1, t.line) {
+            push(
+                "det-hash-iter",
+                t.line,
+                t.col,
+                format!("{desc} iterates a hash container in per-process order; sort or use a BTree collection"),
+            );
+        }
     }
 }
 
@@ -619,6 +571,30 @@ mod tests {
     }
 
     #[test]
+    fn stale_and_unknown_suppressions_report() {
+        // the allow names a rule but nothing on its line or the next fires
+        let stale = "fn f(c: &AtomicU64) {\n    // sos-lint: allow(conc-relaxed) the ordering below used to be Relaxed\n    c.fetch_add(1, Ordering::SeqCst);\n}";
+        let fs = find("crates/tga/src/det.rs", stale);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!((fs[0].rule, fs[0].line), ("suppression-reason", 2));
+        assert!(fs[0].message.contains("suppresses nothing"), "{fs:?}");
+        // a retired rule's id is no rule at all: the allow reports, and the
+        // finding it was meant for still fires
+        let unknown = "fn f(c: &AtomicU64) {\n    // sos-lint: allow(conc-relaxd) progress counter, never merged\n    c.fetch_add(1, Ordering::Relaxed);\n}";
+        let rules: Vec<&str> = find("crates/tga/src/det.rs", unknown)
+            .iter()
+            .map(|f| f.rule)
+            .collect();
+        assert_eq!(rules, ["suppression-reason", "conc-relaxed"]);
+        // the syntax quoted in a doc comment is documentation, not an allow
+        assert!(find(
+            "crates/tga/src/det.rs",
+            "//! write `// sos-lint: allow(rule) why` at the site\n"
+        )
+        .is_empty());
+    }
+
+    #[test]
     fn relaxed_needs_annotation_outside_obs() {
         let src = "fn f(c: &std::sync::atomic::AtomicU64) { c.fetch_add(1, std::sync::atomic::Ordering::Relaxed); }";
         assert_eq!(find("crates/core/src/runner.rs", src).len(), 1);
@@ -640,7 +616,10 @@ mod tests {
     fn hash_for_loop_flagged() {
         let src = "fn f() {\n    let mut m = HashMap::new();\n    m.insert(1, 2);\n    for kv in &m { drop(kv); }\n}";
         let fs = find("crates/seeds/src/overlap.rs", src);
-        assert!(fs.iter().any(|f| f.rule == "det-hash-iter" && f.line == 4), "{fs:?}");
+        assert!(
+            fs.iter().any(|f| f.rule == "det-hash-iter" && f.line == 4),
+            "{fs:?}"
+        );
     }
 
     #[test]
@@ -653,7 +632,10 @@ mod tests {
     fn unordered_type_banned_on_result_paths() {
         let src = "use std::collections::HashMap;\nfn f() { let m: HashMap<u8, u8> = HashMap::new(); drop(m); }";
         let fs = find("crates/core/src/report.rs", src);
-        assert!(fs.iter().all(|f| f.rule == "det-unordered-collection"), "{fs:?}");
+        assert!(
+            fs.iter().all(|f| f.rule == "det-unordered-collection"),
+            "{fs:?}"
+        );
         assert!(!fs.is_empty());
         assert!(find("crates/core/src/runner.rs", src)
             .iter()
@@ -664,7 +646,10 @@ mod tests {
     fn lock_in_hot_loop_flagged() {
         let src = "fn probe_burst(&mut self) {\n    for t in targets {\n        let g = self.state.lock().unwrap();\n        drop(g);\n    }\n}";
         let fs = find("crates/probe/src/transport.rs", src);
-        assert!(fs.iter().any(|f| f.rule == "conc-lock-in-hot-loop"), "{fs:?}");
+        assert!(
+            fs.iter().any(|f| f.rule == "conc-lock-in-hot-loop"),
+            "{fs:?}"
+        );
         let hoisted = "fn probe_burst(&mut self) {\n    let g = self.state.lock();\n    for t in targets { use_it(&g, t); }\n}";
         assert!(find("crates/probe/src/transport.rs", hoisted)
             .iter()

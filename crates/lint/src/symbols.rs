@@ -13,14 +13,12 @@ use std::collections::BTreeMap;
 use crate::classify::{crate_of, suppressions, test_regions, FileClass, Suppression};
 use crate::lexer::{lex, Lexed};
 use crate::parse::{parse, ParsedFile};
-use crate::rules::Config;
 
 /// One file's analysis artifacts.
 pub struct FileData {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
-    /// Trimmed-source lines (1-based via `line - 1` indexing) for
-    /// excerpts.
+    /// Trimmed source lines, for excerpts ([`FileData::excerpt`]).
     pub lines: Vec<String>,
     pub lexed: Lexed,
     pub parsed: ParsedFile,
@@ -35,6 +33,14 @@ impl FileData {
     /// Production code: findings bind lib and bin classes only.
     pub fn prod(&self) -> bool {
         matches!(self.class, FileClass::Lib | FileClass::Bin)
+    }
+
+    /// The trimmed text of 1-based `line` (empty past the end).
+    pub fn excerpt(&self, line: u32) -> String {
+        self.lines
+            .get(line.saturating_sub(1) as usize)
+            .cloned()
+            .unwrap_or_default()
     }
 }
 
@@ -60,7 +66,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Lex, parse, and index every file.
-    pub fn build(files: &[(String, String)], _cfg: &Config) -> Workspace {
+    pub fn build(files: &[(String, String)]) -> Workspace {
         let mut out = Workspace {
             files: Vec::with_capacity(files.len()),
             fns: Vec::new(),
@@ -131,27 +137,42 @@ mod tests {
     use super::*;
 
     fn ws(files: &[(&str, &str)]) -> Workspace {
-        let owned: Vec<(String, String)> =
-            files.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect();
-        Workspace::build(&owned, &Config::default())
+        let owned: Vec<(String, String)> = files
+            .iter()
+            .map(|(a, b)| (a.to_string(), b.to_string()))
+            .collect();
+        Workspace::build(&owned)
     }
 
     #[test]
     fn prod_fns_indexed_tests_excluded() {
         let w = ws(&[
-            ("crates/a/src/lib.rs", "pub fn alpha() {}\n#[cfg(test)]\nmod t { fn helper() {} }"),
+            (
+                "crates/a/src/lib.rs",
+                "pub fn alpha() {}\n#[cfg(test)]\nmod t { fn helper() {} }",
+            ),
             ("crates/a/tests/it.rs", "fn test_only() {}"),
             ("crates/b/src/lib.rs", "pub fn alpha() {}"),
         ]);
-        assert_eq!(w.by_name.get("alpha").map(Vec::len), Some(2), "one per crate");
-        assert!(!w.by_name.contains_key("helper"), "#[cfg(test)] fns excluded");
+        assert_eq!(
+            w.by_name.get("alpha").map(Vec::len),
+            Some(2),
+            "one per crate"
+        );
+        assert!(
+            !w.by_name.contains_key("helper"),
+            "#[cfg(test)] fns excluded"
+        );
         assert!(!w.by_name.contains_key("test_only"), "test files excluded");
     }
 
     #[test]
     fn aliases_are_workspace_wide() {
         let w = ws(&[
-            ("crates/a/src/lib.rs", "pub type FlowMap = HashMap<u64, u32>;"),
+            (
+                "crates/a/src/lib.rs",
+                "pub type FlowMap = HashMap<u64, u32>;",
+            ),
             ("crates/b/src/lib.rs", "fn uses(m: &FlowMap) {}"),
         ]);
         assert_eq!(w.hash_aliases, vec!["FlowMap"]);

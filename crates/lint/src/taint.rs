@@ -1,87 +1,133 @@
-//! The determinism dataflow pass: propagate a *must-be-deterministic*
-//! property from annotated roots through the call graph, then enforce
-//! W-invariance rules inside every reachable function.
+//! The workspace dataflow rules: `det-float-reduce` inside every function
+//! a deterministic root reaches through the call graph, `par-shared-mut`
+//! inside every `par_map` closure, and `lock-order` across every pair of
+//! functions.
 //!
-//! The workspace's strongest invariant — bit-identical candidate and
-//! result streams at any shard/worker count — was previously enforced
-//! only dynamically (manifest digests, `worker_invariance` tests). This
-//! pass catches the violation at lint time: a `HashMap` iteration or an
-//! order-sensitive float reduction anywhere in the call closure of a TGA
-//! `generate` path, digest/manifest writer, journal emitter, or
-//! checkpoint serializer is flagged before it can corrupt a campaign.
+//! Each guards a bug the dynamic suites cannot see. A float sum whose
+//! order varies changes its last bits, and the one comparison those bits
+//! decide rarely flips on a test world — the bug ships and waits for
+//! another world. A closure that pushes into captured state breaks the
+//! `par_map` contract even where its caller re-keys the results today, so
+//! no byte moves yet. An inverted lock pair deadlocks only when two
+//! workers interleave inside it. DESIGN.md § "Static analysis" holds the
+//! mutation table that kept these three and retired `det-unordered-iter`.
 //!
-//! Roots come from two places: the central [`DETERMINISTIC_ROOTS`]
-//! registry below (workspace policy, matched by `(path substring, fn
-//! name)`), and `// sos-lint: deterministic-root <why>` comments directly
-//! above a definition (see [`crate::parse`]).
+//! Roots are declared in one place, the [`DETERMINISTIC_ROOTS`] registry
+//! below, matched by `(path substring, fn name)`.
+//! `every_registered_root_names_a_function_of_the_workspace` fails on an
+//! entry that names no function (after a rename or a move), which would
+//! otherwise root nothing and lint clean.
 
 use std::collections::BTreeMap;
 
 use crate::callgraph::CallGraph;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{hash_bound_names, hash_iter_sites, Config, Finding};
-use crate::symbols::Workspace;
+use crate::rules::{Config, Finding};
+use crate::symbols::{FileData, Workspace};
 
 /// The deterministic-roots registry: `(path substring, fn name, what the
 /// root guards)`. Every entry is an output surface whose bytes must be
 /// identical across runs, shard counts, and worker counts.
 pub const DETERMINISTIC_ROOTS: &[(&str, &str, &str)] = &[
-    // TGA candidate emission — the W-invariance surface of PR 9.
-    ("crates/tga/src/", "generate", "TGA candidate stream (untagged entry)"),
-    ("crates/tga/src/", "generate_tagged", "TGA candidate stream + provenance log"),
-    ("crates/obs/src/par.rs", "par_map", "the W-invariant fan-out (grids, generation, sharded scans)"),
-    ("crates/tga/src/space_tree.rs", "build_regions_par", "parallel space-tree construction"),
+    // TGA candidate emission — every generator's impl, by name.
+    (
+        "crates/tga/src/",
+        "generate",
+        "TGA candidate stream (untagged entry)",
+    ),
+    (
+        "crates/tga/src/",
+        "generate_tagged",
+        "TGA candidate stream + provenance log",
+    ),
+    (
+        "crates/obs/src/par.rs",
+        "par_map",
+        "the W-invariant fan-out (grids, generation, sharded scans)",
+    ),
+    (
+        "crates/tga/src/space_tree.rs",
+        "build_regions_par",
+        "parallel space-tree construction",
+    ),
     // Digest / manifest writers — the bytes CI and A/B reruns compare.
-    ("crates/obs/src/manifest.rs", "write_to_file", "run-manifest bytes"),
-    ("crates/obs/src/manifest.rs", "record_digest", "result digest computation"),
+    (
+        "crates/obs/src/manifest.rs",
+        "write_to_file",
+        "run-manifest bytes",
+    ),
+    (
+        "crates/obs/src/manifest.rs",
+        "record_digest",
+        "result digest computation",
+    ),
     // Journal emitters — replay ≡ live folding depends on these bytes.
-    ("crates/obs/src/journal.rs", "write_batch", "journal event lines"),
-    ("crates/obs/src/journal.rs", "encode", "journal record encoding"),
+    (
+        "crates/obs/src/journal.rs",
+        "write_batch",
+        "journal event lines",
+    ),
+    (
+        "crates/obs/src/journal.rs",
+        "encode",
+        "journal record encoding",
+    ),
     // Checkpoint serializers — kill+resume bit-identity.
-    ("crates/probe/src/campaign.rs", "read_state", "campaign checkpoint state (read from the scanner)"),
-    ("crates/probe/src/engine.rs", "add_task", "campaign round delta (the rows its tasks hand back)"),
-    ("crates/probe/src/campaign.rs", "encode_line", "campaign checkpoint lines (state and round)"),
+    (
+        "crates/probe/src/campaign.rs",
+        "read_state",
+        "campaign checkpoint state (read from the scanner)",
+    ),
+    (
+        "crates/probe/src/engine.rs",
+        "add_task",
+        "campaign round delta (the rows its tasks hand back)",
+    ),
+    (
+        "crates/probe/src/campaign.rs",
+        "encode_line",
+        "campaign checkpoint lines (state and round)",
+    ),
     // Experiment exports — the CSVs the paper figures are drawn from.
-    ("crates/core/src/export.rs", "write_grid_csv", "experiment grid CSV"),
-    ("crates/core/src/export.rs", "write_ratio_csv", "figure ratio CSV"),
+    (
+        "crates/core/src/export.rs",
+        "write_grid_csv",
+        "experiment grid CSV",
+    ),
+    (
+        "crates/core/src/export.rs",
+        "write_ratio_csv",
+        "figure ratio CSV",
+    ),
 ];
 
-/// Why a function is on a deterministic path.
-#[derive(Debug, Clone)]
-pub struct TaintInfo {
-    /// Global fn id of the root this function is reachable from.
-    pub root: usize,
-}
-
-/// Result of the reachability pass: `Some(info)` for every function on a
-/// deterministic path (roots included).
+/// Result of the reachability pass: for every function on a deterministic
+/// path, the global fn id of the root it is reachable from (itself for a
+/// root).
 pub struct Taint {
-    pub tainted: Vec<Option<TaintInfo>>,
+    pub tainted: Vec<Option<usize>>,
 }
 
 impl Taint {
-    /// BFS from every root over the call graph.
-    pub fn build(ws: &Workspace, graph: &CallGraph, cfg: &Config) -> Taint {
-        let mut tainted: Vec<Option<TaintInfo>> = vec![None; ws.fns.len()];
+    /// BFS from every registered root over the call graph.
+    pub fn build(ws: &Workspace, graph: &CallGraph) -> Taint {
+        let mut tainted: Vec<Option<usize>> = vec![None; ws.fns.len()];
         let mut queue = std::collections::VecDeque::new();
         for (gid, slot) in tainted.iter_mut().enumerate() {
-            let def = ws.def(gid);
-            let fd = ws.file_of(gid);
-            let is_root = def.root
-                || cfg
-                    .roots
-                    .iter()
-                    .any(|(path, name)| fd.rel.contains(path.as_str()) && def.name == *name);
-            if is_root {
-                *slot = Some(TaintInfo { root: gid });
+            let (def, rel) = (ws.def(gid), &ws.file_of(gid).rel);
+            if DETERMINISTIC_ROOTS
+                .iter()
+                .any(|(path, name, _)| rel.contains(path) && def.name == *name)
+            {
+                *slot = Some(gid);
                 queue.push_back(gid);
             }
         }
         while let Some(gid) = queue.pop_front() {
-            let root = tainted[gid].as_ref().map(|t| t.root).unwrap_or(gid);
+            let root = tainted[gid];
             for &callee in &graph.edges[gid] {
                 if tainted[callee].is_none() {
-                    tainted[callee] = Some(TaintInfo { root });
+                    tainted[callee] = root;
                     queue.push_back(callee);
                 }
             }
@@ -92,69 +138,12 @@ impl Taint {
 
 /// Run every workspace-level rule; findings are unfiltered (the caller
 /// applies test-region and suppression filtering per file).
-pub fn workspace_rules(ws: &Workspace, graph: &CallGraph, taint: &Taint, cfg: &Config) -> Vec<Finding> {
+pub fn workspace_rules(ws: &Workspace, taint: &Taint, cfg: &Config) -> Vec<Finding> {
     let mut out = Vec::new();
-    det_unordered_iter(ws, taint, &mut out);
     det_float_reduce(ws, taint, &mut out);
     par_shared_mut(ws, cfg, &mut out);
     lock_order(ws, &mut out);
-    let _ = graph;
     out
-}
-
-fn excerpt(ws: &Workspace, gid: usize, line: u32) -> String {
-    ws.file_of(gid)
-        .lines
-        .get(line.saturating_sub(1) as usize)
-        .cloned()
-        .unwrap_or_default()
-}
-
-/// `"reachable from deterministic root `X` (file:line)"` — every taint
-/// finding carries its witness so the fix (or the suppression reason) can
-/// argue against the right invariant.
-fn via(ws: &Workspace, info: &TaintInfo) -> String {
-    let root = ws.def(info.root);
-    format!(
-        "reachable from deterministic root `{}` ({}:{})",
-        ws.qual_name(info.root),
-        ws.file_of(info.root).rel,
-        root.line
-    )
-}
-
-/// `det-unordered-iter`: hash-container iteration inside a function on a
-/// deterministic path. Stricter than the file-scoped `det-hash-iter`:
-/// only an explicit `sort*` downstream excuses the site — reductions do
-/// not, because float reductions are order-sensitive and the cheap
-/// "looks reduced" heuristic cannot tell `sum::<u64>` from `sum::<f64>`.
-fn det_unordered_iter(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
-    for gid in 0..ws.fns.len() {
-        let Some(info) = &taint.tainted[gid] else { continue };
-        let Some(body) = ws.def(gid).body else { continue };
-        let fd = ws.file_of(gid);
-        let bound = hash_bound_names(&fd.lexed.toks, &ws.hash_aliases);
-        if bound.is_empty() {
-            continue;
-        }
-        for site in hash_iter_sites(&fd.lexed.toks, &bound) {
-            if !(body.0..=body.1).contains(&site.idx) || site.sorted {
-                continue;
-            }
-            out.push(Finding {
-                rule: "det-unordered-iter",
-                file: fd.rel.clone(),
-                line: site.line,
-                col: site.col,
-                message: format!(
-                    "{} iterates a hash container in per-process order, {}; use a BTree collection or sort before consuming",
-                    site.desc,
-                    via(ws, info)
-                ),
-                excerpt: excerpt(ws, gid, site.line),
-            });
-        }
-    }
 }
 
 /// `det-float-reduce`: order-sensitive float accumulation on a
@@ -163,11 +152,23 @@ fn det_unordered_iter(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
 /// changes the digest bytes even when the set of values is identical.
 fn det_float_reduce(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
     for gid in 0..ws.fns.len() {
-        let Some(info) = &taint.tainted[gid] else { continue };
-        let Some((a, b)) = ws.def(gid).body else { continue };
+        let Some(root) = taint.tainted[gid] else {
+            continue;
+        };
+        let Some((a, b)) = ws.def(gid).body else {
+            continue;
+        };
         let fd = ws.file_of(gid);
         let toks = &fd.lexed.toks;
         let end = b.min(toks.len() - 1);
+        // "reachable from deterministic root `X` (file:line)": the witness
+        // the fix (or the suppression reason) argues against.
+        let via = format!(
+            "reachable from deterministic root `{}` ({}:{})",
+            ws.qual_name(root),
+            ws.file_of(root).rel,
+            ws.def(root).line
+        );
 
         // Float-bound accumulators declared in this body: `x: f64`,
         // `let mut x = 0.0`.
@@ -192,21 +193,9 @@ fn det_float_reduce(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
             }
         }
 
-        let mut push = |t: &Tok, what: String| {
-            out.push(Finding {
-                rule: "det-float-reduce",
-                file: fd.rel.clone(),
-                line: t.line,
-                col: t.col,
-                message: format!("{} is an order-sensitive float reduction {}; fix the iteration order, accumulate in integers, or state why the order is already total", what, via(ws, info)),
-                excerpt: excerpt(ws, gid, t.line),
-            });
-        };
-
         for i in a..=end {
             let t = &toks[i];
-            // `.sum::<f64>()` / `.product::<f32>()`
-            if (t.is_ident("sum") || t.is_ident("product"))
+            let what = if (t.is_ident("sum") || t.is_ident("product"))
                 && toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
                 && toks.get(i + 2).is_some_and(|x| x.is_punct(':'))
                 && toks.get(i + 3).is_some_and(|x| x.is_punct('<'))
@@ -214,25 +203,33 @@ fn det_float_reduce(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
                     .get(i + 4)
                     .is_some_and(|x| x.is_ident("f64") || x.is_ident("f32"))
             {
-                push(t, format!("`{}::<float>()`", t.text));
-            }
-            // `.fold(0.0, ...)`
-            if t.is_ident("fold")
+                // `.sum::<f64>()` / `.product::<f32>()`
+                format!("`{}::<float>()`", t.text)
+            } else if t.is_ident("fold")
                 && toks.get(i + 1).is_some_and(|x| x.is_punct('('))
                 && toks.get(i + 2).is_some_and(|x| x.kind == TokKind::Float)
             {
-                push(t, "`fold(float, …)`".to_string());
-            }
-            // `acc += …` on a float-bound accumulator
-            if t.kind == TokKind::Ident
+                "`fold(float, …)`".to_string()
+            } else if t.kind == TokKind::Ident
                 && floats.contains(&t.text.as_str())
                 && toks.get(i + 1).is_some_and(|x| {
                     x.is_punct('+') || x.is_punct('-') || x.is_punct('*') || x.is_punct('/')
                 })
                 && toks.get(i + 2).is_some_and(|x| x.is_punct('='))
             {
-                push(t, format!("`{} {}= …`", t.text, toks[i + 1].text));
-            }
+                // `acc += …` on a float-bound accumulator
+                format!("`{} {}= …`", t.text, toks[i + 1].text)
+            } else {
+                continue;
+            };
+            out.push(Finding {
+                rule: "det-float-reduce",
+                file: fd.rel.clone(),
+                line: t.line,
+                col: t.col,
+                message: format!("{what} is an order-sensitive float reduction {via}; fix the iteration order, accumulate in integers, or state why the order is already total"),
+                excerpt: fd.excerpt(t.line),
+            });
         }
     }
 }
@@ -242,7 +239,9 @@ fn det_float_reduce(ws: &Workspace, taint: &Taint, out: &mut Vec<Finding>) {
 /// cross-shard writes make the merge order observable.
 fn par_shared_mut(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
     for gid in 0..ws.fns.len() {
-        let Some((a, b)) = ws.def(gid).body else { continue };
+        let Some((a, b)) = ws.def(gid).body else {
+            continue;
+        };
         let fd = ws.file_of(gid);
         let toks = &fd.lexed.toks;
         let end = b.min(toks.len() - 1);
@@ -254,7 +253,7 @@ fn par_shared_mut(ws: &Workspace, cfg: &Config, out: &mut Vec<Finding>) {
                 continue;
             }
             let call_end = match_paren(toks, i + 1).min(end);
-            scan_closures(toks, i + 1, call_end, &toks[i].text.clone(), fd, out);
+            scan_closures(toks, i + 1, call_end, &toks[i].text, fd, out);
         }
     }
 }
@@ -266,25 +265,27 @@ fn scan_closures(
     open: usize,
     close: usize,
     par_fn: &str,
-    fd: &crate::symbols::FileData,
+    fd: &FileData,
     out: &mut Vec<Finding>,
 ) {
     let mut i = open + 1;
     while i < close {
         let starts_closure = toks[i].is_punct('|')
             && i >= 1
-            && (toks[i - 1].is_punct('(') || toks[i - 1].is_punct(',') || toks[i - 1].is_ident("move"));
+            && (toks[i - 1].is_punct('(')
+                || toks[i - 1].is_punct(',')
+                || toks[i - 1].is_ident("move"));
         if !starts_closure {
             i += 1;
             continue;
         }
         // Params up to the closing `|`; every ident binds locally (types
         // in ascriptions over-approximate harmlessly).
-        let mut locals: Vec<String> = Vec::new();
+        let mut locals: Vec<&str> = Vec::new();
         let mut j = i + 1;
         while j < close && !toks[j].is_punct('|') {
             if toks[j].kind == TokKind::Ident {
-                locals.push(toks[j].text.clone());
+                locals.push(&toks[j].text);
             }
             j += 1;
         }
@@ -314,7 +315,7 @@ fn scan_closures(
                     n += 1;
                 }
                 while n < body_end && toks[n].kind == TokKind::Ident {
-                    locals.push(toks[n].text.clone());
+                    locals.push(&toks[n].text);
                     // tuple patterns: `let (a, b) = …`
                     if toks.get(n + 1).is_some_and(|t| t.is_punct(',')) {
                         n += 2;
@@ -324,7 +325,7 @@ fn scan_closures(
                 }
             }
         }
-        let local = |name: &str| name == "_" || locals.iter().any(|l| l == name);
+        let local = |name: &str| name == "_" || locals.contains(&name);
         let mut flag = |t: &Tok, what: String| {
             out.push(Finding {
                 rule: "par-shared-mut",
@@ -334,11 +335,12 @@ fn scan_closures(
                 message: format!(
                     "{what} inside a `{par_fn}` closure mutates shared state across workers; return per-item results and merge after the join"
                 ),
-                excerpt: fd.lines.get(t.line.saturating_sub(1) as usize).cloned().unwrap_or_default(),
+                excerpt: fd.excerpt(t.line),
             });
         };
-        const MUTATORS: &[&str] =
-            &["push", "insert", "extend", "append", "remove", "push_str", "clear"];
+        const MUTATORS: &[&str] = &[
+            "push", "insert", "extend", "append", "remove", "push_str", "clear",
+        ];
         for m in body_start..body_end {
             let t = &toks[m];
             // `shared.lock()` / `shared.borrow_mut()`
@@ -358,7 +360,7 @@ fn scan_closures(
                 && toks.get(m + 1).is_some_and(|x| x.is_punct('('))
             {
                 if let Some(base) = receiver_base(toks, m - 1) {
-                    if !local(&base) {
+                    if !local(base) {
                         flag(t, format!("`{base}.{}(…)`", t.text));
                     }
                 }
@@ -388,7 +390,7 @@ fn scan_closures(
                         .rev()
                         .take(4)
                         .any(|x| x.is_ident("let"));
-                    if !local(&base) && !declared && lv >= body_start {
+                    if !local(base) && !declared && lv >= body_start {
                         flag(&toks[m], format!("assignment to captured `{base}`"));
                     }
                 }
@@ -399,15 +401,14 @@ fn scan_closures(
 }
 
 /// Walk a dotted/indexed lvalue chain leftward from just past its end;
-/// returns the base identifier (`self.a[i].b` → `self` → its field, so
-/// the first *named* segment after `self`).
-fn receiver_base(toks: &[Tok], chain_end: usize) -> Option<String> {
+/// returns the base identifier (`self.a[i].b` → `self`).
+fn receiver_base(toks: &[Tok], chain_end: usize) -> Option<&str> {
     let mut k = chain_end as isize - 1;
-    let mut base: Option<String> = None;
+    let mut base: Option<&str> = None;
     while k >= 0 {
         let t = &toks[k as usize];
         if t.kind == TokKind::Ident {
-            base = Some(t.text.clone());
+            base = Some(&t.text);
             if k == 0 || !toks[k as usize - 1].is_punct('.') {
                 break;
             }
@@ -431,16 +432,23 @@ fn receiver_base(toks: &[Tok], chain_end: usize) -> Option<String> {
             break;
         }
     }
-    base.map(|b| {
-        if b == "self" {
-            // prefer the first field after self when present
-            toks.get(chain_end.saturating_sub(1))
-                .map(|_| b.clone())
-                .unwrap_or(b)
-        } else {
-            b
+    base
+}
+
+/// Index of the `)` matching the `(` at `open` (or the last token).
+fn match_paren(toks: &[Tok], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in toks.iter().enumerate().skip(open) {
+        if t.is_punct('(') {
+            depth += 1;
+        } else if t.is_punct(')') {
+            depth -= 1;
+            if depth == 0 {
+                return k;
+            }
         }
-    })
+    }
+    toks.len().saturating_sub(1)
 }
 
 /// `lock-order`: inconsistent lock-acquisition order across functions.
@@ -458,7 +466,9 @@ fn lock_order(ws: &Workspace, out: &mut Vec<Finding>) {
     }
     let mut fns: Vec<Acq> = Vec::new();
     for gid in 0..ws.fns.len() {
-        let Some((a, b)) = ws.def(gid).body else { continue };
+        let Some((a, b)) = ws.def(gid).body else {
+            continue;
+        };
         let fd = ws.file_of(gid);
         let toks = &fd.lexed.toks;
         let end = b.min(toks.len() - 1);
@@ -475,7 +485,9 @@ fn lock_order(ws: &Workspace, out: &mut Vec<Finding>) {
             if !is_acquire {
                 continue;
             }
-            let Some(base) = lock_key(toks, i) else { continue };
+            let Some(base) = lock_key(toks, i) else {
+                continue;
+            };
             if !seq.contains(&base) {
                 at.insert(base.clone(), (toks[i + 1].line, toks[i + 1].col));
                 seq.push(base);
@@ -492,7 +504,10 @@ fn lock_order(ws: &Workspace, out: &mut Vec<Finding>) {
                 let (a, b) = (&x.seq[ai], &x.seq[bi]);
                 let Some(other) = fns.iter().find(|y| {
                     y.gid != x.gid
-                        && y.seq.iter().position(|k| k == b).zip(y.seq.iter().position(|k| k == a))
+                        && y.seq
+                            .iter()
+                            .position(|k| k == b)
+                            .zip(y.seq.iter().position(|k| k == a))
                             .is_some_and(|(pb, pa)| pb < pa)
                 }) else {
                     continue;
@@ -516,7 +531,7 @@ fn lock_order(ws: &Workspace, out: &mut Vec<Finding>) {
                         ws.qual_name(other.gid),
                         ws.file_of(other.gid).rel
                     ),
-                    excerpt: excerpt(ws, x.gid, line),
+                    excerpt: fd.excerpt(line),
                 });
             }
         }
@@ -549,20 +564,4 @@ fn lock_key(toks: &[Tok], dot: usize) -> Option<String> {
     } else {
         Some(names.join("."))
     }
-}
-
-/// Index of the `)` matching the `(` at `open` (or the last token).
-fn match_paren(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        if t.is_punct('(') {
-            depth += 1;
-        } else if t.is_punct(')') {
-            depth -= 1;
-            if depth == 0 {
-                return k;
-            }
-        }
-    }
-    toks.len().saturating_sub(1)
 }

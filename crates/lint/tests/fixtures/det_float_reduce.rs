@@ -1,9 +1,20 @@
 //! Fixture: `det-float-reduce` — order-sensitive float accumulation on a
-//! deterministic path. Linted as `crates/core/src/fx.rs`.
+//! deterministic path. Linted as `crates/tga/src/fx.rs`, where
+//! `generate_tagged` is a registered deterministic root.
+use std::collections::HashMap;
+use std::net::Ipv6Addr;
 
-// sos-lint: deterministic-root grid CSV bytes feed the figure digests
-pub fn export_grid(vals: &[f64]) -> f64 {
-    reduce(vals) + fold_reduce(vals) + accum(vals) + stable(vals) + int_total(vals) as f64
+pub fn generate_tagged(seeds: &[Ipv6Addr], vals: &[f64]) -> f64 {
+    outlier_mean(seeds, vals) + reduce(vals) + fold_reduce(vals) + accum(vals) + stable(vals)
+        + int_total(vals) as f64
+}
+
+fn outlier_mean(seeds: &[Ipv6Addr], dist: &[f64]) -> f64 {
+    // FIRES, and nothing else does: the mean sums in hash order. The
+    // file-scoped det-hash-iter takes `sum` for an order-insensitive
+    // reduction, and the last bits it moves decide no cut on a test world.
+    let by_seed: HashMap<Ipv6Addr, f64> = seeds.iter().copied().zip(dist.iter().copied()).collect();
+    by_seed.values().sum::<f64>() / dist.len() as f64
 }
 
 fn reduce(vals: &[f64]) -> f64 {

@@ -1,28 +1,31 @@
 //! Fixture: `lock-order` — inconsistent lock-acquisition order across
 //! functions. Linted as `crates/core/src/fx.rs`. The rule flags the
 //! function acquiring in non-canonical (alphabetically inverted) order.
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-pub struct Engine {
-    queue: Mutex<Vec<u64>>,
-    stats: Mutex<u64>,
+pub struct Registry {
+    counters: Mutex<BTreeMap<String, u64>>,
+    histograms: Mutex<BTreeMap<String, u64>>,
 }
 
-impl Engine {
-    pub fn enqueue(&self, item: u64) {
-        // canonical order (queue before stats): the conflict is reported
-        // at the other side
-        let mut q = self.queue.lock().expect("poisoned");
-        let mut s = self.stats.lock().expect("poisoned");
-        q.push(item);
-        *s += 1;
+impl Registry {
+    pub fn reset(&self) {
+        // canonical order (counters before histograms): the conflict is
+        // reported at the other side
+        let mut counters = self.counters.lock().expect("poisoned");
+        let mut histograms = self.histograms.lock().expect("poisoned");
+        counters.clear();
+        histograms.clear();
     }
 
-    pub fn report(&self) -> u64 {
-        // FIRES: stats-then-queue inverts enqueue's order
-        let s = self.stats.lock().expect("poisoned");
-        let q = self.queue.lock().expect("poisoned");
-        *s + q.len() as u64
+    pub fn histogram_snapshot(&self) -> Vec<String> {
+        // FIRES: histograms-then-counters inverts reset's order. Every
+        // test passes — none runs the two at once, the only way the pair
+        // deadlocks.
+        let hists = self.histograms.lock().expect("poisoned");
+        let known = self.counters.lock().expect("poisoned").len();
+        hists.keys().take(known).cloned().collect()
     }
 }
 

@@ -2,12 +2,15 @@
 //! captured shared state. Linted as `crates/core/src/fx.rs`.
 use std::sync::Mutex;
 
-pub fn lock_in_closure(units: &[u64], shared: &Mutex<Vec<u64>>) -> Vec<u64> {
-    // FIRES: lock acquisition inside the fan-out closure
-    par_map(units, |u| {
-        shared.lock().expect("poisoned").push(*u);
-        *u
-    })
+pub fn lock_in_closure(cells: &[u64]) -> Vec<(u64, u64)> {
+    // FIRES: the grid closure pushes (key, result) into a captured
+    // Mutex<Vec> in completion order. Every test passes on it — the caller
+    // re-keys the pairs into a map — and it type-checks (`Mutex: Sync`).
+    let results = Mutex::new(Vec::new());
+    par_map(cells, |c| {
+        results.lock().expect("poisoned").push((*c, *c * 2));
+    });
+    results.into_inner().expect("poisoned")
 }
 
 pub fn captured_push(units: &[u64], sink: &mut Vec<u64>) -> Vec<u64> {

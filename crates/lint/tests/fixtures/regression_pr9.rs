@@ -3,8 +3,8 @@
 //! iteration would produce a stream whose order depends on the process
 //! hash seed — breaking the W-invariance property (bit-identical streams
 //! at any worker count) that `par_map` exists to provide. Linted as
-//! `crates/tga/src/fx.rs`, where `generate` matches the deterministic-root
-//! registry with no annotation needed; this file must ALWAYS fail lint.
+//! `crates/tga/src/fx.rs`; this file must ALWAYS fail lint (det-hash-iter),
+//! as it fails `stream_pins` and `worker_invariance` once it runs.
 use std::collections::HashMap;
 
 pub struct RegionBatcher {

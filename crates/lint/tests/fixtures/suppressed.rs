@@ -1,4 +1,5 @@
-// Fixture: suppressions with and without a written reason.
+// Fixture: suppressions with and without a written reason, naming no
+// rule, and suppressing nothing.
 use std::sync::atomic::{AtomicU64, Ordering};
 
 pub fn with_reason(c: &AtomicU64) {
@@ -9,4 +10,14 @@ pub fn with_reason(c: &AtomicU64) {
 pub fn without_reason(c: &AtomicU64) {
     // sos-lint: allow(conc-relaxed)
     c.fetch_add(1, Ordering::Relaxed);
+}
+
+pub fn retired_rule(c: &AtomicU64) {
+    // sos-lint: allow(det-unordered-iter) a rule this tool no longer has
+    c.fetch_add(1, Ordering::SeqCst);
+}
+
+pub fn nothing_to_suppress(c: &AtomicU64) {
+    // sos-lint: allow(conc-relaxed) the ordering below used to be Relaxed
+    c.fetch_add(1, Ordering::SeqCst);
 }

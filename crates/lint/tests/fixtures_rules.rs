@@ -11,17 +11,19 @@ const CONC: &str = include_str!("fixtures/conc.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
 const TEST_REGION: &str = include_str!("fixtures/test_region.rs");
 const METRIC_NAMES: &str = include_str!("fixtures/obs_metric_names.rs");
-const UNORDERED_ITER: &str = include_str!("fixtures/det_unordered_iter.rs");
 const FLOAT_REDUCE: &str = include_str!("fixtures/det_float_reduce.rs");
 const PAR_SHARED_MUT: &str = include_str!("fixtures/par_shared_mut.rs");
 const LOCK_ORDER: &str = include_str!("fixtures/lock_order.rs");
 const REGRESSION_PR9: &str = include_str!("fixtures/regression_pr9.rs");
 
-/// Why each rule is here and not in `[workspace.lints]`: the fixture that
-/// fires it (linted as `path`), and what neither rustc nor clippy reports
-/// about that fixture. A rule the compiler or clippy can enforce is handed
-/// over, not kept — `every_rule_is_exercised_by_these_fixtures` fails for
-/// a rule in `RULES` with no row.
+/// Why each rule is here and not in `[workspace.lints]` or a test: the
+/// fixture that fires it (linted as `path`), and what neither rustc nor
+/// clippy reports about that fixture. A rule the compiler or clippy can
+/// enforce is handed over, not kept; a dataflow rule stays only for a
+/// planted bug that no test, CI step or other rule catches (the mutation
+/// table in DESIGN.md § "Static analysis" names it).
+/// `every_rule_is_exercised_by_these_fixtures` fails for a rule in `RULES`
+/// with no row.
 const ONLY_HERE: &[(&str, &str, &str, &str)] = &[
     (
         "det-unordered-collection",
@@ -36,28 +38,22 @@ const ONLY_HERE: &[(&str, &str, &str, &str)] = &[
         "`m.values().copied().collect()` leaks order; clippy's `iter_over_hash_type` sees only `for` loops and cannot accept the sort two lines down",
     ),
     (
-        "det-unordered-iter",
-        "crates/core/src/fx.rs",
-        UNORDERED_ITER,
-        "a `.keys().collect()` chain one call below a deterministic root; no lint follows a call graph from a declared root",
-    ),
-    (
         "det-float-reduce",
-        "crates/core/src/fx.rs",
+        "crates/tga/src/fx.rs",
         FLOAT_REDUCE,
-        "`sum::<f64>()` under a root; `float_arithmetic` flags `a + b` wherever it stands, not `sum`/`fold`, and knows no path or order",
+        "mutant M07, a mean summed in hash order under a root: every test passes; `float_arithmetic` flags `a + b` wherever it stands, not `sum`/`fold`, and knows no path or order",
     ),
     (
         "par-shared-mut",
         "crates/core/src/fx.rs",
         PAR_SHARED_MUT,
-        "a `par_map` closure locking a captured Mutex type-checks (`Mutex: Sync`) and breaks only the merge contract",
+        "mutant M19, a grid closure pushing its cells into a captured `Mutex<Vec>`: every test passes (the caller re-keys them into a map); it type-checks (`Mutex: Sync`) and breaks only the `par_map` merge contract",
     ),
     (
         "lock-order",
         "crates/core/src/fx.rs",
         LOCK_ORDER,
-        "two fns taking the same lock pair in opposite orders; every lock lint is local to one fn body",
+        "mutant M12, two fns taking the same lock pair in opposite orders: every test passes; every lock lint is local to one fn body",
     ),
     (
         "conc-relaxed",
@@ -75,13 +71,13 @@ const ONLY_HERE: &[(&str, &str, &str, &str)] = &[
         "obs-metric-names",
         "crates/probe/src/fx.rs",
         METRIC_NAMES,
-        "a string literal where a `names::` const belongs; to every other tool it is a `&str` argument like any other",
+        "mutants O1–O3, a drifted inline name in tga, dealias and probe: every test passes; to every other tool a string literal where a `names::` const belongs is a `&str` argument like any other",
     ),
     (
         "suppression-reason",
         "crates/tga/src/fx.rs",
         SUPPRESSED,
-        "a reasonless `// sos-lint: allow(..)` comment; `allow_attributes_without_reason` reads attributes, not this tool's comments",
+        "a reasonless, unknown-rule or unfulfilled `// sos-lint: allow(..)` comment; `allow_attributes_without_reason` and unfulfilled `#[expect]`s are about attributes, not this tool's comments",
     ),
 ];
 
@@ -103,7 +99,10 @@ fn lint_ws(path: &str, src: &str) -> Vec<Finding> {
 #[test]
 fn unordered_collections_banned_only_on_result_paths() {
     let on_path = lint("crates/core/src/report.rs", UNORDERED);
-    assert!(rules_of(&on_path).contains(&"det-unordered-collection"), "{on_path:?}");
+    assert!(
+        rules_of(&on_path).contains(&"det-unordered-collection"),
+        "{on_path:?}"
+    );
     let off_path = lint("crates/core/src/grid.rs", UNORDERED);
     assert!(!rules_of(&off_path).contains(&"det-unordered-collection"));
 }
@@ -111,8 +110,7 @@ fn unordered_collections_banned_only_on_result_paths() {
 #[test]
 fn hash_iteration_flagged_unless_order_restored() {
     let hits = lint("crates/core/src/grid.rs", HASH_ITER);
-    let iter_hits: Vec<&Finding> =
-        hits.iter().filter(|f| f.rule == "det-hash-iter").collect();
+    let iter_hits: Vec<&Finding> = hits.iter().filter(|f| f.rule == "det-hash-iter").collect();
     assert_eq!(iter_hits.len(), 1, "{hits:?}");
     assert!(iter_hits[0].excerpt.contains("m.values()"), "{iter_hits:?}");
 }
@@ -120,34 +118,21 @@ fn hash_iteration_flagged_unless_order_restored() {
 // --- workspace dataflow rules --------------------------------------------
 
 #[test]
-fn unordered_iter_fires_on_deterministic_paths_and_dedupes_hash_iter() {
-    let hits = lint_ws("crates/core/src/fx.rs", UNORDERED_ITER);
-    let taint: Vec<&Finding> =
-        hits.iter().filter(|f| f.rule == "det-unordered-iter").collect();
-    // collect_candidates fires; sorted_ok (sort escape) and budget
-    // (suppressed) stay quiet; render_report is not on a root path.
-    assert_eq!(taint.len(), 1, "{hits:?}");
-    assert!(taint[0].message.contains("deterministic root `generate`"), "{:?}", taint[0]);
-    // the file-scoped counterpart on the deduped line is superseded…
-    assert!(
-        !hits.iter().any(|f| f.rule == "det-hash-iter" && f.line == taint[0].line),
-        "{hits:?}"
-    );
-    // …but still owns the non-tainted render path
-    let file_scoped: Vec<&Finding> =
-        hits.iter().filter(|f| f.rule == "det-hash-iter").collect();
-    assert_eq!(file_scoped.len(), 1, "{hits:?}");
-    assert!(file_scoped[0].excerpt.contains("for k in seeds.keys()"), "{file_scoped:?}");
-}
-
-#[test]
 fn float_reduce_fires_on_deterministic_paths_only() {
-    let hits = lint_ws("crates/core/src/fx.rs", FLOAT_REDUCE);
-    let taint: Vec<&Finding> = hits.iter().filter(|f| f.rule == "det-float-reduce").collect();
-    // reduce (sum turbofish) + fold_reduce (float fold) + accum (+=);
-    // stable is suppressed, int_total is integer, chart_mean unreachable.
-    assert_eq!(taint.len(), 3, "{hits:?}");
-    assert!(taint.iter().all(|f| f.message.contains("deterministic root `export_grid`")));
+    let hits = lint_ws("crates/tga/src/fx.rs", FLOAT_REDUCE);
+    let taint: Vec<&Finding> = hits
+        .iter()
+        .filter(|f| f.rule == "det-float-reduce")
+        .collect();
+    // outlier_mean (hash-order sum) + reduce (sum turbofish) + fold_reduce
+    // (float fold) + accum (+=); stable is suppressed, int_total is
+    // integer, chart_mean unreachable.
+    assert_eq!(taint.len(), 4, "{hits:?}");
+    assert!(taint
+        .iter()
+        .all(|f| f.message.contains("deterministic root `generate_tagged`")));
+    // the hash-order mean is this rule's alone: det-hash-iter excuses it
+    assert_eq!(rules_of(&hits), ["det-float-reduce"; 4], "{hits:?}");
 }
 
 #[test]
@@ -157,34 +142,42 @@ fn par_shared_mut_flags_captured_state_not_locals() {
     // lock_in_closure + captured_push + captured_assign; per_item_ok is
     // all locals and justified carries a reasoned allow.
     assert_eq!(fired.len(), 3, "{hits:?}");
-    assert!(fired.iter().any(|f| f.message.contains(".lock()")), "{fired:?}");
-    assert!(fired.iter().any(|f| f.message.contains("sink.push")), "{fired:?}");
-    assert!(fired.iter().any(|f| f.message.contains("captured `total`")), "{fired:?}");
+    assert!(
+        fired.iter().any(|f| f.message.contains(".lock()")),
+        "{fired:?}"
+    );
+    assert!(
+        fired.iter().any(|f| f.message.contains("sink.push")),
+        "{fired:?}"
+    );
+    assert!(
+        fired.iter().any(|f| f.message.contains("captured `total`")),
+        "{fired:?}"
+    );
 }
 
 #[test]
 fn lock_order_flags_the_inverted_side_only() {
     let hits = lint_ws("crates/core/src/fx.rs", LOCK_ORDER);
     let fired: Vec<&Finding> = hits.iter().filter(|f| f.rule == "lock-order").collect();
-    // Engine::report inverts Engine::enqueue (flagged); Shard::backward
-    // inverts Shard::forward but is suppressed with a reason.
+    // Registry::histogram_snapshot inverts Registry::reset (flagged);
+    // Shard::backward inverts Shard::forward but is suppressed with a
+    // reason.
     assert_eq!(fired.len(), 1, "{hits:?}");
-    assert!(fired[0].message.contains("Engine::report"), "{fired:?}");
-    assert!(fired[0].message.contains("Engine::enqueue"), "{fired:?}");
+    assert!(
+        fired[0].message.contains("Registry::histogram_snapshot"),
+        "{fired:?}"
+    );
+    assert!(fired[0].message.contains("Registry::reset"), "{fired:?}");
 }
 
 #[test]
 fn pr9_style_unordered_generate_always_fails_lint() {
     // The acceptance gate: reintroducing PR 9-style unordered iteration in
-    // a `generate` path (root via the registry, no annotation) must fail.
+    // a `generate` path must fail, by the file-scoped rule.
     let hits = lint_ws("crates/tga/src/fx.rs", REGRESSION_PR9);
-    let taint: Vec<&Finding> = hits.iter().filter(|f| f.rule == "det-unordered-iter").collect();
-    assert_eq!(taint.len(), 1, "{hits:?}");
-    assert!(taint[0].excerpt.contains("self.regions.iter()"), "{taint:?}");
-    // root attribution names the registry root, not an annotation
-    assert!(taint[0].message.contains("RegionBatcher::generate"), "{:?}", taint[0]);
-    // and the file-scoped duplicate is deduped away
-    assert!(!rules_of(&hits).contains(&"det-hash-iter"), "{hits:?}");
+    assert_eq!(rules_of(&hits), ["det-hash-iter"], "{hits:?}");
+    assert!(hits[0].excerpt.contains("self.regions.iter()"), "{hits:?}");
 }
 
 // --- concurrency ---------------------------------------------------------
@@ -194,8 +187,10 @@ fn concurrency_rules_fire() {
     let hits = lint("crates/core/src/fx.rs", CONC);
     let rules = rules_of(&hits);
     assert!(rules.contains(&"conc-relaxed"), "{hits:?}");
-    let lock_hits: Vec<&Finding> =
-        hits.iter().filter(|f| f.rule == "conc-lock-in-hot-loop").collect();
+    let lock_hits: Vec<&Finding> = hits
+        .iter()
+        .filter(|f| f.rule == "conc-lock-in-hot-loop")
+        .collect();
     // only the lock inside probe_burst's per-target loop; fine() hoists it
     assert_eq!(lock_hits.len(), 1, "{hits:?}");
 }
@@ -205,8 +200,10 @@ fn concurrency_rules_fire() {
 #[test]
 fn metric_name_literals_flagged_outside_the_obs_layer() {
     let hits = lint("crates/probe/src/fx.rs", METRIC_NAMES);
-    let fired: Vec<&Finding> =
-        hits.iter().filter(|f| f.rule == "obs-metric-names").collect();
+    let fired: Vec<&Finding> = hits
+        .iter()
+        .filter(|f| f.rule == "obs-metric-names")
+        .collect();
     // counter, histogram — one each in violations(); the const-table and
     // format! forms in permitted() and the #[cfg(test)] literal stay quiet.
     assert_eq!(fired.len(), 2, "{hits:?}");
@@ -214,8 +211,9 @@ fn metric_name_literals_flagged_outside_the_obs_layer() {
     // The observability layer itself is the one place literals may live.
     assert!(!rules_of(&lint("crates/obs/src/fx.rs", METRIC_NAMES)).contains(&"obs-metric-names"));
     // Tests may use ad-hoc names.
-    assert!(!rules_of(&lint("crates/probe/tests/fx.rs", METRIC_NAMES))
-        .contains(&"obs-metric-names"));
+    assert!(
+        !rules_of(&lint("crates/probe/tests/fx.rs", METRIC_NAMES)).contains(&"obs-metric-names")
+    );
 }
 
 // --- suppressions and test regions ---------------------------------------
@@ -226,8 +224,16 @@ fn suppression_with_reason_silences_without_reason_reports() {
     let rules = rules_of(&hits);
     // both Relaxed sites are suppressed...
     assert!(!rules.contains(&"conc-relaxed"), "{hits:?}");
-    // ...but the reasonless allow is itself a finding
-    assert_eq!(rules, vec!["suppression-reason"], "{hits:?}");
+    // ...but the reasonless allow is itself a finding, and so are the
+    // allow naming a retired rule and the one with nothing to suppress
+    assert_eq!(rules, ["suppression-reason"; 3], "{hits:?}");
+    let said = |line: u32, what: &str| {
+        hits.iter()
+            .any(|f| f.line == line && f.message.contains(what))
+    };
+    assert!(said(11, "has no reason"), "{hits:?}");
+    assert!(said(16, "names no rule"), "{hits:?}");
+    assert!(said(21, "suppresses nothing"), "{hits:?}");
 }
 
 #[test]
@@ -241,13 +247,28 @@ fn test_regions_exempt_from_every_rule() {
 fn every_rule_is_exercised_by_these_fixtures() {
     for rule in RULES {
         let Some((_, path, src, unseen)) = ONLY_HERE.iter().find(|(id, ..)| *id == rule.id) else {
-            panic!("`{}` has no ONLY_HERE row: name its fixture and what rustc and clippy miss", rule.id)
+            panic!(
+                "`{}` has no ONLY_HERE row: name its fixture and what rustc and clippy miss",
+                rule.id
+            )
         };
-        assert!(!unseen.trim().is_empty(), "`{}`: say what neither rustc nor clippy reports", rule.id);
+        assert!(
+            !unseen.trim().is_empty(),
+            "`{}`: say what neither rustc nor clippy reports",
+            rule.id
+        );
         let fired = rules_of(&lint_ws(path, src));
-        assert!(fired.contains(&rule.id), "`{}` does not fire on its fixture: {fired:?}", rule.id);
+        assert!(
+            fired.contains(&rule.id),
+            "`{}` does not fire on its fixture: {fired:?}",
+            rule.id
+        );
     }
-    assert_eq!(ONLY_HERE.len(), RULES.len(), "a row for a rule that no longer exists");
+    assert_eq!(
+        ONLY_HERE.len(),
+        RULES.len(),
+        "a row for a rule that no longer exists"
+    );
 }
 
 // --- the hand-off ---------------------------------------------------------
@@ -260,17 +281,50 @@ fn every_rule_is_exercised_by_these_fixtures() {
 /// `allow` leaves clippy green. This table is the check for what no
 /// expectation witnesses.
 const HANDED_OVER: &[(&str, &str, &[&str])] = &[
-    ("det-wallclock", "clippy.toml", &["\"std::time::Instant::now\""]),
-    ("det-wall-clock", "clippy.toml", &["\"std::time::SystemTime::now\""]),
-    ("det-fault-entropy", "clippy.toml", &["\"rand::thread_rng\"", "\"rand::random\"", "\"rand::rngs::OsRng\""]),
-    ("det-random-state", "clippy.toml", &["\"std::collections::hash_map::RandomState\""]),
-    ("panic-unwrap", "Cargo.toml", &["unwrap_used = \"warn\"", "expect_used = \"warn\""]),
+    (
+        "det-wallclock",
+        "clippy.toml",
+        &["\"std::time::Instant::now\""],
+    ),
+    (
+        "det-wall-clock",
+        "clippy.toml",
+        &["\"std::time::SystemTime::now\""],
+    ),
+    (
+        "det-fault-entropy",
+        "clippy.toml",
+        &[
+            "\"rand::thread_rng\"",
+            "\"rand::random\"",
+            "\"rand::rngs::OsRng\"",
+        ],
+    ),
+    (
+        "det-random-state",
+        "clippy.toml",
+        &["\"std::collections::hash_map::RandomState\""],
+    ),
+    (
+        "panic-unwrap",
+        "Cargo.toml",
+        &["unwrap_used = \"warn\"", "expect_used = \"warn\""],
+    ),
     (
         "panic-macro",
         "Cargo.toml",
-        &["panic = \"warn\"", "unreachable = \"warn\"", "todo = \"warn\"", "unimplemented = \"warn\""],
+        &[
+            "panic = \"warn\"",
+            "unreachable = \"warn\"",
+            "todo = \"warn\"",
+            "unimplemented = \"warn\"",
+        ],
     ),
-    ("conc-static-mut", "Cargo.toml", &["unsafe_code = \"forbid\""]),
+    (
+        "conc-static-mut",
+        "Cargo.toml",
+        &["unsafe_code = \"forbid\""],
+    ),
     // clippy's `indexing_slicing` fires 198 times on the scan-path crates
     // and is not adopted; the single-byte damage sweeps execute the
     // read-back decoders instead
@@ -280,22 +334,38 @@ const HANDED_OVER: &[(&str, &str, &[&str])] = &[
 #[test]
 fn handed_over_rules_keep_their_successor_configured() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"));
+    let read = |rel: &str| {
+        std::fs::read_to_string(root.join(rel)).unwrap_or_else(|e| panic!("{rel}: {e}"))
+    };
     for (rule, file, needles) in HANDED_OVER {
-        assert!(sos_lint::rule_info(rule).is_none(), "`{rule}` is back in RULES");
+        assert!(
+            sos_lint::rule_info(rule).is_none(),
+            "`{rule}` is back in RULES"
+        );
         let config = read(file);
         for needle in *needles {
-            assert!(config.contains(needle), "{file} lost `{needle}`, the successor of `{rule}`");
+            assert!(
+                config.contains(needle),
+                "{file} lost `{needle}`, the successor of `{rule}`"
+            );
         }
     }
     // the panic lints reach the six scan-path crates by inheritance; every
     // other crate still forbids `unsafe`
-    for krate in ["core", "dealias", "lint", "netmodel", "obs", "probe", "seeds", "tga", "v6addr"] {
+    for krate in [
+        "core", "dealias", "lint", "netmodel", "obs", "probe", "seeds", "tga", "v6addr",
+    ] {
         let manifest = read(&format!("crates/{krate}/Cargo.toml"));
         let inherits = manifest.contains("[lints]\nworkspace = true");
         let scan_path = ["probe", "tga", "dealias", "netmodel", "v6addr", "seeds"].contains(&krate);
-        assert_eq!(inherits, scan_path, "crates/{krate}: `[lints] workspace = true`");
-        assert!(inherits || manifest.contains("unsafe_code = \"forbid\""), "crates/{krate} allows unsafe");
+        assert_eq!(
+            inherits, scan_path,
+            "crates/{krate}: `[lints] workspace = true`"
+        );
+        assert!(
+            inherits || manifest.contains("unsafe_code = \"forbid\""),
+            "crates/{krate} allows unsafe"
+        );
     }
 }
 

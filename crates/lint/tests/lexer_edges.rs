@@ -9,7 +9,11 @@ use sos_lint::lexer::{lex, TokKind};
 use sos_lint::parse::parse;
 
 fn kinds(src: &str) -> Vec<(TokKind, String)> {
-    lex(src).toks.into_iter().map(|t| (t.kind, t.text)).collect()
+    lex(src)
+        .toks
+        .into_iter()
+        .map(|t| (t.kind, t.text))
+        .collect()
 }
 
 fn texts(src: &str) -> Vec<String> {
@@ -25,7 +29,10 @@ fn raw_strings_with_hash_fences_swallow_interior_quotes() {
     let strs = lexed.toks.iter().filter(|t| t.kind == TokKind::Str).count();
     assert_eq!(strs, 1);
     for word in ["say", "hi", "and", "on"] {
-        assert!(!lexed.toks.iter().any(|t| t.is_ident(word)), "`{word}` leaked");
+        assert!(
+            !lexed.toks.iter().any(|t| t.is_ident(word)),
+            "`{word}` leaked"
+        );
     }
     // the code after the raw string still lexes
     assert!(lexed.toks.iter().any(|t| t.is_ident("y")));
@@ -39,7 +46,10 @@ fn double_hash_fences_ignore_single_hash_closers() {
     let strs = lexed.toks.iter().filter(|t| t.kind == TokKind::Str).count();
     assert_eq!(strs, 1);
     for word in ["tail", "not", "the", "end"] {
-        assert!(!lexed.toks.iter().any(|t| t.is_ident(word)), "`{word}` leaked");
+        assert!(
+            !lexed.toks.iter().any(|t| t.is_ident(word)),
+            "`{word}` leaked"
+        );
     }
     assert!(lexed.toks.iter().any(|t| t.is_ident("z")));
 }
@@ -55,7 +65,10 @@ fn byte_raw_strings_and_hashless_raw_strings_lex_as_one_token() {
         .collect();
     assert_eq!(strs.len(), 2, "{strs:?}");
     // the braces inside never became Punct tokens
-    assert!(lexed.toks.iter().all(|t| !t.is_punct('{') && !t.is_punct('}')));
+    assert!(lexed
+        .toks
+        .iter()
+        .all(|t| !t.is_punct('{') && !t.is_punct('}')));
 }
 
 #[test]
@@ -63,8 +76,15 @@ fn nested_block_comments_track_depth_and_lines() {
     let src = "before();\n/* outer /* inner */ still outer\n*/\nafter();";
     let lexed = lex(src);
     assert!(lexed.toks.iter().any(|t| t.is_ident("before")));
-    let after = lexed.toks.iter().find(|t| t.is_ident("after")).expect("after survives");
-    assert_eq!(after.line, 4, "line counting continues through the nested comment");
+    let after = lexed
+        .toks
+        .iter()
+        .find(|t| t.is_ident("after"))
+        .expect("after survives");
+    assert_eq!(
+        after.line, 4,
+        "line counting continues through the nested comment"
+    );
     // `still` and `outer` stayed inside the comment
     assert!(!lexed.toks.iter().any(|t| t.is_ident("still")));
     assert_eq!(lexed.comments.len(), 1);
@@ -115,7 +135,10 @@ fn escaped_and_unicode_char_literals_stay_single_tokens() {
     assert_eq!(chars, 3, "{toks:?}");
     // nothing from inside the literals leaked: no lone `u`, no `{`, and
     // the escaped quote did not end the literal early
-    assert!(toks.iter().all(|(_, t)| t != "u" && t != "{" && t != "2A"), "{toks:?}");
+    assert!(
+        toks.iter().all(|(_, t)| t != "u" && t != "{" && t != "2A"),
+        "{toks:?}"
+    );
 }
 
 #[test]
@@ -159,7 +182,11 @@ fn float_exponents_lex_as_single_float_tokens() {
         .filter(|(k, _)| *k == TokKind::Float)
         .map(|(_, t)| t.as_str())
         .collect();
-    assert_eq!(floats, ["1e9", "2.5e-3", "7E+2"], "hex 0x1e9 is not a float");
+    assert_eq!(
+        floats,
+        ["1e9", "2.5e-3", "7E+2"],
+        "hex 0x1e9 is not a float"
+    );
     assert!(
         toks.iter().any(|(k, t)| *k == TokKind::Int && t == "0x1e9"),
         "{toks:?}"
@@ -174,15 +201,25 @@ fn exponent_detection_never_eats_operators_or_idents() {
     assert!(toks.contains(&"2e".to_string()), "{toks:?}");
     assert!(toks.contains(&"+".to_string()), "{toks:?}");
     assert!(toks.contains(&"x".to_string()), "{toks:?}");
-    assert!(toks.contains(&"0".to_string()) && toks.contains(&"10".to_string()), "{toks:?}");
-    assert!(toks.contains(&"3".to_string()) && toks.contains(&"max".to_string()), "{toks:?}");
+    assert!(
+        toks.contains(&"0".to_string()) && toks.contains(&"10".to_string()),
+        "{toks:?}"
+    );
+    assert!(
+        toks.contains(&"3".to_string()) && toks.contains(&"max".to_string()),
+        "{toks:?}"
+    );
 }
 
 #[test]
 fn multiline_literals_keep_line_and_column_bookkeeping_honest() {
     let src = "let s = \"line one\nline two\"; let marker = 9;";
     let lexed = lex(src);
-    let marker = lexed.toks.iter().find(|t| t.is_ident("marker")).expect("marker");
+    let marker = lexed
+        .toks
+        .iter()
+        .find(|t| t.is_ident("marker"))
+        .expect("marker");
     assert_eq!(marker.line, 2);
     // col is measured from the start of line 2: `line two"; let marker`
     assert_eq!(marker.col, 16, "{marker:?}");
@@ -192,9 +229,15 @@ fn multiline_literals_keep_line_and_column_bookkeeping_honest() {
 fn strings_containing_comment_openers_and_braces_are_opaque() {
     let src = r#"render("/* not a comment */ } { // nor this"); next();"#;
     let lexed = lex(src);
-    assert!(lexed.comments.is_empty(), "comment markers inside strings are text");
+    assert!(
+        lexed.comments.is_empty(),
+        "comment markers inside strings are text"
+    );
     assert!(lexed.toks.iter().any(|t| t.is_ident("next")));
-    assert!(lexed.toks.iter().all(|t| !t.is_punct('{') && !t.is_punct('}')));
+    assert!(lexed
+        .toks
+        .iter()
+        .all(|t| !t.is_punct('{') && !t.is_punct('}')));
 }
 
 /// ROADMAP 6 for the one reader of *source* text: whatever single byte of
@@ -218,7 +261,10 @@ mod tests { #[test] fn t() { super::generate(&Default::default()); } }
         let files = [("crates/tga/src/fx.rs".to_string(), text.to_string())];
         sos_lint::lint_files(&files, &sos_lint::Config::default())
     };
-    assert!(!lint(sample).is_empty(), "the intact sample lints to a finding");
+    assert!(
+        !lint(sample).is_empty(),
+        "the intact sample lints to a finding"
+    );
     sos_obs::json::single_byte_damage(sample.as_bytes(), |damaged| {
         let text = String::from_utf8_lossy(damaged);
         let _ = lex(&text);

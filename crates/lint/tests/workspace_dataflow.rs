@@ -1,7 +1,7 @@
 //! Workspace-level dataflow tests on synthetic multi-crate workspaces:
 //! call-graph resolution (cross-crate edges, qualified calls, trait-method
 //! fallback, ambiguity cutoffs) and taint reachability (roots from the
-//! registry and from annotations; non-root paths stay unflagged).
+//! registry; non-root paths stay unflagged).
 
 use sos_lint::callgraph::CallGraph;
 use sos_lint::rules::Config;
@@ -10,17 +10,22 @@ use sos_lint::taint::{Taint, DETERMINISTIC_ROOTS};
 use sos_lint::{lint_files, read_sources, Finding};
 
 fn ws(files: &[(&str, &str)]) -> (Workspace, CallGraph, Taint, Config) {
-    let owned: Vec<(String, String)> =
-        files.iter().map(|(a, b)| (a.to_string(), b.to_string())).collect();
+    let owned: Vec<(String, String)> = files
+        .iter()
+        .map(|(a, b)| (a.to_string(), b.to_string()))
+        .collect();
     let cfg = Config::default();
-    let w = Workspace::build(&owned, &cfg);
+    let w = Workspace::build(&owned);
     let g = CallGraph::build(&w, &cfg);
-    let t = Taint::build(&w, &g, &cfg);
+    let t = Taint::build(&w, &g);
     (w, g, t, cfg)
 }
 
 fn gid(w: &Workspace, name: &str) -> usize {
-    let ids = w.by_name.get(name).unwrap_or_else(|| panic!("no fn `{name}`"));
+    let ids = w
+        .by_name
+        .get(name)
+        .unwrap_or_else(|| panic!("no fn `{name}`"));
     assert_eq!(ids.len(), 1, "`{name}` is ambiguous in this fixture");
     ids[0]
 }
@@ -41,18 +46,28 @@ fn cross_crate_edges_resolve_by_name() {
             "pub fn expand_prefix(seed: u64) -> u64 { seed * 3 }",
         ),
     ]);
-    assert!(calls(&w, &g, "emit", "expand_prefix"), "cross-crate free call draws an edge");
+    assert!(
+        calls(&w, &g, "emit", "expand_prefix"),
+        "cross-crate free call draws an edge"
+    );
 }
 
 #[test]
 fn same_file_and_same_crate_candidates_win_over_foreign_ones() {
     let (w, g, _, _) = ws(&[
-        ("crates/a/src/lib.rs", "pub fn caller() -> u64 { helper() }\nfn helper() -> u64 { 1 }"),
+        (
+            "crates/a/src/lib.rs",
+            "pub fn caller() -> u64 { helper() }\nfn helper() -> u64 { 1 }",
+        ),
         ("crates/b/src/lib.rs", "pub fn helper() -> u64 { 2 }"),
     ]);
     let callees = &g.edges[gid(&w, "caller")];
     assert_eq!(callees.len(), 1, "one candidate only");
-    assert_eq!(w.file_of(callees[0]).rel, "crates/a/src/lib.rs", "same-file helper preferred");
+    assert_eq!(
+        w.file_of(callees[0]).rel,
+        "crates/a/src/lib.rs",
+        "same-file helper preferred"
+    );
 }
 
 #[test]
@@ -107,7 +122,10 @@ fn method_calls_fall_back_to_all_impls_unless_ubiquitous_or_ambiguous() {
     // `free_sample` is not an impl method, so method fallback skips it
     assert!(!impls.contains(&"free_sample".to_string()), "{impls:?}");
     // ubiquitous std methods never draw edges
-    assert!(g.edges[gid(&w, "noisy")].is_empty(), "push is a stop method");
+    assert!(
+        g.edges[gid(&w, "noisy")].is_empty(),
+        "push is a stop method"
+    );
 }
 
 #[test]
@@ -122,35 +140,39 @@ fn method_fallback_respects_the_ambiguity_cutoff() {
     }
     src.push_str("pub fn drive(x: &T0) -> u64 { x.tick() }\n");
     let (w, g, _, _) = ws(&[("crates/a/src/lib.rs", &src)]);
-    assert!(g.edges[gid(&w, "drive")].is_empty(), "over-implemented method draws no edges");
+    assert!(
+        g.edges[gid(&w, "drive")].is_empty(),
+        "over-implemented method draws no edges"
+    );
 }
 
 #[test]
-fn taint_reaches_through_the_graph_from_registry_and_annotation_roots() {
+fn taint_reaches_through_the_graph_from_registry_roots() {
     let (w, _, t, _) = ws(&[
         // registry root: crates/tga/src/ + `generate`
         (
             "crates/tga/src/det.rs",
             "pub fn generate(seed: u64) -> u64 { stage_one(seed) }
              fn stage_one(seed: u64) -> u64 { stage_two(seed) }
-             fn stage_two(seed: u64) -> u64 { seed ^ 1 }",
+             fn stage_two(seed: u64) -> u64 { digest_ids(&[seed]) }",
         ),
-        // annotation root in a crate the registry does not mention
+        // a crate the registry does not mention, reached across crates
         (
             "crates/seeds/src/lib.rs",
-            "// sos-lint: deterministic-root overlap digest feeds figures
-             pub fn overlap_digest(xs: &[u64]) -> u64 { fold_ids(xs) }
-             fn fold_ids(xs: &[u64]) -> u64 { xs.len() as u64 }
+            "pub fn digest_ids(xs: &[u64]) -> u64 { xs.len() as u64 }
              pub fn untouched() -> u64 { 0 }",
         ),
     ]);
-    for name in ["generate", "stage_one", "stage_two", "overlap_digest", "fold_ids"] {
-        assert!(t.tainted[gid(&w, name)].is_some(), "`{name}` should be tainted");
+    for name in ["generate", "stage_one", "stage_two", "digest_ids"] {
+        assert!(
+            t.tainted[gid(&w, name)].is_some(),
+            "`{name}` should be tainted"
+        );
     }
     assert!(t.tainted[gid(&w, "untouched")].is_none());
-    // attribution points at the right root
-    let info = t.tainted[gid(&w, "stage_two")].as_ref().unwrap();
-    assert_eq!(w.def(info.root).name, "generate");
+    // attribution points at the root
+    let root = t.tainted[gid(&w, "digest_ids")].unwrap();
+    assert_eq!(w.def(root).name, "generate");
 }
 
 #[test]
@@ -161,22 +183,29 @@ fn test_code_neither_roots_nor_extends_the_graph() {
             "pub fn helper(x: u64) -> u64 { x }
              #[cfg(test)]
              mod tests {
-                 // sos-lint: deterministic-root not a real root
                  pub fn generate(x: u64) -> u64 { super::helper(x) }
              }",
         ),
-        ("crates/tga/tests/it.rs", "pub fn generate(x: u64) -> u64 { x }"),
+        (
+            "crates/tga/tests/it.rs",
+            "pub fn generate(x: u64) -> u64 { x }",
+        ),
     ]);
-    assert!(!w.by_name.contains_key("generate"), "test fns never enter the table");
-    assert!(t.tainted[gid(&w, "helper")].is_none(), "no root reaches helper");
+    assert!(
+        !w.by_name.contains_key("generate"),
+        "test fns never enter the table"
+    );
+    assert!(
+        t.tainted[gid(&w, "helper")].is_none(),
+        "no root reaches helper"
+    );
 }
 
 #[test]
 fn hash_iteration_off_the_deterministic_paths_is_not_taint_flagged() {
-    // The ISSUE's negative case: report *rendering* iterates a HashMap.
-    // It is never reachable from a deterministic root, so the dataflow
-    // rule must stay quiet there — only the file-scoped det-hash-iter
-    // (an older, weaker signal) may speak.
+    // Report *rendering* iterates a HashMap and sums floats. It is never
+    // reachable from a deterministic root, so the dataflow rule stays
+    // quiet there — only the file-scoped det-hash-iter speaks.
     let files = vec![
         (
             "crates/tga/src/det.rs".to_string(),
@@ -185,6 +214,9 @@ fn hash_iteration_off_the_deterministic_paths_is_not_taint_flagged() {
         (
             "crates/core/src/render.rs".to_string(),
             "use std::collections::HashMap;
+             pub fn render_total(shares: &[f64]) -> String {
+                 format!(\"{}\", shares.iter().sum::<f64>())
+             }
              pub fn render_table(cells: &HashMap<u64, u64>) -> String {
                  let mut out = String::new();
                  for k in cells.keys() {
@@ -196,10 +228,12 @@ fn hash_iteration_off_the_deterministic_paths_is_not_taint_flagged() {
         ),
     ];
     let findings = lint_files(&files, &Config::default());
-    let in_render: Vec<&Finding> =
-        findings.iter().filter(|f| f.file == "crates/core/src/render.rs").collect();
+    let in_render: Vec<&Finding> = findings
+        .iter()
+        .filter(|f| f.file == "crates/core/src/render.rs")
+        .collect();
     assert!(
-        in_render.iter().all(|f| f.rule != "det-unordered-iter"),
+        in_render.iter().all(|f| f.rule != "det-float-reduce"),
         "rendering is not a deterministic path: {in_render:?}"
     );
     assert!(
@@ -209,43 +243,12 @@ fn hash_iteration_off_the_deterministic_paths_is_not_taint_flagged() {
 }
 
 #[test]
-fn root_annotations_survive_the_full_pipeline() {
-    // End-to-end: an annotated root in one crate taints a callee in
-    // another crate, and the finding attributes the annotation's fn.
-    let files = vec![
-        (
-            "crates/probe/src/campaign.rs".to_string(),
-            "// sos-lint: deterministic-root checkpoint fingerprint\n\
-             pub fn snapshot(state: u64) -> u64 { encode_rows(state) }"
-                .to_string(),
-        ),
-        (
-            "crates/core/src/rows.rs".to_string(),
-            "use std::collections::HashMap;
-             pub fn encode_rows(state: u64) -> u64 {
-                 let m: HashMap<u64, u64> = HashMap::new();
-                 let mut ks: Vec<u64> = m.keys().copied().collect();
-                 ks.dedup();
-                 ks.len() as u64 + state
-             }"
-            .to_string(),
-        ),
-    ];
-    let findings = lint_files(&files, &Config::default());
-    let taint: Vec<&Finding> =
-        findings.iter().filter(|f| f.rule == "det-unordered-iter").collect();
-    assert_eq!(taint.len(), 1, "{findings:?}");
-    assert!(taint[0].message.contains("deterministic root `snapshot`"), "{:?}", taint[0]);
-    assert!(taint[0].message.contains("crates/probe/src/campaign.rs"), "{:?}", taint[0]);
-}
-
-#[test]
 fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
     // Taint flows from a root to its callees, so an unsorted hash
     // iteration in a function no root calls — `engine::scan_shard` is one,
-    // `par_map` closures being bodies of their caller — is seen by the
-    // file-scoped det-hash-iter alone. Where both see a line, it reports
-    // once, under the rule that names the root.
+    // `par_map` closures being bodies of their caller — is no dataflow
+    // rule's. The file-scoped det-hash-iter sees it, on and off the
+    // deterministic paths alike, once per line.
     let sin = "for k in seen.keys() { drop(k); }";
     let files = vec![
         (
@@ -269,20 +272,12 @@ fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
             ),
         ),
     ];
-    let findings = lint_files(&files, &Config::default());
-    let at = |line: u32| -> Vec<&Finding> {
-        findings
-            .iter()
-            .filter(|f| f.file == "crates/probe/src/retry.rs" && f.line == line)
-            .collect()
-    };
-    // on_path (line 4): the dataflow rule, naming the root, and only it.
-    assert_eq!(at(4).len(), 1, "{findings:?}");
-    assert_eq!(at(4)[0].rule, "det-unordered-iter");
-    assert!(at(4)[0].message.contains("`read_state`"), "{findings:?}");
-    // off_path (line 9): the file-scoped rule, and only it.
-    assert_eq!(at(9).len(), 1, "{findings:?}");
-    assert_eq!(at(9)[0].rule, "det-hash-iter");
+    let found: Vec<(&str, u32)> = lint_files(&files, &Config::default())
+        .iter()
+        .filter(|f| f.file == "crates/probe/src/retry.rs")
+        .map(|f| (f.rule, f.line))
+        .collect();
+    assert_eq!(found, [("det-hash-iter", 4), ("det-hash-iter", 9)]);
 }
 
 /// The address substrate's aliases are generic (`pub type AddrMap<K, V> =
@@ -294,14 +289,20 @@ fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
 fn generic_address_aliases_are_hash_containers_to_every_hash_rule() {
     const DECLARATIONS: &str = include_str!("../../v6addr/src/hash.rs");
     const USES: &str = include_str!("fixtures/addr_aliases.rs");
-    let lint_at = |path: &str, caller: &str| {
+    let lint_at = |path: &str| {
         let files = vec![
-            ("crates/v6addr/src/hash.rs".to_string(), DECLARATIONS.to_string()),
+            (
+                "crates/v6addr/src/hash.rs".to_string(),
+                DECLARATIONS.to_string(),
+            ),
             (path.to_string(), USES.to_string()),
-            ("crates/probe/src/campaign.rs".to_string(), caller.to_string()),
         ];
-        let w = Workspace::build(&files, &Config::default());
-        assert_eq!(w.hash_aliases, ["AddrMap", "AddrSet"], "both aliases register");
+        let w = Workspace::build(&files);
+        assert_eq!(
+            w.hash_aliases,
+            ["AddrMap", "AddrSet"],
+            "both aliases register"
+        );
         let mut found: Vec<(&'static str, u32)> = lint_files(&files, &Config::default())
             .into_iter()
             .filter(|f| f.file == path)
@@ -310,24 +311,20 @@ fn generic_address_aliases_are_hash_containers_to_every_hash_rule() {
         found.sort_unstable();
         found
     };
-    // Off every deterministic path: the file-scoped rule flags the two
-    // unsorted iterations (lines 7 and 12) and accepts the sorted one.
+    // The file-scoped rule flags the two unsorted iterations (lines 7 and
+    // 12) and accepts the sorted one.
     assert_eq!(
-        lint_at("crates/core/src/grid.rs", "pub fn idle() {}"),
+        lint_at("crates/core/src/grid.rs"),
         [("det-hash-iter", 7), ("det-hash-iter", 12)]
-    );
-    // One call below a root: the dataflow rule takes the line over.
-    let rooted = "// sos-lint: deterministic-root checkpoint fingerprint\n\
-                  pub fn snapshot(seen: &v6addr::AddrSet<u128>) -> usize { emit(seen).len() }";
-    assert_eq!(
-        lint_at("crates/core/src/grid.rs", rooted),
-        [("det-hash-iter", 12), ("det-unordered-iter", 7)]
     );
     // In report assembly the *types* are banned by name, wherever they
     // appear (the import and the three signatures).
-    let on_result_path = lint_at("crates/core/src/report.rs", "pub fn idle() {}");
-    let banned: Vec<u32> =
-        on_result_path.iter().filter(|(r, _)| *r == "det-unordered-collection").map(|&(_, l)| l).collect();
+    let on_result_path = lint_at("crates/core/src/report.rs");
+    let banned: Vec<u32> = on_result_path
+        .iter()
+        .filter(|(r, _)| *r == "det-unordered-collection")
+        .map(|&(_, l)| l)
+        .collect();
     assert_eq!(banned, [4, 4, 6, 10, 18]);
 }
 
@@ -338,7 +335,7 @@ fn generic_address_aliases_are_hash_containers_to_every_hash_rule() {
 #[test]
 fn every_registered_root_names_a_function_of_the_workspace() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let w = Workspace::build(&read_sources(&root).unwrap(), &Config::default());
+    let w = Workspace::build(&read_sources(&root).unwrap());
     for (path, name, guards) in DETERMINISTIC_ROOTS {
         let ids = w.by_name.get(*name).map(Vec::as_slice).unwrap_or_default();
         assert!(

@@ -103,7 +103,6 @@ impl Manifest {
     /// Digest a rendered result (a printed table, a CSV body) under
     /// `name` and record it in the `digests` section. Returns the digest
     /// so callers can also log it.
-    // sos-lint: deterministic-root result digests must reproduce across reruns
     pub fn record_digest(&mut self, name: &str, text: &str) -> u64 {
         let d = fnv1a64(text.as_bytes());
         self.digests.set(name, digest_hex(d));
@@ -187,7 +186,6 @@ impl Manifest {
 
     /// [`finish`](Manifest::finish) and write pretty-printed JSON to
     /// `path` (with a trailing newline).
-    // sos-lint: deterministic-root manifest bytes are diffed between runs
     pub fn write_to_file(self, path: &Path) -> io::Result<()> {
         let doc = self.finish();
         std::fs::write(path, doc.to_string_pretty() + "\n")
@@ -219,6 +217,34 @@ mod tests {
     #[test]
     fn digests_are_stable_and_hex() {
         assert_eq!(digest_hex(fnv1a64(b"")), "cbf29ce484222325");
+    }
+
+    /// A digest is the FNV-1a of the whole rendered text, byte for byte:
+    /// what a rerun in another process reproduces.
+    #[test]
+    fn record_digest_is_the_fnv_of_the_whole_text() {
+        let text = "hits\n3\n3\nases\n1\n";
+        let mut m = Manifest::new("unit-test");
+        assert_eq!(m.record_digest("t", text), fnv1a64(text.as_bytes()));
+    }
+
+    /// The written document keeps its sections in the order they were set.
+    #[test]
+    fn written_manifest_keeps_its_key_order() {
+        let path = std::env::temp_dir().join(format!("sos-manifest-order-{}.json", std::process::id()));
+        let mut m = Manifest::new("unit-test");
+        m.set("experiment", "rq1");
+        m.write_to_file(&path).unwrap();
+        let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        std::fs::remove_file(&path).ok();
+        let keys: Vec<&str> = doc.entries().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "tool", "obs_version", "experiment", "elapsed_s", "config", "digests", "counters",
+                "histograms", "spans", "span_records", "par_map"
+            ]
+        );
     }
 
     #[test]

@@ -114,7 +114,6 @@ impl ParStats {
 /// worker ran a cell reaches the recorded [`ParStats`] only, never a
 /// result. The stats always carry the *requested* worker count, idle
 /// workers included, and a panic in `f` resumes on the caller.
-// sos-lint: deterministic-root W-invariance: out[i] must not depend on worker count
 pub fn par_map<T, R, F>(label: &str, items: Vec<T>, workers: usize, f: F) -> Vec<R>
 where
     T: Send,

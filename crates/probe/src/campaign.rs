@@ -428,7 +428,6 @@ impl CampaignCheckpoint {
     /// small absolute parts (progress, limiter, breaker tuning and totals,
     /// counters) are whole on both. [`CampaignCheckpoint::from_json`]
     /// decodes either.
-    // sos-lint: deterministic-root a reloaded checkpoint must rebuild the identical state
     fn encode_line(
         &self,
         w: &mut JsonWriter,
@@ -914,7 +913,6 @@ impl<'a, T: Transport> Campaign<'a, T> {
     /// with `rows`, just before a state line is written; between state
     /// lines `state` holds none of their rows, and a round line takes the
     /// round's from its [`Delta`].
-    // sos-lint: deterministic-root a reloaded checkpoint must rebuild the identical state
     fn read_state(&self, state: &mut CampaignCheckpoint, rows: bool) {
         let lane = self.scanner.lane.snapshot(rows);
         state.limiter = lane.limiter;

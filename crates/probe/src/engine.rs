@@ -294,7 +294,6 @@ impl Delta {
     /// Add the rows one task changed: those `lane` hands back that `lent`
     /// — its rows at lend — lacks or holds with another value. A task
     /// never drops a row, and no other task holds one of its keys.
-    // sos-lint: deterministic-root a resumed campaign must journal and checkpoint the identical rows
     fn add_task<T: Transport>(&mut self, lent: &Rows, lane: &Lane<T>) {
         fn changed<V: Copy + PartialEq>(
             lent: &[((u128, u8), V)],

@@ -200,7 +200,7 @@ impl TargetGenerator for EntropyIp {
                 *trans.entry(a).or_default().entry(b).or_insert(0) += 1;
             }
             chain.push(
-                // sos-lint: allow(det-hash-iter, det-unordered-iter) re-keyed into another map that is only ever looked up
+                // sos-lint: allow(det-hash-iter) re-keyed into another map that is only ever looked up
                 trans
                     .into_iter()
                     .map(|(k, m)| (k, Weighted::top(m, self.max_values)))

@@ -173,7 +173,6 @@ pub trait TargetGenerator {
     ///
     /// Offline generators ignore `oracle`; online ones probe through it
     /// and adapt.
-    // sos-lint: deterministic-root candidate streams must be bit-identical across reruns
     fn generate_tagged(
         &mut self,
         seeds: &[Ipv6Addr],

@@ -238,7 +238,6 @@ pub fn build_regions(
 /// The region *order* differs from [`build_regions`] (breadth-first
 /// frontier vs depth-first stack), so this is a separate entry point:
 /// callers pinned to historical candidate streams keep `build_regions`.
-// sos-lint: deterministic-root region list must be identical at any worker count
 pub fn build_regions_par(
     seeds: &[Ipv6Addr],
     strategy: SplitStrategy,

@@ -9,8 +9,8 @@
 //! Use these wherever membership or keyed lookup is all that happens.
 //! Iteration order is as arbitrary as any hash table's (and, unlike std's
 //! `RandomState`, the same on every run): sort before anything ordered
-//! leaves the container — `sos-lint`'s `det-hash-iter`,
-//! `det-unordered-iter` and `det-unordered-collection` see these aliases.
+//! leaves the container — `sos-lint`'s `det-hash-iter` and
+//! `det-unordered-collection` see these aliases.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
