@@ -30,7 +30,9 @@ struct Args {
     artifacts: Artifacts,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// The command line, and the world configuration its `--scale` and
+/// `--seed` name. Every value is checked here, before any work.
+fn parse_args() -> Result<(Args, WorldConfig), String> {
     let mut args = Args {
         scale: "small".to_string(),
         seed: 0xC0FFEE,
@@ -49,13 +51,19 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unexpected argument: {other}")),
         }
     }
-    Ok(args)
+    let cfg = match args.scale.as_str() {
+        "tiny" => WorldConfig::tiny(args.seed),
+        "small" => WorldConfig::small(args.seed),
+        "study" => WorldConfig::study(args.seed),
+        other => return Err(format!("bad --scale value {other:?}: expected tiny|small|study")),
+    };
+    Ok((args, cfg))
 }
 
 fn main() -> ExitCode {
     sos_obs::log::init_from_env_or(sos_obs::Level::Info);
-    let Args { scale, seed, dump_dir, artifacts } = match parse_args() {
-        Ok(a) => a,
+    let (Args { scale, seed, dump_dir, artifacts }, cfg) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
@@ -65,16 +73,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let cfg = match scale.as_str() {
-        "tiny" => WorldConfig::tiny(seed),
-        "small" => WorldConfig::small(seed),
-        "study" => WorldConfig::study(seed),
-        other => {
-            eprintln!("unknown scale: {other}");
-            return ExitCode::FAILURE;
-        }
-    };
-
     let mut manifest = Manifest::new("worldgen");
     manifest.config("scale", scale.as_str());
     manifest.config("seed", seed);

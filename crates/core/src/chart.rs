@@ -38,30 +38,6 @@ pub fn bar_chart(title: &str, rows: &[(String, f64)], width: usize) -> String {
     out
 }
 
-/// Render a cumulative curve (Figure 6 style) as a step chart: each row's
-/// bar shows the cumulative fraction after adding that item.
-pub fn cumulative_chart(title: &str, rows: &[(String, usize)], total: usize, width: usize) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== {title} ==");
-    if rows.is_empty() || total == 0 {
-        let _ = writeln!(out, "(no data)");
-        return out;
-    }
-    let label_w = rows.iter().map(|(l, _)| l.chars().count()).max().unwrap_or(0);
-    for (label, cumulative) in rows {
-        let frac = (*cumulative as f64 / total as f64).clamp(0.0, 1.0);
-        let cells = (frac * width as f64).round() as usize;
-        let _ = writeln!(
-            out,
-            "{label:<label_w$} {}{} {:>5.1}%",
-            "█".repeat(cells),
-            "░".repeat(width - cells),
-            100.0 * frac
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,21 +65,5 @@ mod tests {
         let s = bar_chart("t", &[("x".into(), 0.0)], 40);
         assert!(s.contains("+0.00"));
         assert!(bar_chart("t", &[], 40).contains("(no data)"));
-    }
-
-    #[test]
-    fn cumulative_chart_fills_to_100() {
-        let rows = vec![("first".to_string(), 50), ("second".to_string(), 100)];
-        let s = cumulative_chart("t", &rows, 100, 20);
-        let lines: Vec<&str> = s.lines().skip(1).collect();
-        assert!(lines[0].contains("50.0%"));
-        assert!(lines[1].contains("100.0%"));
-        assert_eq!(lines[1].matches('█').count(), 20);
-        assert_eq!(lines[0].matches('█').count(), 10);
-    }
-
-    #[test]
-    fn cumulative_handles_zero_total() {
-        assert!(cumulative_chart("t", &[("x".into(), 1)], 0, 20).contains("(no data)"));
     }
 }

@@ -450,7 +450,7 @@ mod tests {
 
     /// The manifest a campaign with [`sample_summary`] leaves, cut down to
     /// the section `record` wrote (a whole manifest also snapshots every
-    /// global counter, histogram and span of the test process).
+    /// global counter and span of the test process).
     fn sample_manifest() -> Json {
         let mut m = Manifest::new("seedscan");
         let counters = [("probe.hits".to_string(), 4u64), ("probe.packets_sent".to_string(), 40)];

@@ -23,8 +23,9 @@ fn worldgen_refuses_a_flag_without_its_value() {
         let out = run(env!("CARGO_BIN_EXE_worldgen"), &["--scale", "tiny", flag]);
         assert_refused(&out, flag);
     }
-    let out = run(env!("CARGO_BIN_EXE_worldgen"), &["--seed", "0xC0FFEE"]);
-    assert_refused(&out, "--seed");
+    for (flag, bad) in [("--seed", "0xC0FFEE"), ("--scale", "bogus")] {
+        assert_refused(&run(env!("CARGO_BIN_EXE_worldgen"), &[flag, bad]), flag);
+    }
 }
 
 #[test]
@@ -33,7 +34,9 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     for flag in ["--manifest", "--budget", "--stop-after"] {
         assert_refused(&run(seedscan, &["rq1", "--scale", "tiny", flag]), flag);
     }
-    assert_refused(&run(seedscan, &["rq1", "--threads", "abc"]), "--threads");
+    for (flag, bad) in [("--threads", "abc"), ("--scale", "bogus"), ("--faults", "bogus")] {
+        assert_refused(&run(seedscan, &["rq1", flag, bad]), flag);
+    }
     for flag in ["--scan-shards", "--gen-workers"] {
         let out = run(seedscan, &["rq1", flag, "0"]);
         assert_refused(&out, flag);
@@ -52,6 +55,26 @@ fn seedscan_refuses_an_unknown_experiment() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage: seedscan"), "{stderr}");
     assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+}
+
+/// `export` writes into ./export/: when that cannot be a directory, the
+/// run says so on an `error:` line and exits 1 before building the study.
+#[test]
+fn export_refuses_an_unwritable_export_directory() {
+    let dir = std::env::temp_dir().join(format!("sos-cli-export-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("export"), "kept\n").unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_seedscan"))
+        .current_dir(&dir)
+        .args(["export", "--scale", "tiny"])
+        .output()
+        .expect("run binary");
+    assert_refused(&out, "export/");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+    assert_eq!(std::fs::read_to_string(dir.join("export")).unwrap(), "kept\n");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// One snapshot, several views: `explain <journal>` ends with exactly the

@@ -96,7 +96,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "obs-metric-names",
         group: "observability",
-        rationale: "counter/histogram registered under an inline string literal drifts from the central name tables; route names through a `names` const module so manifests, snapshots, and dashboards stay in sync",
+        rationale: "counter registered under an inline string literal drifts from the central name tables; route names through a `names` const module so manifests, snapshots, and dashboards stay in sync",
         severity: "warn",
         fix: "replace the literal with a const from the central `names` module",
     },
@@ -433,14 +433,12 @@ fn hash_iter_rule(
 }
 
 /// `obs-metric-names`: flag a string literal as the *name* argument of a
-/// registry lookup — `counter("...")` or `histogram("...")`. Names must
-/// come from a central const table (`counter(names::HITS)`); dynamic names
-/// built with `format!` are not literals and stay out of scope.
+/// registry lookup — `counter("...")`. Names must come from a central
+/// const table (`counter(names::HITS)`); dynamic names built with
+/// `format!` are not literals and stay out of scope.
 fn metric_name_rule(toks: &[Tok], push: &mut impl FnMut(&'static str, u32, u32, String)) {
-    const REGISTRY_FNS: &[&str] = &["counter", "histogram"];
     for (i, t) in toks.iter().enumerate() {
-        if t.kind == TokKind::Ident
-            && REGISTRY_FNS.contains(&t.text.as_str())
+        if t.is_ident("counter")
             && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
             && toks.get(i + 2).is_some_and(|n| n.kind == TokKind::Str)
         {
@@ -448,10 +446,8 @@ fn metric_name_rule(toks: &[Tok], push: &mut impl FnMut(&'static str, u32, u32, 
                 "obs-metric-names",
                 t.line,
                 t.col,
-                format!(
-                    "`{}(\"…\")` with an inline name literal; use a const from the central `names` table",
-                    t.text
-                ),
+                "`counter(\"…\")` with an inline name literal; use a const from the central `names` table"
+                    .to_string(),
             );
         }
     }

@@ -9,8 +9,7 @@
 //!
 //! The pieces, all zero-dependency:
 //!
-//! - [`metrics`]: lock-free [`Counter`]s and log₂-bucket [`Histogram`]s —
-//!   flat or labeled (`probe.hits{proto=tcp}`) — plus a global named
+//! - [`metrics`]: lock-free [`Counter`]s — flat or labeled (`probe.hits{proto=tcp}`) — plus a global named
 //!   [`Registry`] every crate in the pipeline feeds (packets, retries,
 //!   drops, classification outcomes, dealias spend, generation
 //!   throughput). [`render_prometheus`] renders a counter snapshot (a
@@ -26,7 +25,7 @@
 //! - [`log`]: the env-filtered stderr event sink (`SOS_LOG=trace|debug|
 //!   info|warn|error|off`) and [`progress::Progress`] live ETA reporting.
 //! - [`manifest`]: serialize configuration, per-phase timings, all
-//!   counters/histograms, parallelism stats, and result digests into a
+//!   counters, parallelism stats, and result digests into a
 //!   single JSON run manifest (`seedscan --manifest out.json`) — the
 //!   format benchmark trajectories consume.
 //! - [`trace`](mod@trace): export recorded spans and `par_map` worker stats as
@@ -48,7 +47,7 @@ pub use journal::{Event, JournalWriter, Record};
 pub use json::Json;
 pub use log::Level;
 pub use manifest::{fnv1a64, Manifest};
-pub use metrics::{counter, histogram, render_prometheus, Counter, Histogram, Registry};
+pub use metrics::{counter, render_prometheus, Counter, Registry};
 pub use par::ParStats;
 pub use progress::{eta_s, Progress};
 pub use span::{span, span_detail, Span};
@@ -73,7 +72,7 @@ pub fn now_s() -> f64 {
     clock_origin().elapsed().as_secs_f64()
 }
 
-/// Clear all recorded telemetry (counters, histograms, spans, par stats).
+/// Clear all recorded telemetry (counters, spans, par stats).
 /// Intended for tests that assert on globals in isolation.
 pub fn reset() {
     metrics::global().reset();

@@ -49,7 +49,7 @@ use crate::carried::Carried;
 use crate::metrics::{
     hits_on, packets_on, Counts, EngineMetrics, BACKOFF_WAITED_US, BREAKER_OPENED, BREAKER_SKIPPED,
     DROP_BLOCKLIST, DROP_DUPLICATE, DROP_MALFORMED, DROP_VALIDATION, FAULTS_INJECTED, HITS,
-    PACKETS_SENT, RETRIES, RSTS, SILENT, UNREACHABLES,
+    PACKETS_SENT, RATELIMIT_STALLS, RETRIES, RSTS, SILENT, UNREACHABLES,
 };
 use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
 use crate::ratelimit::{BucketSnapshot, TokenBucket};
@@ -371,13 +371,7 @@ impl<T: Transport> Lane<T> {
     /// back-off and rate-limiter replay, breaker record; everything it
     /// spends is added to `tally`. Returns `None` when an open breaker
     /// skipped the target (nothing transmitted).
-    fn probe_one(
-        &mut self,
-        cfg: &ScannerConfig,
-        metrics: &EngineMetrics,
-        spec: &ProbeSpec,
-        tally: &mut Tally,
-    ) -> Option<Burst> {
+    fn probe_one(&mut self, cfg: &ScannerConfig, spec: &ProbeSpec, tally: &mut Tally) -> Option<Burst> {
         if let Some(b) = self.breaker.as_mut() {
             if b.admit(spec.dst, spec.proto) == Admission::Skip {
                 tally.counts[BREAKER_SKIPPED] += 1;
@@ -407,9 +401,7 @@ impl<T: Transport> Lane<T> {
                     tb.advance(d);
                 }
                 let wait = tb.acquire();
-                if wait > 0.0 {
-                    metrics.stall(wait);
-                }
+                tally.counts[RATELIMIT_STALLS] += u64::from(wait > 0.0);
                 tally.limited_s += wait;
             }
         }
@@ -511,7 +503,7 @@ fn scan_shard<T: Transport>(
     let mut tally = Tally::default();
     for &(idx, dst) in targets {
         let spec = cfg.spec(dst, proto, None);
-        let Some(burst) = lane.probe_one(cfg, metrics, &spec, &mut tally) else {
+        let Some(burst) = lane.probe_one(cfg, &spec, &mut tally) else {
             continue;
         };
         report.probed += 1;
@@ -659,7 +651,7 @@ impl<T: Transport> Scanner<T> {
     pub fn probe_target(&mut self, dst: Ipv6Addr, proto: Protocol, region: Option<u32>) -> Option<Burst> {
         let mut tally = Tally::default();
         let spec = self.cfg.spec(dst, proto, region);
-        let burst = self.lane.probe_one(&self.cfg, &self.metrics, &spec, &mut tally);
+        let burst = self.lane.probe_one(&self.cfg, &spec, &mut tally);
         self.metrics.add_all(&tally.counts);
         burst
     }

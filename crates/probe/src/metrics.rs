@@ -17,8 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netmodel::Protocol;
-use sos_obs::metrics::HistogramSnapshot;
-use sos_obs::{Counter, Histogram};
+use sos_obs::Counter;
 
 /// Number of engine counters.
 pub(crate) const SLOTS: usize = 27;
@@ -92,9 +91,6 @@ pub(crate) fn packets_on(proto: Protocol) -> usize {
     23 + proto.index()
 }
 
-/// Histogram of each rate-limiter stall's wait, in virtual µs.
-const WAIT_US: &str = "probe.ratelimit.wait_us";
-
 /// Per-scanner engine event accounting, mirrored into the global registry.
 #[derive(Debug)]
 pub struct EngineMetrics {
@@ -102,8 +98,6 @@ pub struct EngineMetrics {
     local: [Counter; SLOTS],
     /// The global registry's counter for each slot, resolved once.
     global: [Arc<Counter>; SLOTS],
-    wait_us_local: Histogram,
-    wait_us_global: Arc<Histogram>,
 }
 
 impl Default for EngineMetrics {
@@ -119,8 +113,6 @@ impl EngineMetrics {
         EngineMetrics {
             local: Default::default(),
             global: NAMES.map(sos_obs::counter),
-            wait_us_local: Histogram::new(),
-            wait_us_global: sos_obs::histogram(WAIT_US),
         }
     }
 
@@ -170,13 +162,6 @@ impl EngineMetrics {
         self.raise(ATTR_WASTED, wasted);
     }
 
-    /// Record one rate-limiter stall of `wait_s` virtual seconds.
-    pub(crate) fn stall(&self, wait_s: f64) {
-        self.add(RATELIMIT_STALLS, 1);
-        self.wait_us_local.record_seconds_as_us(wait_s);
-        self.wait_us_global.record_seconds_as_us(wait_s);
-    }
-
     /// This scanner's counter totals by name (unaffected by other
     /// scanners), every name listed.
     pub fn counters(&self) -> BTreeMap<String, u64> {
@@ -187,11 +172,6 @@ impl EngineMetrics {
     /// [`NAMES`]).
     pub fn counter(&self, name: &str) -> u64 {
         NAMES.iter().position(|&n| n == name).map_or(0, |slot| self.local[slot].get())
-    }
-
-    /// This scanner's rate-limit wait histogram.
-    pub fn wait_histogram(&self) -> HistogramSnapshot {
-        self.wait_us_local.snapshot()
     }
 }
 
@@ -216,17 +196,6 @@ mod tests {
         a.add(HITS, 1);
         assert_eq!(a.counter("probe.hits"), 1);
         assert_eq!(b.counter("probe.hits"), 0, "locals do not share state");
-    }
-
-    #[test]
-    fn stall_records_count_and_wait() {
-        let m = EngineMetrics::new();
-        m.stall(0.002);
-        m.stall(0.001);
-        assert_eq!(m.counter("probe.ratelimit.stalls"), 2);
-        let h = m.wait_histogram();
-        assert_eq!(h.count, 2);
-        assert_eq!(h.sum, 3_000, "2 ms + 1 ms in µs");
     }
 
     #[test]

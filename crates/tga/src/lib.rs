@@ -230,8 +230,6 @@ pub mod names {
     pub const GENERATED_ADDRS: &str = "tga.generated_addrs";
     /// Oracle probe packets spent during generation.
     pub const GEN_PACKETS: &str = "tga.gen_packets";
-    /// Generation throughput histogram, addresses per second.
-    pub const ADDRS_PER_SEC: &str = "tga.addrs_per_sec";
     /// Candidates emitted with a provenance tag (tagged runs only).
     pub const PROV_TAGGED: &str = "tga.provenance.tagged";
     /// Distinct provenance regions the generators emitted into.
@@ -240,8 +238,8 @@ pub mod names {
 
 /// Transparent observability wrapper around any generator: every
 /// `generate` call runs inside a `generate` span and reports throughput
-/// (`tga.generated_addrs`, per-TGA counters, and the
-/// `tga.addrs_per_sec` histogram) without touching the address stream.
+/// (`tga.generated_addrs` and per-TGA counters) without touching the
+/// address stream.
 struct Instrumented {
     inner: Box<dyn TargetGenerator>,
 }
@@ -284,7 +282,6 @@ impl TargetGenerator for Instrumented {
         }
         if dur_s > 0.0 {
             let rate = (out.len() as f64 / dur_s) as u64;
-            sos_obs::histogram(names::ADDRS_PER_SEC).record(rate);
             sos_obs::debug!(
                 "{label}: {} addrs in {dur_s:.3}s ({rate} addrs/s), {gen_packets} online pkts",
                 out.len(),

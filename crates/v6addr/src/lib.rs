@@ -23,7 +23,6 @@
 //! The canonical address type is [`std::net::Ipv6Addr`]; this crate adds
 //! structure around it rather than wrapping it.
 
-pub mod aggregate;
 pub mod hash;
 pub mod nybble;
 pub mod prefix;
@@ -31,7 +30,6 @@ pub mod set;
 pub mod splitmix;
 pub mod trie;
 
-pub use aggregate::aggregate;
 pub use hash::{AddrHasher, AddrMap, AddrSet};
 pub use nybble::{nybble_hamming, nybble_of, with_nybble, NYBBLES};
 pub use prefix::{ParsePrefixError, Prefix};
