@@ -165,7 +165,9 @@ fn get_str(j: &Json, key: &str) -> Result<String, String> {
 
 /// A domain (`u128`) or a fingerprint (`u64`), read by [`from_hex`].
 fn get_hex<T: TryFrom<u128>>(j: &Json, key: &str) -> Result<T, String> {
-    j.get(key).and_then(from_hex).ok_or_else(|| format!("journal record field {key:?} is missing or not hex"))
+    j.get(key)
+        .and_then(from_hex)
+        .ok_or_else(|| format!("journal record field {key:?} is missing or not hex"))
 }
 
 /// The study probes four protocols, indexed `0..4` (`netmodel::PROTOCOLS`;
@@ -177,7 +179,9 @@ const PROTOCOLS: u64 = 4;
 fn get_proto(j: &Json) -> Result<u8, String> {
     let idx = get_u64(j, "proto")?;
     if idx >= PROTOCOLS {
-        return Err(format!("journal record field \"proto\" is not a protocol index: {idx}"));
+        return Err(format!(
+            "journal record field \"proto\" is not a protocol index: {idx}"
+        ));
     }
     Ok(idx as u8)
 }
@@ -205,35 +209,89 @@ impl Event {
             w.key("fingerprint").str(&crate::manifest::digest_hex(fp));
         };
         match self {
-            Event::CampaignStart { fingerprint: fp, targets, protocols, shards, round_size } => {
+            Event::CampaignStart {
+                fingerprint: fp,
+                targets,
+                protocols,
+                shards,
+                round_size,
+            } => {
                 fingerprint(w, *fp);
                 w.key("targets").u64(*targets).key("protocols").arr();
                 for p in protocols {
                     w.str(p);
                 }
-                w.end_arr().key("shards").u64(*shards).key("round_size").u64(*round_size);
+                w.end_arr()
+                    .key("shards")
+                    .u64(*shards)
+                    .key("round_size")
+                    .u64(*round_size);
             }
-            Event::Resume { fingerprint: fp, done, rounds }
-            | Event::CheckpointWrite { fingerprint: fp, done, rounds } => {
+            Event::Resume {
+                fingerprint: fp,
+                done,
+                rounds,
+            }
+            | Event::CheckpointWrite {
+                fingerprint: fp,
+                done,
+                rounds,
+            } => {
                 fingerprint(w, *fp);
                 w.key("done").u64(*done).key("rounds").u64(*rounds);
             }
             Event::RoundStart { round, from, to } => {
-                w.key("round").u64(*round).key("from").u64(*from).key("to").u64(*to);
+                w.key("round")
+                    .u64(*round)
+                    .key("from")
+                    .u64(*from)
+                    .key("to")
+                    .u64(*to);
             }
-            Event::RoundEnd { round, done, total, hits, packets } => {
-                w.key("round").u64(*round).key("done").u64(*done).key("total").u64(*total);
+            Event::RoundEnd {
+                round,
+                done,
+                total,
+                hits,
+                packets,
+            } => {
+                w.key("round")
+                    .u64(*round)
+                    .key("done")
+                    .u64(*done)
+                    .key("total")
+                    .u64(*total);
                 w.key("hits").u64(*hits).key("packets").u64(*packets);
             }
-            Event::Breaker { domain, proto, from, to } => {
-                w.key("domain").hex128(*domain).key("proto").u64((*proto).into());
+            Event::Breaker {
+                domain,
+                proto,
+                from,
+                to,
+            } => {
+                w.key("domain")
+                    .hex128(*domain)
+                    .key("proto")
+                    .u64((*proto).into());
                 w.key("from").str(from).key("to").str(to);
             }
-            Event::FaultEpoch { domain, proto, kind, epoch } => {
-                w.key("domain").hex128(*domain).key("proto").u64((*proto).into());
+            Event::FaultEpoch {
+                domain,
+                proto,
+                kind,
+                epoch,
+            } => {
+                w.key("domain")
+                    .hex128(*domain)
+                    .key("proto")
+                    .u64((*proto).into());
                 w.key("kind").str(kind).key("epoch").u64(*epoch);
             }
-            Event::Snapshot { fingerprint: fp, done, counters } => {
+            Event::Snapshot {
+                fingerprint: fp,
+                done,
+                counters,
+            } => {
                 fingerprint(w, *fp);
                 w.key("done").u64(*done).key("counters").obj();
                 for (name, value) in counters {
@@ -241,12 +299,36 @@ impl Event {
                 }
                 w.end_obj();
             }
-            Event::Discovery { source, regions, probes, hits, aliases, wasted } => {
-                w.key("source").u64(*source).key("regions").u64(*regions).key("probes").u64(*probes);
-                w.key("hits").u64(*hits).key("aliases").u64(*aliases).key("wasted").u64(*wasted);
+            Event::Discovery {
+                source,
+                regions,
+                probes,
+                hits,
+                aliases,
+                wasted,
+            } => {
+                w.key("source")
+                    .u64(*source)
+                    .key("regions")
+                    .u64(*regions)
+                    .key("probes")
+                    .u64(*probes);
+                w.key("hits")
+                    .u64(*hits)
+                    .key("aliases")
+                    .u64(*aliases)
+                    .key("wasted")
+                    .u64(*wasted);
             }
-            Event::CampaignEnd { completed, rounds, resumed_targets } => {
-                w.key("completed").bool(*completed).key("rounds").u64(*rounds);
+            Event::CampaignEnd {
+                completed,
+                rounds,
+                resumed_targets,
+            } => {
+                w.key("completed")
+                    .bool(*completed)
+                    .key("rounds")
+                    .u64(*rounds);
                 w.key("resumed_targets").u64(*resumed_targets);
             }
         }
@@ -358,8 +440,15 @@ impl Record {
 
     /// Write the record as one compact JSON object (no newline).
     fn encode(&self, w: &mut JsonWriter) {
-        w.obj().key("v").u64(JOURNAL_VERSION).key("seq").u64(self.seq);
-        w.key("ev").str(self.event.kind()).key("vclock_us").u64(self.vclock_us);
+        w.obj()
+            .key("v")
+            .u64(JOURNAL_VERSION)
+            .key("seq")
+            .u64(self.seq);
+        w.key("ev")
+            .str(self.event.kind())
+            .key("vclock_us")
+            .u64(self.vclock_us);
         w.key("wall_s").f64(self.wall_s);
         self.event.write_fields(w);
         w.end_obj();
@@ -401,7 +490,12 @@ impl JournalWriter {
     pub fn create(path: impl Into<PathBuf>) -> io::Result<JournalWriter> {
         let path = path.into();
         let file = File::create(&path)?;
-        Ok(JournalWriter { file, path, seq: 0, lines: JsonWriter::default() })
+        Ok(JournalWriter {
+            file,
+            path,
+            seq: 0,
+            lines: JsonWriter::default(),
+        })
     }
 
     /// Continue an existing journal (campaign resume): records append
@@ -418,7 +512,12 @@ impl JournalWriter {
         };
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
         file.set_len(end)?;
-        Ok(JournalWriter { file, path, seq, lines: JsonWriter::default() })
+        Ok(JournalWriter {
+            file,
+            path,
+            seq,
+            lines: JsonWriter::default(),
+        })
     }
 
     /// The journal file path.
@@ -440,11 +539,20 @@ impl JournalWriter {
     /// Append `events`, each stamped with `vclock_us` and the wall clock
     /// when it is encoded, as consecutive lines in one write. An empty
     /// batch writes nothing.
-    pub fn write_batch(&mut self, vclock_us: u64, events: impl IntoIterator<Item = Event>) -> io::Result<()> {
+    pub fn write_batch(
+        &mut self,
+        vclock_us: u64,
+        events: impl IntoIterator<Item = Event>,
+    ) -> io::Result<()> {
         self.lines.clear();
         let mut seq = self.seq;
         for event in events {
-            let record = Record { seq, vclock_us, wall_s: crate::now_s(), event };
+            let record = Record {
+                seq,
+                vclock_us,
+                wall_s: crate::now_s(),
+                event,
+            };
             record.encode(&mut self.lines);
             self.lines.end_line();
             seq += 1;
@@ -477,10 +585,15 @@ pub fn read_from(path: &Path, offset: u64) -> io::Result<(Vec<Record>, u64)> {
     file.seek(SeekFrom::Start(offset))?;
     let mut buf = String::new();
     file.read_to_string(&mut buf)?;
-    let (records, consumed) = read_lines(&buf, |_, line| Record::parse_line(line)).map_err(|bad| {
-        let error = format!("corrupt journal line at byte {}: {}", offset + bad.at as u64, bad.error);
-        io::Error::new(io::ErrorKind::InvalidData, error)
-    })?;
+    let (records, consumed) =
+        read_lines(&buf, |_, line| Record::parse_line(line)).map_err(|bad| {
+            let error = format!(
+                "corrupt journal line at byte {}: {}",
+                offset + bad.at as u64,
+                bad.error
+            );
+            io::Error::new(io::ErrorKind::InvalidData, error)
+        })?;
     Ok((records, offset + consumed as u64))
 }
 
@@ -501,33 +614,75 @@ mod tests {
                 shards: 4,
                 round_size: 25,
             },
-            Event::RoundStart { round: 1, from: 0, to: 25 },
+            Event::RoundStart {
+                round: 1,
+                from: 0,
+                to: 25,
+            },
             Event::Breaker {
                 domain: 0x2001_0db8,
                 proto: 0,
                 from: "closed".into(),
                 to: "open".into(),
             },
-            Event::FaultEpoch { domain: 0x2001_0db8, proto: 1, kind: "burst".into(), epoch: 3 },
-            Event::RoundEnd { round: 1, done: 25, total: 100, hits: 7, packets: 310 },
-            Event::CheckpointWrite { fingerprint: 0xdead_beef, done: 25, rounds: 1 },
+            Event::FaultEpoch {
+                domain: 0x2001_0db8,
+                proto: 1,
+                kind: "burst".into(),
+                epoch: 3,
+            },
+            Event::RoundEnd {
+                round: 1,
+                done: 25,
+                total: 100,
+                hits: 7,
+                packets: 310,
+            },
+            Event::CheckpointWrite {
+                fingerprint: 0xdead_beef,
+                done: 25,
+                rounds: 1,
+            },
             Event::Snapshot {
                 fingerprint: 0xdead_beef,
                 done: 25,
-                counters: [("probe.hits".to_string(), 7u64), ("probe.packets_sent".into(), 310)]
-                    .into_iter()
-                    .collect(),
+                counters: [
+                    ("probe.hits".to_string(), 7u64),
+                    ("probe.packets_sent".into(), 310),
+                ]
+                .into_iter()
+                .collect(),
             },
-            Event::Resume { fingerprint: 0xdead_beef, done: 25, rounds: 1 },
-            Event::Discovery { source: 3, regions: 12, probes: 400, hits: 25, aliases: 2, wasted: 375 },
-            Event::CampaignEnd { completed: true, rounds: 4, resumed_targets: 25 },
+            Event::Resume {
+                fingerprint: 0xdead_beef,
+                done: 25,
+                rounds: 1,
+            },
+            Event::Discovery {
+                source: 3,
+                regions: 12,
+                probes: 400,
+                hits: 25,
+                aliases: 2,
+                wasted: 375,
+            },
+            Event::CampaignEnd {
+                completed: true,
+                rounds: 4,
+                resumed_targets: 25,
+            },
         ]
     }
 
     #[test]
     fn every_event_round_trips_through_a_line() {
         for (i, event) in sample_events().into_iter().enumerate() {
-            let rec = Record { seq: i as u64, vclock_us: 1000 * i as u64, wall_s: 0.5, event };
+            let rec = Record {
+                seq: i as u64,
+                vclock_us: 1000 * i as u64,
+                wall_s: 0.5,
+                event,
+            };
             let line = rec.to_line();
             assert!(!line.contains('\n'), "one event, one line");
             let back = Record::parse_line(&line).expect("parses");
@@ -561,14 +716,39 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = JournalWriter::create(&path).unwrap();
-            w.write(0, Event::RoundStart { round: 1, from: 0, to: 10 }).unwrap();
-            w.write(5, Event::RoundEnd { round: 1, done: 10, total: 20, hits: 1, packets: 10 })
-                .unwrap();
+            w.write(
+                0,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 10,
+                },
+            )
+            .unwrap();
+            w.write(
+                5,
+                Event::RoundEnd {
+                    round: 1,
+                    done: 10,
+                    total: 20,
+                    hits: 1,
+                    packets: 10,
+                },
+            )
+            .unwrap();
         }
         {
             let mut w = JournalWriter::append(&path).unwrap();
             assert_eq!(w.next_seq(), 2, "sequence continues after reopen");
-            w.write(9, Event::Resume { fingerprint: 1, done: 10, rounds: 1 }).unwrap();
+            w.write(
+                9,
+                Event::Resume {
+                    fingerprint: 1,
+                    done: 10,
+                    rounds: 1,
+                },
+            )
+            .unwrap();
         }
         let records = read_records(&path).unwrap();
         assert_eq!(records.len(), 3);
@@ -583,7 +763,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = JournalWriter::create(&path).unwrap();
-            w.write(0, Event::RoundStart { round: 1, from: 0, to: 10 }).unwrap();
+            w.write(
+                0,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 10,
+                },
+            )
+            .unwrap();
         }
         // Simulate a kill mid-write: a partial line with no newline.
         {
@@ -597,7 +785,15 @@ mod tests {
         let _ = std::fs::remove_file(&path2);
         {
             let mut w = JournalWriter::create(&path2).unwrap();
-            w.write(0, Event::RoundStart { round: 1, from: 0, to: 10 }).unwrap();
+            w.write(
+                0,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 10,
+                },
+            )
+            .unwrap();
             let mut f = OpenOptions::new().append(true).open(&path2).unwrap();
             f.write_all(b"{\"v\":1,garbage\n").unwrap();
         }
@@ -608,7 +804,10 @@ mod tests {
             f.write_all(b"{\"v\":1,\"seq\":9,\"ev\":\"round_start\",\"vclock_us\":0,\"wall_s\":0.0,\"round\":2,\"from\":10,\"to\":20}\n")
                 .unwrap();
         }
-        assert!(read_records(&path2).is_err(), "mid-file corruption surfaces");
+        assert!(
+            read_records(&path2).is_err(),
+            "mid-file corruption surfaces"
+        );
         // A well-formed line whose protocol index no protocol has is
         // corrupt too: dropped at the tail, an error before it.
         for (ev, rest) in [
@@ -621,20 +820,37 @@ mod tests {
                      \"domain\":\"00000000000000000000000020010db8\",\"proto\":{proto},{rest}}}"
                 )
             };
-            assert!(Record::parse_line(&line(3)).is_ok(), "{ev}: 3 is the last protocol");
+            assert!(
+                Record::parse_line(&line(3)).is_ok(),
+                "{ev}: 3 is the last protocol"
+            );
             for proto in [4, 300] {
                 let err = Record::parse_line(&line(proto)).expect_err("no such protocol");
                 assert!(err.contains("\"proto\""), "{ev} {proto}: {err}");
             }
             JournalWriter::create(&path2)
                 .unwrap()
-                .write(0, Event::RoundStart { round: 1, from: 0, to: 10 })
+                .write(
+                    0,
+                    Event::RoundStart {
+                        round: 1,
+                        from: 0,
+                        to: 10,
+                    },
+                )
                 .unwrap();
             let mut f = OpenOptions::new().append(true).open(&path2).unwrap();
             f.write_all(format!("{}\n", line(300)).as_bytes()).unwrap();
-            assert_eq!(read_records(&path2).unwrap().len(), 1, "{ev}: damaged tail dropped");
+            assert_eq!(
+                read_records(&path2).unwrap().len(),
+                1,
+                "{ev}: damaged tail dropped"
+            );
             f.write_all(format!("{}\n", line(3)).as_bytes()).unwrap();
-            assert!(read_records(&path2).is_err(), "{ev}: damaged middle surfaces");
+            assert!(
+                read_records(&path2).is_err(),
+                "{ev}: damaged middle surfaces"
+            );
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&path2);
@@ -646,17 +862,48 @@ mod tests {
     #[test]
     fn append_cuts_a_torn_tail_before_writing() {
         let path = tmp("sos_obs_journal_append_torn.jsonl");
-        for tail in [&b"{\"v\":1,\"seq\":1,\"ev\":\"round_e"[..], b"{\"v\":1,garbage\n"] {
+        for tail in [
+            &b"{\"v\":1,\"seq\":1,\"ev\":\"round_e"[..],
+            b"{\"v\":1,garbage\n",
+        ] {
             let _ = std::fs::remove_file(&path);
             JournalWriter::create(&path)
                 .unwrap()
-                .write(0, Event::RoundStart { round: 1, from: 0, to: 10 })
+                .write(
+                    0,
+                    Event::RoundStart {
+                        round: 1,
+                        from: 0,
+                        to: 10,
+                    },
+                )
                 .unwrap();
-            OpenOptions::new().append(true).open(&path).unwrap().write_all(tail).unwrap();
+            OpenOptions::new()
+                .append(true)
+                .open(&path)
+                .unwrap()
+                .write_all(tail)
+                .unwrap();
             let mut w = JournalWriter::append(&path).unwrap();
             assert_eq!(w.next_seq(), 1);
-            w.write(5, Event::Resume { fingerprint: 1, done: 0, rounds: 0 }).unwrap();
-            w.write(9, Event::RoundStart { round: 1, from: 0, to: 10 }).unwrap();
+            w.write(
+                5,
+                Event::Resume {
+                    fingerprint: 1,
+                    done: 0,
+                    rounds: 0,
+                },
+            )
+            .unwrap();
+            w.write(
+                9,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 10,
+                },
+            )
+            .unwrap();
             let records = read_records(&path).expect("the torn tail was cut, not buried");
             let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
             assert_eq!(seqs, [0, 1, 2], "tail {:?}", String::from_utf8_lossy(tail));
@@ -673,7 +920,12 @@ mod tests {
         let events = sample_events();
         assert_eq!(events.len(), 10);
         for (i, event) in events.into_iter().enumerate() {
-            let rec = Record { seq: i as u64, vclock_us: 1000 * i as u64, wall_s: 0.5, event };
+            let rec = Record {
+                seq: i as u64,
+                vclock_us: 1000 * i as u64,
+                wall_s: 0.5,
+                event,
+            };
             crate::json::single_byte_damage(rec.to_line().as_bytes(), |damaged| {
                 let _ = Record::parse_line(&String::from_utf8_lossy(damaged));
             });
@@ -685,14 +937,31 @@ mod tests {
         let path = tmp("sos_obs_journal_tail.jsonl");
         let _ = std::fs::remove_file(&path);
         let mut w = JournalWriter::create(&path).unwrap();
-        w.write(0, Event::RoundStart { round: 1, from: 0, to: 5 }).unwrap();
+        w.write(
+            0,
+            Event::RoundStart {
+                round: 1,
+                from: 0,
+                to: 5,
+            },
+        )
+        .unwrap();
         let (first, off) = read_from(&path, 0).unwrap();
         assert_eq!(first.len(), 1);
         let (none, off2) = read_from(&path, off).unwrap();
         assert!(none.is_empty());
         assert_eq!(off, off2, "no new data, offset unchanged");
-        w.write(3, Event::RoundEnd { round: 1, done: 5, total: 5, hits: 2, packets: 9 })
-            .unwrap();
+        w.write(
+            3,
+            Event::RoundEnd {
+                round: 1,
+                done: 5,
+                total: 5,
+                hits: 2,
+                packets: 9,
+            },
+        )
+        .unwrap();
         let (next, off3) = read_from(&path, off2).unwrap();
         assert_eq!(next.len(), 1);
         assert!(off3 > off2);

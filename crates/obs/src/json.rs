@@ -121,7 +121,11 @@ impl Json {
     /// nested deeper than `MAX_DEPTH` are an error: the parser recurses
     /// per level, and the text may be a damaged file.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -573,8 +577,7 @@ impl Parser<'_> {
                                 hi
                             };
                             out.push(
-                                char::from_u32(c)
-                                    .ok_or_else(|| self.err("invalid \\u escape"))?,
+                                char::from_u32(c).ok_or_else(|| self.err("invalid \\u escape"))?,
                             );
                             continue; // hex4 already advanced past the digits
                         }
@@ -690,7 +693,11 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
 }
 impl<T: Into<Json> + Clone> From<&BTreeMap<String, T>> for Json {
     fn from(m: &BTreeMap<String, T>) -> Json {
-        Json::Obj(m.iter().map(|(k, v)| (k.clone(), v.clone().into())).collect())
+        Json::Obj(
+            m.iter()
+                .map(|(k, v)| (k.clone(), v.clone().into()))
+                .collect(),
+        )
     }
 }
 
@@ -720,12 +727,20 @@ pub fn read_lines<T>(
     let mut items = Vec::new();
     let mut at = 0;
     for (index, whole) in text.split_inclusive('\n').enumerate() {
-        let Some(line) = whole.strip_suffix('\n') else { break };
+        let Some(line) = whole.strip_suffix('\n') else {
+            break;
+        };
         if !line.trim().is_empty() {
             match parse(index + 1, line) {
                 Ok(item) => items.push(item),
                 Err(_) if text[at + whole.len()..].trim().is_empty() => break,
-                Err(error) => return Err(BadLine { number: index + 1, at, error }),
+                Err(error) => {
+                    return Err(BadLine {
+                        number: index + 1,
+                        at,
+                        error,
+                    })
+                }
             }
         }
         at += whole.len();
@@ -755,7 +770,10 @@ pub fn single_byte_damage(sample: &[u8], mut decode: impl FnMut(&[u8])) {
         });
         for (n, variant) in [cut, deleted].into_iter().chain(replaced).enumerate() {
             if catch_unwind(AssertUnwindSafe(|| decode(&variant))).is_err() {
-                panic!("variant {n} at byte {at} of {} panicked the decoder", sample.len());
+                panic!(
+                    "variant {n} at byte {at} of {} panicked the decoder",
+                    sample.len()
+                );
             }
         }
         at += if at < 2048 { 1 } else { 7 };
@@ -774,12 +792,19 @@ mod tests {
         assert_eq!(Json::I64(-3).to_string(), "-3");
         assert_eq!(Json::F64(0.5).to_string(), "0.5");
         assert_eq!(Json::F64(f64::NAN).to_string(), "null");
-        assert_eq!(Json::F64(2.0).to_string(), "2.0", "floats keep a decimal point");
+        assert_eq!(
+            Json::F64(2.0).to_string(),
+            "2.0",
+            "floats keep a decimal point"
+        );
     }
 
     #[test]
     fn strings_escape() {
-        assert_eq!(Json::Str("a\"b\\c\nd\u{1}".into()).to_string(), "\"a\\\"b\\\\c\\nd\\u0001\"");
+        assert_eq!(
+            Json::Str("a\"b\\c\nd\u{1}".into()).to_string(),
+            "\"a\\\"b\\\\c\\nd\\u0001\""
+        );
     }
 
     /// Strings drawn from an alphabet of every character the escaper
@@ -789,17 +814,25 @@ mod tests {
     #[test]
     fn writer_strings_equal_the_tree_serializer() {
         let mut alphabet: Vec<char> = (0u8..0x20).map(char::from).collect();
-        alphabet.extend(['"', '\\', '/', ' ', 'a', 'Z', '0', '\u{7f}', 'é', '€', '😀', '\u{2028}']);
+        alphabet.extend([
+            '"', '\\', '/', ' ', 'a', 'Z', '0', '\u{7f}', 'é', '€', '😀', '\u{2028}',
+        ]);
         let mut state = 0x5eed_u64;
         let mut next = move || {
-            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
             (state >> 33) as usize
         };
         let mut samples = vec![String::new(), "plain".to_string()];
         samples.extend(alphabet.iter().map(char::to_string));
         for _ in 0..500 {
             let len = next() % 12;
-            samples.push((0..len).map(|_| alphabet[next() % alphabet.len()]).collect());
+            samples.push(
+                (0..len)
+                    .map(|_| alphabet[next() % alphabet.len()])
+                    .collect(),
+            );
         }
         let mut w = JsonWriter::default();
         for s in &samples {
@@ -808,7 +841,11 @@ mod tests {
             assert_eq!(w.as_str(), Json::Str(s.clone()).to_string(), "{s:?}");
             w.clear();
             w.obj().key(s).u64(1).end_obj();
-            assert_eq!(w.as_str(), Json::Obj(vec![(s.clone(), Json::U64(1))]).to_string(), "key {s:?}");
+            assert_eq!(
+                w.as_str(),
+                Json::Obj(vec![(s.clone(), Json::U64(1))]).to_string(),
+                "key {s:?}"
+            );
         }
     }
 
@@ -818,7 +855,10 @@ mod tests {
     fn writer_matches_the_tree_it_does_not_build() {
         let mut tree = Json::obj();
         let mut inner = Json::obj();
-        inner.set("xs", vec![0u64, 9, 10, u64::MAX]).set("e", Json::Arr(Vec::new())).set("o", Json::obj());
+        inner
+            .set("xs", vec![0u64, 9, 10, u64::MAX])
+            .set("e", Json::Arr(Vec::new()))
+            .set("o", Json::obj());
         tree.set("n", Json::Null)
             .set("b", false)
             .set("f", 0.1 + 0.2)
@@ -827,17 +867,35 @@ mod tests {
             .set("inner", inner.clone())
             .set("tree", inner.clone());
         let mut w = JsonWriter::default();
-        w.obj().key("n").null().key("b").bool(false).key("f").f64(0.1 + 0.2).key("inf").f64(f64::INFINITY);
+        w.obj()
+            .key("n")
+            .null()
+            .key("b")
+            .bool(false)
+            .key("f")
+            .f64(0.1 + 0.2)
+            .key("inf")
+            .f64(f64::INFINITY);
         w.key("h").hex128(0xabcd).key("inner").obj().key("xs").arr();
         for n in [0, 9, 10, u64::MAX] {
             w.u64(n);
         }
-        w.end_arr().key("e").arr().end_arr().key("o").obj().end_obj().end_obj();
+        w.end_arr()
+            .key("e")
+            .arr()
+            .end_arr()
+            .key("o")
+            .obj()
+            .end_obj()
+            .end_obj();
         w.key("tree").json(&inner).end_obj().end_line();
         w.arr().u64(1).end_arr().end_line();
         assert_eq!(w.as_str(), format!("{tree}\n[1]\n"));
         assert_eq!(hex128(u128::MAX), [b'f'; 32]);
-        assert_eq!(&hex128(0x0123_4567_89ab_cdef << 64), b"0123456789abcdef0000000000000000");
+        assert_eq!(
+            &hex128(0x0123_4567_89ab_cdef << 64),
+            b"0123456789abcdef0000000000000000"
+        );
     }
 
     #[test]
@@ -890,7 +948,10 @@ mod tests {
     #[test]
     fn parse_keeps_multibyte_scalars_adjacent_to_escapes() {
         let s = "é\"€\\😀\né\u{1}€\t😀";
-        for text in [Json::Str(s.into()).to_string(), format!("[{}]", Json::Str(s.into()))] {
+        for text in [
+            Json::Str(s.into()).to_string(),
+            format!("[{}]", Json::Str(s.into())),
+        ] {
             let back = Json::parse(&text).expect("parses");
             let got = back.as_str().or_else(|| back.as_arr()?.first()?.as_str());
             assert_eq!(got, Some(s), "round trip through {text}");
@@ -903,7 +964,16 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_documents() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2", "{\"a\":1,}"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "{\"a\":1,}",
+        ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }
@@ -926,7 +996,10 @@ mod tests {
         let past_bound = format!("[{at_bound}]");
         assert!(Json::parse(&past_bound).is_err());
         // Depth is what is open at one point, not what the document opened.
-        let wide = format!("[{}]", vec![at_bound[1..at_bound.len() - 1].to_string(); 4].join(","));
+        let wide = format!(
+            "[{}]",
+            vec![at_bound[1..at_bound.len() - 1].to_string(); 4].join(",")
+        );
         assert!(Json::parse(&wide).is_ok());
     }
 
@@ -943,7 +1016,11 @@ mod tests {
             .set("n", Json::Null)
             .set("xs", vec![1u64, 2, 3])
             .set("o", Json::obj());
-        for sample in [o.to_string(), o.to_string_pretty(), r#"["\ud83d\ude00\u00e9"]"#.to_string()] {
+        for sample in [
+            o.to_string(),
+            o.to_string_pretty(),
+            r#"["\ud83d\ude00\u00e9"]"#.to_string(),
+        ] {
             assert!(Json::parse(&sample).is_ok(), "{sample}");
             single_byte_damage(sample.as_bytes(), |damaged| {
                 let _ = Json::parse(&String::from_utf8_lossy(damaged));
@@ -959,7 +1036,10 @@ mod tests {
         assert_eq!(doc.get("x").and_then(Json::as_f64), Some(1.5));
         assert_eq!(doc.get("x").and_then(Json::as_u64), None);
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("hi"));
-        assert_eq!(doc.get("xs").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            doc.get("xs").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
         assert_eq!(doc.entries().map(<[(String, Json)]>::len), Some(4));
     }
 
@@ -967,7 +1047,10 @@ mod tests {
     fn pretty_printing_nests() {
         let mut o = Json::obj();
         o.set("xs", vec![1u64, 2]);
-        assert_eq!(o.to_string_pretty(), "{\n  \"xs\": [\n    1,\n    2\n  ]\n}");
+        assert_eq!(
+            o.to_string_pretty(),
+            "{\n  \"xs\": [\n    1,\n    2\n  ]\n}"
+        );
         assert_eq!(Json::obj().to_string_pretty(), "{}");
     }
 }

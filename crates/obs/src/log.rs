@@ -88,7 +88,13 @@ pub fn write(l: Level, args: fmt::Arguments<'_>) {
     if path.is_empty() {
         eprintln!("[{:>9.3}s] {:<5} {}", crate::now_s(), l.label(), args);
     } else {
-        eprintln!("[{:>9.3}s] {:<5} {}: {}", crate::now_s(), l.label(), path, args);
+        eprintln!(
+            "[{:>9.3}s] {:<5} {}: {}",
+            crate::now_s(),
+            l.label(),
+            path,
+            args
+        );
     }
 }
 

@@ -126,7 +126,15 @@ where
     let run = |worker: usize, (index, item): (usize, T)| {
         let t0 = crate::now_s();
         let r = f(index, item);
-        (r, ParCell { index, wait_s: t0 - start_s, exec_s: crate::now_s() - t0, worker })
+        (
+            r,
+            ParCell {
+                index,
+                wait_s: t0 - start_s,
+                exec_s: crate::now_s() - t0,
+                worker,
+            },
+        )
     };
     let mut done: Vec<(R, ParCell)> = Vec::with_capacity(n);
     if threads == 1 || n <= 1 {
@@ -157,7 +165,13 @@ where
         });
         done.sort_by_key(|(_, c)| c.index);
     }
-    let mut per_worker = vec![ParWorker { busy_s: 0.0, items: 0 }; threads];
+    let mut per_worker = vec![
+        ParWorker {
+            busy_s: 0.0,
+            items: 0
+        };
+        threads
+    ];
     let (out, cells): (Vec<R>, Vec<ParCell>) = done.into_iter().unzip();
     for c in &cells {
         per_worker[c.worker].busy_s += c.exec_s;
@@ -202,12 +216,28 @@ mod tests {
             start_s: 0.0,
             wall_s: 2.0,
             cells: vec![
-                ParCell { index: 0, wait_s: 0.0, exec_s: 1.0, worker: 0 },
-                ParCell { index: 1, wait_s: 0.5, exec_s: 2.0, worker: 1 },
+                ParCell {
+                    index: 0,
+                    wait_s: 0.0,
+                    exec_s: 1.0,
+                    worker: 0,
+                },
+                ParCell {
+                    index: 1,
+                    wait_s: 0.5,
+                    exec_s: 2.0,
+                    worker: 1,
+                },
             ],
             workers: vec![
-                ParWorker { busy_s: 1.0, items: 1 },
-                ParWorker { busy_s: 2.0, items: 1 },
+                ParWorker {
+                    busy_s: 1.0,
+                    items: 1,
+                },
+                ParWorker {
+                    busy_s: 2.0,
+                    items: 1,
+                },
             ],
         }
     }
@@ -215,21 +245,34 @@ mod tests {
     /// The stats batch the latest call under `label` recorded (labels are
     /// unique per test: the table is process-global).
     fn recorded(label: &str) -> ParStats {
-        snapshot().into_iter().rfind(|s| s.label == label).expect("call recorded under its label")
+        snapshot()
+            .into_iter()
+            .rfind(|s| s.label == label)
+            .expect("call recorded under its label")
     }
 
     #[test]
     fn par_map_preserves_input_order_at_every_width() {
         let want: Vec<usize> = (0..200).map(|i| i * 1000 + i * 3).collect();
         for workers in [1, 2, 8] {
-            let out = par_map("order_test", (0..200usize).collect(), workers, |i, x| i * 1000 + x * 3);
+            let out = par_map("order_test", (0..200usize).collect(), workers, |i, x| {
+                i * 1000 + x * 3
+            });
             assert_eq!(out, want, "workers={workers}");
         }
         let stats = recorded("order_test");
         assert_eq!((stats.threads, stats.cells.len()), (8, 200));
         let indices: Vec<usize> = stats.cells.iter().map(|c| c.index).collect();
-        assert_eq!(indices, (0..200).collect::<Vec<_>>(), "cell records are in input order too");
-        assert_eq!(stats.workers.iter().map(|w| w.items).sum::<u64>(), 200, "each cell ran once");
+        assert_eq!(
+            indices,
+            (0..200).collect::<Vec<_>>(),
+            "cell records are in input order too"
+        );
+        assert_eq!(
+            stats.workers.iter().map(|w| w.items).sum::<u64>(),
+            200,
+            "each cell ran once"
+        );
         assert!(stats.cells.iter().all(|c| c.worker < 8));
     }
 
@@ -243,7 +286,10 @@ mod tests {
         assert_eq!(par_map("single_test", vec![7], 16, |_, x| x * x), vec![49]);
         let stats = recorded("single_test");
         assert_eq!((stats.threads, stats.workers.len()), (16, 16));
-        assert_eq!(stats.workers[0].items, 1, "one item runs inline on worker 0");
+        assert_eq!(
+            stats.workers[0].items, 1,
+            "one item runs inline on worker 0"
+        );
         assert!(stats.workers[1..].iter().all(idle));
 
         // The barrier holds each of the three cells on a worker of its own.
@@ -254,12 +300,27 @@ mod tests {
         });
         assert_eq!(out, vec![2, 3, 4]);
         let stats = recorded("surplus_test");
-        assert_eq!((stats.threads, stats.workers.len()), (8, 8), "requested, not min(items, workers)");
-        assert_eq!(stats.workers.iter().filter(|w| idle(w)).count(), 5, "surplus workers show as idle");
+        assert_eq!(
+            (stats.threads, stats.workers.len()),
+            (8, 8),
+            "requested, not min(items, workers)"
+        );
+        assert_eq!(
+            stats.workers.iter().filter(|w| idle(w)).count(),
+            5,
+            "surplus workers show as idle"
+        );
 
-        assert_eq!(par_map("seq_test", vec![1, 2, 3], 0, |_, x| x), vec![1, 2, 3]);
+        assert_eq!(
+            par_map("seq_test", vec![1, 2, 3], 0, |_, x| x),
+            vec![1, 2, 3]
+        );
         let stats = recorded("seq_test");
-        assert_eq!((stats.threads, stats.workers[0].items), (1, 3), "0 workers means 1");
+        assert_eq!(
+            (stats.threads, stats.workers[0].items),
+            (1, 3),
+            "0 workers means 1"
+        );
     }
 
     #[test]
@@ -271,8 +332,13 @@ mod tests {
             })
         });
         let payload = caught.expect_err("the panic must not be swallowed");
-        let msg = payload.downcast_ref::<String>().expect("a formatted panic carries a String");
-        assert_eq!(msg, "cell 11 exploded", "the caller sees the worker's own message");
+        let msg = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic carries a String");
+        assert_eq!(
+            msg, "cell 11 exploded",
+            "the caller sees the worker's own message"
+        );
     }
 
     #[test]

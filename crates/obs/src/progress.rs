@@ -58,8 +58,7 @@ impl Progress {
             self.last_print_us.store(now_us, Ordering::Relaxed);
         } else {
             let last = self.last_print_us.load(Ordering::Relaxed);
-            let due = done > self.total
-                || now_us.saturating_sub(last) as f64 / 1e6 >= THROTTLE_S;
+            let due = done > self.total || now_us.saturating_sub(last) as f64 / 1e6 >= THROTTLE_S;
             if !due {
                 return;
             }
@@ -73,9 +72,17 @@ impl Progress {
             }
         }
         let elapsed = crate::now_s() - self.start_s;
-        let rate = if elapsed > 0.0 { done as f64 / elapsed } else { 0.0 };
+        let rate = if elapsed > 0.0 {
+            done as f64 / elapsed
+        } else {
+            0.0
+        };
         let eta = eta_s(done, self.total, rate);
-        let pct = if self.total > 0 { 100.0 * done as f64 / self.total as f64 } else { 100.0 };
+        let pct = if self.total > 0 {
+            100.0 * done as f64 / self.total as f64
+        } else {
+            100.0
+        };
         crate::info!(
             "{}: {done}/{} ({pct:.0}%) {rate:.2}/s eta {eta:.0}s",
             self.label,

@@ -93,7 +93,11 @@ pub fn span_detail(name: &'static str, detail: impl Into<String>) -> Span {
             crate::debug!("▶ open [{detail}]");
         }
     }
-    Span { path, detail, start_s: crate::now_s() }
+    Span {
+        path,
+        detail,
+        start_s: crate::now_s(),
+    }
 }
 
 impl Drop for Span {
@@ -143,7 +147,9 @@ pub fn self_times(records: &[SpanRecord]) -> Vec<f64> {
     const EPS: f64 = 1e-9;
     let mut self_s: Vec<f64> = records.iter().map(|r| r.dur_s).collect();
     for (ci, c) in records.iter().enumerate() {
-        let Some(cut) = c.path.rfind('>') else { continue };
+        let Some(cut) = c.path.rfind('>') else {
+            continue;
+        };
         let parent_path = &c.path[..cut];
         let c_end = c.start_s + c.dur_s;
         // Innermost (shortest) enclosing instance of the parent path on
@@ -214,8 +220,10 @@ mod tests {
             assert_eq!(current_path(), "outer_span_test");
         }
         assert_eq!(current_path(), "");
-        let recs: Vec<SpanRecord> =
-            records().into_iter().filter(|r| r.path.contains("outer_span_test")).collect();
+        let recs: Vec<SpanRecord> = records()
+            .into_iter()
+            .filter(|r| r.path.contains("outer_span_test"))
+            .collect();
         assert_eq!(recs.len(), 2, "inner closes first, then outer");
         assert_eq!(recs[0].path, "outer_span_test>inner_span_test");
         assert_eq!(recs[0].detail, "k=v");
@@ -266,7 +274,10 @@ mod tests {
     fn self_time_ignores_other_threads() {
         let records = vec![rec("a", 0.0, 10.0, 0), rec("a>b", 1.0, 3.0, 1)];
         let s = self_times(&records);
-        assert!((s[0] - 10.0).abs() < 1e-9, "child on another thread is not ours");
+        assert!(
+            (s[0] - 10.0).abs() < 1e-9,
+            "child on another thread is not ours"
+        );
     }
 
     #[test]
@@ -279,11 +290,19 @@ mod tests {
         }
         let agg = aggregate();
         let outer = agg.get("selfagg_outer_test").expect("outer aggregated");
-        let inner = agg.get("selfagg_outer_test>selfagg_inner_test").expect("inner");
+        let inner = agg
+            .get("selfagg_outer_test>selfagg_inner_test")
+            .expect("inner");
         assert!(outer.self_s < outer.total_s, "outer excludes inner's time");
-        assert!((inner.self_s - inner.total_s).abs() < 1e-9, "leaf: self == total");
+        assert!(
+            (inner.self_s - inner.total_s).abs() < 1e-9,
+            "leaf: self == total"
+        );
         let sum = outer.self_s + inner.self_s;
-        assert!((sum - outer.total_s).abs() < 1e-3, "self times partition the root");
+        assert!(
+            (sum - outer.total_s).abs() < 1e-3,
+            "self times partition the root"
+        );
     }
 
     #[test]

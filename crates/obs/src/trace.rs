@@ -57,7 +57,11 @@ pub fn chrome_trace(records: &[SpanRecord], par: &[ParStats]) -> Json {
     tids.sort_unstable();
     tids.dedup();
     for &tid in &tids {
-        let label = if tid == 0 { "main".to_string() } else { format!("thread-{tid}") };
+        let label = if tid == 0 {
+            "main".to_string()
+        } else {
+            format!("thread-{tid}")
+        };
         events.push(meta("thread_name", SPAN_PID, tid, &label));
     }
     for r in records {
@@ -82,7 +86,12 @@ pub fn chrome_trace(records: &[SpanRecord], par: &[ParStats]) -> Json {
     // One process per par_map invocation, one lane per worker thread.
     for (k, stats) in par.iter().enumerate() {
         let pid = PAR_PID_BASE + k as u64;
-        events.push(meta("process_name", pid, 0, &format!("par:{}", stats.label)));
+        events.push(meta(
+            "process_name",
+            pid,
+            0,
+            &format!("par:{}", stats.label),
+        ));
         for w in 0..stats.workers.len() {
             events.push(meta("thread_name", pid, w as u64, &format!("worker-{w}")));
         }
@@ -155,7 +164,11 @@ mod tests {
     fn rec(path: &str, start_s: f64, dur_s: f64, tid: u64) -> SpanRecord {
         SpanRecord {
             path: path.into(),
-            detail: if path.contains("cell") { "k=v".into() } else { String::new() },
+            detail: if path.contains("cell") {
+                "k=v".into()
+            } else {
+                String::new()
+            },
             start_s,
             dur_s,
             tid,
@@ -169,12 +182,28 @@ mod tests {
             start_s: 1.0,
             wall_s: 3.0,
             cells: vec![
-                ParCell { index: 0, wait_s: 0.0, exec_s: 1.0, worker: 0 },
-                ParCell { index: 1, wait_s: 0.5, exec_s: 2.0, worker: 1 },
+                ParCell {
+                    index: 0,
+                    wait_s: 0.0,
+                    exec_s: 1.0,
+                    worker: 0,
+                },
+                ParCell {
+                    index: 1,
+                    wait_s: 0.5,
+                    exec_s: 2.0,
+                    worker: 1,
+                },
             ],
             workers: vec![
-                ParWorker { busy_s: 1.0, items: 1 },
-                ParWorker { busy_s: 2.0, items: 1 },
+                ParWorker {
+                    busy_s: 1.0,
+                    items: 1,
+                },
+                ParWorker {
+                    busy_s: 2.0,
+                    items: 1,
+                },
             ],
         }
     }
@@ -183,7 +212,10 @@ mod tests {
     fn trace_events_have_required_fields() {
         let records = vec![rec("study", 0.0, 10.0, 0), rec("study>cell", 1.0, 2.0, 0)];
         let doc = chrome_trace(&records, &[sample_par()]);
-        let events = doc.get("traceEvents").and_then(Json::as_arr).expect("array");
+        let events = doc
+            .get("traceEvents")
+            .and_then(Json::as_arr)
+            .expect("array");
         for e in events {
             let ph = e.get("ph").and_then(Json::as_str).expect("ph");
             assert!(matches!(ph, "X" | "M"), "only complete + metadata events");
@@ -201,7 +233,10 @@ mod tests {
         let doc = chrome_trace(&records, &[]);
         let back = Json::parse(&doc.to_string()).expect("trace parses");
         assert_eq!(back, doc);
-        assert_eq!(back.get("displayTimeUnit").and_then(Json::as_str), Some("ms"));
+        assert_eq!(
+            back.get("displayTimeUnit").and_then(Json::as_str),
+            Some("ms")
+        );
     }
 
     #[test]

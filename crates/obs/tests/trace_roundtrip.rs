@@ -39,11 +39,35 @@ fn sample_par() -> ParStats {
         start_s: 0.5,
         wall_s: 2.0,
         cells: vec![
-            ParCell { index: 0, wait_s: 0.0, exec_s: 0.8, worker: 0 },
-            ParCell { index: 1, wait_s: 0.1, exec_s: 1.2, worker: 1 },
-            ParCell { index: 2, wait_s: 0.9, exec_s: 0.7, worker: 0 },
+            ParCell {
+                index: 0,
+                wait_s: 0.0,
+                exec_s: 0.8,
+                worker: 0,
+            },
+            ParCell {
+                index: 1,
+                wait_s: 0.1,
+                exec_s: 1.2,
+                worker: 1,
+            },
+            ParCell {
+                index: 2,
+                wait_s: 0.9,
+                exec_s: 0.7,
+                worker: 0,
+            },
         ],
-        workers: vec![ParWorker { busy_s: 1.5, items: 2 }, ParWorker { busy_s: 1.2, items: 1 }],
+        workers: vec![
+            ParWorker {
+                busy_s: 1.5,
+                items: 2,
+            },
+            ParWorker {
+                busy_s: 1.2,
+                items: 1,
+            },
+        ],
     }
 }
 
@@ -52,8 +76,10 @@ fn sample_par() -> ParStats {
 /// records under names only it uses and filters on them, so concurrent
 /// recording by the other test cannot confuse its assertions.
 fn exported(tag: &str) -> Json {
-    let path = std::env::temp_dir()
-        .join(format!("sos_obs_trace_e2e_{tag}_{}.json", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "sos_obs_trace_e2e_{tag}_{}.json",
+        std::process::id()
+    ));
     trace::write_chrome_trace(&path).expect("write trace");
     let text = std::fs::read_to_string(&path).expect("read trace back");
     let _ = std::fs::remove_file(&path);
@@ -78,10 +104,20 @@ fn real_run_exports_a_valid_nested_trace() {
     let spans = span_events(&doc);
     let paths: Vec<&str> = spans
         .iter()
-        .filter_map(|e| e.get("args").and_then(|a| a.get("path")).and_then(Json::as_str))
+        .filter_map(|e| {
+            e.get("args")
+                .and_then(|a| a.get("path"))
+                .and_then(Json::as_str)
+        })
         .collect();
-    assert!(paths.contains(&"e2e_outer"), "outer span exported: {paths:?}");
-    assert!(paths.contains(&"e2e_outer>e2e_first"), "nesting encoded in path");
+    assert!(
+        paths.contains(&"e2e_outer"),
+        "outer span exported: {paths:?}"
+    );
+    assert!(
+        paths.contains(&"e2e_outer>e2e_first"),
+        "nesting encoded in path"
+    );
     assert!(paths.contains(&"e2e_outer>e2e_second"));
     assert!(paths.contains(&"e2e_worker_side"), "thread spans are roots");
 
@@ -91,7 +127,10 @@ fn real_run_exports_a_valid_nested_trace() {
         spans
             .iter()
             .find(|e| {
-                e.get("args").and_then(|a| a.get("path")).and_then(Json::as_str) == Some(path)
+                e.get("args")
+                    .and_then(|a| a.get("path"))
+                    .and_then(Json::as_str)
+                    == Some(path)
             })
             .copied()
             .unwrap_or_else(|| panic!("span {path} present"))
@@ -104,7 +143,10 @@ fn real_run_exports_a_valid_nested_trace() {
         let c = find(child);
         assert_eq!(tid(c), tid(outer), "{child} on the parent's lane");
         assert!(ts(c) >= ts(outer), "{child} starts after parent");
-        assert!(ts(c) + dur(c) <= ts(outer) + dur(outer) + 1.0, "{child} ends inside parent");
+        assert!(
+            ts(c) + dur(c) <= ts(outer) + dur(outer) + 1.0,
+            "{child} ends inside parent"
+        );
     }
     // The two inner phases ran sequentially: no overlap on the lane.
     let (a, b) = (find("e2e_outer>e2e_first"), find("e2e_outer>e2e_second"));
@@ -125,7 +167,10 @@ fn real_run_exports_a_valid_nested_trace() {
 fn par_lanes_match_worker_stats_and_never_overlap() {
     sos_obs::par::record(sample_par());
     let doc = exported("par");
-    let events = doc.get("traceEvents").and_then(Json::as_arr).expect("traceEvents");
+    let events = doc
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .expect("traceEvents");
     let stats = sample_par();
 
     // Find the process exporting our invocation (tests share the global
@@ -135,7 +180,9 @@ fn par_lanes_match_worker_stats_and_never_overlap() {
         .find(|e| {
             e.get("ph").and_then(Json::as_str) == Some("M")
                 && e.get("name").and_then(Json::as_str) == Some("process_name")
-                && e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str)
+                && e.get("args")
+                    .and_then(|a| a.get("name"))
+                    .and_then(Json::as_str)
                     == Some("par:e2e_grid")
         })
         .and_then(|e| e.get("pid").and_then(Json::as_u64))
@@ -155,7 +202,10 @@ fn par_lanes_match_worker_stats_and_never_overlap() {
     for e in &items {
         let t = e.get("ts").and_then(Json::as_f64).unwrap();
         let d = e.get("dur").and_then(Json::as_f64).unwrap();
-        by_lane.entry(e.get("tid").and_then(Json::as_u64).unwrap()).or_default().push((t, d));
+        by_lane
+            .entry(e.get("tid").and_then(Json::as_u64).unwrap())
+            .or_default()
+            .push((t, d));
     }
     assert_eq!(by_lane.len(), stats.workers.len(), "one lane per worker");
 
