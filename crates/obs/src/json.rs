@@ -254,7 +254,12 @@ fn write_u64(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.extend(digits[at..].iter().map(|&d| char::from(d)));
+    push_ascii(out, &digits[at..]);
+}
+
+/// Append digits this module formatted, in one copy.
+fn push_ascii(out: &mut String, digits: &[u8]) {
+    out.push_str(std::str::from_utf8(digits).expect("decimal and hex digits are ASCII"));
 }
 
 fn write_f64(out: &mut String, x: f64) {
@@ -398,7 +403,7 @@ impl JsonWriter {
     pub fn hex128(&mut self, v: u128) -> &mut Self {
         let out = self.value();
         out.push('"');
-        out.extend(hex128(v).iter().map(|&d| char::from(d)));
+        push_ascii(out, &hex128(v));
         out.push('"');
         self
     }
@@ -797,6 +802,51 @@ mod tests {
             "2.0",
             "floats keep a decimal point"
         );
+    }
+
+    /// The writer's integers and hex strings, and the tree's integers, are
+    /// the bytes std's formatter gives: every digit count from 1 to 20
+    /// (and 32 hex digits), carries at each power of ten, and the extremes.
+    #[test]
+    fn digits_equal_the_reference_formatter() {
+        let mut numbers = vec![0u64, 9, 10, 99, 100, 1_000_001, u64::MAX - 1, u64::MAX];
+        let mut power = 1u64;
+        while let Some(next) = power.checked_mul(10) {
+            numbers.extend([power - 1, power, power + 7, next - 1]);
+            power = next;
+        }
+        numbers.push(0x0123_4567_89ab_cdef);
+        let mut w = JsonWriter::default();
+        for &n in &numbers {
+            w.clear();
+            w.u64(n);
+            assert_eq!(w.as_str(), format!("{n}"));
+            assert_eq!(Json::U64(n).to_string(), format!("{n}"));
+            let negative = -((n >> 1) as i64);
+            assert_eq!(Json::I64(negative).to_string(), format!("{negative}"));
+        }
+        w.clear();
+        w.arr().u64(10).u64(9).end_arr();
+        assert_eq!(w.as_str(), "[10,9]");
+        let wide = [
+            0u128,
+            9,
+            10,
+            0xabcd,
+            u128::from(u64::MAX),
+            0x2001_0db8 << 96 | 0x42,
+            u128::MAX,
+        ];
+        for v in wide.into_iter().chain(
+            numbers
+                .iter()
+                .map(|&n| u128::from(n) << 64 | u128::from(!n)),
+        ) {
+            w.clear();
+            w.hex128(v);
+            assert_eq!(w.as_str(), format!("\"{v:032x}\""));
+            assert_eq!(hex128(v), *format!("{v:032x}").as_bytes());
+        }
     }
 
     #[test]
