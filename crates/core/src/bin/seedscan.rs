@@ -32,11 +32,11 @@
 //! than silently normalized (the engine's `TokenBucket::split` and the
 //! scan pipeline clamp internal shard counts with `.max(1)`, but a user
 //! asking for zero shards is a configuration mistake, not a request for
-//! the single-task scan). `--gen-workers` follows the same rule and fans
-//! out 6Scan/DET generation rounds across worker threads; candidate
-//! streams are bit-identical at any worker count (W-invariance, see the
-//! README's "Parallel generation"), so like `--scan-shards` it only buys
-//! wall clock. Both default to the scale preset (1) and are independent
+//! the single-task scan). `--threads` and `--gen-workers` follow the same
+//! rule. `--gen-workers` fans out 6Scan/DET generation rounds across
+//! worker threads; candidate streams are bit-identical at any worker
+//! count (W-invariance, see the README's "Parallel generation"), so like
+//! `--scan-shards` it only buys wall clock. Both default to the scale preset (1) and are independent
 //! of `--threads`, which sizes the experiment grid: the three fan-outs
 //! nest, so tying them together ran N × N × N workers on N cores.
 //! `--faults` selects a deterministic hostile-world
@@ -71,12 +71,13 @@
 //! Observability: progress and milestones go to stderr at the level
 //! selected by `SOS_LOG` (default `info` here; `debug` adds span-level
 //! phase timing). `--manifest FILE` writes a JSON run manifest with the
-//! full configuration, per-phase timings, engine counters, parallelism
-//! stats, and FNV-1a digests of every rendered result — two runs of the
+//! full configuration, per-phase timings, engine counters, per-cell span
+//! records, and FNV-1a digests of every rendered result — two runs of the
 //! same configuration produce identical digests. `--trace FILE` writes a
-//! Chrome trace-event timeline (load in Perfetto or `chrome://tracing`)
-//! with one lane per thread; `--flame FILE` writes self-time attribution
-//! in collapsed-stack format for flamegraph tooling.
+//! Chrome trace-event timeline of the spans (load in Perfetto or
+//! `chrome://tracing`) with one lane per thread; `--flame FILE` writes
+//! self-time attribution in collapsed-stack format for flamegraph
+//! tooling. Each artifact's directory must exist before the run starts.
 
 use std::cell::RefCell;
 use std::process::ExitCode;
@@ -144,7 +145,7 @@ fn parse_args() -> Result<(Args, StudyConfig), String> {
             "--scale" => args.scale = value(it, "--scale")?,
             "--seed" => args.seed = value(it, "--seed")?,
             "--budget" => args.budget = Some(value(it, "--budget")?),
-            "--threads" => args.threads = Some(value(it, "--threads")?),
+            "--threads" => args.threads = Some(workers(it, "--threads", "use 1 for a sequential grid")?),
             "--scan-shards" => {
                 let hint = "use 1 for the sequential scan path";
                 args.scan_shards = Some(workers(it, "--scan-shards", hint)?)
@@ -337,8 +338,12 @@ fn main() -> ExitCode {
         Ok(parsed) => parsed,
         Err(e) => return bad_usage(&e),
     };
-    // `export` writes into ./export/: fail before the study is built when
-    // it cannot.
+    // Fail before the study is built when an artifact, or `export`'s
+    // ./export/, could not be written.
+    if let Err(e) = args.artifacts.check() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     if matches!(args.experiment.as_str(), "export" | "all") {
         if let Err(e) = std::fs::create_dir_all("export") {
             eprintln!("error: creating export/: {e}");

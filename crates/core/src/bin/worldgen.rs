@@ -73,6 +73,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if let Err(e) = artifacts.check() {
+        eprintln!("error: {e}");
+        return ExitCode::FAILURE;
+    }
     let mut manifest = Manifest::new("worldgen");
     manifest.config("scale", scale.as_str());
     manifest.config("seed", seed);

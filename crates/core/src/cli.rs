@@ -46,6 +46,20 @@ impl Artifacts {
         Ok(true)
     }
 
+    /// Refuse a path whose directory does not exist (a bare file name is
+    /// in the current directory), so a run that could not write an
+    /// artifact fails before it starts instead of after it finishes.
+    pub fn check(&self) -> Result<(), String> {
+        for (flag, path) in [("--manifest", &self.manifest), ("--trace", &self.trace), ("--flame", &self.flame)] {
+            let Some(path) = path else { continue };
+            let dir = Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+            if !dir.is_dir() {
+                return Err(format!("{flag} {path}: no directory {}", dir.display()));
+            }
+        }
+        Ok(())
+    }
+
     /// Write the manifest, then the trace, then the flame profile, each
     /// only when asked for. The first failure names the artifact and path.
     pub fn write(&self, manifest: Manifest) -> Result<(), String> {
@@ -88,5 +102,14 @@ mod tests {
         assert_eq!(a.flag("--trace", &mut rest), Ok(true));
         assert_eq!((a.manifest.as_deref(), a.trace.as_deref()), (Some("m.json"), Some("t.json")));
         assert!(a.flag("--flame", &mut rest).unwrap_err().contains("--flame"));
+    }
+
+    #[test]
+    fn check_wants_each_artifacts_directory_to_exist() {
+        let here = Artifacts { manifest: Some("m.json".into()), ..Artifacts::default() };
+        assert_eq!(here.check(), Ok(()), "a bare file name is in the current directory");
+        let missing = std::env::temp_dir().join(format!("sos-cli-none-{}", std::process::id())).join("f.txt");
+        let flame = Artifacts { flame: Some(missing.display().to_string()), ..Artifacts::default() };
+        assert!(flame.check().unwrap_err().starts_with("--flame "), "{:?}", flame.check());
     }
 }

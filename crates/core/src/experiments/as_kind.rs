@@ -88,7 +88,7 @@ pub fn run_by_kind(study: &Study, tgas: &[TgaId]) -> KindResults {
     }
     let threads = study.config().effective_threads();
     let budget = study.config().budget;
-    let cells: BTreeMap<(&'static str, TgaId), RunResult> = par_map("as_kind", work, threads, |_, (kind, tga)| {
+    let cells: BTreeMap<(&'static str, TgaId), RunResult> = par_map(work, threads, |_, (kind, tga)| {
         let seeds = &slices[kind];
         let r = run_tga(study, tga, seeds, Protocol::Icmp, budget, kind_salt(kind, tga));
         ((kind, tga), r)

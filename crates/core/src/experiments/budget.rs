@@ -59,7 +59,7 @@ pub fn budget_sweep(
         }
     }
     let threads = study.config().effective_threads();
-    let results = par_map("budget", work, threads, |_, (tga, budget)| {
+    let results = par_map(work, threads, |_, (tga, budget)| {
         let salt = cell_salt(0xb5d9e7, tga, proto, budget as u64);
         let r = run_tga(study, tga, &seeds, proto, budget, salt);
         (tga, budget, r.metrics.hits, r.metrics.ases)

@@ -98,7 +98,7 @@ pub fn grid_over(
         format!("cells={} threads={threads}", work.len()),
     );
     let progress = sos_obs::Progress::new("grid cells", work.len() as u64);
-    let results = par_map("grid", work, threads, |_, (dataset, proto, tga)| {
+    let results = par_map(work, threads, |_, (dataset, proto, tga)| {
         let _cell = sos_obs::span_detail(
             "cell",
             format!("dataset={dataset:?} proto={proto:?} tga={tga}"),

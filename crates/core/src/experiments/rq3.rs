@@ -98,7 +98,7 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
     let total_cells = work.len();
     let done = std::sync::atomic::AtomicUsize::new(0);
     let cells: BTreeMap<(SourceId, Protocol, TgaId), RunResult> =
-        par_map("rq3.sources", work, threads, |_, (source, proto, tga)| {
+        par_map(work, threads, |_, (source, proto, tga)| {
             let salt = cell_salt(0x593, tga, proto, source.stream());
             let r = run_tga(study, tga, seed_of(source), proto, budget, salt);
             // sos-lint: allow(conc-relaxed) progress counter for log lines only; never read back into results
@@ -114,7 +114,7 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
     // The "600M" analog: one big All-Active run per TGA on ICMP.
     let big_budget = budget * study.config().big_budget_multiplier;
     let all_active = study.dataset(DatasetKind::AllActive).to_vec();
-    let big_runs: BTreeMap<TgaId, RunResult> = par_map("rq3.big", tgas.to_vec(), threads, |_, tga| {
+    let big_runs: BTreeMap<TgaId, RunResult> = par_map(tgas.to_vec(), threads, |_, tga| {
         let _span = sos_obs::span_detail("big_run", format!("tga={tga}"));
         let salt = cell_salt(0x600, tga, Protocol::Icmp, 99);
         let r = run_tga(study, tga, &all_active, Protocol::Icmp, big_budget, salt);

@@ -84,7 +84,7 @@ pub fn stability(study: &Study, tgas: &[TgaId], reps: usize, proto: Protocol) ->
     }
     let threads = study.config().effective_threads();
     let budget = study.config().budget;
-    let results = par_map("stability", work, threads, |_, (tga, rep)| {
+    let results = par_map(work, threads, |_, (tga, rep)| {
         // the rep perturbs only the generation/evaluation salt
         let salt = netmodel::mix::mix3(0x57ab, tga as u64, rep);
         let r = run_tga(study, tga, &seeds, proto, budget, salt);

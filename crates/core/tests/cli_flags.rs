@@ -37,13 +37,51 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     for (flag, bad) in [("--threads", "abc"), ("--scale", "bogus"), ("--faults", "bogus")] {
         assert_refused(&run(seedscan, &["rq1", flag, bad]), flag);
     }
-    for flag in ["--scan-shards", "--gen-workers"] {
+    for flag in ["--threads", "--scan-shards", "--gen-workers"] {
         let out = run(seedscan, &["rq1", flag, "0"]);
         assert_refused(&out, flag);
         assert!(String::from_utf8_lossy(&out.stderr).contains("must be >= 1"));
     }
     assert_refused(&run(seedscan, &["watch", "j.jsonl", "--interval-ms", "soon"]), "--interval-ms");
     assert_refused(&run(seedscan, &["explain", "m.json", "--top"]), "--top");
+}
+
+/// A directory no run creates: an artifact path inside it cannot be written.
+fn missing_dir(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("sos-cli-missing-{tag}-{}", std::process::id()))
+}
+
+/// An artifact path in a directory that does not exist fails before the
+/// study is built, naming the flag, instead of after the whole run.
+#[test]
+fn seedscan_checks_artifact_paths_before_building_the_study() {
+    let manifest = missing_dir("seedscan").join("m.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_seedscan"))
+        .args(["rq1", "--scale", "tiny", "--manifest"])
+        .arg(&manifest)
+        .output()
+        .expect("run binary");
+    assert_refused(&out, "--manifest");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+}
+
+/// `worldgen` checks its artifact paths the same way, before the world is
+/// built (it prints the world's composition once it is).
+#[test]
+fn worldgen_checks_artifact_paths_before_building_the_world() {
+    let trace = missing_dir("worldgen").join("t.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_worldgen"))
+        .args(["--scale", "tiny", "--trace"])
+        .arg(&trace)
+        .output()
+        .expect("run binary");
+    assert_refused(&out, "--trace");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("built in"), "the world was built: {stderr}");
+    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
 }
 
 /// A misspelled experiment fails before the study is built, instead of

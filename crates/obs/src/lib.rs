@@ -25,10 +25,12 @@
 //! - [`log`]: the env-filtered stderr event sink (`SOS_LOG=trace|debug|
 //!   info|warn|error|off`) and [`progress::Progress`] live ETA reporting.
 //! - [`manifest`]: serialize configuration, per-phase timings, all
-//!   counters, parallelism stats, and result digests into a
+//!   counters, per-cell span records, and result digests into a
 //!   single JSON run manifest (`seedscan --manifest out.json`) — the
 //!   format benchmark trajectories consume.
-//! - [`trace`](mod@trace): export recorded spans and `par_map` worker stats as
+//! - [`par`]: [`par::par_map`], the one thread fan-out; it keeps no
+//!   timing of its own — the spans opened around and inside it do.
+//! - [`trace`](mod@trace): export recorded spans as
 //!   Chrome trace-event JSON (`--trace`, one timeline lane per thread)
 //!   and self-time attribution as collapsed stacks (`--flame`) for
 //!   flamegraph tooling.
@@ -48,7 +50,6 @@ pub use json::Json;
 pub use log::Level;
 pub use manifest::{fnv1a64, Manifest};
 pub use metrics::{counter, render_prometheus, Counter, Registry};
-pub use par::ParStats;
 pub use progress::{eta_s, Progress};
 pub use span::{span, span_detail, Span};
 
@@ -72,12 +73,11 @@ pub fn now_s() -> f64 {
     clock_origin().elapsed().as_secs_f64()
 }
 
-/// Clear all recorded telemetry (counters, spans, par stats).
+/// Clear all recorded telemetry (counters and spans).
 /// Intended for tests that assert on globals in isolation.
 pub fn reset() {
     metrics::global().reset();
     span::clear();
-    par::clear();
 }
 
 #[cfg(test)]

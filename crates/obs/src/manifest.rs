@@ -2,11 +2,11 @@
 //!
 //! A [`Manifest`] accumulates run identity (tool, arguments, seed, scale)
 //! and result digests while a binary runs, then [`Manifest::finish`]
-//! snapshots every global telemetry source — counters, span aggregates,
-//! per-cell span records, and `par_map` statistics — into one JSON
-//! document. Writing the manifest is the last thing a run does, so the
-//! document is a complete post-mortem: what ran, with what inputs,
-//! how long each phase took, and exactly what the engines did.
+//! snapshots every global telemetry source — counters, span aggregates
+//! and per-cell span records — into one JSON document. Writing the
+//! manifest is the last thing a run does, so the document is a complete
+//! post-mortem: what ran, with what inputs, how long each phase took, and
+//! exactly what the engines did.
 //!
 //! Result digests are FNV-1a hashes of rendered output tables; two runs
 //! of the same configuration must produce identical digests (the
@@ -151,11 +151,6 @@ impl Manifest {
             .collect();
         root.set("span_records", Json::Arr(cells));
 
-        root.set(
-            "par_map",
-            Json::Arr(crate::par::snapshot().iter().map(|s| s.to_json()).collect()),
-        );
-
         root
     }
 
@@ -230,8 +225,7 @@ mod tests {
                 "digests",
                 "counters",
                 "spans",
-                "span_records",
-                "par_map"
+                "span_records"
             ]
         );
     }
@@ -263,7 +257,7 @@ mod tests {
             Some(&Json::U64(3))
         );
         assert!(doc.get("spans").is_some());
-        assert!(doc.get("par_map").is_some());
+        assert!(doc.get("par_map").is_none());
         let text = doc.to_string_pretty();
         assert!(text.contains("\"elapsed_s\""));
     }

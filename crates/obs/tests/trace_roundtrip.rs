@@ -1,15 +1,11 @@
 //! Trace export against *real* recorded telemetry: spans created through
-//! the public [`sos_obs::span`] API on multiple threads, `par_map` stats
-//! recorded through [`sos_obs::par::record`], exported with
+//! the public [`sos_obs::span`] API on multiple threads, exported with
 //! [`sos_obs::trace::write_chrome_trace`], and read back through
 //! [`Json::parse`]. The unit tests in `trace.rs` use hand-built records;
 //! this file proves the whole loop — record → export → parse → validate —
 //! holds for telemetry the instrumentation layer actually produces.
 
-use std::collections::BTreeMap;
-
 use sos_obs::json::Json;
-use sos_obs::par::{ParCell, ParStats, ParWorker};
 use sos_obs::trace;
 
 /// Record a realistic span tree: an outer phase with two inner phases on
@@ -32,54 +28,9 @@ fn record_spans() {
     .expect("worker thread");
 }
 
-fn sample_par() -> ParStats {
-    ParStats {
-        label: "e2e_grid".into(),
-        threads: 2,
-        start_s: 0.5,
-        wall_s: 2.0,
-        cells: vec![
-            ParCell {
-                index: 0,
-                wait_s: 0.0,
-                exec_s: 0.8,
-                worker: 0,
-            },
-            ParCell {
-                index: 1,
-                wait_s: 0.1,
-                exec_s: 1.2,
-                worker: 1,
-            },
-            ParCell {
-                index: 2,
-                wait_s: 0.9,
-                exec_s: 0.7,
-                worker: 0,
-            },
-        ],
-        workers: vec![
-            ParWorker {
-                busy_s: 1.5,
-                items: 2,
-            },
-            ParWorker {
-                busy_s: 1.2,
-                items: 1,
-            },
-        ],
-    }
-}
-
-/// Export the global telemetry to a temp file and parse it back. Tests
-/// in this file share one process (and so one global registry); each test
-/// records under names only it uses and filters on them, so concurrent
-/// recording by the other test cannot confuse its assertions.
-fn exported(tag: &str) -> Json {
-    let path = std::env::temp_dir().join(format!(
-        "sos_obs_trace_e2e_{tag}_{}.json",
-        std::process::id()
-    ));
+/// Export the global telemetry to a temp file and parse it back.
+fn exported() -> Json {
+    let path = std::env::temp_dir().join(format!("sos_obs_trace_e2e_{}.json", std::process::id()));
     trace::write_chrome_trace(&path).expect("write trace");
     let text = std::fs::read_to_string(&path).expect("read trace back");
     let _ = std::fs::remove_file(&path);
@@ -98,7 +49,7 @@ fn span_events(doc: &Json) -> Vec<&Json> {
 #[test]
 fn real_run_exports_a_valid_nested_trace() {
     record_spans();
-    let doc = exported("spans");
+    let doc = exported();
 
     // Every recorded span made it out, with its full path in args.
     let spans = span_events(&doc);
@@ -161,63 +112,4 @@ fn real_run_exports_a_valid_nested_trace() {
             .and_then(Json::as_str),
         Some("k=1")
     );
-}
-
-#[test]
-fn par_lanes_match_worker_stats_and_never_overlap() {
-    sos_obs::par::record(sample_par());
-    let doc = exported("par");
-    let events = doc
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .expect("traceEvents");
-    let stats = sample_par();
-
-    // Find the process exporting our invocation (tests share the global
-    // par registry, so locate it by its process_name metadata).
-    let pid = events
-        .iter()
-        .find(|e| {
-            e.get("ph").and_then(Json::as_str) == Some("M")
-                && e.get("name").and_then(Json::as_str) == Some("process_name")
-                && e.get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    == Some("par:e2e_grid")
-        })
-        .and_then(|e| e.get("pid").and_then(Json::as_u64))
-        .expect("par process registered");
-
-    let items: Vec<&Json> = events
-        .iter()
-        .filter(|e| {
-            e.get("cat").and_then(Json::as_str) == Some("par")
-                && e.get("pid").and_then(Json::as_u64) == Some(pid)
-        })
-        .collect();
-    assert_eq!(items.len(), stats.cells.len(), "one event per cell");
-
-    // Lanes: exactly the worker ids from the stats.
-    let mut by_lane: BTreeMap<u64, Vec<(f64, f64)>> = BTreeMap::new();
-    for e in &items {
-        let t = e.get("ts").and_then(Json::as_f64).unwrap();
-        let d = e.get("dur").and_then(Json::as_f64).unwrap();
-        by_lane
-            .entry(e.get("tid").and_then(Json::as_u64).unwrap())
-            .or_default()
-            .push((t, d));
-    }
-    assert_eq!(by_lane.len(), stats.workers.len(), "one lane per worker");
-
-    // Within a worker lane, items execute serially: sorted by start, each
-    // begins no earlier than the previous one ends.
-    for (lane, mut iv) in by_lane {
-        iv.sort_by(|x, y| x.0.total_cmp(&y.0));
-        for w in iv.windows(2) {
-            assert!(
-                w[0].0 + w[0].1 <= w[1].0 + 1e-6,
-                "worker {lane}: items overlap: {w:?}"
-            );
-        }
-    }
 }

@@ -781,12 +781,8 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         // A single task is `scan`'s path: the scanner's own lane, no
         // thread — unless a campaign asks for the delta, which only a
         // reclaim hands back (a lone lent task runs inline all the same).
-        // The one-item `par_map` still records the *requested* worker
-        // count so manifest utilization aggregates stay truthful.
         if let (&[proto], true, None) = (protocols, shards == 1 || prepared.len() <= 1, &delta) {
-            return par_map("scan_parallel", vec![self], shards, |_, scanner| {
-                (proto, scanner.scan_single(prepared, proto, prov))
-            });
+            return vec![(proto, self.scan_single(prepared, proto, prov))];
         }
 
         // The one ownership rule: task = position of the protocol in this
@@ -817,7 +813,7 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         let (cfg, metrics) = (&self.cfg, &self.metrics);
         let tasks = jobs.len();
         let jobs: Vec<_> = jobs.into_iter().zip(lanes).collect();
-        let results = par_map("scan_parallel", jobs, tasks, |task, ((proto, targets), mut lane)| {
+        let results = par_map(jobs, tasks, |task, ((proto, targets), mut lane)| {
             let _s = sos_obs::span_detail(
                 "scan_shard",
                 format!("proto={proto:?} shard={} targets={}", task % shards, targets.len()),
@@ -1101,27 +1097,5 @@ mod tests {
             want.limited_seconds,
         );
         assert_eq!(got.hits, want.hits, "rate limiting never changes results");
-    }
-
-    #[test]
-    fn scan_parallel_records_par_stats() {
-        let world = Arc::new(World::build(WorldConfig::tiny(31)));
-        let targets = live_hosts(&world, Protocol::Icmp, 32);
-        let cfg = ScannerConfig {
-            retry: RetryPolicy::fixed(0),
-            rate_pps: None,
-            ..ScannerConfig::default()
-        };
-        let mut s = Scanner::new(cfg, SimTransport::new(world));
-        let report = s.scan_parallel(targets, Protocol::Icmp, 4);
-        assert_eq!(report.probed, 32, "every prepared target belongs to one shard");
-        let recorded = sos_obs::par::snapshot();
-        let stats = recorded
-            .iter()
-            .rfind(|s| s.label == "scan_parallel" && s.threads == 4)
-            .expect("scan_parallel invocation recorded");
-        assert_eq!(stats.workers.len(), 4);
-        let cells: u64 = stats.workers.iter().map(|w| w.items).sum();
-        assert_eq!(cells, 4, "one cell per (protocol, shard) task");
     }
 }

@@ -24,10 +24,10 @@
 //! Exhaustion/widening decisions key off *empty phase-1 proposals* (also
 //! worker-invariant) rather than empty commits.
 //!
-//! Scheduling statistics for every fan-out are recorded as
-//! [`sos_obs::par::ParStats`] under the `gen_parallel` label, inside a
-//! `gen_parallel` span, so traces and flame profiles show the new lanes
-//! exactly like `scan_parallel` does for the probe path.
+//! Every fan-out runs inside a `gen_parallel` span, so traces and flame
+//! profiles show where generation time goes exactly like `scan_parallel`
+//! does for the probe path; [`sos_obs::par::par_map`] keeps no timing of
+//! its own.
 
 use std::net::Ipv6Addr;
 
@@ -37,7 +37,7 @@ use v6addr::{splitmix64, AddrSet};
 
 use crate::space_tree::Region;
 
-/// Span + stats label for all generation fan-outs.
+/// Span name for all generation fan-outs.
 pub const GEN_PARALLEL: &str = "gen_parallel";
 
 /// Derive the RNG stream seed for one sampling unit.
@@ -88,7 +88,7 @@ pub fn sample_regions_par(
         return Vec::new();
     }
     let _span = sos_obs::span(GEN_PARALLEL);
-    sos_obs::par::par_map(GEN_PARALLEL, units.iter().collect(), workers, |_, u| (u.index, sample_unit(u, seen)))
+    sos_obs::par::par_map(units.iter().collect(), workers, |_, u| (u.index, sample_unit(u, seen)))
 }
 
 /// A region this small has its unseen addresses counted before sampling

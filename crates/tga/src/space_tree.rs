@@ -288,12 +288,7 @@ pub fn build_regions_par(
         })
         .collect();
     let _span = sos_obs::span(crate::parallel::GEN_PARALLEL);
-    let parts = sos_obs::par::par_map(
-        crate::parallel::GEN_PARALLEL,
-        groups,
-        workers,
-        |_, (g, cap)| build_regions(&g, strategy, max_leaf, cap),
-    );
+    let parts = sos_obs::par::par_map(groups, workers, |_, (g, cap)| build_regions(&g, strategy, max_leaf, cap));
     parts.into_iter().flatten().collect()
 }
 

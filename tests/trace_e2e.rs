@@ -1,9 +1,11 @@
 //! End-to-end trace export: run the real `seedscan` binary on a tiny
 //! study with `--trace`, `--flame`, and `--manifest`, then validate the
 //! artifacts against each other — the trace parses as trace-event JSON,
-//! spans nest properly on their lanes, and every `par_map` invocation in
-//! the manifest appears in the trace with one lane per worker.
+//! spans nest properly on their lanes, the grid's cells run inside the
+//! `grid` span on no more lanes than its `threads=`, and the trace holds
+//! one event per span the manifest counts.
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use sos_obs::Json;
@@ -95,49 +97,45 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     }
     assert!(checked > 0, "at least one nested span was validated");
 
-    // --- par lanes: one per worker, matching the manifest's stats ---
-    let par_stats = arts
+    // --- the grid's width is its span's: cells inside it, on <= threads lanes ---
+    let grid: Vec<&&Json> = spans.iter().filter(|e| path_of(e) == "grid").collect();
+    assert_eq!(grid.len(), 1, "rq1 runs one grid");
+    let grid = grid[0];
+    let detail = grid.get("args").and_then(|a| a.get("detail")).and_then(Json::as_str);
+    assert!(detail.is_some_and(|d| d.split(' ').any(|kv| kv == "threads=2")), "{detail:?}");
+    let cells: Vec<&&Json> = spans.iter().filter(|e| path_of(e) == "cell").collect();
+    assert!(!cells.is_empty(), "the grid records its cells");
+    for c in &cells {
+        assert!(
+            f(grid, "ts") <= f(c, "ts") + 1.0
+                && f(c, "ts") + f(c, "dur") <= f(grid, "ts") + f(grid, "dur") + 1.0,
+            "a cell outside the grid span"
+        );
+    }
+    let tid = |e: &Json| e.get("tid").and_then(Json::as_u64).expect("tid");
+    let lanes: BTreeSet<u64> = cells.iter().map(|e| tid(e)).collect();
+    assert!(lanes.len() <= 2, "cells on {lanes:?}, threads=2");
+
+    // --- spans are the trace: one X event per span record, plus lane names ---
+    let recorded: u64 = arts
         .manifest
-        .get("par_map")
-        .and_then(Json::as_arr)
-        .expect("manifest par_map");
-    assert!(!par_stats.is_empty(), "threads=2 grid records par stats");
-    let par_events: Vec<&Json> =
-        events.iter().filter(|e| s(e, "cat") == Some("par")).collect();
-    for (k, stats) in par_stats.iter().enumerate() {
-        let pid = 100 + k as u64; // PAR_PID_BASE + invocation index
-        let workers = stats.get("workers").and_then(Json::as_arr).expect("workers").len();
-        let cells = stats.get("cells").and_then(Json::as_arr).expect("cells").len();
-        let mine: Vec<&&Json> = par_events
-            .iter()
-            .filter(|e| e.get("pid").and_then(Json::as_u64) == Some(pid))
-            .collect();
-        assert_eq!(mine.len(), cells, "invocation {k}: one event per cell");
-        let mut lanes: Vec<u64> =
-            mine.iter().map(|e| e.get("tid").and_then(Json::as_u64).unwrap()).collect();
-        lanes.sort_unstable();
-        lanes.dedup();
-        // Workers that never dequeued an item (tiny `gen_parallel` batches
-        // drain before every thread starts) are idle — named but laneless —
-        // so cells map *into* the worker lanes rather than covering them.
-        assert!(
-            !lanes.is_empty() && lanes.len() <= workers,
-            "invocation {k}: at most one lane per worker ({lanes:?} vs {workers})"
-        );
-        assert!(
-            lanes.iter().all(|&l| (l as usize) < workers),
-            "invocation {k}: every lane is a named worker ({lanes:?} vs {workers})"
-        );
-        // lane metadata names each worker
-        for w in 0..workers {
-            let named = events.iter().any(|e| {
-                s(e, "name") == Some("thread_name")
-                    && e.get("pid").and_then(Json::as_u64) == Some(pid)
-                    && e.get("args").and_then(|a| a.get("name")).and_then(Json::as_str)
-                        == Some(&format!("worker-{w}"))
-            });
-            assert!(named, "invocation {k}: worker-{w} lane is named");
-        }
+        .get("spans")
+        .and_then(Json::entries)
+        .expect("manifest spans")
+        .iter()
+        .map(|(_, agg)| agg.get("count").and_then(Json::as_u64).expect("count"))
+        .sum();
+    assert_eq!(spans.len() as u64, recorded, "one trace event per span record");
+    let span_lanes: BTreeSet<u64> = spans.iter().map(|e| tid(e)).collect();
+    assert_eq!(
+        events.len(),
+        spans.len() + 1 + span_lanes.len(),
+        "besides the spans, one process name and one name per lane"
+    );
+    assert!(arts.manifest.get("par_map").is_none());
+    for e in events.iter() {
+        assert_eq!(e.get("pid").and_then(Json::as_u64), Some(1), "spans render under one process");
+        assert!(s(e, "cat") == Some("span") || s(e, "ph") == Some("M"), "an event that is no span");
     }
 
     // --- flame profile: parseable collapsed stacks with positive weights ---
