@@ -32,6 +32,9 @@ struct Arm {
     region: Region,
     probes: f64,
     q: f64,
+    /// The unprobed score, a function of the region alone: computed when
+    /// the arm is built or its region widened, read every round.
+    prior: f64,
 }
 
 /// Build the bandit arms over a seed basis (initial tree and every
@@ -39,24 +42,47 @@ struct Arm {
 fn arms_over(basis: &[Ipv6Addr], max_leaf: usize, max_regions: usize, workers: usize) -> Vec<Arm> {
     build_regions_par(basis, SplitStrategy::MinEntropy, max_leaf, max_regions, workers)
         .into_iter()
-        .map(|region| Arm { region, probes: 0.0, q: 0.0 })
+        .map(|region| Arm { prior: Arm::prior(&region), region, probes: 0.0, q: 0.0 })
         .collect()
 }
 
+/// The indices of the `k` best scores, best first: the first `k` of a
+/// stable descending sort of `0..scores.len()`. Ordering by (score
+/// descending, index ascending) is a total order that ranks exactly as the
+/// stable sort does, so a selection of the top `k` plus a sort of just
+/// those `k` returns the same prefix without sorting every arm.
+fn slate(scores: &[f64], k: usize) -> Vec<usize> {
+    let rank = |&a: &usize, &b: &usize| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)); // a, b < scores.len()
+    let mut order: Vec<usize> = (0..scores.len()).collect();
+    if k < order.len() {
+        let Some(last) = k.checked_sub(1) else { return Vec::new() };
+        order.select_nth_unstable_by(last, rank);
+        order.truncate(k);
+    }
+    order.sort_unstable_by(rank);
+    order
+}
+
 impl Arm {
-    /// DET's leaf score: unprobed leaves carry a *seed-density estimate*
-    /// (capped below typical live hit rates); probed leaves are scored by
-    /// their observed hit rate plus a small confidence bonus. This is
-    /// density-first traversal, not a classic explore-everything bandit —
-    /// with far more leaves than rounds, a UCB novelty bonus would never
-    /// let DET exploit anything.
-    fn ucb(&self, total: f64, c: f64) -> f64 {
+    /// An unprobed leaf's score: a *seed-density estimate*, capped below
+    /// typical live hit rates.
+    fn prior(region: &Region) -> f64 {
+        0.35 * (region.density() / 4.0).exp().min(1.0)
+    }
+
+    /// DET's leaf score: unprobed leaves carry their [`Self::prior`];
+    /// probed leaves are scored by their observed hit rate plus a small
+    /// confidence bonus, `ln_total` being the log of the probes spent so
+    /// far (at least 2). This is density-first traversal, not a classic
+    /// explore-everything bandit — with far more leaves than rounds, a UCB
+    /// novelty bonus would never let DET exploit anything.
+    fn ucb(&self, ln_total: f64, c: f64) -> f64 {
         if self.probes < 1.0 {
-            return 0.35 * (self.region.density() / 4.0).exp().min(1.0);
+            return self.prior;
         }
         // q is an exponentially decayed *recent* hit rate: saturated arms
         // fall off quickly instead of coasting on their lifetime average.
-        self.q + c * ((total.max(2.0)).ln() / self.probes).sqrt()
+        self.q + c * (ln_total / self.probes).sqrt()
     }
 }
 
@@ -121,11 +147,9 @@ impl TargetGenerator for Det {
             round += 1;
             // Rank leaves by UCB score (computed once per arm, not in
             // the comparator); probe the top slice this round.
-            let scores: Vec<f64> =
-                arms.iter().map(|a| a.ucb(total_probes, self.ucb_c)).collect();
-            let mut order: Vec<usize> = (0..arms.len()).collect();
-            order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a])); // a, b < arms.len() == scores.len()
-            order.truncate(self.arms_per_round);
+            let ln_total = total_probes.max(2.0).ln();
+            let scores: Vec<f64> = arms.iter().map(|a| a.ucb(ln_total, self.ucb_c)).collect();
+            let order = slate(&scores, self.arms_per_round);
             // Phase 1: every selected arm samples in parallel against the
             // round-start `seen`, each from its own (arm digest, round,
             // slot)-derived stream — worker-count-invariant by design.
@@ -163,6 +187,7 @@ impl TargetGenerator for Det {
                     // drains in a single batch.
                     match arm.region.widened().and_then(|w| w.widened().or(Some(w))) {
                         Some(w) => {
+                            arm.prior = Arm::prior(&w);
                             arm.region = w;
                             progressed = true;
                         }
@@ -316,6 +341,40 @@ mod tests {
             in_live as f64 > 1.5 * max_dead as f64,
             "DET should overweight the live /64: live {in_live} vs dead {max_dead}"
         );
+    }
+
+    /// DET's slate as first written, kept as the reference: every arm
+    /// in a stable descending sort, cut to `k`.
+    fn slate_by_full_sort(scores: &[f64], k: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
+        order.truncate(k);
+        order
+    }
+
+    #[test]
+    fn the_slate_is_the_stable_sorts_prefix() {
+        use rand::Rng;
+        let mut rng = SmallRng::seed_from_u64(36);
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.5],
+            vec![0.2; 40],                          // every score tied
+            vec![0.0, -0.0, 0.0, -0.0, 1.0, 1.0],   // signed zeros rank apart under total_cmp
+            vec![f64::NEG_INFINITY, 3.0, f64::INFINITY, 3.0],
+        ];
+        for _ in 0..300 {
+            // few distinct values, so ties straddle the cut
+            let n = rng.gen_range(0..120);
+            let levels = rng.gen_range(1..6);
+            cases.push((0..n).map(|_| f64::from(rng.gen_range(0..levels)) * 0.125).collect());
+        }
+        for scores in &cases {
+            // fewer arms than slots, exactly as many, and more
+            for k in [0, 1, 2, 31, 32, 33, scores.len(), scores.len() + 5] {
+                assert_eq!(slate(scores, k), slate_by_full_sort(scores, k), "k {k} over {scores:?}");
+            }
+        }
     }
 
     #[test]

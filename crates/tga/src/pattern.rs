@@ -96,18 +96,73 @@ impl ValueHist {
 
     /// Shannon entropy of the observed distribution (bits).
     pub fn entropy(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut h = 0.0;
-        for &c in &self.counts {
+        entropy_of(&self.counts, self.total)
+    }
+
+    /// This histogram compiled for repeated draws ([`DigitTable`]).
+    pub(crate) fn compile(&self) -> DigitTable {
+        let mut table = DigitTable { total: self.total, bounds: [u32::MAX; 16], values: [0; 16] };
+        let mut sum = 0;
+        let mut j = 0;
+        for (v, &c) in (0u8..).zip(&self.counts) {
             if c > 0 {
-                let p = f64::from(c) / f64::from(self.total);
-                // sos-lint: allow(det-float-reduce) entropy over a fixed-order histogram array
-                h -= p * p.log2();
+                sum += c;
+                table.bounds[j] = sum; // j < 16: one slot per value
+                table.values[j] = v;
+                j += 1;
             }
         }
-        h
+        table
+    }
+}
+
+/// Shannon entropy (bits) of a 16-value histogram whose counts sum to
+/// `total`; terms are added in value order.
+pub(crate) fn entropy_of(counts: &[u32; 16], total: u32) -> f64 {
+    if total == 0 {
+        return 0.0;
+    }
+    let mut h = 0.0;
+    for &c in counts {
+        if c > 0 {
+            let p = f64::from(c) / f64::from(total);
+            // sos-lint: allow(det-float-reduce) entropy over a fixed-order histogram array
+            h -= p * p.log2();
+        }
+    }
+    h
+}
+
+/// A [`ValueHist`] compiled once for many draws: the observed values in
+/// ascending order with their cumulative counts, so a weighted draw finds
+/// its value with sixteen branch-free compares.
+/// [`Self::draw`] makes the same RNG calls as [`ValueHist::sample`], in
+/// the same order, and returns the same digit.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct DigitTable {
+    /// Sum of the counts: the weighted draw's range.
+    total: u32,
+    /// `bounds[j]`: the counts of `values[..=j]` summed; `u32::MAX` past
+    /// the last observed value.
+    bounds: [u32; 16],
+    /// The observed values, ascending.
+    values: [u8; 16],
+}
+
+impl DigitTable {
+    /// [`ValueHist::sample`] of the compiled histogram.
+    #[inline]
+    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R, explore: f64) -> u8 {
+        if self.total == 0 || (explore > 0.0 && rng.gen_bool(explore)) {
+            return rng.gen_range(0..16);
+        }
+        let x = rng.gen_range(0..self.total);
+        // The walk stops at the first value whose cumulative count passes
+        // `x`, which is the number of bounds `x` has reached: counted
+        // without a branch (the padding never is), and below 16 because
+        // the last real bound is `total`.
+        let j = self.bounds.iter().map(|&b| usize::from(x >= b)).sum::<usize>();
+        self.values[j & 15]
     }
 }
 
@@ -160,6 +215,13 @@ impl Pattern {
     #[inline]
     pub fn free_count(&self) -> usize {
         self.free.count_ones() as usize
+    }
+
+    /// The pinned digits at their address positions, zero where free:
+    /// OR a digit for each free position into it to build an address.
+    #[inline]
+    pub(crate) fn base(&self) -> u128 {
+        self.base
     }
 
     /// Does `addr` match every pinned position?
@@ -424,6 +486,49 @@ mod tests {
         }
         assert_eq!(Pattern::from_seeds(&[]), Pattern::free());
         assert_eq!(Pattern::from_seeds(&all_varying).free_count(), NYBBLES);
+    }
+
+    #[test]
+    fn a_compiled_draw_is_the_histogram_draw() {
+        let mut rng = SmallRng::seed_from_u64(36);
+        let mut one_value = ValueHist::default();
+        for _ in 0..5 {
+            one_value.add(9);
+        }
+        // empty (the uniform fallback), one value, then random supports
+        // and totals (powers of two among them: the shim redraws those)
+        let mut hists = vec![ValueHist::default(), one_value];
+        for _ in 0..300 {
+            let support: u16 = rng.gen();
+            let mut h = ValueHist::default();
+            for _ in 0..rng.gen_range(1..70) {
+                let v = rng.gen_range(0..16u8);
+                if support >> v & 1 == 1 {
+                    h.add(v);
+                }
+            }
+            hists.push(h);
+        }
+        for (i, h) in hists.iter().enumerate() {
+            let table = h.compile();
+            for explore in [0.0, 0.06, 1.0] {
+                let mut compiled = SmallRng::seed_from_u64(i as u64);
+                let mut plain = compiled.clone();
+                for draw in 0..64 {
+                    assert_eq!(
+                        table.draw(&mut compiled, explore),
+                        h.sample(&mut plain, explore),
+                        "histogram {i} ({h:?}), explore {explore}, draw {draw}"
+                    );
+                    assert_eq!(compiled, plain, "histogram {i}, explore {explore}: the same words consumed");
+                }
+            }
+        }
+        // what explore = 1.0 relies on: a certain coin costs no word
+        let mut r = SmallRng::seed_from_u64(1);
+        let before = r.clone();
+        assert!(r.gen_bool(1.0));
+        assert_eq!(r, before);
     }
 
     #[test]

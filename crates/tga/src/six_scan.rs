@@ -74,6 +74,8 @@ impl TargetGenerator for SixScan {
         let mut reward = vec![0.0f64; n];
         let mut probes = vec![1.0f64; n];
         let mut exhausted = vec![false; n];
+        // Each round's reward rates, computed once for the sort.
+        let mut rate: Vec<f64> = Vec::with_capacity(n);
         let mut round = 0usize;
 
         let mut sink = Candidates::new(cfg.budget, prov);
@@ -96,10 +98,9 @@ impl TargetGenerator for SixScan {
             if order.is_empty() {
                 break;
             }
-            order.sort_by(|&a, &b| {
-                (reward[b] / probes[b]) // a, b < n: reward/probes sized n
-                    .total_cmp(&(reward[a] / probes[a]))
-            });
+            rate.clear();
+            rate.extend(reward.iter().zip(&probes).map(|(r, p)| r / p));
+            order.sort_by(|&a, &b| rate[b].total_cmp(&rate[a])); // a, b < n: rate sized n
             // Slot selection runs up front on the round RNG, making each
             // region batch an independent unit of work; sampling itself
             // draws from per-(region, round, slot) streams, so the fan-out
