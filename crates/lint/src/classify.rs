@@ -145,7 +145,8 @@ pub fn in_test_region(regions: &[(u32, u32)], line: u32) -> bool {
 /// One parsed `sos-lint: allow(...)` directive.
 #[derive(Debug, Clone)]
 pub struct Suppression {
-    /// Rule id being allowed.
+    /// Rule id being allowed; empty for a malformed directive (`allow()`,
+    /// or an `allow(` never closed), which allows nothing.
     pub rule: String,
     /// Line of the comment; the suppression covers this line and the next.
     pub line: u32,
@@ -166,6 +167,9 @@ impl Suppression {
 /// ```text
 /// // sos-lint: allow(rule-a, rule-b) why this exception is sound
 /// ```
+///
+/// An `allow(` that names no rule or never closes comes back as one
+/// suppression with an empty rule, so it is reported rather than ignored.
 pub fn suppressions(comments: &[Comment]) -> Vec<Suppression> {
     let mut out = Vec::new();
     for c in comments {
@@ -184,21 +188,22 @@ pub fn suppressions(comments: &[Comment]) -> Vec<Suppression> {
         let Some(rest) = rest.strip_prefix('(') else {
             continue;
         };
-        let Some(close) = rest.find(')') else {
-            continue;
-        };
-        let rules = &rest[..close];
-        let reason = rest[close + 1..].trim();
+        let (rules, reason) = rest.split_once(')').unwrap_or(("", ""));
         let has_reason = reason.chars().filter(|c| c.is_alphanumeric()).count() >= 3;
-        for rule in rules.split(',') {
-            let rule = rule.trim();
-            if !rule.is_empty() {
-                out.push(Suppression {
-                    rule: rule.to_string(),
-                    line: c.line,
-                    has_reason,
-                });
-            }
+        let mut rules: Vec<&str> = rules
+            .split(',')
+            .map(str::trim)
+            .filter(|r| !r.is_empty())
+            .collect();
+        if rules.is_empty() {
+            rules.push(""); // malformed: reported, allows nothing
+        }
+        for rule in rules {
+            out.push(Suppression {
+                rule: rule.to_string(),
+                line: c.line,
+                has_reason,
+            });
         }
     }
     out
@@ -276,9 +281,9 @@ mod tests {
 
     #[test]
     fn multi_rule_suppressions() {
-        let lexed = lex("// sos-lint: allow(det-hash-iter, det-float-reduce) both are sorted two lines down\ncode();\n");
+        let lexed = lex("// sos-lint: allow(det-hash-iter, conc-relaxed) both are sorted two lines down\ncode();\n");
         let supps = suppressions(&lexed.comments);
         assert_eq!(supps.len(), 2);
-        assert!(supps[1].covers("det-float-reduce", 2));
+        assert!(supps[1].covers("conc-relaxed", 2));
     }
 }

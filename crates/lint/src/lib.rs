@@ -4,29 +4,26 @@
 //! The reproduction's headline property is *bit-identical determinism*:
 //! sharded scans must merge to the sequential report, and every
 //! comparative number in the paper assumes reruns reproduce. The dynamic
-//! suites (stream pins, worker and shard invariance, kill+resume, the
-//! goldens) catch every planted bug that changes bytes on a test world;
-//! this tool keeps the rules that catch what they cannot — nine of them,
-//! each with a fixture that only it flags. It is a zero-dependency lexer
-//! (`lexer`), file/region classification (`classify`), an item/fn parser
-//! (`parse`), a workspace symbol table and call graph (`symbols`,
-//! `callgraph`), the three dataflow rules (`taint`: float reductions a
-//! deterministic root reaches, shared state a `par_map` closure mutates,
-//! and lock order), and the file-scoped token rules (`rules`). Any finding fails CI; the one way to carry an
-//! exception is a reasoned allow comment at the site
-//! (`sos-lint: allow(rule-id) reason`), and one that names no rule or
-//! suppresses nothing is itself a finding.
+//! suites (stream pins, worker and shard invariance, the grid fan-out and
+//! outlier-cut pins, kill+resume, the goldens) catch every planted bug
+//! that changes bytes on a test world; this tool keeps the rules that
+//! catch what they cannot — six of them, each with a fixture that only it
+//! flags. It is a zero-dependency lexer (`lexer`), file/region
+//! classification and suppression parsing (`classify`), hash-alias
+//! recovery (`parse`), the per-file artifacts (`symbols`), and the
+//! file-scoped token rules (`rules`). Any finding fails CI; the one way to
+//! carry an exception is a reasoned allow comment at the site
+//! (`sos-lint: allow(rule-id) reason`), and one that is malformed, names
+//! no rule or suppresses nothing is itself a finding.
 //!
 //! See `README.md` § "Static analysis" for the rule list and DESIGN.md
 //! § "Static analysis" for the mutation table behind it.
 
-pub mod callgraph;
 pub mod classify;
 pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod symbols;
-pub mod taint;
 
 use std::path::{Path, PathBuf};
 

@@ -1,18 +1,19 @@
-//! The rule set: the determinism and concurrency invariants only this
-//! tool can see.
+//! The rule set: the six determinism, concurrency and observability
+//! invariants only this tool can see.
 //!
-//! Every rule is a token-pattern matcher over [`crate::lexer::lex`] output,
-//! scoped by [`crate::classify::FileClass`] and the crate the file lives
-//! in. The rules encode *workspace policy*, not general Rust style:
+//! Every rule is a token-pattern matcher over one file's
+//! [`crate::lexer::lex`] output, scoped by [`crate::classify::FileClass`]
+//! and the crate the file lives in; the one thing a rule learns from other
+//! files is the workspace's hash-container aliases. The rules encode
+//! *workspace policy*, not general Rust style:
 //!
 //! - **Determinism** — scan reports, manifests, and candidate lists must
 //!   be bit-identical across runs and shard counts (the sharded scanner's
 //!   merge contract, and the precondition for every comparative claim in
-//!   the paper). Nothing on those paths may iterate a randomized-order
-//!   container or reduce floats in an order that can vary.
-//! - **Concurrency** — locks are taken in one global order, `Relaxed`
-//!   atomics carry a written argument, and per-target hot loops take no
-//!   locks.
+//!   the paper). Nothing may iterate a randomized-order container without
+//!   restoring an order, and report assembly holds none at all.
+//! - **Concurrency** — `Relaxed` atomics carry a written argument, and
+//!   per-target hot loops take no locks.
 //!
 //! What a type-resolving tool already enforces is not re-guessed from
 //! tokens here: wall-clock, ambient entropy and `RandomState` are clippy's
@@ -41,8 +42,7 @@ pub struct RuleInfo {
     pub fix: &'static str,
 }
 
-/// The full rule set, in display order. File-scoped rules first, then the
-/// workspace dataflow rules (which need the parser + call graph).
+/// The full rule set, in display order.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "det-unordered-collection",
@@ -57,27 +57,6 @@ pub const RULES: &[RuleInfo] = &[
         rationale: "iterating a HashMap/HashSet (or a workspace alias of one: AddrMap, AddrSet) yields an arbitrary order; sort nearby, reduce order-insensitively, use a BTree collection, or justify via suppression",
         severity: "error",
         fix: "sort the iterated items before consuming them, or switch the container to a BTree type",
-    },
-    RuleInfo {
-        id: "det-float-reduce",
-        group: "determinism",
-        rationale: "float addition does not commute under rounding, so sum::<f64>/fold(0.0,..)/x += inside a function reachable from a deterministic root (TGA generate paths, digest/manifest writers, journal emitters, checkpoint serializers) changes bytes whenever the reduction order changes — even over the same value set, and even where no test world happens to show it",
-        severity: "error",
-        fix: "fix the reduction order (sort first), accumulate in integers, or suppress with the total-order argument written down",
-    },
-    RuleInfo {
-        id: "par-shared-mut",
-        group: "concurrency",
-        rationale: "a par_map closure that locks or mutates captured state makes worker interleaving observable, breaking the merge contract that W-invariance rests on (workers return per-slot results; the join merges deterministically) — even where the caller re-keys the results today and no byte moves yet",
-        severity: "error",
-        fix: "return per-item values from the closure and merge after the join",
-    },
-    RuleInfo {
-        id: "lock-order",
-        group: "concurrency",
-        rationale: "two functions acquiring the same pair of locks in opposite orders deadlock the moment shard workers interleave them",
-        severity: "error",
-        fix: "adopt one global acquisition order (alphabetical by field) and re-order the flagged function to match",
     },
     RuleInfo {
         id: "conc-relaxed",
@@ -150,12 +129,6 @@ pub struct Config {
     /// documents names in prose) — everywhere else, metric names must be
     /// consts from a central `names` table, not inline literals.
     pub metric_table_files: Vec<String>,
-    /// The `par_map` family: functions whose closure arguments must not
-    /// mutate shared state (`par-shared-mut`).
-    pub par_fns: Vec<String>,
-    /// Method-call resolution fallback cutoff: a method name implemented
-    /// by more than this many workspace types draws no call-graph edges.
-    pub method_fallback_max: usize,
 }
 
 impl Default for Config {
@@ -174,8 +147,6 @@ impl Default for Config {
             .to_vec(),
             hot_fns: vec!["probe_burst".to_string()],
             metric_table_files: vec!["crates/obs/src/".to_string()],
-            par_fns: vec!["par_map".to_string()],
-            method_fallback_max: 6,
         }
     }
 }
@@ -188,26 +159,18 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
     lint_files(&[(rel_path.to_string(), src.to_string())], cfg)
 }
 
-/// Lint a whole workspace: every file-scoped rule per file, then the
-/// dataflow rules over the parsed workspace (symbol table → call graph →
-/// taint). Findings inside `#[cfg(test)]` regions are dropped, those an
-/// `allow` comment covers are suppressed, and every allow comment that
-/// names no rule, gives no reason or suppresses nothing is itself a
-/// `suppression-reason` finding. Sorted by `(file, line, rule)`.
+/// Lint a whole workspace: every rule over every file, with the
+/// hash-container aliases of all of them. Findings inside `#[cfg(test)]`
+/// regions are dropped, those an `allow` comment covers are suppressed,
+/// and every allow comment that is malformed, names no rule, gives no
+/// reason or suppresses nothing is itself a `suppression-reason` finding.
+/// Sorted by `(file, line, rule)`.
 pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
     let ws = Workspace::build(files);
-    let graph = crate::callgraph::CallGraph::build(&ws, cfg);
-    let taint = crate::taint::Taint::build(&ws, &graph);
-    let flow = crate::taint::workspace_rules(&ws, &taint, cfg);
-
     let mut all: Vec<Finding> = Vec::new();
     for fd in &ws.files {
         let mut used = vec![false; fd.supps.len()];
-        let raw = file_rules(fd, cfg, &ws.hash_aliases);
-        for f in raw
-            .into_iter()
-            .chain(flow.iter().filter(|f| f.file == fd.rel).cloned())
-        {
+        for f in file_rules(fd, cfg, &ws.hash_aliases) {
             if in_test_region(&fd.regions, f.line) {
                 continue; // tests may hash, relax, and name metrics freely
             }
@@ -223,7 +186,9 @@ pub fn lint_files(files: &[(String, String)], cfg: &Config) -> Vec<Finding> {
             }
         }
         for (s, used) in fd.supps.iter().zip(used) {
-            let problem = if rule_info(&s.rule).is_none() {
+            let problem = if s.rule.is_empty() {
+                "malformed `allow(…)`: name the rule between closed parentheses".to_string()
+            } else if rule_info(&s.rule).is_none() {
                 format!("`allow({})` names no rule (see --list-rules)", s.rule)
             } else if !s.has_reason {
                 format!(

@@ -2,7 +2,8 @@
 //! fixture, stays quiet on allowlisted paths/classes, and obeys
 //! suppressions — plus end-to-end CLI exit codes.
 
-use sos_lint::{lint_source, Config, Finding, RULES};
+use sos_lint::symbols::Workspace;
+use sos_lint::{lint_files, lint_source, Config, Finding, RULES};
 use sos_obs::json::Json;
 
 const UNORDERED: &str = include_str!("fixtures/det_unordered.rs");
@@ -11,17 +12,15 @@ const CONC: &str = include_str!("fixtures/conc.rs");
 const SUPPRESSED: &str = include_str!("fixtures/suppressed.rs");
 const TEST_REGION: &str = include_str!("fixtures/test_region.rs");
 const METRIC_NAMES: &str = include_str!("fixtures/obs_metric_names.rs");
-const FLOAT_REDUCE: &str = include_str!("fixtures/det_float_reduce.rs");
-const PAR_SHARED_MUT: &str = include_str!("fixtures/par_shared_mut.rs");
-const LOCK_ORDER: &str = include_str!("fixtures/lock_order.rs");
 const REGRESSION_PR9: &str = include_str!("fixtures/regression_pr9.rs");
+const ADDR_ALIASES: &str = include_str!("fixtures/addr_aliases.rs");
 
 /// Why each rule is here and not in `[workspace.lints]` or a test: the
-/// fixture that fires it (linted as `path`), and what neither rustc nor
-/// clippy reports about that fixture. A rule the compiler or clippy can
-/// enforce is handed over, not kept; a dataflow rule stays only for a
+/// fixture that fires it (linted as `path`), the planted bug that only it
+/// catches, and what neither rustc nor clippy reports. A rule the compiler
+/// or clippy can enforce is handed over, not kept; a rule stays only for a
 /// planted bug that no test, CI step or other rule catches (the mutation
-/// table in DESIGN.md § "Static analysis" names it).
+/// table in DESIGN.md § "Static analysis" has its row).
 /// `every_rule_is_exercised_by_these_fixtures` fails for a rule in `RULES`
 /// with no row.
 const ONLY_HERE: &[(&str, &str, &str, &str)] = &[
@@ -29,43 +28,25 @@ const ONLY_HERE: &[(&str, &str, &str, &str)] = &[
         "det-unordered-collection",
         "crates/core/src/report.rs",
         UNORDERED,
-        "a HashMap is banned by *file* (report/manifest/export assembly); `disallowed_types` is all-or-nothing per package",
+        "mutant U1, `probe::metrics::counter` finding a name through a `HashMap` index: every test passes (only `get` reads it); a HashMap is banned by *file* (report/manifest/export assembly); `disallowed_types` is all-or-nothing per package",
     ),
     (
         "det-hash-iter",
         "crates/core/src/grid.rs",
         HASH_ITER,
-        "`m.values().copied().collect()` leaks order; clippy's `iter_over_hash_type` sees only `for` loops and cannot accept the sort two lines down",
-    ),
-    (
-        "det-float-reduce",
-        "crates/tga/src/fx.rs",
-        FLOAT_REDUCE,
-        "mutant M07, a mean summed in hash order under a root: every test passes; `float_arithmetic` flags `a + b` wherever it stands, not `sum`/`fold`, and knows no path or order",
-    ),
-    (
-        "par-shared-mut",
-        "crates/core/src/fx.rs",
-        PAR_SHARED_MUT,
-        "mutant M19, a grid closure pushing its cells into a captured `Mutex<Vec>`: every test passes (the caller re-keys them into a map); it type-checks (`Mutex: Sync`) and breaks only the `par_map` merge contract",
-    ),
-    (
-        "lock-order",
-        "crates/core/src/fx.rs",
-        LOCK_ORDER,
-        "mutant M12, two fns taking the same lock pair in opposite orders: every test passes; every lock lint is local to one fn body",
+        "mutant H1, `OnlineDealiaser::aliased_prefixes` without its sort: every test passes; `m.values().copied().collect()` leaks order; clippy's `iter_over_hash_type` sees only `for` loops and cannot accept the sort two lines down",
     ),
     (
         "conc-relaxed",
         "crates/core/src/fx.rs",
         CONC,
-        "`Ordering::Relaxed` with no written argument; no lint restricts an enum variant, or exempts the telemetry crate",
+        "mutant R1, the campaign's cancel-flag load left `Relaxed` with its argument deleted: every test passes; no lint restricts an enum variant, or exempts the telemetry crate",
     ),
     (
         "conc-lock-in-hot-loop",
         "crates/core/src/fx.rs",
         CONC,
-        "a lock inside the per-target loop of a fn *named* `probe_burst`; the policy is keyed on this workspace's hot path",
+        "mutant L1, `SimTransport::probe_burst` bumping a process-wide `Mutex` tally per attempt: every test passes; the policy is keyed on this workspace's hot path, a fn *named* `probe_burst`",
     ),
     (
         "obs-metric-names",
@@ -77,7 +58,7 @@ const ONLY_HERE: &[(&str, &str, &str, &str)] = &[
         "suppression-reason",
         "crates/tga/src/fx.rs",
         SUPPRESSED,
-        "a reasonless, unknown-rule or unfulfilled `// sos-lint: allow(..)` comment; `allow_attributes_without_reason` and unfulfilled `#[expect]`s are about attributes, not this tool's comments",
+        "mutant S1, rq3's progress-counter allow with its reason deleted: every test passes; a reasonless, unknown-rule, unfulfilled or malformed `// sos-lint: allow(..)` comment is no attribute, which is all `allow_attributes_without_reason` and unfulfilled `#[expect]`s see",
     ),
 ];
 
@@ -87,11 +68,6 @@ fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
 
 fn lint(path: &str, src: &str) -> Vec<Finding> {
     lint_source(path, src, &Config::default())
-}
-
-/// The workspace pipeline (file rules + dataflow rules) over one fixture.
-fn lint_ws(path: &str, src: &str) -> Vec<Finding> {
-    sos_lint::lint_files(&[(path.to_string(), src.to_string())], &Config::default())
 }
 
 // --- determinism ---------------------------------------------------------
@@ -115,67 +91,95 @@ fn hash_iteration_flagged_unless_order_restored() {
     assert!(iter_hits[0].excerpt.contains("m.values()"), "{iter_hits:?}");
 }
 
-// --- workspace dataflow rules --------------------------------------------
-
 #[test]
-fn float_reduce_fires_on_deterministic_paths_only() {
-    let hits = lint_ws("crates/tga/src/fx.rs", FLOAT_REDUCE);
-    let taint: Vec<&Finding> = hits
+fn file_scoped_determinism_rules_cover_what_no_root_reaches() {
+    // A rule reads one file's tokens, so an unsorted hash iteration is
+    // flagged where it stands: in a function a deterministic output calls
+    // (`on_path`, under the checkpoint's `read_state`) and in one nothing
+    // calls (`off_path`) alike, once per line — as in a `par_map` closure,
+    // which is a body of its caller.
+    let sin = "for k in seen.keys() { drop(k); }";
+    let files = vec![
+        (
+            "crates/probe/src/campaign.rs".to_string(),
+            "pub fn read_state(state: u64) -> u64 { on_path(state) }".to_string(),
+        ),
+        (
+            "crates/probe/src/retry.rs".to_string(),
+            format!(
+                "use std::collections::HashMap;
+                 pub fn on_path(state: u64) -> u64 {{
+                 let seen: HashMap<u64, u64> = HashMap::new();
+                 {sin}
+                 state
+                 }}
+                 pub fn off_path(state: u64) -> u64 {{
+                 let seen: HashMap<u64, u64> = HashMap::new();
+                 {sin}
+                 state
+                 }}"
+            ),
+        ),
+    ];
+    let found: Vec<(&str, u32)> = lint_files(&files, &Config::default())
         .iter()
-        .filter(|f| f.rule == "det-float-reduce")
+        .filter(|f| f.file == "crates/probe/src/retry.rs")
+        .map(|f| (f.rule, f.line))
         .collect();
-    // outlier_mean (hash-order sum) + reduce (sum turbofish) + fold_reduce
-    // (float fold) + accum (+=); stable is suppressed, int_total is
-    // integer, chart_mean unreachable.
-    assert_eq!(taint.len(), 4, "{hits:?}");
-    assert!(taint
+    assert_eq!(found, [("det-hash-iter", 4), ("det-hash-iter", 9)]);
+}
+
+/// The address substrate's aliases are generic (`pub type AddrMap<K, V> =
+/// HashMap<K, V, …>`), declared once in `v6addr`, and used by name in
+/// every other crate. Both hash rules must see through them: the real
+/// declaration file registers both names, and a file that only *uses*
+/// them is held to the same rules as one that says `HashMap`.
+#[test]
+fn generic_address_aliases_are_hash_containers_to_every_hash_rule() {
+    const DECLARATIONS: &str = include_str!("../../v6addr/src/hash.rs");
+    let lint_at = |path: &str| {
+        let files = vec![
+            (
+                "crates/v6addr/src/hash.rs".to_string(),
+                DECLARATIONS.to_string(),
+            ),
+            (path.to_string(), ADDR_ALIASES.to_string()),
+        ];
+        assert_eq!(
+            Workspace::build(&files).hash_aliases,
+            ["AddrMap", "AddrSet"],
+            "both aliases register"
+        );
+        let mut found: Vec<(&'static str, u32)> = lint_files(&files, &Config::default())
+            .into_iter()
+            .filter(|f| f.file == path)
+            .map(|f| (f.rule, f.line))
+            .collect();
+        found.sort_unstable();
+        found
+    };
+    // The file-scoped rule flags the two unsorted iterations (lines 7 and
+    // 12) and accepts the sorted one.
+    assert_eq!(
+        lint_at("crates/core/src/grid.rs"),
+        [("det-hash-iter", 7), ("det-hash-iter", 12)]
+    );
+    // In report assembly the *types* are banned by name, wherever they
+    // appear (the import and the three signatures).
+    let on_result_path = lint_at("crates/core/src/report.rs");
+    let banned: Vec<u32> = on_result_path
         .iter()
-        .all(|f| f.message.contains("deterministic root `generate_tagged`")));
-    // the hash-order mean is this rule's alone: det-hash-iter excuses it
-    assert_eq!(rules_of(&hits), ["det-float-reduce"; 4], "{hits:?}");
-}
-
-#[test]
-fn par_shared_mut_flags_captured_state_not_locals() {
-    let hits = lint_ws("crates/core/src/fx.rs", PAR_SHARED_MUT);
-    let fired: Vec<&Finding> = hits.iter().filter(|f| f.rule == "par-shared-mut").collect();
-    // lock_in_closure + captured_push + captured_assign; per_item_ok is
-    // all locals and justified carries a reasoned allow.
-    assert_eq!(fired.len(), 3, "{hits:?}");
-    assert!(
-        fired.iter().any(|f| f.message.contains(".lock()")),
-        "{fired:?}"
-    );
-    assert!(
-        fired.iter().any(|f| f.message.contains("sink.push")),
-        "{fired:?}"
-    );
-    assert!(
-        fired.iter().any(|f| f.message.contains("captured `total`")),
-        "{fired:?}"
-    );
-}
-
-#[test]
-fn lock_order_flags_the_inverted_side_only() {
-    let hits = lint_ws("crates/core/src/fx.rs", LOCK_ORDER);
-    let fired: Vec<&Finding> = hits.iter().filter(|f| f.rule == "lock-order").collect();
-    // Registry::histogram_snapshot inverts Registry::reset (flagged);
-    // Shard::backward inverts Shard::forward but is suppressed with a
-    // reason.
-    assert_eq!(fired.len(), 1, "{hits:?}");
-    assert!(
-        fired[0].message.contains("Registry::histogram_snapshot"),
-        "{fired:?}"
-    );
-    assert!(fired[0].message.contains("Registry::reset"), "{fired:?}");
+        .filter(|(r, _)| *r == "det-unordered-collection")
+        .map(|&(_, l)| l)
+        .collect();
+    assert_eq!(banned, [4, 4, 6, 10, 18]);
 }
 
 #[test]
 fn pr9_style_unordered_generate_always_fails_lint() {
     // The acceptance gate: reintroducing PR 9-style unordered iteration in
     // a `generate` path must fail, by the file-scoped rule.
-    let hits = lint_ws("crates/tga/src/fx.rs", REGRESSION_PR9);
+    let hits = lint("crates/tga/src/fx.rs", REGRESSION_PR9);
     assert_eq!(rules_of(&hits), ["det-hash-iter"], "{hits:?}");
     assert!(hits[0].excerpt.contains("self.regions.iter()"), "{hits:?}");
 }
@@ -225,8 +229,9 @@ fn suppression_with_reason_silences_without_reason_reports() {
     // both Relaxed sites are suppressed...
     assert!(!rules.contains(&"conc-relaxed"), "{hits:?}");
     // ...but the reasonless allow is itself a finding, and so are the
-    // allow naming a retired rule and the one with nothing to suppress
-    assert_eq!(rules, ["suppression-reason"; 3], "{hits:?}");
+    // allow naming a retired rule, the one with nothing to suppress, the
+    // empty one and the one whose parenthesis never closes
+    assert_eq!(rules, ["suppression-reason"; 5], "{hits:?}");
     let said = |line: u32, what: &str| {
         hits.iter()
             .any(|f| f.line == line && f.message.contains(what))
@@ -234,12 +239,14 @@ fn suppression_with_reason_silences_without_reason_reports() {
     assert!(said(11, "has no reason"), "{hits:?}");
     assert!(said(16, "names no rule"), "{hits:?}");
     assert!(said(21, "suppresses nothing"), "{hits:?}");
+    assert!(said(26, "malformed"), "{hits:?}");
+    assert!(said(31, "malformed"), "{hits:?}");
 }
 
 #[test]
 fn test_regions_exempt_from_every_rule() {
     // the #[cfg(test)] module iterates a HashMap and relaxes an atomic
-    let hits = lint_ws("crates/tga/src/fx.rs", TEST_REGION);
+    let hits = lint("crates/tga/src/fx.rs", TEST_REGION);
     assert!(hits.is_empty(), "{hits:?}");
 }
 
@@ -253,11 +260,11 @@ fn every_rule_is_exercised_by_these_fixtures() {
             )
         };
         assert!(
-            !unseen.trim().is_empty(),
-            "`{}`: say what neither rustc nor clippy reports",
+            unseen.starts_with("mutant"),
+            "`{}`: name the planted bug only it catches, then what neither rustc nor clippy reports",
             rule.id
         );
-        let fired = rules_of(&lint_ws(path, src));
+        let fired = rules_of(&lint(path, src));
         assert!(
             fired.contains(&rule.id),
             "`{}` does not fire on its fixture: {fired:?}",
@@ -372,7 +379,7 @@ fn handed_over_rules_keep_their_successor_configured() {
 // --- CLI exit codes ------------------------------------------------------
 
 #[test]
-fn cli_exit_codes_clean_baselined_and_new_violation() {
+fn cli_exit_codes_clean_new_violation_and_usage_error() {
     use std::process::Command;
 
     let bin = env!("CARGO_BIN_EXE_sos-lint");
@@ -397,6 +404,19 @@ fn cli_exit_codes_clean_baselined_and_new_violation() {
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let report = Json::parse(&String::from_utf8_lossy(&out.stdout)).unwrap();
     assert_eq!(report.get("total").and_then(Json::as_u64), Some(1));
+
+    // 3. usage and I/O errors → exit 2, before or instead of a report
+    let missing = root.join("no-such-dir");
+    for args in [
+        &["--root", &rootarg, "--format", "bogus"][..],
+        &["--explain", "nosuch"],
+        &["--root", missing.to_str().unwrap()],
+        &["--root", &rootarg, "--out"],
+    ] {
+        let out = run(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+    }
 
     std::fs::remove_dir_all(&root).ok();
 }

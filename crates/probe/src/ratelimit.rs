@@ -123,7 +123,6 @@ impl TokenBucket {
     pub fn acquire(&mut self) -> f64 {
         self.refill_to_now();
         if self.tokens >= 1.0 {
-            // sos-lint: allow(det-float-reduce) token-bucket state machine on the virtual clock; strictly sequential
             self.tokens -= 1.0;
             return 0.0;
         }

@@ -140,7 +140,6 @@ impl RetryPolicy {
         let mut spent = 0.0;
         let mut fit = 1;
         for attempt in 1..attempts {
-            // sos-lint: allow(det-float-reduce) delays accumulate in fixed 1..attempts order
             spent += self.delay_before(attempt, salt, addr);
             if spent > cap_s {
                 break;

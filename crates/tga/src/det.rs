@@ -207,7 +207,6 @@ impl TargetGenerator for Det {
                     probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| fresh_hits.push(a));
                 arm.q = 0.4 * arm.q + 0.6 * (hits as f64 / sent);
                 arm.probes += sent;
-                // sos-lint: allow(det-float-reduce) whole-number batch sizes; exact in f64 and sequential
                 total_probes += sent;
             }
 

@@ -126,7 +126,6 @@ pub(crate) fn entropy_of(counts: &[u32; 16], total: u32) -> f64 {
     for &c in counts {
         if c > 0 {
             let p = f64::from(c) / f64::from(total);
-            // sos-lint: allow(det-float-reduce) entropy over a fixed-order histogram array
             h -= p * p.log2();
         }
     }

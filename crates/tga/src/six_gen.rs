@@ -95,7 +95,6 @@ impl TargetGenerator for SixGen {
             r.hists
                 .iter()
                 .map(|(_, h)| (h.distinct().max(1) as f64).min(16.0))
-                // sos-lint: allow(det-float-reduce) hists is a Vec; iteration order is total
                 .product::<f64>()
         };
         clusters.sort_by(|a, b| {

@@ -46,14 +46,12 @@ impl Default for SixGraph {
     }
 }
 
-/// Remove seeds that break the region's pattern; returns the kept seeds,
-/// or `None` when the region is too small to judge.
-fn prune_outliers(seeds: &[Ipv6Addr], sigma: f64) -> Option<Vec<Ipv6Addr>> {
-    if seeds.len() < 4 {
-        return None;
-    }
-    // Mean pairwise distance per seed, against a bounded sample of peers
-    // (the similarity graph's weighted degree).
+/// Each seed's mean nybble distance to a bounded sample of its peers (the
+/// similarity graph's weighted degree), and the cut above which a seed is
+/// an outlier: `mean + sigma · stddev` of those distances. Both sums run
+/// in seed order; `the_outlier_cut_sums_in_seed_order` pins the cut's
+/// bits.
+fn outlier_cut(seeds: &[Ipv6Addr], sigma: f64) -> (Vec<f64>, f64) {
     let sample = seeds.len().min(24);
     let dist: Vec<f64> = seeds
         .iter()
@@ -62,11 +60,19 @@ fn prune_outliers(seeds: &[Ipv6Addr], sigma: f64) -> Option<Vec<Ipv6Addr>> {
             f64::from(total) / sample as f64
         })
         .collect();
-    // sos-lint: allow(det-float-reduce) dist is a Vec in seed order; reduction order is total
     let mean = dist.iter().sum::<f64>() / dist.len() as f64;
-    // sos-lint: allow(det-float-reduce) same fixed Vec order as the mean above
     let var = dist.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / dist.len() as f64;
     let cut = mean + sigma * var.sqrt().max(0.25);
+    (dist, cut)
+}
+
+/// Remove seeds that break the region's pattern; returns the kept seeds,
+/// or `None` when the region is too small to judge.
+fn prune_outliers(seeds: &[Ipv6Addr], sigma: f64) -> Option<Vec<Ipv6Addr>> {
+    if seeds.len() < 4 {
+        return None;
+    }
+    let (dist, cut) = outlier_cut(seeds, sigma);
     let kept: Vec<Ipv6Addr> = seeds
         .iter()
         .zip(&dist)
@@ -134,6 +140,47 @@ mod tests {
             .collect();
         let kept = prune_outliers(&seeds, 1.5).unwrap();
         assert_eq!(kept.len(), 10);
+    }
+
+    /// Float addition does not commute under rounding, so the cut's last
+    /// bits depend on the order its two sums run in. They must be the seed
+    /// order's, so every run draws the same regions: a sum over a hash
+    /// container of the distances moves the bits, though on a test world
+    /// it rarely moves a seed across the cut.
+    #[test]
+    fn the_outlier_cut_sums_in_seed_order() {
+        let mut state = 0x6a09_e667_f3bc_c908u64;
+        let mut order_sensitive = 0;
+        for set in 0..16u128 {
+            let seeds: Vec<Ipv6Addr> = (0..40)
+                .map(|_| {
+                    state = v6addr::splitmix::splitmix64(state);
+                    Ipv6Addr::from((0x2600_0bad_0000_0000u128 | set) << 64 | u128::from(state))
+                })
+                .collect();
+            let (dist, cut) = outlier_cut(&seeds, 1.5);
+            let n = dist.len() as f64;
+            let in_order = |dist: &[f64]| {
+                let mut sum = 0.0;
+                for d in dist {
+                    sum += d;
+                }
+                let mean = sum / n;
+                let mut squares = 0.0;
+                for d in dist {
+                    squares += (d - mean).powi(2);
+                }
+                mean + 1.5 * (squares / n).sqrt().max(0.25)
+            };
+            assert_eq!(cut.to_bits(), in_order(&dist).to_bits(), "seed set {set}");
+            let reversed: Vec<f64> = dist.iter().rev().copied().collect();
+            order_sensitive += usize::from(in_order(&reversed).to_bits() != cut.to_bits());
+        }
+        // the pin has teeth: on most sets another order moves the bits
+        assert!(
+            order_sensitive >= 8,
+            "{order_sensitive}/16 sets are order-sensitive"
+        );
     }
 
     #[test]

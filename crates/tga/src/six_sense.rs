@@ -278,7 +278,6 @@ impl TargetGenerator for SixSense {
 
                 arm.q = 0.4 * arm.q + 0.6 * (hits.len() as f64 / sent);
                 arm.probes += sent;
-                // sos-lint: allow(det-float-reduce) whole-number batch sizes; exact in f64 and sequential
                 total_probes += sent;
             }
             if !progressed {
