@@ -12,11 +12,10 @@ use std::collections::BTreeMap;
 use std::net::Ipv6Addr;
 
 use netmodel::{AsKind, Protocol};
-use sos_obs::par::par_map;
 use tga::TgaId;
 
 use crate::report::{fmt_count, Table};
-use crate::runner::{cell_salt, run_tga, RunResult};
+use crate::runner::{cell_salt, run_cells, Cell, RunResult};
 use crate::study::{DatasetKind, Study};
 
 /// The categories evaluated (every kind the registry assigns).
@@ -80,22 +79,15 @@ pub fn run_by_kind(study: &Study, tgas: &[TgaId]) -> KindResults {
     let slices = seeds_by_kind(study);
     let seed_counts: BTreeMap<&'static str, usize> =
         slices.iter().map(|(k, v)| (*k, v.len())).collect();
-    let mut work: Vec<(&'static str, TgaId)> = Vec::new();
-    for k in slices.keys() {
-        for &t in tgas {
-            work.push((k, t));
-        }
-    }
-    let threads = study.config().effective_threads();
+    let keys: Vec<(&'static str, TgaId)> =
+        slices.keys().flat_map(|&k| tgas.iter().map(move |&t| (k, t))).collect();
     let budget = study.config().budget;
-    let cells: BTreeMap<(&'static str, TgaId), RunResult> = par_map(work, threads, |_, (kind, tga)| {
-        let seeds = &slices[kind];
-        let r = run_tga(study, tga, seeds, Protocol::Icmp, budget, kind_salt(kind, tga));
-        ((kind, tga), r)
-    })
-    .into_iter()
-    .collect();
-    KindResults { cells, seed_counts }
+    let cells = keys.iter().map(|&(kind, tga)| {
+        let (seeds, salt, detail) = (&slices[kind], kind_salt(kind, tga), format!("kind={kind} tga={tga}"));
+        Cell { tga, seeds, proto: Protocol::Icmp, budget, salt, detail, keep_hits: true }
+    });
+    let results = run_cells(study, "as_kind", cells.collect());
+    KindResults { cells: keys.into_iter().zip(results).collect(), seed_counts }
 }
 
 impl KindResults {

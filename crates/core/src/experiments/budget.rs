@@ -9,11 +9,10 @@
 //! exactly why the paper's metric choice matters.
 
 use netmodel::Protocol;
-use sos_obs::par::par_map;
 use tga::TgaId;
 
 use crate::report::{fmt_count, Table};
-use crate::runner::{cell_salt, run_tga};
+use crate::runner::{cell_salt, run_cells, Cell};
 use crate::study::{DatasetKind, Study};
 
 /// One TGA's saturation curve.
@@ -51,25 +50,21 @@ pub fn budget_sweep(
     budgets: &[usize],
     proto: Protocol,
 ) -> Vec<BudgetCurve> {
-    let seeds = study.dataset(DatasetKind::AllActive).to_vec();
-    let mut work = Vec::new();
-    for &t in tgas {
-        for &b in budgets {
-            work.push((t, b));
-        }
-    }
-    let threads = study.config().effective_threads();
-    let results = par_map(work, threads, |_, (tga, budget)| {
-        let salt = cell_salt(0xb5d9e7, tga, proto, budget as u64);
-        let r = run_tga(study, tga, &seeds, proto, budget, salt);
-        (tga, budget, r.metrics.hits, r.metrics.ases)
+    let seeds = study.dataset(DatasetKind::AllActive);
+    let cells = tgas.iter().flat_map(|&tga| {
+        budgets.iter().map(move |&budget| {
+            let salt = cell_salt(0xb5d9e7, tga, proto, budget as u64);
+            let detail = format!("tga={tga} budget={budget}");
+            Cell { tga, seeds, proto, budget, salt, detail, keep_hits: false }
+        })
     });
+    let mut results = run_cells(study, "budget_sweep", cells.collect()).into_iter();
     tgas.iter()
         .map(|&tga| {
-            let mut points: Vec<(usize, usize, usize)> = results
+            let mut points: Vec<(usize, usize, usize)> = budgets
                 .iter()
-                .filter(|(t, _, _, _)| *t == tga)
-                .map(|&(_, b, h, a)| (b, h, a))
+                .zip(results.by_ref())
+                .map(|(&b, r)| (b, r.metrics.hits, r.metrics.ases))
                 .collect();
             points.sort_by_key(|&(b, _, _)| b);
             BudgetCurve { tga, points }
@@ -78,10 +73,13 @@ pub fn budget_sweep(
 }
 
 /// The default budget ladder relative to the study's configured budget:
-/// 1/8×, 1/4×, 1/2×, 1×.
+/// 1/8×, 1/4×, 1/2×, 1× with floors of 64, 128 and 256, each capped at the
+/// budget and listed once, ascending.
 pub fn default_ladder(study: &Study) -> Vec<usize> {
     let b = study.config().budget;
-    vec![(b / 8).max(64), (b / 4).max(128), (b / 2).max(256), b]
+    let mut ladder = [(b / 8).max(64), (b / 4).max(128), (b / 2).max(256), b].map(|r| r.min(b)).to_vec();
+    ladder.dedup();
+    ladder
 }
 
 /// Render the sweep as a table.
@@ -145,10 +143,17 @@ mod tests {
 
     #[test]
     fn default_ladder_is_ascending_and_capped_at_study_budget() {
-        let study = Study::new(StudyConfig::tiny(0xb0d6));
-        let ladder = default_ladder(&study);
-        assert!(ladder.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*ladder.last().unwrap(), study.config().budget);
+        for (budget, want) in [
+            (64, vec![64]),
+            (100, vec![64, 100]),
+            (6_000, vec![750, 1_500, 3_000, 6_000]),
+        ] {
+            let study = Study::new(StudyConfig {
+                budget,
+                ..StudyConfig::tiny(0xb0d6)
+            });
+            assert_eq!(default_ladder(&study), want, "budget {budget}");
+        }
     }
 
     #[test]

@@ -1,18 +1,17 @@
 //! The master experiment grid: every (Table 2 dataset × port × TGA) cell.
 //!
 //! Tables 4 and 9–12 and Figures 3–5 and 7 are all views over this one
-//! grid, so it is computed once (in parallel) and shared. Rows follow the
-//! appendix tables exactly: All, Offline Dealiased, Online Dealiased,
-//! Active−Inactive (the joint-dealiased set), All Active, and the four
-//! port-specific datasets.
+//! grid, so it is computed once (by [`run_cells`], under one `grid` span)
+//! and shared. Rows follow the appendix tables exactly: All, Offline
+//! Dealiased, Online Dealiased, Active−Inactive (the joint-dealiased set),
+//! All Active, and the four port-specific datasets.
 
 use std::collections::HashMap;
 
 use netmodel::{Protocol, PROTOCOLS};
-use sos_obs::par::par_map;
 use tga::TgaId;
 
-use crate::runner::{cell_salt, run_tga, RunResult};
+use crate::runner::{cell_salt, run_cells, Cell, RunResult};
 use crate::study::{DatasetKind, Study};
 
 /// The nine dataset rows of Tables 9–12, in table order.
@@ -83,44 +82,19 @@ pub fn grid_over(
     protos: &[Protocol],
     tgas: &[TgaId],
 ) -> Grid {
-    let mut work: Vec<(DatasetKind, Protocol, TgaId)> = Vec::new();
-    for &d in datasets {
-        for &p in protos {
-            for &t in tgas {
-                work.push((d, p, t));
-            }
-        }
-    }
-    let threads = study.config().effective_threads();
+    let keys: Vec<(DatasetKind, Protocol, TgaId)> = datasets
+        .iter()
+        .flat_map(|&d| protos.iter().flat_map(move |&p| tgas.iter().map(move |&t| (d, p, t))))
+        .collect();
     let budget = study.config().budget;
-    let _span = sos_obs::span_detail(
-        "grid",
-        format!("cells={} threads={threads}", work.len()),
-    );
-    let progress = sos_obs::Progress::new("grid cells", work.len() as u64);
-    let results = par_map(work, threads, |_, (dataset, proto, tga)| {
-        let _cell = sos_obs::span_detail(
-            "cell",
-            format!("dataset={dataset:?} proto={proto:?} tga={tga}"),
-        );
-        let seeds = study.dataset(dataset);
-        let salt = cell_salt(0x617d, tga, proto, dataset_index(dataset));
-        let mut r = run_tga(study, tga, seeds, proto, budget, salt);
-        let keep_hits = matches!(
-            dataset,
-            DatasetKind::AllActive | DatasetKind::PortSpecific(_)
-        );
-        if !keep_hits {
-            r.clean_hits = Vec::new();
-            r.clean_hits.shrink_to_fit();
-        }
-        progress.tick();
-        ((dataset, proto, tga), r)
+    let cells = keys.iter().map(|&(dataset, proto, tga)| {
+        let (seeds, salt) = (study.dataset(dataset), cell_salt(0x617d, tga, proto, dataset_index(dataset)));
+        let detail = format!("dataset={dataset:?} proto={proto:?} tga={tga}");
+        let keep_hits = matches!(dataset, DatasetKind::AllActive | DatasetKind::PortSpecific(_));
+        Cell { tga, seeds, proto, budget, salt, detail, keep_hits }
     });
-    Grid {
-        budget,
-        cells: results.into_iter().collect(),
-    }
+    let results = run_cells(study, "grid", cells.collect());
+    Grid { budget, cells: keys.into_iter().zip(results).collect() }
 }
 
 #[cfg(test)]

@@ -10,12 +10,11 @@ use std::net::Ipv6Addr;
 
 use netmodel::{Asn, Protocol, PROTOCOLS};
 use seeds::SourceId;
-use sos_obs::par::par_map;
 use tga::TgaId;
 use v6addr::AddrSet;
 
 use crate::report::{fmt_count, fmt_pct, Table};
-use crate::runner::{cell_salt, run_tga, RunResult};
+use crate::runner::{cell_salt, run_cells, Cell, RunResult};
 use crate::study::{DatasetKind, Study};
 
 /// All RQ3 runs: per (source × TGA × port) cells plus the big-budget runs.
@@ -81,47 +80,28 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
         .iter()
         .map(|&s| (s, source_active_seeds(study, s)))
         .collect();
-
-    let mut work: Vec<(SourceId, Protocol, TgaId)> = Vec::new();
-    for (s, _) in &sources {
-        for &p in protos {
-            for &t in tgas {
-                work.push((*s, p, t));
+    let budget = study.config().budget;
+    let mut keys: Vec<(SourceId, Protocol, TgaId)> = Vec::new();
+    let mut cells = Vec::new();
+    for (source, seeds) in &sources {
+        for &proto in protos {
+            for &tga in tgas {
+                keys.push((*source, proto, tga));
+                let salt = cell_salt(0x593, tga, proto, source.stream());
+                let detail = format!("source={source:?} proto={proto:?} tga={tga}");
+                cells.push(Cell { tga, seeds, proto, budget, salt, detail, keep_hits: true });
             }
         }
     }
-    let threads = study.config().effective_threads();
-    let budget = study.config().budget;
-    let seed_of = |s: SourceId| -> &Vec<Ipv6Addr> {
-        &sources.iter().find(|(id, _)| *id == s).expect("source").1
-    };
-    let total_cells = work.len();
-    let done = std::sync::atomic::AtomicUsize::new(0);
-    let cells: BTreeMap<(SourceId, Protocol, TgaId), RunResult> =
-        par_map(work, threads, |_, (source, proto, tga)| {
-            let salt = cell_salt(0x593, tga, proto, source.stream());
-            let r = run_tga(study, tga, seed_of(source), proto, budget, salt);
-            // sos-lint: allow(conc-relaxed) progress counter for log lines only; never read back into results
-            let n = done.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
-            if n % 32 == 0 {
-                sos_obs::info!("rq3: {n}/{total_cells} source cells");
-            }
-            ((source, proto, tga), r)
-        })
-        .into_iter()
-        .collect();
+    let cells = keys.into_iter().zip(run_cells(study, "rq3_sources", cells)).collect();
 
     // The "600M" analog: one big All-Active run per TGA on ICMP.
-    let big_budget = budget * study.config().big_budget_multiplier;
-    let all_active = study.dataset(DatasetKind::AllActive).to_vec();
-    let big_runs: BTreeMap<TgaId, RunResult> = par_map(tgas.to_vec(), threads, |_, tga| {
-        let _span = sos_obs::span_detail("big_run", format!("tga={tga}"));
-        let salt = cell_salt(0x600, tga, Protocol::Icmp, 99);
-        let r = run_tga(study, tga, &all_active, Protocol::Icmp, big_budget, salt);
-        (tga, r)
-    })
-    .into_iter()
-    .collect();
+    let (seeds, budget) = (study.dataset(DatasetKind::AllActive), budget * study.config().big_budget_multiplier);
+    let big = tgas.iter().map(|&tga| {
+        let (salt, detail) = (cell_salt(0x600, tga, Protocol::Icmp, 99), format!("tga={tga}"));
+        Cell { tga, seeds, proto: Protocol::Icmp, budget, salt, detail, keep_hits: true }
+    });
+    let big_runs = tgas.iter().copied().zip(run_cells(study, "rq3_big_runs", big.collect())).collect();
 
     Rq3Results { cells, big_runs }
 }
@@ -164,33 +144,18 @@ pub fn render_source_raw(r: &Rq3Results, proto: Protocol) -> String {
     ))
     .header(header);
     for metric in ["Hits", "ASes"] {
+        let value = |cell: Option<&RunResult>| {
+            cell.map_or("-".into(), |c| fmt_count(if metric == "Hits" { c.metrics.hits } else { c.metrics.ases }))
+        };
         for source in SourceId::ALL {
             let mut row = vec![metric.to_string(), source.label().to_string()];
-            for &tga in &tgas {
-                match r.cells.get(&(source, proto, tga)) {
-                    Some(cell) => row.push(fmt_count(if metric == "Hits" {
-                        cell.metrics.hits
-                    } else {
-                        cell.metrics.ases
-                    })),
-                    None => row.push("-".into()),
-                }
-            }
+            row.extend(tgas.iter().map(|&tga| value(r.cells.get(&(source, proto, tga)))));
             t.row(row);
         }
         if proto == Protocol::Icmp {
             // Table 13 carries the 600M row too.
             let mut row = vec![metric.to_string(), "12x budget".to_string()];
-            for &tga in &tgas {
-                match r.big_runs.get(&tga) {
-                    Some(cell) => row.push(fmt_count(if metric == "Hits" {
-                        cell.metrics.hits
-                    } else {
-                        cell.metrics.ases
-                    })),
-                    None => row.push("-".into()),
-                }
-            }
+            row.extend(tgas.iter().map(|tga| value(r.big_runs.get(tga))));
             t.row(row);
         }
     }

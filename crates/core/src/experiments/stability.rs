@@ -11,11 +11,10 @@
 //! thinner than the noise band is flagged.
 
 use netmodel::Protocol;
-use sos_obs::par::par_map;
 use tga::TgaId;
 
 use crate::report::{fmt_count, Table};
-use crate::runner::run_tga;
+use crate::runner::{run_cells, Cell};
 use crate::study::{DatasetKind, Study};
 
 /// Mean/stddev summary of one metric across repetitions.
@@ -75,33 +74,22 @@ pub struct TgaStability {
 /// Run each TGA `reps` times with distinct generation seeds on the
 /// All-Active dataset.
 pub fn stability(study: &Study, tgas: &[TgaId], reps: usize, proto: Protocol) -> Vec<TgaStability> {
-    let seeds = study.dataset(DatasetKind::AllActive).to_vec();
-    let mut work = Vec::new();
-    for &t in tgas {
-        for rep in 0..reps {
-            work.push((t, rep as u64));
-        }
-    }
-    let threads = study.config().effective_threads();
-    let budget = study.config().budget;
-    let results = par_map(work, threads, |_, (tga, rep)| {
-        // the rep perturbs only the generation/evaluation salt
-        let salt = netmodel::mix::mix3(0x57ab, tga as u64, rep);
-        let r = run_tga(study, tga, &seeds, proto, budget, salt);
-        (tga, r.metrics.hits, r.metrics.ases)
+    let (seeds, budget) = (study.dataset(DatasetKind::AllActive), study.config().budget);
+    let cells = tgas.iter().flat_map(|&tga| {
+        (0..reps as u64).map(move |rep| {
+            // the rep perturbs only the generation/evaluation salt
+            let (salt, detail) = (netmodel::mix::mix3(0x57ab, tga as u64, rep), format!("tga={tga} rep={rep}"));
+            Cell { tga, seeds, proto, budget, salt, detail, keep_hits: false }
+        })
     });
+    let mut results = run_cells(study, "stability", cells.collect()).into_iter();
     tgas.iter()
         .map(|&tga| {
-            let hits: Vec<usize> = results
-                .iter()
-                .filter(|(t, _, _)| *t == tga)
-                .map(|&(_, h, _)| h)
-                .collect();
-            let ases: Vec<usize> = results
-                .iter()
-                .filter(|(t, _, _)| *t == tga)
-                .map(|&(_, _, a)| a)
-                .collect();
+            let (hits, ases): (Vec<usize>, Vec<usize>) = results
+                .by_ref()
+                .take(reps)
+                .map(|r| (r.metrics.hits, r.metrics.ases))
+                .unzip();
             TgaStability {
                 tga,
                 hits: Spread::of(&hits),

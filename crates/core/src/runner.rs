@@ -1,9 +1,13 @@
-//! One experiment cell: run a TGA on a seed list and evaluate its output.
+//! Experiment cells: run a TGA on a seed list and evaluate its output.
+//!
+//! [`run_tga`] runs one cell; [`run_cells`] runs every experiment's cells,
+//! under one span per experiment and one `cell` span per cell.
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
 
 use netmodel::{Asn, Protocol};
+use sos_obs::par::par_map;
 use sos_probe::provenance::{AttributionTable, ProvenanceLog};
 use tga::{GenConfig, TgaId};
 
@@ -63,6 +67,45 @@ pub fn run_tga(
         ases: eval.ases,
         attribution: eval.attribution.unwrap_or_default(),
     }
+}
+
+/// One cell of an experiment: everything [`run_tga`] takes, plus how the
+/// cell is named and whether its result keeps its hit list.
+pub struct Cell<'a> {
+    /// The generator.
+    pub tga: TgaId,
+    /// Its seeds.
+    pub seeds: &'a [Ipv6Addr],
+    /// Scan target.
+    pub proto: Protocol,
+    /// Generation budget.
+    pub budget: usize,
+    /// The cell's salt (see [`run_tga`]).
+    pub salt: u64,
+    /// Detail of the cell's `cell` span (`tga=6Tree proto=Icmp`).
+    pub detail: String,
+    /// Keep [`RunResult::clean_hits`]; otherwise it is dropped in the
+    /// worker, so a metrics-only experiment never holds every hit list.
+    pub keep_hits: bool,
+}
+
+/// Run `cells` over the study's `effective_threads()` and return their
+/// results in input order. One `span_name` span (`cells=N threads=T`)
+/// holds one `cell` span per cell, and one [`sos_obs::Progress`] counts
+/// them. Which worker ran a cell never reaches its result.
+pub fn run_cells(study: &Study, span_name: &'static str, cells: Vec<Cell<'_>>) -> Vec<RunResult> {
+    let threads = study.config().effective_threads();
+    let _span = sos_obs::span_detail(span_name, format!("cells={} threads={threads}", cells.len()));
+    let progress = sos_obs::Progress::new(format!("{span_name} cells"), cells.len() as u64);
+    par_map(cells, threads, |_, cell| {
+        let _cell = sos_obs::span_detail("cell", cell.detail);
+        let mut r = run_tga(study, cell.tga, cell.seeds, cell.proto, cell.budget, cell.salt);
+        if !cell.keep_hits {
+            r.clean_hits = Vec::new();
+        }
+        progress.tick();
+        r
+    })
 }
 
 /// Stable per-cell salt from experiment coordinates.

@@ -1,8 +1,13 @@
-//! Every experiment-level `par_map` fan-out renders the same bytes at any
-//! worker count. `par_map` promises per-slot results merged in input
-//! order; a closure that instead pushed into captured state would hand
-//! back its cells in completion order, and this is the pin that sees it
-//! wherever the caller keeps that order.
+//! Every experiment fan-out (`run_cells` under `grid_over`,
+//! `budget_sweep`, `stability`, `run_by_kind` and both of `run_rq3`'s)
+//! renders the same bytes at any worker count. `run_cells` promises its
+//! results in input order; a fan-out that instead pushed into captured
+//! state would hand back its cells in completion order, and this is the
+//! pin that sees it wherever the caller keeps that order.
+//!
+//! Each fan-out also records exactly one `cell` span per cell, inside the
+//! one span of its experiment. The span table is process-wide, so this
+//! file holds one test: nothing else records spans while it counts them.
 
 use netmodel::Protocol;
 use sos_core::experiments::{as_kind, budget, grid, rq3, stability};
@@ -17,6 +22,32 @@ fn study(threads: usize) -> Study {
     })
 }
 
+/// Run `experiment` on a cleared span table, then require one span per
+/// fan-out it names, each holding exactly its count of `cell` spans
+/// (nested under it at one thread, on a worker's lane otherwise).
+fn counted<T>(fan_outs: &[(&str, usize)], experiment: impl FnOnce() -> T) -> T {
+    sos_obs::span::clear();
+    let out = experiment();
+    let records = sos_obs::span::records();
+    let mut inside = vec![0; fan_outs.len()];
+    for c in records.iter().filter(|r| r.path.rsplit('>').next() == Some("cell")) {
+        // An end is start + duration, so allow it a microsecond of rounding.
+        let holds = |name: &str| {
+            records.iter().any(|o| {
+                o.path == name && o.start_s <= c.start_s && c.start_s + c.dur_s <= o.start_s + o.dur_s + 1e-6
+            })
+        };
+        let holders: Vec<usize> = (0..fan_outs.len()).filter(|&i| holds(fan_outs[i].0)).collect();
+        assert_eq!(holders.len(), 1, "cell [{}] inside exactly one fan-out span", c.detail);
+        inside[holders[0]] += 1;
+    }
+    for (&(name, cells), got) in fan_outs.iter().zip(inside) {
+        assert_eq!(records.iter().filter(|r| r.path == name).count(), 1, "one {name} span");
+        assert_eq!(got, cells, "{name}: one cell span per cell");
+    }
+    out
+}
+
 /// A cell at full precision: metrics, the hit list in order, the ASes.
 fn cell(r: &RunResult) -> String {
     format!("{:?} {:?} {:?}\n", r.metrics, r.clean_hits, r.ases)
@@ -29,7 +60,7 @@ fn cell(r: &RunResult) -> String {
 /// seven reps of three generators whose hits vary with the salt.
 fn render_stability(study: &Study) -> String {
     let varying = [TgaId::SixTree, TgaId::SixScan, TgaId::Det];
-    let rows = stability::stability(study, &varying, 7, Protocol::Icmp);
+    let rows = counted(&[("stability", 21)], || stability::stability(study, &varying, 7, Protocol::Icmp));
     stability::render(&rows, Protocol::Icmp) + &format!("{rows:?}\n")
 }
 
@@ -41,7 +72,7 @@ fn render_every_fan_out(study: &Study) -> String {
 
     let datasets = [DatasetKind::AllActive];
     let protos = [Protocol::Icmp, Protocol::Tcp80];
-    let g = grid::grid_over(study, &datasets, &protos, &TgaId::ALL);
+    let g = counted(&[("grid", 16)], || grid::grid_over(study, &datasets, &protos, &TgaId::ALL));
     for d in datasets {
         for p in protos {
             for t in TgaId::ALL {
@@ -52,20 +83,27 @@ fn render_every_fan_out(study: &Study) -> String {
     }
 
     let tgas = [TgaId::SixTree, TgaId::SixScan, TgaId::SixGen];
-    let curves = budget::budget_sweep(study, &tgas, &budget::default_ladder(study), Protocol::Icmp);
+    let ladder = budget::default_ladder(study);
+    let curves = counted(&[("budget_sweep", tgas.len() * ladder.len())], || {
+        budget::budget_sweep(study, &tgas, &ladder, Protocol::Icmp)
+    });
     out += &budget::render(&curves, Protocol::Icmp);
     out += &format!("{curves:?}\n");
 
     out += &render_stability(study);
 
-    let kinds = as_kind::run_by_kind(study, &tgas[..2]);
+    let slices = as_kind::seeds_by_kind(study).len();
+    let kinds = counted(&[("as_kind", slices * 2)], || as_kind::run_by_kind(study, &tgas[..2]));
     out += &kinds.render(study);
     for ((kind, tga), r) in &kinds.cells {
         out += &format!("kind {kind} {tga} ");
         out += &cell(r);
     }
 
-    let r3 = rq3::run_rq3(study, &[Protocol::Icmp], &tgas[..1]);
+    let sources = seeds::SourceId::ALL.len();
+    let r3 = counted(&[("rq3_sources", sources), ("rq3_big_runs", 1)], || {
+        rq3::run_rq3(study, &[Protocol::Icmp], &tgas[..1])
+    });
     out += &rq3::render_table5(&r3);
     out += &rq3::render_source_raw(&r3, Protocol::Icmp);
     for (tga, r) in &r3.big_runs {

@@ -20,8 +20,9 @@
 //!   snapshots), each stamped with the deterministic virtual clock plus
 //!   wall time. `seedscan watch` tails it.
 //! - [`span`](mod@span): hierarchical wall-clock spans
-//!   (`study → cell → {generate, scan, dealias}`), recorded globally and
-//!   echoed to stderr when `SOS_LOG=debug`.
+//!   (`grid → cell → {generate, scan, dealias}`), each recording its own
+//!   self time as it closes, kept in one global table and echoed to
+//!   stderr when `SOS_LOG=debug`.
 //! - [`log`]: the env-filtered stderr event sink (`SOS_LOG=trace|debug|
 //!   info|warn|error|off`) and [`progress::Progress`] live ETA reporting.
 //! - [`manifest`]: serialize configuration, per-phase timings, all
@@ -32,7 +33,7 @@
 //!   timing of its own — the spans opened around and inside it do.
 //! - [`trace`](mod@trace): export recorded spans as
 //!   Chrome trace-event JSON (`--trace`, one timeline lane per thread)
-//!   and self-time attribution as collapsed stacks (`--flame`) for
+//!   and their recorded self times as collapsed stacks (`--flame`) for
 //!   flamegraph tooling.
 
 pub mod journal;

@@ -85,17 +85,9 @@ pub fn write(l: Level, args: fmt::Arguments<'_>) {
         return;
     }
     let path = crate::span::current_path();
-    if path.is_empty() {
-        eprintln!("[{:>9.3}s] {:<5} {}", crate::now_s(), l.label(), args);
-    } else {
-        eprintln!(
-            "[{:>9.3}s] {:<5} {}: {}",
-            crate::now_s(),
-            l.label(),
-            path,
-            args
-        );
-    }
+    let sep = if path.is_empty() { "" } else { ": " };
+    let (now, label) = (crate::now_s(), l.label());
+    eprintln!("[{now:>9.3}s] {label:<5} {path}{sep}{args}");
 }
 
 /// Emit an `Error`-level event.

@@ -3,17 +3,23 @@
 //! A [`Span`] is an RAII guard: opening pushes a frame on a thread-local
 //! stack (so log events carry their span path), dropping records the
 //! duration into a global table the manifest serializes. Spans opened on a
-//! worker thread root at that thread — the experiment grid's `cell` spans
-//! nest `generate`/`scan`/`dealias` underneath themselves, not under the
-//! main thread's `study` span.
+//! worker thread root at that thread — the experiments' `cell` spans nest
+//! `generate`/`scan`/`dealias` underneath themselves, not under the main
+//! thread's `study` span.
+//!
+//! Each span measures its own self time: a frame sums the durations of
+//! the children that close under it, and the span records its duration
+//! minus that sum when it closes. A child on another thread has a stack
+//! of its own, so its opener keeps that time as self time.
 //!
 //! Timings are observational only: nothing reads them back into the
 //! pipeline, so instrumented runs stay bit-identical to bare ones.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::log::{enabled, Level};
 
@@ -28,13 +34,16 @@ pub struct SpanRecord {
     pub start_s: f64,
     /// Wall-clock duration in seconds.
     pub dur_s: f64,
+    /// Exclusive seconds: `dur_s` minus the durations of the spans that
+    /// closed directly under this one on its thread (clamped at 0).
+    pub self_s: f64,
     /// Compact id of the thread that ran the span (0 = first thread that
     /// recorded anything; trace export maps each id to a timeline lane).
     pub tid: u64,
 }
 
 /// Aggregate statistics over all occurrences of one span path.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpanAgg {
     /// Number of occurrences.
     pub count: u64,
@@ -44,14 +53,31 @@ pub struct SpanAgg {
     pub min_s: f64,
     /// Slowest occurrence.
     pub max_s: f64,
-    /// Exclusive ("self") seconds: total minus time spent in child spans.
+    /// Exclusive ("self") seconds: the sum of the occurrences' `self_s`.
     /// This is the number that ranks hot paths — a parent that only
     /// dispatches has near-zero self time however long it runs.
     pub self_s: f64,
 }
 
+/// One open span on a thread's stack.
+struct Frame {
+    start_s: f64,
+    /// Summed durations of the children that closed under this span.
+    children_s: f64,
+    /// Where this span's segment (and its `>`) starts in the path.
+    name_at: usize,
+}
+
+/// A thread's open spans and their `>`-joined path.
+struct Stack {
+    path: String,
+    frames: Vec<Frame>,
+}
+
 thread_local! {
-    static STACK: RefCell<Vec<(&'static str, String)>> = const { RefCell::new(Vec::new()) };
+    static STACK: RefCell<Stack> = const {
+        RefCell::new(Stack { path: String::new(), frames: Vec::new() })
+    };
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
 }
 
@@ -64,12 +90,12 @@ pub fn thread_id() -> u64 {
 
 static RECORDS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
 
-/// RAII span guard; created by [`span`] / [`span_detail`].
+/// RAII span guard; created by [`span`] / [`span_detail`]. It closes the
+/// top frame of its thread's stack, so it cannot leave the thread.
 #[derive(Debug)]
 pub struct Span {
-    path: String,
     detail: String,
-    start_s: f64,
+    _same_thread: PhantomData<*const ()>,
 }
 
 /// Open a span named `name` under the current thread's span stack.
@@ -81,10 +107,18 @@ pub fn span(name: &'static str) -> Span {
 /// the manifest's span records).
 pub fn span_detail(name: &'static str, detail: impl Into<String>) -> Span {
     let detail = detail.into();
-    let path = STACK.with(|s| {
-        let mut s = s.borrow_mut();
-        s.push((name, detail.clone()));
-        join_path(&s)
+    STACK.with(|s| {
+        let s = &mut *s.borrow_mut();
+        let name_at = s.path.len();
+        if name_at > 0 {
+            s.path.push('>');
+        }
+        s.path.push_str(name);
+        s.frames.push(Frame {
+            start_s: crate::now_s(),
+            children_s: 0.0,
+            name_at,
+        });
     });
     if enabled(Level::Debug) {
         if detail.is_empty() {
@@ -94,42 +128,51 @@ pub fn span_detail(name: &'static str, detail: impl Into<String>) -> Span {
         }
     }
     Span {
-        path,
         detail,
-        start_s: crate::now_s(),
+        _same_thread: PhantomData,
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let dur_s = crate::now_s() - self.start_s;
+        let end_s = crate::now_s();
+        // A span never leaves its thread, so its frame is the top one.
+        let Some((record, name_at)) = STACK.with(|s| {
+            let s = &mut *s.borrow_mut();
+            let frame = s.frames.pop()?;
+            let dur_s = end_s - frame.start_s;
+            if let Some(parent) = s.frames.last_mut() {
+                parent.children_s += dur_s;
+            }
+            let record = SpanRecord {
+                path: s.path.clone(),
+                detail: std::mem::take(&mut self.detail),
+                start_s: frame.start_s,
+                dur_s,
+                self_s: (dur_s - frame.children_s).max(0.0),
+                tid: thread_id(),
+            };
+            Some((record, frame.name_at))
+        }) else {
+            return;
+        };
         if enabled(Level::Debug) {
-            if self.detail.is_empty() {
-                crate::debug!("◀ close in {:.3}s", dur_s);
+            if record.detail.is_empty() {
+                crate::debug!("◀ close in {:.3}s", record.dur_s);
             } else {
-                crate::debug!("◀ close [{}] in {:.3}s", self.detail, dur_s);
+                crate::debug!("◀ close [{}] in {:.3}s", record.detail, record.dur_s);
             }
         }
-        STACK.with(|s| {
-            s.borrow_mut().pop();
-        });
-        RECORDS.lock().expect("span records").push(SpanRecord {
-            path: std::mem::take(&mut self.path),
-            detail: std::mem::take(&mut self.detail),
-            start_s: self.start_s,
-            dur_s,
-            tid: thread_id(),
-        });
+        STACK.with(|s| s.borrow_mut().path.truncate(name_at));
+        // A push leaves the table whole even if a holder panicked.
+        let mut records = RECORDS.lock().unwrap_or_else(PoisonError::into_inner);
+        records.push(record);
     }
-}
-
-fn join_path(stack: &[(&'static str, String)]) -> String {
-    stack.iter().map(|(n, _)| *n).collect::<Vec<_>>().join(">")
 }
 
 /// The current thread's span path, `>`-joined (empty outside any span).
 pub fn current_path() -> String {
-    STACK.with(|s| join_path(&s.borrow()))
+    STACK.with(|s| s.borrow().path.clone())
 }
 
 /// Copy of every span recorded so far, in completion order.
@@ -137,64 +180,19 @@ pub fn records() -> Vec<SpanRecord> {
     RECORDS.lock().expect("span records").clone()
 }
 
-/// Exclusive ("self") seconds for each record: its duration minus the
-/// durations of its direct children. A record is a direct child of the
-/// innermost same-thread record whose path is one segment shorter, whose
-/// name prefix matches, and whose interval contains it. Returned in the
-/// same order as `records`; values are clamped at zero against float
-/// rounding.
-pub fn self_times(records: &[SpanRecord]) -> Vec<f64> {
-    const EPS: f64 = 1e-9;
-    let mut self_s: Vec<f64> = records.iter().map(|r| r.dur_s).collect();
-    for (ci, c) in records.iter().enumerate() {
-        let Some(cut) = c.path.rfind('>') else {
-            continue;
-        };
-        let parent_path = &c.path[..cut];
-        let c_end = c.start_s + c.dur_s;
-        // Innermost (shortest) enclosing instance of the parent path on
-        // the same thread: repeated instances of one path (grid cells)
-        // are disambiguated by interval containment.
-        let mut best: Option<usize> = None;
-        for (pi, p) in records.iter().enumerate() {
-            if pi == ci || p.tid != c.tid || p.path != parent_path {
-                continue;
-            }
-            if p.start_s <= c.start_s + EPS && c_end <= p.start_s + p.dur_s + EPS {
-                best = match best {
-                    Some(b) if records[b].dur_s <= p.dur_s => Some(b),
-                    _ => Some(pi),
-                };
-            }
-        }
-        if let Some(pi) = best {
-            self_s[pi] -= c.dur_s;
-        }
-    }
-    for s in &mut self_s {
-        *s = s.max(0.0);
-    }
-    self_s
-}
-
-/// Aggregate recorded spans by path, including self-time attribution.
+/// Aggregate recorded spans by path.
 pub fn aggregate() -> BTreeMap<String, SpanAgg> {
-    let records = records();
-    let selfs = self_times(&records);
     let mut out: BTreeMap<String, SpanAgg> = BTreeMap::new();
-    for (r, &self_dur) in records.iter().zip(selfs.iter()) {
-        let e = out.entry(r.path.clone()).or_insert(SpanAgg {
-            count: 0,
-            total_s: 0.0,
+    for r in records() {
+        let e = out.entry(r.path).or_insert(SpanAgg {
             min_s: f64::INFINITY,
-            max_s: 0.0,
-            self_s: 0.0,
+            ..SpanAgg::default()
         });
         e.count += 1;
         e.total_s += r.dur_s;
         e.min_s = e.min_s.min(r.dur_s);
         e.max_s = e.max_s.max(r.dur_s);
-        e.self_s += self_dur;
+        e.self_s += r.self_s;
     }
     out
 }
@@ -243,40 +241,97 @@ mod tests {
         assert!(a.total_s >= a.max_s);
     }
 
-    fn rec(path: &str, start_s: f64, dur_s: f64, tid: u64) -> SpanRecord {
-        SpanRecord {
-            path: path.into(),
-            detail: String::new(),
-            start_s,
-            dur_s,
-            tid,
-        }
+    /// This thread's records whose path starts with `prefix`, in
+    /// completion order.
+    fn recorded(prefix: &str) -> Vec<SpanRecord> {
+        let tid = thread_id();
+        records()
+            .into_iter()
+            .filter(|r| r.path.starts_with(prefix) && r.tid == tid)
+            .collect()
+    }
+
+    fn sleep_ms(ms: u64) {
+        std::thread::sleep(std::time::Duration::from_millis(ms));
     }
 
     #[test]
     fn self_time_subtracts_direct_children_only() {
-        // a [0,10] contains a>b [1,4] and a>b [5,8]; a>b>c [2,3] belongs
-        // to the first b instance, not to a.
-        let records = vec![
-            rec("a", 0.0, 10.0, 0),
-            rec("a>b", 1.0, 3.0, 0),
-            rec("a>b>c", 2.0, 1.0, 0),
-            rec("a>b", 5.0, 3.0, 0),
-        ];
-        let s = self_times(&records);
-        assert!((s[0] - 4.0).abs() < 1e-9, "a: 10 - 3 - 3 = 4, got {}", s[0]);
-        assert!((s[1] - 2.0).abs() < 1e-9, "first b: 3 - 1 = 2");
-        assert!((s[2] - 1.0).abs() < 1e-9, "c is a leaf");
-        assert!((s[3] - 3.0).abs() < 1e-9, "second b has no children");
+        {
+            let _a = span("self3_a");
+            for _ in 0..2 {
+                let _b = span("self3_b");
+                let _c = span("self3_c");
+                sleep_ms(1);
+            }
+        }
+        let r = recorded("self3_a");
+        let paths: Vec<&str> = r.iter().map(|r| r.path.as_str()).collect();
+        let (c, b) = ("self3_a>self3_b>self3_c", "self3_a>self3_b");
+        assert_eq!(paths, [c, b, c, b, "self3_a"], "children close first");
+        for leaf in [&r[0], &r[2]] {
+            assert_eq!(
+                leaf.self_s, leaf.dur_s,
+                "a leaf's self time is its duration"
+            );
+        }
+        for (child, parent) in [(&r[0], &r[1]), (&r[2], &r[3])] {
+            assert_eq!(parent.self_s, (parent.dur_s - child.dur_s).max(0.0));
+        }
+        // The root subtracts both b instances and not their c grandchildren.
+        let a = &r[4];
+        assert_eq!(a.self_s, (a.dur_s - (r[1].dur_s + r[3].dur_s)).max(0.0));
+        assert!(a.self_s < a.dur_s - 0.002, "both b instances slept under a");
     }
 
     #[test]
     fn self_time_ignores_other_threads() {
-        let records = vec![rec("a", 0.0, 10.0, 0), rec("a>b", 1.0, 3.0, 1)];
-        let s = self_times(&records);
+        {
+            let _opener = span("selfthread_opener");
+            std::thread::spawn(|| {
+                let _w = span("selfthread_worker");
+                sleep_ms(2);
+                assert_eq!(
+                    current_path(),
+                    "selfthread_worker",
+                    "rooted on its own thread"
+                );
+            })
+            .join()
+            .unwrap();
+        }
+        let opener = &recorded("selfthread_opener")[0];
+        let worker = records()
+            .into_iter()
+            .find(|r| r.path == "selfthread_worker")
+            .unwrap();
+        assert_ne!(worker.tid, opener.tid);
+        assert!(opener.dur_s >= worker.dur_s);
+        assert_eq!(
+            opener.self_s, opener.dur_s,
+            "the worker's time stays the opener's"
+        );
+    }
+
+    #[test]
+    fn self_time_subtracts_a_one_worker_par_maps_inline_children() {
+        {
+            let _p = span("selfpar_parent");
+            crate::par::par_map(vec![1, 2, 1], 1, |_, ms| {
+                let _item = span("selfpar_item");
+                sleep_ms(ms);
+            });
+        }
+        let r = recorded("selfpar_parent");
+        let (items, parent) = r.split_at(3);
+        assert!(items
+            .iter()
+            .all(|i| i.path == "selfpar_parent>selfpar_item"));
+        let children = items.iter().fold(0.0, |sum, i| sum + i.dur_s);
+        assert_eq!(parent[0].self_s, (parent[0].dur_s - children).max(0.0));
         assert!(
-            (s[0] - 10.0).abs() < 1e-9,
-            "child on another thread is not ours"
+            parent[0].self_s < parent[0].dur_s - 0.004,
+            "the items ran inline"
         );
     }
 

@@ -8,9 +8,9 @@
 //!   lane per recording thread, so a fan-out's workers are the lanes its
 //!   `cell` or `scan_shard` spans land on, and straggler cells are
 //!   visible at a glance.
-//! - [`collapsed_stacks`] renders self-time attribution in the collapsed
-//!   stack format `path;to;span <microseconds>` that `flamegraph.pl`,
-//!   `inferno-flamegraph`, and speedscope all accept.
+//! - [`collapsed_stacks`] sums the self time spans recorded at close, per
+//!   path, in the collapsed stack format `path;to;span <microseconds>` that
+//!   `flamegraph.pl`, `inferno-flamegraph`, and speedscope all accept.
 //!
 //! Both are pure functions over already-recorded data — exporting a trace
 //! can never perturb the run it describes (the run is over by then).
@@ -86,17 +86,16 @@ pub fn chrome_trace(records: &[SpanRecord]) -> Json {
     doc
 }
 
-/// Render self-time attribution in collapsed-stack format: one line per
+/// Render recorded self times in collapsed-stack format: one line per
 /// distinct span path, `a;b;c <self-µs>`, summed over all occurrences and
 /// sorted by path. Paths whose rounded self time is zero are dropped
 /// (flamegraph tooling treats the value as a sample count; zero-weight
 /// frames only add noise).
 pub fn collapsed_stacks(records: &[SpanRecord]) -> String {
     use std::collections::BTreeMap;
-    let selfs = span::self_times(records);
     let mut by_stack: BTreeMap<String, u64> = BTreeMap::new();
-    for (r, &s) in records.iter().zip(selfs.iter()) {
-        let v = us(s).round() as u64;
+    for r in records {
+        let v = us(r.self_s).round() as u64;
         if v == 0 {
             continue;
         }
@@ -128,7 +127,7 @@ pub fn write_collapsed(path: &Path) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    fn rec(path: &str, start_s: f64, dur_s: f64, tid: u64) -> SpanRecord {
+    fn rec(path: &str, start_s: f64, dur_s: f64, self_s: f64, tid: u64) -> SpanRecord {
         SpanRecord {
             path: path.into(),
             detail: if path.contains("cell") {
@@ -138,6 +137,7 @@ mod tests {
             },
             start_s,
             dur_s,
+            self_s,
             tid,
         }
     }
@@ -145,9 +145,9 @@ mod tests {
     #[test]
     fn trace_events_have_required_fields() {
         let records = vec![
-            rec("study", 0.0, 10.0, 0),
-            rec("study>cell", 1.0, 2.0, 0),
-            rec("cell", 1.5, 2.0, 3),
+            rec("study", 0.0, 10.0, 8.0, 0),
+            rec("study>cell", 1.0, 2.0, 2.0, 0),
+            rec("cell", 1.5, 2.0, 2.0, 3),
         ];
         let doc = chrome_trace(&records);
         let events = doc
@@ -172,7 +172,7 @@ mod tests {
 
     #[test]
     fn trace_round_trips_through_the_parser() {
-        let records = vec![rec("a", 0.0, 1.0, 0), rec("a>cell", 0.25, 0.5, 0)];
+        let records = vec![rec("a", 0.0, 1.0, 0.5, 0), rec("a>cell", 0.25, 0.5, 0.5, 0)];
         let doc = chrome_trace(&records);
         let back = Json::parse(&doc.to_string()).expect("trace parses");
         assert_eq!(back, doc);
@@ -185,9 +185,10 @@ mod tests {
     #[test]
     fn collapsed_stacks_sum_self_time_per_path() {
         let records = vec![
-            rec("a", 0.0, 10.0, 0),
-            rec("a>b", 1.0, 3.0, 0),
-            rec("a>b", 5.0, 3.0, 0),
+            rec("a", 0.0, 10.0, 4.0, 0),
+            rec("a>b", 1.0, 3.0, 2.5, 0),
+            rec("a>b", 5.0, 3.0, 3.0, 0),
+            rec("a>b", 8.5, 0.5, 0.5, 1),
         ];
         let text = collapsed_stacks(&records);
         let mut lines: Vec<(&str, u64)> = text
@@ -204,7 +205,7 @@ mod tests {
     #[test]
     fn zero_self_time_paths_are_dropped() {
         // parent fully covered by its child
-        let records = vec![rec("p", 0.0, 2.0, 0), rec("p>q", 0.0, 2.0, 0)];
+        let records = vec![rec("p", 0.0, 2.0, 0.0, 0), rec("p>q", 0.0, 2.0, 2.0, 0)];
         let text = collapsed_stacks(&records);
         assert_eq!(text, "p;q 2000000\n");
     }
