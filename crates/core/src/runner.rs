@@ -1,7 +1,8 @@
 //! Experiment cells: run a TGA on a seed list and evaluate its output.
 //!
 //! [`run_tga`] runs one cell; [`run_cells`] runs every experiment's cells,
-//! under one span per experiment and one `cell` span per cell.
+//! under one span per experiment and one `cell` span per cell, fitting
+//! each TGA's seed model once per seed list.
 
 use std::collections::BTreeSet;
 use std::net::Ipv6Addr;
@@ -9,6 +10,7 @@ use std::net::Ipv6Addr;
 use netmodel::{Asn, Protocol};
 use sos_obs::par::par_map;
 use sos_probe::provenance::{AttributionTable, ProvenanceLog};
+use sos_probe::ScanOracle;
 use tga::{GenConfig, TgaId};
 
 use crate::metrics::RunMetrics;
@@ -50,12 +52,29 @@ pub fn run_tga(
     salt: u64,
 ) -> RunResult {
     let mut generator = tga::build(id);
+    run_cell(study, id, proto, budget, salt, |cfg, oracle, prov| {
+        generator.generate_tagged(seed_list, cfg, oracle, prov)
+    })
+}
+
+/// One cell: `generate` through the cell's oracle and provenance log, then
+/// evaluate what it generated. [`run_tga`] fits inside `generate`, so its
+/// model is gone before the evaluation; [`run_cells`] generates from the
+/// model its group shares.
+fn run_cell(
+    study: &Study,
+    id: TgaId,
+    proto: Protocol,
+    budget: usize,
+    salt: u64,
+    generate: impl FnOnce(&GenConfig, &mut dyn ScanOracle, &mut ProvenanceLog) -> Vec<Ipv6Addr>,
+) -> RunResult {
     let mut oracle = study.scanner(salt ^ 0x9e0);
     let cfg = GenConfig::new(budget, study.config().gen_seed ^ salt, proto)
         .with_workers(study.config().gen_workers);
     let mut prov = ProvenanceLog::recording(id.code());
-    let generated = generator.generate_tagged(seed_list, &cfg, &mut oracle, &mut prov);
-    let gen_packets = sos_probe::ScanOracle::packets_sent(&oracle);
+    let generated = generate(&cfg, &mut oracle, &mut prov);
+    let gen_packets = oracle.packets_sent();
 
     let mut eval = study.evaluate_tagged(&generated, proto, salt ^ 0xe7a1, &prov);
     eval.metrics.probe_packets += gen_packets;
@@ -93,19 +112,47 @@ pub struct Cell<'a> {
 /// results in input order. One `span_name` span (`cells=N threads=T`)
 /// holds one `cell` span per cell, and one [`sos_obs::Progress`] counts
 /// them. Which worker ran a cell never reaches its result.
+///
+/// A TGA's model depends on its seed list alone, so the cells that share
+/// a TGA and a seed slice form one group: a worker fits the model once
+/// (a `fit` span), runs the group's cells on it in input order, and drops
+/// it before taking the next group.
 pub fn run_cells(study: &Study, span_name: &'static str, cells: Vec<Cell<'_>>) -> Vec<RunResult> {
     let threads = study.config().effective_threads();
     let _span = sos_obs::span_detail(span_name, format!("cells={} threads={threads}", cells.len()));
     let progress = sos_obs::Progress::new(format!("{span_name} cells"), cells.len() as u64);
-    par_map(cells, threads, |_, cell| {
-        let _cell = sos_obs::span_detail("cell", cell.detail);
-        let mut r = run_tga(study, cell.tga, cell.seeds, cell.proto, cell.budget, cell.salt);
-        if !cell.keep_hits {
-            r.clean_hits = Vec::new();
+    // The same slice means the same seeds; two empty slices may compare
+    // equal, and their models are the same too.
+    let mut groups: Vec<Vec<(usize, Cell<'_>)>> = Vec::new();
+    for (i, cell) in cells.into_iter().enumerate() {
+        let same = |(_, c): &(usize, Cell<'_>)| c.tga == cell.tga && std::ptr::eq(c.seeds, cell.seeds);
+        match groups.iter_mut().find(|g| g.first().is_some_and(same)) {
+            Some(group) => group.push((i, cell)),
+            None => groups.push(vec![(i, cell)]),
         }
-        progress.tick();
-        r
+    }
+    let mut results: Vec<(usize, RunResult)> = par_map(groups, threads, |_, group| {
+        let Some((_, first)) = group.first() else { return Vec::new() };
+        let (id, generator) = (first.tga, tga::build(first.tga));
+        let model = generator.fit(first.seeds, study.config().gen_workers);
+        let run = |(i, cell): (usize, Cell<'_>)| {
+            let _cell = sos_obs::span_detail("cell", cell.detail);
+            let mut r = run_cell(study, id, cell.proto, cell.budget, cell.salt, |cfg, oracle, prov| {
+                model.generate_tagged(cfg, oracle, prov)
+            });
+            if !cell.keep_hits {
+                r.clean_hits = Vec::new();
+            }
+            progress.tick();
+            (i, r)
+        };
+        group.into_iter().map(run).collect()
     })
+    .into_iter()
+    .flatten()
+    .collect();
+    results.sort_unstable_by_key(|&(i, _)| i);
+    results.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Stable per-cell salt from experiment coordinates.

@@ -5,9 +5,10 @@
 //! state would hand back its cells in completion order, and this is the
 //! pin that sees it wherever the caller keeps that order.
 //!
-//! Each fan-out also records exactly one `cell` span per cell, inside the
-//! one span of its experiment. The span table is process-wide, so this
-//! file holds one test: nothing else records spans while it counts them.
+//! Each fan-out also records exactly one `cell` span per cell, and one
+//! `fit` span per (seed list, TGA) it runs, inside the one span of its
+//! experiment. The span table is process-wide, so this file holds one
+//! test: nothing else records spans while it counts them.
 
 use netmodel::Protocol;
 use sos_core::experiments::{as_kind, budget, grid, rq3, stability};
@@ -23,14 +24,19 @@ fn study(threads: usize) -> Study {
 }
 
 /// Run `experiment` on a cleared span table, then require one span per
-/// fan-out it names, each holding exactly its count of `cell` spans
-/// (nested under it at one thread, on a worker's lane otherwise).
-fn counted<T>(fan_outs: &[(&str, usize)], experiment: impl FnOnce() -> T) -> T {
+/// fan-out it names, each holding exactly its counts of `cell` and `fit`
+/// spans (nested under it at one thread, on a worker's lane otherwise).
+fn counted<T>(fan_outs: &[(&str, usize, usize)], experiment: impl FnOnce() -> T) -> T {
     sos_obs::span::clear();
     let out = experiment();
     let records = sos_obs::span::records();
-    let mut inside = vec![0; fan_outs.len()];
-    for c in records.iter().filter(|r| r.path.rsplit('>').next() == Some("cell")) {
+    let mut inside = vec![[0, 0]; fan_outs.len()];
+    for c in &records {
+        let (kind, slot) = match c.path.rsplit('>').next() {
+            Some("cell") => ("cell", 0),
+            Some("fit") => ("fit", 1),
+            _ => continue,
+        };
         // An end is start + duration, so allow it a microsecond of rounding.
         let holds = |name: &str| {
             records.iter().any(|o| {
@@ -38,12 +44,12 @@ fn counted<T>(fan_outs: &[(&str, usize)], experiment: impl FnOnce() -> T) -> T {
             })
         };
         let holders: Vec<usize> = (0..fan_outs.len()).filter(|&i| holds(fan_outs[i].0)).collect();
-        assert_eq!(holders.len(), 1, "cell [{}] inside exactly one fan-out span", c.detail);
-        inside[holders[0]] += 1;
+        assert_eq!(holders.len(), 1, "{kind} [{}] inside exactly one fan-out span", c.detail);
+        inside[holders[0]][slot] += 1;
     }
-    for (&(name, cells), got) in fan_outs.iter().zip(inside) {
+    for (&(name, cells, fits), got) in fan_outs.iter().zip(inside) {
         assert_eq!(records.iter().filter(|r| r.path == name).count(), 1, "one {name} span");
-        assert_eq!(got, cells, "{name}: one cell span per cell");
+        assert_eq!(got, [cells, fits], "{name}: one cell span per cell, one fit span per (seed list, TGA)");
     }
     out
 }
@@ -60,7 +66,7 @@ fn cell(r: &RunResult) -> String {
 /// seven reps of three generators whose hits vary with the salt.
 fn render_stability(study: &Study) -> String {
     let varying = [TgaId::SixTree, TgaId::SixScan, TgaId::Det];
-    let rows = counted(&[("stability", 21)], || stability::stability(study, &varying, 7, Protocol::Icmp));
+    let rows = counted(&[("stability", 21, 3)], || stability::stability(study, &varying, 7, Protocol::Icmp));
     stability::render(&rows, Protocol::Icmp) + &format!("{rows:?}\n")
 }
 
@@ -72,7 +78,7 @@ fn render_every_fan_out(study: &Study) -> String {
 
     let datasets = [DatasetKind::AllActive];
     let protos = [Protocol::Icmp, Protocol::Tcp80];
-    let g = counted(&[("grid", 16)], || grid::grid_over(study, &datasets, &protos, &TgaId::ALL));
+    let g = counted(&[("grid", 16, 8)], || grid::grid_over(study, &datasets, &protos, &TgaId::ALL));
     for d in datasets {
         for p in protos {
             for t in TgaId::ALL {
@@ -84,7 +90,7 @@ fn render_every_fan_out(study: &Study) -> String {
 
     let tgas = [TgaId::SixTree, TgaId::SixScan, TgaId::SixGen];
     let ladder = budget::default_ladder(study);
-    let curves = counted(&[("budget_sweep", tgas.len() * ladder.len())], || {
+    let curves = counted(&[("budget_sweep", tgas.len() * ladder.len(), tgas.len())], || {
         budget::budget_sweep(study, &tgas, &ladder, Protocol::Icmp)
     });
     out += &budget::render(&curves, Protocol::Icmp);
@@ -93,7 +99,7 @@ fn render_every_fan_out(study: &Study) -> String {
     out += &render_stability(study);
 
     let slices = as_kind::seeds_by_kind(study).len();
-    let kinds = counted(&[("as_kind", slices * 2)], || as_kind::run_by_kind(study, &tgas[..2]));
+    let kinds = counted(&[("as_kind", slices * 2, slices * 2)], || as_kind::run_by_kind(study, &tgas[..2]));
     out += &kinds.render(study);
     for ((kind, tga), r) in &kinds.cells {
         out += &format!("kind {kind} {tga} ");
@@ -101,7 +107,7 @@ fn render_every_fan_out(study: &Study) -> String {
     }
 
     let sources = seeds::SourceId::ALL.len();
-    let r3 = counted(&[("rq3_sources", sources), ("rq3_big_runs", 1)], || {
+    let r3 = counted(&[("rq3_sources", sources, sources), ("rq3_big_runs", 1, 1)], || {
         rq3::run_rq3(study, &[Protocol::Icmp], &tgas[..1])
     });
     out += &rq3::render_table5(&r3);

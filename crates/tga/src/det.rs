@@ -14,6 +14,7 @@
 //!    from the seed patterns.
 
 use std::net::Ipv6Addr;
+use std::rc::Rc;
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -24,12 +25,13 @@ use sos_probe::ScanOracle;
 use crate::parallel::{sample_regions_par, stream_seed, SampleUnit};
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{build_regions_par, Region, SplitStrategy};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
-/// Bandit state per tree leaf.
+/// Bandit state per tree leaf. A run clones the fitted arms and shares
+/// their regions until a widening or a rebuild replaces one.
 #[derive(Debug, Clone)]
 struct Arm {
-    region: Region,
+    region: Rc<Region>,
     probes: f64,
     q: f64,
     /// The unprobed score, a function of the region alone: computed when
@@ -37,30 +39,13 @@ struct Arm {
     prior: f64,
 }
 
-/// Build the bandit arms over a seed basis (initial tree and every
-/// online rebuild).
+/// Build the bandit arms over a seed basis (the fit and every online
+/// rebuild).
 fn arms_over(basis: &[Ipv6Addr], max_leaf: usize, max_regions: usize, workers: usize) -> Vec<Arm> {
     build_regions_par(basis, SplitStrategy::MinEntropy, max_leaf, max_regions, workers)
         .into_iter()
-        .map(|region| Arm { prior: Arm::prior(&region), region, probes: 0.0, q: 0.0 })
+        .map(|region| Arm { prior: Arm::prior(&region), region: Rc::new(region), probes: 0.0, q: 0.0 })
         .collect()
-}
-
-/// The indices of the `k` best scores, best first: the first `k` of a
-/// stable descending sort of `0..scores.len()`. Ordering by (score
-/// descending, index ascending) is a total order that ranks exactly as the
-/// stable sort does, so a selection of the top `k` plus a sort of just
-/// those `k` returns the same prefix without sorting every arm.
-fn slate(scores: &[f64], k: usize) -> Vec<usize> {
-    let rank = |&a: &usize, &b: &usize| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)); // a, b < scores.len()
-    let mut order: Vec<usize> = (0..scores.len()).collect();
-    if k < order.len() {
-        let Some(last) = k.checked_sub(1) else { return Vec::new() };
-        order.select_nth_unstable_by(last, rank);
-        order.truncate(k);
-    }
-    order.sort_unstable_by(rank);
-    order
 }
 
 impl Arm {
@@ -124,15 +109,32 @@ impl TargetGenerator for Det {
         TgaId::Det
     }
 
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a> {
+        let arms = arms_over(seeds, self.max_leaf, self.max_regions, workers);
+        Box::new(Fitted { params: self, seeds, arms })
+    }
+}
+
+/// DET's model: the bandit arms over the seeds' entropy-split tree, each
+/// unprobed.
+struct Fitted<'a> {
+    params: &'a Det,
+    seeds: &'a [Ipv6Addr],
+    arms: Vec<Arm>,
+}
+
+impl SeedModel for Fitted<'_> {
     fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
+        &self,
         cfg: &GenConfig,
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
+        let (params, seeds) = (self.params, self.seeds);
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xde7);
-        let mut arms: Vec<Arm> = arms_over(seeds, self.max_leaf, self.max_regions, cfg.workers);
+        // The bandit scores, widens and rebuilds its arms: they are this
+        // run's own.
+        let mut arms: Vec<Arm> = self.arms.clone();
 
         let mut sink = Candidates::new(cfg.budget, prov);
         let mut fresh_hits: Vec<Ipv6Addr> = Vec::new();
@@ -148,8 +150,8 @@ impl TargetGenerator for Det {
             // Rank leaves by UCB score (computed once per arm, not in
             // the comparator); probe the top slice this round.
             let ln_total = total_probes.max(2.0).ln();
-            let scores: Vec<f64> = arms.iter().map(|a| a.ucb(ln_total, self.ucb_c)).collect();
-            let order = slate(&scores, self.arms_per_round);
+            let scores: Vec<f64> = arms.iter().map(|a| a.ucb(ln_total, params.ucb_c)).collect();
+            let order = slate(&scores, params.arms_per_round, |a, b| b.total_cmp(a));
             // Phase 1: every selected arm samples in parallel against the
             // round-start `seen`, each from its own (arm digest, round,
             // slot)-derived stream — worker-count-invariant by design.
@@ -157,12 +159,12 @@ impl TargetGenerator for Det {
                 .iter()
                 .enumerate()
                 .map(|(slot, &idx)| {
-                    let region = &arms[idx].region; // idx from order: < arms.len()
+                    let region: &Region = &arms[idx].region; // idx from order: < arms.len()
                     SampleUnit {
                         index: idx,
                         region,
-                        want: self.batch,
-                        explore: self.explore,
+                        want: params.batch,
+                        explore: params.explore,
                         stream: stream_seed(cfg.seed ^ 0xde7, region.digest, round, slot),
                     }
                 })
@@ -188,7 +190,7 @@ impl TargetGenerator for Det {
                     match arm.region.widened().and_then(|w| w.widened().or(Some(w))) {
                         Some(w) => {
                             arm.prior = Arm::prior(&w);
-                            arm.region = w;
+                            arm.region = Rc::new(w);
                             progressed = true;
                         }
                         None => arm.probes += 1e6,
@@ -217,17 +219,17 @@ impl TargetGenerator for Det {
             // while generation still moves: once output stalls, a rebuild
             // just resets the bandit onto already-seen leaves.
             if rebuilds_enabled
-                && round % self.reinsert_every == 0
-                && fresh_hits.len() >= self.max_leaf * 4
+                && round % params.reinsert_every == 0
+                && fresh_hits.len() >= params.max_leaf * 4
             {
-                if sink.out().len() < out_at_last_rebuild + self.arms_per_round * self.batch {
+                if sink.out().len() < out_at_last_rebuild + params.arms_per_round * params.batch {
                     rebuilds_enabled = false;
                 } else {
                     out_at_last_rebuild = sink.out().len();
                     all_hits.append(&mut fresh_hits);
                     let mut basis: Vec<Ipv6Addr> = seeds.to_vec();
                     basis.extend(all_hits.iter().copied());
-                    arms = arms_over(&basis, self.max_leaf, self.max_regions, cfg.workers);
+                    arms = arms_over(&basis, params.max_leaf, params.max_regions, cfg.workers);
                     total_probes = 0.0;
                 }
             }
@@ -340,40 +342,6 @@ mod tests {
             in_live as f64 > 1.5 * max_dead as f64,
             "DET should overweight the live /64: live {in_live} vs dead {max_dead}"
         );
-    }
-
-    /// DET's slate as first written, kept as the reference: every arm
-    /// in a stable descending sort, cut to `k`.
-    fn slate_by_full_sort(scores: &[f64], k: usize) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..scores.len()).collect();
-        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]));
-        order.truncate(k);
-        order
-    }
-
-    #[test]
-    fn the_slate_is_the_stable_sorts_prefix() {
-        use rand::Rng;
-        let mut rng = SmallRng::seed_from_u64(36);
-        let mut cases: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![0.5],
-            vec![0.2; 40],                          // every score tied
-            vec![0.0, -0.0, 0.0, -0.0, 1.0, 1.0],   // signed zeros rank apart under total_cmp
-            vec![f64::NEG_INFINITY, 3.0, f64::INFINITY, 3.0],
-        ];
-        for _ in 0..300 {
-            // few distinct values, so ties straddle the cut
-            let n = rng.gen_range(0..120);
-            let levels = rng.gen_range(1..6);
-            cases.push((0..n).map(|_| f64::from(rng.gen_range(0..levels)) * 0.125).collect());
-        }
-        for scores in &cases {
-            // fewer arms than slots, exactly as many, and more
-            for k in [0, 1, 2, 31, 32, 33, scores.len(), scores.len() + 5] {
-                assert_eq!(slate(scores, k), slate_by_full_sort(scores, k), "k {k} over {scores:?}");
-            }
-        }
     }
 
     #[test]

@@ -24,7 +24,7 @@ use v6addr::{nybble_of, AddrMap, NYBBLES};
 
 use crate::pattern::ValueHist;
 use crate::sink::{Candidates, Tag};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// The Entropy/IP generator.
 #[derive(Debug, Clone)]
@@ -141,22 +141,11 @@ impl TargetGenerator for EntropyIp {
         TgaId::EntropyIp
     }
 
-    fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
-        cfg: &GenConfig,
-        _oracle: &mut dyn ScanOracle,
-        prov: &mut ProvenanceLog,
-    ) -> Vec<Ipv6Addr> {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xe1b);
-        let mut sink = Candidates::new(cfg.budget, prov);
-        if seeds.is_empty() {
-            return sink.finish(seeds, &mut rng);
-        }
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
         // Provenance: EIP has no spatial partition — every candidate comes
         // from the one global segment model, so region 0 with the whole
         // seed set's digest is the honest attribution.
-        let model = Tag::new(0, seed_digest(seeds.iter().copied()), 0);
+        let tag = Tag::new(0, seed_digest(seeds.iter().copied()), 0);
 
         // 1. Entropy segments (chopped to word size).
         let mut ranges: Vec<std::ops::Range<usize>> = Vec::new();
@@ -212,18 +201,45 @@ impl TargetGenerator for EntropyIp {
         for (k, &i) in informative.iter().enumerate() {
             inf_rank[i] = Some(k); // i < segments.len()
         }
+        Box::new(Fitted { seeds, explore: self.explore, tag, segments, chain, inf_rank })
+    }
+}
 
-        // 4. Walk the chain to synthesize addresses, OR-ing each segment's
-        //    packed value into place (the segments partition the 32 digits).
-        sink.draw(cfg.budget, cfg.budget * 4 + 4096, model, || {
+/// Entropy/IP's model: the segments, the chain between the informative
+/// ones, and each segment's rank among those.
+struct Fitted<'a> {
+    seeds: &'a [Ipv6Addr],
+    explore: f64,
+    tag: Tag,
+    segments: Vec<Segment>,
+    chain: Vec<AddrMap<u64, Weighted>>,
+    inf_rank: Vec<Option<usize>>,
+}
+
+impl SeedModel for Fitted<'_> {
+    fn generate_tagged(
+        &self,
+        cfg: &GenConfig,
+        _oracle: &mut dyn ScanOracle,
+        prov: &mut ProvenanceLog,
+    ) -> Vec<Ipv6Addr> {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0xe1b);
+        let mut sink = Candidates::new(cfg.budget, prov);
+        if self.seeds.is_empty() {
+            return sink.finish(self.seeds, &mut rng);
+        }
+
+        // Walk the chain to synthesize addresses, OR-ing each segment's
+        // packed value into place (the segments partition the 32 digits).
+        sink.draw(cfg.budget, cfg.budget * 4 + 4096, self.tag, || {
             let mut prev: Option<u64> = None;
             let mut bits = 0u128;
-            for (seg, &rank) in segments.iter().zip(&inf_rank) {
+            for (seg, &rank) in self.segments.iter().zip(&self.inf_rank) {
                 // chain[k-1] maps informative segment k-1's value to a
                 // distribution over informative segment k's values.
                 let conditional = match (rank, prev) {
                     (Some(k), Some(p)) if k > 0 && !rng.gen_bool(self.explore) => {
-                        chain.get(k - 1).and_then(|t| t.get(&p))
+                        self.chain.get(k - 1).and_then(|t| t.get(&p))
                     }
                     _ => None,
                 };
@@ -239,7 +255,7 @@ impl TargetGenerator for EntropyIp {
             Some(Ipv6Addr::from(bits))
         });
 
-        sink.finish(seeds, &mut rng)
+        sink.finish(self.seeds, &mut rng)
     }
 }
 

@@ -19,6 +19,13 @@
 //! generators additionally probe through a [`ScanOracle`] while generating
 //! (re-run per scan target, per §4.1: "for online generators we rerun
 //! generation for each port and protocol scanned").
+//!
+//! Only generation reruns per port. What a TGA first builds from its seeds
+//! — the space tree, 6Graph's pruned regions, 6Gen's clusters, 6Sense's
+//! /48 arms, Entropy/IP's segment chain — depends on the seed list alone,
+//! so it is a step of its own ([`TargetGenerator::fit`]): fit once per seed
+//! list, then [`SeedModel::generate_tagged`] once per port, budget or RNG
+//! seed. The model is read-only; a generator clones what it mutates.
 
 pub mod det;
 pub mod entropy_ip;
@@ -36,6 +43,7 @@ pub mod space_tree;
 pub use pattern::{Pattern, ValueHist};
 pub use space_tree::{build_regions_par, Region, SplitStrategy};
 
+use std::cmp::Ordering;
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
@@ -155,31 +163,45 @@ pub fn clamp_round(round: usize) -> u16 {
     round.min(u16::MAX as usize) as u16
 }
 
-/// A target generation algorithm.
+/// The indices of the first `k` keys by `order`, ties by index: the first
+/// `k` of a stable sort of `0..keys.len()` by `order`. Ranking by (key in
+/// `order`, index ascending) is a total order that ranks exactly as the
+/// stable sort does, so a selection of the top `k` plus a sort of just
+/// those `k` returns the same prefix without sorting every key.
+pub(crate) fn slate(keys: &[f64], k: usize, order: impl Fn(&f64, &f64) -> Ordering) -> Vec<usize> {
+    let rank = |&a: &usize, &b: &usize| order(&keys[a], &keys[b]).then(a.cmp(&b)); // a, b < keys.len()
+    let mut picked: Vec<usize> = (0..keys.len()).collect();
+    if k < picked.len() {
+        let Some(last) = k.checked_sub(1) else { return Vec::new() };
+        picked.select_nth_unstable_by(last, rank);
+        picked.truncate(k);
+    }
+    picked.sort_unstable_by(rank);
+    picked
+}
+
+/// A target generation algorithm: a seed model ([`Self::fit`]) and the
+/// generation that runs on it ([`SeedModel::generate_tagged`]).
 pub trait TargetGenerator {
     /// Which TGA this is.
     fn id(&self) -> TgaId;
 
-    /// Generate exactly `cfg.budget` unique candidates from `seeds`,
-    /// with one provenance tag per candidate (internal region/cluster id,
-    /// contributing-seed digest, generation round) in `prov`, in emission
-    /// order. Implementations keep this emit contract — dedup, budget,
-    /// one tag per address, mutation fill tagged
-    /// [`REGION_FILL`](sos_probe::provenance::REGION_FILL) once the model
-    /// is exhausted — by emitting only through [`sink::Candidates`] and
-    /// returning its [`finish`](sink::Candidates::finish); the tagged and
-    /// untagged paths are the same code, so candidate streams are
-    /// bit-identical with a disabled log (`provenance_identity` test).
-    ///
-    /// Offline generators ignore `oracle`; online ones probe through it
-    /// and adapt.
+    /// Build this TGA's model of `seeds`. Pure: it draws no RNG and probes
+    /// no oracle, and `workers` sizes a parallel tree build without
+    /// reaching its output. One fit therefore serves every port, budget
+    /// and RNG seed generated from the same seed list.
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a>;
+
+    /// [`Self::fit`] on `seeds`, then [`SeedModel::generate_tagged`].
     fn generate_tagged(
         &mut self,
         seeds: &[Ipv6Addr],
         cfg: &GenConfig,
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
-    ) -> Vec<Ipv6Addr>;
+    ) -> Vec<Ipv6Addr> {
+        self.fit(seeds, cfg.workers).generate_tagged(cfg, oracle, prov)
+    }
 
     /// [`Self::generate_tagged`] without provenance recording.
     fn generate(
@@ -190,6 +212,29 @@ pub trait TargetGenerator {
     ) -> Vec<Ipv6Addr> {
         self.generate_tagged(seeds, cfg, oracle, &mut ProvenanceLog::disabled())
     }
+}
+
+/// A TGA's model of one seed list ([`TargetGenerator::fit`]).
+pub trait SeedModel {
+    /// Generate exactly `cfg.budget` unique candidates from the fitted
+    /// seeds, with one provenance tag per candidate (internal
+    /// region/cluster id, contributing-seed digest, generation round) in
+    /// `prov`, in emission order. Implementations keep this emit contract —
+    /// dedup, budget, one tag per address, mutation fill tagged
+    /// [`REGION_FILL`](sos_probe::provenance::REGION_FILL) once the model
+    /// is exhausted — by emitting only through [`sink::Candidates`] and
+    /// returning its [`finish`](sink::Candidates::finish); the tagged and
+    /// untagged paths are the same code, so candidate streams are
+    /// bit-identical with a disabled log (`provenance_identity` test).
+    ///
+    /// Offline generators ignore `oracle`; online ones probe through it
+    /// and adapt. `cfg.workers` sizes within-round fan-outs only.
+    fn generate_tagged(
+        &self,
+        cfg: &GenConfig,
+        oracle: &mut dyn ScanOracle,
+        prov: &mut ProvenanceLog,
+    ) -> Vec<Ipv6Addr>;
 }
 
 /// Instantiate a TGA by id with its default parameters (§4.1 uses default
@@ -236,10 +281,10 @@ pub mod names {
     pub const PROV_REGIONS: &str = "tga.provenance.regions";
 }
 
-/// Transparent observability wrapper around any generator: every
-/// `generate` call runs inside a `generate` span and reports throughput
-/// (`tga.generated_addrs` and per-TGA counters) without touching the
-/// address stream.
+/// Transparent observability wrapper around any generator: every fit runs
+/// inside a `fit` span, and every generation from its model inside a
+/// `generate` span that reports throughput (`tga.generated_addrs` and
+/// per-TGA counters) without touching the address stream.
 struct Instrumented {
     inner: Box<dyn TargetGenerator>,
 }
@@ -249,14 +294,27 @@ impl TargetGenerator for Instrumented {
         self.inner.id()
     }
 
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a> {
+        let label = self.inner.id().label();
+        let _span = sos_obs::span_detail("fit", format!("tga={label} seeds={}", seeds.len()));
+        Box::new(InstrumentedModel { label, inner: self.inner.fit(seeds, workers) })
+    }
+}
+
+/// [`Instrumented`]'s model: the `generate` span and counters.
+struct InstrumentedModel<'a> {
+    label: &'static str,
+    inner: Box<dyn SeedModel + 'a>,
+}
+
+impl SeedModel for InstrumentedModel<'_> {
     fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
+        &self,
         cfg: &GenConfig,
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
-        let label = self.inner.id().label();
+        let label = self.label;
         let _span = sos_obs::span_detail(
             "generate",
             format!("tga={label} budget={} proto={:?}", cfg.budget, cfg.proto),
@@ -264,7 +322,7 @@ impl TargetGenerator for Instrumented {
         let start = sos_obs::now_s();
         let packets_before = oracle.packets_sent();
         let tagged_before = prov.len();
-        let out = self.inner.generate_tagged(seeds, cfg, oracle, prov);
+        let out = self.inner.generate_tagged(cfg, oracle, prov);
         let dur_s = sos_obs::now_s() - start;
         let gen_packets = oracle.packets_sent() - packets_before;
         sos_obs::counter(names::GENERATED_ADDRS).add(out.len() as u64);
@@ -339,6 +397,46 @@ mod tests {
         assert_eq!(clamp_round(65535), u16::MAX, "boundary value is representable");
         assert_eq!(clamp_round(65536), u16::MAX, "first overflow saturates");
         assert_eq!(clamp_round(usize::MAX), u16::MAX);
+    }
+
+    /// The slate as first written, kept as the reference: every index in
+    /// a stable sort by `order`, cut to `k`.
+    fn slate_by_full_sort(keys: &[f64], k: usize, order: fn(&f64, &f64) -> Ordering) -> Vec<usize> {
+        let mut picked: Vec<usize> = (0..keys.len()).collect();
+        picked.sort_by(|&a, &b| order(&keys[a], &keys[b]));
+        picked.truncate(k);
+        picked
+    }
+
+    /// Both orders a slate is drawn in: DET's and 6Sense's UCB scores
+    /// descending, and 6Sense's least-probed arms, probes ascending.
+    #[test]
+    fn the_slate_is_the_stable_sorts_prefix() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(36);
+        let mut cases: Vec<Vec<f64>> = vec![
+            vec![],
+            vec![0.5],
+            vec![0.2; 40],                          // every key tied
+            vec![0.0, -0.0, 0.0, -0.0, 1.0, 1.0],   // signed zeros rank apart under total_cmp
+            vec![f64::NEG_INFINITY, 3.0, f64::INFINITY, 3.0],
+            vec![0.0, 1e6, 48.0, 0.0, 1e6 + 48.0, 48.0], // probes: unprobed, retired, probed
+        ];
+        for _ in 0..300 {
+            // few distinct values, so ties straddle the cut
+            let n = rng.gen_range(0..120);
+            let levels = rng.gen_range(1..6);
+            cases.push((0..n).map(|_| f64::from(rng.gen_range(0..levels)) * 0.125).collect());
+        }
+        let descending: fn(&f64, &f64) -> Ordering = |a, b| b.total_cmp(a);
+        for keys in &cases {
+            for order in [descending, f64::total_cmp] {
+                // fewer keys than slots, exactly as many, and more
+                for k in [0, 1, 2, 4, 5, 20, 31, 32, 33, keys.len(), keys.len() + 5] {
+                    assert_eq!(slate(keys, k, order), slate_by_full_sort(keys, k, order), "k {k} over {keys:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use v6addr::AddrMap;
 
 use crate::sink::{Candidates, Tag};
 use crate::space_tree::Region;
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// The 6Gen generator.
 #[derive(Debug, Clone)]
@@ -57,15 +57,7 @@ impl TargetGenerator for SixGen {
         TgaId::SixGen
     }
 
-    fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
-        cfg: &GenConfig,
-        _oracle: &mut dyn ScanOracle,
-        prov: &mut ProvenanceLog,
-    ) -> Vec<Ipv6Addr> {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x69e4);
-
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
         // Tier 1: /64 clusters (IID ranges). Tier 2: /48 clusters (subnet
         // ranges) for seeds whose /64 cluster is a singleton.
         let mut clusters: Vec<Region> = Vec::new();
@@ -91,18 +83,35 @@ impl TargetGenerator for SixGen {
         // Density order: tightest ranges first (range size = observed
         // value-set product, approximated by the region's free space
         // restricted to observed values).
-        let range_size = |r: &Region| -> f64 {
-            r.hists
-                .iter()
-                .map(|(_, h)| (h.distinct().max(1) as f64).min(16.0))
-                .product::<f64>()
-        };
-        clusters.sort_by(|a, b| {
-            let da = a.seed_count as f64 / range_size(a);
-            let db = b.seed_count as f64 / range_size(b);
-            db.total_cmp(&da)
-        });
+        let mut clusters: Vec<(Region, f64)> = clusters
+            .into_iter()
+            .map(|c| {
+                let range_size: f64 =
+                    c.hists.iter().map(|(_, h)| (h.distinct().max(1) as f64).min(16.0)).product();
+                let density = c.seed_count as f64 / range_size;
+                (c, density)
+            })
+            .collect();
+        clusters.sort_by(|a, b| b.1.total_cmp(&a.1));
+        Box::new(Fitted { seeds, clusters })
+    }
+}
 
+/// 6Gen's model: the seed clusters in density order, each with its
+/// density (seeds per unit of range size).
+struct Fitted<'a> {
+    seeds: &'a [Ipv6Addr],
+    clusters: Vec<(Region, f64)>,
+}
+
+impl SeedModel for Fitted<'_> {
+    fn generate_tagged(
+        &self,
+        cfg: &GenConfig,
+        _oracle: &mut dyn ScanOracle,
+        prov: &mut ProvenanceLog,
+    ) -> Vec<Ipv6Addr> {
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x69e4);
         let mut sink = Candidates::new(cfg.budget, prov);
 
         // Exhaustive sweeps with a growing per-cluster horizon: the first
@@ -113,12 +122,12 @@ impl TargetGenerator for SixGen {
         // A cluster whose entire range has been swept yields nothing new
         // on later passes; track that, or large budgets re-enumerate every
         // exhausted cluster on every pass (quadratic in the budget).
-        let mut swept = vec![false; clusters.len()];
+        let mut swept = vec![false; self.clusters.len()];
         for pass in 0..8 {
             if sink.room() == 0 {
                 break;
             }
-            for (ci, c) in clusters.iter().enumerate() {
+            for (ci, (c, density)) in self.clusters.iter().enumerate() {
                 if sink.room() == 0 {
                     break;
                 }
@@ -128,8 +137,7 @@ impl TargetGenerator for SixGen {
                 // 6Gen is depth-first in density order: diffuse clusters
                 // (stray singletons grouped at /48) only see budget after
                 // the dense ranges are exhausted.
-                let density = c.seed_count as f64 / range_size(c);
-                if pass < 3 && density < 1e-3 {
+                if pass < 3 && *density < 1e-3 {
                     continue;
                 }
                 let limit = horizon.min(sink.room() * 2 + 16);
@@ -144,7 +152,7 @@ impl TargetGenerator for SixGen {
             horizon *= 8;
         }
 
-        sink.finish(seeds, &mut rng)
+        sink.finish(self.seeds, &mut rng)
     }
 }
 

@@ -9,16 +9,11 @@
 
 use std::net::Ipv6Addr;
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
-use sos_probe::provenance::ProvenanceLog;
-use sos_probe::ScanOracle;
 use v6addr::nybble_hamming;
 
-use crate::six_tree::expand_regions;
+use crate::six_tree::Expansion;
 use crate::space_tree::{build_regions, Region, SplitStrategy};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::{SeedModel, TargetGenerator, TgaId};
 
 /// The 6Graph generator.
 #[derive(Debug, Clone)]
@@ -91,17 +86,10 @@ impl TargetGenerator for SixGraph {
         TgaId::SixGraph
     }
 
-    fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
-        cfg: &GenConfig,
-        _oracle: &mut dyn ScanOracle,
-        prov: &mut ProvenanceLog,
-    ) -> Vec<Ipv6Addr> {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x66ea9);
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
         let raw = build_regions(seeds, SplitStrategy::MinEntropy, self.max_leaf, self.max_regions);
         // Re-derive each region from its pruned seed set.
-        let mut regions: Vec<Region> = raw
+        let regions: Vec<Region> = raw
             .into_iter()
             .map(|r| match prune_outliers(&r.members, self.outlier_sigma) {
                 Some(kept) => Region::from_seeds(&kept),
@@ -109,13 +97,14 @@ impl TargetGenerator for SixGraph {
             })
             .filter(|r| r.seed_count > 0)
             .collect();
-        expand_regions(&mut regions, seeds, cfg.budget, self.explore, &mut rng, prov)
+        Box::new(Expansion::new(seeds, regions, self.explore, 0x66ea9))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GenConfig;
     use sos_probe::NullOracle;
 
     fn a(s: &str) -> Ipv6Addr {

@@ -8,6 +8,7 @@
 //! sharp allocation is why 6Hit is notably alias-prone (Table 4): once an
 //! aliased region starts "hitting", reinforcement pours budget into it.
 
+use std::borrow::Cow;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
@@ -17,8 +18,8 @@ use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions, SplitStrategy};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::space_tree::{build_regions, Region, SplitStrategy};
+use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// The 6Hit generator.
 #[derive(Debug, Clone)]
@@ -58,15 +59,30 @@ impl TargetGenerator for SixHit {
         TgaId::SixHit
     }
 
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+        let regions = build_regions(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
+        Box::new(Fitted { params: self, seeds, regions })
+    }
+}
+
+/// 6Hit's model: the seeds' space tree, before any recreation.
+struct Fitted<'a> {
+    params: &'a SixHit,
+    seeds: &'a [Ipv6Addr],
+    regions: Vec<Region>,
+}
+
+impl SeedModel for Fitted<'_> {
     fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
+        &self,
         cfg: &GenConfig,
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
+        let (params, seeds) = (self.params, self.seeds);
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x6417);
-        let mut regions = build_regions(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
+        // The fitted tree serves until the first recreation replaces it.
+        let mut regions: Cow<'_, [Region]> = Cow::Borrowed(&self.regions);
         let mut q = vec![0.0f64; regions.len()]; // smoothed hit-rate
         let mut sink = Candidates::new(cfg.budget, prov);
         let mut all_hits: Vec<Ipv6Addr> = Vec::new();
@@ -75,9 +91,9 @@ impl TargetGenerator for SixHit {
         while sink.room() > 0 && !regions.is_empty() {
             round += 1;
             // Budget division: weight_i ∝ (q_i)^α + floor.
-            let weights: Vec<f64> = q.iter().map(|&v| v.powf(self.alpha) + self.floor).collect();
+            let weights: Vec<f64> = q.iter().map(|&v| v.powf(params.alpha) + params.floor).collect();
             let wsum: f64 = weights.iter().sum();
-            let round_budget = self.round_budget.min(sink.room());
+            let round_budget = params.round_budget.min(sink.room());
 
             let mut progressed = false;
             for (i, region) in regions.iter().enumerate() {
@@ -91,7 +107,7 @@ impl TargetGenerator for SixHit {
                 // Provenance: indices reset on tree recreation, the
                 // region's member digest is the stable identity.
                 let batch = sink.draw(share, share * 8 + 16, Tag::new(i, region.digest, round), || {
-                    Some(region.sample(&mut rng, self.explore))
+                    Some(region.sample(&mut rng, params.explore))
                 });
                 if batch.is_empty() {
                     q[i] = 0.0; // exhausted: stop feeding it
@@ -106,10 +122,18 @@ impl TargetGenerator for SixHit {
             }
 
             // Periodic tree recreation from seeds + discovered actives.
-            if round % self.recreate_every == 0 && all_hits.len() > self.max_leaf * 2 {
+            if round % params.recreate_every == 0 && all_hits.len() > params.max_leaf * 2 {
                 let mut basis: Vec<Ipv6Addr> = seeds.to_vec();
                 basis.extend(all_hits.iter().copied());
-                regions = build_regions(&basis, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
+                // The build reads only the basis: free the tree it replaces
+                // first, so at most one tree of this run's own is alive.
+                drop(std::mem::take(&mut regions));
+                regions = Cow::Owned(build_regions(
+                    &basis,
+                    SplitStrategy::Leftmost,
+                    params.max_leaf,
+                    params.max_regions,
+                ));
                 q = vec![0.0; regions.len()];
             }
             if !progressed {

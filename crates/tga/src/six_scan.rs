@@ -19,8 +19,8 @@ use sos_probe::ScanOracle;
 
 use crate::parallel::{sample_regions_par, stream_seed, SampleUnit};
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions_par, SplitStrategy};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::space_tree::{build_regions_par, Region, SplitStrategy};
+use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// The 6Scan generator.
 #[derive(Debug, Clone)]
@@ -57,16 +57,38 @@ impl TargetGenerator for SixScan {
         TgaId::SixScan
     }
 
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a> {
+        let regions =
+            build_regions_par(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions, workers);
+        // Seed-density prior for the first rounds.
+        let mut order: Vec<usize> = (0..regions.len()).collect();
+        order.sort_by(|&a, &b| {
+            regions[b] // a, b < regions.len()
+                .density()
+                .total_cmp(&regions[a].density()) // a < regions.len()
+        });
+        Box::new(Fitted { params: self, seeds, regions, order })
+    }
+}
+
+/// 6Scan's model: the seeds' space tree, and its regions in seed-density
+/// order (the ranking the first round starts from).
+struct Fitted<'a> {
+    params: &'a SixScan,
+    seeds: &'a [Ipv6Addr],
+    regions: Vec<Region>,
+    order: Vec<usize>,
+}
+
+impl SeedModel for Fitted<'_> {
     fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
+        &self,
         cfg: &GenConfig,
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
+        let (params, regions) = (self.params, &self.regions);
         let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x65ca);
-        let regions =
-            build_regions_par(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions, cfg.workers);
         let n = regions.len();
         // Reward (echoed-tag credits) and probe counts per region id
         // (ids are stable for the whole scan — they're what the packets
@@ -80,16 +102,10 @@ impl TargetGenerator for SixScan {
 
         let mut sink = Candidates::new(cfg.budget, prov);
         // The (address, region id) pairs of the batch being probed.
-        let mut tagged: Vec<(Ipv6Addr, u32)> = Vec::with_capacity(self.batch);
+        let mut tagged: Vec<(Ipv6Addr, u32)> = Vec::with_capacity(params.batch);
 
-        // Seed-density prior for the first rounds.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| {
-            regions[b] // a, b < n == regions.len()
-                .density()
-                .total_cmp(&regions[a].density()) // a < n
-        });
-
+        // Every round re-ranks the order it inherits.
+        let mut order = self.order.clone();
         while sink.room() > 0 && !order.is_empty() {
             round += 1;
             // Drop exhausted regions from rotation, then rank the live
@@ -105,10 +121,10 @@ impl TargetGenerator for SixScan {
             // region batch an independent unit of work; sampling itself
             // draws from per-(region, round, slot) streams, so the fan-out
             // below is worker-count-invariant.
-            let slots = self.regions_per_round.min(order.len());
+            let slots = params.regions_per_round.min(order.len());
             let units: Vec<SampleUnit<'_>> = (0..slots)
                 .map(|slot| {
-                    let idx = if rng.gen_bool(self.epsilon) {
+                    let idx = if rng.gen_bool(params.epsilon) {
                         order[rng.gen_range(0..order.len())]
                     } else {
                         order[slot.min(order.len() - 1)] // slot < slots <= order.len()
@@ -117,8 +133,8 @@ impl TargetGenerator for SixScan {
                     SampleUnit {
                         index: idx,
                         region,
-                        want: self.batch,
-                        explore: self.explore,
+                        want: params.batch,
+                        explore: params.explore,
                         stream: stream_seed(cfg.seed ^ 0x65ca, region.digest, round, slot),
                     }
                 })
@@ -160,7 +176,7 @@ impl TargetGenerator for SixScan {
             }
         }
 
-        sink.finish(seeds, &mut rng)
+        sink.finish(self.seeds, &mut rng)
     }
 }
 

@@ -32,29 +32,34 @@ use v6addr::{AddrMap, Prefix, PrefixSet};
 use crate::pattern::ValueHist;
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{Region, Sweep};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Per-/48 bandit arm with hierarchical section models: 6Sense generates
 /// the subnet section and the IID section separately — per-/64 sub-models
 /// capture each subnet's IID style, and a subnet-section histogram lets
-/// the arm synthesize *new* /64s in the same style.
+/// the arm synthesize *new* /64s in the same style. What a run learns
+/// about the arm lives beside it, in that run's [`Sweeps`] and scores.
 struct Arm {
     /// Per-observed-/64 models, with seed-count weights.
     subregions: Vec<Region>,
     weights: Vec<u32>,
-    /// Systematic-sweep state per sub-model, created on first use: 6Sense
-    /// exploits a productive /64 exhaustively (up to 4 096 addresses)
-    /// before falling back to sampling. Boxed so a sub-model no round has
-    /// picked yet costs a pointer, not a sweep's worth of inline state.
-    sweeps: Vec<Option<Box<Take<Sweep>>>>,
+    /// The sum of `weights` (at least 1): every draw starts from it.
+    total_weight: u32,
     /// Value histograms of the subnet-id nybbles (positions 12..16).
     subnet_hists: [ValueHist; 4],
     /// Digest of the site's contributing seeds (arms are /48 sites and
     /// never rebuilt, so index and digest are both stable).
     digest: u32,
-    probes: f64,
-    q: f64,
+    /// The unprobed score, a function of the sub-models alone: computed
+    /// when the arm is fit, read every round.
+    prior: f64,
 }
+
+/// Systematic-sweep state per sub-model of one arm, created on first use:
+/// 6Sense exploits a productive /64 exhaustively (up to 4 096 addresses)
+/// before falling back to sampling. Boxed so a sub-model no round has
+/// picked yet costs a pointer, not a sweep's worth of inline state.
+type Sweeps = Vec<Option<Box<Take<Sweep>>>>;
 
 impl Arm {
     fn from_members(members: &[Ipv6Addr]) -> Arm {
@@ -70,14 +75,18 @@ impl Arm {
                 h.add(v6addr::nybble_of(m, 12 + i));
             }
         }
+        let weights: Vec<u32> = groups.iter().map(|(_, g)| g.len() as u32).collect();
+        let subregions: Vec<Region> = groups.iter().map(|(_, g)| Region::from_seeds(g)).collect();
+        // Density of the densest sub-model (the arm's exploitability),
+        // capped below live hit rates (see DET).
+        let density = subregions.iter().map(|r| r.density()).fold(f64::NEG_INFINITY, f64::max);
         Arm {
-            weights: groups.iter().map(|(_, g)| g.len() as u32).collect(),
-            sweeps: vec![None; groups.len()],
-            subregions: groups.iter().map(|(_, g)| Region::from_seeds(g)).collect(),
+            total_weight: weights.iter().sum::<u32>().max(1),
+            weights,
+            subregions,
             subnet_hists,
             digest: seed_digest(members.iter().copied()),
-            probes: 0.0,
-            q: 0.0,
+            prior: 0.35 * (density / 4.0).exp().min(1.0),
         }
     }
 
@@ -85,10 +94,9 @@ impl Arm {
     /// systematically while its enumeration lasts, by IID-model sampling
     /// afterwards; sometimes synthesize a fresh subnet id in the arm's
     /// style and borrow a sub-model's IID pattern for it.
-    fn sample(&mut self, rng: &mut SmallRng, explore: f64) -> Ipv6Addr {
-        let total: u32 = self.weights.iter().sum::<u32>().max(1);
+    fn sample(&self, sweeps: &mut Sweeps, rng: &mut SmallRng, explore: f64) -> Ipv6Addr {
         let pick = {
-            let mut x = rng.gen_range(0..total);
+            let mut x = rng.gen_range(0..self.total_weight);
             let mut idx = 0;
             for (i, &w) in self.weights.iter().enumerate() {
                 if x < w {
@@ -102,7 +110,7 @@ impl Arm {
         let addr = if rng.gen_bool(0.85) {
             // systematic sweep of the sub-model's most likely space
             let region = &self.subregions[pick]; // pick < weights.len() == subregions.len()
-            let sweep = self.sweeps[pick].get_or_insert_with(|| Box::new(region.sweep().take(4096)));
+            let sweep = sweeps[pick].get_or_insert_with(|| Box::new(region.sweep().take(4096))); // sweeps sized subregions.len()
             sweep.next().unwrap_or_else(|| region.sample(rng, explore))
         } else {
             self.subregions[pick].sample(rng, explore) // pick < subregions.len()
@@ -119,23 +127,17 @@ impl Arm {
         }
     }
 
-    /// Density of the densest sub-model (the arm's exploitability).
-    fn density(&self) -> f64 {
-        self.subregions
-            .iter()
-            .map(|r| r.density())
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    fn ucb(&self, total: f64, c: f64) -> f64 {
-        // Unprobed arms carry a density estimate capped below live hit
-        // rates; probed arms are ranked by observed rate (see DET).
-        if self.probes < 1.0 {
-            return 0.35 * (self.density() / 4.0).exp().min(1.0);
+    /// The arm's score after `probes` probes at recent hit rate `q`, with
+    /// `total` spent over all arms.
+    fn ucb(&self, probes: f64, q: f64, total: f64, c: f64) -> f64 {
+        // Unprobed arms carry their prior; probed arms are ranked by
+        // observed rate (see DET).
+        if probes < 1.0 {
+            return self.prior;
         }
         // q is an exponentially decayed *recent* hit rate: saturated arms
         // fall off quickly instead of coasting on their lifetime average.
-        self.q + c * ((total.max(2.0)).ln() / self.probes).sqrt()
+        q + c * ((total.max(2.0)).ln() / probes).sqrt()
     }
 }
 
@@ -175,23 +177,39 @@ impl TargetGenerator for SixSense {
         TgaId::SixSense
     }
 
-    fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
-        cfg: &GenConfig,
-        oracle: &mut dyn ScanOracle,
-        prov: &mut ProvenanceLog,
-    ) -> Vec<Ipv6Addr> {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x65e5e);
-
-        // Build /48 arms.
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
         let mut by48: AddrMap<u128, Vec<Ipv6Addr>> = AddrMap::default();
         for &s in seeds {
             by48.entry(u128::from(s) >> 80).or_default().push(s);
         }
         let mut groups: Vec<(u128, Vec<Ipv6Addr>)> = by48.into_iter().collect();
         groups.sort_by_key(|(k, _)| *k); // hash-table order is arbitrary
-        let mut arms: Vec<Arm> = groups.iter().map(|(_, m)| Arm::from_members(m)).collect();
+        let arms = groups.iter().map(|(_, m)| Arm::from_members(m)).collect();
+        Box::new(Fitted { params: self, seeds, arms })
+    }
+}
+
+/// 6Sense's model: one arm per seed /48, in address order.
+struct Fitted<'a> {
+    params: &'a SixSense,
+    seeds: &'a [Ipv6Addr],
+    arms: Vec<Arm>,
+}
+
+impl SeedModel for Fitted<'_> {
+    fn generate_tagged(
+        &self,
+        cfg: &GenConfig,
+        oracle: &mut dyn ScanOracle,
+        prov: &mut ProvenanceLog,
+    ) -> Vec<Ipv6Addr> {
+        let (params, arms) = (self.params, &self.arms);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x65e5e);
+        // This run's side of each arm: its sweeps, probes spent and
+        // recent hit rate.
+        let mut sweeps: Vec<Sweeps> = arms.iter().map(|a| vec![None; a.subregions.len()]).collect();
+        let mut probes = vec![0.0f64; arms.len()];
+        let mut q = vec![0.0f64; arms.len()];
 
         let mut dealiaser = OnlineDealiaser::new(OnlineConfig {
             seed: cfg.seed ^ 0xa11a5,
@@ -207,48 +225,36 @@ impl TargetGenerator for SixSense {
         let mut total_probes = 1.0f64;
 
         let diversity_slots =
-            ((self.arms_per_round as f64 * self.diversity_share).ceil() as usize).max(1);
-        let ucb_slots = self.arms_per_round.saturating_sub(diversity_slots).max(1);
+            ((params.arms_per_round as f64 * params.diversity_share).ceil() as usize).max(1);
+        let ucb_slots = params.arms_per_round.saturating_sub(diversity_slots).max(1);
 
         let mut round = 0usize;
         while sink.room() > 0 && !arms.is_empty() {
             round += 1;
             // Schedule: top-UCB arms + least-probed arms (diversity).
-            // (scores computed once per arm, not in the comparator)
-            let scores: Vec<f64> =
-                arms.iter().map(|a| a.ucb(total_probes, self.ucb_c)).collect();
-            let mut by_ucb: Vec<usize> = (0..arms.len()).collect();
-            by_ucb.sort_by(|&a, &b| scores[b].total_cmp(&scores[a])); // a, b < arms.len() == scores.len()
-            let mut by_cold: Vec<usize> = (0..arms.len()).collect();
-            by_cold.sort_by(|&a, &b| {
-                arms[a] // a, b < arms.len()
-                    .probes
-                    .total_cmp(&arms[b].probes) // b < arms.len()
-            });
-            let schedule: Vec<usize> = by_ucb
-                .iter()
-                .take(ucb_slots)
-                .chain(by_cold.iter().take(diversity_slots))
-                .copied()
+            let scores: Vec<f64> = (arms.iter().zip(&probes).zip(&q))
+                .map(|((arm, &spent), &rate)| arm.ucb(spent, rate, total_probes, params.ucb_c))
                 .collect();
+            let by_ucb = slate(&scores, ucb_slots, |a, b| b.total_cmp(a));
+            let by_cold = slate(&probes, diversity_slots, f64::total_cmp);
 
             let mut progressed = false;
-            for idx in schedule {
+            for idx in by_ucb.into_iter().chain(by_cold) {
                 if sink.room() == 0 {
                     break;
                 }
-                let arm = &mut arms[idx]; // idx from the schedule: < arms.len()
+                let (arm, arm_sweeps) = (&arms[idx], &mut sweeps[idx]); // idx from a slate: < arms.len()
                 // productive arms get super-sized batches (6Sense's RL
                 // allocator pours budget where the hit rate is)
-                let scale = 1.0 + 4.0 * arm.q;
-                let want = ((self.batch as f64 * scale) as usize).min(sink.room());
+                let scale = 1.0 + 4.0 * q[idx]; // q sized arms.len()
+                let want = ((params.batch as f64 * scale) as usize).min(sink.room());
                 let batch = sink.draw(want, want * 10 + 32, Tag::new(idx, arm.digest, round), || {
-                    let a = arm.sample(&mut rng, self.explore);
+                    let a = arm.sample(arm_sweeps, &mut rng, params.explore);
                     // Integrated dealiasing: never emit into known aliases.
                     (!blacklist.contains_addr(a)).then_some(a)
                 });
                 if batch.is_empty() {
-                    arm.probes += 1e6; // exhausted
+                    probes[idx] += 1e6; // exhausted
                     continue;
                 }
                 progressed = true;
@@ -257,7 +263,7 @@ impl TargetGenerator for SixSense {
                 probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| hits.push(a));
 
                 // Suspiciously hot? Vet the hottest /96es.
-                if hits.len() as f64 / sent >= self.alias_trigger && hits.len() >= 4 {
+                if hits.len() as f64 / sent >= params.alias_trigger && hits.len() >= 4 {
                     let mut prefixes: Vec<Prefix> =
                         hits.iter().map(|&h| Prefix::new(h, 96)).collect();
                     prefixes.sort();
@@ -276,8 +282,8 @@ impl TargetGenerator for SixSense {
                     }
                 }
 
-                arm.q = 0.4 * arm.q + 0.6 * (hits.len() as f64 / sent);
-                arm.probes += sent;
+                q[idx] = 0.4 * q[idx] + 0.6 * (hits.len() as f64 / sent);
+                probes[idx] += sent;
                 total_probes += sent;
             }
             if !progressed {
@@ -285,7 +291,7 @@ impl TargetGenerator for SixSense {
             }
         }
 
-        sink.finish(seeds, &mut rng)
+        sink.finish(self.seeds, &mut rng)
     }
 }
 

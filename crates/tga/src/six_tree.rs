@@ -17,7 +17,7 @@ use sos_probe::ScanOracle;
 
 use crate::sink::{Candidates, Tag};
 use crate::space_tree::{build_regions, Region, SplitStrategy};
-use crate::{GenConfig, TargetGenerator, TgaId};
+use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// The 6Tree generator.
 #[derive(Debug, Clone)]
@@ -40,46 +40,64 @@ impl Default for SixTree {
     }
 }
 
-/// Shared expansion routine for the offline tree family: walk regions in
-/// density order, exhaustively enumerating small ones and sampling large
-/// ones, until `budget` unique candidates exist.
+/// The offline tree family's model (6Tree, 6Graph): leaf regions in
+/// density order, densest first.
 ///
+/// Generation walks them in that order, exhaustively enumerating small
+/// ones and sampling large ones, until `budget` unique candidates exist.
 /// Provenance: each candidate is tagged with its region's index in
 /// density order, the region's member digest, and the expansion pass
 /// (0 = quota pass, 1.. = round-robin passes).
-pub(crate) fn expand_regions(
-    regions: &mut [Region],
-    seeds: &[Ipv6Addr],
-    budget: usize,
+pub(crate) struct Expansion<'a> {
+    seeds: &'a [Ipv6Addr],
+    regions: Vec<Region>,
     explore: f64,
-    rng: &mut SmallRng,
-    prov: &mut ProvenanceLog,
-) -> Vec<Ipv6Addr> {
-    regions.sort_by(|a, b| b.density().total_cmp(&a.density()));
-    let total_seeds: usize = regions.iter().map(|r| r.seed_count).sum::<usize>().max(1);
-    let mut sink = Candidates::new(budget, prov);
+    /// XORed into the run's RNG seed: one per TGA.
+    salt: u64,
+}
 
-    // Pass 1: density-proportional quotas.
-    for (ri, r) in regions.iter().enumerate() {
-        if sink.room() == 0 {
-            break;
-        }
-        let quota = ((budget * r.seed_count) / total_seeds).max(4);
-        emit_from_region(r, quota, explore, rng, &mut sink, Tag::new(ri, r.digest, 0));
+impl<'a> Expansion<'a> {
+    pub(crate) fn new(seeds: &'a [Ipv6Addr], mut regions: Vec<Region>, explore: f64, salt: u64) -> Self {
+        regions.sort_by(|a, b| b.density().total_cmp(&a.density()));
+        Expansion { seeds, regions, explore, salt }
     }
-    // Pass 2: round-robin over the densest regions for leftover budget.
-    let mut pass = 0;
-    while sink.room() > 0 && pass < 8 {
-        pass += 1;
-        for (ri, r) in regions.iter().take(512).enumerate() {
+}
+
+impl SeedModel for Expansion<'_> {
+    fn generate_tagged(
+        &self,
+        cfg: &GenConfig,
+        _oracle: &mut dyn ScanOracle,
+        prov: &mut ProvenanceLog,
+    ) -> Vec<Ipv6Addr> {
+        let (regions, budget, explore) = (&self.regions, cfg.budget, self.explore);
+        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ self.salt);
+        let total_seeds: usize = regions.iter().map(|r| r.seed_count).sum::<usize>().max(1);
+        let mut sink = Candidates::new(budget, prov);
+
+        // Pass 1: density-proportional quotas.
+        for (ri, r) in regions.iter().enumerate() {
             if sink.room() == 0 {
                 break;
             }
-            let quota = (sink.room() / 64).clamp(1, 256);
-            emit_from_region(r, quota, (explore * 2.0).min(0.5), rng, &mut sink, Tag::new(ri, r.digest, pass));
+            let quota = ((budget * r.seed_count) / total_seeds).max(4);
+            emit_from_region(r, quota, explore, &mut rng, &mut sink, Tag::new(ri, r.digest, 0));
         }
+        // Pass 2: round-robin over the densest regions for leftover budget.
+        let mut pass = 0;
+        while sink.room() > 0 && pass < 8 {
+            pass += 1;
+            for (ri, r) in regions.iter().take(512).enumerate() {
+                if sink.room() == 0 {
+                    break;
+                }
+                let quota = (sink.room() / 64).clamp(1, 256);
+                let tag = Tag::new(ri, r.digest, pass);
+                emit_from_region(r, quota, (explore * 2.0).min(0.5), &mut rng, &mut sink, tag);
+            }
+        }
+        sink.finish(self.seeds, &mut rng)
     }
-    sink.finish(seeds, rng)
 }
 
 /// Emit up to `quota` fresh addresses from one region.
@@ -114,16 +132,9 @@ impl TargetGenerator for SixTree {
         TgaId::SixTree
     }
 
-    fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
-        cfg: &GenConfig,
-        _oracle: &mut dyn ScanOracle,
-        prov: &mut ProvenanceLog,
-    ) -> Vec<Ipv6Addr> {
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ 0x67ee);
-        let mut regions = build_regions(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
-        expand_regions(&mut regions, seeds, cfg.budget, self.explore, &mut rng, prov)
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+        let regions = build_regions(seeds, SplitStrategy::Leftmost, self.max_leaf, self.max_regions);
+        Box::new(Expansion::new(seeds, regions, self.explore, 0x67ee))
     }
 }
 

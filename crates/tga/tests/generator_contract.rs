@@ -313,3 +313,50 @@ fn generated_addresses_expand_around_seed_patterns() {
         );
     }
 }
+
+/// `stream_pins`' live oracle: one /48 site answers everywhere
+/// (alias-like), and one /64 in every other site answers on a dense low
+/// range (real hosts, which feed the DET / 6Hit tree rebuilds).
+struct Live(u64);
+impl ScanOracle for Live {
+    fn probe(&mut self, addr: Ipv6Addr, _p: Protocol) -> bool {
+        self.0 += 1;
+        let bits = u128::from(addr);
+        (bits >> 80) & 0xf == 2 || ((bits >> 64) & 7 == 5 && bits as u64 <= 0x200)
+    }
+    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
+        t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+    }
+    fn packets_sent(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A fitted model is read-only: one fit, generated from on every port and
+/// at two budgets (in that order, so each run follows others on the same
+/// model), gives every run the candidates, tags and oracle traffic of an
+/// independent fit-and-generate call.
+#[test]
+fn one_fit_gives_the_same_streams_on_every_port_and_budget() {
+    for seeds in [normal_seeds(), subnet_seeds(16)] {
+        for id in TgaId::ALL {
+            let generator = build(id);
+            let model = generator.fit(&seeds, 1);
+            for proto in netmodel::PROTOCOLS {
+                for budget in [600, 2500] {
+                    let cfg = GenConfig::new(budget, 0x5EED ^ u64::from(proto.bit()), proto);
+                    let (mut shared, mut own) = (ProvenanceLog::recording(id.code()), ProvenanceLog::recording(id.code()));
+                    let (mut shared_oracle, mut own_oracle) = (Live(0), Live(0));
+                    let from_model = model.generate_tagged(&cfg, &mut shared_oracle, &mut shared);
+                    let independent = build(id).generate_tagged(&seeds, &cfg, &mut own_oracle, &mut own);
+                    let at = format!("{id} {proto:?} budget {budget} over {} seeds", seeds.len());
+                    assert_eq!(from_model, independent, "{at}: candidates");
+                    assert_eq!(from_model.len(), budget, "{at}: budget");
+                    let tags = |log: &ProvenanceLog| (0..log.len()).map(|i| log.get_or_fill(i)).collect::<Vec<_>>();
+                    assert_eq!(tags(&shared), tags(&own), "{at}: tags");
+                    assert_eq!(shared_oracle.0, own_oracle.0, "{at}: oracle packets");
+                }
+            }
+        }
+    }
+}

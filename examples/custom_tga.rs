@@ -1,4 +1,5 @@
-//! Bring your own generator: implement [`tga::TargetGenerator`] and
+//! Bring your own generator: implement [`tga::TargetGenerator`] (fit a
+//! model of the seeds) and [`tga::SeedModel`] (generate from it), and
 //! evaluate it with the paper's methodology against the built-in eight.
 //!
 //! The custom generator here is deliberately naive — "LastByte": take every
@@ -18,10 +19,16 @@ use sos_core::study::DatasetKind;
 use sos_core::{Study, StudyConfig};
 use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
-use tga::{GenConfig, TargetGenerator, TgaId};
+use tga::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// The naive baseline: sweep `::0..=::ff` of every seed /64.
 struct LastByte;
+
+/// LastByte's model of a seed list: its /64s in address order.
+struct SeedNets<'a> {
+    seeds: &'a [Ipv6Addr],
+    prefixes: Vec<u128>,
+}
 
 impl TargetGenerator for LastByte {
     fn id(&self) -> TgaId {
@@ -30,23 +37,28 @@ impl TargetGenerator for LastByte {
         TgaId::SixGen
     }
 
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+        let mut prefixes: Vec<u128> = seeds.iter().map(|&s| u128::from(s) >> 64).collect();
+        prefixes.sort_unstable();
+        prefixes.dedup();
+        Box::new(SeedNets { seeds, prefixes })
+    }
+}
+
+impl SeedModel for SeedNets<'_> {
     fn generate_tagged(
-        &mut self,
-        seeds: &[Ipv6Addr],
+        &self,
         cfg: &GenConfig,
         _oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
-        let mut prefixes: Vec<u128> = seeds.iter().map(|&s| u128::from(s) >> 64).collect();
-        prefixes.sort_unstable();
-        prefixes.dedup();
         // Provenance: each seed /64 is a region; the sweep byte is the
         // round. Tagging is free when the log is disabled.
-        let digest = if prov.is_enabled() { seed_digest(seeds.iter().copied()) } else { 0 };
+        let digest = if prov.is_enabled() { seed_digest(self.seeds.iter().copied()) } else { 0 };
         let mut out = Vec::with_capacity(cfg.budget);
         let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
         'outer: for byte in 0u128..=0xff {
-            for (pi, &p) in prefixes.iter().enumerate() {
+            for (pi, &p) in self.prefixes.iter().enumerate() {
                 let bits = (p << 64) | byte;
                 if seen.insert(bits) {
                     out.push(Ipv6Addr::from(bits));

@@ -1,9 +1,9 @@
 //! End-to-end trace export: run the real `seedscan` binary on a tiny
 //! study with `--trace`, `--flame`, and `--manifest`, then validate the
 //! artifacts against each other — the trace parses as trace-event JSON,
-//! spans nest properly on their lanes, the grid's cells run inside the
-//! `grid` span on no more lanes than its `threads=`, and the trace holds
-//! one event per span the manifest counts.
+//! spans nest properly on their lanes, the grid's cells and model fits
+//! run inside the `grid` span on no more lanes than its `threads=`, and
+//! the trace holds one event per span the manifest counts.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -115,6 +115,18 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     let tid = |e: &Json| e.get("tid").and_then(Json::as_u64).expect("tid");
     let lanes: BTreeSet<u64> = cells.iter().map(|e| tid(e)).collect();
     assert!(lanes.len() <= 2, "cells on {lanes:?}, threads=2");
+    // each (dataset, TGA) model is fit once, by the worker that runs its cells
+    let fits: Vec<&&Json> = spans.iter().filter(|e| path_of(e) == "fit").collect();
+    assert_eq!(fits.len() * 4, cells.len(), "one fit per dataset and TGA, four ports each");
+    for c in &fits {
+        assert!(
+            f(grid, "ts") <= f(c, "ts") + 1.0
+                && f(c, "ts") + f(c, "dur") <= f(grid, "ts") + f(grid, "dur") + 1.0,
+            "a fit outside the grid span"
+        );
+    }
+    let fit_lanes: BTreeSet<u64> = fits.iter().map(|e| tid(e)).collect();
+    assert!(fit_lanes.len() <= 2 && fit_lanes.is_subset(&lanes), "fits on {fit_lanes:?}, cells on {lanes:?}");
 
     // --- spans are the trace: one X event per span record, plus lane names ---
     let recorded: u64 = arts
