@@ -2,11 +2,10 @@
 //!
 //! ```text
 //! seedscan <experiment> [--scale tiny|small|study] [--seed N] [--budget N]
-//!          [--threads N] [--scan-shards N] [--gen-workers N]
-//!          [--faults PRESET] [--breaker]
-//!          [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]
-//!          [--stop-after N] [--journal FILE] [--snapshot-every N]
+//!          [--threads N] [--scan-shards N] [--gen-workers N] [--faults PRESET]
 //!          [--manifest FILE] [--trace FILE] [--flame FILE]
+//!          campaign only: [--breaker] [--checkpoint FILE] [--checkpoint-every N]
+//!          [--resume FILE] [--stop-after N] [--journal FILE] [--snapshot-every N]
 //! seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]
 //! seedscan explain <manifest|journal> [--json] [--top N]
 //!
@@ -41,7 +40,9 @@
 //! nest, so tying them together ran N × N × N workers on N cores.
 //! `--faults` selects a deterministic hostile-world
 //! preset (off, bursty, ratelimited, blackholes, throttled, hostile) baked
-//! into the world model; `--breaker` arms per-/48 circuit breakers;
+//! into the world model, for any experiment. The rest of the hostile-network
+//! flags drive the campaign and are refused elsewhere: `--breaker` arms
+//! per-/48 circuit breakers;
 //! `--checkpoint FILE` + `--checkpoint-every N` write a resumable JSON
 //! checkpoint every N targets, and `--resume FILE` continues a killed
 //! campaign bit-identically (`--stop-after N` stops after N rounds to
@@ -173,6 +174,20 @@ fn parse_args() -> Result<(Args, StudyConfig), String> {
     if !EXPERIMENTS.contains(&args.experiment.as_str()) {
         return Err(format!("unknown experiment: {}", args.experiment));
     }
+    if args.experiment != "campaign" {
+        let campaign_only = [
+            ("--breaker", args.breaker),
+            ("--checkpoint", args.checkpoint.is_some()),
+            ("--checkpoint-every", args.checkpoint_every.is_some()),
+            ("--resume", args.resume.is_some()),
+            ("--stop-after", args.stop_after.is_some()),
+            ("--journal", args.journal.is_some()),
+            ("--snapshot-every", args.snapshot_every.is_some()),
+        ];
+        if let Some((flag, _)) = campaign_only.iter().find(|(_, given)| *given) {
+            return Err(format!("{flag} applies to the campaign experiment only"));
+        }
+    }
     let mut cfg = match args.scale.as_str() {
         "tiny" => StudyConfig::tiny(args.seed),
         "small" => StudyConfig::small(args.seed),
@@ -197,10 +212,10 @@ const EXPERIMENTS: &[&str] = &[
 fn usage() {
     eprintln!(
         "usage: seedscan <experiment> [--scale tiny|small|study] [--seed N] [--budget N]\n\
-         \u{20}                [--threads N] [--scan-shards N] [--gen-workers N] [--faults PRESET] [--breaker]\n\
-         \u{20}                [--checkpoint FILE] [--checkpoint-every N] [--resume FILE] [--stop-after N]\n\
-         \u{20}                [--journal FILE] [--snapshot-every N]\n\
+         \u{20}                [--threads N] [--scan-shards N] [--gen-workers N] [--faults PRESET]\n\
          \u{20}                [--manifest FILE] [--trace FILE] [--flame FILE]\n\
+         \u{20}                campaign only: [--breaker] [--checkpoint FILE] [--checkpoint-every N]\n\
+         \u{20}                [--resume FILE] [--stop-after N] [--journal FILE] [--snapshot-every N]\n\
          \u{20}      seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]\n\
          \u{20}      seedscan explain <manifest|journal> [--json] [--top N]\n\
          experiments: {}\n\

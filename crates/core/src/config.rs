@@ -12,8 +12,6 @@ pub struct StudyConfig {
     pub collector: CollectorConfig,
     /// Per-TGA generation budget (the paper's 50M, scaled).
     pub budget: usize,
-    /// Budget multiplier for the RQ3 "600M" single big run (12×).
-    pub big_budget_multiplier: usize,
     /// RNG seed for generation.
     pub gen_seed: u64,
     /// Scanner retransmissions after the first attempt.
@@ -52,7 +50,6 @@ impl StudyConfig {
             world: WorldConfig::study(seed),
             collector: CollectorConfig { seed: seed ^ 0xc0_11ec },
             budget: 150_000,
-            big_budget_multiplier: 12,
             gen_seed: seed ^ 0x9e4,
             scan_retries: 1,
             scan_shards: 1,

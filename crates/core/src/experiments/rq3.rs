@@ -17,6 +17,10 @@ use crate::report::{fmt_count, fmt_pct, Table};
 use crate::runner::{cell_salt, run_cells, Cell, RunResult};
 use crate::study::{DatasetKind, Study};
 
+/// The budget of RQ3's single big run per TGA, in study budgets: the
+/// paper's 600M against its 50M (Table 5).
+const BIG_BUDGET_MULTIPLIER: usize = 12;
+
 /// All RQ3 runs: per (source × TGA × port) cells plus the big-budget runs.
 pub struct Rq3Results {
     /// Cells keyed by (source, proto, tga). Hit lists retained.
@@ -96,7 +100,7 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
     let cells = keys.into_iter().zip(run_cells(study, "rq3_sources", cells)).collect();
 
     // The "600M" analog: one big All-Active run per TGA on ICMP.
-    let (seeds, budget) = (study.dataset(DatasetKind::AllActive), budget * study.config().big_budget_multiplier);
+    let (seeds, budget) = (study.dataset(DatasetKind::AllActive), budget * BIG_BUDGET_MULTIPLIER);
     let big = tgas.iter().map(|&tga| {
         let (salt, detail) = (cell_salt(0x600, tga, Protocol::Icmp, 99), format!("tga={tga}"));
         Cell { tga, seeds, proto: Protocol::Icmp, budget, salt, detail, keep_hits: true }

@@ -95,6 +95,41 @@ fn seedscan_refuses_an_unknown_experiment() {
     assert!(!stderr.contains("building study"), "the study was built: {stderr}");
 }
 
+/// The campaign's own flags (breakers, checkpoints, journal) mean nothing
+/// to another experiment: it refuses them before building the study
+/// instead of running and writing none of the files they name. `--faults`
+/// shapes the world, so every experiment takes it.
+#[test]
+fn seedscan_refuses_campaign_flags_outside_campaign() {
+    let dir = std::env::temp_dir().join(format!("sos-cli-campaign-only-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let flags: [&[&str]; 7] = [
+        &["--breaker"],
+        &["--checkpoint", "c.json"],
+        &["--checkpoint-every", "64"],
+        &["--resume", "c.json"],
+        &["--stop-after", "2"],
+        &["--journal", "j.jsonl"],
+        &["--snapshot-every", "1"],
+    ];
+    for flag in flags {
+        let out = Command::new(env!("CARGO_BIN_EXE_seedscan"))
+            .current_dir(&dir)
+            .args(["summary", "--scale", "tiny"])
+            .args(flag)
+            .output()
+            .expect("run binary");
+        assert_refused(&out, flag[0]);
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: seedscan"), "{stderr}");
+        assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(leftovers.is_empty(), "files written: {leftovers:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `export` writes into ./export/: when that cannot be a directory, the
 /// run says so on an `error:` line and exits 1 before building the study.
 #[test]
