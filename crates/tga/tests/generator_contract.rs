@@ -159,7 +159,9 @@ impl ScanOracle for FlipOracle {
         self.0 % 2 == 0
     }
     fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+        t.iter()
+            .map(|&(a, r)| (self.probe(a, p), Some(r)))
+            .collect()
     }
     fn packets_sent(&self) -> u64 {
         self.0
@@ -177,10 +179,22 @@ fn online_generators_survive_flapping_feedback() {
 fn generation_is_deterministic_per_seed_and_differs_across_seeds() {
     let seeds = normal_seeds();
     for id in TgaId::ALL {
-        let a = build(id).generate(&seeds, &GenConfig::new(600, 11, Protocol::Icmp), &mut NullOracle::default());
-        let b = build(id).generate(&seeds, &GenConfig::new(600, 11, Protocol::Icmp), &mut NullOracle::default());
+        let a = build(id).generate(
+            &seeds,
+            &GenConfig::new(600, 11, Protocol::Icmp),
+            &mut NullOracle::default(),
+        );
+        let b = build(id).generate(
+            &seeds,
+            &GenConfig::new(600, 11, Protocol::Icmp),
+            &mut NullOracle::default(),
+        );
         assert_eq!(a, b, "{id} must be deterministic");
-        let c = build(id).generate(&seeds, &GenConfig::new(600, 12, Protocol::Icmp), &mut NullOracle::default());
+        let c = build(id).generate(
+            &seeds,
+            &GenConfig::new(600, 12, Protocol::Icmp),
+            &mut NullOracle::default(),
+        );
         assert_ne!(a, c, "{id} must vary with the RNG seed");
     }
 }
@@ -193,8 +207,16 @@ fn offline_generators_ignore_the_oracle_entirely() {
         build(id).generate(&seeds, &GenConfig::new(500, 3, Protocol::Icmp), &mut oracle);
         assert_eq!(oracle.packets_sent(), 0, "{id} is offline");
         // and output is invariant to oracle behavior
-        let x = build(id).generate(&seeds, &GenConfig::new(500, 3, Protocol::Icmp), &mut YesOracle(0));
-        let y = build(id).generate(&seeds, &GenConfig::new(500, 3, Protocol::Icmp), &mut NullOracle::default());
+        let x = build(id).generate(
+            &seeds,
+            &GenConfig::new(500, 3, Protocol::Icmp),
+            &mut YesOracle(0),
+        );
+        let y = build(id).generate(
+            &seeds,
+            &GenConfig::new(500, 3, Protocol::Icmp),
+            &mut NullOracle::default(),
+        );
         assert_eq!(x, y, "{id} output must not depend on the oracle");
     }
 }
@@ -209,11 +231,19 @@ impl ScanOracle for MalformedOracle {
         false
     }
     fn probe_batch(&mut self, targets: &[Ipv6Addr], _p: Protocol) -> Vec<bool> {
-        let n = if self.extra { targets.len() + 1 } else { targets.len().saturating_sub(1) };
+        let n = if self.extra {
+            targets.len() + 1
+        } else {
+            targets.len().saturating_sub(1)
+        };
         vec![false; n]
     }
     fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], _p: Protocol) -> Vec<(bool, Option<u32>)> {
-        let n = if self.extra { t.len() + 1 } else { t.len().saturating_sub(1) };
+        let n = if self.extra {
+            t.len() + 1
+        } else {
+            t.len().saturating_sub(1)
+        };
         (0..n).map(|i| (true, t.get(i).map(|&(_, r)| r))).collect()
     }
     fn packets_sent(&self) -> u64 {
@@ -291,7 +321,12 @@ fn malformed_oracles_are_tolerated_in_release_builds() {
 #[cfg_attr(debug_assertions, should_panic(expected = "length contract"))]
 fn extra_oracle_results_assert_in_debug_and_are_ignored_in_release() {
     for id in TgaId::ALL.into_iter().filter(|t| t.is_online()) {
-        assert_budget_filled(id, &normal_seeds(), 500, &mut MalformedOracle { extra: true });
+        assert_budget_filled(
+            id,
+            &normal_seeds(),
+            500,
+            &mut MalformedOracle { extra: true },
+        );
     }
 }
 
@@ -301,10 +336,16 @@ fn generated_addresses_expand_around_seed_patterns() {
     // inside the seeds' /40 neighborhood (they mine patterns, not noise)
     let seeds = normal_seeds();
     for id in TgaId::ALL {
-        let out = build(id).generate(&seeds, &GenConfig::new(400, 5, Protocol::Icmp), &mut NullOracle::default());
+        let out = build(id).generate(
+            &seeds,
+            &GenConfig::new(400, 5, Protocol::Icmp),
+            &mut NullOracle::default(),
+        );
         let near40 = out
             .iter()
-            .filter(|&&a| u128::from(a) >> 88 == (0x2600_00aa_0000_0000_0000_0000_0000_0000u128 >> 88))
+            .filter(|&&a| {
+                u128::from(a) >> 88 == (0x2600_00aa_0000_0000_0000_0000_0000_0000u128 >> 88)
+            })
             .count();
         assert!(
             near40 * 2 >= out.len(),
@@ -325,7 +366,9 @@ impl ScanOracle for Live {
         (bits >> 80) & 0xf == 2 || ((bits >> 64) & 7 == 5 && bits as u64 <= 0x200)
     }
     fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+        t.iter()
+            .map(|&(a, r)| (self.probe(a, p), Some(r)))
+            .collect()
     }
     fn packets_sent(&self) -> u64 {
         self.0
@@ -345,14 +388,22 @@ fn one_fit_gives_the_same_streams_on_every_port_and_budget() {
             for proto in netmodel::PROTOCOLS {
                 for budget in [600, 2500] {
                     let cfg = GenConfig::new(budget, 0x5EED ^ u64::from(proto.bit()), proto);
-                    let (mut shared, mut own) = (ProvenanceLog::recording(id.code()), ProvenanceLog::recording(id.code()));
+                    let (mut shared, mut own) = (
+                        ProvenanceLog::recording(id.code()),
+                        ProvenanceLog::recording(id.code()),
+                    );
                     let (mut shared_oracle, mut own_oracle) = (Live(0), Live(0));
                     let from_model = model.generate_tagged(&cfg, &mut shared_oracle, &mut shared);
-                    let independent = build(id).generate_tagged(&seeds, &cfg, &mut own_oracle, &mut own);
+                    let independent =
+                        build(id).generate_tagged(&seeds, &cfg, &mut own_oracle, &mut own);
                     let at = format!("{id} {proto:?} budget {budget} over {} seeds", seeds.len());
                     assert_eq!(from_model, independent, "{at}: candidates");
                     assert_eq!(from_model.len(), budget, "{at}: budget");
-                    let tags = |log: &ProvenanceLog| (0..log.len()).map(|i| log.get_or_fill(i)).collect::<Vec<_>>();
+                    let tags = |log: &ProvenanceLog| {
+                        (0..log.len())
+                            .map(|i| log.get_or_fill(i))
+                            .collect::<Vec<_>>()
+                    };
                     assert_eq!(tags(&shared), tags(&own), "{at}: tags");
                     assert_eq!(shared_oracle.0, own_oracle.0, "{at}: oracle packets");
                 }

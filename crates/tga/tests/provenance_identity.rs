@@ -37,7 +37,9 @@ impl ScanOracle for OneSite {
         u128::from(addr) >> 80 == 0x2600_00aa_0001u128
     }
     fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+        t.iter()
+            .map(|&(a, r)| (self.probe(a, p), Some(r)))
+            .collect()
     }
     fn packets_sent(&self) -> u64 {
         0

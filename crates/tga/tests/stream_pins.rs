@@ -46,7 +46,9 @@ impl ScanOracle for Live {
         (bits >> 80) & 0xf == 2 || ((bits >> 64) & 7 == 5 && bits as u64 <= 0x200)
     }
     fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+        t.iter()
+            .map(|&(a, r)| (self.probe(a, p), Some(r)))
+            .collect()
     }
     fn packets_sent(&self) -> u64 {
         self.0
@@ -63,7 +65,11 @@ fn run(id: TgaId, live: bool, workers: usize) -> (u64, u64) {
         build(id).generate_tagged(&seeds(), &cfg, &mut NullOracle::default(), &mut prov)
     };
     assert_eq!(out.len(), BUDGET, "{id} live={live}: budget");
-    assert_eq!(prov.len(), out.len(), "{id} live={live}: one tag per address");
+    assert_eq!(
+        prov.len(),
+        out.len(),
+        "{id} live={live}: one tag per address"
+    );
     let mut stream = Fnv1a64::default();
     let mut tags = Fnv1a64::default();
     for (i, a) in out.iter().enumerate() {
@@ -78,22 +84,62 @@ fn run(id: TgaId, live: bool, workers: usize) -> (u64, u64) {
 
 /// `(id, live oracle, stream digest, tag digest)`.
 const PINS: [(TgaId, bool, u64, u64); 16] = [
-    (TgaId::SixSense, false, 0xd4ecbb1ad34caf26, 0x4a1deb09d58ee4a5),
-    (TgaId::SixSense, true, 0x4eb0dfef339931ac, 0xd551fe06f817fa89),
+    (
+        TgaId::SixSense,
+        false,
+        0xd4ecbb1ad34caf26,
+        0x4a1deb09d58ee4a5,
+    ),
+    (
+        TgaId::SixSense,
+        true,
+        0x4eb0dfef339931ac,
+        0xd551fe06f817fa89,
+    ),
     (TgaId::Det, false, 0xc2164a744ef7e648, 0x338020d3dddc50a0),
     (TgaId::Det, true, 0xfc4e01ca4af2e029, 0x28752ac72be60427),
-    (TgaId::SixTree, false, 0x3f45b9bc1be5155f, 0xed45740f6d767512),
+    (
+        TgaId::SixTree,
+        false,
+        0x3f45b9bc1be5155f,
+        0xed45740f6d767512,
+    ),
     (TgaId::SixTree, true, 0x3f45b9bc1be5155f, 0xed45740f6d767512),
-    (TgaId::SixScan, false, 0x60bd216d3b32ab34, 0x92a2414a8cb0e54e),
+    (
+        TgaId::SixScan,
+        false,
+        0x60bd216d3b32ab34,
+        0x92a2414a8cb0e54e,
+    ),
     (TgaId::SixScan, true, 0xe1036292b240be9f, 0x6ef331b49bf65a11),
-    (TgaId::SixGraph, false, 0xdee05c6f4651a011, 0xf6cf771facf0c427),
-    (TgaId::SixGraph, true, 0xdee05c6f4651a011, 0xf6cf771facf0c427),
+    (
+        TgaId::SixGraph,
+        false,
+        0xdee05c6f4651a011,
+        0xf6cf771facf0c427,
+    ),
+    (
+        TgaId::SixGraph,
+        true,
+        0xdee05c6f4651a011,
+        0xf6cf771facf0c427,
+    ),
     (TgaId::SixGen, false, 0x74caf6c1be63f5b5, 0x931eb3c92214a385),
     (TgaId::SixGen, true, 0x74caf6c1be63f5b5, 0x931eb3c92214a385),
     (TgaId::SixHit, false, 0xce7bba48a95c44e5, 0x7e3dc438a6c39c0f),
     (TgaId::SixHit, true, 0xd27c5c87a318637c, 0x8f4e9d95bd836195),
-    (TgaId::EntropyIp, false, 0xca15f9bcc651f8a5, 0xcd586673d9dcbbf5),
-    (TgaId::EntropyIp, true, 0xca15f9bcc651f8a5, 0xcd586673d9dcbbf5),
+    (
+        TgaId::EntropyIp,
+        false,
+        0xca15f9bcc651f8a5,
+        0xcd586673d9dcbbf5,
+    ),
+    (
+        TgaId::EntropyIp,
+        true,
+        0xca15f9bcc651f8a5,
+        0xcd586673d9dcbbf5,
+    ),
 ];
 
 #[test]
@@ -110,7 +156,10 @@ fn candidate_streams_and_tags_are_pinned() {
             moved.push(format!("{id} live={live}"));
         }
     }
-    assert!(moved.is_empty(), "streams moved: {moved:?}; observed table:\n{table}");
+    assert!(
+        moved.is_empty(),
+        "streams moved: {moved:?}; observed table:\n{table}"
+    );
 }
 
 /// The parallel generators hit the same pins at any worker count.
@@ -118,7 +167,11 @@ fn candidate_streams_and_tags_are_pinned() {
 fn parallel_generators_hit_the_same_pins_at_four_workers() {
     for (id, live, stream, tags) in PINS {
         if matches!(id, TgaId::SixScan | TgaId::Det) {
-            assert_eq!(run(id, live, 4), (stream, tags), "{id} live={live} workers=4");
+            assert_eq!(
+                run(id, live, 4),
+                (stream, tags),
+                "{id} live={live} workers=4"
+            );
         }
     }
 }

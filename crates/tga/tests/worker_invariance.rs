@@ -36,7 +36,9 @@ impl ScanOracle for OneSubnet {
         u128::from(addr) >> 64 == 0x2600_0abc_0001_0002u128
     }
     fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+        t.iter()
+            .map(|&(a, r)| (self.probe(a, p), Some(r)))
+            .collect()
     }
     fn packets_sent(&self) -> u64 {
         self.0
@@ -66,8 +68,14 @@ fn six_scan_stream_is_bit_identical_across_worker_counts() {
         assert_eq!(base.0.len(), 1100);
         for workers in [2, 4, 8] {
             let run = tagged_run(TgaId::SixScan, workers, live);
-            assert_eq!(run.0, base.0, "6Scan candidates, workers={workers} live={live}");
-            assert_eq!(run.1, base.1, "6Scan provenance, workers={workers} live={live}");
+            assert_eq!(
+                run.0, base.0,
+                "6Scan candidates, workers={workers} live={live}"
+            );
+            assert_eq!(
+                run.1, base.1,
+                "6Scan provenance, workers={workers} live={live}"
+            );
         }
     }
 }
@@ -79,8 +87,14 @@ fn det_stream_is_bit_identical_across_worker_counts() {
         assert_eq!(base.0.len(), 1100);
         for workers in [2, 4, 8] {
             let run = tagged_run(TgaId::Det, workers, live);
-            assert_eq!(run.0, base.0, "DET candidates, workers={workers} live={live}");
-            assert_eq!(run.1, base.1, "DET provenance, workers={workers} live={live}");
+            assert_eq!(
+                run.0, base.0,
+                "DET candidates, workers={workers} live={live}"
+            );
+            assert_eq!(
+                run.1, base.1,
+                "DET provenance, workers={workers} live={live}"
+            );
         }
     }
 }
@@ -117,8 +131,7 @@ fn det_tagged_equals_untagged_across_rebuilds() {
         let untagged = build(TgaId::Det).generate(&seeds(), &cfg, &mut oracle);
         let mut prov = ProvenanceLog::recording(TgaId::Det.code());
         let mut oracle2 = OneSubnet(0);
-        let tagged =
-            build(TgaId::Det).generate_tagged(&seeds(), &cfg, &mut oracle2, &mut prov);
+        let tagged = build(TgaId::Det).generate_tagged(&seeds(), &cfg, &mut oracle2, &mut prov);
         assert_eq!(tagged, untagged, "workers={workers}");
         assert_eq!(prov.len(), tagged.len());
     }
