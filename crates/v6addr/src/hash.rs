@@ -120,7 +120,11 @@ mod tests {
             }
         }
         assert_eq!(by_bits.len(), keys, "the fold paired structured u128 keys");
-        assert_eq!(by_addr.len(), keys, "the fold paired structured Ipv6Addr keys");
+        assert_eq!(
+            by_addr.len(),
+            keys,
+            "the fold paired structured Ipv6Addr keys"
+        );
         // The pair named in the issue, spelled out.
         let a: Ipv6Addr = "2600:100:0:5::2".parse().unwrap();
         let b: Ipv6Addr = "2600:101:0:5::3".parse().unwrap();

@@ -69,7 +69,10 @@ mod tests {
     }
 
     fn from_array(n: [u8; NYBBLES]) -> Ipv6Addr {
-        Ipv6Addr::from(n.iter().fold(0u128, |bits, &v| (bits << 4) | u128::from(v & 0xf)))
+        Ipv6Addr::from(
+            n.iter()
+                .fold(0u128, |bits, &v| (bits << 4) | u128::from(v & 0xf)),
+        )
     }
 
     const SAMPLES: [&str; 6] = [
@@ -87,8 +90,9 @@ mod tests {
             let addr = a(s);
             assert_eq!(from_array(array_form(addr)), addr);
             // ...and the accessors alone rebuild the address digit by digit
-            let rebuilt = (0..NYBBLES)
-                .fold(Ipv6Addr::UNSPECIFIED, |acc, i| with_nybble(acc, i, nybble_of(addr, i)));
+            let rebuilt = (0..NYBBLES).fold(Ipv6Addr::UNSPECIFIED, |acc, i| {
+                with_nybble(acc, i, nybble_of(addr, i))
+            });
             assert_eq!(rebuilt, addr);
         }
     }
@@ -117,7 +121,11 @@ mod tests {
         for idx in [0, 1, 30, 31] {
             let out = with_nybble(a("::"), idx, 0xff);
             assert_eq!(nybble_of(out, idx), 0xf);
-            assert_eq!(u128::from(out).count_ones(), 4, "idx {idx}: only that digit is written");
+            assert_eq!(
+                u128::from(out).count_ones(),
+                4,
+                "idx {idx}: only that digit is written"
+            );
         }
     }
 
@@ -126,22 +134,34 @@ mod tests {
         let (x, y, z) = (a("2001:db8::1"), a("2001:db8::2"), a("3001:db8::1"));
         // first differing digit == leading zero digits of the XOR
         let common = |p: Ipv6Addr, q: Ipv6Addr| {
-            (0..NYBBLES).take_while(|&i| nybble_of(p, i) == nybble_of(q, i)).count()
+            (0..NYBBLES)
+                .take_while(|&i| nybble_of(p, i) == nybble_of(q, i))
+                .count()
         };
         assert_eq!(common(x, y), 31);
-        assert_eq!(common(x, y), ((u128::from(x) ^ u128::from(y)).leading_zeros() / 4) as usize);
+        assert_eq!(
+            common(x, y),
+            ((u128::from(x) ^ u128::from(y)).leading_zeros() / 4) as usize
+        );
         assert_eq!(common(x, z), 0);
         assert_eq!(nybble_hamming(x, y), 1);
         assert_eq!(nybble_hamming(x, z), 1);
         assert_eq!(nybble_hamming(x, x), 0);
-        assert_eq!(nybble_hamming(a("::"), a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")), 32);
+        assert_eq!(
+            nybble_hamming(a("::"), a("ffff:ffff:ffff:ffff:ffff:ffff:ffff:ffff")),
+            32
+        );
         // every single-bit difference is one differing digit
         for bit in 0..128 {
             let flipped = Ipv6Addr::from(u128::from(x) ^ (1u128 << bit));
             assert_eq!(nybble_hamming(x, flipped), 1, "bit {bit}");
         }
         for (p, q) in [(x, y), (x, z), (a(SAMPLES[2]), a(SAMPLES[4]))] {
-            let slow = array_form(p).iter().zip(array_form(q)).filter(|(m, n)| **m != *n).count();
+            let slow = array_form(p)
+                .iter()
+                .zip(array_form(q))
+                .filter(|(m, n)| **m != *n)
+                .count();
             assert_eq!(nybble_hamming(p, q) as usize, slow);
         }
     }
@@ -165,7 +185,11 @@ mod tests {
                 for v in [0u8, 7, 0xf, 0xa5] {
                     let mut arr = array_form(addr);
                     arr[i] = v & 0xf;
-                    assert_eq!(with_nybble(addr, i, v), from_array(arr), "{s} idx {i} value {v}");
+                    assert_eq!(
+                        with_nybble(addr, i, v),
+                        from_array(arr),
+                        "{s} idx {i} value {v}"
+                    );
                 }
             }
         }

@@ -201,8 +201,14 @@ mod tests {
 
     #[test]
     fn parse_errors() {
-        assert_eq!("2001:db8::".parse::<Prefix>(), Err(ParsePrefixError::MissingLength));
-        assert!(matches!("zz/32".parse::<Prefix>(), Err(ParsePrefixError::BadAddress(_))));
+        assert_eq!(
+            "2001:db8::".parse::<Prefix>(),
+            Err(ParsePrefixError::MissingLength)
+        );
+        assert!(matches!(
+            "zz/32".parse::<Prefix>(),
+            Err(ParsePrefixError::BadAddress(_))
+        ));
         assert!(matches!(
             "2001:db8::/129".parse::<Prefix>(),
             Err(ParsePrefixError::BadLength(_))
@@ -264,6 +270,9 @@ mod tests {
     fn ordering_groups_by_network_then_len() {
         let mut v = vec![p("2001:db8::/48"), p("2001:db8::/32"), p("2001:db7::/32")];
         v.sort();
-        assert_eq!(v, vec![p("2001:db7::/32"), p("2001:db8::/32"), p("2001:db8::/48")]);
+        assert_eq!(
+            v,
+            vec![p("2001:db7::/32"), p("2001:db8::/32"), p("2001:db8::/48")]
+        );
     }
 }

@@ -62,7 +62,10 @@ impl PrefixSet {
 
     /// Partition `addrs` into (outside, inside) this set — the offline
     /// dealiasing split: "inside" are addresses in known aliased prefixes.
-    pub fn partition(&self, addrs: impl IntoIterator<Item = Ipv6Addr>) -> (Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
+    pub fn partition(
+        &self,
+        addrs: impl IntoIterator<Item = Ipv6Addr>,
+    ) -> (Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
         let mut outside = Vec::new();
         let mut inside = Vec::new();
         for a in addrs {
@@ -117,9 +120,17 @@ mod tests {
 
     #[test]
     fn covering_prefix_is_most_specific() {
-        let s: PrefixSet = [p("2001:db8::/32"), p("2001:db8:1::/48")].into_iter().collect();
-        assert_eq!(s.covering_prefix(a("2001:db8:1::9")), Some(p("2001:db8:1::/48")));
-        assert_eq!(s.covering_prefix(a("2001:db8:2::9")), Some(p("2001:db8::/32")));
+        let s: PrefixSet = [p("2001:db8::/32"), p("2001:db8:1::/48")]
+            .into_iter()
+            .collect();
+        assert_eq!(
+            s.covering_prefix(a("2001:db8:1::9")),
+            Some(p("2001:db8:1::/48"))
+        );
+        assert_eq!(
+            s.covering_prefix(a("2001:db8:2::9")),
+            Some(p("2001:db8::/32"))
+        );
         assert_eq!(s.covering_prefix(a("2002::1")), None);
     }
 

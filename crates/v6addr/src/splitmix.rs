@@ -67,7 +67,10 @@ mod tests {
     fn stream_equals_repeated_finalizer() {
         let mut g = SplitMix64::new(7);
         for k in 0..8u64 {
-            assert_eq!(g.next_u64(), splitmix64(7u64.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15))));
+            assert_eq!(
+                g.next_u64(),
+                splitmix64(7u64.wrapping_add(k.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+            );
         }
     }
 }

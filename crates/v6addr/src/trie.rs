@@ -48,7 +48,10 @@ impl<V> Default for PrefixTrie<V> {
 impl<V> PrefixTrie<V> {
     /// An empty trie.
     pub fn new() -> Self {
-        PrefixTrie { levels: Vec::new(), len: 0 }
+        PrefixTrie {
+            levels: Vec::new(),
+            len: 0,
+        }
     }
 
     /// Number of stored prefixes.
@@ -74,7 +77,9 @@ impl<V> PrefixTrie<V> {
             self.levels.insert(at, (prefix.len(), AddrMap::default()));
             at
         });
-        let old = self.levels[at].1.insert(u128::from(prefix.network()), value); // at: found or just inserted
+        let old = self.levels[at]
+            .1
+            .insert(u128::from(prefix.network()), value); // at: found or just inserted
         if old.is_none() {
             self.len += 1;
         }
@@ -90,7 +95,8 @@ impl<V> PrefixTrie<V> {
     /// Longest-prefix match: the most specific stored prefix containing
     /// `addr`, with its value.
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
-        self.longest(addr).map(|(len, v)| (Prefix::new(addr, len), v))
+        self.longest(addr)
+            .map(|(len, v)| (Prefix::new(addr, len), v))
     }
 
     /// Shorthand for `lookup(addr)` returning just the value.
@@ -115,7 +121,9 @@ impl<V> PrefixTrie<V> {
             .levels
             .iter()
             .flat_map(|(len, table)| {
-                table.iter().map(|(&net, v)| (Prefix::new(Ipv6Addr::from(net), *len), v))
+                table
+                    .iter()
+                    .map(|(&net, v)| (Prefix::new(Ipv6Addr::from(net), *len), v))
             })
             .collect();
         out.sort_unstable_by_key(|(p, _)| *p);
@@ -133,7 +141,13 @@ impl<V: fmt::Debug> fmt::Debug for PrefixTrie<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let entries: Vec<(Prefix, &V)> = self.iter().collect();
         f.debug_struct("PrefixTrie")
-            .field("root", &BitNode { entries: &entries, depth: 0 })
+            .field(
+                "root",
+                &BitNode {
+                    entries: &entries,
+                    depth: 0,
+                },
+            )
             .field("len", &self.len)
             .finish()
     }
@@ -157,7 +171,10 @@ impl<'a, V: fmt::Debug> fmt::Debug for BitNode<'a, V> {
         let next_bit = |p: &Prefix| u128::from(p.network()) >> (127 - u32::from(self.depth)) & 1;
         let (zeros, ones) = below.split_at(below.partition_point(|(p, _)| next_bit(p) == 0));
         let child = |entries: &'a [(Prefix, &'a V)]| {
-            (!entries.is_empty()).then(|| BitNode { entries, depth: self.depth + 1 })
+            (!entries.is_empty()).then(|| BitNode {
+                entries,
+                depth: self.depth + 1,
+            })
         };
         f.debug_struct("Node")
             .field("value", &value)
@@ -235,8 +252,14 @@ mod tests {
     /// strings are what the previous implementation printed.
     #[test]
     fn debug_text_is_the_bit_trie_rendering_checkpoint_fingerprints_hash() {
-        let t: PrefixTrie<u32> =
-            [(p("8000::/1"), 7), (p("c000::/2"), 9), (p("::/0"), 1), (p("4000::/3"), 3)].into_iter().collect();
+        let t: PrefixTrie<u32> = [
+            (p("8000::/1"), 7),
+            (p("c000::/2"), 9),
+            (p("::/0"), 1),
+            (p("4000::/3"), 3),
+        ]
+        .into_iter()
+        .collect();
         assert_eq!(
             format!("{t:?}"),
             "PrefixTrie { root: Node { value: Some(1), children: [Some(Node { value: None, children: \
@@ -255,7 +278,11 @@ mod tests {
             "PrefixSet { trie: PrefixTrie { root: Node { value: None, children: [None, None] }, len: 0 } }"
         );
         let host: PrefixTrie<u8> = [(p("::1/128"), 1)].into_iter().collect();
-        assert_eq!(format!("{host:?}").matches("Node {").count(), 129, "a /128 hangs 128 nodes below the root");
+        assert_eq!(
+            format!("{host:?}").matches("Node {").count(),
+            129,
+            "a /128 hangs 128 nodes below the root"
+        );
     }
 
     #[test]

@@ -5,7 +5,10 @@
 
 use std::net::Ipv6Addr;
 
-use v6addr::{nybble_hamming, nybble_of, rand_in_prefix, with_nybble, Prefix, PrefixSet, PrefixTrie, SplitMix64};
+use v6addr::{
+    nybble_hamming, nybble_of, rand_in_prefix, with_nybble, Prefix, PrefixSet, PrefixTrie,
+    SplitMix64,
+};
 
 /// Deterministic case generator over the canonical splitmix64 stream.
 struct Gen(SplitMix64);
@@ -52,8 +55,9 @@ fn nybbles_roundtrip() {
     for _ in 0..CASES {
         let addr = g.addr();
         // read all 32 digits, write them into `::`: the address comes back
-        let rebuilt =
-            (0..32).fold(Ipv6Addr::UNSPECIFIED, |acc, i| with_nybble(acc, i, nybble_of(addr, i)));
+        let rebuilt = (0..32).fold(Ipv6Addr::UNSPECIFIED, |acc, i| {
+            with_nybble(acc, i, nybble_of(addr, i))
+        });
         assert_eq!(rebuilt, addr);
     }
 }
@@ -64,7 +68,11 @@ fn nybble_of_agrees_with_array() {
     for _ in 0..CASES {
         let addr = g.addr();
         for idx in 0..32 {
-            assert_eq!(nybble_of(addr, idx), shift_nybble(addr, idx), "{addr} idx {idx}");
+            assert_eq!(
+                nybble_of(addr, idx),
+                shift_nybble(addr, idx),
+                "{addr} idx {idx}"
+            );
         }
     }
 }
@@ -96,11 +104,17 @@ fn hamming_is_symmetric_and_bounded() {
     for _ in 0..CASES {
         // sparse differences as well as the ~30 of two random addresses
         let a = g.addr();
-        let b = if g.range(2) == 0 { g.addr() } else { Ipv6Addr::from(u128::from(a) ^ (g.u128() & g.u128() & g.u128())) };
+        let b = if g.range(2) == 0 {
+            g.addr()
+        } else {
+            Ipv6Addr::from(u128::from(a) ^ (g.u128() & g.u128() & g.u128()))
+        };
         assert_eq!(nybble_hamming(a, b), nybble_hamming(b, a));
         assert!(nybble_hamming(a, b) <= 32);
         assert_eq!(nybble_hamming(a, a), 0);
-        let slow = (0..32).filter(|&i| shift_nybble(a, i) != shift_nybble(b, i)).count();
+        let slow = (0..32)
+            .filter(|&i| shift_nybble(a, i) != shift_nybble(b, i))
+            .count();
         assert_eq!(nybble_hamming(a, b) as usize, slow);
     }
 }
@@ -168,8 +182,11 @@ fn trie_lpm_returns_a_covering_prefix() {
         if let Some((matched, _)) = trie.lookup(probe) {
             assert!(matched.contains(probe));
             // and it is the longest such entry
-            let best =
-                entries.iter().filter(|(p, _)| p.contains(probe)).map(|(p, _)| p.len()).max();
+            let best = entries
+                .iter()
+                .filter(|(p, _)| p.contains(probe))
+                .map(|(p, _)| p.len())
+                .max();
             assert_eq!(Some(matched.len()), best);
         } else {
             assert!(entries.iter().all(|(p, _)| !p.contains(probe)));
@@ -198,7 +215,10 @@ fn trie_agrees_with_brute_force_at_every_length() {
         let mut trie = PrefixTrie::new();
         let mut model: Vec<(Prefix, u32)> = Vec::new();
         for &(p, v) in &entries {
-            let old = model.iter().position(|(q, _)| *q == p).map(|i| model.remove(i).1);
+            let old = model
+                .iter()
+                .position(|(q, _)| *q == p)
+                .map(|i| model.remove(i).1);
             assert_eq!(trie.insert(p, v), old, "insert returns the replaced value");
             model.push((p, v));
         }
@@ -208,7 +228,10 @@ fn trie_agrees_with_brute_force_at_every_length() {
         for _ in 0..64 {
             let spine = u128::from(spines[g.range(spines.len())]);
             let probe = Ipv6Addr::from(spine ^ [0, 1u128 << g.range(128)][g.range(2)]);
-            let want = model.iter().filter(|(p, _)| p.contains(probe)).max_by_key(|(p, _)| p.len());
+            let want = model
+                .iter()
+                .filter(|(p, _)| p.contains(probe))
+                .max_by_key(|(p, _)| p.len());
             let got = trie.lookup(probe).map(|(p, v)| (p, *v));
             assert_eq!(got, want.copied(), "lookup({probe})");
             assert_eq!(trie.lookup_value(probe), want.map(|(_, v)| v));
@@ -217,7 +240,10 @@ fn trie_agrees_with_brute_force_at_every_length() {
             assert_eq!(trie.get(p), Some(v));
         }
         let absent = Prefix::new(g.addr(), 77);
-        assert_eq!(trie.get(&absent), model.iter().find(|(p, _)| *p == absent).map(|(_, v)| v));
+        assert_eq!(
+            trie.get(&absent),
+            model.iter().find(|(p, _)| *p == absent).map(|(_, v)| v)
+        );
 
         model.sort_unstable();
         let listed: Vec<(Prefix, u32)> = trie.iter().map(|(p, v)| (p, *v)).collect();
