@@ -143,7 +143,10 @@ mod tests {
     }
 
     fn joint_with_list(prefixes: &[&str]) -> JointDealiaser {
-        let list: PrefixSet = prefixes.iter().map(|p| p.parse::<Prefix>().unwrap()).collect();
+        let list: PrefixSet = prefixes
+            .iter()
+            .map(|p| p.parse::<Prefix>().unwrap())
+            .collect();
         JointDealiaser::new(
             OfflineDealiaser::new(list),
             OnlineDealiaser::new(OnlineConfig::default()),

@@ -142,7 +142,9 @@ mod tests {
     fn dead_space_is_clean_at_every_granularity() {
         let mut d = MultiGrainDealiaser::standard(1);
         let mut o = NullOracle::default();
-        assert!(d.check(&mut o, "2001:db8::1".parse().unwrap(), Protocol::Icmp).is_none());
+        assert!(d
+            .check(&mut o, "2001:db8::1".parse().unwrap(), Protocol::Icmp)
+            .is_none());
         assert!(d.probe_packets() > 0);
     }
 
@@ -154,9 +156,13 @@ mod tests {
         let (world, region) = (0..64u64)
             .find_map(|seed| {
                 let world = Arc::new(World::build(WorldConfig::tiny(seed)));
-                let region = world.alias_regions().iter().find(|r| {
-                    r.prefix.len() == 64 && r.loss == 0.0 && r.ports.contains(Protocol::Icmp)
-                })?.clone();
+                let region = world
+                    .alias_regions()
+                    .iter()
+                    .find(|r| {
+                        r.prefix.len() == 64 && r.loss == 0.0 && r.ports.contains(Protocol::Icmp)
+                    })?
+                    .clone();
                 Some((world, region))
             })
             .expect("a /64 alias region in some tiny world");
@@ -164,7 +170,11 @@ mod tests {
         let mut d = MultiGrainDealiaser::standard(2);
         let inside = Ipv6Addr::from(u128::from(region.prefix.network()) | 0xbeef);
         let found = d.check(&mut s, inside, Protocol::Icmp).expect("detected");
-        assert_eq!(found.len(), 64, "coarsest rung should claim it, got {found}");
+        assert_eq!(
+            found.len(),
+            64,
+            "coarsest rung should claim it, got {found}"
+        );
     }
 
     #[test]
@@ -179,8 +189,14 @@ mod tests {
             fn probe(&mut self, a: Ipv6Addr, _p: Protocol) -> bool {
                 u128::from(a) >> 16 == SLAB_BASE >> 16
             }
-            fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-                t.iter().map(|&(a, r)| (self.probe(a, p), Some(r))).collect()
+            fn probe_tagged(
+                &mut self,
+                t: &[(Ipv6Addr, u32)],
+                p: Protocol,
+            ) -> Vec<(bool, Option<u32>)> {
+                t.iter()
+                    .map(|&(a, r)| (self.probe(a, p), Some(r)))
+                    .collect()
             }
             fn packets_sent(&self) -> u64 {
                 0
@@ -196,7 +212,11 @@ mod tests {
 
         let mut ladder = MultiGrainDealiaser::standard(3);
         let found = ladder.check(&mut Slab, inside, Protocol::Icmp);
-        assert_eq!(found.map(|p| p.len()), Some(112), "the ladder's fine rung catches it");
+        assert_eq!(
+            found.map(|p| p.len()),
+            Some(112),
+            "the ladder's fine rung catches it"
+        );
     }
 
     #[test]

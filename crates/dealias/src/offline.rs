@@ -47,7 +47,10 @@ impl OfflineDealiaser {
     }
 
     /// Split addresses into (clean, listed-aliased).
-    pub fn partition(&self, addrs: impl IntoIterator<Item = Ipv6Addr>) -> (Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
+    pub fn partition(
+        &self,
+        addrs: impl IntoIterator<Item = Ipv6Addr>,
+    ) -> (Vec<Ipv6Addr>, Vec<Ipv6Addr>) {
         self.list.partition(addrs)
     }
 }

@@ -107,14 +107,23 @@ impl OnlineDealiaser {
 
     /// Decide whether the prefix containing `addr` is aliased, probing it
     /// if not yet decided for this protocol.
-    pub fn check<O: ScanOracle + ?Sized>(&mut self, oracle: &mut O, addr: Ipv6Addr, proto: Protocol) -> bool {
+    pub fn check<O: ScanOracle + ?Sized>(
+        &mut self,
+        oracle: &mut O,
+        addr: Ipv6Addr,
+        proto: Protocol,
+    ) -> bool {
         let prefix = Prefix::new(addr, self.cfg.prefix_len);
         let key = (u128::from(prefix.network()), proto.bit());
         if let Some(&aliased) = self.decided.get(&key) {
             return aliased;
         }
         // Deterministic per-prefix RNG: same prefix → same probe addresses.
-        let seed = mix3(self.cfg.seed, key.0 as u64, (key.0 >> 64) as u64 ^ u64::from(key.1));
+        let seed = mix3(
+            self.cfg.seed,
+            key.0 as u64,
+            (key.0 >> 64) as u64 ^ u64::from(key.1),
+        );
         let mut rng = SmallRng::seed_from_u64(seed);
         let before = oracle.packets_sent();
         let mut active = 0usize;
@@ -139,7 +148,11 @@ impl OnlineDealiaser {
         sos_obs::counter(names::PROBE_PACKETS).add(spent);
         if aliased {
             sos_obs::counter(names::ALIASED_PREFIXES).inc();
-            sos_obs::debug!("aliased /{} at {} on {proto:?}", self.cfg.prefix_len, prefix.network());
+            sos_obs::debug!(
+                "aliased /{} at {} on {proto:?}",
+                self.cfg.prefix_len,
+                prefix.network()
+            );
         }
         aliased
     }
@@ -211,7 +224,11 @@ mod tests {
         assert_eq!(d.probe_packets(), 2);
 
         // With threshold == probes, one silent probe settles it.
-        let cfg = OnlineConfig { probes: 3, threshold: 3, ..OnlineConfig::default() };
+        let cfg = OnlineConfig {
+            probes: 3,
+            threshold: 3,
+            ..OnlineConfig::default()
+        };
         let mut d = OnlineDealiaser::new(cfg);
         let mut o = NullOracle::default();
         assert!(!d.check(&mut o, "2001:db8:2::1".parse().unwrap(), Protocol::Icmp));
@@ -302,7 +319,10 @@ mod tests {
         let addr = "2600:100::1".parse().unwrap();
         let run = |seed| {
             let mut s = scanner(world.clone());
-            let mut d = OnlineDealiaser::new(OnlineConfig { seed, ..OnlineConfig::default() });
+            let mut d = OnlineDealiaser::new(OnlineConfig {
+                seed,
+                ..OnlineConfig::default()
+            });
             let v = d.check(&mut s, addr, Protocol::Icmp);
             (v, d.probe_packets())
         };
