@@ -115,7 +115,12 @@ pub fn collect_all(world: &World, cfg: CollectorConfig) -> SeedCollection {
                 SourceId::Hitlist => hitlist(collect_hitlist(world, seed)),
                 SourceId::AddrMiner => hitlist(collect_addrminer(world, seed)),
             };
-            SourceDataset { id, addrs, raw_count, domain_stats }
+            SourceDataset {
+                id,
+                addrs,
+                raw_count,
+                domain_stats,
+            }
         })
         .collect();
     SeedCollection { sources }
@@ -181,7 +186,10 @@ mod tests {
             assert_eq!(x.addrs, y.addrs);
         }
         let c = collect_all(&w, CollectorConfig { seed: 6 });
-        assert_ne!(a.get(SourceId::Hitlist).addrs, c.get(SourceId::Hitlist).addrs);
+        assert_ne!(
+            a.get(SourceId::Hitlist).addrs,
+            c.get(SourceId::Hitlist).addrs
+        );
     }
 
     #[test]
@@ -192,6 +200,9 @@ mod tests {
         let umbrella = c.get(SourceId::Umbrella).addrs.len();
         let addrminer = c.get(SourceId::AddrMiner).addrs.len();
         assert!(censys > umbrella * 3, "censys {censys} umbrella {umbrella}");
-        assert!(addrminer > umbrella, "addrminer {addrminer} umbrella {umbrella}");
+        assert!(
+            addrminer > umbrella,
+            "addrminer {addrminer} umbrella {umbrella}"
+        );
     }
 }

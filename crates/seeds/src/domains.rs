@@ -183,7 +183,12 @@ mod tests {
     fn toplists_are_much_smaller_than_ct() {
         let w = world();
         let ct = collect_censys_ct(&w, 1);
-        for id in [SourceId::Umbrella, SourceId::Majestic, SourceId::Tranco, SourceId::Radar] {
+        for id in [
+            SourceId::Umbrella,
+            SourceId::Majestic,
+            SourceId::Tranco,
+            SourceId::Radar,
+        ] {
             let t = collect_toplist(&w, 1, id);
             assert!(
                 t.addrs.len() * 4 < ct.addrs.len(),
@@ -223,7 +228,11 @@ mod tests {
         // Almost nothing in a router sample serves TCP80. The tiny-world
         // sample is ~20 routers, so one stray responder is ~5% all by
         // itself — bound the count, not a finer-grained fraction.
-        let tcp = c.addrs.iter().filter(|&&a| w.truth_responds(a, Protocol::Tcp80)).count();
+        let tcp = c
+            .addrs
+            .iter()
+            .filter(|&&a| w.truth_responds(a, Protocol::Tcp80))
+            .count();
         assert!(
             (tcp as f64) <= 0.10 * c.addrs.len() as f64,
             "{tcp}/{} routers on TCP80",

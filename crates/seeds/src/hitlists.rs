@@ -86,7 +86,10 @@ pub fn collect_hitlist(world: &World, seed: u64) -> HitlistCollection {
 
     let mut addrs: Vec<Ipv6Addr> = set.into_iter().collect();
     addrs.sort();
-    HitlistCollection { addrs, raw_count: raw }
+    HitlistCollection {
+        addrs,
+        raw_count: raw,
+    }
 }
 
 /// Collect the AddrMiner analog: TGA-derived, so it saturates the easily
@@ -143,7 +146,10 @@ pub fn collect_addrminer(world: &World, seed: u64) -> HitlistCollection {
 
     let mut addrs: Vec<Ipv6Addr> = set.into_iter().collect();
     addrs.sort();
-    HitlistCollection { addrs, raw_count: raw }
+    HitlistCollection {
+        addrs,
+        raw_count: raw,
+    }
 }
 
 #[cfg(test)]
@@ -225,7 +231,10 @@ mod tests {
                 }
             }
         }
-        assert!(lowbyte > 10 * privacy.max(1), "lowbyte {lowbyte} privacy {privacy}");
+        assert!(
+            lowbyte > 10 * privacy.max(1),
+            "lowbyte {lowbyte} privacy {privacy}"
+        );
     }
 
     #[test]

@@ -24,7 +24,11 @@ pub struct ParseError {
 
 impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: bad {}: {:?}", self.line, self.what, self.content)
+        write!(
+            f,
+            "line {}: bad {}: {:?}",
+            self.line, self.what, self.content
+        )
     }
 }
 
@@ -35,7 +39,9 @@ fn clip(s: &str) -> String {
 }
 
 /// Read an address list (one address per line, `#` comments).
-pub fn read_address_list<R: BufRead>(reader: R) -> Result<Vec<Ipv6Addr>, Box<dyn std::error::Error>> {
+pub fn read_address_list<R: BufRead>(
+    reader: R,
+) -> Result<Vec<Ipv6Addr>, Box<dyn std::error::Error>> {
     let mut out = Vec::new();
     for (i, line) in reader.lines().enumerate() {
         let line = line?;
@@ -170,7 +176,10 @@ mod tests {
     fn single_byte_damage_never_panics_the_list_readers() {
         let sample = "# hitlist\n2001:db8::1\n\n  2600:9000:2000::dead  \n2600:9000:2000::/48\n::ffff:1.2.3.4\n";
         assert!(read_prefix_list(Cursor::new(sample)).is_ok());
-        assert!(read_address_list(Cursor::new(sample)).is_err(), "a CIDR is not an address");
+        assert!(
+            read_address_list(Cursor::new(sample)).is_err(),
+            "a CIDR is not an address"
+        );
         sos_obs::json::single_byte_damage(sample.as_bytes(), |damaged| {
             let lines = damaged.split(|&b| b == b'\n').count();
             for err in [
@@ -178,7 +187,10 @@ mod tests {
                 read_prefix_list(Cursor::new(damaged)).err(),
             ] {
                 if let Some(e) = err.as_ref().and_then(|e| e.downcast_ref::<ParseError>()) {
-                    assert!((1..=lines).contains(&e.line) && e.content.chars().count() <= 60, "{e}");
+                    assert!(
+                        (1..=lines).contains(&e.line) && e.content.chars().count() <= 60,
+                        "{e}"
+                    );
                 }
             }
         });

@@ -32,7 +32,10 @@ pub struct ActivenessMap {
 impl ActivenessMap {
     /// Observed responsiveness of one address.
     pub fn ports(&self, addr: Ipv6Addr) -> PortSet {
-        self.map.get(&u128::from(addr)).copied().unwrap_or(PortSet::EMPTY)
+        self.map
+            .get(&u128::from(addr))
+            .copied()
+            .unwrap_or(PortSet::EMPTY)
     }
 
     /// Is the address responsive on any target?
@@ -59,7 +62,8 @@ impl ActivenessMap {
 /// Pre-scan `addrs` on all four targets (§6.2's "pre-scanning" step).
 pub fn verify_active<O: ScanOracle>(oracle: &mut O, addrs: &[Ipv6Addr]) -> ActivenessMap {
     let before = oracle.packets_sent();
-    let mut map: AddrMap<u128, PortSet> = AddrMap::with_capacity_and_hasher(addrs.len(), Default::default());
+    let mut map: AddrMap<u128, PortSet> =
+        AddrMap::with_capacity_and_hasher(addrs.len(), Default::default());
     for proto in PROTOCOLS {
         let results = oracle.probe_batch(addrs, proto);
         for (&addr, hit) in addrs.iter().zip(results) {
@@ -195,7 +199,10 @@ mod tests {
         assert!(full_aliases > 0, "the pool must contain aliases to test");
         let offline_left = aliased_in(&p.offline_dealiased);
         let joint_left = aliased_in(&p.joint_dealiased);
-        assert!(offline_left < full_aliases, "offline removes published aliases");
+        assert!(
+            offline_left < full_aliases,
+            "offline removes published aliases"
+        );
         assert!(joint_left <= offline_left, "joint strictly tightens");
     }
 

@@ -123,9 +123,15 @@ impl SourceId {
     }
 
     /// Stable per-source RNG stream index.
-    #[expect(clippy::expect_used, reason = "every SourceId variant is listed in ALL")]
+    #[expect(
+        clippy::expect_used,
+        reason = "every SourceId variant is listed in ALL"
+    )]
     pub fn stream(self) -> u64 {
-        SourceId::ALL.iter().position(|&s| s == self).expect("in ALL") as u64
+        SourceId::ALL
+            .iter()
+            .position(|&s| s == self)
+            .expect("in ALL") as u64
     }
 }
 
@@ -160,9 +166,18 @@ mod tests {
 
     #[test]
     fn kinds_partition_as_in_table_3() {
-        let domains = SourceId::ALL.iter().filter(|s| s.kind() == SourceKind::Domain).count();
-        let routers = SourceId::ALL.iter().filter(|s| s.kind() == SourceKind::Router).count();
-        let hitlists = SourceId::ALL.iter().filter(|s| s.kind() == SourceKind::Hitlist).count();
+        let domains = SourceId::ALL
+            .iter()
+            .filter(|s| s.kind() == SourceKind::Domain)
+            .count();
+        let routers = SourceId::ALL
+            .iter()
+            .filter(|s| s.kind() == SourceKind::Router)
+            .count();
+        let hitlists = SourceId::ALL
+            .iter()
+            .filter(|s| s.kind() == SourceKind::Hitlist)
+            .count();
         assert_eq!((domains, routers, hitlists), (8, 2, 2));
     }
 
