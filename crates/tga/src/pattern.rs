@@ -3,7 +3,7 @@
 
 use std::net::Ipv6Addr;
 
-use rand::Rng;
+use rand::RngCore;
 use v6addr::NYBBLES;
 
 /// Bit offset of nybble `idx` inside the address's `u128`.
@@ -121,6 +121,42 @@ pub(crate) fn entropy_of(counts: &[u32; 16], total: u32) -> f64 {
     h
 }
 
+/// A coin with probability `p` (up to 2⁻³²) read from the low half of an
+/// RNG `word`: the half is below `p · 2³²`. Certain at `p = 1`, never at 0.
+#[inline]
+pub(crate) fn coin(word: u64, p: f64) -> bool {
+    u64::from(word as u32) < (p * 4_294_967_296.0) as u64
+}
+
+/// A number in `0..total` read from the high half of an RNG `word` by
+/// multiply-shift: each number gets ⌊2³²/total⌋ or ⌈2³²/total⌉ of the 2³²
+/// halves, so a weight is off by at most `total / 2³²` of itself. Zero
+/// when `total` is.
+#[inline]
+pub(crate) fn scaled(word: u64, total: u64) -> u64 {
+    ((u128::from(word >> 32) * u128::from(total)) >> 32) as u64
+}
+
+/// An RNG that counts the calls made on it: the tests that hold a weighted
+/// draw to one word read `words`.
+#[cfg(test)]
+pub(crate) struct Counting<R> {
+    pub rng: R,
+    pub words: usize,
+}
+
+#[cfg(test)]
+impl<R: RngCore> RngCore for Counting<R> {
+    fn next_u32(&mut self) -> u32 {
+        self.words += 1;
+        self.rng.next_u32()
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.words += 1;
+        self.rng.next_u64()
+    }
+}
+
 /// A [`ValueHist`] compiled for drawing: the observed values in ascending
 /// order with their cumulative counts, so a weighted draw finds its value
 /// with sixteen branch-free compares. Every product draw of a digit goes
@@ -139,13 +175,16 @@ pub(crate) struct DigitTable {
 impl DigitTable {
     /// A weighted draw from the observed distribution; with probability
     /// `explore` a uniform draw from all 16 values instead. Uniform when
-    /// nothing was observed.
+    /// nothing was observed. Costs one RNG word: its low half is the
+    /// explore [`coin`], its high half the value ([`scaled`] to the total,
+    /// or its top four bits for the uniform draw).
     #[inline]
-    pub(crate) fn draw<R: Rng + ?Sized>(&self, rng: &mut R, explore: f64) -> u8 {
-        if self.total == 0 || (explore > 0.0 && rng.gen_bool(explore)) {
-            return rng.gen_range(0..16);
+    pub(crate) fn draw<R: RngCore + ?Sized>(&self, rng: &mut R, explore: f64) -> u8 {
+        let word = rng.next_u64();
+        if self.total == 0 || coin(word, explore) {
+            return (word >> 60) as u8;
         }
-        let x = rng.gen_range(0..self.total);
+        let x = scaled(word, u64::from(self.total)) as u32;
         // The draw is the first value whose cumulative count passes `x`,
         // which is the number of bounds `x` has reached: counted without a
         // branch (the padding never is), and below 16 because the last
@@ -318,7 +357,7 @@ fn histograms_at(free: u32, addrs: &[Ipv6Addr]) -> ([(usize, ValueHist); NYBBLES
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -561,12 +600,15 @@ mod tests {
     }
 
     /// The weighted draw as first written, walking the histogram's counts
-    /// on every draw: kept as the reference for [`DigitTable::draw`].
+    /// on every draw, fed the one word the table reads: kept as the
+    /// reference for [`DigitTable::draw`].
     fn sample_by_counts(h: &ValueHist, rng: &mut SmallRng, explore: f64) -> u8 {
-        if h.total() == 0 || (explore > 0.0 && rng.gen_bool(explore)) {
-            return rng.gen_range(0..16);
+        let word = rng.next_u64();
+        let explored = u64::from(word as u32) < (explore * 2f64.powi(32)) as u64;
+        if h.total() == 0 || explored {
+            return (word >> 60) as u8;
         }
-        let mut x = rng.gen_range(0..h.total());
+        let mut x = (((word >> 32) * u64::from(h.total())) >> 32) as u32;
         for v in 0..16 {
             if x < h.count(v) {
                 return v;
@@ -619,11 +661,81 @@ mod tests {
                 }
             }
         }
-        // what explore = 1.0 relies on: a certain coin costs no word
-        let mut r = SmallRng::seed_from_u64(1);
-        let before = r.clone();
-        assert!(r.gen_bool(1.0));
-        assert_eq!(r, before);
+    }
+
+    /// A table over `total` observations: value 3 once, value 9 for the
+    /// rest (empty when `total` is 0).
+    fn table_of(total: u32) -> DigitTable {
+        let mut h = ValueHist::default();
+        for k in 0..total {
+            h.add(if k == 0 { 3 } else { 9 });
+        }
+        h.compile()
+    }
+
+    #[test]
+    fn a_digit_draw_costs_one_word() {
+        for total in [0, 1, 7, 1 << 16] {
+            let table = table_of(total);
+            for explore in [0.0, 0.06, 1.0] {
+                let mut rng = Counting {
+                    rng: SmallRng::seed_from_u64(u64::from(total)),
+                    words: 0,
+                };
+                for n in 1..=256 {
+                    table.draw(&mut rng, explore);
+                    assert_eq!(rng.words, n, "total {total}, explore {explore}");
+                }
+            }
+        }
+    }
+
+    /// Over 2²⁰ draws each value's frequency lies within 5σ of
+    /// `(1 − e)·c/T + e/16`: explore 0 never leaves the observed values,
+    /// explore 1 (and an empty table) is uniform.
+    #[test]
+    fn a_digit_draw_has_its_histograms_frequencies() {
+        const N: usize = 1 << 20;
+        let mut skewed = ValueHist::default();
+        for (v, c) in [(0, 1), (3, 7), (4, 100), (9, 892)] {
+            for _ in 0..c {
+                skewed.add(v);
+            }
+        }
+        let mut wide = ValueHist::default();
+        for v in 0..16u8 {
+            for _ in 0..=u32::from(v) * 300 {
+                wide.add(v);
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(41);
+        for h in [ValueHist::default(), skewed, wide] {
+            let table = h.compile();
+            for explore in [0.0, 0.06, 1.0] {
+                let mut seen = [0usize; 16];
+                for _ in 0..N {
+                    seen[usize::from(table.draw(&mut rng, explore))] += 1;
+                }
+                for v in 0..16u8 {
+                    let p = if h.total() == 0 {
+                        1.0 / 16.0
+                    } else {
+                        (1.0 - explore) * f64::from(h.count(v)) / f64::from(h.total())
+                            + explore / 16.0
+                    };
+                    let expected = N as f64 * p;
+                    let sigma = (expected * (1.0 - p)).sqrt();
+                    let got = seen[usize::from(v)];
+                    assert!(
+                        (got as f64 - expected).abs() <= 5.0 * sigma,
+                        "{h:?}, explore {explore}, value {v}: {got} vs {expected:.0} ± {sigma:.0}"
+                    );
+                    if explore == 0.0 && h.count(v) == 0 && h.total() > 0 {
+                        assert_eq!(got, 0, "explore 0 drew unobserved {v}");
+                    }
+                }
+            }
+        }
     }
 
     /// What a region reads back from its tables, against the histograms

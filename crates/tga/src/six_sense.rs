@@ -22,14 +22,14 @@ use std::iter::Take;
 use std::net::Ipv6Addr;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use dealias::{OnlineConfig, OnlineDealiaser};
 use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
 use v6addr::{AddrMap, Prefix, PrefixSet};
 
-use crate::pattern::{DigitTable, ValueHist};
+use crate::pattern::{coin, scaled, DigitTable, ValueHist};
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{Region, Sweep};
 use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
@@ -40,11 +40,11 @@ use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 /// the arm synthesize *new* /64s in the same style. What a run learns
 /// about the arm lives beside it, in that run's [`Sweeps`] and scores.
 struct Arm {
-    /// Per-observed-/64 models, with seed-count weights.
+    /// Per-observed-/64 models.
     subregions: Vec<Region>,
-    weights: Vec<u32>,
-    /// The sum of `weights` (at least 1): every draw starts from it.
-    total_weight: u32,
+    /// `bounds[i]`: the seed counts of `subregions[..=i]` summed, so the
+    /// last is the arm's seed count: a pick is weighted by seed count.
+    bounds: Vec<u32>,
     /// Digit tables of the subnet-id nybbles (positions 12..16).
     subnet_digits: [DigitTable; 4],
     /// Digest of the site's contributing seeds (arms are /48 sites and
@@ -75,7 +75,13 @@ impl Arm {
                 h.add(v6addr::nybble_of(m, 12 + i));
             }
         }
-        let weights: Vec<u32> = groups.iter().map(|(_, g)| g.len() as u32).collect();
+        let bounds: Vec<u32> = groups
+            .iter()
+            .scan(0, |sum, (_, g)| {
+                *sum += g.len() as u32;
+                Some(*sum)
+            })
+            .collect();
         let subregions: Vec<Region> = groups.iter().map(|(_, g)| Region::from_seeds(g)).collect();
         // Density of the densest sub-model (the arm's exploitability),
         // capped below live hit rates (see DET).
@@ -84,8 +90,7 @@ impl Arm {
             .map(|r| r.density())
             .fold(f64::NEG_INFINITY, f64::max);
         Arm {
-            total_weight: weights.iter().sum::<u32>().max(1),
-            weights,
+            bounds,
             subregions,
             subnet_digits: subnet_hists.map(|h| h.compile()),
             digest: seed_digest(members.iter().copied()),
@@ -93,32 +98,40 @@ impl Arm {
         }
     }
 
+    /// What one RNG word decides for a candidate: its high half picks a
+    /// sub-model, weighted by seed count; its low half flips the two coins
+    /// — sweep the sub-model (else sample it), and synthesize a fresh
+    /// subnet id — the second read from the part of the half the first
+    /// left, so the two stay independent.
+    fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (usize, bool, bool) {
+        let word = rng.next_u64();
+        let total = self.bounds.last().copied().unwrap_or(0);
+        let x = scaled(word, u64::from(total)) as u32;
+        let idx = self.bounds.partition_point(|&b| b <= x);
+        let sweep = coin(word, SWEEP);
+        let cut = if sweep {
+            SWEEP * NEW_SUBNET
+        } else {
+            SWEEP + (1.0 - SWEEP) * NEW_SUBNET
+        };
+        (idx, sweep, coin(word, cut))
+    }
+
     /// Generate one candidate: usually expand an observed /64 —
     /// systematically while its enumeration lasts, by IID-model sampling
     /// afterwards; sometimes synthesize a fresh subnet id in the arm's
     /// style and borrow a sub-model's IID pattern for it.
     fn sample(&self, sweeps: &mut Sweeps, rng: &mut SmallRng) -> Ipv6Addr {
-        let pick = {
-            let mut x = rng.gen_range(0..self.total_weight);
-            let mut idx = 0;
-            for (i, &w) in self.weights.iter().enumerate() {
-                if x < w {
-                    idx = i;
-                    break;
-                }
-                x -= w;
-            }
-            idx
-        };
-        let addr = if rng.gen_bool(0.85) {
+        let (pick, sweep, new_subnet) = self.pick(rng);
+        let region = &self.subregions[pick]; // pick < bounds.len() == subregions.len()
+        let addr = if sweep {
             // systematic sweep of the sub-model's most likely space
-            let region = &self.subregions[pick]; // pick < weights.len() == subregions.len()
             let sweep = sweeps[pick].get_or_insert_with(|| Box::new(region.sweep().take(4096))); // sweeps sized subregions.len()
             sweep.next().unwrap_or_else(|| region.sample(rng, EXPLORE))
         } else {
-            self.subregions[pick].sample(rng, EXPLORE) // pick < subregions.len()
+            region.sample(rng, EXPLORE)
         };
-        if rng.gen_bool(0.15) {
+        if new_subnet {
             // new subnet section in the arm's style, same IID style
             let mut a = addr;
             for (i, t) in self.subnet_digits.iter().enumerate() {
@@ -155,6 +168,11 @@ const UCB_C: f64 = 0.15;
 const DIVERSITY_SHARE: f64 = 0.18;
 /// Batch hit-rate that triggers an alias check on the hot /96es.
 const ALIAS_TRIGGER: f64 = 0.75;
+/// Probability that a candidate comes from its sub-model's systematic
+/// sweep rather than from sampling it.
+const SWEEP: f64 = 0.85;
+/// Probability that a candidate gets a freshly synthesized subnet id.
+const NEW_SUBNET: f64 = 0.15;
 /// Sampling exploration probability.
 const EXPLORE: f64 = 0.10;
 /// Exploration probability of a synthesized subnet-id digit.
@@ -297,6 +315,7 @@ impl SeedModel for Fitted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pattern::Counting;
     use netmodel::Protocol;
     use sos_probe::NullOracle;
 
@@ -311,6 +330,60 @@ mod tests {
             }
         }
         v
+    }
+
+    /// `n` members of one /48 dealt round-robin over `subnets` /64s.
+    fn members(n: u128, subnets: u128) -> Vec<Ipv6Addr> {
+        (0..n)
+            .map(|i| Ipv6Addr::from(0x2600_0bad_0001u128 << 80 | (i % subnets) << 64 | i))
+            .collect()
+    }
+
+    #[test]
+    fn a_pick_costs_one_word() {
+        for (n, subnets) in [(1, 1), (7, 3), (1 << 16, 16)] {
+            let arm = Arm::from_members(&members(n, subnets));
+            let mut rng = Counting {
+                rng: SmallRng::seed_from_u64(n as u64),
+                words: 0,
+            };
+            for k in 1..=256 {
+                let (idx, _, _) = arm.pick(&mut rng);
+                assert!(idx < arm.subregions.len());
+                assert_eq!(rng.words, k, "{n} members");
+            }
+        }
+    }
+
+    /// Over 2²⁰ picks, each sub-model and each of the four coin outcomes
+    /// lands within 5σ of its probability: the coins are independent.
+    #[test]
+    fn a_pick_has_its_weights_and_coin_frequencies() {
+        const N: usize = 1 << 20;
+        let arm = Arm::from_members(&members(7, 3));
+        let mut rng = SmallRng::seed_from_u64(42);
+        let mut by_sub = [0usize; 3];
+        let mut by_coins = [0usize; 4];
+        for _ in 0..N {
+            let (idx, sweep, new_subnet) = arm.pick(&mut rng);
+            by_sub[idx] += 1;
+            by_coins[usize::from(sweep) << 1 | usize::from(new_subnet)] += 1;
+        }
+        let coins = [
+            (1.0 - SWEEP) * (1.0 - NEW_SUBNET),
+            (1.0 - SWEEP) * NEW_SUBNET,
+            SWEEP * (1.0 - NEW_SUBNET),
+            SWEEP * NEW_SUBNET,
+        ];
+        let subs = [3.0 / 7.0, 2.0 / 7.0, 2.0 / 7.0];
+        for (got, p) in by_sub.iter().zip(subs).chain(by_coins.iter().zip(coins)) {
+            let expected = N as f64 * p;
+            let sigma = (expected * (1.0 - p)).sqrt();
+            assert!(
+                (*got as f64 - expected).abs() <= 5.0 * sigma,
+                "{got} vs {expected:.0} ± {sigma:.0}"
+            );
+        }
     }
 
     #[test]
