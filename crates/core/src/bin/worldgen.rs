@@ -55,14 +55,26 @@ fn parse_args() -> Result<(Args, WorldConfig), String> {
         "tiny" => WorldConfig::tiny(args.seed),
         "small" => WorldConfig::small(args.seed),
         "study" => WorldConfig::study(args.seed),
-        other => return Err(format!("bad --scale value {other:?}: expected tiny|small|study")),
+        other => {
+            return Err(format!(
+                "bad --scale value {other:?}: expected tiny|small|study"
+            ))
+        }
     };
     Ok((args, cfg))
 }
 
 fn main() -> ExitCode {
     sos_obs::log::init_from_env_or(sos_obs::Level::Info);
-    let (Args { scale, seed, dump_dir, artifacts }, cfg) = match parse_args() {
+    let (
+        Args {
+            scale,
+            seed,
+            dump_dir,
+            artifacts,
+        },
+        cfg,
+    ) = match parse_args() {
         Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}");
@@ -102,7 +114,11 @@ fn main() -> ExitCode {
         fmt_count(stats.responsive_ases),
     );
     for p in PROTOCOLS {
-        println!("  responsive on {:<7} {}", p.label(), fmt_count(stats.responsive[p.index()]));
+        println!(
+            "  responsive on {:<7} {}",
+            p.label(),
+            fmt_count(stats.responsive[p.index()])
+        );
     }
 
     // Composition by AS kind and host role.
@@ -136,7 +152,11 @@ fn main() -> ExitCode {
     println!("{rendered}");
 
     let published = world.alias_regions().iter().filter(|r| r.published).count();
-    let lossy = world.alias_regions().iter().filter(|r| r.loss > 0.0).count();
+    let lossy = world
+        .alias_regions()
+        .iter()
+        .filter(|r| r.loss > 0.0)
+        .count();
     println!(
         "aliased regions: {} total, {} published ({}), {} rate-limited",
         world.alias_regions().len(),

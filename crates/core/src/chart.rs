@@ -18,7 +18,11 @@ pub fn bar_chart(title: &str, rows: &[(String, f64)], width: usize) -> String {
         let _ = writeln!(out, "(no data)");
         return out;
     }
-    let label_w = rows.iter().map(|(l, _)| l.chars().count()).max().unwrap_or(0);
+    let label_w = rows
+        .iter()
+        .map(|(l, _)| l.chars().count())
+        .max()
+        .unwrap_or(0);
     let max_abs = rows
         .iter()
         .map(|(_, v)| v.abs())
@@ -29,7 +33,10 @@ pub fn bar_chart(title: &str, rows: &[(String, f64)], width: usize) -> String {
         let cells = ((value.abs() / max_abs) * half as f64).round() as usize;
         let cells = cells.min(half);
         let (neg, pos) = if *value < 0.0 {
-            (format!("{}{}", " ".repeat(half - cells), "█".repeat(cells)), String::new())
+            (
+                format!("{}{}", " ".repeat(half - cells), "█".repeat(cells)),
+                String::new(),
+            )
         } else {
             (" ".repeat(half), "█".repeat(cells))
         };

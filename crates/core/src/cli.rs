@@ -17,7 +17,8 @@ where
     T::Err: Display,
 {
     let raw = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
-    raw.parse().map_err(|e| format!("bad {flag} value {raw:?}: {e}"))
+    raw.parse()
+        .map_err(|e| format!("bad {flag} value {raw:?}: {e}"))
 }
 
 /// Where a run writes its manifest, Chrome trace and collapsed-stack
@@ -35,7 +36,11 @@ pub struct Artifacts {
 impl Artifacts {
     /// Take `flag`'s value when it is one of the three artifact flags;
     /// `Ok(false)` leaves any other flag to the caller.
-    pub fn flag(&mut self, flag: &str, args: &mut impl Iterator<Item = String>) -> Result<bool, String> {
+    pub fn flag(
+        &mut self,
+        flag: &str,
+        args: &mut impl Iterator<Item = String>,
+    ) -> Result<bool, String> {
         let slot = match flag {
             "--manifest" => &mut self.manifest,
             "--trace" => &mut self.trace,
@@ -50,9 +55,16 @@ impl Artifacts {
     /// in the current directory), so a run that could not write an
     /// artifact fails before it starts instead of after it finishes.
     pub fn check(&self) -> Result<(), String> {
-        for (flag, path) in [("--manifest", &self.manifest), ("--trace", &self.trace), ("--flame", &self.flame)] {
+        for (flag, path) in [
+            ("--manifest", &self.manifest),
+            ("--trace", &self.trace),
+            ("--flame", &self.flame),
+        ] {
             let Some(path) = path else { continue };
-            let dir = Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+            let dir = Path::new(path)
+                .parent()
+                .filter(|d| !d.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
             if !dir.is_dir() {
                 return Err(format!("{flag} {path}: no directory {}", dir.display()));
             }
@@ -63,13 +75,23 @@ impl Artifacts {
     /// Write the manifest, then the trace, then the flame profile, each
     /// only when asked for. The first failure names the artifact and path.
     pub fn write(&self, manifest: Manifest) -> Result<(), String> {
-        written(&self.manifest, "manifest", |path| manifest.write_to_file(path))?;
+        written(&self.manifest, "manifest", |path| {
+            manifest.write_to_file(path)
+        })?;
         written(&self.trace, "trace", sos_obs::trace::write_chrome_trace)?;
-        written(&self.flame, "flame profile", sos_obs::trace::write_collapsed)
+        written(
+            &self.flame,
+            "flame profile",
+            sos_obs::trace::write_collapsed,
+        )
     }
 }
 
-fn written(path: &Option<String>, what: &str, write: impl FnOnce(&Path) -> io::Result<()>) -> Result<(), String> {
+fn written(
+    path: &Option<String>,
+    what: &str,
+    write: impl FnOnce(&Path) -> io::Result<()>,
+) -> Result<(), String> {
     let Some(path) = path else { return Ok(()) };
     write(Path::new(path)).map_err(|e| format!("writing {what} {path}: {e}"))?;
     sos_obs::info!("wrote {what} {path}");
@@ -81,7 +103,10 @@ mod tests {
     use super::*;
 
     fn args(v: &[&str]) -> impl Iterator<Item = String> {
-        v.iter().map(|s| s.to_string()).collect::<Vec<_>>().into_iter()
+        v.iter()
+            .map(|s| s.to_string())
+            .collect::<Vec<_>>()
+            .into_iter()
     }
 
     #[test]
@@ -100,16 +125,38 @@ mod tests {
         assert_eq!(a.flag("--manifest", &mut rest), Ok(true));
         assert_eq!(a.flag("--seed", &mut rest), Ok(false));
         assert_eq!(a.flag("--trace", &mut rest), Ok(true));
-        assert_eq!((a.manifest.as_deref(), a.trace.as_deref()), (Some("m.json"), Some("t.json")));
-        assert!(a.flag("--flame", &mut rest).unwrap_err().contains("--flame"));
+        assert_eq!(
+            (a.manifest.as_deref(), a.trace.as_deref()),
+            (Some("m.json"), Some("t.json"))
+        );
+        assert!(a
+            .flag("--flame", &mut rest)
+            .unwrap_err()
+            .contains("--flame"));
     }
 
     #[test]
     fn check_wants_each_artifacts_directory_to_exist() {
-        let here = Artifacts { manifest: Some("m.json".into()), ..Artifacts::default() };
-        assert_eq!(here.check(), Ok(()), "a bare file name is in the current directory");
-        let missing = std::env::temp_dir().join(format!("sos-cli-none-{}", std::process::id())).join("f.txt");
-        let flame = Artifacts { flame: Some(missing.display().to_string()), ..Artifacts::default() };
-        assert!(flame.check().unwrap_err().starts_with("--flame "), "{:?}", flame.check());
+        let here = Artifacts {
+            manifest: Some("m.json".into()),
+            ..Artifacts::default()
+        };
+        assert_eq!(
+            here.check(),
+            Ok(()),
+            "a bare file name is in the current directory"
+        );
+        let missing = std::env::temp_dir()
+            .join(format!("sos-cli-none-{}", std::process::id()))
+            .join("f.txt");
+        let flame = Artifacts {
+            flame: Some(missing.display().to_string()),
+            ..Artifacts::default()
+        };
+        assert!(
+            flame.check().unwrap_err().starts_with("--flame "),
+            "{:?}",
+            flame.check()
+        );
     }
 }

@@ -48,7 +48,9 @@ impl StudyConfig {
     pub fn study(seed: u64) -> Self {
         StudyConfig {
             world: WorldConfig::study(seed),
-            collector: CollectorConfig { seed: seed ^ 0xc0_11ec },
+            collector: CollectorConfig {
+                seed: seed ^ 0xc0_11ec,
+            },
             budget: 150_000,
             gen_seed: seed ^ 0x9e4,
             scan_retries: 1,

@@ -99,13 +99,19 @@ impl CoverageMap {
 
     /// Populated prefixes the campaign never probed.
     pub fn missed_cells(&self) -> usize {
-        self.cells.values().filter(|c| c.truth > 0 && c.generated == 0).count()
+        self.cells
+            .values()
+            .filter(|c| c.truth > 0 && c.generated == 0)
+            .count()
     }
 
     /// Probed prefixes that hold no responsive host at all — every probe
     /// there was structurally wasted.
     pub fn blind_cells(&self) -> usize {
-        self.cells.values().filter(|c| c.truth == 0 && c.generated > 0).count()
+        self.cells
+            .values()
+            .filter(|c| c.truth == 0 && c.generated > 0)
+            .count()
     }
 
     /// Encode as sorted rows `[prefix, generated, hits, truth]`.
@@ -131,14 +137,24 @@ impl CoverageMap {
         let rows = j.as_arr().ok_or("coverage is not an array")?;
         let mut map = CoverageMap::default();
         for row in rows {
-            let items = row.as_arr().filter(|a| a.len() == 4).ok_or("bad coverage row")?;
+            let items = row
+                .as_arr()
+                .filter(|a| a.len() == 4)
+                .ok_or("bad coverage row")?;
             let u = |i: usize| -> Result<u64, String> {
                 // i < 4: length checked above
-                items[i].as_u64().ok_or_else(|| format!("bad coverage field {i}"))
+                items[i]
+                    .as_u64()
+                    .ok_or_else(|| format!("bad coverage field {i}"))
             };
             map.cells.insert(
-                u32::try_from(u(0)?).map_err(|_| "bad coverage field 0 (prefix exceeds 32 bits)")?,
-                CoverageCell { generated: u(1)?, hits: u(2)?, truth: u(3)? },
+                u32::try_from(u(0)?)
+                    .map_err(|_| "bad coverage field 0 (prefix exceeds 32 bits)")?,
+                CoverageCell {
+                    generated: u(1)?,
+                    hits: u(2)?,
+                    truth: u(3)?,
+                },
             );
         }
         Ok(map)
@@ -154,9 +170,9 @@ impl CoverageMap {
         let mut rows: BTreeMap<u16, Vec<CoverageCell>> = BTreeMap::new();
         for (&p, c) in &self.cells {
             let bucket = (u32::from(p as u16) * cols) >> 16;
-            let row = rows.entry((p >> 16) as u16).or_insert_with(|| {
-                vec![CoverageCell::default(); cols as usize]
-            });
+            let row = rows
+                .entry((p >> 16) as u16)
+                .or_insert_with(|| vec![CoverageCell::default(); cols as usize]);
             let slot = &mut row[bucket as usize]; // bucket < cols by construction
             slot.generated += c.generated;
             slot.hits += c.hits;
@@ -205,13 +221,20 @@ mod tests {
     fn build_folds_truth_generated_and_hits() {
         let world = World::build(StudyConfig::tiny(5).world);
         let truth_total = world.hosts().count_where(|r| r.responds_any()) as u64;
-        let generated = vec![addr(0x3fff_0000, 1), addr(0x3fff_0000, 2), addr(0x3fff_0001, 9)];
+        let generated = vec![
+            addr(0x3fff_0000, 1),
+            addr(0x3fff_0000, 2),
+            addr(0x3fff_0001, 9),
+        ];
         let hits = vec![addr(0x3fff_0000, 1)];
         let map = CoverageMap::build(&world, &generated, &hits);
         let (g, h, t) = map.totals();
         assert_eq!((g, h), (3, 1));
         assert_eq!(t, truth_total, "every responsive host lands in a cell");
-        assert!(map.missed_cells() > 0, "tiny world has prefixes we never probed");
+        assert!(
+            map.missed_cells() > 0,
+            "tiny world has prefixes we never probed"
+        );
         assert_eq!(map.blind_cells(), 2, "both 3fff prefixes are empty space");
         assert_eq!(map.wasted(), 2);
     }
@@ -223,13 +246,21 @@ mod tests {
         let map = CoverageMap::build(&world, &generated, &[]);
         let back = CoverageMap::from_json(&map.to_json()).expect("parses");
         assert_eq!(back, map);
-        assert!(CoverageMap::from_json(&Json::Arr(vec![])).unwrap().is_empty());
+        assert!(CoverageMap::from_json(&Json::Arr(vec![]))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
     fn from_json_refuses_a_prefix_past_32_bits() {
-        let row = |prefix: u64| Json::Arr(vec![Json::Arr([prefix, 3, 1, 2].map(Json::U64).to_vec())]);
-        assert_eq!(CoverageMap::from_json(&row(u32::MAX.into())).unwrap().totals(), (3, 1, 2));
+        let row =
+            |prefix: u64| Json::Arr(vec![Json::Arr([prefix, 3, 1, 2].map(Json::U64).to_vec())]);
+        assert_eq!(
+            CoverageMap::from_json(&row(u32::MAX.into()))
+                .unwrap()
+                .totals(),
+            (3, 1, 2)
+        );
         let err = CoverageMap::from_json(&row(1 << 40)).expect_err("2^40 is not a /32");
         assert!(err.contains("coverage") && err.contains("prefix"), "{err}");
     }
@@ -237,14 +268,38 @@ mod tests {
     #[test]
     fn heatmap_marks_blind_missed_and_covered_space() {
         let mut map = CoverageMap::default();
-        map.cells.insert(0x2001_0000, CoverageCell { generated: 10, hits: 9, truth: 10 });
-        map.cells.insert(0x2001_8000, CoverageCell { generated: 5, hits: 0, truth: 0 });
-        map.cells.insert(0x2600_0000, CoverageCell { generated: 0, hits: 0, truth: 3 });
+        map.cells.insert(
+            0x2001_0000,
+            CoverageCell {
+                generated: 10,
+                hits: 9,
+                truth: 10,
+            },
+        );
+        map.cells.insert(
+            0x2001_8000,
+            CoverageCell {
+                generated: 5,
+                hits: 0,
+                truth: 0,
+            },
+        );
+        map.cells.insert(
+            0x2600_0000,
+            CoverageCell {
+                generated: 0,
+                hits: 0,
+                truth: 3,
+            },
+        );
         let art = map.heatmap(8);
         assert!(art.contains("2001::/16"), "{art}");
         assert!(art.contains("2600::/16"), "{art}");
         assert!(art.contains('x'), "blind probes marked: {art}");
         assert!(art.contains('_'), "missed truth marked: {art}");
-        assert!(art.contains('%') || art.contains('@'), "high recall is dense: {art}");
+        assert!(
+            art.contains('%') || art.contains('@'),
+            "high recall is dense: {art}"
+        );
     }
 }

@@ -58,8 +58,8 @@ impl CrossPortMatrix {
     pub fn render_panel(&self, scanned: Protocol) -> String {
         let mut header = vec!["Input dataset".to_string()];
         header.extend(TgaId::ALL.iter().map(|t| t.label().to_string()));
-        let mut t = Table::new(format!("Figure 7 — hits when scanning {}", scanned.label()))
-            .header(header);
+        let mut t =
+            Table::new(format!("Figure 7 — hits when scanning {}", scanned.label())).header(header);
         for input in FIG7_INPUTS {
             let mut row = vec![input.label()];
             for tga in TgaId::ALL {

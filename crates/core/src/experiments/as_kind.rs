@@ -62,7 +62,10 @@ pub fn kind_label(kind: AsKind) -> &'static str {
 /// Per-cell salt: the category's index in [`KINDS`] is the dataset
 /// coordinate (label lengths collide — "Education"/"AccessISP").
 fn kind_salt(kind: &str, tga: TgaId) -> u64 {
-    let index = KINDS.iter().position(|&k| kind_label(k) == kind).unwrap_or(KINDS.len());
+    let index = KINDS
+        .iter()
+        .position(|&k| kind_label(k) == kind)
+        .unwrap_or(KINDS.len());
     cell_salt(0xa5d0, tga, Protocol::Icmp, index as u64)
 }
 
@@ -79,15 +82,32 @@ pub fn run_by_kind(study: &Study, tgas: &[TgaId]) -> KindResults {
     let slices = seeds_by_kind(study);
     let seed_counts: BTreeMap<&'static str, usize> =
         slices.iter().map(|(k, v)| (*k, v.len())).collect();
-    let keys: Vec<(&'static str, TgaId)> =
-        slices.keys().flat_map(|&k| tgas.iter().map(move |&t| (k, t))).collect();
+    let keys: Vec<(&'static str, TgaId)> = slices
+        .keys()
+        .flat_map(|&k| tgas.iter().map(move |&t| (k, t)))
+        .collect();
     let budget = study.config().budget;
     let cells = keys.iter().map(|&(kind, tga)| {
-        let (seeds, salt, detail) = (&slices[kind], kind_salt(kind, tga), format!("kind={kind} tga={tga}"));
-        Cell { tga, seeds, proto: Protocol::Icmp, budget, salt, detail, keep_hits: true }
+        let (seeds, salt, detail) = (
+            &slices[kind],
+            kind_salt(kind, tga),
+            format!("kind={kind} tga={tga}"),
+        );
+        Cell {
+            tga,
+            seeds,
+            proto: Protocol::Icmp,
+            budget,
+            salt,
+            detail,
+            keep_hits: true,
+        }
     });
     let results = run_cells(study, "as_kind", cells.collect());
-    KindResults { cells: keys.into_iter().zip(results).collect(), seed_counts }
+    KindResults {
+        cells: keys.into_iter().zip(results).collect(),
+        seed_counts,
+    }
 }
 
 impl KindResults {
@@ -124,8 +144,8 @@ impl KindResults {
             header.push(format!("{} hits", t.label()));
             header.push(format!("{} ASes", t.label()));
         }
-        let mut table =
-            Table::new("Extension — TGA performance on AS-category seed slices (ICMP)").header(header);
+        let mut table = Table::new("Extension — TGA performance on AS-category seed slices (ICMP)")
+            .header(header);
         for (&kind, &count) in &self.seed_counts {
             let mut row = vec![kind.to_string(), fmt_count(count)];
             for &t in &tgas {
@@ -158,7 +178,11 @@ mod tests {
         let slices = seeds_by_kind(&study);
         let total: usize = slices.values().map(Vec::len).sum();
         assert_eq!(total, study.dataset(DatasetKind::AllActive).len());
-        assert!(slices.len() >= 4, "several categories present: {:?}", slices.keys());
+        assert!(
+            slices.len() >= 4,
+            "several categories present: {:?}",
+            slices.keys()
+        );
     }
 
     #[test]
@@ -166,7 +190,11 @@ mod tests {
         let mut salts = std::collections::HashSet::new();
         for kind in KINDS {
             for tga in TgaId::ALL {
-                assert!(salts.insert(kind_salt(kind_label(kind), tga)), "{} {tga}", kind_label(kind));
+                assert!(
+                    salts.insert(kind_salt(kind_label(kind), tga)),
+                    "{} {tga}",
+                    kind_label(kind)
+                );
             }
         }
     }

@@ -55,7 +55,15 @@ pub fn budget_sweep(
         budgets.iter().map(move |&budget| {
             let salt = cell_salt(0xb5d9e7, tga, proto, budget as u64);
             let detail = format!("tga={tga} budget={budget}");
-            Cell { tga, seeds, proto, budget, salt, detail, keep_hits: false }
+            Cell {
+                tga,
+                seeds,
+                proto,
+                budget,
+                salt,
+                detail,
+                keep_hits: false,
+            }
         })
     });
     let mut results = run_cells(study, "budget_sweep", cells.collect()).into_iter();
@@ -77,15 +85,20 @@ pub fn budget_sweep(
 /// budget and listed once, ascending.
 pub fn default_ladder(study: &Study) -> Vec<usize> {
     let b = study.config().budget;
-    let mut ladder = [(b / 8).max(64), (b / 4).max(128), (b / 2).max(256), b].map(|r| r.min(b)).to_vec();
+    let mut ladder = [(b / 8).max(64), (b / 4).max(128), (b / 2).max(256), b]
+        .map(|r| r.min(b))
+        .to_vec();
     ladder.dedup();
     ladder
 }
 
 /// Render the sweep as a table.
 pub fn render(curves: &[BudgetCurve], proto: Protocol) -> String {
-    let mut t = Table::new(format!("Budget sweep on {} (All-Active seeds)", proto.label()))
-        .header(["TGA", "Budget", "Hits", "ASes", "Hits/Budget"]);
+    let mut t = Table::new(format!(
+        "Budget sweep on {} (All-Active seeds)",
+        proto.label()
+    ))
+    .header(["TGA", "Budget", "Hits", "ASes", "Hits/Budget"]);
     for c in curves {
         for &(budget, hits, ases) in &c.points {
             t.row([
@@ -164,7 +177,11 @@ mod tests {
         };
         assert!((c.tail_efficiency() - 0.2).abs() < 1e-12);
         assert_eq!(
-            BudgetCurve { tga: TgaId::SixTree, points: vec![] }.tail_efficiency(),
+            BudgetCurve {
+                tga: TgaId::SixTree,
+                points: vec![]
+            }
+            .tail_efficiency(),
             0.0
         );
     }

@@ -92,7 +92,14 @@ pub fn run(
         run.completed,
         run.rounds,
         run.resumed_targets,
-        "proto", "probed", "hits", "skipped", "retries", "packets", "faults", "opened",
+        "proto",
+        "probed",
+        "hits",
+        "skipped",
+        "retries",
+        "packets",
+        "faults",
+        "opened",
     );
     for (proto, r) in &run.result.reports {
         let _ = writeln!(
@@ -123,5 +130,10 @@ pub fn run(
         summary.coverage.missed_cells(),
         summary.coverage.blind_cells(),
     );
-    Ok(CampaignReport { run, counters: scanner.metrics().counters(), summary, text })
+    Ok(CampaignReport {
+        run,
+        counters: scanner.metrics().counters(),
+        summary,
+        text,
+    })
 }

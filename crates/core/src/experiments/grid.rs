@@ -84,17 +84,38 @@ pub fn grid_over(
 ) -> Grid {
     let keys: Vec<(DatasetKind, Protocol, TgaId)> = datasets
         .iter()
-        .flat_map(|&d| protos.iter().flat_map(move |&p| tgas.iter().map(move |&t| (d, p, t))))
+        .flat_map(|&d| {
+            protos
+                .iter()
+                .flat_map(move |&p| tgas.iter().map(move |&t| (d, p, t)))
+        })
         .collect();
     let budget = study.config().budget;
     let cells = keys.iter().map(|&(dataset, proto, tga)| {
-        let (seeds, salt) = (study.dataset(dataset), cell_salt(0x617d, tga, proto, dataset_index(dataset)));
+        let (seeds, salt) = (
+            study.dataset(dataset),
+            cell_salt(0x617d, tga, proto, dataset_index(dataset)),
+        );
         let detail = format!("dataset={dataset:?} proto={proto:?} tga={tga}");
-        let keep_hits = matches!(dataset, DatasetKind::AllActive | DatasetKind::PortSpecific(_));
-        Cell { tga, seeds, proto, budget, salt, detail, keep_hits }
+        let keep_hits = matches!(
+            dataset,
+            DatasetKind::AllActive | DatasetKind::PortSpecific(_)
+        );
+        Cell {
+            tga,
+            seeds,
+            proto,
+            budget,
+            salt,
+            detail,
+            keep_hits,
+        }
     });
     let results = run_cells(study, "grid", cells.collect());
-    Grid { budget, cells: keys.into_iter().zip(results).collect() }
+    Grid {
+        budget,
+        cells: keys.into_iter().zip(results).collect(),
+    }
 }
 
 #[cfg(test)]

@@ -54,8 +54,7 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
     let fig4 = fig4_active_ratio(grid);
     out.push(Recommendation {
         topic: "Unresponsive Addresses",
-        guidance: "Pre-scan seeds and keep only addresses responsive on some port/protocol."
-            .into(),
+        guidance: "Pre-scan seeds and keep only addresses responsive on some port/protocol.".into(),
         evidence: format!(
             "active-only seeds changed hits by {:+.2} and ASes by {:+.2} on average",
             fig4.mean_hits_ratio(),
@@ -145,7 +144,10 @@ fn best_on(grid: &Grid, proto: Protocol) -> TgaId {
 pub fn render(recs: &[Recommendation]) -> String {
     let mut out = String::from("== RQ5 — recommendations (with measured support) ==\n");
     for r in recs {
-        out.push_str(&format!("* {}: {}\n    evidence: {}\n", r.topic, r.guidance, r.evidence));
+        out.push_str(&format!(
+            "* {}: {}\n    evidence: {}\n",
+            r.topic, r.guidance, r.evidence
+        ));
     }
     out
 }

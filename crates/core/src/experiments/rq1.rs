@@ -34,7 +34,8 @@ impl RatioFigure {
 
     /// Render as a table.
     pub fn render(&self) -> String {
-        let mut t = Table::new(&self.title).header(["TGA", "Port", "Hits PR", "ASes PR", "Aliases PR"]);
+        let mut t =
+            Table::new(&self.title).header(["TGA", "Port", "Hits PR", "ASes PR", "Aliases PR"]);
         for &(tga, proto, h, a, al) in &self.rows {
             t.row([
                 tga.label().to_string(),
@@ -49,7 +50,12 @@ impl RatioFigure {
 }
 
 /// Compute a ratio figure comparing `changed` against `original` datasets.
-pub fn ratio_figure(grid: &Grid, title: &str, changed: DatasetKind, original: DatasetKind) -> RatioFigure {
+pub fn ratio_figure(
+    grid: &Grid,
+    title: &str,
+    changed: DatasetKind,
+    original: DatasetKind,
+) -> RatioFigure {
     let mut rows = Vec::new();
     for proto in PROTOCOLS {
         for tga in TgaId::ALL {
@@ -128,8 +134,13 @@ pub fn table4_alias_regimes(grid: &Grid) -> Table4 {
 impl Table4 {
     /// Render in the paper's layout.
     pub fn render(&self) -> String {
-        let mut t = Table::new("Table 4 — aliases discovered per dealias regime (ICMP)")
-            .header(["Model", "D_All", "D_offline", "D_online", "D_joint"]);
+        let mut t = Table::new("Table 4 — aliases discovered per dealias regime (ICMP)").header([
+            "Model",
+            "D_All",
+            "D_offline",
+            "D_online",
+            "D_joint",
+        ]);
         for &(tga, counts) in &self.rows {
             t.row([
                 tga.label().to_string(),
@@ -205,7 +216,9 @@ mod tests {
         let grid = mini_grid();
         for tga in [TgaId::SixTree, TgaId::SixGen] {
             let full = grid.get(DatasetKind::Full, Protocol::Icmp, tga).metrics;
-            let joint = grid.get(DatasetKind::JointDealiased, Protocol::Icmp, tga).metrics;
+            let joint = grid
+                .get(DatasetKind::JointDealiased, Protocol::Icmp, tga)
+                .metrics;
             assert!(
                 joint.aliases <= full.aliases,
                 "{tga}: joint {} vs full {} aliases",

@@ -32,7 +32,9 @@ pub struct Rq3Results {
 impl Rq3Results {
     /// One cell.
     pub fn get(&self, source: SourceId, proto: Protocol, tga: TgaId) -> &RunResult {
-        self.cells.get(&(source, proto, tga)).expect("cell computed")
+        self.cells
+            .get(&(source, proto, tga))
+            .expect("cell computed")
     }
 
     /// Number of computed source cells.
@@ -93,27 +95,61 @@ pub fn run_rq3(study: &Study, protos: &[Protocol], tgas: &[TgaId]) -> Rq3Results
                 keys.push((*source, proto, tga));
                 let salt = cell_salt(0x593, tga, proto, source.stream());
                 let detail = format!("source={source:?} proto={proto:?} tga={tga}");
-                cells.push(Cell { tga, seeds, proto, budget, salt, detail, keep_hits: true });
+                cells.push(Cell {
+                    tga,
+                    seeds,
+                    proto,
+                    budget,
+                    salt,
+                    detail,
+                    keep_hits: true,
+                });
             }
         }
     }
-    let cells = keys.into_iter().zip(run_cells(study, "rq3_sources", cells)).collect();
+    let cells = keys
+        .into_iter()
+        .zip(run_cells(study, "rq3_sources", cells))
+        .collect();
 
     // The "600M" analog: one big All-Active run per TGA on ICMP.
-    let (seeds, budget) = (study.dataset(DatasetKind::AllActive), budget * BIG_BUDGET_MULTIPLIER);
+    let (seeds, budget) = (
+        study.dataset(DatasetKind::AllActive),
+        budget * BIG_BUDGET_MULTIPLIER,
+    );
     let big = tgas.iter().map(|&tga| {
-        let (salt, detail) = (cell_salt(0x600, tga, Protocol::Icmp, 99), format!("tga={tga}"));
-        Cell { tga, seeds, proto: Protocol::Icmp, budget, salt, detail, keep_hits: true }
+        let (salt, detail) = (
+            cell_salt(0x600, tga, Protocol::Icmp, 99),
+            format!("tga={tga}"),
+        );
+        Cell {
+            tga,
+            seeds,
+            proto: Protocol::Icmp,
+            budget,
+            salt,
+            detail,
+            keep_hits: true,
+        }
     });
-    let big_runs = tgas.iter().copied().zip(run_cells(study, "rq3_big_runs", big.collect())).collect();
+    let big_runs = tgas
+        .iter()
+        .copied()
+        .zip(run_cells(study, "rq3_big_runs", big.collect()))
+        .collect();
 
     Rq3Results { cells, big_runs }
 }
 
 /// Render Table 5: combined source yields vs the 12×-budget run (ICMP).
 pub fn render_table5(r: &Rq3Results) -> String {
-    let mut t = Table::new("Table 5 — combined source runs vs 12x-budget run (ICMP)")
-        .header(["TGA", "Hits Combined", "Hits 12x", "ASes Combined", "ASes 12x"]);
+    let mut t = Table::new("Table 5 — combined source runs vs 12x-budget run (ICMP)").header([
+        "TGA",
+        "Hits Combined",
+        "Hits 12x",
+        "ASes Combined",
+        "ASes 12x",
+    ]);
     for (&tga, big) in &r.big_runs {
         let (hits, ases) = r.combined(Protocol::Icmp, tga);
         t.row([
@@ -132,7 +168,11 @@ pub fn render_source_raw(r: &Rq3Results, proto: Protocol) -> String {
     let tgas: Vec<TgaId> = TgaId::ALL
         .iter()
         .copied()
-        .filter(|&t| SourceId::ALL.iter().any(|&s| r.cells.contains_key(&(s, proto, t))))
+        .filter(|&t| {
+            SourceId::ALL
+                .iter()
+                .any(|&s| r.cells.contains_key(&(s, proto, t)))
+        })
         .collect();
     let table_no = match proto {
         Protocol::Icmp => "13".to_string(),
@@ -149,11 +189,20 @@ pub fn render_source_raw(r: &Rq3Results, proto: Protocol) -> String {
     .header(header);
     for metric in ["Hits", "ASes"] {
         let value = |cell: Option<&RunResult>| {
-            cell.map_or("-".into(), |c| fmt_count(if metric == "Hits" { c.metrics.hits } else { c.metrics.ases }))
+            cell.map_or("-".into(), |c| {
+                fmt_count(if metric == "Hits" {
+                    c.metrics.hits
+                } else {
+                    c.metrics.ases
+                })
+            })
         };
         for source in SourceId::ALL {
             let mut row = vec![metric.to_string(), source.label().to_string()];
-            row.extend(tgas.iter().map(|&tga| value(r.cells.get(&(source, proto, tga)))));
+            row.extend(
+                tgas.iter()
+                    .map(|&tga| value(r.cells.get(&(source, proto, tga)))),
+            );
             t.row(row);
         }
         if proto == Protocol::Icmp {
@@ -228,8 +277,14 @@ pub fn as_characterization(study: &Study, r: &Rq3Results) -> Vec<AsCharacterizat
 
 /// Render Table 6.
 pub fn render_table6(rows: &[AsCharacterization]) -> String {
-    let mut t = Table::new("Table 6 — top ASes discovered per source x port")
-        .header(["Source", "Port", "1st", "2nd", "3rd", "Total ASes"]);
+    let mut t = Table::new("Table 6 — top ASes discovered per source x port").header([
+        "Source",
+        "Port",
+        "1st",
+        "2nd",
+        "3rd",
+        "Total ASes",
+    ]);
     for c in rows {
         let cell = |i: usize| -> String {
             c.top

@@ -67,7 +67,11 @@ fn greedy_order<T: std::hash::Hash + Eq + Copy>(
         covered.extend(set);
         order.push((tga, new, covered.len()));
     }
-    Contribution { proto, order, total }
+    Contribution {
+        proto,
+        order,
+        total,
+    }
 }
 
 /// Figure 6 (hits panel): cumulative unique hit contribution per TGA on
@@ -129,12 +133,7 @@ mod tests {
     fn greedy_order_is_monotone_and_complete() {
         let study = Study::new(StudyConfig::tiny(222));
         let tgas = [TgaId::SixTree, TgaId::SixGen, TgaId::SixGraph];
-        let grid = grid_over(
-            &study,
-            &[DatasetKind::AllActive],
-            &[Protocol::Icmp],
-            &tgas,
-        );
+        let grid = grid_over(&study, &[DatasetKind::AllActive], &[Protocol::Icmp], &tgas);
         let c = combination_hits(&grid, Protocol::Icmp);
         assert_eq!(c.order.len(), 3);
         // marginal contributions are non-increasing

@@ -38,7 +38,11 @@ impl Spread {
         let var = if values.len() < 2 {
             0.0
         } else {
-            values.iter().map(|&v| (v as f64 - mean).powi(2)).sum::<f64>() / (n - 1.0)
+            values
+                .iter()
+                .map(|&v| (v as f64 - mean).powi(2))
+                .sum::<f64>()
+                / (n - 1.0)
         };
         Spread {
             mean,
@@ -78,8 +82,19 @@ pub fn stability(study: &Study, tgas: &[TgaId], reps: usize, proto: Protocol) ->
     let cells = tgas.iter().flat_map(|&tga| {
         (0..reps as u64).map(move |rep| {
             // the rep perturbs only the generation/evaluation salt
-            let (salt, detail) = (netmodel::mix::mix3(0x57ab, tga as u64, rep), format!("tga={tga} rep={rep}"));
-            Cell { tga, seeds, proto, budget, salt, detail, keep_hits: false }
+            let (salt, detail) = (
+                netmodel::mix::mix3(0x57ab, tga as u64, rep),
+                format!("tga={tga} rep={rep}"),
+            );
+            Cell {
+                tga,
+                seeds,
+                proto,
+                budget,
+                salt,
+                detail,
+                keep_hits: false,
+            }
         })
     });
     let mut results = run_cells(study, "stability", cells.collect()).into_iter();
@@ -106,7 +121,15 @@ pub fn render(rows: &[TgaStability], proto: Protocol) -> String {
         "Extension — metric stability across generation seeds ({})",
         proto.label()
     ))
-    .header(["TGA", "Reps", "Hits mean", "Hits σ", "Hits CV", "ASes mean", "ASes σ"]);
+    .header([
+        "TGA",
+        "Reps",
+        "Hits mean",
+        "Hits σ",
+        "Hits CV",
+        "ASes mean",
+        "ASes σ",
+    ]);
     for r in rows {
         t.row([
             r.tga.label().to_string(),

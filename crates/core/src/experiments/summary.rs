@@ -40,7 +40,13 @@ pub struct DatasetSummary {
     pub all: SourceSummary,
 }
 
-fn summarize(study: &Study, id: SourceId, addrs: &[Ipv6Addr], pop: u64, salt: u64) -> SourceSummary {
+fn summarize(
+    study: &Study,
+    id: SourceId,
+    addrs: &[Ipv6Addr],
+    pop: u64,
+    salt: u64,
+) -> SourceSummary {
     let world = study.world();
     let ases: BTreeSet<Asn> = addrs.iter().filter_map(|&a| world.asn_of(a)).collect();
 
@@ -65,7 +71,10 @@ fn summarize(study: &Study, id: SourceId, addrs: &[Ipv6Addr], pop: u64, salt: u6
         .copied()
         .filter(|&a| activeness.is_active(a))
         .collect();
-    let active_ases: BTreeSet<Asn> = active_addrs.iter().filter_map(|&a| world.asn_of(a)).collect();
+    let active_ases: BTreeSet<Asn> = active_addrs
+        .iter()
+        .filter_map(|&a| world.asn_of(a))
+        .collect();
 
     SourceSummary {
         id,
@@ -85,7 +94,15 @@ pub fn dataset_summary(study: &Study) -> DatasetSummary {
         .collection()
         .sources
         .iter()
-        .map(|s| summarize(study, s.id, &s.addrs, s.raw_count, 0x007a_b1e3 ^ s.id.stream()))
+        .map(|s| {
+            summarize(
+                study,
+                s.id,
+                &s.addrs,
+                s.raw_count,
+                0x007a_b1e3 ^ s.id.stream(),
+            )
+        })
         .collect();
     let combined = study.collection().combined();
     let all = summarize(
@@ -102,8 +119,18 @@ impl DatasetSummary {
     /// Render in Table 3's layout.
     pub fn render(&self) -> String {
         let mut t = Table::new("Table 3 — seed data source summary").header([
-            "Source", "Kind", "Pop.", "Unique", "ASes", "Dealiased", "ICMP", "TCP80", "TCP443",
-            "UDP53", "Active", "ActiveASes",
+            "Source",
+            "Kind",
+            "Pop.",
+            "Unique",
+            "ASes",
+            "Dealiased",
+            "ICMP",
+            "TCP80",
+            "TCP443",
+            "UDP53",
+            "Active",
+            "ActiveASes",
         ]);
         let mut push = |label: &str, kind: &str, r: &SourceSummary| {
             t.row([
@@ -131,8 +158,12 @@ impl DatasetSummary {
 
 /// Table 8: domain volume per domain-based source.
 pub fn domain_volume(study: &Study) -> Table {
-    let mut t = Table::new("Table 8 — domain dataset volume")
-        .header(["Source", "Domains", "AAAAs", "Unique IPv6 IPs"]);
+    let mut t = Table::new("Table 8 — domain dataset volume").header([
+        "Source",
+        "Domains",
+        "AAAAs",
+        "Unique IPv6 IPs",
+    ]);
     for s in &study.collection().sources {
         if let Some(stats) = s.domain_stats {
             t.row([
@@ -218,7 +249,10 @@ mod tests {
         let scamper = s.rows.iter().find(|r| r.id == SourceId::Scamper).unwrap();
         let hl_rate = hitlist.active as f64 / hitlist.dealiased.max(1) as f64;
         let sc_rate = scamper.active as f64 / scamper.dealiased.max(1) as f64;
-        assert!(hl_rate > sc_rate, "hitlist {hl_rate:.2} vs scamper {sc_rate:.2}");
+        assert!(
+            hl_rate > sc_rate,
+            "hitlist {hl_rate:.2} vs scamper {sc_rate:.2}"
+        );
         // traceroute sources lead AS coverage
         assert!(scamper.ases > hitlist.ases / 2);
         // combined row bounds

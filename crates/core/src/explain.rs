@@ -50,16 +50,21 @@ pub enum ExplainInput {
 /// discriminator is whole-file parseability: manifests are exactly one
 /// document, journals are many.
 pub fn load(path: &Path) -> Result<ExplainInput, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
     let trimmed = text.trim();
     if trimmed.starts_with('{') && trimmed.lines().count() > 1 {
         if let Ok(doc) = Json::parse(trimmed) {
             return Ok(ExplainInput::Manifest(doc));
         }
     }
-    let state = crate::watch::replay(path).map_err(|e| format!("replaying {}: {e}", path.display()))?;
+    let state =
+        crate::watch::replay(path).map_err(|e| format!("replaying {}: {e}", path.display()))?;
     if state.records == 0 {
-        return Err(format!("{}: neither a manifest nor a journal", path.display()));
+        return Err(format!(
+            "{}: neither a manifest nor a journal",
+            path.display()
+        ));
     }
     Ok(ExplainInput::Journal(Box::new(state)))
 }
@@ -69,12 +74,17 @@ pub fn source_label(source: u8) -> String {
     if source == SOURCE_TARGETS {
         "targets".to_string()
     } else {
-        tga::TgaId::from_code(source).map_or_else(|| format!("source-{source}"), |t| t.label().to_string())
+        tga::TgaId::from_code(source)
+            .map_or_else(|| format!("source-{source}"), |t| t.label().to_string())
     }
 }
 
 fn bar(value: u64, max: u64, width: usize) -> String {
-    let filled = if max == 0 { 0 } else { (value as usize * width).div_ceil(max as usize).min(width) };
+    let filled = if max == 0 {
+        0
+    } else {
+        (value as usize * width).div_ceil(max as usize).min(width)
+    };
     "#".repeat(filled)
 }
 
@@ -128,16 +138,26 @@ impl ManifestExplain {
     ) -> ManifestExplain {
         let attribution = sos_probe::merged_attribution(reports);
         let (probed, hits, packets) = reports.iter().fold((0, 0, 0), |(p, h, k), (_, r)| {
-            (p + r.probed as u64, h + r.hits.len() as u64, k + r.packets_sent)
+            (
+                p + r.probed as u64,
+                h + r.hits.len() as u64,
+                k + r.packets_sent,
+            )
         });
-        let mut all_hits: Vec<Ipv6Addr> =
-            reports.iter().flat_map(|(_, r)| r.hits.iter().copied()).collect();
+        let mut all_hits: Vec<Ipv6Addr> = reports
+            .iter()
+            .flat_map(|(_, r)| r.hits.iter().copied())
+            .collect();
         all_hits.sort_unstable();
         all_hits.dedup();
         let truth = attribute_hits(world, &all_hits);
         ManifestExplain {
             scan_totals: Some((probed, hits, attribution.totals().2, packets)),
-            scheme_hits: truth.by_scheme.into_iter().map(|(k, n)| (k.to_string(), n)).collect(),
+            scheme_hits: truth
+                .by_scheme
+                .into_iter()
+                .map(|(k, n)| (k.to_string(), n))
+                .collect(),
             as_hits: truth.by_as.into_iter().collect(),
             coverage: CoverageMap::build(world, targets, &all_hits),
             attribution,
@@ -224,7 +244,10 @@ impl ManifestExplain {
         );
         match self.integrity() {
             Some(true) => {
-                let _ = writeln!(out, "integrity: attribution sums MATCH the campaign scan counters");
+                let _ = writeln!(
+                    out,
+                    "integrity: attribution sums MATCH the campaign scan counters"
+                );
             }
             Some(false) => {
                 let (p, h, _, _) = self.scan_totals.unwrap_or_default();
@@ -234,7 +257,10 @@ impl ManifestExplain {
                 );
             }
             None => {
-                let _ = writeln!(out, "integrity: no campaign totals recorded (not a campaign manifest?)");
+                let _ = writeln!(
+                    out,
+                    "integrity: no campaign totals recorded (not a campaign manifest?)"
+                );
             }
         }
 
@@ -250,7 +276,11 @@ impl ManifestExplain {
                     out,
                     "  {:<8} {:>10} {:>8} {:>8} {:>8} {:>8}  {:>08x} {:>5}",
                     source_label(source),
-                    if region == u32::MAX { "fill".to_string() } else { format!("{region:#010x}") },
+                    if region == u32::MAX {
+                        "fill".to_string()
+                    } else {
+                        format!("{region:#010x}")
+                    },
                     tally.probes,
                     tally.hits,
                     tally.aliases,
@@ -267,8 +297,16 @@ impl ManifestExplain {
             let mut rows = self.scheme_hits.clone();
             rows.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
             for (scheme, n) in rows {
-                let share = if total == 0 { 0.0 } else { 100.0 * n as f64 / total as f64 };
-                let rate = if probes == 0 { 0.0 } else { n as f64 / probes as f64 };
+                let share = if total == 0 {
+                    0.0
+                } else {
+                    100.0 * n as f64 / total as f64
+                };
+                let rate = if probes == 0 {
+                    0.0
+                } else {
+                    n as f64 / probes as f64
+                };
                 let _ = writeln!(
                     out,
                     "  {scheme:<12} {n:>8} ({share:>5.1}% of hits, hit rate {rate:.5})"
@@ -412,7 +450,11 @@ pub fn explain(path: &Path, json: bool, top: usize) -> Result<String, String> {
     match load(path)? {
         ExplainInput::Manifest(doc) => {
             let ex = ManifestExplain::from_manifest(&doc)?;
-            Ok(if json { ex.to_json().to_string_pretty() + "\n" } else { ex.render(top) })
+            Ok(if json {
+                ex.to_json().to_string_pretty() + "\n"
+            } else {
+                ex.render(top)
+            })
         }
         ExplainInput::Journal(state) => Ok(if json {
             journal_to_json(&state).to_string_pretty() + "\n"
@@ -429,7 +471,12 @@ mod tests {
 
     fn sample_summary() -> ManifestExplain {
         let mut table = AttributionTable::new();
-        let p = |region| Provenance { source: 2, region, seed_digest: 0xbeef, round: 1 };
+        let p = |region| Provenance {
+            source: 2,
+            region,
+            seed_digest: 0xbeef,
+            round: 1,
+        };
         for _ in 0..10 {
             table.record_probe(p(7));
         }
@@ -438,7 +485,8 @@ mod tests {
         }
         table.record_probe(p(9));
         table.note_alias(p(9));
-        let coverage = Json::parse("[[536936448,10,4,6],[536936449,1,0,0],[637534208,0,0,3]]").unwrap();
+        let coverage =
+            Json::parse("[[536936448,10,4,6],[536936449,1,0,0],[637534208,0,0,3]]").unwrap();
         ManifestExplain {
             attribution: table,
             scan_totals: Some((11, 4, 1, 40)),
@@ -453,11 +501,19 @@ mod tests {
     /// global counter and span of the test process).
     fn sample_manifest() -> Json {
         let mut m = Manifest::new("seedscan");
-        let counters = [("probe.hits".to_string(), 4u64), ("probe.packets_sent".to_string(), 40)];
+        let counters = [
+            ("probe.hits".to_string(), 4u64),
+            ("probe.packets_sent".to_string(), 40),
+        ];
         sample_summary().record(&counters.into_iter().collect(), &mut m);
         let doc = m.finish();
         let recorded = doc.entries().unwrap().iter();
-        Json::Obj(recorded.filter(|(k, _)| k == "tool" || k.starts_with("campaign.")).cloned().collect())
+        Json::Obj(
+            recorded
+                .filter(|(k, _)| k == "tool" || k.starts_with("campaign."))
+                .cloned()
+                .collect(),
+        )
     }
 
     #[test]
@@ -465,10 +521,15 @@ mod tests {
         let doc = sample_manifest();
         assert_eq!(doc.get("campaign.probe.packets_sent"), Some(&Json::U64(40)));
         assert_eq!(doc.entries().map(<[_]>::len), Some(1 + 2 + 5), "{doc}");
-        assert_eq!(ManifestExplain::from_manifest(&doc).unwrap(), sample_summary());
+        assert_eq!(
+            ManifestExplain::from_manifest(&doc).unwrap(),
+            sample_summary()
+        );
         // A manifest that is not a campaign's reads back as an empty summary.
         let none = ManifestExplain::from_manifest(&Json::obj()).unwrap();
-        assert!(none.attribution.is_empty() && none.scan_totals.is_none() && none.coverage.is_empty());
+        assert!(
+            none.attribution.is_empty() && none.scan_totals.is_none() && none.coverage.is_empty()
+        );
     }
 
     /// ROADMAP 6a for the section's reader: whatever single byte of a
@@ -555,7 +616,10 @@ mod tests {
                 assert_eq!(state.discovery.get(&255), Some(&(2, 10, 3, 0, 7)));
                 let text = render_journal(&state);
                 assert!(text.contains("targets"), "{text}");
-                assert!(text.ends_with("exact counters (last snapshot):\n"), "no snapshot, no counters: {text}");
+                assert!(
+                    text.ends_with("exact counters (last snapshot):\n"),
+                    "no snapshot, no counters: {text}"
+                );
                 let j = journal_to_json(&state);
                 assert_eq!(j.get("status"), Some(&Json::Str("truncated".into())));
             }
@@ -573,7 +637,10 @@ mod tests {
         assert!(load(&p).is_err());
         // Nesting that would run the parser out of stack is refused on the
         // manifest branch and on the journal branch alike.
-        for deep in [format!("{{\n\"a\":{}", "[".repeat(100_000)), "{\"a\":".repeat(100_000)] {
+        for deep in [
+            format!("{{\n\"a\":{}", "[".repeat(100_000)),
+            "{\"a\":".repeat(100_000),
+        ] {
             std::fs::write(&p, deep).unwrap();
             assert!(load(&p).is_err());
         }

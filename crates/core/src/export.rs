@@ -36,7 +36,10 @@ pub fn write_ratio_csv<W: Write>(w: &mut W, fig: &RatioFigure) -> std::io::Resul
 /// Write the full grid metrics as CSV:
 /// `dataset,port,tga,generated,hits,ases,aliases,probe_packets`.
 pub fn write_grid_csv<W: Write>(w: &mut W, grid: &Grid) -> std::io::Result<()> {
-    writeln!(w, "dataset,port,tga,generated,hits,ases,aliases,probe_packets")?;
+    writeln!(
+        w,
+        "dataset,port,tga,generated,hits,ases,aliases,probe_packets"
+    )?;
     for dataset in GRID_DATASETS {
         for proto in netmodel::PROTOCOLS {
             for tga in TgaId::ALL {
@@ -66,7 +69,13 @@ pub fn write_grid_csv<W: Write>(w: &mut W, grid: &Grid) -> std::io::Result<()> {
 pub fn write_contribution_csv<W: Write>(w: &mut W, c: &Contribution) -> std::io::Result<()> {
     writeln!(w, "order,tga,new,cumulative,total")?;
     for (i, &(tga, new, cum)) in c.order.iter().enumerate() {
-        writeln!(w, "{},{},{new},{cum},{}", i + 1, field(tga.label()), c.total)?;
+        writeln!(
+            w,
+            "{},{},{new},{cum},{}",
+            i + 1,
+            field(tga.label()),
+            c.total
+        )?;
     }
     Ok(())
 }
@@ -97,7 +106,10 @@ mod tests {
         write_grid_csv(&mut buf, &g).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "dataset,port,tga,generated,hits,ases,aliases,probe_packets");
+        assert_eq!(
+            lines[0],
+            "dataset,port,tga,generated,hits,ases,aliases,probe_packets"
+        );
         assert_eq!(lines.len(), 1 + 4, "header + 4 cells");
     }
 
@@ -117,7 +129,12 @@ mod tests {
     #[test]
     fn csv_rows_follow_table_order() {
         let study = Study::new(StudyConfig::tiny(0xC5F));
-        let g = grid_over(&study, &[DatasetKind::Full, DatasetKind::AllActive], &[Protocol::Icmp], &TgaId::ALL);
+        let g = grid_over(
+            &study,
+            &[DatasetKind::Full, DatasetKind::AllActive],
+            &[Protocol::Icmp],
+            &TgaId::ALL,
+        );
         let mut buf = Vec::new();
         write_grid_csv(&mut buf, &g).unwrap();
         let keys: Vec<String> = String::from_utf8(buf)
@@ -136,7 +153,10 @@ mod tests {
             .iter()
             .flat_map(|&t| netmodel::PROTOCOLS.map(|p| (t, p, 1.0, 2.0, 3.0)))
             .collect();
-        let fig = RatioFigure { title: "t".into(), rows };
+        let fig = RatioFigure {
+            title: "t".into(),
+            rows,
+        };
         let mut buf = Vec::new();
         write_ratio_csv(&mut buf, &fig).unwrap();
         let keys: Vec<String> = String::from_utf8(buf)
@@ -145,8 +165,11 @@ mod tests {
             .skip(1)
             .map(|l| l.splitn(3, ',').take(2).collect::<Vec<_>>().join(","))
             .collect();
-        let want: Vec<String> =
-            fig.rows.iter().map(|(t, p, ..)| format!("{},{}", t.label(), p.label())).collect();
+        let want: Vec<String> = fig
+            .rows
+            .iter()
+            .map(|(t, p, ..)| format!("{},{}", t.label(), p.label()))
+            .collect();
         assert_eq!(keys, want);
     }
 

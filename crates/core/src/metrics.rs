@@ -118,7 +118,11 @@ mod tests {
         assert!((m.dealiased_hit_rate() - 0.5).abs() < 1e-12, "post: /50");
         assert!(m.dealiased_hit_rate() >= m.hit_rate());
         // degenerate: everything generated was aliased
-        let all_alias = RunMetrics { aliases: 10, generated: 10, ..RunMetrics::default() };
+        let all_alias = RunMetrics {
+            aliases: 10,
+            generated: 10,
+            ..RunMetrics::default()
+        };
         assert_eq!(all_alias.dealiased_hit_rate(), 0.0);
     }
 }

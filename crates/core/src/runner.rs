@@ -119,27 +119,38 @@ pub struct Cell<'a> {
 /// it before taking the next group.
 pub fn run_cells(study: &Study, span_name: &'static str, cells: Vec<Cell<'_>>) -> Vec<RunResult> {
     let threads = study.config().effective_threads();
-    let _span = sos_obs::span_detail(span_name, format!("cells={} threads={threads}", cells.len()));
+    let _span = sos_obs::span_detail(
+        span_name,
+        format!("cells={} threads={threads}", cells.len()),
+    );
     let progress = sos_obs::Progress::new(format!("{span_name} cells"), cells.len() as u64);
     // The same slice means the same seeds; two empty slices may compare
     // equal, and their models are the same too.
     let mut groups: Vec<Vec<(usize, Cell<'_>)>> = Vec::new();
     for (i, cell) in cells.into_iter().enumerate() {
-        let same = |(_, c): &(usize, Cell<'_>)| c.tga == cell.tga && std::ptr::eq(c.seeds, cell.seeds);
+        let same =
+            |(_, c): &(usize, Cell<'_>)| c.tga == cell.tga && std::ptr::eq(c.seeds, cell.seeds);
         match groups.iter_mut().find(|g| g.first().is_some_and(same)) {
             Some(group) => group.push((i, cell)),
             None => groups.push(vec![(i, cell)]),
         }
     }
     let mut results: Vec<(usize, RunResult)> = par_map(groups, threads, |_, group| {
-        let Some((_, first)) = group.first() else { return Vec::new() };
+        let Some((_, first)) = group.first() else {
+            return Vec::new();
+        };
         let (id, generator) = (first.tga, tga::build(first.tga));
         let model = generator.fit(first.seeds, study.config().gen_workers);
         let run = |(i, cell): (usize, Cell<'_>)| {
             let _cell = sos_obs::span_detail("cell", cell.detail);
-            let mut r = run_cell(study, id, cell.proto, cell.budget, cell.salt, |cfg, oracle, prov| {
-                model.generate_tagged(cfg, oracle, prov)
-            });
+            let mut r = run_cell(
+                study,
+                id,
+                cell.proto,
+                cell.budget,
+                cell.salt,
+                |cfg, oracle, prov| model.generate_tagged(cfg, oracle, prov),
+            );
             if !cell.keep_hits {
                 r.clean_hits = Vec::new();
             }

@@ -177,7 +177,10 @@ impl Study {
         let mut scanner = self.scanner(salt);
         let shards = self.cfg.scan_shards.max(1);
         let report = {
-            let _s = sos_obs::span_detail("scan", format!("proto={proto:?} targets={}", generated.len()));
+            let _s = sos_obs::span_detail(
+                "scan",
+                format!("proto={proto:?} targets={}", generated.len()),
+            );
             // One call for every case: a disabled log scans untagged, and
             // one shard runs on this thread.
             scanner.scan_parallel_attributed(generated.iter().copied(), proto, shards, prov)
@@ -192,8 +195,16 @@ impl Study {
             }),
         );
         let outcome = {
-            let _s = sos_obs::span_detail("dealias", format!("proto={proto:?} hits={}", report.hits.len()));
-            dealiaser.run(dealias::DealiasMode::Joint, &mut scanner, &report.hits, proto)
+            let _s = sos_obs::span_detail(
+                "dealias",
+                format!("proto={proto:?} hits={}", report.hits.len()),
+            );
+            dealiaser.run(
+                dealias::DealiasMode::Joint,
+                &mut scanner,
+                &report.hits,
+                proto,
+            )
         };
 
         // §4.1: the megapattern AS is filtered from ICMP evaluation.
@@ -205,7 +216,10 @@ impl Study {
             }
         }
 
-        let ases: BTreeSet<Asn> = clean_hits.iter().filter_map(|&a| self.world.asn_of(a)).collect();
+        let ases: BTreeSet<Asn> = clean_hits
+            .iter()
+            .filter_map(|&a| self.world.asn_of(a))
+            .collect();
         let attribution = if prov.is_enabled() {
             let mut table = report.attribution.clone();
             // Fold dealiaser-removed addresses back into the per-region
@@ -225,7 +239,11 @@ impl Study {
                     untagged -= 1;
                 }
             }
-            for p in outcome.aliased.iter().filter_map(|a| tag_of.get(a).copied().flatten()) {
+            for p in outcome
+                .aliased
+                .iter()
+                .filter_map(|a| tag_of.get(a).copied().flatten())
+            {
                 table.note_alias(p);
             }
             Some(table)
@@ -322,8 +340,9 @@ mod tests {
         let aliased = |low: u128| Ipv6Addr::from(u128::from(region.prefix.network()) | low);
         // dead filler, then aliased addresses in regions 1 and 2; the
         // repeat of the first one carries region 3, which must get nothing
-        let mut generated: Vec<Ipv6Addr> =
-            (0..40u128).map(|i| Ipv6Addr::from(0x3fff << 112 | i)).collect();
+        let mut generated: Vec<Ipv6Addr> = (0..40u128)
+            .map(|i| Ipv6Addr::from(0x3fff << 112 | i))
+            .collect();
         let mut log = ProvenanceLog::recording(7);
         generated.iter().for_each(|_| log.push(0, 0xd0, 0));
         for i in 0..20u128 {
@@ -335,13 +354,24 @@ mod tests {
         let out = s.evaluate_tagged(&generated, Protocol::Icmp, 45, &log);
         let table = out.attribution.unwrap();
         let aliases_of = |region: u32| {
-            table.rows().find(|&(_, r, _)| r == region).map_or(0, |(_, _, t)| t.aliases)
+            table
+                .rows()
+                .find(|&(_, r, _)| r == region)
+                .map_or(0, |(_, _, t)| t.aliases)
         };
         assert!(out.metrics.aliases >= 18, "aliases {}", out.metrics.aliases);
-        assert_eq!(table.totals().2, out.metrics.aliases as u64, "every alias lands in a row");
+        assert_eq!(
+            table.totals().2,
+            out.metrics.aliases as u64,
+            "every alias lands in a row"
+        );
         assert_eq!(aliases_of(1) + aliases_of(2), out.metrics.aliases as u64);
         assert!(aliases_of(1) > 0 && aliases_of(2) > 0);
-        assert_eq!((aliases_of(0), aliases_of(3)), (0, 0), "first occurrence wins");
+        assert_eq!(
+            (aliases_of(0), aliases_of(3)),
+            (0, 0),
+            "first occurrence wins"
+        );
     }
 
     #[test]
@@ -386,7 +416,9 @@ mod tests {
     #[test]
     fn dead_addresses_are_not_hits() {
         let s = study();
-        let dead: Vec<Ipv6Addr> = (0..50u128).map(|i| Ipv6Addr::from(0x3fff << 112 | i)).collect();
+        let dead: Vec<Ipv6Addr> = (0..50u128)
+            .map(|i| Ipv6Addr::from(0x3fff << 112 | i))
+            .collect();
         let out = s.evaluate(&dead, Protocol::Tcp443, 45);
         assert_eq!(out.metrics.hits, 0);
         assert_eq!(out.metrics.ases, 0);

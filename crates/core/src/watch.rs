@@ -103,25 +103,44 @@ impl WatchState {
         self.first_wall_s.get_or_insert(rec.wall_s);
         self.last_wall_s = rec.wall_s;
         match &rec.event {
-            Event::CampaignStart { fingerprint, targets, protocols, shards, round_size } => {
+            Event::CampaignStart {
+                fingerprint,
+                targets,
+                protocols,
+                shards,
+                round_size,
+            } => {
                 self.fingerprint = Some(*fingerprint);
                 self.targets = *targets;
                 self.protocols = protocols.clone();
                 self.shards = *shards;
                 self.round_size = *round_size;
             }
-            Event::Resume { fingerprint, done, rounds } => {
+            Event::Resume {
+                fingerprint,
+                done,
+                rounds,
+            } => {
                 self.fingerprint = Some(*fingerprint);
                 self.done = (*done).max(self.done);
                 self.rounds = (*rounds).max(self.rounds);
                 self.resumes += 1;
             }
             Event::RoundStart { .. } => {}
-            Event::RoundEnd { round, done, total, hits, packets } => {
+            Event::RoundEnd {
+                round,
+                done,
+                total,
+                hits,
+                packets,
+            } => {
                 self.rounds = *round;
                 self.done = *done;
                 self.targets = *total;
-                let (old_hits, old_packets) = self.round_totals.insert(*round, (*hits, *packets)).unwrap_or_default();
+                let (old_hits, old_packets) = self
+                    .round_totals
+                    .insert(*round, (*hits, *packets))
+                    .unwrap_or_default();
                 self.hits = self.hits - old_hits + hits;
                 self.packets = self.packets - old_packets + packets;
                 self.round_hits = *hits;
@@ -132,18 +151,37 @@ impl WatchState {
                 self.done = (*done).max(self.done);
                 self.rounds = (*rounds).max(self.rounds);
             }
-            Event::Breaker { domain, proto, to, .. } => {
+            Event::Breaker {
+                domain, proto, to, ..
+            } => {
                 self.breakers.insert((*domain, *proto), to.clone());
             }
-            Event::FaultEpoch { domain, proto, kind, epoch } => {
-                self.fault_epochs.insert((*domain, *proto, kind.clone()), *epoch);
+            Event::FaultEpoch {
+                domain,
+                proto,
+                kind,
+                epoch,
+            } => {
+                self.fault_epochs
+                    .insert((*domain, *proto, kind.clone()), *epoch);
             }
-            Event::Snapshot { fingerprint, done, counters } => {
+            Event::Snapshot {
+                fingerprint,
+                done,
+                counters,
+            } => {
                 self.snapshot_fingerprint = Some(*fingerprint);
                 self.snapshot_done = *done;
                 self.counters = counters.clone();
             }
-            Event::Discovery { source, regions, probes, hits, aliases, wasted } => {
+            Event::Discovery {
+                source,
+                regions,
+                probes,
+                hits,
+                aliases,
+                wasted,
+            } => {
                 let slot = self.discovery.entry(*source).or_default();
                 slot.0 = slot.0.max(*regions);
                 slot.1 = slot.1.max(*probes);
@@ -151,7 +189,9 @@ impl WatchState {
                 slot.3 = slot.3.max(*aliases);
                 slot.4 = slot.4.max(*wasted);
             }
-            Event::CampaignEnd { completed, rounds, .. } => {
+            Event::CampaignEnd {
+                completed, rounds, ..
+            } => {
                 self.completed = Some(*completed);
                 self.rounds = (*rounds).max(self.rounds);
             }
@@ -169,7 +209,8 @@ impl WatchState {
 
     /// Wall seconds spanned by the records folded so far.
     pub fn wall_elapsed_s(&self) -> f64 {
-        self.first_wall_s.map_or(0.0, |first| (self.last_wall_s - first).max(0.0))
+        self.first_wall_s
+            .map_or(0.0, |first| (self.last_wall_s - first).max(0.0))
     }
 
     /// Average probe packets per wall second across the journal.
@@ -265,8 +306,10 @@ impl WatchState {
         if breakers.is_empty() {
             out.push_str("  breakers   (none tripped)\n");
         } else {
-            let parts: Vec<String> =
-                breakers.iter().map(|(state, n)| format!("{n} {state}")).collect();
+            let parts: Vec<String> = breakers
+                .iter()
+                .map(|(state, n)| format!("{n} {state}"))
+                .collect();
             out.push_str(&format!("  breakers   {}\n", parts.join(", ")));
         }
         let faults = self.fault_summary();
@@ -351,7 +394,10 @@ pub fn watch_live(
             idle_polls += 1;
             if let Some(max) = max_polls {
                 if idle_polls >= max {
-                    writeln!(out, "watch: no new records after {idle_polls} poll(s); detaching")?;
+                    writeln!(
+                        out,
+                        "watch: no new records after {idle_polls} poll(s); detaching"
+                    )?;
                     break;
                 }
             }
@@ -376,7 +422,12 @@ mod tests {
     use super::*;
 
     fn rec(seq: u64, vclock_us: u64, wall_s: f64, event: Event) -> Record {
-        Record { seq, vclock_us, wall_s, event }
+        Record {
+            seq,
+            vclock_us,
+            wall_s,
+            event,
+        }
     }
 
     fn sample_run() -> Vec<Record> {
@@ -393,7 +444,16 @@ mod tests {
                     round_size: 20,
                 },
             ),
-            rec(1, 0, 1.0, Event::RoundStart { round: 1, from: 0, to: 20 }),
+            rec(
+                1,
+                0,
+                1.0,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 20,
+                },
+            ),
             rec(
                 2,
                 100,
@@ -409,15 +469,35 @@ mod tests {
                 3,
                 100,
                 2.0,
-                Event::FaultEpoch { domain: 7, proto: 0, kind: "burst".into(), epoch: 2 },
+                Event::FaultEpoch {
+                    domain: 7,
+                    proto: 0,
+                    kind: "burst".into(),
+                    epoch: 2,
+                },
             ),
             rec(
                 4,
                 100,
                 2.0,
-                Event::RoundEnd { round: 1, done: 20, total: 40, hits: 5, packets: 200 },
+                Event::RoundEnd {
+                    round: 1,
+                    done: 20,
+                    total: 40,
+                    hits: 5,
+                    packets: 200,
+                },
             ),
-            rec(5, 100, 2.0, Event::CheckpointWrite { fingerprint: 0xabcd, done: 20, rounds: 1 }),
+            rec(
+                5,
+                100,
+                2.0,
+                Event::CheckpointWrite {
+                    fingerprint: 0xabcd,
+                    done: 20,
+                    rounds: 1,
+                },
+            ),
             rec(
                 6,
                 100,
@@ -428,7 +508,16 @@ mod tests {
                     counters: [("probe.hits".to_string(), 5u64)].into_iter().collect(),
                 },
             ),
-            rec(7, 100, 2.0, Event::RoundStart { round: 2, from: 20, to: 40 }),
+            rec(
+                7,
+                100,
+                2.0,
+                Event::RoundStart {
+                    round: 2,
+                    from: 20,
+                    to: 40,
+                },
+            ),
             rec(
                 8,
                 250,
@@ -444,7 +533,13 @@ mod tests {
                 9,
                 250,
                 3.0,
-                Event::RoundEnd { round: 2, done: 40, total: 40, hits: 9, packets: 180 },
+                Event::RoundEnd {
+                    round: 2,
+                    done: 40,
+                    total: 40,
+                    hits: 9,
+                    packets: 180,
+                },
             ),
             rec(
                 10,
@@ -456,7 +551,16 @@ mod tests {
                     counters: [("probe.hits".to_string(), 14u64)].into_iter().collect(),
                 },
             ),
-            rec(11, 250, 3.0, Event::CampaignEnd { completed: true, rounds: 2, resumed_targets: 0 }),
+            rec(
+                11,
+                250,
+                3.0,
+                Event::CampaignEnd {
+                    completed: true,
+                    rounds: 2,
+                    resumed_targets: 0,
+                },
+            ),
         ]
     }
 
@@ -475,7 +579,10 @@ mod tests {
         assert_eq!(st.checkpoints, 1);
         assert_eq!(st.completed, Some(true));
         // Breaker map keeps the latest state only.
-        assert_eq!(st.breakers.get(&(7, 0)).map(String::as_str), Some("half-open"));
+        assert_eq!(
+            st.breakers.get(&(7, 0)).map(String::as_str),
+            Some("half-open")
+        );
         assert_eq!(st.breaker_counts().get("half-open"), Some(&1));
         assert_eq!(st.fault_summary().get("burst"), Some(&(1, 2)));
         // Rates come from the journal's own clocks.
@@ -491,7 +598,16 @@ mod tests {
         for r in sample_run().into_iter().take(7) {
             st.apply(&r); // through round 1 + checkpoint + snapshot
         }
-        st.apply(&rec(7, 100, 9.0, Event::Resume { fingerprint: 0xabcd, done: 20, rounds: 1 }));
+        st.apply(&rec(
+            7,
+            100,
+            9.0,
+            Event::Resume {
+                fingerprint: 0xabcd,
+                done: 20,
+                rounds: 1,
+            },
+        ));
         assert_eq!(st.resumes, 1);
         assert_eq!(st.done, 20, "resume must not regress progress");
         assert_eq!(st.hits, 5, "resume carries no new hits");
@@ -504,10 +620,18 @@ mod tests {
             st.apply(&r);
         }
         let table = st.render();
-        for needle in
-            ["campaign 000000000000abcd", "completed", "40/40", "half-open", "burst", "pkt/s"]
-        {
-            assert!(table.contains(needle), "render missing {needle:?} in:\n{table}");
+        for needle in [
+            "campaign 000000000000abcd",
+            "completed",
+            "40/40",
+            "half-open",
+            "burst",
+            "pkt/s",
+        ] {
+            assert!(
+                table.contains(needle),
+                "render missing {needle:?} in:\n{table}"
+            );
         }
         assert_eq!(st.status(), "completed");
     }
@@ -527,8 +651,7 @@ mod tests {
         assert_eq!(replayed.completed, Some(true));
 
         let mut sink = Vec::new();
-        let live =
-            watch_live(&path, Duration::from_millis(1), Some(3), &mut sink).unwrap();
+        let live = watch_live(&path, Duration::from_millis(1), Some(3), &mut sink).unwrap();
         assert_eq!(live.counters, replayed.counters);
         assert_eq!(live.done, replayed.done);
         assert!(String::from_utf8(sink).unwrap().contains("completed"));
@@ -575,7 +698,9 @@ mod tests {
         st.apply(&rec(1, 5, 2.0, d(60, 6)));
         st.apply(&rec(2, 9, 3.0, d(140, 15)));
         assert_eq!(st.discovery.get(&2), Some(&(3, 140, 15, 1, 125)));
-        assert!(st.render().contains("discovery  1 source(s): 15 hits / 140 probes"));
+        assert!(st
+            .render()
+            .contains("discovery  1 source(s): 15 hits / 140 probes"));
     }
 
     #[test]
@@ -584,7 +709,15 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         {
             let mut w = sos_obs::JournalWriter::create(&path).unwrap();
-            w.write(0, Event::RoundStart { round: 1, from: 0, to: 5 }).unwrap();
+            w.write(
+                0,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 5,
+                },
+            )
+            .unwrap();
         }
         let mut sink = Vec::new();
         let st = watch_live(&path, Duration::from_millis(1), Some(2), &mut sink).unwrap();

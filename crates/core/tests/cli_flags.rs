@@ -13,13 +13,22 @@ fn run(bin: &str, args: &[&str]) -> Output {
 fn assert_refused(out: &Output, flag: &str) {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "{flag}: exit 0, stderr {stderr}");
-    let named = stderr.lines().any(|l| l.starts_with("error:") && l.contains(flag));
+    let named = stderr
+        .lines()
+        .any(|l| l.starts_with("error:") && l.contains(flag));
     assert!(named, "{flag} not named in an error line: {stderr}");
 }
 
 #[test]
 fn worldgen_refuses_a_flag_without_its_value() {
-    for flag in ["--manifest", "--trace", "--flame", "--dump-dir", "--seed", "--scale"] {
+    for flag in [
+        "--manifest",
+        "--trace",
+        "--flame",
+        "--dump-dir",
+        "--seed",
+        "--scale",
+    ] {
         let out = run(env!("CARGO_BIN_EXE_worldgen"), &["--scale", "tiny", flag]);
         assert_refused(&out, flag);
     }
@@ -34,7 +43,11 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     for flag in ["--manifest", "--budget", "--stop-after"] {
         assert_refused(&run(seedscan, &["rq1", "--scale", "tiny", flag]), flag);
     }
-    for (flag, bad) in [("--threads", "abc"), ("--scale", "bogus"), ("--faults", "bogus")] {
+    for (flag, bad) in [
+        ("--threads", "abc"),
+        ("--scale", "bogus"),
+        ("--faults", "bogus"),
+    ] {
         assert_refused(&run(seedscan, &["rq1", flag, bad]), flag);
     }
     for flag in ["--threads", "--scan-shards", "--gen-workers"] {
@@ -42,7 +55,10 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
         assert_refused(&out, flag);
         assert!(String::from_utf8_lossy(&out.stderr).contains("must be >= 1"));
     }
-    assert_refused(&run(seedscan, &["watch", "j.jsonl", "--interval-ms", "soon"]), "--interval-ms");
+    assert_refused(
+        &run(seedscan, &["watch", "j.jsonl", "--interval-ms", "soon"]),
+        "--interval-ms",
+    );
     assert_refused(&run(seedscan, &["explain", "m.json", "--top"]), "--top");
 }
 
@@ -64,7 +80,10 @@ fn seedscan_checks_artifact_paths_before_building_the_study() {
     assert_refused(&out, "--manifest");
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+    assert!(
+        !stderr.contains("building study"),
+        "the study was built: {stderr}"
+    );
 }
 
 /// `worldgen` checks its artifact paths the same way, before the world is
@@ -80,8 +99,15 @@ fn worldgen_checks_artifact_paths_before_building_the_world() {
     assert_refused(&out, "--trace");
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("built in"), "the world was built: {stderr}");
-    assert!(out.stdout.is_empty(), "{}", String::from_utf8_lossy(&out.stdout));
+    assert!(
+        !stderr.contains("built in"),
+        "the world was built: {stderr}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
 }
 
 /// A misspelled experiment fails before the study is built, instead of
@@ -92,7 +118,10 @@ fn seedscan_refuses_an_unknown_experiment() {
     assert_refused(&out, "rq5");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage: seedscan"), "{stderr}");
-    assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+    assert!(
+        !stderr.contains("building study"),
+        "the study was built: {stderr}"
+    );
 }
 
 /// The campaign's own flags (breakers, checkpoints, journal) mean nothing
@@ -123,7 +152,10 @@ fn seedscan_refuses_campaign_flags_outside_campaign() {
         assert_eq!(out.status.code(), Some(1));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: seedscan"), "{stderr}");
-        assert!(!stderr.contains("building study"), "the study was built: {stderr}");
+        assert!(
+            !stderr.contains("building study"),
+            "the study was built: {stderr}"
+        );
     }
     let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
     assert!(leftovers.is_empty(), "files written: {leftovers:?}");
@@ -145,8 +177,14 @@ fn export_refuses_an_unwritable_export_directory() {
     assert_refused(&out, "export/");
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!stderr.contains("building study"), "the study was built: {stderr}");
-    assert_eq!(std::fs::read_to_string(dir.join("export")).unwrap(), "kept\n");
+    assert!(
+        !stderr.contains("building study"),
+        "the study was built: {stderr}"
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("export")).unwrap(),
+        "kept\n"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -158,18 +196,42 @@ fn explain_of_a_journal_ends_with_its_prom_file() {
     let dir = std::env::temp_dir().join(format!("sos-cli-views-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let seedscan = |args: &[&str]| {
-        Command::new(env!("CARGO_BIN_EXE_seedscan")).current_dir(&dir).args(args).output().expect("run binary")
+        Command::new(env!("CARGO_BIN_EXE_seedscan"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("run binary")
     };
     let campaign = seedscan(&[
-        "campaign", "--scale", "tiny", "--faults", "hostile", "--breaker",
-        "--checkpoint-every", "64", "--journal", "j.jsonl",
+        "campaign",
+        "--scale",
+        "tiny",
+        "--faults",
+        "hostile",
+        "--breaker",
+        "--checkpoint-every",
+        "64",
+        "--journal",
+        "j.jsonl",
     ]);
-    assert!(campaign.status.success(), "{}", String::from_utf8_lossy(&campaign.stderr));
+    assert!(
+        campaign.status.success(),
+        "{}",
+        String::from_utf8_lossy(&campaign.stderr)
+    );
     let explained = seedscan(&["explain", "j.jsonl"]);
     assert!(explained.status.success());
     let prom = std::fs::read(dir.join("j.prom")).unwrap();
-    assert!(prom.starts_with(b"# TYPE "), "{}", String::from_utf8_lossy(&prom));
-    assert!(explained.stdout.ends_with(&prom), "{}", String::from_utf8_lossy(&explained.stdout));
+    assert!(
+        prom.starts_with(b"# TYPE "),
+        "{}",
+        String::from_utf8_lossy(&prom)
+    );
+    assert!(
+        explained.stdout.ends_with(&prom),
+        "{}",
+        String::from_utf8_lossy(&explained.stdout)
+    );
 
     let replay = seedscan(&["watch", "j.jsonl", "--replay"]);
     assert_refused(&replay, "--replay");
@@ -204,9 +266,11 @@ fn campaign_refuses_a_journal_that_is_its_own_snapshot() {
 fn campaign_refuses_sink_paths_that_differ_only_in_spelling() {
     let dir = std::env::temp_dir().join(format!("sos-cli-spelled-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (checkpoint, journal, named) in
-        [("./x.json", "x.json", "x.json"), ("x.json", "./x.tmp", "x.tmp"), ("x.json", "../sub/x.json", "x.json")]
-    {
+    for (checkpoint, journal, named) in [
+        ("./x.json", "x.json", "x.json"),
+        ("x.json", "./x.tmp", "x.tmp"),
+        ("x.json", "../sub/x.json", "x.json"),
+    ] {
         let sub = dir.join("sub");
         std::fs::create_dir_all(&sub).unwrap();
         std::fs::write(sub.join("x.json"), "kept\n").unwrap();
@@ -217,7 +281,11 @@ fn campaign_refuses_sink_paths_that_differ_only_in_spelling() {
             .output()
             .expect("run binary");
         assert_refused(&out, named);
-        assert_eq!(std::fs::read_to_string(sub.join("x.json")).unwrap(), "kept\n", "{checkpoint} {journal}");
+        assert_eq!(
+            std::fs::read_to_string(sub.join("x.json")).unwrap(),
+            "kept\n",
+            "{checkpoint} {journal}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,8 +42,13 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
         journal_path: Some(journal_path.clone()),
         ..RunOptions::default()
     };
-    let kill_opts = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
-    let killed = campaign::run(&study, SEED, "hostile", true, kill_opts, None).unwrap().run;
+    let kill_opts = RunOptions {
+        stop_after_rounds: Some(2),
+        ..opts.clone()
+    };
+    let killed = campaign::run(&study, SEED, "hostile", true, kill_opts, None)
+        .unwrap()
+        .run;
     assert!(!killed.completed, "stop_after_rounds must interrupt");
 
     // ...then resume it from the checkpoint (`--resume`: a fresh scanner).
@@ -63,10 +68,18 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
 
     // What the section must say, worked out here from the reports alone.
     let attribution = sos_probe::merged_attribution(&outcome.result.reports);
-    let (probed, hits, packets) = outcome.result.reports.iter().fold(
-        (0u64, 0u64, 0u64),
-        |(p, h, k), (_, r)| (p + r.probed as u64, h + r.hits.len() as u64, k + r.packets_sent),
-    );
+    let (probed, hits, packets) =
+        outcome
+            .result
+            .reports
+            .iter()
+            .fold((0u64, 0u64, 0u64), |(p, h, k), (_, r)| {
+                (
+                    p + r.probed as u64,
+                    h + r.hits.len() as u64,
+                    k + r.packets_sent,
+                )
+            });
     let all_hits: Vec<Ipv6Addr> = {
         let mut v: Vec<Ipv6Addr> = outcome
             .result
@@ -92,10 +105,20 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
         ExplainInput::Manifest(doc) => ManifestExplain::from_manifest(&doc).unwrap(),
         ExplainInput::Journal(_) => panic!("manifest mistaken for a journal"),
     };
-    assert_eq!(ex, resumed.summary, "what `record` wrote is what `from_manifest` reads");
+    assert_eq!(
+        ex, resumed.summary,
+        "what `record` wrote is what `from_manifest` reads"
+    );
     assert_eq!(ex.attribution, attribution);
-    assert_eq!(ex.scan_totals, Some((probed, hits, attribution.totals().2, packets)));
-    assert_eq!(ex.integrity(), Some(true), "attribution must sum to scan counters");
+    assert_eq!(
+        ex.scan_totals,
+        Some((probed, hits, attribution.totals().2, packets))
+    );
+    assert_eq!(
+        ex.integrity(),
+        Some(true),
+        "attribution must sum to scan counters"
+    );
     assert_eq!(
         ex.scheme_hits.iter().map(|(_, n)| n).sum::<u64>(),
         hit_attr.by_scheme.values().sum::<u64>(),
@@ -106,7 +129,10 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
     );
     assert_eq!(ex.coverage.totals(), coverage.totals());
     let rendered = ex.render(10);
-    assert!(rendered.contains("MATCH"), "render must flag integrity: {rendered}");
+    assert!(
+        rendered.contains("MATCH"),
+        "render must flag integrity: {rendered}"
+    );
 
     // Invariant 3: the journal replays to the same per-source discovery
     // totals the attribution table holds.
@@ -118,8 +144,14 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
     assert!(!state.truncated);
     let journal_probes: u64 = state.discovery.values().map(|d| d.1).sum();
     let journal_hits: u64 = state.discovery.values().map(|d| d.2).sum();
-    assert_eq!(journal_probes, probed, "journal discovery probes != campaign probed");
-    assert_eq!(journal_hits, hits, "journal discovery hits != campaign hits");
+    assert_eq!(
+        journal_probes, probed,
+        "journal discovery probes != campaign probed"
+    );
+    assert_eq!(
+        journal_hits, hits,
+        "journal discovery hits != campaign hits"
+    );
 
     // The CLI driver renders both inputs; --json must parse and carry the
     // same totals.

@@ -40,16 +40,33 @@ fn counted<T>(fan_outs: &[(&str, usize, usize)], experiment: impl FnOnce() -> T)
         // An end is start + duration, so allow it a microsecond of rounding.
         let holds = |name: &str| {
             records.iter().any(|o| {
-                o.path == name && o.start_s <= c.start_s && c.start_s + c.dur_s <= o.start_s + o.dur_s + 1e-6
+                o.path == name
+                    && o.start_s <= c.start_s
+                    && c.start_s + c.dur_s <= o.start_s + o.dur_s + 1e-6
             })
         };
-        let holders: Vec<usize> = (0..fan_outs.len()).filter(|&i| holds(fan_outs[i].0)).collect();
-        assert_eq!(holders.len(), 1, "{kind} [{}] inside exactly one fan-out span", c.detail);
+        let holders: Vec<usize> = (0..fan_outs.len())
+            .filter(|&i| holds(fan_outs[i].0))
+            .collect();
+        assert_eq!(
+            holders.len(),
+            1,
+            "{kind} [{}] inside exactly one fan-out span",
+            c.detail
+        );
         inside[holders[0]][slot] += 1;
     }
     for (&(name, cells, fits), got) in fan_outs.iter().zip(inside) {
-        assert_eq!(records.iter().filter(|r| r.path == name).count(), 1, "one {name} span");
-        assert_eq!(got, [cells, fits], "{name}: one cell span per cell, one fit span per (seed list, TGA)");
+        assert_eq!(
+            records.iter().filter(|r| r.path == name).count(),
+            1,
+            "one {name} span"
+        );
+        assert_eq!(
+            got,
+            [cells, fits],
+            "{name}: one cell span per cell, one fit span per (seed list, TGA)"
+        );
     }
     out
 }
@@ -66,7 +83,9 @@ fn cell(r: &RunResult) -> String {
 /// seven reps of three generators whose hits vary with the salt.
 fn render_stability(study: &Study) -> String {
     let varying = [TgaId::SixTree, TgaId::SixScan, TgaId::Det];
-    let rows = counted(&[("stability", 21, 3)], || stability::stability(study, &varying, 7, Protocol::Icmp));
+    let rows = counted(&[("stability", 21, 3)], || {
+        stability::stability(study, &varying, 7, Protocol::Icmp)
+    });
     stability::render(&rows, Protocol::Icmp) + &format!("{rows:?}\n")
 }
 
@@ -78,7 +97,9 @@ fn render_every_fan_out(study: &Study) -> String {
 
     let datasets = [DatasetKind::AllActive];
     let protos = [Protocol::Icmp, Protocol::Tcp80];
-    let g = counted(&[("grid", 16, 8)], || grid::grid_over(study, &datasets, &protos, &TgaId::ALL));
+    let g = counted(&[("grid", 16, 8)], || {
+        grid::grid_over(study, &datasets, &protos, &TgaId::ALL)
+    });
     for d in datasets {
         for p in protos {
             for t in TgaId::ALL {
@@ -90,16 +111,19 @@ fn render_every_fan_out(study: &Study) -> String {
 
     let tgas = [TgaId::SixTree, TgaId::SixScan, TgaId::SixGen];
     let ladder = budget::default_ladder(study);
-    let curves = counted(&[("budget_sweep", tgas.len() * ladder.len(), tgas.len())], || {
-        budget::budget_sweep(study, &tgas, &ladder, Protocol::Icmp)
-    });
+    let curves = counted(
+        &[("budget_sweep", tgas.len() * ladder.len(), tgas.len())],
+        || budget::budget_sweep(study, &tgas, &ladder, Protocol::Icmp),
+    );
     out += &budget::render(&curves, Protocol::Icmp);
     out += &format!("{curves:?}\n");
 
     out += &render_stability(study);
 
     let slices = as_kind::seeds_by_kind(study).len();
-    let kinds = counted(&[("as_kind", slices * 2, slices * 2)], || as_kind::run_by_kind(study, &tgas[..2]));
+    let kinds = counted(&[("as_kind", slices * 2, slices * 2)], || {
+        as_kind::run_by_kind(study, &tgas[..2])
+    });
     out += &kinds.render(study);
     for ((kind, tga), r) in &kinds.cells {
         out += &format!("kind {kind} {tga} ");
@@ -107,9 +131,10 @@ fn render_every_fan_out(study: &Study) -> String {
     }
 
     let sources = seeds::SourceId::ALL.len();
-    let r3 = counted(&[("rq3_sources", sources, sources), ("rq3_big_runs", 1, 1)], || {
-        rq3::run_rq3(study, &[Protocol::Icmp], &tgas[..1])
-    });
+    let r3 = counted(
+        &[("rq3_sources", sources, sources), ("rq3_big_runs", 1, 1)],
+        || rq3::run_rq3(study, &[Protocol::Icmp], &tgas[..1]),
+    );
     out += &rq3::render_table5(&r3);
     out += &rq3::render_source_raw(&r3, Protocol::Icmp);
     for (tga, r) in &r3.big_runs {

@@ -12,8 +12,8 @@ use std::time::Duration;
 use netmodel::{FaultConfig, World, WorldConfig};
 use sos_core::watch;
 use sos_probe::{
-    BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner,
-    ScannerConfig, SimTransport,
+    BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner, ScannerConfig,
+    SimTransport,
 };
 
 fn hostile_world(seed: u64) -> Arc<World> {
@@ -34,8 +34,13 @@ fn scanner(world: Arc<World>) -> Scanner<SimTransport> {
 }
 
 fn targets(world: &World) -> Vec<std::net::Ipv6Addr> {
-    let mut out: Vec<std::net::Ipv6Addr> =
-        world.hosts().iter().map(|(a, _)| a).step_by(2).take(120).collect();
+    let mut out: Vec<std::net::Ipv6Addr> = world
+        .hosts()
+        .iter()
+        .map(|(a, _)| a)
+        .step_by(2)
+        .take(120)
+        .collect();
     for i in 0..16u128 {
         out.push(std::net::Ipv6Addr::from((0x3fff_u128 << 112) | i));
     }
@@ -63,7 +68,9 @@ fn replay_reconstructs_a_live_campaign_exactly() {
         ..RunOptions::default()
     };
     let mut s = scanner(w);
-    let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let outcome = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(outcome.completed);
 
     let state = watch::replay(&journal).unwrap();
@@ -77,9 +84,15 @@ fn replay_reconstructs_a_live_campaign_exactly() {
     );
     // The per-round fold agrees with the engine's own totals.
     assert_eq!(Some(&state.hits), state.counters.get("probe.hits"));
-    assert_eq!(Some(&state.packets), state.counters.get("probe.packets_sent"));
+    assert_eq!(
+        Some(&state.packets),
+        state.counters.get("probe.packets_sent")
+    );
     // The Prometheus snapshot file is the last snapshot record, rendered.
-    assert_eq!(std::fs::read_to_string(&prom).unwrap(), sos_obs::render_prometheus(&state.counters));
+    assert_eq!(
+        std::fs::read_to_string(&prom).unwrap(),
+        sos_obs::render_prometheus(&state.counters)
+    );
     // The rendered status table is ready for the terminal.
     let table = state.render();
     assert!(table.contains("completed") && table.contains("pkt/s"));
@@ -104,15 +117,24 @@ fn replay_of_a_killed_campaign_matches_its_checkpoint() {
         ..RunOptions::default()
     };
     let mut s = scanner(w);
-    let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let outcome = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(!outcome.completed);
 
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
     let state = watch::replay(&journal).unwrap();
-    assert_eq!(state.completed, Some(false), "campaign_end records the interruption");
+    assert_eq!(
+        state.completed,
+        Some(false),
+        "campaign_end records the interruption"
+    );
     assert_eq!(state.snapshot_fingerprint, Some(ckpt.fingerprint));
     assert_eq!(state.snapshot_done as usize, ckpt.done);
-    assert_eq!(state.counters, ckpt.counters, "journal snapshot mirrors the checkpoint");
+    assert_eq!(
+        state.counters, ckpt.counters,
+        "journal snapshot mirrors the checkpoint"
+    );
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt_path);
 }
@@ -138,21 +160,41 @@ fn a_round_redone_after_a_resume_counts_once() {
         stop_after_rounds: stop,
         ..RunOptions::default()
     };
-    Campaign::standard(&mut scanner(w.clone())).run_with(&t, &opts(&first, Some(1)), None).unwrap();
-    let journaled = RunOptions { journal_path: Some(journal.clone()), ..opts(&second, Some(2)) };
-    Campaign::standard(&mut scanner(w.clone())).run_with(&t, &journaled, None).unwrap();
+    Campaign::standard(&mut scanner(w.clone()))
+        .run_with(&t, &opts(&first, Some(1)), None)
+        .unwrap();
+    let journaled = RunOptions {
+        journal_path: Some(journal.clone()),
+        ..opts(&second, Some(2))
+    };
+    Campaign::standard(&mut scanner(w.clone()))
+        .run_with(&t, &journaled, None)
+        .unwrap();
     let ckpt = CampaignCheckpoint::load(&first).unwrap();
-    let resumed = RunOptions { journal_path: Some(journal.clone()), ..opts(&first, None) };
+    let resumed = RunOptions {
+        journal_path: Some(journal.clone()),
+        ..opts(&first, None)
+    };
     let mut s = scanner(w);
-    assert!(Campaign::standard(&mut s).run_with(&t, &resumed, Some(&ckpt)).unwrap().completed);
+    assert!(
+        Campaign::standard(&mut s)
+            .run_with(&t, &resumed, Some(&ckpt))
+            .unwrap()
+            .completed
+    );
 
     let records = sos_obs::journal::read_records(&journal).unwrap();
-    let round_2 = records.iter().filter(|r| matches!(r.event, sos_obs::Event::RoundEnd { round: 2, .. }));
+    let round_2 = records
+        .iter()
+        .filter(|r| matches!(r.event, sos_obs::Event::RoundEnd { round: 2, .. }));
     assert_eq!(round_2.count(), 2, "round 2 is journaled twice");
     let state = watch::replay(&journal).unwrap();
     assert_eq!(state.counters, s.metrics().counters());
     assert_eq!(Some(&state.hits), state.counters.get("probe.hits"));
-    assert_eq!(Some(&state.packets), state.counters.get("probe.packets_sent"));
+    assert_eq!(
+        Some(&state.packets),
+        state.counters.get("probe.packets_sent")
+    );
     for path in [&journal, &first, &second] {
         let _ = std::fs::remove_file(path);
     }
@@ -195,26 +237,44 @@ fn live_watch_follows_a_journal_recreated_under_it() {
             journal_path: Some(path.clone()),
             ..RunOptions::default()
         };
-        let outcome = Campaign::standard(&mut scanner(w.clone())).run_with(targets, &opts, None).unwrap();
+        let outcome = Campaign::standard(&mut scanner(w.clone()))
+            .run_with(targets, &opts, None)
+            .unwrap();
         assert!(outcome.completed);
         std::fs::read(path).unwrap()
     };
     let (journal, fresh) = (tmp("recreated.jsonl"), tmp("recreated-fresh.jsonl"));
     // A long campaign whose writer died before its `campaign_end` record…
     let mut old = run(&journal, &t, 20);
-    let last_line = old[..old.len() - 1].iter().rposition(|&b| b == b'\n').unwrap() + 1;
+    let last_line = old[..old.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .unwrap()
+        + 1;
     old.truncate(last_line);
     std::fs::write(&journal, &old).unwrap();
     // …and a short one run to completion, whose journal replaces it.
     let new = run(&fresh, &t[..8], 0);
     assert!(new.len() < old.len());
 
-    let mut sink = RecreateOnFirstStatus { journal: journal.clone(), new: Some(new), printed: Vec::new() };
+    let mut sink = RecreateOnFirstStatus {
+        journal: journal.clone(),
+        new: Some(new),
+        printed: Vec::new(),
+    };
     let state = watch::watch_live(&journal, Duration::from_millis(1), Some(5), &mut sink).unwrap();
     let printed = String::from_utf8_lossy(&sink.printed);
-    assert_eq!(state.completed, Some(true), "the new campaign's end was seen:\n{printed}");
+    assert_eq!(
+        state.completed,
+        Some(true),
+        "the new campaign's end was seen:\n{printed}"
+    );
     assert_eq!(state.done, 8);
-    assert_eq!(state.records, watch::replay(&fresh).unwrap().records, "folded from a fresh state");
+    assert_eq!(
+        state.records,
+        watch::replay(&fresh).unwrap().records,
+        "folded from a fresh state"
+    );
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&fresh);
 }

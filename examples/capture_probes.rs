@@ -31,8 +31,9 @@ fn main() {
     targets.push("3fff:dead::1".parse().unwrap());
 
     let file = std::fs::File::create("probes.pcap").expect("create probes.pcap");
-    let transport = CapturingTransport::new(SimTransport::new(world), std::io::BufWriter::new(file))
-        .expect("pcap header");
+    let transport =
+        CapturingTransport::new(SimTransport::new(world), std::io::BufWriter::new(file))
+            .expect("pcap header");
     let mut scanner = Scanner::new(
         ScannerConfig {
             retry: sos_probe::RetryPolicy::fixed(1),

@@ -35,9 +35,8 @@ fn main() {
     );
     let grid = grid_over(&study, &[DatasetKind::AllActive], &[proto], &TgaId::ALL);
 
-    let mut t = Table::new(format!("Head-to-head on {proto} (All-Active seeds)")).header([
-        "TGA", "Hits", "ASes", "Aliases", "HitRate", "Packets",
-    ]);
+    let mut t = Table::new(format!("Head-to-head on {proto} (All-Active seeds)"))
+        .header(["TGA", "Hits", "ASes", "Aliases", "HitRate", "Packets"]);
     let mut rows: Vec<(TgaId, _)> = TgaId::ALL
         .iter()
         .map(|&id| (id, grid.get(DatasetKind::AllActive, proto, id).metrics))

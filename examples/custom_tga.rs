@@ -54,7 +54,11 @@ impl SeedModel for SeedNets<'_> {
     ) -> Vec<Ipv6Addr> {
         // Provenance: each seed /64 is a region; the sweep byte is the
         // round. Tagging is free when the log is disabled.
-        let digest = if prov.is_enabled() { seed_digest(self.seeds.iter().copied()) } else { 0 };
+        let digest = if prov.is_enabled() {
+            seed_digest(self.seeds.iter().copied())
+        } else {
+            0
+        };
         let mut out = Vec::with_capacity(cfg.budget);
         let mut seen: HashSet<u128> = HashSet::with_capacity(cfg.budget * 2);
         'outer: for byte in 0u128..=0xff {
@@ -85,7 +89,11 @@ fn main() {
     // Evaluate the custom generator with the exact §4.1/§4.2 pipeline.
     let mut custom = LastByte;
     let mut oracle = study.scanner(0xCAFE);
-    let generated = custom.generate(&seeds, &GenConfig::new(budget, 1, Protocol::Icmp), &mut oracle);
+    let generated = custom.generate(
+        &seeds,
+        &GenConfig::new(budget, 1, Protocol::Icmp),
+        &mut oracle,
+    );
     let eval = study.evaluate(&generated, Protocol::Icmp, 0xCAFE);
     println!(
         "{:<10} {:>8} hits  {:>5} ASes  {:>7} aliases",

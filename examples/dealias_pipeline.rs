@@ -25,7 +25,11 @@ fn main() {
     // Stage 0: collect from all twelve sources.
     let collection = collect_all(&world, CollectorConfig::default());
     for s in &collection.sources {
-        println!("  {:<14} {:>8} unique addresses", s.id.label(), s.addrs.len());
+        println!(
+            "  {:<14} {:>8} unique addresses",
+            s.id.label(),
+            s.addrs.len()
+        );
     }
     let full = collection.combined();
     let truly_aliased = full.iter().filter(|&&a| world.is_aliased(a)).count();
@@ -64,9 +68,16 @@ fn main() {
     // Stage 2: the activity pre-scan over the joint-dealiased survivors.
     let joint = dealiaser.run(DealiasMode::Joint, &mut scanner, &full, Protocol::Icmp);
     let activeness = verify_active(&mut scanner, &joint.clean);
-    println!("pre-scan spent {} packets; per-target responsiveness:", activeness.probe_packets);
+    println!(
+        "pre-scan spent {} packets; per-target responsiveness:",
+        activeness.probe_packets
+    );
     for proto in PROTOCOLS {
-        println!("  {:<7} {:>6} responsive", proto.label(), activeness.count_active_on(proto));
+        println!(
+            "  {:<7} {:>6} responsive",
+            proto.label(),
+            activeness.count_active_on(proto)
+        );
     }
     println!(
         "final All-Active dataset: {} of {} dealiased seeds ({}%)",

@@ -53,7 +53,14 @@ fn main() {
     );
 
     // 4. Every run is deterministic: same seed, same world, same numbers.
-    let again = run_tga(&study, TgaId::SixTree, seeds, Protocol::Icmp, study.config().budget, 7);
+    let again = run_tga(
+        &study,
+        TgaId::SixTree,
+        seeds,
+        Protocol::Icmp,
+        study.config().budget,
+        7,
+    );
     assert_eq!(result.metrics, again.metrics);
     println!("re-run reproduced identical metrics — the study is deterministic");
 }

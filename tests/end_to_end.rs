@@ -54,7 +54,11 @@ fn hits_never_contain_aliases_or_megapattern_on_icmp() {
         for &h in &r.clean_hits {
             assert!(!study.world().is_aliased(h), "{tga}: aliased {h} in hits");
             if let Some(mega) = study.world().megapattern() {
-                assert_ne!(study.world().asn_of(h), Some(mega.asn), "{tga}: megapattern {h}");
+                assert_ne!(
+                    study.world().asn_of(h),
+                    Some(mega.asn),
+                    "{tga}: megapattern {h}"
+                );
             }
         }
     }

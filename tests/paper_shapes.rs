@@ -42,7 +42,12 @@ fn table3_shape_traceroute_sources_lead_as_coverage() {
     let s = experiments::summary::dataset_summary(study());
     let ases = |id: SourceId| s.rows.iter().find(|r| r.id == id).unwrap().ases;
     let traceroute_best = ases(SourceId::Scamper).max(ases(SourceId::RipeAtlas));
-    for id in [SourceId::Umbrella, SourceId::Tranco, SourceId::SecRank, SourceId::Majestic] {
+    for id in [
+        SourceId::Umbrella,
+        SourceId::Tranco,
+        SourceId::SecRank,
+        SourceId::Majestic,
+    ] {
         assert!(
             traceroute_best > 2 * ases(id),
             "traceroute {} should dwarf toplist {} ({})",
@@ -84,7 +89,12 @@ fn shape_grid() -> &'static experiments::Grid {
                 DatasetKind::PortSpecific(Protocol::Udp53),
             ],
             &PROTOCOLS,
-            &[TgaId::SixTree, TgaId::SixGraph, TgaId::SixSense, TgaId::SixHit],
+            &[
+                TgaId::SixTree,
+                TgaId::SixGraph,
+                TgaId::SixSense,
+                TgaId::SixHit,
+            ],
         )
     })
 }
@@ -94,7 +104,9 @@ fn rq1a_dealiasing_collapses_generated_aliases() {
     let grid = shape_grid();
     for tga in [TgaId::SixTree, TgaId::SixGraph, TgaId::SixHit] {
         let full = grid.get(DatasetKind::Full, Protocol::Icmp, tga).metrics;
-        let joint = grid.get(DatasetKind::JointDealiased, Protocol::Icmp, tga).metrics;
+        let joint = grid
+            .get(DatasetKind::JointDealiased, Protocol::Icmp, tga)
+            .metrics;
         assert!(
             (joint.aliases as f64) < 0.5 * full.aliases.max(1) as f64,
             "{tga}: aliases {} -> {}",

@@ -21,7 +21,15 @@ fn run_seedscan() -> Artifacts {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = |name: &str| -> PathBuf { dir.join(name) };
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_seedscan"))
-        .args(["rq1", "--scale", "tiny", "--threads", "2", "--budget", "300"])
+        .args([
+            "rq1",
+            "--scale",
+            "tiny",
+            "--threads",
+            "2",
+            "--budget",
+            "300",
+        ])
         .arg("--trace")
         .arg(path("trace.json"))
         .arg("--flame")
@@ -64,11 +72,16 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     }
 
     // --- spans: present, well-formed, and nested ---
-    let spans: Vec<&Json> =
-        events.iter().filter(|e| s(e, "cat") == Some("span")).collect();
+    let spans: Vec<&Json> = events
+        .iter()
+        .filter(|e| s(e, "cat") == Some("span"))
+        .collect();
     assert!(!spans.is_empty(), "a real run records spans");
     fn path_of(e: &Json) -> &str {
-        e.get("args").and_then(|a| a.get("path")).and_then(Json::as_str).expect("path arg")
+        e.get("args")
+            .and_then(|a| a.get("path"))
+            .and_then(Json::as_str)
+            .expect("path arg")
     }
     for e in &spans {
         assert_eq!(s(e, "ph"), Some("X"));
@@ -78,9 +91,15 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     }
     // the study build's phase structure shows up as nested paths, and each
     // child's interval lies within some same-lane parent instance
-    let child_paths: Vec<&str> =
-        spans.iter().map(|e| path_of(e)).filter(|p| p.contains('>')).collect();
-    assert!(child_paths.contains(&"study_build>world_build"), "{child_paths:?}");
+    let child_paths: Vec<&str> = spans
+        .iter()
+        .map(|e| path_of(e))
+        .filter(|p| p.contains('>'))
+        .collect();
+    assert!(
+        child_paths.contains(&"study_build>world_build"),
+        "{child_paths:?}"
+    );
     let mut checked = 0;
     for c in &spans {
         let p = path_of(c);
@@ -101,8 +120,14 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     let grid: Vec<&&Json> = spans.iter().filter(|e| path_of(e) == "grid").collect();
     assert_eq!(grid.len(), 1, "rq1 runs one grid");
     let grid = grid[0];
-    let detail = grid.get("args").and_then(|a| a.get("detail")).and_then(Json::as_str);
-    assert!(detail.is_some_and(|d| d.split(' ').any(|kv| kv == "threads=2")), "{detail:?}");
+    let detail = grid
+        .get("args")
+        .and_then(|a| a.get("detail"))
+        .and_then(Json::as_str);
+    assert!(
+        detail.is_some_and(|d| d.split(' ').any(|kv| kv == "threads=2")),
+        "{detail:?}"
+    );
     let cells: Vec<&&Json> = spans.iter().filter(|e| path_of(e) == "cell").collect();
     assert!(!cells.is_empty(), "the grid records its cells");
     for c in &cells {
@@ -117,7 +142,11 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     assert!(lanes.len() <= 2, "cells on {lanes:?}, threads=2");
     // each (dataset, TGA) model is fit once, by the worker that runs its cells
     let fits: Vec<&&Json> = spans.iter().filter(|e| path_of(e) == "fit").collect();
-    assert_eq!(fits.len() * 4, cells.len(), "one fit per dataset and TGA, four ports each");
+    assert_eq!(
+        fits.len() * 4,
+        cells.len(),
+        "one fit per dataset and TGA, four ports each"
+    );
     for c in &fits {
         assert!(
             f(grid, "ts") <= f(c, "ts") + 1.0
@@ -126,7 +155,10 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
         );
     }
     let fit_lanes: BTreeSet<u64> = fits.iter().map(|e| tid(e)).collect();
-    assert!(fit_lanes.len() <= 2 && fit_lanes.is_subset(&lanes), "fits on {fit_lanes:?}, cells on {lanes:?}");
+    assert!(
+        fit_lanes.len() <= 2 && fit_lanes.is_subset(&lanes),
+        "fits on {fit_lanes:?}, cells on {lanes:?}"
+    );
 
     // --- spans are the trace: one X event per span record, plus lane names ---
     let recorded: u64 = arts
@@ -137,7 +169,11 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
         .iter()
         .map(|(_, agg)| agg.get("count").and_then(Json::as_u64).expect("count"))
         .sum();
-    assert_eq!(spans.len() as u64, recorded, "one trace event per span record");
+    assert_eq!(
+        spans.len() as u64,
+        recorded,
+        "one trace event per span record"
+    );
     let span_lanes: BTreeSet<u64> = spans.iter().map(|e| tid(e)).collect();
     assert_eq!(
         events.len(),
@@ -146,8 +182,15 @@ fn seedscan_trace_is_valid_and_consistent_with_the_manifest() {
     );
     assert!(arts.manifest.get("par_map").is_none());
     for e in events.iter() {
-        assert_eq!(e.get("pid").and_then(Json::as_u64), Some(1), "spans render under one process");
-        assert!(s(e, "cat") == Some("span") || s(e, "ph") == Some("M"), "an event that is no span");
+        assert_eq!(
+            e.get("pid").and_then(Json::as_u64),
+            Some(1),
+            "spans render under one process"
+        );
+        assert!(
+            s(e, "cat") == Some("span") || s(e, "ph") == Some("M"),
+            "an event that is no span"
+        );
     }
 
     // --- flame profile: parseable collapsed stacks with positive weights ---
