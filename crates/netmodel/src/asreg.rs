@@ -100,9 +100,11 @@ impl Country {
             Country::Us => "2600::/12",
             Country::Brazil | Country::Mexico => "2800::/12",
             Country::Germany | Country::Netherlands | Country::France => "2a00::/12",
-            Country::China | Country::Japan | Country::India | Country::Nepal | Country::Australia => {
-                "2400::/12"
-            }
+            Country::China
+            | Country::Japan
+            | Country::India
+            | Country::Nepal
+            | Country::Australia => "2400::/12",
             Country::SouthAfrica => "2c00::/12",
         };
         s.parse().expect("static prefix parses")
@@ -262,7 +264,13 @@ mod tests {
 
     #[test]
     fn names_are_stable() {
-        assert_eq!(synth_name(Asn(7), AsKind::Cdn), synth_name(Asn(7), AsKind::Cdn));
-        assert_ne!(synth_name(Asn(7), AsKind::Cdn), synth_name(Asn(8), AsKind::Cdn));
+        assert_eq!(
+            synth_name(Asn(7), AsKind::Cdn),
+            synth_name(Asn(7), AsKind::Cdn)
+        );
+        assert_ne!(
+            synth_name(Asn(7), AsKind::Cdn),
+            synth_name(Asn(8), AsKind::Cdn)
+        );
     }
 }

@@ -182,7 +182,16 @@ fn gen_routers(
     for j in 0..count {
         // four interfaces per link /64
         let subnet = infra.subprefix(64, (j / 4) as u128);
-        st.push_host(rng, cfg, asn, kind, subnet, (j % 4) as u64, scheme, HostKind::Router);
+        st.push_host(
+            rng,
+            cfg,
+            asn,
+            kind,
+            subnet,
+            (j % 4) as u64,
+            scheme,
+            HostKind::Router,
+        );
     }
 }
 
@@ -555,29 +564,32 @@ pub fn build_world(cfg: WorldConfig) -> World {
     // The host index answers "routed?" per /64, which is only sound while
     // no allocation is longer than a /64.
     assert!(
-        registry.iter().flat_map(|info| &info.allocations).all(|p| p.len() <= 64),
+        registry
+            .iter()
+            .flat_map(|info| &info.allocations)
+            .all(|p| p.len() <= 64),
         "an allocation longer than /64 would split a /64's routing"
     );
     // A region overlaps a /64 when, being a /64 or longer, it lies inside
     // the /64, or else covers the /64's first address.
     let (long, around): (Vec<&AliasRegion>, Vec<&AliasRegion>) =
         alias_regions.iter().partition(|r| r.prefix.len() >= 64);
-    let inside: AddrSet<u64> = long.iter().map(|r| (u128::from(r.prefix.network()) >> 64) as u64).collect();
+    let inside: AddrSet<u64> = long
+        .iter()
+        .map(|r| (u128::from(r.prefix.network()) >> 64) as u64)
+        .collect();
     let first = |net: u64| Ipv6Addr::from(u128::from(net) << 64);
-    let overlaps = |net: u64| inside.contains(&net) || around.iter().any(|r| r.prefix.contains(first(net)));
+    let overlaps =
+        |net: u64| inside.contains(&net) || around.iter().any(|r| r.prefix.contains(first(net)));
     // The /64s arrive in address order, so most share the allocation the
     // one before them resolved through.
     let mut allocation: Option<Prefix> = None;
-    let hosts = HostTable::build_marked(
-        std::mem::take(&mut st.entries),
-        overlaps,
-        |net| {
-            if !allocation.is_some_and(|p| p.contains(first(net))) {
-                allocation = registry.allocation_of(first(net));
-            }
-            allocation.is_some()
-        },
-    );
+    let hosts = HostTable::build_marked(std::mem::take(&mut st.entries), overlaps, |net| {
+        if !allocation.is_some_and(|p| p.contains(first(net))) {
+            allocation = registry.allocation_of(first(net));
+        }
+        allocation.is_some()
+    });
     let dns = gen_dns(&mut rng, &st.web_hosts);
 
     let n_vantage = cfg.vantage_points.min(all_asns.len());
@@ -645,7 +657,11 @@ mod tests {
         let w2 = build_world(WorldConfig::tiny(11));
         assert_eq!(w1.stats(), w2.stats());
         assert_eq!(w1.alias_regions().len(), w2.alias_regions().len());
-        assert!(w1.stats().modeled_hosts > 1000, "hosts: {}", w1.stats().modeled_hosts);
+        assert!(
+            w1.stats().modeled_hosts > 1000,
+            "hosts: {}",
+            w1.stats().modeled_hosts
+        );
     }
 
     #[test]

@@ -82,9 +82,21 @@ mod tests {
 
     fn sample() -> DnsUniverse {
         DnsUniverse::new(vec![
-            DomainRecord { id: 10, rank: 3, addrs: vec![a("2600::3")] },
-            DomainRecord { id: 11, rank: 1, addrs: vec![a("2600::1"), a("2600::2")] },
-            DomainRecord { id: 12, rank: 2, addrs: vec![a("2600::2")] },
+            DomainRecord {
+                id: 10,
+                rank: 3,
+                addrs: vec![a("2600::3")],
+            },
+            DomainRecord {
+                id: 11,
+                rank: 1,
+                addrs: vec![a("2600::1"), a("2600::2")],
+            },
+            DomainRecord {
+                id: 12,
+                rank: 2,
+                addrs: vec![a("2600::2")],
+            },
         ])
     }
 

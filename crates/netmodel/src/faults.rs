@@ -223,7 +223,11 @@ impl FaultEpochs {
     /// `(family name, epoch index)` in a fixed order, for diffing and
     /// event emission.
     pub fn families(&self) -> [(&'static str, u32); 3] {
-        [("burst", self.burst), ("blackhole", self.blackhole), ("throttle", self.throttle)]
+        [
+            ("burst", self.burst),
+            ("blackhole", self.blackhole),
+            ("throttle", self.throttle),
+        ]
     }
 }
 
@@ -245,7 +249,10 @@ impl FaultPlan {
         cfg.burst_epoch = cfg.burst_epoch.max(1);
         cfg.blackhole_epoch = cfg.blackhole_epoch.max(1);
         cfg.throttle_epoch = cfg.throttle_epoch.max(1);
-        FaultPlan { cfg, seed: mix2(world_seed, 0xfa_017) }
+        FaultPlan {
+            cfg,
+            seed: mix2(world_seed, 0xfa_017),
+        }
     }
 
     /// The configuration this plan was compiled from.
@@ -278,7 +285,11 @@ impl FaultPlan {
     /// of its epochs)? Exposed so tests and breakers can partition the
     /// world into live and dark prefixes.
     pub fn blackhole_candidate(&self, domain: u128) -> bool {
-        chance(mix2(self.seed, BH_SITE), domain, self.cfg.blackhole_fraction)
+        chance(
+            mix2(self.seed, BH_SITE),
+            domain,
+            self.cfg.blackhole_fraction,
+        )
     }
 
     /// The per-family epoch indices of the `density`-th probe into a
@@ -298,7 +309,11 @@ impl FaultPlan {
     /// observers can label a transition as entering or leaving darkness.
     pub fn blackhole_dark(&self, domain: u128, epoch: u32) -> bool {
         self.blackhole_candidate(domain)
-            && chance(mix3(self.seed, BH_EPOCH, u64::from(epoch)), domain, self.cfg.blackhole_duty)
+            && chance(
+                mix3(self.seed, BH_EPOCH, u64::from(epoch)),
+                domain,
+                self.cfg.blackhole_duty,
+            )
     }
 
     /// Decide the fate of the `density`-th probe into `domain` on
@@ -328,16 +343,26 @@ impl FaultPlan {
             let epoch = u64::from(density / self.cfg.burst_epoch);
             // One roll decides the whole epoch — that is what makes the
             // loss *correlated* rather than i.i.d. like `base_loss`.
-            if chance(mix3(proto_seed, BURST_EPOCH, epoch), domain, self.cfg.burst_rate)
-                && chance(mix3(proto_seed, BURST_ROLL, u64::from(density)), domain, self.cfg.burst_loss)
-            {
+            if chance(
+                mix3(proto_seed, BURST_EPOCH, epoch),
+                domain,
+                self.cfg.burst_rate,
+            ) && chance(
+                mix3(proto_seed, BURST_ROLL, u64::from(density)),
+                domain,
+                self.cfg.burst_loss,
+            ) {
                 return FaultEffect::Drop(FaultKind::Burst);
             }
         }
 
         if self.cfg.throttle_rate > 0.0 {
             let epoch = u64::from(density / self.cfg.throttle_epoch);
-            if chance(mix3(proto_seed, THROTTLE_EPOCH, epoch), domain, self.cfg.throttle_rate) {
+            if chance(
+                mix3(proto_seed, THROTTLE_EPOCH, epoch),
+                domain,
+                self.cfg.throttle_rate,
+            ) {
                 return FaultEffect::Delay(self.cfg.throttle_delay_s);
             }
         }
@@ -365,16 +390,33 @@ mod tests {
 
     #[test]
     fn out_of_range_prefix_len_is_clamped_once() {
-        let with_len = |prefix_len| plan(FaultConfig { prefix_len, ..FaultConfig::hostile() });
+        let with_len = |prefix_len| {
+            plan(FaultConfig {
+                prefix_len,
+                ..FaultConfig::hostile()
+            })
+        };
         let addr = 0x2001_0db8_0000_0001_0000_0000_0000_0042u128;
         for (given, effective) in [(0u8, 1u8), (1, 1), (128, 128), (200, 128)] {
             let (got, want) = (with_len(given), with_len(effective));
             assert_eq!(got.prefix_len(), effective, "prefix_len {given}");
-            assert_eq!(got.domain_of(addr), want.domain_of(addr), "prefix_len {given}");
-            assert_eq!(got.domain_of(u128::MAX), want.domain_of(u128::MAX), "prefix_len {given}");
+            assert_eq!(
+                got.domain_of(addr),
+                want.domain_of(addr),
+                "prefix_len {given}"
+            );
+            assert_eq!(
+                got.domain_of(u128::MAX),
+                want.domain_of(u128::MAX),
+                "prefix_len {given}"
+            );
         }
         assert_eq!(with_len(0).domain_of(addr), 0, "a /1 domain is the top bit");
-        assert_eq!(with_len(200).domain_of(addr), addr, "a /128 domain is the address");
+        assert_eq!(
+            with_len(200).domain_of(addr),
+            addr,
+            "a /128 domain is the address"
+        );
     }
 
     #[test]
@@ -382,23 +424,35 @@ mod tests {
         let a = plan(FaultConfig::hostile());
         let b = plan(FaultConfig::hostile());
         for d in 0..2000 {
-            assert_eq!(a.effect(77, Protocol::Icmp, d), b.effect(77, Protocol::Icmp, d));
+            assert_eq!(
+                a.effect(77, Protocol::Icmp, d),
+                b.effect(77, Protocol::Icmp, d)
+            );
         }
     }
 
     #[test]
     fn blackhole_fraction_is_approximately_respected() {
         let p = plan(FaultConfig::blackholes(0.5, 1.0));
-        let dark = (0..2000u128).filter(|&pre| p.blackhole_candidate(pre)).count();
+        let dark = (0..2000u128)
+            .filter(|&pre| p.blackhole_candidate(pre))
+            .count();
         let frac = dark as f64 / 2000.0;
         assert!((frac - 0.5).abs() < 0.05, "dark fraction {frac}");
         // duty 1.0: a candidate is dark at every density
-        let cand = (0..2000u128).find(|&pre| p.blackhole_candidate(pre)).unwrap();
+        let cand = (0..2000u128)
+            .find(|&pre| p.blackhole_candidate(pre))
+            .unwrap();
         for d in [0, 63, 64, 1000] {
-            assert_eq!(p.effect(cand, Protocol::Udp53, d), FaultEffect::Drop(FaultKind::Blackhole));
+            assert_eq!(
+                p.effect(cand, Protocol::Udp53, d),
+                FaultEffect::Drop(FaultKind::Blackhole)
+            );
         }
         // a non-candidate is never blackholed
-        let live = (0..2000u128).find(|&pre| !p.blackhole_candidate(pre)).unwrap();
+        let live = (0..2000u128)
+            .find(|&pre| !p.blackhole_candidate(pre))
+            .unwrap();
         for d in 0..200 {
             assert_eq!(p.effect(live, Protocol::Icmp, d), FaultEffect::Pass);
         }
@@ -425,7 +479,10 @@ mod tests {
             prev = Some(dark);
         }
         assert!(seen_flip, "duty 0.5 must flip on/off across epochs");
-        assert!((8..=56).contains(&dark_epochs), "dark {dark_epochs}/64 epochs");
+        assert!(
+            (8..=56).contains(&dark_epochs),
+            "dark {dark_epochs}/64 epochs"
+        );
     }
 
     #[test]
@@ -437,7 +494,10 @@ mod tests {
         let drops_high: usize = (0..2000u128)
             .filter(|&pre| matches!(p.effect(pre, Protocol::Icmp, 120), FaultEffect::Drop(_)))
             .count();
-        assert!(drops_low < drops_high, "policing must escalate: {drops_low} vs {drops_high}");
+        assert!(
+            drops_low < drops_high,
+            "policing must escalate: {drops_low} vs {drops_high}"
+        );
         // Below the threshold nothing is ever policed.
         for pre in 0..500u128 {
             assert_eq!(p.effect(pre, Protocol::Icmp, 10), FaultEffect::Pass);
@@ -456,21 +516,30 @@ mod tests {
                 .filter(|&d| matches!(p.effect(pre, Protocol::Icmp, d), FaultEffect::Drop(_)))
                 .count();
             let e1_drops = (0..epoch)
-                .filter(|&d| matches!(p.effect(pre, Protocol::Icmp, epoch + d), FaultEffect::Drop(_)))
+                .filter(|&d| {
+                    matches!(
+                        p.effect(pre, Protocol::Icmp, epoch + d),
+                        FaultEffect::Drop(_)
+                    )
+                })
                 .count();
             if e0_drops > 0 && e1_drops == 0 || e0_drops == 0 && e1_drops > 0 {
                 bursty_prefix = Some(pre);
                 break 'outer;
             }
         }
-        assert!(bursty_prefix.is_some(), "some prefix has a bursty epoch next to a quiet one");
+        assert!(
+            bursty_prefix.is_some(),
+            "some prefix has a bursty epoch next to a quiet one"
+        );
     }
 
     #[test]
     fn throttle_delays_whole_epochs() {
         let p = plan(FaultConfig::throttled());
         let epoch = p.config().throttle_epoch;
-        let delayed = |pre: u128, d: u32| matches!(p.effect(pre, Protocol::Icmp, d), FaultEffect::Delay(_));
+        let delayed =
+            |pre: u128, d: u32| matches!(p.effect(pre, Protocol::Icmp, d), FaultEffect::Delay(_));
         let mut throttled_epochs = 0;
         for pre in 0..50u128 {
             for e in 0..8u32 {
@@ -496,7 +565,10 @@ mod tests {
             assert_eq!(e.throttle, d / cfg.throttle_epoch);
         }
         let families = p.epochs_at(64).families();
-        assert_eq!(families.map(|(name, _)| name), ["burst", "blackhole", "throttle"]);
+        assert_eq!(
+            families.map(|(name, _)| name),
+            ["burst", "blackhole", "throttle"]
+        );
         // blackhole_dark agrees with effect(): at duty 1.0 a candidate is
         // dark in every epoch, and effect() reports the same drop.
         let bh = plan(FaultConfig::blackholes(1.0, 1.0));
@@ -519,7 +591,12 @@ mod tests {
 
     #[test]
     fn epoch_lengths_are_normalized() {
-        let cfg = FaultConfig { burst_epoch: 0, blackhole_epoch: 0, throttle_epoch: 0, ..FaultConfig::hostile() };
+        let cfg = FaultConfig {
+            burst_epoch: 0,
+            blackhole_epoch: 0,
+            throttle_epoch: 0,
+            ..FaultConfig::hostile()
+        };
         let p = FaultPlan::new(cfg, 1);
         assert!(p.config().burst_epoch >= 1);
         assert!(p.config().blackhole_epoch >= 1);

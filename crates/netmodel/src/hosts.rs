@@ -155,7 +155,10 @@ impl HostTable {
         aliased: impl Fn(u64) -> bool,
         mut routed: impl FnMut(u64) -> bool,
     ) -> Self {
-        assert!(entries.len() < 1 << 30, "the /64 index packs run lengths into 30 bits");
+        assert!(
+            entries.len() < 1 << 30,
+            "the /64 index packs run lengths into 30 bits"
+        );
         entries.sort_by_key(|(k, _)| *k);
         // Deduplicate keeping the *last* occurrence: the sort is stable,
         // so it is the last of its run, and it overwrites the one kept.
@@ -184,8 +187,17 @@ impl HostTable {
             if routed(net) {
                 len_flags |= Subnet::ROUTED;
             }
-            table.index.insert(net, Subnet { start: table.hosts.len() as u32, len_flags });
-            table.hosts.extend(run.iter().map(|&(key, record)| Host { iid: key as u64, record }));
+            table.index.insert(
+                net,
+                Subnet {
+                    start: table.hosts.len() as u32,
+                    len_flags,
+                },
+            );
+            table.hosts.extend(run.iter().map(|&(key, record)| Host {
+                iid: key as u64,
+                record,
+            }));
             table.nets.push(net);
             table.ends.push(table.hosts.len() as u32);
         }
@@ -207,8 +219,13 @@ impl HostTable {
     pub(crate) fn run(&self, addr: u128) -> Option<Run<'_>> {
         let entry = self.index.get(&((addr >> 64) as u64))?;
         let start = entry.start as usize;
-        let hosts = self.hosts.get(start..start + (entry.len_flags >> 2) as usize)?;
-        Some(Run { hosts, flags: entry.len_flags & 3 })
+        let hosts = self
+            .hosts
+            .get(start..start + (entry.len_flags >> 2) as usize)?;
+        Some(Run {
+            hosts,
+            flags: entry.len_flags & 3,
+        })
     }
 
     /// Lookup a record by address.
@@ -221,10 +238,18 @@ impl HostTable {
     /// Iterate `(address, record)` in address order.
     pub fn iter(&self) -> impl Iterator<Item = (Ipv6Addr, &HostRecord)> {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
-        self.nets.iter().zip(starts.zip(&self.ends)).flat_map(move |(&net, (start, &end))| {
-            let run = &self.hosts[start as usize..end as usize]; // runs tile `hosts` by construction
-            run.iter().map(move |h| (Ipv6Addr::from(u128::from(net) << 64 | u128::from(h.iid)), &h.record))
-        })
+        self.nets
+            .iter()
+            .zip(starts.zip(&self.ends))
+            .flat_map(move |(&net, (start, &end))| {
+                let run = &self.hosts[start as usize..end as usize]; // runs tile `hosts` by construction
+                run.iter().map(move |h| {
+                    (
+                        Ipv6Addr::from(u128::from(net) << 64 | u128::from(h.iid)),
+                        &h.record,
+                    )
+                })
+            })
     }
 
     /// Count hosts satisfying `pred`.
@@ -266,7 +291,10 @@ mod tests {
     #[test]
     fn duplicate_keys_last_wins() {
         let k = u128::from(a("2001:db8::1"));
-        let m = HostTable::build(vec![(k, rec(PortSet::EMPTY, true)), (k, rec(PortSet::ALL, false))]);
+        let m = HostTable::build(vec![
+            (k, rec(PortSet::EMPTY, true)),
+            (k, rec(PortSet::ALL, false)),
+        ]);
         assert_eq!(m.len(), 1);
         assert!(m.get(a("2001:db8::1")).unwrap().responds_any());
     }
@@ -278,12 +306,17 @@ mod tests {
     #[test]
     fn get_agrees_with_plain_binary_search() {
         let mut g = v6addr::SplitMix64::new(44);
-        let kinds = [rec(PortSet::ALL, false), rec(PortSet::EMPTY, true), rec(PortSet::of([Protocol::Icmp]), false)];
+        let kinds = [
+            rec(PortSet::ALL, false),
+            rec(PortSet::EMPTY, true),
+            rec(PortSet::of([Protocol::Icmp]), false),
+        ];
         for _ in 0..20 {
             let subnets: Vec<u128> = (0..40).map(|_| u128::from(g.next_u64()) << 64).collect();
             let dense = subnets[0];
-            let mut entries: Vec<(u128, HostRecord)> =
-                (0..600).map(|i| (dense | u128::from(g.next_u64() % 4096), kinds[i % 3])).collect();
+            let mut entries: Vec<(u128, HostRecord)> = (0..600)
+                .map(|i| (dense | u128::from(g.next_u64() % 4096), kinds[i % 3]))
+                .collect();
             for i in 0..(g.next_u64() % 400) as usize {
                 let net = subnets[(g.next_u64() % 40) as usize];
                 entries.push((net | u128::from(g.next_u64() % 64), kinds[i % 3]));
@@ -293,16 +326,27 @@ mod tests {
             sorted.sort_by_key(|(k, _)| *k); // stable: the last duplicate stays last
             let plain = |key: u128| {
                 let end = sorted.partition_point(|(k, _)| *k <= key);
-                sorted[..end].last().filter(|(k, _)| *k == key).map(|(_, r)| r)
+                sorted[..end]
+                    .last()
+                    .filter(|(k, _)| *k == key)
+                    .map(|(_, r)| r)
             };
             let mut probes: Vec<u128> = sorted.iter().map(|(k, _)| *k).collect();
-            probes.extend(sorted.iter().step_by(7).flat_map(|(k, _)| [k ^ 1, k + 4096, k ^ (1 << 64)]));
+            probes.extend(
+                sorted
+                    .iter()
+                    .step_by(7)
+                    .flat_map(|(k, _)| [k ^ 1, k + 4096, k ^ (1 << 64)]),
+            );
             probes.extend((0..50).map(|_| u128::from(g.next_u64()) << 64 | 1));
             for key in probes {
                 assert_eq!(table.get(Ipv6Addr::from(key)), plain(key), "{:x}", key);
             }
             let listed: Vec<u128> = table.iter().map(|(a, _)| u128::from(a)).collect();
-            assert!(listed.windows(2).all(|w| w[0] < w[1]), "address order, no duplicates");
+            assert!(
+                listed.windows(2).all(|w| w[0] < w[1]),
+                "address order, no duplicates"
+            );
             assert_eq!(table.len(), listed.len());
         }
     }
@@ -327,13 +371,20 @@ mod tests {
         ];
         let first = (u128::from(a("2001:db8::")) >> 64) as u64;
         let m = HostTable::build_marked(entries, |n| n == first, |n| n != first);
-        let run = m.run(u128::from(a("2001:db8::3"))).expect("a populated /64");
+        let run = m
+            .run(u128::from(a("2001:db8::3")))
+            .expect("a populated /64");
         assert!(run.aliased() && !run.routed());
         assert_eq!(run.get(5).map(|r| r.churned), Some(false));
         assert!(run.get(3).is_none());
-        let other = m.run(u128::from(a("2001:db8:0:1::ffff"))).expect("a populated /64");
+        let other = m
+            .run(u128::from(a("2001:db8:0:1::ffff")))
+            .expect("a populated /64");
         assert!(!other.aliased() && other.routed());
-        assert!(m.run(u128::from(a("2001:db8:0:2::1"))).is_none(), "an empty /64 has no entry");
+        assert!(
+            m.run(u128::from(a("2001:db8:0:2::1"))).is_none(),
+            "an empty /64 has no entry"
+        );
     }
 
     #[test]

@@ -99,7 +99,9 @@ mod tests {
     #[test]
     fn structured_words_are_low_entropy() {
         let mut rng = SmallRng::seed_from_u64(0);
-        let iids: Vec<u64> = (0..16).map(|i| AddressingScheme::StructuredWords.iid(i, &mut rng)).collect();
+        let iids: Vec<u64> = (0..16)
+            .map(|i| AddressingScheme::StructuredWords.iid(i, &mut rng))
+            .collect();
         // every IID fits comfortably in the low 32 bits (high 32 all zero)
         assert!(iids.iter().all(|&x| x >> 32 == 0));
         // distinct

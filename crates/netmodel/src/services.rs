@@ -218,7 +218,10 @@ mod tests {
 
     #[test]
     fn display_labels() {
-        assert_eq!(PortSet::of([Protocol::Icmp, Protocol::Tcp80]).to_string(), "ICMP+TCP80");
+        assert_eq!(
+            PortSet::of([Protocol::Icmp, Protocol::Tcp80]).to_string(),
+            "ICMP+TCP80"
+        );
         assert_eq!(PortSet::EMPTY.to_string(), "none");
     }
 }

@@ -62,7 +62,12 @@ impl Topology {
     }
 
     /// Deterministic pick of `n` elements of `pool` keyed by `key`.
-    fn pick<'a>(&self, pool: &'a [Ipv6Addr], key: u64, n: usize) -> impl Iterator<Item = Ipv6Addr> + 'a {
+    fn pick<'a>(
+        &self,
+        pool: &'a [Ipv6Addr],
+        key: u64,
+        n: usize,
+    ) -> impl Iterator<Item = Ipv6Addr> + 'a {
         let len = pool.len();
         let seed = self.seed;
         (0..n.min(len)).map(move |i| pool[(mix3(seed, key, i as u64) as usize) % len])
@@ -72,7 +77,11 @@ impl Topology {
     /// `dst_asn`) would reveal, in path order: source-AS egress, transit
     /// hops, destination-AS ingress. Deterministic per (from, dst).
     pub fn trace(&self, from: Asn, dst: Ipv6Addr, dst_asn: Option<Asn>) -> Vec<Ipv6Addr> {
-        let key = mix3(u64::from(from.0), u128::from(dst) as u64, (u128::from(dst) >> 64) as u64);
+        let key = mix3(
+            u64::from(from.0),
+            u128::from(dst) as u64,
+            (u128::from(dst) >> 64) as u64,
+        );
         let mut path = Vec::with_capacity(8);
 
         // 1-2 egress interfaces in the vantage AS
@@ -153,7 +162,13 @@ mod tests {
     fn different_destinations_vary_paths() {
         let t = sample();
         let paths: std::collections::HashSet<Vec<Ipv6Addr>> = (0..32u16)
-            .map(|i| t.trace(Asn(1), Ipv6Addr::from([0x2400, 3, 0, 0, 0, 0, 0, i]), Some(Asn(3))))
+            .map(|i| {
+                t.trace(
+                    Asn(1),
+                    Ipv6Addr::from([0x2400, 3, 0, 0, 0, 0, 0, i]),
+                    Some(Asn(3)),
+                )
+            })
             .collect();
         assert!(paths.len() > 1, "paths should differ across destinations");
     }

@@ -42,7 +42,10 @@ impl ProbeReply {
     /// Is this reply a hit under the paper's counting rules?
     #[inline]
     pub fn is_hit(self) -> bool {
-        matches!(self, ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer)
+        matches!(
+            self,
+            ProbeReply::EchoReply | ProbeReply::SynAck | ProbeReply::DnsAnswer
+        )
     }
 
     /// The positive reply type for a protocol.
@@ -82,7 +85,12 @@ impl Disposition {
     pub fn reply(self, attempt: u32) -> ProbeReply {
         match self {
             Disposition::Fixed(reply) => reply,
-            Disposition::Lossy { loss, reply, key, addr } => {
+            Disposition::Lossy {
+                loss,
+                reply,
+                key,
+                addr,
+            } => {
                 if chance(mix2(key, u64::from(attempt)), addr, loss) {
                     ProbeReply::Timeout
                 } else {
@@ -298,7 +306,10 @@ impl World {
         };
         if let Some(region) = region {
             if region.responds(proto) {
-                return lossy(region.loss.max(self.cfg.base_loss), ProbeReply::positive(proto));
+                return lossy(
+                    region.loss.max(self.cfg.base_loss),
+                    ProbeReply::positive(proto),
+                );
             }
             // Aliased device, closed port: TCP gets an RST sometimes.
             return Disposition::Fixed(self.closed_port_reply(addr, proto));
@@ -340,7 +351,11 @@ impl World {
     fn closed_port_reply(&self, addr: Ipv6Addr, proto: Protocol) -> ProbeReply {
         match proto {
             Protocol::Tcp80 | Protocol::Tcp443 => {
-                if chance(mix2(self.cfg.seed, 0x0157), u128::from(addr), self.cfg.rst_rate) {
+                if chance(
+                    mix2(self.cfg.seed, 0x0157),
+                    u128::from(addr),
+                    self.cfg.rst_rate,
+                ) {
                     ProbeReply::Rst
                 } else {
                     ProbeReply::Timeout
@@ -403,7 +418,9 @@ mod tests {
             asn: Asn(12322),
         };
         let n = mega.population();
-        let live = (0..n).filter(|&i| mega.responds(7, mega.address(i))).count();
+        let live = (0..n)
+            .filter(|&i| mega.responds(7, mega.address(i)))
+            .count();
         let rate = live as f64 / n as f64;
         assert!((rate - 0.35).abs() < 0.01, "rate {rate}");
     }
@@ -420,9 +437,17 @@ mod tests {
                 reply
             }
         };
-        if let Some(region) = w.alias_regions.iter().filter(|r| r.prefix.contains(addr)).max_by_key(|r| r.prefix.len()) {
+        if let Some(region) = w
+            .alias_regions
+            .iter()
+            .filter(|r| r.prefix.contains(addr))
+            .max_by_key(|r| r.prefix.len())
+        {
             return if region.responds(proto) {
-                lossy(region.loss.max(w.cfg.base_loss), ProbeReply::positive(proto))
+                lossy(
+                    region.loss.max(w.cfg.base_loss),
+                    ProbeReply::positive(proto),
+                )
             } else {
                 w.closed_port_reply(addr, proto)
             };
@@ -443,7 +468,10 @@ mod tests {
                 ProbeReply::Timeout
             };
         }
-        let routed = w.registry.iter().any(|i| i.allocations.iter().any(|p| p.contains(addr)));
+        let routed = w
+            .registry
+            .iter()
+            .any(|i| i.allocations.iter().any(|p| p.contains(addr)));
         if routed && chance(mix2(w.cfg.seed, 0xDE57), bits, w.cfg.unreachable_rate) {
             return ProbeReply::DstUnreachable;
         }
@@ -458,7 +486,11 @@ mod tests {
         if let Some(region) = w.alias_region_of(addr) {
             return region.responds(proto);
         }
-        if let Some(mega) = w.mega.as_ref().filter(|m| proto == Protocol::Icmp && m.matches(addr)) {
+        if let Some(mega) = w
+            .mega
+            .as_ref()
+            .filter(|m| proto == Protocol::Icmp && m.matches(addr))
+        {
             return mega.responds(w.cfg.seed, addr);
         }
         w.hosts.get(addr).is_some_and(|r| r.responds(proto))
@@ -515,11 +547,19 @@ mod tests {
                 let disposition = w.resolve(addr, proto);
                 for attempt in 0..4 {
                     let want = probe_per_attempt(&w, addr, proto, attempt);
-                    assert_eq!(disposition.reply(attempt), want, "{addr} {proto:?} #{attempt}");
+                    assert_eq!(
+                        disposition.reply(attempt),
+                        want,
+                        "{addr} {proto:?} #{attempt}"
+                    );
                     assert_eq!(w.probe(addr, proto, attempt), want);
                     kinds.insert(format!("{want:?}"));
                 }
-                assert_eq!(w.truth_responds(addr, proto), truth_by_walk(&w, addr, proto), "{addr} {proto:?}");
+                assert_eq!(
+                    w.truth_responds(addr, proto),
+                    truth_by_walk(&w, addr, proto),
+                    "{addr} {proto:?}"
+                );
             }
         }
         assert_eq!(kinds.len(), 6, "every reply kind was exercised: {kinds:?}");

@@ -19,8 +19,16 @@ fn port_responsiveness_proportions_match_table_3() {
     let any = s.responsive_any as f64;
     // paper (All Sources row): ICMP ≈ 98% of active, TCP ≈ 19–21%, UDP ≈ 3.3%
     assert!(icmp / any > 0.85, "ICMP share {}", icmp / any);
-    assert!((0.05..0.6).contains(&(t80 / any)), "TCP80 share {}", t80 / any);
-    assert!((0.05..0.6).contains(&(t443 / any)), "TCP443 share {}", t443 / any);
+    assert!(
+        (0.05..0.6).contains(&(t80 / any)),
+        "TCP80 share {}",
+        t80 / any
+    );
+    assert!(
+        (0.05..0.6).contains(&(t443 / any)),
+        "TCP443 share {}",
+        t443 / any
+    );
     assert!(udp / any < 0.2, "UDP53 share {}", udp / any);
     // strict ordering
     assert!(icmp > t443 && t443 > udp);
@@ -35,7 +43,10 @@ fn churn_rate_is_in_the_observable_band() {
     let s = w.stats();
     let share = s.responsive_any as f64 / s.modeled_hosts as f64;
     assert!((0.3..0.85).contains(&share), "responsive share {share}");
-    assert!(s.churned_hosts > s.modeled_hosts / 10, "churn exists at scale");
+    assert!(
+        s.churned_hosts > s.modeled_hosts / 10,
+        "churn exists at scale"
+    );
 }
 
 #[test]
@@ -76,7 +87,10 @@ fn hosting_dominates_tcp_and_cpe_dominates_icmp_only() {
                 _ => tcp_other += 1,
             }
         }
-        if rec.responds(Protocol::Icmp) && !rec.responds(Protocol::Tcp80) && !rec.responds(Protocol::Tcp443) {
+        if rec.responds(Protocol::Icmp)
+            && !rec.responds(Protocol::Tcp80)
+            && !rec.responds(Protocol::Tcp443)
+        {
             icmp_only_total += 1;
             if rec.kind == HostKind::Cpe {
                 icmp_only_cpe += 1;
@@ -138,5 +152,10 @@ fn worlds_differ_across_seeds_but_share_proportions() {
     let b = World::build(WorldConfig::tiny(2)).stats().clone();
     assert_ne!(a, b);
     let share = |s: &netmodel::world::WorldStats| s.responsive_any as f64 / s.modeled_hosts as f64;
-    assert!((share(&a) - share(&b)).abs() < 0.15, "{} vs {}", share(&a), share(&b));
+    assert!(
+        (share(&a) - share(&b)).abs() < 0.15,
+        "{} vs {}",
+        share(&a),
+        share(&b)
+    );
 }
