@@ -19,7 +19,8 @@
 //!
 //! Entry points: build a [`Study`] (world + seed collection + preprocessed
 //! datasets), then call the functions in [`experiments`]. The `seedscan`
-//! binary and `examples/full_study.rs` drive everything end to end.
+//! binary drives everything end to end: `seedscan all --scale study
+//! --threads 2` prints every table EXPERIMENTS.md records.
 
 pub mod chart;
 pub mod cli;

@@ -15,11 +15,9 @@
 //! - **Joint** ([`JointDealiaser`], [`DealiasMode`]): offline first (cheap),
 //!   then online for whatever survives — the paper's recommendation.
 
-pub mod multigrain;
 pub mod offline;
 pub mod online;
 
-pub use multigrain::MultiGrainDealiaser;
 pub use offline::OfflineDealiaser;
 pub use online::{OnlineConfig, OnlineDealiaser};
 
