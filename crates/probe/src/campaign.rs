@@ -88,10 +88,16 @@ impl CampaignResult {
         let mut responsive: AddrMap<u128, PortSet> = AddrMap::default();
         for (proto, report) in &reports {
             for &hit in &report.hits {
-                responsive.entry(u128::from(hit)).or_insert(PortSet::EMPTY).insert(*proto);
+                responsive
+                    .entry(u128::from(hit))
+                    .or_insert(PortSet::EMPTY)
+                    .insert(*proto);
             }
         }
-        CampaignResult { responsive, reports }
+        CampaignResult {
+            responsive,
+            reports,
+        }
     }
 
     /// Responsiveness of one address (empty when it never answered).
@@ -109,7 +115,10 @@ impl CampaignResult {
 
     /// Number of addresses responsive on `proto`.
     pub fn responsive_on(&self, proto: Protocol) -> usize {
-        self.responsive.values().filter(|p| p.contains(proto)).count()
+        self.responsive
+            .values()
+            .filter(|p| p.contains(proto))
+            .count()
     }
 
     /// Iterate `(address, ports)` for every responsive address, sorted.
@@ -263,7 +272,9 @@ fn table_row<const N: usize>(table: &str, row: &Json) -> Result<((u128, u8), [u3
     let Some([domain, proto, counts @ ..]) = row.as_arr().filter(|r| r.len() == 2 + N) else {
         return Err(bad("row is not [domain, proto, counts…]"));
     };
-    let proto = proto.as_u64().ok_or_else(|| bad("protocol index is not an integer"))?;
+    let proto = proto
+        .as_u64()
+        .ok_or_else(|| bad("protocol index is not an integer"))?;
     let proto = proto_by_index(proto).map_err(|e| bad(&e))?.index() as u8;
     let mut out = [0u32; N];
     for (slot, count) in out.iter_mut().zip(counts) {
@@ -272,7 +283,13 @@ fn table_row<const N: usize>(table: &str, row: &Json) -> Result<((u128, u8), [u3
             .and_then(|n| u32::try_from(n).ok())
             .ok_or_else(|| bad("count is not an integer that fits u32"))?;
     }
-    Ok(((from_hex(domain).ok_or_else(|| bad("domain is not hex"))?, proto), out))
+    Ok((
+        (
+            from_hex(domain).ok_or_else(|| bad("domain is not hex"))?,
+            proto,
+        ),
+        out,
+    ))
 }
 
 /// Both encoders write a per-prefix table's rows in strictly increasing
@@ -282,7 +299,10 @@ fn in_key_order(table: &str, keys: impl Iterator<Item = (u128, u8)>) -> Result<(
     let mut last = None;
     for (row, key) in keys.enumerate() {
         if last.replace(key).is_some_and(|before| before >= key) {
-            return Err(format!("{table}: row {} repeats or goes back on the key before it", row + 1));
+            return Err(format!(
+                "{table}: row {} repeats or goes back on the key before it",
+                row + 1
+            ));
         }
     }
     Ok(())
@@ -344,7 +364,11 @@ fn report_from_json(j: &Json) -> Result<ScanReport, String> {
         .and_then(Json::as_arr)
         .ok_or("checkpoint report missing hits")?
         .iter()
-        .map(|h| from_hex::<u128>(h).map(Ipv6Addr::from).ok_or("checkpoint report: a hit is not hex"))
+        .map(|h| {
+            from_hex::<u128>(h)
+                .map(Ipv6Addr::from)
+                .ok_or("checkpoint report: a hit is not hex")
+        })
         .collect::<Result<Vec<_>, _>>()?;
     Ok(ScanReport {
         hits,
@@ -413,7 +437,9 @@ fn same_protocols(reports: &[(Protocol, ScanReport)], want: &[Protocol]) -> Resu
     if have == want {
         return Ok(());
     }
-    Err(format!("checkpoint reports cover {have:?}, expected one per protocol of {want:?} in that order"))
+    Err(format!(
+        "checkpoint reports cover {have:?}, expected one per protocol of {want:?} in that order"
+    ))
 }
 
 /// One breaker as the map lists it: `(domain, protocol index)` and state.
@@ -449,17 +475,34 @@ impl CampaignCheckpoint {
         breakers: impl Iterator<Item = BreakerRow>,
     ) {
         w.obj().key("version").u64(CHECKPOINT_VERSION);
-        w.key("fingerprint").str(&sos_obs::manifest::digest_hex(self.fingerprint));
-        w.key("done").u64(self.done as u64).key("rounds").u64(self.rounds as u64);
+        w.key("fingerprint")
+            .str(&sos_obs::manifest::digest_hex(self.fingerprint));
+        w.key("done")
+            .u64(self.done as u64)
+            .key("rounds")
+            .u64(self.rounds as u64);
         w.key("reports");
         write_reports(w, reports);
         w.key("limiter");
         match &self.limiter {
             None => w.null(),
             Some(s) => {
-                w.obj().key("rate").u64(s.rate).key("burst").u64(s.burst).key("tokens").u64(s.tokens);
-                w.key("now").u64(s.now).key("refilled_at").u64(s.refilled_at);
-                w.key("waited").u64(s.waited).key("stalls").u64(s.stalls).end_obj()
+                w.obj()
+                    .key("rate")
+                    .u64(s.rate)
+                    .key("burst")
+                    .u64(s.burst)
+                    .key("tokens")
+                    .u64(s.tokens);
+                w.key("now")
+                    .u64(s.now)
+                    .key("refilled_at")
+                    .u64(s.refilled_at);
+                w.key("waited")
+                    .u64(s.waited)
+                    .key("stalls")
+                    .u64(s.stalls)
+                    .end_obj()
             }
         };
         w.key("fault_state").arr();
@@ -472,8 +515,14 @@ impl CampaignCheckpoint {
             Some(map) => {
                 let cfg = map.config();
                 w.obj().key("prefix_len").u64(cfg.prefix_len.into());
-                w.key("threshold").u64(cfg.threshold.into()).key("cooldown").u64(cfg.cooldown.into());
-                w.key("opened").u64(map.opened()).key("skipped").u64(map.skipped());
+                w.key("threshold")
+                    .u64(cfg.threshold.into())
+                    .key("cooldown")
+                    .u64(cfg.cooldown.into());
+                w.key("opened")
+                    .u64(map.opened())
+                    .key("skipped")
+                    .u64(map.skipped());
                 w.key("entries").arr();
                 for (key, state) in breakers {
                     let (tag, count) = state.encode();
@@ -505,26 +554,43 @@ impl CampaignCheckpoint {
                     .iter()
                     .map(|row| {
                         let (key, [tag, count]) = table_row("breaker.entries", row)?;
-                        let state = u8::try_from(tag).ok().and_then(|t| BreakerState::decode(t, count));
-                        Ok((key, state.ok_or_else(|| format!("breaker.entries: unknown state tag {tag}"))?))
+                        let state = u8::try_from(tag)
+                            .ok()
+                            .and_then(|t| BreakerState::decode(t, count));
+                        Ok((
+                            key,
+                            state.ok_or_else(|| {
+                                format!("breaker.entries: unknown state tag {tag}")
+                            })?,
+                        ))
                     })
                     .collect::<Result<Vec<_>, String>>()?;
                 in_key_order("breaker.entries", entries.iter().map(|&(key, _)| key))?;
                 let prefix_len = get_u64(b, "prefix_len")?;
                 if !(1..=128).contains(&prefix_len) {
-                    return Err(format!("breaker.prefix_len {prefix_len} is outside 1..=128"));
+                    return Err(format!(
+                        "breaker.prefix_len {prefix_len} is outside 1..=128"
+                    ));
                 }
                 let cfg = BreakerConfig {
                     prefix_len: prefix_len as u8,
                     threshold: get_u32(b, "threshold")?,
                     cooldown: get_u32(b, "cooldown")?,
                 };
-                Some(BreakerMap::restore(cfg, entries, get_u64(b, "opened")?, get_u64(b, "skipped")?))
+                Some(BreakerMap::restore(
+                    cfg,
+                    entries,
+                    get_u64(b, "opened")?,
+                    get_u64(b, "skipped")?,
+                ))
             }
         };
         let reports = table(line, "reports")?.iter().map(|entry| {
             let proto = proto_by_index(get_u64(entry, "proto")?)?;
-            Ok((proto, report_from_json(entry.get("report").ok_or("report entry missing body")?)?))
+            Ok((
+                proto,
+                report_from_json(entry.get("report").ok_or("report entry missing body")?)?,
+            ))
         });
         let limiter = match line.get("limiter") {
             None | Some(Json::Null) => None,
@@ -545,9 +611,19 @@ impl CampaignCheckpoint {
                 Ok((domain, proto, n))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        in_key_order("fault_state", fault_state.iter().map(|&(domain, proto, _)| (domain, proto)))?;
-        let counters = line.get("counters").and_then(Json::entries).ok_or("checkpoint missing counters")?;
-        let counters = counters.iter().map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("bad counter value")?)));
+        in_key_order(
+            "fault_state",
+            fault_state
+                .iter()
+                .map(|&(domain, proto, _)| (domain, proto)),
+        )?;
+        let counters = line
+            .get("counters")
+            .and_then(Json::entries)
+            .ok_or("checkpoint missing counters")?;
+        let counters = counters
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), v.as_u64().ok_or("bad counter value")?)));
         Ok(CampaignCheckpoint {
             fingerprint: line
                 .get("fingerprint")
@@ -579,10 +655,16 @@ impl CampaignCheckpoint {
         }
         let (rounds, done) = (round.rounds, round.done);
         if rounds != self.rounds + 1 {
-            return Err(format!("round {rounds} follows round {}: a round is missing or repeated", self.rounds));
+            return Err(format!(
+                "round {rounds} follows round {}: a round is missing or repeated",
+                self.rounds
+            ));
         }
         if done < self.done {
-            return Err(format!("done {done} is behind the {} already done", self.done));
+            return Err(format!(
+                "done {done} is behind the {} already done",
+                self.done
+            ));
         }
         same_protocols(&round.reports, &protocols_of(&self.reports))?;
         match (self.breaker.as_mut(), round.breaker) {
@@ -594,7 +676,12 @@ impl CampaignCheckpoint {
         self.done = done;
         self.rounds = rounds;
         self.limiter = round.limiter;
-        fault.extend(round.fault_state.into_iter().map(|(domain, proto, n)| ((domain, proto), n)));
+        fault.extend(
+            round
+                .fault_state
+                .into_iter()
+                .map(|(domain, proto, n)| ((domain, proto), n)),
+        );
         self.counters = round.counters;
         Ok(())
     }
@@ -621,23 +708,32 @@ impl CampaignCheckpoint {
     pub fn load(path: &Path) -> Result<CampaignCheckpoint, String> {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("read checkpoint {}: {e}", path.display()))?;
-        let at = |number: usize, e: String| format!("checkpoint {}: line {number}: {e}", path.display());
+        let at =
+            |number: usize, e: String| format!("checkpoint {}: line {number}: {e}", path.display());
         let whole = Json::parse(&text);
         let mut lines = match &whole {
             Ok(state) => vec![(1, Self::from_json(state).map_err(|e| at(1, e))?)],
-            Err(_) => read_lines(&text, |number, line| Ok((number, Self::from_json(&Json::parse(line)?)?)))
+            Err(_) => {
+                read_lines(&text, |number, line| {
+                    Ok((number, Self::from_json(&Json::parse(line)?)?))
+                })
                 .map_err(|bad| at(bad.number, bad.error))?
-                .0,
+                .0
+            }
         }
         .into_iter();
         // Nothing complete to start from: say why the file is not one
         // document either.
-        let Some((_, mut state)) = lines.next() else { return Err(at(1, whole.err().unwrap_or_default())) };
+        let Some((_, mut state)) = lines.next() else {
+            return Err(at(1, whole.err().unwrap_or_default()));
+        };
         if lines.as_slice().is_empty() {
             return Ok(state);
         }
-        let mut fault: BTreeMap<(u128, u8), u32> =
-            std::mem::take(&mut state.fault_state).into_iter().map(|(d, p, n)| ((d, p), n)).collect();
+        let mut fault: BTreeMap<(u128, u8), u32> = std::mem::take(&mut state.fault_state)
+            .into_iter()
+            .map(|(d, p, n)| ((d, p), n))
+            .collect();
         for (number, round) in lines {
             state.fold(round, &mut fault).map_err(|e| at(number, e))?;
         }
@@ -717,8 +813,14 @@ fn transitions(delta: &Delta, plan: Option<&FaultPlan>) -> Vec<Event> {
     let Some(plan) = plan else { return events };
     for &((domain, proto), before, density) in &delta.fault {
         // An unseen domain starts from all-zero epochs.
-        let before = before
-            .map_or(FaultEpochs { burst: 0, blackhole: 0, throttle: 0 }, |n| plan.epochs_at(n));
+        let before = before.map_or(
+            FaultEpochs {
+                burst: 0,
+                blackhole: 0,
+                throttle: 0,
+            },
+            |n| plan.epochs_at(n),
+        );
         let readout = plan.epochs_at(density);
         for ((kind, now), (_, was)) in readout.families().into_iter().zip(before.families()) {
             if now != was {
@@ -740,7 +842,10 @@ fn transitions(delta: &Delta, plan: Option<&FaultPlan>) -> Vec<Event> {
 /// and `x.json` are one. A path whose directory does not resolve is
 /// compared as written — nothing can be opened there anyway.
 fn file_identity(path: &Path) -> PathBuf {
-    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    let dir = path
+        .parent()
+        .filter(|dir| !dir.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
     match (dir.canonicalize(), path.file_name()) {
         (Ok(dir), Some(name)) => dir.join(name),
         _ => path.to_path_buf(),
@@ -767,26 +872,39 @@ impl<'o> Sinks<'o> {
     /// the journal (a resume appends and continues the sequence, a fresh
     /// run truncates) and note the two other paths.
     fn open(opts: &'o RunOptions, resuming: bool) -> Result<Self, String> {
-        let tmp = opts.checkpoint_path.as_ref().map(|p| p.with_extension("tmp"));
+        let tmp = opts
+            .checkpoint_path
+            .as_ref()
+            .map(|p| p.with_extension("tmp"));
         let files = [
             ("checkpoint", opts.checkpoint_path.as_deref()),
             ("checkpoint's temporary file", tmp.as_deref()),
             ("journal", opts.journal_path.as_deref()),
             ("snapshot", opts.snapshot_path.as_deref()),
         ];
-        let files: Vec<(&str, &Path, PathBuf)> =
-            files.into_iter().filter_map(|(what, p)| Some((what, p?, file_identity(p?)))).collect();
+        let files: Vec<(&str, &Path, PathBuf)> = files
+            .into_iter()
+            .filter_map(|(what, p)| Some((what, p?, file_identity(p?))))
+            .collect();
         for (i, (what, path, file)) in files.iter().enumerate() {
-            if let Some((other, first, _)) = files[..i].iter().find(|(_, _, earlier)| earlier == file) {
+            if let Some((other, first, _)) =
+                files[..i].iter().find(|(_, _, earlier)| earlier == file)
+            {
                 let (first, path) = (first.display(), path.display());
-                return Err(format!("the {other} {first} and the {what} {path} are the same file"));
+                return Err(format!(
+                    "the {other} {first} and the {what} {path} are the same file"
+                ));
             }
         }
         let journal = match &opts.journal_path {
             None => None,
             Some(path) => Some(
-                if resuming { JournalWriter::append(path) } else { JournalWriter::create(path) }
-                    .map_err(|e| format!("open journal {}: {e}", path.display()))?,
+                if resuming {
+                    JournalWriter::append(path)
+                } else {
+                    JournalWriter::create(path)
+                }
+                .map_err(|e| format!("open journal {}: {e}", path.display()))?,
             ),
         };
         Ok(Sinks {
@@ -810,7 +928,9 @@ impl<'o> Sinks<'o> {
         state: &CampaignCheckpoint,
         make: impl FnOnce() -> I,
     ) -> Result<(), String> {
-        let Some(journal) = self.journal.as_mut() else { return Ok(()) };
+        let Some(journal) = self.journal.as_mut() else {
+            return Ok(());
+        };
         journal
             .write_batch(state.vclock_us(), make())
             .map_err(|e| format!("write journal {}: {e}", journal.path().display()))
@@ -851,7 +971,9 @@ impl<'o> Sinks<'o> {
     /// write (whatever is on disk may belong to another run), on a stop or
     /// cancel, and at the campaign's last boundary.
     fn persist(&mut self, state: &CampaignCheckpoint, append: bool) -> Result<bool, String> {
-        let Some(path) = self.checkpoint else { return Ok(false) };
+        let Some(path) = self.checkpoint else {
+            return Ok(false);
+        };
         if append {
             std::fs::OpenOptions::new()
                 .append(true)
@@ -990,7 +1112,11 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             fingerprint,
             done: 0,
             rounds: 0,
-            reports: self.protocols.iter().map(|&p| (p, template.clone())).collect(),
+            reports: self
+                .protocols
+                .iter()
+                .map(|&p| (p, template.clone()))
+                .collect(),
             limiter: None,
             fault_state: Vec::new(),
             breaker: None,
@@ -1019,7 +1145,9 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 breaker: ckpt.breaker.clone(),
             });
             self.scanner.metrics().restore_counters(&ckpt.counters);
-            self.scanner.metrics().add(RESUMED_TARGETS, ckpt.done as u64);
+            self.scanner
+                .metrics()
+                .add(RESUMED_TARGETS, ckpt.done as u64);
             sos_obs::debug!(
                 "campaign resume: {}/{} targets done after {} rounds",
                 ckpt.done,
@@ -1049,7 +1177,11 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             None => Event::CampaignStart {
                 fingerprint,
                 targets: prepared.len() as u64,
-                protocols: self.protocols.iter().map(|p| p.label().to_string()).collect(),
+                protocols: self
+                    .protocols
+                    .iter()
+                    .map(|p| p.label().to_string())
+                    .collect(),
                 shards: shards as u64,
                 round_size: round_size as u64,
             },
@@ -1061,9 +1193,7 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                 .as_ref()
                 // sos-lint: allow(conc-relaxed) advisory stop flag, read only at round boundaries
                 .is_some_and(|c| c.load(Ordering::Relaxed));
-            let stopped = opts
-                .stop_after_rounds
-                .is_some_and(|n| rounds_this_run >= n);
+            let stopped = opts.stop_after_rounds.is_some_and(|n| rounds_this_run >= n);
             if cancelled || stopped {
                 completed = false;
                 break;
@@ -1109,7 +1239,11 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             // One report per protocol, in order: a fresh state is built so
             // and a resumed one was checked before the first probe.
             absorb_rounds(&mut state.reports, round);
-            let plan = self.scanner.transport().carried().and_then(Carried::fault_plan);
+            let plan = self
+                .scanner
+                .transport()
+                .carried()
+                .and_then(Carried::fault_plan);
             sinks.events(&state, || transitions(&delta, plan))?;
             sinks.event(&state, || {
                 let (hits_now, packets_now) = state.hit_packet_totals();
@@ -1237,8 +1371,12 @@ mod tests {
         shards: usize,
         resume: Option<&CampaignCheckpoint>,
     ) -> (usize, usize) {
-        let (prepared, _) =
-            campaign.scanner.prepare(targets.iter().copied(), false, None, &mut ScanReport::default());
+        let (prepared, _) = campaign.scanner.prepare(
+            targets.iter().copied(),
+            false,
+            None,
+            &mut ScanReport::default(),
+        );
         if let Some(ckpt) = resume {
             campaign.scanner.lane.restore(LaneState {
                 limiter: ckpt.limiter,
@@ -1246,16 +1384,29 @@ mod tests {
                 breaker: ckpt.breaker.clone(),
             });
         }
-        let keyed = |rows: &[(u128, u8, u32)]| rows.iter().map(|&(d, p, n)| ((d, p), n)).collect::<Vec<_>>();
+        let keyed = |rows: &[(u128, u8, u32)]| {
+            rows.iter()
+                .map(|&(d, p, n)| ((d, p), n))
+                .collect::<Vec<_>>()
+        };
         let mut seen = (0, 0);
         let done = resume.map_or(0, |ckpt| ckpt.done);
         for (round, slice) in prepared[done..].chunks(every).enumerate() {
             let before = campaign.scanner.lane.snapshot(true);
             let mut delta = Delta::default();
-            campaign.scanner.scan_prepared(slice, &campaign.protocols, shards, None, Some(&mut delta));
+            campaign.scanner.scan_prepared(
+                slice,
+                &campaign.protocols,
+                shards,
+                None,
+                Some(&mut delta),
+            );
             let after = campaign.scanner.lane.snapshot(true);
             let full = Delta {
-                fault: changed(keyed(&before.fault_rows).into_iter(), keyed(&after.fault_rows).into_iter()),
+                fault: changed(
+                    keyed(&before.fault_rows).into_iter(),
+                    keyed(&after.fault_rows).into_iter(),
+                ),
                 breaker: changed(
                     before.breaker.iter().flat_map(BreakerMap::entries),
                     after.breaker.iter().flat_map(BreakerMap::entries),
@@ -1272,22 +1423,42 @@ mod tests {
         let mut wc = WorldConfig::tiny(0xCE5);
         wc.faults = FaultConfig::hostile();
         let world = Arc::new(World::build(wc));
-        let mut targets: Vec<Ipv6Addr> = world.hosts().iter().map(|(a, _)| a).step_by(2).take(200).collect();
+        let mut targets: Vec<Ipv6Addr> = world
+            .hosts()
+            .iter()
+            .map(|(a, _)| a)
+            .step_by(2)
+            .take(200)
+            .collect();
         targets.extend((0..30u128).map(|i| Ipv6Addr::from((0x3fff_u128 << 112) | i)));
         let nonempty = |(fault, breaker): (usize, usize), what: &str| {
-            assert!(fault > 0 && breaker > 0, "{what}: the rounds changed nothing to compare ({fault}, {breaker})");
+            assert!(
+                fault > 0 && breaker > 0,
+                "{what}: the rounds changed nothing to compare ({fault}, {breaker})"
+            );
         };
 
         for shards in [1, 4] {
             let mut s = hostile_scanner(world.clone());
-            let seen = deltas_match_the_full_diff(&mut Campaign::standard(&mut s), &targets, 48, shards, None);
+            let seen = deltas_match_the_full_diff(
+                &mut Campaign::standard(&mut s),
+                &targets,
+                48,
+                shards,
+                None,
+            );
             nonempty(seen, &format!("four protocols, {shards} shard(s)"));
         }
         // One protocol at one shard: a lone task, lent all the same so its
         // reclaim hands the rows back.
         let mut s = hostile_scanner(world.clone());
-        let seen =
-            deltas_match_the_full_diff(&mut Campaign::new(&mut s, vec![Protocol::Icmp]), &targets, 48, 1, None);
+        let seen = deltas_match_the_full_diff(
+            &mut Campaign::new(&mut s, vec![Protocol::Icmp]),
+            &targets,
+            48,
+            1,
+            None,
+        );
         nonempty(seen, "one protocol, one shard");
 
         // A resumed campaign: the scanner restored from a checkpoint two
@@ -1301,12 +1472,20 @@ mod tests {
             ..RunOptions::default()
         };
         let mut s = hostile_scanner(world.clone());
-        Campaign::standard(&mut s).run_with(&targets, &stop, None).unwrap();
+        Campaign::standard(&mut s)
+            .run_with(&targets, &stop, None)
+            .unwrap();
         let ckpt = CampaignCheckpoint::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
         assert_eq!(ckpt.done, 96);
         let mut s = hostile_scanner(world);
-        let seen = deltas_match_the_full_diff(&mut Campaign::standard(&mut s), &targets, 48, 4, Some(&ckpt));
+        let seen = deltas_match_the_full_diff(
+            &mut Campaign::standard(&mut s),
+            &targets,
+            48,
+            4,
+            Some(&ckpt),
+        );
         nonempty(seen, "resumed after two rounds");
     }
 
@@ -1369,7 +1548,10 @@ mod tests {
             .unwrap();
         let mut s = scanner(world);
         let mut campaign = Campaign::new(&mut s, vec![Protocol::Icmp]);
-        let result = campaign.run_with(&[target], &RunOptions::default(), None).unwrap().result;
+        let result = campaign
+            .run_with(&[target], &RunOptions::default(), None)
+            .unwrap()
+            .result;
         assert_eq!(result.reports.len(), 1);
         assert_eq!(result.responsive_on(Protocol::Icmp), 1);
         assert_eq!(result.responsive_on(Protocol::Udp53), 0);
@@ -1401,7 +1583,12 @@ mod tests {
                     limited_seconds: 0.1 + 0.2, // deliberately non-exact
                     attribution: {
                         let mut t = AttributionTable::new();
-                        let p = Provenance { source: 2, region: 7, seed_digest: 0xfeed, round: 1 };
+                        let p = Provenance {
+                            source: 2,
+                            region: 7,
+                            seed_digest: 0xfeed,
+                            round: 1,
+                        };
                         t.record_probe(p);
                         t.record_hit(p);
                         t
@@ -1419,9 +1606,16 @@ mod tests {
             }),
             fault_state: vec![(0x2001_0db8, 0, 17), (u128::MAX, 3, 1)],
             breaker: Some(BreakerMap::restore(
-                BreakerConfig { prefix_len: 48, threshold: 8, cooldown: 32 },
-                [(0x2001_0db8, 0, 1, 5), (0x2001_0db9, 2, 2, 0)]
-                    .map(|(domain, proto, tag, count)| ((domain, proto), BreakerState::decode(tag, count).unwrap())),
+                BreakerConfig {
+                    prefix_len: 48,
+                    threshold: 8,
+                    cooldown: 32,
+                },
+                [(0x2001_0db8, 0, 1, 5), (0x2001_0db9, 2, 2, 0)].map(
+                    |(domain, proto, tag, count)| {
+                        ((domain, proto), BreakerState::decode(tag, count).unwrap())
+                    },
+                ),
                 2,
                 11,
             )),
@@ -1429,8 +1623,8 @@ mod tests {
         };
         let doc = ckpt.to_json();
         let text = doc.to_string_pretty();
-        let back = CampaignCheckpoint::from_json(&Json::parse(&text).expect("parses"))
-            .expect("decodes");
+        let back =
+            CampaignCheckpoint::from_json(&Json::parse(&text).expect("parses")).expect("decodes");
         assert_eq!(back, ckpt, "checkpoint must round-trip bit-exactly");
     }
 
@@ -1446,7 +1640,10 @@ mod tests {
             fault_state: vec![(0x2001_0db8, 0, 17), (0x2001_0db9, 2, 4)],
             breaker: Some(BreakerMap::restore(
                 BreakerConfig::default(),
-                [((0x2001_0db8, 0), BreakerState::Open { skipped: 5 }), ((0x2001_0db9, 2), BreakerState::HalfOpen)],
+                [
+                    ((0x2001_0db8, 0), BreakerState::Open { skipped: 5 }),
+                    ((0x2001_0db9, 2), BreakerState::HalfOpen),
+                ],
                 2,
                 5,
             )),
@@ -1461,7 +1658,8 @@ mod tests {
     /// line must be refused by a load naming the table and the line, never
     /// resumed with the last row winning.
     fn repeated_or_swapped_rows_are_refused(name: &str, table: &str, row: [&str; 2], repeat: &str) {
-        let path = std::env::temp_dir().join(format!("sos-order-{name}-{}.json", std::process::id()));
+        let path =
+            std::env::temp_dir().join(format!("sos-order-{name}-{}.json", std::process::id()));
         let line = two_row_checkpoint(&path);
         let both = format!("{},{}", row[0], row[1]);
         assert_eq!(line.matches(&both).count(), 1, "{line}");
@@ -1471,7 +1669,10 @@ mod tests {
         ] {
             std::fs::write(&path, line.replacen(&both, &rows, 1)).unwrap();
             let err = CampaignCheckpoint::load(&path).expect_err(what);
-            assert!(err.contains("line 1") && err.contains(table), "{what}: {err:?} must name {table} and line 1");
+            assert!(
+                err.contains("line 1") && err.contains(table),
+                "{what}: {err:?} must name {table} and line 1"
+            );
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -1481,7 +1682,10 @@ mod tests {
         repeated_or_swapped_rows_are_refused(
             "fault",
             "fault_state:",
-            ["[\"00000000000000000000000020010db8\",0,17]", "[\"00000000000000000000000020010db9\",2,4]"],
+            [
+                "[\"00000000000000000000000020010db8\",0,17]",
+                "[\"00000000000000000000000020010db9\",2,4]",
+            ],
             "[\"00000000000000000000000020010db8\",0,18]",
         );
     }
@@ -1491,7 +1695,10 @@ mod tests {
         repeated_or_swapped_rows_are_refused(
             "breaker",
             "breaker.entries:",
-            ["[\"00000000000000000000000020010db8\",0,1,5]", "[\"00000000000000000000000020010db9\",2,2,0]"],
+            [
+                "[\"00000000000000000000000020010db8\",0,1,5]",
+                "[\"00000000000000000000000020010db9\",2,2,0]",
+            ],
             "[\"00000000000000000000000020010db8\",0,0,3]",
         );
     }
@@ -1508,7 +1715,13 @@ mod tests {
         for t in &targets {
             write!(text, "{:032x};", u128::from(*t)).unwrap();
         }
-        write!(text, "|{:?}|{:?}", campaign.protocols, campaign.scanner.config()).unwrap();
+        write!(
+            text,
+            "|{:?}|{:?}",
+            campaign.protocols,
+            campaign.scanner.config()
+        )
+        .unwrap();
         assert_eq!(
             campaign.fingerprint(&targets),
             sos_obs::manifest::fnv1a64(text.as_bytes())
@@ -1518,21 +1731,35 @@ mod tests {
     #[test]
     fn changed_lists_new_and_rewritten_rows_in_key_order() {
         let before = [((1, 0), 5u32), ((2, 0), 7), ((2, 1), 9), ((4, 0), 1)];
-        let now = [((0, 3), 2u32), ((1, 0), 5), ((2, 0), 8), ((2, 1), 9), ((3, 0), 1), ((4, 0), 0)];
+        let now = [
+            ((0, 3), 2u32),
+            ((1, 0), 5),
+            ((2, 0), 8),
+            ((2, 1), 9),
+            ((3, 0), 1),
+            ((4, 0), 0),
+        ];
         assert_eq!(
             changed(before.into_iter(), now.into_iter()),
-            [((0, 3), None, 2), ((2, 0), Some(7), 8), ((3, 0), None, 1), ((4, 0), Some(1), 0)]
+            [
+                ((0, 3), None, 2),
+                ((2, 0), Some(7), 8),
+                ((3, 0), None, 1),
+                ((4, 0), Some(1), 0)
+            ]
         );
         assert!(changed(now.into_iter(), now.into_iter()).is_empty());
         // A key only `before` holds is passed over, not reported.
-        assert_eq!(changed(before.into_iter(), [((4, 0), 1u32)].into_iter()), []);
+        assert_eq!(
+            changed(before.into_iter(), [((4, 0), 1u32)].into_iter()),
+            []
+        );
     }
 
     #[test]
     fn resume_rejects_foreign_fingerprint() {
         let world = Arc::new(World::build(WorldConfig::tiny(0xCA4)));
-        let targets: Vec<Ipv6Addr> =
-            world.hosts().iter().map(|(a, _)| a).take(4).collect();
+        let targets: Vec<Ipv6Addr> = world.hosts().iter().map(|(a, _)| a).take(4).collect();
         let mut s = scanner(world);
         let mut campaign = Campaign::new(&mut s, vec![Protocol::Icmp]);
         let bogus = CampaignCheckpoint {

@@ -50,7 +50,10 @@ impl Carried {
     /// Empty state for a path under `plan` (an inactive plan models no
     /// fault layer at all).
     pub fn new(plan: &FaultPlan) -> Carried {
-        Carried { plan: plan.active().then(|| plan.clone()), ..Carried::default() }
+        Carried {
+            plan: plan.active().then(|| plan.clone()),
+            ..Carried::default()
+        }
     }
 
     /// The active fault plan, if any: its prefix length is the coarsest
@@ -85,7 +88,13 @@ impl Carried {
     ) -> (Option<&mut u32>, Option<(&FaultPlan, u128, &mut u32)>) {
         let fault = self.plan.as_ref().map(|plan| {
             let domain = plan.domain_of(dst);
-            (plan, domain, self.density.entry((domain, proto.index() as u8)).or_insert(0))
+            (
+                plan,
+                domain,
+                self.density
+                    .entry((domain, proto.index() as u8))
+                    .or_insert(0),
+            )
         });
         // index() < PROTOCOLS.len()
         let flow = counted.then(|| &mut self.attempts.entry(dst).or_default()[proto.index()]);
@@ -109,8 +118,15 @@ impl Carried {
     ///
     /// The caller must give no two tasks the same `(fault domain,
     /// protocol)` — the partition `Scanner::scan_prepared` makes.
-    pub fn lend(&mut self, proto: Protocol, targets: impl IntoIterator<Item = Ipv6Addr>) -> Carried {
-        let mut lent = Carried { plan: self.plan.clone(), ..Carried::default() };
+    pub fn lend(
+        &mut self,
+        proto: Protocol,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+    ) -> Carried {
+        let mut lent = Carried {
+            plan: self.plan.clone(),
+            ..Carried::default()
+        };
         if self.attempts.is_empty() && self.density.is_empty() {
             return lent;
         }
@@ -166,13 +182,15 @@ impl Carried {
 
     /// Restore rows captured by [`Carried::fault_rows`].
     pub fn restore_fault_rows(&mut self, rows: &[(u128, u8, u32)]) {
-        self.density.extend(rows.iter().map(|&(domain, proto, n)| ((domain, proto), n)));
+        self.density
+            .extend(rows.iter().map(|&(domain, proto, n)| ((domain, proto), n)));
     }
 
     /// The flow counters as `(address, row)`, sorted by address.
     #[cfg(test)]
     pub(crate) fn flow_rows(&self) -> Vec<(u128, FlowRow)> {
-        let mut rows: Vec<(u128, FlowRow)> = self.attempts.iter().map(|(&a, &row)| (a, row)).collect();
+        let mut rows: Vec<(u128, FlowRow)> =
+            self.attempts.iter().map(|(&a, &row)| (a, row)).collect();
         rows.sort_unstable();
         rows
     }
@@ -195,7 +213,9 @@ mod tests {
         let (dst, _) = w
             .hosts()
             .iter()
-            .find(|&(a, _)| w.truth_responds(a, Protocol::Icmp) && w.truth_responds(a, Protocol::Tcp80))
+            .find(|&(a, _)| {
+                w.truth_responds(a, Protocol::Icmp) && w.truth_responds(a, Protocol::Tcp80)
+            })
             .expect("some host answers ICMP and TCP/80");
         let mut base = SimTransport::new(w.clone());
         let spec = ProbeSpec {
@@ -207,7 +227,13 @@ mod tests {
             validate: true,
         };
         base.probe_burst(&spec, 2);
-        base.probe_burst(&ProbeSpec { proto: Protocol::Tcp80, ..spec }, 1);
+        base.probe_burst(
+            &ProbeSpec {
+                proto: Protocol::Tcp80,
+                ..spec
+            },
+            1,
+        );
         fn state(t: &SimTransport) -> &Carried {
             t.carried().expect("the simulator carries state")
         }
@@ -217,23 +243,56 @@ mod tests {
         // One task probes nothing, the other probes `dst` on ICMP; TCP/80
         // is not in this call.
         let idle = base.carried_mut().unwrap().lend(Protocol::Icmp, []);
-        assert!(idle.fault_rows().is_empty() && idle.attempts.is_empty(), "a task with no targets gets nothing");
+        assert!(
+            idle.fault_rows().is_empty() && idle.attempts.is_empty(),
+            "a task with no targets gets nothing"
+        );
         assert_eq!(state(&base).fault_rows(), before);
         let lent = base.carried_mut().unwrap().lend(Protocol::Icmp, [dst]);
-        assert_eq!(state(&base).fault_rows(), [(before[1].0, tcp80 as u8, 1)], "unlent state stays on the parent");
-        assert_eq!(state(&base).attempts[&u128::from(dst)], [0, 1, 0, 0], "and so does the TCP/80 slot");
+        assert_eq!(
+            state(&base).fault_rows(),
+            [(before[1].0, tcp80 as u8, 1)],
+            "unlent state stays on the parent"
+        );
+        assert_eq!(
+            state(&base).attempts[&u128::from(dst)],
+            [0, 1, 0, 0],
+            "and so does the TCP/80 slot"
+        );
         let mut shard = SimTransport::new(w.clone());
         *shard.carried_mut().unwrap() = lent;
         assert_eq!(shard.packets_sent(), 0);
         assert_eq!(state(&shard).fault_drops(), 0);
-        assert_eq!(state(&shard).fault_rows(), [before[0]], "density carried over");
+        assert_eq!(
+            state(&shard).fault_rows(),
+            [before[0]],
+            "density carried over"
+        );
         shard.probe_burst(&spec, 3);
-        assert_eq!(state(&shard).fault_drops(), 3, "shard reports its own delta");
-        assert_eq!(state(&shard).attempts[&u128::from(dst)][icmp], 5, "flow attempts continue: 2 + 3");
-        base.carried_mut().unwrap().reclaim(std::mem::take(shard.carried_mut().unwrap()));
+        assert_eq!(
+            state(&shard).fault_drops(),
+            3,
+            "shard reports its own delta"
+        );
+        assert_eq!(
+            state(&shard).attempts[&u128::from(dst)][icmp],
+            5,
+            "flow attempts continue: 2 + 3"
+        );
+        base.carried_mut()
+            .unwrap()
+            .reclaim(std::mem::take(shard.carried_mut().unwrap()));
         assert_eq!(state(&base).fault_drops(), 6);
-        assert_eq!(base.packets_sent(), 3, "packets are the engine's to account");
-        assert_eq!(state(&base).attempts[&u128::from(dst)], [5, 1, 0, 0], "one row, both slots");
+        assert_eq!(
+            base.packets_sent(),
+            3,
+            "packets are the engine's to account"
+        );
+        assert_eq!(
+            state(&base).attempts[&u128::from(dst)],
+            [5, 1, 0, 0],
+            "one row, both slots"
+        );
         // density continued from the base's clock: 2 + 3 probes
         let rows = state(&base).fault_rows();
         assert_eq!(rows, [(before[0].0, icmp as u8, 5), before[1]]);
@@ -252,7 +311,10 @@ mod tests {
         let addr = |domain: u128, host: u128| (0x2001_0db8_u128 << 96) | (domain << 80) | host;
         let mut parent = Carried::new(&plan);
         for domain in 0..1_000u128 {
-            parent.density.insert((plan.domain_of(addr(domain, 0)), icmp as u8), domain as u32 + 1);
+            parent.density.insert(
+                (plan.domain_of(addr(domain, 0)), icmp as u8),
+                domain as u32 + 1,
+            );
             for host in 0..10 {
                 // Even hosts were probed on ICMP only, odd ones on UDP/53 too.
                 let mut row = FlowRow::default();
@@ -265,28 +327,58 @@ mod tests {
         let lent = parent.lend(Protocol::Icmp, [first]);
         assert_eq!(lent.attempts.len(), 1);
         assert_eq!(lent.attempts[&addr(7, 3)][icmp], 2);
-        assert_eq!(lent.attempts[&addr(7, 3)][udp], 0, "only the lent protocol's slot moves");
-        assert_eq!(parent.attempts[&addr(7, 3)], [0, 0, 0, 7], "the row stays for the slot that did not");
-        assert_eq!(lent.fault_rows(), [(plan.domain_of(addr(7, 0)), icmp as u8, 8)]);
-        assert_eq!((parent.attempts.len(), parent.density.len()), (10_000, 999), "the rest stays");
+        assert_eq!(
+            lent.attempts[&addr(7, 3)][udp],
+            0,
+            "only the lent protocol's slot moves"
+        );
+        assert_eq!(
+            parent.attempts[&addr(7, 3)],
+            [0, 0, 0, 7],
+            "the row stays for the slot that did not"
+        );
+        assert_eq!(
+            lent.fault_rows(),
+            [(plan.domain_of(addr(7, 0)), icmp as u8, 8)]
+        );
+        assert_eq!(
+            (parent.attempts.len(), parent.density.len()),
+            (10_000, 999),
+            "the rest stays"
+        );
 
         // Two targets in one fault domain: both slots move, and the second
         // finds the domain's clock already moved — once, not reset. The
         // even host's row had nothing else in it and is dropped.
         let pair = parent.lend(Protocol::Icmp, [addr(8, 1), addr(8, 2)].map(Ipv6Addr::from));
         assert_eq!(pair.attempts.len(), 2);
-        assert_eq!(pair.fault_rows(), [(plan.domain_of(addr(8, 0)), icmp as u8, 9)], "no double move");
-        assert_eq!((parent.attempts.len(), parent.density.len()), (9_999, 998), "an all-zero row is not kept");
+        assert_eq!(
+            pair.fault_rows(),
+            [(plan.domain_of(addr(8, 0)), icmp as u8, 9)],
+            "no double move"
+        );
+        assert_eq!(
+            (parent.attempts.len(), parent.density.len()),
+            (9_999, 998),
+            "an all-zero row is not kept"
+        );
         // A never-probed address and a protocol the address never saw move
         // nothing.
-        assert!(parent.lend(Protocol::Icmp, [Ipv6Addr::from(addr(2_000, 0))]).attempts.is_empty());
+        assert!(parent
+            .lend(Protocol::Icmp, [Ipv6Addr::from(addr(2_000, 0))])
+            .attempts
+            .is_empty());
         let other = parent.lend(Protocol::Tcp80, [first]);
         assert!(other.attempts.is_empty() && other.density.is_empty());
         assert_eq!(parent.attempts[&addr(7, 3)], [0, 0, 0, 7]);
 
         parent.reclaim(pair);
         parent.reclaim(lent);
-        assert_eq!((parent.attempts.len(), parent.density.len()), (10_000, 1_000), "no loss on reclaim");
+        assert_eq!(
+            (parent.attempts.len(), parent.density.len()),
+            (10_000, 1_000),
+            "no loss on reclaim"
+        );
         assert_eq!(parent.attempts[&addr(7, 3)], [2, 0, 0, 7]);
         assert_eq!(parent.attempts[&addr(8, 2)], [2, 0, 0, 0]);
         assert_eq!(parent.density[&(plan.domain_of(addr(8, 0)), icmp as u8)], 9);
@@ -301,31 +393,74 @@ mod tests {
     fn lend_moves_each_domain_once_however_targets_repeat() {
         let plan = FaultPlan::new(FaultConfig::hostile(), 9);
         assert_eq!(plan.prefix_len(), 48);
-        let addr = |domain: u128, host: u128| Ipv6Addr::from((0x2001_0db8_u128 << 96) | (domain << 80) | host);
+        let addr = |domain: u128, host: u128| {
+            Ipv6Addr::from((0x2001_0db8_u128 << 96) | (domain << 80) | host)
+        };
         let mut parent = Carried::new(&plan);
         for domain in 0..6u128 {
             for proto in [Protocol::Icmp, Protocol::Tcp80] {
                 let key = (plan.domain_of(addr(domain, 0).into()), proto.index() as u8);
-                parent.density.insert(key, 10 * proto.index() as u32 + domain as u32 + 1);
+                parent
+                    .density
+                    .insert(key, 10 * proto.index() as u32 + domain as u32 + 1);
             }
             for host in 0..4 {
-                parent.attempts.insert(addr(domain, host).into(), [1, 2, 0, 0]);
+                parent
+                    .attempts
+                    .insert(addr(domain, host).into(), [1, 2, 0, 0]);
             }
         }
         let (density, flows) = (parent.fault_rows(), parent.flow_rows());
-        let on = |targets: &[(u128, u128)]| targets.iter().map(|&(d, h)| addr(d, h)).collect::<Vec<_>>();
-        let icmp = parent.lend(Protocol::Icmp, on(&[(1, 0), (1, 1), (1, 2), (2, 0), (1, 3), (2, 1), (3, 0)]));
+        let on =
+            |targets: &[(u128, u128)]| targets.iter().map(|&(d, h)| addr(d, h)).collect::<Vec<_>>();
+        let icmp = parent.lend(
+            Protocol::Icmp,
+            on(&[(1, 0), (1, 1), (1, 2), (2, 0), (1, 3), (2, 1), (3, 0)]),
+        );
         let shared = parent.lend(Protocol::Tcp80, on(&[(1, 0), (2, 0), (2, 1), (9, 0)]));
         let rest = parent.lend(Protocol::Icmp, on(&[(4, 0), (4, 1), (1, 0)]));
-        let domains = |c: &Carried| c.fault_rows().into_iter().map(|(d, p, n)| (d & 0xffff, p, n)).collect::<Vec<_>>();
+        let domains = |c: &Carried| {
+            c.fault_rows()
+                .into_iter()
+                .map(|(d, p, n)| (d & 0xffff, p, n))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(domains(&icmp), [(1, 0, 2), (2, 0, 3), (3, 0, 4)]);
-        assert_eq!(domains(&shared), [(1, 1, 12), (2, 1, 13)], "another protocol's task takes its own clocks");
-        assert_eq!(domains(&rest), [(4, 0, 5)], "a clock already lent is not lent again");
-        assert_eq!(domains(&parent), [(0, 0, 1), (0, 1, 11), (3, 1, 14), (4, 1, 15), (5, 0, 6), (5, 1, 16)]);
+        assert_eq!(
+            domains(&shared),
+            [(1, 1, 12), (2, 1, 13)],
+            "another protocol's task takes its own clocks"
+        );
+        assert_eq!(
+            domains(&rest),
+            [(4, 0, 5)],
+            "a clock already lent is not lent again"
+        );
+        assert_eq!(
+            domains(&parent),
+            [
+                (0, 0, 1),
+                (0, 1, 11),
+                (3, 1, 14),
+                (4, 1, 15),
+                (5, 0, 6),
+                (5, 1, 16)
+            ]
+        );
         // Flow slots move per address: domain 1's four hosts all went to
         // the ICMP task, two of domain 2's to the TCP/80 task.
-        assert_eq!((icmp.attempts.len(), shared.attempts.len(), rest.attempts.len()), (7, 3, 2));
-        assert!(!parent.attempts.contains_key(&u128::from(addr(1, 0))), "both slots of (1, 0) are out");
+        assert_eq!(
+            (
+                icmp.attempts.len(),
+                shared.attempts.len(),
+                rest.attempts.len()
+            ),
+            (7, 3, 2)
+        );
+        assert!(
+            !parent.attempts.contains_key(&u128::from(addr(1, 0))),
+            "both slots of (1, 0) are out"
+        );
         for task in [rest, icmp, shared] {
             parent.reclaim(task);
         }
@@ -348,7 +483,10 @@ mod tests {
             assert_eq!(parent.attempts[&key], [0, 4, 5, 0]);
             *on_icmp.slots(key, Protocol::Icmp, true).0.unwrap() += 10;
             *on_udp.slots(key, Protocol::Udp53, true).0.unwrap() += 20;
-            assert_eq!((on_icmp.attempts[&key], on_udp.attempts[&key]), ([13, 0, 0, 0], [0, 0, 0, 26]));
+            assert_eq!(
+                (on_icmp.attempts[&key], on_udp.attempts[&key]),
+                ([13, 0, 0, 0], [0, 0, 0, 26])
+            );
             if icmp_returns_first {
                 parent.reclaim(on_icmp);
                 parent.reclaim(on_udp);

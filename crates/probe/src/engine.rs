@@ -81,7 +81,10 @@ pub struct ScannerConfig {
 impl Default for ScannerConfig {
     fn default() -> Self {
         ScannerConfig {
-            #[expect(clippy::expect_used, reason = "compile-time literal address always parses")]
+            #[expect(
+                clippy::expect_used,
+                reason = "compile-time literal address always parses"
+            )]
             src: "2001:db8:5ca0::1".parse().expect("static addr"),
             salt: 0x5eed_5ca0,
             retry: RetryPolicy::fixed(1),
@@ -301,7 +304,10 @@ impl Delta {
             out: &mut Vec<Changed<V>>,
         ) {
             for (key, value) in now {
-                let old = lent.binary_search_by_key(&key, |&(k, _)| k).ok().map(|at| lent[at].1);
+                let old = lent
+                    .binary_search_by_key(&key, |&(k, _)| k)
+                    .ok()
+                    .map(|at| lent[at].1);
                 if old != Some(value) {
                     out.push((key, old, value));
                 }
@@ -317,7 +323,9 @@ impl<T: Transport> Lane<T> {
     /// `(drops, throttle µs)` the fault layer has cost so far; zeros for a
     /// transport that carries no state.
     fn fault_totals(&self) -> (u64, u64) {
-        self.transport.carried().map_or((0, 0), |c| (c.fault_drops(), c.throttled_us()))
+        self.transport
+            .carried()
+            .map_or((0, 0), |c| (c.fault_drops(), c.throttled_us()))
     }
 
     /// The prefix length a sharded scan partitions targets by: coarse
@@ -325,8 +333,15 @@ impl<T: Transport> Lane<T> {
     /// tasks (which would fork their per-prefix virtual clocks and make
     /// results depend on the shard count).
     fn partition_len(&self) -> u8 {
-        let fault = self.transport.carried().and_then(Carried::fault_plan).map(|p| p.prefix_len());
-        let breaker = self.breaker.as_ref().map(|b| b.config().effective_prefix_len());
+        let fault = self
+            .transport
+            .carried()
+            .and_then(Carried::fault_plan)
+            .map(|p| p.prefix_len());
+        let breaker = self
+            .breaker
+            .as_ref()
+            .map(|b| b.config().effective_prefix_len());
         fault.into_iter().chain(breaker).fold(48, u8::min)
     }
 
@@ -344,16 +359,34 @@ impl<T: Transport> Lane<T> {
         };
         LaneState {
             limiter: self.limiter.as_ref().map(TokenBucket::snapshot),
-            fault_rows: self.transport.carried().filter(|_| rows).map(Carried::fault_rows).unwrap_or_default(),
+            fault_rows: self
+                .transport
+                .carried()
+                .filter(|_| rows)
+                .map(Carried::fault_rows)
+                .unwrap_or_default(),
             breaker: self.breaker.as_ref().map(breaker),
         }
     }
 
     /// The lane's per-prefix rows, for a round's [`Delta`].
     fn rows(&self) -> Rows {
-        let fault = self.transport.carried().map(Carried::fault_rows).unwrap_or_default();
-        let fault = fault.into_iter().map(|(domain, proto, n)| ((domain, proto), n)).collect();
-        (fault, self.breaker.as_ref().map(BreakerMap::entries).unwrap_or_default())
+        let fault = self
+            .transport
+            .carried()
+            .map(Carried::fault_rows)
+            .unwrap_or_default();
+        let fault = fault
+            .into_iter()
+            .map(|(domain, proto, n)| ((domain, proto), n))
+            .collect();
+        (
+            fault,
+            self.breaker
+                .as_ref()
+                .map(BreakerMap::entries)
+                .unwrap_or_default(),
+        )
     }
 
     /// Put a snapshot back. A limiter or breaker map the snapshot lacks
@@ -362,7 +395,11 @@ impl<T: Transport> Lane<T> {
         if let Some(carried) = self.transport.carried_mut() {
             carried.restore_fault_rows(&state.fault_rows);
         }
-        self.limiter = state.limiter.as_ref().map(TokenBucket::restore).or(self.limiter.take());
+        self.limiter = state
+            .limiter
+            .as_ref()
+            .map(TokenBucket::restore)
+            .or(self.limiter.take());
         self.breaker = state.breaker.or(self.breaker.take());
     }
 
@@ -371,7 +408,12 @@ impl<T: Transport> Lane<T> {
     /// back-off and rate-limiter replay, breaker record; everything it
     /// spends is added to `tally`. Returns `None` when an open breaker
     /// skipped the target (nothing transmitted).
-    fn probe_one(&mut self, cfg: &ScannerConfig, spec: &ProbeSpec, tally: &mut Tally) -> Option<Burst> {
+    fn probe_one(
+        &mut self,
+        cfg: &ScannerConfig,
+        spec: &ProbeSpec,
+        tally: &mut Tally,
+    ) -> Option<Burst> {
         if let Some(b) = self.breaker.as_mut() {
             if b.admit(spec.dst, spec.proto) == Admission::Skip {
                 tally.counts[BREAKER_SKIPPED] += 1;
@@ -428,7 +470,11 @@ impl<T: Transport + Clone> Lane<T> {
     /// `rate / jobs` bucket, so the aggregate still honors Appendix A — a
     /// lone job takes this lane's own bucket, whose clock runs on across
     /// scans, and [`Lane::reclaim`] puts it back.
-    fn lend(&mut self, rate: Option<f64>, jobs: &[(Protocol, Vec<(u32, Ipv6Addr)>)]) -> Vec<Lane<T>> {
+    fn lend(
+        &mut self,
+        rate: Option<f64>,
+        jobs: &[(Protocol, Vec<(u32, Ipv6Addr)>)],
+    ) -> Vec<Lane<T>> {
         // The carried state leaves before the transport is cloned, so a
         // lent transport starts with exactly its task's counters and zero
         // totals; a stateless transport lends plain clones.
@@ -445,7 +491,11 @@ impl<T: Transport + Clone> Lane<T> {
                     1 => self.limiter.take(),
                     n => rate.map(|r| TokenBucket::split(r, r, n)),
                 };
-                Lane { transport, limiter, breaker: self.breaker.as_mut().map(|b| b.lend(*proto, addrs())) }
+                Lane {
+                    transport,
+                    limiter,
+                    breaker: self.breaker.as_mut().map(|b| b.lend(*proto, addrs())),
+                }
             })
             .collect();
         if let (Some(slot), Some(kept)) = (self.transport.carried_mut(), kept) {
@@ -460,8 +510,13 @@ impl<T: Transport + Clone> Lane<T> {
     /// scanner accounts task packets from the partial reports. A bucket the
     /// lane took from here comes back; a split one is dropped.
     fn reclaim(&mut self, lent: Lane<T>) {
-        let Lane { mut transport, limiter, breaker } = lent;
-        if let (Some(mine), Some(theirs)) = (self.transport.carried_mut(), transport.carried_mut()) {
+        let Lane {
+            mut transport,
+            limiter,
+            breaker,
+        } = lent;
+        if let (Some(mine), Some(theirs)) = (self.transport.carried_mut(), transport.carried_mut())
+        {
             mine.reclaim(std::mem::take(theirs));
         }
         if let (Some(mine), Some(theirs)) = (self.breaker.as_mut(), breaker) {
@@ -565,7 +620,11 @@ impl<T: Transport> Scanner<T> {
         let breaker = cfg.breaker.map(BreakerMap::new);
         Scanner {
             cfg,
-            lane: Lane { transport, limiter, breaker },
+            lane: Lane {
+                transport,
+                limiter,
+                breaker,
+            },
             metrics: EngineMetrics::new(),
             shard_packets: 0,
         }
@@ -613,7 +672,8 @@ impl<T: Transport> Scanner<T> {
         let expected = targets.size_hint().0;
         let mut prepared = Vec::with_capacity(expected);
         let mut tags = prov.map(|_| Vec::new());
-        let mut seen: AddrSet<u128> = AddrSet::with_capacity_and_hasher(expected, Default::default());
+        let mut seen: AddrSet<u128> =
+            AddrSet::with_capacity_and_hasher(expected, Default::default());
         for (i, dst) in targets.enumerate() {
             if !seen.insert(u128::from(dst)) {
                 report.duplicates += 1;
@@ -648,7 +708,12 @@ impl<T: Transport> Scanner<T> {
     /// per-target policy as every scan, on this scanner's own lane, and
     /// counts in the flat engine totals only.
     /// `None` means an open breaker skipped the target.
-    pub fn probe_target(&mut self, dst: Ipv6Addr, proto: Protocol, region: Option<u32>) -> Option<Burst> {
+    pub fn probe_target(
+        &mut self,
+        dst: Ipv6Addr,
+        proto: Protocol,
+        region: Option<u32>,
+    ) -> Option<Burst> {
         let mut tally = Tally::default();
         let spec = self.cfg.spec(dst, proto, region);
         let burst = self.lane.probe_one(&self.cfg, &spec, &mut tally);
@@ -663,8 +728,14 @@ impl<T: Transport> Scanner<T> {
         proto: Protocol,
         prov: Option<&[Provenance]>,
     ) -> ScanReport {
-        let (mut report, hits) =
-            scan_shard(&self.cfg, &mut self.lane, &self.metrics, prepared, proto, prov);
+        let (mut report, hits) = scan_shard(
+            &self.cfg,
+            &mut self.lane,
+            &self.metrics,
+            prepared,
+            proto,
+            prov,
+        );
         // A single task sees targets in input order already.
         report.hits = hits.into_iter().map(|(_, a)| a).collect();
         report
@@ -711,8 +782,10 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         proto: Protocol,
         shards: usize,
     ) -> ScanReport {
-        let _span =
-            sos_obs::span_detail("scan_parallel", format!("protos=1 shards={}", shards.max(1)));
+        let _span = sos_obs::span_detail(
+            "scan_parallel",
+            format!("protos=1 shards={}", shards.max(1)),
+        );
         self.scan_sharded(targets, proto, shards, None)
     }
 
@@ -799,7 +872,11 @@ impl<T: Transport + Clone + Send> Scanner<T> {
             .flat_map(|&proto| (0..shards).map(move |_| (proto, Vec::new())))
             .collect();
         for (pi, proto) in protocols.iter().enumerate() {
-            let first = protocols.iter().take(pi).position(|p| p == proto).unwrap_or(pi);
+            let first = protocols
+                .iter()
+                .take(pi)
+                .position(|p| p == proto)
+                .unwrap_or(pi);
             for &(idx, addr) in prepared {
                 let task = first * shards + shard_of(u128::from(addr), partition_len, shards);
                 jobs[task].1.push((idx, addr)); // task < jobs.len(): first < protocols.len(), shard_of < shards
@@ -807,7 +884,11 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         }
         let lanes = self.lane.lend(self.cfg.rate_pps, &jobs);
         // The rows each task was lent, for the delta it hands back.
-        let lent: Vec<Rows> = if delta.is_some() { lanes.iter().map(Lane::rows).collect() } else { Vec::new() };
+        let lent: Vec<Rows> = if delta.is_some() {
+            lanes.iter().map(Lane::rows).collect()
+        } else {
+            Vec::new()
+        };
         let mut lent = lent.into_iter();
 
         let (cfg, metrics) = (&self.cfg, &self.metrics);
@@ -816,7 +897,11 @@ impl<T: Transport + Clone + Send> Scanner<T> {
         let results = par_map(jobs, tasks, |task, ((proto, targets), mut lane)| {
             let _s = sos_obs::span_detail(
                 "scan_shard",
-                format!("proto={proto:?} shard={} targets={}", task % shards, targets.len()),
+                format!(
+                    "proto={proto:?} shard={} targets={}",
+                    task % shards,
+                    targets.len()
+                ),
             );
             let (report, hits) = scan_shard(cfg, &mut lane, metrics, &targets, proto, prov);
             (report, hits, lane)
@@ -1039,7 +1124,11 @@ mod tests {
                 let mut par = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
                 let got = par.scan_parallel(targets.iter().copied(), proto, shards);
                 assert_eq!(got, want, "{proto:?} x{shards} diverged from the wire scan");
-                assert_eq!(par.packets_sent(), seq.packets_sent(), "{proto:?} x{shards}");
+                assert_eq!(
+                    par.packets_sent(),
+                    seq.packets_sent(),
+                    "{proto:?} x{shards}"
+                );
             }
         }
     }

@@ -48,11 +48,11 @@ pub use engine::{ScanReport, Scanner, ScannerConfig};
 pub use metrics::EngineMetrics;
 pub use oracle::{NullOracle, ScanOracle};
 pub use packet::{build_probe, parse_packet, PacketError, ParsedPacket};
+pub use pcap::{CapturingTransport, PcapWriter};
 pub use provenance::{
     attribute_hits, seed_digest, AttributionTable, HitAttribution, Provenance, ProvenanceLog,
     RegionTally, SourceTotals, REGION_FILL, SOURCE_TARGETS,
 };
-pub use pcap::{CapturingTransport, PcapWriter};
 pub use ratelimit::TokenBucket;
 pub use retry::{Admission, BreakerConfig, BreakerMap, BreakerState, RetryPolicy};
 pub use sim::SimTransport;

@@ -165,13 +165,20 @@ impl EngineMetrics {
     /// This scanner's counter totals by name (unaffected by other
     /// scanners), every name listed.
     pub fn counters(&self) -> BTreeMap<String, u64> {
-        NAMES.iter().zip(&self.local).map(|(name, c)| (name.to_string(), c.get())).collect()
+        NAMES
+            .iter()
+            .zip(&self.local)
+            .map(|(name, c)| (name.to_string(), c.get()))
+            .collect()
     }
 
     /// One of this scanner's counters by name (0 for a name not in
     /// [`NAMES`]).
     pub fn counter(&self, name: &str) -> u64 {
-        NAMES.iter().position(|&n| n == name).map_or(0, |slot| self.local[slot].get())
+        NAMES
+            .iter()
+            .position(|&n| n == name)
+            .map_or(0, |slot| self.local[slot].get())
     }
 }
 
@@ -217,8 +224,14 @@ mod tests {
     fn proto_labels_match_wire_labels_lowercased() {
         for proto in PROTOCOLS {
             let label = proto.label().to_lowercase();
-            assert_eq!(NAMES[hits_on(proto)], format!("{}{{proto={label}}}", NAMES[HITS]));
-            assert_eq!(NAMES[packets_on(proto)], format!("{}{{proto={label}}}", NAMES[PACKETS_SENT]));
+            assert_eq!(
+                NAMES[hits_on(proto)],
+                format!("{}{{proto={label}}}", NAMES[HITS])
+            );
+            assert_eq!(
+                NAMES[packets_on(proto)],
+                format!("{}{{proto={label}}}", NAMES[PACKETS_SENT])
+            );
         }
     }
 

@@ -163,7 +163,11 @@ mod tests {
             ..ScannerConfig::default()
         };
         let mut s = Scanner::new(cfg, SimTransport::new(world));
-        for (i, (hit, tag)) in s.probe_tagged(&live, Protocol::Icmp).into_iter().enumerate() {
+        for (i, (hit, tag)) in s
+            .probe_tagged(&live, Protocol::Icmp)
+            .into_iter()
+            .enumerate()
+        {
             assert!(hit);
             assert_eq!(tag, Some(i as u32 + 100), "region must round-trip");
         }

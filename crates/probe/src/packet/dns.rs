@@ -83,13 +83,7 @@ fn dns_body(id: u16, is_response: bool, qname: &str) -> Vec<u8> {
 }
 
 /// Wrap a DNS body in UDP + IPv6.
-fn build_udp_dns(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    sport: u16,
-    dport: u16,
-    body: &[u8],
-) -> Vec<u8> {
+fn build_udp_dns(src: Ipv6Addr, dst: Ipv6Addr, sport: u16, dport: u16, body: &[u8]) -> Vec<u8> {
     let udp_len = 8 + body.len();
     let mut seg = Vec::with_capacity(udp_len);
     seg.extend_from_slice(&sport.to_be_bytes());
@@ -103,13 +97,7 @@ fn build_udp_dns(
 }
 
 /// Build a DNS AAAA query probe.
-pub fn build_dns_query(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    sport: u16,
-    id: u16,
-    qname: &str,
-) -> Vec<u8> {
+pub fn build_dns_query(src: Ipv6Addr, dst: Ipv6Addr, sport: u16, id: u16, qname: &str) -> Vec<u8> {
     build_udp_dns(src, dst, sport, 53, &dns_body(id, false, qname))
 }
 
@@ -173,7 +161,13 @@ mod tests {
 
     #[test]
     fn query_roundtrip() {
-        let pkt = build_dns_query(a("2001:db8::1"), a("2600::53"), 40000, 0xBEEF, "p-12ab.probe.example");
+        let pkt = build_dns_query(
+            a("2001:db8::1"),
+            a("2600::53"),
+            40000,
+            0xBEEF,
+            "p-12ab.probe.example",
+        );
         let (hdr, seg) = parse_header(&pkt).unwrap();
         assert_eq!(hdr.next_header, NEXT_UDP);
         let m = parse_udp_dns(hdr.src, hdr.dst, seg).unwrap();
@@ -186,7 +180,13 @@ mod tests {
 
     #[test]
     fn response_roundtrip() {
-        let pkt = build_dns_response(a("2600::53"), a("2001:db8::1"), 40000, 7, "r-9.probe.example");
+        let pkt = build_dns_response(
+            a("2600::53"),
+            a("2001:db8::1"),
+            40000,
+            7,
+            "r-9.probe.example",
+        );
         let (hdr, seg) = parse_header(&pkt).unwrap();
         let m = parse_udp_dns(hdr.src, hdr.dst, seg).unwrap();
         assert!(m.is_response);
@@ -198,7 +198,10 @@ mod tests {
     fn qname_case_is_normalized() {
         let pkt = build_dns_query(a("::1"), a("::2"), 1, 1, "MiXeD.Example");
         let (hdr, seg) = parse_header(&pkt).unwrap();
-        assert_eq!(parse_udp_dns(hdr.src, hdr.dst, seg).unwrap().qname, "mixed.example");
+        assert_eq!(
+            parse_udp_dns(hdr.src, hdr.dst, seg).unwrap().qname,
+            "mixed.example"
+        );
     }
 
     #[test]
@@ -207,7 +210,10 @@ mod tests {
         let n = pkt.len();
         pkt[n - 1] ^= 0x55;
         let (hdr, seg) = parse_header(&pkt).unwrap();
-        assert_eq!(parse_udp_dns(hdr.src, hdr.dst, seg), Err(PacketError::BadChecksum));
+        assert_eq!(
+            parse_udp_dns(hdr.src, hdr.dst, seg),
+            Err(PacketError::BadChecksum)
+        );
     }
 
     #[test]
@@ -237,6 +243,9 @@ mod tests {
         body.extend_from_slice(&QCLASS_IN.to_be_bytes());
         let pkt = build_udp_dns(a("::1"), a("::2"), 1, 53, &body);
         let (hdr, seg) = parse_header(&pkt).unwrap();
-        assert_eq!(parse_udp_dns(hdr.src, hdr.dst, seg), Err(PacketError::Malformed));
+        assert_eq!(
+            parse_udp_dns(hdr.src, hdr.dst, seg),
+            Err(PacketError::Malformed)
+        );
     }
 }

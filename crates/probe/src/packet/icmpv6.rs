@@ -169,7 +169,11 @@ mod tests {
 
     #[test]
     fn echo_request_roundtrip() {
-        let payload = EchoPayload { token: 0xDEAD_BEEF_0123_4567, region: 42 }.to_bytes();
+        let payload = EchoPayload {
+            token: 0xDEAD_BEEF_0123_4567,
+            region: 42,
+        }
+        .to_bytes();
         let pkt = build_echo_request(a("2001:db8::1"), a("2001:db8::2"), 7, 9, &payload);
         let (hdr, seg) = parse_header(&pkt).unwrap();
         let body = parse_icmpv6(hdr.src, hdr.dst, seg).unwrap();
@@ -200,7 +204,10 @@ mod tests {
         let n = pkt.len();
         pkt[n - 1] ^= 0xff;
         let (hdr, seg) = parse_header(&pkt).unwrap();
-        assert_eq!(parse_icmpv6(hdr.src, hdr.dst, seg), Err(PacketError::BadChecksum));
+        assert_eq!(
+            parse_icmpv6(hdr.src, hdr.dst, seg),
+            Err(PacketError::BadChecksum)
+        );
     }
 
     #[test]
@@ -238,6 +245,9 @@ mod tests {
         let mut seg = vec![134u8, 0, 0, 0, 0, 0, 0, 0];
         let c = transport_checksum(src, dst, NEXT_ICMPV6, &seg);
         seg[2..4].copy_from_slice(&c.to_be_bytes());
-        assert_eq!(parse_icmpv6(src, dst, &seg), Err(PacketError::UnsupportedType(134)));
+        assert_eq!(
+            parse_icmpv6(src, dst, &seg),
+            Err(PacketError::UnsupportedType(134))
+        );
     }
 }

@@ -116,7 +116,10 @@ mod tests {
     fn rejects_length_mismatch() {
         let mut pkt = build_packet(a("::1"), a("::2"), NEXT_TCP, b"abcd");
         pkt[5] = 99;
-        assert!(matches!(parse_header(&pkt), Err(PacketError::BadLength { .. })));
+        assert!(matches!(
+            parse_header(&pkt),
+            Err(PacketError::BadLength { .. })
+        ));
     }
 
     #[test]

@@ -129,13 +129,11 @@ impl ParsedPacket {
             ParsedPacket::Tcp { segment, .. } if segment.is_syn_ack() => {
                 Some(segment.ack.wrapping_sub(1))
             }
-            ParsedPacket::Dns { message, .. } if message.is_response => {
-                message
-                    .qname
-                    .strip_prefix("r-")
-                    .and_then(|rest| rest.split('.').next())
-                    .and_then(|tag| u32::from_str_radix(tag, 16).ok())
-            }
+            ParsedPacket::Dns { message, .. } if message.is_response => message
+                .qname
+                .strip_prefix("r-")
+                .and_then(|rest| rest.split('.').next())
+                .and_then(|tag| u32::from_str_radix(tag, 16).ok()),
             _ => None,
         }
     }
@@ -256,9 +254,7 @@ pub fn parse_packet(bytes: &[u8]) -> Result<ParsedPacket, PacketError> {
 pub fn validate_response(salt: u64, probed_dst: Ipv6Addr, response: &ParsedPacket) -> bool {
     let token = validation_token(salt, probed_dst);
     match response {
-        ParsedPacket::EchoReply { payload, .. } => {
-            payload.is_some_and(|p| p.token == token)
-        }
+        ParsedPacket::EchoReply { payload, .. } => payload.is_some_and(|p| p.token == token),
         ParsedPacket::Tcp { segment, .. } => {
             if segment.is_rst() {
                 // RSTs ack our seq+1 when well-behaved, but many stacks
@@ -288,7 +284,13 @@ mod tests {
 
     #[test]
     fn icmp_probe_roundtrip_with_region() {
-        let pkt = build_probe(a("2001:db8::1"), a("2600::9"), Protocol::Icmp, 7, Some(1234));
+        let pkt = build_probe(
+            a("2001:db8::1"),
+            a("2600::9"),
+            Protocol::Icmp,
+            7,
+            Some(1234),
+        );
         match parse_packet(&pkt).unwrap() {
             ParsedPacket::EchoRequest { dst, payload, .. } => {
                 assert_eq!(dst, a("2600::9"));
@@ -328,12 +330,20 @@ mod tests {
         let dst = a("2600::9");
         let token = validation_token(salt, dst);
         // genuine echo reply
-        let payload = EchoPayload { token, region: NO_REGION }.to_bytes();
+        let payload = EchoPayload {
+            token,
+            region: NO_REGION,
+        }
+        .to_bytes();
         let reply = icmpv6::build_echo_reply(dst, a("::1"), 0, 0, &payload);
         let parsed = parse_packet(&reply).unwrap();
         assert!(validate_response(salt, dst, &parsed));
         // forged token
-        let bad = EchoPayload { token: token ^ 1, region: NO_REGION }.to_bytes();
+        let bad = EchoPayload {
+            token: token ^ 1,
+            region: NO_REGION,
+        }
+        .to_bytes();
         let forged = icmpv6::build_echo_reply(dst, a("::1"), 0, 0, &bad);
         let parsed = parse_packet(&forged).unwrap();
         assert!(!validate_response(salt, dst, &parsed));
@@ -352,21 +362,36 @@ mod tests {
     fn region_tag_recovery_icmp_tcp_dns() {
         let dst = a("2600::9");
         // ICMP
-        let payload = EchoPayload { token: 0, region: 77 }.to_bytes();
+        let payload = EchoPayload {
+            token: 0,
+            region: 77,
+        }
+        .to_bytes();
         let reply = parse_packet(&icmpv6::build_echo_reply(dst, a("::1"), 0, 0, &payload)).unwrap();
         assert_eq!(reply.region_tag(), Some(77));
         // TCP: server acks region+1
         let synack = parse_packet(&tcp::build_syn_ack(dst, a("::1"), 80, 1000, 5, 77)).unwrap();
         assert_eq!(synack.region_tag(), Some(77));
         // DNS: qname label
-        let resp = parse_packet(&dns::build_dns_response(dst, a("::1"), 1000, 1, "r-0000004d.probe.example")).unwrap();
+        let resp = parse_packet(&dns::build_dns_response(
+            dst,
+            a("::1"),
+            1000,
+            1,
+            "r-0000004d.probe.example",
+        ))
+        .unwrap();
         assert_eq!(resp.region_tag(), Some(77));
     }
 
     #[test]
     fn untagged_probe_has_no_region() {
         let dst = a("2600::9");
-        let payload = EchoPayload { token: 1, region: NO_REGION }.to_bytes();
+        let payload = EchoPayload {
+            token: 1,
+            region: NO_REGION,
+        }
+        .to_bytes();
         let reply = parse_packet(&icmpv6::build_echo_reply(dst, a("::1"), 0, 0, &payload)).unwrap();
         assert_eq!(reply.region_tag(), None);
     }

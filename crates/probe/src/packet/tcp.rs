@@ -54,11 +54,7 @@ impl TcpSegment {
 }
 
 /// Encode a 20-byte TCP header inside an IPv6 packet.
-pub fn build_tcp(
-    src: Ipv6Addr,
-    dst: Ipv6Addr,
-    seg: TcpSegment,
-) -> Vec<u8> {
+pub fn build_tcp(src: Ipv6Addr, dst: Ipv6Addr, seg: TcpSegment) -> Vec<u8> {
     let mut b = Vec::with_capacity(20);
     b.extend_from_slice(&seg.sport.to_be_bytes());
     b.extend_from_slice(&seg.dport.to_be_bytes());
@@ -199,11 +195,17 @@ mod tests {
         let mut pkt = build_syn(a("::1"), a("::2"), 1, 80, 1);
         pkt[45] ^= 1; // flip a byte inside the TCP header
         let (hdr, seg) = parse_header(&pkt).unwrap();
-        assert_eq!(parse_tcp(hdr.src, hdr.dst, seg), Err(PacketError::BadChecksum));
+        assert_eq!(
+            parse_tcp(hdr.src, hdr.dst, seg),
+            Err(PacketError::BadChecksum)
+        );
     }
 
     #[test]
     fn short_segment_rejected() {
-        assert_eq!(parse_tcp(a("::1"), a("::2"), &[0u8; 8]), Err(PacketError::TooShort));
+        assert_eq!(
+            parse_tcp(a("::1"), a("::2"), &[0u8; 8]),
+            Err(PacketError::TooShort)
+        );
     }
 }

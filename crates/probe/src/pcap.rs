@@ -201,19 +201,34 @@ mod tests {
         let mut wc = netmodel::WorldConfig::tiny(0xCA9);
         wc.faults = netmodel::FaultConfig::hostile();
         let world = Arc::new(netmodel::World::build(wc));
-        let targets: Vec<_> = world.hosts().iter().map(|(a, _)| a).step_by(3).take(300).collect();
-        let cfg = ScannerConfig { rate_pps: None, ..ScannerConfig::default() };
+        let targets: Vec<_> = world
+            .hosts()
+            .iter()
+            .map(|(a, _)| a)
+            .step_by(3)
+            .take(300)
+            .collect();
+        let cfg = ScannerConfig {
+            rate_pps: None,
+            ..ScannerConfig::default()
+        };
 
         let mut bare = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
         let want = bare.scan(targets.iter().copied(), Protocol::Icmp);
-        assert!(want.faults_injected > 0 && want.throttled_us > 0, "the schedule must bite");
+        assert!(
+            want.faults_injected > 0 && want.throttled_us > 0,
+            "the schedule must bite"
+        );
 
         let capture = CapturingTransport::new(SimTransport::new(world), Vec::new()).unwrap();
         let mut captured = Scanner::new(cfg, capture);
         let got = captured.scan(targets.iter().copied(), Protocol::Icmp);
         assert_eq!(got, want);
         assert_eq!(
-            captured.transport().carried().map(crate::Carried::fault_rows),
+            captured
+                .transport()
+                .carried()
+                .map(crate::Carried::fault_rows),
             bare.transport().carried().map(crate::Carried::fault_rows)
         );
         assert!(captured.transport().captured() >= got.packets_sent);
@@ -254,10 +269,16 @@ mod tests {
             inner.script.push_back(Some(probe.clone()));
         }
         // room for the global header and the first exchange, not the second
-        let out = FullAfter { room: 24 + 2 * (16 + probe.len()) + 10, taken: Vec::new() };
+        let out = FullAfter {
+            room: 24 + 2 * (16 + probe.len()) + 10,
+            taken: Vec::new(),
+        };
         let mut t = CapturingTransport::new(inner, out).unwrap();
         for _ in 0..3 {
-            assert!(t.send(&probe).is_some(), "the scan never sees the capture fail");
+            assert!(
+                t.send(&probe).is_some(),
+                "the scan never sees the capture fail"
+            );
         }
         assert_eq!(t.captured(), 2, "nothing is written past the first failure");
         let err = t.finish().err().expect("a truncated capture is reported");

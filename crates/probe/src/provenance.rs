@@ -77,7 +77,11 @@ pub struct ProvenanceLog {
 impl ProvenanceLog {
     /// A recording log for generator `source` (`TgaId::code()`).
     pub fn recording(source: u8) -> ProvenanceLog {
-        ProvenanceLog { source, enabled: true, ..ProvenanceLog::default() }
+        ProvenanceLog {
+            source,
+            enabled: true,
+            ..ProvenanceLog::default()
+        }
     }
 
     /// A disabled log: every push is a no-op. The untagged generation
@@ -316,7 +320,12 @@ impl AttributionTable {
     pub fn top_by_hits(&self, n: usize) -> Vec<(u8, u32, RegionTally)> {
         let mut rows: Vec<(u8, u32, RegionTally)> =
             self.rows.iter().map(|(&(s, r), &t)| (s, r, t)).collect();
-        rows.sort_by(|a, b| b.2.hits.cmp(&a.2.hits).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        rows.sort_by(|a, b| {
+            b.2.hits
+                .cmp(&a.2.hits)
+                .then(a.0.cmp(&b.0))
+                .then(a.1.cmp(&b.1))
+        });
         rows.truncate(n);
         rows
     }
@@ -355,7 +364,10 @@ impl AttributionTable {
         let rows = j.as_arr().ok_or("attribution is not an array")?;
         let mut table = AttributionTable::new();
         for row in rows {
-            let row = row.as_arr().filter(|a| a.len() == 7).ok_or("bad attribution row")?;
+            let row = row
+                .as_arr()
+                .filter(|a| a.len() == 7)
+                .ok_or("bad attribution row")?;
             table.rows.insert(
                 (field(row, 0, "source")?, field(row, 1, "region")?),
                 RegionTally {
@@ -414,7 +426,12 @@ mod tests {
     use super::*;
 
     fn prov(source: u8, region: u32, digest: u32, round: u16) -> Provenance {
-        Provenance { source, region, seed_digest: digest, round }
+        Provenance {
+            source,
+            region,
+            seed_digest: digest,
+            round,
+        }
     }
 
     #[test]
@@ -497,8 +514,17 @@ mod tests {
         assert_eq!(t.totals(), (5, 1, 1));
         assert_eq!(t.wasted(), 4);
         assert_eq!(t.len(), 2);
-        let by_source = SourceTotals { regions: 2, probes: 5, hits: 1, aliases: 1, wasted: 4 };
-        assert_eq!(t.by_source().into_iter().collect::<Vec<_>>(), [(3, by_source)]);
+        let by_source = SourceTotals {
+            regions: 2,
+            probes: 5,
+            hits: 1,
+            aliases: 1,
+            wasted: 4,
+        };
+        assert_eq!(
+            t.by_source().into_iter().collect::<Vec<_>>(),
+            [(3, by_source)]
+        );
     }
 
     #[test]
@@ -509,7 +535,10 @@ mod tests {
         t.record_probe(prov(SOURCE_TARGETS, REGION_FILL, 0, 0));
         let back = AttributionTable::from_json(&t.to_json()).expect("parses");
         assert_eq!(back, t);
-        assert_eq!(AttributionTable::from_json(&Json::Arr(vec![])).unwrap(), AttributionTable::new());
+        assert_eq!(
+            AttributionTable::from_json(&Json::Arr(vec![])).unwrap(),
+            AttributionTable::new()
+        );
     }
 
     #[test]

@@ -271,7 +271,10 @@ mod tests {
         for _ in 0..50 {
             tb.advance(0.1);
             // 0.1 is not exactly representable; allow float dust.
-            assert!(tb.acquire() < 1e-9, "an exact-refill acquire must not stall");
+            assert!(
+                tb.acquire() < 1e-9,
+                "an exact-refill acquire must not stall"
+            );
             assert!(tb.available() <= 4.0 + 1e-9);
         }
     }
@@ -280,7 +283,9 @@ mod tests {
     fn split_budget_aggregates_to_the_global_rate() {
         // 8 shards of a 10k budget: each gets 1250 pps; together they
         // admit exactly the global rate in sustained operation.
-        let mut shards: Vec<TokenBucket> = (0..8).map(|_| TokenBucket::split(10_000.0, 10_000.0, 8)).collect();
+        let mut shards: Vec<TokenBucket> = (0..8)
+            .map(|_| TokenBucket::split(10_000.0, 10_000.0, 8))
+            .collect();
         let mut waited = 0.0;
         for tb in &mut shards {
             for _ in 0..2500 {
@@ -297,7 +302,10 @@ mod tests {
         for _ in 0..20_000 {
             gw += global.acquire();
         }
-        assert!((gw - per_shard).abs() < 0.01, "shard split changes the budget");
+        assert!(
+            (gw - per_shard).abs() < 0.01,
+            "shard split changes the budget"
+        );
     }
 
     #[test]

@@ -110,7 +110,11 @@ impl RetryPolicy {
         if j == 0.0 {
             return raw;
         }
-        let h = mix3(mix2(salt, JITTER_SALT), mix_addr(salt, addr), u64::from(attempt));
+        let h = mix3(
+            mix2(salt, JITTER_SALT),
+            mix_addr(salt, addr),
+            u64::from(attempt),
+        );
         raw * (1.0 - j * unit(h))
     }
 
@@ -165,7 +169,11 @@ pub struct BreakerConfig {
 
 impl Default for BreakerConfig {
     fn default() -> Self {
-        BreakerConfig { prefix_len: 48, threshold: 8, cooldown: 32 }
+        BreakerConfig {
+            prefix_len: 48,
+            threshold: 8,
+            cooldown: 32,
+        }
     }
 }
 
@@ -250,7 +258,12 @@ pub struct BreakerMap {
 impl BreakerMap {
     /// An empty map with the given tuning.
     pub fn new(cfg: BreakerConfig) -> BreakerMap {
-        BreakerMap { cfg, states: AddrMap::default(), opened: 0, skipped: 0 }
+        BreakerMap {
+            cfg,
+            states: AddrMap::default(),
+            opened: 0,
+            skipped: 0,
+        }
     }
 
     /// The tuning this map was built with.
@@ -282,7 +295,9 @@ impl BreakerMap {
                 if skipped + 1 >= cooldown {
                     *state = BreakerState::HalfOpen;
                 } else {
-                    *state = BreakerState::Open { skipped: skipped + 1 };
+                    *state = BreakerState::Open {
+                        skipped: skipped + 1,
+                    };
                 }
                 self.skipped += 1;
                 Admission::Skip
@@ -308,7 +323,9 @@ impl BreakerMap {
                     self.opened += 1;
                     true
                 } else {
-                    *state = BreakerState::Closed { failures: failures + 1 };
+                    *state = BreakerState::Closed {
+                        failures: failures + 1,
+                    };
                     false
                 }
             }
@@ -352,7 +369,12 @@ impl BreakerMap {
         opened: u64,
         skipped: u64,
     ) -> BreakerMap {
-        BreakerMap { cfg, states: entries.into_iter().collect(), opened, skipped }
+        BreakerMap {
+            cfg,
+            states: entries.into_iter().collect(),
+            opened,
+            skipped,
+        }
     }
 
     /// Move on to a later round boundary: `changed` states overwrite or
@@ -437,8 +459,15 @@ mod tests {
         let d1 = p.delay_before(1, 7, 42);
         let d2 = p.delay_before(1, 7, 42);
         assert_eq!(d1, d2, "same inputs, same jitter");
-        assert!(d1 > 0.5 - 1e-9 && d1 <= 1.0, "jitter scales into [0.5, 1]: {d1}");
-        assert_ne!(p.delay_before(1, 7, 42), p.delay_before(1, 8, 42), "salt decorrelates");
+        assert!(
+            d1 > 0.5 - 1e-9 && d1 <= 1.0,
+            "jitter scales into [0.5, 1]: {d1}"
+        );
+        assert_ne!(
+            p.delay_before(1, 7, 42),
+            p.delay_before(1, 8, 42),
+            "salt decorrelates"
+        );
     }
 
     #[test]
@@ -461,7 +490,11 @@ mod tests {
 
     #[test]
     fn breaker_opens_after_threshold_consecutive_failures() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 3, cooldown: 2 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 3,
+            cooldown: 2,
+        };
         let mut b = BreakerMap::new(cfg);
         let p = Protocol::Icmp;
         assert!(!b.record(addr(1, 0), p, true));
@@ -470,19 +503,33 @@ mod tests {
         assert!(!b.record(addr(1, 2), p, false));
         assert!(!b.record(addr(1, 3), p, true));
         assert!(!b.record(addr(1, 4), p, true));
-        assert!(b.record(addr(1, 5), p, true), "third consecutive failure opens");
+        assert!(
+            b.record(addr(1, 5), p, true),
+            "third consecutive failure opens"
+        );
         assert_eq!(b.opened(), 1);
         assert_eq!(b.admit(addr(1, 6), p), Admission::Skip);
     }
 
     #[test]
     fn breaker_half_opens_after_cooldown_and_recovers() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 2 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 1,
+            cooldown: 2,
+        };
         let mut b = BreakerMap::new(cfg);
         let p = Protocol::Tcp80;
-        assert!(b.record(addr(9, 0), p, true), "threshold 1 opens immediately");
+        assert!(
+            b.record(addr(9, 0), p, true),
+            "threshold 1 opens immediately"
+        );
         assert_eq!(b.admit(addr(9, 1), p), Admission::Skip);
-        assert_eq!(b.admit(addr(9, 2), p), Admission::Skip, "cooldown reached → half-open");
+        assert_eq!(
+            b.admit(addr(9, 2), p),
+            Admission::Skip,
+            "cooldown reached → half-open"
+        );
         assert_eq!(b.admit(addr(9, 3), p), Admission::Probe, "trial probe");
         assert!(!b.record(addr(9, 3), p, false));
         assert_eq!(b.admit(addr(9, 4), p), Admission::Probe, "closed again");
@@ -491,11 +538,19 @@ mod tests {
 
     #[test]
     fn breaker_reopens_on_failed_trial() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 1 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 1,
+            cooldown: 1,
+        };
         let mut b = BreakerMap::new(cfg);
         let p = Protocol::Udp53;
         b.record(addr(3, 0), p, true);
-        assert_eq!(b.admit(addr(3, 1), p), Admission::Skip, "skip counts as the full cooldown");
+        assert_eq!(
+            b.admit(addr(3, 1), p),
+            Admission::Skip,
+            "skip counts as the full cooldown"
+        );
         assert_eq!(b.admit(addr(3, 2), p), Admission::Probe);
         assert!(b.record(addr(3, 2), p, true), "failed trial re-opens");
         assert_eq!(b.opened(), 2);
@@ -503,17 +558,33 @@ mod tests {
 
     #[test]
     fn breakers_are_per_prefix_and_per_protocol() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 8 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 1,
+            cooldown: 8,
+        };
         let mut b = BreakerMap::new(cfg);
         b.record(addr(1, 0), Protocol::Icmp, true);
         assert_eq!(b.admit(addr(1, 1), Protocol::Icmp), Admission::Skip);
-        assert_eq!(b.admit(addr(1, 1), Protocol::Tcp80), Admission::Probe, "other proto unaffected");
-        assert_eq!(b.admit(addr(2, 1), Protocol::Icmp), Admission::Probe, "other prefix unaffected");
+        assert_eq!(
+            b.admit(addr(1, 1), Protocol::Tcp80),
+            Admission::Probe,
+            "other proto unaffected"
+        );
+        assert_eq!(
+            b.admit(addr(2, 1), Protocol::Icmp),
+            Admission::Probe,
+            "other prefix unaffected"
+        );
     }
 
     #[test]
     fn lend_and_absorb_round_trip() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 4 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 1,
+            cooldown: 4,
+        };
         let mut b = BreakerMap::new(cfg);
         for i in 0..8u16 {
             b.record(addr(i, 0), Protocol::Icmp, true);
@@ -524,14 +595,31 @@ mod tests {
         // Three ICMP tasks deal the domains out by `prefix % 3`; TCP/80 is
         // not in this call, and a fourth task has no targets.
         let lent: Vec<BreakerMap> = (0..3)
-            .map(|task| b.lend(Protocol::Icmp, (0..8u16).filter(|i| i % 3 == task).map(|i| addr(i, 5))))
+            .map(|task| {
+                b.lend(
+                    Protocol::Icmp,
+                    (0..8u16).filter(|i| i % 3 == task).map(|i| addr(i, 5)),
+                )
+            })
             .collect();
         let idle = b.lend(Protocol::Icmp, []);
-        assert!(idle.entries().is_empty(), "a task with no targets gets nothing");
-        let stayed = vec![((u128::from(addr(1, 0)) >> 16, Protocol::Tcp80.index() as u8), BreakerState::Open { skipped: 0 })];
+        assert!(
+            idle.entries().is_empty(),
+            "a task with no targets gets nothing"
+        );
+        let stayed = vec![(
+            (u128::from(addr(1, 0)) >> 16, Protocol::Tcp80.index() as u8),
+            BreakerState::Open { skipped: 0 },
+        )];
         assert_eq!(b.entries(), stayed, "unlent state stays on the parent");
-        assert_eq!(lent.iter().map(|m| m.entries().len()).collect::<Vec<_>>(), [3, 3, 2]);
-        assert!(lent.iter().all(|m| m.opened() == 0), "lent maps count from zero");
+        assert_eq!(
+            lent.iter().map(|m| m.entries().len()).collect::<Vec<_>>(),
+            [3, 3, 2]
+        );
+        assert!(
+            lent.iter().all(|m| m.opened() == 0),
+            "lent maps count from zero"
+        );
         for task in lent {
             b.absorb(task);
         }
@@ -544,7 +632,13 @@ mod tests {
         task.record(addr(20, 0), Protocol::Icmp, true);
         b.absorb(task);
         assert_eq!((b.opened(), b.skipped()), (opened + 1, 1));
-        assert_eq!(b.entries()[0], ((u128::from(addr(0, 0)) >> 16, 0), BreakerState::Open { skipped: 1 }));
+        assert_eq!(
+            b.entries()[0],
+            (
+                (u128::from(addr(0, 0)) >> 16, 0),
+                BreakerState::Open { skipped: 1 }
+            )
+        );
         assert_eq!(b.entries().len(), before.len() + 1);
     }
 
@@ -552,16 +646,32 @@ mod tests {
     /// a large map, and a second target in its domain finds it moved.
     #[test]
     fn lend_moves_exactly_the_breakers_of_its_targets() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 4 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 1,
+            cooldown: 4,
+        };
         let mut b = BreakerMap::new(cfg);
         for i in 0..1_000u16 {
             b.record(addr(i, 0), Protocol::Icmp, true);
         }
         let lent = b.lend(Protocol::Icmp, [addr(7, 1), addr(7, 2)]);
-        assert_eq!(lent.entries(), [((u128::from(addr(7, 0)) >> 16, 0), BreakerState::Open { skipped: 0 })]);
+        assert_eq!(
+            lent.entries(),
+            [(
+                (u128::from(addr(7, 0)) >> 16, 0),
+                BreakerState::Open { skipped: 0 }
+            )]
+        );
         assert_eq!(b.entries().len(), 999, "the rest stays");
-        assert!(b.lend(Protocol::Icmp, [addr(7, 3)]).entries().is_empty(), "no double move");
-        assert!(b.lend(Protocol::Udp53, [addr(8, 1)]).entries().is_empty(), "another protocol's breaker stays");
+        assert!(
+            b.lend(Protocol::Icmp, [addr(7, 3)]).entries().is_empty(),
+            "no double move"
+        );
+        assert!(
+            b.lend(Protocol::Udp53, [addr(8, 1)]).entries().is_empty(),
+            "another protocol's breaker stays"
+        );
         b.absorb(lent);
         assert_eq!(b.entries().len(), 1_000, "no loss on reclaim");
     }
@@ -578,14 +688,19 @@ mod tests {
 
     impl Reference {
         fn admit(&mut self, cfg: &BreakerConfig, key: (u128, u8)) -> Admission {
-            let state = self.states.entry(key).or_insert(BreakerState::Closed { failures: 0 });
+            let state = self
+                .states
+                .entry(key)
+                .or_insert(BreakerState::Closed { failures: 0 });
             match *state {
                 BreakerState::Closed { .. } | BreakerState::HalfOpen => Admission::Probe,
                 BreakerState::Open { skipped } => {
                     *state = if skipped + 1 >= cfg.cooldown.max(1) {
                         BreakerState::HalfOpen
                     } else {
-                        BreakerState::Open { skipped: skipped + 1 }
+                        BreakerState::Open {
+                            skipped: skipped + 1,
+                        }
                     };
                     self.skipped += 1;
                     Admission::Skip
@@ -594,12 +709,19 @@ mod tests {
         }
 
         fn record(&mut self, cfg: &BreakerConfig, key: (u128, u8), failure: bool) -> bool {
-            let state = self.states.entry(key).or_insert(BreakerState::Closed { failures: 0 });
+            let state = self
+                .states
+                .entry(key)
+                .or_insert(BreakerState::Closed { failures: 0 });
             let next = match (*state, failure) {
                 (BreakerState::Open { .. }, _) => return false,
                 (_, false) => BreakerState::Closed { failures: 0 },
-                (BreakerState::Closed { failures }, true) if failures + 1 < cfg.threshold.max(1) => {
-                    BreakerState::Closed { failures: failures + 1 }
+                (BreakerState::Closed { failures }, true)
+                    if failures + 1 < cfg.threshold.max(1) =>
+                {
+                    BreakerState::Closed {
+                        failures: failures + 1,
+                    }
                 }
                 (_, true) => BreakerState::Open { skipped: 0 },
             };
@@ -632,7 +754,11 @@ mod tests {
 
     fn agrees(map: &BreakerMap, model: &Reference, at: &str) {
         assert_eq!(map.entries(), model.entries(), "{at}: entries");
-        assert_eq!((map.opened(), map.skipped()), (model.opened, model.skipped), "{at}: counters");
+        assert_eq!(
+            (map.opened(), map.skipped()),
+            (model.opened, model.skipped),
+            "{at}: counters"
+        );
     }
 
     /// Random admit / record / lend / absorb sequences over a few dozen
@@ -644,23 +770,42 @@ mod tests {
         for seed in 0..40u64 {
             let mut rng = v6addr::SplitMix64::new(seed);
             let mut draw = |n: u64| (rng.next_u64() % n) as u16;
-            let cfg = BreakerConfig { prefix_len: 112, threshold: 1 + u32::from(draw(4)), cooldown: 1 + u32::from(draw(4)) };
+            let cfg = BreakerConfig {
+                prefix_len: 112,
+                threshold: 1 + u32::from(draw(4)),
+                cooldown: 1 + u32::from(draw(4)),
+            };
             let (mut map, mut model) = (BreakerMap::new(cfg), Reference::default());
             let key = |a: Ipv6Addr, p: Protocol| (u128::from(a) >> 16, p.index() as u8);
             for step in 0..400 {
-                let (a, p) = (addr(draw(24), draw(1000)), netmodel::PROTOCOLS[usize::from(draw(4))]);
+                let (a, p) = (
+                    addr(draw(24), draw(1000)),
+                    netmodel::PROTOCOLS[usize::from(draw(4))],
+                );
                 match draw(10) {
-                    0..=3 => assert_eq!(map.admit(a, p), model.admit(&cfg, key(a, p)), "seed {seed} step {step}"),
+                    0..=3 => assert_eq!(
+                        map.admit(a, p),
+                        model.admit(&cfg, key(a, p)),
+                        "seed {seed} step {step}"
+                    ),
                     4..=7 => {
                         let failure = draw(4) != 0;
-                        assert_eq!(map.record(a, p, failure), model.record(&cfg, key(a, p), failure));
+                        assert_eq!(
+                            map.record(a, p, failure),
+                            model.record(&cfg, key(a, p), failure)
+                        );
                     }
                     _ => {
-                        let mut targets: Vec<Ipv6Addr> = (0..draw(40)).map(|_| addr(draw(24), draw(1000))).collect();
+                        let mut targets: Vec<Ipv6Addr> =
+                            (0..draw(40)).map(|_| addr(draw(24), draw(1000))).collect();
                         targets.sort_unstable();
                         let mut lent = map.lend(p, targets.iter().copied());
                         let mut lent_model = model.lend(targets.iter().map(|&t| key(t, p)));
-                        agrees(&lent, &lent_model, &format!("seed {seed} step {step}: lent"));
+                        agrees(
+                            &lent,
+                            &lent_model,
+                            &format!("seed {seed} step {step}: lent"),
+                        );
                         agrees(&map, &model, &format!("seed {seed} step {step}: kept"));
                         // The task probes its own targets, then hands back.
                         for &t in &targets {
@@ -668,7 +813,10 @@ mod tests {
                             assert_eq!(admitted, lent_model.admit(&cfg, key(t, p)));
                             if admitted == Admission::Probe {
                                 let failure = draw(3) != 0;
-                                assert_eq!(lent.record(t, p, failure), lent_model.record(&cfg, key(t, p), failure));
+                                assert_eq!(
+                                    lent.record(t, p, failure),
+                                    lent_model.record(&cfg, key(t, p), failure)
+                                );
                             }
                         }
                         map.absorb(lent);
@@ -686,21 +834,44 @@ mod tests {
     /// map it was lent from.
     #[test]
     fn lend_moves_each_state_once_however_targets_repeat() {
-        let cfg = BreakerConfig { prefix_len: 112, threshold: 1, cooldown: 4 };
+        let cfg = BreakerConfig {
+            prefix_len: 112,
+            threshold: 1,
+            cooldown: 4,
+        };
         let mut b = BreakerMap::new(cfg);
         for d in 0..6u16 {
             b.record(addr(d, 0), Protocol::Icmp, true);
             b.record(addr(d, 0), Protocol::Tcp80, d % 2 == 0);
         }
         let before = b.entries();
-        let on = |domains: &[u16]| domains.iter().enumerate().map(|(i, &d)| addr(d, i as u16)).collect::<Vec<_>>();
+        let on = |domains: &[u16]| {
+            domains
+                .iter()
+                .enumerate()
+                .map(|(i, &d)| addr(d, i as u16))
+                .collect::<Vec<_>>()
+        };
         let icmp = b.lend(Protocol::Icmp, on(&[1, 1, 1, 2, 1, 2, 2, 3]));
         let shared = b.lend(Protocol::Tcp80, on(&[1, 2, 2, 9]));
         let rest = b.lend(Protocol::Icmp, on(&[4, 4, 1]));
-        let keys = |m: &BreakerMap| m.entries().into_iter().map(|((d, p), _)| ((d >> 96) as u16, p)).collect::<Vec<_>>();
+        let keys = |m: &BreakerMap| {
+            m.entries()
+                .into_iter()
+                .map(|((d, p), _)| ((d >> 96) as u16, p))
+                .collect::<Vec<_>>()
+        };
         assert_eq!(keys(&icmp), [(1, 0), (2, 0), (3, 0)]);
-        assert_eq!(keys(&shared), [(1, 1), (2, 1)], "another protocol's task takes its own states");
-        assert_eq!(keys(&rest), [(4, 0)], "a state already lent is not lent again");
+        assert_eq!(
+            keys(&shared),
+            [(1, 1), (2, 1)],
+            "another protocol's task takes its own states"
+        );
+        assert_eq!(
+            keys(&rest),
+            [(4, 0)],
+            "a state already lent is not lent again"
+        );
         assert_eq!(keys(&b), [(0, 0), (0, 1), (3, 1), (4, 1), (5, 0), (5, 1)]);
         for task in [rest, icmp, shared] {
             b.absorb(task);
@@ -718,6 +889,10 @@ mod tests {
             let (t, c) = s.encode();
             assert_eq!(BreakerState::decode(t, c), Some(s));
         }
-        assert_eq!(BreakerState::decode(3, 0), None, "a tag nobody wrote is not a closed breaker");
+        assert_eq!(
+            BreakerState::decode(3, 0),
+            None,
+            "a tag nobody wrote is not a closed breaker"
+        );
     }
 }

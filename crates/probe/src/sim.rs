@@ -46,7 +46,11 @@ impl SimTransport {
     /// Attach to a world.
     pub fn new(world: Arc<World>) -> Self {
         let carried = Carried::new(world.faults());
-        SimTransport { world, sent: 0, carried }
+        SimTransport {
+            world,
+            sent: 0,
+            carried,
+        }
     }
 
     /// The world this transport probes.
@@ -58,14 +62,16 @@ impl SimTransport {
     fn route_of(pkt: &ParsedPacket) -> Option<(Protocol, Ipv6Addr, Ipv6Addr)> {
         match pkt {
             ParsedPacket::EchoRequest { src, dst, .. } => Some((Protocol::Icmp, *src, *dst)),
-            ParsedPacket::Tcp { src, dst, segment, .. } => match segment.dport {
+            ParsedPacket::Tcp {
+                src, dst, segment, ..
+            } => match segment.dport {
                 80 => Some((Protocol::Tcp80, *src, *dst)),
                 443 => Some((Protocol::Tcp443, *src, *dst)),
                 _ => None,
             },
-            ParsedPacket::Dns { src, dst, message, .. } if message.dport == 53 => {
-                Some((Protocol::Udp53, *src, *dst))
-            }
+            ParsedPacket::Dns {
+                src, dst, message, ..
+            } if message.dport == 53 => Some((Protocol::Udp53, *src, *dst)),
             _ => None,
         }
     }
@@ -108,7 +114,16 @@ impl Transport for SimTransport {
             return Some(build_dst_unreachable(Self::gateway_of(dst), src, packet));
         }
         match (reply, &parsed) {
-            (ProbeReply::EchoReply, ParsedPacket::EchoRequest { src, ident, seq, payload, .. }) => {
+            (
+                ProbeReply::EchoReply,
+                ParsedPacket::EchoRequest {
+                    src,
+                    ident,
+                    seq,
+                    payload,
+                    ..
+                },
+            ) => {
                 let echoed = payload.map(|p| p.to_bytes().to_vec()).unwrap_or_default();
                 Some(build_echo_reply(dst, *src, *ident, *seq, &echoed))
             }
@@ -120,12 +135,16 @@ impl Transport for SimTransport {
                 0x6a5e_55ed, // server ISN; arbitrary constant in simulation
                 segment.seq,
             )),
-            (ProbeReply::Rst, ParsedPacket::Tcp { src, segment, .. }) => {
-                Some(build_rst(dst, *src, segment.dport, segment.sport, segment.seq))
-            }
-            (ProbeReply::DnsAnswer, ParsedPacket::Dns { src, message, .. }) => {
-                Some(build_dns_response(dst, *src, message.sport, message.id, &message.qname))
-            }
+            (ProbeReply::Rst, ParsedPacket::Tcp { src, segment, .. }) => Some(build_rst(
+                dst,
+                *src,
+                segment.dport,
+                segment.sport,
+                segment.seq,
+            )),
+            (ProbeReply::DnsAnswer, ParsedPacket::Dns { src, message, .. }) => Some(
+                build_dns_response(dst, *src, message.sport, message.id, &message.qname),
+            ),
             _ => None, // Timeout, or reply type inapplicable to the probe
         }
     }
@@ -155,7 +174,9 @@ impl Transport for SimTransport {
         let counted = matches!(found, Disposition::Lossy { .. });
         // Both slots are fetched once per target (the whole burst lands in
         // one fault domain). `fault` is None exactly when no plan is active.
-        let (mut flow, mut fault) = self.carried.slots(u128::from(spec.dst), spec.proto, counted);
+        let (mut flow, mut fault) = self
+            .carried
+            .slots(u128::from(spec.dst), spec.proto, counted);
         let mut drops = 0u64;
         let mut delay_us = 0u64;
         let mut burst = Burst::silent();
@@ -258,7 +279,9 @@ mod tests {
         let mut t = SimTransport::new(w);
         let src = "2001:db8::100".parse().unwrap();
         let probe = build_probe(src, dst, Protocol::Tcp80, 5, None);
-        let reply = (0..8).find_map(|_| t.send(&probe)).expect("live host answers");
+        let reply = (0..8)
+            .find_map(|_| t.send(&probe))
+            .expect("live host answers");
         match parse_packet(&reply).unwrap() {
             ParsedPacket::Tcp { segment, .. } => {
                 assert!(segment.is_syn_ack());
@@ -276,7 +299,9 @@ mod tests {
         let mut t = SimTransport::new(w);
         let src = "2001:db8::100".parse().unwrap();
         let probe = build_probe(src, dst, Protocol::Udp53, 5, None);
-        let reply = (0..8).find_map(|_| t.send(&probe)).expect("resolver answers");
+        let reply = (0..8)
+            .find_map(|_| t.send(&probe))
+            .expect("resolver answers");
         match parse_packet(&reply).unwrap() {
             ParsedPacket::Dns { message, .. } => {
                 assert!(message.is_response);
@@ -294,7 +319,9 @@ mod tests {
         // An address far outside any allocation: always silence.
         let dst: Ipv6Addr = "3fff:ffff::1".parse().unwrap();
         for _ in 0..4 {
-            assert!(t.send(&build_probe(src, dst, Protocol::Icmp, 5, None)).is_none());
+            assert!(t
+                .send(&build_probe(src, dst, Protocol::Icmp, 5, None))
+                .is_none());
         }
     }
 
@@ -313,7 +340,9 @@ mod tests {
         let mut t = SimTransport::new(w);
         let src = "2001:db8::100".parse().unwrap();
         let probe = build_probe(src, dst, Protocol::Icmp, 5, Some(0xABCD));
-        let reply = (0..8).find_map(|_| t.send(&probe)).expect("live host answers");
+        let reply = (0..8)
+            .find_map(|_| t.send(&probe))
+            .expect("live host answers");
         let parsed = parse_packet(&reply).unwrap();
         assert_eq!(parsed.region_tag(), Some(0xABCD));
     }
@@ -343,10 +372,16 @@ mod tests {
         for proto in netmodel::PROTOCOLS {
             let mut t = SimTransport::new(w.clone());
             let probe = build_probe(src, hole, proto, 5, None);
-            let raw = t.send(&probe).unwrap_or_else(|| panic!("{proto:?} gets an unreachable"));
+            let raw = t
+                .send(&probe)
+                .unwrap_or_else(|| panic!("{proto:?} gets an unreachable"));
             match parse_packet(&raw).unwrap() {
                 ParsedPacket::DstUnreachable { original_dst, .. } => {
-                    assert_eq!(original_dst, Some(hole), "quotes the invoking {proto:?} probe");
+                    assert_eq!(
+                        original_dst,
+                        Some(hole),
+                        "quotes the invoking {proto:?} probe"
+                    );
                 }
                 other => panic!("unexpected {other:?}"),
             }
@@ -380,7 +415,10 @@ mod tests {
     fn probe_burst_matches_the_byte_path_per_target() {
         use crate::transport::WireOnly;
         let src: Ipv6Addr = "2001:db8::100".parse().unwrap();
-        for faults in [netmodel::FaultConfig::off(), netmodel::FaultConfig::hostile()] {
+        for faults in [
+            netmodel::FaultConfig::off(),
+            netmodel::FaultConfig::hostile(),
+        ] {
             let w = faulty_world(faults);
             let mut targets: Vec<Ipv6Addr> = w.hosts().iter().map(|(a, _)| a).take(96).collect();
             targets.push(find_unreachable(&w));
@@ -393,7 +431,14 @@ mod tests {
                 for pass in 0..3 {
                     for (i, &dst) in targets.iter().enumerate() {
                         let region = [None, Some(0), Some(77), Some(u32::MAX)][i % 4];
-                        let spec = ProbeSpec { src, dst, proto, salt: 5, region, validate: true };
+                        let spec = ProbeSpec {
+                            src,
+                            dst,
+                            proto,
+                            salt: 5,
+                            region,
+                            validate: true,
+                        };
                         assert_eq!(
                             wire.probe_burst(&spec, 3),
                             fast.probe_burst(&spec, 3),
@@ -407,7 +452,10 @@ mod tests {
                 assert_eq!(wire.throttled_us(), fast.throttled_us(), "{proto:?}");
                 assert_eq!(wire.fault_rows(), fast.fault_rows(), "{proto:?}");
                 assert_eq!(wire.flow_rows(), fast.flow_rows(), "{proto:?}");
-                assert!(!fast.flow_rows().is_empty(), "{proto:?}: some flow was lossy");
+                assert!(
+                    !fast.flow_rows().is_empty(),
+                    "{proto:?}: some flow was lossy"
+                );
             }
         }
     }
@@ -421,8 +469,18 @@ mod tests {
         use crate::transport::WireOnly;
         let src: Ipv6Addr = "2001:db8::100".parse().unwrap();
         let proto = Protocol::Tcp80;
-        let spec = |dst| ProbeSpec { src, dst, proto, salt: 5, region: None, validate: true };
-        for faults in [netmodel::FaultConfig::off(), netmodel::FaultConfig::hostile()] {
+        let spec = |dst| ProbeSpec {
+            src,
+            dst,
+            proto,
+            salt: 5,
+            region: None,
+            validate: true,
+        };
+        for faults in [
+            netmodel::FaultConfig::off(),
+            netmodel::FaultConfig::hostile(),
+        ] {
             let w = faulty_world(faults);
             let closed = w
                 .hosts()
@@ -430,24 +488,50 @@ mod tests {
                 .find(|&(a, r)| !r.churned && !r.responds(proto) && !w.is_aliased(a))
                 .map(|(a, _)| a)
                 .expect("some live host with port 80 closed");
-            let churned = w.hosts().iter().find(|&(a, r)| r.churned && !w.is_aliased(a)).map(|(a, _)| a);
-            let fixed = [Some(closed), churned, Some(find_unreachable(&w)), "3fff:ffff::1".parse().ok()];
+            let churned = w
+                .hosts()
+                .iter()
+                .find(|&(a, r)| r.churned && !w.is_aliased(a))
+                .map(|(a, _)| a);
+            let fixed = [
+                Some(closed),
+                churned,
+                Some(find_unreachable(&w)),
+                "3fff:ffff::1".parse().ok(),
+            ];
             for fixed in fixed.into_iter().flatten() {
-                assert!(!matches!(w.resolve(fixed, proto), Disposition::Lossy { .. }), "{fixed}");
+                assert!(
+                    !matches!(w.resolve(fixed, proto), Disposition::Lossy { .. }),
+                    "{fixed}"
+                );
                 let mut wire = WireOnly(SimTransport::new(w.clone()));
                 let mut fast = SimTransport::new(w.clone());
                 for _ in 0..3 {
-                    assert_eq!(wire.probe_burst(&spec(fixed), 3), fast.probe_burst(&spec(fixed), 3), "{fixed}");
+                    assert_eq!(
+                        wire.probe_burst(&spec(fixed), 3),
+                        fast.probe_burst(&spec(fixed), 3),
+                        "{fixed}"
+                    );
                 }
                 assert_eq!(wire.packets_sent(), fast.packets_sent(), "{fixed}");
-                assert!(carried(&wire).flow_rows().is_empty(), "{fixed}: the byte path kept a row");
-                assert!(carried(&fast).flow_rows().is_empty(), "{fixed}: the burst path kept a row");
+                assert!(
+                    carried(&wire).flow_rows().is_empty(),
+                    "{fixed}: the byte path kept a row"
+                );
+                assert!(
+                    carried(&fast).flow_rows().is_empty(),
+                    "{fixed}: the burst path kept a row"
+                );
             }
             let live = find_live(&w, proto);
             let mut fast = SimTransport::new(w.clone());
             let used: u32 = (0..3).map(|_| fast.probe_burst(&spec(live), 3).used).sum();
             let row = [0, used, 0, 0];
-            assert_eq!(carried(&fast).flow_rows(), [(u128::from(live), row)], "a live flow counts every attempt");
+            assert_eq!(
+                carried(&fast).flow_rows(),
+                [(u128::from(live), row)],
+                "a live flow counts every attempt"
+            );
         }
     }
 
@@ -458,9 +542,15 @@ mod tests {
         let mut t = SimTransport::new(w);
         let src: Ipv6Addr = "2001:db8::100".parse().unwrap();
         for _ in 0..6 {
-            assert!(t.send(&build_probe(src, dst, Protocol::Icmp, 5, None)).is_none());
+            assert!(t
+                .send(&build_probe(src, dst, Protocol::Icmp, 5, None))
+                .is_none());
         }
-        assert_eq!(carried(&t).fault_drops(), 6, "every probe was eaten by the blackhole");
+        assert_eq!(
+            carried(&t).fault_drops(),
+            6,
+            "every probe was eaten by the blackhole"
+        );
         assert_eq!(t.packets_sent(), 6, "dropped probes still count as sent");
     }
 

@@ -94,7 +94,9 @@ fn classify_response(spec: &ProbeSpec, raw: &[u8]) -> (Attempt, Option<u32>) {
                 (Attempt::Inapplicable, None)
             }
         }
-        ParsedPacket::Dns { message, .. } if spec.proto == Protocol::Udp53 && message.is_response => {
+        ParsedPacket::Dns { message, .. }
+            if spec.proto == Protocol::Udp53 && message.is_response =>
+        {
             (Attempt::Hit, tag)
         }
         ParsedPacket::DstUnreachable { .. } => (Attempt::Unreachable, None),
@@ -270,16 +272,32 @@ mod tests {
         };
         // Timeout, then garbage, then a genuine (validated) echo reply.
         let token = validation_token(7, dst);
-        let payload = EchoPayload { token, region: NO_REGION }.to_bytes();
+        let payload = EchoPayload {
+            token,
+            region: NO_REGION,
+        }
+        .to_bytes();
         let reply = build_echo_reply(dst, src, (token >> 48) as u16, token as u16, &payload);
         let mut t = ScriptedTransport::default();
         t.script.push_back(None);
         t.script.push_back(Some(vec![0u8; 9]));
         t.script.push_back(Some(reply));
         let burst = t.probe_burst(&spec, 5);
-        let want = Burst { verdict: Attempt::Hit, tag: None, used: 3, malformed: 1, invalid: 0 };
-        assert_eq!(burst, want, "stops at the decisive reply, counts the garbage");
+        let want = Burst {
+            verdict: Attempt::Hit,
+            tag: None,
+            used: 3,
+            malformed: 1,
+            invalid: 0,
+        };
+        assert_eq!(
+            burst, want,
+            "stops at the decisive reply, counts the garbage"
+        );
         assert_eq!(t.packets_sent(), 3, "each attempt transmits one probe");
-        assert!(t.sent.iter().all(|p| *p == t.sent[0]), "retransmissions are the same packet");
+        assert!(
+            t.sent.iter().all(|p| *p == t.sent[0]),
+            "retransmissions are the same packet"
+        );
     }
 }

@@ -51,20 +51,20 @@ fn scanner(world: Arc<World>, breaker: Option<BreakerConfig>) -> Scanner<SimTran
 /// fault kind (loss bursts, rate-limit escalation, blackholes, throttle
 /// epochs) has targets to chew on.
 fn targets(world: &World) -> Vec<Ipv6Addr> {
-    let mut out: Vec<Ipv6Addr> =
-        world.hosts().iter().map(|(a, _)| a).step_by(3).take(360).collect();
+    let mut out: Vec<Ipv6Addr> = world
+        .hosts()
+        .iter()
+        .map(|(a, _)| a)
+        .step_by(3)
+        .take(360)
+        .collect();
     for i in 0..40u128 {
         out.push(Ipv6Addr::from((0x3fff_u128 << 112) | i));
     }
     out
 }
 
-fn assert_identical(
-    name: &str,
-    shards: usize,
-    seq: &CampaignResult,
-    par: &CampaignResult,
-) {
+fn assert_identical(name: &str, shards: usize, seq: &CampaignResult, par: &CampaignResult) {
     assert_eq!(seq.reports.len(), par.reports.len());
     for ((p_seq, r_seq), (p_par, r_par)) in seq.reports.iter().zip(par.reports.iter()) {
         assert_eq!(p_seq, p_par);
@@ -91,7 +91,10 @@ fn every_fault_schedule_is_shard_invariant() {
             // via dropped probes — either way the schedule must bite.
             let injected: u64 = seq.reports.iter().map(|(_, r)| r.faults_injected).sum();
             let delayed: u64 = seq.reports.iter().map(|(_, r)| r.throttled_us).sum();
-            assert!(injected + delayed > 0, "schedule {name} must perturb the scan");
+            assert!(
+                injected + delayed > 0,
+                "schedule {name} must perturb the scan"
+            );
         }
         for shards in [2, 8] {
             let mut s = scanner(w.clone(), None);
@@ -134,7 +137,9 @@ fn attribution_tables_are_shard_invariant_under_every_schedule() {
                 provenance: Some(prov.clone()),
                 ..RunOptions::default()
             };
-            let run = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+            let run = Campaign::standard(&mut s)
+                .run_with(&t, &opts, None)
+                .unwrap();
             for (proto, r) in &run.result.reports {
                 let (probes, hits, _) = r.attribution.totals();
                 assert_eq!(
@@ -148,7 +153,10 @@ fn attribution_tables_are_shard_invariant_under_every_schedule() {
                 );
             }
             let table = sos_probe::merged_attribution(&run.result.reports);
-            assert!(!table.is_empty(), "schedule {name}: tagged scan must attribute");
+            assert!(
+                !table.is_empty(),
+                "schedule {name}: tagged scan must attribute"
+            );
             match &baseline {
                 None => baseline = Some(table),
                 Some(b) => assert_eq!(

@@ -43,8 +43,13 @@ fn scanner(world: Arc<World>, rate_pps: Option<f64>) -> Scanner<SimTransport> {
 }
 
 fn targets(world: &World) -> Vec<std::net::Ipv6Addr> {
-    let mut out: Vec<std::net::Ipv6Addr> =
-        world.hosts().iter().map(|(a, _)| a).step_by(2).take(200).collect();
+    let mut out: Vec<std::net::Ipv6Addr> = world
+        .hosts()
+        .iter()
+        .map(|(a, _)| a)
+        .step_by(2)
+        .take(200)
+        .collect();
     for i in 0..30u128 {
         out.push(std::net::Ipv6Addr::from((0x3fff_u128 << 112) | i));
     }
@@ -81,7 +86,9 @@ fn resume_is_bit_identical_at_every_round_boundary() {
         ..RunOptions::default()
     };
     let mut s = scanner(w.clone(), None);
-    let full = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let full = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(full.completed);
     assert_eq!(full.resumed_targets, 0);
     let full_attr = sos_probe::merged_attribution(&full.result.reports);
@@ -103,14 +110,19 @@ fn resume_is_bit_identical_at_every_round_boundary() {
             ..opts.clone()
         };
         let mut s = scanner(w.clone(), None);
-        let partial = Campaign::standard(&mut s).run_with(&t, &kill_opts, None).unwrap();
+        let partial = Campaign::standard(&mut s)
+            .run_with(&t, &kill_opts, None)
+            .unwrap();
         assert!(!partial.completed, "stop_after_rounds={k} must interrupt");
         assert_eq!(partial.rounds, k);
         // The scanner "dies" here; a fresh one picks the checkpoint up.
         let ckpt = CampaignCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.done, (k * EVERY).min(t.len()));
 
-        let resume_opts = RunOptions { checkpoint_path: Some(path.clone()), ..opts.clone() };
+        let resume_opts = RunOptions {
+            checkpoint_path: Some(path.clone()),
+            ..opts.clone()
+        };
         let mut s2 = scanner(w.clone(), None);
         let resumed = Campaign::standard(&mut s2)
             .run_with(&t, &resume_opts, Some(&ckpt))
@@ -132,7 +144,10 @@ fn resume_is_bit_identical_at_every_round_boundary() {
             counters.remove("probe.resumed_targets"),
             Some(ckpt.done as u64)
         );
-        assert_eq!(counters, full_counters, "counters diverged after kill at round {k}");
+        assert_eq!(
+            counters, full_counters,
+            "counters diverged after kill at round {k}"
+        );
         assert_eq!(
             normalized(CampaignCheckpoint::load(&path).unwrap()),
             normalized(full_ckpt.clone()),
@@ -150,7 +165,11 @@ fn resume_is_bit_identical_at_every_round_boundary() {
 fn resume_restores_the_rate_limiter_mid_stream() {
     let w = hostile_world(0x11A7E);
     let t = targets(&w);
-    let opts = RunOptions { shards: 1, checkpoint_every: 30, ..RunOptions::default() };
+    let opts = RunOptions {
+        shards: 1,
+        checkpoint_every: 30,
+        ..RunOptions::default()
+    };
 
     let mut s = scanner(w.clone(), Some(25.0));
     let full = Campaign::new(&mut s, vec![Protocol::Icmp])
@@ -158,7 +177,10 @@ fn resume_restores_the_rate_limiter_mid_stream() {
         .unwrap();
     assert!(full.completed);
     let full_report = &full.result.reports[0].1;
-    assert!(full_report.limited_seconds > 0.0, "limiter must actually bite");
+    assert!(
+        full_report.limited_seconds > 0.0,
+        "limiter must actually bite"
+    );
 
     for k in [1, 3] {
         let path = tmp(&format!("limit-{k}"));
@@ -172,7 +194,10 @@ fn resume_restores_the_rate_limiter_mid_stream() {
             .run_with(&t, &kill_opts, None)
             .unwrap();
         let ckpt = CampaignCheckpoint::load(&path).unwrap();
-        assert!(ckpt.limiter.is_some(), "rate-limited campaign must snapshot its bucket");
+        assert!(
+            ckpt.limiter.is_some(),
+            "rate-limited campaign must snapshot its bucket"
+        );
 
         let mut s2 = scanner(w.clone(), Some(25.0));
         let resumed = Campaign::new(&mut s2, vec![Protocol::Icmp])
@@ -202,13 +227,19 @@ fn cancelled_before_first_round_resumes_from_zero() {
         ..RunOptions::default()
     };
     let mut s = scanner(w.clone(), None);
-    let stopped = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let stopped = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(!stopped.completed);
     assert_eq!(stopped.rounds, 0);
 
     let ckpt = CampaignCheckpoint::load(&path).unwrap();
     assert_eq!(ckpt.done, 0);
-    let resume_opts = RunOptions { cancel: None, checkpoint_path: None, ..opts.clone() };
+    let resume_opts = RunOptions {
+        cancel: None,
+        checkpoint_path: None,
+        ..opts.clone()
+    };
     let mut s2 = scanner(w.clone(), None);
     let resumed = Campaign::standard(&mut s2)
         .run_with(&t, &resume_opts, Some(&ckpt))
@@ -217,7 +248,15 @@ fn cancelled_before_first_round_resumes_from_zero() {
 
     let mut s3 = scanner(w, None);
     let uninterrupted = Campaign::standard(&mut s3)
-        .run_with(&t, &RunOptions { shards: 2, checkpoint_every: 64, ..RunOptions::default() }, None)
+        .run_with(
+            &t,
+            &RunOptions {
+                shards: 2,
+                checkpoint_every: 64,
+                ..RunOptions::default()
+            },
+            None,
+        )
         .unwrap();
     assert_eq!(resumed.result.reports, uninterrupted.result.reports);
     let _ = std::fs::remove_file(&path);
@@ -231,16 +270,24 @@ fn large_checkpoint_saves_and_loads_equal() {
     let hits = (0..50_000u128)
         .map(|i| std::net::Ipv6Addr::from((0x2001_0db8_u128 << 96) | (i * 0x1_0001)))
         .collect();
-    let report = sos_probe::ScanReport { hits, probed: 50_000, ..Default::default() };
+    let report = sos_probe::ScanReport {
+        hits,
+        probed: 50_000,
+        ..Default::default()
+    };
     let ckpt = CampaignCheckpoint {
         fingerprint: 0x5ca1e,
         done: 50_000,
         rounds: 7,
         reports: vec![(Protocol::Icmp, report)],
         limiter: None,
-        fault_state: (0..2_000u128).map(|d| (d << 80, (d % 4) as u8, d as u32)).collect(),
+        fault_state: (0..2_000u128)
+            .map(|d| (d << 80, (d % 4) as u8, d as u32))
+            .collect(),
         breaker: None,
-        counters: [("probe.hits".to_string(), 50_000u64)].into_iter().collect(),
+        counters: [("probe.hits".to_string(), 50_000u64)]
+            .into_iter()
+            .collect(),
     };
     let path = tmp("large");
     ckpt.save(&path).unwrap();
@@ -258,14 +305,20 @@ fn unwritable_checkpoint_path_fails_the_first_boundary() {
     let w = hostile_world(0x10E1);
     let t = targets(&w);
     let good = tmp("io-good");
-    let opts = RunOptions { shards: 2, checkpoint_every: 64, ..RunOptions::default() };
+    let opts = RunOptions {
+        shards: 2,
+        checkpoint_every: 64,
+        ..RunOptions::default()
+    };
     let kill_opts = RunOptions {
         checkpoint_path: Some(good.clone()),
         stop_after_rounds: Some(1),
         ..opts.clone()
     };
     let mut s = scanner(w.clone(), None);
-    Campaign::standard(&mut s).run_with(&t, &kill_opts, None).unwrap();
+    Campaign::standard(&mut s)
+        .run_with(&t, &kill_opts, None)
+        .unwrap();
     let good_bytes = std::fs::read(&good).unwrap();
 
     let missing_dir = tmp("io-missing-dir");
@@ -287,8 +340,15 @@ fn unwritable_checkpoint_path_fails_the_first_boundary() {
         .iter()
         .map(|r| r.event.kind())
         .collect();
-    assert_eq!(kinds.iter().filter(|k| **k == "round_end").count(), 1, "{kinds:?}");
-    assert!(!kinds.contains(&"checkpoint"), "a failed write is not journaled: {kinds:?}");
+    assert_eq!(
+        kinds.iter().filter(|k| **k == "round_end").count(),
+        1,
+        "{kinds:?}"
+    );
+    assert!(
+        !kinds.contains(&"checkpoint"),
+        "a failed write is not journaled: {kinds:?}"
+    );
     assert!(!bad.exists() && !missing_dir.exists());
     assert_eq!(std::fs::read(&good).unwrap(), good_bytes);
     let _ = std::fs::remove_file(&good);
@@ -321,7 +381,9 @@ fn unopenable_journal_fails_before_the_first_probe() {
 #[test]
 fn damaged_checkpoints_load_as_errors() {
     let report = sos_probe::ScanReport {
-        hits: (0..64u128).map(|i| std::net::Ipv6Addr::from((0x2001_0db8_u128 << 96) | i)).collect(),
+        hits: (0..64u128)
+            .map(|i| std::net::Ipv6Addr::from((0x2001_0db8_u128 << 96) | i))
+            .collect(),
         probed: 64,
         ..Default::default()
     };
@@ -344,7 +406,10 @@ fn damaged_checkpoints_load_as_errors() {
     ckpt.save(&path).unwrap();
     // The state as one compact line, which the one-value edits below change.
     let compact = ckpt.to_json().to_string();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), format!("{compact}\n"));
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        format!("{compact}\n")
+    );
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
     // The pretty-printed document older versions wrote loads the same.
     let pretty = ckpt.to_json().to_string_pretty();
@@ -357,40 +422,106 @@ fn damaged_checkpoints_load_as_errors() {
         text[..at].to_string()
     };
     let edit = |from: &str, to: &str| {
-        assert_eq!(compact.matches(from).count(), 1, "{from} must name one value");
+        assert_eq!(
+            compact.matches(from).count(),
+            1,
+            "{from} must name one value"
+        );
         compact.replacen(from, to, 1)
     };
     // The one report, with an attribution table of the one row given.
     let attributed = |row: &str| {
-        edit("\"limited_seconds_bits\":0}", &format!("\"limited_seconds_bits\":0,\"attribution\":[{row}]}}"))
+        edit(
+            "\"limited_seconds_bits\":0}",
+            &format!("\"limited_seconds_bits\":0,\"attribution\":[{row}]}}"),
+        )
     };
     std::fs::write(&path, attributed("[255,1,1,0,0,0,0]")).unwrap();
     let with_row = CampaignCheckpoint::load(&path).unwrap();
     assert_eq!(with_row.reports[0].1.attribution.totals(), (1, 0, 0));
     for (what, body, names) in [
         ("truncated mid-hits", mid_hits(&compact), "line 1"),
-        ("a pretty document truncated mid-hits", mid_hits(&pretty), "line 1"),
+        (
+            "a pretty document truncated mid-hits",
+            mid_hits(&pretty),
+            "line 1",
+        ),
         ("empty", String::new(), "line 1"),
-        ("wrong version", edit("\"version\":1,", "\"version\":2,"), "version"),
-        ("fault row protocol 300 (44 as u8)", edit(",1,777]", ",300,777]"), "fault_state"),
-        ("fault row count 2^40", edit(",1,777]", ",1,1099511627776]"), "fault_state"),
+        (
+            "wrong version",
+            edit("\"version\":1,", "\"version\":2,"),
+            "version",
+        ),
+        (
+            "fault row protocol 300 (44 as u8)",
+            edit(",1,777]", ",300,777]"),
+            "fault_state",
+        ),
+        (
+            "fault row count 2^40",
+            edit(",1,777]", ",1,1099511627776]"),
+            "fault_state",
+        ),
         ("fault row of two", edit(",2,888]", ",2]"), "fault_state"),
-        ("breaker row protocol 4", edit(",3,1,999]", ",4,1,999]"), "breaker.entries"),
-        ("breaker row tag 3", edit(",3,1,999]", ",3,3,999]"), "breaker.entries"),
-        ("breaker row tag 257 (1 as u8)", edit(",3,1,999]", ",3,257,999]"), "breaker.entries"),
-        ("breaker row count 2^32", edit(",3,1,999]", ",3,1,4294967296]"), "breaker.entries"),
-        ("prefix_len 304 (48 as u8)", edit("\"prefix_len\":48,", "\"prefix_len\":304,"), "prefix_len"),
-        ("prefix_len 0", edit("\"prefix_len\":48,", "\"prefix_len\":0,"), "prefix_len"),
-        ("threshold 2^32 + 8", edit("\"threshold\":8,", "\"threshold\":4294967304,"), "threshold"),
-        ("attribution source 300 (44 as u8)", attributed("[300,1,1,0,0,0,0]"), "source"),
-        ("attribution region 2^40", attributed("[255,1099511627776,1,0,0,0,0]"), "region"),
-        ("attribution round 70 000 (4 464 as u16)", attributed("[255,1,1,0,0,0,70000]"), "first_round"),
+        (
+            "breaker row protocol 4",
+            edit(",3,1,999]", ",4,1,999]"),
+            "breaker.entries",
+        ),
+        (
+            "breaker row tag 3",
+            edit(",3,1,999]", ",3,3,999]"),
+            "breaker.entries",
+        ),
+        (
+            "breaker row tag 257 (1 as u8)",
+            edit(",3,1,999]", ",3,257,999]"),
+            "breaker.entries",
+        ),
+        (
+            "breaker row count 2^32",
+            edit(",3,1,999]", ",3,1,4294967296]"),
+            "breaker.entries",
+        ),
+        (
+            "prefix_len 304 (48 as u8)",
+            edit("\"prefix_len\":48,", "\"prefix_len\":304,"),
+            "prefix_len",
+        ),
+        (
+            "prefix_len 0",
+            edit("\"prefix_len\":48,", "\"prefix_len\":0,"),
+            "prefix_len",
+        ),
+        (
+            "threshold 2^32 + 8",
+            edit("\"threshold\":8,", "\"threshold\":4294967304,"),
+            "threshold",
+        ),
+        (
+            "attribution source 300 (44 as u8)",
+            attributed("[300,1,1,0,0,0,0]"),
+            "source",
+        ),
+        (
+            "attribution region 2^40",
+            attributed("[255,1099511627776,1,0,0,0,0]"),
+            "region",
+        ),
+        (
+            "attribution round 70 000 (4 464 as u16)",
+            attributed("[255,1,1,0,0,0,70000]"),
+            "first_round",
+        ),
         ("arrays 100 000 deep", "[".repeat(100_000), "nesting"),
         ("objects 100 000 deep", "{\"a\":".repeat(100_000), "nesting"),
     ] {
         std::fs::write(&path, body).unwrap();
         let err = CampaignCheckpoint::load(&path).expect_err(what);
-        assert!(err.contains(&path.display().to_string()), "{what}: {err:?} must name the file");
+        assert!(
+            err.contains(&path.display().to_string()),
+            "{what}: {err:?} must name the file"
+        );
         assert!(err.contains(names), "{what}: {err:?} must name {names:?}");
     }
     let _ = std::fs::remove_file(&path);
@@ -416,9 +547,16 @@ fn stale_tmp_file_is_ignored_and_overwritten() {
     std::fs::write(&stale, "{\"version\": 1, \"fingerprint\": \"trunc").unwrap();
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), ckpt);
 
-    let next = CampaignCheckpoint { done: 9, rounds: 2, ..ckpt };
+    let next = CampaignCheckpoint {
+        done: 9,
+        rounds: 2,
+        ..ckpt
+    };
     next.save(&path).unwrap();
-    assert!(!stale.exists(), "the tmp file was renamed over the checkpoint");
+    assert!(
+        !stale.exists(),
+        "the tmp file was renamed over the checkpoint"
+    );
     assert_eq!(CampaignCheckpoint::load(&path).unwrap(), next);
     let _ = std::fs::remove_file(&path);
 }
@@ -449,29 +587,53 @@ impl Hostile {
             ..RunOptions::default()
         };
         let mut s = scanner(world.clone(), None);
-        let full = Campaign::standard(&mut s).run_with(&targets, &opts, None).unwrap();
+        let full = Campaign::standard(&mut s)
+            .run_with(&targets, &opts, None)
+            .unwrap();
         assert!(full.completed && full.rounds >= 5, "{} rounds", full.rounds);
         assert_eq!(lines_of(&path).len(), 1, "a completed run leaves one line");
         let mut full_counters = s.metrics().counters();
         full_counters.remove("probe.resumed_targets");
         let full_ckpt = CampaignCheckpoint::load(&path).unwrap();
         let _ = std::fs::remove_file(&path);
-        Hostile { world, targets, opts, full, full_counters, full_ckpt }
+        Hostile {
+            world,
+            targets,
+            opts,
+            full,
+            full_counters,
+            full_ckpt,
+        }
     }
 
     fn at(&self, path: &Path) -> RunOptions {
-        RunOptions { checkpoint_path: Some(path.to_path_buf()), ..self.opts.clone() }
+        RunOptions {
+            checkpoint_path: Some(path.to_path_buf()),
+            ..self.opts.clone()
+        }
     }
 
     /// Stop cooperatively after `k` rounds: the checkpoint that leaves and
     /// the packets sent up to that boundary.
     fn stopped_after(&self, k: usize, path: &Path) -> (CampaignCheckpoint, u64) {
-        let opts = RunOptions { stop_after_rounds: Some(k), ..self.at(path) };
+        let opts = RunOptions {
+            stop_after_rounds: Some(k),
+            ..self.at(path)
+        };
         let mut s = scanner(self.world.clone(), None);
-        let partial = Campaign::standard(&mut s).run_with(&self.targets, &opts, None).unwrap();
+        let partial = Campaign::standard(&mut s)
+            .run_with(&self.targets, &opts, None)
+            .unwrap();
         assert!(!partial.completed && partial.rounds == k);
-        assert_eq!(lines_of(path).len(), 1, "a cooperative stop leaves one line");
-        (CampaignCheckpoint::load(path).unwrap(), partial.result.packets_sent())
+        assert_eq!(
+            lines_of(path).len(),
+            1,
+            "a cooperative stop leaves one line"
+        );
+        (
+            CampaignCheckpoint::load(path).unwrap(),
+            partial.result.packets_sent(),
+        )
     }
 
     /// Kill the campaign on the first packet after boundary `k`: what is
@@ -480,12 +642,18 @@ impl Hostile {
         let scratch = path.with_extension("scratch.json");
         let (_, packets) = self.stopped_after(k, &scratch);
         let _ = std::fs::remove_file(&scratch);
-        let mut s = budgeted(self.world.clone(), None, packets + 1, || panic!("killed mid-round"));
+        let mut s = budgeted(self.world.clone(), None, packets + 1, || {
+            panic!("killed mid-round")
+        });
         let opts = self.at(path);
         let died = catch_unwind(AssertUnwindSafe(|| {
             Campaign::standard(&mut s).run_with(&self.targets, &opts, None)
         }));
-        assert!(died.is_err(), "the budget must run out inside round {}", k + 1);
+        assert!(
+            died.is_err(),
+            "the budget must run out inside round {}",
+            k + 1
+        );
     }
 
     /// Resume from `ckpt` with a fresh scanner and check the campaign ends
@@ -497,21 +665,32 @@ impl Hostile {
             .unwrap();
         assert!(resumed.completed, "{what}");
         assert_eq!(resumed.rounds, self.full.rounds, "{what}");
-        assert_eq!(resumed.result.reports, self.full.result.reports, "reports diverged: {what}");
+        assert_eq!(
+            resumed.result.reports, self.full.result.reports,
+            "reports diverged: {what}"
+        );
         assert_eq!(
             sos_probe::merged_attribution(&resumed.result.reports),
             sos_probe::merged_attribution(&self.full.result.reports),
             "attribution diverged: {what}"
         );
         let mut counters = s.metrics().counters();
-        assert_eq!(counters.remove("probe.resumed_targets"), Some(ckpt.done as u64), "{what}");
+        assert_eq!(
+            counters.remove("probe.resumed_targets"),
+            Some(ckpt.done as u64),
+            "{what}"
+        );
         assert_eq!(counters, self.full_counters, "counters diverged: {what}");
         assert_eq!(
             normalized(CampaignCheckpoint::load(path).unwrap()),
             normalized(self.full_ckpt.clone()),
             "final checkpoint diverged: {what}"
         );
-        assert_eq!(lines_of(path).len(), 1, "a completed run leaves one line: {what}");
+        assert_eq!(
+            lines_of(path).len(),
+            1,
+            "a completed run leaves one line: {what}"
+        );
     }
 }
 
@@ -529,7 +708,11 @@ fn budgeted(
 
 /// The checkpoint file's lines.
 fn lines_of(path: &Path) -> Vec<String> {
-    std::fs::read_to_string(path).unwrap().lines().map(str::to_string).collect()
+    std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect()
 }
 
 /// The state line at `path` alone, without the round lines after it.
@@ -563,7 +746,11 @@ fn hard_kill_after_every_boundary_resumes_bit_identically() {
 
         let ckpt = CampaignCheckpoint::load(&path).unwrap();
         assert_eq!(ckpt.rounds, k);
-        assert_eq!(normalized(ckpt.clone()), normalized(stopped), "killed after boundary {k}");
+        assert_eq!(
+            normalized(ckpt.clone()),
+            normalized(stopped),
+            "killed after boundary {k}"
+        );
         h.resume_converges(&ckpt, &path, &format!("killed after boundary {k}"));
         remove(&path);
     }
@@ -585,11 +772,17 @@ fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
         checkpoint_path: Some(path.clone()),
         ..RunOptions::default()
     };
-    let run = |s: &mut Scanner<SimTransport>, opts: &RunOptions, from: Option<&CampaignCheckpoint>| {
-        Campaign::new(s, vec![Protocol::Icmp]).run_with(&t, opts, from).unwrap()
-    };
+    let run =
+        |s: &mut Scanner<SimTransport>, opts: &RunOptions, from: Option<&CampaignCheckpoint>| {
+            Campaign::new(s, vec![Protocol::Icmp])
+                .run_with(&t, opts, from)
+                .unwrap()
+        };
     let full = run(&mut scanner(w.clone(), Some(25.0)), &opts, None);
-    let stop = RunOptions { stop_after_rounds: Some(K), ..opts.clone() };
+    let stop = RunOptions {
+        stop_after_rounds: Some(K),
+        ..opts.clone()
+    };
     let partial = run(&mut scanner(w.clone(), Some(25.0)), &stop, None);
     let stopped = CampaignCheckpoint::load(&path).unwrap();
     remove(&path);
@@ -610,12 +803,20 @@ fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
 }
 
 fn field<'j>(j: &'j mut Json, key: &str) -> &'j mut Json {
-    let Json::Obj(fields) = j else { panic!("{key}: not an object") };
-    fields.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v).unwrap_or_else(|| panic!("no {key}"))
+    let Json::Obj(fields) = j else {
+        panic!("{key}: not an object")
+    };
+    fields
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+        .unwrap_or_else(|| panic!("no {key}"))
 }
 
 fn items(j: &mut Json) -> &mut Vec<Json> {
-    let Json::Arr(items) = j else { panic!("not an array") };
+    let Json::Arr(items) = j else {
+        panic!("not an array")
+    };
     items
 }
 
@@ -640,7 +841,11 @@ fn write_ahead_log_damage_is_dropped_or_refused() {
     assert_eq!(ckpt.rounds, K - 1);
     h.resume_converges(&ckpt, &path, "last line cut mid-way");
     // A last line torn with its newline already written is dropped too.
-    std::fs::write(&path, format!("{}\n{}\n", lines[..K - 1].join("\n"), &lines[K - 1][..40])).unwrap();
+    std::fs::write(
+        &path,
+        format!("{}\n{}\n", lines[..K - 1].join("\n"), &lines[K - 1][..40]),
+    )
+    .unwrap();
     assert_eq!(CampaignCheckpoint::load(&path).unwrap().rounds, K - 1);
 
     // Everything else is refused, naming the file and the line.
@@ -678,25 +883,80 @@ fn write_ahead_log_damage_is_dropped_or_refused() {
             edited(&|line| *field(line, "fingerprint") = Json::Str("00000000deadbeef".into())),
             "fingerprint",
         ),
-        ("progress going backwards", edited(&|line| *field(line, "done") = Json::U64(0)), "done"),
-        ("a torn state line", format!("{}\n{}\n", &lines[0][..40], lines[1]), "line 1"),
-        ("a torn line before the last", format!("{}\n{}\n{}\n", lines[0], &lines[1][..40], lines[2]), "line 2"),
-        ("fault row protocol 300", row(&["fault_state"], 1, 300), "fault_state"),
-        ("fault row count 2^40", row(&["fault_state"], 2, 1 << 40), "fault_state"),
-        ("breaker row protocol 300", row(&["breaker", "entries"], 1, 300), "breaker.entries"),
-        ("breaker row tag 3", row(&["breaker", "entries"], 2, 3), "breaker.entries"),
-        ("breaker row count 2^40", row(&["breaker", "entries"], 3, 1 << 40), "breaker.entries"),
-        ("reports out of order", edited(&|line| items(field(line, "reports")).swap(0, 1)), "reports"),
-        ("a report short", edited(&|line| drop(items(field(line, "reports")).pop())), "reports"),
-        ("no breaker where the state has one", edited(&|line| *field(line, "breaker") = Json::Null), "breaker"),
+        (
+            "progress going backwards",
+            edited(&|line| *field(line, "done") = Json::U64(0)),
+            "done",
+        ),
+        (
+            "a torn state line",
+            format!("{}\n{}\n", &lines[0][..40], lines[1]),
+            "line 1",
+        ),
+        (
+            "a torn line before the last",
+            format!("{}\n{}\n{}\n", lines[0], &lines[1][..40], lines[2]),
+            "line 2",
+        ),
+        (
+            "fault row protocol 300",
+            row(&["fault_state"], 1, 300),
+            "fault_state",
+        ),
+        (
+            "fault row count 2^40",
+            row(&["fault_state"], 2, 1 << 40),
+            "fault_state",
+        ),
+        (
+            "breaker row protocol 300",
+            row(&["breaker", "entries"], 1, 300),
+            "breaker.entries",
+        ),
+        (
+            "breaker row tag 3",
+            row(&["breaker", "entries"], 2, 3),
+            "breaker.entries",
+        ),
+        (
+            "breaker row count 2^40",
+            row(&["breaker", "entries"], 3, 1 << 40),
+            "breaker.entries",
+        ),
+        (
+            "reports out of order",
+            edited(&|line| items(field(line, "reports")).swap(0, 1)),
+            "reports",
+        ),
+        (
+            "a report short",
+            edited(&|line| drop(items(field(line, "reports")).pop())),
+            "reports",
+        ),
+        (
+            "no breaker where the state has one",
+            edited(&|line| *field(line, "breaker") = Json::Null),
+            "breaker",
+        ),
         ("attribution source 300", attribution(0, 300), "source"),
         ("attribution region 2^40", attribution(1, 1 << 40), "region"),
-        ("attribution round 70 000", attribution(6, 70_000), "first_round"),
-        ("a line nested 100 000 deep", format!("{}\n{}\n{}\n", lines[0], "[".repeat(100_000), lines[2]), "nesting"),
+        (
+            "attribution round 70 000",
+            attribution(6, 70_000),
+            "first_round",
+        ),
+        (
+            "a line nested 100 000 deep",
+            format!("{}\n{}\n{}\n", lines[0], "[".repeat(100_000), lines[2]),
+            "nesting",
+        ),
     ] {
         std::fs::write(&path, body).unwrap();
         let err = CampaignCheckpoint::load(&path).expect_err(what);
-        assert!(err.contains(&path.display().to_string()), "{what}: {err:?} must name the file");
+        assert!(
+            err.contains(&path.display().to_string()),
+            "{what}: {err:?} must name the file"
+        );
         assert!(err.contains(names), "{what}: {err:?} must name {names:?}");
     }
     remove(&path);
@@ -720,18 +980,37 @@ fn checkpoint_and_journal_lines_are_canonical() {
         let parsed = Json::parse(line).unwrap();
         assert_eq!(&parsed.to_string(), line, "checkpoint line {}", number + 1);
         let decoded = CampaignCheckpoint::from_json(&parsed).unwrap();
-        assert_eq!(&decoded.to_json().to_string(), line, "checkpoint line {} re-encoded", number + 1);
-        assert!(line.contains("\"attribution\":[["), "line {} carries attribution", number + 1);
+        assert_eq!(
+            &decoded.to_json().to_string(),
+            line,
+            "checkpoint line {} re-encoded",
+            number + 1
+        );
+        assert!(
+            line.contains("\"attribution\":[["),
+            "line {} carries attribution",
+            number + 1
+        );
     }
 
     remove(&path);
-    let with_journal = RunOptions { journal_path: Some(journal.clone()), ..h.at(&path) };
-    let stop = RunOptions { stop_after_rounds: Some(2), ..with_journal.clone() };
+    let with_journal = RunOptions {
+        journal_path: Some(journal.clone()),
+        ..h.at(&path)
+    };
+    let stop = RunOptions {
+        stop_after_rounds: Some(2),
+        ..with_journal.clone()
+    };
     let mut s = scanner(h.world.clone(), None);
-    Campaign::standard(&mut s).run_with(&h.targets, &stop, None).unwrap();
+    Campaign::standard(&mut s)
+        .run_with(&h.targets, &stop, None)
+        .unwrap();
     let ckpt = CampaignCheckpoint::load(&path).unwrap();
     let mut s = scanner(h.world.clone(), None);
-    Campaign::standard(&mut s).run_with(&h.targets, &with_journal, Some(&ckpt)).unwrap();
+    Campaign::standard(&mut s)
+        .run_with(&h.targets, &with_journal, Some(&ckpt))
+        .unwrap();
     let mut kinds = std::collections::BTreeSet::new();
     for line in lines_of(&journal) {
         assert_eq!(Json::parse(&line).unwrap().to_string(), line);
@@ -763,7 +1042,10 @@ fn unwritable_write_ahead_log_fails_the_second_boundary() {
         move || remove(&path)
     };
     let mut s = budgeted(h.world.clone(), None, first_round + 1, delete);
-    let opts = RunOptions { journal_path: Some(journal.clone()), ..h.at(&path) };
+    let opts = RunOptions {
+        journal_path: Some(journal.clone()),
+        ..h.at(&path)
+    };
     let err = Campaign::standard(&mut s)
         .run_with(&h.targets, &opts, None)
         .expect_err("a missing checkpoint cannot be appended to");
@@ -774,8 +1056,16 @@ fn unwritable_write_ahead_log_fails_the_second_boundary() {
         .iter()
         .map(|r| r.event.kind())
         .collect();
-    assert_eq!(kinds.iter().filter(|k| **k == "round_end").count(), 2, "{kinds:?}");
-    assert_eq!(kinds.iter().filter(|k| **k == "checkpoint").count(), 1, "{kinds:?}");
+    assert_eq!(
+        kinds.iter().filter(|k| **k == "round_end").count(),
+        2,
+        "{kinds:?}"
+    );
+    assert_eq!(
+        kinds.iter().filter(|k| **k == "checkpoint").count(),
+        1,
+        "{kinds:?}"
+    );
     let _ = std::fs::remove_file(&journal);
 }
 
@@ -795,10 +1085,18 @@ fn cancel_after_appends_leaves_a_document_and_no_log() {
         move || cancel.store(true, Ordering::SeqCst)
     };
     let mut s = budgeted(h.world.clone(), None, packets + 1, raise);
-    let opts = RunOptions { cancel: Some(cancel), ..h.at(&path) };
-    let stopped = Campaign::standard(&mut s).run_with(&h.targets, &opts, None).unwrap();
+    let opts = RunOptions {
+        cancel: Some(cancel),
+        ..h.at(&path)
+    };
+    let stopped = Campaign::standard(&mut s)
+        .run_with(&h.targets, &opts, None)
+        .unwrap();
     assert!(!stopped.completed);
-    assert_eq!(stopped.rounds, 4, "the cancel is honored at the boundary after it was raised");
+    assert_eq!(
+        stopped.rounds, 4,
+        "the cancel is honored at the boundary after it was raised"
+    );
     assert_eq!(lines_of(&path).len(), 1);
     let ckpt = first_line(&path);
     assert_eq!(ckpt.rounds, 4);
@@ -821,7 +1119,11 @@ fn a_checkpoint_named_wal_stops_resumes_and_survives_a_kill() {
     remove(&path);
     h.killed_after(3, &path);
     let ckpt = CampaignCheckpoint::load(&path).unwrap();
-    assert_eq!(normalized(ckpt.clone()), normalized(stopped), "named .wal, killed after 3");
+    assert_eq!(
+        normalized(ckpt.clone()),
+        normalized(stopped),
+        "named .wal, killed after 3"
+    );
     h.resume_converges(&ckpt, &path, "named .wal, killed after 3");
     remove(&path);
 }
@@ -845,9 +1147,16 @@ fn a_parent_document_with_a_stale_wal_beside_it_resumes() {
     std::fs::write(&wal, &later_rounds).unwrap();
 
     let ckpt = CampaignCheckpoint::load(&path).unwrap();
-    assert_eq!(ckpt, stopped, "the document alone, rounds 3 and 4 not folded in");
+    assert_eq!(
+        ckpt, stopped,
+        "the document alone, rounds 3 and 4 not folded in"
+    );
     h.resume_converges(&ckpt, &path, "a parent document with a stale .wal");
-    assert_eq!(std::fs::read_to_string(&wal).unwrap(), later_rounds, "the stale .wal is not touched");
+    assert_eq!(
+        std::fs::read_to_string(&wal).unwrap(),
+        later_rounds,
+        "the stale .wal is not touched"
+    );
     remove(&path);
     remove(&wal);
 }
@@ -863,26 +1172,44 @@ fn sinks_at_one_path_are_refused_before_the_first_probe() {
     let dir = tmp("sinks");
     std::fs::create_dir_all(dir.join("sub")).unwrap();
     let at = |name: &str| Some(dir.join(name));
-    let none = RunOptions { checkpoint_every: 64, ..RunOptions::default() };
+    let none = RunOptions {
+        checkpoint_every: 64,
+        ..RunOptions::default()
+    };
     for (what, opts, named) in [
         (
             "a checkpoint that is its own temporary file",
-            RunOptions { checkpoint_path: at("c.tmp"), ..none.clone() },
+            RunOptions {
+                checkpoint_path: at("c.tmp"),
+                ..none.clone()
+            },
             "c.tmp",
         ),
         (
             "a journal at the checkpoint",
-            RunOptions { checkpoint_path: at("c.json"), journal_path: at("c.json"), ..none.clone() },
+            RunOptions {
+                checkpoint_path: at("c.json"),
+                journal_path: at("c.json"),
+                ..none.clone()
+            },
             "c.json",
         ),
         (
             "a journal at the checkpoint's temporary file",
-            RunOptions { checkpoint_path: at("c.json"), journal_path: at("c.tmp"), ..none.clone() },
+            RunOptions {
+                checkpoint_path: at("c.json"),
+                journal_path: at("c.tmp"),
+                ..none.clone()
+            },
             "c.tmp",
         ),
         (
             "a snapshot at the checkpoint",
-            RunOptions { checkpoint_path: at("c.json"), snapshot_path: at("c.json"), ..none.clone() },
+            RunOptions {
+                checkpoint_path: at("c.json"),
+                snapshot_path: at("c.json"),
+                ..none.clone()
+            },
             "c.json",
         ),
         (
@@ -896,7 +1223,11 @@ fn sinks_at_one_path_are_refused_before_the_first_probe() {
         ),
         (
             "a journal at the checkpoint, reached through `..`",
-            RunOptions { checkpoint_path: at("c.json"), journal_path: at("sub/../c.json"), ..none.clone() },
+            RunOptions {
+                checkpoint_path: at("c.json"),
+                journal_path: at("sub/../c.json"),
+                ..none.clone()
+            },
             "c.json",
         ),
     ] {
@@ -904,11 +1235,20 @@ fn sinks_at_one_path_are_refused_before_the_first_probe() {
             std::fs::write(dir.join(name), "kept").unwrap();
         }
         let mut s = scanner(w.clone(), None);
-        let err = Campaign::standard(&mut s).run_with(&t, &opts, None).expect_err(what);
-        assert!(err.contains(&dir.join(named).display().to_string()), "{what}: {err}");
+        let err = Campaign::standard(&mut s)
+            .run_with(&t, &opts, None)
+            .expect_err(what);
+        assert!(
+            err.contains(&dir.join(named).display().to_string()),
+            "{what}: {err}"
+        );
         assert_eq!(s.packets_sent(), 0, "{what}: refused before any probe");
         for name in ["c.json", "c.tmp", "j.prom"] {
-            assert_eq!(std::fs::read_to_string(dir.join(name)).unwrap(), "kept", "{what}: {name}");
+            assert_eq!(
+                std::fs::read_to_string(dir.join(name)).unwrap(),
+                "kept",
+                "{what}: {name}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -935,7 +1275,10 @@ fn resume_refuses_reports_that_do_not_match_the_protocols() {
             _ => reports[1] = reports[0].clone(),
         }
         let mut s = scanner(h.world.clone(), None);
-        let opts = RunOptions { checkpoint_path: None, ..h.opts.clone() };
+        let opts = RunOptions {
+            checkpoint_path: None,
+            ..h.opts.clone()
+        };
         let err = Campaign::standard(&mut s)
             .run_with(&h.targets, &opts, Some(&ckpt))
             .expect_err(what);
@@ -960,14 +1303,21 @@ fn single_byte_damage_to_a_checkpoint_never_panics_the_loader() {
         provenance: Some(Arc::new(sos_probe::ProvenanceLog::for_targets(&t))),
         ..RunOptions::default()
     };
-    let stop = RunOptions { stop_after_rounds: Some(2), ..opts.clone() };
+    let stop = RunOptions {
+        stop_after_rounds: Some(2),
+        ..opts.clone()
+    };
     let mut s = scanner(w.clone(), None);
-    let partial = Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &stop, None).unwrap();
+    let partial = Campaign::new(&mut s, vec![Protocol::Icmp])
+        .run_with(&t, &stop, None)
+        .unwrap();
     assert!(!partial.completed);
     let two_rounds = CampaignCheckpoint::load(&path).unwrap();
     let state_line = std::fs::read(&path).unwrap();
     remove(&path);
-    let mut s = budgeted(w, None, partial.result.packets_sent() + 1, || panic!("killed mid-round"));
+    let mut s = budgeted(w, None, partial.result.packets_sent() + 1, || {
+        panic!("killed mid-round")
+    });
     let died = catch_unwind(AssertUnwindSafe(|| {
         Campaign::new(&mut s, vec![Protocol::Icmp]).run_with(&t, &opts, None)
     }));
@@ -994,7 +1344,9 @@ fn single_byte_damage_to_a_checkpoint_never_panics_the_loader() {
         file.rewind().and_then(|()| file.write_all(bytes)).unwrap();
         let _ = CampaignCheckpoint::load(&path);
     };
-    single_byte_damage(round_line, |damaged| rewrite(&[first_line, damaged].concat()));
+    single_byte_damage(round_line, |damaged| {
+        rewrite(&[first_line, damaged].concat())
+    });
     single_byte_damage(&state_line, |damaged| rewrite(damaged));
     remove(&path);
 }

@@ -34,10 +34,19 @@ pub fn wire_campaign(
 
 /// The production side of the comparison: the standard four-protocol
 /// campaign as one `run_with` round, `shards` ways per protocol.
-#[expect(clippy::unwrap_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies"
+)]
 pub fn run_sharded(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr], shards: usize) -> CampaignResult {
-    let opts = RunOptions { shards, ..RunOptions::default() };
-    Campaign::standard(s).run_with(t, &opts, None).unwrap().result
+    let opts = RunOptions {
+        shards,
+        ..RunOptions::default()
+    };
+    Campaign::standard(s)
+        .run_with(t, &opts, None)
+        .unwrap()
+        .result
 }
 
 /// A `SimTransport` on a packet budget its clones share (a sharded round

@@ -12,8 +12,8 @@ use netmodel::{FaultConfig, World, WorldConfig};
 use sos_obs::journal::read_records;
 use sos_obs::{render_prometheus, Event, Record};
 use sos_probe::{
-    BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner,
-    ScannerConfig, SimTransport,
+    BreakerConfig, Campaign, CampaignCheckpoint, RetryPolicy, RunOptions, Scanner, ScannerConfig,
+    SimTransport,
 };
 
 fn world(seed: u64, hostile: bool) -> Arc<World> {
@@ -36,8 +36,13 @@ fn scanner(world: Arc<World>, breaker: bool) -> Scanner<SimTransport> {
 }
 
 fn targets(world: &World) -> Vec<std::net::Ipv6Addr> {
-    let mut out: Vec<std::net::Ipv6Addr> =
-        world.hosts().iter().map(|(a, _)| a).step_by(2).take(160).collect();
+    let mut out: Vec<std::net::Ipv6Addr> = world
+        .hosts()
+        .iter()
+        .map(|(a, _)| a)
+        .step_by(2)
+        .take(160)
+        .collect();
     for i in 0..20u128 {
         out.push(std::net::Ipv6Addr::from((0x3fff_u128 << 112) | i));
     }
@@ -49,15 +54,20 @@ fn tmp(tag: &str) -> PathBuf {
 }
 
 /// The last snapshot record's payload: (fingerprint, done, counters).
-#[expect(clippy::expect_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies"
+)]
 fn last_snapshot(records: &[Record]) -> (u64, u64, BTreeMap<String, u64>) {
     records
         .iter()
         .rev()
         .find_map(|r| match &r.event {
-            Event::Snapshot { fingerprint, done, counters } => {
-                Some((*fingerprint, *done, counters.clone()))
-            }
+            Event::Snapshot {
+                fingerprint,
+                done,
+                counters,
+            } => Some((*fingerprint, *done, counters.clone())),
             _ => None,
         })
         .expect("journal must contain a snapshot record")
@@ -87,11 +97,18 @@ fn replaying_a_journal_reconstructs_live_counters_bit_identically() {
     // equal the live scanner's counter totals exactly, and the
     // deterministic record stream must be identical across shard counts.
     for (hostile, breaker) in [(false, false), (true, false), (true, true)] {
-        let w = world(0x9A11 + u64::from(hostile) + 2 * u64::from(breaker), hostile);
+        let w = world(
+            0x9A11 + u64::from(hostile) + 2 * u64::from(breaker),
+            hostile,
+        );
         let t = targets(&w);
         let mut streams = Vec::new();
         for shards in [1usize, 8] {
-            let tag = format!("replay-h{}-b{}-s{shards}", u8::from(hostile), u8::from(breaker));
+            let tag = format!(
+                "replay-h{}-b{}-s{shards}",
+                u8::from(hostile),
+                u8::from(breaker)
+            );
             let path = tmp(&tag);
             let _ = std::fs::remove_file(&path);
             let opts = RunOptions {
@@ -102,12 +119,20 @@ fn replaying_a_journal_reconstructs_live_counters_bit_identically() {
                 ..RunOptions::default()
             };
             let mut s = scanner(w.clone(), breaker);
-            let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+            let outcome = Campaign::standard(&mut s)
+                .run_with(&t, &opts, None)
+                .unwrap();
             assert!(outcome.completed);
 
             let records = read_records(&path).unwrap();
-            assert!(matches!(records.first().unwrap().event, Event::CampaignStart { .. }));
-            assert!(matches!(records.last().unwrap().event, Event::CampaignEnd { .. }));
+            assert!(matches!(
+                records.first().unwrap().event,
+                Event::CampaignStart { .. }
+            ));
+            assert!(matches!(
+                records.last().unwrap().event,
+                Event::CampaignEnd { .. }
+            ));
             // seq dense, vclock monotone: the journal is a well-formed tail.
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.seq, i as u64, "dense sequence in {tag}");
@@ -118,7 +143,11 @@ fn replaying_a_journal_reconstructs_live_counters_bit_identically() {
             );
 
             let (_, done, replayed) = last_snapshot(&records);
-            assert_eq!(done as usize, t.len(), "final snapshot covers the whole campaign");
+            assert_eq!(
+                done as usize,
+                t.len(),
+                "final snapshot covers the whole campaign"
+            );
             assert_eq!(
                 replayed,
                 s.metrics().counters(),
@@ -154,16 +183,32 @@ fn hostile_journal_carries_breaker_and_fault_epoch_transitions() {
     let path = tmp("transitions-faults");
     let _ = std::fs::remove_file(&path);
     let mut s = scanner(w.clone(), false);
-    Campaign::standard(&mut s).run_with(&t, &opts(&path), None).unwrap();
+    Campaign::standard(&mut s)
+        .run_with(&t, &opts(&path), None)
+        .unwrap();
     let records = read_records(&path).unwrap();
     let kinds: Vec<&str> = records.iter().map(|r| r.event.kind()).collect();
-    assert!(kinds.contains(&"fault_epoch"), "hostile preset must advance fault epochs");
+    assert!(
+        kinds.contains(&"fault_epoch"),
+        "hostile preset must advance fault epochs"
+    );
     // Epoch transitions are per-(domain, proto, family) and monotone.
     let mut epochs: BTreeMap<(u128, u8, String), u64> = BTreeMap::new();
     for r in &records {
-        if let Event::FaultEpoch { domain, proto, kind, epoch } = &r.event {
-            let prev = epochs.insert((*domain, *proto, kind.clone()), *epoch).unwrap_or(0);
-            assert!(*epoch > prev, "epoch clocks only advance ({kind}: {prev} -> {epoch})");
+        if let Event::FaultEpoch {
+            domain,
+            proto,
+            kind,
+            epoch,
+        } = &r.event
+        {
+            let prev = epochs
+                .insert((*domain, *proto, kind.clone()), *epoch)
+                .unwrap_or(0);
+            assert!(
+                *epoch > prev,
+                "epoch clocks only advance ({kind}: {prev} -> {epoch})"
+            );
         }
     }
     let _ = std::fs::remove_file(&path);
@@ -173,7 +218,9 @@ fn hostile_journal_carries_breaker_and_fault_epoch_transitions() {
     let path = tmp("transitions-breaker");
     let _ = std::fs::remove_file(&path);
     let mut s = scanner(w.clone(), true);
-    Campaign::standard(&mut s).run_with(&t, &opts(&path), None).unwrap();
+    Campaign::standard(&mut s)
+        .run_with(&t, &opts(&path), None)
+        .unwrap();
     let records = read_records(&path).unwrap();
     let has_breaker = records.iter().any(|r| r.event.kind() == "breaker");
     assert!(
@@ -182,7 +229,13 @@ fn hostile_journal_carries_breaker_and_fault_epoch_transitions() {
     );
     let mut prior: BTreeMap<(u128, u8), String> = BTreeMap::new();
     for r in &records {
-        if let Event::Breaker { domain, proto, from, to } = &r.event {
+        if let Event::Breaker {
+            domain,
+            proto,
+            from,
+            to,
+        } = &r.event
+        {
             let expected = prior
                 .insert((*domain, *proto), to.clone())
                 .unwrap_or_else(|| "closed".to_string());
@@ -214,15 +267,23 @@ fn killed_campaign_leaves_snapshot_matching_the_checkpoint() {
         ..RunOptions::default()
     };
     let mut s = scanner(w.clone(), true);
-    let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let outcome = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(!outcome.completed, "stop_after_rounds must interrupt");
 
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
     let records = read_records(&journal).unwrap();
     let (fp, done, counters) = last_snapshot(&records);
-    assert_eq!(fp, ckpt.fingerprint, "snapshot must carry the checkpoint fingerprint");
+    assert_eq!(
+        fp, ckpt.fingerprint,
+        "snapshot must carry the checkpoint fingerprint"
+    );
     assert_eq!(done as usize, ckpt.done);
-    assert_eq!(counters, ckpt.counters, "journal snapshot must mirror the checkpoint");
+    assert_eq!(
+        counters, ckpt.counters,
+        "journal snapshot must mirror the checkpoint"
+    );
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt_path);
 }
@@ -242,7 +303,9 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
         ..RunOptions::default()
     };
     let mut s = scanner(w.clone(), true);
-    let full = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let full = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(full.completed);
     let (_, _, mut full_counters) = last_snapshot(&read_records(&full_journal).unwrap());
     full_counters.remove("probe.resumed_targets");
@@ -259,7 +322,9 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
         ..opts.clone()
     };
     let mut s1 = scanner(w.clone(), true);
-    Campaign::standard(&mut s1).run_with(&t, &kill_opts, None).unwrap();
+    Campaign::standard(&mut s1)
+        .run_with(&t, &kill_opts, None)
+        .unwrap();
     let killed_len = read_records(&journal).unwrap().len();
 
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
@@ -275,7 +340,10 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
     assert!(resumed.completed);
 
     let records = read_records(&journal).unwrap();
-    assert!(records.len() > killed_len, "resume must append, not truncate");
+    assert!(
+        records.len() > killed_len,
+        "resume must append, not truncate"
+    );
     // One dense sequence across the kill: the writer continued seq.
     for (i, r) in records.iter().enumerate() {
         assert_eq!(r.seq, i as u64, "sequence must continue across resume");
@@ -286,7 +354,10 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
     );
     // Historical breaker/fault transitions must not be re-emitted: the
     // resumed stream's first post-resume events are round records.
-    assert!(matches!(records[killed_len + 1].event, Event::RoundStart { .. }));
+    assert!(matches!(
+        records[killed_len + 1].event,
+        Event::RoundStart { .. }
+    ));
 
     let (_, done, mut counters) = last_snapshot(&records);
     assert_eq!(done as usize, t.len());
@@ -315,7 +386,9 @@ fn resume_after_a_torn_journal_keeps_it_readable() {
     };
     let full_journal = tmp("torn-full");
     let _ = std::fs::remove_file(&full_journal);
-    let full = Campaign::standard(&mut scanner(w.clone(), true)).run_with(&t, &opts(&full_journal), None).unwrap();
+    let full = Campaign::standard(&mut scanner(w.clone(), true))
+        .run_with(&t, &opts(&full_journal), None)
+        .unwrap();
     assert!(full.completed);
     let (_, _, mut full_counters) = last_snapshot(&read_records(&full_journal).unwrap());
     full_counters.remove("probe.resumed_targets");
@@ -323,15 +396,28 @@ fn resume_after_a_torn_journal_keeps_it_readable() {
     let (journal, ckpt_path) = (tmp("torn"), tmp("torn-ckpt"));
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt_path);
-    let kill_opts =
-        RunOptions { checkpoint_path: Some(ckpt_path.clone()), stop_after_rounds: Some(2), ..opts(&journal) };
-    Campaign::standard(&mut scanner(w.clone(), true)).run_with(&t, &kill_opts, None).unwrap();
-    let mut file = std::fs::OpenOptions::new().append(true).open(&journal).unwrap();
+    let kill_opts = RunOptions {
+        checkpoint_path: Some(ckpt_path.clone()),
+        stop_after_rounds: Some(2),
+        ..opts(&journal)
+    };
+    Campaign::standard(&mut scanner(w.clone(), true))
+        .run_with(&t, &kill_opts, None)
+        .unwrap();
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&journal)
+        .unwrap();
     std::io::Write::write_all(&mut file, b"{\"v\":1,\"seq\":1,\"ev\":\"round_e").unwrap();
 
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
-    let resume_opts = RunOptions { checkpoint_path: Some(ckpt_path.clone()), ..opts(&journal) };
-    let resumed = Campaign::standard(&mut scanner(w, true)).run_with(&t, &resume_opts, Some(&ckpt)).unwrap();
+    let resume_opts = RunOptions {
+        checkpoint_path: Some(ckpt_path.clone()),
+        ..opts(&journal)
+    };
+    let resumed = Campaign::standard(&mut scanner(w, true))
+        .run_with(&t, &resume_opts, Some(&ckpt))
+        .unwrap();
     assert!(resumed.completed);
 
     let records = read_records(&journal).expect("the resumed journal reads back");
@@ -340,7 +426,10 @@ fn resume_after_a_torn_journal_keeps_it_readable() {
     }
     let (_, _, mut counters) = last_snapshot(&records);
     counters.remove("probe.resumed_targets");
-    assert_eq!(counters, full_counters, "the torn kill + resume converges to the uninterrupted totals");
+    assert_eq!(
+        counters, full_counters,
+        "the torn kill + resume converges to the uninterrupted totals"
+    );
     for p in [&journal, &ckpt_path, &full_journal] {
         let _ = std::fs::remove_file(p);
     }
@@ -362,7 +451,9 @@ fn snapshot_path_alone_leaves_the_final_counters() {
         ..RunOptions::default()
     };
     let mut s = scanner(w, true);
-    let outcome = Campaign::standard(&mut s).run_with(&t, &opts, None).unwrap();
+    let outcome = Campaign::standard(&mut s)
+        .run_with(&t, &opts, None)
+        .unwrap();
     assert!(outcome.completed && outcome.rounds > 3);
     // The file is this campaign's final counter snapshot, rendered — not
     // the process-wide registry the other tests of this binary feed too.
@@ -406,7 +497,9 @@ fn snapshot_file_follows_the_journal_cadence_across_a_resume() {
         ..opts.clone()
     };
     let mut s1 = scanner(w.clone(), true);
-    Campaign::standard(&mut s1).run_with(&t, &kill_opts, None).unwrap();
+    Campaign::standard(&mut s1)
+        .run_with(&t, &kill_opts, None)
+        .unwrap();
     let killed_len = read_records(&journal).unwrap().len();
     let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
     assert_eq!(ckpt.rounds, 2);
@@ -419,7 +512,10 @@ fn snapshot_file_follows_the_journal_cadence_across_a_resume() {
     // Resumed without a checkpoint path, snapshots are due at lifetime
     // rounds 3, 6, …: the first round of this process.
     let unwritable = std::env::temp_dir();
-    let resume_opts = RunOptions { snapshot_path: Some(unwritable.clone()), ..opts.clone() };
+    let resume_opts = RunOptions {
+        snapshot_path: Some(unwritable.clone()),
+        ..opts.clone()
+    };
     let mut s2 = scanner(w, true);
     let err = Campaign::standard(&mut s2)
         .run_with(&t, &resume_opts, Some(&ckpt))
@@ -428,7 +524,10 @@ fn snapshot_file_follows_the_journal_cadence_across_a_resume() {
     let records = read_records(&journal).unwrap();
     let resumed = &records[killed_len..];
     assert!(matches!(resumed[0].event, Event::Resume { .. }));
-    let round_ends = resumed.iter().filter(|r| r.event.kind() == "round_end").count();
+    let round_ends = resumed
+        .iter()
+        .filter(|r| r.event.kind() == "round_end")
+        .count();
     assert_eq!(round_ends, 1, "the rewrite was due at lifetime round 3");
     match &resumed.last().unwrap().event {
         Event::Snapshot { done, .. } => assert_eq!(*done as usize, 3 * EVERY),

@@ -9,10 +9,10 @@
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
-use v6addr::SplitMix64;
 use sos_probe::packet::icmpv6::{build_echo_reply, EchoPayload};
 use sos_probe::packet::tcp::{build_rst, build_syn_ack};
 use sos_probe::packet::{build_probe, parse_packet, validate_response, ParsedPacket};
+use v6addr::SplitMix64;
 
 /// Deterministic case generator over the canonical splitmix64 stream.
 struct Gen(SplitMix64);
@@ -31,8 +31,12 @@ impl Gen {
     }
 
     fn proto(&mut self) -> Protocol {
-        [Protocol::Icmp, Protocol::Tcp80, Protocol::Tcp443, Protocol::Udp53]
-            [(self.u64() % 4) as usize]
+        [
+            Protocol::Icmp,
+            Protocol::Tcp80,
+            Protocol::Tcp443,
+            Protocol::Udp53,
+        ][(self.u64() % 4) as usize]
     }
 
     fn range(&mut self, n: usize) -> usize {
@@ -48,11 +52,23 @@ fn probe_roundtrips_for_any_endpoints() {
         let dst = g.addr();
         let proto = g.proto();
         let salt = g.u64();
-        let region = if g.u64() % 2 == 0 { Some(g.u64() as u32 % (u32::MAX - 1)) } else { None };
+        let region = if g.u64() % 2 == 0 {
+            Some(g.u64() as u32 % (u32::MAX - 1))
+        } else {
+            None
+        };
         let pkt = build_probe(src, dst, proto, salt, region);
         let parsed = parse_packet(&pkt).expect("own probes always parse");
         match (proto, &parsed) {
-            (Protocol::Icmp, ParsedPacket::EchoRequest { src: s, dst: d, payload, .. }) => {
+            (
+                Protocol::Icmp,
+                ParsedPacket::EchoRequest {
+                    src: s,
+                    dst: d,
+                    payload,
+                    ..
+                },
+            ) => {
                 assert_eq!(*s, src);
                 assert_eq!(*d, dst);
                 let p = payload.expect("own payload");
@@ -131,8 +147,17 @@ fn echo_reply_validation_is_token_exact() {
         let salt = g.u64();
         let wrong = g.u64();
         let token = sos_probe::packet::validation_token(salt, dst);
-        let good =
-            build_echo_reply(dst, me, 0, 0, &EchoPayload { token, region: u32::MAX }.to_bytes());
+        let good = build_echo_reply(
+            dst,
+            me,
+            0,
+            0,
+            &EchoPayload {
+                token,
+                region: u32::MAX,
+            }
+            .to_bytes(),
+        );
         assert!(validate_response(salt, dst, &parse_packet(&good).unwrap()));
         if wrong == token {
             continue;
@@ -142,7 +167,11 @@ fn echo_reply_validation_is_token_exact() {
             me,
             0,
             0,
-            &EchoPayload { token: wrong, region: u32::MAX }.to_bytes(),
+            &EchoPayload {
+                token: wrong,
+                region: u32::MAX,
+            }
+            .to_bytes(),
         );
         assert!(!validate_response(salt, dst, &parse_packet(&bad).unwrap()));
     }

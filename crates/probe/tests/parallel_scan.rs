@@ -41,7 +41,13 @@ fn scanner(world: Arc<World>, breaker: bool) -> Scanner<SimTransport> {
 /// A target mix exercising every scan path: live hosts, routed holes
 /// (unreachables), unrouted space (timeouts), and duplicates.
 fn targets(world: &World) -> Vec<Ipv6Addr> {
-    let mut out: Vec<Ipv6Addr> = world.hosts().iter().map(|(a, _)| a).step_by(5).take(220).collect();
+    let mut out: Vec<Ipv6Addr> = world
+        .hosts()
+        .iter()
+        .map(|(a, _)| a)
+        .step_by(5)
+        .take(220)
+        .collect();
     if let Some((live, _)) = world.hosts().iter().next() {
         let net = u128::from(live) & !0xffff_ffff_ffff_ffffu128;
         for i in 0..60u128 {
@@ -66,11 +72,18 @@ fn assert_portset_union(result: &CampaignResult) {
     let mut union: HashMap<u128, PortSet> = HashMap::new();
     for (proto, report) in &result.reports {
         for &hit in &report.hits {
-            union.entry(u128::from(hit)).or_insert(PortSet::EMPTY).insert(*proto);
+            union
+                .entry(u128::from(hit))
+                .or_insert(PortSet::EMPTY)
+                .insert(*proto);
         }
     }
     let merged: Vec<(Ipv6Addr, PortSet)> = result.iter().collect();
-    assert_eq!(merged.len(), union.len(), "merged view has exactly the union's addresses");
+    assert_eq!(
+        merged.len(),
+        union.len(),
+        "merged view has exactly the union's addresses"
+    );
     for (addr, ports) in merged {
         assert_eq!(
             union.get(&u128::from(addr)).copied(),
@@ -110,9 +123,15 @@ fn follow_up<T: Transport>(s: &mut Scanner<T>, t: &[Ipv6Addr]) -> Vec<Option<Bur
 }
 
 /// The fault layer's density clock, as the scanner's transport carries it.
-#[expect(clippy::expect_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
+#[expect(
+    clippy::expect_used,
+    reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies"
+)]
 fn fault_rows<T: Transport>(s: &Scanner<T>) -> Vec<(u128, u8, u32)> {
-    s.transport().carried().expect("the simulator carries state").fault_rows()
+    s.transport()
+        .carried()
+        .expect("the simulator carries state")
+        .fault_rows()
 }
 
 /// 4 protocols × faults {off, hostile} × breaker {off, on} × shards
@@ -126,16 +145,23 @@ fn fault_rows<T: Transport>(s: &Scanner<T>) -> Vec<(u128, u8, u32)> {
 /// bursts from a follow-up probe of flows the scan already advanced.
 #[test]
 fn scans_and_campaigns_match_the_wire_reference() {
-    for (faults_name, faults) in [("off", FaultConfig::off()), ("hostile", FaultConfig::hostile())] {
+    for (faults_name, faults) in [
+        ("off", FaultConfig::off()),
+        ("hostile", FaultConfig::hostile()),
+    ] {
         let world = world(faults);
         let t = targets(&world);
         for breaker in [false, true] {
-            let (wire, mut wire_scanner) = common::wire_campaign(world.clone(), config(breaker), &t);
+            let (wire, mut wire_scanner) =
+                common::wire_campaign(world.clone(), config(breaker), &t);
             let mut follow_ups = Vec::new();
             let wire_counters = wire_scanner.metrics().counters();
             if faults_name == "hostile" {
-                let perturbed: u64 =
-                    wire.reports.iter().map(|(_, r)| r.faults_injected + r.throttled_us).sum();
+                let perturbed: u64 = wire
+                    .reports
+                    .iter()
+                    .map(|(_, r)| r.faults_injected + r.throttled_us)
+                    .sum();
                 assert!(perturbed > 0, "the hostile schedule must bite");
             }
             for shards in [1, 3, 4, 8] {
@@ -146,8 +172,16 @@ fn scans_and_campaigns_match_the_wire_reference() {
                     let got = s.scan_parallel(t.iter().copied(), *proto, shards);
                     assert_eq!(&got, want, "scan_parallel {proto:?} at {at}");
                 }
-                assert_eq!(s.packets_sent(), wire_scanner.packets_sent(), "scan_parallel at {at}");
-                assert_eq!(s.metrics().counters(), wire_counters, "scan_parallel at {at}");
+                assert_eq!(
+                    s.packets_sent(),
+                    wire_scanner.packets_sent(),
+                    "scan_parallel at {at}"
+                );
+                assert_eq!(
+                    s.metrics().counters(),
+                    wire_counters,
+                    "scan_parallel at {at}"
+                );
                 let wire_faults = fault_rows(&wire_scanner);
                 assert_eq!(fault_rows(&s), wire_faults, "scan_parallel at {at}");
                 follow_ups.push((format!("scan_parallel at {at}"), follow_up(&mut s, &t)));
@@ -160,7 +194,11 @@ fn scans_and_campaigns_match_the_wire_reference() {
                     wire.iter().collect::<Vec<_>>(),
                     "responsive map at {at}"
                 );
-                assert_eq!(s.packets_sent(), wire_scanner.packets_sent(), "run_with at {at}");
+                assert_eq!(
+                    s.packets_sent(),
+                    wire_scanner.packets_sent(),
+                    "run_with at {at}"
+                );
                 // A campaign prepares its target list once; the reference's
                 // four scans each prepared it again.
                 let mut counters = s.metrics().counters();
@@ -172,7 +210,10 @@ fn scans_and_campaigns_match_the_wire_reference() {
                 follow_ups.push((format!("run_with at {at}"), follow_up(&mut s, &t)));
             }
             let want = follow_up(&mut wire_scanner, &t);
-            assert!(want.iter().flatten().any(|b| b.used > 0), "the follow-up must probe");
+            assert!(
+                want.iter().flatten().any(|b| b.used > 0),
+                "the follow-up must probe"
+            );
             for (at, got) in follow_ups {
                 assert_eq!(got, want, "follow-up bursts, {at}");
             }
@@ -192,35 +233,77 @@ fn oracle_probes_match_the_wire_reference() {
         let world = world(faults);
         let addrs: Vec<Ipv6Addr> = {
             let mut seen = std::collections::HashSet::new();
-            targets(&world).into_iter().filter(|a| seen.insert(*a)).collect()
+            targets(&world)
+                .into_iter()
+                .filter(|a| seen.insert(*a))
+                .collect()
         };
         let mut wire = Scanner::new(config(true), WireOnly(SimTransport::new(world.clone())));
         let mut fast = scanner(world.clone(), true);
         for proto in PROTOCOLS {
             let batch = fast.probe_batch(&addrs, proto);
-            assert_eq!(batch, wire.probe_batch(&addrs, proto), "probe_batch {proto:?}");
-            assert!(batch.iter().any(|&hit| hit), "{proto:?}: some target must answer");
+            assert_eq!(
+                batch,
+                wire.probe_batch(&addrs, proto),
+                "probe_batch {proto:?}"
+            );
+            assert!(
+                batch.iter().any(|&hit| hit),
+                "{proto:?}: some target must answer"
+            );
 
             for region in [0, 77, u32::MAX] {
                 let tagged: Vec<(Ipv6Addr, u32)> = addrs.iter().map(|&a| (a, region)).collect();
                 let got = fast.probe_tagged(&tagged, proto);
-                assert_eq!(got, wire.probe_tagged(&tagged, proto), "probe_tagged {proto:?} {region}");
-                let echoed = if proto == Protocol::Icmp && region == u32::MAX { None } else { Some(region) };
+                assert_eq!(
+                    got,
+                    wire.probe_tagged(&tagged, proto),
+                    "probe_tagged {proto:?} {region}"
+                );
+                let echoed = if proto == Protocol::Icmp && region == u32::MAX {
+                    None
+                } else {
+                    Some(region)
+                };
                 for (hit, tag) in got {
-                    assert_eq!(tag, if hit { echoed } else { None }, "{proto:?} tag {region}");
+                    assert_eq!(
+                        tag,
+                        if hit { echoed } else { None },
+                        "{proto:?} tag {region}"
+                    );
                 }
             }
 
             for &a in &addrs {
                 let burst = fast.probe_target(a, proto, None);
-                assert_eq!(burst, wire.probe_target(a, proto, None), "untagged {a} {proto:?}");
-                assert_eq!(burst.and_then(|b| b.tag), None, "untagged {proto:?} probes echo nothing");
+                assert_eq!(
+                    burst,
+                    wire.probe_target(a, proto, None),
+                    "untagged {a} {proto:?}"
+                );
+                assert_eq!(
+                    burst.and_then(|b| b.tag),
+                    None,
+                    "untagged {proto:?} probes echo nothing"
+                );
             }
         }
-        assert_eq!(ScanOracle::packets_sent(&fast), ScanOracle::packets_sent(&wire));
+        assert_eq!(
+            ScanOracle::packets_sent(&fast),
+            ScanOracle::packets_sent(&wire)
+        );
         assert_eq!(fast.metrics().counters(), wire.metrics().counters());
-        for name in ["probe.hits", "probe.rsts", "probe.unreachables", "probe.silent"] {
-            assert_eq!(fast.metrics().counter(name), 0, "oracle probes stay out of {name}");
+        for name in [
+            "probe.hits",
+            "probe.rsts",
+            "probe.unreachables",
+            "probe.silent",
+        ] {
+            assert_eq!(
+                fast.metrics().counter(name),
+                0,
+                "oracle probes stay out of {name}"
+            );
         }
         assert!(fast.metrics().counter("probe.packets_sent") > 0);
     }
@@ -235,7 +318,13 @@ impl Transport for EchoAll {
     fn send(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
         self.0 += 1;
         match parse_packet(packet).ok()? {
-            ParsedPacket::EchoRequest { src, dst, ident, seq, payload } => {
+            ParsedPacket::EchoRequest {
+                src,
+                dst,
+                ident,
+                seq,
+                payload,
+            } => {
                 let echoed = payload.map(|p| p.to_bytes().to_vec()).unwrap_or_default();
                 Some(build_echo_reply(dst, src, ident, seq, &echoed))
             }
@@ -257,7 +346,10 @@ fn stateless_clone_transport_shards_like_it_scans() {
     let t = targets(&world(FaultConfig::off()));
     let mut seq = Scanner::new(config(true), EchoAll::default());
     let want = seq.scan(t.iter().copied(), Protocol::Icmp);
-    assert!(want.probed > 0 && want.hits.len() == want.probed, "every echo is answered");
+    assert!(
+        want.probed > 0 && want.hits.len() == want.probed,
+        "every echo is answered"
+    );
     for shards in [1, 3] {
         let mut par = Scanner::new(config(true), EchoAll::default());
         let got = par.scan_parallel(t.iter().copied(), Protocol::Icmp, shards);

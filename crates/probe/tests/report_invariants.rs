@@ -16,7 +16,10 @@ fn world() -> Arc<World> {
     Arc::new(World::build(WorldConfig::tiny(0x0b5)))
 }
 
-#[expect(clippy::unwrap_used, reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies")]
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies"
+)]
 fn mixed_targets(world: &World, n: usize) -> Vec<Ipv6Addr> {
     // Live, churned, and aliased hosts alike — plus guaranteed-dead
     // addresses — so every classification bucket can occur.
@@ -110,7 +113,10 @@ fn limiter_stalls_match_engine_counter_and_report() {
     assert!(stalls > 0, "a 10 pps limit must stall a 50-target scan");
     assert_eq!(s.metrics().counter("probe.ratelimit.stalls"), stalls);
     // The report sums the same waits in the same order as the limiter.
-    assert_eq!(report.limited_seconds.to_bits(), limiter.total_waited().to_bits());
+    assert_eq!(
+        report.limited_seconds.to_bits(),
+        limiter.total_waited().to_bits()
+    );
     assert_report_reconciles(&report, &s);
 }
 
@@ -179,7 +185,12 @@ fn every_scan_report_field_has_a_merge_rule() {
         limited_seconds: 14.0 * scale as f64,
         attribution: {
             let mut t = AttributionTable::new();
-            let p = Provenance { source: 1, region: 9, seed_digest: 0xf00, round: 0 };
+            let p = Provenance {
+                source: 1,
+                region: 9,
+                seed_digest: 0xf00,
+                round: 0,
+            };
             for _ in 0..scale {
                 t.record_probe(p);
             }
