@@ -40,23 +40,9 @@ pub fn seeds_by_kind(study: &Study) -> BTreeMap<&'static str, Vec<Ipv6Addr>> {
         let Some(info) = study.world().registry().info(asn) else {
             continue;
         };
-        out.entry(kind_label(info.kind)).or_default().push(addr);
+        out.entry(info.kind.label()).or_default().push(addr);
     }
     out
-}
-
-/// Stable label for an AS kind.
-pub fn kind_label(kind: AsKind) -> &'static str {
-    match kind {
-        AsKind::TransitIsp => "Transit",
-        AsKind::AccessIsp => "AccessISP",
-        AsKind::Mobile => "Mobile",
-        AsKind::CloudHosting => "Cloud",
-        AsKind::Cdn => "CDN",
-        AsKind::Education => "Education",
-        AsKind::Government => "Government",
-        AsKind::Enterprise => "Enterprise",
-    }
 }
 
 /// Per-cell salt: the category's index in [`KINDS`] is the dataset
@@ -64,7 +50,7 @@ pub fn kind_label(kind: AsKind) -> &'static str {
 fn kind_salt(kind: &str, tga: TgaId) -> u64 {
     let index = KINDS
         .iter()
-        .position(|&k| kind_label(k) == kind)
+        .position(|&k| k.label() == kind)
         .unwrap_or(KINDS.len());
     cell_salt(0xa5d0, tga, Protocol::Icmp, index as u64)
 }
@@ -126,7 +112,7 @@ impl KindResults {
                     .world()
                     .asn_of(h)
                     .and_then(|a| study.world().registry().info(a))
-                    .is_some_and(|i| kind_label(i.kind) == kind)
+                    .is_some_and(|i| i.kind.label() == kind)
             })
             .count();
         Some(inside as f64 / r.clean_hits.len() as f64)
@@ -191,9 +177,9 @@ mod tests {
         for kind in KINDS {
             for tga in TgaId::ALL {
                 assert!(
-                    salts.insert(kind_salt(kind_label(kind), tga)),
+                    salts.insert(kind_salt(kind.label(), tga)),
                     "{} {tga}",
-                    kind_label(kind)
+                    kind.label()
                 );
             }
         }

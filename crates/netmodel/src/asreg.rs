@@ -42,6 +42,22 @@ pub enum AsKind {
     Enterprise,
 }
 
+impl AsKind {
+    /// Short display name, as the study's tables print it.
+    pub fn label(self) -> &'static str {
+        match self {
+            AsKind::TransitIsp => "Transit",
+            AsKind::AccessIsp => "AccessISP",
+            AsKind::Mobile => "Mobile",
+            AsKind::CloudHosting => "Cloud",
+            AsKind::Cdn => "CDN",
+            AsKind::Education => "Education",
+            AsKind::Government => "Government",
+            AsKind::Enterprise => "Enterprise",
+        }
+    }
+}
+
 /// Rough geography, used to pick the RIR block an AS allocates from and to
 /// reproduce the paper's observation that discovered ISPs span the globe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]

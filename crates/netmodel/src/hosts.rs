@@ -29,6 +29,19 @@ pub enum HostKind {
     Infra,
 }
 
+impl HostKind {
+    /// Short display name, as the world report prints it.
+    pub fn label(self) -> &'static str {
+        match self {
+            HostKind::Router => "router",
+            HostKind::WebServer => "web server",
+            HostKind::DnsServer => "dns server",
+            HostKind::Cpe => "cpe",
+            HostKind::Infra => "infra",
+        }
+    }
+}
+
 /// Ground-truth state of one modeled address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostRecord {
