@@ -82,7 +82,7 @@ impl SeedCollection {
 type Collected = (Vec<Ipv6Addr>, u64, Option<DomainStats>);
 
 fn domains(c: DomainCollection) -> Collected {
-    (c.addrs, c.stats.aaaa_responses, Some(c.stats))
+    (c.addrs, c.raw_count, Some(c.stats))
 }
 
 fn hitlist(c: HitlistCollection) -> Collected {
@@ -174,6 +174,31 @@ mod tests {
                 crate::source::SourceKind::Domain => assert!(s.domain_stats.is_some()),
                 _ => assert!(s.domain_stats.is_none()),
             }
+        }
+    }
+
+    /// Table 3's "Pop." counts every address a source returned before
+    /// dedup, so it is never below the unique count: a domain lookup can
+    /// return several addresses. Checked on this module's world and on
+    /// the world and collector seed of `seedscan --scale tiny`.
+    #[test]
+    fn raw_count_is_at_least_the_unique_count() {
+        let (_, here) = collection();
+        let w = World::build(WorldConfig::tiny(0xC0FFEE));
+        let tiny = collect_all(
+            &w,
+            CollectorConfig {
+                seed: 0xC0FFEE ^ 0xc0_11ec,
+            },
+        );
+        for s in here.sources.iter().chain(&tiny.sources) {
+            assert!(
+                s.raw_count >= s.addrs.len() as u64,
+                "{}: pop. {} < unique {}",
+                s.id,
+                s.raw_count,
+                s.addrs.len()
+            );
         }
     }
 

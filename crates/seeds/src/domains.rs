@@ -29,20 +29,42 @@ use crate::source::{DomainStats, SourceId};
 pub struct DomainCollection {
     /// Unique addresses extracted.
     pub addrs: Vec<Ipv6Addr>,
+    /// Addresses the resolved lookups returned, before dedup (Table 3
+    /// "Pop."): a lookup can return several.
+    pub raw_count: u64,
     /// Table 8 statistics.
     pub stats: DomainStats,
 }
 
-fn finish(attempted: u64, resolved: u64, set: AddrSet<Ipv6Addr>) -> DomainCollection {
-    let mut addrs: Vec<Ipv6Addr> = set.into_iter().collect();
-    addrs.sort();
-    DomainCollection {
-        stats: DomainStats {
-            domains: attempted,
-            aaaa_responses: resolved,
-            unique_ips: addrs.len() as u64,
-        },
-        addrs,
+/// What one collection has looked up so far.
+#[derive(Default)]
+struct Lookups {
+    attempted: u64,
+    resolved: u64,
+    returned: u64,
+    set: AddrSet<Ipv6Addr>,
+}
+
+impl Lookups {
+    /// One lookup that returned AAAA records.
+    fn answered(&mut self, addrs: &[Ipv6Addr]) {
+        self.resolved += 1;
+        self.returned += addrs.len() as u64;
+        self.set.extend(addrs.iter().copied());
+    }
+
+    fn finish(self) -> DomainCollection {
+        let mut addrs: Vec<Ipv6Addr> = self.set.into_iter().collect();
+        addrs.sort();
+        DomainCollection {
+            raw_count: self.returned,
+            stats: DomainStats {
+                domains: self.attempted,
+                aaaa_responses: self.resolved,
+                unique_ips: addrs.len() as u64,
+            },
+            addrs,
+        }
     }
 }
 
@@ -50,31 +72,25 @@ fn finish(attempted: u64, resolved: u64, set: AddrSet<Ipv6Addr>) -> DomainCollec
 /// domain universe, with many attempted names lacking AAAA records.
 pub fn collect_censys_ct(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::CensysCt.stream());
-    let universe = world.dns().all();
-    let mut set = AddrSet::default();
-    let mut attempted = 0u64;
-    let mut resolved = 0u64;
-    for rec in universe {
+    let mut l = Lookups::default();
+    for rec in world.dns().all() {
         // CT coverage: most certificate'd sites appear; each carries a
         // handful of extra never-resolving SANs.
-        attempted += 1 + rng.gen_range(0..6); // extra no-AAAA names
+        l.attempted += 1 + rng.gen_range(0..6); // extra no-AAAA names
         if rng.gen_bool(0.62) {
-            resolved += 1;
-            set.extend(rec.addrs.iter().copied());
+            l.answered(&rec.addrs);
         }
     }
-    finish(attempted, resolved, set)
+    l.finish()
 }
 
 /// Collect from the archival Rapid7 FDNS snapshot: broad but stale —
 /// churned hosts are over-represented relative to live ones.
 pub fn collect_rapid7(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::Rapid7.stream());
-    let mut set = AddrSet::default();
-    let mut attempted = 0u64;
-    let mut resolved = 0u64;
+    let mut l = Lookups::default();
     for rec in world.dns().all() {
-        attempted += 1 + rng.gen_range(0..4);
+        l.attempted += 1 + rng.gen_range(0..4);
         // Stale-record bias: the snapshot predates churn, so records for
         // now-churned hosts are *more* likely present than in fresh data.
         let stale = rec
@@ -83,11 +99,10 @@ pub fn collect_rapid7(world: &World, seed: u64) -> DomainCollection {
             .any(|&a| world.hosts().get(a).is_some_and(|r| r.churned));
         let p = if stale { 0.70 } else { 0.45 };
         if rng.gen_bool(p) {
-            resolved += 1;
-            set.extend(rec.addrs.iter().copied());
+            l.answered(&rec.addrs);
         }
     }
-    finish(attempted, resolved, set)
+    l.finish()
 }
 
 /// Per-toplist inclusion policy.
@@ -114,11 +129,9 @@ pub fn collect_toplist(world: &World, seed: u64, id: SourceId) -> DomainCollecti
     let (head_frac, include_p) = toplist_policy(id);
     let mut rng = SmallRng::seed_from_u64(seed ^ id.stream());
     let head = (world.dns().len() as f64 * head_frac).ceil() as usize;
-    let mut set = AddrSet::default();
-    let mut attempted = 0u64;
-    let mut resolved = 0u64;
+    let mut l = Lookups::default();
     for rec in world.dns().top(head) {
-        attempted += 1;
+        l.attempted += 1;
         let mut p = include_p;
         if id == SourceId::SecRank {
             let china = rec.addrs.iter().any(|&a| {
@@ -130,20 +143,17 @@ pub fn collect_toplist(world: &World, seed: u64, id: SourceId) -> DomainCollecti
             p = if china { 0.95 } else { 0.18 };
         }
         if rng.gen_bool(p) {
-            resolved += 1;
-            set.extend(rec.addrs.iter().copied());
+            l.answered(&rec.addrs);
         }
     }
-    finish(attempted, resolved, set)
+    l.finish()
 }
 
 /// Collect CAIDA DNS Names: PTR names of topology (router) addresses, so
 /// the result is a modest router sample with domain-source bookkeeping.
 pub fn collect_caida_dns(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::CaidaDns.stream());
-    let mut set = AddrSet::default();
-    let mut attempted = 0u64;
-    let mut resolved = 0u64;
+    let mut l = Lookups::default();
     for info in world.registry().iter() {
         // Router PTR names resolve for infrastructure-minded networks.
         let p = match info.kind {
@@ -151,14 +161,13 @@ pub fn collect_caida_dns(world: &World, seed: u64) -> DomainCollection {
             _ => 0.12,
         };
         for &r in world.topology().routers_of(info.asn) {
-            attempted += 1;
+            l.attempted += 1;
             if rng.gen_bool(p) {
-                resolved += 1;
-                set.insert(r);
+                l.answered(&[r]);
             }
         }
     }
-    finish(attempted, resolved, set)
+    l.finish()
 }
 
 #[cfg(test)]
