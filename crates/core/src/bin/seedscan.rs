@@ -32,12 +32,14 @@ use std::process::ExitCode;
 use sos_core::cli::{usage, value, Options};
 use sos_core::experiments::Run;
 
-/// Report a command-line error (none for a bare usage request) with the
-/// usage text, and fail.
-fn bad_usage(e: &str) -> ExitCode {
-    if !e.is_empty() {
-        eprintln!("error: {e}");
+/// Answer a bare usage request (`e` empty) with the usage text on stdout;
+/// report a command-line error with the usage text on stderr, and fail.
+fn usage_exit(e: &str) -> ExitCode {
+    if e.is_empty() {
+        println!("{}", usage());
+        return ExitCode::SUCCESS;
     }
+    eprintln!("error: {e}");
     eprintln!("{}", usage());
     ExitCode::FAILURE
 }
@@ -67,10 +69,10 @@ fn run_watch(rest: Vec<String>) -> ExitCode {
         Ok(())
     };
     if let Err(e) = parse() {
-        return bad_usage(&e);
+        return usage_exit(&e);
     }
     let Some(journal) = journal else {
-        return bad_usage("watch needs a journal path");
+        return usage_exit("watch needs a journal path");
     };
     let (path, poll) = (
         std::path::Path::new(&journal),
@@ -112,10 +114,10 @@ fn run_explain(rest: Vec<String>) -> ExitCode {
         Ok(())
     };
     if let Err(e) = parse() {
-        return bad_usage(&e);
+        return usage_exit(&e);
     }
     let Some(artifact) = artifact else {
-        return bad_usage("explain needs a manifest or journal path");
+        return usage_exit("explain needs a manifest or journal path");
     };
     match sos_core::explain::explain(std::path::Path::new(&artifact), json, top.max(1)) {
         Ok(text) => {
@@ -155,7 +157,7 @@ fn main() -> ExitCode {
         first => Options::parse(first.into_iter().chain(args)),
     };
     match opts.map(run) {
-        Err(e) => bad_usage(&e),
+        Err(e) => usage_exit(&e),
         Ok(Err(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE

@@ -35,15 +35,14 @@ fn workers(it: &mut impl Iterator<Item = String>, flag: &str) -> Result<Option<u
     }
 }
 
-/// Every `--faults` preset, as the usage lists them.
-const FAULT_PRESETS: &[&str] = &[
-    "off",
-    "bursty",
-    "ratelimited",
-    "blackholes",
-    "throttled",
-    "hostile",
-];
+/// Every `--faults` preset name, joined by `sep`.
+fn fault_presets(sep: &str) -> String {
+    let names: Vec<&str> = netmodel::FaultConfig::PRESETS
+        .iter()
+        .map(|(n, _)| *n)
+        .collect();
+    names.join(sep)
+}
 
 /// A checked `seedscan <experiment> [flags]` command line.
 #[derive(Debug, Default)]
@@ -130,7 +129,7 @@ impl Options {
             }
         }
         if o.experiment.is_empty() {
-            return Err(String::new());
+            return Err("no experiment given".to_string());
         }
         o.selected = crate::experiments::select(&o.experiment)
             .ok_or_else(|| format!("unknown experiment: {}", o.experiment))?;
@@ -157,7 +156,7 @@ impl Options {
             format!(
                 "bad --faults value {:?}: expected {}",
                 o.faults,
-                FAULT_PRESETS.join("|")
+                fault_presets("|")
             )
         })?;
         o.cfg.budget = budget.unwrap_or(o.cfg.budget);
@@ -191,7 +190,7 @@ pub fn usage() -> String {
         u,
         "fault presets: {}\n\
          env: SOS_LOG=off|error|warn|info|debug|trace (stderr verbosity, default info)",
-        FAULT_PRESETS.join(" ")
+        fault_presets(" ")
     );
     u
 }

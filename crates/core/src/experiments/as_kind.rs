@@ -119,7 +119,7 @@ impl KindResults {
     }
 
     /// Render per-category hits/ASes per TGA.
-    pub fn render(&self, study: &Study) -> String {
+    pub fn render(&self) -> String {
         let tgas: Vec<TgaId> = TgaId::ALL
             .iter()
             .copied()
@@ -148,7 +148,6 @@ impl KindResults {
             }
             table.row(row);
         }
-        let _ = study;
         table.render()
     }
 }
@@ -194,7 +193,7 @@ mod tests {
         if let Some(c) = r.containment(&study, "Cloud", TgaId::SixTree) {
             assert!(c > 0.5, "cloud containment {c}");
         }
-        let rendered = r.render(&study);
+        let rendered = r.render();
         assert!(rendered.contains("Category"));
     }
 }

@@ -148,7 +148,7 @@ pub const EXPERIMENTS: &[Experiment] = &[
         "extension: Steger-style AS-category seed slices",
         |r| {
             let kinds = as_kind::run_by_kind(r.study(), &tga::TgaId::ALL);
-            r.emit("as_kind", kinds.render(r.study()))
+            r.emit("as_kind", kinds.render())
         },
     ),
     Experiment::new(

@@ -166,17 +166,30 @@ fn world_dump_files_parse_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `--help` lists every experiment in the table.
+/// `--help` and `-h` are usage requests, not errors: they print the
+/// usage, which lists every experiment in the table, on stdout and exit 0.
+/// A command line that names no experiment is refused: exit 1, with the
+/// usage on stderr and nothing on stdout.
 #[test]
 fn help_lists_every_experiment() {
     let seedscan = env!("CARGO_BIN_EXE_seedscan");
-    let help = run(seedscan, &["--help"]);
-    let stderr = String::from_utf8_lossy(&help.stderr);
-    for e in sos_core::experiments::EXPERIMENTS {
-        let listed = stderr
-            .lines()
-            .any(|l| l.split_whitespace().next() == Some(e.name));
-        assert!(listed, "{} missing from --help: {stderr}", e.name);
+    for flag in ["--help", "-h"] {
+        let help = run(seedscan, &[flag]);
+        let stdout = String::from_utf8_lossy(&help.stdout);
+        assert!(help.status.success(), "{flag}: {:?}", help.status);
+        for e in sos_core::experiments::EXPERIMENTS {
+            let listed = stdout
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(e.name));
+            assert!(listed, "{} missing from {flag}: {stdout}", e.name);
+        }
+    }
+    for args in [&[][..], &["--scale", "tiny"]] {
+        let out = run(seedscan, args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("usage: seedscan"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
 }
 

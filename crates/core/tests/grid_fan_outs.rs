@@ -124,7 +124,7 @@ fn render_every_fan_out(study: &Study) -> String {
     let kinds = counted(&[("as_kind", slices * 2, slices * 2)], || {
         as_kind::run_by_kind(study, &tgas[..2])
     });
-    out += &kinds.render(study);
+    out += &kinds.render();
     for ((kind, tga), r) in &kinds.cells {
         out += &format!("kind {kind} {tga} ");
         out += &cell(r);

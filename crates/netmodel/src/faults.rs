@@ -183,19 +183,26 @@ impl FaultConfig {
         }
     }
 
+    /// Every named preset, as the CLI's `--faults` spells it, in the
+    /// order its usage lists them.
+    pub const PRESETS: &[Preset] = &[
+        ("off", Self::off),
+        ("bursty", Self::bursty),
+        ("ratelimited", Self::ratelimited),
+        ("blackholes", || Self::blackholes(0.5, 1.0)),
+        ("throttled", Self::throttled),
+        ("hostile", Self::hostile),
+    ];
+
     /// Look up a preset by CLI name.
     pub fn preset(name: &str) -> Option<FaultConfig> {
-        match name {
-            "off" => Some(Self::off()),
-            "bursty" => Some(Self::bursty()),
-            "ratelimited" => Some(Self::ratelimited()),
-            "blackholes" => Some(Self::blackholes(0.5, 1.0)),
-            "throttled" => Some(Self::throttled()),
-            "hostile" => Some(Self::hostile()),
-            _ => None,
-        }
+        let (_, make) = Self::PRESETS.iter().find(|(n, _)| *n == name)?;
+        Some(make())
     }
 }
+
+/// A named preset: its `--faults` name and its constructor.
+type Preset = (&'static str, fn() -> FaultConfig);
 
 /// A compiled, seeded fault schedule. Pure: every decision is a
 /// function of `(prefix, protocol, density)` and the plan seed, so two
@@ -587,6 +594,10 @@ mod tests {
         assert!(FaultConfig::preset("hostile").is_some_and(|c| c.enabled));
         assert!(FaultConfig::preset("blackholes").is_some_and(|c| c.blackhole_fraction == 0.5));
         assert!(FaultConfig::preset("nope").is_none());
+        for &(name, make) in FaultConfig::PRESETS {
+            let cfg = FaultConfig::preset(name);
+            assert!(cfg.is_some_and(|c| c == make()), "{name}");
+        }
     }
 
     #[test]

@@ -23,9 +23,10 @@
 //!   against, not a second production path. What a transport keeps between
 //!   probes is one value, [`carried::Carried`].
 //! - [`oracle::ScanOracle`]: the feedback interface online TGAs (6Hit,
-//!   6Scan, DET, 6Sense) and the online dealiaser use, including 6Scan's
-//!   payload region-encoding: the region a tagged hit reports is what the
-//!   response echoes, exactly as it parses back from the probe payload.
+//!   6Scan, DET, 6Sense) and the online dealiaser use, one target per
+//!   call, including 6Scan's payload region-encoding: the region a tagged
+//!   hit reports is what the response echoes, exactly as it parses back
+//!   from the probe payload.
 
 pub mod campaign;
 pub mod carried;

@@ -2,7 +2,7 @@
 //!
 //! Online TGAs (6Hit, 6Scan, DET, 6Sense) and the online dealiaser steer by
 //! scan results in real time. [`ScanOracle`] is the narrow interface they
-//! consume: "probe these, tell me who answered." The production
+//! consume: "probe this target, tell me whether it answered." The production
 //! implementation is [`Scanner`] (the engine's per-target probe policy,
 //! §4.1 classification); [`NullOracle`] is a dead-Internet stand-in for
 //! offline testing.
@@ -14,37 +14,25 @@ use netmodel::Protocol;
 use crate::engine::Scanner;
 use crate::transport::{Attempt, Burst, Transport};
 
-/// Probe-and-report feedback used by online TGAs and dealiasers.
-///
-/// # Length contract
-///
-/// The batch methods ([`Self::probe_batch`], [`Self::probe_tagged`]) must
-/// return **exactly one element per input target**, in input order.
-/// Callers (the online TGAs' reward loops) enforce this with a debug
-/// assertion; in release builds a malformed implementation is tolerated
-/// deterministically — missing entries are treated as unanswered probes
-/// and extra entries are ignored — but it is a bug in the oracle, never
-/// something to rely on.
+/// Probe-and-report feedback used by online TGAs and dealiasers. Every
+/// call probes one target, so a caller reads exactly one answer per
+/// target it sent, in the order it sent them.
 pub trait ScanOracle {
     /// Probe a single address; true iff it is a hit (§4.1 rules).
     fn probe(&mut self, addr: Ipv6Addr, proto: Protocol) -> bool;
 
-    /// Probe a batch; element `i` reports `addrs[i]`. Implementations
-    /// must return exactly `addrs.len()` elements (see the trait-level
-    /// length contract).
-    fn probe_batch(&mut self, addrs: &[Ipv6Addr], proto: Protocol) -> Vec<bool> {
-        addrs.iter().map(|&a| self.probe(a, proto)).collect()
-    }
-
-    /// Probe with 6Scan-style region tags. Returns `(hit, echoed_region)` —
-    /// the region comes back *in the response packet*, not from local
-    /// bookkeeping. Implementations must return exactly `targets.len()`
-    /// elements (see the trait-level length contract).
+    /// Probe with a 6Scan-style region tag. Returns `(hit, echoed_region)`
+    /// — the region comes back *in the response packet*, not from local
+    /// bookkeeping. The default echoes `region` on every hit.
     fn probe_tagged(
         &mut self,
-        targets: &[(Ipv6Addr, u32)],
+        addr: Ipv6Addr,
         proto: Protocol,
-    ) -> Vec<(bool, Option<u32>)>;
+        region: u32,
+    ) -> (bool, Option<u32>) {
+        let hit = self.probe(addr, proto);
+        (hit, hit.then_some(region))
+    }
 
     /// Total probe packets this oracle has emitted.
     fn packets_sent(&self) -> u64;
@@ -63,16 +51,12 @@ impl<T: Transport> ScanOracle for Scanner<T> {
 
     fn probe_tagged(
         &mut self,
-        targets: &[(Ipv6Addr, u32)],
+        addr: Ipv6Addr,
         proto: Protocol,
-    ) -> Vec<(bool, Option<u32>)> {
-        targets
-            .iter()
-            .map(|&(addr, region)| {
-                let burst = self.probe_target(addr, proto, Some(region));
-                (is_hit(burst), burst.and_then(|b| b.tag))
-            })
-            .collect()
+        region: u32,
+    ) -> (bool, Option<u32>) {
+        let burst = self.probe_target(addr, proto, Some(region));
+        (is_hit(burst), burst.and_then(|b| b.tag))
     }
 
     fn packets_sent(&self) -> u64 {
@@ -93,15 +77,6 @@ impl ScanOracle for NullOracle {
         false
     }
 
-    fn probe_tagged(
-        &mut self,
-        targets: &[(Ipv6Addr, u32)],
-        _proto: Protocol,
-    ) -> Vec<(bool, Option<u32>)> {
-        self.probes += targets.len() as u64;
-        targets.iter().map(|_| (false, None)).collect()
-    }
-
     fn packets_sent(&self) -> u64 {
         self.probes
     }
@@ -120,9 +95,28 @@ mod tests {
     fn null_oracle_is_always_dead() {
         let mut o = NullOracle::default();
         assert!(!o.probe("2600::1".parse().unwrap(), Protocol::Icmp));
-        let r = o.probe_tagged(&[("2600::1".parse().unwrap(), 5)], Protocol::Icmp);
-        assert_eq!(r, vec![(false, None)]);
+        let r = o.probe_tagged("2600::1".parse().unwrap(), Protocol::Icmp, 5);
+        assert_eq!(r, (false, None));
         assert_eq!(o.packets_sent(), 2);
+    }
+
+    #[test]
+    fn the_default_tagged_probe_echoes_the_region_on_hits_only() {
+        /// Implements only `probe`: odd last octets answer.
+        struct OddHosts;
+        impl ScanOracle for OddHosts {
+            fn probe(&mut self, addr: Ipv6Addr, _proto: Protocol) -> bool {
+                addr.octets()[15] % 2 == 1
+            }
+            fn packets_sent(&self) -> u64 {
+                0
+            }
+        }
+        let mut o = OddHosts;
+        let tagged =
+            |o: &mut OddHosts, a: &str| o.probe_tagged(a.parse().unwrap(), Protocol::Icmp, 7);
+        assert_eq!(tagged(&mut o, "2600::1"), (true, Some(7)));
+        assert_eq!(tagged(&mut o, "2600::2"), (false, None));
     }
 
     #[test]
@@ -141,8 +135,7 @@ mod tests {
             ..ScannerConfig::default()
         };
         let mut s = Scanner::new(cfg, SimTransport::new(world));
-        let results = s.probe_batch(&live, Protocol::Icmp);
-        assert!(results.iter().all(|&b| b));
+        assert!(live.iter().all(|&a| s.probe(a, Protocol::Icmp)));
     }
 
     #[test]
@@ -163,13 +156,10 @@ mod tests {
             ..ScannerConfig::default()
         };
         let mut s = Scanner::new(cfg, SimTransport::new(world));
-        for (i, (hit, tag)) in s
-            .probe_tagged(&live, Protocol::Icmp)
-            .into_iter()
-            .enumerate()
-        {
+        for (a, region) in live {
+            let (hit, tag) = s.probe_tagged(a, Protocol::Icmp, region);
             assert!(hit);
-            assert_eq!(tag, Some(i as u32 + 100), "region must round-trip");
+            assert_eq!(tag, Some(region), "region must round-trip");
         }
     }
 }

@@ -307,15 +307,6 @@ mod tests {
                 self.probes += 1;
                 u128::from(addr) >> 64 == LIVE
             }
-            fn probe_tagged(
-                &mut self,
-                t: &[(Ipv6Addr, u32)],
-                p: Protocol,
-            ) -> Vec<(bool, Option<u32>)> {
-                t.iter()
-                    .map(|&(a, r)| (self.probe(a, p), Some(r)))
-                    .collect()
-            }
             fn packets_sent(&self) -> u64 {
                 self.probes
             }

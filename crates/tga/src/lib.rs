@@ -16,9 +16,10 @@
 //! Every generator consumes a seed list and produces `budget` unique
 //! candidate addresses — a contract kept in one place, the candidate sink
 //! ([`sink::Candidates`]), which every generator emits through. Online
-//! generators additionally probe through a [`ScanOracle`] while generating
-//! (re-run per scan target, per §4.1: "for online generators we rerun
-//! generation for each port and protocol scanned").
+//! generators additionally probe through a [`ScanOracle`] while generating,
+//! one target per call, in emit order (re-run per scan target, per §4.1:
+//! "for online generators we rerun generation for each port and protocol
+//! scanned").
 //!
 //! The study runs every TGA at its published defaults (§4.1), so the
 //! parameters are not options: each module holds them as documented

@@ -14,8 +14,7 @@
 //!
 //! A generator is a model and a proposal order; it never sees the `seen`
 //! set or the log. Online generators probe the range `draw` / `commit`
-//! returned through `probe_round`, which holds the oracle's length
-//! contract.
+//! returned through `probe_round`, one target at a time.
 
 use std::net::Ipv6Addr;
 use std::ops::Range;
@@ -176,48 +175,32 @@ impl<'p> Candidates<'p> {
     }
 }
 
-/// Probe one emitted batch (a range `sink` returned) and return how many
-/// targets answered, calling `on_hit(target, echoed region)` for each.
-/// `tagged = Some((region, scratch))` sends 6Scan-style probes carrying
-/// `region` (the pairs are built in the caller's reusable `scratch`) and
-/// the echo is what the response packet said; otherwise it is `None`.
-///
-/// Holds the [`ScanOracle`] length contract for every online generator:
-/// debug builds assert one result per target; release builds count
-/// missing entries as unanswered probes and ignore extras.
+/// Probe one emitted batch (a range `sink` returned), one target at a
+/// time in emit order, and return how many targets answered, calling
+/// `on_hit(target, echoed region)` for each. `region = Some(r)` sends
+/// 6Scan-style probes carrying `r`, and the echo is what the response
+/// packet said; otherwise it is `None`.
 pub(crate) fn probe_round(
     oracle: &mut dyn ScanOracle,
     proto: Protocol,
     sink: &Candidates<'_>,
     batch: Range<usize>,
-    tagged: Option<(u32, &mut Vec<(Ipv6Addr, u32)>)>,
+    region: Option<u32>,
     mut on_hit: impl FnMut(Ipv6Addr, Option<u32>),
 ) -> usize {
     let targets = &sink.out[batch]; // batch: a range `draw` / `commit` returned, within out
-    let want = targets.len();
-    let contract = |got: usize| {
-        debug_assert_eq!(
-            got, want,
-            "ScanOracle length contract: {got} results for {want} targets"
-        )
-    };
-    // `zip` stops at the shorter side: the release-build tolerance.
-    match tagged {
-        Some((region, pairs)) => {
-            pairs.clear();
-            pairs.extend(targets.iter().map(|&a| (a, region)));
-            let answers = oracle.probe_tagged(pairs, proto);
-            contract(answers.len());
-            let hits = targets.iter().zip(&answers).filter(|(_, answer)| answer.0);
-            hits.inspect(|&(&a, answer)| on_hit(a, answer.1)).count()
-        }
-        None => {
-            let answers = oracle.probe_batch(targets, proto);
-            contract(answers.len());
-            let hits = targets.iter().zip(&answers).filter(|(_, &hit)| hit);
-            hits.inspect(|&(&a, _)| on_hit(a, None)).count()
+    let mut hits = 0;
+    for &addr in targets {
+        let (hit, echo) = match region {
+            Some(r) => oracle.probe_tagged(addr, proto, r),
+            None => (oracle.probe(addr, proto), None),
+        };
+        if hit {
+            on_hit(addr, echo);
+            hits += 1;
         }
     }
+    hits
 }
 
 #[cfg(test)]

@@ -177,15 +177,6 @@ mod tests {
             fn probe(&mut self, addr: Ipv6Addr, _p: Protocol) -> bool {
                 live(addr)
             }
-            fn probe_tagged(
-                &mut self,
-                t: &[(Ipv6Addr, u32)],
-                p: Protocol,
-            ) -> Vec<(bool, Option<u32>)> {
-                t.iter()
-                    .map(|&(a, r)| (self.probe(a, p), Some(r)))
-                    .collect()
-            }
             fn packets_sent(&self) -> u64 {
                 0
             }

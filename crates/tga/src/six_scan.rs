@@ -94,8 +94,6 @@ impl SeedModel for Fitted<'_> {
         let mut round = 0usize;
 
         let mut sink = Candidates::new(cfg.budget, prov);
-        // The (address, region id) pairs of the batch being probed.
-        let mut tagged: Vec<(Ipv6Addr, u32)> = Vec::with_capacity(BATCH);
 
         // Every round re-ranks the order it inherits.
         let mut order = self.order.clone();
@@ -160,8 +158,8 @@ impl SeedModel for Fitted<'_> {
                 probes[idx] += batch.len() as f64; // idx < n
 
                 // Reward comes exclusively from tags echoed in responses.
-                let carried = Some((idx as u32, &mut tagged));
-                probe_round(oracle, cfg.proto, &sink, batch, carried, |_, echo| {
+                let region = Some(idx as u32);
+                probe_round(oracle, cfg.proto, &sink, batch, region, |_, echo| {
                     if let Some(r) = echo.and_then(|id| reward.get_mut(id as usize)) {
                         *r += 1.0;
                     }
@@ -217,12 +215,8 @@ mod tests {
             fn probe(&mut self, _a: Ipv6Addr, _p: Protocol) -> bool {
                 true
             }
-            fn probe_tagged(
-                &mut self,
-                t: &[(Ipv6Addr, u32)],
-                _p: Protocol,
-            ) -> Vec<(bool, Option<u32>)> {
-                t.iter().map(|_| (true, None)).collect()
+            fn probe_tagged(&mut self, _a: Ipv6Addr, _p: Protocol, _r: u32) -> (bool, Option<u32>) {
+                (true, None)
             }
             fn packets_sent(&self) -> u64 {
                 0
@@ -249,15 +243,6 @@ mod tests {
             fn probe(&mut self, addr: Ipv6Addr, _p: Protocol) -> bool {
                 let net = u128::from(addr) >> 64;
                 net >> 8 == SITE >> 8 && live(net & 0xff)
-            }
-            fn probe_tagged(
-                &mut self,
-                t: &[(Ipv6Addr, u32)],
-                p: Protocol,
-            ) -> Vec<(bool, Option<u32>)> {
-                t.iter()
-                    .map(|&(a, r)| (self.probe(a, p), Some(r)))
-                    .collect()
             }
             fn packets_sent(&self) -> u64 {
                 0

@@ -408,15 +408,6 @@ mod tests {
             fn probe(&mut self, addr: Ipv6Addr, _p: Protocol) -> bool {
                 u128::from(addr) >> 80 == 0x2600_0bad_0001u128
             }
-            fn probe_tagged(
-                &mut self,
-                t: &[(Ipv6Addr, u32)],
-                p: Protocol,
-            ) -> Vec<(bool, Option<u32>)> {
-                t.iter()
-                    .map(|&(a, r)| (self.probe(a, p), Some(r)))
-                    .collect()
-            }
             fn packets_sent(&self) -> u64 {
                 0
             }
@@ -444,15 +435,6 @@ mod tests {
         impl ScanOracle for AliasWorld {
             fn probe(&mut self, addr: Ipv6Addr, _p: Protocol) -> bool {
                 u128::from(addr) >> 80 == 0x2600_0bad_0002u128
-            }
-            fn probe_tagged(
-                &mut self,
-                t: &[(Ipv6Addr, u32)],
-                p: Protocol,
-            ) -> Vec<(bool, Option<u32>)> {
-                t.iter()
-                    .map(|&(a, r)| (self.probe(a, p), Some(r)))
-                    .collect()
             }
             fn packets_sent(&self) -> u64 {
                 0

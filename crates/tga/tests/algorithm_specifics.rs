@@ -95,14 +95,6 @@ fn det_widens_beyond_exhausted_leaves() {
             self.0 += 1;
             false
         }
-        fn probe_tagged(
-            &mut self,
-            t: &[(Ipv6Addr, u32)],
-            _p: Protocol,
-        ) -> Vec<(bool, Option<u32>)> {
-            self.0 += t.len() as u64;
-            t.iter().map(|_| (false, None)).collect()
-        }
         fn packets_sent(&self) -> u64 {
             self.0
         }
@@ -193,11 +185,6 @@ fn online_feedback_changes_the_output_distribution() {
     impl ScanOracle for HotSubnet {
         fn probe(&mut self, a: Ipv6Addr, _p: Protocol) -> bool {
             (u128::from(a) >> 64) & 0xf == 2
-        }
-        fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-            t.iter()
-                .map(|&(a, r)| (self.probe(a, p), Some(r)))
-                .collect()
         }
         fn packets_sent(&self) -> u64 {
             0

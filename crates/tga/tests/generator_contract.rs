@@ -134,10 +134,6 @@ impl ScanOracle for YesOracle {
         self.0 += 1;
         true
     }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], _p: Protocol) -> Vec<(bool, Option<u32>)> {
-        self.0 += t.len() as u64;
-        t.iter().map(|&(_, r)| (true, Some(r))).collect()
-    }
     fn packets_sent(&self) -> u64 {
         self.0
     }
@@ -157,11 +153,6 @@ impl ScanOracle for FlipOracle {
     fn probe(&mut self, _a: Ipv6Addr, _p: Protocol) -> bool {
         self.0 += 1;
         self.0 % 2 == 0
-    }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter()
-            .map(|&(a, r)| (self.probe(a, p), Some(r)))
-            .collect()
     }
     fn packets_sent(&self) -> u64 {
         self.0
@@ -221,115 +212,6 @@ fn offline_generators_ignore_the_oracle_entirely() {
     }
 }
 
-/// An oracle violating the `ScanOracle` length contract: its result vecs
-/// are one element short (or long, for `extra = true`).
-struct MalformedOracle {
-    extra: bool,
-}
-impl ScanOracle for MalformedOracle {
-    fn probe(&mut self, _a: Ipv6Addr, _p: Protocol) -> bool {
-        false
-    }
-    fn probe_batch(&mut self, targets: &[Ipv6Addr], _p: Protocol) -> Vec<bool> {
-        let n = if self.extra {
-            targets.len() + 1
-        } else {
-            targets.len().saturating_sub(1)
-        };
-        vec![false; n]
-    }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], _p: Protocol) -> Vec<(bool, Option<u32>)> {
-        let n = if self.extra {
-            t.len() + 1
-        } else {
-            t.len().saturating_sub(1)
-        };
-        (0..n).map(|i| (true, t.get(i).map(|&(_, r)| r))).collect()
-    }
-    fn packets_sent(&self) -> u64 {
-        0
-    }
-}
-
-/// Debug builds trip the documented length-contract assert the moment a
-/// malformed oracle returns a short result vec (6Scan's reward loop used
-/// to `zip`-truncate silently).
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "length contract")]
-fn short_oracle_results_trip_the_debug_assert() {
-    build(TgaId::SixScan).generate(
-        &normal_seeds(),
-        &GenConfig::new(300, 7, Protocol::Icmp),
-        &mut MalformedOracle { extra: false },
-    );
-}
-
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "length contract")]
-fn short_oracle_results_trip_the_debug_assert_in_six_hit() {
-    build(TgaId::SixHit).generate(
-        &normal_seeds(),
-        &GenConfig::new(300, 7, Protocol::Icmp),
-        &mut MalformedOracle { extra: false },
-    );
-}
-
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "length contract")]
-fn short_oracle_results_trip_the_debug_assert_in_six_sense() {
-    build(TgaId::SixSense).generate(
-        &normal_seeds(),
-        &GenConfig::new(300, 7, Protocol::Icmp),
-        &mut MalformedOracle { extra: false },
-    );
-}
-
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "length contract")]
-fn short_oracle_results_trip_the_debug_assert_in_det() {
-    build(TgaId::Det).generate(
-        &normal_seeds(),
-        &GenConfig::new(300, 7, Protocol::Icmp),
-        &mut MalformedOracle { extra: false },
-    );
-}
-
-/// Release builds follow the documented tolerance: missing entries are
-/// unanswered probes, extras are ignored — generation still fills the
-/// budget uniquely and deterministically.
-#[test]
-#[cfg(not(debug_assertions))]
-fn malformed_oracles_are_tolerated_in_release_builds() {
-    for id in TgaId::ALL.into_iter().filter(|t| t.is_online()) {
-        for extra in [false, true] {
-            assert_budget_filled(id, &normal_seeds(), 600, &mut MalformedOracle { extra });
-            let cfg = GenConfig::new(400, 9, Protocol::Icmp);
-            let a = build(id).generate(&normal_seeds(), &cfg, &mut MalformedOracle { extra });
-            let b = build(id).generate(&normal_seeds(), &cfg, &mut MalformedOracle { extra });
-            assert_eq!(a, b, "{id} stays deterministic under a malformed oracle");
-        }
-    }
-}
-
-/// An over-long result vec is also a contract violation: debug builds
-/// assert, release builds ignore the extras and fill the budget.
-#[test]
-#[cfg_attr(debug_assertions, should_panic(expected = "length contract"))]
-fn extra_oracle_results_assert_in_debug_and_are_ignored_in_release() {
-    for id in TgaId::ALL.into_iter().filter(|t| t.is_online()) {
-        assert_budget_filled(
-            id,
-            &normal_seeds(),
-            500,
-            &mut MalformedOracle { extra: true },
-        );
-    }
-}
-
 #[test]
 fn generated_addresses_expand_around_seed_patterns() {
     // every generator should put a meaningful share of a small budget
@@ -364,11 +246,6 @@ impl ScanOracle for Live {
         self.0 += 1;
         let bits = u128::from(addr);
         (bits >> 80) & 0xf == 2 || ((bits >> 64) & 7 == 5 && bits as u64 <= 0x200)
-    }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter()
-            .map(|&(a, r)| (self.probe(a, p), Some(r)))
-            .collect()
     }
     fn packets_sent(&self) -> u64 {
         self.0

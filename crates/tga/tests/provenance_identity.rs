@@ -36,11 +36,6 @@ impl ScanOracle for OneSite {
     fn probe(&mut self, addr: Ipv6Addr, _p: Protocol) -> bool {
         u128::from(addr) >> 80 == 0x2600_00aa_0001u128
     }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter()
-            .map(|&(a, r)| (self.probe(a, p), Some(r)))
-            .collect()
-    }
     fn packets_sent(&self) -> u64 {
         0
     }

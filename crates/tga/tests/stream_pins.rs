@@ -45,11 +45,6 @@ impl ScanOracle for Live {
         let bits = u128::from(addr);
         (bits >> 80) & 0xf == 2 || ((bits >> 64) & 7 == 5 && bits as u64 <= 0x200)
     }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter()
-            .map(|&(a, r)| (self.probe(a, p), Some(r)))
-            .collect()
-    }
     fn packets_sent(&self) -> u64 {
         self.0
     }

@@ -35,11 +35,6 @@ impl ScanOracle for OneSubnet {
         self.0 += 1;
         u128::from(addr) >> 64 == 0x2600_0abc_0001_0002u128
     }
-    fn probe_tagged(&mut self, t: &[(Ipv6Addr, u32)], p: Protocol) -> Vec<(bool, Option<u32>)> {
-        t.iter()
-            .map(|&(a, r)| (self.probe(a, p), Some(r)))
-            .collect()
-    }
     fn packets_sent(&self) -> u64 {
         self.0
     }
