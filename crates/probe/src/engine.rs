@@ -51,7 +51,7 @@ use crate::metrics::{
     DROP_BLOCKLIST, DROP_DUPLICATE, DROP_MALFORMED, DROP_VALIDATION, FAULTS_INJECTED, HITS,
     PACKETS_SENT, RATELIMIT_STALLS, RETRIES, RSTS, SILENT, UNREACHABLES,
 };
-use crate::provenance::{AttributionTable, Provenance, ProvenanceLog};
+use crate::provenance::{AttributionTable, Provenance, ProvenanceLog, RunTally};
 use crate::ratelimit::{BucketSnapshot, TokenBucket};
 use crate::retry::{Admission, BreakerConfig, BreakerMap, BreakerState, RetryPolicy};
 use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
@@ -543,7 +543,8 @@ fn shard_of(addr: u128, partition_len: u8, shards: usize) -> usize {
 /// `prov`, when present, maps **global prepared index → provenance tag**
 /// (the full prepared-length slice, not the shard's slice); each probed
 /// target and each hit is tallied into the partial report's attribution
-/// table. Attribution writes touch nothing the probe path reads, so a
+/// table, one [`RunTally`] per run of targets with one `(source, region)`
+/// key. Attribution writes touch nothing the probe path reads, so a
 /// tagged scan's hits and counters are bit-identical to an untagged one.
 fn scan_shard<T: Transport>(
     cfg: &ScannerConfig,
@@ -556,21 +557,18 @@ fn scan_shard<T: Transport>(
     let mut report = ScanReport::default();
     let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
     let mut tally = Tally::default();
+    let mut run = RunTally::default();
     for &(idx, dst) in targets {
         let spec = cfg.spec(dst, proto, None);
         let Some(burst) = lane.probe_one(cfg, &spec, &mut tally) else {
             continue;
         };
         report.probed += 1;
-        let tag = prov.and_then(|ps| ps.get(idx as usize));
-        if let Some(p) = tag {
-            report.attribution.record_probe(*p);
+        if let Some(&p) = prov.and_then(|ps| ps.get(idx as usize)) {
+            run.record(&mut report.attribution, p, burst.verdict == Attempt::Hit);
         }
         let outcome = match burst.verdict {
             Attempt::Hit => {
-                if let Some(p) = tag {
-                    report.attribution.record_hit(*p);
-                }
                 hits.push((idx, dst));
                 HITS
             }
@@ -580,6 +578,7 @@ fn scan_shard<T: Transport>(
         };
         tally.counts[outcome] += 1;
     }
+    run.flush(&mut report.attribution);
     // The classification and per-protocol series are counted by scans
     // only (oracle probes stay out of them); the report is read off the
     // same slots, and the engine counters take one add per task.
@@ -1130,6 +1129,45 @@ mod tests {
                     "{proto:?} x{shards}"
                 );
             }
+        }
+    }
+
+    /// A tagged scan's attribution is the per-probe fold of its tags, at
+    /// one shard and at four: hits and misses interleaved, runs of one
+    /// region, a region that comes back after another, digests mixing 0
+    /// and non-zero and rounds falling within a run.
+    #[test]
+    fn an_attributed_scan_is_the_per_probe_fold() {
+        let world = Arc::new(World::build(WorldConfig::tiny(31)));
+        let targets: Vec<Ipv6Addr> = live_hosts(&world, Protocol::Icmp, 60)
+            .into_iter()
+            .flat_map(|a| [a, Ipv6Addr::from(u128::from(a) ^ 0xdead_0000)])
+            .collect();
+        let mut log = ProvenanceLog::recording(3);
+        for i in 0..targets.len() {
+            let digest = if i % 3 == 0 { 0 } else { 0x100 + i as u32 };
+            log.push([7, 7, 7, 9, 9, 7, 2][i % 7], digest, (40 - i % 11) as u16);
+        }
+        let cfg = ScannerConfig {
+            retry: RetryPolicy::fixed(1),
+            rate_pps: None,
+            ..ScannerConfig::default()
+        };
+        for shards in [1, 4] {
+            let mut s = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
+            let report =
+                s.scan_parallel_attributed(targets.iter().copied(), Protocol::Icmp, shards, &log);
+            assert_eq!(report.probed, targets.len());
+            assert!(!report.hits.is_empty() && report.hits.len() < targets.len());
+            let mut want = AttributionTable::new();
+            for (i, t) in targets.iter().enumerate() {
+                let p = log.get(i).unwrap();
+                want.record_probe(p);
+                if report.hits.contains(t) {
+                    want.record_hit(p);
+                }
+            }
+            assert_eq!(report.attribution, want, "{shards} shards");
         }
     }
 

@@ -212,6 +212,39 @@ impl RegionTally {
     }
 }
 
+/// The probes and hits of consecutive targets with one `(source, region)`
+/// key, summed before they reach an [`AttributionTable`]: a tagged scan
+/// touches the table's map once per run of equal keys, not once per probe
+/// and again per hit.
+#[derive(Debug, Default)]
+pub(crate) struct RunTally {
+    key: (u8, u32),
+    tally: RegionTally,
+}
+
+impl RunTally {
+    /// Count one probed target tagged `p`, and its hit, into the open run;
+    /// a new key first adds the run so far to `table`.
+    #[inline]
+    pub(crate) fn record(&mut self, table: &mut AttributionTable, p: Provenance, hit: bool) {
+        let key = (p.source, p.region);
+        if key != self.key {
+            self.flush(table);
+            self.key = key;
+        }
+        self.tally.note_origin(p.seed_digest, p.round);
+        self.tally.probes += 1;
+        self.tally.hits += u64::from(hit);
+    }
+
+    /// Add the open run to `table` and start an empty one.
+    pub(crate) fn flush(&mut self, table: &mut AttributionTable) {
+        if self.tally.probes > 0 {
+            table.add_run(self.key, &std::mem::take(&mut self.tally));
+        }
+    }
+}
+
 /// One provenance source's rows of an [`AttributionTable`], summed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SourceTotals {
@@ -273,6 +306,14 @@ impl AttributionTable {
     /// Record one hit later classified as aliased (post-dealias fold).
     pub fn note_alias(&mut self, p: Provenance) {
         self.row(p).aliases += 1;
+    }
+
+    /// Add one [`RunTally`] run to its `(source, region)` row: a keyed
+    /// [`RegionTally::merge`], whose origin min-merge is associative and
+    /// commutative, so the row is the one its probes and hits recorded
+    /// one by one would build.
+    fn add_run(&mut self, key: (u8, u32), run: &RegionTally) {
+        self.rows.entry(key).or_default().merge(run);
     }
 
     /// Keyed, order-invariant merge of another table into this one.
@@ -501,6 +542,60 @@ mod tests {
         assert_eq!(ab, ba, "merge order must not matter");
         assert_eq!(ab, whole, "shard merge equals the straight-through table");
         assert_eq!(ab.totals(), (4, 2, 0));
+    }
+
+    /// The run fold against the per-probe fold: runs of one key, a key
+    /// that comes back after another (the run's initial key `(0, 0)`
+    /// among them), digests mixing 0 and non-zero and rounds falling
+    /// within a run, hits mixed in; then random tag sequences.
+    #[test]
+    fn the_run_fold_is_the_per_probe_fold() {
+        let fixed = vec![
+            (prov(0, 0, 0, 2), false),
+            (prov(0, 0, 0x70, 1), true),
+            (prov(1, 10, 0, 3), false),
+            (prov(1, 10, 0x55, 2), true),
+            (prov(1, 10, 0, 1), false),
+            (prov(1, 10, 0x44, 1), true),
+            (prov(1, 20, 0x22, 0), true),
+            (prov(2, 10, 0x33, 4), false),
+            (prov(1, 10, 0x66, 0), false),
+            (prov(1, 10, 0, 5), true),
+            (prov(0, 0, 0x10, 0), false),
+            (prov(1, 20, 0, 2), false),
+        ];
+        let mut state = 46u64;
+        let mut next = |n: u64| {
+            state = v6addr::splitmix64(state);
+            state % n
+        };
+        let mut sequences = vec![fixed];
+        for _ in 0..200 {
+            let len = next(40);
+            sequences.push(
+                (0..len)
+                    .map(|_| {
+                        let digest = [0, 0x11, 0x22, 0x33][next(4) as usize];
+                        let tag = prov(next(2) as u8, next(3) as u32, digest, next(6) as u16);
+                        (tag, next(3) == 0)
+                    })
+                    .collect(),
+            );
+        }
+        for tags in sequences {
+            let mut per_probe = AttributionTable::new();
+            let mut folded = AttributionTable::new();
+            let mut run = RunTally::default();
+            for &(p, hit) in &tags {
+                per_probe.record_probe(p);
+                if hit {
+                    per_probe.record_hit(p);
+                }
+                run.record(&mut folded, p, hit);
+            }
+            run.flush(&mut folded);
+            assert_eq!(folded, per_probe, "{tags:?}");
+        }
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl TokenBucket {
         }
     }
 
-    /// The paper's scan policy: 10k pps with one second of burst.
-    pub fn paper_policy() -> Self {
-        TokenBucket::new(10_000.0, 10_000.0)
-    }
-
     /// Split this bucket's budget evenly across `shards` workers. Each
     /// shard bucket gets `rate / shards` and `burst / shards` (floored at
     /// one token of burst), so the shards' aggregate throughput equals the
@@ -158,11 +153,6 @@ impl TokenBucket {
     /// Number of acquires that stalled (returned a non-zero wait).
     pub fn total_stalls(&self) -> u64 {
         self.stalls
-    }
-
-    /// Current virtual time.
-    pub fn virtual_now(&self) -> f64 {
-        self.now
     }
 }
 
@@ -297,7 +287,7 @@ mod tests {
         let per_shard = waited / 8.0;
         assert!((per_shard - 1.0).abs() < 0.01, "per-shard wait {per_shard}");
         // The same 20k packets through one global bucket: also 1s.
-        let mut global = TokenBucket::paper_policy();
+        let mut global = TokenBucket::new(10_000.0, 10_000.0);
         let mut gw = 0.0;
         for _ in 0..20_000 {
             gw += global.acquire();
@@ -310,7 +300,7 @@ mod tests {
 
     #[test]
     fn paper_policy_is_10k_pps() {
-        let mut tb = TokenBucket::paper_policy();
+        let mut tb = TokenBucket::new(10_000.0, 10_000.0);
         // consume the burst
         for _ in 0..10_000 {
             assert_eq!(tb.acquire(), 0.0);
@@ -338,9 +328,8 @@ mod tests {
         for _ in 0..40 {
             assert_eq!(tb.acquire().to_bits(), restored.acquire().to_bits());
         }
-        assert_eq!(tb.virtual_now().to_bits(), restored.virtual_now().to_bits());
+        assert_eq!(tb.snapshot(), restored.snapshot());
         assert_eq!(tb.total_stalls(), restored.total_stalls());
-        assert_eq!(restored.snapshot(), restored.snapshot());
     }
 
     #[test]

@@ -90,12 +90,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Same policy with a per-target backoff budget.
-    pub fn with_budget(mut self, budget_s: f64) -> RetryPolicy {
-        self.budget_s = if budget_s < 0.0 { 0.0 } else { budget_s };
-        self
-    }
-
     /// The backoff delay taken before `attempt` (0-based; attempt 0 is the
     /// first probe and never waits). Pure in `(self, attempt, salt, addr)`.
     pub fn delay_before(&self, attempt: u32, salt: u64, addr: u128) -> f64 {
@@ -472,11 +466,13 @@ mod tests {
 
     #[test]
     fn budget_caps_attempts_but_always_allows_one() {
-        let mut p = RetryPolicy::exponential(8, 1.0).with_budget(3.5);
+        let mut p = RetryPolicy::exponential(8, 1.0);
+        p.budget_s = 3.5;
         p.jitter = 0.0;
         // cumulative backoff: 1, 3, 7 … → attempts 3 fit within 3.5s
         assert_eq!(p.attempts_allowed(0, 0), 3);
-        let tight = RetryPolicy::exponential(8, 10.0).with_budget(0.0);
+        let mut tight = RetryPolicy::exponential(8, 10.0);
+        tight.budget_s = 0.0;
         assert_eq!(tight.attempts_allowed(0, 0), 1);
     }
 

@@ -22,7 +22,7 @@ use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
 use v6addr::{nybble_of, AddrMap, NYBBLES};
 
-use crate::pattern::{coin, scaled, ValueHist};
+use crate::pattern::{coin, fill_guide, inverse_cdf, ValueHist};
 use crate::sink::{Candidates, Tag};
 use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
@@ -41,12 +41,17 @@ const EXPLORE: f64 = 0.03;
 pub struct EntropyIp;
 
 /// Packed segment values with their observation counts, most frequent
-/// first, their cumulative counts, and the sum of those counts (every
-/// weighted draw starts from it).
+/// first, their cumulative counts with a guide over them
+/// ([`inverse_cdf`]), and the sum of those counts (every weighted draw
+/// starts from it).
 struct Weighted {
     values: Vec<(u64, u32)>,
     /// `bounds[j]`: the counts of `values[..=j]` summed.
     bounds: Vec<u64>,
+    /// The bounds' [`fill_guide`] table, one bucket per value rounded up
+    /// to a power of two (at most [`MAX_VALUES`], so a `u8` holds any
+    /// index).
+    guide: Vec<u8>,
     total: u64,
     /// `next[j]`: the row of the chain's next table that holds the
     /// transitions out of `values[j]` ([`Self::link`]; empty for a
@@ -69,9 +74,12 @@ impl Weighted {
             })
             .collect();
         let total = bounds.last().copied().unwrap_or(0);
+        let mut guide = vec![0; values.len().next_power_of_two()];
+        fill_guide(&bounds, total, &mut guide);
         Weighted {
             values,
             bounds,
+            guide,
             total,
             next: Vec::new(),
         }
@@ -87,17 +95,11 @@ impl Weighted {
             .collect();
     }
 
-    /// The index of the value whose cumulative count first passes `x`
-    /// (`x < total`; past the values when nothing was observed).
-    fn at(&self, x: u64) -> usize {
-        self.bounds.partition_point(|&b| b <= x)
-    }
-
-    /// Count-weighted draw from the high half of an RNG `word`: the drawn
-    /// value and its row in the next table. `None` when nothing was
-    /// observed.
+    /// Count-weighted draw from the high half of an RNG `word`
+    /// ([`inverse_cdf`]): the drawn value and its row in the next table.
+    /// `None` when nothing was observed.
     fn pick(&self, word: u64) -> Option<(u64, Option<u32>)> {
-        let j = self.at(scaled(word, self.total));
+        let j = inverse_cdf(&self.bounds, &self.guide, self.total, word);
         let &(value, _) = self.values.get(j)?;
         Some((value, self.next.get(j).copied()))
     }
@@ -314,7 +316,7 @@ impl SeedModel for Fitted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::Counting;
+    use crate::pattern::{edge_words, scaled, Counting};
     use netmodel::Protocol;
     use sos_probe::NullOracle;
 
@@ -386,10 +388,17 @@ mod tests {
         Some(first)
     }
 
-    #[test]
-    fn the_bounds_search_is_the_walk_for_every_x() {
-        let mut rng = SmallRng::seed_from_u64(41);
-        let mut count_sets: Vec<Vec<(u64, u32)>> = vec![vec![], vec![(5, 1)], vec![(1, 3), (2, 3)]];
+    /// Count maps whose tables have totals 0, 1, 3 (below their 4
+    /// buckets), 6, 8 (a power of two) and past 2¹⁶, then random ones.
+    fn assorted_counts(rng: &mut SmallRng) -> Vec<Vec<(u64, u32)>> {
+        let mut count_sets = vec![
+            vec![],
+            vec![(5, 1)],
+            vec![(1, 1), (2, 1), (3, 1)],
+            vec![(1, 3), (2, 3)],
+            vec![(1, 3), (2, 3), (7, 2)],
+            vec![(1, 40_000), (9, 30_000), (4, 1)],
+        ];
         for _ in 0..200 {
             let n = rng.next_u64() % 90 + 1;
             count_sets.push(
@@ -398,14 +407,47 @@ mod tests {
                     .collect(),
             );
         }
-        for counts in count_sets {
+        count_sets
+    }
+
+    #[test]
+    fn the_bounds_search_is_the_walk_for_every_x() {
+        // the bounds search the guide replaced: the index of the value
+        // whose cumulative count first passes `x`
+        let at = |w: &Weighted, x: u64| w.bounds.partition_point(|&b| b <= x);
+        for counts in assorted_counts(&mut SmallRng::seed_from_u64(41)) {
             let w = Weighted::top(counts.iter().copied().collect(), MAX_VALUES);
             assert_eq!(w.total, w.values.iter().map(|&(_, c)| u64::from(c)).sum());
             for x in 0..w.total {
-                let found = w.values.get(w.at(x)).map(|&(v, _)| v);
+                let found = w.values.get(at(&w, x)).map(|&(v, _)| v);
                 assert_eq!(found, walk(&w, x), "{:?}, x {x}", w.values);
             }
             assert_eq!(w.pick(u64::MAX).is_some(), w.total > 0);
+        }
+    }
+
+    /// The guided pick against the bounds search it replaced, at every
+    /// word where either could step: the assorted count maps, and every
+    /// table (segments and chain rows) of two fitted models.
+    #[test]
+    fn a_guided_pick_is_the_search_at_every_edge() {
+        let mut tables: Vec<Weighted> = assorted_counts(&mut SmallRng::seed_from_u64(46))
+            .into_iter()
+            .map(|counts| Weighted::top(counts.into_iter().collect(), MAX_VALUES))
+            .collect();
+        for seeds in [seeds(), counting(64, 7)] {
+            let model = Fitted::new(&seeds);
+            tables.extend(model.segments.into_iter().map(|s| s.observed));
+            tables.extend(model.chain.into_iter().flatten());
+        }
+        for w in &tables {
+            for word in edge_words(w.total, w.guide.len()) {
+                let want = w.bounds.partition_point(|&b| b <= scaled(word, w.total));
+                let got = inverse_cdf(&w.bounds, &w.guide, w.total, word);
+                assert_eq!(got, want, "{:?}, word {word:#x}", w.values);
+                let value = w.values.get(want).map(|&(v, _)| v);
+                assert_eq!(w.pick(word).map(|(v, _)| v), value);
+            }
         }
     }
 

@@ -90,6 +90,7 @@ impl ValueHist {
             total: self.total,
             bounds: [u32::MAX; 16],
             values: [0; 16],
+            guide: [0; 16],
         };
         let mut sum = 0;
         let mut j = 0;
@@ -101,6 +102,7 @@ impl ValueHist {
                 j += 1;
             }
         }
+        fill_guide(&table.bounds, u64::from(self.total), &mut table.guide);
         table
     }
 }
@@ -137,6 +139,52 @@ pub(crate) fn scaled(word: u64, total: u64) -> u64 {
     ((u128::from(word >> 32) * u128::from(total)) >> 32) as u64
 }
 
+/// Fill `guide` for the ascending cumulative counts `bounds` summing to
+/// `total` (Chen & Asau's indexed search): with `G = guide.len()`, a power
+/// of two, `guide[g]` is the number of bounds at or below `⌊g·total/G⌋`.
+/// One merged pass over the bounds; an index too wide for `I` keeps the
+/// slot before it, which is still at or below the answer.
+pub(crate) fn fill_guide<B, I>(bounds: &[B], total: u64, guide: &mut [I])
+where
+    B: Copy + Into<u64>,
+    I: Copy + Default + TryFrom<usize>,
+{
+    debug_assert!(guide.len().is_power_of_two());
+    let log_g = guide.len().trailing_zeros();
+    let mut j = 0;
+    let mut last = I::default();
+    for (g, slot) in (0u64..).zip(guide.iter_mut()) {
+        let floor = ((u128::from(g) * u128::from(total)) >> log_g) as u64; // < total: g < G
+        while bounds.get(j).is_some_and(|&b| b.into() <= floor) {
+            j += 1;
+        }
+        last = I::try_from(j).unwrap_or(last);
+        *slot = last;
+    }
+}
+
+/// The inverse CDF of the cumulative counts `bounds` (summing to `total`)
+/// at the high half of an RNG `word`: the number of bounds at or below
+/// [`scaled`]`(word, total)`, i.e. the index of the first value whose
+/// cumulative count passes it. Starts at the word's [`fill_guide`] bucket
+/// and steps forward; that bucket's count is never past the answer, so
+/// every word maps where a search over all the bounds would. Zero when
+/// `total` is.
+#[inline]
+pub(crate) fn inverse_cdf<B, I>(bounds: &[B], guide: &[I], total: u64, word: u64) -> usize
+where
+    B: Copy + Into<u64>,
+    I: Copy + Into<usize>,
+{
+    let x = scaled(word, total);
+    let g = scaled(word, guide.len() as u64) as usize; // < guide.len()
+    let mut j = guide.get(g).map_or(0, |&i| i.into());
+    while bounds.get(j).is_some_and(|&b| b.into() <= x) {
+        j += 1;
+    }
+    j
+}
+
 /// An RNG that counts the calls made on it: the tests that hold a weighted
 /// draw to one word read `words`.
 #[cfg(test)]
@@ -157,10 +205,45 @@ impl<R: RngCore> RngCore for Counting<R> {
     }
 }
 
+/// An RNG that returns one word forever: the edge tests feed a draw the
+/// word they chose.
+#[cfg(test)]
+pub(crate) struct Word(pub u64);
+
+#[cfg(test)]
+impl RngCore for Word {
+    fn next_u32(&mut self) -> u32 {
+        self.0 as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.0
+    }
+}
+
+/// RNG words, low half zero, whose high halves lie on both sides of every
+/// step of [`scaled`]`(word, total)` and of the guide bucket
+/// `scaled(word, buckets)`, plus the two ends: the words where a guided
+/// lookup could first part from a search over all the bounds.
+#[cfg(test)]
+pub(crate) fn edge_words(total: u64, buckets: usize) -> Vec<u64> {
+    // the first high half at which `scaled(·, n)` reaches k, for 0 < k < n
+    let steps = |n: u64| {
+        (1..n.min(1 << 32)).map(move |k| (u128::from(k) << 32).div_ceil(u128::from(n)) as u64)
+    };
+    let mut highs = vec![0, u64::from(u32::MAX)];
+    for h in steps(total).chain(steps(buckets as u64)) {
+        highs.extend([h - 1, h]);
+    }
+    highs.sort_unstable();
+    highs.dedup();
+    highs.into_iter().map(|h| h << 32).collect()
+}
+
 /// A [`ValueHist`] compiled for drawing: the observed values in ascending
-/// order with their cumulative counts, so a weighted draw finds its value
-/// with sixteen branch-free compares. Every product draw of a digit goes
-/// through [`Self::draw`].
+/// order with their cumulative counts and a 16-bucket guide over them
+/// ([`inverse_cdf`]), so a weighted draw starts at most a step or two
+/// before its value. Every product draw of a digit goes through
+/// [`Self::draw`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DigitTable {
     /// Sum of the counts: the weighted draw's range.
@@ -170,13 +253,15 @@ pub(crate) struct DigitTable {
     bounds: [u32; 16],
     /// The observed values, ascending.
     values: [u8; 16],
+    /// The bounds' [`fill_guide`] table.
+    guide: [u8; 16],
 }
 
 impl DigitTable {
     /// A weighted draw from the observed distribution; with probability
     /// `explore` a uniform draw from all 16 values instead. Uniform when
     /// nothing was observed. Costs one RNG word: its low half is the
-    /// explore [`coin`], its high half the value ([`scaled`] to the total,
+    /// explore [`coin`], its high half the value (through [`inverse_cdf`],
     /// or its top four bits for the uniform draw).
     #[inline]
     pub(crate) fn draw<R: RngCore + ?Sized>(&self, rng: &mut R, explore: f64) -> u8 {
@@ -184,16 +269,8 @@ impl DigitTable {
         if self.total == 0 || coin(word, explore) {
             return (word >> 60) as u8;
         }
-        let x = scaled(word, u64::from(self.total)) as u32;
-        // The draw is the first value whose cumulative count passes `x`,
-        // which is the number of bounds `x` has reached: counted without a
-        // branch (the padding never is), and below 16 because the last
-        // real bound is `total`.
-        let j = self
-            .bounds
-            .iter()
-            .map(|&b| usize::from(x >= b))
-            .sum::<usize>();
+        // below 16: the last real bound is `total`, past every draw
+        let j = inverse_cdf(&self.bounds, &self.guide, u64::from(self.total), word);
         self.values[j & 15]
     }
 
@@ -685,6 +762,39 @@ mod tests {
                 for n in 1..=256 {
                     table.draw(&mut rng, explore);
                     assert_eq!(rng.words, n, "total {total}, explore {explore}");
+                }
+            }
+        }
+    }
+
+    /// The guided lookup against the sixteen-compare count it replaced
+    /// (the number of bounds the scaled word has reached), at every word
+    /// where either could step: the assorted histograms, totals 0 and 1,
+    /// a total below the guide's 16 buckets, the power of two 16, and
+    /// totals past 2¹⁶.
+    #[test]
+    fn a_guided_draw_is_the_compare_count_at_every_edge() {
+        let mut tables: Vec<DigitTable> = assorted_histograms(&mut SmallRng::seed_from_u64(46))
+            .iter()
+            .map(ValueHist::compile)
+            .collect();
+        tables.extend([0, 1, 5, 16, (1 << 16) + 3].map(table_of));
+        let mut wide = ValueHist::default();
+        for v in 0..16u8 {
+            for _ in 0..=u32::from(v) * 600 {
+                wide.add(v);
+            }
+        }
+        tables.push(wide.compile());
+        for table in tables {
+            let total = u64::from(table.total);
+            for word in edge_words(total, table.guide.len()) {
+                let x = scaled(word, total) as u32;
+                let want = table.bounds.iter().filter(|&&b| x >= b).count();
+                let got = inverse_cdf(&table.bounds, &table.guide, total, word);
+                assert_eq!(got, want, "{table:?}, word {word:#x}");
+                if total > 0 {
+                    assert_eq!(table.draw(&mut Word(word), 0.0), table.values[want]);
                 }
             }
         }

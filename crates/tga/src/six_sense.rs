@@ -29,7 +29,7 @@ use sos_probe::provenance::{seed_digest, ProvenanceLog};
 use sos_probe::ScanOracle;
 use v6addr::{AddrMap, Prefix, PrefixSet};
 
-use crate::pattern::{coin, scaled, DigitTable, ValueHist};
+use crate::pattern::{coin, fill_guide, inverse_cdf, DigitTable, ValueHist};
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{Region, Sweep};
 use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
@@ -45,6 +45,9 @@ struct Arm {
     /// `bounds[i]`: the seed counts of `subregions[..=i]` summed, so the
     /// last is the arm's seed count: a pick is weighted by seed count.
     bounds: Vec<u32>,
+    /// The bounds' [`fill_guide`] table, one bucket per sub-model rounded
+    /// up to a power of two.
+    guide: Vec<u16>,
     /// Digit tables of the subnet-id nybbles (positions 12..16).
     subnet_digits: [DigitTable; 4],
     /// Digest of the site's contributing seeds (arms are /48 sites and
@@ -82,6 +85,9 @@ impl Arm {
                 Some(*sum)
             })
             .collect();
+        let total = bounds.last().map_or(0, |&b| u64::from(b));
+        let mut guide = vec![0; bounds.len().next_power_of_two()];
+        fill_guide(&bounds, total, &mut guide);
         let subregions: Vec<Region> = groups.iter().map(|(_, g)| Region::from_seeds(g)).collect();
         // Density of the densest sub-model (the arm's exploitability),
         // capped below live hit rates (see DET).
@@ -91,6 +97,7 @@ impl Arm {
             .fold(f64::NEG_INFINITY, f64::max);
         Arm {
             bounds,
+            guide,
             subregions,
             subnet_digits: subnet_hists.map(|h| h.compile()),
             digest: seed_digest(members.iter().copied()),
@@ -99,15 +106,14 @@ impl Arm {
     }
 
     /// What one RNG word decides for a candidate: its high half picks a
-    /// sub-model, weighted by seed count; its low half flips the two coins
-    /// — sweep the sub-model (else sample it), and synthesize a fresh
-    /// subnet id — the second read from the part of the half the first
-    /// left, so the two stay independent.
+    /// sub-model, weighted by seed count ([`inverse_cdf`]); its low half
+    /// flips the two coins — sweep the sub-model (else sample it), and
+    /// synthesize a fresh subnet id — the second read from the part of
+    /// the half the first left, so the two stay independent.
     fn pick<R: RngCore + ?Sized>(&self, rng: &mut R) -> (usize, bool, bool) {
         let word = rng.next_u64();
         let total = self.bounds.last().copied().unwrap_or(0);
-        let x = scaled(word, u64::from(total)) as u32;
-        let idx = self.bounds.partition_point(|&b| b <= x);
+        let idx = inverse_cdf(&self.bounds, &self.guide, u64::from(total), word);
         let sweep = coin(word, SWEEP);
         let cut = if sweep {
             SWEEP * NEW_SUBNET
@@ -315,7 +321,7 @@ impl SeedModel for Fitted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::Counting;
+    use crate::pattern::{edge_words, scaled, Counting, Word};
     use netmodel::Protocol;
     use sos_probe::NullOracle;
 
@@ -351,6 +357,35 @@ mod tests {
                 let (idx, _, _) = arm.pick(&mut rng);
                 assert!(idx < arm.subregions.len());
                 assert_eq!(rng.words, k, "{n} members");
+            }
+        }
+    }
+
+    /// The guided pick against the bounds search it replaced, at every
+    /// word where either could step: arms of 0 and 1 members, 3 members
+    /// (below their 4 buckets), 4 (a power of two), 2¹⁶ + 5, and one whose
+    /// sub-models are weighted 1 : 1 : 2 : 4 : … : 256.
+    #[test]
+    fn a_guided_pick_is_the_search_at_every_edge() {
+        let mut arms: Vec<Arm> = [(0, 1), (1, 1), (3, 3), (4, 3), (7, 3), ((1 << 16) + 5, 16)]
+            .iter()
+            .map(|&(n, subnets)| Arm::from_members(&members(n, subnets)))
+            .collect();
+        let skewed: Vec<Ipv6Addr> = (1..=512u128)
+            .map(|i| {
+                Ipv6Addr::from(
+                    0x2600_0bad_0001u128 << 80 | u128::from(i.trailing_zeros()) << 64 | i,
+                )
+            })
+            .collect();
+        arms.push(Arm::from_members(&skewed));
+        for arm in &arms {
+            let total = arm.bounds.last().map_or(0, |&b| u64::from(b));
+            for word in edge_words(total, arm.guide.len()) {
+                let x = scaled(word, total) as u32;
+                let want = arm.bounds.partition_point(|&b| b <= x);
+                let (idx, _, _) = arm.pick(&mut Word(word));
+                assert_eq!(idx, want, "bounds {:?}, word {word:#x}", arm.bounds);
             }
         }
     }
