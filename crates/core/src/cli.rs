@@ -59,9 +59,9 @@ pub struct Options {
     /// the world model, for any experiment.
     pub faults: String,
     /// What the scale preset, `--seed`, `--faults`, `--budget` and the
-    /// worker counts name. `--threads` sizes the grid; `--scan-shards` and
-    /// `--gen-workers` size the fan-outs inside a cell and stay at the
-    /// preset (1) unless given. Results are bit-identical at any width.
+    /// worker counts name. `--threads` sizes the grid; `--scan-shards`
+    /// sizes the scan fan-out inside a cell and stays at the preset (1)
+    /// unless given. Results are bit-identical at any width.
     pub cfg: StudyConfig,
     /// `--breaker`: per-/48 circuit breakers in the campaign.
     pub breaker: bool,
@@ -94,7 +94,7 @@ impl Options {
             faults: "off".to_string(),
             ..Options::default()
         };
-        let (mut budget, mut threads, mut scan_shards, mut gen_workers) = (None, None, None, None);
+        let (mut budget, mut threads, mut scan_shards) = (None, None, None);
         // Flags an entry owns, to check against the selection at the end.
         let mut owned = Vec::new();
         let mut it = args.into_iter();
@@ -113,7 +113,6 @@ impl Options {
                 "--budget" => budget = Some(value(it, "--budget")?),
                 "--threads" => threads = workers(it, "--threads")?,
                 "--scan-shards" => scan_shards = workers(it, "--scan-shards")?,
-                "--gen-workers" => gen_workers = workers(it, "--gen-workers")?,
                 "--faults" => o.faults = value(it, "--faults")?,
                 "--breaker" => o.breaker = true,
                 "--checkpoint" => o.checkpoint = Some(value(it, "--checkpoint")?),
@@ -162,7 +161,6 @@ impl Options {
         o.cfg.budget = budget.unwrap_or(o.cfg.budget);
         o.cfg.threads = threads.or(o.cfg.threads);
         o.cfg.scan_shards = scan_shards.unwrap_or(o.cfg.scan_shards);
-        o.cfg.gen_workers = gen_workers.unwrap_or(o.cfg.gen_workers);
         Ok(o)
     }
 }
@@ -172,7 +170,7 @@ impl Options {
 pub fn usage() -> String {
     let mut u = String::from(
         "usage: seedscan <experiment> [--scale tiny|small|study] [--seed N] [--budget N]\n\
-         \u{20}                [--threads N] [--scan-shards N] [--gen-workers N] [--faults PRESET]\n\
+         \u{20}                [--threads N] [--scan-shards N] [--faults PRESET]\n\
          \u{20}                [--manifest FILE] [--trace FILE] [--flame FILE] [its own flags]\n\
          \u{20}      seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]\n\
          \u{20}      seedscan explain <manifest|journal> [--json] [--top N]\n\

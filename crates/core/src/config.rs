@@ -22,10 +22,9 @@ pub struct StudyConfig {
     /// every value, the shards only split the pps budget and the wall
     /// clock.
     pub scan_shards: usize,
-    /// Worker threads for within-round TGA generation fan-out
-    /// (`tga::parallel`, 6Scan/DET). Candidate streams are bit-identical
-    /// at any value (W-invariance) — like `scan_shards`, this only buys
-    /// wall clock.
+    /// Unused: generation runs on one thread, and nothing reads this. It
+    /// is kept only so callers that still set it compile, and goes with
+    /// them.
     pub gen_workers: usize,
     /// Worker threads for the independent (tga × port) experiment cells
     /// of a grid (`--threads`). `None` picks [`default_threads`]; the tiny

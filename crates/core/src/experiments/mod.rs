@@ -217,7 +217,6 @@ impl Run {
         m.config("budget", cfg.budget);
         m.config("threads", cfg.effective_threads());
         m.config("scan_shards", cfg.scan_shards);
-        m.config("gen_workers", cfg.gen_workers);
         m.config("scan_retries", cfg.scan_retries);
         m.config("gen_seed", cfg.gen_seed);
         m.config("faults", opts.faults.as_str());

@@ -70,8 +70,7 @@ fn run_cell(
     generate: impl FnOnce(&GenConfig, &mut dyn ScanOracle, &mut ProvenanceLog) -> Vec<Ipv6Addr>,
 ) -> RunResult {
     let mut oracle = study.scanner(salt ^ 0x9e0);
-    let cfg = GenConfig::new(budget, study.config().gen_seed ^ salt, proto)
-        .with_workers(study.config().gen_workers);
+    let cfg = GenConfig::new(budget, study.config().gen_seed ^ salt, proto);
     let mut prov = ProvenanceLog::recording(id.code());
     let generated = generate(&cfg, &mut oracle, &mut prov);
     let gen_packets = oracle.packets_sent();
@@ -140,7 +139,7 @@ pub fn run_cells(study: &Study, span_name: &'static str, cells: Vec<Cell<'_>>) -
             return Vec::new();
         };
         let (id, generator) = (first.tga, tga::build(first.tga));
-        let model = generator.fit(first.seeds, study.config().gen_workers);
+        let model = generator.fit(first.seeds);
         let run = |(i, cell): (usize, Cell<'_>)| {
             let _cell = sos_obs::span_detail("cell", cell.detail);
             let mut r = run_cell(

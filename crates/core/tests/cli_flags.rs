@@ -51,11 +51,16 @@ fn seedscan_refuses_missing_malformed_and_zero_values() {
     ] {
         assert_refused(&run(seedscan, &["rq1", flag, bad]), flag);
     }
-    for flag in ["--threads", "--scan-shards", "--gen-workers"] {
+    for flag in ["--threads", "--scan-shards"] {
         let out = run(seedscan, &["rq1", flag, "0"]);
         assert_refused(&out, flag);
         assert!(String::from_utf8_lossy(&out.stderr).contains("must be >= 1"));
     }
+    // generation runs on one thread: its former worker flag is unknown
+    let out = run(seedscan, &["rq1", "--gen-workers", "2"]);
+    assert_refused(&out, "--gen-workers");
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: seedscan"));
     assert_refused(
         &run(seedscan, &["watch", "j.jsonl", "--interval-ms", "soon"]),
         "--interval-ms",

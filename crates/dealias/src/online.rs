@@ -82,11 +82,6 @@ impl OnlineDealiaser {
         &self.cfg
     }
 
-    /// Number of prefixes with cached decisions.
-    pub fn decided_prefixes(&self) -> usize {
-        self.decided.len()
-    }
-
     /// Total probe packets spent so far.
     pub fn probe_packets(&self) -> u64 {
         self.probe_packets
@@ -206,8 +201,11 @@ mod tests {
         let mut d = OnlineDealiaser::new(OnlineConfig::default());
         let mut o = NullOracle::default();
         assert!(!d.check(&mut o, "2001:db8::1".parse().unwrap(), Protocol::Icmp));
-        assert_eq!(d.decided_prefixes(), 1);
-        assert!(d.probe_packets() > 0);
+        let spent = d.probe_packets();
+        assert!(spent > 0);
+        // a second address in the same /96 reads the cached verdict
+        assert!(!d.check(&mut o, "2001:db8::2".parse().unwrap(), Protocol::Icmp));
+        assert_eq!(d.probe_packets(), spent, "decided once per prefix");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Regression guard: the PR 9 class of bug. During the parallel-TGA work,
 //! per-region candidate batches collected into a HashMap and re-emitted by
 //! iteration would produce a stream whose order depends on the process
-//! hash seed — breaking the W-invariance property (bit-identical streams
-//! at any worker count) that `par_map` exists to provide. Linted as
+//! hash seed — breaking the bit-identical candidate streams that
+//! `stream_pins` holds every generator to. Linted as
 //! `crates/tga/src/fx.rs`; this file must ALWAYS fail lint (det-hash-iter),
-//! as it fails `stream_pins` and `worker_invariance` once it runs.
+//! as it fails `stream_pins` once it runs.
 use std::collections::HashMap;
 
 pub struct RegionBatcher {

@@ -195,11 +195,6 @@ impl AsRegistry {
     pub fn iter(&self) -> impl Iterator<Item = &AsInfo> {
         self.infos.iter()
     }
-
-    /// All ASes of a given kind.
-    pub fn of_kind(&self, kind: AsKind) -> impl Iterator<Item = &AsInfo> {
-        self.infos.iter().filter(move |i| i.kind == kind)
-    }
 }
 
 /// Synthetic organization name for an AS, stable per (asn, kind).
@@ -262,7 +257,7 @@ mod tests {
         let reg = sample_registry();
         assert_eq!(reg.info(Asn(64501)).unwrap().kind, AsKind::AccessIsp);
         assert!(reg.info(Asn(1)).is_none());
-        assert_eq!(reg.of_kind(AsKind::CloudHosting).count(), 1);
+        assert_eq!(reg.info(Asn(64500)).unwrap().kind, AsKind::CloudHosting);
         assert_eq!(reg.len(), 2);
     }
 

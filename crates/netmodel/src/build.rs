@@ -724,7 +724,12 @@ mod tests {
     #[test]
     fn topology_has_routers_and_vantages() {
         let w = build_world(WorldConfig::tiny(15));
-        assert!(w.topology().interface_count() > 50);
+        let interfaces: usize = w
+            .registry()
+            .iter()
+            .map(|info| w.topology().routers_of(info.asn).len())
+            .sum();
+        assert!(interfaces > 50);
         assert!(!w.topology().vantages().is_empty());
         assert!(!w.topology().transit().is_empty());
     }

@@ -56,11 +56,6 @@ impl Topology {
         &self.transit
     }
 
-    /// Total router interfaces across all ASes.
-    pub fn interface_count(&self) -> usize {
-        self.routers.values().map(Vec::len).sum()
-    }
-
     /// Deterministic pick of `n` elements of `pool` keyed by `key`.
     fn pick<'a>(
         &self,
@@ -183,6 +178,9 @@ mod tests {
 
     #[test]
     fn interface_count_sums() {
-        assert_eq!(sample().interface_count(), 6);
+        let t = sample();
+        let per_as: Vec<usize> = (1..=4).map(|n| t.routers_of(Asn(n)).len()).collect();
+        assert_eq!(per_as, [2, 3, 1, 0], "an AS with no routers has none");
+        assert_eq!(per_as.iter().sum::<usize>(), 6);
     }
 }

@@ -104,24 +104,6 @@ impl SourceId {
         }
     }
 
-    /// Collection date from Table 7 (metadata carried for fidelity).
-    pub fn collection_date(self) -> &'static str {
-        match self {
-            SourceId::CensysCt => "2023-12-11",
-            SourceId::Rapid7 => "2021-11-26",
-            SourceId::Umbrella => "2023-12-01",
-            SourceId::Majestic => "2023-12-12",
-            SourceId::Tranco => "2023-11-30",
-            SourceId::SecRank => "2023-11-30",
-            SourceId::Radar => "2023-12-04",
-            SourceId::CaidaDns => "2023-11-30",
-            SourceId::Scamper => "2023-12-07",
-            SourceId::RipeAtlas => "2023-12-11",
-            SourceId::Hitlist => "2023-12-06",
-            SourceId::AddrMiner => "2023-12-12",
-        }
-    }
-
     /// Stable per-source RNG stream index.
     #[expect(
         clippy::expect_used,
@@ -194,11 +176,5 @@ mod tests {
         streams.sort();
         streams.dedup();
         assert_eq!(streams.len(), 12);
-    }
-
-    #[test]
-    fn rapid7_is_the_archival_snapshot() {
-        assert!(SourceId::Rapid7.collection_date().starts_with("2021"));
-        assert!(SourceId::Tranco.collection_date().starts_with("2023"));
     }
 }

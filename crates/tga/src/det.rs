@@ -22,9 +22,9 @@ use rand::SeedableRng;
 use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
-use crate::parallel::{sample_regions_par, stream_seed, SampleUnit};
+use crate::parallel::{sample_regions, stream_seed, SampleUnit};
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions_par, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{build_regions_breadth_first, Region, SplitStrategy, MAX_REGIONS};
 use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Bandit state per tree leaf. A run clones the fitted arms and shares
@@ -41,22 +41,16 @@ struct Arm {
 
 /// Build the bandit arms over a seed basis (the fit and every online
 /// rebuild).
-fn arms_over(basis: &[Ipv6Addr], workers: usize) -> Vec<Arm> {
-    build_regions_par(
-        basis,
-        SplitStrategy::MinEntropy,
-        MAX_LEAF,
-        MAX_REGIONS,
-        workers,
-    )
-    .into_iter()
-    .map(|region| Arm {
-        prior: Arm::prior(&region),
-        region: Rc::new(region),
-        probes: 0.0,
-        q: 0.0,
-    })
-    .collect()
+fn arms_over(basis: &[Ipv6Addr]) -> Vec<Arm> {
+    build_regions_breadth_first(basis, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS)
+        .into_iter()
+        .map(|region| Arm {
+            prior: Arm::prior(&region),
+            region: Rc::new(region),
+            probes: 0.0,
+            q: 0.0,
+        })
+        .collect()
 }
 
 impl Arm {
@@ -104,10 +98,10 @@ impl TargetGenerator for Det {
         TgaId::Det
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         Box::new(Fitted {
             seeds,
-            arms: arms_over(seeds, workers),
+            arms: arms_over(seeds),
         })
     }
 }
@@ -148,9 +142,9 @@ impl SeedModel for Fitted<'_> {
             let ln_total = total_probes.max(2.0).ln();
             let scores: Vec<f64> = arms.iter().map(|a| a.ucb(ln_total)).collect();
             let order = slate(&scores, ARMS_PER_ROUND, |a, b| b.total_cmp(a));
-            // Phase 1: every selected arm samples in parallel against the
-            // round-start `seen`, each from its own (arm digest, round,
-            // slot)-derived stream — worker-count-invariant by design.
+            // Phase 1: every selected arm samples against the round-start
+            // `seen`, each from its own (arm digest, round, slot)-derived
+            // stream.
             let units: Vec<SampleUnit<'_>> = order
                 .iter()
                 .enumerate()
@@ -165,10 +159,10 @@ impl SeedModel for Fitted<'_> {
                     }
                 })
                 .collect();
-            let proposals = sample_regions_par(&units, sink.seen(), cfg.workers);
+            let proposals = sample_regions(&units, sink.seen());
             drop(units); // release the arms borrow before the commit mutates them
 
-            // Phase 2: sequential commit in slot order.
+            // Phase 2: commit in slot order.
             let mut progressed = false;
             for (idx, proposal) in proposals {
                 if sink.room() == 0 {
@@ -176,11 +170,10 @@ impl SeedModel for Fitted<'_> {
                 }
                 let arm = &mut arms[idx]; // idx < arms.len(): a unit's index
                 if proposal.is_empty() {
-                    // Leaf exhausted (decided on the worker-invariant
-                    // proposal, not the commit): expand its variable
-                    // dimensions upward (DET keeps probing outward from
-                    // productive structure); retire only when expansion
-                    // hits the routing prefix. Widen twice — after a tree
+                    // Leaf exhausted (decided on the proposal, not the
+                    // commit): expand its variable dimensions upward (DET
+                    // keeps probing outward from productive structure);
+                    // retire only when expansion hits the routing prefix. Widen twice — after a tree
                     // rebuild the tight new leaves largely overlap
                     // already-seen space, and one dimension of headroom
                     // drains in a single batch.
@@ -224,7 +217,7 @@ impl SeedModel for Fitted<'_> {
                     all_hits.append(&mut fresh_hits);
                     let mut basis: Vec<Ipv6Addr> = seeds.to_vec();
                     basis.extend(all_hits.iter().copied());
-                    arms = arms_over(&basis, cfg.workers);
+                    arms = arms_over(&basis);
                     total_probes = 0.0;
                 }
             }

@@ -166,7 +166,7 @@ impl TargetGenerator for EntropyIp {
         TgaId::EntropyIp
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         Box::new(Fitted::new(seeds))
     }
 }

@@ -47,7 +47,7 @@ pub mod six_tree;
 pub mod space_tree;
 
 pub use pattern::{Pattern, ValueHist};
-pub use space_tree::{build_regions_par, Region, SplitStrategy};
+pub use space_tree::{build_regions_breadth_first, Region, SplitStrategy};
 
 use std::cmp::Ordering;
 use std::net::Ipv6Addr;
@@ -149,26 +149,22 @@ pub struct GenConfig {
     pub seed: u64,
     /// The scan target online generators adapt to.
     pub proto: Protocol,
-    /// Worker threads for within-round generation fan-out
-    /// ([`parallel`]). The candidate stream is bit-identical at any
-    /// value (W-invariance); this only buys wall-clock.
-    pub workers: usize,
 }
 
 impl GenConfig {
-    /// Convenience constructor (single-worker generation).
+    /// Convenience constructor.
     pub fn new(budget: usize, seed: u64, proto: Protocol) -> Self {
         GenConfig {
             budget,
             seed,
             proto,
-            workers: 1,
         }
     }
 
-    /// Set the generation worker count (clamped to at least 1).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Returns `self` unchanged. Generation runs on one thread; this is
+    /// kept only so callers written against the former worker count
+    /// still compile, and goes with them.
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 }
@@ -206,10 +202,9 @@ pub trait TargetGenerator {
     fn id(&self) -> TgaId;
 
     /// Build this TGA's model of `seeds`. Pure: it draws no RNG and probes
-    /// no oracle, and `workers` sizes a parallel tree build without
-    /// reaching its output. One fit therefore serves every port, budget
-    /// and RNG seed generated from the same seed list.
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a>;
+    /// no oracle. One fit therefore serves every port, budget and RNG
+    /// seed generated from the same seed list.
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a>;
 
     /// [`Self::fit`] on `seeds`, then [`SeedModel::generate_tagged`].
     fn generate_tagged(
@@ -219,8 +214,7 @@ pub trait TargetGenerator {
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
-        self.fit(seeds, cfg.workers)
-            .generate_tagged(cfg, oracle, prov)
+        self.fit(seeds).generate_tagged(cfg, oracle, prov)
     }
 
     /// [`Self::generate_tagged`] without provenance recording.
@@ -248,7 +242,7 @@ pub trait SeedModel {
     /// bit-identical with a disabled log (`provenance_identity` test).
     ///
     /// Offline generators ignore `oracle`; online ones probe through it
-    /// and adapt. `cfg.workers` sizes within-round fan-outs only.
+    /// and adapt.
     fn generate_tagged(
         &self,
         cfg: &GenConfig,
@@ -314,12 +308,12 @@ impl TargetGenerator for Instrumented {
         self.inner.id()
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         let label = self.inner.id().label();
         let _span = sos_obs::span_detail("fit", format!("tga={label} seeds={}", seeds.len()));
         Box::new(InstrumentedModel {
             label,
-            inner: self.inner.fit(seeds, workers),
+            inner: self.inner.fit(seeds),
         })
     }
 }
@@ -472,13 +466,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gen_config_workers_default_and_clamp() {
-        let cfg = GenConfig::new(10, 1, netmodel::Protocol::Icmp);
-        assert_eq!(cfg.workers, 1, "sequential by default");
-        assert_eq!(cfg.with_workers(8).workers, 8);
-        assert_eq!(cfg.with_workers(0).workers, 1, "0 clamps to 1");
     }
 }

@@ -1,36 +1,28 @@
-//! Within-round worker fan-out for the online tree TGAs (6Scan, DET).
+//! Two-phase sampling rounds for the online tree TGAs (6Scan, DET).
 //!
 //! Both papers' round structure — pick a slate of regions, sample a batch
 //! from each, probe, update — makes every region batch an independent unit
-//! of work *within* a round. This module parallelizes exactly that unit
-//! while keeping the emitted candidate stream **bit-identical at any
-//! worker count** (W-invariance), via a two-phase round:
+//! within a round. A round runs in two phases:
 //!
-//! 1. **Propose (parallel).** Every selected region samples its batch
-//!    against the *round-start snapshot* of the global `seen` set, into a
-//!    thread-local proposal that is its own duplicate filter (a bitmap
-//!    of the region's unseen addresses when it has at most 256, else a
-//!    scan of the proposal). Each unit
-//!    draws from its own RNG stream derived by [`stream_seed`] from the
-//!    run seed, the region's member digest, the round number, and the
-//!    slot index — never from a shared RNG — so a unit's output depends
-//!    only on its inputs, not on scheduling. Draws go through the
-//!    region's digit tables, compiled when the region was built.
-//! 2. **Commit (sequential).** Proposals are merged in slot order through
+//! 1. **Propose.** Every selected region samples its batch against the
+//!    *round-start snapshot* of the global `seen` set, into a proposal
+//!    that is its own duplicate filter (a bitmap of the region's unseen
+//!    addresses when it has at most 256, else a scan of the proposal).
+//!    Each unit draws from its own RNG stream derived by [`stream_seed`]
+//!    from the run seed, the region's member digest, the round number,
+//!    and the slot index — never from a shared RNG — so a unit's output
+//!    depends only on its inputs. Draws go through the region's digit
+//!    tables, compiled when the region was built.
+//! 2. **Commit.** Proposals are merged in slot order through
 //!    [`Candidates::commit`](crate::sink::Candidates::commit), which
 //!    performs the authoritative dedup against `seen` (dropping cross-slot
 //!    collisions deterministically) and caps at the remaining budget.
 //!
-//! Phase 1 never observes phase-2 state, and phase 2 is a pure fold over
-//! the slot-ordered proposals, so the worker count can only change *when*
-//! a proposal is computed — never its contents or its place in the stream.
-//! Exhaustion/widening decisions key off *empty phase-1 proposals* (also
-//! worker-invariant) rather than empty commits.
-//!
-//! Every fan-out runs inside a `gen_parallel` span, so traces and flame
-//! profiles show where generation time goes exactly like `scan_parallel`
-//! does for the probe path; [`sos_obs::par::par_map`] keeps no timing of
-//! its own.
+//! Phase 1 never observes phase-2 state, so an earlier slot's commit
+//! never changes a later slot's proposal; the pinned streams depend on
+//! that, and drawing straight into the sink would move them.
+//! Exhaustion/widening decisions key off *empty phase-1 proposals*
+//! rather than empty commits.
 
 use std::net::Ipv6Addr;
 
@@ -39,9 +31,6 @@ use rand::SeedableRng;
 use v6addr::{splitmix64, AddrSet};
 
 use crate::space_tree::Region;
-
-/// Span name for all generation fan-outs.
-pub const GEN_PARALLEL: &str = "gen_parallel";
 
 /// Derive the RNG stream seed for one sampling unit.
 ///
@@ -60,7 +49,7 @@ pub fn stream_seed(seed: u64, region_digest: u32, round: usize, slot: usize) -> 
     splitmix64(s ^ slot as u64)
 }
 
-/// One region batch to sample — the unit of parallel work.
+/// One region batch to sample.
 pub struct SampleUnit<'a> {
     /// The caller's index for `region`, handed back with its proposal.
     pub index: usize,
@@ -75,25 +64,20 @@ pub struct SampleUnit<'a> {
 }
 
 /// Phase 1: sample every unit against the round-start `seen` snapshot,
-/// fanned out over `workers` threads, returning `(unit.index, proposal)`
-/// in slot order.
+/// returning `(unit.index, proposal)` in slot order.
 ///
 /// Each proposal is internally duplicate-free and disjoint from `seen`,
 /// but proposals may collide *with each other*;
 /// [`Candidates::commit`](crate::sink::Candidates::commit) resolves those
-/// collisions in slot order. Output is identical for any `workers` value.
-pub fn sample_regions_par(
+/// collisions in slot order.
+pub fn sample_regions(
     units: &[SampleUnit<'_>],
     seen: &AddrSet<u128>,
-    workers: usize,
 ) -> Vec<(usize, Vec<Ipv6Addr>)> {
-    if units.is_empty() {
-        return Vec::new();
-    }
-    let _span = sos_obs::span(GEN_PARALLEL);
-    sos_obs::par::par_map(units.iter().collect(), workers, |_, u| {
-        (u.index, sample_unit(u, seen))
-    })
+    units
+        .iter()
+        .map(|u| (u.index, sample_unit(u, seen)))
+        .collect()
 }
 
 /// A region this small (two free digits or fewer) is drained through a
@@ -187,7 +171,7 @@ mod tests {
     }
 
     #[test]
-    fn proposals_are_worker_invariant() {
+    fn proposals_are_unique_outside_the_snapshot_and_carry_their_index() {
         let regions = regions();
         let mut seen: AddrSet<u128> = AddrSet::default();
         // Pre-populate `seen` so the snapshot filter is exercised.
@@ -208,16 +192,10 @@ mod tests {
                 stream: stream_seed(0xBEEF, slot as u32 * 17, 3, slot),
             })
             .collect();
-        let base = sample_regions_par(&units, &seen, 1);
-        for workers in [2, 4, 8] {
-            assert_eq!(
-                sample_regions_par(&units, &seen, workers),
-                base,
-                "workers={workers}"
-            );
-        }
+        let proposals = sample_regions(&units, &seen);
+        assert_eq!(proposals.len(), units.len());
         // proposals avoid the snapshot and are internally unique
-        for (slot, (index, p)) in base.iter().enumerate() {
+        for (slot, (index, p)) in proposals.iter().enumerate() {
             assert_eq!(
                 *index, slot,
                 "each proposal comes back with its unit's index"
@@ -353,11 +331,5 @@ mod tests {
             "slot: ε repeats need distinct streams"
         );
         assert_eq!(base, stream_seed(1, 2, 3, 4), "pure function");
-    }
-
-    #[test]
-    fn empty_units_short_circuit() {
-        let seen: AddrSet<u128> = AddrSet::default();
-        assert!(sample_regions_par(&[], &seen, 8).is_empty());
     }
 }

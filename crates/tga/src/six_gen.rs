@@ -48,7 +48,7 @@ impl TargetGenerator for SixGen {
         TgaId::SixGen
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         // Tier 1: /64 clusters (IID ranges). Tier 2: /48 clusters (subnet
         // ranges) for seeds whose /64 cluster is a singleton.
         let mut clusters: Vec<Region> = Vec::new();

@@ -77,7 +77,7 @@ impl TargetGenerator for SixGraph {
         TgaId::SixGraph
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         let raw = build_regions(seeds, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS);
         // Re-derive each region from its pruned seed set.
         let regions: Vec<Region> = raw

@@ -43,7 +43,7 @@ impl TargetGenerator for SixHit {
         TgaId::SixHit
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         let regions = build_regions(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
         Box::new(Fitted { seeds, regions })
     }

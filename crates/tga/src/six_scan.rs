@@ -17,9 +17,9 @@ use rand::{Rng, SeedableRng};
 use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
-use crate::parallel::{sample_regions_par, stream_seed, SampleUnit};
+use crate::parallel::{sample_regions, stream_seed, SampleUnit};
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions_par, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{build_regions_breadth_first, Region, SplitStrategy, MAX_REGIONS};
 use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Leaf size for the space tree (6Tree-style leftmost splits).
@@ -42,14 +42,9 @@ impl TargetGenerator for SixScan {
         TgaId::SixScan
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], workers: usize) -> Box<dyn SeedModel + 'a> {
-        let regions = build_regions_par(
-            seeds,
-            SplitStrategy::Leftmost,
-            MAX_LEAF,
-            MAX_REGIONS,
-            workers,
-        );
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
+        let regions =
+            build_regions_breadth_first(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
         // Seed-density prior for the first rounds.
         let mut order: Vec<usize> = (0..regions.len()).collect();
         order.sort_by(|&a, &b| {
@@ -110,9 +105,8 @@ impl SeedModel for Fitted<'_> {
             order.sort_by(|&a, &b| rate[b].total_cmp(&rate[a])); // a, b < n: rate sized n
 
             // Slot selection runs up front on the round RNG, making each
-            // region batch an independent unit of work; sampling itself
-            // draws from per-(region, round, slot) streams, so the fan-out
-            // below is worker-count-invariant.
+            // region batch an independent unit; sampling itself draws from
+            // per-(region, round, slot) streams.
             let slots = REGIONS_PER_ROUND.min(order.len());
             let units: Vec<SampleUnit<'_>> = (0..slots)
                 .map(|slot| {
@@ -131,9 +125,9 @@ impl SeedModel for Fitted<'_> {
                     }
                 })
                 .collect();
-            // Phase 1: parallel proposals against the round-start `seen`.
-            let proposals = sample_regions_par(&units, sink.seen(), cfg.workers);
-            // Phase 2: sequential commit in slot order.
+            // Phase 1: proposals against the round-start `seen`.
+            let proposals = sample_regions(&units, sink.seen());
+            // Phase 2: commit in slot order.
             let mut progressed = false;
             for (idx, proposal) in proposals {
                 if sink.room() == 0 {
@@ -144,9 +138,9 @@ impl SeedModel for Fitted<'_> {
                     continue; // an ε repeat of a region exhausted earlier this round
                 }
                 if proposal.is_empty() {
-                    // Exhaustion keys off the *proposal* (worker-invariant),
-                    // not the commit: an empty commit below is just a
-                    // cross-slot collision, not a dead region.
+                    // Exhaustion keys off the *proposal*, not the commit:
+                    // an empty commit below is just a cross-slot
+                    // collision, not a dead region.
                     exhausted[idx] = true; // idx < n
                     continue;
                 }

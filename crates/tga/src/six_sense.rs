@@ -193,7 +193,7 @@ impl TargetGenerator for SixSense {
         TgaId::SixSense
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         let mut by48: AddrMap<u128, Vec<Ipv6Addr>> = AddrMap::default();
         for &s in seeds {
             by48.entry(u128::from(s) >> 80).or_default().push(s);

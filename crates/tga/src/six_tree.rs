@@ -137,7 +137,7 @@ impl TargetGenerator for SixTree {
         TgaId::SixTree
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         let regions = build_regions(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
         Box::new(Expansion::new(seeds, regions, EXPLORE, 0x67ee))
     }

@@ -416,28 +416,24 @@ impl Tally {
     }
 }
 
-/// [`build_regions`] with per-subtree worker fan-out — the tree-build
-/// half of the `gen_parallel` lanes (DET rebuilds its tree online, so
-/// construction is on the generation hot path, not just startup).
+/// [`build_regions`] over a breadth-first frontier of subtrees: the
+/// space tree of 6Scan and DET.
 ///
-/// The seed set is first expanded breadth-first into at most ~48
-/// independent subtree groups (always splitting the largest splittable
-/// group, so subtree sizes stay balanced); each subtree then runs the
-/// sequential [`build_regions`] under a proportional share of
-/// `max_regions` (floor apportionment plus one guaranteed region per
-/// group keeps the total under the cap). Subtree outputs are concatenated
-/// in frontier order, so the region list is **identical at any worker
-/// count**.
+/// The seed set is first expanded breadth-first into at most ~48 subtree
+/// groups (always splitting the largest splittable group, so subtree
+/// sizes stay balanced); each subtree then runs [`build_regions`] under a
+/// proportional share of `max_regions` (floor apportionment plus one
+/// guaranteed region per group keeps the total under the cap). Subtree
+/// outputs are concatenated in frontier order.
 ///
 /// The region *order* differs from [`build_regions`] (breadth-first
 /// frontier vs depth-first stack), so this is a separate entry point:
 /// callers pinned to historical candidate streams keep `build_regions`.
-pub fn build_regions_par(
+pub fn build_regions_breadth_first(
     seeds: &[Ipv6Addr],
     strategy: SplitStrategy,
     max_leaf: usize,
     max_regions: usize,
-    workers: usize,
 ) -> Vec<Region> {
     if seeds.is_empty() {
         return Vec::new();
@@ -475,18 +471,10 @@ pub fn build_regions_par(
     }
     let total: usize = frontier.iter().map(Vec::len).sum::<usize>().max(1);
     let pool = max_regions.saturating_sub(frontier.len());
-    let groups: Vec<(Vec<Ipv6Addr>, usize)> = frontier
-        .into_iter()
-        .map(|g| {
-            let cap = 1 + pool * g.len() / total;
-            (g, cap)
-        })
-        .collect();
-    let _span = sos_obs::span(crate::parallel::GEN_PARALLEL);
-    let parts = sos_obs::par::par_map(groups, workers, |_, (g, cap)| {
-        build_regions(&g, strategy, max_leaf, cap)
-    });
-    parts.into_iter().flatten().collect()
+    frontier
+        .iter()
+        .flat_map(|g| build_regions(g, strategy, max_leaf, 1 + pool * g.len() / total))
+        .collect()
 }
 
 /// Choose the split dimension, or `None` when every position is constant.
@@ -570,48 +558,29 @@ mod tests {
     }
 
     #[test]
-    fn build_regions_par_is_worker_invariant() {
-        let seeds: Vec<Ipv6Addr> = (0..512u128)
-            .map(|i| Ipv6Addr::from((0x2600u128 << 112) | (i * 0x30007)))
-            .collect();
-        for strategy in [SplitStrategy::Leftmost, SplitStrategy::MinEntropy] {
-            let base = build_regions_par(&seeds, strategy, 8, 1 << 10, 1);
-            for workers in [2, 4, 8] {
-                let par = build_regions_par(&seeds, strategy, 8, 1 << 10, workers);
-                assert!(same_regions(&base, &par), "workers={workers} {strategy:?}");
-            }
-            // ...and it still partitions every seed
-            let total: usize = base.iter().map(|r| r.seed_count).sum();
-            assert_eq!(total, seeds.len());
-        }
-    }
-
-    #[test]
-    fn build_regions_par_respects_the_region_cap() {
+    fn build_regions_breadth_first_respects_the_region_cap() {
         let seeds: Vec<Ipv6Addr> = (0..4096u128)
             .map(|i| Ipv6Addr::from((0x2600u128 << 112) | (i * 0x10001)))
             .collect();
         for max_regions in [1, 8, 64, 256] {
-            for workers in [1, 4] {
-                let regions =
-                    build_regions_par(&seeds, SplitStrategy::Leftmost, 1, max_regions, workers);
-                assert!(
-                    !regions.is_empty() && regions.len() <= max_regions,
-                    "cap {max_regions} workers {workers}: got {}",
-                    regions.len()
-                );
-                let total: usize = regions.iter().map(|r| r.seed_count).sum();
-                assert_eq!(total, seeds.len(), "cap {max_regions} still partitions");
-            }
+            let regions =
+                build_regions_breadth_first(&seeds, SplitStrategy::Leftmost, 1, max_regions);
+            assert!(
+                !regions.is_empty() && regions.len() <= max_regions,
+                "cap {max_regions}: got {}",
+                regions.len()
+            );
+            let total: usize = regions.iter().map(|r| r.seed_count).sum();
+            assert_eq!(total, seeds.len(), "cap {max_regions} still partitions");
         }
     }
 
     #[test]
-    fn build_regions_par_degenerate_inputs() {
-        assert!(build_regions_par(&[], SplitStrategy::Leftmost, 8, 64, 8).is_empty());
+    fn build_regions_breadth_first_degenerate_inputs() {
+        assert!(build_regions_breadth_first(&[], SplitStrategy::Leftmost, 8, 64).is_empty());
         // identical seeds: unsplittable, single region, no spin
         let same = vec![a("2001:db8::1"); 100];
-        let regions = build_regions_par(&same, SplitStrategy::MinEntropy, 8, 1024, 8);
+        let regions = build_regions_breadth_first(&same, SplitStrategy::MinEntropy, 8, 1024);
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].pattern.free_count(), 0);
     }

@@ -261,7 +261,7 @@ fn one_fit_gives_the_same_streams_on_every_port_and_budget() {
     for seeds in [normal_seeds(), subnet_seeds(16)] {
         for id in TgaId::ALL {
             let generator = build(id);
-            let model = generator.fit(&seeds, 1);
+            let model = generator.fit(&seeds);
             for proto in netmodel::PROTOCOLS {
                 for budget in [600, 2500] {
                     let cfg = GenConfig::new(budget, 0x5EED ^ u64::from(proto.bit()), proto);

@@ -156,17 +156,3 @@ fn candidate_streams_and_tags_are_pinned() {
         "streams moved: {moved:?}; observed table:\n{table}"
     );
 }
-
-/// The parallel generators hit the same pins at any worker count.
-#[test]
-fn parallel_generators_hit_the_same_pins_at_four_workers() {
-    for (id, live, stream, tags) in PINS {
-        if matches!(id, TgaId::SixScan | TgaId::Det) {
-            assert_eq!(
-                run(id, live, 4),
-                (stream, tags),
-                "{id} live={live} workers=4"
-            );
-        }
-    }
-}

@@ -111,19 +111,6 @@ impl Prefix {
         let step = 1u128 << (128 - sub_len as u32);
         Prefix::new(Ipv6Addr::from(base + i * step), sub_len)
     }
-
-    /// Iterate all addresses in the prefix. Only sensible for small
-    /// prefixes; panics if the prefix holds more than 2^24 addresses.
-    pub fn iter_addresses(&self) -> impl Iterator<Item = Ipv6Addr> {
-        assert!(
-            self.len >= 104,
-            "refusing to enumerate /{} (> 2^24 addresses)",
-            self.len
-        );
-        let base = u128::from(self.network);
-        let n = self.size();
-        (0..n).map(move |i| Ipv6Addr::from(base + i))
-    }
 }
 
 impl fmt::Display for Prefix {
@@ -256,14 +243,6 @@ mod tests {
     #[should_panic]
     fn subprefix_out_of_range() {
         p("2001:db8::/32").subprefix(48, 0x1_0000);
-    }
-
-    #[test]
-    fn iter_addresses() {
-        let addrs: Vec<_> = p("2001:db8::/126").iter_addresses().collect();
-        assert_eq!(addrs.len(), 4);
-        assert_eq!(addrs[0], "2001:db8::".parse::<Ipv6Addr>().unwrap());
-        assert_eq!(addrs[3], "2001:db8::3".parse::<Ipv6Addr>().unwrap());
     }
 
     #[test]

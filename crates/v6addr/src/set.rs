@@ -50,11 +50,6 @@ impl PrefixSet {
         })
     }
 
-    /// Is the exact prefix present?
-    pub fn contains_prefix(&self, prefix: &Prefix) -> bool {
-        self.trie.get(prefix).is_some()
-    }
-
     /// Iterate the stored prefixes.
     pub fn iter(&self) -> impl Iterator<Item = Prefix> + '_ {
         self.trie.iter().map(|(p, _)| p)
@@ -140,13 +135,6 @@ mod tests {
         let (outside, inside) = s.partition(vec![a("2001:db8::1"), a("2002::1"), a("2001:db8::2")]);
         assert_eq!(inside.len(), 2);
         assert_eq!(outside, vec![a("2002::1")]);
-    }
-
-    #[test]
-    fn exact_prefix_membership() {
-        let s: PrefixSet = [p("2001:db8::/32")].into_iter().collect();
-        assert!(s.contains_prefix(&p("2001:db8::/32")));
-        assert!(!s.contains_prefix(&p("2001:db8::/48")));
     }
 
     #[test]

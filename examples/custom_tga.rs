@@ -37,7 +37,7 @@ impl TargetGenerator for LastByte {
         TgaId::SixGen
     }
 
-    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr], _workers: usize) -> Box<dyn SeedModel + 'a> {
+    fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
         let mut prefixes: Vec<u128> = seeds.iter().map(|&s| u128::from(s) >> 64).collect();
         prefixes.sort_unstable();
         prefixes.dedup();
