@@ -16,7 +16,7 @@ use v6addr::{AddrMap, AddrSet, Prefix, PrefixTrie};
 use crate::alias::AliasRegion;
 use crate::asreg::{synth_name, AsInfo, AsKind, AsRegistry, Asn, Country};
 use crate::config::WorldConfig;
-use crate::dns::{DnsUniverse, DomainRecord};
+use crate::dns::DnsUniverse;
 use crate::hosts::{HostKind, HostRecord, HostTable};
 use crate::scheme::AddressingScheme;
 use crate::services::{PortSet, Protocol, PROTOCOLS};
@@ -387,11 +387,22 @@ fn gen_alias_regions(
     out
 }
 
+/// `f64::total_cmp`'s order as an integer: negative values flip every bit,
+/// the rest only the sign bit, so `a.total_cmp(&b)` is
+/// `score_key(a).cmp(&score_key(b))`.
+fn score_key(score: f64) -> u64 {
+    let bits = score.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
 /// Build the domain universe over the generated web hosts.
 fn gen_dns(rng: &mut SmallRng, web_hosts: &[(Ipv6Addr, AsKind, bool)]) -> DnsUniverse {
-    let mut scored: Vec<(f64, DomainRecord)> = Vec::new();
-    let mut id: u64 = 1;
-    for &(addr, kind, churned) in web_hosts {
+    // Per domain in creation order: its score key, its creation index, and
+    // the web hosts of its records. One vector, so its growth leaves no
+    // freed buffers behind in the heap.
+    let mut domains: Vec<(u64, u32, u32, Option<u32>)> = Vec::new();
+    let mut records = 0;
+    for (host, &(addr, kind, churned)) in web_hosts.iter().enumerate() {
         let popularity = match kind {
             AsKind::Cdn => 30.0,
             AsKind::CloudHosting => 8.0,
@@ -399,35 +410,37 @@ fn gen_dns(rng: &mut SmallRng, web_hosts: &[(Ipv6Addr, AsKind, bool)]) -> DnsUni
         };
         let mut extra = 0;
         loop {
-            let mut addrs = vec![addr];
+            let mut second = None;
             if rng.gen_bool(0.15) && web_hosts.len() > 1 {
-                let (other, _, _) = web_hosts[rng.gen_range(0..web_hosts.len())];
-                if other != addr {
-                    addrs.push(other);
+                let other = rng.gen_range(0..web_hosts.len());
+                if web_hosts[other].0 != addr {
+                    second = Some(other as u32);
                 }
             }
             let mut score = rng.gen::<f64>() / popularity;
             if churned {
                 score *= 4.0; // dead sites rarely top the popularity charts
             }
-            scored.push((score, DomainRecord { id, rank: 0, addrs }));
-            id += 1;
+            records += 1 + usize::from(second.is_some());
+            domains.push((score_key(score), domains.len() as u32, host as u32, second));
             extra += 1;
             if extra >= 5 || !rng.gen_bool(0.30) {
                 break;
             }
         }
     }
-    scored.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let records = scored
-        .into_iter()
-        .enumerate()
-        .map(|(i, (_, mut r))| {
-            r.rank = (i + 1) as u32;
-            r
-        })
-        .collect();
-    DnsUniverse::new(records)
+    // Rank 1 is the lowest score; the creation index breaks ties, as a
+    // stable sort would.
+    domains.sort_unstable_by_key(|&(key, index, ..)| (key, index));
+    let mut dns = DnsUniverse::with_capacity(domains.len(), records);
+    for (.., host, second) in domains {
+        let first = web_hosts[host as usize].0;
+        match second {
+            Some(other) => dns.push(&[first, web_hosts[other as usize].0]),
+            None => dns.push(&[first]),
+        }
+    }
+    dns
 }
 
 /// Build a complete world from `cfg`. Deterministic in `cfg`.
@@ -602,7 +615,7 @@ pub fn build_world(cfg: WorldConfig) -> World {
         let i = rng.gen_range(0..pool.len());
         vantages.push(pool.swap_remove(i));
     }
-    let topology = Topology::new(cfg.seed, st.routers_by_as.clone(), transit_asns, vantages);
+    let topology = Topology::new(cfg.seed, st.routers_by_as, transit_asns, vantages);
 
     // ---- Stats -----------------------------------------------------------
     let mut stats = WorldStats {
@@ -739,8 +752,23 @@ mod tests {
         let w = build_world(WorldConfig::tiny(17));
         let dns = w.dns();
         assert!(dns.len() > 100);
-        assert_eq!(dns.all()[0].rank, 1);
-        assert!(dns.all().windows(2).all(|w| w[0].rank < w[1].rank));
+        assert!(dns.all().all(|records| !records.is_empty()));
+    }
+
+    #[test]
+    fn score_keys_rank_as_the_stable_total_cmp_sort() {
+        let nan = f64::NAN;
+        let scores = [
+            0.5, 0.0, 0.25, 0.5, -0.0, 1.0, 0.0, -1.5, 0.0, 4.0, nan, -0.0,
+        ];
+        // The reference: a stable sort of the scores, ties in creation order.
+        let mut reference: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+        reference.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let mut keyed: Vec<(u64, u32)> = scores.iter().map(|&s| score_key(s)).zip(0..).collect();
+        keyed.sort_unstable();
+        let by_key: Vec<usize> = keyed.iter().map(|&(_, i)| i as usize).collect();
+        let by_total_cmp: Vec<usize> = reference.iter().map(|&(_, i)| i).collect();
+        assert_eq!(by_key, by_total_cmp);
     }
 
     #[test]

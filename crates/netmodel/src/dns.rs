@@ -10,65 +10,53 @@
 
 use std::net::Ipv6Addr;
 
-/// One domain with its AAAA records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DomainRecord {
-    /// Stable numeric id (names are derived from it).
-    pub id: u64,
-    /// Popularity rank, 1 = most popular. Toplists take low ranks.
-    pub rank: u32,
-    /// AAAA records. May point at churned hosts (stale records).
-    pub addrs: Vec<Ipv6Addr>,
-}
-
-impl DomainRecord {
-    /// The synthetic FQDN for this record.
-    pub fn name(&self) -> String {
-        format!("site-{}.example", self.id)
-    }
-}
-
-/// The full ranked universe of domains.
+/// The full ranked universe of domains, most popular first, stored flat:
+/// a domain is the run of AAAA records between its end offset and the one
+/// before it.
 #[derive(Debug, Clone, Default)]
 pub struct DnsUniverse {
-    /// Records sorted by ascending rank (most popular first).
-    records: Vec<DomainRecord>,
+    /// Every domain's AAAA records back to back, in rank order.
+    addrs: Vec<Ipv6Addr>,
+    /// One past each domain's last record in `addrs`, in rank order.
+    ends: Vec<u32>,
 }
 
 impl DnsUniverse {
-    /// Build from records; sorts by rank.
-    pub fn new(mut records: Vec<DomainRecord>) -> Self {
-        records.sort_by_key(|r| r.rank);
-        DnsUniverse { records }
+    /// An empty universe with room for `domains` domains holding `records`
+    /// AAAA records in all.
+    pub(crate) fn with_capacity(domains: usize, records: usize) -> Self {
+        DnsUniverse {
+            addrs: Vec::with_capacity(records),
+            ends: Vec::with_capacity(domains),
+        }
+    }
+
+    /// Append the next domain in rank order, with its AAAA records.
+    pub(crate) fn push(&mut self, records: &[Ipv6Addr]) {
+        self.addrs.extend_from_slice(records);
+        self.ends.push(self.addrs.len() as u32);
     }
 
     /// Total number of domains.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.ends.len()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.ends.is_empty()
     }
 
-    /// The `k` most popular domains.
-    pub fn top(&self, k: usize) -> &[DomainRecord] {
-        &self.records[..k.min(self.records.len())]
+    /// The AAAA records of the `k` most popular domains, one slice each.
+    pub fn top(&self, k: usize) -> impl Iterator<Item = &[Ipv6Addr]> {
+        let ends = &self.ends[..k.min(self.len())];
+        let starts = std::iter::once(&0).chain(ends);
+        std::iter::zip(starts, ends).map(|(&s, &e)| &self.addrs[s as usize..e as usize])
     }
 
-    /// All records, most popular first.
-    pub fn all(&self) -> &[DomainRecord] {
-        &self.records
-    }
-
-    /// Resolve AAAA records for a domain id, mimicking a recursive lookup:
-    /// `None` when the domain does not exist.
-    pub fn resolve(&self, id: u64) -> Option<&[Ipv6Addr]> {
-        self.records
-            .iter()
-            .find(|r| r.id == id)
-            .map(|r| r.addrs.as_slice())
+    /// The AAAA records of every domain, most popular first.
+    pub fn all(&self) -> impl Iterator<Item = &[Ipv6Addr]> {
+        self.top(self.len())
     }
 }
 
@@ -81,48 +69,28 @@ mod tests {
     }
 
     fn sample() -> DnsUniverse {
-        DnsUniverse::new(vec![
-            DomainRecord {
-                id: 10,
-                rank: 3,
-                addrs: vec![a("2600::3")],
-            },
-            DomainRecord {
-                id: 11,
-                rank: 1,
-                addrs: vec![a("2600::1"), a("2600::2")],
-            },
-            DomainRecord {
-                id: 12,
-                rank: 2,
-                addrs: vec![a("2600::2")],
-            },
-        ])
+        let mut u = DnsUniverse::default();
+        u.push(&[a("2600::1"), a("2600::2")]);
+        u.push(&[a("2600::2")]);
+        u.push(&[a("2600::3")]);
+        u
     }
 
     #[test]
     fn top_is_rank_ordered() {
         let u = sample();
-        let ranks: Vec<u32> = u.top(10).iter().map(|r| r.rank).collect();
-        assert_eq!(ranks, vec![1, 2, 3]);
-        assert_eq!(u.top(2).len(), 2);
-        assert_eq!(u.top(2)[0].id, 11);
-    }
-
-    #[test]
-    fn resolve_by_id() {
-        let u = sample();
-        assert_eq!(u.resolve(10), Some(&[a("2600::3")][..]));
-        assert!(u.resolve(99).is_none());
-    }
-
-    #[test]
-    fn names_are_stable_and_distinct() {
-        let u = sample();
-        assert_eq!(u.all()[0].name(), "site-11.example");
-        let mut names: Vec<String> = u.all().iter().map(|r| r.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), 3);
+        let all: Vec<&[Ipv6Addr]> = u.top(10).collect();
+        assert_eq!(
+            all,
+            [
+                &[a("2600::1"), a("2600::2")][..],
+                &[a("2600::2")],
+                &[a("2600::3")]
+            ]
+        );
+        assert_eq!(u.len(), 3);
+        assert_eq!(u.top(2).count(), 2);
+        assert!(u.all().eq(u.top(3)));
+        assert_eq!(DnsUniverse::default().all().count(), 0);
     }
 }

@@ -41,7 +41,7 @@ pub mod world;
 pub use alias::AliasRegion;
 pub use asreg::{AsInfo, AsKind, AsRegistry, Asn, Country};
 pub use config::WorldConfig;
-pub use dns::{DnsUniverse, DomainRecord};
+pub use dns::DnsUniverse;
 pub use faults::{FaultConfig, FaultEffect, FaultEpochs, FaultKind, FaultPlan};
 pub use hosts::{HostKind, HostRecord, HostTable};
 pub use scheme::AddressingScheme;

@@ -73,12 +73,12 @@ impl Lookups {
 pub fn collect_censys_ct(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::CensysCt.stream());
     let mut l = Lookups::default();
-    for rec in world.dns().all() {
+    for records in world.dns().all() {
         // CT coverage: most certificate'd sites appear; each carries a
         // handful of extra never-resolving SANs.
         l.attempted += 1 + rng.gen_range(0..6); // extra no-AAAA names
         if rng.gen_bool(0.62) {
-            l.answered(&rec.addrs);
+            l.answered(records);
         }
     }
     l.finish()
@@ -89,17 +89,16 @@ pub fn collect_censys_ct(world: &World, seed: u64) -> DomainCollection {
 pub fn collect_rapid7(world: &World, seed: u64) -> DomainCollection {
     let mut rng = SmallRng::seed_from_u64(seed ^ SourceId::Rapid7.stream());
     let mut l = Lookups::default();
-    for rec in world.dns().all() {
+    for records in world.dns().all() {
         l.attempted += 1 + rng.gen_range(0..4);
         // Stale-record bias: the snapshot predates churn, so records for
         // now-churned hosts are *more* likely present than in fresh data.
-        let stale = rec
-            .addrs
+        let stale = records
             .iter()
             .any(|&a| world.hosts().get(a).is_some_and(|r| r.churned));
         let p = if stale { 0.70 } else { 0.45 };
         if rng.gen_bool(p) {
-            l.answered(&rec.addrs);
+            l.answered(records);
         }
     }
     l.finish()
@@ -130,11 +129,11 @@ pub fn collect_toplist(world: &World, seed: u64, id: SourceId) -> DomainCollecti
     let mut rng = SmallRng::seed_from_u64(seed ^ id.stream());
     let head = (world.dns().len() as f64 * head_frac).ceil() as usize;
     let mut l = Lookups::default();
-    for rec in world.dns().top(head) {
+    for records in world.dns().top(head) {
         l.attempted += 1;
         let mut p = include_p;
         if id == SourceId::SecRank {
-            let china = rec.addrs.iter().any(|&a| {
+            let china = records.iter().any(|&a| {
                 world
                     .asn_of(a)
                     .and_then(|asn| world.registry().info(asn))
@@ -143,7 +142,7 @@ pub fn collect_toplist(world: &World, seed: u64, id: SourceId) -> DomainCollecti
             p = if china { 0.95 } else { 0.18 };
         }
         if rng.gen_bool(p) {
-            l.answered(&rec.addrs);
+            l.answered(records);
         }
     }
     l.finish()

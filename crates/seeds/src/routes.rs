@@ -62,8 +62,8 @@ pub fn collect_ripe_atlas(world: &World, seed: u64) -> Vec<Ipv6Addr> {
     // across the whole Internet.
     let mut targets: Vec<Ipv6Addr> = Vec::new();
     let head = (world.dns().len() / 40).max(16);
-    for rec in world.dns().top(head) {
-        targets.extend(rec.addrs.iter().copied());
+    for records in world.dns().top(head) {
+        targets.extend_from_slice(records);
     }
     for (addr, rec) in world.hosts().iter() {
         if rec.responds_any() && rng.gen_bool(0.02) {

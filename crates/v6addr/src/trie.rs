@@ -86,12 +86,6 @@ impl<V> PrefixTrie<V> {
         old
     }
 
-    /// Value stored at exactly `prefix`, if any.
-    pub fn get(&self, prefix: &Prefix) -> Option<&V> {
-        let at = self.level(prefix.len()).ok()?;
-        self.levels[at].1.get(&u128::from(prefix.network())) // at: found by level()
-    }
-
     /// Longest-prefix match: the most specific stored prefix containing
     /// `addr`, with its value.
     pub fn lookup(&self, addr: Ipv6Addr) -> Option<(Prefix, &V)> {
@@ -211,8 +205,9 @@ mod tests {
         assert_eq!(t.insert(p("2001:db8::/32"), 1), None);
         assert_eq!(t.insert(p("2001:db8::/32"), 2), Some(1));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.get(&p("2001:db8::/32")), Some(&2));
-        assert_eq!(t.get(&p("2001:db8::/33")), None);
+        let stored: Vec<(Prefix, &u32)> = t.iter().collect();
+        assert_eq!(stored, [(p("2001:db8::/32"), &2)]);
+        assert_eq!(t.lookup(a("2001:db8::1")), Some((p("2001:db8::/32"), &2)));
     }
 
     #[test]
