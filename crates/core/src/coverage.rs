@@ -220,7 +220,11 @@ mod tests {
     #[test]
     fn build_folds_truth_generated_and_hits() {
         let world = World::build(StudyConfig::tiny(5).world);
-        let truth_total = world.hosts().count_where(|r| r.responds_any()) as u64;
+        let truth_total = world
+            .hosts()
+            .iter()
+            .filter(|(_, r)| r.responds_any())
+            .count() as u64;
         let generated = vec![
             addr(0x3fff_0000, 1),
             addr(0x3fff_0000, 2),

@@ -264,11 +264,6 @@ impl HostTable {
                 })
             })
     }
-
-    /// Count hosts satisfying `pred`.
-    pub fn count_where(&self, pred: impl Fn(&HostRecord) -> bool) -> usize {
-        self.hosts.iter().filter(|h| pred(&h.record)).count()
-    }
 }
 
 #[cfg(test)]
@@ -419,16 +414,5 @@ mod tests {
         ]);
         let keys: Vec<u128> = m.iter().map(|(a, _)| u128::from(a)).collect();
         assert_eq!(keys, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn count_where() {
-        let m = HostTable::build(vec![
-            (1, rec(PortSet::ALL, false)),
-            (2, rec(PortSet::EMPTY, true)),
-            (3, rec(PortSet::ALL, false)),
-        ]);
-        assert_eq!(m.count_where(|r| r.responds_any()), 2);
-        assert_eq!(m.count_where(|r| r.churned), 1);
     }
 }

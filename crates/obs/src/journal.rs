@@ -525,11 +525,6 @@ impl JournalWriter {
         &self.path
     }
 
-    /// The sequence number the next record will carry.
-    pub fn next_seq(&self) -> u64 {
-        self.seq
-    }
-
     /// Append one event, stamped with `vclock_us` and the process wall
     /// clock, as one line in one write.
     pub fn write(&mut self, vclock_us: u64, event: Event) -> io::Result<()> {
@@ -739,7 +734,6 @@ mod tests {
         }
         {
             let mut w = JournalWriter::append(&path).unwrap();
-            assert_eq!(w.next_seq(), 2, "sequence continues after reopen");
             w.write(
                 9,
                 Event::Resume {
@@ -752,7 +746,7 @@ mod tests {
         }
         let records = read_records(&path).unwrap();
         assert_eq!(records.len(), 3);
-        assert_eq!(records[2].seq, 2);
+        assert_eq!(records[2].seq, 2, "sequence continues after reopen");
         assert!(matches!(records[2].event, Event::Resume { .. }));
         let _ = std::fs::remove_file(&path);
     }
@@ -885,7 +879,6 @@ mod tests {
                 .write_all(tail)
                 .unwrap();
             let mut w = JournalWriter::append(&path).unwrap();
-            assert_eq!(w.next_seq(), 1);
             w.write(
                 5,
                 Event::Resume {
@@ -973,8 +966,20 @@ mod tests {
     fn missing_journal_append_starts_fresh() {
         let path = tmp("sos_obs_journal_fresh.jsonl");
         let _ = std::fs::remove_file(&path);
-        let w = JournalWriter::append(&path).unwrap();
-        assert_eq!(w.next_seq(), 0);
+        JournalWriter::append(&path)
+            .unwrap()
+            .write(
+                0,
+                Event::RoundStart {
+                    round: 1,
+                    from: 0,
+                    to: 10,
+                },
+            )
+            .unwrap();
+        let records = read_records(&path).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].seq, 0, "a fresh journal starts at 0");
         let _ = std::fs::remove_file(&path);
     }
 }

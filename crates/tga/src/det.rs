@@ -22,9 +22,8 @@ use rand::SeedableRng;
 use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
-use crate::parallel::{sample_regions, stream_seed, SampleUnit};
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions_breadth_first, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{build_regions, stream_seed, Region, SplitStrategy, MAX_REGIONS};
 use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Bandit state per tree leaf. A run clones the fitted arms and shares
@@ -42,7 +41,7 @@ struct Arm {
 /// Build the bandit arms over a seed basis (the fit and every online
 /// rebuild).
 fn arms_over(basis: &[Ipv6Addr]) -> Vec<Arm> {
-    build_regions_breadth_first(basis, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS)
+    build_regions(basis, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS)
         .into_iter()
         .map(|region| Arm {
             prior: Arm::prior(&region),
@@ -142,41 +141,24 @@ impl SeedModel for Fitted<'_> {
             let ln_total = total_probes.max(2.0).ln();
             let scores: Vec<f64> = arms.iter().map(|a| a.ucb(ln_total)).collect();
             let order = slate(&scores, ARMS_PER_ROUND, |a, b| b.total_cmp(a));
-            // Phase 1: every selected arm samples against the round-start
-            // `seen`, each from its own (arm digest, round, slot)-derived
-            // stream.
-            let units: Vec<SampleUnit<'_>> = order
-                .iter()
-                .enumerate()
-                .map(|(slot, &idx)| {
-                    let region: &Region = &arms[idx].region; // idx from order: < arms.len()
-                    SampleUnit {
-                        index: idx,
-                        region,
-                        want: BATCH,
-                        explore: EXPLORE,
-                        stream: stream_seed(cfg.seed ^ 0xde7, region.digest, round, slot),
-                    }
-                })
-                .collect();
-            let proposals = sample_regions(&units, sink.seen());
-            drop(units); // release the arms borrow before the commit mutates them
-
-            // Phase 2: commit in slot order.
+            // Each selected arm draws its batch from a private (digest,
+            // round, slot) stream against everything emitted so far, and
+            // commits it before the next arm draws.
             let mut progressed = false;
-            for (idx, proposal) in proposals {
+            for (slot, &idx) in order.iter().enumerate() {
                 if sink.room() == 0 {
                     break;
                 }
-                let arm = &mut arms[idx]; // idx < arms.len(): a unit's index
-                if proposal.is_empty() {
-                    // Leaf exhausted (decided on the proposal, not the
-                    // commit): expand its variable dimensions upward (DET
-                    // keeps probing outward from productive structure);
-                    // retire only when expansion hits the routing prefix. Widen twice — after a tree
-                    // rebuild the tight new leaves largely overlap
-                    // already-seen space, and one dimension of headroom
-                    // drains in a single batch.
+                let arm = &mut arms[idx]; // idx from order: < arms.len()
+                let stream = stream_seed(cfg.seed ^ 0xde7, arm.region.digest, round, slot);
+                let batch = arm.region.draw_unseen(BATCH, EXPLORE, stream, sink.seen());
+                if batch.is_empty() {
+                    // Leaf exhausted: expand its variable dimensions upward
+                    // (DET keeps probing outward from productive structure);
+                    // retire only when expansion hits the routing prefix.
+                    // Widen twice — after a tree rebuild the tight new
+                    // leaves largely overlap already-seen space, and one
+                    // dimension of headroom drains in a single batch.
                     match arm.region.widened().and_then(|w| w.widened().or(Some(w))) {
                         Some(w) => {
                             arm.prior = Arm::prior(&w);
@@ -189,10 +171,7 @@ impl SeedModel for Fitted<'_> {
                 }
                 // Arms are rebuilt online: the leaf's member digest, not
                 // its index, is the stable identity across tree updates.
-                let batch = sink.commit(&proposal, Tag::new(idx, arm.region.digest, round));
-                if batch.is_empty() {
-                    continue; // cross-slot collisions only — not a dead leaf
-                }
+                let batch = sink.commit(&batch, Tag::new(idx, arm.region.digest, round));
                 progressed = true;
                 let sent = batch.len() as f64;
                 let hits = probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| {

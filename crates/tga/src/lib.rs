@@ -35,7 +35,6 @@
 
 pub mod det;
 pub mod entropy_ip;
-pub mod parallel;
 pub mod pattern;
 pub mod sink;
 pub mod six_gen;
@@ -47,7 +46,7 @@ pub mod six_tree;
 pub mod space_tree;
 
 pub use pattern::{Pattern, ValueHist};
-pub use space_tree::{build_regions_breadth_first, Region, SplitStrategy};
+pub use space_tree::{Region, SplitStrategy};
 
 use std::cmp::Ordering;
 use std::net::Ipv6Addr;

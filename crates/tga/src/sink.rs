@@ -12,8 +12,9 @@
 //! - **fill** — [`Candidates::finish`] is the only way to get the output
 //!   back, and pads it to the budget by seed mutation ([`REGION_FILL`]).
 //!
-//! A generator is a model and a proposal order; it never sees the `seen`
-//! set or the log. Online generators probe the range `draw` / `commit`
+//! A generator is a model and a proposal order; it never writes the
+//! `seen` set (6Scan and DET read it to draw against) and never sees the
+//! log. Online generators probe the range `draw` / `commit`
 //! returned through `probe_round`, one target at a time.
 
 use std::net::Ipv6Addr;
@@ -88,8 +89,9 @@ impl<'p> Candidates<'p> {
         &self.out
     }
 
-    /// Every address emitted so far — the round-start snapshot the
-    /// parallel proposal phase filters against ([`crate::parallel`]).
+    /// Every address emitted so far: what a batch from
+    /// [`Region::draw_unseen`](crate::Region::draw_unseen) is drawn
+    /// against.
     pub fn seen(&self) -> &AddrSet<u128> {
         &self.seen
     }
@@ -129,10 +131,11 @@ impl<'p> Candidates<'p> {
         start..self.out.len()
     }
 
-    /// Emit a finite proposal in order — e.g. the sequential half of a
-    /// parallel round ([`crate::parallel`]): addresses already emitted
-    /// are dropped, and one cut off by the budget is *not* marked seen.
-    /// Returns the accepted candidates' range in [`Self::out`].
+    /// Emit a finite batch in order — e.g. one drawn by
+    /// [`Region::draw_unseen`](crate::Region::draw_unseen): addresses
+    /// already emitted are dropped, and one cut off by the budget is
+    /// *not* marked seen. Returns the accepted candidates' range in
+    /// [`Self::out`].
     pub fn commit(&mut self, proposal: &[Ipv6Addr], tag: Tag) -> Range<usize> {
         let start = self.out.len();
         for &a in proposal {

@@ -17,9 +17,8 @@ use rand::{Rng, SeedableRng};
 use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
-use crate::parallel::{sample_regions, stream_seed, SampleUnit};
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions_breadth_first, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{build_regions, stream_seed, Region, SplitStrategy, MAX_REGIONS};
 use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Leaf size for the space tree (6Tree-style leftmost splits).
@@ -43,8 +42,7 @@ impl TargetGenerator for SixScan {
     }
 
     fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
-        let regions =
-            build_regions_breadth_first(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
+        let regions = build_regions(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
         // Seed-density prior for the first rounds.
         let mut order: Vec<usize> = (0..regions.len()).collect();
         order.sort_by(|&a, &b| {
@@ -104,50 +102,32 @@ impl SeedModel for Fitted<'_> {
             rate.extend(reward.iter().zip(&probes).map(|(r, p)| r / p));
             order.sort_by(|&a, &b| rate[b].total_cmp(&rate[a])); // a, b < n: rate sized n
 
-            // Slot selection runs up front on the round RNG, making each
-            // region batch an independent unit; sampling itself draws from
-            // per-(region, round, slot) streams.
-            let slots = REGIONS_PER_ROUND.min(order.len());
-            let units: Vec<SampleUnit<'_>> = (0..slots)
-                .map(|slot| {
-                    let idx = if rng.gen_bool(EPSILON) {
-                        order[rng.gen_range(0..order.len())]
-                    } else {
-                        order[slot.min(order.len() - 1)] // slot < slots <= order.len()
-                    };
-                    let region = &regions[idx]; // idx from order: < n
-                    SampleUnit {
-                        index: idx,
-                        region,
-                        want: BATCH,
-                        explore: EXPLORE,
-                        stream: stream_seed(cfg.seed ^ 0x65ca, region.digest, round, slot),
-                    }
-                })
-                .collect();
-            // Phase 1: proposals against the round-start `seen`.
-            let proposals = sample_regions(&units, sink.seen());
-            // Phase 2: commit in slot order.
+            // Each slot picks its region on the round RNG, then draws its
+            // batch from a private (region, round, slot) stream against
+            // everything emitted so far, and commits it before the next
+            // slot draws.
             let mut progressed = false;
-            for (idx, proposal) in proposals {
+            for slot in 0..REGIONS_PER_ROUND.min(order.len()) {
                 if sink.room() == 0 {
                     break;
                 }
+                let idx = if rng.gen_bool(EPSILON) {
+                    order[rng.gen_range(0..order.len())]
+                } else {
+                    order[slot] // slot < order.len()
+                };
                 if exhausted[idx] {
-                    // idx < n: a unit's index
+                    // idx from order: < n
                     continue; // an ε repeat of a region exhausted earlier this round
                 }
-                if proposal.is_empty() {
-                    // Exhaustion keys off the *proposal*, not the commit:
-                    // an empty commit below is just a cross-slot
-                    // collision, not a dead region.
+                let region = &regions[idx]; // idx < n
+                let stream = stream_seed(cfg.seed ^ 0x65ca, region.digest, round, slot);
+                let batch = region.draw_unseen(BATCH, EXPLORE, stream, sink.seen());
+                if batch.is_empty() {
                     exhausted[idx] = true; // idx < n
                     continue;
                 }
-                let batch = sink.commit(&proposal, Tag::new(idx, regions[idx].digest, round)); // idx < n
-                if batch.is_empty() {
-                    continue;
-                }
+                let batch = sink.commit(&batch, Tag::new(idx, region.digest, round));
                 progressed = true;
                 probes[idx] += batch.len() as f64; // idx < n
 

@@ -91,8 +91,8 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
         0xc9a5497f7006ca2a,
         0x425fff671538013f,
     ),
-    (TgaId::Det, false, 0xf37ae6257a391dfe, 0x082afe85dfe5db8e),
-    (TgaId::Det, true, 0xfe0e9490b9314224, 0xa27837f60c505cfc),
+    (TgaId::Det, false, 0x4d8c83974a0ada48, 0x03830049c79b6e52),
+    (TgaId::Det, true, 0x9138d2c41e62514d, 0x1b7aefb484175cc3),
     (
         TgaId::SixTree,
         false,
@@ -103,10 +103,10 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
     (
         TgaId::SixScan,
         false,
-        0x6f8ed6a753069a19,
-        0x514945c15745172f,
+        0x86ef7cac52a379c0,
+        0x97da84ee71027eff,
     ),
-    (TgaId::SixScan, true, 0x2d994f064ee7e234, 0xf5310b6ba3375df1),
+    (TgaId::SixScan, true, 0x53016404bdecf6bf, 0x3dfd788c30286072),
     (
         TgaId::SixGraph,
         false,
