@@ -58,10 +58,9 @@ pub struct Options {
     /// `--faults PRESET`: a deterministic hostile-world preset baked into
     /// the world model, for any experiment.
     pub faults: String,
-    /// What the scale preset, `--seed`, `--faults`, `--budget` and the
-    /// worker counts name. `--threads` sizes the grid; `--scan-shards`
-    /// sizes the scan fan-out inside a cell and stays at the preset (1)
-    /// unless given. Results are bit-identical at any width.
+    /// What the scale preset, `--seed`, `--faults`, `--budget` and
+    /// `--threads` name. `--threads` sizes the grid; results are
+    /// bit-identical at any width.
     pub cfg: StudyConfig,
     /// `--breaker`: per-/48 circuit breakers in the campaign.
     pub breaker: bool,
@@ -94,7 +93,7 @@ impl Options {
             faults: "off".to_string(),
             ..Options::default()
         };
-        let (mut budget, mut threads, mut scan_shards) = (None, None, None);
+        let (mut budget, mut threads) = (None, None);
         // Flags an entry owns, to check against the selection at the end.
         let mut owned = Vec::new();
         let mut it = args.into_iter();
@@ -112,7 +111,6 @@ impl Options {
                 "--seed" => o.seed = value(it, "--seed")?,
                 "--budget" => budget = Some(value(it, "--budget")?),
                 "--threads" => threads = workers(it, "--threads")?,
-                "--scan-shards" => scan_shards = workers(it, "--scan-shards")?,
                 "--faults" => o.faults = value(it, "--faults")?,
                 "--breaker" => o.breaker = true,
                 "--checkpoint" => o.checkpoint = Some(value(it, "--checkpoint")?),
@@ -160,7 +158,6 @@ impl Options {
         })?;
         o.cfg.budget = budget.unwrap_or(o.cfg.budget);
         o.cfg.threads = threads.or(o.cfg.threads);
-        o.cfg.scan_shards = scan_shards.unwrap_or(o.cfg.scan_shards);
         Ok(o)
     }
 }
@@ -170,7 +167,7 @@ impl Options {
 pub fn usage() -> String {
     let mut u = String::from(
         "usage: seedscan <experiment> [--scale tiny|small|study] [--seed N] [--budget N]\n\
-         \u{20}                [--threads N] [--scan-shards N] [--faults PRESET]\n\
+         \u{20}                [--threads N] [--faults PRESET]\n\
          \u{20}                [--manifest FILE] [--trace FILE] [--flame FILE] [its own flags]\n\
          \u{20}      seedscan watch <journal> [--interval-ms N] [--max-idle-polls N]\n\
          \u{20}      seedscan explain <manifest|journal> [--json] [--top N]\n\

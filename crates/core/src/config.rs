@@ -16,11 +16,9 @@ pub struct StudyConfig {
     pub gen_seed: u64,
     /// Scanner retransmissions after the first attempt.
     pub scan_retries: u32,
-    /// Worker shards for each scan pass (`Scanner::scan_parallel`). With
-    /// 1 the scan runs as a single task on the calling thread — the same
-    /// probe loop, no clones, no spawns; results are bit-identical at
-    /// every value, the shards only split the pps budget and the wall
-    /// clock.
+    /// Unused: every scan runs on the calling thread, and nothing reads
+    /// this. It is kept only so callers that still set it compile, and goes
+    /// with them.
     pub scan_shards: usize,
     /// Unused: generation runs on one thread, and nothing reads this. It
     /// is kept only so callers that still set it compile, and goes with

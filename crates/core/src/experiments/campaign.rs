@@ -31,7 +31,6 @@ pub(crate) fn emit(r: &Run) -> Result<(), String> {
     let o = &r.opts;
     let journal = o.journal.as_ref().map(PathBuf::from);
     let opts = RunOptions {
-        shards: o.cfg.scan_shards,
         checkpoint_every: o.checkpoint_every.unwrap_or(0),
         checkpoint_path: o.checkpoint.as_ref().map(PathBuf::from),
         cancel: None,
@@ -42,6 +41,7 @@ pub(crate) fn emit(r: &Run) -> Result<(), String> {
         snapshot_every: o.snapshot_every.unwrap_or(1),
         // `run` tags the targets itself.
         provenance: None,
+        ..RunOptions::default()
     };
     let resume = o.resume.as_deref().map(Path::new);
     let c = run(r.study(), o.seed, &o.faults, o.breaker, opts, resume)?;
@@ -109,12 +109,11 @@ pub fn run(
     let summary = ManifestExplain::from_run(study.world(), targets, &run.result.reports);
 
     let mut text = format!(
-        "Campaign over {} targets (faults={faults}, breaker={}, shards={})\n\
+        "Campaign over {} targets (faults={faults}, breaker={})\n\
          completed={} rounds={} resumed_targets={}\n\
          {:<7} {:>8} {:>8} {:>8} {:>8} {:>10} {:>8} {:>8}\n",
         targets.len(),
         if breaker { "on" } else { "off" },
-        opts.shards.max(1),
         run.completed,
         run.rounds,
         run.resumed_targets,

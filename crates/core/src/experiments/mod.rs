@@ -216,7 +216,6 @@ impl Run {
         m.config("seed", opts.seed);
         m.config("budget", cfg.budget);
         m.config("threads", cfg.effective_threads());
-        m.config("scan_shards", cfg.scan_shards);
         m.config("scan_retries", cfg.scan_retries);
         m.config("gen_seed", cfg.gen_seed);
         m.config("faults", opts.faults.as_str());

@@ -19,8 +19,8 @@
 //!
 //! The attribution table's sums are checked against the campaign's own
 //! scan counters and the verdict is printed: `explain` is only trustworthy
-//! because that invariant holds for faulted, sharded, and
-//! killed-and-resumed runs alike (see `crates/core/tests/explain_campaign.rs`).
+//! because that invariant holds for faulted and killed-and-resumed runs
+//! alike (see `crates/core/tests/explain_campaign.rs`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

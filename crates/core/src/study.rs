@@ -175,15 +175,13 @@ impl Study {
         prov: &ProvenanceLog,
     ) -> EvalOutcome {
         let mut scanner = self.scanner(salt);
-        let shards = self.cfg.scan_shards.max(1);
         let report = {
             let _s = sos_obs::span_detail(
                 "scan",
                 format!("proto={proto:?} targets={}", generated.len()),
             );
-            // One call for every case: a disabled log scans untagged, and
-            // one shard runs on this thread.
-            scanner.scan_parallel_attributed(generated.iter().copied(), proto, shards, prov)
+            // One call for every case: a disabled log scans untagged.
+            scanner.scan_attributed(generated.iter().copied(), proto, prov)
         };
 
         // Two-tier output dealiasing.
@@ -387,30 +385,6 @@ mod tests {
         assert!(!pattern.is_empty());
         let out = s.evaluate(&pattern, Protocol::Icmp, 44);
         assert_eq!(out.metrics.hits, 0, "megapattern AS filtered on ICMP");
-    }
-
-    #[test]
-    fn sharded_evaluation_matches_sequential() {
-        // scan_shards only changes the execution strategy: every metric
-        // and every clean hit must be identical to the sequential path.
-        let seq = study();
-        let mut cfg = StudyConfig::tiny(123);
-        cfg.scan_shards = 4;
-        let par = Study::new(cfg);
-        let mixed: Vec<Ipv6Addr> = seq
-            .world()
-            .hosts()
-            .iter()
-            .map(|(a, _)| a)
-            .step_by(7)
-            .take(120)
-            .chain((0..30u128).map(|i| Ipv6Addr::from(0x3fff << 112 | i)))
-            .collect();
-        let a = seq.evaluate(&mixed, Protocol::Icmp, 46);
-        let b = par.evaluate(&mixed, Protocol::Icmp, 46);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.clean_hits, b.clean_hits);
-        assert_eq!(a.ases, b.ases);
     }
 
     #[test]

@@ -35,8 +35,6 @@ pub struct WatchState {
     pub targets: u64,
     /// Prepared targets per round.
     pub round_size: u64,
-    /// Shards per round.
-    pub shards: u64,
     /// Protocol names, in scan order.
     pub protocols: Vec<String>,
     /// Targets scanned so far.
@@ -107,13 +105,11 @@ impl WatchState {
                 fingerprint,
                 targets,
                 protocols,
-                shards,
                 round_size,
             } => {
                 self.fingerprint = Some(*fingerprint);
                 self.targets = *targets;
                 self.protocols = protocols.clone();
-                self.shards = *shards;
                 self.round_size = *round_size;
             }
             Event::Resume {
@@ -282,11 +278,10 @@ impl WatchState {
         };
         out.push_str(&format!("campaign {fp}  [{status}]\n"));
         out.push_str(&format!(
-            "  progress   {}/{} targets ({pct:.1}%), round {}, {} shard(s), protocols [{}]\n",
+            "  progress   {}/{} targets ({pct:.1}%), round {}, protocols [{}]\n",
             self.done,
             self.targets,
             self.rounds,
-            self.shards.max(1),
             self.protocols.join(", "),
         ));
         out.push_str(&format!(
@@ -440,7 +435,6 @@ mod tests {
                     fingerprint: 0xabcd,
                     targets: 40,
                     protocols: vec!["Icmp".into(), "Tcp80".into()],
-                    shards: 4,
                     round_size: 20,
                 },
             ),

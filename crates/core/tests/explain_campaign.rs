@@ -1,6 +1,6 @@
 //! The explain acceptance invariant: `seedscan explain` must reproduce a
 //! campaign's discovery numbers *exactly* — from both the manifest and
-//! the journal of a faulted, sharded, killed-and-resumed campaign — and
+//! the journal of a faulted, killed-and-resumed campaign — and
 //! the attribution table's per-region sums must equal the top-level
 //! `ScanReport` counters. This is the end-to-end counterpart of the
 //! per-crate provenance identity tests.
@@ -33,10 +33,9 @@ fn explain_reproduces_a_killed_and_resumed_campaign_exactly() {
     let journal_path = tmp("journal.jsonl");
     let manifest_path = tmp("manifest.json");
 
-    // Kill the sharded campaign mid-flight at a checkpoint boundary, the
+    // Kill the campaign mid-flight at a checkpoint boundary, the
     // way `seedscan campaign --stop-after 2` does...
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: 64,
         checkpoint_path: Some(ckpt_path.clone()),
         journal_path: Some(journal_path.clone()),

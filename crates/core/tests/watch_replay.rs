@@ -60,7 +60,6 @@ fn replay_reconstructs_a_live_campaign_exactly() {
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&prom);
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: 40,
         journal_path: Some(journal.clone()),
         snapshot_path: Some(prom.clone()),
@@ -109,7 +108,6 @@ fn replay_of_a_killed_campaign_matches_its_checkpoint() {
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt_path);
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: 40,
         checkpoint_path: Some(ckpt_path.clone()),
         journal_path: Some(journal.clone()),
@@ -154,7 +152,6 @@ fn a_round_redone_after_a_resume_counts_once() {
         let _ = std::fs::remove_file(path);
     }
     let opts = |checkpoint: &PathBuf, stop: Option<usize>| RunOptions {
-        shards: 4,
         checkpoint_every: 40,
         checkpoint_path: Some(checkpoint.clone()),
         stop_after_rounds: stop,
@@ -232,7 +229,6 @@ fn live_watch_follows_a_journal_recreated_under_it() {
     let run = |path: &PathBuf, targets: &[std::net::Ipv6Addr], every: usize| {
         let _ = std::fs::remove_file(path);
         let opts = RunOptions {
-            shards: 2,
             checkpoint_every: every,
             journal_path: Some(path.clone()),
             ..RunOptions::default()
@@ -277,4 +273,67 @@ fn live_watch_follows_a_journal_recreated_under_it() {
     );
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&fresh);
+}
+
+/// Journals written while campaigns still had a shard count carry it in
+/// `campaign_start` (`"shards":4` before `"round_size"`); nothing else in
+/// them differs. Such a journal replays through `explain` and `watch` to
+/// exactly what the journal without the field does.
+#[test]
+fn a_journal_with_a_shard_count_replays_through_explain_and_watch() {
+    let w = hostile_world(0x5A4D);
+    let t = targets(&w);
+    let journal = tmp("sharded.jsonl");
+    let ckpt_path = tmp("sharded.ckpt.json");
+    let _ = std::fs::remove_file(&journal);
+    let opts = RunOptions {
+        checkpoint_every: 40,
+        checkpoint_path: Some(ckpt_path.clone()),
+        journal_path: Some(journal.clone()),
+        ..RunOptions::default()
+    };
+    // A kill and a resume, into one journal.
+    let stop = RunOptions {
+        stop_after_rounds: Some(2),
+        ..opts.clone()
+    };
+    Campaign::standard(&mut scanner(w.clone()))
+        .run_with(&t, &stop, None)
+        .unwrap();
+    let ckpt = CampaignCheckpoint::load(&ckpt_path).unwrap();
+    let resumed = Campaign::standard(&mut scanner(w))
+        .run_with(&t, &opts, Some(&ckpt))
+        .unwrap();
+    assert!(resumed.completed);
+
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let first = text.lines().next().unwrap();
+    assert!(first.contains("\"ev\":\"campaign_start\"") && !first.contains("shards"));
+    let parent = tmp("sharded.parent.jsonl");
+    std::fs::write(
+        &parent,
+        text.replacen("\"round_size\":", "\"shards\":4,\"round_size\":", 1),
+    )
+    .unwrap();
+    assert!(std::fs::read_to_string(&parent)
+        .unwrap()
+        .contains("\"shards\":4,"));
+
+    for json in [false, true] {
+        assert_eq!(
+            sos_core::explain::explain(&parent, json, 5).unwrap(),
+            sos_core::explain::explain(&journal, json, 5).unwrap(),
+            "explain --json={json}"
+        );
+    }
+    let replayed = watch::replay(&parent).unwrap();
+    assert_eq!(replayed.completed, Some(true));
+    assert_eq!(replayed.render(), watch::replay(&journal).unwrap().render());
+    let mut out = Vec::new();
+    let watched = watch::watch_live(&parent, Duration::from_millis(1), Some(3), &mut out).unwrap();
+    assert_eq!(watched.completed, Some(true));
+    assert_eq!(watched.counters, replayed.counters);
+    for path in [&journal, &parent, &ckpt_path] {
+        let _ = std::fs::remove_file(path);
+    }
 }

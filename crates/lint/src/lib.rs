@@ -2,17 +2,17 @@
 //! workspace.
 //!
 //! The reproduction's headline property is *bit-identical determinism*:
-//! sharded scans must merge to the sequential report, and every
+//! grids must give the same cells at every worker count, and every
 //! comparative number in the paper assumes reruns reproduce. The dynamic
-//! suites (stream pins, worker and shard invariance, the grid fan-out and
-//! outlier-cut pins, kill+resume, the goldens) catch every planted bug
-//! that changes bytes on a test world; this tool keeps the rules that
-//! catch what they cannot — six of them, each with a fixture that only it
-//! flags. It is a zero-dependency lexer (`lexer`), file/region
-//! classification and suppression parsing (`classify`), hash-alias
-//! recovery (`parse`), the per-file artifacts (`symbols`), and the
-//! file-scoped token rules (`rules`). Any finding fails CI; the one way to
-//! carry an exception is a reasoned allow comment at the site
+//! suites (stream pins, worker invariance, the wire reference, the grid
+//! fan-out and outlier-cut pins, kill+resume, the goldens) catch every
+//! planted bug that changes bytes on a test world; this tool keeps the
+//! rules that catch what they cannot — six of them, each with a fixture
+//! that only it flags. It is a zero-dependency lexer (`lexer`),
+//! file/region classification and suppression parsing (`classify`),
+//! hash-alias recovery (`parse`), the per-file artifacts (`symbols`), and
+//! the file-scoped token rules (`rules`). Any finding fails CI; the one
+//! way to carry an exception is a reasoned allow comment at the site
 //! (`sos-lint: allow(rule-id) reason`), and one that is malformed, names
 //! no rule or suppresses nothing is itself a finding.
 //!

@@ -8,9 +8,9 @@
 //! *workspace policy*, not general Rust style:
 //!
 //! - **Determinism** — scan reports, manifests, and candidate lists must
-//!   be bit-identical across runs and shard counts (the sharded scanner's
-//!   merge contract, and the precondition for every comparative claim in
-//!   the paper). Nothing may iterate a randomized-order container without
+//!   be bit-identical across runs and worker counts (the grid's merge
+//!   contract, and the precondition for every comparative claim in the
+//!   paper). Nothing may iterate a randomized-order container without
 //!   restoring an order, and report assembly holds none at all.
 //! - **Concurrency** — `Relaxed` atomics carry a written argument, and
 //!   per-target hot loops take no locks.
@@ -61,14 +61,14 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "conc-relaxed",
         group: "concurrency",
-        rationale: "Relaxed ordering on state crossing the par_map merge boundary needs a written justification (sos-lint: allow)",
+        rationale: "Relaxed ordering on state shared across the grid's par_map workers needs a written justification (sos-lint: allow)",
         severity: "error",
         fix: "use AcqRel/SeqCst, or suppress with the monotonicity argument written down",
     },
     RuleInfo {
         id: "conc-lock-in-hot-loop",
         group: "concurrency",
-        rationale: "taking a lock inside a per-target hot loop (probe_burst) serializes the shards the loop exists to parallelize; hoist it",
+        rationale: "taking a lock inside a per-target hot loop (probe_burst) pays for the lock on every probe, and serializes any workers that share it; hoist it",
         severity: "error",
         fix: "acquire the lock once before the loop",
     },
@@ -272,7 +272,7 @@ fn file_rules(fd: &FileData, cfg: &Config, aliases: &[String]) -> Vec<Finding> {
                     "conc-relaxed",
                     t.line,
                     t.col,
-                    "`Ordering::Relaxed` needs a written justification that it cannot cross the par_map merge boundary unsynchronized"
+                    "`Ordering::Relaxed` needs a written justification that no par_map worker reads it unsynchronized"
                         .to_string(),
                 );
             }

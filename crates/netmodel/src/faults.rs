@@ -19,9 +19,10 @@
 //!
 //! # The virtual clock
 //!
-//! Fault state must be *identical under any shard interleaving* (the
-//! scan engine's sequential and sharded paths must produce bit-identical
-//! reports). Wall-clock time cannot provide that, so the plan's time
+//! Fault state must be *identical under any interleaving of prefixes*
+//! (a campaign that scans its protocols one after another, or resumes
+//! from a checkpoint, must reproduce every report bit for bit).
+//! Wall-clock time cannot provide that, so the plan's time
 //! axis is the **per-prefix probe index** ("density"): the nth probe a
 //! scanner sends into a prefix on a protocol sees the same network
 //! no matter how probes to *other* prefixes interleave around it. Under
@@ -207,7 +208,7 @@ type Preset = (&'static str, fn() -> FaultConfig);
 /// A compiled, seeded fault schedule. Pure: every decision is a
 /// function of `(prefix, protocol, density)` and the plan seed, so two
 /// scans that send the same probe sequence into a prefix see the same
-/// faults — regardless of shard count or interleaving.
+/// faults — regardless of how probes to other prefixes interleave.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     cfg: FaultConfig,

@@ -23,8 +23,7 @@
 //! - **Deterministic payloads.** Every record carries the campaign's
 //!   virtual clock (`vclock_us`, derived from deterministic report
 //!   accounting) next to the process wall clock (`wall_s`); everything
-//!   except `wall_s` and `seq`-independent ordering is bit-identical
-//!   across shard counts.
+//!   except `wall_s` is bit-identical from run to run.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -47,8 +46,6 @@ pub enum Event {
         targets: u64,
         /// Protocol names, in scan order.
         protocols: Vec<String>,
-        /// Shards per round.
-        shards: u64,
         /// Prepared targets per round.
         round_size: u64,
     },
@@ -213,7 +210,6 @@ impl Event {
                 fingerprint: fp,
                 targets,
                 protocols,
-                shards,
                 round_size,
             } => {
                 fingerprint(w, *fp);
@@ -221,11 +217,7 @@ impl Event {
                 for p in protocols {
                     w.str(p);
                 }
-                w.end_arr()
-                    .key("shards")
-                    .u64(*shards)
-                    .key("round_size")
-                    .u64(*round_size);
+                w.end_arr().key("round_size").u64(*round_size);
             }
             Event::Resume {
                 fingerprint: fp,
@@ -347,7 +339,6 @@ impl Event {
                     .iter()
                     .map(|p| p.as_str().map(str::to_string).ok_or("bad protocol name"))
                     .collect::<Result<Vec<_>, _>>()?,
-                shards: get_u64(j, "shards")?,
                 round_size: get_u64(j, "round_size")?,
             },
             "resume" => Event::Resume {
@@ -606,7 +597,6 @@ mod tests {
                 fingerprint: 0xdead_beef,
                 targets: 100,
                 protocols: vec!["Icmp".into(), "Tcp80".into()],
-                shards: 4,
                 round_size: 25,
             },
             Event::RoundStart {
@@ -683,6 +673,29 @@ mod tests {
             let back = Record::parse_line(&line).expect("parses");
             assert_eq!(back, rec, "event {i} must round-trip");
         }
+    }
+
+    /// Journals written before campaigns lost their shard count carry a
+    /// `"shards"` field in `campaign_start`; it is read past, not refused.
+    #[test]
+    fn a_campaign_start_with_a_shard_count_still_parses() {
+        let line = "{\"v\":1,\"seq\":0,\"ev\":\"campaign_start\",\"vclock_us\":0,\
+                    \"wall_s\":0.0116,\"fingerprint\":\"a7f60a3b8b851c3e\",\"targets\":4910,\
+                    \"protocols\":[\"ICMP\",\"TCP80\",\"TCP443\",\"UDP53\"],\"shards\":4,\
+                    \"round_size\":64}";
+        let rec = Record::parse_line(line).expect("a shard count is read past");
+        assert_eq!(
+            rec.event,
+            Event::CampaignStart {
+                fingerprint: 0xa7f6_0a3b_8b85_1c3e,
+                targets: 4910,
+                protocols: ["ICMP", "TCP80", "TCP443", "UDP53"]
+                    .map(String::from)
+                    .into(),
+                round_size: 64,
+            }
+        );
+        assert_eq!(rec.to_line(), line.replace("\"shards\":4,", ""));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The workspace's one thread fan-out.
 //!
-//! [`par_map`] runs the RQ grids and the sharded scans: an
-//! order-preserving map over owned items whose result never depends on
-//! the worker count. It keeps no timing of its own: every call runs
-//! inside a span that names its width (`grid` carries `threads=`, the
-//! scans `shards=`), and the items worth seeing open spans of their own
-//! (`cell`, `scan_shard`) on their worker's lane, so the span records
-//! are the one timing record the manifest and the trace read.
+//! [`par_map`] runs the RQ grids' cells: an order-preserving map over
+//! owned items whose result never depends on the worker count. It keeps
+//! no timing of its own: every call runs inside a span that names its
+//! width (`grid` carries `threads=`), and each `cell` opens a span of its
+//! own on its worker's lane, so the span records are the one timing
+//! record the manifest and the trace read. Scans run on the calling
+//! thread.
 
 use std::sync::Mutex;
 

@@ -6,7 +6,7 @@
 //!   (the `traceEvents` array format), loadable in Perfetto or
 //!   `chrome://tracing`. Spans appear under one `spans` process with one
 //!   lane per recording thread, so a fan-out's workers are the lanes its
-//!   `cell` or `scan_shard` spans land on, and straggler cells are
+//!   `cell` spans land on, and straggler cells are
 //!   visible at a glance.
 //! - [`collapsed_stacks`] sums the self time spans recorded at close, per
 //!   path, in the collapsed stack format `path;to;span <microseconds>` that

@@ -21,13 +21,13 @@
 //! snapshot (journal record and `.prom` file, one cadence) carries the
 //! state's counters, and the checkpoint is the state's serialization.
 //!
-//! **A round's delta is what its tasks hand back.** A round's tasks are
-//! lent exactly the density and breaker rows of their targets — a
-//! one-protocol, one-shard round too, as one task — and the scanner diffs
-//! each task's rows at reclaim against the rows it was lent (the round's
-//! `Delta`), so a boundary costs what its round touched. Lines are
-//! written straight into a reused buffer ([`JsonWriter`]) — no JSON tree
-//! is built — and a boundary's journal records go out in one write.
+//! **A round's delta is read off the scanner's lane.** A round scans its
+//! protocols one after another on the calling thread. Before it, the
+//! scanner reads the density and breaker rows its targets can touch; after
+//! it, it reads them again, and the rows that changed are the round's
+//! `Delta`, so a boundary costs what its round touched. Lines are written
+//! straight into a reused buffer ([`JsonWriter`]) — no JSON tree is built
+//! — and a boundary's journal records go out in one write.
 //!
 //! The checkpoint is one append-only JSON-lines file. **Line 1 is the
 //! state** — the whole of it — and is written where the file must stand
@@ -138,10 +138,9 @@ impl CampaignResult {
 /// Knobs for [`Campaign::run_with`].
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Shards per protocol per round (normalized to ≥ 1). A round runs
-    /// `protocols × shards` tasks, so only a one-protocol campaign at one
-    /// shard runs on the calling thread — the standard four-protocol
-    /// campaign spawns four tasks even at `1`.
+    /// Unused: every round runs on the calling thread, and nothing reads
+    /// this. It is kept only because the benchmark harness still sets it,
+    /// and goes with that.
     pub shards: usize,
     /// Prepared targets per round. `0` means one single round (no
     /// intermediate checkpoint boundaries).
@@ -163,7 +162,7 @@ pub struct RunOptions {
     /// ([`sos_obs::journal`]): round boundaries, checkpoint writes,
     /// breaker and fault-epoch transitions, and counter snapshots, each
     /// stamped with the campaign's deterministic virtual clock (the
-    /// shard-invariant `backoff_waited_us + throttled_us` total). A fresh
+    /// integer `backoff_waited_us + throttled_us` total). A fresh
     /// run truncates; a resume appends and continues the sequence.
     /// `None` disables journaling.
     pub journal_path: Option<PathBuf>,
@@ -745,9 +744,8 @@ impl CampaignCheckpoint {
 impl CampaignCheckpoint {
     /// The campaign's deterministic virtual clock, in microseconds: the
     /// sum of every protocol's integer backoff and throttle accounting.
-    /// Both inputs are shard-summed integers, so the readout is
-    /// bit-identical across shard counts (unlike `limited_seconds`, which
-    /// max-merges across concurrent shards and is deliberately excluded).
+    /// Both inputs are integers, so the readout never depends on the order
+    /// they were summed in (`limited_seconds`, a float, is left out).
     fn vclock_us(&self) -> u64 {
         self.reports
             .iter()
@@ -789,11 +787,9 @@ fn discovery_events(table: &AttributionTable) -> Vec<Event> {
 }
 
 /// Breaker, then fault-epoch transition events for the rows a round
-/// changed, each in sorted `(domain, proto)` order.
-///
-/// Transitions are detected by the **campaign** at round boundaries — the
-/// shard workers never emit events, so the journal's event stream is
-/// identical no matter how many shards raced through the round.
+/// changed, each in sorted `(domain, proto)` order. Transitions are
+/// detected by the **campaign** at round boundaries, never by the probe
+/// loop.
 fn transitions(delta: &Delta, plan: Option<&FaultPlan>) -> Vec<Event> {
     let mut events = Vec::new();
     for &((domain, proto), before, breaker) in &delta.breaker {
@@ -1060,14 +1056,12 @@ impl<'a, T: Transport> Campaign<'a, T> {
         state.breaker = lane.breaker;
         state.counters = self.scanner.metrics().counters();
     }
-}
 
-impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
     /// Run (or resume) the campaign in checkpointable rounds.
     ///
     /// The target list is prepared once; rounds of
     /// `opts.checkpoint_every` prepared targets are then scanned on every
-    /// protocol (sharded `opts.shards` ways). After each round the machine
+    /// protocol, one protocol after another. After each round the machine
     /// state is made durable at `opts.checkpoint_path` (when set; the file
     /// rewritten as one state line, or one round line appended, see the
     /// module docs), and
@@ -1089,9 +1083,8 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
         let _span = sos_obs::span_detail(
             "campaign",
             format!(
-                "protos={} shards={} round={}",
+                "protos={} round={}",
                 self.protocols.len(),
-                opts.shards.max(1),
                 opts.checkpoint_every
             ),
         );
@@ -1162,7 +1155,6 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
         } else {
             opts.checkpoint_every
         };
-        let shards = opts.shards.max(1);
         let snapshot_every = opts.snapshot_every.max(1);
         let mut rounds_this_run = 0usize;
         let mut completed = true;
@@ -1182,7 +1174,6 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
                     .iter()
                     .map(|p| p.label().to_string())
                     .collect(),
-                shards: shards as u64,
                 round_size: round_size as u64,
             },
         })?;
@@ -1211,13 +1202,9 @@ impl<'a, T: Transport + Clone + Send> Campaign<'a, T> {
             // Only a boundary that writes anything needs the rows the
             // round changed.
             let mut delta = sinks.any().then(Delta::default);
-            let round = self.scanner.scan_prepared(
-                slice,
-                &self.protocols,
-                shards,
-                tags.as_deref(),
-                delta.as_mut(),
-            );
+            let round =
+                self.scanner
+                    .scan_prepared(slice, &self.protocols, tags.as_deref(), delta.as_mut());
             state.done = end;
             state.rounds += 1;
             rounds_this_run += 1;
@@ -1329,8 +1316,8 @@ mod tests {
     /// walk down the two tables, both sorted by key. Rows are never removed,
     /// so a key only `before` has does not occur and is passed over. This
     /// full-table diff is what a boundary used to compute; it stays here as
-    /// the oracle the round delta [`Scanner::scan_prepared`] hands back must
-    /// equal.
+    /// the oracle the keyed round delta [`Scanner::scan_prepared`] reads
+    /// must equal.
     fn changed<V: Copy + PartialEq>(
         before: impl Iterator<Item = ((u128, u8), V)>,
         now: impl Iterator<Item = ((u128, u8), V)>,
@@ -1361,14 +1348,13 @@ mod tests {
 
     /// Scan `targets` in rounds of `every` the way [`Campaign::run_with`]
     /// does — from `resume` when given — and check at every boundary that
-    /// the delta the round's tasks hand back is the full-table diff of the
-    /// scanner's state before and after the round. Returns how many changed
-    /// rows the boundaries saw, fault and breaker.
+    /// the delta the round reads off the rows its targets touch is the
+    /// full-table diff of the scanner's state before and after the round.
+    /// Returns how many changed rows the boundaries saw, fault and breaker.
     fn deltas_match_the_full_diff(
         campaign: &mut Campaign<'_, SimTransport>,
         targets: &[Ipv6Addr],
         every: usize,
-        shards: usize,
         resume: Option<&CampaignCheckpoint>,
     ) -> (usize, usize) {
         let (prepared, _) = campaign.scanner.prepare(
@@ -1394,13 +1380,9 @@ mod tests {
         for (round, slice) in prepared[done..].chunks(every).enumerate() {
             let before = campaign.scanner.lane.snapshot(true);
             let mut delta = Delta::default();
-            campaign.scanner.scan_prepared(
-                slice,
-                &campaign.protocols,
-                shards,
-                None,
-                Some(&mut delta),
-            );
+            campaign
+                .scanner
+                .scan_prepared(slice, &campaign.protocols, None, Some(&mut delta));
             let after = campaign.scanner.lane.snapshot(true);
             let full = Delta {
                 fault: changed(
@@ -1438,34 +1420,22 @@ mod tests {
             );
         };
 
-        for shards in [1, 4] {
-            let mut s = hostile_scanner(world.clone());
-            let seen = deltas_match_the_full_diff(
-                &mut Campaign::standard(&mut s),
-                &targets,
-                48,
-                shards,
-                None,
-            );
-            nonempty(seen, &format!("four protocols, {shards} shard(s)"));
-        }
-        // One protocol at one shard: a lone task, lent all the same so its
-        // reclaim hands the rows back.
+        let mut s = hostile_scanner(world.clone());
+        let seen = deltas_match_the_full_diff(&mut Campaign::standard(&mut s), &targets, 48, None);
+        nonempty(seen, "four protocols");
         let mut s = hostile_scanner(world.clone());
         let seen = deltas_match_the_full_diff(
             &mut Campaign::new(&mut s, vec![Protocol::Icmp]),
             &targets,
             48,
-            1,
             None,
         );
-        nonempty(seen, "one protocol, one shard");
+        nonempty(seen, "one protocol");
 
         // A resumed campaign: the scanner restored from a checkpoint two
         // rounds in.
         let path = std::env::temp_dir().join(format!("sos-delta-{}.json", std::process::id()));
         let stop = RunOptions {
-            shards: 4,
             checkpoint_every: 48,
             checkpoint_path: Some(path.clone()),
             stop_after_rounds: Some(2),
@@ -1479,13 +1449,8 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         assert_eq!(ckpt.done, 96);
         let mut s = hostile_scanner(world);
-        let seen = deltas_match_the_full_diff(
-            &mut Campaign::standard(&mut s),
-            &targets,
-            48,
-            4,
-            Some(&ckpt),
-        );
+        let seen =
+            deltas_match_the_full_diff(&mut Campaign::standard(&mut s), &targets, 48, Some(&ckpt));
         nonempty(seen, "resumed after two rounds");
     }
 

@@ -6,30 +6,14 @@
 //! Unreachable and TCP RST responses are counted but are **not** hits.
 //!
 //! One probe loop serves every caller. [`Scanner::scan`],
-//! [`Scanner::scan_parallel`], campaign rounds and the [`ScanOracle`]
+//! [`Scanner::scan_attributed`], campaign rounds and the [`ScanOracle`]
 //! feedback probes all prepare their targets the same way (dedup +
 //! blocklist, once) and then run each target through the same per-target
 //! policy — breaker admission, retry budget, one
 //! [`Transport::probe_burst`], back-off and rate-limiter replay, breaker
-//! record — on a `Lane`: a transport with the state it carries, a token
-//! bucket and a breaker map. What differs is only whose lane:
-//!
-//! - the scanner's own ([`Scanner::scan`], one-shard scans, oracle
-//!   probes), or
-//! - one lent to each of `protocols × W` tasks under
-//!   [`sos_obs::par::par_map`]: one rule — task = protocol position × W +
-//!   **prefix hash** of the address — deals the targets out, so every
-//!   fault domain and breaker domain lands wholly inside one task. The
-//!   flow, fault and breaker counters of the addresses a task is dealt
-//!   move to it, looked up by key, and back (`Lane::lend`,
-//!   `Lane::reclaim`), never forked; state no target of the scan touches
-//!   stays with the scanner, so a scan costs what it probes, not what
-//!   earlier scans accumulated. Each lent lane carries a `rate / tasks`
-//!   bucket, so the aggregate still honors Appendix A. Shard hits carry
-//!   their global input index and are merged by sorting on it, so reports
-//!   are bit-identical at every width. A campaign round that asks for its
-//!   `Delta` is always lent, so the rows it changed are read off what its
-//!   tasks hand back.
+//! record — on the scanner's one `Lane`: a transport with the state it
+//! carries, a token bucket and a breaker map, on the calling thread. A
+//! campaign round scans its protocols one after another on that lane.
 //!
 //! Hostile networks: a [`RetryPolicy`] gives exponential backoff in
 //! *virtual* seconds with seeded jitter, and an optional per-prefix
@@ -42,7 +26,6 @@
 use std::net::Ipv6Addr;
 
 use netmodel::Protocol;
-use sos_obs::par::par_map;
 use v6addr::{AddrSet, PrefixSet};
 
 use crate::carried::Carried;
@@ -139,30 +122,24 @@ pub struct ScanReport {
     pub faults_injected: u64,
     /// Circuit breakers that opened during this scan.
     pub breaker_opened: u64,
-    /// Virtual microseconds spent in retry backoff (integer so shard
-    /// merges are order-invariant; converted once per target).
+    /// Virtual microseconds spent in retry backoff (integer, converted
+    /// once per target, so any summation order gives the same total).
     pub backoff_waited_us: u64,
     /// Virtual microseconds of throttle latency the fault layer imposed
     /// (integer, converted once per probe — see `Carried::throttled_us`).
     pub throttled_us: u64,
-    /// Virtual seconds the rate limiter would have imposed. For sharded
-    /// scans this is the **maximum across shards** — the shards wait
-    /// concurrently, so the slowest shard models the wall time (each
-    /// shard's budget is `rate / W`, making the aggregate rate equal the
-    /// configured budget).
+    /// Virtual seconds the rate limiter would have imposed.
     pub limited_seconds: f64,
     /// Discovery attribution: probes/hits per provenance `(source,
     /// region)` key, when the scan was given a provenance map (empty
-    /// otherwise — untagged scans pay nothing). Merged key-wise across
-    /// shards, so the table is identical for every shard count.
+    /// otherwise — untagged scans pay nothing).
     pub attribution: AttributionTable,
 }
 
 /// Convert a per-target/per-probe virtual-seconds figure to integer
 /// microseconds. Applied at a fixed granularity (once per probe for
 /// throttle delays, once per target for backoff), so every summation
-/// order produces the same integer total — the property the sequential ≡
-/// sharded bit-identity contract needs and f64 sums cannot give.
+/// order produces the same integer total, which f64 sums cannot give.
 pub(crate) fn secs_to_us(secs: f64) -> u64 {
     (secs * 1e6).round() as u64
 }
@@ -177,14 +154,13 @@ impl ScanReport {
         }
     }
 
-    /// Fold a shard's partial report into this one.
+    /// Fold a later campaign round's report into this one: hits
+    /// concatenate, attribution merges key-wise and every count adds —
+    /// `limited_seconds` too, since rounds run one after another.
     ///
     /// Exhaustively destructured on purpose: adding a field to
-    /// `ScanReport` without deciding its merge rule here is a compile
-    /// error, and the `report_invariants` integration test asserts the
-    /// decided rules hold (every numeric field is either shard-summed,
-    /// max-merged with a written rationale, or parent-owned).
-    pub fn absorb_shard(&mut self, shard: ScanReport) {
+    /// `ScanReport` without deciding its rule here is a compile error.
+    pub(crate) fn absorb_round(&mut self, round: ScanReport) {
         let ScanReport {
             hits,
             probed,
@@ -202,11 +178,9 @@ impl ScanReport {
             throttled_us,
             limited_seconds,
             attribution,
-        } = shard;
+        } = round;
         self.hits.extend(hits);
         self.probed += probed;
-        // duplicates/blocked are parent-owned: preparation happens once,
-        // before sharding, so shard partials always carry zero.
         self.duplicates += duplicates;
         self.blocked += blocked;
         self.rsts += rsts;
@@ -219,21 +193,8 @@ impl ScanReport {
         self.breaker_opened += breaker_opened;
         self.backoff_waited_us += backoff_waited_us;
         self.throttled_us += throttled_us;
-        // max, not sum: shards wait concurrently (see field doc).
-        self.limited_seconds = self.limited_seconds.max(limited_seconds);
-        // keyed sum: merge order never changes a BTreeMap fold.
+        self.limited_seconds += limited_seconds;
         self.attribution.merge(&attribution);
-    }
-
-    /// Fold a *sequential* round's report into this one (campaign
-    /// checkpoint rounds run one after another, so `limited_seconds`
-    /// adds instead of max-merging; everything else matches
-    /// [`Self::absorb_shard`]).
-    pub(crate) fn absorb_round(&mut self, round: ScanReport) {
-        let limited = round.limited_seconds;
-        let before = self.limited_seconds;
-        self.absorb_shard(round);
-        self.limited_seconds = before + limited;
     }
 }
 
@@ -244,9 +205,9 @@ type Prepared = (Vec<(u32, Ipv6Addr)>, Option<Vec<Provenance>>);
 
 /// Per-target accounting: what [`Lane::probe_one`] adds up for every target
 /// it handles, whoever asked, one count per [`NAMES`](crate::metrics::NAMES)
-/// slot. A scan task adds it to the engine counters once at the end, an
-/// oracle probe after its single target; the hot loop itself touches no
-/// shared counter per packet.
+/// slot. A scan adds it to the engine counters once at the end, an oracle
+/// probe after its single target; the hot loop itself touches no shared
+/// counter per packet.
 #[derive(Debug, Default)]
 struct Tally {
     counts: Counts,
@@ -254,11 +215,9 @@ struct Tally {
     limited_s: f64,
 }
 
-/// What one scan task owns while it probes: the transport with the state
-/// it carries, the task's share of the rate budget, and its breakers. The
-/// scanner holds one; a sharded scan lends one to every task and reclaims
-/// them ([`Lane::lend`], [`Lane::reclaim`]), and a campaign checkpoints
-/// and restores the scanner's ([`Lane::snapshot`], [`Lane::restore`]).
+/// What the scanner probes with: the transport with the state it carries,
+/// the rate budget and the breakers. A campaign checkpoints and restores
+/// it ([`Lane::snapshot`], [`Lane::restore`]).
 #[derive(Debug)]
 pub(crate) struct Lane<T> {
     transport: T,
@@ -278,45 +237,54 @@ pub(crate) struct LaneState {
 /// value it replaced (`None` for a row the round created) and its value now.
 pub(crate) type Changed<V> = ((u128, u8), Option<V>, V);
 
-/// A lane's per-prefix rows — density clocks, then breakers — each table
-/// in key order.
-type Rows = (Vec<((u128, u8), u32)>, Vec<((u128, u8), BreakerState)>);
+/// Every per-prefix row a scan can touch, each with its value before the
+/// scan (`None` for a row that does not exist yet), in key order: density
+/// clocks, then breakers.
+type Touched = (
+    Vec<((u128, u8), Option<u32>)>,
+    Vec<((u128, u8), Option<BreakerState>)>,
+);
 
 /// What one campaign round changed in the two per-prefix tables, in key
-/// order: every lent task's rows as it hands them back, against the rows
-/// it was lent ([`Scanner::scan_prepared`]). It is what both the
-/// checkpoint's round line (the values now) and the journal's transition
-/// records (the step from the value before) are built from.
+/// order: the rows its targets touch, read before the round and again
+/// after ([`Scanner::scan_prepared`]). It is what both the checkpoint's
+/// round line (the values now) and the journal's transition records (the
+/// step from the value before) are built from.
 #[derive(Debug, Default, PartialEq)]
 pub(crate) struct Delta {
     pub(crate) fault: Vec<Changed<u32>>,
     pub(crate) breaker: Vec<Changed<BreakerState>>,
 }
 
-impl Delta {
-    /// Add the rows one task changed: those `lane` hands back that `lent`
-    /// — its rows at lend — lacks or holds with another value. A task
-    /// never drops a row, and no other task holds one of its keys.
-    fn add_task<T: Transport>(&mut self, lent: &Rows, lane: &Lane<T>) {
-        fn changed<V: Copy + PartialEq>(
-            lent: &[((u128, u8), V)],
-            now: Vec<((u128, u8), V)>,
-            out: &mut Vec<Changed<V>>,
-        ) {
-            for (key, value) in now {
-                let old = lent
-                    .binary_search_by_key(&key, |&(k, _)| k)
-                    .ok()
-                    .map(|at| lent[at].1);
-                if old != Some(value) {
-                    out.push((key, old, value));
-                }
-            }
-        }
-        let (fault, breaker) = lane.rows();
-        changed(&lent.0, fault, &mut self.fault);
-        changed(&lent.1, breaker, &mut self.breaker);
-    }
+/// The `(domain, protocol index)` keys of every domain `domain_of` puts a
+/// target in, crossed with `protos` (sorted, unique), in key order.
+fn keys(
+    targets: &[(u32, Ipv6Addr)],
+    protos: &[u8],
+    domain_of: impl Fn(Ipv6Addr) -> u128,
+) -> Vec<(u128, u8)> {
+    let mut domains: Vec<u128> = targets.iter().map(|&(_, a)| domain_of(a)).collect();
+    domains.sort_unstable();
+    domains.dedup();
+    domains
+        .into_iter()
+        .flat_map(|d| protos.iter().map(move |&p| (d, p)))
+        .collect()
+}
+
+/// The rows of `before` whose value `now` reads differently, or that `now`
+/// reads where they did not exist. A row is never removed.
+fn changed<V: Copy + PartialEq>(
+    before: Vec<((u128, u8), Option<V>)>,
+    now: impl Fn((u128, u8)) -> Option<V>,
+) -> Vec<Changed<V>> {
+    before
+        .into_iter()
+        .filter_map(|(key, old)| {
+            let value = now(key)?;
+            (old != Some(value)).then_some((key, old, value))
+        })
+        .collect()
 }
 
 impl<T: Transport> Lane<T> {
@@ -326,23 +294,6 @@ impl<T: Transport> Lane<T> {
         self.transport
             .carried()
             .map_or((0, 0), |c| (c.fault_drops(), c.throttled_us()))
-    }
-
-    /// The prefix length a sharded scan partitions targets by: coarse
-    /// enough that no active fault domain or breaker domain spans two
-    /// tasks (which would fork their per-prefix virtual clocks and make
-    /// results depend on the shard count).
-    fn partition_len(&self) -> u8 {
-        let fault = self
-            .transport
-            .carried()
-            .and_then(Carried::fault_plan)
-            .map(|p| p.prefix_len());
-        let breaker = self
-            .breaker
-            .as_ref()
-            .map(|b| b.config().effective_prefix_len());
-        fault.into_iter().chain(breaker).fold(48, u8::min)
     }
 
     /// The lane's cross-target state. With `rows` false the two per-prefix
@@ -369,26 +320,6 @@ impl<T: Transport> Lane<T> {
         }
     }
 
-    /// The lane's per-prefix rows, for a round's [`Delta`].
-    fn rows(&self) -> Rows {
-        let fault = self
-            .transport
-            .carried()
-            .map(Carried::fault_rows)
-            .unwrap_or_default();
-        let fault = fault
-            .into_iter()
-            .map(|(domain, proto, n)| ((domain, proto), n))
-            .collect();
-        (
-            fault,
-            self.breaker
-                .as_ref()
-                .map(BreakerMap::entries)
-                .unwrap_or_default(),
-        )
-    }
-
     /// Put a snapshot back. A limiter or breaker map the snapshot lacks
     /// (it was written without one) keeps this lane's own fresh one.
     pub(crate) fn restore(&mut self, state: LaneState) {
@@ -401,6 +332,40 @@ impl<T: Transport> Lane<T> {
             .map(TokenBucket::restore)
             .or(self.limiter.take());
         self.breaker = state.breaker.or(self.breaker.take());
+    }
+
+    /// The per-prefix rows a scan of `targets` on `protocols` can touch —
+    /// the density clock and the breaker of each target's domain on each
+    /// protocol — with their values now.
+    fn touched(&self, targets: &[(u32, Ipv6Addr)], protocols: &[Protocol]) -> Touched {
+        let mut protos: Vec<u8> = protocols.iter().map(|p| p.index() as u8).collect();
+        protos.sort_unstable();
+        protos.dedup();
+        let carried = self.transport.carried();
+        let fault = match carried.and_then(|c| Some((c, c.fault_plan()?))) {
+            Some((c, plan)) => keys(targets, &protos, |a| plan.domain_of(u128::from(a)))
+                .into_iter()
+                .map(|key| (key, c.density_of(key)))
+                .collect(),
+            None => Vec::new(),
+        };
+        let breaker = match &self.breaker {
+            Some(map) => keys(targets, &protos, |a| map.domain_of(a))
+                .into_iter()
+                .map(|key| (key, map.state_of(key)))
+                .collect(),
+            None => Vec::new(),
+        };
+        (fault, breaker)
+    }
+
+    /// The rows of `before` ([`Lane::touched`]) a scan since has changed.
+    fn delta_since(&self, (fault, breaker): Touched) -> Delta {
+        let carried = self.transport.carried();
+        Delta {
+            fault: changed(fault, |key| carried?.density_of(key)),
+            breaker: changed(breaker, |key| self.breaker.as_ref()?.state_of(key)),
+        }
     }
 
     /// The per-target probe policy — the only place a probe is sent from.
@@ -459,103 +424,25 @@ impl<T: Transport> Lane<T> {
     }
 }
 
-impl<T: Transport + Clone> Lane<T> {
-    /// Lend one lane to each job of a fan-out: `(protocol, the prepared
-    /// targets the task will probe on it)`. Per-prefix state (flow, fault
-    /// and breaker counters) *moves* to a task for exactly the addresses in
-    /// its list — looked up by key, so a lend costs what the lists hold,
-    /// not what the scanner has accumulated — and everything else stays
-    /// here. No two jobs may share a fault or breaker domain on one
-    /// protocol (see [`Scanner::scan_prepared`]). Every lane gets a
-    /// `rate / jobs` bucket, so the aggregate still honors Appendix A — a
-    /// lone job takes this lane's own bucket, whose clock runs on across
-    /// scans, and [`Lane::reclaim`] puts it back.
-    fn lend(
-        &mut self,
-        rate: Option<f64>,
-        jobs: &[(Protocol, Vec<(u32, Ipv6Addr)>)],
-    ) -> Vec<Lane<T>> {
-        // The carried state leaves before the transport is cloned, so a
-        // lent transport starts with exactly its task's counters and zero
-        // totals; a stateless transport lends plain clones.
-        let mut kept = self.transport.carried_mut().map(std::mem::take);
-        let lanes = jobs
-            .iter()
-            .map(|(proto, targets)| {
-                let addrs = || targets.iter().map(|&(_, addr)| addr);
-                let mut transport = self.transport.clone();
-                if let (Some(slot), Some(kept)) = (transport.carried_mut(), kept.as_mut()) {
-                    *slot = kept.lend(*proto, addrs());
-                }
-                let limiter = match jobs.len() {
-                    1 => self.limiter.take(),
-                    n => rate.map(|r| TokenBucket::split(r, r, n)),
-                };
-                Lane {
-                    transport,
-                    limiter,
-                    breaker: self.breaker.as_mut().map(|b| b.lend(*proto, addrs())),
-                }
-            })
-            .collect();
-        if let (Some(slot), Some(kept)) = (self.transport.carried_mut(), kept) {
-            *slot = kept;
-        }
-        lanes
-    }
-
-    /// Take a lent lane back after its task: per-prefix state returns, so
-    /// later scans (and campaign checkpoints) continue the same clocks, and
-    /// fault and breaker totals add. Its packet count does not — the
-    /// scanner accounts task packets from the partial reports. A bucket the
-    /// lane took from here comes back; a split one is dropped.
-    fn reclaim(&mut self, lent: Lane<T>) {
-        let Lane {
-            mut transport,
-            limiter,
-            breaker,
-        } = lent;
-        if let (Some(mine), Some(theirs)) = (self.transport.carried_mut(), transport.carried_mut())
-        {
-            mine.reclaim(std::mem::take(theirs));
-        }
-        if let (Some(mine), Some(theirs)) = (self.breaker.as_mut(), breaker) {
-            mine.absorb(theirs);
-        }
-        self.limiter = self.limiter.take().or(limiter);
-    }
-}
-
-/// Which of `shards` owns an address: a deterministic, uniform-ish hash of
-/// its top `partition_len` bits (`1..=48`, see [`Lane::partition_len`]).
-#[inline]
-fn shard_of(addr: u128, partition_len: u8, shards: usize) -> usize {
-    let domain = (addr >> (128 - u32::from(partition_len))) as u64;
-    (v6addr::splitmix64(domain) % shards.max(1) as u64) as usize
-}
-
-/// Probe one prepared slice of `(global index, target)` pairs, tallying a
-/// partial [`ScanReport`] plus index-tagged hits (the caller restores
-/// global hit order by sorting on the index). This is the scan loop: a
-/// shard worker runs it on its lent lane, and a single-task scan runs it
-/// on the scanner's own.
+/// Probe a prepared list of `(global index, target)` pairs on `proto`:
+/// the scan loop every scan and campaign round runs. Hits go straight
+/// into the returned report, in list order.
 ///
-/// `prov`, when present, maps **global prepared index → provenance tag**
-/// (the full prepared-length slice, not the shard's slice); each probed
-/// target and each hit is tallied into the partial report's attribution
-/// table, one [`RunTally`] per run of targets with one `(source, region)`
-/// key. Attribution writes touch nothing the probe path reads, so a
-/// tagged scan's hits and counters are bit-identical to an untagged one.
-fn scan_shard<T: Transport>(
+/// `prov`, when present, maps **global prepared index → provenance tag**;
+/// each probed target and each hit is tallied into the report's
+/// attribution table, one [`RunTally`] per run of targets with one
+/// `(source, region)` key. Attribution writes touch nothing the probe path
+/// reads, so a tagged scan's hits and counters are bit-identical to an
+/// untagged one.
+fn scan_list<T: Transport>(
     cfg: &ScannerConfig,
     lane: &mut Lane<T>,
     metrics: &EngineMetrics,
     targets: &[(u32, Ipv6Addr)],
     proto: Protocol,
     prov: Option<&[Provenance]>,
-) -> (ScanReport, Vec<(u32, Ipv6Addr)>) {
+) -> ScanReport {
     let mut report = ScanReport::default();
-    let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
     let mut tally = Tally::default();
     let mut run = RunTally::default();
     for &(idx, dst) in targets {
@@ -569,7 +456,7 @@ fn scan_shard<T: Transport>(
         }
         let outcome = match burst.verdict {
             Attempt::Hit => {
-                hits.push((idx, dst));
+                report.hits.push(dst);
                 HITS
             }
             Attempt::Rst => RSTS,
@@ -581,7 +468,7 @@ fn scan_shard<T: Transport>(
     run.flush(&mut report.attribution);
     // The classification and per-protocol series are counted by scans
     // only (oracle probes stay out of them); the report is read off the
-    // same slots, and the engine counters take one add per task.
+    // same slots, and the engine counters take one add per list.
     let counts = &mut tally.counts;
     counts[hits_on(proto)] = counts[HITS];
     counts[packets_on(proto)] = counts[PACKETS_SENT];
@@ -597,19 +484,16 @@ fn scan_shard<T: Transport>(
     report.backoff_waited_us = counts[BACKOFF_WAITED_US];
     report.throttled_us = tally.throttled_us;
     report.limited_seconds = tally.limited_s;
-    (report, hits)
+    report
 }
 
 /// The scanner: a [`Transport`] plus policy.
 #[derive(Debug)]
 pub struct Scanner<T: Transport> {
     cfg: ScannerConfig,
-    /// The scanner's own lane; campaigns checkpoint and restore it.
+    /// The scanner's lane; campaigns checkpoint and restore it.
     pub(crate) lane: Lane<T>,
     metrics: EngineMetrics,
-    /// Packets transmitted by lent transports (not visible in
-    /// `transport.packets_sent()`); folded into [`Scanner::packets_sent`].
-    shard_packets: u64,
 }
 
 impl<T: Transport> Scanner<T> {
@@ -625,7 +509,6 @@ impl<T: Transport> Scanner<T> {
                 breaker,
             },
             metrics: EngineMetrics::new(),
-            shard_packets: 0,
         }
     }
 
@@ -696,10 +579,9 @@ impl<T: Transport> Scanner<T> {
         (prepared, tags)
     }
 
-    /// Total packets this scanner has transmitted, including packets sent
-    /// by shard workers during parallel scans.
+    /// Total packets this scanner has transmitted.
     pub fn packets_sent(&self) -> u64 {
-        self.lane.transport.packets_sent() + self.shard_packets
+        self.lane.transport.packets_sent()
     }
 
     /// Probe one target to completion, optionally with a region tag: the
@@ -720,36 +602,75 @@ impl<T: Transport> Scanner<T> {
         burst
     }
 
-    /// Run one prepared list as a single task on the scanner's own lane.
-    fn scan_single(
-        &mut self,
-        prepared: &[(u32, Ipv6Addr)],
-        proto: Protocol,
-        prov: Option<&[Provenance]>,
-    ) -> ScanReport {
-        let (mut report, hits) = scan_shard(
-            &self.cfg,
-            &mut self.lane,
-            &self.metrics,
-            prepared,
-            proto,
-            prov,
-        );
-        // A single task sees targets in input order already.
-        report.hits = hits.into_iter().map(|(_, a)| a).collect();
-        report
-    }
-
-    /// Scan a target list on one protocol, with dedup and blocklisting,
-    /// as a single task. Works over any transport, `Clone` or not.
+    /// Scan a target list on one protocol, with dedup and blocklisting.
     pub fn scan(
         &mut self,
         targets: impl IntoIterator<Item = Ipv6Addr>,
         proto: Protocol,
     ) -> ScanReport {
+        self.scan_tagged(targets, proto, None)
+    }
+
+    /// [`Scanner::scan`] with discovery attribution: `prov` is the
+    /// provenance log a generator recorded alongside `targets` (in the
+    /// same emission order), and the returned report's
+    /// [`ScanReport::attribution`] tallies probes and hits per `(source,
+    /// region)`. Hits, counters, and probe behaviour are bit-identical to
+    /// the untagged path — attribution is bookkeeping on the side, and a
+    /// disabled log *is* the untagged path.
+    pub fn scan_attributed(
+        &mut self,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+        proto: Protocol,
+        prov: &ProvenanceLog,
+    ) -> ScanReport {
+        let _span = sos_obs::span("scan_attributed");
+        self.scan_tagged(targets, proto, Some(prov))
+    }
+
+    /// [`Scanner::scan`]; `_shards` is ignored. Kept only because the
+    /// benchmark harness compiles against it; it goes when the harness
+    /// calls `scan`.
+    pub fn scan_parallel(
+        &mut self,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+        proto: Protocol,
+        _shards: usize,
+    ) -> ScanReport {
+        self.scan(targets, proto)
+    }
+
+    /// [`Scanner::scan_attributed`]; `_shards` is ignored. Kept only
+    /// because the benchmark harness compiles against it; it goes when the
+    /// harness calls `scan_attributed`.
+    pub fn scan_parallel_attributed(
+        &mut self,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+        proto: Protocol,
+        _shards: usize,
+        prov: &ProvenanceLog,
+    ) -> ScanReport {
+        self.scan_attributed(targets, proto, prov)
+    }
+
+    /// Prepare once, scan the prepared list on `proto`, and stamp the
+    /// dedup/blocklist accounting onto the report.
+    fn scan_tagged(
+        &mut self,
+        targets: impl IntoIterator<Item = Ipv6Addr>,
+        proto: Protocol,
+        prov: Option<&ProvenanceLog>,
+    ) -> ScanReport {
         let mut template = ScanReport::default();
-        let (prepared, _) = self.prepare(targets, true, None, &mut template);
-        let mut report = self.scan_single(&prepared, proto, None);
+        let (prepared, tags) = self.prepare(targets, true, prov, &mut template);
+        let mut report = scan_list(
+            &self.cfg,
+            &mut self.lane,
+            &self.metrics,
+            &prepared,
+            proto,
+            tags.as_deref(),
+        );
         report.duplicates = template.duplicates;
         report.blocked = template.blocked;
         sos_obs::debug!(
@@ -766,178 +687,42 @@ impl<T: Transport> Scanner<T> {
         );
         report
     }
-}
-
-impl<T: Transport + Clone + Send> Scanner<T> {
-    /// Scan a target list on one protocol across `shards` parallel
-    /// workers. Produces a report bit-identical to [`Scanner::scan`] on
-    /// the same world state: preparation happens once, each shard is lent
-    /// the per-flow attempt counters of its own targets and a
-    /// `rate / shards` slice of the pps budget, and partial reports merge
-    /// in input order.
-    pub fn scan_parallel(
-        &mut self,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-        proto: Protocol,
-        shards: usize,
-    ) -> ScanReport {
-        let _span = sos_obs::span_detail(
-            "scan_parallel",
-            format!("protos=1 shards={}", shards.max(1)),
-        );
-        self.scan_sharded(targets, proto, shards, None)
-    }
-
-    /// [`Scanner::scan_parallel`] with discovery attribution: `prov` is
-    /// the provenance log a generator recorded alongside `targets` (in
-    /// the same emission order), and the returned report's
-    /// [`ScanReport::attribution`] tallies probes and hits per `(source,
-    /// region)`. Hits, counters, and probe behaviour are bit-identical to
-    /// the untagged path — attribution is bookkeeping on the side, and a
-    /// disabled log *is* the untagged path.
-    pub fn scan_parallel_attributed(
-        &mut self,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-        proto: Protocol,
-        shards: usize,
-        prov: &ProvenanceLog,
-    ) -> ScanReport {
-        let _span = sos_obs::span_detail("scan_attributed", format!("shards={}", shards.max(1)));
-        self.scan_sharded(targets, proto, shards, Some(prov))
-    }
-
-    /// Prepare once, scan the prepared list on `proto`, and stamp the
-    /// dedup/blocklist accounting onto the report.
-    fn scan_sharded(
-        &mut self,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-        proto: Protocol,
-        shards: usize,
-        prov: Option<&ProvenanceLog>,
-    ) -> ScanReport {
-        let mut template = ScanReport::default();
-        let (prepared, tags) = self.prepare(targets, true, prov, &mut template);
-        #[expect(
-            clippy::expect_used,
-            reason = "scan_prepared returns exactly one entry per requested protocol"
-        )]
-        let (_, mut report) = self
-            .scan_prepared(&prepared, &[proto], shards, tags.as_deref(), None)
-            .pop()
-            .expect("one report per protocol");
-        report.duplicates = template.duplicates;
-        report.blocked = template.blocked;
-        report
-    }
 
     /// Scan an already-prepared (deduplicated, unblocked, globally
-    /// indexed) target list on every protocol in `protocols`. This is the
-    /// shared back half of the sharded scans and the campaign checkpoint
-    /// rounds: targets are partitioned across shards **by prefix hash**
-    /// (never round-robin), so every fault domain and breaker domain lands
-    /// wholly inside one shard and per-prefix virtual clocks never fork.
+    /// indexed) target list on every protocol in `protocols`, one after
+    /// another: the back half of a campaign round. A protocol listed twice
+    /// is scanned twice, in list order.
     ///
     /// `prov` maps global prepared indices to provenance tags (see
-    /// [`scan_shard`]); `None` scans untagged. A campaign passes an empty
-    /// `delta` to learn which per-prefix rows the scan changed.
+    /// [`scan_list`]); `None` scans untagged. A campaign passes an empty
+    /// `delta` to learn which per-prefix rows the scan changed: the rows
+    /// its targets touch are read before the scan and again after.
     pub(crate) fn scan_prepared(
         &mut self,
         prepared: &[(u32, Ipv6Addr)],
         protocols: &[Protocol],
-        shards: usize,
         prov: Option<&[Provenance]>,
-        mut delta: Option<&mut Delta>,
+        delta: Option<&mut Delta>,
     ) -> Vec<(Protocol, ScanReport)> {
-        let shards = shards.max(1);
-
-        // A single task is `scan`'s path: the scanner's own lane, no
-        // thread — unless a campaign asks for the delta, which only a
-        // reclaim hands back (a lone lent task runs inline all the same).
-        if let (&[proto], true, None) = (protocols, shards == 1 || prepared.len() <= 1, &delta) {
-            return vec![(proto, self.scan_single(prepared, proto, prov))];
-        }
-
-        // The one ownership rule: task = position of the protocol in this
-        // call × shards + prefix hash of the address. A task owns the
-        // targets it is dealt and — because prefixes hash to shards at a
-        // length no fault or breaker domain is coarser than, so no domain
-        // spans two tasks — every piece of per-prefix state those targets
-        // touch, which is what lets the lend move state by the target
-        // lists alone. A protocol listed twice is scanned by its first
-        // position's tasks, so its state never forks either.
-        let partition_len = self.lane.partition_len();
-        let mut jobs: Vec<(Protocol, Vec<(u32, Ipv6Addr)>)> = protocols
-            .iter()
-            .flat_map(|&proto| (0..shards).map(move |_| (proto, Vec::new())))
-            .collect();
-        for (pi, proto) in protocols.iter().enumerate() {
-            let first = protocols
-                .iter()
-                .take(pi)
-                .position(|p| p == proto)
-                .unwrap_or(pi);
-            for &(idx, addr) in prepared {
-                let task = first * shards + shard_of(u128::from(addr), partition_len, shards);
-                jobs[task].1.push((idx, addr)); // task < jobs.len(): first < protocols.len(), shard_of < shards
-            }
-        }
-        let lanes = self.lane.lend(self.cfg.rate_pps, &jobs);
-        // The rows each task was lent, for the delta it hands back.
-        let lent: Vec<Rows> = if delta.is_some() {
-            lanes.iter().map(Lane::rows).collect()
-        } else {
-            Vec::new()
-        };
-        let mut lent = lent.into_iter();
-
-        let (cfg, metrics) = (&self.cfg, &self.metrics);
-        let tasks = jobs.len();
-        let jobs: Vec<_> = jobs.into_iter().zip(lanes).collect();
-        let results = par_map(jobs, tasks, |task, ((proto, targets), mut lane)| {
-            let _s = sos_obs::span_detail(
-                "scan_shard",
-                format!(
-                    "proto={proto:?} shard={} targets={}",
-                    task % shards,
-                    targets.len()
-                ),
-            );
-            let (report, hits) = scan_shard(cfg, &mut lane, metrics, &targets, proto, prov);
-            (report, hits, lane)
-        });
-
-        // Merge in task order: per protocol, its shards' partial reports.
-        let mut results = results.into_iter();
+        let before = delta
+            .is_some()
+            .then(|| self.lane.touched(prepared, protocols));
         let reports = protocols
             .iter()
             .map(|&proto| {
-                let mut report = ScanReport::default();
-                let mut hits: Vec<(u32, Ipv6Addr)> = Vec::new();
-                for (partial, shard_hits, lane) in results.by_ref().take(shards) {
-                    self.shard_packets += partial.packets_sent;
-                    if let (Some(delta), Some(lent)) = (delta.as_deref_mut(), lent.next()) {
-                        delta.add_task(&lent, &lane);
-                    }
-                    self.lane.reclaim(lane);
-                    hits.extend(shard_hits);
-                    report.absorb_shard(partial);
-                }
-                // Restore global input order across shards.
-                hits.sort_unstable_by_key(|&(i, _)| i);
-                report.hits = hits.into_iter().map(|(_, a)| a).collect();
-                sos_obs::debug!(
-                    "scan_parallel {proto:?} x{shards}: {} probed, {} skipped, {} hits, {} pkts",
-                    report.probed,
-                    report.skipped,
-                    report.hits.len(),
-                    report.packets_sent,
+                let report = scan_list(
+                    &self.cfg,
+                    &mut self.lane,
+                    &self.metrics,
+                    prepared,
+                    proto,
+                    prov,
                 );
                 (proto, report)
             })
             .collect();
-        if let Some(delta) = delta {
-            delta.fault.sort_unstable_by_key(|&(key, _, _)| key);
-            delta.breaker.sort_unstable_by_key(|&(key, _, _)| key);
+        if let (Some(delta), Some(before)) = (delta, before) {
+            *delta = self.lane.delta_since(before);
         }
         reports
     }
@@ -1102,11 +887,11 @@ mod tests {
         (targets, blocklist)
     }
 
-    /// For every shard width the pipeline reports exactly what the
-    /// byte-level reference scanner reports — hits in the same order,
-    /// every counter equal — dedup and blocklist drops included.
+    /// The pipeline reports exactly what the byte-level reference scanner
+    /// reports — hits in the same order, every counter equal — dedup and
+    /// blocklist drops included.
     #[test]
-    fn scan_parallel_is_bit_identical_to_the_wire_scan() {
+    fn scan_is_bit_identical_to_the_wire_scan() {
         let world = Arc::new(World::build(WorldConfig::tiny(31)));
         let (targets, blocklist) = mixed_targets(&world);
         let cfg = ScannerConfig {
@@ -1119,23 +904,17 @@ mod tests {
             let wire = crate::transport::WireOnly(SimTransport::new(world.clone()));
             let mut seq = Scanner::new(cfg.clone(), wire);
             let want = seq.scan(targets.iter().copied(), proto);
-            for shards in [1, 4, 8] {
-                let mut par = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
-                let got = par.scan_parallel(targets.iter().copied(), proto, shards);
-                assert_eq!(got, want, "{proto:?} x{shards} diverged from the wire scan");
-                assert_eq!(
-                    par.packets_sent(),
-                    seq.packets_sent(),
-                    "{proto:?} x{shards}"
-                );
-            }
+            let mut fast = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
+            let got = fast.scan(targets.iter().copied(), proto);
+            assert_eq!(got, want, "{proto:?} diverged from the wire scan");
+            assert_eq!(fast.packets_sent(), seq.packets_sent(), "{proto:?}");
         }
     }
 
-    /// A tagged scan's attribution is the per-probe fold of its tags, at
-    /// one shard and at four: hits and misses interleaved, runs of one
-    /// region, a region that comes back after another, digests mixing 0
-    /// and non-zero and rounds falling within a run.
+    /// A tagged scan's attribution is the per-probe fold of its tags: hits
+    /// and misses interleaved, runs of one region, a region that comes
+    /// back after another, digests mixing 0 and non-zero and rounds
+    /// falling within a run.
     #[test]
     fn an_attributed_scan_is_the_per_probe_fold() {
         let world = Arc::new(World::build(WorldConfig::tiny(31)));
@@ -1153,76 +932,85 @@ mod tests {
             rate_pps: None,
             ..ScannerConfig::default()
         };
-        for shards in [1, 4] {
-            let mut s = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
-            let report =
-                s.scan_parallel_attributed(targets.iter().copied(), Protocol::Icmp, shards, &log);
-            assert_eq!(report.probed, targets.len());
-            assert!(!report.hits.is_empty() && report.hits.len() < targets.len());
-            let mut want = AttributionTable::new();
-            for (i, t) in targets.iter().enumerate() {
-                let p = log.get(i).unwrap();
-                want.record_probe(p);
-                if report.hits.contains(t) {
-                    want.record_hit(p);
-                }
+        let mut s = Scanner::new(cfg, SimTransport::new(world.clone()));
+        let report = s.scan_attributed(targets.iter().copied(), Protocol::Icmp, &log);
+        assert_eq!(report.probed, targets.len());
+        assert!(!report.hits.is_empty() && report.hits.len() < targets.len());
+        let mut want = AttributionTable::new();
+        for (i, t) in targets.iter().enumerate() {
+            let p = log.get(i).unwrap();
+            want.record_probe(p);
+            if report.hits.contains(t) {
+                want.record_hit(p);
             }
-            assert_eq!(report.attribution, want, "{shards} shards");
         }
+        assert_eq!(report.attribution, want);
     }
 
+    /// Every field of a round's report has a fold rule: hits concatenate,
+    /// attribution merges key-wise and every count adds — the limiter's
+    /// wait too, since rounds run one after another. `absorb_round`'s
+    /// exhaustive destructure makes a new field a compile error, and this
+    /// test pins the decided rules.
     #[test]
-    fn scan_parallel_counts_shard_packets() {
-        let world = Arc::new(World::build(WorldConfig::tiny(31)));
-        let targets = live_hosts(&world, Protocol::Icmp, 64);
-        let cfg = ScannerConfig {
-            retry: RetryPolicy::fixed(1),
-            rate_pps: None,
-            ..ScannerConfig::default()
+    fn every_scan_report_field_has_a_merge_rule() {
+        let mk = |scale: u64| ScanReport {
+            hits: vec![Ipv6Addr::from(0x1000 + u128::from(scale))],
+            probed: scale as usize,
+            duplicates: 2 * scale as usize,
+            blocked: 3 * scale as usize,
+            rsts: 4 * scale as usize,
+            unreachables: 5 * scale as usize,
+            silent: 6 * scale as usize,
+            skipped: 7 * scale as usize,
+            retries: 8 * scale,
+            packets_sent: 9 * scale,
+            faults_injected: 10 * scale,
+            breaker_opened: 11 * scale,
+            backoff_waited_us: 12 * scale,
+            throttled_us: 13 * scale,
+            limited_seconds: 14.0 * scale as f64,
+            attribution: {
+                let mut t = AttributionTable::new();
+                let p = Provenance {
+                    source: 1,
+                    region: 9,
+                    seed_digest: 0xf00,
+                    round: 0,
+                };
+                for _ in 0..scale {
+                    t.record_probe(p);
+                }
+                t.record_hit(p);
+                t
+            },
         };
-        let mut s = Scanner::new(cfg, SimTransport::new(world));
-        let report = s.scan_parallel(targets, Protocol::Icmp, 4);
-        assert!(report.packets_sent >= 64);
+        let mut merged = mk(1);
+        merged.absorb_round(mk(100));
         assert_eq!(
-            s.packets_sent(),
-            report.packets_sent,
-            "shard packets show up in Scanner::packets_sent"
+            merged.hits,
+            [Ipv6Addr::from(0x1001), Ipv6Addr::from(0x1064)],
+            "hits concatenate in round order"
         );
+        assert_eq!(merged.probed, 101);
+        assert_eq!(merged.duplicates, 202);
+        assert_eq!(merged.blocked, 303);
+        assert_eq!(merged.rsts, 404);
+        assert_eq!(merged.unreachables, 505);
+        assert_eq!(merged.silent, 606);
+        assert_eq!(merged.skipped, 707);
+        assert_eq!(merged.retries, 808);
+        assert_eq!(merged.packets_sent, 909);
+        assert_eq!(merged.faults_injected, 1010);
+        assert_eq!(merged.breaker_opened, 1111);
+        assert_eq!(merged.backoff_waited_us, 1212);
+        assert_eq!(merged.throttled_us, 1313);
         assert_eq!(
-            s.metrics().counter("probe.packets_sent"),
-            report.packets_sent,
-            "shards share the scanner's metrics"
+            merged.limited_seconds, 1414.0,
+            "rounds wait one after another"
         );
-    }
-
-    #[test]
-    fn scan_parallel_splits_the_rate_budget() {
-        let world = Arc::new(World::build(WorldConfig::tiny(31)));
-        // One target per /48 — a live host from each populated /48, plus
-        // 200 unrouted /48s — so the prefix hash spreads them evenly by
-        // construction, however the world lays its hosts out.
-        let mut targets = live_hosts(&world, Protocol::Icmp, usize::MAX);
-        targets.dedup_by_key(|a| u128::from(*a) >> 80);
-        targets.extend((0..200u128).map(|i| Ipv6Addr::from((0x3fff_u128 << 112) | (i << 80) | 1)));
-        let cfg = ScannerConfig {
-            rate_pps: Some(50.0),
-            retry: RetryPolicy::fixed(0),
-            ..ScannerConfig::default()
-        };
-        let mut seq = Scanner::new(cfg.clone(), SimTransport::new(world.clone()));
-        let want = seq.scan(targets.iter().copied(), Protocol::Icmp);
-        let mut par = Scanner::new(cfg, SimTransport::new(world.clone()));
-        let got = par.scan_parallel(targets.iter().copied(), Protocol::Icmp, 4);
-        assert!(got.limited_seconds > 0.0);
-        // 4 shards at 12.5 pps each, waiting concurrently: the modeled
-        // wall time stays within a small factor of the sequential scan's
-        // (the budget is split, not multiplied).
-        assert!(
-            got.limited_seconds <= want.limited_seconds * 1.5 + 1.0,
-            "sharding must not inflate the modeled scan time: {} vs {}",
-            got.limited_seconds,
-            want.limited_seconds,
-        );
-        assert_eq!(got.hits, want.hits, "rate limiting never changes results");
+        // Attribution tables merge key-wise: same (source, region) row sums.
+        assert_eq!(merged.attribution.totals(), (101, 2, 0), "keyed sum");
+        assert_eq!(merged.attribution.len(), 1);
     }
 }

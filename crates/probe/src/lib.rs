@@ -11,8 +11,7 @@
 //!   token-bucket rate limiting (the paper rate-limits to 10k pps),
 //!   per-target retries, and §4.1's classification rules — ICMP
 //!   Destination Unreachable and TCP RST are *never* hits. One per-target
-//!   probe loop serves scans, sharded scans, campaign rounds and oracle
-//!   probes alike.
+//!   probe loop serves scans, campaign rounds and oracle probes alike.
 //! - [`transport::Transport`]: the probing boundary — `send` and
 //!   `packets_sent` to implement; the default [`Transport::probe_burst`] is
 //!   the byte path (build a probe packet, `send` it, parse, validate and

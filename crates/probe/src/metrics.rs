@@ -5,12 +5,12 @@
 //! [`EngineMetrics`]: its own counter per slot (so a single scan's totals
 //! can be read back in isolation — essential under parallel test
 //! execution) plus the same-named counter in the process-wide `sos-obs`
-//! registry the run manifest serializes. Scan tasks tally into plain
-//! `[u64; SLOTS]` arrays and add them here once per task; nothing here
-//! feeds back into scan behaviour.
+//! registry the run manifest serializes. A scan tallies into a plain
+//! `[u64; SLOTS]` array and adds it here once per target list; nothing
+//! here feeds back into scan behaviour.
 //!
 //! The classification outcomes and the per-protocol series cover scans
-//! (`scan`, `scan_parallel*`, campaign rounds); bare `probe_target` calls
+//! (`scan`, `scan_attributed`, campaign rounds); bare `probe_target` calls
 //! (TGA feedback and dealiasing probes) count only in the flat totals.
 
 use std::collections::BTreeMap;

@@ -14,9 +14,9 @@
 //!   construction.
 //! - [`AttributionTable`] folds probes/hits/aliases per `(source,
 //!   region)` key. It lives inside [`ScanReport`](crate::ScanReport),
-//!   merges **order-invariantly** across shards (a keyed sum), and rides
-//!   through campaign checkpoints, so a killed-and-resumed sharded scan
-//!   attributes exactly like an uninterrupted sequential one.
+//!   merges **order-invariantly** across campaign rounds (a keyed sum),
+//!   and rides through campaign checkpoints, so a killed-and-resumed
+//!   campaign attributes exactly like an uninterrupted one.
 //! - [`attribute_hits`] resolves hit lists against the world's ground
 //!   truth (addressing scheme, origin AS) for the per-scheme / per-AS
 //!   tables `seedscan explain` renders.
@@ -188,8 +188,8 @@ impl RegionTally {
     /// Take one origin into the metadata: a row that has counted nothing
     /// yet adopts it (min-merging against default zeros would fabricate a
     /// round-0 / digest-0 origin the region never had); otherwise the
-    /// minimum wins — order-invariant and stable across shard counts (both
-    /// sides carry the same value for one region generated by one run; min
+    /// minimum wins — order-invariant and stable across rounds (both sides
+    /// carry the same value for one region generated by one run; min
     /// resolves rebuilt-tree collisions deterministically).
     fn note_origin(&mut self, seed_digest: u32, round: u16) {
         if self.probes == 0 && self.hits == 0 && self.aliases == 0 {
@@ -262,7 +262,7 @@ pub struct SourceTotals {
 
 /// Provenance-keyed discovery accounting for one scan: hits, aliases,
 /// and probes per `(source, region)`. Merging is a keyed sum over a
-/// `BTreeMap`, so shard merge order never changes the result, and the
+/// `BTreeMap`, so merge order never changes the result, and the
 /// table serializes to sorted rows for checkpoints and manifests.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttributionTable {
@@ -515,7 +515,7 @@ mod tests {
             prov(1, 20, 0x22, 2),
             prov(2, 10, 0x33, 0),
         ];
-        // Build one table straight through, and one from shard partials
+        // Build one table straight through, and one from round partials
         // merged in the opposite order.
         let mut whole = AttributionTable::new();
         for &p in &ps {
@@ -524,23 +524,26 @@ mod tests {
         whole.record_hit(ps[0]);
         whole.record_hit(ps[2]);
 
-        let mut shard_a = AttributionTable::new();
-        shard_a.record_probe(ps[2]);
-        shard_a.record_hit(ps[2]);
-        shard_a.record_probe(ps[3]);
-        let mut shard_b = AttributionTable::new();
-        shard_b.record_probe(ps[0]);
-        shard_b.record_hit(ps[0]);
-        shard_b.record_probe(ps[1]);
+        let mut part_a = AttributionTable::new();
+        part_a.record_probe(ps[2]);
+        part_a.record_hit(ps[2]);
+        part_a.record_probe(ps[3]);
+        let mut part_b = AttributionTable::new();
+        part_b.record_probe(ps[0]);
+        part_b.record_hit(ps[0]);
+        part_b.record_probe(ps[1]);
 
         let mut ab = AttributionTable::new();
-        ab.merge(&shard_a);
-        ab.merge(&shard_b);
+        ab.merge(&part_a);
+        ab.merge(&part_b);
         let mut ba = AttributionTable::new();
-        ba.merge(&shard_b);
-        ba.merge(&shard_a);
+        ba.merge(&part_b);
+        ba.merge(&part_a);
         assert_eq!(ab, ba, "merge order must not matter");
-        assert_eq!(ab, whole, "shard merge equals the straight-through table");
+        assert_eq!(
+            ab, whole,
+            "merged partials equal the straight-through table"
+        );
         assert_eq!(ab.totals(), (4, 2, 0));
     }
 

@@ -22,9 +22,9 @@
 //!
 //! Under this contract a sequence of interleaved `advance` and `acquire`
 //! calls can never mint more than `burst` tokens of headroom, no matter
-//! how the calls are sliced — the invariant the per-shard budget split in
-//! [`crate::engine::Scanner::scan_parallel`] relies on when it carves one
-//! global pps budget into `rate / shards` buckets.
+//! how the calls are sliced. A scanner holds one bucket for its lifetime:
+//! every scan, and every round and protocol of a campaign, spends from it
+//! in turn.
 
 /// A token bucket: `rate` tokens/second, capacity `burst`.
 #[derive(Debug, Clone)]
@@ -61,20 +61,6 @@ impl TokenBucket {
             waited: 0.0,
             stalls: 0,
         }
-    }
-
-    /// Split this bucket's budget evenly across `shards` workers. Each
-    /// shard bucket gets `rate / shards` and `burst / shards` (floored at
-    /// one token of burst), so the shards' aggregate throughput equals the
-    /// original budget.
-    ///
-    /// `shards` is normalized to at least 1 here (and everywhere else in
-    /// the engine, via `shards.max(1)`): a zero-shard scan is meaningless,
-    /// and a zero divisor would mint an infinite budget. The `seedscan`
-    /// CLI additionally rejects an explicit `--scan-shards 0` up front.
-    pub fn split(rate: f64, burst: f64, shards: usize) -> Self {
-        let n = shards.max(1) as f64;
-        TokenBucket::new(rate / n, burst / n)
     }
 
     /// Snapshot the full limiter state for a campaign checkpoint. `f64`
@@ -267,35 +253,6 @@ mod tests {
             );
             assert!(tb.available() <= 4.0 + 1e-9);
         }
-    }
-
-    #[test]
-    fn split_budget_aggregates_to_the_global_rate() {
-        // 8 shards of a 10k budget: each gets 1250 pps; together they
-        // admit exactly the global rate in sustained operation.
-        let mut shards: Vec<TokenBucket> = (0..8)
-            .map(|_| TokenBucket::split(10_000.0, 10_000.0, 8))
-            .collect();
-        let mut waited = 0.0;
-        for tb in &mut shards {
-            for _ in 0..2500 {
-                waited += tb.acquire();
-            }
-        }
-        // Each shard: 1250 burst free, then 1250 more at 1250 pps = 1s.
-        // Max over shards models wall time; all shards are symmetric here.
-        let per_shard = waited / 8.0;
-        assert!((per_shard - 1.0).abs() < 0.01, "per-shard wait {per_shard}");
-        // The same 20k packets through one global bucket: also 1s.
-        let mut global = TokenBucket::new(10_000.0, 10_000.0);
-        let mut gw = 0.0;
-        for _ in 0..20_000 {
-            gw += global.acquire();
-        }
-        assert!(
-            (gw - per_shard).abs() < 0.01,
-            "shard split changes the budget"
-        );
     }
 
     #[test]

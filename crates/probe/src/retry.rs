@@ -15,8 +15,7 @@
 //!   targets (counting them in [`ScanReport::skipped`](crate::ScanReport::skipped)),
 //!   then half-opens after `cooldown` skips to let one trial probe through.
 //!   Cooldown is measured in *skipped targets*, not time, which keeps the
-//!   state machine a pure function of the per-prefix target sequence — the
-//!   property that makes sharded scans bit-identical to sequential ones.
+//!   state machine a pure function of the per-prefix target sequence.
 
 use std::net::Ipv6Addr;
 
@@ -356,6 +355,12 @@ impl BreakerMap {
         rows
     }
 
+    /// One breaker's state by `(domain, protocol index)` key; `None` for a
+    /// breaker no target has consulted yet.
+    pub fn state_of(&self, key: (u128, u8)) -> Option<BreakerState> {
+        self.states.get(&key).copied()
+    }
+
     /// Rebuild a map from checkpointed state.
     pub fn restore(
         cfg: BreakerConfig,
@@ -383,39 +388,6 @@ impl BreakerMap {
         self.states.extend(changed);
         self.opened = opened;
         self.skipped = skipped;
-    }
-
-    /// Lend one scan task the breakers it will consult: the state of every
-    /// domain the `targets` fall in, on `proto`, moves to the returned map;
-    /// every other breaker stays here (present states only — an empty map
-    /// lends nothing without walking the list). Counters stay too, so
-    /// [`BreakerMap::absorb`] adds only what the task did. The caller must
-    /// give no two tasks the same `(domain, protocol)` — the partition
-    /// `Scanner::scan_prepared` makes.
-    pub(crate) fn lend(
-        &mut self,
-        proto: Protocol,
-        targets: impl IntoIterator<Item = Ipv6Addr>,
-    ) -> BreakerMap {
-        let mut lent = BreakerMap::new(self.cfg);
-        if self.states.is_empty() {
-            return lent;
-        }
-        for addr in targets {
-            let key = self.key(addr, proto);
-            if let Some(state) = self.states.remove(&key) {
-                lent.states.insert(key, state);
-            }
-        }
-        lent
-    }
-
-    /// Take a lent map's state back: states overwrite (a domain belongs to
-    /// one task), counters add.
-    pub(crate) fn absorb(&mut self, shard: BreakerMap) {
-        self.states.extend(shard.states);
-        self.opened += shard.opened;
-        self.skipped += shard.skipped;
     }
 }
 
@@ -574,107 +546,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lend_and_absorb_round_trip() {
-        let cfg = BreakerConfig {
-            prefix_len: 112,
-            threshold: 1,
-            cooldown: 4,
-        };
-        let mut b = BreakerMap::new(cfg);
-        for i in 0..8u16 {
-            b.record(addr(i, 0), Protocol::Icmp, true);
-        }
-        b.record(addr(1, 0), Protocol::Tcp80, true);
-        let before = b.entries();
-        let opened = b.opened();
-        // Three ICMP tasks deal the domains out by `prefix % 3`; TCP/80 is
-        // not in this call, and a fourth task has no targets.
-        let lent: Vec<BreakerMap> = (0..3)
-            .map(|task| {
-                b.lend(
-                    Protocol::Icmp,
-                    (0..8u16).filter(|i| i % 3 == task).map(|i| addr(i, 5)),
-                )
-            })
-            .collect();
-        let idle = b.lend(Protocol::Icmp, []);
-        assert!(
-            idle.entries().is_empty(),
-            "a task with no targets gets nothing"
-        );
-        let stayed = vec![(
-            (u128::from(addr(1, 0)) >> 16, Protocol::Tcp80.index() as u8),
-            BreakerState::Open { skipped: 0 },
-        )];
-        assert_eq!(b.entries(), stayed, "unlent state stays on the parent");
-        assert_eq!(
-            lent.iter().map(|m| m.entries().len()).collect::<Vec<_>>(),
-            [3, 3, 2]
-        );
-        assert!(
-            lent.iter().all(|m| m.opened() == 0),
-            "lent maps count from zero"
-        );
-        for task in lent {
-            b.absorb(task);
-        }
-        assert_eq!(b.entries(), before);
-        assert_eq!(b.opened(), opened, "counters stay on the parent");
-
-        // Counters add, states overwrite.
-        let mut task = b.lend(Protocol::Icmp, [addr(0, 9)]);
-        assert_eq!(task.admit(addr(0, 9), Protocol::Icmp), Admission::Skip);
-        task.record(addr(20, 0), Protocol::Icmp, true);
-        b.absorb(task);
-        assert_eq!((b.opened(), b.skipped()), (opened + 1, 1));
-        assert_eq!(
-            b.entries()[0],
-            (
-                (u128::from(addr(0, 0)) >> 16, 0),
-                BreakerState::Open { skipped: 1 }
-            )
-        );
-        assert_eq!(b.entries().len(), before.len() + 1);
-    }
-
-    /// What the keyed lend exists for: one target takes one breaker out of
-    /// a large map, and a second target in its domain finds it moved.
-    #[test]
-    fn lend_moves_exactly_the_breakers_of_its_targets() {
-        let cfg = BreakerConfig {
-            prefix_len: 112,
-            threshold: 1,
-            cooldown: 4,
-        };
-        let mut b = BreakerMap::new(cfg);
-        for i in 0..1_000u16 {
-            b.record(addr(i, 0), Protocol::Icmp, true);
-        }
-        let lent = b.lend(Protocol::Icmp, [addr(7, 1), addr(7, 2)]);
-        assert_eq!(
-            lent.entries(),
-            [(
-                (u128::from(addr(7, 0)) >> 16, 0),
-                BreakerState::Open { skipped: 0 }
-            )]
-        );
-        assert_eq!(b.entries().len(), 999, "the rest stays");
-        assert!(
-            b.lend(Protocol::Icmp, [addr(7, 3)]).entries().is_empty(),
-            "no double move"
-        );
-        assert!(
-            b.lend(Protocol::Udp53, [addr(8, 1)]).entries().is_empty(),
-            "another protocol's breaker stays"
-        );
-        b.absorb(lent);
-        assert_eq!(b.entries().len(), 1_000, "no loss on reclaim");
-    }
-
     /// The ordered map `BreakerMap` was built on: the same state machine
-    /// and lend/absorb, over a `BTreeMap`, looking up every target of a
-    /// lend. The model test holds the hashed map to it.
+    /// over a `BTreeMap`. The model test holds the hashed map to it.
     #[derive(Debug, Default)]
     struct Reference {
         states: std::collections::BTreeMap<(u128, u8), BreakerState>,
@@ -727,22 +600,6 @@ mod tests {
             opened
         }
 
-        fn lend(&mut self, keys: impl IntoIterator<Item = (u128, u8)>) -> Reference {
-            let mut lent = Reference::default();
-            for key in keys {
-                if let Some(state) = self.states.remove(&key) {
-                    lent.states.insert(key, state);
-                }
-            }
-            lent
-        }
-
-        fn absorb(&mut self, lent: Reference) {
-            self.states.extend(lent.states);
-            self.opened += lent.opened;
-            self.skipped += lent.skipped;
-        }
-
         fn entries(&self) -> Vec<((u128, u8), BreakerState)> {
             self.states.iter().map(|(&k, &v)| (k, v)).collect()
         }
@@ -757,10 +614,9 @@ mod tests {
         );
     }
 
-    /// Random admit / record / lend / absorb sequences over a few dozen
-    /// domains: the hashed map lists, counts and decides exactly what the
-    /// ordered one does. A lend's targets are sorted runs with repeats,
-    /// and some domains are on no target.
+    /// Random admit / record sequences over a few dozen domains: the
+    /// hashed map lists, counts, looks up and decides exactly what the
+    /// ordered one does.
     #[test]
     fn breaker_map_agrees_with_the_ordered_model() {
         for seed in 0..40u64 {
@@ -778,101 +634,28 @@ mod tests {
                     addr(draw(24), draw(1000)),
                     netmodel::PROTOCOLS[usize::from(draw(4))],
                 );
-                match draw(10) {
-                    0..=3 => assert_eq!(
+                if draw(2) == 0 {
+                    assert_eq!(
                         map.admit(a, p),
                         model.admit(&cfg, key(a, p)),
                         "seed {seed} step {step}"
-                    ),
-                    4..=7 => {
-                        let failure = draw(4) != 0;
-                        assert_eq!(
-                            map.record(a, p, failure),
-                            model.record(&cfg, key(a, p), failure)
-                        );
-                    }
-                    _ => {
-                        let mut targets: Vec<Ipv6Addr> =
-                            (0..draw(40)).map(|_| addr(draw(24), draw(1000))).collect();
-                        targets.sort_unstable();
-                        let mut lent = map.lend(p, targets.iter().copied());
-                        let mut lent_model = model.lend(targets.iter().map(|&t| key(t, p)));
-                        agrees(
-                            &lent,
-                            &lent_model,
-                            &format!("seed {seed} step {step}: lent"),
-                        );
-                        agrees(&map, &model, &format!("seed {seed} step {step}: kept"));
-                        // The task probes its own targets, then hands back.
-                        for &t in &targets {
-                            let admitted = lent.admit(t, p);
-                            assert_eq!(admitted, lent_model.admit(&cfg, key(t, p)));
-                            if admitted == Admission::Probe {
-                                let failure = draw(3) != 0;
-                                assert_eq!(
-                                    lent.record(t, p, failure),
-                                    lent_model.record(&cfg, key(t, p), failure)
-                                );
-                            }
-                        }
-                        map.absorb(lent);
-                        model.absorb(lent_model);
-                    }
+                    );
+                } else {
+                    let failure = draw(4) != 0;
+                    assert_eq!(
+                        map.record(a, p, failure),
+                        model.record(&cfg, key(a, p), failure)
+                    );
                 }
                 agrees(&map, &model, &format!("seed {seed} step {step}"));
+                let probe = key(addr(draw(24), 0), p);
+                assert_eq!(
+                    map.state_of(probe),
+                    model.states.get(&probe).copied(),
+                    "seed {seed} step {step}: state_of"
+                );
             }
         }
-    }
-
-    /// Targets in runs that repeat a domain, come back to it after another
-    /// (interleaved), and share it with another protocol's task: every
-    /// state moves to exactly one task, once, and the absorbs restore the
-    /// map it was lent from.
-    #[test]
-    fn lend_moves_each_state_once_however_targets_repeat() {
-        let cfg = BreakerConfig {
-            prefix_len: 112,
-            threshold: 1,
-            cooldown: 4,
-        };
-        let mut b = BreakerMap::new(cfg);
-        for d in 0..6u16 {
-            b.record(addr(d, 0), Protocol::Icmp, true);
-            b.record(addr(d, 0), Protocol::Tcp80, d % 2 == 0);
-        }
-        let before = b.entries();
-        let on = |domains: &[u16]| {
-            domains
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| addr(d, i as u16))
-                .collect::<Vec<_>>()
-        };
-        let icmp = b.lend(Protocol::Icmp, on(&[1, 1, 1, 2, 1, 2, 2, 3]));
-        let shared = b.lend(Protocol::Tcp80, on(&[1, 2, 2, 9]));
-        let rest = b.lend(Protocol::Icmp, on(&[4, 4, 1]));
-        let keys = |m: &BreakerMap| {
-            m.entries()
-                .into_iter()
-                .map(|((d, p), _)| ((d >> 96) as u16, p))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(keys(&icmp), [(1, 0), (2, 0), (3, 0)]);
-        assert_eq!(
-            keys(&shared),
-            [(1, 1), (2, 1)],
-            "another protocol's task takes its own states"
-        );
-        assert_eq!(
-            keys(&rest),
-            [(4, 0)],
-            "a state already lent is not lent again"
-        );
-        assert_eq!(keys(&b), [(0, 0), (0, 1), (3, 1), (4, 1), (5, 0), (5, 1)]);
-        for task in [rest, icmp, shared] {
-            b.absorb(task);
-        }
-        assert_eq!(b.entries(), before);
     }
 
     #[test]

@@ -31,10 +31,9 @@ use crate::transport::{Attempt, Burst, ProbeSpec, Transport};
 /// The attempt number is tracked **per (destination, protocol)** in the
 /// [`Carried`] state, for the flows whose replies are lossy (no other reply
 /// reads it): the nth probe of an address on a protocol sees the same loss
-/// roll no matter how probes to other targets are interleaved around it.
-/// This is what makes sharded scans bit-identical to sequential ones — a
-/// shard task is lent the counters of its own slice of the target list,
-/// continues them, and hands them back.
+/// roll no matter how probes to other targets are interleaved around it,
+/// so a campaign that scans its protocols one after another, or resumes
+/// from a checkpoint, replays every flow exactly.
 #[derive(Debug, Clone)]
 pub struct SimTransport {
     world: Arc<World>,

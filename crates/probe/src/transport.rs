@@ -14,11 +14,11 @@
 //!   the byte path's answers.
 //! - It **may** expose the state it carries from one probe to the next
 //!   ([`Transport::carried`]: per-flow attempt counters, the fault layer's
-//!   per-prefix clock and totals — see [`Carried`]). The engine moves the
-//!   rows of the addresses a scan task probes to that task and back, and
-//!   campaign checkpoints persist it, so sharded and resumed scans continue
-//!   the same clocks. A transport without such state leaves the accessors
-//!   at `None`.
+//!   per-prefix clock and totals — see [`Carried`]). The engine reads the
+//!   fault totals around each burst and the rows a campaign round
+//!   touched, and campaign checkpoints persist the clock, so resumed scans
+//!   continue the same clocks. A transport without such state leaves the
+//!   accessors at `None`.
 //!
 //! Everything above the transport is identical either way.
 
@@ -160,8 +160,7 @@ pub trait Transport {
         None
     }
 
-    /// Mutable access to the same state: the engine takes it out to lend
-    /// it to scan tasks and puts it back, a campaign resume restores it.
+    /// Mutable access to the same state: a campaign resume restores it.
     fn carried_mut(&mut self) -> Option<&mut Carried> {
         None
     }

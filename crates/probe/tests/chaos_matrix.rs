@@ -1,8 +1,7 @@
-//! The chaos fault matrix: every deterministic fault schedule, crossed
-//! with every shard count, must leave the scan pipeline observationally
-//! identical to the sequential wire path — same hits, same counters, same
-//! injected-fault totals. A second matrix re-runs the sweep with per-/48
-//! circuit breakers armed, and a dedicated test pins the breaker's
+//! The chaos fault matrix: under every deterministic fault schedule, a
+//! campaign must be observationally identical to the byte-level wire
+//! path — same hits, same counters, same injected-fault totals. A second
+//! matrix re-runs the sweep with per-/48 circuit breakers armed, and a dedicated test pins the breaker's
 //! economics in a half-blackholed world: ≥30% fewer packets, zero change
 //! to live-prefix hits.
 
@@ -13,8 +12,8 @@ use std::sync::Arc;
 
 use netmodel::{FaultConfig, Protocol, World, WorldConfig};
 use sos_probe::{
-    BreakerConfig, Campaign, CampaignResult, RetryPolicy, RunOptions, Scanner, ScannerConfig,
-    SimTransport,
+    AttributionTable, BreakerConfig, Campaign, CampaignResult, RetryPolicy, RunOptions, Scanner,
+    ScannerConfig, SimTransport,
 };
 
 fn faulty_world(faults: FaultConfig, seed: u64) -> Arc<World> {
@@ -64,24 +63,21 @@ fn targets(world: &World) -> Vec<Ipv6Addr> {
     out
 }
 
-fn assert_identical(name: &str, shards: usize, seq: &CampaignResult, par: &CampaignResult) {
-    assert_eq!(seq.reports.len(), par.reports.len());
-    for ((p_seq, r_seq), (p_par, r_par)) in seq.reports.iter().zip(par.reports.iter()) {
-        assert_eq!(p_seq, p_par);
-        assert_eq!(
-            r_seq, r_par,
-            "schedule {name}: {p_seq:?} diverged at {shards} shards"
-        );
+fn assert_identical(name: &str, wire: &CampaignResult, got: &CampaignResult) {
+    assert_eq!(wire.reports.len(), got.reports.len());
+    for ((p_wire, r_wire), (p_got, r_got)) in wire.reports.iter().zip(got.reports.iter()) {
+        assert_eq!(p_wire, p_got);
+        assert_eq!(r_wire, r_got, "schedule {name}: {p_wire:?} diverged");
     }
     assert_eq!(
-        seq.iter().collect::<Vec<_>>(),
-        par.iter().collect::<Vec<_>>(),
-        "schedule {name}: merged view diverged at {shards} shards"
+        wire.iter().collect::<Vec<_>>(),
+        got.iter().collect::<Vec<_>>(),
+        "schedule {name}: merged view diverged"
     );
 }
 
 #[test]
-fn every_fault_schedule_is_shard_invariant() {
+fn every_fault_schedule_matches_the_wire_reference() {
     for (name, faults) in schedules() {
         let w = faulty_world(faults, 0xC4A05);
         let t = targets(&w);
@@ -96,75 +92,68 @@ fn every_fault_schedule_is_shard_invariant() {
                 "schedule {name} must perturb the scan"
             );
         }
-        for shards in [2, 8] {
-            let mut s = scanner(w.clone(), None);
-            let par = common::run_sharded(&mut s, &t, shards);
-            assert_identical(name, shards, &seq, &par);
-        }
+        let mut s = scanner(w.clone(), None);
+        assert_identical(name, &seq, &common::run_campaign(&mut s, &t));
     }
 }
 
 #[test]
-fn breaker_equipped_scans_are_shard_invariant_under_every_schedule() {
+fn breaker_equipped_scans_match_the_wire_reference_under_every_schedule() {
     for (name, faults) in schedules() {
         let w = faulty_world(faults, 0xC4A06);
         let t = targets(&w);
         let (seq, _) = common::wire_campaign(w.clone(), config(Some(BreakerConfig::default())), &t);
-        for shards in [2, 8] {
-            let mut s = scanner(w.clone(), Some(BreakerConfig::default()));
-            let par = common::run_sharded(&mut s, &t, shards);
-            assert_identical(name, shards, &seq, &par);
-        }
+        let mut s = scanner(w.clone(), Some(BreakerConfig::default()));
+        assert_identical(name, &seq, &common::run_campaign(&mut s, &t));
     }
 }
 
-/// Attribution accounting must be exactly as shard-invariant as the scan
-/// itself: the per-region table a provenance-tagged campaign accumulates
-/// is bit-identical across 1, 4, and 8 shards under every fault schedule,
-/// and its per-region sums always equal the report's top-level counters.
+/// Attribution is bookkeeping on the side: under every fault schedule a
+/// tagged campaign's per-region sums equal each report's top-level
+/// counters, and without its tables it reports what the untagged one does.
 #[test]
-fn attribution_tables_are_shard_invariant_under_every_schedule() {
+fn attribution_tables_reconcile_under_every_schedule() {
     use sos_probe::provenance::ProvenanceLog;
     for (name, faults) in schedules() {
         let w = faulty_world(faults, 0xC4A07);
         let t = targets(&w);
         let prov = Arc::new(ProvenanceLog::for_targets(&t));
-        let mut baseline = None;
-        for shards in [1usize, 4, 8] {
-            let mut s = scanner(w.clone(), None);
-            let opts = RunOptions {
-                shards,
-                provenance: Some(prov.clone()),
-                ..RunOptions::default()
-            };
-            let run = Campaign::standard(&mut s)
-                .run_with(&t, &opts, None)
-                .unwrap();
-            for (proto, r) in &run.result.reports {
-                let (probes, hits, _) = r.attribution.totals();
-                assert_eq!(
-                    probes, r.probed as u64,
-                    "schedule {name}/{shards}: {proto:?} probe sum != probed"
-                );
-                assert_eq!(
-                    hits,
-                    r.hits.len() as u64,
-                    "schedule {name}/{shards}: {proto:?} hit sum != hits"
-                );
-            }
-            let table = sos_probe::merged_attribution(&run.result.reports);
-            assert!(
-                !table.is_empty(),
-                "schedule {name}: tagged scan must attribute"
+        let mut s = scanner(w.clone(), None);
+        let opts = RunOptions {
+            provenance: Some(prov),
+            ..RunOptions::default()
+        };
+        let run = Campaign::standard(&mut s)
+            .run_with(&t, &opts, None)
+            .unwrap();
+        for (proto, r) in &run.result.reports {
+            let (probes, hits, _) = r.attribution.totals();
+            assert_eq!(
+                probes, r.probed as u64,
+                "schedule {name}: {proto:?} probe sum != probed"
             );
-            match &baseline {
-                None => baseline = Some(table),
-                Some(b) => assert_eq!(
-                    b, &table,
-                    "schedule {name}: attribution diverged at {shards} shards"
-                ),
-            }
+            assert_eq!(
+                hits,
+                r.hits.len() as u64,
+                "schedule {name}: {proto:?} hit sum != hits"
+            );
         }
+        let table = sos_probe::merged_attribution(&run.result.reports);
+        assert!(
+            !table.is_empty(),
+            "schedule {name}: tagged scan must attribute"
+        );
+        // Tagging is a pure observer: without their tables, the tagged
+        // campaign's reports are the untagged campaign's.
+        let mut tagged = run.result.reports;
+        for (_, r) in &mut tagged {
+            r.attribution = AttributionTable::new();
+        }
+        let untagged = common::run_campaign(&mut scanner(w.clone(), None), &t);
+        assert_eq!(
+            tagged, untagged.reports,
+            "schedule {name}: tagging changed the scan"
+        );
     }
 }
 

@@ -1,8 +1,8 @@
 //! Kill + resume determinism: a campaign interrupted at ANY round
 //! boundary and resumed from its checkpoint must finish with reports,
 //! counters, and a final checkpoint bit-identical to the uninterrupted
-//! run — under hostile faults, circuit breakers, sharding, and (in the
-//! degenerate single-shard path) a live token-bucket rate limiter.
+//! run — under hostile faults, circuit breakers and a live token-bucket
+//! rate limiter.
 
 // Helpers here sit outside `#[test]` bodies, which is all clippy's
 // `allow-*-in-tests` exempts; the panic lints guard the library, not these.
@@ -79,7 +79,6 @@ fn resume_is_bit_identical_at_every_round_boundary() {
     let prov = Arc::new(sos_probe::ProvenanceLog::for_targets(&t));
     let full_path = tmp("full");
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: EVERY,
         checkpoint_path: Some(full_path.clone()),
         provenance: Some(prov),
@@ -158,15 +157,14 @@ fn resume_is_bit_identical_at_every_round_boundary() {
     let _ = std::fs::remove_file(&full_path);
 }
 
-/// The single-shard, single-protocol path runs through the scanner's own
-/// token bucket — resuming must restore the bucket mid-stream so even the
-/// virtual rate-limit waits come out bit-identical.
+/// Every round runs through the scanner's own token bucket — resuming
+/// must restore the bucket mid-stream so even the virtual rate-limit waits
+/// come out bit-identical.
 #[test]
 fn resume_restores_the_rate_limiter_mid_stream() {
     let w = hostile_world(0x11A7E);
     let t = targets(&w);
     let opts = RunOptions {
-        shards: 1,
         checkpoint_every: 30,
         ..RunOptions::default()
     };
@@ -220,7 +218,6 @@ fn cancelled_before_first_round_resumes_from_zero() {
     let path = tmp("cancelled");
     let cancel = Arc::new(AtomicBool::new(true));
     let opts = RunOptions {
-        shards: 2,
         checkpoint_every: 64,
         checkpoint_path: Some(path.clone()),
         cancel: Some(cancel),
@@ -251,7 +248,6 @@ fn cancelled_before_first_round_resumes_from_zero() {
         .run_with(
             &t,
             &RunOptions {
-                shards: 2,
                 checkpoint_every: 64,
                 ..RunOptions::default()
             },
@@ -306,7 +302,6 @@ fn unwritable_checkpoint_path_fails_the_first_boundary() {
     let t = targets(&w);
     let good = tmp("io-good");
     let opts = RunOptions {
-        shards: 2,
         checkpoint_every: 64,
         ..RunOptions::default()
     };
@@ -561,7 +556,7 @@ fn stale_tmp_file_is_ignored_and_overwritten() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// The hostile four-shard campaign the hard-kill tests interrupt, with the
+/// The hostile campaign the hard-kill tests interrupt, with the
 /// uninterrupted run's outcome to converge on.
 struct Hostile {
     world: Arc<World>,
@@ -580,7 +575,6 @@ impl Hostile {
         let targets = targets(&world);
         let path = tmp(&format!("{tag}-full"));
         let opts = RunOptions {
-            shards: 4,
             checkpoint_every: Self::EVERY,
             checkpoint_path: Some(path.clone()),
             provenance: Some(Arc::new(sos_probe::ProvenanceLog::for_targets(&targets))),
@@ -700,7 +694,7 @@ fn budgeted(
     world: Arc<World>,
     rate_pps: Option<f64>,
     budget: u64,
-    spent: impl Fn() + Send + Sync + 'static,
+    spent: impl Fn() + 'static,
 ) -> Scanner<Budgeted> {
     let config = scanner(world.clone(), rate_pps).config().clone();
     Scanner::new(config, Budgeted::new(world, budget, spent))
@@ -767,7 +761,6 @@ fn hard_kill_restores_the_rate_limiter_from_the_write_ahead_log() {
     let path = tmp("hard-kill-limit");
     remove(&path);
     let opts = RunOptions {
-        shards: 1,
         checkpoint_every: 30,
         checkpoint_path: Some(path.clone()),
         ..RunOptions::default()

@@ -5,7 +5,6 @@
 #![allow(dead_code)]
 
 use std::net::Ipv6Addr;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use netmodel::{World, PROTOCOLS};
@@ -33,43 +32,37 @@ pub fn wire_campaign(
 }
 
 /// The production side of the comparison: the standard four-protocol
-/// campaign as one `run_with` round, `shards` ways per protocol.
+/// campaign as one `run_with` round.
 #[expect(
     clippy::unwrap_used,
     reason = "a test helper: `allow-*-in-tests` sees only `#[test]` bodies"
 )]
-pub fn run_sharded(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr], shards: usize) -> CampaignResult {
-    let opts = RunOptions {
-        shards,
-        ..RunOptions::default()
-    };
+pub fn run_campaign(s: &mut Scanner<SimTransport>, t: &[Ipv6Addr]) -> CampaignResult {
     Campaign::standard(s)
-        .run_with(t, &opts, None)
+        .run_with(t, &RunOptions::default(), None)
         .unwrap()
         .result
 }
 
-/// A `SimTransport` on a packet budget its clones share (a sharded round
-/// probes through clones): every burst is forwarded, and from the burst
-/// that spends the budget on, `spent` runs after each. With `spent =
-/// panic!` the process "dies" mid-round — a hard kill, which unlike
-/// `stop_after_rounds` and `cancel` gives the campaign no boundary to
-/// tidy up at; `par_map` re-raises the worker's panic on the caller.
-#[derive(Clone)]
+/// A `SimTransport` on a packet budget: every burst is forwarded, and from
+/// the burst that spends the budget on, `spent` runs after each. With
+/// `spent = panic!` the process "dies" mid-round — a hard kill, which
+/// unlike `stop_after_rounds` and `cancel` gives the campaign no boundary
+/// to tidy up at.
 pub struct Budgeted {
     inner: SimTransport,
-    sent: Arc<AtomicU64>,
+    sent: u64,
     budget: u64,
-    spent: Arc<dyn Fn() + Send + Sync>,
+    spent: Box<dyn Fn()>,
 }
 
 impl Budgeted {
-    pub fn new(world: Arc<World>, budget: u64, spent: impl Fn() + Send + Sync + 'static) -> Self {
+    pub fn new(world: Arc<World>, budget: u64, spent: impl Fn() + 'static) -> Self {
         Budgeted {
             inner: SimTransport::new(world),
-            sent: Arc::new(AtomicU64::new(0)),
+            sent: 0,
             budget,
-            spent: Arc::new(spent),
+            spent: Box::new(spent),
         }
     }
 }
@@ -85,8 +78,8 @@ impl Transport for Budgeted {
 
     fn probe_burst(&mut self, spec: &ProbeSpec, budget: u32) -> Burst {
         let burst = self.inner.probe_burst(spec, budget);
-        let used = u64::from(burst.used);
-        if self.sent.fetch_add(used, Ordering::SeqCst) + used >= self.budget {
+        self.sent += u64::from(burst.used);
+        if self.sent >= self.budget {
             (self.spent)();
         }
         burst

@@ -1,7 +1,7 @@
 //! Journal acceptance: the live telemetry stream a campaign writes must
 //! be replay-grade. Replaying a journal reconstructs the final counter
-//! totals bit-identically to the live run — sequential and 8-shard, with
-//! and without faults and breakers — and a campaign killed mid-run
+//! totals bit-identically to the live run — with and without faults and
+//! breakers — and a campaign killed mid-run
 //! leaves a journal whose last snapshot mirrors the on-disk checkpoint.
 
 use std::collections::BTreeMap;
@@ -73,97 +73,64 @@ fn last_snapshot(records: &[Record]) -> (u64, u64, BTreeMap<String, u64>) {
         .expect("journal must contain a snapshot record")
 }
 
-/// Everything deterministic about a record: seq, vclock, and the event
-/// itself. `wall_s` is allowed to differ between equivalent runs, and the
-/// shard count in `campaign_start` is configuration, not result, so it is
-/// normalized out before cross-shard comparison.
-fn deterministic_view(records: &[Record]) -> Vec<(u64, u64, Event)> {
-    records
-        .iter()
-        .map(|r| {
-            let mut event = r.event.clone();
-            if let Event::CampaignStart { shards, .. } = &mut event {
-                *shards = 0;
-            }
-            (r.seq, r.vclock_us, event)
-        })
-        .collect()
-}
-
 #[test]
 fn replaying_a_journal_reconstructs_live_counters_bit_identically() {
-    // The acceptance matrix: sequential and 8-shard, with and without
-    // faults/breakers. In every cell the journal's final snapshot must
-    // equal the live scanner's counter totals exactly, and the
-    // deterministic record stream must be identical across shard counts.
+    // The acceptance matrix: with and without faults/breakers. In every
+    // cell the journal's final snapshot must equal the live scanner's
+    // counter totals exactly.
     for (hostile, breaker) in [(false, false), (true, false), (true, true)] {
         let w = world(
             0x9A11 + u64::from(hostile) + 2 * u64::from(breaker),
             hostile,
         );
         let t = targets(&w);
-        let mut streams = Vec::new();
-        for shards in [1usize, 8] {
-            let tag = format!(
-                "replay-h{}-b{}-s{shards}",
-                u8::from(hostile),
-                u8::from(breaker)
-            );
-            let path = tmp(&tag);
-            let _ = std::fs::remove_file(&path);
-            let opts = RunOptions {
-                shards,
-                checkpoint_every: 48,
-                journal_path: Some(path.clone()),
-                snapshot_every: 2,
-                ..RunOptions::default()
-            };
-            let mut s = scanner(w.clone(), breaker);
-            let outcome = Campaign::standard(&mut s)
-                .run_with(&t, &opts, None)
-                .unwrap();
-            assert!(outcome.completed);
+        let tag = format!("replay-h{}-b{}", u8::from(hostile), u8::from(breaker));
+        let path = tmp(&tag);
+        let _ = std::fs::remove_file(&path);
+        let opts = RunOptions {
+            checkpoint_every: 48,
+            journal_path: Some(path.clone()),
+            snapshot_every: 2,
+            ..RunOptions::default()
+        };
+        let mut s = scanner(w.clone(), breaker);
+        let outcome = Campaign::standard(&mut s)
+            .run_with(&t, &opts, None)
+            .unwrap();
+        assert!(outcome.completed);
 
-            let records = read_records(&path).unwrap();
-            assert!(matches!(
-                records.first().unwrap().event,
-                Event::CampaignStart { .. }
-            ));
-            assert!(matches!(
-                records.last().unwrap().event,
-                Event::CampaignEnd { .. }
-            ));
-            // seq dense, vclock monotone: the journal is a well-formed tail.
-            for (i, r) in records.iter().enumerate() {
-                assert_eq!(r.seq, i as u64, "dense sequence in {tag}");
-            }
-            assert!(
-                records.windows(2).all(|w| w[0].vclock_us <= w[1].vclock_us),
-                "vclock must be monotone in {tag}"
-            );
-
-            let (_, done, replayed) = last_snapshot(&records);
-            assert_eq!(
-                done as usize,
-                t.len(),
-                "final snapshot covers the whole campaign"
-            );
-            assert_eq!(
-                replayed,
-                s.metrics().counters(),
-                "replayed counters must equal live counters in {tag}"
-            );
-            // Labeled per-protocol series travel through the journal too.
-            assert!(replayed.keys().any(|k| k.starts_with("probe.hits{")));
-
-            streams.push(deterministic_view(&records));
-            let _ = std::fs::remove_file(&path);
+        let records = read_records(&path).unwrap();
+        assert!(matches!(
+            records.first().unwrap().event,
+            Event::CampaignStart { .. }
+        ));
+        assert!(matches!(
+            records.last().unwrap().event,
+            Event::CampaignEnd { .. }
+        ));
+        // seq dense, vclock monotone: the journal is a well-formed tail.
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(r.seq, i as u64, "dense sequence in {tag}");
         }
-        assert_eq!(
-            streams[0], streams[1],
-            "journal event stream must be bit-identical sequential vs 8-shard \
-             (hostile={hostile}, breaker={breaker})"
+        assert!(
+            records.windows(2).all(|w| w[0].vclock_us <= w[1].vclock_us),
+            "vclock must be monotone in {tag}"
         );
+
+        let (_, done, replayed) = last_snapshot(&records);
+        assert_eq!(
+            done as usize,
+            t.len(),
+            "final snapshot covers the whole campaign"
+        );
+        assert_eq!(
+            replayed,
+            s.metrics().counters(),
+            "replayed counters must equal live counters in {tag}"
+        );
+        // Labeled per-protocol series travel through the journal too.
+        assert!(replayed.keys().any(|k| k.starts_with("probe.hits{")));
+        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -172,7 +139,6 @@ fn hostile_journal_carries_breaker_and_fault_epoch_transitions() {
     let w = world(0xFA17, true);
     let t = targets(&w);
     let opts = |path: &PathBuf| RunOptions {
-        shards: 4,
         checkpoint_every: 32,
         journal_path: Some(path.clone()),
         ..RunOptions::default()
@@ -255,7 +221,6 @@ fn killed_campaign_leaves_snapshot_matching_the_checkpoint() {
     let _ = std::fs::remove_file(&journal);
     let _ = std::fs::remove_file(&ckpt_path);
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: 48,
         checkpoint_path: Some(ckpt_path.clone()),
         journal_path: Some(journal.clone()),
@@ -297,7 +262,6 @@ fn resumed_campaign_appends_to_the_journal_and_converges() {
     let full_journal = tmp("resume-full");
     let _ = std::fs::remove_file(&full_journal);
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: 48,
         journal_path: Some(full_journal.clone()),
         ..RunOptions::default()
@@ -379,7 +343,6 @@ fn resume_after_a_torn_journal_keeps_it_readable() {
     let w = world(0x70E2, true);
     let t = targets(&w);
     let opts = |journal: &PathBuf| RunOptions {
-        shards: 4,
         checkpoint_every: 48,
         journal_path: Some(journal.clone()),
         ..RunOptions::default()
@@ -444,7 +407,6 @@ fn snapshot_path_alone_leaves_the_final_counters() {
     let prom = tmp("alone.prom");
     let _ = std::fs::remove_file(&prom);
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: 32,
         snapshot_path: Some(prom.clone()),
         snapshot_every: 3,
@@ -481,7 +443,6 @@ fn snapshot_file_follows_the_journal_cadence_across_a_resume() {
         let _ = std::fs::remove_file(p);
     }
     let opts = RunOptions {
-        shards: 4,
         checkpoint_every: EVERY,
         journal_path: Some(journal.clone()),
         snapshot_every: 3,

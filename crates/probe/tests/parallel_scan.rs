@@ -1,8 +1,8 @@
 //! The wire-reference suite. The engine sends every probe through
 //! `Transport::probe_burst`, and `SimTransport` answers bursts straight
-//! from its oracle; these tests hold that production path — single-task
-//! scans, sharded scans, campaign rounds, and the `ScanOracle` feedback
-//! probes — to the byte-level reference, where every probe is a real
+//! from its oracle; these tests hold that production path — scans,
+//! campaign rounds, and the `ScanOracle` feedback probes — to the
+//! byte-level reference, where every probe is a real
 //! packet that the simulator parses and answers in bytes
 //! (`Scanner<WireOnly<SimTransport>>`, see `common::wire_campaign`).
 
@@ -13,10 +13,9 @@ use std::net::Ipv6Addr;
 use std::sync::Arc;
 
 use netmodel::{FaultConfig, PortSet, Protocol, World, WorldConfig, PROTOCOLS};
-use sos_probe::packet::icmpv6::build_echo_reply;
 use sos_probe::{
-    parse_packet, BreakerConfig, Burst, CampaignResult, ParsedPacket, RetryPolicy, ScanOracle,
-    Scanner, ScannerConfig, SimTransport, Transport, WireOnly,
+    BreakerConfig, Burst, CampaignResult, RetryPolicy, ScanOracle, Scanner, ScannerConfig,
+    SimTransport, Transport, WireOnly,
 };
 
 fn world(faults: FaultConfig) -> Arc<World> {
@@ -106,7 +105,7 @@ fn campaign_merge_is_the_union_of_per_protocol_hits() {
     assert_portset_union(&wire);
 
     let mut s = scanner(world, false);
-    assert_portset_union(&common::run_sharded(&mut s, &t, 4));
+    assert_portset_union(&common::run_campaign(&mut s, &t));
 }
 
 /// Probe every target again on every protocol, on the scanner's own
@@ -134,15 +133,14 @@ fn fault_rows<T: Transport>(s: &Scanner<T>) -> Vec<(u128, u8, u32)> {
         .fault_rows()
 }
 
-/// 4 protocols × faults {off, hostile} × breaker {off, on} × shards
-/// {1, 3, 4, 8}: per-protocol `scan_parallel` calls and a campaign's
-/// `run_with` rounds both report exactly what the wire reference reports —
-/// every report bit for bit (hits in input order, identical
-/// packet/dedup/blocklist/outcome/fault/breaker counters), the same merged
-/// responsive map, the same packet total, and the same engine counters.
-/// Lending per-prefix state to the shard tasks and reclaiming it leaves the
-/// scanner where the reference is: the same fault clocks, and the same
-/// bursts from a follow-up probe of flows the scan already advanced.
+/// 4 protocols × faults {off, hostile} × breaker {off, on}: per-protocol
+/// `scan` calls and a campaign's `run_with` round both report exactly what
+/// the wire reference reports — every report bit for bit (hits in input
+/// order, identical packet/dedup/blocklist/outcome/fault/breaker
+/// counters), the same merged responsive map, the same packet total, and
+/// the same engine counters. Each leaves the scanner where the reference
+/// is: the same fault clocks, and the same bursts from a follow-up probe
+/// of flows the scan already advanced.
 #[test]
 fn scans_and_campaigns_match_the_wire_reference() {
     for (faults_name, faults) in [
@@ -152,10 +150,11 @@ fn scans_and_campaigns_match_the_wire_reference() {
         let world = world(faults);
         let t = targets(&world);
         for breaker in [false, true] {
+            let at = format!("faults={faults_name} breaker={breaker}");
             let (wire, mut wire_scanner) =
                 common::wire_campaign(world.clone(), config(breaker), &t);
-            let mut follow_ups = Vec::new();
             let wire_counters = wire_scanner.metrics().counters();
+            let wire_faults = fault_rows(&wire_scanner);
             if faults_name == "hostile" {
                 let perturbed: u64 = wire
                     .reports
@@ -164,59 +163,51 @@ fn scans_and_campaigns_match_the_wire_reference() {
                     .sum();
                 assert!(perturbed > 0, "the hostile schedule must bite");
             }
-            for shards in [1, 3, 4, 8] {
-                let at = format!("faults={faults_name} breaker={breaker} shards={shards}");
 
-                let mut s = scanner(world.clone(), breaker);
-                for (proto, want) in &wire.reports {
-                    let got = s.scan_parallel(t.iter().copied(), *proto, shards);
-                    assert_eq!(&got, want, "scan_parallel {proto:?} at {at}");
-                }
-                assert_eq!(
-                    s.packets_sent(),
-                    wire_scanner.packets_sent(),
-                    "scan_parallel at {at}"
-                );
-                assert_eq!(
-                    s.metrics().counters(),
-                    wire_counters,
-                    "scan_parallel at {at}"
-                );
-                let wire_faults = fault_rows(&wire_scanner);
-                assert_eq!(fault_rows(&s), wire_faults, "scan_parallel at {at}");
-                follow_ups.push((format!("scan_parallel at {at}"), follow_up(&mut s, &t)));
-
-                let mut s = scanner(world.clone(), breaker);
-                let par = common::run_sharded(&mut s, &t, shards);
-                assert_eq!(par.reports, wire.reports, "run_with at {at}");
-                assert_eq!(
-                    par.iter().collect::<Vec<_>>(),
-                    wire.iter().collect::<Vec<_>>(),
-                    "responsive map at {at}"
-                );
-                assert_eq!(
-                    s.packets_sent(),
-                    wire_scanner.packets_sent(),
-                    "run_with at {at}"
-                );
-                // A campaign prepares its target list once; the reference's
-                // four scans each prepared it again.
-                let mut counters = s.metrics().counters();
-                for name in ["probe.drop.duplicate", "probe.drop.blocklist"] {
-                    *counters.get_mut(name).expect("registered counter") *= PROTOCOLS.len() as u64;
-                }
-                assert_eq!(counters, wire_counters, "run_with at {at}");
-                assert_eq!(fault_rows(&s), wire_faults, "run_with at {at}");
-                follow_ups.push((format!("run_with at {at}"), follow_up(&mut s, &t)));
+            let mut s = scanner(world.clone(), breaker);
+            for (proto, want) in &wire.reports {
+                let got = s.scan(t.iter().copied(), *proto);
+                assert_eq!(&got, want, "scan {proto:?} at {at}");
             }
+            assert_eq!(
+                s.packets_sent(),
+                wire_scanner.packets_sent(),
+                "scan at {at}"
+            );
+            assert_eq!(s.metrics().counters(), wire_counters, "scan at {at}");
+            assert_eq!(fault_rows(&s), wire_faults, "scan at {at}");
+            let scanned = follow_up(&mut s, &t);
+
+            let mut s = scanner(world.clone(), breaker);
+            let campaign = common::run_campaign(&mut s, &t);
+            assert_eq!(campaign.reports, wire.reports, "run_with at {at}");
+            assert_eq!(
+                campaign.iter().collect::<Vec<_>>(),
+                wire.iter().collect::<Vec<_>>(),
+                "responsive map at {at}"
+            );
+            assert_eq!(
+                s.packets_sent(),
+                wire_scanner.packets_sent(),
+                "run_with at {at}"
+            );
+            // A campaign prepares its target list once; the reference's
+            // four scans each prepared it again.
+            let mut counters = s.metrics().counters();
+            for name in ["probe.drop.duplicate", "probe.drop.blocklist"] {
+                *counters.get_mut(name).expect("registered counter") *= PROTOCOLS.len() as u64;
+            }
+            assert_eq!(counters, wire_counters, "run_with at {at}");
+            assert_eq!(fault_rows(&s), wire_faults, "run_with at {at}");
+            let campaigned = follow_up(&mut s, &t);
+
             let want = follow_up(&mut wire_scanner, &t);
             assert!(
                 want.iter().flatten().any(|b| b.used > 0),
                 "the follow-up must probe"
             );
-            for (at, got) in follow_ups {
-                assert_eq!(got, want, "follow-up bursts, {at}");
-            }
+            assert_eq!(scanned, want, "follow-up bursts after scan, {at}");
+            assert_eq!(campaigned, want, "follow-up bursts after run_with, {at}");
         }
     }
 }
@@ -305,63 +296,14 @@ fn oracle_probes_match_the_wire_reference() {
     }
 }
 
-/// A downstream-style transport: `send` + `packets_sent` and nothing else
-/// — no burst override, no carried state. It answers every ICMP echo.
-#[derive(Clone, Default)]
-struct EchoAll(u64);
-
-impl Transport for EchoAll {
-    fn send(&mut self, packet: &[u8]) -> Option<Vec<u8>> {
-        self.0 += 1;
-        match parse_packet(packet).ok()? {
-            ParsedPacket::EchoRequest {
-                src,
-                dst,
-                ident,
-                seq,
-                payload,
-            } => {
-                let echoed = payload.map(|p| p.to_bytes().to_vec()).unwrap_or_default();
-                Some(build_echo_reply(dst, src, ident, seq, &echoed))
-            }
-            _ => None,
-        }
-    }
-
-    fn packets_sent(&self) -> u64 {
-        self.0
-    }
-}
-
-/// The stateless side of the engine's lend — a `Clone` transport that
-/// carries nothing is lent as plain clones — which no transport in the
-/// tree takes: a sharded scan over one must still equal the single-task
-/// scan, and the scanner must count the packets its clones sent.
-#[test]
-fn stateless_clone_transport_shards_like_it_scans() {
-    let t = targets(&world(FaultConfig::off()));
-    let mut seq = Scanner::new(config(true), EchoAll::default());
-    let want = seq.scan(t.iter().copied(), Protocol::Icmp);
-    assert!(
-        want.probed > 0 && want.hits.len() == want.probed,
-        "every echo is answered"
-    );
-    for shards in [1, 3] {
-        let mut par = Scanner::new(config(true), EchoAll::default());
-        let got = par.scan_parallel(t.iter().copied(), Protocol::Icmp, shards);
-        assert_eq!(got, want, "shards={shards}");
-        assert_eq!(par.packets_sent(), seq.packets_sent(), "shards={shards}");
-    }
-}
-
 #[test]
 fn every_hit_is_ground_truth_responsive() {
     let world = world(FaultConfig::off());
     let t = targets(&world);
     let mut s = scanner(world.clone(), false);
-    let par = common::run_sharded(&mut s, &t, 4);
+    let campaign = common::run_campaign(&mut s, &t);
     for proto in PROTOCOLS {
-        let (_, report) = &par.reports[proto.index()];
+        let (_, report) = &campaign.reports[proto.index()];
         for &hit in &report.hits {
             assert!(world.truth_responds(hit, proto), "{hit} on {proto:?}");
         }

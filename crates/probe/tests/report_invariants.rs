@@ -6,9 +6,10 @@
 use std::net::Ipv6Addr;
 use std::sync::Arc;
 
-use netmodel::{Protocol, World, WorldConfig};
+use netmodel::{Protocol, World, WorldConfig, PROTOCOLS};
 use sos_probe::{
-    AttributionTable, Provenance, RetryPolicy, ScanReport, Scanner, ScannerConfig, SimTransport,
+    Campaign, RetryPolicy, RunOptions, ScanReport, Scanner, ScannerConfig, SimTransport,
+    TokenBucket,
 };
 use v6addr::{Prefix, PrefixSet};
 
@@ -137,87 +138,54 @@ fn unlimited_scanner_records_zero_stalls() {
     assert_report_reconciles(&report, &s);
 }
 
+/// A scanner has one token bucket for its lifetime, and a campaign spends
+/// it across rounds and protocols in the order it scans them: the waits a
+/// rate-limited four-protocol campaign reports add up to the waits of its
+/// (round, protocol) slices acquired, in that order, through one bucket.
+/// Every target is distinct and probed once, one packet each.
 #[test]
-fn retries_merge_equal_sequential_vs_sharded() {
-    // `ScanReport.retries` must survive `absorb_shard` intact: the same
-    // scan sharded 8 ways reports exactly the sequential retry count.
+fn a_rate_limited_campaign_spends_one_bucket_across_rounds_and_protocols() {
+    const RATE: f64 = 40.0;
+    const EVERY: usize = 25;
     let w = world();
-    let targets = mixed_targets(&w, 150);
+    let targets = mixed_targets(&w, 90);
     let cfg = ScannerConfig {
-        retry: RetryPolicy::fixed(2),
-        rate_pps: None,
+        retry: RetryPolicy::fixed(0),
+        rate_pps: Some(RATE),
         ..ScannerConfig::default()
     };
-    let mut seq = Scanner::new(cfg.clone(), SimTransport::new(w.clone()));
-    let sequential = seq.scan(targets.iter().copied(), Protocol::Icmp);
-    let mut par = Scanner::new(cfg, SimTransport::new(w));
-    let sharded = par.scan_parallel(targets.iter().copied(), Protocol::Icmp, 8);
-    assert!(sequential.retries > 0, "silent targets must retry");
-    assert_eq!(sequential.retries, sharded.retries);
-    assert_eq!(sequential, sharded, "whole reports stay bit-identical");
-    assert_eq!(
-        par.metrics().counter("probe.retries"),
-        sharded.retries,
-        "the metrics registry agrees with the merged report"
-    );
-}
-
-#[test]
-fn every_scan_report_field_has_a_merge_rule() {
-    // Every numeric field is either shard-summed, max-merged, or
-    // parent-owned; `absorb_shard`'s exhaustive destructure makes a new
-    // field a compile error, and this test pins the decided semantics.
-    let mk = |scale: u64| ScanReport {
-        hits: vec![Ipv6Addr::from(0x1000 + u128::from(scale))],
-        probed: scale as usize,
-        duplicates: 2 * scale as usize,
-        blocked: 3 * scale as usize,
-        rsts: 4 * scale as usize,
-        unreachables: 5 * scale as usize,
-        silent: 6 * scale as usize,
-        skipped: 7 * scale as usize,
-        retries: 8 * scale,
-        packets_sent: 9 * scale,
-        faults_injected: 10 * scale,
-        breaker_opened: 11 * scale,
-        backoff_waited_us: 12 * scale,
-        throttled_us: 13 * scale,
-        limited_seconds: 14.0 * scale as f64,
-        attribution: {
-            let mut t = AttributionTable::new();
-            let p = Provenance {
-                source: 1,
-                region: 9,
-                seed_digest: 0xf00,
-                round: 0,
-            };
-            for _ in 0..scale {
-                t.record_probe(p);
-            }
-            t.record_hit(p);
-            t
-        },
+    let mut s = Scanner::new(cfg, SimTransport::new(w));
+    let opts = RunOptions {
+        checkpoint_every: EVERY,
+        ..RunOptions::default()
     };
-    let mut merged = mk(1);
-    merged.absorb_shard(mk(100));
-    assert_eq!(merged.hits.len(), 2, "hits concatenate");
-    assert_eq!(merged.probed, 101);
-    assert_eq!(merged.duplicates, 202);
-    assert_eq!(merged.blocked, 303);
-    assert_eq!(merged.rsts, 404);
-    assert_eq!(merged.unreachables, 505);
-    assert_eq!(merged.silent, 606);
-    assert_eq!(merged.skipped, 707);
-    assert_eq!(merged.retries, 808);
-    assert_eq!(merged.packets_sent, 909);
-    assert_eq!(merged.faults_injected, 1010);
-    assert_eq!(merged.breaker_opened, 1111);
-    assert_eq!(merged.backoff_waited_us, 1212);
-    assert_eq!(merged.throttled_us, 1313);
-    // Shards rate-limit concurrently: wall-clock wait is the slowest
-    // shard's, not the sum.
-    assert_eq!(merged.limited_seconds, 1400.0, "max-merged, not summed");
-    // Attribution tables merge key-wise: same (source, region) row sums.
-    assert_eq!(merged.attribution.totals(), (101, 2, 0), "keyed sum");
-    assert_eq!(merged.attribution.len(), 1);
+    let run = Campaign::standard(&mut s)
+        .run_with(&targets, &opts, None)
+        .unwrap();
+    assert!(run.completed && run.rounds > 1, "{} rounds", run.rounds);
+    let reports = &run.result.reports;
+    assert!(reports.iter().all(|(_, r)| r.probed == targets.len()));
+    assert!(reports
+        .iter()
+        .all(|(_, r)| r.packets_sent == targets.len() as u64));
+
+    let mut bucket = TokenBucket::new(RATE, RATE);
+    let mut want = 0.0;
+    for round in targets.chunks(EVERY) {
+        for _proto in PROTOCOLS {
+            for _target in round {
+                want += bucket.acquire();
+            }
+        }
+    }
+    let got: f64 = reports.iter().map(|(_, r)| r.limited_seconds).sum();
+    assert!(want > 0.0, "the limiter must bite");
+    assert!(
+        (got - want).abs() <= 1e-9 * want,
+        "campaign waited {got} s, one bucket {want} s"
+    );
+    assert_eq!(
+        s.metrics().counter("probe.ratelimit.stalls"),
+        bucket.total_stalls()
+    );
 }
