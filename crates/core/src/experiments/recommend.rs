@@ -42,10 +42,10 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
                    (6Gen-style probing) before generation."
             .into(),
         evidence: format!(
-            "dealiased seeds changed hits by {:+.2} and ASes by {:+.2} on average; \
+            "dealiased seeds changed hits by {:+.2} and ASes by {:+.2} (median cell); \
              aliases generated (D_All→D_joint): {}",
-            fig3.mean_hits_ratio(),
-            fig3.mean_ases_ratio(),
+            fig3.median_hits_ratio(),
+            fig3.median_ases_ratio(),
             joint_vs_best_single.join(", ")
         ),
     });
@@ -56,9 +56,9 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
         topic: "Unresponsive Addresses",
         guidance: "Pre-scan seeds and keep only addresses responsive on some port/protocol.".into(),
         evidence: format!(
-            "active-only seeds changed hits by {:+.2} and ASes by {:+.2} on average",
-            fig4.mean_hits_ratio(),
-            fig4.mean_ases_ratio()
+            "active-only seeds changed hits by {:+.2} and ASes by {:+.2} (median cell)",
+            fig4.median_hits_ratio(),
+            fig4.median_ases_ratio()
         ),
     });
 
@@ -89,14 +89,12 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
         guidance: "Evaluate TGAs across multiple ports and protocols; per-port topology \
                    differences reorder the generators."
             .into(),
-        evidence: {
-            let best_icmp = best_on(grid, Protocol::Icmp);
-            let best_udp = best_on(grid, Protocol::Udp53);
-            format!(
-                "best hit-count TGA: {} on ICMP vs {} on UDP53",
-                best_icmp.label(),
-                best_udp.label()
-            )
+        evidence: match largest_rank_shift(grid, Protocol::Icmp, Protocol::Udp53) {
+            Some((tga, icmp, udp)) => format!(
+                "largest All-Active hit-rank shift: {} is #{icmp} on ICMP and #{udp} on UDP53",
+                tga.label()
+            ),
+            None => "no TGA was run on both ICMP and UDP53".into(),
         },
     });
 
@@ -127,17 +125,36 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
     out
 }
 
-/// The TGA with the most All-Active hits on `proto` in this grid.
-fn best_on(grid: &Grid, proto: Protocol) -> TgaId {
-    TgaId::ALL
-        .iter()
-        .copied()
-        .max_by_key(|&t| {
-            grid.try_get(DatasetKind::AllActive, proto, t)
-                .map(|r| r.metrics.hits)
-                .unwrap_or(0)
-        })
-        .expect("eight TGAs")
+/// The TGA whose All-Active hit rank differs most between `a` and `b`,
+/// with its 1-based rank on each (most hits first). Only TGAs the grid
+/// holds on both protocols are ranked; equal hits, and equal shifts, go
+/// to the first in `TgaId::ALL` order.
+fn largest_rank_shift(grid: &Grid, a: Protocol, b: Protocol) -> Option<(TgaId, usize, usize)> {
+    let hits = |tga, proto| {
+        grid.try_get(DatasetKind::AllActive, proto, tga)
+            .map(|r| r.metrics.hits)
+    };
+    let both: Vec<(TgaId, [usize; 2])> = TgaId::ALL
+        .into_iter()
+        .filter_map(|t| Some((t, [hits(t, a)?, hits(t, b)?])))
+        .collect();
+    let rank = |i: usize, p: usize| {
+        let own = both[i].1[p];
+        let ahead = both
+            .iter()
+            .enumerate()
+            .filter(|&(j, (_, h))| h[p] > own || (h[p] == own && j < i))
+            .count();
+        ahead + 1
+    };
+    let mut best: Option<(TgaId, usize, usize)> = None;
+    for (i, &(tga, _)) in both.iter().enumerate() {
+        let (ra, rb) = (rank(i, 0), rank(i, 1));
+        if best.map_or(true, |(_, x, y)| ra.abs_diff(rb) > x.abs_diff(y)) {
+            best = Some((tga, ra, rb));
+        }
+    }
+    best
 }
 
 /// Render the recommendation list.
@@ -184,5 +201,60 @@ mod tests {
         let rendered = render(&recs);
         assert!(rendered.contains("Dealiasing"));
         assert!(rendered.contains("evidence"));
+
+        // The Ports evidence against a stable sort of each port's hits.
+        let ranks = |proto| {
+            let mut order: Vec<(TgaId, usize)> = TgaId::ALL
+                .into_iter()
+                .filter_map(|t| {
+                    let r = grid.try_get(DatasetKind::AllActive, proto, t)?;
+                    Some((t, r.metrics.hits))
+                })
+                .collect();
+            order.sort_by_key(|&(_, hits)| std::cmp::Reverse(hits));
+            order
+        };
+        let (icmp, udp) = (ranks(Protocol::Icmp), ranks(Protocol::Udp53));
+        let rank_in =
+            |order: &[(TgaId, usize)], t| 1 + order.iter().position(|&(o, _)| o == t).unwrap();
+        let mut want = None;
+        for t in TgaId::ALL
+            .into_iter()
+            .filter(|&t| icmp.iter().any(|&(o, _)| o == t))
+        {
+            let (ri, ru) = (rank_in(&icmp, t), rank_in(&udp, t));
+            if want.map_or(true, |(_, x, y): (TgaId, usize, usize)| {
+                ri.abs_diff(ru) > x.abs_diff(y)
+            }) {
+                want = Some((t, ri, ru));
+            }
+        }
+        let (t, ri, ru) = want.unwrap();
+        let ports = recs.iter().find(|r| r.topic == "Ports").unwrap();
+        assert_eq!(
+            ports.evidence,
+            format!(
+                "largest All-Active hit-rank shift: {} is #{ri} on ICMP and #{ru} on UDP53",
+                t.label()
+            )
+        );
+    }
+
+    #[test]
+    fn a_median_is_the_middle_cell() {
+        let fig = |ratios: &[f64]| crate::experiments::rq1::RatioFigure {
+            title: String::new(),
+            rows: ratios
+                .iter()
+                .map(|&r| (TgaId::Det, Protocol::Icmp, r, -r, 0.0))
+                .collect(),
+        };
+        // One near-zero base drags the mean, not the median.
+        let skewed = fig(&[0.1, 2538.0, -0.2, 0.3]);
+        assert_eq!(skewed.median_hits_ratio(), 0.2);
+        assert_eq!(skewed.median_ases_ratio(), -0.2);
+        assert!(skewed.mean_hits_ratio() > 600.0);
+        assert_eq!(fig(&[3.0, -1.0, 2.0]).median_hits_ratio(), 2.0);
+        assert_eq!(fig(&[]).median_hits_ratio(), 0.0);
     }
 }

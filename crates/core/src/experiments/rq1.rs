@@ -32,6 +32,18 @@ impl RatioFigure {
         self.rows.iter().map(|r| r.3).sum::<f64>() / n as f64
     }
 
+    /// Median hits ratio across all cells: one cell whose base is near
+    /// zero moves the mean by its ratio over the cell count, the median
+    /// not at all.
+    pub fn median_hits_ratio(&self) -> f64 {
+        median(self.rows.iter().map(|r| r.2).collect())
+    }
+
+    /// Median ASes ratio across all cells.
+    pub fn median_ases_ratio(&self) -> f64 {
+        median(self.rows.iter().map(|r| r.3).collect())
+    }
+
     /// Render as a table.
     pub fn render(&self) -> String {
         let mut t =
@@ -46,6 +58,18 @@ impl RatioFigure {
             ]);
         }
         t.render()
+    }
+}
+
+/// The middle value, or the mean of the two middle values of an even
+/// count; 0 for no values.
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_unstable_by(f64::total_cmp);
+    let n = values.len();
+    match n {
+        0 => 0.0,
+        _ if n % 2 == 1 => values[n / 2],
+        _ => (values[n / 2 - 1] + values[n / 2]) / 2.0,
     }
 }
 
