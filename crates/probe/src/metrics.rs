@@ -122,8 +122,8 @@ impl EngineMetrics {
         self.global[slot].add(n);
     }
 
-    /// Add a task's tally. Zeros are skipped: a typical oracle probe moves
-    /// `probe.packets_sent` and nothing else.
+    /// Add a scan's or a probe's tally. Zeros are skipped: a typical
+    /// oracle probe moves `probe.packets_sent` and nothing else.
     pub(crate) fn add_all(&self, counts: &Counts) {
         for (slot, &n) in counts.iter().enumerate() {
             if n > 0 {
