@@ -466,6 +466,8 @@ fn scan_list<T: Transport>(
         tally.counts[outcome] += 1;
     }
     run.flush(&mut report.attribution);
+    // A report outlives its scan: drop the doubling slack.
+    report.hits.shrink_to_fit();
     // The classification and per-protocol series are counted by scans
     // only (oracle probes stay out of them); the report is read off the
     // same slots, and the engine counters take one add per list.
