@@ -23,7 +23,7 @@ use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions, stream_seed, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{batch_rng, build_regions, Ledger, Region, SplitStrategy, MAX_REGIONS};
 use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Bandit state per tree leaf. A run clones the fitted arms and shares
@@ -31,6 +31,8 @@ use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 #[derive(Debug, Clone)]
 struct Arm {
     region: Rc<Region>,
+    /// What this run's batches took out of `region`.
+    ledger: Ledger,
     probes: f64,
     q: f64,
     /// The unprobed score, a function of the region alone: computed when
@@ -46,6 +48,7 @@ fn arms_over(basis: &[Ipv6Addr]) -> Vec<Arm> {
         .map(|region| Arm {
             prior: Arm::prior(&region),
             region: Rc::new(region),
+            ledger: Ledger::default(),
             probes: 0.0,
             q: 0.0,
         })
@@ -150,8 +153,9 @@ impl SeedModel for Fitted<'_> {
                     break;
                 }
                 let arm = &mut arms[idx]; // idx from order: < arms.len()
-                let stream = stream_seed(cfg.seed ^ 0xde7, arm.region.digest, round, slot);
-                let batch = arm.region.draw_unseen(BATCH, EXPLORE, stream, sink.seen());
+                let mut rng = batch_rng(cfg.seed ^ 0xde7, arm.region.digest, round, slot);
+                let (region, ledger) = (&arm.region, &mut arm.ledger);
+                let batch = region.draw_unseen(ledger, BATCH, EXPLORE, &mut rng, sink.seen());
                 if batch.is_empty() {
                     // Leaf exhausted: expand its variable dimensions upward
                     // (DET keeps probing outward from productive structure);
@@ -163,6 +167,7 @@ impl SeedModel for Fitted<'_> {
                         Some(w) => {
                             arm.prior = Arm::prior(&w);
                             arm.region = Rc::new(w);
+                            arm.ledger = Ledger::default();
                             progressed = true;
                         }
                         None => arm.probes += 1e6,

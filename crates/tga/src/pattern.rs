@@ -274,6 +274,17 @@ impl DigitTable {
         self.values[j & 15]
     }
 
+    /// Each value's probability under [`Self::draw`] in closed form:
+    /// `explore/16 + (1 − explore)·count(v)/total`, or 1/16 when nothing
+    /// was observed.
+    pub(crate) fn shares(&self, explore: f64) -> [f64; 16] {
+        if self.total == 0 {
+            return [1.0 / 16.0; 16];
+        }
+        let scale = (1.0 - explore) / f64::from(self.total);
+        self.counts().map(|c| explore / 16.0 + scale * f64::from(c))
+    }
+
     /// The compiled histogram's count of each value.
     pub(crate) fn counts(&self) -> [u32; 16] {
         let mut counts = [0; 16];

@@ -89,9 +89,10 @@ impl<'p> Candidates<'p> {
         &self.out
     }
 
-    /// Every address emitted so far: what a batch from
-    /// [`Region::draw_unseen`](crate::Region::draw_unseen) is drawn
-    /// against.
+    /// Every address emitted so far. A batch from
+    /// [`Region::draw_unseen`](crate::Region::draw_unseen) skips what it
+    /// holds: such a draw is removed from the region's ledger and drawn
+    /// again.
     pub fn seen(&self) -> &AddrSet<u128> {
         &self.seen
     }

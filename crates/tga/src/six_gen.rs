@@ -135,7 +135,7 @@ impl SeedModel for Fitted<'_> {
                     continue;
                 }
                 let limit = horizon.min(sink.room() * 2 + 16);
-                let enumerated = c.enumerate(limit);
+                let enumerated: Vec<Ipv6Addr> = c.sweep().take(limit).collect();
                 if enumerated.len() < limit {
                     swept[ci] = true; // range smaller than the horizon
                 }

@@ -18,7 +18,7 @@ use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
 use crate::sink::{probe_round, Candidates, Tag};
-use crate::space_tree::{build_regions, stream_seed, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{batch_rng, build_regions, Ledger, Region, SplitStrategy, MAX_REGIONS};
 use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Leaf size for the space tree (6Tree-style leftmost splits).
@@ -82,6 +82,7 @@ impl SeedModel for Fitted<'_> {
         let mut reward = vec![0.0f64; n];
         let mut probes = vec![1.0f64; n];
         let mut exhausted = vec![false; n];
+        let mut ledgers = vec![Ledger::default(); n];
         // Each round's reward rates, computed once for the sort.
         let mut rate: Vec<f64> = Vec::with_capacity(n);
         let mut round = 0usize;
@@ -103,9 +104,9 @@ impl SeedModel for Fitted<'_> {
             order.sort_by(|&a, &b| rate[b].total_cmp(&rate[a])); // a, b < n: rate sized n
 
             // Each slot picks its region on the round RNG, then draws its
-            // batch from a private (region, round, slot) stream against
-            // everything emitted so far, and commits it before the next
-            // slot draws.
+            // batch from a private (region, round, slot) stream, without
+            // replacement from the region and against everything emitted
+            // so far, and commits it before the next slot draws.
             let mut progressed = false;
             for slot in 0..REGIONS_PER_ROUND.min(order.len()) {
                 if sink.room() == 0 {
@@ -120,9 +121,9 @@ impl SeedModel for Fitted<'_> {
                     // idx from order: < n
                     continue; // an ε repeat of a region exhausted earlier this round
                 }
-                let region = &regions[idx]; // idx < n
-                let stream = stream_seed(cfg.seed ^ 0x65ca, region.digest, round, slot);
-                let batch = region.draw_unseen(BATCH, EXPLORE, stream, sink.seen());
+                let (region, ledger) = (&regions[idx], &mut ledgers[idx]); // idx < n
+                let mut rng = batch_rng(cfg.seed ^ 0x65ca, region.digest, round, slot);
+                let batch = region.draw_unseen(ledger, BATCH, EXPLORE, &mut rng, sink.seen());
                 if batch.is_empty() {
                     exhausted[idx] = true; // idx < n
                     continue;

@@ -115,20 +115,17 @@ fn emit_from_region(
     tag: Tag,
 ) {
     let quota = quota.min(sink.room());
-    match r.space_size() {
-        // Small space: systematic enumeration covers the whole region.
-        Some(size) if size <= quota as u64 * 4 => {
-            let mut left = quota;
-            for a in r.sweep().take(quota * 4) {
-                if left == 0 {
-                    break;
-                }
-                left -= usize::from(sink.push(a, tag));
+    // A small space (16^free ≤ 4 × quota): sweep the whole region.
+    if 16f64.powi(r.pattern.free_count() as i32) <= quota as f64 * 4.0 {
+        let mut left = quota;
+        for a in r.sweep().take(quota * 4) {
+            if left == 0 {
+                break;
             }
+            left -= usize::from(sink.push(a, tag));
         }
-        _ => {
-            sink.draw(quota, quota * 8 + 32, tag, || Some(r.sample(rng, explore)));
-        }
+    } else {
+        sink.draw(quota, quota * 8 + 32, tag, || Some(r.sample(rng, explore)));
     }
 }
 

@@ -91,8 +91,8 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
         0xc9a5497f7006ca2a,
         0x425fff671538013f,
     ),
-    (TgaId::Det, false, 0x4d8c83974a0ada48, 0x03830049c79b6e52),
-    (TgaId::Det, true, 0x9138d2c41e62514d, 0x1b7aefb484175cc3),
+    (TgaId::Det, false, 0x7247ee6339943111, 0x98561d04586ed7a5),
+    (TgaId::Det, true, 0x4b1c18b6699489a7, 0xd3e4e415373513e5),
     (
         TgaId::SixTree,
         false,
@@ -103,10 +103,10 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
     (
         TgaId::SixScan,
         false,
-        0x86ef7cac52a379c0,
-        0x97da84ee71027eff,
+        0x1ae62ee462d72868,
+        0x96805253cca73c25,
     ),
-    (TgaId::SixScan, true, 0x53016404bdecf6bf, 0x3dfd788c30286072),
+    (TgaId::SixScan, true, 0x741c1f1ac11e23ed, 0xe7729fa7f89f3d25),
     (
         TgaId::SixGraph,
         false,
