@@ -4,6 +4,8 @@
 
 use std::process::{Command, Output};
 
+use sos_obs::json::Json;
+
 fn run(bin: &str, args: &[&str]) -> Output {
     Command::new(bin).args(args).output().expect("run binary")
 }
@@ -377,6 +379,40 @@ fn campaign_refuses_sink_paths_that_differ_only_in_spelling() {
             "kept\n",
             "{checkpoint} {journal}"
         );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every TGA's work counters (`tga.<id>.draws`, `tga.<id>.fill`) are pure
+/// functions of the seeds and the config: `rq1` at one thread and at two
+/// records the same manifest values, and every accepted candidate but the
+/// fill was drawn (generated − fill ≤ draws).
+#[test]
+fn tga_work_counters_agree_at_one_and_two_threads() {
+    let dir = std::env::temp_dir().join(format!("sos-cli-work-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let counters = |threads: &str| {
+        let manifest = dir.join(format!("m{threads}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_seedscan"))
+            .args(["rq1", "--scale", "tiny", "--threads", threads, "--manifest"])
+            .arg(&manifest)
+            .output()
+            .expect("run binary");
+        assert!(out.status.success(), "{threads} threads");
+        let doc = Json::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
+        tga::TgaId::ALL.map(|tga| {
+            let count = |name: &str| {
+                let key = format!("tga.{}.{name}", tga.label());
+                let value = doc.get("counters").and_then(|c| c.get(&key));
+                value.and_then(Json::as_u64).expect("counter")
+            };
+            (tga, count("generated_addrs"), count("draws"), count("fill"))
+        })
+    };
+    let one = counters("1");
+    assert_eq!(one, counters("2"));
+    for (tga, generated, draws, fill) in one {
+        assert!(generated - fill <= draws, "{tga:?}: {draws} draws");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

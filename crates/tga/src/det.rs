@@ -154,8 +154,11 @@ impl SeedModel for Fitted<'_> {
                 }
                 let arm = &mut arms[idx]; // idx from order: < arms.len()
                 let mut rng = batch_rng(cfg.seed ^ 0xde7, arm.region.digest, round, slot);
+                // Arms are rebuilt online: the leaf's member digest, not
+                // its index, is the stable identity across tree updates.
+                let tag = Tag::new(idx, arm.region.digest, round);
                 let (region, ledger) = (&arm.region, &mut arm.ledger);
-                let batch = region.draw_unseen(ledger, BATCH, EXPLORE, &mut rng, sink.seen());
+                let batch = sink.draw_region(region, ledger, BATCH, EXPLORE, &mut rng, tag);
                 if batch.is_empty() {
                     // Leaf exhausted: expand its variable dimensions upward
                     // (DET keeps probing outward from productive structure);
@@ -174,9 +177,6 @@ impl SeedModel for Fitted<'_> {
                     }
                     continue;
                 }
-                // Arms are rebuilt online: the leaf's member digest, not
-                // its index, is the stable identity across tree updates.
-                let batch = sink.commit(&batch, Tag::new(idx, arm.region.digest, round));
                 progressed = true;
                 let sent = batch.len() as f64;
                 let hits = probe_round(oracle, cfg.proto, &sink, batch, None, |a, _| {

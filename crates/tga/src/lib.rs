@@ -297,7 +297,8 @@ pub mod names {
 /// Transparent observability wrapper around any generator: every fit runs
 /// inside a `fit` span, and every generation from its model inside a
 /// `generate` span that reports throughput (`tga.generated_addrs` and
-/// per-TGA counters) without touching the address stream.
+/// per-TGA counters: `generated_addrs`, and the sink's [`sink::Work`] as
+/// `draws` and `fill`) without touching the address stream.
 struct Instrumented {
     inner: Box<dyn TargetGenerator>,
 }
@@ -338,11 +339,15 @@ impl SeedModel for InstrumentedModel<'_> {
         let start = sos_obs::now_s();
         let packets_before = oracle.packets_sent();
         let tagged_before = prov.len();
+        let work_before = sink::work_done();
         let out = self.inner.generate_tagged(cfg, oracle, prov);
         let dur_s = sos_obs::now_s() - start;
         let gen_packets = oracle.packets_sent() - packets_before;
+        let work = sink::work_done().since(work_before);
         sos_obs::counter(names::GENERATED_ADDRS).add(out.len() as u64);
         sos_obs::counter(&format!("tga.{label}.generated_addrs")).add(out.len() as u64);
+        sos_obs::counter(&format!("tga.{label}.draws")).add(work.draws);
+        sos_obs::counter(&format!("tga.{label}.fill")).add(work.fill);
         sos_obs::counter(names::GEN_PACKETS).add(gen_packets);
         if prov.is_enabled() {
             sos_obs::counter(names::PROV_TAGGED).add((prov.len() - tagged_before) as u64);

@@ -123,12 +123,12 @@ impl SeedModel for Fitted<'_> {
                 }
                 let (region, ledger) = (&regions[idx], &mut ledgers[idx]); // idx < n
                 let mut rng = batch_rng(cfg.seed ^ 0x65ca, region.digest, round, slot);
-                let batch = region.draw_unseen(ledger, BATCH, EXPLORE, &mut rng, sink.seen());
+                let tag = Tag::new(idx, region.digest, round);
+                let batch = sink.draw_region(region, ledger, BATCH, EXPLORE, &mut rng, tag);
                 if batch.is_empty() {
                     exhausted[idx] = true; // idx < n
                     continue;
                 }
-                let batch = sink.commit(&batch, Tag::new(idx, region.digest, round));
                 progressed = true;
                 probes[idx] += batch.len() as f64; // idx < n
 
