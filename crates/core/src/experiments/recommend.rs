@@ -8,8 +8,10 @@ use netmodel::Protocol;
 use tga::TgaId;
 
 use crate::experiments::grid::Grid;
-use crate::experiments::rq1::{fig3_dealias_ratio, fig4_active_ratio, table4_alias_regimes};
-use crate::experiments::rq2::{mean_hits_ratio_per_protocol, port_specific_ratios};
+use crate::experiments::rq1::{
+    fig3_dealias_ratio, fig4_active_ratio, table4_alias_regimes, RatioFigure,
+};
+use crate::experiments::rq2::port_specific_ratios;
 use crate::experiments::rq4::{combination_ases, combination_hits};
 use crate::study::DatasetKind;
 
@@ -63,24 +65,12 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
     });
 
     // Port-specific seeds.
-    let fig5 = port_specific_ratios(grid);
-    let per_proto = mean_hits_ratio_per_protocol(&fig5);
-    let tcp_gain = per_proto
-        .iter()
-        .filter(|(p, _)| matches!(p, Protocol::Tcp80 | Protocol::Tcp443 | Protocol::Udp53))
-        .map(|(_, r)| *r)
-        .sum::<f64>()
-        / 3.0;
     out.push(Recommendation {
         topic: "Port-Specific",
         guidance: "Restrict seeds to the scan target's responsive addresses for hit volume, \
                    but blend in ICMP-active seeds when AS/network coverage matters."
             .into(),
-        evidence: format!(
-            "mean application-protocol hits ratio {:+.2}; mean ASes ratio {:+.2}",
-            tcp_gain,
-            fig5.mean_ases_ratio()
-        ),
+        evidence: port_specific_evidence(&port_specific_ratios(grid)),
     });
 
     // Ports.
@@ -123,6 +113,24 @@ pub fn recommendations(grid: &Grid) -> Vec<Recommendation> {
     });
 
     out
+}
+
+/// Figure 5's support: the median application-protocol cell's hits ratio
+/// and the median cell's ASes ratio. A near-zero All-Active base moves a
+/// mean by its ratio over the cell count, the median not at all.
+fn port_specific_evidence(fig5: &RatioFigure) -> String {
+    let app = RatioFigure {
+        title: String::new(),
+        rows: (fig5.rows.iter())
+            .filter(|r| matches!(r.1, Protocol::Tcp80 | Protocol::Tcp443 | Protocol::Udp53))
+            .copied()
+            .collect(),
+    };
+    format!(
+        "application-protocol hits ratio {:+.2}; ASes ratio {:+.2} (median cell)",
+        app.median_hits_ratio(),
+        fig5.median_ases_ratio()
+    )
 }
 
 /// The TGA whose All-Active hit rank differs most between `a` and `b`,
@@ -256,5 +264,30 @@ mod tests {
         assert!(skewed.mean_hits_ratio() > 600.0);
         assert_eq!(fig(&[3.0, -1.0, 2.0]).median_hits_ratio(), 2.0);
         assert_eq!(fig(&[]).median_hits_ratio(), 0.0);
+    }
+
+    /// One TCP443 cell over a near-zero base (+131.69) made the mean
+    /// application-protocol ratio read far above every other cell; the
+    /// median reads the middle one, and ICMP cells stay out of it.
+    #[test]
+    fn port_specific_evidence_reads_the_median_cell() {
+        let rows = [
+            (Protocol::Icmp, 9.0, 0.4),
+            (Protocol::Tcp80, 1.2, -0.1),
+            (Protocol::Tcp443, 131.69, 0.3),
+            (Protocol::Tcp443, 1.4, -0.3),
+            (Protocol::Udp53, 1.6, 0.2),
+        ];
+        let fig5 = crate::experiments::rq1::RatioFigure {
+            title: String::new(),
+            rows: rows
+                .iter()
+                .map(|&(proto, hits, ases)| (TgaId::Det, proto, hits, ases, 0.0))
+                .collect(),
+        };
+        assert_eq!(
+            port_specific_evidence(&fig5),
+            "application-protocol hits ratio +1.50; ASes ratio +0.20 (median cell)"
+        );
     }
 }
