@@ -16,7 +16,9 @@ use sos_probe::provenance::ProvenanceLog;
 use sos_probe::ScanOracle;
 
 use crate::sink::{Candidates, Tag};
-use crate::space_tree::{build_regions, Region, SplitStrategy, MAX_REGIONS};
+use crate::space_tree::{
+    batch_rng, build_regions, Ledger, Region, SplitStrategy, Sweep, MAX_REGIONS,
+};
 use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Stop splitting below this many seeds per leaf.
@@ -35,7 +37,8 @@ pub struct SixTree;
 /// ones and sampling large ones, until `budget` unique candidates exist.
 /// Provenance: each candidate is tagged with its region's index in
 /// density order, the region's member digest, and the expansion pass
-/// (0 = quota pass, 1.. = round-robin passes).
+/// (0 = quota pass, 1.. = round-robin passes). Each region batch draws on
+/// its own [`batch_rng`], keyed by that pass and index.
 pub(crate) struct Expansion<'a> {
     seeds: &'a [Ipv6Addr],
     regions: Vec<Region>,
@@ -69,45 +72,56 @@ impl SeedModel for Expansion<'_> {
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
         let (regions, budget, explore) = (&self.regions, cfg.budget, self.explore);
-        let mut rng = SmallRng::seed_from_u64(cfg.seed ^ self.salt);
+        let seed = cfg.seed ^ self.salt;
         let total_seeds: usize = regions.iter().map(|r| r.seed_count).sum::<usize>().max(1);
         let mut sink = Candidates::new(budget, prov);
 
-        // Pass 1: density-proportional quotas.
+        // Pass 1: density-proportional quotas, one batch per region.
         for (ri, r) in regions.iter().enumerate() {
             if sink.room() == 0 {
                 break;
             }
             let quota = ((budget * r.seed_count) / total_seeds).max(4);
-            emit_from_region(
-                r,
-                quota,
-                explore,
-                &mut rng,
-                &mut sink,
-                Tag::new(ri, r.digest, 0),
-            );
+            let mut rng = batch_rng(seed, r.digest, 0, ri);
+            let tag = Tag::new(ri, r.digest, 0);
+            let mut fresh = Progress::default();
+            emit_from_region(r, &mut fresh, quota, explore, &mut rng, &mut sink, tag);
         }
-        // Pass 2: round-robin over the densest regions for leftover budget.
+        // Pass 2: round-robin over the densest regions for leftover budget,
+        // at doubled exploration; a region's progress spans its passes.
+        let explore = (explore * 2.0).min(0.5);
+        let mut progress = vec![Progress::default(); regions.len().min(512)];
         let mut pass = 0;
         while sink.room() > 0 && pass < 8 {
             pass += 1;
-            for (ri, r) in regions.iter().take(512).enumerate() {
+            for ((ri, r), at) in regions.iter().enumerate().zip(&mut progress) {
                 if sink.room() == 0 {
                     break;
                 }
                 let quota = (sink.room() / 64).clamp(1, 256);
+                let mut rng = batch_rng(seed, r.digest, pass, ri);
                 let tag = Tag::new(ri, r.digest, pass);
-                emit_from_region(r, quota, (explore * 2.0).min(0.5), &mut rng, &mut sink, tag);
+                emit_from_region(r, at, quota, explore, &mut rng, &mut sink, tag);
             }
         }
-        sink.finish(self.seeds, &mut rng)
+        sink.finish(self.seeds, &mut SmallRng::seed_from_u64(seed))
     }
 }
 
-/// Emit up to `quota` fresh addresses from one region.
+/// How far one region's expansion got: where its sweep stopped (every
+/// address before it is emitted), and what its draws took out.
+#[derive(Debug, Clone, Default)]
+struct Progress {
+    sweep: Option<Sweep>,
+    ledger: Ledger,
+}
+
+/// Emit up to `quota` fresh addresses from one region: a small space is
+/// swept on from where `at` stopped, a large one drawn without replacement
+/// over its ledger.
 fn emit_from_region(
     r: &Region,
+    at: &mut Progress,
     quota: usize,
     explore: f64,
     rng: &mut SmallRng,
@@ -117,15 +131,16 @@ fn emit_from_region(
     let quota = quota.min(sink.room());
     // A small space (16^free ≤ 4 × quota): sweep the whole region.
     if 16f64.powi(r.pattern.free_count() as i32) <= quota as f64 * 4.0 {
+        let sweep = at.sweep.get_or_insert_with(|| r.sweep());
         let mut left = quota;
-        for a in r.sweep().take(quota * 4) {
-            if left == 0 {
+        while left > 0 {
+            let Some(a) = sweep.next() else {
                 break;
-            }
+            };
             left -= usize::from(sink.push(a, tag));
         }
     } else {
-        sink.draw(quota, quota * 8 + 32, tag, || Some(r.sample(rng, explore)));
+        sink.draw_region(r, &mut at.ledger, quota, explore, rng, tag);
     }
 }
 
@@ -143,6 +158,7 @@ impl TargetGenerator for SixTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::work_done;
     use sos_probe::NullOracle;
 
     fn dense_seeds() -> Vec<Ipv6Addr> {
@@ -196,6 +212,33 @@ mod tests {
         let sibling =
             Ipv6Addr::from(0x2600_0bad_0001_0000_0000_0000_0000_0000u128 | (0x10u128 << 64) | 0xd);
         assert!(out.contains(&sibling), "sibling ::d should be generated");
+    }
+
+    /// Each region batch draws without replacement, so an address costs
+    /// at most one wasted draw per ledger: the draws (sweeps included) stay
+    /// within twice the accepted candidates, on the dense seeds and on
+    /// seeds spread over four free nybbles.
+    #[test]
+    fn draws_stay_within_twice_the_accepted_candidates() {
+        let spread: Vec<Ipv6Addr> = (1..=200u128)
+            .map(|i| Ipv6Addr::from(0x2600_0bad_0004u128 << 80 | (i % 5) << 64 | (i * 0x1f3d)))
+            .collect();
+        for seeds in [dense_seeds(), spread] {
+            for budget in [300, 2_000, 10_000] {
+                let before = work_done();
+                let out = SixTree.generate(
+                    &seeds,
+                    &GenConfig::new(budget, 7, netmodel::Protocol::Icmp),
+                    &mut NullOracle::default(),
+                );
+                let work = work_done().since(before);
+                let accepted = out.len() as u64 - work.fill;
+                assert!(
+                    accepted > 0 && work.draws <= 2 * accepted,
+                    "{budget}: {work:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -96,10 +96,10 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
     (
         TgaId::SixTree,
         false,
-        0x619dcffd9ca0917e,
-        0x4c11ac5fbb8965e2,
+        0x06305e05e011976f,
+        0x87b56a471272b9ff,
     ),
-    (TgaId::SixTree, true, 0x619dcffd9ca0917e, 0x4c11ac5fbb8965e2),
+    (TgaId::SixTree, true, 0x06305e05e011976f, 0x87b56a471272b9ff),
     (
         TgaId::SixScan,
         false,
@@ -110,19 +110,19 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
     (
         TgaId::SixGraph,
         false,
-        0xe28d933fea168287,
-        0x6171d43ba5fb3706,
+        0x3039e34d28de9241,
+        0xe9a40d198fbe3b81,
     ),
     (
         TgaId::SixGraph,
         true,
-        0xe28d933fea168287,
-        0x6171d43ba5fb3706,
+        0x3039e34d28de9241,
+        0xe9a40d198fbe3b81,
     ),
     (TgaId::SixGen, false, 0x74caf6c1be63f5b5, 0x931eb3c92214a385),
     (TgaId::SixGen, true, 0x74caf6c1be63f5b5, 0x931eb3c92214a385),
-    (TgaId::SixHit, false, 0x2c9c7cea5aa5ee3b, 0x4fd3fb0b920af58d),
-    (TgaId::SixHit, true, 0x259f25abe8b487fd, 0x138e4552858cfc64),
+    (TgaId::SixHit, false, 0x9c12a10a11400684, 0x91ee1138d879fc51),
+    (TgaId::SixHit, true, 0xf8e5131d7ecaa736, 0x62e282094ea8eab4),
     (
         TgaId::EntropyIp,
         false,
