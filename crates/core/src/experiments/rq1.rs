@@ -26,12 +26,6 @@ impl RatioFigure {
         self.rows.iter().map(|r| r.2).sum::<f64>() / n as f64
     }
 
-    /// Mean ASes ratio across all cells.
-    pub fn mean_ases_ratio(&self) -> f64 {
-        let n = self.rows.len().max(1);
-        self.rows.iter().map(|r| r.3).sum::<f64>() / n as f64
-    }
-
     /// Median hits ratio across all cells: one cell whose base is near
     /// zero moves the mean by its ratio over the cell count, the median
     /// not at all.
@@ -287,6 +281,6 @@ mod tests {
         assert_eq!(f.rows.len(), 2);
         assert!(f.rows.iter().all(|r| r.1 == Protocol::Icmp));
         assert!(f.render().contains("Hits PR"));
-        let _ = (f.mean_hits_ratio(), f.mean_ases_ratio());
+        let _ = (f.mean_hits_ratio(), f.median_ases_ratio());
     }
 }
