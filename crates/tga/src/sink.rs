@@ -17,9 +17,9 @@
 //! A generator is a model and a proposal order; it never sees the `seen`
 //! set or the log. A region batch is drawn against `seen` inside the sink
 //! ([`Candidates::draw_region`]); other samplers offer addresses to
-//! [`Candidates::draw`], and enumerations to [`Candidates::push`] or
-//! [`Candidates::commit`]. Online generators probe the range a batch
-//! returned through `probe_round`, one target at a time.
+//! [`Candidates::draw`], and sweeps to [`Candidates::push`], one address
+//! at a time. Online generators probe the range a batch returned through
+//! `probe_round`, one target at a time.
 
 use std::cell::Cell;
 use std::net::Ipv6Addr;
@@ -54,9 +54,9 @@ impl Tag {
 const RESERVE_CAP: usize = 1 << 21;
 
 /// The most sampler calls one [`Candidates::draw`] makes for `want`
-/// candidates (its want capped at the room): `256 × want + 4 096`. A sampler whose support is smaller than its
-/// want, but which finds a fresh address now and then, never goes stale;
-/// the cap makes it saturate and leave the rest to the fill.
+/// candidates (want capped at the room), `256 × want + 4 096`: a sampler
+/// with less support than its want that finds a fresh address now and then
+/// never goes stale, so the cap saturates it and leaves the rest to fill.
 pub(crate) fn draw_cap(want: usize) -> usize {
     want.saturating_mul(256).saturating_add(4096)
 }
@@ -69,7 +69,7 @@ pub(crate) fn draw_cap(want: usize) -> usize {
 pub(crate) struct Work {
     /// Addresses the model offered: sampler calls of [`Candidates::draw`]
     /// (a veto included), walks of [`Candidates::draw_region`], and
-    /// addresses [`Candidates::push`]ed or committed. Every accepted
+    /// addresses [`Candidates::push`]ed. Every accepted
     /// address but the fill is one of them.
     pub(crate) draws: u64,
     /// Candidates [`Candidates::finish`] padded ([`REGION_FILL`]).
@@ -200,17 +200,6 @@ impl<'p> Candidates<'p> {
         start..self.out.len()
     }
 
-    /// Emit a finite batch in order: addresses already emitted are dropped,
-    /// and one cut off by the budget is *not* marked seen. Returns the
-    /// accepted candidates' range in [`Self::out`].
-    pub fn commit(&mut self, proposal: &[Ipv6Addr], tag: Tag) -> Range<usize> {
-        let start = self.out.len();
-        for &a in proposal {
-            self.push(a, tag);
-        }
-        start..self.out.len()
-    }
-
     /// Pad to the budget and hand the candidates back. Every TGA paper
     /// pads its output when the learned model saturates; low-nybble
     /// mutation of random seeds is the common generic expansion (without
@@ -267,7 +256,7 @@ pub(crate) fn probe_round(
     region: Option<u32>,
     mut on_hit: impl FnMut(Ipv6Addr, Option<u32>),
 ) -> usize {
-    let targets = &sink.out[batch]; // batch: a range `draw` / `commit` returned, within out
+    let targets = &sink.out[batch]; // batch: a range `draw` / `draw_region` returned, within out
     let mut hits = 0;
     for &addr in targets {
         let (hit, echo) = match region {
@@ -393,14 +382,16 @@ mod tests {
     }
 
     #[test]
-    fn commit_drops_cross_slot_duplicates_and_caps_room() {
+    fn push_drops_cross_batch_duplicates_and_caps_room() {
         let mut prov = ProvenanceLog::recording(0);
         let mut sink = Candidates::new(4, &mut prov);
-        let first = sink.commit(&[a(1), a(2), a(3)], Tag::new(0, 0, 1));
-        assert_eq!(sink.out()[first], [a(1), a(2), a(3)]);
-        // overlap with slot one resolves in slot order; room caps at 1
-        let second = sink.commit(&[a(2), a(4), a(5)], Tag::new(1, 0, 1));
-        assert_eq!(sink.out()[second], [a(4)]);
+        let first = [a(1), a(2), a(3)].map(|x| sink.push(x, Tag::new(0, 0, 1)));
+        assert_eq!(first, [true; 3]);
+        assert_eq!(sink.out(), [a(1), a(2), a(3)]);
+        // overlap with batch one resolves in batch order; room caps at 1
+        let second = [a(2), a(4), a(5)].map(|x| sink.push(x, Tag::new(1, 0, 1)));
+        assert_eq!(second, [false, true, false]);
+        assert_eq!(sink.out()[3..], [a(4)]);
         // the capped-out address (5) was NOT inserted into `seen`
         assert!(!sink.seen.contains(&u128::from(a(5))));
         assert_eq!(sink.seen.len(), 4);

@@ -22,7 +22,7 @@ use sos_probe::ScanOracle;
 use v6addr::AddrMap;
 
 use crate::sink::{Candidates, Tag};
-use crate::space_tree::Region;
+use crate::space_tree::{Region, Sweep};
 use crate::{GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Minimum seeds for a /64 cluster to be enumerated on its own.
@@ -110,23 +110,16 @@ impl SeedModel for Fitted<'_> {
         // Exhaustive sweeps with a growing per-cluster horizon: the first
         // shallow pass touches every cluster the budget can reach in
         // density order; later passes push the enumeration deeper into
-        // adjacent values of the densest ranges.
+        // adjacent values of the densest ranges. A cluster's sweep is made
+        // when a pass first reaches it and continues on each later pass,
+        // beside the count of addresses it has offered; an exhausted sweep
+        // yields nothing.
         let mut horizon = 16usize;
-        // A cluster whose entire range has been swept yields nothing new
-        // on later passes; track that, or large budgets re-enumerate every
-        // exhausted cluster on every pass (quadratic in the budget).
-        let mut swept = vec![false; self.clusters.len()];
+        let mut sweeps: Vec<Option<Box<(Sweep, usize)>>> = vec![None; self.clusters.len()];
         for pass in 0..8 {
-            if sink.room() == 0 {
-                break;
-            }
-            for (ci, (c, density)) in self.clusters.iter().enumerate() {
+            for (ci, ((c, density), at)) in self.clusters.iter().zip(&mut sweeps).enumerate() {
                 if sink.room() == 0 {
                     break;
-                }
-                if swept[ci] {
-                    // ci < clusters.len() == swept.len()
-                    continue;
                 }
                 // 6Gen is depth-first in density order: diffuse clusters
                 // (stray singletons grouped at /48) only see budget after
@@ -135,13 +128,17 @@ impl SeedModel for Fitted<'_> {
                     continue;
                 }
                 let limit = horizon.min(sink.room() * 2 + 16);
-                let enumerated: Vec<Ipv6Addr> = c.sweep().take(limit).collect();
-                if enumerated.len() < limit {
-                    swept[ci] = true; // range smaller than the horizon
-                }
+                let (sweep, offered) = &mut **at.get_or_insert_with(|| Box::new((c.sweep(), 0)));
                 // Provenance: cluster index in density order, digest of
                 // the cluster's member seeds, round = sweep pass.
-                sink.commit(&enumerated, Tag::new(ci, c.digest, pass));
+                let tag = Tag::new(ci, c.digest, pass);
+                while *offered < limit && sink.room() > 0 {
+                    let Some(a) = sweep.next() else {
+                        break;
+                    };
+                    *offered += 1;
+                    sink.push(a, tag);
+                }
             }
             horizon *= 8;
         }
@@ -153,6 +150,7 @@ impl SeedModel for Fitted<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::work_done;
     use netmodel::Protocol;
     use sos_probe::NullOracle;
 
@@ -191,6 +189,31 @@ mod tests {
         uniq.sort();
         uniq.dedup();
         assert_eq!(uniq.len(), 3000);
+    }
+
+    /// Each cluster's sweep continues across passes, so clusters with
+    /// disjoint ranges offer no address twice: every draw is a candidate,
+    /// whether the budget stops the sweeps or the fill ends them.
+    #[test]
+    fn disjoint_clusters_draw_only_their_candidates() {
+        let seeds: Vec<Ipv6Addr> = [0x10u128, 0x20]
+            .into_iter()
+            .flat_map(|subnet| {
+                [0x11u128, 0x22, 0x33]
+                    .map(|host| Ipv6Addr::from(0x2600_0bad_0006u128 << 80 | subnet << 64 | host))
+            })
+            .collect();
+        for budget in [40, 300, 600] {
+            let before = work_done();
+            let out = SixGen.generate(
+                &seeds,
+                &GenConfig::new(budget, 5, Protocol::Icmp),
+                &mut NullOracle::default(),
+            );
+            let work = work_done().since(before);
+            assert_eq!(out.len(), budget);
+            assert_eq!(work.draws, budget as u64 - work.fill, "{budget}: {work:?}");
+        }
     }
 
     #[test]

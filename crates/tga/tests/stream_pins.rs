@@ -96,10 +96,10 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
     (
         TgaId::SixTree,
         false,
-        0x06305e05e011976f,
+        0x6645e3d1c88d2fe9,
         0x87b56a471272b9ff,
     ),
-    (TgaId::SixTree, true, 0x06305e05e011976f, 0x87b56a471272b9ff),
+    (TgaId::SixTree, true, 0x6645e3d1c88d2fe9, 0x87b56a471272b9ff),
     (
         TgaId::SixScan,
         false,
@@ -110,13 +110,13 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
     (
         TgaId::SixGraph,
         false,
-        0x3039e34d28de9241,
+        0x4c406e07f6f21b7e,
         0xe9a40d198fbe3b81,
     ),
     (
         TgaId::SixGraph,
         true,
-        0x3039e34d28de9241,
+        0x4c406e07f6f21b7e,
         0xe9a40d198fbe3b81,
     ),
     (TgaId::SixGen, false, 0x74caf6c1be63f5b5, 0x931eb3c92214a385),
