@@ -97,27 +97,6 @@ pub fn run_by_kind(study: &Study, tgas: &[TgaId]) -> KindResults {
 }
 
 impl KindResults {
-    /// For one category and TGA: what fraction of the discovered hits stay
-    /// inside the seed category vs. leak into other network kinds?
-    pub fn containment(&self, study: &Study, kind: &'static str, tga: TgaId) -> Option<f64> {
-        let r = self.cells.get(&(kind, tga))?;
-        if r.clean_hits.is_empty() {
-            return None;
-        }
-        let inside = r
-            .clean_hits
-            .iter()
-            .filter(|&&h| {
-                study
-                    .world()
-                    .asn_of(h)
-                    .and_then(|a| study.world().registry().info(a))
-                    .is_some_and(|i| i.kind.label() == kind)
-            })
-            .count();
-        Some(inside as f64 / r.clean_hits.len() as f64)
-    }
-
     /// Render per-category hits/ASes per TGA.
     pub fn render(&self) -> String {
         let tgas: Vec<TgaId> = TgaId::ALL
@@ -189,8 +168,19 @@ mod tests {
         let study = Study::new(StudyConfig::tiny(0xA5));
         let r = run_by_kind(&study, &[TgaId::SixTree]);
         assert!(!r.cells.is_empty());
-        // hosting seeds should mostly rediscover hosting networks
-        if let Some(c) = r.containment(&study, "Cloud", TgaId::SixTree) {
+        // hosting seeds should mostly rediscover hosting networks: most
+        // clean hits lie in Cloud ASes
+        let cloud = r.cells.get(&("Cloud", TgaId::SixTree));
+        if let Some(hits) = cloud.map(|c| &c.clean_hits).filter(|h| !h.is_empty()) {
+            let world = study.world();
+            let inside = hits
+                .iter()
+                .filter(|&&h| {
+                    let info = world.asn_of(h).and_then(|a| world.registry().info(a));
+                    info.is_some_and(|i| i.kind.label() == "Cloud")
+                })
+                .count();
+            let c = inside as f64 / hits.len() as f64;
             assert!(c > 0.5, "cloud containment {c}");
         }
         let rendered = r.render();

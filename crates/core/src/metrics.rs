@@ -20,26 +20,12 @@ pub struct RunMetrics {
 impl RunMetrics {
     /// Hit rate over *generated* (pre-dealias) candidates — the §4.1
     /// definition: aliased candidates still count in the denominator,
-    /// because the TGA spent budget generating them. Use
-    /// [`dealiased_hit_rate`](RunMetrics::dealiased_hit_rate) when the
-    /// denominator should exclude addresses the dealiaser removed.
+    /// because the TGA spent budget generating them.
     pub fn hit_rate(&self) -> f64 {
         if self.generated == 0 {
             0.0
         } else {
             self.hits as f64 / self.generated as f64
-        }
-    }
-
-    /// Hit rate over the dealiased candidate set: hits per generated
-    /// address that *survived* dealiasing. Always ≥
-    /// [`hit_rate`](RunMetrics::hit_rate); the gap is the alias tax §4.2 quantifies.
-    pub fn dealiased_hit_rate(&self) -> f64 {
-        let survived = self.generated.saturating_sub(self.aliases);
-        if survived == 0 {
-            0.0
-        } else {
-            self.hits as f64 / survived as f64
         }
     }
 }
@@ -99,30 +85,11 @@ mod tests {
     fn hit_rate() {
         let m = RunMetrics {
             hits: 25,
-            generated: 100,
-            ..RunMetrics::default()
-        };
-        assert!((m.hit_rate() - 0.25).abs() < 1e-12);
-        assert_eq!(RunMetrics::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn dealiased_hit_rate_excludes_aliases_from_the_denominator() {
-        let m = RunMetrics {
-            hits: 25,
             aliases: 50,
             generated: 100,
             ..RunMetrics::default()
         };
-        assert!((m.hit_rate() - 0.25).abs() < 1e-12, "pre-dealias: /100");
-        assert!((m.dealiased_hit_rate() - 0.5).abs() < 1e-12, "post: /50");
-        assert!(m.dealiased_hit_rate() >= m.hit_rate());
-        // degenerate: everything generated was aliased
-        let all_alias = RunMetrics {
-            aliases: 10,
-            generated: 10,
-            ..RunMetrics::default()
-        };
-        assert_eq!(all_alias.dealiased_hit_rate(), 0.0);
+        assert!((m.hit_rate() - 0.25).abs() < 1e-12, "aliases stay in: /100");
+        assert_eq!(RunMetrics::default().hit_rate(), 0.0);
     }
 }

@@ -7,7 +7,7 @@
 
 use std::net::Ipv6Addr;
 
-use v6addr::{Prefix, PrefixSet};
+use v6addr::PrefixSet;
 
 /// A list-based alias filter.
 #[derive(Debug, Clone, Default)]
@@ -36,11 +36,6 @@ impl OfflineDealiaser {
         self.list.is_empty()
     }
 
-    /// The covering listed prefix, if any.
-    pub fn covering(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.list.covering_prefix(addr)
-    }
-
     /// Split addresses into (clean, listed-aliased).
     pub fn partition(
         &self,
@@ -53,6 +48,7 @@ impl OfflineDealiaser {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use v6addr::Prefix;
 
     fn a(s: &str) -> Ipv6Addr {
         s.parse().unwrap()
@@ -70,20 +66,11 @@ mod tests {
     #[test]
     fn listed_membership() {
         let d = dealiaser();
-        assert!(d.covering(a("2600:9000:2000::dead")).is_some());
-        assert!(d.covering(a("2a00:1234:5678::1")).is_some());
-        assert!(d.covering(a("2a00:1234:5679::1")).is_none());
+        let listed = |s| d.partition([a(s)]).1.len() == 1;
+        assert!(listed("2600:9000:2000::dead"));
+        assert!(listed("2a00:1234:5678::1"));
+        assert!(!listed("2a00:1234:5679::1"));
         assert_eq!(d.len(), 2);
-    }
-
-    #[test]
-    fn covering_prefix_reported() {
-        let d = dealiaser();
-        assert_eq!(
-            d.covering(a("2600:9000:2000::1")),
-            Some("2600:9000:2000::/48".parse().unwrap())
-        );
-        assert_eq!(d.covering(a("2001::1")), None);
     }
 
     #[test]

@@ -72,15 +72,6 @@ impl AddressingScheme {
             AddressingScheme::PrivacyRandom => rng.gen::<u64>(),
         }
     }
-
-    /// Is this scheme realistically discoverable by pattern-mining TGAs?
-    ///
-    /// Used by tests and documentation, not by the oracle: privacy
-    /// addresses exist in the ground truth precisely so that generators
-    /// *cannot* find them.
-    pub fn discoverable(self) -> bool {
-        !matches!(self, AddressingScheme::PrivacyRandom)
-    }
 }
 
 #[cfg(test)]
@@ -136,11 +127,5 @@ mod tests {
         let a = AddressingScheme::PrivacyRandom.iid(0, &mut rng);
         let b = AddressingScheme::PrivacyRandom.iid(0, &mut rng);
         assert_ne!(a, b, "privacy IIDs ignore the index");
-    }
-
-    #[test]
-    fn discoverability_classification() {
-        assert!(AddressingScheme::LowByte.discoverable());
-        assert!(!AddressingScheme::PrivacyRandom.discoverable());
     }
 }

@@ -137,17 +137,6 @@ impl ParsedPacket {
             _ => None,
         }
     }
-
-    /// The address that answered (for responses).
-    pub fn responder(&self) -> Ipv6Addr {
-        match self {
-            ParsedPacket::EchoRequest { src, .. }
-            | ParsedPacket::EchoReply { src, .. }
-            | ParsedPacket::DstUnreachable { src, .. }
-            | ParsedPacket::Tcp { src, .. }
-            | ParsedPacket::Dns { src, .. } => *src,
-        }
-    }
 }
 
 /// The deterministic per-target validation token (ZMap-style): recomputable

@@ -41,15 +41,6 @@ impl PrefixSet {
         self.trie.lookup(addr).is_some()
     }
 
-    /// The most specific stored prefix covering `addr`, if any.
-    pub fn covering_prefix(&self, addr: Ipv6Addr) -> Option<Prefix> {
-        self.trie.lookup(addr).map(|(p, _)| {
-            // `lookup` reconstructs the prefix from the queried address; keep
-            // only the matched length, canonicalized.
-            Prefix::new(addr, p.len())
-        })
-    }
-
     /// Iterate the stored prefixes.
     pub fn iter(&self) -> impl Iterator<Item = Prefix> + '_ {
         self.trie.iter().map(|(p, _)| p)
@@ -111,22 +102,6 @@ mod tests {
         assert!(s.contains_addr(a("2001:db8::1")));
         assert!(!s.contains_addr(a("2001:db9::1")));
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn covering_prefix_is_most_specific() {
-        let s: PrefixSet = [p("2001:db8::/32"), p("2001:db8:1::/48")]
-            .into_iter()
-            .collect();
-        assert_eq!(
-            s.covering_prefix(a("2001:db8:1::9")),
-            Some(p("2001:db8:1::/48"))
-        );
-        assert_eq!(
-            s.covering_prefix(a("2001:db8:2::9")),
-            Some(p("2001:db8::/32"))
-        );
-        assert_eq!(s.covering_prefix(a("2002::1")), None);
     }
 
     #[test]
