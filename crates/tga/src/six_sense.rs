@@ -59,9 +59,10 @@ struct Arm {
 }
 
 /// Systematic-sweep state per sub-model of one arm, created on first use:
-/// 6Sense exploits a productive /64 exhaustively (up to 4 096 addresses)
-/// before falling back to sampling. Boxed so a sub-model no round has
-/// picked yet costs a pointer, not a sweep's worth of inline state.
+/// 6Sense interleaves a sweep of a picked /64's first 4 096 addresses
+/// with sampling it (a [`SWEEP`] coin per candidate), and samples only
+/// once the sweep is spent. Boxed so a sub-model no round has picked yet
+/// costs a pointer, not a sweep's worth of inline state.
 type Sweeps = Vec<Option<Box<Take<Sweep>>>>;
 
 impl Arm {

@@ -359,11 +359,11 @@ impl Ledger {
 }
 
 /// One [`Ledger`] node: the removed share of its mass, and what lies below.
-/// With two or more removals there (or one, too far above the addresses to
-/// pack), `below` holds a bit per child with a removal, and each such child above the last level (where a child is an
-/// address) has an entry of its own. With one, it is a *lone* entry:
-/// `below` holds that address's digits from this level down, packed under
-/// [`LONE`], and no node below has an entry.
+/// With two or more removals there (or one, too far up to pack), `below`
+/// holds a bit per child with a removal, and each such child above the last
+/// level (where a child is an address) has an entry of its own. With one,
+/// it is a *lone* entry: `below` holds that address's digits from this
+/// level down, packed under [`LONE`], and no node below has an entry.
 #[derive(Debug, Clone, Copy)]
 struct Node {
     removed: f64,
