@@ -153,16 +153,11 @@ pub struct HostTable {
 }
 
 impl HostTable {
-    /// Build from unordered entries. Last write wins for duplicate keys.
-    /// No /64 is marked aliased or routed.
-    pub fn build(entries: Vec<(u128, HostRecord)>) -> Self {
-        Self::build_marked(entries, |_| false, |_| false)
-    }
-
-    /// [`HostTable::build`], setting each populated /64's two bits as it
-    /// goes: `aliased(net)` must say whether an aliased region overlaps
-    /// the /64 whose upper bits are `net`, and `routed(net)` whether it is
-    /// announced. Both are asked once per /64, in address order.
+    /// Build from unordered entries (last write wins for duplicate keys),
+    /// setting each populated /64's two bits as it goes: `aliased(net)`
+    /// must say whether an aliased region overlaps the /64 whose upper bits
+    /// are `net`, and `routed(net)` whether it is announced. Both are asked
+    /// once per /64, in address order.
     pub(crate) fn build_marked(
         mut entries: Vec<(u128, HostRecord)>,
         aliased: impl Fn(u64) -> bool,
@@ -286,10 +281,14 @@ mod tests {
 
     #[test]
     fn build_sorts_and_gets() {
-        let m = HostTable::build(vec![
-            (u128::from(a("2001:db8::2")), rec(PortSet::ALL, false)),
-            (u128::from(a("2001:db8::1")), rec(PortSet::EMPTY, true)),
-        ]);
+        let m = HostTable::build_marked(
+            vec![
+                (u128::from(a("2001:db8::2")), rec(PortSet::ALL, false)),
+                (u128::from(a("2001:db8::1")), rec(PortSet::EMPTY, true)),
+            ],
+            |_| false,
+            |_| false,
+        );
         assert_eq!(m.len(), 2);
         assert!(m.get(a("2001:db8::1")).unwrap().churned);
         assert!(!m.get(a("2001:db8::2")).unwrap().churned);
@@ -299,10 +298,14 @@ mod tests {
     #[test]
     fn duplicate_keys_last_wins() {
         let k = u128::from(a("2001:db8::1"));
-        let m = HostTable::build(vec![
-            (k, rec(PortSet::EMPTY, true)),
-            (k, rec(PortSet::ALL, false)),
-        ]);
+        let m = HostTable::build_marked(
+            vec![
+                (k, rec(PortSet::EMPTY, true)),
+                (k, rec(PortSet::ALL, false)),
+            ],
+            |_| false,
+            |_| false,
+        );
         assert_eq!(m.len(), 1);
         assert!(m.get(a("2001:db8::1")).unwrap().responds_any());
     }
@@ -329,7 +332,7 @@ mod tests {
                 let net = subnets[(g.next_u64() % 40) as usize];
                 entries.push((net | u128::from(g.next_u64() % 64), kinds[i % 3]));
             }
-            let table = HostTable::build(entries.clone());
+            let table = HostTable::build_marked(entries.clone(), |_| false, |_| false);
             let mut sorted = entries;
             sorted.sort_by_key(|(k, _)| *k); // stable: the last duplicate stays last
             let plain = |key: u128| {
@@ -407,11 +410,15 @@ mod tests {
 
     #[test]
     fn iter_is_in_address_order() {
-        let m = HostTable::build(vec![
-            (3, rec(PortSet::ALL, false)),
-            (1, rec(PortSet::ALL, false)),
-            (2, rec(PortSet::ALL, false)),
-        ]);
+        let m = HostTable::build_marked(
+            vec![
+                (3, rec(PortSet::ALL, false)),
+                (1, rec(PortSet::ALL, false)),
+                (2, rec(PortSet::ALL, false)),
+            ],
+            |_| false,
+            |_| false,
+        );
         let keys: Vec<u128> = m.iter().map(|(a, _)| u128::from(a)).collect();
         assert_eq!(keys, vec![1, 2, 3]);
     }

@@ -130,16 +130,6 @@ impl TokenBucket {
         self.refill_to_now();
         self.tokens
     }
-
-    /// Total virtual seconds spent rate-limited.
-    pub fn total_waited(&self) -> f64 {
-        self.waited
-    }
-
-    /// Number of acquires that stalled (returned a non-zero wait).
-    pub fn total_stalls(&self) -> u64 {
-        self.stalls
-    }
 }
 
 /// A [`TokenBucket`]'s complete state with floats as raw bits, so campaign
@@ -186,7 +176,7 @@ mod tests {
         }
         // 1000 packets at 100 pps ≈ 10 seconds of waiting (minus burst)
         assert!((total - 9.99).abs() < 0.5, "waited {total}");
-        assert_eq!(tb.total_waited(), total);
+        assert_eq!(f64::from_bits(tb.snapshot().waited), total);
     }
 
     #[test]
@@ -286,7 +276,7 @@ mod tests {
             assert_eq!(tb.acquire().to_bits(), restored.acquire().to_bits());
         }
         assert_eq!(tb.snapshot(), restored.snapshot());
-        assert_eq!(tb.total_stalls(), restored.total_stalls());
+        assert_eq!(tb.snapshot().stalls, restored.snapshot().stalls);
     }
 
     #[test]
@@ -298,7 +288,7 @@ mod tests {
                 nonzero += 1;
             }
         }
-        assert_eq!(tb.total_stalls(), nonzero);
+        assert_eq!(tb.snapshot().stalls, nonzero);
         assert_eq!(nonzero, 15, "5 burst tokens, then every acquire stalls");
     }
 
@@ -308,13 +298,13 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(tb.acquire(), 0.0);
         }
-        assert_eq!(tb.total_stalls(), 0);
-        assert_eq!(tb.total_waited(), 0.0);
+        assert_eq!(tb.snapshot().stalls, 0);
+        assert_eq!(f64::from_bits(tb.snapshot().waited), 0.0);
         // A refill makes the next acquire free again.
         tb.acquire();
-        assert_eq!(tb.total_stalls(), 1);
+        assert_eq!(tb.snapshot().stalls, 1);
         tb.advance(1.0);
         assert_eq!(tb.acquire(), 0.0);
-        assert_eq!(tb.total_stalls(), 1, "refilled acquire is not a stall");
+        assert_eq!(tb.snapshot().stalls, 1, "refilled acquire is not a stall");
     }
 }

@@ -110,14 +110,11 @@ fn limiter_stalls_match_engine_counter_and_report() {
     let mut s = Scanner::new(cfg, SimTransport::new(w));
     let report = s.scan(targets, Protocol::Icmp);
     let limiter = s.limiter().expect("limiter configured");
-    let stalls = limiter.total_stalls();
+    let stalls = limiter.snapshot().stalls;
     assert!(stalls > 0, "a 10 pps limit must stall a 50-target scan");
     assert_eq!(s.metrics().counter("probe.ratelimit.stalls"), stalls);
     // The report sums the same waits in the same order as the limiter.
-    assert_eq!(
-        report.limited_seconds.to_bits(),
-        limiter.total_waited().to_bits()
-    );
+    assert_eq!(report.limited_seconds.to_bits(), limiter.snapshot().waited);
     assert_report_reconciles(&report, &s);
 }
 
@@ -186,6 +183,6 @@ fn a_rate_limited_campaign_spends_one_bucket_across_rounds_and_protocols() {
     );
     assert_eq!(
         s.metrics().counter("probe.ratelimit.stalls"),
-        bucket.total_stalls()
+        bucket.snapshot().stalls
     );
 }

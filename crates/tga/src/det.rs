@@ -24,7 +24,7 @@ use sos_probe::ScanOracle;
 
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{batch_rng, build_regions, Ledger, Region, SplitStrategy, MAX_REGIONS};
-use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
+use crate::{arm_score, density_prior, slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Bandit state per tree leaf. A run clones the fitted arms and shares
 /// their regions until a widening or a rebuild replaces one.
@@ -35,47 +35,26 @@ struct Arm {
     ledger: Ledger,
     probes: f64,
     q: f64,
-    /// The unprobed score, a function of the region alone: computed when
-    /// the arm is built or its region widened, read every round.
+    /// The unprobed score ([`density_prior`]), a function of the region
+    /// alone: computed when the arm is built or its region widened, read
+    /// every round.
     prior: f64,
 }
 
 /// Build the bandit arms over a seed basis (the fit and every online
 /// rebuild).
 fn arms_over(basis: &[Ipv6Addr]) -> Vec<Arm> {
-    build_regions(basis, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS)
-        .into_iter()
-        .map(|region| Arm {
-            prior: Arm::prior(&region),
+    let arm = |seeds: &[Ipv6Addr]| {
+        let region = Region::from_seeds(seeds);
+        Arm {
+            prior: density_prior(region.density()),
             region: Rc::new(region),
             ledger: Ledger::default(),
             probes: 0.0,
             q: 0.0,
-        })
-        .collect()
-}
-
-impl Arm {
-    /// An unprobed leaf's score: a *seed-density estimate*, capped below
-    /// typical live hit rates.
-    fn prior(region: &Region) -> f64 {
-        0.35 * (region.density() / 4.0).exp().min(1.0)
-    }
-
-    /// DET's leaf score: unprobed leaves carry their [`Self::prior`];
-    /// probed leaves are scored by their observed hit rate plus a small
-    /// confidence bonus, `ln_total` being the log of the probes spent so
-    /// far (at least 2). This is density-first traversal, not a classic
-    /// explore-everything bandit — with far more leaves than rounds, a UCB
-    /// novelty bonus would never let DET exploit anything.
-    fn ucb(&self, ln_total: f64) -> f64 {
-        if self.probes < 1.0 {
-            return self.prior;
         }
-        // q is an exponentially decayed *recent* hit rate: saturated arms
-        // fall off quickly instead of coasting on their lifetime average.
-        self.q + UCB_C * (ln_total / self.probes).sqrt()
-    }
+    };
+    build_regions(basis, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS, arm)
 }
 
 /// Leaf size for the initial tree.
@@ -84,8 +63,6 @@ const MAX_LEAF: usize = 16;
 const BATCH: usize = 32;
 /// Leaves probed per round.
 const ARMS_PER_ROUND: usize = 32;
-/// UCB exploration constant.
-const UCB_C: f64 = 0.15;
 /// Re-insert discovered actives every this many rounds.
 const REINSERT_EVERY: usize = 8;
 /// Sampling exploration probability.
@@ -142,7 +119,9 @@ impl SeedModel for Fitted<'_> {
             // Rank leaves by UCB score (computed once per arm, not in
             // the comparator); probe the top slice this round.
             let ln_total = total_probes.max(2.0).ln();
-            let scores: Vec<f64> = arms.iter().map(|a| a.ucb(ln_total)).collect();
+            let scores: Vec<f64> = (arms.iter())
+                .map(|a| arm_score(a.prior, a.probes, a.q, ln_total))
+                .collect();
             let order = slate(&scores, ARMS_PER_ROUND, |a, b| b.total_cmp(a));
             // Each selected arm draws its batch from a private (digest,
             // round, slot) stream against everything emitted so far, and
@@ -165,10 +144,12 @@ impl SeedModel for Fitted<'_> {
                     // retire only when expansion hits the routing prefix.
                     // Widen twice — after a tree rebuild the tight new
                     // leaves largely overlap already-seen space, and one
-                    // dimension of headroom drains in a single batch.
+                    // dimension of headroom drains in a single batch. Both
+                    // freed digits draw uniformly: a widening keeps every
+                    // other digit's table.
                     match arm.region.widened().and_then(|w| w.widened().or(Some(w))) {
                         Some(w) => {
-                            arm.prior = Arm::prior(&w);
+                            arm.prior = density_prior(w.density());
                             arm.region = Rc::new(w);
                             arm.ledger = Ledger::default();
                             progressed = true;

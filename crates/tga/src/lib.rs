@@ -175,6 +175,28 @@ pub fn clamp_round(round: usize) -> u16 {
     round.min(u16::MAX as usize) as u16
 }
 
+/// The exploration constant of [`arm_score`].
+const UCB_C: f64 = 0.15;
+
+/// An unprobed bandit arm's score: a *seed-density estimate* from its
+/// (densest) region's [`Region::density`], capped below live hit rates.
+pub(crate) fn density_prior(density: f64) -> f64 {
+    0.35 * (density / 4.0).exp().min(1.0)
+}
+
+/// DET's and 6Sense's arm score: its `prior` ([`density_prior`]) until
+/// it is probed, then its recent hit rate `q` (exponentially decayed, so a
+/// saturated arm falls off fast) plus a small bonus over its `probes`,
+/// `ln_total` being the log of all arms' probes (at least 2). Density
+/// first, not a classic explore-everything UCB: with far more arms than
+/// rounds, a novelty bonus would never let the bandit exploit anything.
+pub(crate) fn arm_score(prior: f64, probes: f64, q: f64, ln_total: f64) -> f64 {
+    if probes < 1.0 {
+        return prior;
+    }
+    q + UCB_C * (ln_total / probes).sqrt()
+}
+
 /// The indices of the first `k` keys by `order`, ties by index: the first
 /// `k` of a stable sort of `0..keys.len()` by `order`. Ranking by (key in
 /// `order`, index ascending) is a total order that ranks exactly as the

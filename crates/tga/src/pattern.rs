@@ -407,38 +407,27 @@ fn digit_mask(positions: u32) -> u128 {
     set_bits(positions).fold(0u128, |mask, idx| mask | (0xf << shift_of(idx)))
 }
 
-/// Per-free-position histograms for a set of addresses under a pattern
-/// (one pass over `addrs`).
-pub fn free_histograms(pattern: &Pattern, addrs: &[Ipv6Addr]) -> Vec<(usize, ValueHist)> {
-    let (hists, n) = histograms_at(pattern.free, addrs);
-    hists[..n].to_vec() // n <= NYBBLES
-}
-
-/// [`free_histograms`] compiled, each keyed by its position's bit offset.
+/// The [`DigitTable`] of `addrs`' values at each free position of
+/// `pattern`, high-order first, keyed by the position's bit offset (one
+/// pass over `addrs`).
 pub(crate) fn free_tables(pattern: &Pattern, addrs: &[Ipv6Addr]) -> Vec<(u32, DigitTable)> {
-    let (hists, n) = histograms_at(pattern.free, addrs);
-    hists[..n]
-        .iter()
-        .map(|&(pos, h)| (shift_of(pos), h.compile()))
-        .collect() // n <= NYBBLES
-}
-
-/// The histograms of `addrs` at the positions of `free`, ascending, in the
-/// first `n` slots.
-fn histograms_at(free: u32, addrs: &[Ipv6Addr]) -> ([(usize, ValueHist); NYBBLES], usize) {
     let mut hists = [(0, ValueHist::default()); NYBBLES];
     let mut n = 0;
-    for (slot, pos) in hists.iter_mut().zip(set_bits(free)) {
-        slot.0 = pos;
+    for (slot, pos) in hists.iter_mut().zip(set_bits(pattern.free)) {
+        slot.0 = shift_of(pos);
         n += 1;
     }
+    let hists = &mut hists[..n]; // n <= NYBBLES
     for &a in addrs {
         let bits = u128::from(a);
-        for (pos, h) in &mut hists[..n] {
-            h.add((bits >> shift_of(*pos)) as u8);
+        for (shift, h) in hists.iter_mut() {
+            h.add((bits >> *shift) as u8);
         }
     }
-    (hists, n)
+    hists
+        .iter()
+        .map(|&(shift, h)| (shift, h.compile()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -569,11 +558,16 @@ mod tests {
     fn free_histograms_count_per_position() {
         let seeds = vec![a("2001:db8::1"), a("2001:db8::2"), a("2001:db8::12")];
         let p = Pattern::from_seeds(&seeds);
-        let hists = free_histograms(&p, &seeds);
-        let pos31 = hists.iter().find(|(pos, _)| *pos == 31).unwrap();
-        assert_eq!(pos31.1.count(1), 1);
-        assert_eq!(pos31.1.count(2), 2);
-        assert_eq!(pos31.1.total(), 3);
+        let tables = free_tables(&p, &seeds);
+        let shifts: Vec<u32> = tables.iter().map(|(shift, _)| *shift).collect();
+        assert_eq!(shifts, vec![shift_of(30), shift_of(31)]);
+        let pos31 = tables
+            .iter()
+            .find(|(shift, _)| *shift == shift_of(31))
+            .unwrap();
+        let counts = pos31.1.counts();
+        assert_eq!((counts[1], counts[2]), (1, 2));
+        assert_eq!(counts.iter().sum::<u32>(), 3);
     }
 
     /// The representation the word form replaced, kept as the model the

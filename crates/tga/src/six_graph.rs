@@ -78,16 +78,14 @@ impl TargetGenerator for SixGraph {
     }
 
     fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
-        let raw = build_regions(seeds, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS);
-        // Re-derive each region from its pruned seed set.
-        let regions: Vec<Region> = raw
-            .into_iter()
-            .map(|r| match prune_outliers(&r.members) {
-                Some(kept) => Region::from_seeds(&kept),
-                None => r,
-            })
-            .filter(|r| r.seed_count > 0)
-            .collect();
+        // Each leaf's region is built once, from its pruned seed set.
+        let regions = build_regions(
+            seeds,
+            SplitStrategy::MinEntropy,
+            MAX_LEAF,
+            MAX_REGIONS,
+            |g| Region::from_seeds(prune_outliers(g).as_deref().unwrap_or(g)),
+        );
         Box::new(Expansion::new(seeds, regions, EXPLORE, 0x66ea9))
     }
 }

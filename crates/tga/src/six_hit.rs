@@ -44,7 +44,13 @@ impl TargetGenerator for SixHit {
     }
 
     fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
-        let regions = build_regions(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
+        let regions = build_regions(
+            seeds,
+            SplitStrategy::Leftmost,
+            MAX_LEAF,
+            MAX_REGIONS,
+            Region::from_seeds,
+        );
         Box::new(Fitted { seeds, regions })
     }
 }
@@ -120,6 +126,7 @@ impl SeedModel for Fitted<'_> {
                     SplitStrategy::Leftmost,
                     MAX_LEAF,
                     MAX_REGIONS,
+                    Region::from_seeds,
                 ));
                 q = vec![0.0; regions.len()];
                 ledgers = vec![Ledger::default(); regions.len()];

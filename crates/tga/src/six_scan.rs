@@ -42,7 +42,13 @@ impl TargetGenerator for SixScan {
     }
 
     fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
-        let regions = build_regions(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
+        let regions = build_regions(
+            seeds,
+            SplitStrategy::Leftmost,
+            MAX_LEAF,
+            MAX_REGIONS,
+            Region::from_seeds,
+        );
         // Seed-density prior for the first rounds.
         let mut order: Vec<usize> = (0..regions.len()).collect();
         order.sort_by(|&a, &b| {

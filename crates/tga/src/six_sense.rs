@@ -32,7 +32,7 @@ use v6addr::{AddrMap, Prefix, PrefixSet};
 use crate::pattern::{coin, fill_guide, inverse_cdf, DigitTable, ValueHist};
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{Region, Sweep};
-use crate::{slate, GenConfig, SeedModel, TargetGenerator, TgaId};
+use crate::{arm_score, density_prior, slate, GenConfig, SeedModel, TargetGenerator, TgaId};
 
 /// Per-/48 bandit arm with hierarchical section models: 6Sense generates
 /// the subnet section and the IID section separately — per-/64 sub-models
@@ -53,8 +53,8 @@ struct Arm {
     /// Digest of the site's contributing seeds (arms are /48 sites and
     /// never rebuilt, so index and digest are both stable).
     digest: u32,
-    /// The unprobed score, a function of the sub-models alone: computed
-    /// when the arm is fit, read every round.
+    /// The unprobed score ([`density_prior`]), a function of the
+    /// sub-models alone: computed when the arm is fit, read every round.
     prior: f64,
 }
 
@@ -90,8 +90,7 @@ impl Arm {
         let mut guide = vec![0; bounds.len().next_power_of_two()];
         fill_guide(&bounds, total, &mut guide);
         let subregions: Vec<Region> = groups.iter().map(|(_, g)| Region::from_seeds(g)).collect();
-        // Density of the densest sub-model (the arm's exploitability),
-        // capped below live hit rates (see DET).
+        // Density of the densest sub-model: the arm's exploitability.
         let density = subregions
             .iter()
             .map(|r| r.density())
@@ -102,7 +101,7 @@ impl Arm {
             subregions,
             subnet_digits: subnet_hists.map(|h| h.compile()),
             digest: seed_digest(members.iter().copied()),
-            prior: 0.35 * (density / 4.0).exp().min(1.0),
+            prior: density_prior(density),
         }
     }
 
@@ -149,27 +148,12 @@ impl Arm {
             addr
         }
     }
-
-    /// The arm's score after `probes` probes at recent hit rate `q`, with
-    /// `total` spent over all arms.
-    fn ucb(&self, probes: f64, q: f64, total: f64) -> f64 {
-        // Unprobed arms carry their prior; probed arms are ranked by
-        // observed rate (see DET).
-        if probes < 1.0 {
-            return self.prior;
-        }
-        // q is an exponentially decayed *recent* hit rate: saturated arms
-        // fall off quickly instead of coasting on their lifetime average.
-        q + UCB_C * ((total.max(2.0)).ln() / probes).sqrt()
-    }
 }
 
 /// Arms scheduled per round.
 const ARMS_PER_ROUND: usize = 24;
 /// Candidates per arm per round.
 const BATCH: usize = 48;
-/// UCB exploration constant.
-const UCB_C: f64 = 0.15;
 /// Share of each round's arms reserved for the least-probed arms (the
 /// AS-coverage budget; 6Sense scales this with the budget).
 const DIVERSITY_SHARE: f64 = 0.18;
@@ -250,8 +234,9 @@ impl SeedModel for Fitted<'_> {
         while sink.room() > 0 && !arms.is_empty() {
             round += 1;
             // Schedule: top-UCB arms + least-probed arms (diversity).
+            let ln_total = total_probes.max(2.0).ln();
             let scores: Vec<f64> = (arms.iter().zip(&probes).zip(&q))
-                .map(|((arm, &spent), &rate)| arm.ucb(spent, rate, total_probes))
+                .map(|((arm, &spent), &rate)| arm_score(arm.prior, spent, rate, ln_total))
                 .collect();
             let by_ucb = slate(&scores, ucb_slots, |a, b| b.total_cmp(a));
             let by_cold = slate(&probes, diversity_slots, f64::total_cmp);

@@ -161,7 +161,13 @@ impl TargetGenerator for SixTree {
     }
 
     fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
-        let regions = build_regions(seeds, SplitStrategy::Leftmost, MAX_LEAF, MAX_REGIONS);
+        let regions = build_regions(
+            seeds,
+            SplitStrategy::Leftmost,
+            MAX_LEAF,
+            MAX_REGIONS,
+            Region::from_seeds,
+        );
         Box::new(Expansion::new(seeds, regions, EXPLORE, 0x67ee))
     }
 }

@@ -35,7 +35,8 @@ pub enum SplitStrategy {
     MinEntropy,
 }
 
-/// A leaf region of the space tree.
+/// A leaf region of the space tree: its model of the seeds it was built
+/// from, not the seeds themselves.
 #[derive(Debug, Clone)]
 pub struct Region {
     /// The pinned/free template.
@@ -45,10 +46,7 @@ pub struct Region {
     digits: Vec<(u32, DigitTable)>,
     /// Number of seeds that landed in the region.
     pub seed_count: usize,
-    /// The member seeds themselves (regions partition the input, so the
-    /// total memory across regions is one copy of the seed list).
-    pub members: Vec<Ipv6Addr>,
-    /// Order-invariant [`seed_digest`] of `members`: the region's identity
+    /// Order-invariant [`seed_digest`] of the region's seeds: its identity
     /// in provenance tags and in the per-batch RNG streams
     /// ([`batch_rng`]). Stable across tree rebuilds (indices are not)
     /// and kept by [`Self::widened`].
@@ -56,14 +54,13 @@ pub struct Region {
 }
 
 impl Region {
-    /// Build a region directly from its member seeds.
+    /// Build a region from its seeds; it keeps no copy of them.
     pub fn from_seeds(seeds: &[Ipv6Addr]) -> Region {
         let pattern = Pattern::from_seeds(seeds);
         Region {
             digits: free_tables(&pattern, seeds),
             seed_count: seeds.len(),
             pattern,
-            members: seeds.to_vec(),
             digest: seed_digest(seeds.iter().copied()),
         }
     }
@@ -275,9 +272,10 @@ impl Region {
 
     /// Widen the region by freeing its lowest-order fixed nybble — the
     /// "expand variable dimensions upward" step online tree TGAs use when
-    /// a leaf's space is exhausted. The freed dimension gets an *empty*
-    /// table (uniform sampling): the members carry no information about
-    /// it beyond the single value they shared.
+    /// a leaf's space is exhausted. The freed digit gets an *empty* table
+    /// (uniform sampling): the seeds carry no information about it beyond
+    /// the single value they shared. Every other digit keeps its table, so
+    /// a digit an earlier widening freed stays uniform.
     ///
     /// Returns `None` once expansion would cross into the routing prefix
     /// (positions above nybble 12, the /48 boundary).
@@ -287,15 +285,15 @@ impl Region {
             .find(|&i| self.pattern.fixed(i).is_some())?;
         let mut pattern = self.pattern;
         pattern.release(pos);
-        let mut digits = free_tables(&pattern, &self.members);
-        if let Some(d) = digits.iter_mut().find(|(shift, _)| *shift == shift_of(pos)) {
-            d.1 = ValueHist::default().compile();
-        }
+        let shift = shift_of(pos);
+        let mut digits = self.digits.clone();
+        // high-order first: before the first digit below the freed one
+        let at = (digits.iter().position(|(s, _)| *s < shift)).unwrap_or(digits.len());
+        digits.insert(at, (shift, ValueHist::default().compile()));
         Some(Region {
             pattern,
             digits,
             seed_count: self.seed_count,
-            members: self.members.clone(),
             digest: self.digest,
         })
     }
@@ -448,19 +446,23 @@ impl Iterator for Sweep {
     }
 }
 
-/// Recursively build the leaf regions of the space tree.
+/// Recursively split `seeds` into the leaves of the space tree and hand
+/// each leaf's seed group to `leaf` as it is cut, in the order the leaves
+/// are cut: [`Region::from_seeds`] for most tree TGAs, 6Graph's pruning
+/// constructor for 6Graph. The groups partition `seeds` and none is empty.
 ///
 /// - `max_leaf`: stop splitting below this many seeds;
-/// - `max_regions`: hard cap on produced regions. It binds only above as
-///   many seeds (`n` seeds make at most `n` regions); then each group
+/// - `max_regions`: hard cap on produced leaves. It binds only above as
+///   many seeds (`n` seeds make at most `n` leaves); then each group
 ///   splits only while its share of the cap, in proportion to its seeds,
 ///   pays for its children, so the coarse leaves spread over the tree.
-pub fn build_regions(
+pub fn build_regions<T>(
     seeds: &[Ipv6Addr],
     strategy: SplitStrategy,
     max_leaf: usize,
     max_regions: usize,
-) -> Vec<Region> {
+    mut leaf: impl FnMut(&[Ipv6Addr]) -> T,
+) -> Vec<T> {
     let mut out = Vec::new();
     if seeds.is_empty() {
         return out;
@@ -482,7 +484,7 @@ pub fn build_regions(
         };
         let group = &from[range.clone()]; // ranges partition 0..seeds.len()
         if group.len() <= max_leaf {
-            out.push(Region::from_seeds(group));
+            out.push(leaf(group));
             continue;
         }
         let tally = match strategy {
@@ -491,12 +493,14 @@ pub fn build_regions(
                 Some(tally.unwrap_or_else(|| Tally::count(group, varying_digits(group))))
             }
         };
+        // Leftmost: the highest-order position that varies (one XOR fold
+        // names them); MinEntropy: the tally's least-entropy position.
         let split = match &tally {
             Some(t) => t.min_entropy(group.len()),
-            None => pick_split(group, strategy),
+            None => set_bits(varying_digits(group)).next(),
         };
         let Some(dim) = split else {
-            out.push(Region::from_seeds(group)); // all identical
+            out.push(leaf(group)); // all identical
             continue;
         };
         let shift = shift_of(dim);
@@ -519,7 +523,7 @@ pub fn build_regions(
         let spare = max_regions.saturating_sub(out.len() + pending);
         let extra_children = sizes.iter().filter(|&&n| n > 0).count() - 1;
         if spare.saturating_mul(group.len() - 1) < extra_children * (range.end - pending) {
-            out.push(Region::from_seeds(group));
+            out.push(leaf(group));
             continue;
         }
         // A split must make progress; a tally that disagreed with its group
@@ -651,20 +655,10 @@ impl Tally {
     }
 }
 
-/// Choose the split dimension, or `None` when every position is constant.
-fn pick_split(group: &[Ipv6Addr], strategy: SplitStrategy) -> Option<usize> {
-    // One XOR fold names the varying positions; only those can split.
-    let varying = varying_digits(group);
-    match strategy {
-        SplitStrategy::Leftmost => set_bits(varying).next(),
-        SplitStrategy::MinEntropy => Tally::count(group, varying).min_entropy(group.len()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pattern::{free_histograms, Counting};
+    use crate::pattern::Counting;
     use v6addr::nybble_of;
     use v6addr::AddrSet;
 
@@ -688,7 +682,7 @@ mod tests {
     #[test]
     fn regions_partition_the_seeds() {
         let seeds = two_site_seeds();
-        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 8, 1024);
+        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 8, 1024, Region::from_seeds);
         let total: usize = regions.iter().map(|r| r.seed_count).sum();
         assert_eq!(total, seeds.len());
         // every seed matches exactly one region's pattern
@@ -701,7 +695,7 @@ mod tests {
     #[test]
     fn small_groups_are_leaves() {
         let seeds = vec![a("2001:db8::1"), a("2001:db8::2")];
-        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 8, 1024);
+        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 8, 1024, Region::from_seeds);
         assert_eq!(regions.len(), 1);
         assert_eq!(regions[0].seed_count, 2);
     }
@@ -710,7 +704,7 @@ mod tests {
     fn identical_seeds_do_not_loop() {
         let seeds = vec![a("2001:db8::1"); 100];
         for strategy in [SplitStrategy::Leftmost, SplitStrategy::MinEntropy] {
-            let regions = build_regions(&seeds, strategy, 8, 1024);
+            let regions = build_regions(&seeds, strategy, 8, 1024, Region::from_seeds);
             assert_eq!(regions.len(), 1, "{strategy:?}");
             assert_eq!(regions[0].pattern.free_count(), 0, "{strategy:?}");
         }
@@ -721,13 +715,13 @@ mod tests {
         let seeds: Vec<Ipv6Addr> = (0..4096u128)
             .map(|i| Ipv6Addr::from((0x2600u128 << 112) | (i * 0x10001)))
             .collect();
-        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 1, 64);
-        assert!(regions.len() <= 64, "{}", regions.len());
+        let groups = |seeds: &[Ipv6Addr], cap| {
+            build_regions(seeds, SplitStrategy::Leftmost, 1, cap, |g| g.to_vec())
+        };
+        let capped = groups(&seeds, 64);
+        assert!(capped.len() <= 64, "{}", capped.len());
         // no more seeds than the cap: it never binds
-        assert!(same_regions(
-            &build_regions(&seeds, SplitStrategy::Leftmost, 1, seeds.len()),
-            &build_regions(&seeds, SplitStrategy::Leftmost, 1, usize::MAX),
-        ));
+        assert_eq!(groups(&seeds, seeds.len()), groups(&seeds, usize::MAX));
         // two halves at the top, each a 16 × 16 × 8 tree below: the cap
         // binds inside the half the stack pops first, and the other half
         // still gets its share instead of staying one leaf
@@ -737,17 +731,18 @@ mod tests {
                 Ipv6Addr::from(0x2600u128 << 112 | digits | (i >> 9) << 20)
             })
             .collect();
-        let regions = build_regions(&halves, SplitStrategy::Leftmost, 1, 64);
-        let largest = regions.iter().map(|r| r.seed_count).max();
+        let largest = groups(&halves, 64).iter().map(Vec::len).max();
         assert!(largest <= Some(halves.len() / 16), "{largest:?}");
     }
 
-    /// Structural equality for region lists (Region has no PartialEq).
-    fn same_regions(a: &[Region], b: &[Region]) -> bool {
-        a.len() == b.len()
-            && a.iter().zip(b).all(|(x, y)| {
-                x.members == y.members && x.seed_count == y.seed_count && x.pattern == y.pattern
-            })
+    /// The split position `build_regions` reads for a group under
+    /// `strategy`: the first varying one, or the tally's least-entropy one.
+    fn split_of(group: &[Ipv6Addr], strategy: SplitStrategy) -> Option<usize> {
+        let varying = varying_digits(group);
+        match strategy {
+            SplitStrategy::Leftmost => set_bits(varying).next(),
+            SplitStrategy::MinEntropy => Tally::count(group, varying).min_entropy(group.len()),
+        }
     }
 
     #[test]
@@ -761,8 +756,8 @@ mod tests {
                 seeds.push(Ipv6Addr::from((0x2600u128 << 112) | (hi << 64) | lo));
             }
         }
-        let left = pick_split(&seeds, SplitStrategy::Leftmost).unwrap();
-        let ent = pick_split(&seeds, SplitStrategy::MinEntropy).unwrap();
+        let left = split_of(&seeds, SplitStrategy::Leftmost).unwrap();
+        let ent = split_of(&seeds, SplitStrategy::MinEntropy).unwrap();
         assert!(left < ent, "leftmost {left} vs min-entropy {ent}");
     }
 
@@ -781,14 +776,42 @@ mod tests {
         assert_eq!(
             r.widened().unwrap().digest,
             r.digest,
-            "widening keeps the members"
+            "widening keeps the seeds' digest"
         );
+    }
+
+    /// Each widening frees one digit with a uniform table and leaves every
+    /// other digit's table as it was: a digit an earlier widening freed is
+    /// not pinned again to the one value the seeds held there.
+    #[test]
+    fn widening_twice_leaves_both_freed_digits_uniform() {
+        let seeds = two_site_seeds();
+        let r = Region::from_seeds(&seeds);
+        let twice = r.widened().and_then(|w| w.widened()).unwrap();
+        // the two lowest-order pinned digits, 29 then 28, are freed
+        let freed = [shift_of(28), shift_of(29)];
+        assert_eq!(twice.pattern.free_count(), r.pattern.free_count() + 2);
+        for explore in [0.0, 0.08, 1.0] {
+            for shift in freed {
+                let (_, t) = twice.digits.iter().find(|(s, _)| *s == shift).unwrap();
+                assert_eq!(t.shares(explore), [1.0 / 16.0; 16], "explore {explore}");
+            }
+        }
+        let kept: Vec<(u32, [u32; 16])> = (twice.digits.iter())
+            .filter(|(s, _)| !freed.contains(s))
+            .map(|(s, t)| (*s, t.counts()))
+            .collect();
+        let before: Vec<(u32, [u32; 16])> =
+            r.digits.iter().map(|(s, t)| (*s, t.counts())).collect();
+        assert_eq!(kept, before);
+        // still high-order first
+        assert!(twice.digits.windows(2).all(|w| w[0].0 > w[1].0));
     }
 
     #[test]
     fn samples_match_the_pattern() {
         let seeds = two_site_seeds();
-        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 8, 1024);
+        let regions = build_regions(&seeds, SplitStrategy::Leftmost, 8, 1024, Region::from_seeds);
         let mut rng = SmallRng::seed_from_u64(5);
         for r in &regions {
             for _ in 0..20 {
@@ -800,7 +823,7 @@ mod tests {
 
     #[test]
     fn empty_input_yields_no_regions() {
-        assert!(build_regions(&[], SplitStrategy::Leftmost, 8, 64).is_empty());
+        assert!(build_regions(&[], SplitStrategy::Leftmost, 8, 64, Region::from_seeds).is_empty());
     }
 
     #[test]
@@ -831,17 +854,17 @@ mod tests {
         assert_eq!(all, vec![a("2600::9")]);
     }
 
-    /// A region whose low `digits` nybbles are free, seeded with the two
-    /// ends of that space plus `hosts` (which skew its histograms).
-    fn with_free(digits: u32, hosts: &[u128]) -> Region {
+    /// Seeds whose low `digits` nybbles vary: the two ends of that space
+    /// plus `hosts` (which skew the region's histograms).
+    fn with_free(digits: u32, hosts: &[u128]) -> Vec<Ipv6Addr> {
         let spread = (1u128 << (4 * digits)) - 1;
         let base = 0x2600_0abc_0001u128 << 80;
         let mut seeds = vec![Ipv6Addr::from(base), Ipv6Addr::from(base | spread)];
         seeds.extend(hosts.iter().map(|h| Ipv6Addr::from(base | (h & spread))));
-        Region::from_seeds(&seeds)
+        seeds
     }
 
-    /// `pick_split` as first written, kept as the reference: a histogram
+    /// The split choice as first written, kept as the reference: a histogram
     /// for each of the 32 positions, every address counted into all of them.
     fn pick_split_by_histograms(group: &[Ipv6Addr], strategy: SplitStrategy) -> Option<usize> {
         let mut hists = [ValueHist::default(); NYBBLES];
@@ -896,28 +919,28 @@ mod tests {
         for group in &groups {
             for strategy in [SplitStrategy::Leftmost, SplitStrategy::MinEntropy] {
                 assert_eq!(
-                    pick_split(group, strategy),
+                    split_of(group, strategy),
                     pick_split_by_histograms(group, strategy),
                     "{strategy:?} over {group:?}"
                 );
             }
         }
-        assert_eq!(pick_split(&groups[0], SplitStrategy::MinEntropy), None);
-        assert_eq!(pick_split(&groups[2], SplitStrategy::MinEntropy), Some(0));
-        assert_eq!(pick_split(&groups[3], SplitStrategy::MinEntropy), Some(27));
-        assert_eq!(pick_split(&[], SplitStrategy::Leftmost), None);
+        assert_eq!(split_of(&groups[0], SplitStrategy::MinEntropy), None);
+        assert_eq!(split_of(&groups[2], SplitStrategy::MinEntropy), Some(0));
+        assert_eq!(split_of(&groups[3], SplitStrategy::MinEntropy), Some(27));
+        assert_eq!(split_of(&[], SplitStrategy::Leftmost), None);
     }
 
     /// `build_regions` as first written, kept as the reference: every
     /// split fills 16 bucket `Vec`s and stacks the non-empty ones. It
     /// counts the pending seeds itself; `build_regions` reads them off the
-    /// popped range.
+    /// popped range. Returns the leaf seed groups in the order they are cut.
     fn build_regions_by_buckets(
         seeds: &[Ipv6Addr],
         strategy: SplitStrategy,
         max_leaf: usize,
         max_regions: usize,
-    ) -> Vec<Region> {
+    ) -> Vec<Vec<Ipv6Addr>> {
         let mut out = Vec::new();
         if seeds.is_empty() {
             return out;
@@ -944,7 +967,7 @@ mod tests {
             match buckets {
                 None => {
                     unplaced -= group.len();
-                    out.push(Region::from_seeds(&group));
+                    out.push(group);
                 }
                 Some(buckets) => work.extend(buckets.into_iter().filter(|b| !b.is_empty())),
             }
@@ -981,11 +1004,11 @@ mod tests {
             for strategy in [SplitStrategy::Leftmost, SplitStrategy::MinEntropy] {
                 // unbounded, the studies' shape, and caps that cut subtrees off
                 for (max_leaf, max_regions) in [(1, 1 << 16), (16, 1 << 16), (4, 40), (2, 17)] {
-                    let got = build_regions(seeds, strategy, max_leaf, max_regions);
+                    let got = build_regions(seeds, strategy, max_leaf, max_regions, |g| g.to_vec());
                     let want = build_regions_by_buckets(seeds, strategy, max_leaf, max_regions);
-                    assert!(
-                        same_regions(&got, &want)
-                            && got.iter().zip(&want).all(|(x, y)| x.digest == y.digest),
+                    assert_eq!(
+                        got,
+                        want,
                         "{strategy:?} leaf {max_leaf} cap {max_regions} over {} seeds",
                         seeds.len()
                     );
@@ -996,18 +1019,28 @@ mod tests {
 
     /// `Region::enumerate` as first written — the whole prefix of the walk
     /// built eagerly, every address materialized from its value ranks —
-    /// kept as the reference for [`Sweep`]. (It returned one address for
-    /// `limit == 0`; nothing asked for that, and the reference is only
+    /// kept as the reference for [`Sweep`] over the region built from
+    /// `seeds`, whose histograms it counts itself. (It returned one address
+    /// for `limit == 0`; nothing asked for that, and the reference is only
     /// compared from 1 up.)
-    fn enumerate_eagerly(r: &Region, limit: usize) -> Vec<Ipv6Addr> {
-        let hists = free_histograms(&r.pattern, &r.members);
+    fn enumerate_eagerly(seeds: &[Ipv6Addr], limit: usize) -> Vec<Ipv6Addr> {
+        let pattern = Pattern::from_seeds(seeds);
+        let hists: Vec<ValueHist> = (pattern.free_positions().into_iter())
+            .map(|pos| {
+                let mut h = ValueHist::default();
+                for &s in seeds {
+                    h.add(nybble_of(s, pos));
+                }
+                h
+            })
+            .collect();
         let dims = hists.len();
         if dims == 0 {
-            return vec![r.pattern.materialize(&[])];
+            return vec![pattern.materialize(&[])];
         }
         let orders: Vec<Vec<u8>> = hists
             .iter()
-            .map(|(_, h)| {
+            .map(|h| {
                 let mut vals: Vec<u8> = (0..16).collect();
                 vals.sort_by_key(|&v| std::cmp::Reverse(h.count(v)));
                 vals
@@ -1020,7 +1053,7 @@ mod tests {
             for (i, &rank) in ranks.iter().enumerate() {
                 values[i] = orders[i][rank];
             }
-            out.push(r.pattern.materialize(&values));
+            out.push(pattern.materialize(&values));
             if out.len() >= limit {
                 return out;
             }
@@ -1041,22 +1074,23 @@ mod tests {
 
     #[test]
     fn sweep_agrees_with_the_eager_enumeration() {
-        let regions = [
-            Region::from_seeds(&[a("2600::9")]),         // zero free dims
+        let seed_sets = [
+            vec![a("2600::9")],                          // zero free dims
             with_free(1, &[3, 3, 7]),                    // 16
             with_free(2, &[0x31, 0x31, 0x77, 0x70]),     // 256
             with_free(3, &[0x123, 0x124, 0x124, 0xfff]), // 4 096
             with_free(4, &[0x1234, 0x1234, 0x0004]),     // past the cap
-            Region::from_seeds(&[a("2600::1"), a("2600:0:0:5::2:0")]), // non-adjacent dims
-            Region::from_seeds(&two_site_seeds()),
+            vec![a("2600::1"), a("2600:0:0:5::2:0")],    // non-adjacent dims
+            two_site_seeds(),
         ];
-        for r in &regions {
+        for seeds in &seed_sets {
+            let r = &Region::from_seeds(seeds);
             let space = 16u64.pow(r.pattern.free_count() as u32);
             for limit in [1usize, 2, 15, 16, 17, 100, 255, 256, 257, 4095, 4096, 4097] {
                 let lazy: Vec<Ipv6Addr> = r.sweep().take(limit).collect();
                 assert_eq!(
                     lazy,
-                    enumerate_eagerly(r, limit),
+                    enumerate_eagerly(seeds, limit),
                     "limit {limit} over {:?}",
                     r.pattern
                 );
@@ -1077,9 +1111,10 @@ mod tests {
             let mut sweep = r.sweep();
             let mut pieces: Vec<Ipv6Addr> = sweep.by_ref().take(5).collect();
             pieces.extend(sweep.take(20));
-            assert_eq!(pieces, enumerate_eagerly(r, 25));
+            assert_eq!(pieces, enumerate_eagerly(seeds, 25));
         }
-        assert!(regions[0].sweep().take(0).next().is_none());
+        let fixed = Region::from_seeds(&seed_sets[0]);
+        assert!(fixed.sweep().take(0).next().is_none());
     }
 
     /// A [`Region::draw_unseen`] batch of addresses `seen` lacks, offered
@@ -1337,7 +1372,10 @@ mod tests {
             region_with_free(1, 1),
             region_with_free(2, 2),
             region_with_free(3, 3),
-            with_free(12, &[0x1234_5678_9abc, 0x1234_5678_9abd, 0x0000_0000_0001]),
+            Region::from_seeds(&with_free(
+                12,
+                &[0x1234_5678_9abc, 0x1234_5678_9abd, 0x0000_0000_0001],
+            )),
             Region::from_seeds(&[zero, zero, zero, Ipv6Addr::from(u128::MAX)]),
         ];
         for region in &regions {

@@ -217,8 +217,12 @@ fn split_strategies_partition_differently() {
             seeds.push(addr(SITE | (hi << 20) | lo));
         }
     }
-    let left = tga::space_tree::build_regions(&seeds, SplitStrategy::Leftmost, 2, 1 << 10);
-    let entropy = tga::space_tree::build_regions(&seeds, SplitStrategy::MinEntropy, 2, 1 << 10);
+    let build =
+        |strategy| tga::space_tree::build_regions(&seeds, strategy, 2, 1 << 10, Region::from_seeds);
+    let (left, entropy) = (
+        build(SplitStrategy::Leftmost),
+        build(SplitStrategy::MinEntropy),
+    );
     let patterns = |rs: &[Region]| {
         let mut v: Vec<usize> = rs.iter().map(|r| r.pattern.free_count()).collect();
         v.sort();

@@ -92,7 +92,7 @@ const PINS: [(TgaId, bool, u64, u64); 16] = [
         0x425fff671538013f,
     ),
     (TgaId::Det, false, 0x7247ee6339943111, 0x98561d04586ed7a5),
-    (TgaId::Det, true, 0x4b1c18b6699489a7, 0xd3e4e415373513e5),
+    (TgaId::Det, true, 0x29486db0be160ac3, 0x386c9553b5faf2a5),
     (
         TgaId::SixTree,
         false,
