@@ -383,10 +383,12 @@ fn campaign_refuses_sink_paths_that_differ_only_in_spelling() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every TGA's work counters (`tga.<id>.draws`, `tga.<id>.fill`) are pure
-/// functions of the seeds and the config: `rq1` at one thread and at two
-/// records the same manifest values, and every accepted candidate but the
-/// fill was drawn (generated − fill ≤ draws).
+/// Every TGA's work counters (`tga.<id>.draws`, `tga.<id>.fill`, an
+/// online TGA's `rounds`, DET's and 6Hit's `rebuilds`) are pure functions
+/// of the seeds and the config: `rq1` at one thread and at two records the
+/// same manifest values, every accepted candidate but the fill was drawn
+/// (generated − fill ≤ draws), every online TGA played rounds, and no TGA
+/// that cannot rebuild its model reports rebuilds.
 #[test]
 fn tga_work_counters_agree_at_one_and_two_threads() {
     let dir = std::env::temp_dir().join(format!("sos-cli-work-{}", std::process::id()));
@@ -401,18 +403,23 @@ fn tga_work_counters_agree_at_one_and_two_threads() {
         assert!(out.status.success(), "{threads} threads");
         let doc = Json::parse(&std::fs::read_to_string(&manifest).unwrap()).unwrap();
         tga::TgaId::ALL.map(|tga| {
-            let count = |name: &str| {
+            let get = |name: &str| {
                 let key = format!("tga.{}.{name}", tga.label());
                 let value = doc.get("counters").and_then(|c| c.get(&key));
-                value.and_then(Json::as_u64).expect("counter")
+                value.and_then(Json::as_u64)
             };
-            (tga, count("generated_addrs"), count("draws"), count("fill"))
+            let count = |name: &str| get(name).expect("counter");
+            let work = (count("generated_addrs"), count("draws"), count("fill"));
+            (tga, work, get("rounds"), get("rebuilds"))
         })
     };
     let one = counters("1");
     assert_eq!(one, counters("2"));
-    for (tga, generated, draws, fill) in one {
+    for (tga, (generated, draws, fill), rounds, rebuilds) in one {
         assert!(generated - fill <= draws, "{tga:?}: {draws} draws");
+        assert_eq!(rounds.is_some_and(|r| r > 0), tga.is_online(), "{tga:?}");
+        let rebuilds_its_model = matches!(tga, tga::TgaId::Det | tga::TgaId::SixHit);
+        assert_eq!(rebuilds.is_some(), rebuilds_its_model, "{tga:?}");
         // disjoint regions, each one stream: a re-offer is a restart
         if matches!(tga, tga::TgaId::SixTree | tga::TgaId::SixGraph) {
             assert_eq!(generated - fill, draws, "{tga:?}");

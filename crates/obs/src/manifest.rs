@@ -64,6 +64,14 @@ pub fn digest_hex(d: u64) -> String {
     format!("{d:016x}")
 }
 
+/// The peak resident set size (`VmHWM`) in MiB a `/proc/<pid>/status`
+/// text reports, if it has the line.
+fn peak_rss_mb(status: &str) -> Option<f64> {
+    let line = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+    let kb: f64 = line.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
 /// Accumulates a run's identity and results, then serializes everything
 /// the observability layer captured.
 #[derive(Debug)]
@@ -118,6 +126,12 @@ impl Manifest {
             started_s,
         } = self;
         root.set("elapsed_s", crate::now_s() - started_s);
+        if let Some(mb) = std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|status| peak_rss_mb(&status))
+        {
+            root.set("peak_rss_mb", mb);
+        }
         root.set("config", config);
         root.set("digests", digests);
 
@@ -214,20 +228,27 @@ mod tests {
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        assert_eq!(
-            keys,
-            [
-                "tool",
-                "obs_version",
-                "experiment",
-                "elapsed_s",
-                "config",
-                "digests",
-                "counters",
-                "spans",
-                "span_records"
-            ]
-        );
+        // the peak is there wherever this process can read its status
+        let peak = std::fs::read_to_string("/proc/self/status")
+            .ok()
+            .and_then(|s| peak_rss_mb(&s))
+            .map(|_| "peak_rss_mb");
+        let want: Vec<&str> = ["tool", "obs_version", "experiment", "elapsed_s"]
+            .into_iter()
+            .chain(peak)
+            .chain(["config", "digests", "counters", "spans", "span_records"])
+            .collect();
+        assert_eq!(keys, want);
+    }
+
+    /// The peak is the `VmHWM` line in MiB; a status without the line, or
+    /// with one that is no number of kB, gives none.
+    #[test]
+    fn peak_rss_is_the_high_water_mark_line() {
+        let status = "Name:\tseedscan\nVmPeak:\t  999 kB\nVmHWM:\t   71680 kB\nVmRSS:\t 512 kB\n";
+        assert_eq!(peak_rss_mb(status), Some(70.0));
+        assert_eq!(peak_rss_mb("Name:\tseedscan\nVmRSS:\t 512 kB\n"), None);
+        assert_eq!(peak_rss_mb("VmHWM:\t lots kB\n"), None);
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! 1. builds an entropy-split space tree over the seeds;
 //! 2. drives generation with a UCB-style bandit over leaves — estimated
 //!    hit density plus an exploration bonus, which is what lets DET visit
-//!    leaves others abandon (its Active-AS strength in the paper);
+//!    leaves others abandon (its Active-AS strength in the paper). A leaf
+//!    no round has picked scores its seed-density prior, so the fit's
+//!    and each rebuild's leaves are sorted by prior once, and a round
+//!    scores only the leaves picked before (`Ranking`);
 //! 3. every few rounds, *re-inserts* newly discovered active addresses as
 //!    fresh regions, letting the tree follow the live Internet outward
 //!    from the seed patterns.
@@ -24,7 +27,9 @@ use sos_probe::ScanOracle;
 
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{batch_rng, build_regions, Ledger, Region, SplitStrategy, MAX_REGIONS};
-use crate::{arm_score, density_prior, slate, GenConfig, SeedModel, TargetGenerator, TgaId};
+use crate::{
+    arm_score, density_prior, descending, GenConfig, Ranking, SeedModel, TargetGenerator, TgaId,
+};
 
 /// Bandit state per tree leaf. A run clones the fitted arms and shares
 /// their regions until a widening or a rebuild replaces one.
@@ -55,6 +60,11 @@ fn arms_over(basis: &[Ipv6Addr]) -> Vec<Arm> {
         }
     };
     build_regions(basis, SplitStrategy::MinEntropy, MAX_LEAF, MAX_REGIONS, arm)
+}
+
+/// A ranking of `arms`, none of them picked yet: by prior, descending.
+fn by_prior(arms: &[Arm]) -> Ranking {
+    Ranking::new(arms.len(), |i| arms[i].prior, descending) // i < arms.len()
 }
 
 /// Leaf size for the initial tree.
@@ -104,25 +114,28 @@ impl SeedModel for Fitted<'_> {
         // The bandit scores, widens and rebuilds its arms: they are this
         // run's own.
         let mut arms: Vec<Arm> = self.arms.clone();
+        let mut ranking = by_prior(&arms);
 
         let mut sink = Candidates::new(cfg.budget, prov);
         let mut fresh_hits: Vec<Ipv6Addr> = Vec::new();
         let mut all_hits: Vec<Ipv6Addr> = Vec::new();
         let mut total_probes = 0.0f64;
         let mut round = 0usize;
+        let mut rebuilds = 0usize;
         let mut out_at_last_rebuild = 0usize;
         let mut rebuilds_enabled = true;
         let mut idle_rounds = 0usize;
 
         while sink.room() > 0 && !arms.is_empty() {
             round += 1;
-            // Rank leaves by UCB score (computed once per arm, not in
-            // the comparator); probe the top slice this round.
+            // Rank leaves by UCB score and probe the top slice this
+            // round. An arm no round has picked scores its prior, which
+            // the ranking sorted once: only the picked arms are scored.
             let ln_total = total_probes.max(2.0).ln();
-            let scores: Vec<f64> = (arms.iter())
-                .map(|a| arm_score(a.prior, a.probes, a.q, ln_total))
-                .collect();
-            let order = slate(&scores, ARMS_PER_ROUND, |a, b| b.total_cmp(a));
+            let order = ranking.slate(ARMS_PER_ROUND, |i| {
+                let a = &arms[i]; // i < arms.len(): the ranking is over arms
+                arm_score(a.prior, a.probes, a.q, ln_total)
+            });
             // Each selected arm draws its batch from a private (digest,
             // round, slot) stream against everything emitted so far, and
             // commits it before the next arm draws.
@@ -131,6 +144,7 @@ impl SeedModel for Fitted<'_> {
                 if sink.room() == 0 {
                     break;
                 }
+                ranking.touch(idx);
                 let arm = &mut arms[idx]; // idx from order: < arms.len()
                 let mut rng = batch_rng(cfg.seed ^ 0xde7, arm.region.digest, round, slot);
                 // Arms are rebuilt online: the leaf's member digest, not
@@ -183,6 +197,8 @@ impl SeedModel for Fitted<'_> {
                     let mut basis: Vec<Ipv6Addr> = seeds.to_vec();
                     basis.extend(all_hits.iter().copied());
                     arms = arms_over(&basis);
+                    ranking = by_prior(&arms);
+                    rebuilds += 1;
                     total_probes = 0.0;
                 }
             }
@@ -203,6 +219,7 @@ impl SeedModel for Fitted<'_> {
             }
         }
 
+        sink.ran(round, rebuilds);
         sink.finish(seeds, &mut rng)
     }
 }

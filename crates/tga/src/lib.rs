@@ -197,23 +197,99 @@ pub(crate) fn arm_score(prior: f64, probes: f64, q: f64, ln_total: f64) -> f64 {
     q + UCB_C * (ln_total / probes).sqrt()
 }
 
-/// The indices of the first `k` keys by `order`, ties by index: the first
-/// `k` of a stable sort of `0..keys.len()` by `order`. Ranking by (key in
-/// `order`, index ascending) is a total order that ranks exactly as the
-/// stable sort does, so a selection of the top `k` plus a sort of just
-/// those `k` returns the same prefix without sorting every key.
-pub(crate) fn slate(keys: &[f64], k: usize, order: impl Fn(&f64, &f64) -> Ordering) -> Vec<usize> {
-    let rank = |&a: &usize, &b: &usize| order(&keys[a], &keys[b]).then(a.cmp(&b)); // a, b < keys.len()
-    let mut picked: Vec<usize> = (0..keys.len()).collect();
-    if k < picked.len() {
-        let Some(last) = k.checked_sub(1) else {
-            return Vec::new();
-        };
-        picked.select_nth_unstable_by(last, rank);
-        picked.truncate(k);
+/// A bandit's ranking of its arms, kept by what changed: the first `k`
+/// arms by (key in `order`, index ascending), the first `k` of a stable
+/// sort of every arm by key. An arm no round has touched keeps the key it
+/// was built with (DET's and 6Sense's `prior`, 6Sense's 0 probes), so the
+/// untouched arms are sorted once, when the ranking is built; a slate
+/// re-keys only the touched ones and merges the two lists.
+pub(crate) struct Ranking {
+    /// Every arm, ranked by the key it was built with (`u32`: an arm is a
+    /// tree leaf or a /48, far fewer than 2^32).
+    cold: Vec<u32>,
+    /// Every arm in `cold[..head]` is touched.
+    head: usize,
+    touched: Vec<bool>,
+    /// The touched arms, each with its key as of the last slate, in no
+    /// order.
+    hot: Vec<(f64, usize)>,
+    order: fn(&f64, &f64) -> Ordering,
+}
+
+/// Keys from highest to lowest, by `total_cmp` (a UCB slate's order).
+pub(crate) fn descending(a: &f64, b: &f64) -> Ordering {
+    b.total_cmp(a)
+}
+
+impl Ranking {
+    /// A ranking of arms `0..n`, none of them touched, `key` giving each
+    /// arm's key.
+    pub(crate) fn new(
+        n: usize,
+        key: impl Fn(usize) -> f64,
+        order: fn(&f64, &f64) -> Ordering,
+    ) -> Ranking {
+        let mut cold: Vec<u32> = (0..n as u32).collect();
+        cold.sort_unstable_by(|&a, &b| order(&key(a as usize), &key(b as usize)).then(a.cmp(&b)));
+        Ranking {
+            cold,
+            head: 0,
+            touched: vec![false; n],
+            hot: Vec::new(),
+            order,
+        }
     }
-    picked.sort_unstable_by(rank);
-    picked
+
+    /// Have every later slate ask `key` for `arm`'s key: call it before
+    /// anything that can change the key.
+    pub(crate) fn touch(&mut self, arm: usize) {
+        if let Some(t) = self.touched.get_mut(arm).filter(|t| !**t) {
+            *t = true;
+            self.hot.push((f64::NAN, arm));
+        }
+    }
+
+    /// The first `k` arms, `key` giving an arm's key now (an untouched
+    /// arm's must be the one it was built with).
+    pub(crate) fn slate(&mut self, k: usize, key: impl Fn(usize) -> f64) -> Vec<usize> {
+        let order = self.order;
+        let rank = |a: &(f64, usize), b: &(f64, usize)| order(&a.0, &b.0).then(a.1.cmp(&b.1));
+        // The touched arms' first k: a selection, then a sort of just those.
+        for (now, arm) in &mut self.hot {
+            *now = key(*arm);
+        }
+        let top = k.min(self.hot.len());
+        if let Some(last) = top.checked_sub(1) {
+            self.hot.select_nth_unstable_by(last, rank);
+        }
+        let hot = &mut self.hot[..top];
+        hot.sort_unstable_by(rank);
+        // The untouched arms' first k: the first k untouched in `cold`.
+        let touched = &self.touched;
+        let skip = self.cold[self.head..]
+            .iter()
+            .take_while(|&&i| touched[i as usize]); // i < n == touched.len()
+        self.head += skip.count();
+        let mut cold = (self.cold[self.head..].iter())
+            .map(|&i| i as usize)
+            .filter(|&i| !touched[i]) // i < touched.len()
+            .map(|i| (key(i), i))
+            .peekable();
+        let mut hot = hot.iter().copied().peekable();
+        let mut picked = Vec::with_capacity(k);
+        while picked.len() < k {
+            let next = match (hot.peek(), cold.peek()) {
+                (Some(h), Some(c)) if rank(c, h).is_lt() => cold.next(),
+                (Some(_), _) => hot.next(),
+                (None, _) => cold.next(),
+            };
+            let Some((_, arm)) = next else {
+                break;
+            };
+            picked.push(arm);
+        }
+        picked
+    }
 }
 
 /// A target generation algorithm: a seed model ([`Self::fit`]) and the
@@ -320,7 +396,9 @@ pub mod names {
 /// inside a `fit` span, and every generation from its model inside a
 /// `generate` span that reports throughput (`tga.generated_addrs` and
 /// per-TGA counters: `generated_addrs`, and the sink's [`sink::Work`] as
-/// `draws` and `fill`) without touching the address stream.
+/// `draws` and `fill`, an online TGA's `rounds`, and `rebuilds` for the two
+/// that rebuild their tree, DET and 6Hit) without touching the address
+/// stream.
 struct Instrumented {
     inner: Box<dyn TargetGenerator>,
 }
@@ -331,10 +409,10 @@ impl TargetGenerator for Instrumented {
     }
 
     fn fit<'a>(&'a self, seeds: &'a [Ipv6Addr]) -> Box<dyn SeedModel + 'a> {
-        let label = self.inner.id().label();
-        let _span = sos_obs::span_detail("fit", format!("tga={label} seeds={}", seeds.len()));
+        let id = self.inner.id();
+        let _span = sos_obs::span_detail("fit", format!("tga={id} seeds={}", seeds.len()));
         Box::new(InstrumentedModel {
-            label,
+            id,
             inner: self.inner.fit(seeds),
         })
     }
@@ -342,7 +420,7 @@ impl TargetGenerator for Instrumented {
 
 /// [`Instrumented`]'s model: the `generate` span and counters.
 struct InstrumentedModel<'a> {
-    label: &'static str,
+    id: TgaId,
     inner: Box<dyn SeedModel + 'a>,
 }
 
@@ -353,7 +431,7 @@ impl SeedModel for InstrumentedModel<'_> {
         oracle: &mut dyn ScanOracle,
         prov: &mut ProvenanceLog,
     ) -> Vec<Ipv6Addr> {
-        let label = self.label;
+        let label = self.id.label();
         let _span = sos_obs::span_detail(
             "generate",
             format!("tga={label} budget={} proto={:?}", cfg.budget, cfg.proto),
@@ -370,6 +448,12 @@ impl SeedModel for InstrumentedModel<'_> {
         sos_obs::counter(&format!("tga.{label}.generated_addrs")).add(out.len() as u64);
         sos_obs::counter(&format!("tga.{label}.draws")).add(work.draws);
         sos_obs::counter(&format!("tga.{label}.fill")).add(work.fill);
+        if self.id.is_online() {
+            sos_obs::counter(&format!("tga.{label}.rounds")).add(work.rounds);
+        }
+        if matches!(self.id, TgaId::Det | TgaId::SixHit) {
+            sos_obs::counter(&format!("tga.{label}.rebuilds")).add(work.rebuilds);
+        }
         sos_obs::counter(names::GEN_PACKETS).add(gen_packets);
         if prov.is_enabled() {
             sos_obs::counter(names::PROV_TAGGED).add((prov.len() - tagged_before) as u64);
@@ -446,6 +530,24 @@ mod tests {
         assert_eq!(clamp_round(usize::MAX), u16::MAX);
     }
 
+    /// The slate every arm was scored for each round, kept as the
+    /// reference of [`Ranking::slate`]: the indices of the first `k` keys
+    /// by `order`, ties by index, by a selection of the top `k` plus a
+    /// sort of just those.
+    fn slate(keys: &[f64], k: usize, order: impl Fn(&f64, &f64) -> Ordering) -> Vec<usize> {
+        let rank = |&a: &usize, &b: &usize| order(&keys[a], &keys[b]).then(a.cmp(&b));
+        let mut picked: Vec<usize> = (0..keys.len()).collect();
+        if k < picked.len() {
+            let Some(last) = k.checked_sub(1) else {
+                return Vec::new();
+            };
+            picked.select_nth_unstable_by(last, rank);
+            picked.truncate(k);
+        }
+        picked.sort_unstable_by(rank);
+        picked
+    }
+
     /// The slate as first written, kept as the reference: every index in
     /// a stable sort by `order`, cut to `k`.
     fn slate_by_full_sort(keys: &[f64], k: usize, order: fn(&f64, &f64) -> Ordering) -> Vec<usize> {
@@ -479,7 +581,7 @@ mod tests {
                     .collect(),
             );
         }
-        let descending: fn(&f64, &f64) -> Ordering = |a, b| b.total_cmp(a);
+        let descending: fn(&f64, &f64) -> Ordering = descending;
         for keys in &cases {
             for order in [descending, f64::total_cmp] {
                 // fewer keys than slots, exactly as many, and more
@@ -489,6 +591,82 @@ mod tests {
                         slate_by_full_sort(keys, k, order),
                         "k {k} over {keys:?}"
                     );
+                }
+            }
+        }
+    }
+
+    /// A bandit arm as DET and 6Sense keep it.
+    #[derive(Debug, Clone, Copy)]
+    struct SimArm {
+        prior: f64,
+        probes: f64,
+        q: f64,
+    }
+
+    /// Both lazy slates against the full ones, every round of random
+    /// bandit histories: priors, batch sizes and hit counts drawn from a
+    /// few levels, so keys tie across the cut; picks left unreached (the
+    /// budget ran out), probed, widened to a new prior or retired
+    /// (`probes += 1e6`); now and then a DET rebuild (fresh arms, the
+    /// probe total reset to 0); 6Sense's two slates drawn from one state.
+    #[test]
+    fn a_lazy_slate_is_the_full_slate_every_round() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(26);
+        for _ in 0..300 {
+            let n = rng.gen_range(0..150);
+            let levels = rng.gen_range(1..5);
+            let (ucb_k, cold_k) = (rng.gen_range(0..40), rng.gen_range(0..8));
+            let prior =
+                |rng: &mut rand::rngs::SmallRng| 0.35 * f64::from(rng.gen_range(0..levels)) / 4.0;
+            let fresh = |rng: &mut rand::rngs::SmallRng| -> Vec<SimArm> {
+                (0..n)
+                    .map(|_| SimArm {
+                        prior: prior(rng),
+                        probes: 0.0,
+                        q: 0.0,
+                    })
+                    .collect()
+            };
+            let mut arms = fresh(&mut rng);
+            let mut ucb = Ranking::new(n, |i| arms[i].prior, descending);
+            let mut cold = Ranking::new(n, |i| arms[i].probes, f64::total_cmp);
+            let mut total = 1.0f64;
+            for _ in 0..40 {
+                let ln_total = total.max(2.0).ln();
+                let score = |a: &SimArm| arm_score(a.prior, a.probes, a.q, ln_total);
+                let scores: Vec<f64> = arms.iter().map(score).collect();
+                let probes: Vec<f64> = arms.iter().map(|a| a.probes).collect();
+                let by_ucb = ucb.slate(ucb_k, |i| score(&arms[i]));
+                let by_cold = cold.slate(cold_k, |i| arms[i].probes);
+                assert_eq!(by_ucb, slate(&scores, ucb_k, descending), "{arms:?}");
+                assert_eq!(by_cold, slate(&probes, cold_k, f64::total_cmp), "{arms:?}");
+                for &i in by_ucb.iter().chain(&by_cold) {
+                    if rng.gen_bool(0.1) {
+                        continue;
+                    }
+                    ucb.touch(i);
+                    cold.touch(i);
+                    let arm = &mut arms[i];
+                    match rng.gen_range(0..8) {
+                        0 => arm.prior = prior(&mut rng),
+                        1 => arm.probes += 1e6,
+                        2 => {}
+                        _ => {
+                            let sent = [1.0, 16.0, 32.0][rng.gen_range(0..3)];
+                            let hits = sent * f64::from(rng.gen_range(0..3)) / 2.0;
+                            arm.q = 0.4 * arm.q + 0.6 * (hits / sent);
+                            arm.probes += sent;
+                            total += sent;
+                        }
+                    }
+                }
+                if rng.gen_bool(0.05) {
+                    arms = fresh(&mut rng);
+                    ucb = Ranking::new(n, |i| arms[i].prior, descending);
+                    cold = Ranking::new(n, |i| arms[i].probes, f64::total_cmp);
+                    total = 0.0;
                 }
             }
         }

@@ -62,9 +62,10 @@ pub(crate) fn draw_cap(want: usize) -> usize {
 }
 
 /// The work a generation run does beside its output, counted by its sink:
-/// the addresses its model produced for it, accepted or not, and the
-/// candidates [`Candidates::finish`] padded. Both are pure functions of the
-/// seeds and the config, so they are equal at any thread count.
+/// the addresses its model produced for it, accepted or not, the
+/// candidates [`Candidates::finish`] padded, and an online run's rounds
+/// and model rebuilds. Each is a pure function of the seeds, the config
+/// and the oracle, so they are equal at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Work {
     /// Addresses the model offered: sampler calls of [`Candidates::draw`]
@@ -74,13 +75,17 @@ pub(crate) struct Work {
     pub(crate) draws: u64,
     /// Candidates [`Candidates::finish`] padded ([`REGION_FILL`]).
     pub(crate) fill: u64,
+    /// Generation rounds an online run played ([`Candidates::ran`]).
+    pub(crate) rounds: u64,
+    /// Times an online run rebuilt its model from seeds and hits.
+    pub(crate) rebuilds: u64,
 }
 
 thread_local! {
     /// The work of every sink finished on this thread, summed. A run emits
     /// on the thread that called it, so the difference across one `generate`
     /// call is that run's work.
-    static WORK: Cell<Work> = const { Cell::new(Work { draws: 0, fill: 0 }) };
+    static WORK: Cell<Work> = const { Cell::new(Work::NONE) };
 }
 
 /// The work of every sink finished on this thread so far; subtract the
@@ -90,11 +95,30 @@ pub(crate) fn work_done() -> Work {
 }
 
 impl Work {
+    const NONE: Work = Work {
+        draws: 0,
+        fill: 0,
+        rounds: 0,
+        rebuilds: 0,
+    };
+
     /// The work done between `before` and `self`, two [`work_done`] reads.
     pub(crate) fn since(self, before: Work) -> Work {
         Work {
             draws: self.draws - before.draws,
             fill: self.fill - before.fill,
+            rounds: self.rounds - before.rounds,
+            rebuilds: self.rebuilds - before.rebuilds,
+        }
+    }
+
+    /// `self` and `run`'s work together.
+    fn plus(self, run: Work) -> Work {
+        Work {
+            draws: self.draws + run.draws,
+            fill: self.fill + run.fill,
+            rounds: self.rounds + run.rounds,
+            rebuilds: self.rebuilds + run.rebuilds,
         }
     }
 }
@@ -107,8 +131,8 @@ pub struct Candidates<'p> {
     seen: AddrSet<u128>,
     prov: &'p mut ProvenanceLog,
     budget: usize,
-    /// Addresses the model offered this sink so far ([`Work::draws`]).
-    draws: u64,
+    /// This run's work so far; its `fill` is counted at the finish.
+    work: Work,
 }
 
 impl<'p> Candidates<'p> {
@@ -123,7 +147,7 @@ impl<'p> Candidates<'p> {
             seen,
             prov,
             budget,
-            draws: 0,
+            work: Work::NONE,
         }
     }
 
@@ -140,7 +164,7 @@ impl<'p> Candidates<'p> {
     /// Emit `addr` unless it is a duplicate or the budget is full; true
     /// iff it was accepted (and tagged). Counts one draw.
     pub fn push(&mut self, addr: Ipv6Addr, tag: Tag) -> bool {
-        self.draws += 1;
+        self.work.draws += 1;
         self.accept(addr, tag)
     }
 
@@ -173,7 +197,7 @@ impl<'p> Candidates<'p> {
         let mut stale = 0;
         while self.out.len() < end && stale < stale_limit && calls > 0 {
             calls -= 1;
-            self.draws += 1;
+            self.work.draws += 1;
             let fresh = sampler().is_some_and(|a| self.accept(a, tag));
             stale = if fresh { 0 } else { stale + 1 };
         }
@@ -196,8 +220,15 @@ impl<'p> Candidates<'p> {
         let start = self.out.len();
         let want = want.min(self.room());
         let draws = region.draw_unseen(ledger, want, explore, rng, |a| self.accept(a, tag));
-        self.draws += draws as u64;
+        self.work.draws += draws as u64;
         start..self.out.len()
+    }
+
+    /// Record that an online run played `rounds` rounds and rebuilt its
+    /// model `rebuilds` times ([`Work::rounds`], [`Work::rebuilds`]).
+    pub(crate) fn ran(&mut self, rounds: usize, rebuilds: usize) {
+        self.work.rounds = rounds as u64;
+        self.work.rebuilds = rebuilds as u64;
     }
 
     /// Pad to the budget and hand the candidates back. Every TGA paper
@@ -206,14 +237,11 @@ impl<'p> Candidates<'p> {
     /// seeds, or once mutation keeps colliding: random global unicast).
     /// Adds this run's work to the thread's (`work_done`).
     pub fn finish(mut self, seeds: &[Ipv6Addr], rng: &mut impl Rng) -> Vec<Ipv6Addr> {
-        let fill = self.room() as u64;
-        WORK.with(|w| {
-            let done = w.get();
-            w.set(Work {
-                draws: done.draws + self.draws,
-                fill: done.fill + fill,
-            });
-        });
+        let run = Work {
+            fill: self.room() as u64,
+            ..self.work
+        };
+        WORK.with(|w| w.set(w.get().plus(run)));
         let mut stale = 0;
         while !seeds.is_empty()
             && self.room() > 0
@@ -319,6 +347,7 @@ mod tests {
         assert_eq!(sink.room(), usize::MAX);
         assert!(sink.out.capacity() <= RESERVE_CAP);
         assert!(sink.push(a(1), Tag::new(0, 0, 0)) && !sink.push(a(1), Tag::new(0, 0, 0)));
+        sink.ran(4, 1);
         assert_eq!(sink.room(), usize::MAX - 1);
     }
 
@@ -419,13 +448,15 @@ mod tests {
 
     /// A run's work reaches the thread's total when it finishes: a push is
     /// one draw, accepted or not, a sampler call one more (a veto too),
-    /// and the fill is what the budget still lacked.
+    /// the fill is what the budget still lacked, and the rounds and
+    /// rebuilds are what the run said it played.
     #[test]
     fn finish_adds_the_runs_draws_and_fill_to_the_threads_work() {
         let before = work_done();
         let mut prov = ProvenanceLog::disabled();
         let mut sink = Candidates::new(10, &mut prov);
         assert!(sink.push(a(1), Tag::new(0, 0, 0)) && !sink.push(a(1), Tag::new(0, 0, 0)));
+        sink.ran(4, 1);
         let mut calls = 0u128;
         let range = sink.draw(2, 8, Tag::new(0, 0, 0), || {
             calls += 1;
@@ -435,7 +466,13 @@ mod tests {
         assert_eq!(work_done(), before, "nothing counts before the finish");
         let mut rng = SmallRng::seed_from_u64(3);
         assert_eq!(sink.finish(&[a(9)], &mut rng).len(), 10);
-        assert_eq!(work_done().since(before), Work { draws: 5, fill: 7 });
+        let work = Work {
+            draws: 5,
+            fill: 7,
+            rounds: 4,
+            rebuilds: 1,
+        };
+        assert_eq!(work_done().since(before), work);
     }
 
     #[test]

@@ -77,6 +77,7 @@ impl SeedModel for Fitted<'_> {
         let mut sink = Candidates::new(cfg.budget, prov);
         let mut all_hits: Vec<Ipv6Addr> = Vec::new();
         let mut round = 0usize;
+        let mut rebuilds = 0usize;
 
         while sink.room() > 0 && !regions.is_empty() {
             round += 1;
@@ -130,12 +131,14 @@ impl SeedModel for Fitted<'_> {
                 ));
                 q = vec![0.0; regions.len()];
                 ledgers = vec![Ledger::default(); regions.len()];
+                rebuilds += 1;
             }
             if !progressed {
                 break;
             }
         }
 
+        sink.ran(round, rebuilds);
         sink.finish(seeds, &mut SmallRng::seed_from_u64(seed))
     }
 }
@@ -248,7 +251,9 @@ mod tests {
 
     /// A region's batch comes back empty only once it is drained: 64
     /// regions of 16 equally likely addresses each give up all 1 024, in
-    /// exactly 1 024 draws, before the fill takes over.
+    /// exactly 1 024 draws, before the fill takes over: one round drains
+    /// them and a second finds every region dry (a dead oracle gives no
+    /// hits to rebuild from).
     #[test]
     fn a_region_runs_dry_only_once_drained() {
         let seeds: Vec<Ipv6Addr> = (0..64u128)
@@ -269,7 +274,9 @@ mod tests {
             work,
             Work {
                 draws: 1_024,
-                fill: 3_000 - 1_024
+                fill: 3_000 - 1_024,
+                rounds: 2,
+                rebuilds: 0,
             }
         );
         let mut model_out: Vec<Ipv6Addr> = out[..1_024].to_vec();

@@ -8,6 +8,12 @@
 //! probes embed the id via [`sos_probe::packet::build_probe`]'s region tag
 //! (ICMP payload / TCP sequence / DNS qname) and reward only what the
 //! *echoed tag* says, exactly as 6Scan does.
+//!
+//! Each round probes the 64 live regions of highest reward rate, ε-greedy,
+//! ties in the order the round before left them: a stable sort of the
+//! order it inherits. Only the regions a round probed or an echoed tag
+//! credited change rate, so the next round merges just those back into
+//! the order (`Ranked`) instead of sorting every region again.
 
 use std::net::Ipv6Addr;
 
@@ -64,6 +70,92 @@ impl TargetGenerator for SixScan {
     }
 }
 
+/// The live regions ranked by reward rate, descending, ties in the order
+/// the round before left them: each round's stable sort of the order it
+/// inherits. A round moves the rate only of the regions it touched, and
+/// the others stay in rate order, so [`Self::rerank`] takes the touched
+/// ones out, sorts just those, and puts each back, in place, at the place
+/// a binary search finds for it.
+struct Ranked {
+    /// The live regions, ranked.
+    order: Vec<usize>,
+    /// Each region's reward rate as of the last re-rank.
+    rate: Vec<f64>,
+    /// Marks the touched regions during a re-rank.
+    moved: Vec<bool>,
+    /// The touched live regions: (rate, untouched regions ranked before
+    /// it, id).
+    back: Vec<(f64, usize, usize)>,
+}
+
+impl Ranked {
+    /// `order` ranks `n` regions whose rates are all 0 (no reward yet).
+    fn new(order: Vec<usize>, n: usize) -> Ranked {
+        Ranked {
+            order,
+            rate: vec![0.0; n],
+            moved: vec![false; n],
+            back: Vec::new(),
+        }
+    }
+
+    /// Drop the exhausted regions and re-rank the regions `touched` names
+    /// (each any number of times) at their rates now; empties `touched`.
+    /// Every region `touched` does not name must have the rate it had at
+    /// the last re-rank.
+    fn rerank(
+        &mut self,
+        touched: &mut Vec<usize>,
+        reward: &[f64],
+        probes: &[f64],
+        exhausted: &[bool],
+    ) {
+        // touched ids, order and the rates are region ids: < n
+        for &i in touched.iter() {
+            self.moved[i] = true;
+            self.rate[i] = reward[i] / probes[i];
+        }
+        let (rate, moved, back) = (&self.rate, &self.moved, &mut self.back);
+        back.clear();
+        let mut kept = 0;
+        self.order.retain(|&i| {
+            if exhausted[i] {
+                false
+            } else if moved[i] {
+                back.push((rate[i], kept, i));
+                false
+            } else {
+                kept += 1;
+                true
+            }
+        });
+        // Stable: tied touched regions keep their inherited order.
+        back.sort_by(|a, b| b.0.total_cmp(&a.0));
+        let order = &mut self.order;
+        for (r, before, _) in back.iter_mut() {
+            // The untouched regions ranked above it: every one with a
+            // higher rate, and of those with its rate, the ones it
+            // followed.
+            let higher = order.partition_point(|&u| rate[u].total_cmp(r).is_gt());
+            let tied = order[higher..].partition_point(|&u| rate[u].total_cmp(r).is_eq());
+            *before = (*before).clamp(higher, higher + tied);
+        }
+        // Fill from the end: the k-th touched region (from 0) lands after
+        // `before` untouched ones and k touched ones, and every untouched
+        // one moves up by the touched count ranked above it.
+        let mut end = order.len();
+        order.resize(end + back.len(), 0);
+        for (k, &(_, at, i)) in back.iter().enumerate().rev() {
+            order.copy_within(at..end, at + k + 1);
+            order[at + k] = i;
+            end = at;
+        }
+        for i in touched.drain(..) {
+            self.moved[i] = false;
+        }
+    }
+}
+
 /// 6Scan's model: the seeds' space tree, and its regions in seed-density
 /// order (the ranking the first round starts from).
 struct Fitted<'a> {
@@ -89,25 +181,23 @@ impl SeedModel for Fitted<'_> {
         let mut probes = vec![1.0f64; n];
         let mut exhausted = vec![false; n];
         let mut ledgers = vec![Ledger::default(); n];
-        // Each round's reward rates, computed once for the sort.
-        let mut rate: Vec<f64> = Vec::with_capacity(n);
         let mut round = 0usize;
 
         let mut sink = Candidates::new(cfg.budget, prov);
 
-        // Every round re-ranks the order it inherits.
-        let mut order = self.order.clone();
-        while sink.room() > 0 && !order.is_empty() {
+        // Every round re-ranks the order it inherits, by what the round
+        // before touched: the regions it probed or an echoed tag credited.
+        let mut ranked = Ranked::new(self.order.clone(), n);
+        let mut touched: Vec<usize> = Vec::new();
+        while sink.room() > 0 && !ranked.order.is_empty() {
             round += 1;
             // Drop exhausted regions from rotation, then rank the live
             // ones by observed reward rate, ε-greedy.
-            order.retain(|&i| !exhausted[i]);
+            ranked.rerank(&mut touched, &reward, &probes, &exhausted);
+            let order = &ranked.order;
             if order.is_empty() {
                 break;
             }
-            rate.clear();
-            rate.extend(reward.iter().zip(&probes).map(|(r, p)| r / p));
-            order.sort_by(|&a, &b| rate[b].total_cmp(&rate[a])); // a, b < n: rate sized n
 
             // Each slot picks its region on the round RNG, then draws its
             // batch from a private (region, round, slot) stream, without
@@ -137,12 +227,17 @@ impl SeedModel for Fitted<'_> {
                 }
                 progressed = true;
                 probes[idx] += batch.len() as f64; // idx < n
+                touched.push(idx);
 
                 // Reward comes exclusively from tags echoed in responses.
                 let region = Some(idx as u32);
                 probe_round(oracle, cfg.proto, &sink, batch, region, |_, echo| {
-                    if let Some(r) = echo.and_then(|id| reward.get_mut(id as usize)) {
+                    let Some(id) = echo.map(|id| id as usize) else {
+                        return;
+                    };
+                    if let Some(r) = reward.get_mut(id) {
                         *r += 1.0;
+                        touched.push(id);
                     }
                 });
             }
@@ -151,6 +246,7 @@ impl SeedModel for Fitted<'_> {
             }
         }
 
+        sink.ran(round, 0);
         sink.finish(self.seeds, &mut rng)
     }
 }
@@ -262,6 +358,78 @@ mod tests {
             in_live > 4.0 * in_dead,
             "6Scan should overweight the productive sparse /64s: {in_live:.0} vs {in_dead:.0} per /64"
         );
+    }
+
+    /// The order as every round first ranked it, kept as the reference of
+    /// [`Ranked::rerank`]: drop the exhausted regions, then a stable sort
+    /// of what is left by every region's rate, descending.
+    fn rerank_by_full_sort(
+        order: &mut Vec<usize>,
+        reward: &[f64],
+        probes: &[f64],
+        exhausted: &[bool],
+    ) {
+        let rate: Vec<f64> = reward.iter().zip(probes).map(|(r, p)| r / p).collect();
+        order.retain(|&i| !exhausted[i]);
+        order.sort_by(|&a, &b| rate[b].total_cmp(&rate[a]));
+    }
+
+    /// The merge against the full sort, every round of random histories:
+    /// batch sizes of 1, 16 and 32 and a few credits, so rates tie (at 0
+    /// above all); ε picks anywhere in the order, repeats of a region
+    /// included; regions exhausted mid-round and then picked again; and
+    /// echoed credits to regions the round did not probe, to exhausted
+    /// ones and to ids past the last region.
+    #[test]
+    fn a_merged_order_is_the_stable_sort_every_round() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        for _ in 0..300 {
+            let n = rng.gen_range(0..300);
+            let mut start: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                start.swap(i, rng.gen_range(0..=i));
+            }
+            let mut reward = vec![0.0f64; n];
+            let mut probes = vec![1.0f64; n];
+            let mut exhausted = vec![false; n];
+            let mut ranked = Ranked::new(start.clone(), n);
+            let mut want = start;
+            let mut touched = Vec::new();
+            let slots = rng.gen_range(1..=REGIONS_PER_ROUND);
+            for _ in 0..40 {
+                ranked.rerank(&mut touched, &reward, &probes, &exhausted);
+                rerank_by_full_sort(&mut want, &reward, &probes, &exhausted);
+                assert_eq!(ranked.order, want);
+                let order = &ranked.order;
+                for slot in 0..slots.min(order.len()) {
+                    let idx = if rng.gen_bool(0.3) {
+                        order[rng.gen_range(0..order.len())]
+                    } else {
+                        order[slot]
+                    };
+                    if exhausted[idx] {
+                        continue;
+                    }
+                    if rng.gen_bool(0.1) {
+                        exhausted[idx] = true;
+                        continue;
+                    }
+                    probes[idx] += [1.0, 16.0, 32.0][rng.gen_range(0..3)];
+                    touched.push(idx);
+                    for _ in 0..rng.gen_range(0..3) {
+                        let id = if rng.gen_bool(0.7) {
+                            idx
+                        } else {
+                            rng.gen_range(0..n + 2)
+                        };
+                        if let Some(r) = reward.get_mut(id) {
+                            *r += 1.0;
+                            touched.push(id);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! - a UCB bandit schedules the productive arms;
 //! - a fixed share of every round goes to the least-probed arms (the
 //!   diversity budget that buys AS coverage);
+//! - both schedules rank an arm no round has picked by what it was fit
+//!   with (its prior; 0 probes), sorted once per run, and re-score only
+//!   the arms picked before (`Ranking`);
 //! - a built-in 6Gen-style dealiaser vets suspiciously hot /96es and
 //!   blacklists aliased ones — candidates inside blacklisted prefixes are
 //!   regenerated instead of emitted.
@@ -32,7 +35,9 @@ use v6addr::{AddrMap, Prefix, PrefixSet};
 use crate::pattern::{coin, fill_guide, inverse_cdf, DigitTable, ValueHist};
 use crate::sink::{probe_round, Candidates, Tag};
 use crate::space_tree::{Region, Sweep};
-use crate::{arm_score, density_prior, slate, GenConfig, SeedModel, TargetGenerator, TgaId};
+use crate::{
+    arm_score, density_prior, descending, GenConfig, Ranking, SeedModel, TargetGenerator, TgaId,
+};
 
 /// Per-/48 bandit arm with hierarchical section models: 6Sense generates
 /// the subnet section and the IID section separately — per-/64 sub-models
@@ -213,6 +218,11 @@ impl SeedModel for Fitted<'_> {
             .collect();
         let mut probes = vec![0.0f64; arms.len()];
         let mut q = vec![0.0f64; arms.len()];
+        // The two schedules, by UCB score and by probes spent. An arm no
+        // round has picked keeps its prior and its 0 probes, so each
+        // ranking sorted it once: a round re-keys only the picked arms.
+        let mut by_score = Ranking::new(arms.len(), |i| arms[i].prior, descending); // i < arms.len()
+        let mut by_probes = Ranking::new(arms.len(), |_| 0.0, f64::total_cmp);
 
         let mut dealiaser = OnlineDealiaser::new(OnlineConfig {
             seed: cfg.seed ^ 0xa11a5,
@@ -235,17 +245,19 @@ impl SeedModel for Fitted<'_> {
             round += 1;
             // Schedule: top-UCB arms + least-probed arms (diversity).
             let ln_total = total_probes.max(2.0).ln();
-            let scores: Vec<f64> = (arms.iter().zip(&probes).zip(&q))
-                .map(|((arm, &spent), &rate)| arm_score(arm.prior, spent, rate, ln_total))
-                .collect();
-            let by_ucb = slate(&scores, ucb_slots, |a, b| b.total_cmp(a));
-            let by_cold = slate(&probes, diversity_slots, f64::total_cmp);
+            // i < arms.len() == probes.len() == q.len(): the rankings are over arms
+            let by_ucb = by_score.slate(ucb_slots, |i| {
+                arm_score(arms[i].prior, probes[i], q[i], ln_total)
+            });
+            let by_cold = by_probes.slate(diversity_slots, |i| probes[i]);
 
             let mut progressed = false;
             for idx in by_ucb.into_iter().chain(by_cold) {
                 if sink.room() == 0 {
                     break;
                 }
+                by_score.touch(idx);
+                by_probes.touch(idx);
                 let (arm, arm_sweeps) = (&arms[idx], &mut sweeps[idx]); // idx from a slate: < arms.len()
 
                 // productive arms get super-sized batches (6Sense's RL
@@ -300,6 +312,7 @@ impl SeedModel for Fitted<'_> {
             }
         }
 
+        sink.ran(round, 0);
         sink.finish(self.seeds, &mut rng)
     }
 }
